@@ -529,11 +529,7 @@ fn morsel_scan(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("morsel_scan");
     for workers in [1usize, 2, 4, 8] {
-        let mgr = ScanManager::new(
-            ctx.clone(),
-            ScanConfig { osp: true, startup_delay: std::time::Duration::ZERO, workers },
-            metrics.clone(),
-        );
+        let mgr = ScanManager::new(ctx.clone(), ScanConfig { osp: true, workers }, metrics.clone());
         g.bench_with_input(BenchmarkId::from_parameter(workers), &mgr, |b, mgr| {
             b.iter(|| {
                 let reg = Arc::new(WaitRegistry::new());

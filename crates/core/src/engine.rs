@@ -112,8 +112,6 @@ pub struct QPipe {
     _sweeper: AdmitSweeper,
     /// Self-reference for deferred dispatch closures (admission tickets).
     self_weak: Weak<QPipe>,
-    /// Debug map: waits-for node → "query/op" label.
-    node_labels: parking_lot::Mutex<HashMap<u64, String>>,
     /// Canonical plan signature → hash of the first SQL text that produced
     /// it. A later submission with the same signature but different text is a
     /// `plan_canonical_hits` event: canonicalization recognized a syntactic
@@ -155,11 +153,7 @@ impl QPipe {
             DeadlockDetector::spawn(registry.clone(), metrics.clone(), config.deadlock_interval);
         let scan_mgr = ScanManager::new(
             ctx.clone(),
-            ScanConfig {
-                osp: config.osp,
-                workers: config.exec.task_workers,
-                ..ScanConfig::default()
-            },
+            ScanConfig { osp: config.osp, workers: config.exec.task_workers },
             metrics.clone(),
         );
         // One shared task pool for the short, never-blocking CPU jobs the
@@ -234,7 +228,6 @@ impl QPipe {
             admit,
             _sweeper: sweeper,
             self_weak: self_weak.clone(),
-            node_labels: parking_lot::Mutex::new(HashMap::new()),
             sql_sigs: parking_lot::Mutex::new(HashMap::new()),
         }))
     }
@@ -258,11 +251,6 @@ impl QPipe {
     /// The waits-for registry (observability / debugging).
     pub fn wait_registry(&self) -> &Arc<WaitRegistry> {
         &self.registry
-    }
-
-    /// Debug label for a waits-for node id.
-    pub fn node_label(&self, node: crate::deadlock::NodeId) -> String {
-        self.node_labels.lock().get(&node.0).cloned().unwrap_or_else(|| "?".into())
     }
 
     /// The result cache, when enabled.
@@ -505,10 +493,6 @@ impl QPipe {
         }
 
         let (ordered, split_ok) = scan_flags(&plan);
-        self.node_labels.lock().insert(
-            node.0,
-            format!("{:?}/{}/{:x}", query, plan.op_name(), plan.signature() & 0xffff),
-        );
         if let Some(tr) = trace {
             tr.push(TraceEvent::PacketDispatched { op: plan.op_name() });
         }
@@ -548,9 +532,6 @@ impl QPipe {
         if split_ok {
             // Scans get the flag directly; it only matters for leaf scans.
             let cancel = CancelToken::new();
-            self.node_labels
-                .lock()
-                .insert(node.0, format!("{:?}/{}(split)", query, plan.op_name()));
             let (ordered, _) = scan_flags(&plan);
             if let Some(tr) = trace {
                 tr.push(TraceEvent::PacketDispatched { op: plan.op_name() });

@@ -172,9 +172,14 @@ impl Pipe {
     /// Re-point this pipe's producer identity in the waits-for graph (used
     /// when a host adopts a satellite's output pipe, or a circular scanner
     /// adopts a scan packet's pipe: all outputs of one executing thread must
-    /// share one graph node for cycles to be visible).
+    /// share one graph node for cycles to be visible). A consumer already
+    /// blocked on the empty pipe registered its wait against the old node;
+    /// it is woken so it re-registers against the new one — otherwise the
+    /// edge stays stale for as long as no data arrives, which in a deadlock
+    /// is forever.
     pub fn set_producer_node(&self, node: NodeId) {
         self.state.lock().producer_node = node;
+        self.data.notify_all();
     }
 
     /// Consumers currently attached (not detached).

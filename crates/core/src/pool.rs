@@ -170,8 +170,16 @@ impl Drop for WorkerPool {
         // observe the detach and finish, so the join below terminates.
         drop(discarded);
         self.shared.cv.notify_all();
+        // The last handle to the pool can be dropped by one of the pool's own
+        // jobs (a morsel job that outlives the engine holds the scan manager,
+        // which owns this pool): that worker cannot join itself. It exits on
+        // its own once this drop returns — `shutdown` is set and the queue is
+        // empty.
+        let me = std::thread::current().id();
         for h in self.handles.lock().drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -212,6 +220,27 @@ mod tests {
         assert!(pool.execute(None, move || tx.send(7).unwrap()));
         assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 7);
         assert_eq!(metrics.snapshot().worker_panics, 1);
+    }
+
+    #[test]
+    fn pool_dropped_by_its_own_job_does_not_join_itself() {
+        let metrics = Metrics::new();
+        let pool = Arc::new(WorkerPool::new("test", 2, metrics.clone(), None));
+        let last_handle = pool.clone();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        assert!(pool.execute(None, move || {
+            go_rx.recv().unwrap();
+            // The pool's destructor runs here, on one of its own workers.
+            drop(last_handle);
+            done_tx.send(()).unwrap();
+        }));
+        drop(pool);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("self-join would panic (EDEADLK) inside the job");
+        assert_eq!(metrics.snapshot().worker_panics, 0);
     }
 
     #[test]

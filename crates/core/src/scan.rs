@@ -2,20 +2,46 @@
 //!
 //! A dedicated *scanner thread* serves each in-progress shared scan of a
 //! relation. The first scan request starts the scanner; later requests attach
-//! immediately as satellites, each recording the scanner's current position
-//! as its own start (and thereby "setting the new termination point"). When
-//! the scanner reaches end-of-file with unsatisfied satellites it wraps
-//! around and keeps reading, so every consumer eventually sees every page
-//! exactly once. Per-consumer predicates/projections are applied by the
+//! as satellites. Per-consumer predicates/projections are applied by the
 //! scanner, so queries with *different* selection predicates still share one
 //! physical scan — the property Figure 12's random-predicate TPC-H mix
-//! exploits.
-//!
-//! Ordered consumers (spike overlap) may only join a scanner sitting at page
-//! 0, unless their packet is flagged `split_ok` (an ancestor merge-join will
-//! restart at the wrap point, §4.3.2); otherwise they get a dedicated
-//! scanner. With OSP disabled every request gets a dedicated scanner and all
+//! exploits. With OSP disabled every request gets a dedicated scanner and all
 //! sharing degenerates to buffer-pool timing — the paper's Baseline.
+//!
+//! # Scan start and attach rules
+//!
+//! Scan start is wait-free: a new scanner takes the table's shared lock and
+//! claims page 0 at once, so a query that opens a group pays nothing for
+//! sharing it may never get (§5, "negligible overhead"). No clock takes part
+//! in attaching. What a newcomer gets depends only on the group's
+//! `pages_read`, which the scanner advances under the group lock in the same
+//! critical section in which it adopts its inbox and *claims* a morsel:
+//!
+//! * **`pages_read == 0`** — the group is indexed but its first morsel is
+//!   not claimed yet. The newcomer joins at position 0 with the host: same
+//!   page sequence, no wrap, column-union pruning stays on, and ordered
+//!   consumers are welcome. [`ScanManager::submit`] indexes a group *before*
+//!   spawning its scanner thread and the scan µEngine has one dispatcher, so
+//!   the packets of a burst queued behind the first one land here. So does
+//!   everything submitted while the table is exclusively locked (§4.3.4): the
+//!   scanner blocks on the shared lock before it claims anything.
+//! * **`pages_read > 0`** — the scan is under way. The newcomer records the
+//!   scanner's current position as its own start (thereby "setting the new
+//!   termination point"); the group becomes *staggered*: when the scanner
+//!   reaches end-of-file with unsatisfied consumers it wraps around and keeps
+//!   reading, so every consumer still sees every page exactly once.
+//! * **Ordered consumers** (spike overlap) may only join at
+//!   `pages_read == 0`, unless their packet is flagged `split_ok` (an
+//!   ancestor merge-join will restart at the wrap point, §4.3.2); otherwise
+//!   they get a dedicated scanner.
+//! * A group whose scanner has exited (`finished`) refuses attaches; the
+//!   request starts a new group.
+//!
+//! Adoption is not instantaneous — the scanner picks its inbox up at morsel
+//! boundaries — but *enrollment* is: from that moment the request's pipe
+//! names the scanner as its producer in the waits-for graph (§4.3.3), so a
+//! deadlock cycle through a scanner parked on a full pipe with requests
+//! still in its inbox is visible to the detector.
 
 use crate::pipe::PipeProducer;
 use parking_lot::Mutex;
@@ -229,6 +255,13 @@ struct GroupInner {
 /// One shared scan of one table, driven by a dedicated scanner thread.
 pub struct ScanGroup {
     table: String,
+    /// The scanner thread's identity in the waits-for graph (§4.3.3: all
+    /// outputs of one executing thread share one node). Every enrolled
+    /// request's pipe is re-pointed at it *when it enrolls*, not when the
+    /// scanner adopts it: a request parked in the inbox of a scanner that is
+    /// itself blocked on a full pipe is already waiting on that scanner, and
+    /// a cycle through it must be visible to the detector.
+    node: crate::deadlock::NodeId,
     inner: Mutex<GroupInner>,
 }
 
@@ -249,22 +282,22 @@ impl ScanGroup {
         if let Some(tr) = &req.trace {
             tr.push(TraceEvent::OspAttach { engine: "scan" });
         }
+        req.output.pipe().set_producer_node(self.node);
         g.inbox.push(ScanConsumer::new(req, true));
         g.active += 1;
         Ok(())
     }
 }
 
-/// Configuration for the scan manager.
+/// Configuration for the scan manager. Neither field is a timer: when a
+/// request may attach, and what it then receives, is decided by the group's
+/// `pages_read` alone (module docs, "Scan start and attach rules").
 #[derive(Debug, Clone, Copy)]
 pub struct ScanConfig {
-    /// OSP on/off: off means one dedicated scanner per request (Baseline).
+    /// OSP on/off: on, a request attaches to an in-progress scanner of its
+    /// table whenever the attach rules allow; off means one dedicated
+    /// scanner per request (Baseline).
     pub osp: bool,
-    /// Late-activation delay (§4.3.1): a new scanner waits briefly before
-    /// reading its first page so that a burst of simultaneously submitted
-    /// queries all attach at position 0 instead of trailing a scanner that
-    /// already raced ahead. Applied only when OSP is on.
-    pub startup_delay: std::time::Duration,
     /// Task-pool workers fetching/decoding/filtering pages in parallel.
     /// `<= 1` keeps the scanner thread doing everything itself (the
     /// pre-morsel behavior); above that the scanner claims page-range
@@ -275,7 +308,7 @@ pub struct ScanConfig {
 
 impl Default for ScanConfig {
     fn default() -> Self {
-        Self { osp: true, startup_delay: std::time::Duration::from_micros(1500), workers: 1 }
+        Self { osp: true, workers: 1 }
     }
 }
 
@@ -332,8 +365,11 @@ impl ScanManager {
         let table = req.table.clone();
         let info = self.ctx.catalog.table(&table)?;
         let num_pages = info.num_pages()?;
+        let node = crate::packet::fresh_node();
+        req.output.pipe().set_producer_node(node);
         let group = Arc::new(ScanGroup {
             table: table.clone(),
+            node,
             inner: Mutex::new(GroupInner {
                 position: 0,
                 pages_read: 0,
@@ -531,13 +567,11 @@ impl ScanManager {
         };
         // Shared table lock held for the whole scan (§4.3.4: if the table is
         // locked for writing, the scan — and all its satellites — waits).
+        // Nothing is claimed before the lock is granted, so requests arriving
+        // meanwhile attach at position 0.
         let _lock = self.ctx.catalog.locks().lock_shared(&group.table);
-        if self.config.osp && !self.config.startup_delay.is_zero() {
-            std::thread::sleep(self.config.startup_delay);
-        }
         let pool = self.ctx.catalog.pool().clone();
         let file = info.file_id();
-        let scanner_node = crate::packet::fresh_node();
         let mut consumers: Vec<ScanConsumer> = Vec::new();
         // The union of all consumers' referenced columns, recomputed only
         // when group membership changes (attach/finish) — not per page. A
@@ -559,12 +593,8 @@ impl ScanManager {
             // pages_read advance *now*, before any page is processed, so an
             // ordered newcomer racing `try_attach` can never observe
             // `pages_read == 0` while delivery is already past page 0.
-            let start = {
+            let (start, morsel) = {
                 let mut g = group.inner.lock();
-                for c in &g.inbox {
-                    // One graph identity per scanner thread (§4.3.3 model).
-                    c.output.pipe().set_producer_node(scanner_node);
-                }
                 union_stale |= !g.inbox.is_empty() || staggered != g.staggered;
                 staggered = g.staggered;
                 consumers.append(&mut g.inbox);
@@ -578,16 +608,15 @@ impl ScanManager {
                     }
                     return;
                 }
-                g.position
-            };
-            // No consumer needs more pages than the one furthest behind.
-            let max_needed = num_pages - consumers.iter().map(|c| c.pages_seen).min().unwrap_or(0);
-            let morsel = morsel_cap.clamp(1, max_needed.max(1));
-            {
-                let mut g = group.inner.lock();
+                // No consumer needs more pages than the one furthest behind.
+                let max_needed =
+                    num_pages - consumers.iter().map(|c| c.pages_seen).min().unwrap_or(0);
+                let morsel = morsel_cap.clamp(1, max_needed.max(1));
+                let start = g.position;
                 g.pages_read += morsel;
-                g.position = (start + morsel) % num_pages.max(1);
-            }
+                g.position = (start + morsel) % num_pages;
+                (start, morsel)
+            };
             // Fetch + decode each page ONCE; every consumer's predicate /
             // projection then runs as a vectorized kernel over the same
             // `ColBatch` (selection vector → gather), so the per-page cost of
@@ -918,13 +947,21 @@ mod tests {
         rows: i64,
         layout: qpipe_storage::StorageLayout,
     ) -> (ExecContext, Metrics) {
+        ctx_with_named_table("t", rows, layout)
+    }
+
+    fn ctx_with_named_table(
+        name: &str,
+        rows: i64,
+        layout: qpipe_storage::StorageLayout,
+    ) -> (ExecContext, Metrics) {
         let metrics = Metrics::new();
         let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
         let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(16, PolicyKind::Lru));
         let catalog = Catalog::new(disk, pool);
         catalog
             .create_table_with_layout(
-                "t",
+                name,
                 Schema::of(&[("k", DataType::Int)]),
                 (0..rows).map(|i| vec![Value::Int(i)]).collect(),
                 Some(0),
@@ -943,7 +980,19 @@ mod tests {
         ordered: bool,
         split_ok: bool,
     ) -> (ScanRequest, PipeConsumer) {
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
+        request_cap(reg, ordered, split_ok, 1024)
+    }
+
+    /// A request whose output pipe holds `capacity` batches (pages). With a
+    /// capacity below the table's page count and the consumer left undrained,
+    /// the scanner parks mid-scan on the full pipe.
+    fn request_cap(
+        reg: &Arc<WaitRegistry>,
+        ordered: bool,
+        split_ok: bool,
+        capacity: usize,
+    ) -> (ScanRequest, PipeConsumer) {
+        let pipe = Pipe::new(PipeConfig { capacity, backfill: 0 }, NodeId(1), reg.clone());
         let consumer = pipe.attach_consumer(NodeId(2), false);
         let req = ScanRequest {
             table: "t".into(),
@@ -960,11 +1009,53 @@ mod tests {
     }
 
     fn manager(ctx: &ExecContext, metrics: &Metrics, osp: bool) -> Arc<ScanManager> {
-        ScanManager::new(
-            ctx.clone(),
-            ScanConfig { osp, startup_delay: Duration::from_millis(5), workers: 1 },
-            metrics.clone(),
-        )
+        ScanManager::new(ctx.clone(), ScanConfig { osp, workers: 1 }, metrics.clone())
+    }
+
+    /// Submit `reqs` while `table` is exclusively locked (§4.3.4). The first
+    /// request's scanner blocks on the shared lock before claiming page 0, so
+    /// every request deterministically joins one group at position 0 — the
+    /// attach-before-first-page window, held open by a lock instead of a
+    /// clock.
+    fn submit_gated(
+        ctx: &ExecContext,
+        mgr: &Arc<ScanManager>,
+        table: &str,
+        reqs: Vec<ScanRequest>,
+    ) {
+        let gate = ctx.catalog.locks().lock_exclusive(table);
+        for req in reqs {
+            mgr.submit(req).unwrap();
+        }
+        drop(gate);
+    }
+
+    /// Spin (bounded) until `done`: for state another thread reaches a few
+    /// instructions after an event this thread already observed, with no
+    /// channel to wait on. Never a sleep, never unbounded.
+    fn poll_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Block until the scanner has claimed and read its first page, i.e. the
+    /// position-0 window is closed (`pages_read > 0`).
+    fn wait_for_first_page(m: &Metrics) {
+        poll_until("scanner never read a page", || m.snapshot().disk_blocks_read > 0);
+    }
+
+    fn sorted(mut rows: Vec<qpipe_common::Tuple>) -> Vec<qpipe_common::Tuple> {
+        rows.sort_by(|a, b| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| !o.is_eq())
+                .unwrap_or(a.len().cmp(&b.len()))
+        });
+        rows
     }
 
     #[test]
@@ -986,12 +1077,9 @@ mod tests {
         let (ctx, m) = ctx_with_table(5000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let mut consumers = Vec::new();
-        for _ in 0..4 {
-            let (req, c) = request(&reg, false, false);
-            mgr.submit(req).unwrap();
-            consumers.push(c);
-        }
+        let (reqs, consumers): (Vec<_>, Vec<_>) =
+            (0..4).map(|_| request(&reg, false, false)).unzip();
+        submit_gated(&ctx, &mgr, "t", reqs);
         let handles: Vec<_> = consumers
             .into_iter()
             .map(|c| std::thread::spawn(move || c.collect_tuples().unwrap().len()))
@@ -1023,13 +1111,15 @@ mod tests {
         let (ctx, m) = ctx_with_table(50_000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let (r1, c1) = request(&reg, false, false);
+        // r1 stays undrained behind a 2-page pipe, so its scanner parks
+        // mid-scan: the ordered newcomer finds `pages_read > 0` for certain.
+        let (r1, c1) = request_cap(&reg, false, false, 2);
         mgr.submit(r1).unwrap();
-        let drain1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
-        // Wait until the first scanner has made progress past page 0.
-        std::thread::sleep(Duration::from_millis(20));
+        wait_for_first_page(&m);
         let (r2, c2) = request(&reg, true, false);
         mgr.submit(r2).unwrap();
+        assert_eq!(m.snapshot().osp_attaches, 0, "the spike-overlap window is closed");
+        let drain1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
         let rows = c2.collect_tuples().unwrap();
         assert_eq!(rows.len(), 50_000);
         // Strictly in order despite the in-progress unordered scan.
@@ -1044,21 +1134,19 @@ mod tests {
         let (ctx, m) = ctx_with_table(50_000);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let (r1, c1) = request(&reg, false, false);
+        // Don't drain r1 yet: after two pages the scanner parks on r1's
+        // full pipe, holding the group mid-scan no matter how fast pages
+        // decode — so the late split_ok arrival deterministically finds an
+        // in-progress scan (`pages_read > 0` ⇒ wrapped delivery).
+        let (r1, c1) = request_cap(&reg, false, false, 2);
         mgr.submit(r1).unwrap();
-        // Don't drain r1 yet: after the first pages the scanner throttles on
-        // r1's bounded pipe, holding the group mid-scan no matter how fast
-        // pages decode — so the late split_ok arrival deterministically
-        // finds an in-progress scan (`pages_read > 0` ⇒ wrapped delivery).
-        while m.snapshot().disk_blocks_read == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_for_first_page(&m);
         let (r2, c2) = request(&reg, true, true);
         mgr.submit(r2).unwrap();
         let drain1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
         let rows = c2.collect_tuples().unwrap();
         assert_eq!(rows.len(), 50_000, "wrapped delivery still covers every tuple");
-        assert!(m.snapshot().osp_attaches >= 1, "split_ok scan must attach");
+        assert_eq!(m.snapshot().osp_attaches, 1, "split_ok scan must attach");
         assert_eq!(drain1.join().unwrap(), 50_000);
     }
 
@@ -1068,9 +1156,8 @@ mod tests {
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         let (r1, c1) = request(&reg, false, false);
-        mgr.submit(r1).unwrap();
         let (r2, c2) = request(&reg, false, false);
-        mgr.submit(r2).unwrap();
+        submit_gated(&ctx, &mgr, "t", vec![r1, r2]);
         // Dropping the pipe consumer is how a scan is abandoned (a severed
         // packet drops its consumers when its µEngine dequeues it).
         drop(c1);
@@ -1115,12 +1202,9 @@ mod tests {
         let (ctx, m) = ctx_with_table_layout(5000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let mut consumers = Vec::new();
-        for _ in 0..4 {
-            let (req, c) = request(&reg, false, false);
-            mgr.submit(req).unwrap();
-            consumers.push(c);
-        }
+        let (reqs, consumers): (Vec<_>, Vec<_>) =
+            (0..4).map(|_| request(&reg, false, false)).unzip();
+        submit_gated(&ctx, &mgr, "t", reqs);
         let handles: Vec<_> = consumers
             .into_iter()
             .map(|c| std::thread::spawn(move || c.collect_tuples().unwrap()))
@@ -1231,8 +1315,7 @@ mod tests {
         // "pruned" decode of the whole page.
         let (r1, c1) = pruned_request(&reg, 0, vec![2]);
         let (r2, c2) = pruned_request(&reg, 1500, vec![1]);
-        mgr.submit(r1).unwrap();
-        mgr.submit(r2).unwrap();
+        submit_gated(&ctx, &mgr, "w", vec![r1, r2]);
         let h1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
         let h2 = std::thread::spawn(move || c2.collect_tuples().unwrap().len());
         assert_eq!(h1.join().unwrap(), 3000);
@@ -1253,8 +1336,7 @@ mod tests {
         // {0, 1} is a strict subset of the 3-column page.
         let (r1, c1) = pruned_request(&reg, 2900, vec![0]);
         let (r2, c2) = pruned_request(&reg, 1500, vec![1]);
-        mgr.submit(r1).unwrap();
-        mgr.submit(r2).unwrap();
+        submit_gated(&ctx, &mgr, "w", vec![r1, r2]);
         let h1 = std::thread::spawn(move || c1.collect_tuples().unwrap());
         let h2 = std::thread::spawn(move || c2.collect_tuples().unwrap());
         let rows1 = h1.join().unwrap();
@@ -1280,8 +1362,7 @@ mod tests {
         let (r2, c2) = request(&reg, false, false); // full-width consumer
         let mut r2 = r2;
         r2.table = "w".into();
-        mgr.submit(r1).unwrap();
-        mgr.submit(r2).unwrap();
+        submit_gated(&ctx, &mgr, "w", vec![r1, r2]);
         let h1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
         let h2 = std::thread::spawn(move || c2.collect_tuples().unwrap().len());
         assert_eq!(h1.join().unwrap(), 1000);
@@ -1358,8 +1439,8 @@ mod tests {
         let reg = Arc::new(WaitRegistry::new());
         let (r1, c1) = request(&reg, false, false);
         let (r2, c2) = request(&reg, false, false);
-        mgr.submit(r1).unwrap();
-        mgr.submit(r2).unwrap();
+        submit_gated(&ctx, &mgr, "t", vec![r1, r2]);
+        assert_eq!(m.snapshot().osp_attaches, 1, "both packets ride the failing scan");
         for c in [c1, c2] {
             let err = std::thread::spawn(move || c.collect_tuples())
                 .join()
@@ -1367,6 +1448,170 @@ mod tests {
                 .expect_err("codec error must fail the packet, not truncate it");
             assert!(matches!(err, qpipe_common::QError::Storage(_)), "got {err:?}");
         }
+    }
+
+    /// Scan-start contract (a): everything submitted before the scanner
+    /// claims its first page — here, while the table is exclusively locked —
+    /// joins ONE group at position 0, the ordered request included. Nobody is
+    /// staggered: one table's worth of disk reads, no wrap, and the shared
+    /// scan still decodes only the column union.
+    #[test]
+    fn requests_gated_before_first_page_join_one_unstaggered_group() {
+        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::new());
+        // Referenced sets {0}, {0,1}, {0}, {0,1}: union {0,1} ⊂ 3 columns.
+        let mut reqs = Vec::new();
+        let mut consumers = Vec::new();
+        for (i, lo) in [0i64, 1000, 2000, 2900].into_iter().enumerate() {
+            let (mut req, c) = pruned_request(&reg, lo, vec![i % 2]);
+            req.ordered = i == 2;
+            reqs.push(req);
+            consumers.push((lo, i % 2, c));
+        }
+        // `submit_gated`, inlined to look at the index while the gate still
+        // holds the scan back (afterwards the group may already be gone).
+        let gate = ctx.catalog.locks().lock_exclusive("w");
+        for req in reqs {
+            mgr.submit(req).unwrap();
+        }
+        assert_eq!(mgr.group_count("w"), 1, "one group serves the whole burst");
+        drop(gate);
+        let handles: Vec<_> = consumers
+            .into_iter()
+            .map(|(lo, col, c)| std::thread::spawn(move || (lo, col, c.collect_tuples().unwrap())))
+            .collect();
+        for h in handles {
+            let (lo, col, rows) = h.join().unwrap();
+            // Position-0 delivery is stored order for every member (the
+            // ordered one relies on it): k ascending, projected k or v = 2k.
+            let want: Vec<_> = (lo..3000).map(|k| vec![Value::Int(k * (1 + col as i64))]).collect();
+            assert_eq!(rows, want, "lo {lo}, col {col}");
+        }
+        let snap = m.snapshot();
+        let pages = ctx.catalog.table("w").unwrap().num_pages().unwrap();
+        assert_eq!(snap.osp_attaches, 3, "three satellites, the ordered one among them");
+        assert_eq!(snap.disk_blocks_read, pages, "one table's worth of disk blocks");
+        assert_eq!(snap.circular_wraps, 0, "nobody staggered, nothing to wrap for");
+        assert_eq!(snap.pruned_pages, pages, "column-union pruning on every page");
+    }
+
+    /// Scan-start contract (b): a request arriving after the first page
+    /// attaches mid-scan, the scan wraps for it, and it still receives every
+    /// page exactly once — its output equals the iterator engine's, as a
+    /// multiset.
+    #[test]
+    fn request_attached_after_first_page_wraps_and_sees_every_page_once() {
+        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Row);
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::new());
+        // The host parks on its undrained 2-page pipe: the scan is under way
+        // (`pages_read > 0`) and cannot finish before the latecomer attaches.
+        let (mut host, host_rows) = request_cap(&reg, false, false, 2);
+        host.table = "w".into();
+        mgr.submit(host).unwrap();
+        wait_for_first_page(&m);
+        let (late, late_rows) = pruned_request(&reg, 700, vec![2, 1]);
+        let plan = qpipe_exec::plan::PlanNode::TableScan {
+            table: "w".into(),
+            predicate: late.predicate.clone(),
+            projection: late.projection.clone(),
+            ordered: false,
+        };
+        mgr.submit(late).unwrap();
+        assert_eq!(mgr.group_count("w"), 1, "the latecomer rides the host's scan");
+        let drain_host = std::thread::spawn(move || host_rows.collect_tuples().unwrap());
+        let got = late_rows.collect_tuples().unwrap();
+        let host_got = drain_host.join().unwrap();
+        assert_eq!(sorted(got), sorted(qpipe_exec::iter::run(&plan, &ctx).unwrap()));
+        let full = qpipe_exec::plan::PlanNode::scan("w");
+        assert_eq!(sorted(host_got), sorted(qpipe_exec::iter::run(&full, &ctx).unwrap()));
+        let snap = m.snapshot();
+        assert_eq!(snap.osp_attaches, 1);
+        assert!(snap.circular_wraps >= 1, "the scan wraps for the staggered consumer");
+    }
+
+    /// Scan-start contract (c): a scanner that starts at once also ends at
+    /// once — back-to-back one-page scans each leave no group indexed and no
+    /// scanner thread behind (an instant disk makes the scan itself
+    /// negligible, so start/stop bookkeeping is all there is).
+    #[test]
+    fn back_to_back_single_page_scans_leave_no_group_or_thread_behind() {
+        // Own table name ⇒ own scanner-thread name, distinguishable from the
+        // scanners of tests running in parallel in this process.
+        let (ctx, metrics) = ctx_with_named_table("tiny", 10, qpipe_storage::StorageLayout::Row);
+        assert_eq!(ctx.catalog.table("tiny").unwrap().num_pages().unwrap(), 1);
+        let mgr = manager(&ctx, &metrics, true);
+        let reg = Arc::new(WaitRegistry::new());
+        let scanner_threads = || {
+            std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+                tasks
+                    .flatten()
+                    .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
+                    .filter(|comm| comm.trim_end() == "qpipe-scan-tiny")
+                    .count()
+            })
+        };
+        // The consumer sees EOF a few instructions before the scanner thread
+        // unindexes its group and exits.
+        for i in 0..200 {
+            let (mut req, c) = request(&reg, false, false);
+            req.table = "tiny".into();
+            mgr.submit(req).unwrap();
+            assert_eq!(c.collect_tuples().unwrap().len(), 10, "scan {i}");
+            poll_until("a finished scan left its group indexed", || mgr.group_count("tiny") == 0);
+        }
+        poll_until("a scanner thread outlived its scan", || scanner_threads() == 0);
+        assert_eq!(metrics.snapshot().circular_wraps, 0);
+    }
+
+    /// A request enrolled in the inbox of a scanner that is itself parked on
+    /// a full pipe waits on that scanner from the moment it enrolls — even if
+    /// its consumer was already blocked on the (then unowned) pipe. Were the
+    /// pipe re-pointed only at adoption, a deadlock cycle through the parked
+    /// scanner would be invisible to the detector: the scanner cannot reach
+    /// its next adoption point without the very materialization that needs
+    /// the cycle to be seen.
+    #[test]
+    fn request_parked_in_a_blocked_scanners_inbox_waits_on_the_scanner() {
+        use crate::deadlock::WaitKind;
+        let (ctx, m) = ctx_with_table(50_000);
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::new());
+        // The host never drains its 2-page pipe: the scanner parks on it.
+        let (host, host_rows) = request_cap(&reg, false, false, 2);
+        mgr.submit(host).unwrap();
+        let parked = || reg.edges().into_iter().find(|e| e.kind == WaitKind::ProducerFull);
+        poll_until("scanner never parked", || parked().is_some());
+        let scanner = parked().unwrap().waiter;
+        // The latecomer's consumer blocks on its pipe *before* the request
+        // enrolls, registering a wait on the pipe's original producer node.
+        let (late_node, orphan) = (NodeId(8), NodeId(7));
+        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, orphan, reg.clone());
+        let late_rows = pipe.attach_consumer(late_node, false);
+        let drain_late = std::thread::spawn(move || late_rows.collect_tuples().unwrap().len());
+        let waits_on = |holder: NodeId| {
+            reg.edges().iter().any(|e| e.waiter == late_node && e.holder == holder)
+        };
+        poll_until("latecomer never blocked", || waits_on(orphan));
+        mgr.submit(ScanRequest {
+            table: "t".into(),
+            predicate: None,
+            projection: None,
+            columns: None,
+            output: pipe.producer(),
+            ordered: false,
+            split_ok: false,
+            probe: None,
+            trace: None,
+        })
+        .unwrap();
+        assert_eq!(m.snapshot().osp_attaches, 1, "enrolled in the parked scanner's inbox");
+        poll_until("latecomer's wait never re-pointed at the scanner", || waits_on(scanner));
+        assert_eq!(parked().map(|e| e.waiter), Some(scanner), "scanner still parked");
+        // Draining the host releases the scanner; both get the whole table.
+        assert_eq!(host_rows.collect_tuples().unwrap().len(), 50_000);
+        assert_eq!(drain_late.join().unwrap(), 50_000);
     }
 
     #[test]

@@ -87,7 +87,13 @@ impl HashJoinBuild {
 /// Key hashes for one contiguous slice of a build batch. Row hashes depend
 /// only on row values, so hashing a slice yields exactly the rows' hashes in
 /// the full batch — the parallel build is bit-identical to the serial one.
+///
+/// An empty build side has no rows to hash — and, when no batch ever
+/// arrived, no columns either, so the key column must not be looked up.
 pub fn hash_build_slice(batch: &ColBatch, key: usize) -> QResult<Vec<u64>> {
+    if batch.is_empty() {
+        return Ok(Vec::new());
+    }
     Ok(hash_key_column(key_col(batch, key)?))
 }
 
@@ -111,8 +117,13 @@ impl HashJoinTable {
     /// insertion order [`HashJoinTable::new`] produces, so probe output
     /// (LIFO per probe row) is bit-identical to the serial build.
     pub fn from_hashes(build: ColBatch, key: usize, hashes: Vec<u64>) -> QResult<Self> {
-        let kc = key_col(&build, key)?;
         debug_assert_eq!(hashes.len(), build.len());
+        if build.is_empty() {
+            // Zero rows (and zero columns when the build input never sent a
+            // batch): an empty table, against which every probe is empty.
+            return Ok(Self { build, key, table: HashMap::new() });
+        }
+        let kc = key_col(&build, key)?;
         let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
         for (i, &h) in hashes.iter().enumerate() {
             if !kc.is_null(i) {
@@ -142,6 +153,9 @@ impl HashJoinTable {
         chunk: usize,
         mut out: impl FnMut(ColBatch),
     ) -> QResult<()> {
+        if self.table.is_empty() {
+            return Ok(()); // empty (or all-NULL-key) build side joins nothing
+        }
         let pk = key_col(probe, key)?;
         let bk = key_col(&self.build, self.key)?;
         let hashes = hash_key_column(pk);
@@ -435,6 +449,24 @@ mod tests {
                 vec![Value::Int(1), Value::str("a"), Value::Int(1), Value::Float(3.5)],
             ]
         );
+    }
+
+    #[test]
+    fn empty_build_side_joins_nothing() {
+        // No batch ever added: the frozen build has zero rows AND zero
+        // columns, so key column 1 does not exist on it.
+        let table = HashJoinBuild::new(1).finish().unwrap();
+        assert_eq!(table.build_rows(), 0);
+        let probe = batch(&[vec![Value::Int(2)], vec![Value::Null]]);
+        let mut rows = Vec::new();
+        table.probe(&probe, 0, 256, |out| rows.extend(out.to_rows())).unwrap();
+        table.probe_row(&vec![Value::Int(2)], 0, |row| rows.push(row)).unwrap();
+        assert!(rows.is_empty());
+        // The morsel-parallel build's entry point agrees.
+        let hashes = hash_build_slice(&ColBatchBuilder::new().finish(), 1).unwrap();
+        let table = HashJoinTable::from_hashes(ColBatchBuilder::new().finish(), 1, hashes).unwrap();
+        table.probe(&probe, 0, 256, |out| rows.extend(out.to_rows())).unwrap();
+        assert!(rows.is_empty());
     }
 
     #[test]

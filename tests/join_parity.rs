@@ -265,6 +265,37 @@ fn columnar_sort_spills_columnar_runs_and_matches_row_path() {
     assert!(leaked.is_empty(), "sort runs must delete their temp files: {leaked:?}");
 }
 
+/// Regression: a hash join whose build input is empty (here `s_suppkey < 0`
+/// filters every supplier out, so the build scan never sends a batch) used
+/// to fail with `join key N out of range` — the vectorized build looked the
+/// key column up in a zero-column batch. An empty build side is an empty
+/// join, exactly as in the iterator engine, with OSP on and off.
+#[test]
+fn empty_build_side_yields_empty_join() {
+    let sql = "SELECT n_name, COUNT(*) FROM supplier, nation \
+               WHERE s_nationkey = n_nationkey AND s_suppkey < 0 GROUP BY n_name";
+    for (layout, config) in [
+        (StorageLayout::Row, QPipeConfig::default()),
+        (StorageLayout::Row, QPipeConfig::baseline()),
+        (StorageLayout::Columnar, QPipeConfig::default()),
+    ] {
+        let catalog = quick_system(DiskConfig::instant(), 512);
+        build_tpch_with_layout(&catalog, TpchScale::tiny(), 42, layout).unwrap();
+        let engine = QPipe::new(catalog.clone(), config);
+        let planned = engine.plan_sql(sql).unwrap();
+        assert!(!planned.provably_empty, "the planner must not short-circuit the join away");
+        let reference =
+            sorted(qpipe::exec::iter::run(&planned.plan, &ExecContext::new(catalog)).unwrap());
+        assert!(reference.is_empty(), "no supplier has a negative key");
+        let got = engine
+            .submit_sql(sql)
+            .unwrap()
+            .try_collect()
+            .unwrap_or_else(|e| panic!("{layout:?}, osp {}: {e}", config.osp));
+        assert_eq!(sorted(got), reference, "{layout:?}, osp {}", config.osp);
+    }
+}
+
 /// The row fallback (hash budget overflow → grace join) still works and
 /// still agrees, end to end, when the build side blows the budget.
 #[test]

@@ -121,55 +121,6 @@ fn query_deadline_times_out_slow_queries_end_to_end() {
     }
 }
 
-/// Fault-free burst on fixed pools: the engine's thread count stays bounded
-/// by its steady-state service threads (detector, sweeper, dispatchers,
-/// pool workers) plus a small transient allowance (scanner threads), no
-/// matter how many queries are in flight. Thread-per-packet execution would
-/// spike by roughly one thread per queued packet here.
-#[test]
-fn query_burst_keeps_thread_count_bounded() {
-    let catalog = demo_catalog(2000);
-    let config = QPipeConfig {
-        exec: ExecConfig { pool_workers: 2, ..ExecConfig::default() },
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(catalog, config);
-    // Warm up: first query starts lazily created service threads.
-    assert_eq!(engine.submit(PlanNode::scan("t")).unwrap().collect().len(), 2000);
-    std::thread::sleep(Duration::from_millis(50));
-    let steady = live_threads();
-    // Generous transient allowance: dedicated scanner threads plus the
-    // sampler below. Far below the ~48 extra threads a thread-per-packet
-    // engine would reach with every arrival in flight.
-    let bound = steady + 16;
-
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let peak = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            let mut peak = 0;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                peak = peak.max(live_threads());
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            peak
-        })
-    };
-    let handles: Vec<_> = (0..48)
-        .map(|_| engine.submit(PlanNode::scan("t")).expect("admission accepts the burst"))
-        .collect();
-    for h in handles {
-        assert_eq!(h.try_collect().expect("fault-free query").len(), 2000);
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let peak = peak.join().unwrap();
-    assert_eq!(engine.metrics().snapshot().worker_panics, 0, "fault-free run");
-    assert!(
-        peak <= bound,
-        "thread count must stay pool-bounded: peak {peak} > steady {steady} + 16"
-    );
-}
-
 /// An injected panic inside a pool worker (morsel page job) fails only the
 /// packets attached to that scan; the pool's workers survive and the same
 /// engine keeps serving later queries.
