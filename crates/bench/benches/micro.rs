@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qpipe_common::colbatch::ColBatch;
-use qpipe_common::{Batch, DataType, Metrics, Schema, Tuple, Value};
+use qpipe_common::{DataType, Metrics, Schema, Tuple, Value};
 use qpipe_core::deadlock::{NodeId, WaitRegistry};
 use qpipe_core::pipe::{Pipe, PipeConfig};
 use qpipe_exec::expr::Expr;
@@ -45,8 +45,18 @@ fn pool_policies(c: &mut Criterion) {
     g.finish();
 }
 
+/// One producer broadcasting 80 shared 256-row batches (the wire unit — a
+/// pipe carries nothing smaller) to 1 and 4 draining consumers.
 fn pipe_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipe_broadcast");
+    let batches: Vec<Arc<ColBatch>> = (0..80i64)
+        .map(|b| {
+            let rows: Vec<Tuple> = (0..ColBatch::DEFAULT_CAPACITY as i64)
+                .map(|i| vec![Value::Int(b * ColBatch::DEFAULT_CAPACITY as i64 + i)])
+                .collect();
+            Arc::new(ColBatch::from_rows(&rows))
+        })
+        .collect();
     for consumers in [1usize, 4] {
         g.bench_with_input(BenchmarkId::from_parameter(consumers), &consumers, |b, &consumers| {
             b.iter(|| {
@@ -58,10 +68,18 @@ fn pipe_fanout(c: &mut Criterion) {
                 let mut producer = pipe.producer();
                 let handles: Vec<_> = sinks
                     .into_iter()
-                    .map(|s| std::thread::spawn(move || s.collect_tuples().unwrap().len()))
+                    .map(|s| {
+                        std::thread::spawn(move || {
+                            let mut rows = 0;
+                            while let Some(b) = s.recv().unwrap() {
+                                rows += b.len();
+                            }
+                            rows
+                        })
+                    })
                     .collect();
-                for i in 0..20_000i64 {
-                    producer.push(vec![Value::Int(i)]);
+                for batch in &batches {
+                    producer.push_shared(batch.clone());
                 }
                 producer.finish();
                 handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
@@ -124,7 +142,7 @@ fn exec_kernels(c: &mut Criterion) {
 /// pre-vectorization scanner loop) vs `eval_filter` selection vector +
 /// columnar gather. The acceptance bar for the vectorized path is ≥ 2×.
 fn scan_filter(c: &mut Criterion) {
-    let rows: Vec<Tuple> = (0..Batch::DEFAULT_CAPACITY as i64)
+    let rows: Vec<Tuple> = (0..ColBatch::DEFAULT_CAPACITY as i64)
         .map(|i| {
             vec![
                 Value::Int(i % 997),
@@ -192,7 +210,7 @@ fn page_decode(c: &mut Criterion) {
     use qpipe_storage::colpage::ColPageBuilder;
     use qpipe_storage::page::{encode_tuple, Page};
 
-    let n = Batch::DEFAULT_CAPACITY; // 256 rows — one page in both layouts
+    let n = ColBatch::DEFAULT_CAPACITY; // 256 rows — one page in both layouts
     let schema =
         Schema::of(&[("k", DataType::Int), ("d", DataType::Date), ("mode", DataType::Str)]);
     let rows: Vec<Tuple> = (0..n as i64)
@@ -238,7 +256,7 @@ fn page_decode(c: &mut Criterion) {
 }
 
 /// The join/agg operator boundary: the row path ingests tuples one at a
-/// time (what `PipeIter` used to hand every µEngine), the vectorized path
+/// time (what the row bridge hands an iterator kernel), the vectorized path
 /// consumes the same data as 256-row `ColBatch`es (what the scanner actually
 /// produces). Same build/probe and group/update work, same results — the
 /// difference is the per-row materialization the vectorized operators
@@ -255,7 +273,7 @@ fn hash_join_paths(c: &mut Criterion) {
     let right: Vec<Tuple> = (0..right_n)
         .map(|i| vec![Value::Int(i % 2048), Value::Float(i as f64), Value::str("probe-pay")])
         .collect();
-    let chunk = Batch::DEFAULT_CAPACITY;
+    let chunk = ColBatch::DEFAULT_CAPACITY;
     let left_batches: Vec<ColBatch> = left.chunks(chunk).map(ColBatch::from_rows).collect();
     let right_batches: Vec<ColBatch> = right.chunks(chunk).map(ColBatch::from_rows).collect();
 
@@ -285,7 +303,7 @@ fn hash_join_paths(c: &mut Criterion) {
         b.iter(|| {
             let mut build = HashJoinBuild::new(0);
             for batch in &left_batches {
-                assert!(build.add(batch));
+                build.add(batch).unwrap();
             }
             let table = build.finish().unwrap();
             let mut n = 0usize;
@@ -307,7 +325,7 @@ fn agg_update_paths(c: &mut Criterion) {
         .map(|i| vec![Value::Int(i % 64), Value::Int(i), Value::Float(i as f64 * 0.25)])
         .collect();
     let batches: Vec<ColBatch> =
-        rows.chunks(Batch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
+        rows.chunks(ColBatch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
     let aggs = || {
         vec![
             AggSpec::count_star(),
@@ -346,7 +364,7 @@ fn agg_update_paths(c: &mut Criterion) {
 /// (spilled variants write/merge columnar vs row runs under a tiny budget).
 /// Acceptance bar: vectorized ≥ 1.4× on both variants (measured ~1.6×; the
 /// payload-gather-once structure, not the comparator, is the win — and in
-/// the engine the vectorized path additionally skips the `PipeIter`
+/// the engine the vectorized path additionally skips the row-bridge
 /// flattening this harness cannot charge to the row side).
 fn sort_paths(c: &mut Criterion) {
     use qpipe_exec::iter::{SortIter, TupleIter, VecIter};
@@ -364,7 +382,7 @@ fn sort_paths(c: &mut Criterion) {
         })
         .collect();
     let batches: Vec<ColBatch> =
-        rows.chunks(Batch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
+        rows.chunks(ColBatch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
     let keys = vec![SortKey::asc(0), SortKey::desc(1)];
 
     let ctx_with_budget = |budget: usize| {
@@ -398,7 +416,7 @@ fn sort_paths(c: &mut Criterion) {
             b.iter(|| {
                 let mut vs = VecSort::new(&keys, ctx.clone());
                 for batch in &batches {
-                    assert!(vs.push_cols(batch).unwrap());
+                    vs.push_cols(batch).unwrap();
                 }
                 let mut out = 0usize;
                 vs.finish(|b| {
@@ -413,9 +431,8 @@ fn sort_paths(c: &mut Criterion) {
     g.finish();
 }
 
-/// The filter/project µEngine boundary: the old workers pulled tuples
-/// through `PipeIter` (flattening every columnar batch) and interpreted the
-/// predicate/projection per row; the vectorized workers run
+/// The filter/project µEngine boundary: the iterator engine interprets the
+/// predicate/projection per row; the µEngine workers run
 /// `eval_filter` + `gather` and `project_batch` per 256-row `ColBatch`.
 /// Acceptance bar: vectorized ≥ 1.4× (measured ~1.7× with a computed
 /// projection column; pure column-reference projections are `Arc` bumps and
@@ -436,7 +453,7 @@ fn filter_project_paths(c: &mut Criterion) {
         })
         .collect();
     let batches: Vec<ColBatch> =
-        rows.chunks(Batch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
+        rows.chunks(ColBatch::DEFAULT_CAPACITY).map(ColBatch::from_rows).collect();
     let pred = Expr::and([Expr::col(0).ge(Expr::lit(200)), Expr::col(2).lt(Expr::lit(600))]);
     let exprs = vec![Expr::col(3), Expr::col(0), Expr::col(1).mul(Expr::lit(2.0))];
 

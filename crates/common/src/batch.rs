@@ -1,256 +1,15 @@
-//! Tuples and batches.
+//! Tuples.
 //!
-//! Operators exchange tuples in [`Batch`]es. A batch is the unit that flows
-//! through QPipe's intermediate buffers: it is wrapped in an `Arc` by the
-//! pipe layer so that simultaneous pipelining to N consumers shares one copy.
+//! A [`Tuple`] is one row of [`Value`]s. It is what the iterator engine
+//! (`qpipe-exec::iter` — the Baseline/DBMS X comparator and the test oracle)
+//! pulls operator to operator, and what a client receives from
+//! `QueryHandle::try_collect`. The staged engine does **not** exchange
+//! tuples: its pipes carry one format only, `Arc<ColBatch>`
+//! ([`colbatch`](crate::colbatch)), of at most
+//! [`ColBatch::DEFAULT_CAPACITY`](crate::ColBatch::DEFAULT_CAPACITY) rows
+//! per batch; tuples appear inside it only behind `qpipe-core`'s row bridge.
 
-use crate::colbatch::ColBatch;
 use crate::value::Value;
 
 /// A row of values.
 pub type Tuple = Vec<Value>;
-
-/// A batch of tuples, the unit of data flow between operators.
-#[derive(Debug, Clone)]
-pub struct Batch {
-    rows: Vec<Tuple>,
-    /// Fill threshold for [`is_full`](Self::is_full); set by
-    /// [`with_capacity`](Self::with_capacity).
-    cap: usize,
-}
-
-impl Default for Batch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Equality is over contents; the fill threshold is a producer-side knob.
-impl PartialEq for Batch {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-    }
-}
-
-impl Batch {
-    /// Default number of tuples per batch across the engine.
-    pub const DEFAULT_CAPACITY: usize = 256;
-
-    pub fn new() -> Self {
-        Self { rows: Vec::new(), cap: Self::DEFAULT_CAPACITY }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { rows: Vec::with_capacity(cap), cap }
-    }
-
-    pub fn from_rows(rows: Vec<Tuple>) -> Self {
-        Self { rows, cap: Self::DEFAULT_CAPACITY }
-    }
-
-    pub fn push(&mut self, t: Tuple) {
-        self.rows.push(t);
-    }
-
-    pub fn rows(&self) -> &[Tuple] {
-        &self.rows
-    }
-
-    pub fn into_rows(self) -> Vec<Tuple> {
-        self.rows
-    }
-
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// True once the batch holds as many rows as it was constructed for
-    /// (`DEFAULT_CAPACITY` unless built via [`with_capacity`](Self::with_capacity)).
-    pub fn is_full(&self) -> bool {
-        self.rows.len() >= self.cap
-    }
-
-    /// The fill threshold this batch was constructed with.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
-        self.rows.iter()
-    }
-}
-
-impl IntoIterator for Batch {
-    type Item = Tuple;
-    type IntoIter = std::vec::IntoIter<Tuple>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.rows.into_iter()
-    }
-}
-
-impl FromIterator<Tuple> for Batch {
-    fn from_iter<I: IntoIterator<Item = Tuple>>(iter: I) -> Self {
-        Batch::from_rows(iter.into_iter().collect())
-    }
-}
-
-/// Either layout of a batch: legacy row batches, or the columnar layout the
-/// vectorized scan path produces. This is what flows through pipes; row
-/// consumers materialize via [`AnyBatch::to_rows`] at their boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyBatch {
-    Rows(Batch),
-    Cols(ColBatch),
-}
-
-impl AnyBatch {
-    pub fn len(&self) -> usize {
-        match self {
-            AnyBatch::Rows(b) => b.len(),
-            AnyBatch::Cols(c) => c.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialize as rows (copy for `Rows`, column pivot for `Cols`).
-    pub fn to_rows(&self) -> Vec<Tuple> {
-        match self {
-            AnyBatch::Rows(b) => b.rows().to_vec(),
-            AnyBatch::Cols(c) => c.to_rows(),
-        }
-    }
-
-    /// Materialize as rows, consuming self (no copy for owned `Rows`).
-    pub fn into_rows(self) -> Vec<Tuple> {
-        match self {
-            AnyBatch::Rows(b) => b.into_rows(),
-            AnyBatch::Cols(c) => c.to_rows(),
-        }
-    }
-}
-
-impl From<Batch> for AnyBatch {
-    fn from(b: Batch) -> Self {
-        AnyBatch::Rows(b)
-    }
-}
-
-impl From<ColBatch> for AnyBatch {
-    fn from(c: ColBatch) -> Self {
-        AnyBatch::Cols(c)
-    }
-}
-
-/// Accumulates tuples and emits full batches; used by every producer loop.
-#[derive(Debug, Default)]
-pub struct BatchBuilder {
-    current: Batch,
-}
-
-impl BatchBuilder {
-    pub fn new() -> Self {
-        Self::with_capacity(Batch::DEFAULT_CAPACITY)
-    }
-
-    /// Builder emitting batches of `cap` rows.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { current: Batch::with_capacity(cap) }
-    }
-
-    /// Add a tuple; returns a full batch when the threshold is crossed.
-    pub fn push(&mut self, t: Tuple) -> Option<Batch> {
-        self.current.push(t);
-        if self.current.is_full() {
-            let cap = self.current.capacity();
-            Some(std::mem::replace(&mut self.current, Batch::with_capacity(cap)))
-        } else {
-            None
-        }
-    }
-
-    /// Drain whatever is buffered (possibly empty).
-    pub fn finish(&mut self) -> Option<Batch> {
-        if self.current.is_empty() {
-            None
-        } else {
-            let cap = self.current.capacity();
-            Some(std::mem::replace(&mut self.current, Batch::with_capacity(cap)))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_emits_at_capacity() {
-        let mut b = BatchBuilder::new();
-        let mut emitted = 0usize;
-        for i in 0..(Batch::DEFAULT_CAPACITY * 2 + 3) {
-            if let Some(batch) = b.push(vec![Value::Int(i as i64)]) {
-                assert_eq!(batch.len(), Batch::DEFAULT_CAPACITY);
-                emitted += 1;
-            }
-        }
-        assert_eq!(emitted, 2);
-        let tail = b.finish().expect("tail batch");
-        assert_eq!(tail.len(), 3);
-        assert!(b.finish().is_none());
-    }
-
-    #[test]
-    fn from_iterator() {
-        let b: Batch = (0..5).map(|i| vec![Value::Int(i)]).collect();
-        assert_eq!(b.len(), 5);
-        assert_eq!(b.rows()[4][0], Value::Int(4));
-    }
-
-    #[test]
-    fn with_capacity_sets_fill_threshold() {
-        let mut b = Batch::with_capacity(3);
-        assert_eq!(b.capacity(), 3);
-        for i in 0..3 {
-            assert!(!b.is_full());
-            b.push(vec![Value::Int(i)]);
-        }
-        assert!(b.is_full());
-    }
-
-    #[test]
-    fn builder_honors_custom_capacity() {
-        let mut b = BatchBuilder::with_capacity(4);
-        let mut emitted = Vec::new();
-        for i in 0..10 {
-            if let Some(batch) = b.push(vec![Value::Int(i)]) {
-                emitted.push(batch.len());
-            }
-        }
-        // The builder must keep its configured capacity across emissions.
-        assert_eq!(emitted, vec![4, 4]);
-        assert_eq!(b.finish().unwrap().len(), 2);
-        for i in 0..4 {
-            let full = b.push(vec![Value::Int(i)]);
-            assert_eq!(full.is_some(), i == 3, "capacity survives finish()");
-        }
-    }
-
-    #[test]
-    fn any_batch_round_trips_both_layouts() {
-        let rows: Vec<Tuple> = (0..4).map(|i| vec![Value::Int(i), Value::str("x")]).collect();
-        let r = AnyBatch::Rows(Batch::from_rows(rows.clone()));
-        let c = AnyBatch::Cols(crate::colbatch::ColBatch::from_rows(&rows));
-        assert_eq!(r.len(), 4);
-        assert_eq!(c.len(), 4);
-        assert_eq!(r.to_rows(), rows);
-        assert_eq!(c.to_rows(), rows);
-        assert_eq!(c.clone().into_rows(), rows);
-    }
-}

@@ -1,10 +1,12 @@
 //! Columnar batches and selection vectors.
 //!
-//! The row [`Batch`](crate::batch::Batch) is the historical unit of data flow
-//! between operators; this module adds the vectorized alternative used on the
-//! shared-scan hot path. A [`ColBatch`] stores one typed [`Column`] per
-//! attribute — a primitive slice (`i64` / `f64` / `Arc<str>` / `i32` days)
-//! plus an optional null bitmap — so predicate kernels can compare against
+//! [`ColBatch`] is the one unit of data flow in the staged engine: every
+//! pipe, every OSP host history and every scan delivery carries
+//! `Arc<ColBatch>`, so simultaneous pipelining to N consumers shares one
+//! copy, and a columnar page's pool-resident batch goes on the wire as it
+//! is. A [`ColBatch`] stores one typed [`Column`] per attribute — a
+//! primitive slice (`i64` / `f64` / `Arc<str>` / `i32` days) plus an
+//! optional null bitmap — so predicate kernels can compare against
 //! contiguous memory with no per-row allocation and no `Value` cloning.
 //!
 //! ## Layout
@@ -20,10 +22,11 @@
 //!   is only moved by an explicit [`ColBatch::gather`] at the end of a kernel
 //!   chain.
 //!
-//! Row materialization ([`ColBatch::to_rows`], [`ColBatch::row`]) happens only
-//! at the few operator boundaries that still ingest `Tuple`s (merge join,
-//! nested-loop join, row-path fallbacks) and at the client result boundary;
-//! filter, projection, hash join, aggregation, and sort are batch-native.
+//! Row materialization ([`ColBatch::to_rows`], [`ColBatch::row`]) happens in
+//! two places only: `qpipe-core`'s row bridge (`rowbridge.rs` — the merge,
+//! nested-loop and grace hash joins and range-bounded index scans, which
+//! still run iterator kernels) and the client result boundary. Filter,
+//! projection, hash join, aggregation, and sort are batch-native.
 
 use crate::batch::Tuple;
 use crate::value::{cmp_i64_f64, Value};
@@ -428,6 +431,10 @@ pub struct ColBatch {
 }
 
 impl ColBatch {
+    /// Rows per batch on the wire: the chunk size every producer in the
+    /// staged engine cuts its output into.
+    pub const DEFAULT_CAPACITY: usize = 256;
+
     /// Column-ify `rows`. Short rows are padded with NULL so every column has
     /// the batch's full length (heap pages always yield uniform rows).
     pub fn from_rows(rows: &[Tuple]) -> Self {
@@ -745,7 +752,7 @@ impl ColBatchBuilder {
 
     /// Append all rows of `batch`. Returns `false` (appending nothing) when
     /// the width disagrees with what was accumulated so far — the caller
-    /// falls back to the row path rather than silently misaligning columns.
+    /// fails its operator rather than silently misaligning columns.
     #[must_use]
     pub fn append(&mut self, batch: &ColBatch) -> bool {
         if self.cols.is_empty() && self.len == 0 {

@@ -2,9 +2,9 @@
 //!
 //! This crate holds everything that the storage manager, the conventional
 //! iterator engine, and the QPipe staged engine all need to agree on:
-//! [`Value`]s, [`Schema`]s, [`Tuple`]s and [`Batch`]es, the columnar
-//! [`ColBatch`]/[`SelVec`] layout the vectorized scan path uses (see
-//! [`colbatch`] for the layout contract), error types, global [`metrics`],
+//! [`Value`]s, [`Schema`]s, [`Tuple`]s, the columnar [`ColBatch`]/[`SelVec`]
+//! batches the staged engine's pipes carry (see [`colbatch`] for the layout
+//! contract), error types, global [`metrics`],
 //! the memory [`govern`]or that turns operator budgets into leases, the
 //! per-query [`trace`] journal and operator probes behind `EXPLAIN
 //! ANALYZE`, and the simulated-time facilities in [`sim`].
@@ -19,7 +19,7 @@ pub mod sim;
 pub mod trace;
 pub mod value;
 
-pub use batch::{AnyBatch, Batch, Tuple};
+pub use batch::Tuple;
 pub use colbatch::{
     ColBatch, ColBatchBuilder, Column, ColumnBuilder, ColumnData, NullBitmap, SelVec,
 };

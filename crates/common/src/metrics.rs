@@ -177,12 +177,13 @@ pub struct MetricsSnapshot {
     /// Columnar batches the sort µEngine accumulated without flattening
     /// (key-column permutation sort path).
     pub vec_sort_batches: u64,
-    /// Vectorized join builds abandoned for the row path (budget overflow or
-    /// ragged input widths → grace join unchanged).
+    /// Grace fallbacks taken: hash-join builds the governor refused to
+    /// cover, handed to the grace join behind the row bridge.
     pub vec_fallbacks: u64,
-    /// Columnar batches flattened back to `Vec<Tuple>` at a µEngine operator
-    /// boundary (`PipeIter`). The vectorized join/agg acceptance bar is this
-    /// staying at 0 between scan and agg for columnar plans.
+    /// Batches that crossed `qpipe-core`'s row bridge and were flattened to
+    /// `Vec<Tuple>` there (merge / nested-loop / grace join inputs). 0 for
+    /// any plan made of scans, filters, projections, hash joins, aggregates
+    /// and sorts.
     pub col_rowified_batches: u64,
     /// Columnar pages materialized with column pruning (only the referenced
     /// columns decoded).

@@ -693,7 +693,11 @@ fn dispatch_packet(
     scan_mgr: &Arc<ScanManager>,
     pool: &Arc<WorkerPool>,
 ) {
-    if packet.cancel.is_cancelled() {
+    // The cancellation rule (`host.rs`): the token says the packet's own
+    // query stopped needing it, so it is dropped only if nobody reads its
+    // output either. A severed scan may still feed a join that another query
+    // attached to; dropping it would starve that join of its build side.
+    if packet.cancel.is_cancelled() && packet.output.as_ref().is_none_or(|o| o.abandoned()) {
         return;
     }
     // Scans route to the circular scan manager.

@@ -13,12 +13,26 @@
 //! * [`AttachWindow::WholeLifetime`] — full-overlap operators (single
 //!   aggregates, sort — whose output is materialized anyway, giving the
 //!   materialization enhancement for free).
+//!
+//! # The cancellation rule
+//!
+//! A packet's cancel token fires when *its own* query stops needing it — its
+//! parent attached elsewhere as a satellite, or the client cancelled. That
+//! says nothing about the other queries whose satellites ride this host. So
+//! a cancelled host stops **only when no attached output has a reader left**,
+//! and [`SharedHost::close_if_unwanted`] is the one place that decides it:
+//! it tests the outputs and closes the host under the same lock
+//! [`try_attach`](SharedHost::try_attach) takes, so a satellite either
+//! attaches before the test (and keeps the host running) or finds the host
+//! closed and gets its packet back to run on its own — it can never attach
+//! to a host that is about to stop and read the truncated stream as a
+//! complete result.
 
 use crate::packet::Packet;
 use crate::pipe::PipeProducer;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, TraceEvent};
-use qpipe_common::{AnyBatch, Batch, Metrics};
+use qpipe_common::{ColBatch, Metrics, QError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -42,7 +56,7 @@ struct HostOutput {
 }
 
 impl HostOutput {
-    fn count(&self, batch: &AnyBatch) {
+    fn count(&self, batch: &ColBatch) {
         if let Some(p) = &self.probe {
             p.add_rows(batch.len() as u64);
             p.add_batches(1);
@@ -53,13 +67,27 @@ impl HostOutput {
 struct HostState {
     outputs: Vec<HostOutput>,
     /// Batches already emitted, for replay to late attachers.
-    history: Vec<Arc<AnyBatch>>,
+    history: Vec<Arc<ColBatch>>,
     emitted: u64,
     closed: bool,
-    /// True while `push` holds the outputs outside the lock (a `wanted`
-    /// probe during a broadcast must not mistake the empty vec for
-    /// abandonment).
+    /// True while `push_cols` holds the outputs outside the lock (a
+    /// `close_if_unwanted` during a broadcast must not mistake the empty vec
+    /// for abandonment).
     broadcasting: bool,
+}
+
+impl HostState {
+    /// Refuse further attaches and end every output: cleanly, or with `error`.
+    fn settle(&mut self, error: Option<&QError>) {
+        self.closed = true;
+        self.history.clear();
+        for out in self.outputs.drain(..) {
+            match error {
+                Some(e) => out.producer.fail(e.clone()),
+                None => out.producer.finish(),
+            }
+        }
+    }
 }
 
 /// Shared state of one in-progress shareable operation.
@@ -157,17 +185,8 @@ impl SharedHost {
     /// that attach mid-push receive this batch through the history replay
     /// (the history entry is recorded before the lock is released), so no
     /// output is ever missed or duplicated.
-    pub fn push(&self, batch: Batch) {
-        self.push_any(Arc::new(AnyBatch::Rows(batch)));
-    }
-
-    /// Broadcast a columnar batch (vectorized join/agg output) — same
-    /// replay/attach contract as [`push`](Self::push).
-    pub fn push_cols(&self, batch: qpipe_common::ColBatch) {
-        self.push_any(Arc::new(AnyBatch::Cols(batch)));
-    }
-
-    fn push_any(&self, batch: Arc<AnyBatch>) {
+    pub fn push_cols(&self, batch: ColBatch) {
+        let batch = Arc::new(batch);
         let mut outputs = {
             let mut st = self.state.lock();
             st.broadcasting = true;
@@ -193,14 +212,24 @@ impl SharedHost {
         st.broadcasting = false;
     }
 
-    /// True while any attached output still has a live consumer: the work
-    /// this host is doing is *wanted* by someone. A packet whose cancel
-    /// token fired (e.g. it was severed as part of a satellite subtree at a
-    /// higher level) must keep executing while it is a host other queries
-    /// depend on — cancellation only stops work nobody reads anymore.
-    pub fn wanted(&self) -> bool {
-        let st = self.state.lock();
-        st.broadcasting || st.outputs.iter().any(|o| o.producer.pipe().active_consumers() > 0)
+    /// The cancellation rule (module docs): if no attached output has a
+    /// reader left, close the host — refuse further attaches, fail the
+    /// abandoned outputs — and return `true`; the caller stops working.
+    /// Otherwise change nothing and return `false`: a packet whose cancel
+    /// token fired (it was severed as part of a satellite subtree at a
+    /// higher level) keeps executing while it is a host other queries
+    /// depend on. Test and close happen under one lock, so they are atomic
+    /// with respect to [`try_attach`](Self::try_attach).
+    pub fn close_if_unwanted(&self) -> bool {
+        let mut st = self.state.lock();
+        if st.closed {
+            return true;
+        }
+        if st.broadcasting || st.outputs.iter().any(|o| !o.producer.abandoned()) {
+            return false;
+        }
+        st.settle(Some(&QError::Cancelled));
+        true
     }
 
     /// Number of queries currently served (host + satellites).
@@ -213,30 +242,15 @@ impl SharedHost {
         self.state.lock().emitted
     }
 
-    /// Finish: flush/close every output and refuse further attaches.
+    /// Finish: close every output and refuse further attaches.
     pub fn finish(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        st.history.clear();
-        for out in st.outputs.drain(..) {
-            out.producer.finish();
-        }
-    }
-
-    /// Abort (host cancelled): close outputs without marking success.
-    pub fn abort(&self) {
-        self.finish();
+        self.state.lock().settle(None);
     }
 
     /// Fail: poison every output with `error` so the host's queries (and any
     /// attached satellites) observe the failure instead of a truncated EOF.
-    pub fn fail(&self, error: &qpipe_common::QError) {
-        let mut st = self.state.lock();
-        st.closed = true;
-        st.history.clear();
-        for out in st.outputs.drain(..) {
-            out.producer.fail(error.clone());
-        }
+    pub fn fail(&self, error: &QError) {
+        self.state.lock().settle(Some(error));
     }
 }
 
@@ -322,8 +336,8 @@ mod tests {
         (packet, consumer, child_token)
     }
 
-    fn batch_of(vals: &[i64]) -> Batch {
-        vals.iter().map(|&v| vec![Value::Int(v)]).collect()
+    fn batch_of(vals: &[i64]) -> ColBatch {
+        ColBatch::from_rows(&vals.iter().map(|&v| vec![Value::Int(v)]).collect::<Vec<_>>())
     }
 
     #[test]
@@ -341,8 +355,8 @@ mod tests {
         let (packet, sat_cons, child_token) = make_packet();
         host.try_attach(packet).expect("window open");
         assert!(child_token.is_cancelled(), "satellite subtree terminated");
-        host.push(batch_of(&[1, 2]));
-        host.push(batch_of(&[3]));
+        host.push_cols(batch_of(&[1, 2]));
+        host.push_cols(batch_of(&[3]));
         host.finish();
         assert_eq!(host_cons.collect_tuples().unwrap().len(), 3);
         assert_eq!(sat_cons.collect_tuples().unwrap().len(), 3);
@@ -360,11 +374,11 @@ mod tests {
             Metrics::new(),
             None,
         );
-        host.push(batch_of(&[1]));
-        host.push(batch_of(&[2]));
+        host.push_cols(batch_of(&[1]));
+        host.push_cols(batch_of(&[2]));
         let (packet, sat_cons, _) = make_packet();
         host.try_attach(packet).expect("2 batches <= backfill 4");
-        host.push(batch_of(&[3]));
+        host.push_cols(batch_of(&[3]));
         host.finish();
         assert_eq!(host_cons.collect_tuples().unwrap().len(), 3);
         assert_eq!(sat_cons.collect_tuples().unwrap().len(), 3, "history replayed");
@@ -384,7 +398,7 @@ mod tests {
             None,
         );
         for i in 0..3 {
-            host.push(batch_of(&[i]));
+            host.push_cols(batch_of(&[i]));
         }
         let (packet, _sat_cons, child_token) = make_packet();
         assert!(host.try_attach(packet).is_err(), "window expired");
@@ -406,7 +420,7 @@ mod tests {
             None,
         );
         for i in 0..50 {
-            host.push(batch_of(&[i]));
+            host.push_cols(batch_of(&[i]));
         }
         let (packet, sat_cons, _) = make_packet();
         host.try_attach(packet).expect("whole-lifetime window");
@@ -473,7 +487,7 @@ mod tests {
         let h2 = host.clone();
         let pusher = std::thread::spawn(move || {
             for i in 0..40 {
-                h2.push(batch_of(&[i]));
+                h2.push_cols(batch_of(&[i]));
             }
             h2.finish();
         });
@@ -510,11 +524,11 @@ mod tests {
 
     /// Regression: a host whose own packet was severed (its cancel token
     /// fired because a *higher* operator attached as a satellite elsewhere)
-    /// must keep counting as `wanted` while any output still has a live
-    /// consumer — cross-level sharing inversion (join host severed by an agg
-    /// satellite) silently emptied both queries otherwise.
+    /// must keep running while any output still has a live consumer —
+    /// cross-level sharing inversion (join host severed by an agg satellite)
+    /// silently emptied both queries otherwise.
     #[test]
-    fn wanted_tracks_live_consumers_not_cancellation() {
+    fn close_if_unwanted_tracks_live_consumers_not_cancellation() {
         let (host_prod, host_cons) = make_pipe_pair();
         let host = SharedHost::new(
             AttachWindow::UntilFirstOutput,
@@ -525,20 +539,45 @@ mod tests {
             Metrics::new(),
             None,
         );
-        // Satellite from another query attaches.
         let (packet, sat_cons, _) = make_packet();
-        let cancel = packet.cancel.clone();
         host.try_attach(packet).unwrap();
-        // The host packet's token fires (severed at a higher level) — but
-        // both consumers are still attached, so the work is still wanted.
-        cancel.cancel();
-        assert!(host.wanted(), "live consumers keep a cancelled host wanted");
-        // Host consumer leaves; the satellite alone keeps it wanted.
+        // Both consumers attached: a cancelled host is still wanted.
+        assert!(!host.close_if_unwanted(), "live consumers keep a cancelled host running");
         drop(host_cons);
-        assert!(host.wanted(), "satellite consumer keeps the host wanted");
-        // Once nobody reads any output, the host is abandoned.
+        assert!(!host.close_if_unwanted(), "the satellite's consumer alone keeps it running");
+        host.push_cols(batch_of(&[1]));
         drop(sat_cons);
-        assert!(!host.wanted(), "no consumers ⇒ not wanted");
-        host.finish();
+        assert!(host.close_if_unwanted(), "no consumers ⇒ closed");
+        assert_eq!(host.fanout(), 0, "abandoned outputs are settled, not kept");
+        host.finish(); // the worker's epilogue is a no-op on a closed host
+    }
+
+    /// The close is atomic with the test: a satellite that loses the race
+    /// gets its packet back — subtree intact — and runs on its own, instead
+    /// of attaching to a host that stops and reading a truncated stream as
+    /// EOF.
+    #[test]
+    fn try_attach_after_close_if_unwanted_hands_the_packet_back() {
+        let m = Metrics::new();
+        let (host_prod, host_cons) = make_pipe_pair();
+        let host = SharedHost::new(
+            AttachWindow::WholeLifetime,
+            0,
+            NodeId(500),
+            host_prod,
+            "agg",
+            m.clone(),
+            None,
+        );
+        drop(host_cons);
+        assert!(host.close_if_unwanted());
+        let (packet, sat_cons, child_token) = make_packet();
+        let back = host.try_attach(packet).expect_err("a closed host refuses attaches");
+        assert!(back.output.is_some(), "the packet keeps its output");
+        assert!(!child_token.is_cancelled(), "its subtree was not severed");
+        assert_eq!(m.snapshot().osp_attaches, 0);
+        // The refused packet's pipe is untouched: it can still run and finish.
+        back.output.expect("checked above").finish();
+        assert_eq!(sat_cons.collect_tuples().unwrap(), Vec::<qpipe_common::Tuple>::new());
     }
 }

@@ -24,7 +24,8 @@
 //! ```
 //!
 //! Module map (paper section in parentheses):
-//! * [`pipe`] — bounded 1-producer-N-consumer tuple buffers (§4.2).
+//! * [`pipe`] — bounded 1-producer-N-consumer buffers of `Arc<ColBatch>`
+//!   (§4.2).
 //! * [`packet`] — query packets and cancellation (§4.2).
 //! * [`admit`] — admission control: bounded per-µEngine concurrency,
 //!   interactive/batch classes, ticketed queueing with cancellation and
@@ -36,7 +37,9 @@
 //!   (morsel-driven execution; §4.2's "pool of threads").
 //! * [`host`] — OSP host/satellite attach machinery (§4.3, Figure 6b).
 //! * [`scan`] — circular scans with dynamic termination points (§4.3.1).
-//! * [`ops`] — operator workers incl. the restarting merge join (§4.3.2).
+//! * [`ops`] — the batch-native operator workers; `rowbridge` (private)
+//!   holds the four that still run iterator kernels, incl. the restarting
+//!   merge join (§4.3.2).
 //! * [`deadlock`] — waits-for-graph deadlock detection/resolution (§4.3.3).
 //! * [`cache`] — query result cache for exact sequential repeats (§2.3).
 //! * [`wop`] — Window-of-Opportunity taxonomy and savings model (§3.2).
@@ -50,6 +53,7 @@ pub mod ops;
 pub mod packet;
 pub mod pipe;
 pub mod pool;
+mod rowbridge;
 pub mod scan;
 pub mod wop;
 

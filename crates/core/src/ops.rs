@@ -1,21 +1,30 @@
 //! µEngine operator workers.
 //!
-//! Each worker executes one *host* packet to completion: it pulls input from
-//! the packet's child pipes, evaluates the relational operator (reusing the
-//! iterator-model kernels from `qpipe-exec`), and broadcasts output through a
-//! [`SharedHost`] so satellites attached by the OSP coordinator receive the
-//! same stream (paper Figure 6b step 4).
+//! Each worker executes one *host* packet to completion: it pulls
+//! `Arc<ColBatch>`es from the packet's child pipes, evaluates the relational
+//! operator, and broadcasts output batches through a [`SharedHost`] so
+//! satellites attached by the OSP coordinator receive the same stream (paper
+//! Figure 6b step 4).
+//!
+//! Filter, projection, hash join, aggregation and sort are batch-native
+//! (`qpipe-exec`'s `vexpr`/`viter`/`vsort` kernels) and have exactly one
+//! body each. The operators that still run iterator kernels — nested-loop
+//! join, merge join, range-bounded index scans, and the grace hash join a
+//! refused build hands over to — live behind [`rowbridge`](crate::rowbridge);
+//! nothing in this file touches a `Tuple`.
+//!
+//! Every worker loop polls the cancellation rule the same way: `cancel` fired
+//! *and* [`SharedHost::close_if_unwanted`] — see `host.rs` for why the token
+//! alone never stops a host.
 
 use crate::host::{AttachWindow, ShareRegistry, SharedHost};
-use crate::packet::Packet;
-use crate::pipe::{PipeConsumer, PipeIter};
+use crate::packet::{CancelToken, Packet};
+use crate::pipe::PipeConsumer;
+use crate::rowbridge;
 use qpipe_common::colbatch::SelVec;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
-use qpipe_common::{AnyBatch, Batch, ColBatch, MemClass, Metrics, QResult, Tuple, Value};
+use qpipe_common::{ColBatch, MemClass, Metrics, QError, QResult};
 use qpipe_exec::expr::Expr;
-use qpipe_exec::iter::{
-    build, HashJoinIter, MergeJoinIter, NestedLoopJoinIter, SortIter, TupleIter, VecIter,
-};
 use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
 use qpipe_exec::vexpr::project_batch;
 use qpipe_exec::viter::{hash_build_slice, HashAgg, HashJoinBuild, HashJoinTable};
@@ -99,8 +108,7 @@ impl Obs<'_> {
 
 /// Execute a prepared packet on the calling thread.
 pub fn execute(mut packet: Packet, host: Arc<SharedHost>, env: &OpEnv) {
-    if packet.cancel.is_cancelled() && !host.wanted() {
-        host.abort();
+    if stop(&packet.cancel, &host) {
         return;
     }
     let children = std::mem::take(&mut packet.children);
@@ -170,44 +178,18 @@ fn window_shareable(plan: &PlanNode) -> bool {
     !matches!(plan, PlanNode::Filter { .. } | PlanNode::Project { .. })
 }
 
-/// Drive an iterator to completion, pushing batches into the host.
-fn drain_into_host(
-    mut it: impl TupleIter,
-    host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
-) -> QResult<()> {
-    let mut batch = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
-    loop {
-        // A severed packet may still be hosting satellites from other
-        // queries; only stop once nobody reads any of the outputs.
-        if cancel.is_cancelled() && !host.wanted() {
-            return Ok(());
-        }
-        match it.next()? {
-            Some(t) => {
-                batch.push(t);
-                if batch.is_full() {
-                    host.push(std::mem::replace(
-                        &mut batch,
-                        Batch::with_capacity(Batch::DEFAULT_CAPACITY),
-                    ));
-                }
-            }
-            None => {
-                if !batch.is_empty() {
-                    host.push(batch);
-                }
-                return Ok(());
-            }
-        }
-    }
+/// The cancellation rule, as every worker loop polls it: this packet was
+/// cancelled *and* nobody reads any output of its host any more (in which
+/// case the host is now closed and the worker returns).
+pub(crate) fn stop(cancel: &CancelToken, host: &SharedHost) -> bool {
+    cancel.is_cancelled() && host.close_if_unwanted()
 }
 
 fn run_operator(
     plan: &PlanNode,
-    mut children: Vec<crate::pipe::PipeConsumer>,
+    mut children: Vec<PipeConsumer>,
     host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
+    cancel: &CancelToken,
     env: &OpEnv,
     obs: &Obs<'_>,
 ) -> QResult<()> {
@@ -220,87 +202,48 @@ fn run_operator(
             run_hash_join(children, *left_key, *right_key, host, cancel, env, obs)
         }
         PlanNode::NestedLoopJoin { predicate, .. } => {
-            let left = Box::new(pipe_iter(children.remove(0), env));
-            let right = Box::new(pipe_iter(children.remove(0), env));
-            let it = NestedLoopJoinIter::new(left, right, predicate.clone());
-            drain_into_host(it, host, cancel)
+            rowbridge::run_nested_loop_join(children, predicate, host, cancel, env)
         }
-        PlanNode::MergeJoin { left, right, left_key, right_key } => {
-            run_merge_join(children, (left, *left_key), (right, *right_key), host, cancel, env)
-        }
+        PlanNode::MergeJoin { left, right, left_key, right_key } => rowbridge::run_merge_join(
+            children,
+            (left, *left_key),
+            (right, *right_key),
+            host,
+            cancel,
+            env,
+        ),
         PlanNode::Filter { predicate, .. } => {
             run_filter(children.remove(0), predicate, host, cancel, env)
         }
         PlanNode::Project { exprs, .. } => {
             run_project(children.remove(0), exprs, host, cancel, env)
         }
+        // Range-bounded index scans (unbounded ordered scans are routed to
+        // the circular ScanManager by the engine and never reach here).
         PlanNode::UnclusteredIndexScan { .. } | PlanNode::ClusteredIndexScan { .. } => {
-            // Bounded index scans execute directly via the iterator kernel
-            // (unbounded ordered scans are routed to the circular ScanManager
-            // by the engine and never reach here).
-            let it = build(plan, &env.ctx)?;
-            drain_into_host(it, host, cancel)
+            rowbridge::run_index_scan(plan, host, cancel, env)
         }
         PlanNode::TableScan { .. } => {
-            // Table scans are handled by the ScanManager; reaching here means
-            // the engine routed a scan to the generic path (OSP off + tests).
-            let it = build(plan, &env.ctx)?;
-            drain_into_host(it, host, cancel)
+            Err(QError::Exec("table scan dispatched past the ScanManager".into()))
         }
     }
 }
 
-/// Row-path ingest adapter, wired to count every `ColBatch` it flattens.
-fn pipe_iter(consumer: PipeConsumer, env: &OpEnv) -> PipeIter {
-    PipeIter::with_metrics(consumer, env.metrics.clone())
-}
-
 // ---------------------------------------------------------------------------
-// Vectorized hash join / aggregation (batch-native µEngine workers)
+// Vectorized hash join / aggregation
 // ---------------------------------------------------------------------------
 
-/// Sources drained in order, front to back — the hand-off shape when a
-/// vectorized operator abandons the columnar path (budget overflow → grace
-/// spill, or ragged input widths) and replays everything buffered so far in
-/// front of the remaining pipe stream through the unchanged row-path
-/// operator.
-struct SeqIter(Vec<Box<dyn TupleIter>>);
-
-impl TupleIter for SeqIter {
-    fn next(&mut self) -> QResult<Option<Tuple>> {
-        while let Some(first) = self.0.first_mut() {
-            if let Some(t) = first.next()? {
-                return Ok(Some(t));
-            }
-            self.0.remove(0);
-        }
-        Ok(None)
-    }
-}
-
-/// Broadcast the pending row batch, leaving an empty one in its place
-/// (no-op when nothing is pending). Shared by every worker that interleaves
-/// row output with columnar pushes — the flush keeps the stream in arrival
-/// order.
-fn flush_rows(host: &SharedHost, rows_out: &mut Batch) {
-    if !rows_out.is_empty() {
-        host.push(std::mem::replace(rows_out, Batch::with_capacity(Batch::DEFAULT_CAPACITY)));
-    }
-}
-
-/// Hash join over `Arc<AnyBatch>` streams: build accumulates columnar
-/// batches without materializing a single `Tuple`, probe matches whole
-/// batches through the `viter` kernels. Row batches interleaved in either
-/// stream are handled in place; a build side the governor refuses to cover
+/// Hash join over `Arc<ColBatch>` streams: build accumulates the batches
+/// without materializing a single `Tuple`, probe matches whole batches
+/// through the `viter` kernels. A build side the governor refuses to cover
 /// (hash budget reached, or the global budget exhausted by concurrent
-/// queries — or ragged input widths) falls back to the row-path
-/// [`HashJoinIter`], whose grace partitioning is unchanged.
+/// queries) is handed to the grace join behind the row bridge.
 fn run_hash_join(
     mut children: Vec<PipeConsumer>,
     left_key: usize,
     right_key: usize,
     host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
+    cancel: &CancelToken,
     env: &OpEnv,
     obs: &Obs<'_>,
 ) -> QResult<()> {
@@ -309,63 +252,29 @@ fn run_hash_join(
     let mut lease = env.ctx.governor.lease(MemClass::Hash);
     let mut build = HashJoinBuild::new(left_key);
     loop {
-        if cancel.is_cancelled() && !host.wanted() {
+        if stop(cancel, host) {
             return Ok(());
         }
         let Some(batch) = left.recv()? else { break };
-        let accepted = match &*batch {
-            AnyBatch::Cols(c) => build.add(c),
-            AnyBatch::Rows(b) => build.add(&ColBatch::from_rows(b.rows())),
-        };
-        let covered = lease.covers(build.rows());
-        if !covered {
+        build.add(&batch)?;
+        if !lease.covers(build.rows()) {
             obs.mem_denied();
-        }
-        if !accepted || !covered {
             env.metrics.add_vec_fallback();
-            // The grace fallback acquires its own lease; hand ours back
-            // first so the partition loads see the released headroom.
+            // The grace join acquires its own lease; hand ours back first so
+            // the partition loads see the released headroom.
             drop(lease);
-            let mut prefix = build.into_rows();
-            if !accepted {
-                prefix.extend(batch.to_rows());
-            }
-            let l = Box::new(SeqIter(vec![
-                Box::new(VecIter::new(prefix)),
-                Box::new(pipe_iter(left, env)),
-            ]));
-            let r = Box::new(pipe_iter(right, env));
-            let it = HashJoinIter::new(l, r, left_key, right_key, env.ctx.clone());
-            return drain_into_host(it, host, cancel);
+            let keys = (left_key, right_key);
+            return rowbridge::run_grace_hash_join(build, left, right, keys, host, cancel, env);
         }
     }
     let table = finish_build(build, env)?;
-    let mut rows_out = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
     while let Some(batch) = right.recv()? {
-        if cancel.is_cancelled() && !host.wanted() {
+        if stop(cancel, host) {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                // Flush pending row output first so the stream keeps the
-                // probe side's arrival order.
-                flush_rows(host, &mut rows_out);
-                table.probe(c, right_key, Batch::DEFAULT_CAPACITY, |out| host.push_cols(out))?;
-                env.metrics.add_vec_join_batch();
-            }
-            AnyBatch::Rows(b) => {
-                for t in b.rows() {
-                    table.probe_row(t, right_key, |row| {
-                        rows_out.push(row);
-                        if rows_out.is_full() {
-                            flush_rows(host, &mut rows_out);
-                        }
-                    })?;
-                }
-            }
-        }
+        table.probe(&batch, right_key, ColBatch::DEFAULT_CAPACITY, |out| host.push_cols(out))?;
+        env.metrics.add_vec_join_batch();
     }
-    flush_rows(host, &mut rows_out);
     Ok(())
 }
 
@@ -376,12 +285,12 @@ fn run_hash_join(
 /// the serial [`HashJoinBuild::finish`].
 fn finish_build(build: HashJoinBuild, env: &OpEnv) -> QResult<HashJoinTable> {
     let workers = env.tasks.workers();
-    if workers <= 1 || build.rows() < 2 * Batch::DEFAULT_CAPACITY {
+    if workers <= 1 || build.rows() < 2 * ColBatch::DEFAULT_CAPACITY {
         return build.finish();
     }
     let (batch, key) = build.into_batch();
     let n = batch.len();
-    let stripes = workers.min(n.div_ceil(Batch::DEFAULT_CAPACITY)).max(1);
+    let stripes = workers.min(n.div_ceil(ColBatch::DEFAULT_CAPACITY)).max(1);
     let per = n.div_ceil(stripes);
     let shared = Arc::new(batch);
     let (tx, rx) = std::sync::mpsc::channel();
@@ -415,27 +324,25 @@ fn finish_build(build: HashJoinBuild, env: &OpEnv) -> QResult<HashJoinTable> {
     }
     let mut hashes = Vec::with_capacity(n);
     for p in parts {
-        let p =
-            p.ok_or_else(|| qpipe_common::QError::Exec("hash-build worker panicked".to_string()))??;
+        let p = p.ok_or_else(|| QError::Exec("hash-build worker panicked".to_string()))??;
         hashes.extend(p);
     }
     let batch = Arc::try_unwrap(shared).unwrap_or_else(|arc| ColBatch::clone(&arc));
     HashJoinTable::from_hashes(batch, key, hashes)
 }
 
-/// Hash aggregation over `Arc<AnyBatch>` streams: columnar batches fold
-/// through [`HashAgg`]'s column-run update, row batches update the same
-/// group states in place — one operator, no fallback seam. The group table
-/// grows under a governor lease (aggregation has no spill path, so a denied
-/// grant is counted as `mem_waited` and the update proceeds — overshoot is
-/// visible rather than silent). Output is built as a `ColBatch` and emitted
-/// in pipe-granularity slices, so agg → sort plans stay columnar.
+/// Hash aggregation over `Arc<ColBatch>` streams: batches fold through
+/// [`HashAgg`]'s column-run update. The group table grows under a governor
+/// lease (aggregation has no spill path, so a denied grant is counted as
+/// `mem_waited` and the update proceeds — overshoot is visible rather than
+/// silent). Output is built as a `ColBatch` and emitted in pipe-granularity
+/// slices, so agg → sort plans stay columnar.
 fn run_aggregate(
     input: PipeConsumer,
     group_by: &[usize],
     aggs: &[AggSpec],
     host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
+    cancel: &CancelToken,
     env: &OpEnv,
     obs: &Obs<'_>,
 ) -> QResult<()> {
@@ -451,38 +358,24 @@ fn run_aggregate(
             use qpipe_exec::plan::AggFunc;
             matches!(s.func, AggFunc::CountStar | AggFunc::Count | AggFunc::Min | AggFunc::Max)
         });
-    let round_cap = env.tasks.workers() * 4 * Batch::DEFAULT_CAPACITY;
-    let mut pending: Vec<Arc<AnyBatch>> = Vec::new();
+    let round_cap = env.tasks.workers() * 4 * ColBatch::DEFAULT_CAPACITY;
+    let mut pending: Vec<Arc<ColBatch>> = Vec::new();
     let mut pending_rows = 0usize;
     while let Some(batch) = input.recv()? {
-        if cancel.is_cancelled() && !host.wanted() {
+        if stop(cancel, host) {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                env.metrics.add_vec_agg_batch();
-                if parallel_ok {
-                    // Defer into the current round; fold when it fills.
-                    pending_rows += c.len();
-                    pending.push(batch.clone());
-                    if pending_rows >= round_cap {
-                        fold_pending(&mut agg, group_by, aggs, &mut pending, env)?;
-                        pending_rows = 0;
-                    }
-                } else {
-                    agg.update_cols(c)?;
-                }
-            }
-            AnyBatch::Rows(b) => {
-                // Keep stream order exact: fold the deferred columnar round
-                // before the rows so tie-breaking sees values in arrival
-                // order.
+        env.metrics.add_vec_agg_batch();
+        if parallel_ok {
+            // Defer into the current round; fold when it fills.
+            pending_rows += batch.len();
+            pending.push(batch);
+            if pending_rows >= round_cap {
                 fold_pending(&mut agg, group_by, aggs, &mut pending, env)?;
                 pending_rows = 0;
-                for t in b.rows() {
-                    agg.update_row(t)?;
-                }
             }
+        } else {
+            agg.update_cols(&batch)?;
         }
         if !lease.covers(agg.num_groups()) {
             obs.mem_denied();
@@ -492,7 +385,7 @@ fn run_aggregate(
     let out = agg.finish_cols();
     let mut at = 0;
     while at < out.len() {
-        let n = (out.len() - at).min(Batch::DEFAULT_CAPACITY);
+        let n = (out.len() - at).min(ColBatch::DEFAULT_CAPACITY);
         host.push_cols(out.slice(at, n));
         at += n;
     }
@@ -502,13 +395,12 @@ fn run_aggregate(
 /// Fold one round of deferred columnar batches into `agg`: contiguous runs
 /// of batches become per-worker partial [`HashAgg`]s on the task pool, then
 /// merge back in stream order ([`HashAgg::merge`] documents why that is
-/// exact for the gated functions). Row batches never enter a round, so this
-/// only sees `AnyBatch::Cols`.
+/// exact for the gated functions).
 fn fold_pending(
     agg: &mut HashAgg,
     group_by: &[usize],
     aggs: &[AggSpec],
-    pending: &mut Vec<Arc<AnyBatch>>,
+    pending: &mut Vec<Arc<ColBatch>>,
     env: &OpEnv,
 ) -> QResult<()> {
     let batches = std::mem::take(pending);
@@ -518,9 +410,7 @@ fn fold_pending(
     let stripes = env.tasks.workers().min(batches.len());
     if stripes <= 1 {
         for b in &batches {
-            if let AnyBatch::Cols(c) = &**b {
-                agg.update_cols(c)?;
-            }
+            agg.update_cols(b)?;
         }
         return Ok(());
     }
@@ -528,16 +418,14 @@ fn fold_pending(
     let (tx, rx) = std::sync::mpsc::channel();
     let mut dispatched = 0;
     for (s, chunk) in batches.chunks(per).enumerate() {
-        let chunk: Vec<Arc<AnyBatch>> = chunk.to_vec();
+        let chunk: Vec<Arc<ColBatch>> = chunk.to_vec();
         let job_group_by = group_by.to_vec();
         let job_aggs = aggs.to_vec();
         let job_tx = tx.clone();
         let fold = move || -> QResult<HashAgg> {
             let mut part = HashAgg::new(job_group_by, job_aggs);
             for b in &chunk {
-                if let AnyBatch::Cols(c) = &**b {
-                    part.update_cols(c)?;
-                }
+                part.update_cols(b)?;
             }
             Ok(part)
         };
@@ -551,9 +439,7 @@ fn fold_pending(
             let lo = s * per;
             let mut part = HashAgg::new(group_by.to_vec(), aggs.to_vec());
             for b in &batches[lo..(lo + per).min(batches.len())] {
-                if let AnyBatch::Cols(c) = &**b {
-                    part.update_cols(c)?;
-                }
+                part.update_cols(b)?;
             }
             let _ = tx.send((s, Ok(part)));
         }
@@ -569,346 +455,86 @@ fn fold_pending(
         parts[s] = Some(out);
     }
     for p in parts {
-        let part =
-            p.ok_or_else(|| qpipe_common::QError::Exec("aggregate worker panicked".to_string()))??;
+        let part = p.ok_or_else(|| QError::Exec("aggregate worker panicked".to_string()))??;
         agg.merge(part);
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized filter / projection / sort (batch-native µEngine workers)
+// Vectorized filter / projection / sort
 // ---------------------------------------------------------------------------
 
-/// Filter over `Arc<AnyBatch>` streams: columnar batches run the
-/// selection-vector kernels (`Expr::eval_filter`) and are compacted once
-/// (`gather`) before broadcast — no `Tuple` is ever materialized. Row
-/// batches keep the row interpreter and accumulate into full output batches
-/// exactly as before; interleaving flushes pending rows first so the stream
-/// keeps arrival order.
+/// Filter over `Arc<ColBatch>` streams: each batch runs the selection-vector
+/// kernels (`Expr::eval_filter`) and is compacted once (`gather`) before
+/// broadcast — no `Tuple` is ever materialized.
 fn run_filter(
     input: PipeConsumer,
     predicate: &Expr,
     host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
+    cancel: &CancelToken,
     env: &OpEnv,
 ) -> QResult<()> {
-    let mut rows_out = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
     while let Some(batch) = input.recv()? {
-        if cancel.is_cancelled() && !host.wanted() {
+        if stop(cancel, host) {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                flush_rows(host, &mut rows_out);
-                let sel = predicate.eval_filter(c)?;
-                env.metrics.add_vec_filter_batch();
-                if !sel.is_empty() {
-                    host.push_cols(c.gather(&sel));
-                }
-            }
-            AnyBatch::Rows(b) => {
-                for t in b.rows() {
-                    if predicate.eval_bool(t)? {
-                        rows_out.push(t.clone());
-                        if rows_out.is_full() {
-                            flush_rows(host, &mut rows_out);
-                        }
-                    }
-                }
-            }
+        let sel = predicate.eval_filter(&batch)?;
+        env.metrics.add_vec_filter_batch();
+        if !sel.is_empty() {
+            host.push_cols(batch.gather(&sel));
         }
     }
-    flush_rows(host, &mut rows_out);
     Ok(())
 }
 
-/// Projection over `Arc<AnyBatch>` streams: columnar batches evaluate the
-/// expression list column-at-a-time (`project_batch` — an `Arc`-bump gather
-/// for plain column references), row batches keep the row interpreter.
+/// Projection over `Arc<ColBatch>` streams: the expression list is evaluated
+/// column-at-a-time (`project_batch` — an `Arc`-bump gather for plain column
+/// references).
 fn run_project(
     input: PipeConsumer,
     exprs: &[Expr],
     host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
+    cancel: &CancelToken,
     env: &OpEnv,
 ) -> QResult<()> {
-    let mut rows_out = Batch::with_capacity(Batch::DEFAULT_CAPACITY);
     while let Some(batch) = input.recv()? {
-        if cancel.is_cancelled() && !host.wanted() {
+        if stop(cancel, host) {
             return Ok(());
         }
-        match &*batch {
-            AnyBatch::Cols(c) => {
-                flush_rows(host, &mut rows_out);
-                let out = project_batch(exprs, c, &SelVec::all(c.len()))?;
-                env.metrics.add_vec_project_batch();
-                if !out.is_empty() {
-                    host.push_cols(out);
-                }
-            }
-            AnyBatch::Rows(b) => {
-                for t in b.rows() {
-                    let mut row = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        row.push(e.eval(t)?);
-                    }
-                    rows_out.push(row);
-                    if rows_out.is_full() {
-                        flush_rows(host, &mut rows_out);
-                    }
-                }
-            }
+        let out = project_batch(exprs, &batch, &SelVec::all(batch.len()))?;
+        env.metrics.add_vec_project_batch();
+        if !out.is_empty() {
+            host.push_cols(out);
         }
     }
-    flush_rows(host, &mut rows_out);
     Ok(())
 }
 
-/// Sort over `Arc<AnyBatch>` streams: [`VecSort`] accumulates columnar
-/// batches (row batches column-ify into the same accumulator), sorts a
-/// permutation over the key columns, and spills/merges columnar runs —
-/// output order is bit-identical to [`SortIter`]. Ragged input widths fall
-/// back to the row-path sort with everything buffered so far replayed in
-/// front of the remaining stream.
+/// Sort over `Arc<ColBatch>` streams: [`VecSort`] accumulates the batches,
+/// sorts a permutation over the key columns, and spills/merges columnar runs
+/// — output order is bit-identical to the iterator engine's `SortIter`.
 fn run_sort(
     input: PipeConsumer,
     keys: &[SortKey],
     host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
+    cancel: &CancelToken,
     env: &OpEnv,
 ) -> QResult<()> {
     let mut sort = VecSort::new(keys, env.ctx.clone());
     loop {
-        if cancel.is_cancelled() && !host.wanted() {
+        if stop(cancel, host) {
             return Ok(());
         }
         let Some(batch) = input.recv()? else { break };
-        let accepted = match &*batch {
-            AnyBatch::Cols(c) => {
-                let ok = sort.push_cols(c)?;
-                if ok {
-                    env.metrics.add_vec_sort_batch();
-                }
-                ok
-            }
-            AnyBatch::Rows(b) => sort.push_rows(b.rows())?,
-        };
-        if !accepted {
-            // Ragged widths: replay everything buffered so far (spilled runs
-            // stream chunk-at-a-time — the fallback stays within the same
-            // memory bound the spills were honoring), then the rejected
-            // batch, then the rest of the stream, through the row-path sort.
-            env.metrics.add_vec_fallback();
-            let it = SortIter::new(
-                Box::new(SeqIter(vec![
-                    Box::new(sort.into_drain()),
-                    Box::new(VecIter::new(batch.to_rows())),
-                    Box::new(pipe_iter(input, env)),
-                ])),
-                keys.to_vec(),
-                env.ctx.clone(),
-            );
-            return drain_into_host(it, host, cancel);
-        }
+        sort.push_cols(&batch)?;
+        env.metrics.add_vec_sort_batch();
     }
     sort.finish(|out| {
-        if cancel.is_cancelled() && !host.wanted() {
+        if stop(cancel, host) {
             return false;
         }
         host.push_cols(out);
         true
     })
-}
-
-// ---------------------------------------------------------------------------
-// Merge join with wrap restart (§4.3.2)
-// ---------------------------------------------------------------------------
-
-/// Pull iterator that stops at a *wrap* — the point where the key strictly
-/// decreases — and can be resumed for the wrapped segment.
-struct WrapSplitIter {
-    inner: PipeIter,
-    key: usize,
-    last_key: Option<Value>,
-    pending: Option<Tuple>,
-    wrapped: bool,
-    exhausted: bool,
-}
-
-impl WrapSplitIter {
-    fn new(inner: PipeIter, key: usize) -> Self {
-        Self { inner, key, last_key: None, pending: None, wrapped: false, exhausted: false }
-    }
-
-    /// Begin the post-wrap segment.
-    fn resume(&mut self) {
-        self.wrapped = false;
-        self.last_key = None;
-    }
-
-    fn has_wrapped(&self) -> bool {
-        self.wrapped
-    }
-
-    #[cfg(test)]
-    fn is_exhausted(&self) -> bool {
-        self.exhausted && self.pending.is_none()
-    }
-}
-
-impl TupleIter for WrapSplitIter {
-    fn next(&mut self) -> QResult<Option<Tuple>> {
-        if self.wrapped {
-            return Ok(None); // segment boundary; call resume() to continue
-        }
-        let t = match self.pending.take() {
-            Some(t) => Some(t),
-            None => self.inner.next()?,
-        };
-        let Some(t) = t else {
-            self.exhausted = true;
-            return Ok(None);
-        };
-        let k = t[self.key].clone();
-        if let Some(last) = &self.last_key {
-            if k < *last {
-                // Wrap detected: hold the tuple for the next segment.
-                self.pending = Some(t);
-                self.wrapped = true;
-                return Ok(None);
-            }
-        }
-        self.last_key = Some(k);
-        Ok(Some(t))
-    }
-}
-
-/// Merge join that tolerates one circular wrap on either input.
-///
-/// When an input wraps (its satellite scan attached mid-file, §4.3.2), the
-/// OSP strategy is: finish joining segment 1 against the other relation, then
-/// re-read the other relation *from its plan* (the paper's "worst case ...
-/// reading the non-shared relation twice") and join segment 2 against it.
-fn run_merge_join(
-    mut children: Vec<crate::pipe::PipeConsumer>,
-    (left_plan, left_key): (&PlanNode, usize),
-    (right_plan, right_key): (&PlanNode, usize),
-    host: &SharedHost,
-    cancel: &crate::packet::CancelToken,
-    env: &OpEnv,
-) -> QResult<()> {
-    let left = pipe_iter(children.remove(0), env);
-    let right = pipe_iter(children.remove(0), env);
-    let mut lsplit = WrapSplitIter::new(left, left_key);
-    let mut rsplit = WrapSplitIter::new(right, right_key);
-
-    // Segment 1: both inputs until wrap/EOF.
-    {
-        let it =
-            MergeJoinIter::new(TakeRef(&mut lsplit), TakeRef(&mut rsplit), left_key, right_key);
-        drain_into_host(it, host, cancel)?;
-    }
-    let lwrap = lsplit.has_wrapped();
-    let rwrap = rsplit.has_wrapped();
-    if !lwrap && !rwrap {
-        return Ok(());
-    }
-    // Drain the pre-wrap remainder of whichever side the merge join did not
-    // fully consume is unnecessary: a wrapped side stops at the boundary, the
-    // other side is simply dropped (detaching from its pipe/scan).
-    if lwrap && rwrap {
-        // The dispatcher marks at most one input as wrap-capable; if both
-        // wrapped anyway (defensive), fall back to a full re-read of both.
-        let fresh_l = build(left_plan, &env.ctx)?;
-        let fresh_r = build(right_plan, &env.ctx)?;
-        let it = MergeJoinIter::new(fresh_l, fresh_r, left_key, right_key);
-        return drain_into_host(it, host, cancel);
-    }
-    if lwrap {
-        lsplit.resume();
-        let fresh_right = build(right_plan, &env.ctx)?;
-        let it = MergeJoinIter::new(lsplit, fresh_right, left_key, right_key);
-        drain_into_host(it, host, cancel)?;
-    } else {
-        rsplit.resume();
-        let fresh_left = build(left_plan, &env.ctx)?;
-        let it = MergeJoinIter::new(fresh_left, rsplit, left_key, right_key);
-        drain_into_host(it, host, cancel)?;
-    }
-    Ok(())
-}
-
-/// Borrowing adapter so a `WrapSplitIter` can feed a `MergeJoinIter` and be
-/// inspected/resumed afterwards.
-struct TakeRef<'a>(&'a mut WrapSplitIter);
-
-impl TupleIter for TakeRef<'_> {
-    fn next(&mut self) -> QResult<Option<Tuple>> {
-        self.0.next()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::deadlock::{NodeId, WaitRegistry};
-    use crate::pipe::{Pipe, PipeConfig};
-
-    fn feed(rows: Vec<Tuple>) -> PipeIter {
-        let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg);
-        let c = pipe.attach_consumer(NodeId(2), false);
-        let mut p = pipe.producer();
-        for r in rows {
-            p.push(r);
-        }
-        p.finish();
-        PipeIter::new(c)
-    }
-
-    fn row(k: i64) -> Tuple {
-        vec![Value::Int(k)]
-    }
-
-    #[test]
-    fn wrap_split_detects_boundary() {
-        let rows: Vec<Tuple> = [5, 6, 7, 1, 2, 3].iter().map(|&k| row(k)).collect();
-        let mut w = WrapSplitIter::new(feed(rows), 0);
-        let mut seg1 = Vec::new();
-        while let Some(t) = w.next().unwrap() {
-            seg1.push(t[0].as_int().unwrap());
-        }
-        assert_eq!(seg1, vec![5, 6, 7]);
-        assert!(w.has_wrapped());
-        w.resume();
-        let mut seg2 = Vec::new();
-        while let Some(t) = w.next().unwrap() {
-            seg2.push(t[0].as_int().unwrap());
-        }
-        assert_eq!(seg2, vec![1, 2, 3]);
-        assert!(!w.has_wrapped());
-        assert!(w.is_exhausted());
-    }
-
-    #[test]
-    fn wrap_split_no_wrap() {
-        let rows: Vec<Tuple> = [1, 2, 2, 3].iter().map(|&k| row(k)).collect();
-        let mut w = WrapSplitIter::new(feed(rows), 0);
-        let mut all = Vec::new();
-        while let Some(t) = w.next().unwrap() {
-            all.push(t[0].as_int().unwrap());
-        }
-        assert_eq!(all, vec![1, 2, 2, 3]);
-        assert!(!w.has_wrapped());
-        assert!(w.is_exhausted());
-    }
-
-    #[test]
-    fn wrap_split_empty_input() {
-        let mut w = WrapSplitIter::new(feed(vec![]), 0);
-        assert!(w.next().unwrap().is_none());
-        assert!(w.is_exhausted());
-        assert!(!w.has_wrapped());
-    }
 }

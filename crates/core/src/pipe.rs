@@ -1,9 +1,11 @@
-//! Intermediate tuple buffers.
+//! Intermediate buffers.
 //!
 //! QPipe µEngines exchange data through dedicated buffers (paper §4.2,
 //! Figure 5b). A [`Pipe`] is a bounded 1-producer-N-consumer broadcast
-//! channel of `Arc<AnyBatch>`es — row batches from the iterator-model
-//! operators, columnar batches from the vectorized scan path:
+//! channel of `Arc<ColBatch>`es — the one batch format of the staged engine.
+//! Every producer (scanner, operator worker, OSP host, the row bridge) sends
+//! whole columnar batches; the `Arc` is what makes a broadcast to N consumers
+//! (and a host's replay history) share one copy:
 //!
 //! * The producer blocks while **any** attached consumer's queue is full —
 //!   "if any of the consumers is slower than the producer, all queries will
@@ -18,11 +20,16 @@
 //!   blocks again — which is exactly the deadlock-resolution action of §4.3.3.
 //! * Every blocking wait registers a waits-for edge with the
 //!   [`deadlock`](crate::deadlock) registry so real deadlocks are detected.
+//! * A stream ends exactly one of two ways: [`PipeProducer::finish`] (clean
+//!   EOF) or a failure ([`PipeProducer::fail`] / [`Pipe::fail`]). A producer
+//!   that is merely *dropped* fails its pipe — a packet that vanished on the
+//!   way (dropped by a dispatcher, lost with a panicking thread) must read as
+//!   an error downstream, never as a complete empty result.
 
 use crate::deadlock::{NodeId, WaitKind, WaitRegistry};
 use parking_lot::{Condvar, Mutex};
 use qpipe_common::trace::OpProbe;
-use qpipe_common::{AnyBatch, Batch, ColBatch, QError, QResult, Tuple};
+use qpipe_common::{ColBatch, QError, QResult, Tuple};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,7 +56,7 @@ impl Default for PipeConfig {
 
 #[derive(Debug)]
 struct ConsumerQueue {
-    queue: VecDeque<Arc<AnyBatch>>,
+    queue: VecDeque<Arc<ColBatch>>,
     detached: bool,
     /// Node id of the packet draining this queue (for waits-for edges).
     node: NodeId,
@@ -59,7 +66,7 @@ struct ConsumerQueue {
 struct PipeState {
     consumers: HashMap<usize, ConsumerQueue>,
     /// Retained recent batches for backfill, most recent last.
-    history: VecDeque<Arc<AnyBatch>>,
+    history: VecDeque<Arc<ColBatch>>,
     /// Total batches ever produced.
     produced: u64,
     eof: bool,
@@ -145,7 +152,7 @@ impl Pipe {
 
     /// Create the producer handle.
     pub fn producer(self: &Arc<Self>) -> PipeProducer {
-        PipeProducer { pipe: self.clone(), builder: qpipe_common::batch::BatchBuilder::new() }
+        PipeProducer { pipe: self.clone() }
     }
 
     /// Lift the capacity bound permanently (deadlock resolution: the paper
@@ -187,7 +194,7 @@ impl Pipe {
         self.state.lock().consumers.values().filter(|c| !c.detached).count()
     }
 
-    fn send(&self, batch: Arc<AnyBatch>) {
+    fn send(&self, batch: Arc<ColBatch>) {
         let mut st = self.state.lock();
         loop {
             if st.materialized {
@@ -257,7 +264,7 @@ impl Pipe {
         id: usize,
         node: NodeId,
         probe: Option<&OpProbe>,
-    ) -> QResult<Option<Arc<AnyBatch>>> {
+    ) -> QResult<Option<Arc<ColBatch>>> {
         let mut st = self.state.lock();
         loop {
             // A failed producer fails the consumer promptly — queued batches
@@ -302,60 +309,48 @@ impl Pipe {
     }
 }
 
-/// Producer handle: push tuples/batches; close on drop.
+/// Producer handle: push batches, then [`finish`](Self::finish) or
+/// [`fail`](Self::fail). Dropping it any other way fails the pipe.
 pub struct PipeProducer {
     pipe: Arc<Pipe>,
-    builder: qpipe_common::batch::BatchBuilder,
 }
 
 impl PipeProducer {
-    /// Push one tuple, sending a batch when full.
-    pub fn push(&mut self, tuple: Tuple) {
-        if let Some(batch) = self.builder.push(tuple) {
-            self.pipe.send(Arc::new(AnyBatch::Rows(batch)));
-        }
-    }
-
     /// Number of batches this producer's pipe has sent (observability).
     pub fn batches_sent(&self) -> u64 {
         self.pipe.produced()
     }
 
-    /// Push a whole row batch.
-    pub fn push_batch(&mut self, batch: Batch) {
-        self.flush_pending();
-        self.pipe.send(Arc::new(AnyBatch::Rows(batch)));
-    }
-
-    /// Push a columnar batch (vectorized scan path).
+    /// Push a batch this producer owns.
     pub fn push_cols(&mut self, batch: ColBatch) {
-        self.flush_pending();
-        self.pipe.send(Arc::new(AnyBatch::Cols(batch)));
+        self.pipe.send(Arc::new(batch));
     }
 
-    /// Push an already-shared batch without copying (broadcast path).
-    pub fn push_shared(&mut self, batch: Arc<AnyBatch>) {
-        self.flush_pending();
+    /// Push an already-shared batch without copying (broadcast path, and a
+    /// columnar page's pool-resident batch).
+    pub fn push_shared(&mut self, batch: Arc<ColBatch>) {
         self.pipe.send(batch);
     }
 
-    fn flush_pending(&mut self) {
-        if let Some(pending) = self.builder.finish() {
-            self.pipe.send(Arc::new(AnyBatch::Rows(pending)));
-        }
-    }
-
-    /// Flush any buffered tuples and mark end-of-stream.
-    pub fn finish(mut self) {
-        self.flush_pending();
+    /// Mark end-of-stream.
+    pub fn finish(self) {
         self.pipe.close();
     }
 
-    /// Fail the stream: consumers observe `error` instead of EOF. Buffered
-    /// tuples are discarded — a failed packet delivers nothing further.
-    pub fn fail(mut self, error: QError) {
-        let _ = self.builder.finish();
+    /// Fail the stream: consumers observe `error` instead of EOF.
+    pub fn fail(self, error: QError) {
         self.pipe.fail(error);
+    }
+
+    /// True when nobody reads this producer's pipe any more — every consumer
+    /// detached. This is the sharing rule's test: a cancelled packet stops
+    /// only when its output is abandoned, because a cancel token says the
+    /// packet's *own* query stopped caring, not that no other query rides
+    /// the same output (see [`SharedHost::close_if_unwanted`]).
+    ///
+    /// [`SharedHost::close_if_unwanted`]: crate::host::SharedHost::close_if_unwanted
+    pub fn abandoned(&self) -> bool {
+        self.pipe.active_consumers() == 0
     }
 
     pub fn pipe(&self) -> &Arc<Pipe> {
@@ -365,10 +360,11 @@ impl PipeProducer {
 
 impl Drop for PipeProducer {
     fn drop(&mut self) {
-        // Defensive close so consumers never hang if a producer panics or is
-        // dropped without finish(); residual buffered tuples are flushed.
-        self.flush_pending();
-        self.pipe.close();
+        // `finish` and `fail` end the stream before they drop `self`; only
+        // this producer can end it cleanly, so the unlocked check is exact.
+        if !self.pipe.is_eof() {
+            self.pipe.fail(QError::Exec("producer dropped without finishing".into()));
+        }
     }
 }
 
@@ -390,7 +386,7 @@ impl PipeConsumer {
 
     /// Blocking receive; `Ok(None)` at end of stream, `Err` when the
     /// producer failed the pipe (the packet's results are incomplete).
-    pub fn recv(&self) -> QResult<Option<Arc<AnyBatch>>> {
+    pub fn recv(&self) -> QResult<Option<Arc<ColBatch>>> {
         self.pipe.recv(self.id, self.node, self.probe.as_deref())
     }
 
@@ -398,18 +394,13 @@ impl PipeConsumer {
         &self.pipe
     }
 
-    /// Drain everything into a vector of tuples, materializing columnar
-    /// batches at this (row-engine) boundary. A batch this consumer is the
-    /// last holder of is moved, not copied. Errs when the producer failed
-    /// mid-stream — a failed packet never passes off partial output as
-    /// complete results.
+    /// Drain everything into a vector of tuples — the client result
+    /// boundary. Errs when the producer failed mid-stream — a failed packet
+    /// never passes off partial output as complete results.
     pub fn collect_tuples(self) -> QResult<Vec<Tuple>> {
         let mut out = Vec::new();
         while let Some(b) = self.recv()? {
-            match Arc::try_unwrap(b) {
-                Ok(owned) => out.extend(owned.into_rows()),
-                Err(shared) => out.extend(shared.to_rows()),
-            }
+            out.extend(b.to_rows());
         }
         Ok(out)
     }
@@ -421,59 +412,13 @@ impl Drop for PipeConsumer {
     }
 }
 
-/// Adapter exposing a pipe consumer as a pull [`TupleIter`](qpipe_exec::iter::TupleIter) so µEngines can
-/// reuse the iterator-model kernels over pipe inputs.
-///
-/// This is the row-materialization boundary: a columnar batch crossing it is
-/// flattened back into `Vec<Tuple>`. Hash join, aggregation, filter,
-/// projection, and sort no longer ingest through here (they consume
-/// `Arc<AnyBatch>` directly — see `ops::run_hash_join` / `run_aggregate` /
-/// `run_filter` / `run_project` / `run_sort`); only merge join, nested-loop
-/// join, and row-path fallbacks still do. Each columnar batch this adapter
-/// does flatten is counted so tests can assert the hot path stays batched
-/// end-to-end.
-pub struct PipeIter {
-    consumer: PipeConsumer,
-    current: Vec<Tuple>,
-    pos: usize,
-    metrics: Option<qpipe_common::Metrics>,
-}
-
-impl PipeIter {
-    pub fn new(consumer: PipeConsumer) -> Self {
-        Self { consumer, current: Vec::new(), pos: 0, metrics: None }
-    }
-
-    /// Count every `ColBatch → Vec<Tuple>` flattening against `metrics`
-    /// (`col_rowified_batches`).
-    pub fn with_metrics(consumer: PipeConsumer, metrics: qpipe_common::Metrics) -> Self {
-        Self { consumer, current: Vec::new(), pos: 0, metrics: Some(metrics) }
-    }
-}
-
-impl qpipe_exec::iter::TupleIter for PipeIter {
-    fn next(&mut self) -> QResult<Option<Tuple>> {
-        loop {
-            if self.pos < self.current.len() {
-                let t = std::mem::take(&mut self.current[self.pos]);
-                self.pos += 1;
-                return Ok(Some(t));
-            }
-            match self.consumer.recv()? {
-                None => return Ok(None),
-                Some(batch) => {
-                    if let (Some(m), AnyBatch::Cols(_)) = (&self.metrics, &*batch) {
-                        m.add_col_rowified();
-                    }
-                    // Sole-holder batches are moved out instead of cloned.
-                    self.current = match Arc::try_unwrap(batch) {
-                        Ok(owned) => owned.into_rows(),
-                        Err(shared) => shared.to_rows(),
-                    };
-                    self.pos = 0;
-                }
-            }
-        }
+/// Test feed shared by this crate's unit suites: push `rows` as
+/// [`ColBatch::DEFAULT_CAPACITY`]-row batches, the way every engine producer
+/// cuts its output.
+#[cfg(test)]
+pub(crate) fn push_rows(producer: &mut PipeProducer, rows: &[Tuple]) {
+    for chunk in rows.chunks(ColBatch::DEFAULT_CAPACITY) {
+        producer.push_cols(ColBatch::from_rows(chunk));
     }
 }
 
@@ -491,14 +436,16 @@ mod tests {
         vec![Value::Int(i)]
     }
 
+    fn tuples(n: i64) -> Vec<Tuple> {
+        (0..n).map(tuple).collect()
+    }
+
     #[test]
     fn single_consumer_round_trip() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
         let consumer = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        for i in 0..1000 {
-            producer.push(tuple(i));
-        }
+        push_rows(&mut producer, &tuples(1000));
         producer.finish();
         let rows = consumer.collect_tuples().unwrap();
         assert_eq!(rows.len(), 1000);
@@ -512,9 +459,7 @@ mod tests {
             (0..3).map(|i| pipe.attach_consumer(NodeId(10 + i), false)).collect();
         let mut producer = pipe.producer();
         let handle = std::thread::spawn(move || {
-            for i in 0..600 {
-                producer.push(tuple(i));
-            }
+            push_rows(&mut producer, &tuples(600));
             producer.finish();
         });
         let mut joins = Vec::new();
@@ -536,9 +481,7 @@ mod tests {
         let producer_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flag = producer_done.clone();
         let h = std::thread::spawn(move || {
-            for i in 0..2000 {
-                producer.push(tuple(i));
-            }
+            push_rows(&mut producer, &tuples(2000));
             producer.finish();
             flag.store(true, Ordering::SeqCst);
         });
@@ -556,15 +499,13 @@ mod tests {
         let pipe = Pipe::new(PipeConfig { capacity: 64, backfill: 64 }, NodeId(1), registry());
         let early = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        for i in 0..Batch::DEFAULT_CAPACITY as i64 * 3 {
-            producer.push(tuple(i));
-        }
+        push_rows(&mut producer, &tuples(ColBatch::DEFAULT_CAPACITY as i64 * 3));
         assert!(pipe.backfill_covers_all());
         // Late consumer with backfill sees everything.
         let late = pipe.attach_consumer(NodeId(3), true);
         producer.finish();
-        assert_eq!(early.collect_tuples().unwrap().len(), Batch::DEFAULT_CAPACITY * 3);
-        assert_eq!(late.collect_tuples().unwrap().len(), Batch::DEFAULT_CAPACITY * 3);
+        assert_eq!(early.collect_tuples().unwrap().len(), ColBatch::DEFAULT_CAPACITY * 3);
+        assert_eq!(late.collect_tuples().unwrap().len(), ColBatch::DEFAULT_CAPACITY * 3);
     }
 
     #[test]
@@ -572,9 +513,7 @@ mod tests {
         let pipe = Pipe::new(PipeConfig { capacity: 256, backfill: 2 }, NodeId(1), registry());
         let _sink = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        for i in 0..Batch::DEFAULT_CAPACITY as i64 * 5 {
-            producer.push(tuple(i));
-        }
+        push_rows(&mut producer, &tuples(ColBatch::DEFAULT_CAPACITY as i64 * 5));
         assert!(!pipe.backfill_covers_all(), "5 batches > window of 2");
     }
 
@@ -585,9 +524,7 @@ mod tests {
         let mut producer = pipe.producer();
         let pipe2 = pipe.clone();
         let h = std::thread::spawn(move || {
-            for i in 0..2000 {
-                producer.push(tuple(i));
-            }
+            push_rows(&mut producer, &tuples(2000));
             producer.finish();
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -605,36 +542,23 @@ mod tests {
         assert!(c.recv().unwrap().is_none());
     }
 
+    /// A producer that goes away without `finish()` — its packet was dropped
+    /// somewhere, or its thread died — must not read as a complete result.
     #[test]
-    fn drop_producer_closes_pipe() {
+    fn dropped_producer_fails_the_pipe() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
         let c = pipe.attach_consumer(NodeId(2), false);
         {
             let mut p = pipe.producer();
-            p.push(tuple(1));
-            // Dropped without finish() — must still flush + close.
+            push_rows(&mut p, &tuples(1));
         }
-        let rows = c.collect_tuples().unwrap();
-        assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
-    fn pipe_iter_adapter() {
-        use qpipe_exec::iter::TupleIter;
+        let err = c.collect_tuples().expect_err("a dropped producer is not a clean EOF");
+        assert!(matches!(err, QError::Exec(_)), "got {err:?}");
+        // A finished stream keeps its clean ending when the handle drops.
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
         let c = pipe.attach_consumer(NodeId(2), false);
-        let mut producer = pipe.producer();
-        for i in 0..10 {
-            producer.push(tuple(i));
-        }
-        producer.finish();
-        let mut it = PipeIter::new(c);
-        let mut n = 0;
-        while let Some(t) = it.next().unwrap() {
-            assert_eq!(t, tuple(n));
-            n += 1;
-        }
-        assert_eq!(n, 10);
+        pipe.producer().finish();
+        assert_eq!(c.collect_tuples().unwrap(), Vec::<Tuple>::new());
     }
 
     #[test]
@@ -642,7 +566,7 @@ mod tests {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
         let c = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        producer.push(tuple(1));
+        push_rows(&mut producer, &tuples(1));
         producer.fail(QError::Storage("bad page".into()));
         let err = c.collect_tuples().expect_err("failure must not look like EOF");
         assert_eq!(err, QError::Storage("bad page".into()));
@@ -668,11 +592,9 @@ mod tests {
         let pipe = Pipe::new(PipeConfig { capacity: 1, backfill: 0 }, NodeId(1), reg.clone());
         let slow = pipe.attach_consumer(NodeId(2), false);
         let mut producer = pipe.producer();
-        let n = Batch::DEFAULT_CAPACITY as i64 * 8;
+        let n = ColBatch::DEFAULT_CAPACITY as i64 * 8;
         let h = std::thread::spawn(move || {
-            for i in 0..n {
-                producer.push(tuple(i));
-            }
+            push_rows(&mut producer, &tuples(n));
             producer.finish();
         });
         // Wait until the producer blocks.

@@ -46,7 +46,7 @@
 use crate::pipe::PipeProducer;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
-use qpipe_common::{AnyBatch, ColBatch, Metrics, QError, QResult, SelVec};
+use qpipe_common::{ColBatch, Metrics, QError, QResult, SelVec};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::ExecContext;
 use qpipe_storage::Block;
@@ -155,9 +155,11 @@ impl ScanConsumer {
 
     /// Stamp the consumer's completion events (no-op when untraced); call
     /// exactly once, when the consumer leaves the group. Scan packets never
-    /// route through the µEngine operator wrapper, so the scanner emits the
-    /// `OperatorFinished` journal entry itself, from the probe's counters;
-    /// satellites additionally stamp their `OspDetach`.
+    /// route through the µEngine operator wrapper, so the scanner charges the
+    /// probe itself (`page_work`: kernel time per consumer; `run_scanner`:
+    /// fetch + decode to the host) and emits the `OperatorFinished` journal
+    /// entry from its counters; satellites additionally stamp their
+    /// `OspDetach`.
     fn note_detach(&self) {
         let Some(tr) = &self.trace else {
             return;
@@ -445,7 +447,9 @@ impl ScanManager {
     }
 
     /// Fetch + decode one page for the scanner. Returns the shared batch and
-    /// whether it carries only the pruned column union.
+    /// whether it carries only the pruned column union. A columnar page's
+    /// full materialization is the pool-resident `Arc` itself — it goes on
+    /// the wire as it is, no per-page wrapper, no copy.
     ///
     /// A referenced set pointing past the page width (plan names a column
     /// the table lacks) keeps the full-width path, so such plans behave
@@ -459,11 +463,11 @@ impl ScanManager {
         file: qpipe_storage::FileId,
         position: u64,
         union: Option<&[usize]>,
-    ) -> QResult<(Arc<AnyBatch>, bool, FetchObs)> {
+    ) -> QResult<(Arc<ColBatch>, bool, FetchObs)> {
         let started = std::time::Instant::now();
         let (block, retries) = pool.get_observed(file, position)?;
-        let obs = FetchObs { fetch_ns: started.elapsed().as_nanos() as u64, retries };
-        match block {
+        let fetch_ns = started.elapsed().as_nanos() as u64;
+        let (batch, pruned) = match block {
             Block::Columnar(cp) => {
                 match union.filter(|u| {
                     u.len() < cp.num_cols() && u.last().is_none_or(|&c| c < cp.num_cols())
@@ -471,25 +475,23 @@ impl ScanManager {
                     Some(u) => {
                         let batch = cp.decode_cols(u)?;
                         self.metrics.add_pruned_page();
-                        Ok((Arc::new(AnyBatch::Cols(batch)), true, obs))
+                        (Arc::new(batch), true)
                     }
-                    None => Ok((
-                        Arc::new(AnyBatch::Cols(cp.materialize()?.as_ref().clone())),
-                        false,
-                        obs,
-                    )),
+                    None => (cp.materialize()?, false),
                 }
             }
-            Block::Slotted(p) => {
-                Ok((Arc::new(AnyBatch::Cols(ColBatch::from_rows(&p.decode_tuples()?))), false, obs))
-            }
-        }
+            Block::Slotted(p) => (Arc::new(ColBatch::from_rows(&p.decode_tuples()?)), false),
+        };
+        let decode_ns = (started.elapsed().as_nanos() as u64).saturating_sub(fetch_ns);
+        Ok((batch, pruned, FetchObs { fetch_ns, decode_ns, retries }))
     }
 
     /// One page's worth of morsel work: fetch + decode the page, then run
     /// every consumer's predicate/projection kernel over the shared batch.
     /// Pure CPU + (simulated) disk I/O — never blocks on a pipe, so it is
-    /// safe to run on a task-pool worker.
+    /// safe to run on a task-pool worker. Each consumer's kernel time is
+    /// charged to its probe here, on whichever thread ran it (tracing off:
+    /// one `Option` branch per consumer).
     fn page_work(
         &self,
         pool: &Arc<qpipe_storage::BufferPool>,
@@ -499,17 +501,6 @@ impl ScanManager {
         snaps: &[ConsumerSnap],
     ) -> QResult<PageOut> {
         let (shared, pruned_delivery, fetch) = self.fetch_page(pool, file, position, union)?;
-        let cols = match &*shared {
-            AnyBatch::Cols(c) => c,
-            // `fetch_page` column-ifies every layout; a row batch here means
-            // the decode contract broke — fail the page (the scanner then
-            // poisons every attached packet) instead of unwinding.
-            AnyBatch::Rows(_) => {
-                return Err(QError::Exec(format!(
-                    "scan page {position} decoded to a row batch; columnar contract broken"
-                )))
-            }
-        };
         let mut per_consumer = Vec::with_capacity(snaps.len());
         for s in snaps {
             // Pruned pages carry the union's columns; use the consumer's
@@ -528,28 +519,37 @@ impl ScanManager {
             } else {
                 (&s.predicate, s.projection.as_ref())
             };
-            // A failing predicate drops the page for this consumer (the
-            // scalar path treated row-level eval errors as "filter out").
-            let sel = match predicate {
-                Some(p) => p.eval_filter(cols).unwrap_or_else(|_| SelVec::empty()),
-                None => SelVec::all(cols.len()),
-            };
-            let delivery = if sel.is_empty() {
-                None
-            } else {
+            let kernel = || {
+                // A failing predicate drops the page for this consumer (the
+                // scalar path treated row-level eval errors as "filter out").
+                let sel = match predicate {
+                    Some(p) => p.eval_filter(&shared).unwrap_or_else(|_| SelVec::empty()),
+                    None => SelVec::all(shared.len()),
+                };
+                if sel.is_empty() {
+                    return None;
+                }
                 match projection {
                     // Unfiltered, unprojected page: broadcast the shared
                     // Arc — a refcount bump per consumer, zero copies.
-                    None if sel.is_all(cols.len()) => Some(Delivery::Shared),
-                    None => Some(Delivery::Batch(cols.gather(&sel))),
+                    None if sel.is_all(shared.len()) => Some(shared.clone()),
+                    None => Some(Arc::new(shared.gather(&sel))),
                     // Project first (Arc bumps), then gather only the
                     // surviving columns.
-                    Some(proj) => Some(Delivery::Batch(cols.project(proj).gather(&sel))),
+                    Some(proj) => Some(Arc::new(shared.project(proj).gather(&sel))),
                 }
             };
-            per_consumer.push(delivery);
+            per_consumer.push(match &s.probe {
+                Some(p) => {
+                    let started = std::time::Instant::now();
+                    let delivery = kernel();
+                    p.add_total_ns(started.elapsed().as_nanos() as u64);
+                    delivery
+                }
+                None => kernel(),
+            });
         }
-        Ok(PageOut { shared, per_consumer, fetch })
+        Ok(PageOut { per_consumer, fetch })
     }
 
     /// The scanner thread body: circular page delivery to all consumers.
@@ -669,6 +669,7 @@ impl ScanManager {
                             .as_ref()
                             .filter(|_| union.is_some())
                             .map(|p| (p.predicate.clone(), p.projection.clone())),
+                        probe: c.probe.clone(),
                     })
                     .collect(),
             );
@@ -705,10 +706,12 @@ impl ScanManager {
                             return false;
                         }
                     };
-                    // Attribute the page's I/O wait to the host (first live
-                    // non-satellite consumer — the scan reads disk on its
-                    // behalf), falling back to any live consumer once the
-                    // host has finished and satellites are wrapping.
+                    // Attribute the page's I/O wait and decode time to the
+                    // host (first live non-satellite consumer — the scan
+                    // reads disk on its behalf), falling back to any live
+                    // consumer once the host has finished and satellites are
+                    // wrapping. A probe's busy time is total − waits, so the
+                    // decode lands in `busy_ns`.
                     if out.fetch.fetch_ns > 0 || out.fetch.retries > 0 {
                         let host = slots
                             .iter()
@@ -718,6 +721,7 @@ impl ScanManager {
                         if let Some(c) = host {
                             if let Some(p) = &c.probe {
                                 p.add_io_wait_ns(out.fetch.fetch_ns);
+                                p.add_total_ns(out.fetch.fetch_ns + out.fetch.decode_ns);
                             }
                             if out.fetch.retries > 0 {
                                 if let Some(tr) = &c.trace {
@@ -730,11 +734,12 @@ impl ScanManager {
                     }
                     for (i, slot) in slots.iter_mut().enumerate() {
                         let Some(c) = slot.as_mut() else { continue };
-                        // A severed scan packet may still feed a join/agg
-                        // host that other queries share; deliver while anyone
-                        // is attached. (Cancelled *and* abandoned consumers
-                        // detach their pipes, so the pipe probe covers the
-                        // plain cancellation case too.) Trade-off: a severed
+                        // The cancellation rule (`host.rs`): a severed scan
+                        // packet may still feed a join/agg host that other
+                        // queries share; deliver while anyone is attached.
+                        // (Cancelled *and* abandoned consumers detach their
+                        // pipes, so the pipe probe covers the plain
+                        // cancellation case too.) Trade-off: a severed
                         // packet still sitting in a µEngine queue holds its
                         // consumer until the worker pool dequeues and drops
                         // it, so the scanner may fill that pipe and throttle
@@ -742,7 +747,7 @@ impl ScanManager {
                         // deadlock detector's starvation breaker materializes
                         // a pipe whose consumer is parked behind busy
                         // workers, so the stall is bounded.
-                        if c.output.pipe().active_consumers() == 0 {
+                        if c.output.abandoned() {
                             drop(slot.take());
                             removed_any = true;
                             continue;
@@ -750,22 +755,12 @@ impl ScanManager {
                         if c.pages_seen >= num_pages {
                             continue; // finished at an earlier page of this morsel
                         }
-                        match &out.per_consumer[i] {
-                            Some(Delivery::Shared) => {
-                                if let Some(p) = &c.probe {
-                                    p.add_rows(out.shared.len() as u64);
-                                    p.add_batches(1);
-                                }
-                                c.output.push_shared(out.shared.clone())
+                        if let Some(batch) = &out.per_consumer[i] {
+                            if let Some(p) = &c.probe {
+                                p.add_rows(batch.len() as u64);
+                                p.add_batches(1);
                             }
-                            Some(Delivery::Batch(b)) => {
-                                if let Some(p) = &c.probe {
-                                    p.add_rows(b.len() as u64);
-                                    p.add_batches(1);
-                                }
-                                c.output.push_cols(b.clone())
-                            }
-                            None => {}
+                            c.output.push_shared(batch.clone());
                         }
                         if c.satellite {
                             c.pages_from_host += 1;
@@ -909,28 +904,24 @@ struct ConsumerSnap {
     predicate: Option<Expr>,
     projection: Option<Vec<usize>>,
     pruned: Option<(Option<Expr>, Vec<usize>)>,
+    /// Charged with this consumer's kernel time (`None` when tracing is off).
+    probe: Option<Arc<OpProbe>>,
 }
 
-/// What one page job produced for one consumer.
-enum Delivery {
-    /// Broadcast the page's shared batch (no filter, no projection).
-    Shared,
-    /// A filtered/projected batch specific to this consumer.
-    Batch(ColBatch),
-}
-
-/// I/O-side observations for one fetched page: wall time spent in the
-/// buffer pool (miss ⇒ simulated disk read) and verified-read retries.
+/// Observations for one fetched page: wall time spent in the buffer pool
+/// (miss ⇒ simulated disk read), then decoding the block into the shared
+/// batch, and verified-read retries.
 struct FetchObs {
     fetch_ns: u64,
+    decode_ns: u64,
     retries: u64,
 }
 
-/// One page's morsel-job output: the shared decoded batch plus each
-/// consumer's delivery (aligned with the morsel's `ConsumerSnap` order).
+/// One page's morsel-job output: what each consumer receives (aligned with
+/// the morsel's `ConsumerSnap` order; `None` when its predicate kept no row)
+/// — the page's shared batch itself when it neither filters nor projects.
 struct PageOut {
-    shared: Arc<AnyBatch>,
-    per_consumer: Vec<Option<Delivery>>,
+    per_consumer: Vec<Option<Arc<ColBatch>>>,
     fetch: FetchObs,
 }
 

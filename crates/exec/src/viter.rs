@@ -19,9 +19,7 @@
 //!   ([`Expr::eval_project`]), and hot `SUM`/`AVG`/`COUNT` shapes fold
 //!   primitive slices directly.
 //!
-//! Both operators accept interleaved row batches (legacy producers) through
-//! row-shaped entry points that update the *same* state, so a mixed stream
-//! needs no fallback. Semantics are identical to [`HashJoinIter`] /
+//! Semantics are identical to [`HashJoinIter`] /
 //! [`AggregateIter`](crate::iter::AggregateIter): NULL keys never join,
 //! NULL aggregate inputs are skipped, group output is sorted by key — the
 //! cross-operator parity suite in `tests/` holds them to it.
@@ -39,7 +37,7 @@ use std::collections::HashMap;
 // ---------------------------------------------------------------------------
 
 /// Accumulates the build (left) side of a hash join as one growing columnar
-/// batch. The caller enforces its memory budget and falls back to the grace
+/// batch. The caller enforces its memory budget and hands over to the grace
 /// (row-path) join on overflow — spilling is unchanged by vectorization.
 pub struct HashJoinBuild {
     key: usize,
@@ -51,12 +49,17 @@ impl HashJoinBuild {
         Self { key, builder: ColBatchBuilder::new() }
     }
 
-    /// Append one build batch. Returns `false` when the batch's width
-    /// disagrees with earlier input (the caller falls back to the row path
-    /// rather than misalign columns).
-    #[must_use]
-    pub fn add(&mut self, batch: &ColBatch) -> bool {
-        self.builder.append(batch)
+    /// Append one build batch. Errs when the batch's width disagrees with
+    /// earlier input: one stream has one width, so a mismatch is a broken
+    /// producer and fails the join rather than misalign columns.
+    pub fn add(&mut self, batch: &ColBatch) -> QResult<()> {
+        if self.builder.append(batch) {
+            return Ok(());
+        }
+        Err(QError::Exec(format!(
+            "hash-join build input changed width to {} columns mid-stream",
+            batch.num_cols()
+        )))
     }
 
     /// Rows accumulated so far (budget checks).
@@ -182,27 +185,6 @@ impl HashJoinTable {
             let right = probe.take(&pidx[at..end]);
             out(ColBatch::hcat(&left, &right));
             at = end;
-        }
-        Ok(())
-    }
-
-    /// Probe one row tuple (legacy row batches interleaved in the probe
-    /// stream); pushes joined tuples through `out`.
-    pub fn probe_row(&self, tuple: &Tuple, key: usize, mut out: impl FnMut(Tuple)) -> QResult<()> {
-        let v =
-            tuple.get(key).ok_or_else(|| QError::Exec(format!("join key {key} out of range")))?;
-        if v.is_null() {
-            return Ok(());
-        }
-        let Some(cands) = self.table.get(&v.stable_hash()) else {
-            return Ok(());
-        };
-        for &bi in cands.iter().rev() {
-            if self.build.col(self.key).is_some_and(|c| c.value(bi as usize) == *v) {
-                let mut row = self.build.row(bi as usize);
-                row.extend(tuple.iter().cloned());
-                out(row);
-            }
         }
         Ok(())
     }
@@ -335,20 +317,6 @@ impl HashAgg {
         }
     }
 
-    /// Fold one row tuple (legacy row batches interleaved in the stream).
-    pub fn update_row(&mut self, tuple: &Tuple) -> QResult<()> {
-        let key: Vec<Value> = self.group_by.iter().map(|&c| tuple[c].clone()).collect();
-        let g = self.group_id(key) as usize;
-        for (spec, state) in self.aggs.iter().zip(self.states[g].iter_mut()) {
-            if spec.func == AggFunc::CountStar {
-                state.update(&Value::Int(1));
-            } else {
-                state.update(&spec.expr.eval(tuple)?);
-            }
-        }
-        Ok(())
-    }
-
     /// Groups accumulated so far.
     pub fn num_groups(&self) -> usize {
         self.states.len()
@@ -429,7 +397,7 @@ mod tests {
             vec![Value::Int(2), Value::str("b2")],
         ]);
         let mut b = HashJoinBuild::new(0);
-        assert!(b.add(&build));
+        b.add(&build).unwrap();
         let table = b.finish().unwrap();
         let probe = batch(&[
             vec![Value::Int(2), Value::Float(0.5)],
@@ -460,7 +428,6 @@ mod tests {
         let probe = batch(&[vec![Value::Int(2)], vec![Value::Null]]);
         let mut rows = Vec::new();
         table.probe(&probe, 0, 256, |out| rows.extend(out.to_rows())).unwrap();
-        table.probe_row(&vec![Value::Int(2)], 0, |row| rows.push(row)).unwrap();
         assert!(rows.is_empty());
         // The morsel-parallel build's entry point agrees.
         let hashes = hash_build_slice(&ColBatchBuilder::new().finish(), 1).unwrap();
@@ -478,7 +445,7 @@ mod tests {
             vec![Value::Int(7), Value::str("seven")],
         ]);
         let mut b = HashJoinBuild::new(0);
-        assert!(b.add(&build));
+        b.add(&build).unwrap();
         let table = b.finish().unwrap();
         // Float probe keys: 2^53.0 must match Int(2^53) but NOT Int(2^53+1).
         let probe = batch(&[vec![Value::Float(big as f64)], vec![Value::Float(7.0)]]);
@@ -492,7 +459,7 @@ mod tests {
     fn probe_chunks_output() {
         let build = batch(&[vec![Value::Int(1)]]);
         let mut b = HashJoinBuild::new(0);
-        assert!(b.add(&build));
+        b.add(&build).unwrap();
         let table = b.finish().unwrap();
         let probe = batch(&(0..10).map(|_| vec![Value::Int(1)]).collect::<Vec<_>>());
         let mut sizes = Vec::new();
@@ -503,26 +470,10 @@ mod tests {
     #[test]
     fn ragged_build_width_rejected() {
         let mut b = HashJoinBuild::new(0);
-        assert!(b.add(&batch(&[vec![Value::Int(1), Value::Int(2)]])));
-        assert!(!b.add(&batch(&[vec![Value::Int(1)]])), "width mismatch must refuse");
-    }
-
-    #[test]
-    fn row_probe_agrees_with_batch_probe() {
-        let build =
-            batch(&[vec![Value::Int(5), Value::str("x")], vec![Value::Int(5), Value::str("y")]]);
-        let mut b = HashJoinBuild::new(0);
-        assert!(b.add(&build));
-        let table = b.finish().unwrap();
-        let mut via_batch = Vec::new();
-        table
-            .probe(&batch(&[vec![Value::Float(5.0)]]), 0, 256, |out| {
-                via_batch.extend(out.to_rows())
-            })
-            .unwrap();
-        let mut via_row = Vec::new();
-        table.probe_row(&vec![Value::Float(5.0)], 0, |t| via_row.push(t)).unwrap();
-        assert_eq!(via_batch, via_row);
+        b.add(&batch(&[vec![Value::Int(1), Value::Int(2)]])).unwrap();
+        let err = b.add(&batch(&[vec![Value::Int(1)]])).expect_err("width mismatch must refuse");
+        assert!(matches!(err, QError::Exec(_)), "got {err:?}");
+        assert_eq!(b.rows(), 1, "the refused batch appended nothing");
     }
 
     #[test]
@@ -551,16 +502,6 @@ mod tests {
         let mut agg = HashAgg::new(vec![0], aggs);
         agg.update_cols(&ColBatch::from_rows(&rows)).unwrap();
         assert_eq!(agg.finish(), expected);
-    }
-
-    #[test]
-    fn mixed_row_and_col_updates_share_state() {
-        let aggs = vec![AggSpec::count_star(), AggSpec::sum(Expr::col(0))];
-        let mut agg = HashAgg::new(vec![], aggs);
-        agg.update_cols(&batch(&[vec![Value::Int(2)], vec![Value::Int(3)]])).unwrap();
-        agg.update_row(&vec![Value::Int(5)]).unwrap();
-        let rows = agg.finish();
-        assert_eq!(rows, vec![vec![Value::Int(3), Value::Int(10)]]);
     }
 
     #[test]

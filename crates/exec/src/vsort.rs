@@ -7,8 +7,7 @@
 //!
 //! * **Accumulate** — input batches concatenate into one growing
 //!   [`ColBatch`] (typed column extends via [`ColBatchBuilder`], no row
-//!   materialization). Interleaved legacy row batches column-ify into the
-//!   same accumulator.
+//!   materialization).
 //! * **Sort** — a stable *permutation* is sorted over the key columns only
 //!   ([`ColBatch::sort_perm`]: typed comparators per column —
 //!   int/float/date/str, asc/desc, NULLs first exactly like
@@ -35,14 +34,14 @@
 //! leaks nothing.
 
 use crate::iter::spill::{ColRunHandle, ColRunReader, ColRunWriter};
-use crate::iter::{ExecContext, TupleIter};
+use crate::iter::ExecContext;
 use crate::plan::SortKey;
 use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, SortSpec};
-use qpipe_common::{Batch, MemClass, MemLease, QResult, Tuple};
+use qpipe_common::{MemClass, MemLease, QError, QResult};
 use std::cmp::Ordering;
 
 /// Rows per emitted output batch (the pipe-granularity chunk size).
-const OUT_CHUNK: usize = Batch::DEFAULT_CAPACITY;
+const OUT_CHUNK: usize = ColBatch::DEFAULT_CAPACITY;
 
 /// Batch-native external sort; the vectorized analogue of
 /// [`SortIter`](crate::iter::SortIter). See the module docs for the phase
@@ -55,8 +54,8 @@ pub struct VecSort {
     /// Governor lease covering the accumulator; a denied grant spills a run.
     lease: MemLease,
     /// Width established by the first non-empty batch. Tracked here (not
-    /// just in `builder`, which resets after every spill) so a ragged batch
-    /// arriving between runs is still refused.
+    /// just in `builder`, which resets after every spill) so a batch of
+    /// another width arriving between runs is still refused.
     width: Option<usize>,
 }
 
@@ -72,31 +71,22 @@ impl VecSort {
         self.builder.len() as u64 + self.runs.iter().map(|r| r.rows()).sum::<u64>()
     }
 
-    /// Append one columnar batch. Returns `false` (appending nothing) when
-    /// the batch's width disagrees with earlier input — the caller falls
-    /// back to the row-path sort rather than misalign columns.
-    #[must_use = "a rejected batch must be routed to the row-path fallback"]
-    pub fn push_cols(&mut self, batch: &ColBatch) -> QResult<bool> {
+    /// Append one columnar batch. Errs (appending nothing) when the batch's
+    /// width disagrees with earlier input: one stream has one width, so a
+    /// mismatch is a broken producer and fails the sort rather than misalign
+    /// columns.
+    pub fn push_cols(&mut self, batch: &ColBatch) -> QResult<()> {
         if batch.is_empty() {
-            return Ok(true);
+            return Ok(());
         }
-        if *self.width.get_or_insert(batch.num_cols()) != batch.num_cols()
-            || !self.builder.append(batch)
-        {
-            return Ok(false);
+        let width = *self.width.get_or_insert(batch.num_cols());
+        if width != batch.num_cols() || !self.builder.append(batch) {
+            return Err(QError::Exec(format!(
+                "sort input changed width from {width} to {} columns mid-stream",
+                batch.num_cols()
+            )));
         }
-        self.maybe_spill()?;
-        Ok(true)
-    }
-
-    /// Append legacy row tuples (interleaved row batches column-ify into the
-    /// same accumulator). Same width contract as [`push_cols`](Self::push_cols).
-    #[must_use = "a rejected batch must be routed to the row-path fallback"]
-    pub fn push_rows(&mut self, rows: &[Tuple]) -> QResult<bool> {
-        if rows.is_empty() {
-            return Ok(true);
-        }
-        self.push_cols(&ColBatch::from_rows(rows))
+        self.maybe_spill()
     }
 
     /// Spill when the governor refuses to cover the accumulator — either
@@ -124,32 +114,6 @@ impl VecSort {
         w.push_batch(&sorted)?;
         self.runs.push(w.finish()?);
         Ok(())
-    }
-
-    /// Stream everything accumulated (spilled runs first, buffered rows
-    /// last) back out as tuples — the hand-off when the caller abandons the
-    /// vectorized path on ragged input widths. Spilled rows come back in
-    /// run-sorted order (their original arrival order is gone), which a
-    /// subsequent full sort absorbs. Memory stays bounded by one run chunk
-    /// plus the (budget-capped) buffered tail — the fallback never undoes
-    /// the budget the spills were honoring.
-    pub fn into_drain(self) -> VecSortDrain {
-        VecSortDrain {
-            runs: self.runs.into_iter(),
-            reader: None,
-            current: Vec::new().into_iter(),
-            tail: Some(self.builder.finish()),
-        }
-    }
-
-    /// [`into_drain`](Self::into_drain) collected into one vector (tests).
-    pub fn into_rows(self) -> QResult<Vec<Tuple>> {
-        let mut it = self.into_drain();
-        let mut out = Vec::new();
-        while let Some(t) = it.next()? {
-            out.push(t);
-        }
-        Ok(out)
     }
 
     /// Phase 2: emit the fully sorted stream as `≤ OUT_CHUNK`-row columnar
@@ -245,42 +209,6 @@ fn sift_down(heap: &mut [usize], cursors: &[Cursor], keys: &[SortSpec], mut i: u
     }
 }
 
-/// Streaming tuple drain over everything a [`VecSort`] accumulated: spilled
-/// runs chunk-by-chunk (each run's file deletes itself once drained past),
-/// then the buffered tail. Feeds the row-path fallback sort without ever
-/// holding more than one chunk of spilled data in memory.
-pub struct VecSortDrain {
-    runs: std::vec::IntoIter<ColRunHandle>,
-    reader: Option<ColRunReader>,
-    current: std::vec::IntoIter<Tuple>,
-    tail: Option<ColBatch>,
-}
-
-impl TupleIter for VecSortDrain {
-    fn next(&mut self) -> QResult<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.current.next() {
-                return Ok(Some(t));
-            }
-            if let Some(r) = &mut self.reader {
-                if let Some(b) = r.next_batch()? {
-                    self.current = b.to_rows().into_iter();
-                    continue;
-                }
-                self.reader = None;
-            }
-            if let Some(run) = self.runs.next() {
-                self.reader = Some(run.reader());
-                continue;
-            }
-            match self.tail.take() {
-                Some(b) => self.current = b.to_rows().into_iter(),
-                None => return Ok(None),
-            }
-        }
-    }
-}
-
 /// Read position within one spilled run during the k-way merge.
 struct Cursor {
     reader: ColRunReader,
@@ -314,7 +242,7 @@ impl Cursor {
 mod tests {
     use super::*;
     use crate::iter::{ExecConfig, SortIter, TupleIter, VecIter};
-    use qpipe_common::{Metrics, Value};
+    use qpipe_common::{Metrics, Tuple, Value};
     use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
 
     fn ctx_with_budget(budget: usize) -> ExecContext {
@@ -339,7 +267,7 @@ mod tests {
     fn vec_sort(rows: &[Tuple], keys: &[SortKey], ctx: &ExecContext, chunk: usize) -> Vec<Tuple> {
         let mut vs = VecSort::new(keys, ctx.clone());
         for window in rows.chunks(chunk.max(1)) {
-            assert!(vs.push_cols(&ColBatch::from_rows(window)).unwrap());
+            vs.push_cols(&ColBatch::from_rows(window)).unwrap();
         }
         let mut out = Vec::new();
         vs.finish(|b| {
@@ -396,7 +324,9 @@ mod tests {
         let baseline = disk.file_count();
         let mut vs = VecSort::new(&[SortKey::asc(0)], ctx.clone());
         let rows: Vec<Tuple> = (0..200).map(|i| vec![Value::Int(i)]).collect();
-        assert!(vs.push_rows(&rows).unwrap());
+        for window in rows.chunks(50) {
+            vs.push_cols(&ColBatch::from_rows(window)).unwrap();
+        }
         assert!(disk.file_count() > baseline, "runs spilled");
         let mut emitted = 0;
         vs.finish(|_| {
@@ -409,14 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn ragged_width_is_rejected_and_into_rows_returns_everything() {
+    fn width_change_fails_the_sort_even_across_a_spill() {
         let ctx = ctx_with_budget(8);
         let mut vs = VecSort::new(&[SortKey::asc(0)], ctx);
         let wide: Vec<Tuple> = (0..20).map(|i| vec![Value::Int(i), Value::Int(0)]).collect();
-        assert!(vs.push_rows(&wide).unwrap());
-        assert!(!vs.push_rows(&[vec![Value::Int(1)]]).unwrap(), "width mismatch refused");
-        let rows = vs.into_rows().unwrap();
-        assert_eq!(rows.len(), 20, "spilled + buffered rows all recovered");
+        vs.push_cols(&ColBatch::from_rows(&wide)).unwrap();
+        let err = vs.push_cols(&ColBatch::from_rows(&[vec![Value::Int(1)]])).unwrap_err();
+        assert!(matches!(err, QError::Exec(_)), "got {err:?}");
+        assert_eq!(vs.rows(), 20, "the refused batch appended nothing");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cargo run --release --example deadlock_rescue
 //! ```
 
-use qpipe_common::{Metrics, Value};
+use qpipe_common::{ColBatch, Metrics, Value};
 use qpipe_core::deadlock::{DeadlockDetector, NodeId, WaitRegistry};
 use qpipe_core::pipe::{Pipe, PipeConfig};
 use std::sync::Arc;
@@ -35,20 +35,21 @@ fn main() {
     let q2_b = pipe_b.attach_consumer(NodeId(4), false);
     let q2_a = pipe_a.attach_consumer(NodeId(4), false);
 
-    let n = 4096;
+    // 16 batches of 256 rows per producer; a pipe carries whole batches.
+    let batch = |b: i64| {
+        let rows = ColBatch::DEFAULT_CAPACITY as i64;
+        let rows: Vec<_> = (b * rows..(b + 1) * rows).map(|i| vec![Value::Int(i)]).collect();
+        ColBatch::from_rows(&rows)
+    };
     let mut prod_a = pipe_a.producer();
     let mut prod_b = pipe_b.producer();
     let pa = std::thread::spawn(move || {
-        for i in 0..n {
-            prod_a.push(vec![Value::Int(i)]);
-        }
+        (0..16).for_each(|b| prod_a.push_cols(batch(b)));
         prod_a.finish();
         println!("producer A finished");
     });
     let pb = std::thread::spawn(move || {
-        for i in 0..n {
-            prod_b.push(vec![Value::Int(i)]);
-        }
+        (0..16).for_each(|b| prod_b.push_cols(batch(b)));
         prod_b.finish();
         println!("producer B finished");
     });

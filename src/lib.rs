@@ -10,7 +10,8 @@
 //!
 //! ## Layered architecture
 //!
-//! * [`common`] — values, schemas, tuples, metrics, simulated time.
+//! * [`common`] — values, schemas, tuples, columnar batches, metrics,
+//!   simulated time.
 //! * [`storage`] — simulated disk, pages, heap files, buffer pool (LRU /
 //!   Clock / LRU-K / 2Q / ARC), bulk-loaded indexes, catalog, table locks.
 //! * [`exec`] — the conventional one-query-many-operators iterator engine
@@ -32,7 +33,7 @@ pub use qpipe_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use qpipe_common::{
-        sim::TimeScale, Batch, DataType, FaultInjector, FaultKind, FaultOp, FaultRule,
+        sim::TimeScale, ColBatch, DataType, FaultInjector, FaultKind, FaultOp, FaultRule,
         MemoryGovernor, Metrics, QError, QResult, Schema, Tuple, Value,
     };
     pub use qpipe_core::admit::{AdmitConfig, QueryClass};

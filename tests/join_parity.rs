@@ -296,8 +296,127 @@ fn empty_build_side_yields_empty_join() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The row bridge: the four operators that still run iterator kernels
+// ---------------------------------------------------------------------------
+
+fn uses_op(plan: &PlanNode, op: &str) -> bool {
+    plan.op_name() == op || plan.children().into_iter().any(|c| uses_op(c, op))
+}
+
+fn ordered_full_scan(table: &str) -> PlanNode {
+    PlanNode::ClusteredIndexScan {
+        table: table.into(),
+        lo: None,
+        hi: None,
+        predicate: None,
+        projection: None,
+        ordered: true,
+    }
+}
+
+/// Nested-loop join, merge join with wrap restart, a range-bounded index
+/// scan and the grace hash join keep their iterator kernels behind
+/// `core/src/rowbridge.rs`: columns → tuples on the way in (each batch
+/// counted by `col_rowified_batches`), tuples → `ColBatch` chunks on the way
+/// out. Whatever the page layout and with or without OSP, their results equal
+/// the iterator engine's as multisets, and the counters say who crossed.
+#[test]
+fn row_bridge_operators_match_the_iterator_engine() {
+    for layout in [StorageLayout::Row, StorageLayout::Columnar] {
+        for osp in [true, false] {
+            let at = format!("{layout:?}, osp {osp}");
+            let catalog = quick_system(DiskConfig::instant(), 1024);
+            build_tpch_with_layout(&catalog, TpchScale::tiny(), 42, layout).unwrap();
+            let kv = || Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+            let big: Vec<Tuple> =
+                (0..40_000i64).map(|i| vec![Value::Int(i / 2), Value::Int(i % 7)]).collect();
+            let small: Vec<Tuple> =
+                (0..500i64).map(|i| vec![Value::Int(i * 31), Value::Int(i)]).collect();
+            for (name, rows) in [("big", big), ("small", small)] {
+                catalog.create_table_with_layout(name, kv(), rows, Some(0), layout).unwrap();
+            }
+            // `hash_budget` far below a 4000-row build forces the grace join;
+            // two task workers make scans claim multi-page morsels (and count
+            // them), which is what the wrap-restart block below waits on.
+            let exec = ExecConfig { hash_budget: 64, task_workers: 2, ..ExecConfig::default() };
+            let config = QPipeConfig { osp, exec, ..QPipeConfig::default() };
+            let ctx = ExecContext::with_config(catalog.clone(), config.exec);
+            let engine = QPipe::new(catalog.clone(), config);
+            let run_and_compare = |plan: &PlanNode, what: &str| {
+                let reference = sorted(qpipe::exec::iter::run(plan, &ctx).unwrap());
+                assert!(!reference.is_empty(), "{at}: {what} must have an answer");
+                let before = engine.metrics().snapshot();
+                let got = engine.submit(plan.clone()).unwrap().try_collect();
+                let got = got.unwrap_or_else(|e| panic!("{at}: {what}: {e}"));
+                assert_eq!(sorted(got), reference, "{at}: {what}");
+                engine.metrics().snapshot().delta_since(&before)
+            };
+
+            // 1. A cross product as the planner emits it: nested-loop join.
+            let cross = engine
+                .plan_sql("SELECT n_name, r_name FROM nation, region WHERE r_regionkey = 4")
+                .unwrap();
+            assert!(uses_op(&cross.plan, "nljoin"), "{at}:\n{}", cross.plan.explain());
+            let delta = run_and_compare(&cross.plan, "cross product");
+            assert!(delta.col_rowified_batches > 0, "{at}: NLJ inputs cross the bridge");
+            assert_eq!(delta.vec_fallbacks, 0, "{at}");
+
+            // 2. Merge join over ordered scans whose big side attaches late.
+            // An undrained plain scan of `big` parks its scanner mid-table (the
+            // client pipe holds 8 pages, the table far more); the merge join's
+            // `split_ok` scan of `big` then attaches at `pages_read > 0`, the
+            // scan wraps for it, and the join restarts at the wrap (§4.3.2).
+            let pages = catalog.table("big").unwrap().num_pages().unwrap();
+            assert!(pages > 16 + 8, "{at}: big must outlast a 16-page morsel + the pipe: {pages}");
+            let merge = ordered_full_scan("big")
+                .merge_join(ordered_full_scan("small"), 0, 0)
+                .aggregate(vec![], vec![AggSpec::count_star(), AggSpec::sum(Expr::col(1))]);
+            let reference = qpipe::exec::iter::run(&merge, &ctx).unwrap();
+            let before = engine.metrics().snapshot();
+            let parked = engine.submit(PlanNode::scan("big")).unwrap();
+            // A morsel is counted after it is claimed: `pages_read > 0` from here.
+            while engine.metrics().snapshot().delta_since(&before).morsels_dispatched == 0 {
+                std::thread::yield_now();
+            }
+            let joined = engine.submit(merge).unwrap();
+            let drain = std::thread::spawn(move || parked.collect().len());
+            assert_eq!(joined.try_collect().unwrap(), reference, "{at}: merge join");
+            assert_eq!(drain.join().unwrap(), 40_000, "{at}");
+            let delta = engine.metrics().snapshot().delta_since(&before);
+            assert!(delta.col_rowified_batches > 0, "{at}: MJ inputs cross the bridge");
+            assert_eq!(delta.osp_attaches, u64::from(osp), "{at}: the late scan rides the first");
+            assert_eq!(delta.circular_wraps > 0, osp, "{at}: an attached late scan wraps");
+
+            // 3. A range-bounded clustered index scan: the kernel reads the
+            // table itself, so nothing is flattened on the way in.
+            let range = PlanNode::ClusteredIndexScan {
+                table: "big".into(),
+                lo: Some(Value::Int(1_000)),
+                hi: Some(Value::Int(3_000)),
+                predicate: Some(Expr::col(1).ge(Expr::lit(3))),
+                projection: Some(vec![1, 0]),
+                ordered: true,
+            };
+            let delta = run_and_compare(&range, "range-bounded index scan");
+            assert_eq!(
+                delta.col_rowified_batches, 0,
+                "{at}: an index scan has no input to flatten"
+            );
+
+            // 4. Grace overflow: a 4000-row build side under a 64-row budget.
+            let grace = PlanNode::scan_filtered("big", Expr::col(0).lt(Expr::lit(2_000)))
+                .hash_join(PlanNode::scan("small"), 0, 0);
+            let delta = run_and_compare(&grace, "grace hash join");
+            assert!(delta.vec_fallbacks > 0, "{at}: the refused build must go grace");
+            assert!(delta.col_rowified_batches > 0, "{at}: grace inputs cross the bridge");
+        }
+    }
+}
+
 /// The row fallback (hash budget overflow → grace join) still works and
-/// still agrees, end to end, when the build side blows the budget.
+/// still agrees, end to end, when the build side blows the budget — on
+/// adversarial cross-type keys.
 #[test]
 fn join_budget_overflow_falls_back_to_grace_and_agrees() {
     let mut rng = StdRng::seed_from_u64(99);

@@ -53,16 +53,24 @@ fn q1_profile_rows_match_metrics_counters() {
     // No concurrent partner: every page came off disk, none from a host.
     assert_eq!(scan.stats.pages_from_host, 0);
     assert!(scan.stats.pages_from_disk > 0);
+    // Scan packets bypass the µEngine worker wrapper, so the scanner charges
+    // the probe itself: page decode and Q1's predicate/projection kernels
+    // are the scan's busy time, not its parent's pipe wait.
+    assert!(scan.stats.busy_ns > 0, "scan work must be attributed to the scan: {scan:?}");
 
-    // The journal saw both operators dispatch and the scan drain.
+    // The journal saw both operators dispatch and the scan drain — with the
+    // same busy time the profile reports.
     let events = trace.events();
     assert!(
         events.iter().any(|e| matches!(e.event, TraceEvent::PacketDispatched { op: "agg" })),
         "missing agg dispatch: {events:?}"
     );
     assert!(
-        events.iter().any(|e| matches!(e.event, TraceEvent::OperatorFinished { op: "scan", .. })),
-        "missing scan completion: {events:?}"
+        events.iter().any(|e| matches!(
+            e.event,
+            TraceEvent::OperatorFinished { op: "scan", busy_ns, .. } if busy_ns > 0
+        )),
+        "missing scan completion with busy time: {events:?}"
     );
 
     // And the pretty-printer renders the measured tree.
