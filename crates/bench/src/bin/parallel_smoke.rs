@@ -1,5 +1,5 @@
 //! CI parallel-smoke: a long open-loop burst exercising the morsel-driven
-//! worker pools — multi-worker µEngine pools, parallel scan morsels, and
+//! worker pools — on-demand µEngine packet pools, parallel scan morsels, and
 //! parallel hash-build/aggregate partials — under a wall-clock bound.
 //!
 //! Run by the `parallel-smoke` CI job. Exits non-zero when the pool layer
@@ -27,9 +27,9 @@ use rand::SeedableRng;
 fn main() {
     let queries = 480;
     let config = QPipeConfig {
-        // Explicit 4-worker pools — including the CPU task pool — so the
-        // morsel paths must engage regardless of the runner's core count.
-        exec: ExecConfig { pool_workers: 4, task_workers: 4, ..ExecConfig::default() },
+        // Explicit 4-worker CPU task pools, so the morsel paths must engage
+        // regardless of the runner's core count.
+        exec: ExecConfig { task_workers: 4, ..ExecConfig::default() },
         admit: AdmitConfig { max_queued: 600, ..AdmitConfig::default() },
         ..QPipeConfig::default()
     };

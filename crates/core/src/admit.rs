@@ -49,7 +49,7 @@ use crate::packet::CancelToken;
 use crate::pipe::Pipe;
 use parking_lot::Mutex;
 use qpipe_common::trace::{QueryTrace, TraceEvent};
-use qpipe_common::{Metrics, QError};
+use qpipe_common::{Metrics, QError, QResult};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -561,13 +561,14 @@ pub struct AdmitSweeper {
 }
 
 impl AdmitSweeper {
-    pub fn spawn(ctrl: Arc<AdmissionController>) -> Self {
+    /// `Err` when the OS refuses the sweeper thread.
+    pub fn spawn(ctrl: Arc<AdmissionController>) -> QResult<Self> {
         let stop = Arc::new(AtomicBool::new(false));
         // Neither a queue timeout nor an execution deadline to enforce ⇒
         // nothing to sweep, ever: skip the thread instead of waking it every
         // interval to do nothing.
         if ctrl.config.queue_timeout.is_none() && ctrl.deadline.is_none() {
-            return Self { stop, handle: None };
+            return Ok(Self { stop, handle: None });
         }
         let stop2 = stop.clone();
         let interval = ctrl.config.sweep_interval;
@@ -579,8 +580,8 @@ impl AdmitSweeper {
                     std::thread::sleep(interval);
                 }
             })
-            .expect("spawn admission sweeper");
-        Self { stop, handle: Some(handle) }
+            .map_err(|e| QError::Exec(format!("spawn admission sweeper: {e}")))?;
+        Ok(Self { stop, handle: Some(handle) })
     }
 }
 

@@ -14,11 +14,26 @@
 //! graph is a *real* deadlock — no assumptions about producer/consumer rates
 //! are needed — and it is resolved by **materializing** (unbounding) the
 //! minimum-cost pipe on the cycle, which removes the producer's wait edge.
+//!
+//! This is the engine's only stall resolver. Every packet runs on a thread of
+//! its own (`pool.rs` grows packet pools on demand), so "blocked on a pipe" is
+//! the only way a packet waits and a cycle the only way a plan wedges.
+//!
+//! The registry lags the pipes: a woken waiter clears its edge only once it
+//! is scheduled again and has re-taken the pipe lock, so a snapshot can hold
+//! edges that are no longer true (a notified scan still shows "full" while
+//! its join, having drained the queue, already registers "empty"). A cycle is
+//! therefore acted on only if every edge on it is still the wait it was
+//! registered as, by its pipe's own state (`Pipe::edge_holds`). Such an
+//! edge has been true without interruption since before the snapshot, so a
+//! cycle of them was all true at the snapshot instant — a deadlock — while
+//! the edges of a real deadlock cannot go stale, so skipping a cycle with a
+//! stale edge never loses one.
 
 use crate::pipe::Pipe;
 use parking_lot::Mutex;
-use qpipe_common::Metrics;
-use std::collections::{HashMap, HashSet};
+use qpipe_common::{Metrics, QError, QResult};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -46,10 +61,12 @@ pub struct WaitEdge {
     pub holder: NodeId,
     pub pipe_id: u64,
     pub kind: WaitKind,
+    /// Batches the pipe had produced when the waiter blocked. Either wait
+    /// ends only around a push (a full queue refills, an empty one fills), so
+    /// the edge describes the same, uninterrupted wait for exactly as long as
+    /// its condition holds and the pipe has produced nothing since.
+    pub produced: u64,
 }
-
-/// What a blocked waiter is waiting on: (holder, pipe, kind).
-type EdgeTarget = (NodeId, u64, WaitKind);
 
 /// Registry of current waits-for edges plus weak handles to live pipes.
 #[derive(Debug, Default)]
@@ -57,13 +74,9 @@ pub struct WaitRegistry {
     /// A blocked thread registers edges to every node it waits for (a
     /// producer blocked on a full pipe waits for *all* full consumers),
     /// keyed by waiter; the whole set clears when it wakes.
-    edges: Mutex<HashMap<NodeId, Vec<EdgeTarget>>>,
+    edges: Mutex<HashMap<NodeId, Vec<WaitEdge>>>,
+    /// Every live pipe: [`Pipe::new`] enters it, `Drop` removes it.
     pipes: Mutex<HashMap<u64, Weak<Pipe>>>,
-    /// Packets sitting in a worker-pool queue (enqueued, not yet picked up by
-    /// a worker). A producer blocked on one of these can never be unblocked by
-    /// waiting alone when every pool worker is busy — the starvation breaker
-    /// below materializes such pipes even without a graph cycle.
-    queued: Mutex<HashSet<NodeId>>,
 }
 
 impl WaitRegistry {
@@ -71,19 +84,19 @@ impl WaitRegistry {
         Self::default()
     }
 
-    /// Record that `waiter` is blocked on `pipe_id` waiting for `holder`.
-    pub fn add_edge(&self, waiter: NodeId, holder: NodeId, pipe_id: u64, kind: WaitKind) {
-        self.edges.lock().entry(waiter).or_default().push((holder, pipe_id, kind));
-    }
-
-    /// Record that `waiter` is blocked on `pipe_id` waiting for each of
-    /// `holders` (OR-semantics in resolution; AND for detection safety).
-    pub fn add_edges(&self, waiter: NodeId, holders: &[NodeId], pipe_id: u64, kind: WaitKind) {
-        let mut e = self.edges.lock();
-        let v = e.entry(waiter).or_default();
-        for &h in holders {
-            v.push((h, pipe_id, kind));
-        }
+    /// Record that `waiter` is blocked on `pipe_id` (which has `produced`
+    /// batches so far) waiting for each of `holders` (OR-semantics in
+    /// resolution; AND for detection safety).
+    pub fn add_edges(
+        &self,
+        waiter: NodeId,
+        holders: &[NodeId],
+        pipe_id: u64,
+        kind: WaitKind,
+        produced: u64,
+    ) {
+        let edge = |&holder| WaitEdge { waiter, holder, pipe_id, kind, produced };
+        self.edges.lock().entry(waiter).or_default().extend(holders.iter().map(edge));
     }
 
     /// Clear `waiter`'s edges (called when it wakes).
@@ -93,50 +106,23 @@ impl WaitRegistry {
 
     /// Snapshot of current edges.
     pub fn edges(&self) -> Vec<WaitEdge> {
-        self.edges
-            .lock()
-            .iter()
-            .flat_map(|(&waiter, holders)| {
-                holders.iter().map(move |&(holder, pipe_id, kind)| WaitEdge {
-                    waiter,
-                    holder,
-                    pipe_id,
-                    kind,
-                })
-            })
-            .collect()
+        self.edges.lock().values().flatten().copied().collect()
     }
 
-    /// Make a pipe visible to the resolver.
-    pub fn register_pipe(&self, pipe: &Arc<Pipe>) {
+    /// Make a new pipe visible to the resolver (called by [`Pipe::new`]).
+    pub(crate) fn track_pipe(&self, pipe: &Arc<Pipe>) {
         self.pipes.lock().insert(pipe.id(), Arc::downgrade(pipe));
-        // Opportunistic cleanup of dead entries.
-        self.pipes.lock().retain(|_, w| w.strong_count() > 0);
     }
 
+    /// Forget a pipe (called when it drops).
+    pub(crate) fn untrack_pipe(&self, id: u64) {
+        self.pipes.lock().remove(&id);
+    }
+
+    /// The registry lock is released before the caller touches the pipe: pipe
+    /// code takes registry locks while holding its own, never the reverse.
     fn pipe(&self, id: u64) -> Option<Arc<Pipe>> {
         self.pipes.lock().get(&id).and_then(|w| w.upgrade())
-    }
-
-    /// Mark `node`'s packet as queued in a worker pool (not yet running).
-    pub fn note_queued(&self, node: NodeId) {
-        self.queued.lock().insert(node);
-    }
-
-    /// Clear the queued mark — a worker picked the packet up (or the pool
-    /// discarded it at shutdown).
-    pub fn note_dequeued(&self, node: NodeId) {
-        self.queued.lock().remove(&node);
-    }
-
-    /// Is `node`'s packet currently sitting in a pool queue?
-    pub fn is_queued(&self, node: NodeId) -> bool {
-        self.queued.lock().contains(&node)
-    }
-
-    /// Snapshot of all currently queued packets.
-    pub fn queued_snapshot(&self) -> HashSet<NodeId> {
-        self.queued.lock().clone()
     }
 }
 
@@ -221,22 +207,25 @@ pub struct DeadlockDetector {
 }
 
 impl DeadlockDetector {
-    pub fn spawn(registry: Arc<WaitRegistry>, metrics: Metrics, interval: Duration) -> Self {
+    /// `Err` when the OS refuses the detector thread.
+    pub fn spawn(
+        registry: Arc<WaitRegistry>,
+        metrics: Metrics,
+        interval: Duration,
+    ) -> QResult<Self> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         // lint:allow(R2): the detector owns its JoinHandle; Drop sets the stop flag then joins, so it cannot outlive the engine
         let handle = std::thread::Builder::new()
             .name("qpipe-deadlock".into())
             .spawn(move || {
-                let mut starved_prev = HashSet::new();
                 while !stop2.load(Ordering::Relaxed) {
                     std::thread::sleep(interval);
                     resolve_once(&registry, &metrics);
-                    resolve_starvation(&registry, &metrics, &mut starved_prev);
                 }
             })
-            .expect("spawn deadlock detector");
-        Self { stop, handle: Some(handle) }
+            .map_err(|e| QError::Exec(format!("spawn deadlock detector: {e}")))?;
+        Ok(Self { stop, handle: Some(handle) })
     }
 }
 
@@ -246,74 +235,21 @@ pub fn resolve_once(registry: &WaitRegistry, metrics: &Metrics) -> bool {
     let Some(cycle) = find_cycle(&edges) else {
         return false;
     };
+    // Re-check every edge against its pipe (under the pipe's lock, holding
+    // no registry lock): a cycle through a stale edge is not a deadlock.
+    let holds = |e: &WaitEdge| registry.pipe(e.pipe_id).is_some_and(|p| p.edge_holds(e));
+    if !cycle.iter().all(holds) {
+        return false;
+    }
     let victim = choose_victim(&cycle, |p| {
         registry.pipe(p).map(|pipe| pipe.materialize_cost()).unwrap_or(usize::MAX)
     });
-    if let Some(pipe_id) = victim {
-        if let Some(pipe) = registry.pipe(pipe_id) {
-            pipe.materialize();
-            metrics.add_deadlock_resolved();
-            return true;
-        }
+    if let Some(pipe) = victim.and_then(|id| registry.pipe(id)) {
+        pipe.materialize();
+        metrics.add_deadlock_resolved();
+        return true;
     }
     false
-}
-
-/// One pool-starvation pass: a packet still *queued* behind busy pool
-/// workers is a wait no cycle scan can see — it is not blocked on a pipe,
-/// it simply has no CPU. Whoever waits for it (directly, or through a chain
-/// of blocked packets that all bottom out in queued ones) can only make
-/// progress if some worker frees, and the workers may all be occupied by
-/// exactly the packets doing the waiting. The pass computes the *stalled*
-/// set as a fixpoint — queued packets, plus any blocked packet all of whose
-/// wait targets are stalled (a holder that is neither queued nor blocked is
-/// running on a CPU and will drain its pipes) — and materializes every
-/// producer-full pipe held by a stalled packet, freeing that producer's
-/// worker. Any such pipe observed in two consecutive scans (one detector
-/// interval of grace, so transient dequeues don't trigger it) is
-/// materialized — the same resolution a real cycle gets, and equally safe:
-/// materialization only unbounds memory.
-pub fn resolve_starvation(
-    registry: &WaitRegistry,
-    metrics: &Metrics,
-    prev: &mut HashSet<u64>,
-) -> bool {
-    let edges = registry.edges();
-    let mut out: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for e in &edges {
-        out.entry(e.waiter).or_default().push(e.holder);
-    }
-    let mut stalled = registry.queued_snapshot();
-    loop {
-        let mut changed = false;
-        for (&waiter, holders) in &out {
-            if !stalled.contains(&waiter) && holders.iter().all(|h| stalled.contains(h)) {
-                stalled.insert(waiter);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut starved = HashSet::new();
-    for e in &edges {
-        if e.kind == WaitKind::ProducerFull && stalled.contains(&e.holder) {
-            starved.insert(e.pipe_id);
-        }
-    }
-    let mut resolved = false;
-    for &pipe_id in starved.iter() {
-        if prev.contains(&pipe_id) {
-            if let Some(pipe) = registry.pipe(pipe_id) {
-                pipe.materialize();
-                metrics.add_deadlock_resolved();
-                resolved = true;
-            }
-        }
-    }
-    *prev = starved;
-    resolved
 }
 
 impl Drop for DeadlockDetector {
@@ -330,11 +266,13 @@ mod tests {
     use super::*;
 
     fn e(w: u64, h: u64, p: u64) -> WaitEdge {
-        WaitEdge { waiter: NodeId(w), holder: NodeId(h), pipe_id: p, kind: WaitKind::ProducerFull }
+        let kind = WaitKind::ProducerFull;
+        WaitEdge { waiter: NodeId(w), holder: NodeId(h), pipe_id: p, kind, produced: 0 }
     }
 
     fn ce(w: u64, h: u64, p: u64) -> WaitEdge {
-        WaitEdge { waiter: NodeId(w), holder: NodeId(h), pipe_id: p, kind: WaitKind::ConsumerEmpty }
+        let kind = WaitKind::ConsumerEmpty;
+        WaitEdge { waiter: NodeId(w), holder: NodeId(h), pipe_id: p, kind, produced: 0 }
     }
 
     #[test]
@@ -381,90 +319,56 @@ mod tests {
         assert_eq!(victim, Some(11));
     }
 
+    /// Node 1 produces `full` and `empty`; node 2 reads `empty` first while
+    /// its queue on `full` is at capacity — a real deadlock, whose edges hold
+    /// in the pipes' own state. The same two edges are stale, and the cycle
+    /// no deadlock, as soon as either pipe has moved since they were taken.
     #[test]
-    fn starvation_breaker_needs_two_consecutive_scans() {
-        use crate::pipe::PipeConfig;
+    fn cycle_is_resolved_only_while_every_edge_still_holds() {
+        use crate::pipe::{push_rows, PipeConfig};
         let registry = Arc::new(WaitRegistry::new());
         let metrics = Metrics::new();
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry.clone());
-        registry.register_pipe(&pipe);
-        // Producer 1 is blocked on the full pipe; its consumer 2 sits in a
-        // pool queue with no worker free — a stall no cycle scan can see.
-        registry.add_edge(NodeId(1), NodeId(2), pipe.id(), WaitKind::ProducerFull);
-        registry.note_queued(NodeId(2));
-        let mut prev = HashSet::new();
-        // First scan: one interval of grace, nothing materialized.
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev));
-        assert_eq!(metrics.snapshot().deadlocks_resolved, 0);
-        // Second consecutive scan with the holder still queued: resolved.
-        assert!(resolve_starvation(&registry, &metrics, &mut prev));
-        assert_eq!(metrics.snapshot().deadlocks_resolved, 1);
-    }
+        let config = PipeConfig { capacity: 1, backfill: 0 };
+        let full = Pipe::new(config, NodeId(1), registry.clone());
+        let empty = Pipe::new(config, NodeId(1), registry.clone());
+        let on_full = full.attach_consumer(NodeId(2), false);
+        let _on_empty = empty.attach_consumer(NodeId(2), false);
+        let mut producer = full.producer();
+        let mut push = || push_rows(&mut producer, &[vec![qpipe_common::Value::Int(1)]]);
+        push();
+        registry.add_edges(NodeId(1), &[NodeId(2)], full.id(), WaitKind::ProducerFull, 1);
+        registry.add_edges(NodeId(2), &[NodeId(1)], empty.id(), WaitKind::ConsumerEmpty, 0);
 
-    #[test]
-    fn starvation_breaker_follows_wait_chains_to_a_queued_packet() {
-        use crate::pipe::PipeConfig;
-        let registry = Arc::new(WaitRegistry::new());
-        let metrics = Metrics::new();
-        let full = Pipe::new(PipeConfig::default(), NodeId(1), registry.clone());
-        let empty = Pipe::new(PipeConfig::default(), NodeId(3), registry.clone());
-        registry.register_pipe(&full);
-        registry.register_pipe(&empty);
-        // Producer 1 blocked on its full pipe; its consumer 2 is *running*
-        // but blocked consuming the empty pipe whose producer 3 is queued
-        // behind busy workers. No holder of a ProducerFull edge is queued
-        // directly — the stall is only visible transitively.
-        registry.add_edge(NodeId(1), NodeId(2), full.id(), WaitKind::ProducerFull);
-        registry.add_edge(NodeId(2), NodeId(3), empty.id(), WaitKind::ConsumerEmpty);
-        registry.note_queued(NodeId(3));
-        let mut prev = HashSet::new();
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev), "one scan of grace");
-        assert!(resolve_starvation(&registry, &metrics, &mut prev));
-        // Only the producer-full pipe is materialized (that frees worker 1);
-        // materializing the empty pipe cannot create data.
-        assert_eq!(metrics.snapshot().deadlocks_resolved, 1);
-        // A running (unblocked, unqueued) holder anywhere in the chain
-        // breaks the stall: holder 3 now has a worker.
-        registry.note_dequeued(NodeId(3));
-        let mut prev = HashSet::new();
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev));
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev));
-        assert_eq!(metrics.snapshot().deadlocks_resolved, 1);
-    }
-
-    #[test]
-    fn starvation_grace_resets_when_holder_is_dequeued() {
-        use crate::pipe::PipeConfig;
-        let registry = Arc::new(WaitRegistry::new());
-        let metrics = Metrics::new();
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry.clone());
-        registry.register_pipe(&pipe);
-        registry.add_edge(NodeId(1), NodeId(2), pipe.id(), WaitKind::ProducerFull);
-        registry.note_queued(NodeId(2));
-        let mut prev = HashSet::new();
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev));
-        // A worker picked the consumer up between scans: transient, and the
-        // grace window starts over even if it is queued again later.
-        registry.note_dequeued(NodeId(2));
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev));
-        registry.note_queued(NodeId(2));
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev), "grace restarts");
-        assert!(resolve_starvation(&registry, &metrics, &mut prev));
-        assert_eq!(metrics.snapshot().deadlocks_resolved, 1);
-        // A ConsumerEmpty wait never triggers the breaker: materialization
-        // cannot create data.
+        // Node 2 was notified and drained `full`, but the registry still
+        // shows both waits.
+        assert!(on_full.recv().unwrap().is_some());
+        assert!(find_cycle(&registry.edges()).is_some());
+        assert!(!resolve_once(&registry, &metrics), "`full` is no longer full");
+        // Full again — by a later batch: not the wait that was registered.
+        push();
+        assert!(!resolve_once(&registry, &metrics), "`full` has moved since node 1 blocked");
         registry.remove_edge(NodeId(1));
-        registry.add_edge(NodeId(3), NodeId(2), pipe.id(), WaitKind::ConsumerEmpty);
-        let mut prev = HashSet::new();
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev));
-        assert!(!resolve_starvation(&registry, &metrics, &mut prev));
+        registry.add_edges(NodeId(1), &[NodeId(2)], full.id(), WaitKind::ProducerFull, 2);
+        assert!(resolve_once(&registry, &metrics), "every edge holds: a deadlock");
+        assert!(!resolve_once(&registry, &metrics), "a materialized pipe blocks no producer");
         assert_eq!(metrics.snapshot().deadlocks_resolved, 1);
+    }
+
+    #[test]
+    fn dropped_pipe_leaves_the_registry() {
+        use crate::pipe::PipeConfig;
+        let registry = Arc::new(WaitRegistry::new());
+        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry.clone());
+        let id = pipe.id();
+        assert!(registry.pipe(id).is_some(), "Pipe::new registers the pipe");
+        drop(pipe);
+        assert!(registry.pipes.lock().is_empty());
     }
 
     #[test]
     fn registry_edge_lifecycle() {
         let r = WaitRegistry::new();
-        r.add_edge(NodeId(1), NodeId(2), 7, WaitKind::ProducerFull);
+        r.add_edges(NodeId(1), &[NodeId(2)], 7, WaitKind::ProducerFull, 0);
         assert_eq!(r.edges().len(), 1);
         r.remove_edge(NodeId(1));
         assert!(r.edges().is_empty());

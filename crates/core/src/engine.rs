@@ -88,8 +88,8 @@ pub const ENGINE_NAMES: [&str; 10] = [
 
 struct MicroEngine {
     queue: Sender<Packet>,
-    /// The µEngine's fixed worker pool. The dispatcher thread holds its own
-    /// `Arc` clone; whichever drops last joins the workers.
+    /// The µEngine's packet pool. The dispatcher thread holds its own `Arc`
+    /// clone; whichever drops last joins the workers.
     _pool: Arc<WorkerPool>,
 }
 
@@ -97,8 +97,8 @@ struct MicroEngine {
 ///
 /// Field order is load-bearing at drop: the µEngine queues and pools
 /// (`engines`) and the scan manager must wind down while the deadlock
-/// detector (`_detector`) is still scanning, so a worker blocked on a
-/// starved pipe during shutdown can still be released.
+/// detector (`_detector`) is still scanning, so packets caught in a
+/// waits-for cycle during shutdown can still be released.
 pub struct QPipe {
     ctx: ExecContext,
     config: QPipeConfig,
@@ -121,36 +121,31 @@ pub struct QPipe {
 
 impl QPipe {
     /// Boot the engine over a catalog. Panics only when the OS refuses to
-    /// spawn the µEngine dispatcher threads — use
+    /// spawn the engine's service threads — use
     /// [`try_new`](Self::try_new) to handle that as an error instead.
     pub fn new(catalog: Arc<Catalog>, config: QPipeConfig) -> Arc<Self> {
         Self::try_new(catalog, config).unwrap_or_else(|e| panic!("QPipe boot failed: {e}"))
     }
 
-    /// Fallible boot: `Err(QError::Exec)` when a dispatcher thread cannot be
-    /// spawned (thread exhaustion). Threads spawned before the failure wind
-    /// down on their own: dropping the partially built engine map closes
-    /// their queues.
+    /// Fallible boot: `Err(QError::Exec)` when a service thread (deadlock
+    /// detector, µEngine dispatcher, admission sweeper) cannot be spawned
+    /// (thread exhaustion). Threads spawned before the failure wind down on
+    /// their own: dropping the detector joins it, and dropping the partially
+    /// built engine map closes the dispatchers' queues.
     pub fn try_new(catalog: Arc<Catalog>, config: QPipeConfig) -> QResult<Arc<Self>> {
         let metrics = catalog.disk().metrics().clone();
         // Validate once up front so the stored config reports the *effective*
         // limits (the nested constructors re-validate idempotently: already
         // clamped values clamp — and count — no further).
-        let mut config = QPipeConfig {
+        let config = QPipeConfig {
             exec: config.exec.validated(&metrics),
             admit: config.admit.validated(&metrics),
             ..config
         };
-        // Admission meters queue depth against pool capacity: with fixed
-        // pools, letting more than ~2× the workers into a µEngine only
-        // deepens its queue (admitted-but-parked packets hold pipes and
-        // memory without making progress). An explicitly smaller configured
-        // depth still wins.
-        config.admit.queue_depth = config.admit.queue_depth.min(2 * config.exec.pool_workers);
         let ctx = ExecContext::with_config(catalog, config.exec);
         let registry = Arc::new(WaitRegistry::new());
         let detector =
-            DeadlockDetector::spawn(registry.clone(), metrics.clone(), config.deadlock_interval);
+            DeadlockDetector::spawn(registry.clone(), metrics.clone(), config.deadlock_interval)?;
         let scan_mgr = ScanManager::new(
             ctx.clone(),
             ScanConfig { osp: config.osp, workers: config.exec.task_workers },
@@ -158,12 +153,11 @@ impl QPipe {
         );
         // One shared task pool for the short, never-blocking CPU jobs the
         // parallel operators fan out (hash-build partitioning, agg partials).
-        // Sized by `task_workers` (≈ cores), NOT `pool_workers`: packet
-        // pools cover admitted concurrency because packets block, but these
-        // jobs are pure compute — extra workers past the core count only
-        // add dispatch overhead per page/stripe.
-        let tasks =
-            Arc::new(WorkerPool::new("tasks", config.exec.task_workers, metrics.clone(), None));
+        // Capped at `task_workers` (≈ cores): packet pools grow with admitted
+        // concurrency because packets block, but these jobs are pure compute
+        // — workers past the core count only add dispatch overhead per
+        // page/stripe.
+        let tasks = Arc::new(WorkerPool::new("tasks", config.exec.task_workers, metrics.clone()));
         let mut engines = HashMap::new();
         for name in ENGINE_NAMES {
             let (tx, rx) = unbounded::<Packet>();
@@ -176,12 +170,7 @@ impl QPipe {
             });
             let share: Arc<ShareRegistry> = Arc::new(ShareRegistry::new());
             let scan_mgr2 = scan_mgr.clone();
-            let pool = Arc::new(WorkerPool::new(
-                name,
-                config.exec.pool_workers,
-                metrics.clone(),
-                Some(registry.clone()),
-            ));
+            let pool = Arc::new(WorkerPool::new(name, usize::MAX, metrics.clone()));
             let pool2 = pool.clone();
             // lint:allow(R2): detached µEngine dispatcher; exits when the queue sender drops on Engine shutdown, holds no locks across iterations
             std::thread::Builder::new()
@@ -215,7 +204,7 @@ impl QPipe {
             config.exec.query_deadline,
             metrics.clone(),
         );
-        let sweeper = AdmitSweeper::spawn(admit.clone());
+        let sweeper = AdmitSweeper::spawn(admit.clone())?;
         Ok(Arc::new_cyclic(|self_weak| Self {
             ctx,
             config,
@@ -305,7 +294,6 @@ impl QPipe {
         let client_node = fresh_node();
         let root_node = fresh_node();
         let root_pipe = Pipe::new(self.config.pipe, root_node, self.registry.clone());
-        self.registry.register_pipe(&root_pipe);
         let consumer = root_pipe.attach_consumer(client_node, false);
         let producer = root_pipe.producer();
         let tables = plan.tables();
@@ -472,7 +460,6 @@ impl QPipe {
         for (idx, child_plan) in plan.children_shared().into_iter().enumerate() {
             let child_node = fresh_node();
             let child_pipe = Pipe::new(self.config.pipe, child_node, self.registry.clone());
-            self.registry.register_pipe(&child_pipe);
             // The consumer end belongs to *this* operator: time it spends
             // blocked on the child's pipe is this operator's pipe-wait.
             let mut consumer = child_pipe.attach_consumer(node, false);
@@ -662,9 +649,9 @@ fn scan_flags(plan: &PlanNode) -> (bool, bool) {
     }
 }
 
-/// Fails a prepared host when its queued job is dropped unrun — the pool
-/// refused it (engine shut down) or discarded it at pool shutdown. The
-/// executing worker defuses it first thing.
+/// Fails a prepared host when its job is dropped unrun — the pool refused it
+/// (engine shut down, or no thread to be had) or discarded it at pool
+/// shutdown. The executing worker defuses it first thing.
 struct AbandonGuard {
     host: Option<Arc<crate::host::SharedHost>>,
     name: &'static str,
@@ -700,24 +687,26 @@ fn dispatch_packet(
     if packet.cancel.is_cancelled() && packet.output.as_ref().is_none_or(|o| o.abandoned()) {
         return;
     }
-    // Scans route to the circular scan manager.
-    if is_managed_scan(&packet.plan) {
-        let (table, predicate, projection) = match &*packet.plan {
-            PlanNode::TableScan { table, predicate, projection, .. } => {
-                (table.clone(), predicate.clone(), projection.clone())
-            }
-            PlanNode::ClusteredIndexScan { table, predicate, projection, .. } => {
-                (table.clone(), predicate.clone(), projection.clone())
-            }
-            _ => unreachable!(),
-        };
-        let mut packet = packet;
+    // Scans route to the circular scan manager: all table scans, and
+    // clustered index scans over the full key range (range-restricted ones
+    // execute directly in a worker).
+    let mut packet = packet;
+    let managed_scan = match &*packet.plan {
+        PlanNode::TableScan { table, predicate, projection, .. }
+        | PlanNode::ClusteredIndexScan {
+            table, predicate, projection, lo: None, hi: None, ..
+        } => Some((table.clone(), predicate.clone(), projection.clone())),
+        _ => None,
+    };
+    if let Some((table, predicate, projection)) = managed_scan {
+        // A packet without an output has nobody to deliver to, or to fail.
+        let Some(output) = packet.output.take() else { return };
         let req = ScanRequest {
             table,
             columns: ScanRequest::referenced_columns(predicate.as_ref(), projection.as_ref()),
             predicate,
             projection,
-            output: packet.output.take().expect("scan packet has an output"),
+            output,
             ordered: packet.ordered,
             split_ok: packet.split_ok,
             probe: packet.probe.clone(),
@@ -730,7 +719,6 @@ fn dispatch_packet(
     // OSP overlap check against in-progress identical operations. Attach or
     // register-then-spawn happens entirely on this dispatcher thread, so a
     // burst of identical packets all observe the first one's host.
-    let mut packet = packet;
     if env.osp {
         if let Some(host) = share.lookup(packet.signature) {
             match host.try_attach(packet) {
@@ -747,8 +735,7 @@ fn dispatch_packet(
     // stream must read as an error, never as a complete result.
     let host_panic = host.clone();
     let abandon = AbandonGuard { host: Some(host), name };
-    let node = packet.node;
-    pool.execute(Some(node), move || {
+    pool.execute(move || {
         let host = abandon.defuse();
         // Containment: an operator panic (a bug, or an injected fault)
         // must not unwind across the host — it would strand attached
@@ -764,16 +751,6 @@ fn dispatch_packet(
         }
         drop(guard);
     });
-}
-
-/// Scans served by the circular scan manager: all table scans, and clustered
-/// index scans over the full key range (range-restricted ones execute
-/// directly in a worker).
-fn is_managed_scan(plan: &PlanNode) -> bool {
-    matches!(
-        plan,
-        PlanNode::TableScan { .. } | PlanNode::ClusteredIndexScan { lo: None, hi: None, .. }
-    )
 }
 
 /// Handle to a submitted query.

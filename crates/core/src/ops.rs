@@ -303,7 +303,7 @@ fn finish_build(build: HashJoinBuild, env: &OpEnv) -> QResult<HashJoinTable> {
         let len = per.min(n - at);
         let job_batch = shared.clone();
         let job_tx = tx.clone();
-        let accepted = env.tasks.execute(None, move || {
+        let accepted = env.tasks.execute(move || {
             let _ = job_tx.send((s, hash_build_slice(&job_batch.slice(at, len), key)));
         });
         if !accepted {
@@ -429,7 +429,7 @@ fn fold_pending(
             }
             Ok(part)
         };
-        let accepted = env.tasks.execute(None, move || {
+        let accepted = env.tasks.execute(move || {
             let _ = job_tx.send((s, fold()));
         });
         if !accepted {

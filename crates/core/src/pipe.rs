@@ -26,7 +26,7 @@
 //!   way (dropped by a dispatcher, lost with a panicking thread) must read as
 //!   an error downstream, never as a complete empty result.
 
-use crate::deadlock::{NodeId, WaitKind, WaitRegistry};
+use crate::deadlock::{NodeId, WaitEdge, WaitKind, WaitRegistry};
 use parking_lot::{Condvar, Mutex};
 use qpipe_common::trace::OpProbe;
 use qpipe_common::{ColBatch, QError, QResult, Tuple};
@@ -93,13 +93,14 @@ pub struct Pipe {
 
 impl Pipe {
     /// Create a pipe; returns the shared handle. Producer/consumer handles
-    /// are created from it.
+    /// are created from it. The pipe enters itself in `registry` (and leaves
+    /// on drop), so the deadlock detector can break any pipe it can see.
     pub fn new(
         config: PipeConfig,
         producer_node: NodeId,
         registry: Arc<WaitRegistry>,
     ) -> Arc<Self> {
-        Arc::new(Self {
+        let pipe = Arc::new(Self {
             id: NEXT_PIPE_ID.fetch_add(1, Ordering::Relaxed),
             config,
             state: Mutex::new(PipeState {
@@ -114,7 +115,9 @@ impl Pipe {
             space: Condvar::new(),
             data: Condvar::new(),
             registry,
-        })
+        });
+        pipe.registry.track_pipe(&pipe);
+        pipe
     }
 
     pub fn id(&self) -> u64 {
@@ -171,6 +174,28 @@ impl Pipe {
         st.consumers.values().map(|c| c.queue.len()).max().unwrap_or(0)
     }
 
+    /// Is the waits-for edge `e` (registered by a waiter on this pipe) still
+    /// the wait it was registered as: its condition holds, and nothing was
+    /// produced since? A woken waiter clears its edge only after it runs
+    /// again, so the detector asks the pipe before it believes one.
+    pub(crate) fn edge_holds(&self, e: &WaitEdge) -> bool {
+        let st = self.state.lock();
+        let mut queues = st.consumers.values().filter(|c| !c.detached);
+        st.produced == e.produced
+            && match e.kind {
+                WaitKind::ProducerFull => {
+                    let full = |c: &ConsumerQueue| c.queue.len() >= self.config.capacity;
+                    !st.materialized && queues.any(|c| c.node == e.holder && full(c))
+                }
+                WaitKind::ConsumerEmpty => {
+                    !st.eof
+                        && st.error.is_none()
+                        && st.producer_node == e.holder
+                        && queues.any(|c| c.node == e.waiter && c.queue.is_empty())
+                }
+            }
+    }
+
     /// True once the producer closed the pipe.
     pub fn is_eof(&self) -> bool {
         self.state.lock().eof
@@ -212,7 +237,8 @@ impl Pipe {
                 break;
             }
             let producer_node = st.producer_node;
-            self.registry.add_edges(producer_node, &full, self.id, WaitKind::ProducerFull);
+            let kind = WaitKind::ProducerFull;
+            self.registry.add_edges(producer_node, &full, self.id, kind, st.produced);
             self.space.wait(&mut st);
             self.registry.remove_edge(producer_node);
         }
@@ -282,7 +308,8 @@ impl Pipe {
                 return Ok(None);
             }
             let producer_node = st.producer_node;
-            self.registry.add_edge(node, producer_node, self.id, WaitKind::ConsumerEmpty);
+            let kind = WaitKind::ConsumerEmpty;
+            self.registry.add_edges(node, &[producer_node], self.id, kind, st.produced);
             match probe {
                 Some(p) => {
                     let blocked = Instant::now();
@@ -306,6 +333,12 @@ impl Pipe {
         st.consumers.remove(&id);
         drop(st);
         self.space.notify_all();
+    }
+}
+
+impl Drop for Pipe {
+    fn drop(&mut self) {
+        self.registry.untrack_pipe(self.id);
     }
 }
 

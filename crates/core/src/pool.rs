@@ -1,24 +1,23 @@
-//! Fixed worker pools for µEngines (morsel-driven execution).
+//! On-demand worker pools for µEngines (morsel-driven execution).
 //!
 //! The paper's µEngines serve packets from a queue with "a pool of threads"
-//! (§4.2); earlier revisions of this reproduction spawned one OS thread per
-//! dispatched packet instead. [`WorkerPool`] restores the paper's model: a
-//! fixed, core-sized set of workers per µEngine pulls queued jobs, so a burst
-//! of N packets costs N queue entries rather than N threads, and a single
-//! query's operators can be split into many small jobs (morsels) that the
-//! same workers execute in parallel.
+//! (§4.2). [`WorkerPool`] has one rule: it starts with no thread; `execute`
+//! hands the job to an idle worker, or spawns a worker when none is idle and
+//! the pool is below its cap. Workers live until the pool drops. Two uses of
+//! the one type differ only in the cap:
 //!
-//! Two kinds of pool exist, built from the same type:
-//!
-//! * **Packet pools** (one per µEngine) run prepared packets end-to-end. A
-//!   packet job may block on its pipes, so these pools register every queued
-//!   packet's node with the [`WaitRegistry`] — the deadlock detector's
-//!   starvation breaker needs to know that a consumer is parked in a queue
-//!   rather than running (see `deadlock::resolve_starvation`).
-//! * **Task pools** (scan morsels, operator partials) run short CPU-bound
-//!   jobs that by construction never block on pipes — they fetch, decode,
-//!   hash, and fold, then return results over an unbounded channel. Such a
-//!   pool cannot deadlock and needs no registry.
+//! * **Packet pools** (one per µEngine, no cap) run prepared packets
+//!   end-to-end. A packet blocks on its pipes while holding its worker, so a
+//!   packet must never queue behind other packets — it always gets a thread,
+//!   and the only stall left in a pipelined plan is a real waits-for cycle
+//!   (the [`deadlock`](crate::deadlock) detector's job). The pool's size is
+//!   bounded by what admission lets run: `queue_depth` queries × the packets
+//!   one plan puts on the µEngine.
+//! * **Task pools** (scan morsels, operator partials; capped at
+//!   `task_workers`) run short CPU-bound jobs that by construction never
+//!   block on pipes — they fetch, decode, hash, and fold, then return
+//!   results over an unbounded channel. At the cap a job queues FIFO behind
+//!   the running ones, which always finish.
 //!
 //! Shutdown (`Drop`) discards every queued job before joining the workers.
 //! Dropping a queued packet job drops its `Packet`, which detaches the
@@ -26,22 +25,27 @@
 //! pipe wakes and observes the detach, so in-flight jobs on other pools can
 //! always finish and the join cannot wedge.
 
-use crate::deadlock::{NodeId, WaitRegistry};
 use parking_lot::{Condvar, Mutex};
 use qpipe_common::Metrics;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 struct Job {
-    node: Option<NodeId>,
     run: Box<dyn FnOnce() + Send>,
     queued_at: Instant,
 }
 
 struct PoolState {
     queue: VecDeque<Job>,
+    /// Workers parked on the condvar. A woken worker leaves the count only
+    /// once it holds the lock again, so a wake-up in flight still covers the
+    /// job it was sent for.
+    idle: usize,
+    /// One handle per worker ever spawned (workers never exit early).
+    workers: Vec<JoinHandle<()>>,
     shutdown: bool,
 }
 
@@ -50,73 +54,57 @@ struct PoolShared {
     state: Mutex<PoolState>,
     cv: Condvar,
     metrics: Metrics,
-    registry: Option<Arc<WaitRegistry>>,
 }
 
-/// A fixed-size worker pool draining a FIFO job queue.
+/// A worker pool draining a FIFO job queue, grown on demand up to `cap`.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    workers: usize,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    cap: usize,
 }
 
 impl WorkerPool {
-    /// Spawn `workers` threads named `qpipe-{name}-w`. Pass the wait
-    /// registry for packet pools (jobs that may block on pipes); `None` for
-    /// task pools (jobs that never block).
-    pub fn new(
-        name: &'static str,
-        workers: usize,
-        metrics: Metrics,
-        registry: Option<Arc<WaitRegistry>>,
-    ) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            name,
-            state: Mutex::new(PoolState { queue: VecDeque::new(), shutdown: false }),
-            cv: Condvar::new(),
-            metrics,
-            registry,
-        });
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let shared = shared.clone();
-            let h = std::thread::Builder::new()
-                .name(format!("qpipe-{name}-w"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn pool worker");
-            handles.push(h);
-        }
-        Self { shared, workers, handles: Mutex::new(handles) }
+    /// An empty pool whose workers (named `qpipe-{name}-w`) are spawned as
+    /// jobs need them, never more than `cap` (`usize::MAX`: no cap).
+    pub fn new(name: &'static str, cap: usize, metrics: Metrics) -> Self {
+        let state =
+            PoolState { queue: VecDeque::new(), idle: 0, workers: Vec::new(), shutdown: false };
+        let shared =
+            Arc::new(PoolShared { name, state: Mutex::new(state), cv: Condvar::new(), metrics });
+        Self { shared, cap: cap.max(1) }
     }
 
-    /// Pool size.
+    /// The worker cap: how many jobs the pool can run at once.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.cap
     }
 
-    /// Enqueue a job. Returns `false` (dropping `f` unrun) when the pool has
-    /// shut down — a caller that must observe the failure should move a
-    /// drop-guard into the closure rather than inspect the return value.
-    pub fn execute(&self, node: Option<NodeId>, f: impl FnOnce() + Send + 'static) -> bool {
-        {
-            let mut st = self.shared.state.lock();
-            if st.shutdown {
-                return false;
-            }
-            if let (Some(reg), Some(n)) = (&self.shared.registry, node) {
-                reg.note_queued(n);
-            }
-            st.queue.push_back(Job { node, run: Box::new(f), queued_at: Instant::now() });
-            self.shared.metrics.note_pool_queue_depth(st.queue.len() as u64);
+    /// Run `f` on a worker. Returns `false` (dropping `f` unrun) when the
+    /// pool has shut down or the thread `f` needs cannot be spawned — a
+    /// caller that must observe the failure should move a drop-guard into
+    /// the closure rather than inspect the return value.
+    pub fn execute(&self, f: impl FnOnce() + Send + 'static) -> bool {
+        let mut st = self.shared.state.lock();
+        if st.shutdown {
+            return false;
         }
+        st.queue.push_back(Job { run: Box::new(f), queued_at: Instant::now() });
+        self.shared.metrics.note_pool_queue_depth(st.queue.len() as u64);
+        if st.queue.len() > st.idle && st.workers.len() < self.cap {
+            let shared = self.shared.clone();
+            let spawned = std::thread::Builder::new()
+                .name(format!("qpipe-{}-w", self.shared.name))
+                .spawn(move || worker_loop(&shared));
+            match spawned {
+                Ok(h) => st.workers.push(h),
+                Err(_) => {
+                    st.queue.pop_back();
+                    return false;
+                }
+            }
+        }
+        drop(st);
         self.shared.cv.notify_one();
         true
-    }
-
-    /// Jobs currently queued (not yet picked up).
-    pub fn queue_len(&self) -> usize {
-        self.shared.state.lock().queue.len()
     }
 }
 
@@ -131,12 +119,11 @@ fn worker_loop(shared: &PoolShared) {
                 if st.shutdown {
                     return;
                 }
+                st.idle += 1;
                 shared.cv.wait(&mut st);
+                st.idle -= 1;
             }
         };
-        if let (Some(reg), Some(n)) = (&shared.registry, job.node) {
-            reg.note_dequeued(n);
-        }
         shared.metrics.record_pool_queue_wait(job.queued_at.elapsed().as_micros() as u64);
         let started = Instant::now();
         let caught = catch_unwind(AssertUnwindSafe(job.run));
@@ -153,18 +140,11 @@ fn worker_loop(shared: &PoolShared) {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let discarded = {
+        let (discarded, workers) = {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
-            std::mem::take(&mut st.queue)
+            (std::mem::take(&mut st.queue), std::mem::take(&mut st.workers))
         };
-        if let Some(reg) = &self.shared.registry {
-            for j in &discarded {
-                if let Some(n) = j.node {
-                    reg.note_dequeued(n);
-                }
-            }
-        }
         // Dropping queued jobs detaches their packets' pipe consumers, which
         // wakes any producer blocked on a full pipe — running jobs drain or
         // observe the detach and finish, so the join below terminates.
@@ -176,7 +156,7 @@ impl Drop for WorkerPool {
         // its own once this drop returns — `shutdown` is set and the queue is
         // empty.
         let me = std::thread::current().id();
-        for h in self.handles.lock().drain(..) {
+        for h in workers {
             if h.thread().id() != me {
                 let _ = h.join();
             }
@@ -188,48 +168,96 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+
+    const NO_CAP: usize = usize::MAX;
+
+    fn spawned(pool: &WorkerPool) -> usize {
+        pool.shared.state.lock().workers.len()
+    }
 
     #[test]
-    fn runs_jobs_on_fixed_workers() {
-        let pool = WorkerPool::new("test", 3, Metrics::new(), None);
-        let count = Arc::new(AtomicUsize::new(0));
+    fn capped_pool_never_exceeds_its_cap() {
+        let pool = WorkerPool::new("test", 3, Metrics::new());
+        assert_eq!(spawned(&pool), 0, "a pool that ran nothing has spawned nothing");
+        // The first three jobs hold their workers until the test joins them.
+        let gate = Arc::new(Barrier::new(4));
         let (tx, rx) = mpsc::channel();
-        for _ in 0..32 {
-            let count = count.clone();
-            let tx = tx.clone();
-            assert!(pool.execute(None, move || {
-                count.fetch_add(1, Ordering::Relaxed);
+        for i in 0..32 {
+            let (gate, tx) = (gate.clone(), tx.clone());
+            assert!(pool.execute(move || {
+                if i < 3 {
+                    gate.wait();
+                }
                 tx.send(()).unwrap();
             }));
         }
+        assert_eq!(spawned(&pool), 3, "29 jobs queued behind 3 busy workers: no fourth worker");
+        gate.wait();
         for _ in 0..32 {
-            rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
+            rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
-        assert_eq!(count.load(Ordering::Relaxed), 32);
-        assert_eq!(pool.workers(), 3);
+        assert_eq!((spawned(&pool), pool.workers()), (3, 3));
+    }
+
+    /// Every job waits for all the others: on any design where a job can
+    /// queue behind a blocked worker this never completes.
+    #[test]
+    fn jobs_that_block_on_each_other_all_get_a_thread() {
+        let pool = WorkerPool::new("test", NO_CAP, Metrics::new());
+        let barrier = Arc::new(Barrier::new(64));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..64 {
+            let (barrier, tx) = (barrier.clone(), tx.clone());
+            assert!(pool.execute(move || {
+                barrier.wait();
+                tx.send(()).unwrap();
+            }));
+        }
+        for _ in 0..64 {
+            rx.recv_timeout(Duration::from_secs(10)).expect("a job waited behind a blocked worker");
+        }
+        assert_eq!(spawned(&pool), 64);
+    }
+
+    #[test]
+    fn sequential_jobs_reuse_one_worker() {
+        let pool = WorkerPool::new("test", NO_CAP, Metrics::new());
+        let (tx, rx) = mpsc::channel();
+        for i in 0..100 {
+            let tx = tx.clone();
+            assert!(pool.execute(move || tx.send(i).unwrap()));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), i);
+            // The worker parks a few instructions after its job's last
+            // effect; the next job must find it idle, not spawn a second.
+            while pool.shared.state.lock().idle == 0 {
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(spawned(&pool), 1);
     }
 
     #[test]
     fn panicking_job_does_not_kill_workers() {
         let metrics = Metrics::new();
-        let pool = WorkerPool::new("test", 1, metrics.clone(), None);
-        assert!(pool.execute(None, || panic!("poisoned job")));
+        let pool = WorkerPool::new("test", 1, metrics.clone());
+        assert!(pool.execute(|| panic!("poisoned job")));
         // The single worker must survive to run the next job.
         let (tx, rx) = mpsc::channel();
-        assert!(pool.execute(None, move || tx.send(7).unwrap()));
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 7);
+        assert!(pool.execute(move || tx.send(7).unwrap()));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 7);
         assert_eq!(metrics.snapshot().worker_panics, 1);
     }
 
     #[test]
     fn pool_dropped_by_its_own_job_does_not_join_itself() {
         let metrics = Metrics::new();
-        let pool = Arc::new(WorkerPool::new("test", 2, metrics.clone(), None));
+        let pool = Arc::new(WorkerPool::new("test", 2, metrics.clone()));
         let last_handle = pool.clone();
         let (go_tx, go_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel();
-        assert!(pool.execute(None, move || {
+        assert!(pool.execute(move || {
             go_rx.recv().unwrap();
             // The pool's destructor runs here, on one of its own workers.
             drop(last_handle);
@@ -238,18 +266,18 @@ mod tests {
         drop(pool);
         go_tx.send(()).unwrap();
         done_rx
-            .recv_timeout(std::time::Duration::from_secs(5))
+            .recv_timeout(Duration::from_secs(5))
             .expect("self-join would panic (EDEADLK) inside the job");
         assert_eq!(metrics.snapshot().worker_panics, 0);
     }
 
     #[test]
     fn shutdown_discards_queued_jobs_and_joins() {
-        let pool = WorkerPool::new("test", 1, Metrics::new(), None);
+        let pool = WorkerPool::new("test", 1, Metrics::new());
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         // Occupy the only worker, then queue a job whose drop we can observe.
-        pool.execute(None, move || {
-            let _ = gate_rx.recv_timeout(std::time::Duration::from_secs(5));
+        pool.execute(move || {
+            let _ = gate_rx.recv_timeout(Duration::from_secs(5));
         });
         struct DropFlag(Arc<AtomicUsize>);
         impl Drop for DropFlag {
@@ -261,7 +289,7 @@ mod tests {
         let dropped = Arc::new(AtomicUsize::new(0));
         let flag = DropFlag(dropped.clone());
         let ran2 = ran.clone();
-        pool.execute(None, move || {
+        pool.execute(move || {
             let _flag = flag;
             ran2.fetch_add(1, Ordering::Relaxed);
         });
@@ -275,32 +303,10 @@ mod tests {
 
     #[test]
     fn execute_after_shutdown_returns_false() {
-        let metrics = Metrics::new();
-        let pool = WorkerPool::new("test", 1, metrics, None);
+        let pool = WorkerPool::new("test", 1, Metrics::new());
         // Simulate shutdown without dropping (so we can still call execute).
         pool.shared.state.lock().shutdown = true;
-        pool.shared.cv.notify_all();
-        assert!(!pool.execute(None, || unreachable!("must not run")));
-    }
-
-    #[test]
-    fn queued_packets_tracked_in_registry() {
-        let reg = Arc::new(WaitRegistry::new());
-        let pool = WorkerPool::new("test", 1, Metrics::new(), Some(reg.clone()));
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let (up_tx, up_rx) = mpsc::channel::<()>();
-        pool.execute(Some(NodeId(1)), move || {
-            up_tx.send(()).unwrap();
-            let _ = gate_rx.recv_timeout(std::time::Duration::from_secs(5));
-        });
-        up_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        pool.execute(Some(NodeId(2)), move || done_tx.send(()).unwrap());
-        // Node 2 is parked behind the busy worker.
-        assert!(reg.is_queued(NodeId(2)));
-        assert!(!reg.is_queued(NodeId(1)), "running packet is not queued");
-        gate_tx.send(()).unwrap();
-        done_rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        assert!(!reg.is_queued(NodeId(2)), "dequeued on pickup");
+        assert!(!pool.execute(|| unreachable!("must not run")));
+        assert_eq!(spawned(&pool), 0);
     }
 }

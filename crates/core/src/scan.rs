@@ -329,12 +329,7 @@ pub struct ScanManager {
 impl ScanManager {
     pub fn new(ctx: ExecContext, config: ScanConfig, metrics: Metrics) -> Arc<Self> {
         let tasks = (config.workers > 1).then(|| {
-            Arc::new(crate::pool::WorkerPool::new(
-                "scan-tasks",
-                config.workers,
-                metrics.clone(),
-                None,
-            ))
+            Arc::new(crate::pool::WorkerPool::new("scan-tasks", config.workers, metrics.clone()))
         });
         Arc::new(Self { ctx, config, metrics, groups: Mutex::new(HashMap::new()), tasks })
     }
@@ -740,13 +735,12 @@ impl ScanManager {
                         // (Cancelled *and* abandoned consumers detach their
                         // pipes, so the pipe probe covers the plain
                         // cancellation case too.) Trade-off: a severed
-                        // packet still sitting in a µEngine queue holds its
-                        // consumer until the worker pool dequeues and drops
-                        // it, so the scanner may fill that pipe and throttle
-                        // briefly. Pool queues drain continuously and the
-                        // deadlock detector's starvation breaker materializes
-                        // a pipe whose consumer is parked behind busy
-                        // workers, so the stall is bounded.
+                        // packet still sitting in a µEngine's dispatch queue
+                        // holds its consumer until the dispatcher reaches and
+                        // drops it, so the scanner may fill that pipe and
+                        // throttle briefly. Dispatchers never wait on pipes and
+                        // a dispatched packet always has a thread, so the
+                        // stall is bounded.
                         if c.output.abandoned() {
                             drop(slot.take());
                             removed_any = true;
@@ -834,7 +828,7 @@ impl ScanManager {
                                 k += jobs;
                             }
                         };
-                        if !tasks.execute(None, stride.clone()) {
+                        if !tasks.execute(stride.clone()) {
                             // Pool shut down (manager dropping); run inline
                             // so the morsel still completes deterministically.
                             stride();

@@ -45,19 +45,12 @@ pub struct ExecConfig {
     /// with `QError::Timeout` once a running query exceeds it. `None`
     /// (default) disables deadline enforcement.
     pub query_deadline: Option<std::time::Duration>,
-    /// Workers in each µEngine's fixed packet pool. `0` (default) resolves
-    /// to the machine's available parallelism clamped to 8..=16 at
-    /// validation — a packet occupies its worker for the packet's whole life
-    /// and spends most of it blocked on (simulated) I/O or pipe waits, so
-    /// the pool must cover admitted concurrency, not just CPU count; sizing
-    /// below the admitted load serializes queries per stage and starves work
-    /// sharing.
-    pub pool_workers: usize,
-    /// Workers in the shared CPU task pool that morsel scans, hash-build
-    /// hashing, and aggregation partials fan out to. Unlike packet pools,
-    /// task jobs are short compute-bound page/stripe work, so sizing past
-    /// the machine's cores buys nothing and charges dispatch overhead per
-    /// page. `0` (default) resolves to available parallelism capped at 8
+    /// Worker cap of the shared CPU task pools that morsel scans, hash-build
+    /// hashing, and aggregation partials fan out to. (The µEngines' packet
+    /// pools have no knob: a packet holds its worker while blocked, so every
+    /// admitted packet gets a thread.) Task jobs are short compute-bound
+    /// page/stripe work, so sizing past the machine's cores buys nothing and
+    /// charges dispatch overhead per page. `0` (default) resolves to available parallelism capped at 8
     /// (1 on a single-core host ⇒ the scan runs serial-inline, exactly the
     /// pre-morsel path). Explicit values are honored so CI smokes can
     /// engage the parallel paths regardless of the runner's core count.
@@ -78,7 +71,6 @@ impl Default for ExecConfig {
             partitions: 8,
             global_budget: usize::MAX >> 2,
             query_deadline: None,
-            pool_workers: 0,
             task_workers: 0,
             tracing: false,
         }
@@ -103,18 +95,6 @@ impl ExecConfig {
         clamp(&mut self.partitions, 2);
         let floor = self.sort_budget.max(self.hash_budget);
         clamp(&mut self.global_budget, floor);
-        if self.pool_workers == 0 {
-            // Documented auto: at least 16 so mostly-blocked packets from
-            // concurrently admitted queries (a query often lands several
-            // packets on one µEngine) don't serialize per stage, at most 32
-            // so a large host does not multiply the µEngines into an
-            // unbounded thread herd.
-            self.pool_workers =
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(16, 32);
-        } else if self.pool_workers > 32 {
-            self.pool_workers = 32;
-            metrics.add_config_clamp();
-        }
         if self.task_workers == 0 {
             // Auto: the task pool runs CPU-bound jobs, so cores is the right
             // size — notably 1 on a single-core host, which collapses the

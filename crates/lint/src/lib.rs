@@ -2,7 +2,7 @@
 //! concurrency and containment *conventions* into build-time guarantees.
 //!
 //! The staged engine runs many µEngines, a shared circular scanner, an
-//! admission sweeper, and fixed worker pools against shared mutable state.
+//! admission sweeper, and worker pools against shared mutable state.
 //! The failure-containment contract ("every query settles; no failure is
 //! ever passed off as a complete result") rests on conventions — panics only
 //! inside `catch_unwind` boundaries, threads only via `WorkerPool`, locks
@@ -27,16 +27,17 @@
 //! **R2 — thread hygiene** (`lint:allow(R2)` / `lint:allow(thread)`).
 //! `thread::spawn` / `thread::Builder` are permitted only in the explicit
 //! allowlist — `pool.rs` (the `WorkerPool` itself), the `admit.rs` sweeper,
-//! the `scan.rs` scanner, and `host.rs` service threads — so new concurrency
-//! must route through `WorkerPool`, inheriting its `catch_unwind`
-//! containment, abandon guards, and busy accounting. Long-lived service
-//! threads elsewhere carry inline waivers naming their join story.
+//! and the `scan.rs` scanner — so new concurrency must route through
+//! `WorkerPool`, inheriting its `catch_unwind` containment, abandon guards,
+//! and busy accounting. Long-lived service threads elsewhere carry inline
+//! waivers naming their join story.
 //!
 //! **R3 — lock discipline** (`lint:allow(R3)` / `lint:allow(lock)`).
 //! Two checks. (a) No blocking call — `.send(`, `.recv(`, `.wait(` — while a
 //! `let`-bound `.lock()`/`.try_lock()` guard is live in scope: a full pipe
-//! there stalls every other holder of the mutex, the exact shape PR 8's
-//! starvation breaker exists to mitigate. `.wait(&mut g)` where `g` *is* the
+//! there stalls every other holder of the mutex — a wait outside the
+//! waits-for graph, which the deadlock detector (the engine's only stall
+//! resolver) can never break. `.wait(&mut g)` where `g` *is* the
 //! held guard is the condvar protocol (the lock is released while waiting)
 //! and is exempt. (b) Nested lock acquisitions must not *invert* the
 //! declared hierarchy `admit (1) → engine group (2) → pipe (3)`. An

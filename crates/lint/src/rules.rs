@@ -104,7 +104,6 @@ impl Default for Config {
                 "crates/core/src/pool.rs",  // the WorkerPool itself
                 "crates/core/src/admit.rs", // the admission sweeper service
                 "crates/core/src/scan.rs",  // the circular scanner service
-                "crates/core/src/host.rs",  // shared-host service threads
             ]
             .iter()
             .map(|s| s.to_string())
@@ -532,8 +531,8 @@ fn rule_r3(f: &SourceFile, lx: &Lexed, tests: &[(u32, u32)], out: &mut Vec<Findi
                     msg: format!(
                         "blocking `.{call}(` while the lock guard `{}` (taken on line {}) \
                          is still live — a full pipe here stalls every holder of that \
-                         mutex; drop the guard first (the shape PR 8's starvation \
-                         breaker exists to mitigate)",
+                         mutex, a wait the deadlock detector cannot see; drop the \
+                         guard first",
                         g.name, g.line
                     ),
                 });

@@ -19,15 +19,15 @@ fn main() {
     let registry = Arc::new(WaitRegistry::new());
     // The rescue service: scans the waits-for graph every 20 ms.
     let _detector =
-        DeadlockDetector::spawn(registry.clone(), metrics.clone(), Duration::from_millis(20));
+        DeadlockDetector::spawn(registry.clone(), metrics.clone(), Duration::from_millis(20))
+            .expect("spawn the detector thread");
 
     // Two producers (think: two shared scans, A and B), each broadcasting to
-    // both queries through tiny bounded pipes.
+    // both queries through tiny bounded pipes. A pipe enters itself in the
+    // registry it is built with, so the detector can break it.
     let cfg = PipeConfig { capacity: 1, backfill: 0 };
     let pipe_a = Pipe::new(cfg, NodeId(1), registry.clone());
     let pipe_b = Pipe::new(cfg, NodeId(2), registry.clone());
-    registry.register_pipe(&pipe_a);
-    registry.register_pipe(&pipe_b);
 
     // Query 1 reads A fully, then B. Query 2 reads B fully, then A.
     let q1_a = pipe_a.attach_consumer(NodeId(3), false);

@@ -30,19 +30,18 @@ fn main() -> QResult<()> {
         qpipe::storage::StorageLayout::Columnar,
     )?;
 
-    // 3. Boot the QPipe engine (OSP on by default). Every µEngine runs a
-    //    fixed worker pool — `pool_workers: 0` (the default) sizes it to
-    //    cover admitted concurrency (8–16); pin it to make the sizing
-    //    explicit. A second knob, `task_workers` (default: the machine's
-    //    cores), sizes the shared CPU pool: with more than one task worker,
-    //    a single query is morsel-parallel inside the hot operators — the
-    //    circular scan fans page ranges across the pool, and hash-join
+    // 3. Boot the QPipe engine (OSP on by default). Every µEngine's packet
+    //    pool grows on demand — an admitted packet always gets a thread, so
+    //    there is nothing to size. One knob, `task_workers` (default: the
+    //    machine's cores), caps the shared CPU pool: with more than one task
+    //    worker, a single query is morsel-parallel inside the hot operators
+    //    — the circular scan fans page ranges across the pool, and hash-join
     //    build / aggregation compute per-worker partials.
     //    `tracing: true` (off by default — the hot path then pays nothing)
     //    gives every query an event journal and a per-operator profile,
     //    demonstrated in step 7.
     let config = QPipeConfig {
-        exec: ExecConfig { pool_workers: 4, tracing: true, ..ExecConfig::default() },
+        exec: ExecConfig { tracing: true, ..ExecConfig::default() },
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog.clone(), config);

@@ -130,7 +130,7 @@ fn injected_worker_panic_fails_only_owning_packet() {
     let catalog = demo_catalog(5000);
     let disk = catalog.disk().clone();
     let config = QPipeConfig {
-        exec: ExecConfig { pool_workers: 4, task_workers: 4, ..ExecConfig::default() },
+        exec: ExecConfig { task_workers: 4, ..ExecConfig::default() },
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog, config);

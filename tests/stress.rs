@@ -4,7 +4,7 @@
 //! cancellation, deadlock resolution) earns its keep.
 
 use qpipe::prelude::*;
-use qpipe::workloads::tpch::{build_tpch, query, TpchScale, MIX};
+use qpipe::workloads::tpch::{build_tpch, q4, query, JoinFlavor, TpchScale, MIX};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -16,19 +16,24 @@ fn fresh_catalog(seed: u64) -> Arc<Catalog> {
     catalog
 }
 
-/// Run `plans` concurrently on `engine` and return per-plan row counts.
-fn run_concurrent(engine: &Arc<QPipe>, plans: &[PlanNode]) -> Vec<usize> {
+/// Run `plans` concurrently on `engine` and return per-plan results.
+fn run_concurrent_rows(engine: &Arc<QPipe>, plans: &[PlanNode]) -> Vec<Vec<Tuple>> {
     std::thread::scope(|s| {
         let handles: Vec<_> = plans
             .iter()
             .map(|p| {
                 let engine = engine.clone();
                 let plan = p.clone();
-                s.spawn(move || engine.submit(plan).unwrap().collect().len())
+                s.spawn(move || engine.submit(plan).unwrap().collect())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     })
+}
+
+/// Run `plans` concurrently on `engine` and return per-plan row counts.
+fn run_concurrent(engine: &Arc<QPipe>, plans: &[PlanNode]) -> Vec<usize> {
+    run_concurrent_rows(engine, plans).iter().map(Vec::len).collect()
 }
 
 #[test]
@@ -103,6 +108,28 @@ fn tiny_pipes_with_sharing_never_wedge() {
         let got = run_concurrent(&engine, &plans);
         assert_eq!(got, expected);
     }
+}
+
+/// A plan tree that shares nothing cannot contain a waits-for cycle: with OSP
+/// off there is no deadlock to resolve, however hard single-batch pipes make
+/// every producer and consumer block on each other. (The registry lags the
+/// pipes — a notified waiter's edge outlives its wait — so a detector that
+/// believes the snapshot "resolves" dozens here.)
+#[test]
+fn unshared_join_burst_resolves_no_deadlock() {
+    let catalog = fresh_catalog(41);
+    let ctx = ExecContext::new(catalog.clone());
+    let plans: Vec<PlanNode> = (0..32).map(|i| q4(60 * i, JoinFlavor::Hash)).collect();
+    let expected: Vec<Vec<Tuple>> =
+        plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap()).collect();
+    let config = QPipeConfig {
+        pipe: qpipe::core::pipe::PipeConfig { capacity: 1, ..Default::default() },
+        deadlock_interval: Duration::from_millis(2),
+        ..QPipeConfig::baseline()
+    };
+    let engine = QPipe::new(catalog, config);
+    assert_eq!(run_concurrent_rows(&engine, &plans), expected);
+    assert_eq!(engine.metrics().snapshot().deadlocks_resolved, 0);
 }
 
 #[test]

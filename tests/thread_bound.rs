@@ -1,9 +1,9 @@
-//! Thread-count bound under a query burst.
+//! Thread-count bounds: at boot, and under a query burst.
 //!
-//! The bound is on the *process's* threads (`/proc/self/task`), so this test
-//! lives in an integration-test binary of its own: next to sibling tests that
-//! boot their own ~40–110-thread engines in parallel, the count says nothing
-//! about the one engine under test.
+//! The bounds are on the *process's* threads (`/proc/self/task`), so this
+//! test lives in an integration-test binary of its own — and is one `#[test]`,
+//! not two: next to sibling tests that boot their own engines in parallel,
+//! the count says nothing about the one engine under test.
 
 use qpipe::prelude::*;
 use qpipe::quick_system;
@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// `(all threads, scanner threads)` of this process. Table `t`'s scanner
-/// threads are told apart by name (`qpipe-scan-<table>`; the morsel pool's
-/// workers are `qpipe-scan-tasks-w`).
+/// `(all threads, scanner threads)` of this process. The scanner threads of
+/// tables `t` and `u` are told apart by name (`qpipe-scan-<table>`; the
+/// morsel pool's workers are `qpipe-scan-tasks-w`).
 fn live_threads() -> (usize, usize) {
     let mut all = 0;
     let mut scanners = 0;
@@ -21,7 +21,7 @@ fn live_threads() -> (usize, usize) {
         all += 1;
         // A thread may exit between the listing and the read: not a scanner.
         let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
-        scanners += usize::from(comm.trim_end() == "qpipe-scan-t");
+        scanners += usize::from(matches!(comm.trim_end(), "qpipe-scan-t" | "qpipe-scan-u"));
     }
     (all, scanners)
 }
@@ -36,34 +36,37 @@ fn settle(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// Fault-free burst on fixed pools: the engine's thread count stays bounded
-/// by its service threads (detector, sweeper, dispatchers, pool workers —
-/// all spawned at boot) plus the scanner threads of the scans admission lets
-/// run at once, no matter how many queries are submitted. Scan start is
-/// wait-free, so a tiny scan's thread lives only as long as its scan: the
-/// burst must neither pile scanner threads up nor leave one behind.
+/// Boot spawns the service threads only (detector, sweeper, one dispatcher
+/// per µEngine): pools start empty. A fault-free burst of distinct hash joins
+/// then grows the hashjoin pool to at most one worker per query admission
+/// lets run (the plan puts one packet on that µEngine; its scans are served
+/// by scanner threads, which live only as long as their scan) — no matter how
+/// many queries are submitted, and nothing is left behind but those workers.
 #[test]
-fn query_burst_keeps_thread_count_bounded() {
+fn boot_and_query_burst_keep_thread_count_bounded() {
     let catalog = quick_system(DiskConfig::instant(), 256);
-    catalog
-        .create_table(
-            "t",
-            Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]),
-            (0..2000).map(|i| vec![Value::Int(i % 97), Value::Int(i)]).collect(),
-            None,
-        )
-        .unwrap();
+    let schema = || Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let rows = |n: i64| (0..n).map(|i| vec![Value::Int(i % 97), Value::Int(i)]).collect();
+    catalog.create_table("t", schema(), rows(2000), None).unwrap();
+    catalog.create_table("u", schema(), rows(500), None).unwrap();
+    let depth = 4;
     let config = QPipeConfig {
-        exec: ExecConfig { pool_workers: 2, ..ExecConfig::default() },
+        // One task worker: no morsel or hash-build fan-out, so every thread
+        // past boot is a packet worker or a scanner.
+        exec: ExecConfig { task_workers: 1, ..ExecConfig::default() },
+        admit: AdmitConfig { queue_depth: depth, ..AdmitConfig::default() },
         ..QPipeConfig::default()
     };
+    let before = live_threads().0;
+    let default_engine = QPipe::new(catalog.clone(), QPipeConfig::default());
+    let booted = live_threads().0 - before;
+    assert!(booted <= 16, "a default engine must boot without pool workers: {booted} threads");
+    drop(default_engine);
+    settle("the idle engine left threads behind", || live_threads().0 == before);
+
     let engine = QPipe::new(catalog, config);
-    // Scans in flight at once: the scan µEngine's admission depth.
-    let depth = engine.config().admit.queue_depth;
-    assert_eq!(depth, 4, "2 × pool_workers");
-    assert_eq!(engine.submit(PlanNode::scan("t")).unwrap().collect().len(), 2000);
-    settle("warm-up scanner never exited", || live_threads().1 == 0);
-    let steady = live_threads().0;
+    assert_eq!(engine.config().admit.queue_depth, depth, "the configured depth is the depth");
+    let boot = live_threads().0;
 
     let stop = Arc::new(AtomicBool::new(false));
     let sampler = {
@@ -78,27 +81,40 @@ fn query_burst_keeps_thread_count_bounded() {
             peak
         })
     };
-    let handles: Vec<_> = (0..48)
-        .map(|_| engine.submit(PlanNode::scan("t")).expect("admission accepts the burst"))
-        .collect();
-    for h in handles {
-        assert_eq!(h.try_collect().expect("fault-free query").len(), 2000);
+    // u (build, `v < 452 + i`: distinct plans, so no join is shared) ⋈ t.
+    let join = |i: i64| {
+        PlanNode::scan_filtered("u", Expr::col(1).lt(Expr::lit(452 + i))).hash_join(
+            PlanNode::scan("t"),
+            1,
+            1,
+        )
+    };
+    let handles: Vec<_> =
+        (0..48).map(|i| engine.submit(join(i)).expect("admission accepts the burst")).collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        assert_eq!(h.try_collect().expect("fault-free query").len(), 452 + i);
     }
     stop.store(true, Ordering::Relaxed);
     let (peak_all, peak_scanners) = sampler.join().unwrap();
     assert_eq!(engine.metrics().snapshot().worker_panics, 0, "fault-free run");
-    // At most `depth` scans run; a finished scanner may still be unindexing
-    // its group while the query admitted in its place starts the next one, so
-    // allow one exiting thread per slot. 48 queries, never 48 threads.
+    // At most `depth` queries run, each with one join packet and two scans.
+    // A finished scanner may still be unindexing its group — and a finished
+    // join worker still be on its way back to idle — while the query admitted
+    // in its place starts the next one, so allow one such thread per slot.
+    // 48 queries, never 48 threads.
+    let (worker_bound, scanner_bound) = (2 * depth, 2 * 2 * depth);
     assert!(
-        peak_scanners <= 2 * depth,
-        "scanner threads must stay admission-bounded: peak {peak_scanners} > 2 × {depth}"
+        peak_scanners <= scanner_bound,
+        "scanner threads must stay admission-bounded: peak {peak_scanners} > {scanner_bound}"
     );
-    // Everything else is fixed at boot; `+ 1` is the sampler.
+    // `+ 1` is the sampler.
     assert!(
-        peak_all <= steady + 2 * depth + 1,
-        "thread count must stay pool-bounded: peak {peak_all} > steady {steady} + {}",
-        2 * depth + 1
+        peak_all <= boot + worker_bound + scanner_bound + 1,
+        "thread count must stay admission-bounded: peak {peak_all} > boot {boot} + {}",
+        worker_bound + scanner_bound + 1
     );
-    settle("the burst left threads behind", || live_threads() == (steady, 0));
+    settle("the burst left threads behind", || {
+        let (all, scanners) = live_threads();
+        scanners == 0 && all <= boot + worker_bound
+    });
 }
