@@ -542,7 +542,6 @@ fn morsel_scan(c: &mut Criterion) {
     // work the morsel jobs parallelize.
     let pred = Expr::col(5).le(Expr::lit(Value::Date(2400)));
     let projection = vec![1usize, 2, 3, 5];
-    let columns = qpipe_core::scan::ScanRequest::referenced_columns(Some(&pred), Some(&projection));
 
     let mut g = c.benchmark_group("morsel_scan");
     for workers in [1usize, 2, 4, 8] {
@@ -557,7 +556,6 @@ fn morsel_scan(c: &mut Criterion) {
                     table: "lineitem".into(),
                     predicate: Some(pred.clone()),
                     projection: Some(projection.clone()),
-                    columns: columns.clone(),
                     output: pipe.producer(),
                     ordered: false,
                     split_ok: false,

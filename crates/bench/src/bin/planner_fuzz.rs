@@ -17,8 +17,8 @@ use qpipe_common::Metrics;
 use qpipe_exec::iter::{run as exec_run, ExecContext};
 use qpipe_planner::{plan_sql, PlannerOptions};
 use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
-use qpipe_workloads::sql::{self, SqlQuery};
-use qpipe_workloads::tpch::{build_tpch, TpchScale, BRANDS, DATE_MAX, NATIONS, REGIONS, SHIPMODES};
+use qpipe_workloads::sql::random_shape;
+use qpipe_workloads::tpch::{build_tpch, TpchScale};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,33 +28,6 @@ const SEED: u64 = 0xF0_22;
 const STRUCTURED: usize = 250;
 const EXEC_EVERY: usize = 10;
 const MUTANTS: usize = 600;
-
-fn random_shape(rng: &mut StdRng) -> SqlQuery {
-    match rng.gen_range(0..8u32) {
-        0 => sql::q1_sql(rng.gen_range(60..=120)),
-        1 => sql::q3_sql(rng.gen_range(0..NATIONS.len() as i64), rng.gen_range(200..=DATE_MAX)),
-        2 => sql::q4_sql(rng.gen_range(0..=DATE_MAX - 90)),
-        3 => {
-            sql::q5_sql(REGIONS[rng.gen_range(0..REGIONS.len())], rng.gen_range(0..=DATE_MAX - 365))
-        }
-        4 => sql::q6_sql(
-            rng.gen_range(0..=DATE_MAX - 365),
-            (rng.gen_range(2..=9) as f64) / 100.0,
-            rng.gen_range(24..=50),
-        ),
-        5 => sql::q10_sql(rng.gen_range(0..=DATE_MAX - 90)),
-        6 => sql::q12_sql(
-            SHIPMODES[rng.gen_range(0..SHIPMODES.len())],
-            SHIPMODES[rng.gen_range(0..SHIPMODES.len())],
-            rng.gen_range(0..=DATE_MAX - 365),
-        ),
-        _ => sql::q19_sql(
-            BRANDS[rng.gen_range(0..BRANDS.len())],
-            BRANDS[rng.gen_range(0..BRANDS.len())],
-            rng.gen_range(1..=20),
-        ),
-    }
-}
 
 /// Byte-level mutations over ASCII query text (our generators emit ASCII
 /// only, so the mutants stay valid UTF-8).

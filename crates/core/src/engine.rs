@@ -23,6 +23,7 @@ use crossbeam::channel::{unbounded, Sender};
 use qpipe_common::trace::{ProbeNode, QueryProfile, QueryTrace, TraceEvent};
 use qpipe_common::{Metrics, QError, QResult, Tuple};
 use qpipe_exec::iter::{ExecConfig, ExecContext};
+use qpipe_exec::liveness::prune_columns;
 use qpipe_exec::plan::PlanNode;
 use qpipe_planner::{PlannedQuery, PlannerOptions};
 use qpipe_storage::Catalog;
@@ -297,7 +298,13 @@ impl QPipe {
         let consumer = root_pipe.attach_consumer(client_node, false);
         let producer = root_pipe.producer();
         let tables = plan.tables();
-        let plan = Arc::new(plan);
+        // Column liveness: from here on the engine runs the plan whose scans
+        // emit only the columns something above them reads. The result cache
+        // (above, and `fill` below) keys on the *submitted* plan's signature;
+        // packets carry the pruned subtrees' signatures.
+        let catalog = &self.ctx.catalog;
+        let plan =
+            Arc::new(prune_columns(plan, &|t| catalog.table(t).ok().map(|info| info.schema.len())));
         let engines = plan_engines(&plan);
         // Tracing on: one journal per query and one probe per operator,
         // pre-wired to mirror the plan shape. Off (the default): both stay
@@ -403,31 +410,32 @@ impl QPipe {
         }
     }
 
-    /// Cheap plan validation at submit time (tables/columns exist).
+    /// Cheap plan validation at submit time: every scan's table and index
+    /// exist, and its projection names only columns the table has (a
+    /// projection past the table's width would index out of range inside the
+    /// scanner). Predicate columns are not checked: one past the width keeps
+    /// its documented behaviour — the rows filter out.
     fn validate(&self, plan: &PlanNode) -> QResult<()> {
+        let (table, projection) = match plan {
+            PlanNode::TableScan { table, projection, .. }
+            | PlanNode::ClusteredIndexScan { table, projection, .. }
+            | PlanNode::UnclusteredIndexScan { table, projection, .. } => (table, projection),
+            _ => return plan.children().into_iter().try_for_each(|c| self.validate(c)),
+        };
+        let info = self.ctx.catalog.table(table)?;
         match plan {
-            PlanNode::TableScan { table, .. } | PlanNode::ClusteredIndexScan { table, .. } => {
-                self.ctx.catalog.table(table)?;
-                if let PlanNode::ClusteredIndexScan { .. } = plan {
-                    let t = self.ctx.catalog.table(table)?;
-                    if t.clustered.is_none() {
-                        return Err(QError::Plan(format!("{table} has no clustered index")));
-                    }
-                }
-                Ok(())
+            PlanNode::ClusteredIndexScan { .. } if info.clustered.is_none() => {
+                return Err(QError::Plan(format!("{table} has no clustered index")));
             }
-            PlanNode::UnclusteredIndexScan { table, column, .. } => {
-                let t = self.ctx.catalog.table(table)?;
-                t.unclustered_index(column)
+            PlanNode::UnclusteredIndexScan { column, .. } => {
+                info.unclustered_index(column)
                     .ok_or_else(|| QError::Plan(format!("no index {table}.{column}")))?;
-                Ok(())
             }
-            _ => {
-                for c in plan.children() {
-                    self.validate(c)?;
-                }
-                Ok(())
-            }
+            _ => {}
+        }
+        match projection.iter().flatten().find(|&&c| c >= info.schema.len()) {
+            Some(c) => Err(QError::Plan(format!("projection col {c} out of range for {table}"))),
+            None => Ok(()),
         }
     }
 
@@ -653,20 +661,22 @@ fn scan_flags(plan: &PlanNode) -> (bool, bool) {
 /// (engine shut down, or no thread to be had) or discarded it at pool
 /// shutdown. The executing worker defuses it first thing.
 struct AbandonGuard {
-    host: Option<Arc<crate::host::SharedHost>>,
+    host: Arc<crate::host::SharedHost>,
     name: &'static str,
+    armed: bool,
 }
 
 impl AbandonGuard {
     fn defuse(mut self) -> Arc<crate::host::SharedHost> {
-        self.host.take().expect("defused once")
+        self.armed = false;
+        self.host.clone()
     }
 }
 
 impl Drop for AbandonGuard {
     fn drop(&mut self) {
-        if let Some(host) = self.host.take() {
-            host.fail(&QError::Exec(format!("{} µEngine shut down", self.name)));
+        if self.armed {
+            self.host.fail(&QError::Exec(format!("{} µEngine shut down", self.name)));
         }
     }
 }
@@ -703,7 +713,6 @@ fn dispatch_packet(
         let Some(output) = packet.output.take() else { return };
         let req = ScanRequest {
             table,
-            columns: ScanRequest::referenced_columns(predicate.as_ref(), projection.as_ref()),
             predicate,
             projection,
             output,
@@ -727,14 +736,15 @@ fn dispatch_packet(
             }
         }
     }
-    let (packet, host, guard) = ops::prepare(packet, share, env);
+    // A packet without an output has nobody to deliver to, or to fail.
+    let Some((packet, host, guard)) = ops::prepare(packet, share, env) else { return };
     let env = env.clone();
     // Two failure paths poison the host's outputs: an operator panic inside
     // the job, and the job never running at all (pool shut down — the
     // AbandonGuard fires when the unrun closure is dropped). A truncated
     // stream must read as an error, never as a complete result.
     let host_panic = host.clone();
-    let abandon = AbandonGuard { host: Some(host), name };
+    let abandon = AbandonGuard { host, name, armed: true };
     pool.execute(move || {
         let host = abandon.defuse();
         // Containment: an operator panic (a bug, or an injected fault)

@@ -50,16 +50,16 @@ pub struct OpEnv {
 /// signature. Called by the µEngine dispatcher thread *synchronously*, so
 /// that the OSP lookup and host registration are atomic — a burst of
 /// identical packets dequeued back-to-back must all find the first one's
-/// host.
+/// host. `None` for a packet that has no output (left) to host.
 pub fn prepare(
     packet: Packet,
     registry: &Arc<ShareRegistry>,
     env: &OpEnv,
-) -> (Packet, Arc<SharedHost>, Option<crate::host::RegistryGuard>) {
+) -> Option<(Packet, Arc<SharedHost>, Option<crate::host::RegistryGuard>)> {
     let window = attach_window(&packet.plan);
     let engine = packet.plan.op_name();
     let mut packet = packet;
-    let output = packet.output.take().expect("fresh packet has an output");
+    let output = packet.output.take()?;
     let host = SharedHost::new(
         window,
         env.backfill,
@@ -74,7 +74,7 @@ pub fn prepare(
     } else {
         None
     };
-    (packet, host, guard)
+    Some((packet, host, guard))
 }
 
 /// Per-packet observability handles threaded into the operator workers that

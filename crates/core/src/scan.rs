@@ -58,12 +58,6 @@ pub struct ScanRequest {
     pub table: String,
     pub predicate: Option<Expr>,
     pub projection: Option<Vec<usize>>,
-    /// The set of table columns the consumer's predicate + projection
-    /// reference (sorted, deduplicated), or `None` when every column is
-    /// needed. Drives page-level column pruning: while this consumer is the
-    /// scanner's only one, columnar pages decode just these columns. Compute
-    /// via [`ScanRequest::referenced_columns`].
-    pub columns: Option<Vec<usize>>,
     pub output: PipeProducer,
     /// Consumer requires stored order.
     pub ordered: bool,
@@ -77,10 +71,11 @@ pub struct ScanRequest {
 }
 
 impl ScanRequest {
-    /// The referenced-column set for a scan with this predicate/projection.
-    /// `None` (= no pruning) when there is no projection: the consumer's
-    /// output then contains every table column.
-    pub fn referenced_columns(
+    /// The set of table columns a scan's predicate + projection reference
+    /// (sorted, deduplicated) — what page-level column pruning decodes for
+    /// this consumer. `None` (= no pruning) when there is no projection: the
+    /// consumer's output then contains every table column.
+    fn referenced_columns(
         predicate: Option<&Expr>,
         projection: Option<&Vec<usize>>,
     ) -> Option<Vec<usize>> {
@@ -107,10 +102,9 @@ struct PrunedScan {
 struct ScanConsumer {
     predicate: Option<Expr>,
     projection: Option<Vec<usize>>,
-    /// Referenced-column set (predicate ∪ projection) when this consumer is
-    /// prunable: it has a projection (otherwise all columns escape) and its
-    /// request's column set covers every expression column. `None` keeps the
-    /// full-width path for the whole group.
+    /// [`ScanRequest::referenced_columns`] of the two fields above. `None`
+    /// (no projection: all columns escape) keeps the full-width path for the
+    /// whole group.
     refs: Option<Vec<usize>>,
     /// `predicate`/`projection` re-indexed onto the column set last
     /// delivered pruned (the *union* across consumers, recomputed lazily
@@ -130,15 +124,7 @@ struct ScanConsumer {
 
 impl ScanConsumer {
     fn new(req: ScanRequest, satellite: bool) -> Self {
-        let refs = req.columns.as_ref().and_then(|cols| {
-            req.projection.as_ref()?;
-            let refs =
-                ScanRequest::referenced_columns(req.predicate.as_ref(), req.projection.as_ref())?;
-            if refs.iter().any(|c| cols.binary_search(c).is_err()) {
-                return None;
-            }
-            Some(refs)
-        });
+        let refs = ScanRequest::referenced_columns(req.predicate.as_ref(), req.projection.as_ref());
         Self {
             predicate: req.predicate,
             projection: req.projection,
@@ -983,7 +969,6 @@ mod tests {
             table: "t".into(),
             predicate: None,
             projection: None,
-            columns: None,
             output: pipe.producer(),
             ordered,
             split_ok,
@@ -1164,7 +1149,6 @@ mod tests {
                     table: "t".into(),
                     predicate: Some(Expr::col(0).ge(Expr::lit(lo))),
                     projection: Some(vec![0]),
-                    columns: None,
                     output: pipe.producer(),
                     ordered: false,
                     split_ok: false,
@@ -1218,7 +1202,6 @@ mod tests {
             table: "t".into(),
             predicate: Some(Expr::col(0).ge(Expr::lit(900))),
             projection: Some(vec![0]),
-            columns: None,
             output: pipe.producer(),
             ordered: false,
             split_ok: false,
@@ -1258,13 +1241,10 @@ mod tests {
     ) -> (ScanRequest, PipeConsumer) {
         let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
         let c = pipe.attach_consumer(NodeId(2), false);
-        let predicate = Some(Expr::col(0).ge(Expr::lit(lo)));
-        let columns = ScanRequest::referenced_columns(predicate.as_ref(), Some(&projection));
         let req = ScanRequest {
             table: "w".into(),
-            predicate,
+            predicate: Some(Expr::col(0).ge(Expr::lit(lo))),
             projection: Some(projection),
-            columns,
             output: pipe.producer(),
             ordered: false,
             split_ok: false,
@@ -1389,13 +1369,14 @@ mod tests {
             let c = pipe.attach_consumer(NodeId(2), false);
             let predicate = Some(Expr::col(9).ge(Expr::lit(0)));
             let projection = Some(vec![0usize]);
-            let columns = ScanRequest::referenced_columns(predicate.as_ref(), projection.as_ref());
-            assert_eq!(columns.as_deref(), Some(&[0usize, 9][..]));
+            assert_eq!(
+                ScanRequest::referenced_columns(predicate.as_ref(), projection.as_ref()),
+                Some(vec![0, 9])
+            );
             mgr.submit(ScanRequest {
                 table: "w".into(),
                 predicate,
                 projection,
-                columns,
                 output: pipe.producer(),
                 ordered: false,
                 split_ok: false,
@@ -1583,7 +1564,6 @@ mod tests {
             table: "t".into(),
             predicate: None,
             projection: None,
-            columns: None,
             output: pipe.producer(),
             ordered: false,
             split_ok: false,

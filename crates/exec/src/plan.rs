@@ -467,15 +467,24 @@ impl PlanNode {
             let b = |v: &Option<Value>| v.as_ref().map_or("-inf".into(), |v| v.to_string());
             format!(" range=[{}..{}]", b(lo), b(hi))
         }
+        // What a projected scan emits; nothing for a full-width one.
+        fn opt_cols(p: &Option<Vec<usize>>) -> String {
+            match p {
+                Some(cols) => format!(" cols={cols:?}"),
+                None => String::new(),
+            }
+        }
         match self {
-            PlanNode::TableScan { table, predicate, .. } => {
-                format!("scan {table}{}", opt_pred(predicate))
+            PlanNode::TableScan { table, predicate, projection, .. } => {
+                format!("scan {table}{}{}", opt_pred(predicate), opt_cols(projection))
             }
-            PlanNode::ClusteredIndexScan { table, lo, hi, predicate, .. } => {
-                format!("iscan {table}{}{}", range(lo, hi), opt_pred(predicate))
+            PlanNode::ClusteredIndexScan { table, lo, hi, predicate, projection, .. } => {
+                let (range, pred) = (range(lo, hi), opt_pred(predicate));
+                format!("iscan {table}{range}{pred}{}", opt_cols(projection))
             }
-            PlanNode::UnclusteredIndexScan { table, column, lo, hi, predicate, .. } => {
-                format!("uiscan {table}.{column}{}{}", range(lo, hi), opt_pred(predicate))
+            PlanNode::UnclusteredIndexScan { table, column, lo, hi, predicate, projection } => {
+                let (range, pred) = (range(lo, hi), opt_pred(predicate));
+                format!("uiscan {table}.{column}{range}{pred}{}", opt_cols(projection))
             }
             PlanNode::Filter { predicate, .. } => format!("filter [{predicate}]"),
             PlanNode::Project { exprs, .. } => {
@@ -606,7 +615,22 @@ mod tests {
         assert!(out.contains("scan lineitem pred=[#4 >= 10]"));
         assert!(out.contains(&format!("signature: {:#018x}", plan.signature())));
         // Indentation reflects depth: join children one level below sort.
-        assert!(out.contains("\n    scan orders"));
+        assert!(out.contains("\n    scan orders\n"), "a full-width scan prints no cols=");
+    }
+
+    #[test]
+    fn explain_shows_what_a_projected_scan_emits() {
+        let scan = |projection| PlanNode::TableScan {
+            table: "part".into(),
+            predicate: Some(Expr::col(2).eq(Expr::lit("TIN"))),
+            projection,
+            ordered: false,
+        };
+        let (full, pruned) = (scan(None), scan(Some(vec![0, 3])));
+        assert!(pruned.explain().starts_with("scan part pred=[#2 = 'TIN'] cols=[0, 3]\n"));
+        // Two plans that hash differently never print identically.
+        assert_ne!(full.signature(), pruned.signature());
+        assert_ne!(full.explain(), pruned.explain());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! the canonicalizing planner all of them collide on one plan signature —
 //! the property the mixed-phrasing harness measures.
 
+use crate::tpch::{BRANDS, DATE_MAX, NATIONS, REGIONS, SHIPMODES};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -330,6 +331,34 @@ pub fn q19_sql(brand1: &str, brand2: &str, qty: i64) -> SqlQuery {
         ],
         group_by: vec![],
         order_by: vec![],
+    }
+}
+
+/// One of the eight TPC-H-shaped queries below with qgen-style random
+/// parameters — the generator behind the planner fuzz and the column-liveness
+/// differential suite.
+pub fn random_shape(rng: &mut StdRng) -> SqlQuery {
+    match rng.gen_range(0..8u32) {
+        0 => q1_sql(rng.gen_range(60..=120)),
+        1 => q3_sql(rng.gen_range(0..NATIONS.len() as i64), rng.gen_range(200..=DATE_MAX)),
+        2 => q4_sql(rng.gen_range(0..=DATE_MAX - 90)),
+        3 => q5_sql(REGIONS[rng.gen_range(0..REGIONS.len())], rng.gen_range(0..=DATE_MAX - 365)),
+        4 => q6_sql(
+            rng.gen_range(0..=DATE_MAX - 365),
+            (rng.gen_range(2..=9) as f64) / 100.0,
+            rng.gen_range(24..=50),
+        ),
+        5 => q10_sql(rng.gen_range(0..=DATE_MAX - 90)),
+        6 => q12_sql(
+            SHIPMODES[rng.gen_range(0..SHIPMODES.len())],
+            SHIPMODES[rng.gen_range(0..SHIPMODES.len())],
+            rng.gen_range(0..=DATE_MAX - 365),
+        ),
+        _ => q19_sql(
+            BRANDS[rng.gen_range(0..BRANDS.len())],
+            BRANDS[rng.gen_range(0..BRANDS.len())],
+            rng.gen_range(1..=20),
+        ),
     }
 }
 

@@ -166,6 +166,9 @@ fn q12_shape_executes_columnar_end_to_end() {
     assert!(delta.vec_join_batches > 0, "join probe must run over ColBatches");
     assert!(delta.vec_agg_batches > 0, "agg update must run over ColBatches");
     assert_eq!(delta.vec_fallbacks, 0, "nothing should fall back to the row path");
+    // Column liveness: the join reads orders.[0] and lineitem.[0, 12], so the
+    // scanners decode those columns only.
+    assert!(delta.pruned_pages > 0, "a join plan's scans must decode only live columns");
 }
 
 /// Acceptance bar (PR 4): a Q1-shaped scan→filter→project→agg→sort pipeline

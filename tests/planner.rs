@@ -6,7 +6,6 @@ use qpipe::common::{QResult, Value};
 use qpipe::core::cache::CacheConfig;
 use qpipe::exec::iter::{run as exec_run, ExecContext};
 use qpipe::prelude::*;
-use qpipe::workloads::harness::{mixed_phrasing_storm, System, SystemProfile};
 use qpipe::workloads::sql::{self, SqlQuery};
 use qpipe::workloads::tpch::{self, build_tpch, JoinFlavor, TpchScale};
 use rand::rngs::StdRng;
@@ -179,15 +178,17 @@ fn between_phrasing_shares_signature_with_range_conjuncts() {
 
 #[test]
 fn canonicalization_unlocks_sharing_across_phrasings() {
-    // Ten clients submit the same logical Q3, each phrased differently.
-    // Serial arrivals (each completes before the next lands) make the
-    // result-cache arithmetic deterministic: under canonicalization every
-    // repeat after the first is a cache hit; without it, signatures scatter
-    // across join orders and most arrivals miss.
+    // Ten clients submit the same logical Q3, each phrased differently, one
+    // at a time: a query is collected (and its result cached) before the
+    // next is submitted, so the result-cache arithmetic is exact on any box.
+    // Under canonicalization every repeat after the first is a cache hit;
+    // without it, signatures scatter across join orders and only a repeat of
+    // an already-seen join order hits.
     let shape = sql::q3_sql(3, 1200);
     let mut rng = StdRng::seed_from_u64(23);
-    let queries: Vec<(String, QueryClass)> =
-        (0..10).map(|_| (shape.shuffled(&mut rng), QueryClass::Interactive)).collect();
+    let queries: Vec<String> = (0..10).map(|_| shape.shuffled(&mut rng)).collect();
+    let rephrasings = queries.iter().filter(|q| q.trim() != queries[0].trim()).count() as u64;
+    assert!(rephrasings > 0, "the shuffler must produce distinct texts");
     let config = QPipeConfig {
         result_cache: Some(CacheConfig {
             capacity_tuples: 1_000_000,
@@ -195,39 +196,34 @@ fn canonicalization_unlocks_sharing_across_phrasings() {
         }),
         ..QPipeConfig::default()
     };
-    let profile = SystemProfile::instant();
-    // 1500 paper seconds ≈ 75 real ms at the instant scale — far longer
-    // than a tiny-scale Q3 takes, so arrivals are effectively serial.
-    let report = mixed_phrasing_storm(
-        System::QPipeOsp,
-        profile,
-        config,
-        |c| build_tpch(c, TpchScale::tiny(), 42),
-        &queries,
-        1500.0,
-    )
-    .unwrap();
-    assert_eq!(report.canonical.result.completed, 10);
-    assert_eq!(report.raw.result.completed, 10);
-    // The canonicalizer observed distinct texts landing on one signature...
-    assert!(
-        report.canonical.result.delta.plan_canonical_hits > 0,
-        "expected plan_canonical_hits > 0: {:?}",
-        report.canonical.result.delta,
-    );
-    assert!(
-        report.canonical.result.delta.plan_canonical_hits
-            > report.raw.result.delta.plan_canonical_hits,
-    );
-    // ...and that translated into more actual sharing than the baseline.
-    assert!(
-        report.canonical.shared() > report.raw.shared(),
-        "canonical shared {} (cache {}) vs raw shared {} (cache {})",
-        report.canonical.shared(),
-        report.canonical.cache_hits,
-        report.raw.shared(),
-        report.raw.cache_hits,
-    );
+    // One leg: (distinct plan signatures, cache hits, plan_canonical_hits).
+    let leg = |canonicalize: bool| {
+        let engine = QPipe::new(tiny_catalog(), config);
+        let opts = PlannerOptions { canonicalize };
+        let mut signatures = std::collections::HashSet::new();
+        let mut answers = Vec::new();
+        for q in &queries {
+            signatures.insert(plan_sql(engine.catalog().as_ref(), q, &opts).unwrap().signature);
+            let handle = engine.submit_sql_opts(q, QueryClass::Interactive, &opts).unwrap();
+            answers.push(handle.collect());
+        }
+        for a in &answers[1..] {
+            assert_rows_equivalent(a.clone(), answers[0].clone(), "phrasings of one query");
+        }
+        let hits = engine.result_cache().unwrap().stats().hits;
+        (signatures.len() as u64, hits, engine.metrics().snapshot().plan_canonical_hits)
+    };
+    let (raw_signatures, raw_hits, raw_canonical_hits) = leg(false);
+    let (signatures, hits, canonical_hits) = leg(true);
+    // The canonicalizer lands every distinct text on one signature...
+    assert_eq!(signatures, 1);
+    assert_eq!(canonical_hits, rephrasings);
+    assert!(raw_signatures > 1, "written join orders must scatter signatures");
+    assert!(canonical_hits > raw_canonical_hits);
+    // ...and that is exactly the sharing it buys: each signature misses the
+    // cache once, every later arrival on it is a hit.
+    assert_eq!(hits, 10 - 1);
+    assert_eq!(raw_hits, 10 - raw_signatures);
 }
 
 // ---------------------------------------------------------------------------
