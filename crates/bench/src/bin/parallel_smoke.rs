@@ -1,6 +1,6 @@
 //! CI parallel-smoke: a long open-loop burst exercising the morsel-driven
 //! worker pools — on-demand µEngine packet pools, parallel scan morsels, and
-//! parallel hash-build/aggregate partials — under a wall-clock bound.
+//! the striped parallel hash build — under a wall-clock bound.
 //!
 //! Run by the `parallel-smoke` CI job. Exits non-zero when the pool layer
 //! misbehaves:

@@ -78,6 +78,15 @@ impl NullBitmap {
         self.bits.iter().all(|&w| w == 0)
     }
 
+    /// Set every bit that is set in `other` (a bitmap of the same length):
+    /// the NULLs of `a ⊕ b` are the NULLs of `a` and of `b`.
+    pub fn union_with(&mut self, other: &NullBitmap) {
+        debug_assert_eq!(self.bits.len(), other.bits.len());
+        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
+            *w |= o;
+        }
+    }
+
     /// Rebuild from a little-endian packed byte region (bit `i` of byte
     /// `i / 8` ⇒ slot `i` is NULL) — the on-page format columnar pages use.
     pub fn from_packed_bytes(bytes: &[u8], len: usize) -> Self {

@@ -153,7 +153,7 @@ impl QPipe {
             metrics.clone(),
         );
         // One shared task pool for the short, never-blocking CPU jobs the
-        // parallel operators fan out (hash-build partitioning, agg partials).
+        // parallel operators fan out (hash-build partitioning).
         // Capped at `task_workers` (≈ cores): packet pools grow with admitted
         // concurrency because packets block, but these jobs are pure compute
         // — workers past the core count only add dispatch overhead per

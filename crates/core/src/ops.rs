@@ -40,8 +40,8 @@ pub struct OpEnv {
     /// Host history window in batches (buffering enhancement).
     pub backfill: usize,
     /// Shared task pool for intra-operator parallelism (hash-build
-    /// partitioning, agg partials). Jobs submitted here must never block on
-    /// pipes — they hash and fold, then report over a channel.
+    /// partitioning). Jobs submitted here must never block on pipes — they
+    /// hash, then report over a channel.
     pub tasks: Arc<crate::pool::WorkerPool>,
 }
 
@@ -332,11 +332,11 @@ fn finish_build(build: HashJoinBuild, env: &OpEnv) -> QResult<HashJoinTable> {
 }
 
 /// Hash aggregation over `Arc<ColBatch>` streams: batches fold through
-/// [`HashAgg`]'s column-run update. The group table grows under a governor
-/// lease (aggregation has no spill path, so a denied grant is counted as
-/// `mem_waited` and the update proceeds — overshoot is visible rather than
-/// silent). Output is built as a `ColBatch` and emitted in pipe-granularity
-/// slices, so agg → sort plans stay columnar.
+/// [`HashAgg`]'s column-run update, serially and in stream order. The group
+/// table grows under a governor lease (aggregation has no spill path, so a
+/// denied grant is counted as `mem_waited` and the update proceeds —
+/// overshoot is visible rather than silent). Output is built as a `ColBatch`
+/// and emitted in pipe-granularity slices, so agg → sort plans stay columnar.
 fn run_aggregate(
     input: PipeConsumer,
     group_by: &[usize],
@@ -348,115 +348,22 @@ fn run_aggregate(
 ) -> QResult<()> {
     let mut lease = env.ctx.governor.lease(MemClass::Agg);
     let mut agg = HashAgg::new(group_by.to_vec(), aggs.to_vec());
-    // Morsel-parallel partials are gated to the order-insensitive functions:
-    // integer counts merge exactly, and MIN/MAX keep the earlier operand on
-    // ties, so contiguous stripes merged in stream order reproduce the
-    // serial fold bit-for-bit. Float SUM/AVG would reassociate the fold
-    // (visible at the 2^53 boundary), so they stay serial.
-    let parallel_ok = env.tasks.workers() > 1
-        && aggs.iter().all(|s| {
-            use qpipe_exec::plan::AggFunc;
-            matches!(s.func, AggFunc::CountStar | AggFunc::Count | AggFunc::Min | AggFunc::Max)
-        });
-    let round_cap = env.tasks.workers() * 4 * ColBatch::DEFAULT_CAPACITY;
-    let mut pending: Vec<Arc<ColBatch>> = Vec::new();
-    let mut pending_rows = 0usize;
     while let Some(batch) = input.recv()? {
         if stop(cancel, host) {
             return Ok(());
         }
         env.metrics.add_vec_agg_batch();
-        if parallel_ok {
-            // Defer into the current round; fold when it fills.
-            pending_rows += batch.len();
-            pending.push(batch);
-            if pending_rows >= round_cap {
-                fold_pending(&mut agg, group_by, aggs, &mut pending, env)?;
-                pending_rows = 0;
-            }
-        } else {
-            agg.update_cols(&batch)?;
-        }
+        agg.update_cols(&batch)?;
         if !lease.covers(agg.num_groups()) {
             obs.mem_denied();
         }
     }
-    fold_pending(&mut agg, group_by, aggs, &mut pending, env)?;
     let out = agg.finish_cols();
     let mut at = 0;
     while at < out.len() {
         let n = (out.len() - at).min(ColBatch::DEFAULT_CAPACITY);
         host.push_cols(out.slice(at, n));
         at += n;
-    }
-    Ok(())
-}
-
-/// Fold one round of deferred columnar batches into `agg`: contiguous runs
-/// of batches become per-worker partial [`HashAgg`]s on the task pool, then
-/// merge back in stream order ([`HashAgg::merge`] documents why that is
-/// exact for the gated functions).
-fn fold_pending(
-    agg: &mut HashAgg,
-    group_by: &[usize],
-    aggs: &[AggSpec],
-    pending: &mut Vec<Arc<ColBatch>>,
-    env: &OpEnv,
-) -> QResult<()> {
-    let batches = std::mem::take(pending);
-    if batches.is_empty() {
-        return Ok(());
-    }
-    let stripes = env.tasks.workers().min(batches.len());
-    if stripes <= 1 {
-        for b in &batches {
-            agg.update_cols(b)?;
-        }
-        return Ok(());
-    }
-    let per = batches.len().div_ceil(stripes);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut dispatched = 0;
-    for (s, chunk) in batches.chunks(per).enumerate() {
-        let chunk: Vec<Arc<ColBatch>> = chunk.to_vec();
-        let job_group_by = group_by.to_vec();
-        let job_aggs = aggs.to_vec();
-        let job_tx = tx.clone();
-        let fold = move || -> QResult<HashAgg> {
-            let mut part = HashAgg::new(job_group_by, job_aggs);
-            for b in &chunk {
-                part.update_cols(b)?;
-            }
-            Ok(part)
-        };
-        let accepted = env.tasks.execute(move || {
-            let _ = job_tx.send((s, fold()));
-        });
-        if !accepted {
-            // Pool shutting down: the closure was dropped unrun (its sender
-            // with it); fold this stripe inline and send the partial through
-            // the same channel so stripe merge order is preserved.
-            let lo = s * per;
-            let mut part = HashAgg::new(group_by.to_vec(), aggs.to_vec());
-            for b in &batches[lo..(lo + per).min(batches.len())] {
-                part.update_cols(b)?;
-            }
-            let _ = tx.send((s, Ok(part)));
-        }
-        dispatched += 1;
-    }
-    drop(tx);
-    env.metrics.add_morsel_dispatched();
-    // A job that panicked (the pool's backstop caught + counted it) never
-    // sends; the missing stripe surfaces as an error rather than an
-    // undercounted aggregate.
-    let mut parts: Vec<Option<QResult<HashAgg>>> = (0..dispatched).map(|_| None).collect();
-    for (s, out) in rx {
-        parts[s] = Some(out);
-    }
-    for p in parts {
-        let part = p.ok_or_else(|| QError::Exec("aggregate worker panicked".to_string()))??;
-        agg.merge(part);
     }
     Ok(())
 }

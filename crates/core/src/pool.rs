@@ -13,10 +13,10 @@
 //!   (the [`deadlock`](crate::deadlock) detector's job). The pool's size is
 //!   bounded by what admission lets run: `queue_depth` queries × the packets
 //!   one plan puts on the µEngine.
-//! * **Task pools** (scan morsels, operator partials; capped at
+//! * **Task pools** (scan morsels, join-build hash stripes; capped at
 //!   `task_workers`) run short CPU-bound jobs that by construction never
-//!   block on pipes — they fetch, decode, hash, and fold, then return
-//!   results over an unbounded channel. At the cap a job queues FIFO behind
+//!   block on pipes — they fetch, decode and hash, then return results over
+//!   an unbounded channel. At the cap a job queues FIFO behind
 //!   the running ones, which always finish.
 //!
 //! Shutdown (`Drop`) discards every queued job before joining the workers.

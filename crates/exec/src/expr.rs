@@ -7,6 +7,7 @@
 //! encoded argument list for each packet").
 
 use qpipe_common::{QResult, Tuple, Value};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Comparison operators.
@@ -20,6 +21,41 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Whether an ordering of the two operands satisfies this operator.
+    #[inline]
+    pub(crate) fn matches(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
+
+    /// `a op b` on two values: never true when either side is NULL,
+    /// otherwise [`Value::total_cmp`]. The one statement of comparison
+    /// semantics — [`Expr::eval`] and the column kernels' untyped slots both
+    /// call it.
+    #[inline]
+    pub(crate) fn test(self, a: &Value, b: &Value) -> bool {
+        !a.is_null() && !b.is_null() && self.matches(a.total_cmp(b))
+    }
+
+    /// The operator with its operands swapped: `a op b` ⇔ `b op.flip() a`.
+    pub(crate) fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
+}
+
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
@@ -27,6 +63,70 @@ pub enum ArithOp {
     Sub,
     Mul,
     Div,
+}
+
+impl ArithOp {
+    /// `a op b` on two values — the one statement of arithmetic semantics:
+    /// [`Expr::eval`] calls it per tuple, and the column kernels in
+    /// [`vexpr`](crate::vexpr) replicate it over primitive slices (and call
+    /// it slot by slot where they have no typed loop).
+    ///
+    /// NULL in, NULL out. A `Date` is its day number (the `Int` embedding
+    /// `Value::total_cmp` and `Value::hash_date` use). Int⊕Int stays `Int`
+    /// and wraps on overflow; any other pair computes in `f64` (a
+    /// non-numeric operand is NaN). Division by zero is NULL.
+    pub fn apply(self, a: &Value, b: &Value) -> Value {
+        fn days(v: &Value) -> Option<i64> {
+            match v {
+                Value::Int(x) => Some(*x),
+                Value::Date(d) => Some(*d as i64),
+                _ => None,
+            }
+        }
+        if a.is_null() || b.is_null() {
+            return Value::Null;
+        }
+        if let (Some(x), Some(y)) = (days(a), days(b)) {
+            return self.ints(x, y).map_or(Value::Null, Value::Int);
+        }
+        let float = |v: &Value| match v {
+            Value::Date(d) => *d as f64,
+            _ => v.as_float().unwrap_or(f64::NAN),
+        };
+        self.floats(float(a), float(b)).map_or(Value::Null, Value::Float)
+    }
+
+    /// Int⊕Int: wrapping, `None` for division by zero.
+    #[inline]
+    pub(crate) fn ints(self, x: i64, y: i64) -> Option<i64> {
+        match self {
+            ArithOp::Add => Some(x.wrapping_add(y)),
+            ArithOp::Sub => Some(x.wrapping_sub(y)),
+            ArithOp::Mul => Some(x.wrapping_mul(y)),
+            ArithOp::Div => (y != 0).then(|| x.wrapping_div(y)),
+        }
+    }
+
+    /// Float⊕Float: IEEE, `None` for division by (either) zero.
+    #[inline]
+    pub(crate) fn floats(self, x: f64, y: f64) -> Option<f64> {
+        match self {
+            ArithOp::Add => Some(x + y),
+            ArithOp::Sub => Some(x - y),
+            ArithOp::Mul => Some(x * y),
+            ArithOp::Div => (y != 0.0).then(|| x / y),
+        }
+    }
+}
+
+/// A value used as a predicate: truthy iff non-null and non-zero.
+pub(crate) fn is_truthy(v: &Value) -> bool {
+    match v {
+        Value::Int(v) => *v != 0,
+        Value::Float(v) => *v != 0.0,
+        Value::Null => false,
+        _ => true,
+    }
 }
 
 /// A scalar expression over a tuple.
@@ -118,22 +218,7 @@ impl Expr {
                 .cloned()
                 .ok_or_else(|| qpipe_common::QError::Exec(format!("column {i} out of range")))?,
             Expr::Lit(v) => v.clone(),
-            Expr::Cmp(op, a, b) => {
-                let (a, b) = (a.eval(tuple)?, b.eval(tuple)?);
-                if a.is_null() || b.is_null() {
-                    return Ok(Value::Int(0));
-                }
-                let ord = a.total_cmp(&b);
-                let res = match op {
-                    CmpOp::Eq => ord.is_eq(),
-                    CmpOp::Ne => ord.is_ne(),
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                };
-                Value::Int(res as i64)
-            }
+            Expr::Cmp(op, a, b) => Value::Int(op.test(&a.eval(tuple)?, &b.eval(tuple)?) as i64),
             Expr::And(parts) => {
                 for p in parts {
                     if !p.eval_bool(tuple)? {
@@ -151,42 +236,7 @@ impl Expr {
                 Value::Int(0)
             }
             Expr::Not(e) => Value::Int(!e.eval_bool(tuple)? as i64),
-            Expr::Arith(op, a, b) => {
-                let (a, b) = (a.eval(tuple)?, b.eval(tuple)?);
-                if a.is_null() || b.is_null() {
-                    return Ok(Value::Null);
-                }
-                match (&a, &b) {
-                    (Value::Int(x), Value::Int(y)) => match op {
-                        ArithOp::Add => Value::Int(x + y),
-                        ArithOp::Sub => Value::Int(x - y),
-                        ArithOp::Mul => Value::Int(x * y),
-                        ArithOp::Div => {
-                            if *y == 0 {
-                                Value::Null
-                            } else {
-                                Value::Int(x / y)
-                            }
-                        }
-                    },
-                    _ => {
-                        let x = a.as_float().unwrap_or(f64::NAN);
-                        let y = b.as_float().unwrap_or(f64::NAN);
-                        match op {
-                            ArithOp::Add => Value::Float(x + y),
-                            ArithOp::Sub => Value::Float(x - y),
-                            ArithOp::Mul => Value::Float(x * y),
-                            ArithOp::Div => {
-                                if y == 0.0 {
-                                    Value::Null
-                                } else {
-                                    Value::Float(x / y)
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            Expr::Arith(op, a, b) => op.apply(&a.eval(tuple)?, &b.eval(tuple)?),
             Expr::In(e, list) => {
                 let v = e.eval(tuple)?;
                 Value::Int(list.contains(&v) as i64)
@@ -201,12 +251,7 @@ impl Expr {
 
     /// Evaluate as a predicate: truthy iff non-null and non-zero.
     pub fn eval_bool(&self, tuple: &Tuple) -> QResult<bool> {
-        Ok(match self.eval(tuple)? {
-            Value::Int(v) => v != 0,
-            Value::Float(v) => v != 0.0,
-            Value::Null => false,
-            _ => true,
-        })
+        Ok(is_truthy(&self.eval(tuple)?))
     }
 
     /// Collect every column index this expression references into `out`
@@ -460,6 +505,31 @@ mod tests {
         assert!(z.eval(&t()).unwrap().is_null());
         // NULL propagates through arithmetic.
         assert!(Expr::col(3).add(Expr::lit(1)).eval(&t()).unwrap().is_null());
+    }
+
+    /// Regression: a `Date` operand went through `as_float()` (which a date
+    /// does not have) and came out NaN, so `tpch::q8`'s `o_orderdate / 365`
+    /// put every row in one NaN group; `i64::MIN / -1` panicked in release
+    /// and `i64::MAX + 1` in debug.
+    #[test]
+    fn date_arithmetic_is_its_day_number_and_ints_wrap() {
+        let div = |a: Value, b: Value| ArithOp::Div.apply(&a, &b);
+        assert!(matches!(div(Value::Date(1000), Value::Int(365)), Value::Int(2)));
+        assert!(matches!(
+            ArithOp::Add.apply(&Value::Date(1000), &Value::Int(30)),
+            Value::Int(1030)
+        ));
+        assert!(matches!(div(Value::Date(1000), Value::Float(8.0)), Value::Float(x) if x == 125.0));
+        assert!(matches!(div(Value::Int(i64::MIN), Value::Int(-1)), Value::Int(i64::MIN)));
+        assert!(matches!(
+            ArithOp::Add.apply(&Value::Int(i64::MAX), &Value::Int(1)),
+            Value::Int(i64::MIN)
+        ));
+        assert!(div(Value::Date(7), Value::Int(0)).is_null());
+        // Through the interpreter too.
+        let t = vec![Value::Date(1000)];
+        let year = Expr::Arith(ArithOp::Div, Box::new(Expr::col(0)), Box::new(Expr::lit(365)));
+        assert!(matches!(year.eval(&t).unwrap(), Value::Int(2)));
     }
 
     #[test]

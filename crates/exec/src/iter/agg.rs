@@ -124,41 +124,6 @@ impl AggState {
         }
     }
 
-    /// Merge another state of the same function (used by shared µEngines).
-    pub fn merge(&mut self, other: &AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (
-                AggState::Sum { acc, ints_only, int_acc, any },
-                AggState::Sum { acc: b, ints_only: bi, int_acc: ib, any: ba },
-            ) => {
-                *acc += b;
-                *ints_only &= bi;
-                *int_acc += ib;
-                *any |= ba;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv < av) {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv > av) {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (AggState::Avg { sum, count }, AggState::Avg { sum: bs, count: bc }) => {
-                *sum += bs;
-                *count += bc;
-            }
-            _ => unreachable!("merge of mismatched aggregate states"),
-        }
-    }
-
     /// Final output value.
     pub fn finish(&self) -> Value {
         match self {
@@ -189,16 +154,15 @@ pub struct AggregateIter {
     input: Option<Box<dyn TupleIter>>,
     group_by: Vec<usize>,
     aggs: Vec<AggSpec>,
-    results: Option<std::vec::IntoIter<Tuple>>,
+    results: std::vec::IntoIter<Tuple>,
 }
 
 impl AggregateIter {
     pub fn new(input: Box<dyn TupleIter>, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        Self { input: Some(input), group_by, aggs, results: None }
+        Self { input: Some(input), group_by, aggs, results: Vec::new().into_iter() }
     }
 
-    fn execute(&mut self) -> QResult<Vec<Tuple>> {
-        let mut input = self.input.take().expect("input present");
+    fn execute(&self, mut input: Box<dyn TupleIter>) -> QResult<Vec<Tuple>> {
         let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
         let single = self.group_by.is_empty();
         if single {
@@ -240,11 +204,11 @@ impl AggregateIter {
 
 impl TupleIter for AggregateIter {
     fn next(&mut self) -> QResult<Option<Tuple>> {
-        if self.results.is_none() {
-            let rows = self.execute()?;
-            self.results = Some(rows.into_iter());
+        // First call: drain the input (taken, so a failed drain is not retried).
+        if let Some(input) = self.input.take() {
+            self.results = self.execute(input)?.into_iter();
         }
-        Ok(self.results.as_mut().expect("materialized").next())
+        Ok(self.results.next())
     }
 }
 
@@ -329,22 +293,5 @@ mod tests {
             vec![AggSpec::sum(Expr::col(0))],
         );
         assert_eq!(it.next().unwrap().unwrap()[0], Value::Int(5));
-    }
-
-    #[test]
-    fn merge_states() {
-        let mut a = AggState::new(AggFunc::Sum);
-        a.update(&Value::Int(5));
-        let mut b = AggState::new(AggFunc::Sum);
-        b.update(&Value::Int(7));
-        a.merge(&b);
-        assert_eq!(a.finish(), Value::Int(12));
-
-        let mut mn = AggState::new(AggFunc::Min);
-        mn.update(&Value::Int(5));
-        let mut mn2 = AggState::new(AggFunc::Min);
-        mn2.update(&Value::Int(3));
-        mn.merge(&mn2);
-        assert_eq!(mn.finish(), Value::Int(3));
     }
 }

@@ -1,53 +1,70 @@
-//! Vectorized expression kernels over columnar batches.
+//! Column-at-a-time expression evaluation over columnar batches.
 //!
 //! The scalar interpreter in [`expr`](crate::expr) walks the `Expr` tree once
-//! per tuple, cloning `Value`s as it goes — fine for cold paths, ruinous on
-//! the shared-scan hot path where one scanner thread evaluates *per-consumer*
-//! predicates over every page (paper §4.3.1: the per-tuple cost is multiplied
-//! by the number of attached consumers). The kernels here evaluate a whole
-//! [`ColBatch`] at a time:
+//! per tuple, cloning `Value`s as it goes — fine for the iterator engine,
+//! ruinous on the shared-scan hot path where one scanner thread evaluates
+//! *per-consumer* predicates over every page (paper §4.3.1: the per-tuple
+//! cost is multiplied by the number of attached consumers), and in an
+//! aggregate whose inputs are arithmetic (Q1's `sum(price * (1 - disc))`).
+//! Here every `Expr` node evaluates over a whole [`ColBatch`]:
 //!
 //! * [`Expr::eval_filter`] refines a [`SelVec`] — comparisons run over
 //!   primitive slices (`&[i64]`, `&[i32]`, `&[f64]`, `&[Arc<str>]`) with no
 //!   per-row allocation and no `Value` construction. Conjunctions shrink the
 //!   selection progressively, so later terms only touch surviving rows.
-//! * [`Expr::eval_project`] materializes one output column per expression,
-//!   with an `Arc`-bump fast path for plain column references.
+//! * [`Expr::eval_project`] evaluates to one dense [`Column`] over the
+//!   selection: a column reference is read in place (borrowed) or gathered,
+//!   arithmetic over `Int64`/`Float64`/`Date` columns and numeric literals
+//!   runs typed loops (a literal is a scalar broadcast, never a column), and
+//!   a boolean node used as a number is its filter result written as 0/1.
 //!
-//! Comparisons are specialized for col⋄lit (both literal sides) *and*
-//! col⋄col (the Q4/Q12 `l_commitdate < l_receiptdate` shape) over every
-//! typed column pair. Any shape the kernels do not specialize (arithmetic
-//! trees, [`ColumnData::Mixed`] columns, cross-rank pairs like Str⋄Int)
-//! falls back to the scalar interpreter row-at-a-time over the *selected*
-//! rows only, so results are always identical to `eval_bool` —
-//! property-tested in `tests/properties.rs`.
+//! There is no row fallback: a predicate over a computed operand evaluates
+//! the operand to a column first and runs the same comparison kernels, and
+//! an operand pair without a typed loop (`Str`, [`ColumnData::Mixed`],
+//! cross-rank pairs like Str⋄Int) goes *slot by slot* through the scalar
+//! operators the interpreter itself calls ([`ArithOp::apply`],
+//! `CmpOp::test`) — so results, float bits included, are identical to
+//! `Expr::eval` by construction; property-tested in `tests/properties.rs`.
 
-use crate::expr::{CmpOp, Expr};
-use qpipe_common::colbatch::{ColBatch, Column, ColumnData, SelVec};
+use crate::expr::{is_truthy, ArithOp, CmpOp, Expr};
+use qpipe_common::colbatch::{ColBatch, Column, ColumnData, NullBitmap, SelVec};
 use qpipe_common::{cmp_i64_f64, QError, QResult, Value};
-use std::cmp::Ordering;
+use std::borrow::Cow;
 
-#[inline]
-fn cmp_matches(op: CmpOp, ord: Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord.is_eq(),
-        CmpOp::Ne => ord.is_ne(),
-        CmpOp::Lt => ord.is_lt(),
-        CmpOp::Le => ord.is_le(),
-        CmpOp::Gt => ord.is_gt(),
-        CmpOp::Ge => ord.is_ge(),
+/// One evaluated operand of an operator node, addressed by whatever selection
+/// the caller evaluated it under.
+enum Operand<'c, 'v> {
+    Col(Cow<'c, Column>),
+    /// The same value in every slot: a scalar broadcast, never materialized.
+    Lit(Cow<'v, Value>),
+}
+
+impl Operand<'_, '_> {
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Operand::Col(c) => c.value(i),
+            Operand::Lit(v) => Value::clone(v),
+        }
     }
 }
 
-/// Typed comparison kernel: `col[i] op lit` for every selected row, with the
-/// column's nulls dropping out (SQL: NULL comparisons are not true).
-///
-/// Returns `None` when the column/literal type pair has no specialized
-/// kernel, signalling the caller to take the scalar fallback.
-fn cmp_col_lit(col: &Column, op: CmpOp, lit: &Value, sel: &SelVec) -> Option<SelVec> {
+/// All of `sel` or none of it: a predicate whose operands are all literals.
+fn keep_if(sel: &SelVec, pass: bool) -> SelVec {
+    if pass {
+        sel.clone()
+    } else {
+        SelVec::empty()
+    }
+}
+
+/// Comparison kernel: `col[i] op lit` for every selected row, with the
+/// column's nulls dropping out (SQL: NULL comparisons are not true). Typed
+/// column/literal pairs compare off the primitive slice; any other pair
+/// reads the slot and runs [`CmpOp::test`].
+fn cmp_col_lit(col: &Column, op: CmpOp, lit: &Value, sel: &SelVec) -> SelVec {
     // NULL literal: comparison is never true, regardless of column contents.
     if lit.is_null() {
-        return Some(SelVec::empty());
+        return SelVec::empty();
     }
     let no_nulls = col.nulls().is_none();
     macro_rules! kernel {
@@ -55,73 +72,63 @@ fn cmp_col_lit(col: &Column, op: CmpOp, lit: &Value, sel: &SelVec) -> Option<Sel
             let data = $data;
             let to = $to;
             if no_nulls {
-                Some(sel.refine(|i| cmp_matches(op, to(data[i]))))
+                sel.refine(|i| op.matches(to(&data[i])))
             } else {
-                Some(sel.refine(|i| !col.is_null(i) && cmp_matches(op, to(data[i]))))
+                sel.refine(|i| !col.is_null(i) && op.matches(to(&data[i])))
             }
         }};
     }
     match (col.data(), lit) {
         (ColumnData::Int64(v), Value::Int(x)) => {
             let x = *x;
-            kernel!(v, move |a: i64| a.cmp(&x))
+            kernel!(v, move |a: &i64| a.cmp(&x))
         }
         (ColumnData::Int64(v), Value::Float(x)) => {
             let x = *x;
-            kernel!(v, move |a: i64| cmp_i64_f64(a, x))
+            kernel!(v, move |a: &i64| cmp_i64_f64(*a, x))
         }
         // Int column vs Date literal compares numerically (Value::total_cmp).
         (ColumnData::Int64(v), Value::Date(d)) => {
             let d = *d as i64;
-            kernel!(v, move |a: i64| a.cmp(&d))
+            kernel!(v, move |a: &i64| a.cmp(&d))
         }
         (ColumnData::Float64(v), Value::Float(x)) => {
             let x = *x;
-            kernel!(v, move |a: f64| a.total_cmp(&x))
+            kernel!(v, move |a: &f64| a.total_cmp(&x))
         }
         (ColumnData::Float64(v), Value::Int(x)) => {
             let x = *x;
-            kernel!(v, move |a: f64| cmp_i64_f64(x, a).reverse())
+            kernel!(v, move |a: &f64| cmp_i64_f64(x, *a).reverse())
         }
         (ColumnData::Date(v), Value::Date(d)) => {
             let d = *d;
-            kernel!(v, move |a: i32| a.cmp(&d))
+            kernel!(v, move |a: &i32| a.cmp(&d))
         }
         (ColumnData::Date(v), Value::Int(x)) => {
             let x = *x;
-            kernel!(v, move |a: i32| (a as i64).cmp(&x))
+            kernel!(v, move |a: &i32| (*a as i64).cmp(&x))
         }
         (ColumnData::Str(v), Value::Str(s)) => {
             let s: &str = s;
-            if no_nulls {
-                Some(sel.refine(|i| cmp_matches(op, v[i].as_ref().cmp(s))))
-            } else {
-                Some(sel.refine(|i| !col.is_null(i) && cmp_matches(op, v[i].as_ref().cmp(s))))
-            }
+            kernel!(v, move |a: &std::sync::Arc<str>| a.as_ref().cmp(s))
         }
-        _ => None,
+        _ => sel.refine(|i| op.test(&col.value(i), lit)),
     }
 }
 
-/// Typed comparison kernel: `a[i] op b[i]` for every selected row. A row
-/// where either side is NULL never matches (`eval_bool`: NULL comparisons
-/// are not true).
-///
-/// Returns `None` when the column type pair has no specialized kernel
-/// (`Mixed` columns, or cross-rank pairs like Str⋄Int), signalling the
-/// scalar fallback — whose `Value::total_cmp` semantics these kernels
-/// replicate exactly for the typed pairs.
-fn cmp_col_col(a: &Column, b: &Column, op: CmpOp, sel: &SelVec) -> Option<SelVec> {
+/// Comparison kernel: `a[i] op b[i]` for every selected row. A row where
+/// either side is NULL never matches. Typed column pairs compare off both
+/// primitive slices; `Mixed` columns and cross-rank pairs like Str⋄Int go
+/// through [`Column::cmp_values`] — `Value::total_cmp` either way.
+fn cmp_col_col(a: &Column, b: &Column, op: CmpOp, sel: &SelVec) -> SelVec {
     macro_rules! kernel {
         ($x:expr, $y:expr, $ord:expr) => {{
             let (x, y) = ($x, $y);
             let ord = $ord;
             if a.nulls().is_none() && b.nulls().is_none() {
-                Some(sel.refine(|i| cmp_matches(op, ord(&x[i], &y[i]))))
+                sel.refine(|i| op.matches(ord(&x[i], &y[i])))
             } else {
-                Some(sel.refine(|i| {
-                    !a.is_null(i) && !b.is_null(i) && cmp_matches(op, ord(&x[i], &y[i]))
-                }))
+                sel.refine(|i| !a.is_null(i) && !b.is_null(i) && op.matches(ord(&x[i], &y[i])))
             }
         }};
     }
@@ -150,8 +157,160 @@ fn cmp_col_col(a: &Column, b: &Column, op: CmpOp, sel: &SelVec) -> Option<SelVec
         (ColumnData::Str(x), ColumnData::Str(y)) => {
             kernel!(x, y, |p: &std::sync::Arc<str>, q: &std::sync::Arc<str>| p.cmp(q))
         }
-        _ => None,
+        _ => sel.refine(|i| !a.is_null(i) && !b.is_null(i) && op.matches(a.cmp_values(i, b, i))),
     }
+}
+
+/// `a op b` over two evaluated operands, for the rows of `sel`.
+fn cmp_operands(op: CmpOp, a: &Operand<'_, '_>, b: &Operand<'_, '_>, sel: &SelVec) -> SelVec {
+    match (a, b) {
+        (Operand::Col(x), Operand::Lit(v)) => cmp_col_lit(x, op, v, sel),
+        // Literal-column: flip the operator and reuse the kernel.
+        (Operand::Lit(v), Operand::Col(y)) => cmp_col_lit(y, op.flip(), v, sel),
+        (Operand::Col(x), Operand::Col(y)) => cmp_col_col(x, y, op, sel),
+        (Operand::Lit(x), Operand::Lit(y)) => keep_if(sel, op.test(x, y)),
+    }
+}
+
+/// `e LIKE 'prefix%'` over an evaluated operand.
+fn starts_with(e: &Operand<'_, '_>, prefix: &str, sel: &SelVec) -> SelVec {
+    let col = match e {
+        Operand::Col(col) => col,
+        Operand::Lit(v) => return keep_if(sel, v.as_str().is_some_and(|s| s.starts_with(prefix))),
+    };
+    match col.data() {
+        ColumnData::Str(v) if col.nulls().is_none() => sel.refine(|r| v[r].starts_with(prefix)),
+        ColumnData::Str(v) => sel.refine(|r| !col.is_null(r) && v[r].starts_with(prefix)),
+        // Non-string typed columns can never match a prefix.
+        ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Date(_) => SelVec::empty(),
+        ColumnData::Mixed(v) => {
+            sel.refine(|r| v[r].as_str().is_some_and(|s| s.starts_with(prefix)))
+        }
+    }
+}
+
+/// `e IN (list)` over an evaluated operand (`Value::eq` membership, under
+/// which a NULL slot matches a NULL list entry — the interpreter's rule).
+fn in_list(e: &Operand<'_, '_>, list: &[Value], sel: &SelVec) -> SelVec {
+    let col = match e {
+        Operand::Col(col) => col,
+        Operand::Lit(v) => return keep_if(sel, list.contains(v)),
+    };
+    // Fast path: Int64 column, all-Int list (so a NULL slot never matches).
+    if let ColumnData::Int64(v) = col.data() {
+        if list.iter().all(|x| matches!(x, Value::Int(_))) {
+            let set: Vec<i64> = list.iter().filter_map(|x| x.as_int()).collect();
+            return sel.refine(|r| !col.is_null(r) && set.contains(&v[r]));
+        }
+    }
+    // Generic: per-row Value (Arc bump at worst), no tuple.
+    sel.refine(|r| list.contains(&col.value(r)))
+}
+
+// ---------------------------------------------------------------------------
+// Arithmetic kernels
+// ---------------------------------------------------------------------------
+
+/// The numbers of one arithmetic operand: a primitive slice or a constant.
+enum Vals<'a, T: Clone> {
+    Slice(Cow<'a, [T]>),
+    Const(T),
+}
+
+/// A numeric operand by the rank it computes at: `Int64` and `Date` columns
+/// and literals are integers (a date is its day number), `Float64` floats.
+enum Num<'a> {
+    Int(Vals<'a, i64>),
+    Float(Vals<'a, f64>),
+}
+
+impl<'a> Num<'a> {
+    /// `None` for an operand the typed loops do not cover (`Str`, `Mixed`).
+    fn of(o: &'a Operand<'_, '_>) -> Option<Num<'a>> {
+        Some(match o {
+            Operand::Lit(v) => match v.as_ref() {
+                Value::Int(x) => Num::Int(Vals::Const(*x)),
+                Value::Date(d) => Num::Int(Vals::Const(*d as i64)),
+                Value::Float(x) => Num::Float(Vals::Const(*x)),
+                Value::Str(_) | Value::Null => return None,
+            },
+            Operand::Col(c) => match c.data() {
+                ColumnData::Int64(v) => Num::Int(Vals::Slice(Cow::Borrowed(v))),
+                ColumnData::Date(v) => Num::Int(Vals::Slice(v.iter().map(|&d| d as i64).collect())),
+                ColumnData::Float64(v) => Num::Float(Vals::Slice(Cow::Borrowed(v))),
+                ColumnData::Str(_) | ColumnData::Mixed(_) => return None,
+            },
+        })
+    }
+
+    /// Promote to floats — `x as f64`, the interpreter's own widening.
+    fn into_floats(self) -> Vals<'a, f64> {
+        match self {
+            Num::Float(v) => v,
+            Num::Int(Vals::Const(x)) => Vals::Const(x as f64),
+            Num::Int(Vals::Slice(v)) => Vals::Slice(v.iter().map(|&x| x as f64).collect()),
+        }
+    }
+}
+
+/// `out[i] = f(x[i], y[i])` over `n` slots; a `None` (division by zero)
+/// leaves a placeholder and marks the slot in `nulls`.
+fn zip_with<T: Copy + Default>(
+    x: &Vals<'_, T>,
+    y: &Vals<'_, T>,
+    n: usize,
+    nulls: &mut Option<NullBitmap>,
+    f: impl Fn(T, T) -> Option<T>,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    let mut push = |v: Option<T>| {
+        if v.is_none() {
+            nulls.get_or_insert_with(|| NullBitmap::with_len(n)).set(out.len());
+        }
+        out.push(v.unwrap_or_default());
+    };
+    match (x, y) {
+        (Vals::Slice(x), Vals::Slice(y)) => {
+            x.iter().zip(y.iter()).for_each(|(&p, &q)| push(f(p, q)))
+        }
+        (Vals::Slice(x), Vals::Const(q)) => x.iter().for_each(|&p| push(f(p, *q))),
+        (Vals::Const(p), Vals::Slice(y)) => y.iter().for_each(|&q| push(f(*p, q))),
+        (Vals::Const(p), Vals::Const(q)) => (0..n).for_each(|_| push(f(*p, *q))),
+    }
+    out
+}
+
+/// `a op b` over `n` slots, exactly [`ArithOp::apply`] per slot: integers
+/// with integers stay `Int64`, anything with a float is `Float64` (the same
+/// IEEE operations in the same order, so results are bit-equal), NULLs are
+/// the union of the operands' bitmaps plus the division-by-zero slots.
+fn arith(op: ArithOp, a: &Operand<'_, '_>, b: &Operand<'_, '_>, n: usize) -> Column {
+    let (Some(x), Some(y)) = (Num::of(a), Num::of(b)) else {
+        // No typed loop for this pair: the scalar operator, slot by slot.
+        let vals: Vec<Value> = (0..n).map(|i| op.apply(&a.value(i), &b.value(i))).collect();
+        return Column::from_values(&vals);
+    };
+    let mut nulls: Option<NullBitmap> = None;
+    for o in [a, b] {
+        if let Operand::Col(c) = o {
+            if let Some(bits) = c.nulls() {
+                match &mut nulls {
+                    Some(acc) => acc.union_with(bits),
+                    None => nulls = Some(bits.clone()),
+                }
+            }
+        }
+    }
+    let data = match (x, y) {
+        (Num::Int(x), Num::Int(y)) => {
+            ColumnData::Int64(zip_with(&x, &y, n, &mut nulls, |p, q| op.ints(p, q)))
+        }
+        (x, y) => {
+            let (x, y) = (x.into_floats(), y.into_floats());
+            ColumnData::Float64(zip_with(&x, &y, n, &mut nulls, |p, q| op.floats(p, q)))
+        }
+    };
+    Column::new(data, nulls)
 }
 
 impl Expr {
@@ -196,147 +355,114 @@ impl Expr {
                 let pass = e.filter_sel(batch, sel.clone())?;
                 Ok(sel.difference(&pass))
             }
-            Expr::Cmp(op, a, b) => {
-                match (a.as_ref(), b.as_ref()) {
-                    (Expr::Col(i), Expr::Lit(v)) => {
-                        let col = col_at(batch, *i)?;
-                        match cmp_col_lit(col, *op, v, &sel) {
-                            Some(out) => Ok(out),
-                            None => self.filter_scalar(batch, sel),
-                        }
-                    }
-                    // Literal-column: flip the operator and reuse the kernel.
-                    (Expr::Lit(v), Expr::Col(i)) => {
-                        let col = col_at(batch, *i)?;
-                        let flipped = match op {
-                            CmpOp::Lt => CmpOp::Gt,
-                            CmpOp::Le => CmpOp::Ge,
-                            CmpOp::Gt => CmpOp::Lt,
-                            CmpOp::Ge => CmpOp::Le,
-                            CmpOp::Eq => CmpOp::Eq,
-                            CmpOp::Ne => CmpOp::Ne,
-                        };
-                        match cmp_col_lit(col, flipped, v, &sel) {
-                            Some(out) => Ok(out),
-                            None => self.filter_scalar(batch, sel),
-                        }
-                    }
-                    // Column-column (Q4/Q12's commitdate < receiptdate shape):
-                    // typed pairwise kernel over both primitive slices.
-                    (Expr::Col(i), Expr::Col(j)) => {
-                        let (a, b) = (col_at(batch, *i)?, col_at(batch, *j)?);
-                        match cmp_col_col(a, b, *op, &sel) {
-                            Some(out) => Ok(out),
-                            None => self.filter_scalar(batch, sel),
-                        }
-                    }
-                    _ => self.filter_scalar(batch, sel),
+            Expr::Cmp(op, a, b) => Ok(match (a.in_place(batch)?, b.in_place(batch)?) {
+                (Some(x), Some(y)) => cmp_operands(*op, &x, &y, &sel),
+                _ => {
+                    let (x, y) = (a.operand(batch, &sel)?, b.operand(batch, &sel)?);
+                    lift(&sel, |dense| cmp_operands(*op, &x, &y, dense))
                 }
+            }),
+            Expr::IsNull(e) => e.test_operand(batch, &sel, |x, s| match x {
+                Operand::Col(col) => s.refine(|r| col.is_null(r)),
+                Operand::Lit(v) => keep_if(s, v.is_null()),
+            }),
+            Expr::StartsWith(e, prefix) => {
+                e.test_operand(batch, &sel, |x, s| starts_with(x, prefix, s))
             }
-            Expr::IsNull(e) => match e.as_ref() {
-                Expr::Col(i) => {
-                    let col = col_at(batch, *i)?;
-                    Ok(sel.refine(|r| col.is_null(r)))
-                }
-                _ => self.filter_scalar(batch, sel),
-            },
-            Expr::StartsWith(e, prefix) => match e.as_ref() {
-                Expr::Col(i) => {
-                    let col = col_at(batch, *i)?;
-                    match col.data() {
-                        ColumnData::Str(v) => {
-                            let p = prefix.as_str();
-                            if col.nulls().is_none() {
-                                Ok(sel.refine(|r| v[r].starts_with(p)))
-                            } else {
-                                Ok(sel.refine(|r| !col.is_null(r) && v[r].starts_with(p)))
-                            }
-                        }
-                        // Non-string typed columns can never match a prefix.
-                        ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Date(_) => {
-                            Ok(SelVec::empty())
-                        }
-                        ColumnData::Mixed(_) => self.filter_scalar(batch, sel),
-                    }
-                }
-                _ => self.filter_scalar(batch, sel),
-            },
-            Expr::In(e, list) => match e.as_ref() {
-                Expr::Col(i) => {
-                    let col = col_at(batch, *i)?;
-                    // Fast path: Int64 column, all-Int list.
-                    if let ColumnData::Int64(v) = col.data() {
-                        if list.iter().all(|x| matches!(x, Value::Int(_))) {
-                            let set: Vec<i64> = list.iter().filter_map(|x| x.as_int()).collect();
-                            let nullable = col.nulls().is_some();
-                            return Ok(sel.refine(|r| {
-                                if nullable && col.is_null(r) {
-                                    // eval semantics: list.contains(Null) is
-                                    // false here because the list has no Null.
-                                    false
-                                } else {
-                                    set.contains(&v[r])
-                                }
-                            }));
-                        }
-                    }
-                    // Generic: per-row Value (Arc bump at worst), no tuple.
-                    Ok(sel.refine(|r| list.contains(&col.value(r))))
-                }
-                _ => self.filter_scalar(batch, sel),
-            },
-            // Everything else (arithmetic, bare columns/literals as truthy,
-            // column-column comparisons): scalar fallback over selected rows.
-            _ => self.filter_scalar(batch, sel),
+            Expr::In(e, list) => e.test_operand(batch, &sel, |x, s| in_list(x, list, s)),
+            // A bare column, literal or arithmetic result used as a predicate.
+            Expr::Col(_) | Expr::Lit(_) | Expr::Arith(..) => {
+                self.test_operand(batch, &sel, |x, s| match x {
+                    Operand::Col(col) => s.refine(|r| is_truthy(&col.value(r))),
+                    Operand::Lit(v) => keep_if(s, is_truthy(v)),
+                })
+            }
         }
     }
 
-    /// Scalar fallback: materialize each *selected* row once and reuse the
-    /// row interpreter, guaranteeing bit-identical semantics.
-    fn filter_scalar(&self, batch: &ColBatch, sel: SelVec) -> QResult<SelVec> {
-        let mut err = None;
-        let out = sel.refine(|i| {
-            if err.is_some() {
-                return false;
+    /// Run a predicate kernel over this expression as its operand, with the
+    /// selection that addresses it. A column or literal is read in place
+    /// under `sel` itself (the scan hot path: nothing is copied); anything
+    /// computed is evaluated densely over `sel` and the passing slots are
+    /// mapped back to row ids.
+    fn test_operand(
+        &self,
+        batch: &ColBatch,
+        sel: &SelVec,
+        test: impl FnOnce(&Operand<'_, '_>, &SelVec) -> SelVec,
+    ) -> QResult<SelVec> {
+        Ok(match self.in_place(batch)? {
+            Some(x) => test(&x, sel),
+            None => {
+                let x = self.operand(batch, sel)?;
+                lift(sel, |dense| test(&x, dense))
             }
-            match self.eval_bool(&batch.row(i)) {
-                Ok(keep) => keep,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        })
     }
 
-    /// Vectorized projection: evaluate this expression for the selected rows,
-    /// producing one dense output [`Column`].
-    ///
-    /// Plain column references gather straight from the input column; other
-    /// expressions evaluate row-at-a-time over the selection (still no full
-    /// row materialized unless the expression needs one).
-    pub fn eval_project(&self, batch: &ColBatch, sel: &SelVec) -> QResult<Column> {
+    /// This expression as an operand read where it lies — a batch column or
+    /// a literal, addressed by row id under any selection. `None` for an
+    /// expression that has to be computed.
+    fn in_place<'c, 'v>(&'v self, batch: &'c ColBatch) -> QResult<Option<Operand<'c, 'v>>> {
+        Ok(match self {
+            Expr::Col(i) => Some(Operand::Col(Cow::Borrowed(col_at(batch, *i)?))),
+            Expr::Lit(v) => Some(Operand::Lit(Cow::Borrowed(v))),
+            _ => None,
+        })
+    }
+
+    /// Evaluate over the rows of `sel`: a literal stays a scalar, anything
+    /// else is a dense column whose slot `k` belongs to row `sel[k]`.
+    fn operand<'c, 'v>(&'v self, batch: &'c ColBatch, sel: &SelVec) -> QResult<Operand<'c, 'v>> {
+        Ok(match self {
+            Expr::Col(i) => {
+                let col = col_at(batch, *i)?;
+                // Every row selected ⇒ the column is dense as it stands.
+                Operand::Col(if sel.is_all(batch.len()) {
+                    Cow::Borrowed(col)
+                } else {
+                    Cow::Owned(col.gather(sel))
+                })
+            }
+            Expr::Lit(v) => Operand::Lit(Cow::Borrowed(v)),
+            Expr::Arith(op, a, b) => match (a.operand(batch, sel)?, b.operand(batch, sel)?) {
+                (Operand::Lit(x), Operand::Lit(y)) => Operand::Lit(Cow::Owned(op.apply(&x, &y))),
+                (x, y) => Operand::Col(Cow::Owned(arith(*op, &x, &y, sel.len()))),
+            },
+            // A boolean node used as a number (Q14's `volume * (p_type LIKE
+            // 'PROMO%')`) is its filter result written as 0/1.
+            _ => {
+                let pass = self.filter_sel(batch, sel.clone())?;
+                let mut hits = pass.as_slice().iter().peekable();
+                let bits = sel.as_slice().iter().map(|r| hits.next_if_eq(&r).is_some() as i64);
+                Operand::Col(Cow::Owned(Column::new(ColumnData::Int64(bits.collect()), None)))
+            }
+        })
+    }
+
+    /// Vectorized projection: evaluate this expression for the selected rows
+    /// into one dense [`Column`] (slot `k` = row `sel[k]`) — borrowed when it
+    /// is a plain column reference under an all-rows selection, so an
+    /// aggregate folds its input column where it lies.
+    pub fn eval_project<'a>(&self, batch: &'a ColBatch, sel: &SelVec) -> QResult<Cow<'a, Column>> {
         // Nothing selected ⇒ nothing evaluated (matches the row interpreter,
         // which never touches an expression when there are no input rows).
         if sel.is_empty() {
-            return Ok(Column::from_values(&[]));
+            return Ok(Cow::Owned(Column::from_values(&[])));
         }
-        match self {
-            Expr::Col(i) => Ok(col_at(batch, *i)?.gather(sel)),
-            Expr::Lit(v) => Ok(Column::from_values(&vec![v.clone(); sel.len()])),
-            _ => {
-                let mut out = Vec::with_capacity(sel.len());
-                for i in sel.iter() {
-                    out.push(self.eval(&batch.row(i))?);
-                }
-                Ok(Column::from_values(&out))
-            }
-        }
+        Ok(match self.operand(batch, sel)? {
+            Operand::Col(col) => col,
+            Operand::Lit(v) => Cow::Owned(Column::from_values(&vec![v.into_owned(); sel.len()])),
+        })
     }
+}
+
+/// Run `test` in the dense space of operands evaluated over `sel` (slot `k`
+/// = row `sel[k]`) and map the slots that pass back to row ids.
+fn lift(sel: &SelVec, test: impl FnOnce(&SelVec) -> SelVec) -> SelVec {
+    let rows = sel.as_slice();
+    let pass = test(&SelVec::all(rows.len()));
+    SelVec::from_sorted(pass.iter().map(|k| rows[k]).collect())
 }
 
 #[inline]
@@ -385,6 +511,24 @@ pub fn key_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     }
 }
 
+/// Exact equality between one slot of a column and a stored key value — the
+/// hash-hit confirmation a group-by probe runs, with `Value::eq` semantics
+/// (NULL equals NULL; numerics compare cross-type exactly). Same-type pairs
+/// compare off the primitive slice; anything else is `Value::eq` itself.
+#[inline]
+pub(crate) fn slot_eq_value(col: &Column, i: usize, v: &Value) -> bool {
+    if col.is_null(i) {
+        return v.is_null();
+    }
+    match (col.data(), v) {
+        (ColumnData::Int64(x), Value::Int(y)) => x[i] == *y,
+        (ColumnData::Float64(x), Value::Float(y)) => x[i].total_cmp(y).is_eq(),
+        (ColumnData::Date(x), Value::Date(y)) => x[i] == *y,
+        (ColumnData::Str(x), Value::Str(y)) => x[i] == *y,
+        _ => col.value(i) == *v,
+    }
+}
+
 /// Project a whole expression list into a new [`ColBatch`] (the vectorized
 /// analogue of `ProjectIter`).
 pub fn project_batch(exprs: &[Expr], batch: &ColBatch, sel: &SelVec) -> QResult<ColBatch> {
@@ -393,7 +537,10 @@ pub fn project_batch(exprs: &[Expr], batch: &ColBatch, sel: &SelVec) -> QResult<
         // (ProjectIter over k rows yields k empty tuples).
         return Ok(ColBatch::empty_rows(sel.len()));
     }
-    let cols = exprs.iter().map(|e| e.eval_project(batch, sel)).collect::<QResult<Vec<_>>>()?;
+    let cols = exprs
+        .iter()
+        .map(|e| e.eval_project(batch, sel).map(Cow::into_owned))
+        .collect::<QResult<Vec<_>>>()?;
     Ok(ColBatch::from_columns(cols))
 }
 
@@ -504,9 +651,85 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_falls_back_to_scalar() {
+    fn predicates_over_computed_operands_match_scalar() {
         assert_parity(Expr::col(0).add(Expr::lit(5)).gt(Expr::lit(20)));
         assert_parity(Expr::col(0).mul(Expr::col(3)).ge(Expr::lit(4000)));
+        assert_parity(Expr::lit(30).lt(Expr::col(0).add(Expr::col(1))));
+        assert_parity(Expr::col(0).sub(Expr::col(1)).eq(Expr::col(0).sub(Expr::col(1))));
+        assert_parity(Expr::IsNull(Box::new(Expr::col(0).add(Expr::col(1)))));
+        assert_parity(Expr::In(Box::new(Expr::col(0).sub(Expr::lit(10))), vec![Value::Int(10)]));
+        assert_parity(Expr::StartsWith(Box::new(Expr::col(2).add(Expr::lit(1))), "w".into()));
+        // Bare values as predicates: non-null and non-zero.
+        assert_parity(Expr::col(0).sub(Expr::lit(10)));
+        assert_parity(Expr::col(2));
+        assert_parity(Expr::lit(0.0));
+        // Under a selection the first conjunct already shrank.
+        assert_parity(Expr::and([
+            Expr::col(3).ge(Expr::lit(200)),
+            Expr::col(0).add(Expr::lit(1)).gt(Expr::col(1)),
+        ]));
+    }
+
+    /// Slot by slot against the interpreter, by type tag and bits.
+    fn assert_project_parity(e: Expr, b: &ColBatch, sel: &SelVec) -> Column {
+        let col = e.eval_project(b, sel).unwrap().into_owned();
+        assert_eq!(col.len(), sel.len());
+        for (k, i) in sel.iter().enumerate() {
+            let (got, want) = (col.value(k), e.eval(&b.row(i)).unwrap());
+            let same = match (&got, &want) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                (Value::Int(x), Value::Int(y)) => x == y,
+                (Value::Null, Value::Null) => true,
+                _ => false,
+            };
+            assert!(same, "{e}, row {i}: column says {got:?}, interpreter {want:?}");
+        }
+        col
+    }
+
+    #[test]
+    fn arithmetic_runs_typed_and_matches_the_interpreter() {
+        let div = |a: Expr, b: Expr| Expr::Arith(ArithOp::Div, Box::new(a), Box::new(b));
+        let b = batch();
+        let all = SelVec::all(b.len());
+        let some = SelVec::from_sorted(vec![1, 3]);
+        for sel in [&all, &some] {
+            // Int ⊕ Int stays Int64; NULLs are the operands'.
+            let c = assert_project_parity(Expr::col(0).add(Expr::lit(5)), &b, sel);
+            assert!(matches!(c.data(), ColumnData::Int64(_)));
+            // Anything with a float is Float64; both bitmaps union.
+            let c = assert_project_parity(Expr::col(0).mul(Expr::col(1)), &b, sel);
+            assert!(matches!(c.data(), ColumnData::Float64(_)));
+            // A date is its day number: Int64, not NaN.
+            let c = assert_project_parity(div(Expr::col(3), Expr::lit(150)), &b, sel);
+            assert!(matches!(c.data(), ColumnData::Int64(_)));
+            assert_project_parity(Expr::col(3).sub(Expr::col(1)), &b, sel);
+            // Division by zero is a NULL slot, by a literal or a column.
+            assert_project_parity(div(Expr::col(0), Expr::lit(0)), &b, sel);
+            assert_project_parity(div(Expr::col(1), Expr::col(0).sub(Expr::lit(20))), &b, sel);
+            // Q1's shape, and Q14's boolean factor (0/1).
+            let volume = Expr::col(1).mul(Expr::lit(1.0).sub(Expr::col(1)));
+            assert_project_parity(volume.clone().mul(Expr::lit(1.0).add(Expr::col(0))), &b, sel);
+            let promo = Expr::StartsWith(Box::new(Expr::col(2)), "widget".into());
+            assert_project_parity(volume.mul(promo), &b, sel);
+            // No typed loop for strings: the scalar operator slot by slot.
+            assert_project_parity(Expr::col(2).add(Expr::lit(1)), &b, sel);
+            assert_project_parity(Expr::col(0).add(Expr::Lit(Value::Null)), &b, sel);
+        }
+        // Integer overflow wraps (it used to panic in debug builds).
+        let edge = ColBatch::from_rows(&[vec![Value::Int(i64::MAX)], vec![Value::Int(i64::MIN)]]);
+        let all = SelVec::all(2);
+        assert_project_parity(Expr::col(0).add(Expr::lit(1)), &edge, &all);
+        assert_project_parity(div(Expr::col(0), Expr::lit(-1)), &edge, &all);
+    }
+
+    #[test]
+    fn plain_column_under_all_rows_is_read_in_place() {
+        let b = batch();
+        let got = Expr::col(1).eval_project(&b, &SelVec::all(b.len())).unwrap();
+        assert!(matches!(got, Cow::Borrowed(_)), "an aggregate folds the batch's own column");
+        let some = SelVec::from_sorted(vec![0, 2]);
+        assert_eq!(Expr::col(1).eval_project(&b, &some).unwrap().len(), 2);
     }
 
     #[test]

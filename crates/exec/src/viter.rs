@@ -13,11 +13,12 @@
 //!   kernels over primitive slices, match pairs become index vectors, and
 //!   the joined output is `take`-gathers plus an `hcat` — `Arc` bumps and
 //!   primitive copies only.
-//! * [`HashAgg`] — grouped aggregate update over column runs: group keys
-//!   are read per-slot from the key columns (no full-row `Tuple`), aggregate
-//!   inputs are evaluated once per batch as columns
-//!   ([`Expr::eval_project`]), and hot `SUM`/`AVG`/`COUNT` shapes fold
-//!   primitive slices directly.
+//! * [`HashAgg`] — grouped aggregate update over column runs: group ids
+//!   come from typed key hashes and typed slot equality (a key becomes
+//!   `Value`s once per group, never per row), aggregate inputs are evaluated
+//!   once per batch as columns ([`Expr::eval_project`](crate::expr::Expr),
+//!   a plain column read in place), and `SUM`/`AVG`/`COUNT` over numeric
+//!   columns fold primitive slices directly.
 //!
 //! Semantics are identical to [`HashJoinIter`] /
 //! [`AggregateIter`](crate::iter::AggregateIter): NULL keys never join,
@@ -27,7 +28,7 @@
 //! [`HashJoinIter`]: crate::iter::HashJoinIter
 
 use crate::plan::{AggFunc, AggSpec};
-use crate::vexpr::{hash_key_column, key_eq};
+use crate::vexpr::{hash_key_column, key_eq, slot_eq_value};
 use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, Column, ColumnData, SelVec};
 use qpipe_common::{QError, QResult, Tuple, Value};
 use std::collections::HashMap;
@@ -203,15 +204,38 @@ use crate::iter::AggState;
 /// Batch-native hash aggregation: the vectorized analogue of
 /// [`AggregateIter`](crate::iter::AggregateIter), updating grouped
 /// [`AggState`]s from column runs instead of tuples.
+///
+/// Group ids come from the key columns' typed hashes
+/// ([`hash_key_column`], bit-equal to `Value::stable_hash`), combined across
+/// key columns and probed in an open-addressing table; a hash hit is
+/// confirmed by typed slot-vs-stored-key equality (`slot_eq_value`:
+/// `Value::eq`, so NULL = NULL groups and `Int(2)` = `Float(2.0)`). A key is
+/// materialized as `Value`s once per *group* (the first-seen key, as a
+/// `HashMap<Vec<Value>, _>` would keep), never per row.
 pub struct HashAgg {
     group_by: Vec<usize>,
     aggs: Vec<AggSpec>,
-    /// Group key → index into `keys`/`states` (arena keeps insertion cheap).
-    groups: HashMap<Vec<Value>, u32>,
-    keys: Vec<Vec<Value>>,
-    states: Vec<Vec<AggState>>,
+    /// Open-addressing table of group ids ([`EMPTY`] = free), linear
+    /// probing, a power-of-two length kept at most half full.
+    table: Vec<u32>,
+    /// Per group: its combined key hash (cheap reject, and re-insertion when
+    /// the table grows).
+    hashes: Vec<u64>,
+    /// Per group: its key, `group_by.len()` values at `gid × width`.
+    keys: Vec<Value>,
+    /// Per group: its aggregate states, at `gid × aggs.len() + s`.
+    states: Vec<AggState>,
     /// Scratch: per-row group ids for the batch being folded.
     gids: Vec<u32>,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+/// Fold the next key column's hash into a row's combined hash. Keys equal
+/// under `Value::eq` hash equal column by column, hence combined.
+#[inline]
+fn combine(h: u64, next: u64) -> u64 {
+    (h.rotate_left(5) ^ next).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 impl HashAgg {
@@ -219,27 +243,44 @@ impl HashAgg {
         let mut agg = Self {
             group_by,
             aggs,
-            groups: HashMap::new(),
+            table: vec![EMPTY; 16],
+            hashes: Vec::new(),
             keys: Vec::new(),
             states: Vec::new(),
             gids: Vec::new(),
         };
         if agg.group_by.is_empty() {
             // Single-result aggregates emit one row even on empty input.
-            agg.group_id(Vec::new());
+            agg.new_group(0);
         }
         agg
     }
 
-    fn group_id(&mut self, key: Vec<Value>) -> u32 {
-        if let Some(&g) = self.groups.get(&key) {
-            return g;
+    /// Append a group with combined hash `h` (its key values are pushed by
+    /// the caller) and enter it in the table.
+    fn new_group(&mut self, h: u64) -> u32 {
+        let g = self.hashes.len() as u32;
+        self.hashes.push(h);
+        self.states.extend(self.aggs.iter().map(|a| AggState::new(a.func)));
+        if self.hashes.len() * 2 > self.table.len() {
+            self.table = vec![EMPTY; self.table.len() * 2];
+            for g in 0..self.hashes.len() {
+                self.enter(g as u32);
+            }
+        } else {
+            self.enter(g);
         }
-        let g = self.states.len() as u32;
-        self.states.push(self.aggs.iter().map(|a| AggState::new(a.func)).collect());
-        self.keys.push(key.clone());
-        self.groups.insert(key, g);
         g
+    }
+
+    /// Put group `g` in the first free slot of its probe sequence.
+    fn enter(&mut self, g: u32) {
+        let mask = self.table.len() - 1;
+        let mut at = self.hashes[g as usize] as usize & mask;
+        while self.table[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.table[at] = g;
     }
 
     /// Fold a whole columnar batch into the group states.
@@ -249,16 +290,17 @@ impl HashAgg {
         }
         self.assign_group_ids(batch)?;
         let sel = SelVec::all(batch.len());
-        for s in 0..self.aggs.len() {
+        let width = self.aggs.len();
+        for s in 0..width {
             if self.aggs[s].func == AggFunc::CountStar {
-                for i in 0..batch.len() {
-                    self.states[self.gids[i] as usize][s].update(&Value::Int(1));
+                for &g in &self.gids {
+                    self.states[g as usize * width + s].update_int(1);
                 }
                 continue;
             }
             // One column evaluation per (spec, batch): a plain Col reference
-            // is an Arc-bump gather, anything else runs the expression over
-            // the batch without materializing input tuples.
+            // is the batch's own column, anything else is evaluated
+            // column-at-a-time — no input tuple either way.
             let input = self.aggs[s].expr.eval_project(batch, &sel)?;
             self.fold_column(s, &input);
         }
@@ -280,14 +322,30 @@ impl HashAgg {
                 batch.col(c).ok_or_else(|| QError::Exec(format!("group column {c} out of range")))
             })
             .collect::<QResult<_>>()?;
-        // Per-slot Value reads (Arc bump at worst) — never a full-row Tuple.
-        let mut key = Vec::with_capacity(cols.len());
-        for i in 0..n {
-            key.clear();
-            key.extend(cols.iter().map(|c| c.value(i)));
-            let g = match self.groups.get(&key) {
-                Some(&g) => g,
-                None => self.group_id(key.clone()),
+        let mut hashes = vec![0u64; n];
+        for col in &cols {
+            let typed = hash_key_column(col);
+            for (i, (h, t)) in hashes.iter_mut().zip(typed).enumerate() {
+                // A typed vector holds a placeholder at a NULL slot.
+                *h = combine(*h, if col.is_null(i) { Value::hash_null() } else { t });
+            }
+        }
+        for (i, &h) in hashes.iter().enumerate() {
+            let mask = self.table.len() - 1;
+            let mut at = h as usize & mask;
+            let g = loop {
+                let g = self.table[at];
+                if g == EMPTY {
+                    self.keys.extend(cols.iter().map(|c| c.value(i)));
+                    break self.new_group(h);
+                }
+                let key = &self.keys[g as usize * cols.len()..][..cols.len()];
+                if self.hashes[g as usize] == h
+                    && cols.iter().zip(key).all(|(c, k)| slot_eq_value(c, i, k))
+                {
+                    break g;
+                }
+                at = (at + 1) & mask;
             };
             self.gids.push(g);
         }
@@ -295,47 +353,26 @@ impl HashAgg {
     }
 
     /// Fold one evaluated input column into state `s` of every row's group,
-    /// with primitive inner loops for the hot numeric shapes.
+    /// with primitive inner loops for the numeric shapes. A NULL input is
+    /// skipped by every aggregate function.
     fn fold_column(&mut self, s: usize, input: &Column) {
-        let no_nulls = input.nulls().is_none();
+        let width = self.aggs.len();
+        let states = &mut self.states;
+        let live = self.gids.iter().enumerate().filter(|(i, _)| !input.is_null(*i));
         match input.data() {
-            ColumnData::Int64(v) if no_nulls => {
-                for (i, &x) in v.iter().enumerate() {
-                    self.states[self.gids[i] as usize][s].update_int(x);
-                }
+            ColumnData::Int64(v) => {
+                live.for_each(|(i, &g)| states[g as usize * width + s].update_int(v[i]))
             }
-            ColumnData::Float64(v) if no_nulls => {
-                for (i, &x) in v.iter().enumerate() {
-                    self.states[self.gids[i] as usize][s].update_float(x);
-                }
+            ColumnData::Float64(v) => {
+                live.for_each(|(i, &g)| states[g as usize * width + s].update_float(v[i]))
             }
-            _ => {
-                for i in 0..input.len() {
-                    self.states[self.gids[i] as usize][s].update(&input.value(i));
-                }
-            }
+            _ => live.for_each(|(i, &g)| states[g as usize * width + s].update(&input.value(i))),
         }
     }
 
     /// Groups accumulated so far.
     pub fn num_groups(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Fold another partial aggregation (same `group_by`/`aggs`) into this
-    /// one. Partials are merged in *stream order* — each partial folded a
-    /// contiguous slice of the input, and [`AggState::merge`] keeps the
-    /// earlier operand on ties — so `MIN`/`MAX`/`COUNT` results are
-    /// bit-identical to a serial fold. (Float `SUM`/`AVG` would reassociate;
-    /// callers gate parallel partials to the order-insensitive functions.)
-    pub fn merge(&mut self, other: HashAgg) {
-        debug_assert_eq!(self.group_by, other.group_by);
-        for (key, states) in other.keys.into_iter().zip(other.states) {
-            let g = self.group_id(key) as usize;
-            for (mine, theirs) in self.states[g].iter_mut().zip(&states) {
-                mine.merge(theirs);
-            }
-        }
+        self.hashes.len()
     }
 
     /// Finish into a columnar batch: key columns then aggregate columns,
@@ -345,25 +382,19 @@ impl HashAgg {
     /// (typed representation when a column is uniform), so agg → sort plans
     /// stay columnar on the output side too; no row `Tuple` is materialized.
     pub fn finish_cols(self) -> ColBatch {
-        let width = self.group_by.len();
-        let n = self.keys.len();
+        let (width, aggs) = (self.group_by.len(), self.aggs.len());
+        let n = self.num_groups();
+        let key = |g: u32| &self.keys[g as usize * width..][..width];
         let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by(|&a, &b| {
-            self.keys[a as usize]
-                .iter()
-                .zip(&self.keys[b as usize])
-                .map(|(x, y)| x.cmp(y))
-                .find(|o| !o.is_eq())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut cols = Vec::with_capacity(width + self.aggs.len());
+        perm.sort_by(|&a, &b| key(a).cmp(key(b)));
+        let mut cols = Vec::with_capacity(width + aggs);
         for c in 0..width {
-            let vals: Vec<Value> = perm.iter().map(|&g| self.keys[g as usize][c].clone()).collect();
+            let vals: Vec<Value> = perm.iter().map(|&g| key(g)[c].clone()).collect();
             cols.push(Column::from_values(&vals));
         }
-        for s in 0..self.aggs.len() {
+        for s in 0..aggs {
             let vals: Vec<Value> =
-                perm.iter().map(|&g| self.states[g as usize][s].finish()).collect();
+                perm.iter().map(|&g| self.states[g as usize * aggs + s].finish()).collect();
             cols.push(Column::from_values(&vals));
         }
         if cols.is_empty() {
@@ -502,6 +533,34 @@ mod tests {
         let mut agg = HashAgg::new(vec![0], aggs);
         agg.update_cols(&ColBatch::from_rows(&rows)).unwrap();
         assert_eq!(agg.finish(), expected);
+    }
+
+    #[test]
+    fn groups_follow_value_equality_across_types_and_batches() {
+        // 2, 2.0 and day 2 are one group (first-seen key kept), NULL groups
+        // with NULL, and the key column changes type from batch to batch.
+        let mut agg = HashAgg::new(vec![0, 1], vec![AggSpec::count_star()]);
+        let batches = [
+            vec![vec![Value::Int(2), Value::str("a")], vec![Value::Null, Value::str("a")]],
+            vec![vec![Value::Float(2.0), Value::str("a")], vec![Value::Float(2.5), Value::Null]],
+            vec![vec![Value::Date(2), Value::str("a")], vec![Value::Null, Value::str("a")]],
+            vec![vec![Value::Float(2.5), Value::Null], vec![Value::Int(2), Value::str("b")]],
+        ];
+        for rows in &batches {
+            agg.update_cols(&batch(rows)).unwrap();
+        }
+        assert_eq!(agg.num_groups(), 4);
+        let rows = agg.finish();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Null, Value::str("a"), Value::Int(2)],
+                vec![Value::Int(2), Value::str("a"), Value::Int(3)],
+                vec![Value::Int(2), Value::str("b"), Value::Int(1)],
+                vec![Value::Float(2.5), Value::Null, Value::Int(2)],
+            ]
+        );
+        assert!(matches!(rows[1][0], Value::Int(2)), "the first-seen key is the one kept");
     }
 
     #[test]

@@ -85,6 +85,37 @@ fn full_tpch_mix_parity_across_layouts() {
     }
 }
 
+/// Regression: `o_orderdate / 365` was `Float(NaN)` (a `Date` had no float
+/// embedding), so Q8 put every row in one NaN group in *both* engines. A
+/// date is its day number in arithmetic: one group per order year, an `Int`
+/// key, staged engine equal to the iterator engine on both layouts.
+#[test]
+fn q8_groups_by_order_year_in_both_engines_and_layouts() {
+    let mut most_years = 0;
+    for layout in [StorageLayout::Row, StorageLayout::Columnar] {
+        let catalog = tpch_catalog(layout);
+        let ctx = qpipe::exec::iter::ExecContext::new(catalog.clone());
+        let engine = QPipe::new(catalog, QPipeConfig::default());
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..6 {
+            let plan = tpch::query(8, &mut rng);
+            let oracle = qpipe::exec::iter::run(&plan, &ctx).unwrap();
+            let staged = engine.submit(plan).unwrap().collect();
+            assert_eq!(staged, oracle, "{layout:?}: staged Q8 must equal the iterator engine's");
+            let years: Vec<i64> = oracle
+                .iter()
+                .map(|r| match r[0] {
+                    Value::Int(y) => y,
+                    ref other => panic!("order year must be an Int, got {other:?}"),
+                })
+                .collect();
+            assert!(years.windows(2).all(|w| w[0] < w[1]), "one row per year: {years:?}");
+            most_years = most_years.max(years.len());
+        }
+    }
+    assert!(most_years >= 2, "some Q8 must span several order years ({most_years})");
+}
+
 #[test]
 fn clustered_and_unclustered_access_parity_across_layouts() {
     let run = |layout: StorageLayout| -> (Vec<Tuple>, Vec<Tuple>) {

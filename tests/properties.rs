@@ -5,7 +5,7 @@
 //! shim): same spirit — randomized inputs, universally-quantified assertions —
 //! with reproducible failures (every case derives from the fixed seeds below).
 
-use qpipe::common::colbatch::{ColBatch, SelVec};
+use qpipe::common::colbatch::{ColBatch, ColumnData, SelVec};
 use qpipe::exec::vexpr::project_batch;
 use qpipe::prelude::*;
 use qpipe_storage::page::{decode_tuple, encode_tuple, encoded_len, Page};
@@ -160,6 +160,128 @@ fn arb_pred(rng: &mut StdRng, cols: usize, depth: usize) -> Expr {
         0 => Expr::and((0..rng.gen_range(0..=3)).map(|_| arb_pred(rng, cols, depth - 1))),
         1 => Expr::or((0..rng.gen_range(0..=3)).map(|_| arb_pred(rng, cols, depth - 1))),
         _ => Expr::Not(Box::new(arb_pred(rng, cols, depth - 1))),
+    }
+}
+
+/// Batch for the arithmetic properties: one kind per column — small `Int`
+/// and `Float` (zeros included: division by zero), `Str`, `Date`, all-NULL,
+/// and the cross-type extremes as a typed `Int` column, a typed `Float`
+/// column and a `Mixed` one — NULL-dense, 5% of slots off-type.
+fn arb_numeric_batch(rng: &mut StdRng) -> Vec<Tuple> {
+    let rows = rng.gen_range(0..=80);
+    let cols = rng.gen_range(1..=5);
+    let kinds: Vec<u8> = (0..cols).map(|_| rng.gen_range(0..8)).collect();
+    (0..rows)
+        .map(|_| {
+            kinds
+                .iter()
+                .map(|&k| {
+                    if rng.gen_bool(0.15) {
+                        return Value::Null;
+                    }
+                    let k = if rng.gen_bool(0.05) { rng.gen_range(0..4) } else { k };
+                    match k {
+                        0 => Value::Int(rng.gen_range(-3..4)),
+                        1 => match rng.gen_range(0..6) {
+                            0 => Value::Float(0.0),
+                            1 => Value::Float(-0.0),
+                            _ => Value::Float(rng.gen_range(-100.0..100.0)),
+                        },
+                        2 => Value::str(format!("wid{}", rng.gen_range(0..10))),
+                        3 => Value::Date(rng.gen_range(-500..500)),
+                        4 => Value::Null,
+                        5 => arb_extreme_numeric(rng),
+                        6 => loop {
+                            if let v @ Value::Int(_) = arb_extreme_numeric(rng) {
+                                break v;
+                            }
+                        },
+                        _ => loop {
+                            if let v @ Value::Float(_) = arb_extreme_numeric(rng) {
+                                break v;
+                            }
+                        },
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Random arithmetic tree of depth ≤ `depth` over `cols` columns: all four
+/// operators; leaves are columns, numeric / date / string / NULL literals
+/// (zero divisors included), the cross-type extremes, and boolean nodes used
+/// as numbers.
+fn arb_arith(rng: &mut StdRng, cols: usize, depth: usize) -> Expr {
+    use qpipe::exec::expr::ArithOp;
+    if depth == 0 || rng.gen_bool(0.2) {
+        return match rng.gen_range(0..12) {
+            0..=4 => Expr::col(rng.gen_range(0..cols.max(1))),
+            5 => Expr::lit(rng.gen_range(-2i64..3)),
+            6 => Expr::lit([0.0, -0.0, 0.5, -365.25][rng.gen_range(0..4)]),
+            7 => Expr::Lit(Value::Date(rng.gen_range(-500..500))),
+            8 => Expr::Lit(arb_extreme_numeric(rng)),
+            9 => Expr::Lit(Value::Null),
+            10 => Expr::Lit(Value::str("wid3")),
+            _ => arb_pred(rng, cols, 0),
+        };
+    }
+    let op = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div][rng.gen_range(0..4)];
+    Expr::Arith(
+        op,
+        Box::new(arb_arith(rng, cols, depth - 1)),
+        Box::new(arb_arith(rng, cols, depth - 1)),
+    )
+}
+
+/// Random predicate whose operands are arithmetic: `Cmp`, `IS NULL`, `IN`
+/// and prefix tests over computed columns, and a bare arithmetic result used
+/// as a predicate, under the connectives.
+fn arb_arith_pred(rng: &mut StdRng, cols: usize, depth: usize) -> Expr {
+    use qpipe::exec::expr::CmpOp;
+    if depth == 0 {
+        let a = arb_arith(rng, cols, 2);
+        return match rng.gen_range(0..6) {
+            0 | 1 => {
+                let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+                let b_depth = rng.gen_range(0..=2);
+                let b = arb_arith(rng, cols, b_depth);
+                let (a, b) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+                Expr::Cmp(ops[rng.gen_range(0..6)], Box::new(a), Box::new(b))
+            }
+            2 => Expr::IsNull(Box::new(a)),
+            3 => {
+                let list = (0..rng.gen_range(0..4))
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => Value::Int(rng.gen_range(-3..4)),
+                        1 => Value::Float(rng.gen_range(-3..4) as f64),
+                        2 => Value::str("wid3"),
+                        _ => Value::Null,
+                    })
+                    .collect();
+                Expr::In(Box::new(a), list)
+            }
+            4 => Expr::StartsWith(Box::new(a), "wid".into()),
+            _ => a,
+        };
+    }
+    match rng.gen_range(0..3) {
+        0 => Expr::and((0..rng.gen_range(0..=3)).map(|_| arb_arith_pred(rng, cols, depth - 1))),
+        1 => Expr::or((0..rng.gen_range(0..=3)).map(|_| arb_arith_pred(rng, cols, depth - 1))),
+        _ => Expr::Not(Box::new(arb_arith_pred(rng, cols, depth - 1))),
+    }
+}
+
+/// Equal by type tag and bits — stricter than `Value ==`, under which
+/// `Int(2) == Float(2.0)` and `Date(5) == Int(5)`.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Str(x), Value::Str(y)) => x == y,
+        (Value::Date(x), Value::Date(y)) => x == y,
+        (Value::Null, Value::Null) => true,
+        _ => false,
     }
 }
 
@@ -475,26 +597,163 @@ fn eval_filter_agrees_with_eval_bool() {
         let vectorized: Vec<usize> = pred.eval_filter(&batch).unwrap().iter().collect();
         assert_eq!(vectorized, scalar, "case {case}: predicate {pred:?} over {rows:?}");
     }
+    // Predicates over computed operands: the operand is evaluated to a
+    // column and meets the same comparison kernels.
+    for case in 0..400 {
+        let rows = arb_numeric_batch(&mut rng);
+        let cols = rows.first().map_or(1, |r| r.len());
+        let depth = rng.gen_range(0..=2);
+        let pred = arb_arith_pred(&mut rng, cols, depth);
+        let batch = ColBatch::from_rows(&rows);
+        let scalar: Vec<usize> =
+            (0..rows.len()).filter(|&i| pred.eval_bool(&rows[i]).unwrap()).collect();
+        let vectorized: Vec<usize> = pred.eval_filter(&batch).unwrap().iter().collect();
+        assert_eq!(vectorized, scalar, "arith case {case}: predicate {pred} over {rows:?}");
+    }
 }
 
 #[test]
 fn eval_project_agrees_with_scalar_eval() {
     let mut rng = StdRng::seed_from_u64(0x9205EC7);
-    for _ in 0..200 {
-        let rows = arb_batch(&mut rng);
+    let mut typed_results = 0;
+    for case in 0..500 {
+        let rows = arb_numeric_batch(&mut rng);
         let ncols = rows.first().map_or(1, |r| r.len());
         let batch = ColBatch::from_rows(&rows);
-        let pred = arb_pred(&mut rng, ncols, 1);
-        let sel = pred.eval_filter(&batch).unwrap();
+        // Every row, a predicate's survivors, or a random subset.
+        let sel = match rng.gen_range(0..3) {
+            0 => SelVec::all(rows.len()),
+            1 => arb_pred(&mut rng, ncols, 1).eval_filter(&batch).unwrap(),
+            _ => {
+                SelVec::from_sorted((0..rows.len() as u32).filter(|_| rng.gen_bool(0.5)).collect())
+            }
+        };
         let exprs = vec![
             Expr::col(rng.gen_range(0..ncols.max(1))),
-            Expr::col(rng.gen_range(0..ncols.max(1))).add(Expr::lit(1)),
+            arb_arith(&mut rng, ncols, 1),
+            arb_arith(&mut rng, ncols, 3),
+            arb_arith_pred(&mut rng, ncols, 1),
         ];
         let projected = project_batch(&exprs, &batch, &sel).unwrap();
-        let expected: Vec<Tuple> =
-            sel.iter().map(|i| exprs.iter().map(|e| e.eval(&rows[i]).unwrap()).collect()).collect();
-        assert_eq!(projected.to_rows(), expected);
+        assert_eq!(projected.len(), sel.len());
+        for (c, e) in exprs.iter().enumerate() {
+            let col = projected.col(c).unwrap();
+            typed_results += !matches!(col.data(), ColumnData::Mixed(_)) as usize;
+            for (k, i) in sel.iter().enumerate() {
+                // Type tag and bits: `Value ==` would let Int(2) pass for
+                // Float(2.0). (The column's variant may differ from
+                // `from_values` of the expected values only when every slot
+                // is NULL, which `value()` does not show.)
+                let (got, want) = (col.value(k), e.eval(&rows[i]).unwrap());
+                assert!(
+                    same_bits(&got, &want),
+                    "case {case}, row {i}: {e} = {want:?}, column says {got:?}; rows {rows:?}"
+                );
+            }
+        }
     }
+    assert!(typed_results > 500, "the typed kernels must be what ran ({typed_results})");
+}
+
+/// The typed group-by against the row operator it replaces in the staged
+/// engine: same groups (`Value::eq` on the key — NULL = NULL, 2 = 2.0), the
+/// first-seen key kept, the same fold order within a group (float `SUM` /
+/// `AVG` compared by bits), the same output order.
+#[test]
+fn hash_agg_agrees_with_aggregate_iter() {
+    use qpipe::exec::iter::{AggregateIter, TupleIter, VecIter};
+    use qpipe::exec::viter::HashAgg;
+    let mut rng = StdRng::seed_from_u64(0xA66_1D5);
+    let mut most_groups = 0;
+    for case in 0..400 {
+        let nkeys = rng.gen_range(1..=3);
+        // Every 40th case has ≥ 2 000 groups, so the table grows many times.
+        let (domain, nrows) =
+            if case % 40 == 0 { (3000i64, 6000usize) } else { (rng.gen_range(1..12), 300) };
+        let nrows = rng.gen_range(0..=nrows);
+        let batch_len = rng.gen_range(1..=256);
+        // A key column's kind may change from one batch to the next (the
+        // numeric kinds keep naming the same groups: 2, 2.0 and day 2).
+        let mut kinds: Vec<u8> = (0..nkeys).map(|_| rng.gen_range(0..5)).collect();
+        let mut rows: Vec<Tuple> = Vec::with_capacity(nrows);
+        for i in 0..nrows {
+            if i % batch_len == 0 && rng.gen_bool(0.3) {
+                let c = rng.gen_range(0..nkeys);
+                kinds[c] = rng.gen_range(0..5);
+            }
+            let mut row: Tuple = kinds
+                .iter()
+                .map(|&k| {
+                    let x = rng.gen_range(0..domain);
+                    if rng.gen_bool(0.1) {
+                        return Value::Null;
+                    }
+                    match k {
+                        0 => Value::Int(x),
+                        1 => Value::Float(x as f64),
+                        2 => Value::Date(x as i32),
+                        3 => Value::str(format!("k{x}")),
+                        // Mixed: Int/Float-equal keys side by side.
+                        _ if rng.gen_bool(0.5) => Value::Int(x),
+                        _ => Value::Float(x as f64),
+                    }
+                })
+                .collect();
+            // Inputs: an Int, a NULL-dense Float, a Str, and an off-type slot.
+            row.push(Value::Int(rng.gen_range(-1000..1000)));
+            row.push(if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::Float(rng.gen_range(-1e6..1e6))
+            });
+            row.push(Value::str(format!("s{}", rng.gen_range(0..50))));
+            row.push(match rng.gen_range(0..4) {
+                0 => Value::Int(rng.gen_range(-5..5)),
+                1 => Value::Float(rng.gen_range(-5.0..5.0)),
+                2 => Value::Date(rng.gen_range(-5..5)),
+                _ => Value::Null,
+            });
+            rows.push(row);
+        }
+        let (int, float, text, mixed) = (nkeys, nkeys + 1, nkeys + 2, nkeys + 3);
+        let aggs = vec![
+            AggSpec::count_star(),
+            AggSpec::count(Expr::col(float)),
+            AggSpec::sum(Expr::col(int)),
+            AggSpec::sum(Expr::col(float)),
+            AggSpec::sum(Expr::col(float).mul(Expr::lit(1.0).sub(Expr::col(int)))),
+            AggSpec::avg(Expr::col(float)),
+            AggSpec::avg(Expr::col(mixed)),
+            AggSpec::min(Expr::col(text)),
+            AggSpec::max(Expr::col(float)),
+            AggSpec::min(Expr::col(mixed)),
+            AggSpec::max(Expr::col(int).add(Expr::col(mixed))),
+        ];
+        let group_by: Vec<usize> = (0..nkeys).collect();
+        let mut it = AggregateIter::new(
+            Box::new(VecIter::new(rows.clone())),
+            group_by.clone(),
+            aggs.clone(),
+        );
+        let mut expected = Vec::new();
+        while let Some(t) = it.next().unwrap() {
+            expected.push(t);
+        }
+        let mut agg = HashAgg::new(group_by, aggs);
+        for chunk in rows.chunks(batch_len) {
+            agg.update_cols(&ColBatch::from_rows(chunk)).unwrap();
+        }
+        assert_eq!(agg.num_groups(), expected.len(), "case {case}");
+        most_groups = most_groups.max(expected.len());
+        let got = agg.finish();
+        for (g, w) in got.iter().zip(&expected) {
+            assert!(
+                g.len() == w.len() && g.iter().zip(w).all(|(a, b)| same_bits(a, b)),
+                "case {case}: typed group-by says {g:?}, AggregateIter {w:?}"
+            );
+        }
+    }
+    assert!(most_groups >= 2000, "some case must grow the table ({most_groups} groups)");
 }
 
 #[test]
