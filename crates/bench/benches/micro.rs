@@ -202,10 +202,12 @@ fn scan_filter(c: &mut Criterion) {
 }
 
 /// The per-page cost the columnar page store removes: decoding one full
-/// 256-row page for the shared scanner. The slotted path is what row tables
-/// pay per page visit (tag-parsing tuple codec + column-ification); the
-/// columnar path materializes the same `ColBatch` straight from the PAX
-/// page's typed byte regions. Acceptance bar: columnar ≥ 3× faster.
+/// 256-row page for the shared scanner. `slotted_decode` is the tuple path
+/// (tag-parsing tuple codec + column-ification); the columnar path
+/// materializes the same `ColBatch` straight from the PAX page's typed byte
+/// regions. Acceptance bar: columnar ≥ 3× faster. The `slotted_*lineitem*`
+/// and `slotted_cols_*` trio measures what row tables pay per page visit
+/// (CI: `slotted_cols_q6` ≤ ½ × `slotted_decode_lineitem`).
 fn page_decode(c: &mut Criterion) {
     use qpipe_storage::colpage::ColPageBuilder;
     use qpipe_storage::page::{encode_tuple, Page};
@@ -241,7 +243,7 @@ fn page_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("page_decode");
     g.bench_function("slotted_decode", |b| {
         b.iter(|| {
-            // Row-table scanner per-page cost: tuple codec, then column-ify.
+            // The tuple path: tuple codec, then column-ify.
             let tuples = slotted.decode_tuples().unwrap();
             ColBatch::from_rows(&tuples).len()
         })
@@ -252,6 +254,88 @@ fn page_decode(c: &mut Criterion) {
             columnar.decode().unwrap().len()
         })
     });
+    // What a `mix_io` scan decodes per page miss: a lineitem page. The tip
+    // path built tuples and column-ified all 14 columns; the scanner now
+    // decodes records straight into the live columns — all of them, or
+    // Q6's four (quantity, extendedprice, discount, shipdate).
+    let (_, lineitem) = lineitem_pages();
+    g.bench_function("slotted_decode_lineitem", |b| {
+        b.iter(|| ColBatch::from_rows(&lineitem.decode_tuples().unwrap()).len())
+    });
+    g.bench_function("slotted_cols_full", |b| b.iter(|| lineitem.decode_cols(None).unwrap().len()));
+    g.bench_function("slotted_cols_q6", |b| {
+        b.iter(|| lineitem.decode_cols(Some(&[3, 4, 5, 9])).unwrap().len())
+    });
+    g.finish();
+}
+
+/// One lineitem-shaped page in each layout: the 14 TPC-H columns with the
+/// value shapes the mix's loader writes, as many rows as fit one slotted
+/// page (≈ 62).
+fn lineitem_pages() -> (qpipe_storage::ColPage, qpipe_storage::Page) {
+    use qpipe_storage::colpage::ColPageBuilder;
+    use qpipe_storage::page::{encode_tuple, Page};
+    use qpipe_workloads::tpch::{RETURN_FLAGS, SHIPMODES};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let schema = Schema::of(&[
+        ("l_orderkey", DataType::Int),
+        ("l_partkey", DataType::Int),
+        ("l_suppkey", DataType::Int),
+        ("l_quantity", DataType::Int),
+        ("l_extendedprice", DataType::Float),
+        ("l_discount", DataType::Float),
+        ("l_tax", DataType::Float),
+        ("l_returnflag", DataType::Str),
+        ("l_linestatus", DataType::Str),
+        ("l_shipdate", DataType::Date),
+        ("l_commitdate", DataType::Date),
+        ("l_receiptdate", DataType::Date),
+        ("l_shipmode", DataType::Str),
+        ("l_comment", DataType::Str),
+    ]);
+    let mut rng = StdRng::seed_from_u64(24);
+    let mut slotted = Page::new();
+    let mut builder = ColPageBuilder::new(&schema);
+    let mut buf = Vec::new();
+    for okey in 0.. {
+        let ship = rng.gen_range(0..2400);
+        let row = vec![
+            Value::Int(okey / 4),
+            Value::Int(rng.gen_range(0..2000)),
+            Value::Int(rng.gen_range(0..100)),
+            Value::Int(rng.gen_range(1..=50)),
+            Value::Float(rng.gen_range(900.0..105_000.0)),
+            Value::Float((rng.gen_range(0..=10) as f64) / 100.0),
+            Value::Float((rng.gen_range(0..=8) as f64) / 100.0),
+            Value::str(RETURN_FLAGS[rng.gen_range(0..RETURN_FLAGS.len())]),
+            Value::str(if rng.gen_bool(0.5) { "O" } else { "F" }),
+            Value::Date(ship),
+            Value::Date(ship + rng.gen_range(-60..60)),
+            Value::Date(ship + rng.gen_range(1..=30)),
+            Value::str(SHIPMODES[rng.gen_range(0..SHIPMODES.len())]),
+            Value::str("lineitem-comment-padding-pad"),
+        ];
+        buf.clear();
+        encode_tuple(&row, &mut buf);
+        if !slotted.fits(buf.len()) {
+            break;
+        }
+        slotted.append_record(&buf).expect("checked by fits");
+        builder.append(&row).expect("a slotted page's rows fit one columnar page");
+    }
+    (builder.finish(), slotted)
+}
+
+/// What every page miss pays before it decodes: verifying the page checksum
+/// sealed at write time (word-at-a-time FNV-1a over the payload, plus the
+/// slot directory on a slotted page).
+fn page_verify(c: &mut Criterion) {
+    let (columnar, mut slotted) = lineitem_pages();
+    slotted.seal();
+    let mut g = c.benchmark_group("page_verify");
+    g.bench_function("slotted", |b| b.iter(|| std::hint::black_box(&slotted).verify_checksum()));
+    g.bench_function("columnar", |b| b.iter(|| std::hint::black_box(&columnar).verify_checksum()));
     g.finish();
 }
 
@@ -647,7 +731,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = pool_policies, pipe_fanout, signature_and_lookup, exec_kernels, scan_filter,
-        page_decode, hash_join_paths, agg_update_paths, sort_paths, filter_project_paths,
+        page_decode, page_verify, hash_join_paths, agg_update_paths, sort_paths, filter_project_paths,
         morsel_scan
 }
 criterion_main!(benches);

@@ -114,6 +114,30 @@ pub enum ColumnData {
 }
 
 impl ColumnData {
+    /// An empty payload of the representation a column holding `v` takes
+    /// (`Mixed` for NULL).
+    fn empty_for(v: &Value) -> Self {
+        match v {
+            Value::Int(_) => ColumnData::Int64(Vec::new()),
+            Value::Float(_) => ColumnData::Float64(Vec::new()),
+            Value::Str(_) => ColumnData::Str(Vec::new()),
+            Value::Date(_) => ColumnData::Date(Vec::new()),
+            Value::Null => ColumnData::Mixed(Vec::new()),
+        }
+    }
+
+    /// Append a NULL slot: a placeholder in a typed payload (the bitmap
+    /// records it), an inline NULL in `Mixed`.
+    fn push_null(&mut self) {
+        match self {
+            ColumnData::Int64(v) => v.push(0),
+            ColumnData::Float64(v) => v.push(0.0),
+            ColumnData::Str(v) => v.push(Arc::from("")),
+            ColumnData::Date(v) => v.push(0),
+            ColumnData::Mixed(v) => v.push(Value::Null),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             ColumnData::Int64(v) => v.len(),
@@ -138,102 +162,15 @@ impl Column {
         Self { data, nulls }
     }
 
-    /// Column-ify `values`. Picks the typed representation when every
-    /// non-null value shares one primitive type, otherwise [`ColumnData::Mixed`].
+    /// Column-ify `values` under [`ColumnBuilder::push`]'s rule: typed when
+    /// every non-null value shares one primitive type, otherwise (two types,
+    /// or no non-null value at all) [`ColumnData::Mixed`].
     pub fn from_values(values: &[Value]) -> Self {
-        #[derive(PartialEq, Clone, Copy)]
-        enum Kind {
-            Int,
-            Float,
-            Str,
-            Date,
-        }
-        let mut kind: Option<Kind> = None;
-        let mut uniform = true;
+        let mut b = ColumnBuilder::with_capacity(values.len());
         for v in values {
-            let k = match v {
-                Value::Int(_) => Kind::Int,
-                Value::Float(_) => Kind::Float,
-                Value::Str(_) => Kind::Str,
-                Value::Date(_) => Kind::Date,
-                Value::Null => continue,
-            };
-            match kind {
-                None => kind = Some(k),
-                Some(existing) if existing == k => {}
-                Some(_) => {
-                    uniform = false;
-                    break;
-                }
-            }
+            b.push(v.clone());
         }
-        if !uniform {
-            return Self { data: ColumnData::Mixed(values.to_vec()), nulls: None };
-        }
-        let mut nulls: Option<NullBitmap> = None;
-        let mark_null = |i: usize, n: usize, nulls: &mut Option<NullBitmap>| {
-            nulls.get_or_insert_with(|| NullBitmap::with_len(n)).set(i);
-        };
-        let n = values.len();
-        let data = match kind {
-            // All-NULL (or empty) column: keep as Mixed so `value()` is exact.
-            None => {
-                return Self { data: ColumnData::Mixed(values.to_vec()), nulls: None };
-            }
-            Some(Kind::Int) => ColumnData::Int64(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v {
-                        Value::Int(x) => *x,
-                        _ => {
-                            mark_null(i, n, &mut nulls);
-                            0
-                        }
-                    })
-                    .collect(),
-            ),
-            Some(Kind::Float) => ColumnData::Float64(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v {
-                        Value::Float(x) => *x,
-                        _ => {
-                            mark_null(i, n, &mut nulls);
-                            0.0
-                        }
-                    })
-                    .collect(),
-            ),
-            Some(Kind::Str) => ColumnData::Str(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v {
-                        Value::Str(s) => s.clone(),
-                        _ => {
-                            mark_null(i, n, &mut nulls);
-                            Arc::from("")
-                        }
-                    })
-                    .collect(),
-            ),
-            Some(Kind::Date) => ColumnData::Date(
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| match v {
-                        Value::Date(d) => *d,
-                        _ => {
-                            mark_null(i, n, &mut nulls);
-                            0
-                        }
-                    })
-                    .collect(),
-            ),
-        };
-        Self { data, nulls }
+        b.finish()
     }
 
     pub fn len(&self) -> usize {
@@ -598,22 +535,33 @@ impl ColBatch {
     }
 }
 
-/// Incrementally concatenates columns of the same position across batches,
-/// keeping the typed representation when every input agrees on it and
-/// degrading to [`ColumnData::Mixed`] otherwise. This is how a vectorized
-/// join build side accumulates its input stream into one contiguous batch.
+/// Accumulates one column — whole columns ([`append`](Self::append)), one
+/// slot of a column ([`push_slot`](Self::push_slot)) or one value
+/// ([`push`](Self::push)) at a time — keeping the typed representation while
+/// the input agrees on it and degrading to [`ColumnData::Mixed`] otherwise.
+/// A vectorized join build concatenates its input stream with it, a run merge
+/// emits its winners with it, and a slotted page decodes straight into it.
 #[derive(Debug, Default)]
 pub struct ColumnBuilder {
+    /// `None` until a representation is chosen: so far only NULLs, every one
+    /// of them in `null_rows`.
     data: Option<ColumnData>,
-    /// Row indices that are NULL (typed representations only; `Mixed`
-    /// carries NULLs inline).
+    /// Row indices that are NULL (typed representations and the untyped
+    /// start; `Mixed` carries NULLs inline).
     null_rows: Vec<u32>,
     len: usize,
+    /// Rows reserved once a representation is chosen.
+    cap: usize,
 }
 
 impl ColumnBuilder {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A builder that reserves room for `cap` rows.
+    pub fn with_capacity(cap: usize) -> Self {
+        Self { cap, ..Self::default() }
     }
 
     pub fn len(&self) -> usize {
@@ -624,42 +572,52 @@ impl ColumnBuilder {
         self.len == 0
     }
 
+    /// Append one value. This is the column-typing rule, one value at a time
+    /// ([`Column::from_values`] is a loop over it): NULLs before the first
+    /// non-null value wait untyped, the first non-null value picks the typed
+    /// representation, a non-null value of another type turns the column
+    /// `Mixed` for good, and a column that never sees a non-null value
+    /// finishes `Mixed`.
+    pub fn push(&mut self, v: Value) {
+        match (&mut self.data, v) {
+            (Some(ColumnData::Int64(d)), Value::Int(x)) => d.push(x),
+            (Some(ColumnData::Float64(d)), Value::Float(x)) => d.push(x),
+            (Some(ColumnData::Str(d)), Value::Str(s)) => d.push(s),
+            (Some(ColumnData::Date(d)), Value::Date(x)) => d.push(x),
+            (Some(ColumnData::Mixed(d)), v) => d.push(v),
+            (data, Value::Null) => {
+                if let Some(d) = data {
+                    d.push_null();
+                }
+                self.null_rows.push(self.len as u32);
+            }
+            (None, v) => {
+                self.start(&ColumnData::empty_for(&v));
+                return self.push(v);
+            }
+            (Some(_), v) => self.push_mixed([v]),
+        }
+        self.len += 1;
+    }
+
     /// Append every slot of `col`.
     pub fn append(&mut self, col: &Column) {
         let n = col.len();
-        let same_variant = matches!(
-            (&self.data, col.data()),
-            (None, _)
-                | (Some(ColumnData::Int64(_)), ColumnData::Int64(_))
-                | (Some(ColumnData::Float64(_)), ColumnData::Float64(_))
-                | (Some(ColumnData::Str(_)), ColumnData::Str(_))
-                | (Some(ColumnData::Date(_)), ColumnData::Date(_))
-                | (Some(ColumnData::Mixed(_)), _)
-        );
-        if !same_variant {
-            self.degrade_to_mixed();
-        }
         match (&mut self.data, col.data()) {
-            (data @ None, _) => {
-                *data = Some(col.data().clone());
-                if let Some(b) = col.nulls() {
-                    self.null_rows.extend((0..n).filter(|&i| b.get(i)).map(|i| i as u32));
-                }
-            }
+            (Some(ColumnData::Int64(v)), ColumnData::Int64(o)) => v.extend_from_slice(o),
+            (Some(ColumnData::Float64(v)), ColumnData::Float64(o)) => v.extend_from_slice(o),
+            (Some(ColumnData::Str(v)), ColumnData::Str(o)) => v.extend_from_slice(o),
+            (Some(ColumnData::Date(v)), ColumnData::Date(o)) => v.extend_from_slice(o),
             (Some(ColumnData::Mixed(v)), _) => v.extend((0..n).map(|i| col.value(i))),
-            (Some(dst), src) => {
-                match (dst, src) {
-                    (ColumnData::Int64(v), ColumnData::Int64(o)) => v.extend_from_slice(o),
-                    (ColumnData::Float64(v), ColumnData::Float64(o)) => v.extend_from_slice(o),
-                    (ColumnData::Str(v), ColumnData::Str(o)) => v.extend_from_slice(o),
-                    (ColumnData::Date(v), ColumnData::Date(o)) => v.extend_from_slice(o),
-                    _ => unreachable!("variant mismatch handled by degrade_to_mixed"),
-                }
-                if let Some(b) = col.nulls() {
-                    let base = self.len as u32;
-                    self.null_rows.extend((0..n).filter(|&i| b.get(i)).map(|i| base + i as u32));
-                }
+            (None, like) => {
+                self.start(like);
+                return self.append(col);
             }
+            (Some(_), _) => self.push_mixed((0..n).map(|i| col.value(i))),
+        }
+        if let (false, Some(b)) = (self.is_mixed(), col.nulls()) {
+            let base = self.len as u32;
+            self.null_rows.extend((0..n).filter(|&i| b.get(i)).map(|i| base + i as u32));
         }
         self.len += n;
     }
@@ -669,54 +627,68 @@ impl ColumnBuilder {
     /// emit path: one winning row at a time, no intermediate `Value` for
     /// typed columns).
     pub fn push_slot(&mut self, col: &Column, i: usize) {
-        let same_variant = matches!(
-            (&self.data, col.data()),
-            (None, _)
-                | (Some(ColumnData::Int64(_)), ColumnData::Int64(_))
-                | (Some(ColumnData::Float64(_)), ColumnData::Float64(_))
-                | (Some(ColumnData::Str(_)), ColumnData::Str(_))
-                | (Some(ColumnData::Date(_)), ColumnData::Date(_))
-                | (Some(ColumnData::Mixed(_)), _)
-        );
-        if !same_variant {
-            self.degrade_to_mixed();
-        }
-        if self.data.is_none() {
-            self.data = Some(match col.data() {
-                ColumnData::Int64(_) => ColumnData::Int64(Vec::new()),
-                ColumnData::Float64(_) => ColumnData::Float64(Vec::new()),
-                ColumnData::Str(_) => ColumnData::Str(Vec::new()),
-                ColumnData::Date(_) => ColumnData::Date(Vec::new()),
-                ColumnData::Mixed(_) => ColumnData::Mixed(Vec::new()),
-            });
-        }
         let null = col.is_null(i);
-        match (self.data.as_mut().expect("initialized above"), col.data()) {
-            (ColumnData::Mixed(v), _) => v.push(col.value(i)),
-            (ColumnData::Int64(v), ColumnData::Int64(o)) => v.push(if null { 0 } else { o[i] }),
-            (ColumnData::Float64(v), ColumnData::Float64(o)) => {
+        match (&mut self.data, col.data()) {
+            (Some(ColumnData::Int64(v)), ColumnData::Int64(o)) => {
+                v.push(if null { 0 } else { o[i] })
+            }
+            (Some(ColumnData::Float64(v)), ColumnData::Float64(o)) => {
                 v.push(if null { 0.0 } else { o[i] })
             }
-            (ColumnData::Str(v), ColumnData::Str(o)) => {
+            (Some(ColumnData::Str(v)), ColumnData::Str(o)) => {
                 v.push(if null { Arc::from("") } else { o[i].clone() })
             }
-            (ColumnData::Date(v), ColumnData::Date(o)) => v.push(if null { 0 } else { o[i] }),
-            _ => unreachable!("variant mismatch handled by degrade_to_mixed"),
+            (Some(ColumnData::Date(v)), ColumnData::Date(o)) => v.push(if null { 0 } else { o[i] }),
+            (Some(ColumnData::Mixed(v)), _) => v.push(col.value(i)),
+            (None, like) => {
+                self.start(like);
+                return self.push_slot(col, i);
+            }
+            (Some(_), _) => self.push_mixed([col.value(i)]),
         }
-        if null && !matches!(self.data, Some(ColumnData::Mixed(_))) {
+        if null && !self.is_mixed() {
             self.null_rows.push(self.len as u32);
         }
         self.len += 1;
     }
 
-    fn degrade_to_mixed(&mut self) {
-        let Some(data) = self.data.take() else {
-            self.data = Some(ColumnData::Mixed(Vec::new()));
-            return;
+    fn is_mixed(&self) -> bool {
+        matches!(self.data, Some(ColumnData::Mixed(_)))
+    }
+
+    /// Leave the untyped start for `like`'s representation: the NULLs so far
+    /// become placeholders under the bitmap, or inline NULLs in `Mixed`.
+    fn start(&mut self, like: &ColumnData) {
+        fn filled<T: Clone>(fill: T, n: usize, cap: usize) -> Vec<T> {
+            let mut v = Vec::with_capacity(cap.max(n));
+            v.resize(n, fill);
+            v
+        }
+        let (n, cap) = (self.len, self.cap);
+        self.data = Some(match like {
+            ColumnData::Int64(_) => ColumnData::Int64(filled(0, n, cap)),
+            ColumnData::Float64(_) => ColumnData::Float64(filled(0.0, n, cap)),
+            ColumnData::Str(_) => ColumnData::Str(filled(Arc::from(""), n, cap)),
+            ColumnData::Date(_) => ColumnData::Date(filled(0, n, cap)),
+            ColumnData::Mixed(_) => {
+                self.null_rows.clear();
+                ColumnData::Mixed(filled(Value::Null, n, cap))
+            }
+        });
+    }
+
+    /// Turn the column `Mixed` (if it is not already), then append `more`.
+    fn push_mixed(&mut self, more: impl IntoIterator<Item = Value>) {
+        let mut values = match self.data.take() {
+            Some(ColumnData::Mixed(v)) => v,
+            Some(data) => {
+                let typed = Column::new(data, self.bitmap());
+                (0..self.len).map(|i| typed.value(i)).collect()
+            }
+            None => vec![Value::Null; self.len],
         };
-        let nulls = self.bitmap();
-        let tmp = Column::new(data, nulls);
-        self.data = Some(ColumnData::Mixed((0..self.len).map(|i| tmp.value(i)).collect()));
+        values.extend(more);
+        self.data = Some(ColumnData::Mixed(values));
         self.null_rows.clear();
     }
 
@@ -733,8 +705,12 @@ impl ColumnBuilder {
 
     pub fn finish(self) -> Column {
         let nulls = self.bitmap();
-        // An empty builder matches `Column::from_values(&[])`: Mixed.
-        Column { data: self.data.unwrap_or_else(|| ColumnData::Mixed(Vec::new())), nulls }
+        match self.data {
+            Some(data) => Column { data, nulls },
+            // Never typed — only NULLs, or nothing: `Mixed`, so `value()` is
+            // exact (`from_values` of an all-NULL or empty slice).
+            None => Column { data: ColumnData::Mixed(vec![Value::Null; self.len]), nulls: None },
+        }
     }
 }
 
@@ -1043,6 +1019,44 @@ mod tests {
         assert!(matches!(col.data(), ColumnData::Mixed(_)));
         assert_eq!(col.value(0), Value::Int(1));
         assert_eq!(col.value(1), Value::str("s"));
+    }
+
+    #[test]
+    fn push_is_the_from_values_rule_one_value_at_a_time() {
+        let cases: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![Value::Null, Value::Null],
+            vec![Value::Null, Value::Int(3), Value::Null, Value::Int(4)],
+            vec![Value::Null, Value::str("a"), Value::str("")],
+            vec![Value::Float(-0.0), Value::Null, Value::Float(2.5)],
+            vec![Value::Null, Value::Date(1), Value::Int(1), Value::Null],
+            vec![Value::Int(1), Value::Float(1.0), Value::str("x")],
+        ];
+        for values in cases {
+            let col = Column::from_values(&values);
+            let mut b = ColumnBuilder::new();
+            values.iter().for_each(|v| b.push(v.clone()));
+            assert_eq!(b.finish(), col, "{values:?}");
+            assert_eq!((0..col.len()).map(|i| col.value(i)).collect::<Vec<_>>(), values);
+        }
+        let typed = Column::from_values(&[Value::Null, Value::Int(3)]);
+        assert!(matches!(typed.data(), ColumnData::Int64(_)) && typed.is_null(0));
+        let mixed = Column::from_values(&[Value::Null, Value::Int(3), Value::Date(3)]);
+        assert!(matches!(mixed.data(), ColumnData::Mixed(_)) && mixed.nulls().is_none());
+        assert!(matches!(Column::from_values(&[Value::Null]).data(), ColumnData::Mixed(_)));
+    }
+
+    #[test]
+    fn leading_pushed_nulls_survive_a_column_append() {
+        let ints = Column::from_values(&[Value::Int(1), Value::Null]);
+        let mut b = ColumnBuilder::new();
+        b.push(Value::Null);
+        b.append(&ints);
+        b.push_slot(&ints, 0);
+        let col = b.finish();
+        assert!(matches!(col.data(), ColumnData::Int64(_)), "stays typed");
+        let want = [Value::Null, Value::Int(1), Value::Null, Value::Int(1)];
+        assert_eq!((0..4).map(|i| col.value(i)).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -231,10 +231,12 @@ struct GroupInner {
     /// Set when the scanner thread has exited; no further attaches.
     finished: bool,
     /// A consumer attached after the scan started (`pages_read > 0`): the
-    /// scan will wrap and re-visit pages. Disables union pruning — a pruned
-    /// decode is not cached on the page handle, so re-visited pages would
-    /// re-decode per visit, while the full materialization is decoded once
-    /// and shared by every later visit.
+    /// scan will wrap and re-visit pages. Disables union pruning on
+    /// *columnar* pages — a pruned decode is not cached on the page handle,
+    /// so re-visited pages would re-decode per visit, while the full
+    /// materialization is decoded once and shared by every later visit.
+    /// Slotted pages keep pruning: they have no decode cache, every visit
+    /// decodes, so decoding fewer columns always wins there.
     staggered: bool,
     /// Live consumers (scanner-owned count, for visibility).
     active: usize,
@@ -428,41 +430,50 @@ impl ScanManager {
     }
 
     /// Fetch + decode one page for the scanner. Returns the shared batch and
-    /// whether it carries only the pruned column union. A columnar page's
-    /// full materialization is the pool-resident `Arc` itself — it goes on
-    /// the wire as it is, no per-page wrapper, no copy.
+    /// whether it carries only the pruned column union. The page's layout
+    /// alone picks the decoder: a columnar page's full materialization is
+    /// the pool-resident `Arc` itself — it goes on the wire as it is, no
+    /// per-page wrapper, no copy — and a slotted page decodes its records
+    /// straight into typed columns (`Page::decode_cols`), the union's or
+    /// all of them.
     ///
-    /// A referenced set pointing past the page width (plan names a column
-    /// the table lacks) keeps the full-width path, so such plans behave
-    /// exactly as unpruned ones (predicate eval errors filter the page out)
-    /// instead of failing the scan. A union covering the whole page also
-    /// keeps it: full materialization is cached on the page handle, so
-    /// decoding "all columns, uncached" would cost more than it saves.
+    /// A union pointing past the page width (plan names a column the table
+    /// lacks) keeps the full-width path, so such plans behave exactly as
+    /// unpruned ones (predicate eval errors filter the page out) instead of
+    /// failing the scan; so does a union covering the whole page, which
+    /// would decode everything anyway. A `staggered` group prunes slotted
+    /// pages only (see `GroupInner::staggered`).
     fn fetch_page(
         &self,
         pool: &Arc<qpipe_storage::BufferPool>,
         file: qpipe_storage::FileId,
         position: u64,
         union: Option<&[usize]>,
+        staggered: bool,
     ) -> QResult<(Arc<ColBatch>, bool, FetchObs)> {
         let started = std::time::Instant::now();
         let (block, retries) = pool.get_observed(file, position)?;
         let fetch_ns = started.elapsed().as_nanos() as u64;
+        let narrower =
+            |u: &&[usize], width: usize| u.len() < width && u.last().is_none_or(|&c| c < width);
         let (batch, pruned) = match block {
             Block::Columnar(cp) => {
-                match union.filter(|u| {
-                    u.len() < cp.num_cols() && u.last().is_none_or(|&c| c < cp.num_cols())
-                }) {
-                    Some(u) => {
-                        let batch = cp.decode_cols(u)?;
-                        self.metrics.add_pruned_page();
-                        (Arc::new(batch), true)
-                    }
+                match union.filter(|u| !staggered && narrower(u, cp.num_cols())) {
+                    Some(u) => (Arc::new(cp.decode_cols(u)?), true),
                     None => (cp.materialize()?, false),
                 }
             }
-            Block::Slotted(p) => (Arc::new(ColBatch::from_rows(&p.decode_tuples()?)), false),
+            Block::Slotted(p) => {
+                let width = p.width()?;
+                match union.filter(|u| narrower(u, width)) {
+                    Some(u) => (Arc::new(p.decode_cols(Some(u))?), true),
+                    None => (Arc::new(p.decode_cols(None)?), false),
+                }
+            }
         };
+        if pruned {
+            self.metrics.add_pruned_page();
+        }
         let decode_ns = (started.elapsed().as_nanos() as u64).saturating_sub(fetch_ns);
         Ok((batch, pruned, FetchObs { fetch_ns, decode_ns, retries }))
     }
@@ -479,9 +490,11 @@ impl ScanManager {
         file: qpipe_storage::FileId,
         position: u64,
         union: Option<&[usize]>,
+        staggered: bool,
         snaps: &[ConsumerSnap],
     ) -> QResult<PageOut> {
-        let (shared, pruned_delivery, fetch) = self.fetch_page(pool, file, position, union)?;
+        let (shared, pruned_delivery, fetch) =
+            self.fetch_page(pool, file, position, union, staggered)?;
         let mut per_consumer = Vec::with_capacity(snaps.len());
         for s in snaps {
             // Pruned pages carry the union's columns; use the consumer's
@@ -557,10 +570,9 @@ impl ScanManager {
         // The union of all consumers' referenced columns, recomputed only
         // when group membership changes (attach/finish) — not per page. A
         // staggered group (late attacher ⇒ wrap ⇒ pages visited more than
-        // once) stops pruning: see `GroupInner::staggered`.
+        // once) stops pruning columnar pages: see `GroupInner::staggered`.
         let mut union: Option<Vec<usize>> = None;
         let mut union_stale = true;
-        let mut staggered = false;
         // Morsel width: enough pages to keep the task-pool workers busy,
         // small enough that attach adoption (morsel boundaries only) stays
         // responsive.
@@ -574,10 +586,9 @@ impl ScanManager {
             // pages_read advance *now*, before any page is processed, so an
             // ordered newcomer racing `try_attach` can never observe
             // `pages_read == 0` while delivery is already past page 0.
-            let (start, morsel) = {
+            let (start, morsel, staggered) = {
                 let mut g = group.inner.lock();
-                union_stale |= !g.inbox.is_empty() || staggered != g.staggered;
-                staggered = g.staggered;
+                union_stale |= !g.inbox.is_empty();
                 consumers.append(&mut g.inbox);
                 if consumers.is_empty() || num_pages == 0 {
                     g.finished = true;
@@ -596,7 +607,7 @@ impl ScanManager {
                 let start = g.position;
                 g.pages_read += morsel;
                 g.position = (start + morsel) % num_pages;
-                (start, morsel)
+                (start, morsel, g.staggered)
             };
             // Fetch + decode each page ONCE; every consumer's predicate /
             // projection then runs as a vectorized kernel over the same
@@ -607,18 +618,18 @@ impl ScanManager {
             // * Columnar tables materialize the page's shared batch straight
             //   from the PAX byte regions (zero row decode, and cached in the
             //   pool-resident page handle — later visits are refcount bumps).
-            //   While **every** attached consumer has a known
-            //   referenced-column set, only the *union* of those sets is
-            //   decoded (page-level column pruning — shared scans included);
-            //   each consumer's expressions are re-indexed onto the pruned
-            //   batch, so output is identical.
-            // * Row tables still pay the slotted codec: decode to tuples,
-            //   then column-ify.
+            // * Row tables walk each record's tag stream once, straight into
+            //   typed columns — no tuple per row.
             //
-            // Either fetch or decode failing fails every attached packet —
-            // consumers observe the error, never a silently-empty page.
+            // While **every** attached consumer has a known referenced-column
+            // set, only the *union* of those sets is decoded (page-level
+            // column pruning — shared scans included); each consumer's
+            // expressions are re-indexed onto the pruned batch, so output is
+            // identical. Either fetch or decode failing fails every attached
+            // packet — consumers observe the error, never a silently-empty
+            // page.
             if union_stale {
-                union = if staggered { None } else { union_refs(&consumers) };
+                union = union_refs(&consumers);
                 union_stale = false;
             }
             // Snapshot each consumer's expressions for the morsel's jobs.
@@ -789,7 +800,7 @@ impl ScanManager {
                                          k: usize| {
                         let position = (start + k as u64) % num_pages;
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            mgr.page_work(pool, file, position, union, snaps)
+                            mgr.page_work(pool, file, position, union, staggered, snaps)
                         }))
                         .unwrap_or_else(|_| {
                             mgr.metrics.add_worker_panic();
@@ -848,7 +859,14 @@ impl ScanManager {
                     for k in 0..morsel as usize {
                         let position = (start + k as u64) % num_pages;
                         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.page_work(&pool, file, position, union.as_deref(), &snaps)
+                            self.page_work(
+                                &pool,
+                                file,
+                                position,
+                                union.as_deref(),
+                                staggered,
+                                &snaps,
+                            )
                         }))
                         .unwrap_or_else(|_| {
                             self.metrics.add_worker_panic();
@@ -1317,22 +1335,78 @@ mod tests {
     }
 
     /// One unprunable consumer (no projection) keeps the whole shared scan
-    /// full-width — correctness over savings.
+    /// full-width — correctness over savings — whatever the page layout.
     #[test]
     fn unprunable_consumer_disables_union_pruning() {
-        let (ctx, m) = ctx_with_wide_table(2000, qpipe_storage::StorageLayout::Columnar);
+        for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
+            let (ctx, m) = ctx_with_wide_table(2000, layout);
+            let mgr = manager(&ctx, &m, true);
+            let reg = Arc::new(WaitRegistry::new());
+            let (r1, c1) = pruned_request(&reg, 1000, vec![0]);
+            let (r2, c2) = request(&reg, false, false); // full-width consumer
+            let mut r2 = r2;
+            r2.table = "w".into();
+            submit_gated(&ctx, &mgr, "w", vec![r1, r2]);
+            let h1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
+            let h2 = std::thread::spawn(move || c2.collect_tuples().unwrap().len());
+            assert_eq!(h1.join().unwrap(), 1000, "{layout:?}");
+            assert_eq!(h2.join().unwrap(), 2000, "{layout:?}");
+            let pruned = m.snapshot().pruned_pages;
+            assert_eq!(pruned, 0, "{layout:?}: an unprunable consumer disables pruning");
+        }
+    }
+
+    /// A *staggered* shared group over a Row-layout table keeps pruning: a
+    /// slotted page has no decode cache — every visit decodes — so decoding
+    /// only the union always wins, the wrapped re-visits included. Both
+    /// consumers still get exactly the iterator engine's answer.
+    #[test]
+    fn staggered_row_group_keeps_pruning_and_matches_the_iterator_engine() {
+        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Row);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let (r1, c1) = pruned_request(&reg, 1000, vec![0]);
-        let (r2, c2) = request(&reg, false, false); // full-width consumer
-        let mut r2 = r2;
-        r2.table = "w".into();
-        submit_gated(&ctx, &mgr, "w", vec![r1, r2]);
-        let h1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
-        let h2 = std::thread::spawn(move || c2.collect_tuples().unwrap().len());
-        assert_eq!(h1.join().unwrap(), 1000);
-        assert_eq!(h2.join().unwrap(), 2000);
-        assert_eq!(m.snapshot().pruned_pages, 0, "an unprunable consumer disables pruning");
+        let plan_of = |r: &ScanRequest| qpipe_exec::plan::PlanNode::TableScan {
+            table: "w".into(),
+            predicate: r.predicate.clone(),
+            projection: r.projection.clone(),
+            ordered: false,
+        };
+        // The host (references {0}) parks on its undrained 2-batch pipe, so
+        // the latecomer (references {0, 1}) attaches mid-scan: union {0, 1}
+        // of a 3-column table, staggered.
+        let pipe = Pipe::new(PipeConfig { capacity: 2, backfill: 0 }, NodeId(1), reg.clone());
+        let host_rows = pipe.attach_consumer(NodeId(2), false);
+        let host = ScanRequest {
+            table: "w".into(),
+            predicate: Some(Expr::col(0).ge(Expr::lit(10))),
+            projection: Some(vec![0]),
+            output: pipe.producer(),
+            ordered: false,
+            split_ok: false,
+            probe: None,
+            trace: None,
+        };
+        let host_plan = plan_of(&host);
+        mgr.submit(host).unwrap();
+        wait_for_first_page(&m);
+        let (late, late_rows) = pruned_request(&reg, 700, vec![1]);
+        let late_plan = plan_of(&late);
+        mgr.submit(late).unwrap();
+        assert_eq!(mgr.group_count("w"), 1, "the latecomer rides the host's scan");
+        let drain_host = std::thread::spawn(move || host_rows.collect_tuples().unwrap());
+        let got = late_rows.collect_tuples().unwrap();
+        let host_got = drain_host.join().unwrap();
+        assert_eq!(sorted(got), sorted(qpipe_exec::iter::run(&late_plan, &ctx).unwrap()));
+        assert_eq!(sorted(host_got), sorted(qpipe_exec::iter::run(&host_plan, &ctx).unwrap()));
+        let snap = m.snapshot();
+        let pages = ctx.catalog.table("w").unwrap().num_pages().unwrap();
+        assert_eq!(snap.osp_attaches, 1);
+        assert!(snap.circular_wraps >= 1, "the scan wraps for the staggered consumer");
+        assert!(
+            snap.pruned_pages > pages,
+            "every visit pruned, the wrapped re-visits too: {} of > {pages}",
+            snap.pruned_pages
+        );
     }
 
     #[test]

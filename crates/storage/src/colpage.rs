@@ -94,13 +94,13 @@ impl ColPage {
         if HEADER_BYTES + cols as usize * DIR_ENTRY_BYTES > PAGE_SIZE {
             return Err(corrupt("directory exceeds page"));
         }
-        let sum = qpipe_common::sim::fnv1a(&data);
+        let sum = qpipe_common::sim::page_sum(&data);
         Ok(Self { data, rows, cols, sum, decoded: Arc::new(OnceLock::new()) })
     }
 
     /// Verify the sealed checksum against the page bytes.
     pub fn verify_checksum(&self) -> bool {
-        self.sum == qpipe_common::sim::fnv1a(&self.data)
+        self.sum == qpipe_common::sim::page_sum(&self.data)
     }
 
     /// Return a clone with one bit of the page bytes flipped and the seal
@@ -200,28 +200,19 @@ impl ColPage {
             TY_INT => {
                 let region = region(data, data_off, rows * 8, "int region")?;
                 ColumnData::Int64(
-                    region
-                        .chunks_exact(8)
-                        .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
-                        .collect(),
+                    region.as_chunks::<8>().0.iter().map(|&b| i64::from_le_bytes(b)).collect(),
                 )
             }
             TY_FLOAT => {
                 let region = region(data, data_off, rows * 8, "float region")?;
                 ColumnData::Float64(
-                    region
-                        .chunks_exact(8)
-                        .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-                        .collect(),
+                    region.as_chunks::<8>().0.iter().map(|&b| f64::from_le_bytes(b)).collect(),
                 )
             }
             TY_DATE => {
                 let region = region(data, data_off, rows * 4, "date region")?;
                 ColumnData::Date(
-                    region
-                        .chunks_exact(4)
-                        .map(|b| i32::from_le_bytes(b.try_into().unwrap()))
-                        .collect(),
+                    region.as_chunks::<4>().0.iter().map(|&b| i32::from_le_bytes(b)).collect(),
                 )
             }
             TY_STR => ColumnData::Str(decode_strings(data, data_off, aux_off, rows, &nulls)?),
@@ -534,7 +525,7 @@ impl ColPageBuilder {
         self.nulls = vec![Vec::new(); self.types.len()];
         self.any_null = vec![false; self.types.len()];
         self.rows = 0;
-        let sum = qpipe_common::sim::fnv1a(&data);
+        let sum = qpipe_common::sim::page_sum(&data);
         ColPage {
             data: Arc::new(data),
             rows: rows as u16,
@@ -701,6 +692,23 @@ mod tests {
             bad.decoded.get().is_none(),
             "corrupt copy must not inherit the clean decode cache"
         );
+    }
+
+    #[test]
+    fn checksum_catches_every_single_bit_flip() {
+        let mut b = ColPageBuilder::new(&schema());
+        for r in sample_rows(50) {
+            b.append(&r).unwrap();
+        }
+        let mut page = b.finish();
+        for bit in 0..PAGE_SIZE * 8 {
+            let flip =
+                |page: &mut ColPage| Arc::make_mut(&mut page.data)[bit / 8] ^= 1 << (bit % 8);
+            flip(&mut page);
+            assert!(!page.verify_checksum(), "bit {bit}");
+            flip(&mut page);
+        }
+        assert!(page.verify_checksum(), "every flip undone");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   per block read and counts per-file I/O (Figure 8's metric). Blocks are
 //!   a [`Block`] enum so one file can carry either page layout.
 //! * [`page`] — **row layout**: slotted 8 KiB pages with a compact tagged
-//!   binary tuple codec. Reads decode tuple-by-tuple.
+//!   binary tuple codec. Reads decode tuple-by-tuple for the iterator
+//!   engine, or walk each record once straight into the typed columns a
+//!   scan needs (`Page::decode_cols`).
 //! * [`colpage`] — **columnar layout**: PAX-style 8 KiB pages with per-column
 //!   typed value regions, null bitmaps and a page-local string dictionary.
 //!   Reads materialize a whole [`ColBatch`](qpipe_common::ColBatch) from the

@@ -6,8 +6,15 @@
 //! Tuples are serialized with a compact tagged binary codec so that page
 //! occupancy — and therefore block counts, the paper's Figure 8 metric — is
 //! realistic for the workload schemas.
+//!
+//! Reads walk that codec in one place (`RecordReader`) and come out in two
+//! shapes: tuples ([`Page::decode_tuples`], the iterator engine's path) or,
+//! for the staged engine's scanner, typed columns of just the columns asked
+//! for ([`Page::decode_cols`]) — no tuple per row on the way.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+use qpipe_common::colbatch::{ColBatch, ColumnBuilder};
+use qpipe_common::sim::{fnv_word, page_sum};
 use qpipe_common::{QError, QResult, Tuple, Value};
 use std::sync::Arc;
 
@@ -45,14 +52,13 @@ impl Page {
         }
     }
 
-    /// Checksum over payload bytes and the slot directory.
+    /// Checksum over payload bytes and the slot directory: [`page_sum`] of
+    /// the payload, then each `(offset, len)` slot folded in as one word.
     fn compute_sum(&self) -> u64 {
-        let mut h = qpipe_common::sim::fnv1a(&self.data[..self.free_start]);
-        for &(off, len) in &self.slots {
-            h ^= qpipe_common::sim::fnv1a(&[off.to_le_bytes(), len.to_le_bytes()].concat());
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let h = page_sum(&self.data[..self.free_start]);
+        self.slots
+            .iter()
+            .fold(h, |h, &(off, len)| fnv_word(h, u64::from(off) | u64::from(len) << 16))
     }
 
     /// Seal the page: record its current checksum (called by the disk on
@@ -128,9 +134,139 @@ impl Page {
         self.slots.iter().map(move |&(off, len)| &self.data[off as usize..(off + len) as usize])
     }
 
-    /// Decode every record on the page as a tuple.
+    /// Decode every record on the page as a tuple (the iterator engine's
+    /// read path, through `Block::rows`).
     pub fn decode_tuples(&self) -> QResult<Vec<Tuple>> {
         self.records().map(decode_tuple).collect()
+    }
+
+    /// The widest record's arity: the column count of
+    /// `ColBatch::from_rows(&self.decode_tuples()?)`. Errs on a record whose
+    /// header is truncated or claims more values than its bytes can hold —
+    /// `decode_tuples` fails on such a record too.
+    pub fn width(&self) -> QResult<usize> {
+        self.records().try_fold(0, |width, rec| {
+            let arity = RecordReader::new(rec)?.left;
+            if arity > rec.len() - 2 {
+                return Err(QError::Storage(format!(
+                    "tuple header claims {arity} values in {} bytes",
+                    rec.len()
+                )));
+            }
+            Ok(width.max(arity))
+        })
+    }
+
+    /// Decode the named columns (every column for `None`), in the given
+    /// order, straight into typed columns — the slotted twin of
+    /// [`ColPage::decode_cols`](crate::colpage::ColPage::decode_cols), and
+    /// the scanner's only read of a slotted page.
+    ///
+    /// Each record's tag stream is walked once. Values of columns not named
+    /// are stepped over, but their tags, lengths and UTF-8 are checked all
+    /// the same, so this fails exactly when `decode_tuples` does — and also
+    /// when a named column is at or past [`width`](Self::width). A record
+    /// shorter than a named column yields NULL there. The result equals
+    /// `ColBatch::from_rows(&self.decode_tuples()?)` projected onto `cols`,
+    /// `ColumnData` variant for variant ([`ColumnBuilder::push`]'s rule);
+    /// only the allocations differ: no tuple per row, and one `Arc<str>` per
+    /// distinct string of a column rather than one per row (`Interner`).
+    pub fn decode_cols(&self, cols: Option<&[usize]>) -> QResult<ColBatch> {
+        let width = self.width()?;
+        let order: Vec<usize> = match cols {
+            Some(cols) => {
+                if let Some(&c) = cols.iter().find(|&&c| c >= width) {
+                    return Err(QError::Storage(format!(
+                        "column {c} beyond slotted page width {width}"
+                    )));
+                }
+                cols.to_vec()
+            }
+            None => (0..width).collect(),
+        };
+        // One builder per distinct named column, in order of first mention.
+        let mut builder_of: Vec<Option<usize>> = vec![None; width];
+        let mut decoded: Vec<usize> = Vec::with_capacity(order.len());
+        for &c in &order {
+            if builder_of[c].is_none() {
+                builder_of[c] = Some(decoded.len());
+                decoded.push(c);
+            }
+        }
+        let rows = self.num_records();
+        let mut builders: Vec<(ColumnBuilder, Interner)> = decoded
+            .iter()
+            .map(|_| (ColumnBuilder::with_capacity(rows), Interner::default()))
+            .collect();
+        for rec in self.records() {
+            let mut reader = RecordReader::new(rec)?;
+            let arity = reader.left;
+            let mut c = 0;
+            while let Some(slot) = reader.next_slot()? {
+                if let Some(k) = builder_of[c] {
+                    let (builder, interner) = &mut builders[k];
+                    builder.push(match slot {
+                        Slot::Str(s) => Value::Str(interner.intern(s)),
+                        other => other.into_value(),
+                    });
+                }
+                c += 1;
+            }
+            for (&col, (builder, _)) in decoded.iter().zip(&mut builders) {
+                if col >= arity {
+                    builder.push(Value::Null);
+                }
+            }
+        }
+        if builders.is_empty() {
+            return Ok(ColBatch::empty_rows(rows));
+        }
+        let batch = ColBatch::from_columns(builders.into_iter().map(|(b, _)| b.finish()).collect());
+        if decoded.len() == order.len() {
+            return Ok(batch);
+        }
+        // A repeated column: one decode, shared by every position naming it.
+        Ok(batch.project(&order.iter().filter_map(|&c| builder_of[c]).collect::<Vec<_>>()))
+    }
+}
+
+/// Per-page, per-column string interner: equal strings in one column of one
+/// page share one `Arc<str>`. A small open-addressed table keeps at most
+/// `INTERN_CAP` values; once it is full, a new value is allocated without
+/// being kept, so a column of distinct strings pays one short probe each on
+/// top of the allocation it paid before.
+#[derive(Default)]
+struct Interner {
+    slots: Vec<Option<Arc<str>>>,
+    len: usize,
+}
+
+const INTERN_BITS: u32 = 6;
+const INTERN_SLOTS: usize = 1 << INTERN_BITS;
+/// At most half full, so every probe ends at an empty slot, and soon.
+const INTERN_CAP: usize = INTERN_SLOTS / 2;
+
+impl Interner {
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if self.slots.is_empty() {
+            self.slots = vec![None; INTERN_SLOTS];
+        }
+        // The multiplicative hash's top bits are its best mixed.
+        let mut i = (page_sum(s.as_bytes()) >> (64 - INTERN_BITS)) as usize;
+        loop {
+            match &mut self.slots[i] {
+                Some(kept) if **kept == *s => return kept.clone(),
+                Some(_) => i = (i + 1) % INTERN_SLOTS,
+                empty => {
+                    let fresh: Arc<str> = Arc::from(s);
+                    if self.len < INTERN_CAP {
+                        *empty = Some(fresh.clone());
+                        self.len += 1;
+                    }
+                    return fresh;
+                }
+            }
+        }
     }
 }
 
@@ -186,56 +322,88 @@ pub fn encoded_len(tuple: &Tuple) -> usize {
 }
 
 /// Deserialize a tuple from bytes.
-pub fn decode_tuple(mut buf: &[u8]) -> QResult<Tuple> {
-    if buf.remaining() < 2 {
-        return Err(QError::Storage("truncated tuple header".into()));
-    }
-    let n = buf.get_u16_le() as usize;
-    let mut tuple = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 1 {
-            return Err(QError::Storage("truncated tuple value tag".into()));
-        }
-        let tag = buf.get_u8();
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_INT => {
-                if buf.remaining() < 8 {
-                    return Err(QError::Storage("truncated int".into()));
-                }
-                Value::Int(buf.get_i64_le())
-            }
-            TAG_FLOAT => {
-                if buf.remaining() < 8 {
-                    return Err(QError::Storage("truncated float".into()));
-                }
-                Value::Float(buf.get_f64_le())
-            }
-            TAG_STR => {
-                if buf.remaining() < 2 {
-                    return Err(QError::Storage("truncated string length".into()));
-                }
-                let len = buf.get_u16_le() as usize;
-                if buf.remaining() < len {
-                    return Err(QError::Storage("truncated string body".into()));
-                }
-                let s = std::str::from_utf8(&buf[..len])
-                    .map_err(|e| QError::Storage(format!("invalid utf8: {e}")))?;
-                let v = Value::str(s);
-                buf.advance(len);
-                v
-            }
-            TAG_DATE => {
-                if buf.remaining() < 4 {
-                    return Err(QError::Storage("truncated date".into()));
-                }
-                Value::Date(buf.get_i32_le())
-            }
-            other => return Err(QError::Storage(format!("unknown value tag {other}"))),
-        };
-        tuple.push(v);
+pub fn decode_tuple(buf: &[u8]) -> QResult<Tuple> {
+    let mut reader = RecordReader::new(buf)?;
+    let mut tuple = Vec::with_capacity(reader.left);
+    while let Some(slot) = reader.next_slot()? {
+        tuple.push(slot.into_value());
     }
     Ok(tuple)
+}
+
+/// One value of a record, borrowed from the page bytes.
+enum Slot<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Date(i32),
+}
+
+impl Slot<'_> {
+    fn into_value(self) -> Value {
+        match self {
+            Slot::Null => Value::Null,
+            Slot::Int(x) => Value::Int(x),
+            Slot::Float(x) => Value::Float(x),
+            Slot::Str(s) => Value::str(s),
+            Slot::Date(d) => Value::Date(d),
+        }
+    }
+}
+
+/// A cursor over one record's tag stream — the codec's one statement of
+/// what a well-formed record is. Every slot it yields has had its tag, its
+/// length and (strings) its UTF-8 checked, so a reader that drops a slot has
+/// still validated it: the tuple and the column decoder fail on exactly the
+/// same records.
+struct RecordReader<'a> {
+    buf: &'a [u8],
+    /// Values not yet read (the header's arity before the first read).
+    left: usize,
+}
+
+impl<'a> RecordReader<'a> {
+    fn new(buf: &'a [u8]) -> QResult<Self> {
+        let (arity, buf) = buf
+            .split_first_chunk::<2>()
+            .ok_or_else(|| QError::Storage("truncated tuple header".into()))?;
+        Ok(Self { buf, left: u16::from_le_bytes(*arity) as usize })
+    }
+
+    fn next_slot(&mut self) -> QResult<Option<Slot<'a>>> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        self.left -= 1;
+        let tag = self.take::<1>("truncated tuple value tag")?[0];
+        Ok(Some(match tag {
+            TAG_NULL => Slot::Null,
+            TAG_INT => Slot::Int(i64::from_le_bytes(self.take("truncated int")?)),
+            TAG_FLOAT => Slot::Float(f64::from_le_bytes(self.take("truncated float")?)),
+            TAG_STR => {
+                let len = u16::from_le_bytes(self.take("truncated string length")?) as usize;
+                let (body, rest) = self
+                    .buf
+                    .split_at_checked(len)
+                    .ok_or_else(|| QError::Storage("truncated string body".into()))?;
+                self.buf = rest;
+                Slot::Str(
+                    std::str::from_utf8(body)
+                        .map_err(|e| QError::Storage(format!("invalid utf8: {e}")))?,
+                )
+            }
+            TAG_DATE => Slot::Date(i32::from_le_bytes(self.take("truncated date")?)),
+            other => return Err(QError::Storage(format!("unknown value tag {other}"))),
+        }))
+    }
+
+    fn take<const N: usize>(&mut self, truncated: &str) -> QResult<[u8; N]> {
+        let (head, rest) =
+            self.buf.split_first_chunk::<N>().ok_or_else(|| QError::Storage(truncated.into()))?;
+        self.buf = rest;
+        Ok(*head)
+    }
 }
 
 #[cfg(test)]
@@ -330,6 +498,101 @@ mod tests {
         bad.corrupt_bit(3);
         assert!(!bad.verify_checksum(), "corruption must fail verification");
         assert!(p.verify_checksum(), "clone corruption must not leak back");
+    }
+
+    fn page_of(rows: &[Tuple]) -> Page {
+        let mut p = Page::new();
+        let mut buf = Vec::new();
+        for r in rows {
+            buf.clear();
+            encode_tuple(r, &mut buf);
+            p.append_record(&buf).unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn decode_cols_is_from_rows_of_decode_tuples_projected() {
+        use qpipe_common::colbatch::ColumnData;
+        // Ragged records; column 1 two-typed, column 2 NULL-leading then
+        // typed, column 3 present in one record only.
+        let rows = vec![
+            vec![Value::Int(1), Value::str("a"), Value::Null],
+            vec![Value::Int(2), Value::Int(7), Value::Date(3), Value::Float(0.5)],
+            vec![Value::Null],
+            vec![Value::Int(4), Value::str("a"), Value::Date(5)],
+        ];
+        let p = page_of(&rows);
+        let full = ColBatch::from_rows(&p.decode_tuples().unwrap());
+        assert_eq!(p.width().unwrap(), 4);
+        assert_eq!(p.decode_cols(None).unwrap(), full);
+        for cols in [vec![], vec![3], vec![2, 0], vec![1, 1, 3]] {
+            let got = p.decode_cols(Some(&cols)).unwrap();
+            assert_eq!(got, full.project(&cols), "{cols:?}");
+            assert_eq!(got.len(), 4);
+        }
+        let typed = p.decode_cols(Some(&[2])).unwrap();
+        assert!(matches!(typed.col(0).unwrap().data(), ColumnData::Date(_)));
+        assert!(typed.col(0).unwrap().is_null(0) && typed.col(0).unwrap().is_null(2));
+        assert!(matches!(
+            p.decode_cols(Some(&[1])).unwrap().col(0).unwrap().data(),
+            ColumnData::Mixed(_)
+        ));
+        assert!(p.decode_cols(Some(&[4])).is_err(), "past the widest record");
+        assert!(Page::new().decode_cols(Some(&[0])).is_err(), "an empty page has width 0");
+        assert_eq!(Page::new().decode_cols(None).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn decode_cols_interns_strings_per_column() {
+        use qpipe_common::colbatch::ColumnData;
+        let rows: Vec<Tuple> = (0..100)
+            .map(|i| vec![Value::str(["AIR", "MAIL", "SHIP"][i % 3]), Value::str(format!("c{i}"))])
+            .collect();
+        let p = page_of(&rows);
+        let b = p.decode_cols(None).unwrap();
+        let ColumnData::Str(modes) = b.col(0).unwrap().data() else { panic!("typed str") };
+        assert!(Arc::ptr_eq(&modes[0], &modes[3]) && Arc::ptr_eq(&modes[1], &modes[97]));
+        // Distinct values overflow the bounded table and still decode right.
+        assert_eq!(b, ColBatch::from_rows(&rows));
+    }
+
+    #[test]
+    fn decode_cols_fails_where_decode_tuples_fails_even_on_skipped_columns() {
+        let mut rec = Vec::new();
+        encode_tuple(&vec![Value::Int(1), Value::str("ok"), Value::Date(2)], &mut rec);
+        let at = rec.len() - 5 - 2; // the string body
+        rec[at] = 0xFF; // not UTF-8
+        let mut p = page_of(&[vec![Value::Int(0), Value::str("x"), Value::Date(1)]]);
+        p.append_record(&rec).unwrap();
+        assert!(p.decode_tuples().is_err());
+        assert!(p.decode_cols(Some(&[0])).is_err(), "the skipped string is still checked");
+        let mut q = Page::new();
+        q.append_record(&[0xFF, 0xFF, 0x01]).unwrap(); // claims 65535 values
+        assert!(q.decode_tuples().is_err() && q.width().is_err() && q.decode_cols(None).is_err());
+    }
+
+    #[test]
+    fn checksum_catches_every_single_bit_flip_and_slot_change() {
+        let rows: Vec<Tuple> = (0..40)
+            .map(|i| vec![Value::Int(i), Value::str(format!("r{i}")), Value::Float(i as f64)])
+            .collect();
+        let mut p = page_of(&rows);
+        p.seal();
+        for bit in 0..p.free_start as u64 * 8 {
+            p.corrupt_bit(bit);
+            assert!(!p.verify_checksum(), "bit {bit}");
+            p.corrupt_bit(bit);
+        }
+        assert!(p.verify_checksum(), "every flip undone");
+        for i in [0, 17, 39] {
+            let mut q = p.clone();
+            q.slots[i].1 -= 1;
+            assert!(!q.verify_checksum(), "slot {i} length");
+            let mut q = p.clone();
+            q.slots.swap(i, (i + 1) % 40);
+            assert!(!q.verify_checksum(), "slot {i} order");
+        }
     }
 
     #[test]

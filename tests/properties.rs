@@ -423,6 +423,180 @@ fn page_preserves_record_contents() {
 }
 
 // ---------------------------------------------------------------------------
+// Slotted page → columns: `Page::decode_cols` is `from_rows(decode_tuples)`,
+// projected, slot for slot — and fails exactly where `decode_tuples` fails.
+// ---------------------------------------------------------------------------
+
+/// One slot value of kind `kind` (0 Int, 1 Float, 2 Str, 3 Date), edge
+/// cases included: integer and float extremes, NaN, −0.0, ±∞, empty,
+/// multibyte and long strings.
+fn arb_slot(rng: &mut StdRng, kind: u8) -> Value {
+    match kind {
+        0 if rng.gen_bool(0.2) => Value::Int([i64::MIN, i64::MAX, 0, -1][rng.gen_range(0..4)]),
+        0 => Value::Int(rng.gen_range(-1000..1000)),
+        1 => {
+            let edges = [
+                f64::NAN,
+                -0.0,
+                0.0,
+                f64::MAX,
+                f64::MIN,
+                f64::MIN_POSITIVE,
+                f64::INFINITY,
+                -f64::INFINITY,
+            ];
+            if rng.gen_bool(0.3) {
+                Value::Float(edges[rng.gen_range(0..edges.len())])
+            } else {
+                Value::Float(rng.gen_range(-1e6..1e6))
+            }
+        }
+        2 => {
+            let len =
+                if rng.gen_bool(0.05) { rng.gen_range(100..=300) } else { rng.gen_range(0..=8) };
+            let alphabet = ['a', 'Z', ' ', '_', 'é', '€', '𝄞', 'ß'];
+            Value::str(
+                (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect::<String>(),
+            )
+        }
+        _ => Value::Date(rng.gen_range(i32::MIN..i32::MAX)),
+    }
+}
+
+/// A slotted page of ragged records (arity 0–8) whose columns are each
+/// uniform, NULL-leading, two-typed or all-NULL; returns the page and the
+/// rows it holds.
+fn arb_slotted_page(rng: &mut StdRng) -> (Page, Vec<Tuple>) {
+    let width = rng.gen_range(0..=8);
+    // (shape, kind, second kind, leading NULLs) per column.
+    let shapes: Vec<(u8, u8, u8, usize)> = (0..width)
+        .map(|_| {
+            (rng.gen_range(0..4), rng.gen_range(0..4), rng.gen_range(0..4), rng.gen_range(0..20))
+        })
+        .collect();
+    let mut page = Page::new();
+    let mut rows = Vec::new();
+    let mut buf = Vec::new();
+    for r in 0..rng.gen_range(0..=90) {
+        let arity = if rng.gen_bool(0.3) { rng.gen_range(0..=width) } else { width };
+        let row: Tuple = shapes[..arity]
+            .iter()
+            .map(|&(shape, kind, other, lead)| match shape {
+                0 if rng.gen_bool(0.2) => Value::Null,
+                0 => arb_slot(rng, kind),
+                1 if r < lead || rng.gen_bool(0.1) => Value::Null,
+                1 => arb_slot(rng, kind),
+                2 if rng.gen_bool(0.15) => Value::Null,
+                2 => {
+                    let kind = if rng.gen_bool(0.5) { kind } else { other };
+                    arb_slot(rng, kind)
+                }
+                _ => Value::Null,
+            })
+            .collect();
+        buf.clear();
+        encode_tuple(&row, &mut buf);
+        if !page.fits(buf.len()) {
+            break;
+        }
+        page.append_record(&buf).unwrap();
+        rows.push(row);
+    }
+    (page, rows)
+}
+
+/// `got` equals `want` column for column: same `ColumnData` variant, and
+/// every slot the same NULL bit, type tag and bits.
+fn assert_same_columns(got: &ColBatch, want: &ColBatch, what: &str) {
+    assert_eq!((got.len(), got.num_cols()), (want.len(), want.num_cols()), "{what}: shape");
+    for c in 0..want.num_cols() {
+        let (g, w) = (got.col(c).unwrap(), want.col(c).unwrap());
+        assert_eq!(
+            std::mem::discriminant(g.data()),
+            std::mem::discriminant(w.data()),
+            "{what}: column {c} representation"
+        );
+        for i in 0..want.len() {
+            assert_eq!(g.is_null(i), w.is_null(i), "{what}: column {c} row {i} null bit");
+            assert!(same_bits(&g.value(i), &w.value(i)), "{what}: column {c} row {i}");
+        }
+    }
+}
+
+#[test]
+fn slotted_decode_cols_agrees_with_decode_tuples() {
+    let mut rng = StdRng::seed_from_u64(0x0510_77ED);
+    let mut typed_cols = 0;
+    for case in 0..500 {
+        let (page, rows) = arb_slotted_page(&mut rng);
+        let tuples = page.decode_tuples().unwrap();
+        assert_eq!(tuples.len(), rows.len());
+        let full = ColBatch::from_rows(&tuples);
+        let width = full.num_cols();
+        assert_eq!(page.width().unwrap(), width, "case {case}");
+        assert_same_columns(&page.decode_cols(None).unwrap(), &full, &format!("case {case} None"));
+        let subset: Vec<usize> = (0..width).filter(|_| rng.gen_bool(0.5)).collect();
+        for cols in [vec![], subset.clone(), (0..width).collect()] {
+            let got = page.decode_cols(Some(&cols)).unwrap();
+            assert_same_columns(&got, &full.project(&cols), &format!("case {case} {cols:?}"));
+        }
+        typed_cols += (0..width)
+            .filter(|&c| !matches!(full.col(c).unwrap().data(), ColumnData::Mixed(_)))
+            .count();
+        let mut past = subset;
+        past.push(width + rng.gen_range(0..3));
+        assert!(page.decode_cols(Some(&past)).is_err(), "case {case}: {past:?} past width {width}");
+    }
+    assert!(typed_cols > 300, "typed columns exercised: {typed_cols}");
+}
+
+#[test]
+fn slotted_decode_cols_fails_exactly_when_decode_tuples_fails() {
+    let mut rng = StdRng::seed_from_u64(0x0BAD_5107);
+    let mut failures = 0;
+    for case in 0..400 {
+        let (clean, rows) = arb_slotted_page(&mut rng);
+        // Re-pack the same records, some truncated or garbled (the page is
+        // never sealed: this is the codec's check, not the checksum's).
+        let mut page = Page::new();
+        for rec in clean.records() {
+            let mut rec = rec.to_vec();
+            match rng.gen_range(0..4) {
+                0 => rec.truncate(rng.gen_range(0..=rec.len())),
+                1 => {
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let at = rng.gen_range(0..rec.len());
+                        rec[at] = rng.gen_range(0..=255u64) as u8;
+                    }
+                }
+                _ => {}
+            }
+            page.append_record(&rec).unwrap();
+        }
+        let tuples = page.decode_tuples();
+        failures += usize::from(tuples.is_err());
+        assert_eq!(
+            page.decode_cols(None).is_err(),
+            tuples.is_err(),
+            "case {case} ({} rows)",
+            rows.len()
+        );
+        let Ok(width) = page.width() else {
+            assert!(tuples.is_err(), "case {case}: width failed on a decodable page");
+            continue;
+        };
+        let cols: Vec<usize> = (0..width).filter(|_| rng.gen_bool(0.3)).collect();
+        let got = page.decode_cols(Some(&cols));
+        assert_eq!(got.is_err(), tuples.is_err(), "case {case}: {cols:?}");
+        if let (Ok(got), Ok(tuples)) = (got, tuples) {
+            let want = ColBatch::from_rows(&tuples).project(&cols);
+            assert_same_columns(&got, &want, &format!("case {case} garbled"));
+        }
+    }
+    assert!(failures > 100, "garbled pages that fail to decode: {failures}");
+}
+
+// ---------------------------------------------------------------------------
 // Columnar page codec properties: random NULL-dense, schema-typed batches
 // must survive rows → ColPage → ColBatch → rows exactly, and agree with the
 // slotted-page codec over the same rows (cross-codec parity).
