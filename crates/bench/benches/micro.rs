@@ -1,7 +1,7 @@
-//! Criterion micro-benchmarks for the QPipe building blocks and the
-//! ablations DESIGN.md calls out:
+//! Criterion micro-benchmarks for the QPipe building blocks, among them:
 //!
-//! * buffer-pool replacement policies under a scan-heavy reference pattern,
+//! * the two buffer-pool replacement policies the systems run (LRU, 2Q)
+//!   under a scan-heavy reference pattern,
 //! * intermediate pipe throughput at fan-out 1 vs 4 (the broadcast cost of
 //!   simultaneous pipelining),
 //! * plan-signature computation + OSP registry lookup (the per-packet cost
@@ -21,9 +21,7 @@ use std::sync::Arc;
 
 fn pool_policies(c: &mut Criterion) {
     let mut g = c.benchmark_group("bufferpool_policy");
-    for policy in
-        [PolicyKind::Lru, PolicyKind::Clock, PolicyKind::LruK(2), PolicyKind::TwoQ, PolicyKind::Arc]
-    {
+    for policy in [PolicyKind::Lru, PolicyKind::TwoQ] {
         // Mixed pattern: repeated scans of 256 pages + a hot set of 16.
         let disk = SimDisk::new(DiskConfig::instant(), Metrics::new());
         let f = disk.create_file("t").unwrap();
@@ -61,10 +59,9 @@ fn pipe_fanout(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(consumers), &consumers, |b, &consumers| {
             b.iter(|| {
                 let reg = Arc::new(WaitRegistry::new());
-                let pipe = Pipe::new(PipeConfig { capacity: 64, backfill: 0 }, NodeId(1), reg);
-                let sinks: Vec<_> = (0..consumers)
-                    .map(|i| pipe.attach_consumer(NodeId(10 + i as u64), false))
-                    .collect();
+                let pipe = Pipe::new(PipeConfig { capacity: 64 }, NodeId(1), reg);
+                let sinks: Vec<_> =
+                    (0..consumers).map(|i| pipe.attach_consumer(NodeId(10 + i as u64))).collect();
                 let mut producer = pipe.producer();
                 let handles: Vec<_> = sinks
                     .into_iter()
@@ -702,9 +699,8 @@ fn morsel_scan(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(workers), &mgr, |b, mgr| {
             b.iter(|| {
                 let reg = Arc::new(WaitRegistry::new());
-                let pipe =
-                    Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
-                let consumer = pipe.attach_consumer(NodeId(2), false);
+                let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
+                let consumer = pipe.attach_consumer(NodeId(2));
                 mgr.submit(ScanRequest {
                     table: "lineitem".into(),
                     predicate: Some(pred.clone()),

@@ -1,10 +1,12 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for three design choices:
 //!
-//! 1. **Buffer-pool policy** under the Figure-8 workload (does the Baseline/
-//!    DBMS-X gap really come from the replacement policy?).
-//! 2. **Pipe capacity** (the buffering WoP enhancement: how much queue space
-//!    does simultaneous pipelining need before the slowest-consumer coupling
-//!    stops hurting?).
+//! 1. **Buffer-pool policy** under the Figure-8 workload: the Baseline engine
+//!    on each of the two policies the systems run — LRU (QPipe, Baseline)
+//!    and 2Q (DBMS X). Does the Baseline/DBMS-X gap really come from the
+//!    replacement policy?
+//! 2. **Pipe capacity** (how much queue space does simultaneous pipelining
+//!    need before the slowest-consumer coupling stops hurting?), with the
+//!    hosts' replay history — the buffering WoP enhancement — sized to match.
 //! 3. **Circular scans on/off** (OSP with sharing restricted to stateful
 //!    operators only — isolates how much of the win is scan sharing).
 
@@ -13,30 +15,52 @@ use qpipe_common::{Metrics, QResult};
 use qpipe_core::engine::{QPipe, QPipeConfig};
 use qpipe_core::pipe::PipeConfig;
 use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, PolicyKind, SimDisk};
-use qpipe_workloads::harness::{staggered_run, Driver, System, SystemProfile};
+use qpipe_workloads::harness::{staggered_run, Driver, System};
 use qpipe_workloads::tpch::{build_tpch, q4, q6, JoinFlavor, TpchScale};
+use std::sync::Arc;
+
+/// A staged engine over an experiment-scale TPC-H catalog whose pool runs
+/// `policy`, plus the metrics its disk and pool report to.
+fn tpch_engine(policy: PolicyKind, config: QPipeConfig) -> QResult<(Arc<QPipe>, Metrics)> {
+    let prof = profile();
+    let metrics = Metrics::new();
+    let disk = SimDisk::new(prof.disk, metrics.clone());
+    let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(prof.pool_pages, policy));
+    let catalog = Catalog::new(disk, pool);
+    build_tpch(&catalog, TpchScale::experiment(), 20050614)?;
+    Ok((QPipe::new(catalog, config), metrics))
+}
 
 fn pool_policy_ablation() -> QResult<()> {
     println!("Ablation 1: buffer-pool replacement policy, Baseline engine,");
     println!("4 clients x Q6 at 30s interarrival (Figure 8 workload)\n");
-    let prof = profile();
+    let scale = profile().time_scale;
     let widths = [10, 14, 12];
     print_header(&["policy", "blocks read", "hit ratio"], &widths);
-    for policy in
-        [PolicyKind::Lru, PolicyKind::Clock, PolicyKind::LruK(2), PolicyKind::TwoQ, PolicyKind::Arc]
-    {
-        let custom = SystemProfile { policy, ..prof };
-        let driver = Driver::build(System::Baseline, custom, |c| {
-            build_tpch(c, TpchScale::experiment(), 20050614)
-        })?;
-        let plans: Vec<_> =
-            (0..4).map(|c| q6((c * 137) % 1800, 0.02 + 0.01 * c as f64, 30 + c as i64)).collect();
-        let r = staggered_run(&driver, plans, 30.0, custom.time_scale)?;
+    for policy in [PolicyKind::Lru, PolicyKind::TwoQ] {
+        let (engine, metrics) = tpch_engine(policy, QPipeConfig::baseline())?;
+        let before = metrics.snapshot();
+        // Client c submits at c × 30 paper seconds, as `staggered_run` does.
+        let runs: Vec<QResult<usize>> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..4)
+                .map(|c| {
+                    let engine = &engine;
+                    s.spawn(move || {
+                        std::thread::sleep(scale.to_real(30.0 * c as f64));
+                        let plan = q6((c * 137) % 1800, 0.02 + 0.01 * c as f64, 30 + c as i64);
+                        engine.submit(plan).map(|h| h.collect().len())
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|h| h.join().expect("client thread")).collect()
+        });
+        runs.into_iter().collect::<QResult<Vec<_>>>()?;
+        let delta = metrics.snapshot().delta_since(&before);
         print_row(
             &[
                 format!("{policy:?}"),
-                thousands(r.delta.disk_blocks_read),
-                format!("{:.2}", r.delta.bp_hit_ratio()),
+                thousands(delta.disk_blocks_read),
+                format!("{:.2}", delta.bp_hit_ratio()),
             ],
             &widths,
         );
@@ -52,18 +76,12 @@ fn pipe_capacity_ablation() -> QResult<()> {
     let widths = [10, 16, 10];
     print_header(&["capacity", "total time (s)", "attaches"], &widths);
     for capacity in [1usize, 2, 4, 8, 16, 64] {
-        let metrics = Metrics::new();
-        let disk = SimDisk::new(prof.disk, metrics.clone());
-        let pool =
-            BufferPool::new(disk.clone(), BufferPoolConfig::new(prof.pool_pages, prof.policy));
-        let catalog = Catalog::new(disk, pool);
-        build_tpch(&catalog, TpchScale::experiment(), 20050614)?;
         let config = QPipeConfig {
-            pipe: PipeConfig { capacity, backfill: capacity },
+            pipe: PipeConfig { capacity },
             host_backfill: capacity,
             ..QPipeConfig::default()
         };
-        let engine = QPipe::new(catalog, config);
+        let (engine, metrics) = tpch_engine(PolicyKind::Lru, config)?;
         let before = metrics.snapshot();
         let start = std::time::Instant::now();
         let h1 = engine.submit(q4(400, JoinFlavor::Hash))?;

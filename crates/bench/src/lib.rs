@@ -1,15 +1,15 @@
 //! Shared helpers for the figure-reproduction binaries.
 //!
-//! Every binary in this crate regenerates one figure of the paper's
-//! evaluation (§5); see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results.
+//! Each `fig*` binary regenerates one figure of the paper's evaluation (§5);
+//! `wop_table` prints Figure 4's model, `ablation` isolates three design
+//! choices, and the `*_smoke` and `planner_fuzz` binaries are CI harnesses.
 
 use qpipe_common::QResult;
 use qpipe_workloads::harness::{Driver, System, SystemProfile};
 use qpipe_workloads::tpch::{build_tpch, TpchScale};
 use qpipe_workloads::wisconsin::{build_wisconsin, WisconsinScale};
 
-/// Default figure profile (see DESIGN.md §6).
+/// Default figure profile.
 pub fn profile() -> SystemProfile {
     SystemProfile::experiment()
 }

@@ -50,7 +50,7 @@ impl TimeScale {
 }
 
 impl Default for TimeScale {
-    /// Default experiment profile (DESIGN.md §6): 1 paper second = 4 real ms.
+    /// Default time scale: 1 paper second = 4 real ms.
     fn default() -> Self {
         Self::paper_sec_is_ms(4.0)
     }

@@ -607,8 +607,8 @@ mod tests {
 
     fn pipe_pair() -> (Arc<Pipe>, PipeConsumer) {
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 8, backfill: 0 }, NodeId(1), reg);
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 8 }, NodeId(1), reg);
+        let c = pipe.attach_consumer(NodeId(2));
         (pipe, c)
     }
 

@@ -328,11 +328,11 @@ mod tests {
         use crate::pipe::{push_rows, PipeConfig};
         let registry = Arc::new(WaitRegistry::new());
         let metrics = Metrics::new();
-        let config = PipeConfig { capacity: 1, backfill: 0 };
+        let config = PipeConfig { capacity: 1 };
         let full = Pipe::new(config, NodeId(1), registry.clone());
         let empty = Pipe::new(config, NodeId(1), registry.clone());
-        let on_full = full.attach_consumer(NodeId(2), false);
-        let _on_empty = empty.attach_consumer(NodeId(2), false);
+        let on_full = full.attach_consumer(NodeId(2));
+        let _on_empty = empty.attach_consumer(NodeId(2));
         let mut producer = full.producer();
         let mut push = || push_rows(&mut producer, &[vec![qpipe_common::Value::Int(1)]]);
         push();

@@ -295,7 +295,7 @@ impl QPipe {
         let client_node = fresh_node();
         let root_node = fresh_node();
         let root_pipe = Pipe::new(self.config.pipe, root_node, self.registry.clone());
-        let consumer = root_pipe.attach_consumer(client_node, false);
+        let consumer = root_pipe.attach_consumer(client_node);
         let producer = root_pipe.producer();
         let tables = plan.tables();
         // Column liveness: from here on the engine runs the plan whose scans
@@ -470,7 +470,7 @@ impl QPipe {
             let child_pipe = Pipe::new(self.config.pipe, child_node, self.registry.clone());
             // The consumer end belongs to *this* operator: time it spends
             // blocked on the child's pipe is this operator's pipe-wait.
-            let mut consumer = child_pipe.attach_consumer(node, false);
+            let mut consumer = child_pipe.attach_consumer(node);
             consumer.set_probe(probe.map(|p| p.probe.clone()));
             children_consumers.push(consumer);
             let child_producer = child_pipe.producer();

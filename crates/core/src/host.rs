@@ -6,13 +6,19 @@
 //! host (which then broadcasts every batch to all attached outputs), and its
 //! child subtree is cancelled (paper §4.3, Figure 6b).
 //!
-//! The attach window is operator-specific (§3.2):
+//! A host is open to satellites while everything it has emitted is still in
+//! its replay history — the paper's *buffering* enhancement (§3.2,
+//! Figure 4b), and the only place the engine retains output for a late
+//! attacher. The history's capacity is the operator's window
+//! (`ops::attach_window` picks it):
 //! * [`AttachWindow::UntilFirstOutput`] — step-overlap operators (joins,
-//!   group-by). With the buffering enhancement, "first output" really means
-//!   "more output than the host's replay history retains".
-//! * [`AttachWindow::WholeLifetime`] — full-overlap operators (single
-//!   aggregates, sort — whose output is materialized anyway, giving the
-//!   materialization enhancement for free).
+//!   range index scans): "first output" really means "more output than the
+//!   host's replay history retains".
+//! * [`AttachWindow::WholeLifetime`] — full-overlap operators (aggregates,
+//!   sort — whose output is materialized anyway, giving the materialization
+//!   enhancement for free).
+//! * no window — a host no satellite can reach (OSP off, filter, project):
+//!   it keeps no history and is never registered.
 //!
 //! # The cancellation rule
 //!
@@ -66,7 +72,8 @@ impl HostOutput {
 
 struct HostState {
     outputs: Vec<HostOutput>,
-    /// Batches already emitted, for replay to late attachers.
+    /// The first batches emitted, for replay to late attachers (at most the
+    /// host's `retain`).
     history: Vec<Arc<ColBatch>>,
     emitted: u64,
     closed: bool,
@@ -90,11 +97,13 @@ impl HostState {
     }
 }
 
-/// Shared state of one in-progress shareable operation.
+/// Shared state of one in-progress operation: its outputs (the host's own
+/// query and any satellites) and, when it has an attach window, its replay
+/// history.
 pub struct SharedHost {
-    window: AttachWindow,
-    /// History capacity for `UntilFirstOutput` (buffering enhancement).
-    backfill: usize,
+    /// History capacity in batches; `None` for a host no satellite can
+    /// reach, which keeps no history and refuses every attach.
+    retain: Option<usize>,
     /// Waits-for-graph identity of the executing host packet. Every output
     /// pipe is re-pointed to this node so blocked pushes on *any* output
     /// appear as waits by the same node.
@@ -105,8 +114,10 @@ pub struct SharedHost {
 }
 
 impl SharedHost {
+    /// `backfill` is the history capacity of an
+    /// [`UntilFirstOutput`](AttachWindow::UntilFirstOutput) window.
     pub fn new(
-        window: AttachWindow,
+        window: Option<AttachWindow>,
         backfill: usize,
         node: crate::deadlock::NodeId,
         first_output: PipeProducer,
@@ -115,9 +126,12 @@ impl SharedHost {
         probe: Option<Arc<OpProbe>>,
     ) -> Arc<Self> {
         first_output.pipe().set_producer_node(node);
+        let retain = window.map(|w| match w {
+            AttachWindow::UntilFirstOutput => backfill,
+            AttachWindow::WholeLifetime => usize::MAX,
+        });
         Arc::new(Self {
-            window,
-            backfill,
+            retain,
             node,
             state: Mutex::new(HostState {
                 outputs: vec![HostOutput { producer: first_output, probe }],
@@ -137,23 +151,16 @@ impl SharedHost {
     #[allow(clippy::result_large_err)] // the Err *is* the packet, by design
     pub fn try_attach(&self, mut packet: Packet) -> Result<(), Packet> {
         let mut st = self.state.lock();
-        if st.closed {
+        if st.closed || self.retain.is_none() {
             return Err(packet);
         }
-        let replayable = st.history.len() as u64 == st.emitted;
-        let open = match self.window {
-            AttachWindow::UntilFirstOutput => replayable,
-            AttachWindow::WholeLifetime => {
-                debug_assert!(replayable, "WholeLifetime hosts retain all output");
-                replayable
-            }
-        };
-        if !open {
+        if st.history.len() as u64 != st.emitted {
+            // The window closed: output went out that history cannot replay.
             self.metrics.add_osp_rejection();
             return Err(packet);
         }
+        let Some(producer) = packet.output.take() else { return Err(packet) };
         packet.sever_subtree();
-        let producer = packet.output.take().expect("satellite packet has an output");
         producer.pipe().set_producer_node(self.node);
         if !st.history.is_empty() {
             // Replaying history happens on the µEngine dispatcher thread and
@@ -191,11 +198,7 @@ impl SharedHost {
             let mut st = self.state.lock();
             st.broadcasting = true;
             st.emitted += 1;
-            let retain = match self.window {
-                AttachWindow::UntilFirstOutput => self.backfill,
-                AttachWindow::WholeLifetime => usize::MAX,
-            };
-            if st.history.len() < retain {
+            if self.retain.is_some_and(|n| st.history.len() < n) {
                 st.history.push(batch.clone());
             }
             // Take the outputs; attaches during the send append to the
@@ -235,11 +238,6 @@ impl SharedHost {
     /// Number of queries currently served (host + satellites).
     pub fn fanout(&self) -> usize {
         self.state.lock().outputs.len()
-    }
-
-    /// Batches emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.state.lock().emitted
     }
 
     /// Finish: close every output and refuse further attaches.
@@ -310,8 +308,8 @@ mod tests {
 
     fn make_pipe_pair() -> (PipeProducer, PipeConsumer) {
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg);
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg);
+        let c = pipe.attach_consumer(NodeId(2));
         (pipe.producer(), c)
     }
 
@@ -344,7 +342,7 @@ mod tests {
     fn attach_before_output_gets_everything() {
         let (host_prod, host_cons) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::UntilFirstOutput,
+            Some(AttachWindow::UntilFirstOutput),
             4,
             NodeId(500),
             host_prod,
@@ -366,7 +364,7 @@ mod tests {
     fn attach_within_backfill_replays_history() {
         let (host_prod, host_cons) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::UntilFirstOutput,
+            Some(AttachWindow::UntilFirstOutput),
             4,
             NodeId(500),
             host_prod,
@@ -389,7 +387,7 @@ mod tests {
         let m = Metrics::new();
         let (host_prod, _host_cons) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::UntilFirstOutput,
+            Some(AttachWindow::UntilFirstOutput),
             2,
             NodeId(500),
             host_prod,
@@ -411,7 +409,7 @@ mod tests {
     fn whole_lifetime_attach_late() {
         let (host_prod, _hc) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::WholeLifetime,
+            Some(AttachWindow::WholeLifetime),
             0,
             NodeId(500),
             host_prod,
@@ -432,7 +430,7 @@ mod tests {
     fn attach_after_finish_rejected() {
         let (host_prod, _hc) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::WholeLifetime,
+            Some(AttachWindow::WholeLifetime),
             0,
             NodeId(500),
             host_prod,
@@ -445,12 +443,31 @@ mod tests {
         assert!(host.try_attach(packet).is_err());
     }
 
+    /// A host no satellite can reach (OSP off, filter, project) keeps no
+    /// history: a batch it broadcast lives only as long as a reader holds
+    /// it, and an attach gets its packet back.
+    #[test]
+    fn unshared_host_retains_nothing() {
+        let m = Metrics::new();
+        let (host_prod, host_cons) = make_pipe_pair();
+        let host = SharedHost::new(None, 4, NodeId(500), host_prod, "filter", m.clone(), None);
+        host.push_cols(batch_of(&[1, 2]));
+        let batch = host_cons.recv().unwrap().expect("the pushed batch");
+        assert_eq!(Arc::strong_count(&batch), 1, "the reader holds the only reference");
+        let (packet, _sat_cons, child_token) = make_packet();
+        let back = host.try_attach(packet).expect_err("an unshared host refuses attaches");
+        assert!(back.output.is_some(), "the packet keeps its output");
+        assert!(!child_token.is_cancelled(), "its subtree was not severed");
+        assert_eq!(m.snapshot().osp_attaches, 0);
+        host.finish();
+    }
+
     #[test]
     fn registry_register_lookup_unregister() {
         let reg = Arc::new(ShareRegistry::new());
         let (host_prod, _hc) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::WholeLifetime,
+            Some(AttachWindow::WholeLifetime),
             0,
             NodeId(500),
             host_prod,
@@ -473,10 +490,10 @@ mod tests {
         // not hold its state lock, or try_attach wedges the whole µEngine
         // dispatcher thread (observed as a fig10 hang at interarrival 120).
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1, backfill: 0 }, NodeId(1), reg);
-        let slow_consumer = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), reg);
+        let slow_consumer = pipe.attach_consumer(NodeId(2));
         let host = SharedHost::new(
-            AttachWindow::WholeLifetime,
+            Some(AttachWindow::WholeLifetime),
             0,
             NodeId(500),
             pipe.producer(),
@@ -507,7 +524,7 @@ mod tests {
     fn fanout_counts_attachers() {
         let (host_prod, _hc) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::WholeLifetime,
+            Some(AttachWindow::WholeLifetime),
             0,
             NodeId(500),
             host_prod,
@@ -531,7 +548,7 @@ mod tests {
     fn close_if_unwanted_tracks_live_consumers_not_cancellation() {
         let (host_prod, host_cons) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::UntilFirstOutput,
+            Some(AttachWindow::UntilFirstOutput),
             4,
             NodeId(500),
             host_prod,
@@ -561,7 +578,7 @@ mod tests {
         let m = Metrics::new();
         let (host_prod, host_cons) = make_pipe_pair();
         let host = SharedHost::new(
-            AttachWindow::WholeLifetime,
+            Some(AttachWindow::WholeLifetime),
             0,
             NodeId(500),
             host_prod,

@@ -35,14 +35,15 @@
 //! * [`engine`] — µEngines, packet dispatcher, query handles (§4.2–4.3).
 //! * [`pool`] — fixed per-µEngine worker pools and the shared task pool
 //!   (morsel-driven execution; §4.2's "pool of threads").
-//! * [`host`] — OSP host/satellite attach machinery (§4.3, Figure 6b).
+//! * [`host`] — OSP host/satellite attach machinery (§4.3, Figure 6b) and
+//!   the one replay history a late satellite reads (buffering, §3.2).
 //! * [`scan`] — circular scans with dynamic termination points (§4.3.1).
-//! * [`ops`] — the batch-native operator workers; `rowbridge` (private)
-//!   holds the four that still run iterator kernels, incl. the restarting
-//!   merge join (§4.3.2).
+//! * [`ops`] — the batch-native operator workers and the attach rule
+//!   (`attach_window`: which window of opportunity each operator's host
+//!   gets, §3.2 Figure 4); `rowbridge` (private) holds the four that still
+//!   run iterator kernels, incl. the restarting merge join (§4.3.2).
 //! * [`deadlock`] — waits-for-graph deadlock detection/resolution (§4.3.3).
 //! * [`cache`] — query result cache for exact sequential repeats (§2.3).
-//! * [`wop`] — Window-of-Opportunity taxonomy and savings model (§3.2).
 
 pub mod admit;
 pub mod cache;
@@ -55,7 +56,6 @@ pub mod pipe;
 pub mod pool;
 mod rowbridge;
 pub mod scan;
-pub mod wop;
 
 pub use admit::{AdmissionController, AdmitConfig, QueryClass};
 pub use engine::{QPipe, QPipeConfig, QueryHandle};

@@ -45,18 +45,18 @@ pub struct OpEnv {
     pub tasks: Arc<crate::pool::WorkerPool>,
 }
 
-/// Prepare a packet for execution: build its [`SharedHost`] and (when OSP is
-/// on and the operator is shareable) register it under the packet's
-/// signature. Called by the µEngine dispatcher thread *synchronously*, so
-/// that the OSP lookup and host registration are atomic — a burst of
-/// identical packets dequeued back-to-back must all find the first one's
-/// host. `None` for a packet that has no output (left) to host.
+/// Prepare a packet for execution: build its [`SharedHost`] and, when the
+/// operator has an attach window, register it under the packet's signature.
+/// Called by the µEngine dispatcher thread *synchronously*, so that the OSP
+/// lookup and host registration are atomic — a burst of identical packets
+/// dequeued back-to-back must all find the first one's host. `None` for a
+/// packet that has no output (left) to host.
 pub fn prepare(
     packet: Packet,
     registry: &Arc<ShareRegistry>,
     env: &OpEnv,
 ) -> Option<(Packet, Arc<SharedHost>, Option<crate::host::RegistryGuard>)> {
-    let window = attach_window(&packet.plan);
+    let window = attach_window(&packet.plan, env.osp);
     let engine = packet.plan.op_name();
     let mut packet = packet;
     let output = packet.output.take()?;
@@ -69,11 +69,7 @@ pub fn prepare(
         env.metrics.clone(),
         packet.probe.clone(),
     );
-    let guard = if env.osp && window_shareable(&packet.plan) {
-        Some(registry.register(packet.signature, host.clone()))
-    } else {
-        None
-    };
+    let guard = window.map(|_| registry.register(packet.signature, host.clone()));
     Some((packet, host, guard))
 }
 
@@ -160,22 +156,21 @@ fn engine_static_name(name: &str) -> &'static str {
     }
 }
 
-/// Attach window per operator class (§3.2 → host rules).
-fn attach_window(plan: &PlanNode) -> AttachWindow {
+/// The attach rule, stated once (§3.2 → host windows): the window a
+/// packet's host is open to satellites for, or `None` when no satellite may
+/// ever reach it — OSP off, or a filter or projection, which never host.
+pub(crate) fn attach_window(plan: &PlanNode, osp: bool) -> Option<AttachWindow> {
     match plan {
+        _ if !osp => None,
+        PlanNode::Filter { .. } | PlanNode::Project { .. } => None,
         // Sort materializes its output (runs/sorted vector) — late attachers
         // replay it: whole-lifetime window (full overlap + materialization).
-        PlanNode::Sort { .. } => AttachWindow::WholeLifetime,
+        PlanNode::Sort { .. } => Some(AttachWindow::WholeLifetime),
         // Single aggregates are full overlap; group-by is step but only emits
         // at the end, so the window is identical in practice.
-        PlanNode::Aggregate { .. } => AttachWindow::WholeLifetime,
-        _ => AttachWindow::UntilFirstOutput,
+        PlanNode::Aggregate { .. } => Some(AttachWindow::WholeLifetime),
+        _ => Some(AttachWindow::UntilFirstOutput),
     }
-}
-
-/// Which operators register hosts at all.
-fn window_shareable(plan: &PlanNode) -> bool {
-    !matches!(plan, PlanNode::Filter { .. } | PlanNode::Project { .. })
 }
 
 /// The cancellation rule, as every worker loop polls it: this packet was

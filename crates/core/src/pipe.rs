@@ -11,10 +11,11 @@
 //!   "if any of the consumers is slower than the producer, all queries will
 //!   eventually adjust their consuming speed to the speed of the slowest
 //!   consumer" (§4.3).
-//! * Consumers can attach mid-stream (satellite packets). A configurable
-//!   *backfill window* retains the most recent batches so a newcomer can
-//!   receive output that was produced but not yet discarded — the paper's
-//!   **buffering** WoP-enhancement function (§3.2, Figure 4b).
+//! * A pipe keeps nothing once every consumer has it: a consumer that
+//!   attaches mid-stream receives what is produced from then on. The paper's
+//!   **buffering** WoP enhancement (§3.2, Figure 4b) — replaying recent
+//!   output to a late satellite — is stated once, in the OSP host's history
+//!   ([`SharedHost`](crate::host::SharedHost)).
 //! * Pipe state (empty / full / non-empty per consumer) is observable, and a
 //!   pipe can be **materialized** — its bound lifted so the producer never
 //!   blocks again — which is exactly the deadlock-resolution action of §4.3.3.
@@ -43,14 +44,11 @@ static NEXT_CONSUMER_ID: AtomicUsize = AtomicUsize::new(1);
 pub struct PipeConfig {
     /// Per-consumer queue capacity in batches.
     pub capacity: usize,
-    /// How many recent batches are retained for late attachers (buffering
-    /// enhancement). 0 disables backfill.
-    pub backfill: usize,
 }
 
 impl Default for PipeConfig {
     fn default() -> Self {
-        Self { capacity: 8, backfill: 8 }
+        Self { capacity: 8 }
     }
 }
 
@@ -65,8 +63,6 @@ struct ConsumerQueue {
 #[derive(Debug)]
 struct PipeState {
     consumers: HashMap<usize, ConsumerQueue>,
-    /// Retained recent batches for backfill, most recent last.
-    history: VecDeque<Arc<ColBatch>>,
     /// Total batches ever produced.
     produced: u64,
     eof: bool,
@@ -105,7 +101,6 @@ impl Pipe {
             config,
             state: Mutex::new(PipeState {
                 consumers: HashMap::new(),
-                history: VecDeque::new(),
                 produced: 0,
                 eof: false,
                 error: None,
@@ -124,30 +119,11 @@ impl Pipe {
         self.id
     }
 
-    /// Batches produced so far.
-    pub fn produced(&self) -> u64 {
-        self.state.lock().produced
-    }
-
-    /// Whether every already-produced batch is still available for a late
-    /// attacher via the backfill window.
-    pub fn backfill_covers_all(&self) -> bool {
-        let st = self.state.lock();
-        st.produced as usize <= self.config.backfill
-    }
-
-    /// Attach a new consumer. When `backfill` is true the retained history is
-    /// replayed into the new queue first (caller must have verified coverage
-    /// via [`backfill_covers_all`](Self::backfill_covers_all) if it needs *all*
-    /// prior output).
-    pub fn attach_consumer(self: &Arc<Self>, node: NodeId, backfill: bool) -> PipeConsumer {
+    /// Attach a new consumer; it receives every batch produced from now on.
+    pub fn attach_consumer(self: &Arc<Self>, node: NodeId) -> PipeConsumer {
         let id = NEXT_CONSUMER_ID.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
-        let mut queue = VecDeque::new();
-        if backfill {
-            queue.extend(st.history.iter().cloned());
-        }
-        st.consumers.insert(id, ConsumerQueue { queue, detached: false, node });
+        st.consumers.insert(id, ConsumerQueue { queue: VecDeque::new(), detached: false, node });
         drop(st);
         self.data.notify_all();
         PipeConsumer { pipe: self.clone(), id, node, probe: None }
@@ -248,12 +224,6 @@ impl Pipe {
                 c.queue.push_back(batch.clone());
             }
         }
-        if self.config.backfill > 0 {
-            st.history.push_back(batch);
-            while st.history.len() > self.config.backfill {
-                st.history.pop_front();
-            }
-        }
         drop(st);
         self.data.notify_all();
     }
@@ -349,11 +319,6 @@ pub struct PipeProducer {
 }
 
 impl PipeProducer {
-    /// Number of batches this producer's pipe has sent (observability).
-    pub fn batches_sent(&self) -> u64 {
-        self.pipe.produced()
-    }
-
     /// Push a batch this producer owns.
     pub fn push_cols(&mut self, batch: ColBatch) {
         self.pipe.send(Arc::new(batch));
@@ -476,7 +441,7 @@ mod tests {
     #[test]
     fn single_consumer_round_trip() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let consumer = pipe.attach_consumer(NodeId(2), false);
+        let consumer = pipe.attach_consumer(NodeId(2));
         let mut producer = pipe.producer();
         push_rows(&mut producer, &tuples(1000));
         producer.finish();
@@ -488,8 +453,7 @@ mod tests {
     #[test]
     fn broadcast_to_three_consumers() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let consumers: Vec<_> =
-            (0..3).map(|i| pipe.attach_consumer(NodeId(10 + i), false)).collect();
+        let consumers: Vec<_> = (0..3).map(|i| pipe.attach_consumer(NodeId(10 + i))).collect();
         let mut producer = pipe.producer();
         let handle = std::thread::spawn(move || {
             push_rows(&mut producer, &tuples(600));
@@ -507,9 +471,9 @@ mod tests {
 
     #[test]
     fn producer_blocks_on_slow_consumer_until_detach() {
-        let pipe = Pipe::new(PipeConfig { capacity: 1, backfill: 0 }, NodeId(1), registry());
-        let slow = pipe.attach_consumer(NodeId(2), false);
-        let fast = pipe.attach_consumer(NodeId(3), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), registry());
+        let slow = pipe.attach_consumer(NodeId(2));
+        let fast = pipe.attach_consumer(NodeId(3));
         let mut producer = pipe.producer();
         let producer_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flag = producer_done.clone();
@@ -528,32 +492,9 @@ mod tests {
     }
 
     #[test]
-    fn backfill_replays_history() {
-        let pipe = Pipe::new(PipeConfig { capacity: 64, backfill: 64 }, NodeId(1), registry());
-        let early = pipe.attach_consumer(NodeId(2), false);
-        let mut producer = pipe.producer();
-        push_rows(&mut producer, &tuples(ColBatch::DEFAULT_CAPACITY as i64 * 3));
-        assert!(pipe.backfill_covers_all());
-        // Late consumer with backfill sees everything.
-        let late = pipe.attach_consumer(NodeId(3), true);
-        producer.finish();
-        assert_eq!(early.collect_tuples().unwrap().len(), ColBatch::DEFAULT_CAPACITY * 3);
-        assert_eq!(late.collect_tuples().unwrap().len(), ColBatch::DEFAULT_CAPACITY * 3);
-    }
-
-    #[test]
-    fn backfill_window_expires() {
-        let pipe = Pipe::new(PipeConfig { capacity: 256, backfill: 2 }, NodeId(1), registry());
-        let _sink = pipe.attach_consumer(NodeId(2), false);
-        let mut producer = pipe.producer();
-        push_rows(&mut producer, &tuples(ColBatch::DEFAULT_CAPACITY as i64 * 5));
-        assert!(!pipe.backfill_covers_all(), "5 batches > window of 2");
-    }
-
-    #[test]
     fn materialize_unblocks_producer() {
-        let pipe = Pipe::new(PipeConfig { capacity: 1, backfill: 0 }, NodeId(1), registry());
-        let stuck = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), registry());
+        let stuck = pipe.attach_consumer(NodeId(2));
         let mut producer = pipe.producer();
         let pipe2 = pipe.clone();
         let h = std::thread::spawn(move || {
@@ -569,7 +510,7 @@ mod tests {
     #[test]
     fn consumer_sees_eof_without_data() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let c = pipe.attach_consumer(NodeId(2));
         let producer = pipe.producer();
         producer.finish();
         assert!(c.recv().unwrap().is_none());
@@ -580,7 +521,7 @@ mod tests {
     #[test]
     fn dropped_producer_fails_the_pipe() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let c = pipe.attach_consumer(NodeId(2));
         {
             let mut p = pipe.producer();
             push_rows(&mut p, &tuples(1));
@@ -589,7 +530,7 @@ mod tests {
         assert!(matches!(err, QError::Exec(_)), "got {err:?}");
         // A finished stream keeps its clean ending when the handle drops.
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let c = pipe.attach_consumer(NodeId(2));
         pipe.producer().finish();
         assert_eq!(c.collect_tuples().unwrap(), Vec::<Tuple>::new());
     }
@@ -597,21 +538,21 @@ mod tests {
     #[test]
     fn failed_pipe_surfaces_error_not_eof() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let c = pipe.attach_consumer(NodeId(2));
         let mut producer = pipe.producer();
         push_rows(&mut producer, &tuples(1));
         producer.fail(QError::Storage("bad page".into()));
         let err = c.collect_tuples().expect_err("failure must not look like EOF");
         assert_eq!(err, QError::Storage("bad page".into()));
         // Late attachers observe the same failure.
-        let late = pipe.attach_consumer(NodeId(3), false);
+        let late = pipe.attach_consumer(NodeId(3));
         assert!(late.recv().is_err());
     }
 
     #[test]
     fn failed_pipe_unblocks_waiting_consumer() {
         let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let c = pipe.attach_consumer(NodeId(2));
         let producer = pipe.producer();
         let h = std::thread::spawn(move || c.collect_tuples());
         std::thread::sleep(Duration::from_millis(20));
@@ -622,8 +563,8 @@ mod tests {
     #[test]
     fn waits_for_edges_appear_and_clear() {
         let reg = registry();
-        let pipe = Pipe::new(PipeConfig { capacity: 1, backfill: 0 }, NodeId(1), reg.clone());
-        let slow = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), reg.clone());
+        let slow = pipe.attach_consumer(NodeId(2));
         let mut producer = pipe.producer();
         let n = ColBatch::DEFAULT_CAPACITY as i64 * 8;
         let h = std::thread::spawn(move || {

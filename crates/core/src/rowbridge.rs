@@ -279,8 +279,8 @@ mod tests {
 
     fn feed(rows: Vec<Tuple>, metrics: &Metrics) -> PipeIter {
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg);
-        let consumer = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg);
+        let consumer = pipe.attach_consumer(NodeId(2));
         let mut p = pipe.producer();
         push_rows(&mut p, &rows);
         p.finish();

@@ -257,16 +257,18 @@ pub struct ScanGroup {
 
 impl ScanGroup {
     /// Try to enroll a consumer; applies the WoP rules for ordered scans.
-    #[allow(clippy::result_large_err)] // the Err hands the request back
-    fn try_attach(&self, req: ScanRequest) -> Result<(), ScanRequest> {
+    /// The Err hands the request back, with `true` when this live group's
+    /// window had closed for it (an OSP rejection, as a host counts one).
+    #[allow(clippy::result_large_err)]
+    fn try_attach(&self, req: ScanRequest) -> Result<(), (ScanRequest, bool)> {
         let mut g = self.inner.lock();
         if g.finished {
-            return Err(req);
+            return Err((req, false));
         }
         if req.ordered && !req.split_ok && g.pages_read > 0 {
             // Spike overlap: the window closed the moment the first page went
             // out of order for this newcomer.
-            return Err(req);
+            return Err((req, true));
         }
         g.staggered |= g.pages_read > 0;
         if let Some(tr) = &req.trace {
@@ -332,14 +334,21 @@ impl ScanManager {
     pub fn submit(self: &Arc<Self>, mut req: ScanRequest) -> QResult<()> {
         if self.config.osp {
             let groups = self.groups.lock().get(&req.table).cloned().unwrap_or_default();
+            let mut rejected = false;
             for g in groups {
                 match g.try_attach(req) {
                     Ok(()) => {
                         self.metrics.add_osp_attach("scan");
                         return Ok(());
                     }
-                    Err(back) => req = back,
+                    Err((back, closed)) => {
+                        req = back;
+                        rejected |= closed;
+                    }
                 }
+            }
+            if rejected {
+                self.metrics.add_osp_rejection();
             }
         }
         self.start_group(req)
@@ -981,8 +990,8 @@ mod tests {
         split_ok: bool,
         capacity: usize,
     ) -> (ScanRequest, PipeConsumer) {
-        let pipe = Pipe::new(PipeConfig { capacity, backfill: 0 }, NodeId(1), reg.clone());
-        let consumer = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity }, NodeId(1), reg.clone());
+        let consumer = pipe.attach_consumer(NodeId(2));
         let req = ScanRequest {
             table: "t".into(),
             predicate: None,
@@ -1107,6 +1116,7 @@ mod tests {
         let (r2, c2) = request(&reg, true, false);
         mgr.submit(r2).unwrap();
         assert_eq!(m.snapshot().osp_attaches, 0, "the spike-overlap window is closed");
+        assert_eq!(m.snapshot().osp_rejections, 1, "the miss counts like a host's");
         let drain1 = std::thread::spawn(move || c1.collect_tuples().unwrap().len());
         let rows = c2.collect_tuples().unwrap();
         assert_eq!(rows.len(), 50_000);
@@ -1159,9 +1169,8 @@ mod tests {
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         let mk = |lo: i64| {
-            let pipe =
-                Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
-            let c = pipe.attach_consumer(NodeId(2), false);
+            let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
+            let c = pipe.attach_consumer(NodeId(2));
             (
                 ScanRequest {
                     table: "t".into(),
@@ -1214,8 +1223,8 @@ mod tests {
         let (ctx, m) = ctx_with_table_layout(1000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
+        let c = pipe.attach_consumer(NodeId(2));
         mgr.submit(ScanRequest {
             table: "t".into(),
             predicate: Some(Expr::col(0).ge(Expr::lit(900))),
@@ -1257,8 +1266,8 @@ mod tests {
         lo: i64,
         projection: Vec<usize>,
     ) -> (ScanRequest, PipeConsumer) {
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
-        let c = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
+        let c = pipe.attach_consumer(NodeId(2));
         let req = ScanRequest {
             table: "w".into(),
             predicate: Some(Expr::col(0).ge(Expr::lit(lo))),
@@ -1374,8 +1383,8 @@ mod tests {
         // The host (references {0}) parks on its undrained 2-batch pipe, so
         // the latecomer (references {0, 1}) attaches mid-scan: union {0, 1}
         // of a 3-column table, staggered.
-        let pipe = Pipe::new(PipeConfig { capacity: 2, backfill: 0 }, NodeId(1), reg.clone());
-        let host_rows = pipe.attach_consumer(NodeId(2), false);
+        let pipe = Pipe::new(PipeConfig { capacity: 2 }, NodeId(1), reg.clone());
+        let host_rows = pipe.attach_consumer(NodeId(2));
         let host = ScanRequest {
             table: "w".into(),
             predicate: Some(Expr::col(0).ge(Expr::lit(10))),
@@ -1438,9 +1447,8 @@ mod tests {
             let (ctx, m) = ctx_with_wide_table(500, layout);
             let mgr = manager(&ctx, &m, true);
             let reg = Arc::new(WaitRegistry::new());
-            let pipe =
-                Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, NodeId(1), reg.clone());
-            let c = pipe.attach_consumer(NodeId(2), false);
+            let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
+            let c = pipe.attach_consumer(NodeId(2));
             let predicate = Some(Expr::col(9).ge(Expr::lit(0)));
             let projection = Some(vec![0usize]);
             assert_eq!(
@@ -1627,8 +1635,8 @@ mod tests {
         // The latecomer's consumer blocks on its pipe *before* the request
         // enrolls, registering a wait on the pipe's original producer node.
         let (late_node, orphan) = (NodeId(8), NodeId(7));
-        let pipe = Pipe::new(PipeConfig { capacity: 1024, backfill: 0 }, orphan, reg.clone());
-        let late_rows = pipe.attach_consumer(late_node, false);
+        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, orphan, reg.clone());
+        let late_rows = pipe.attach_consumer(late_node);
         let drain_late = std::thread::spawn(move || late_rows.collect_tuples().unwrap().len());
         let waits_on = |holder: NodeId| {
             reg.edges().iter().any(|e| e.waiter == late_node && e.holder == holder)

@@ -325,7 +325,7 @@ fn shared_pipeline_deadlock_is_detected_and_resolved() {
             .unwrap();
     }
     let mut config = QPipeConfig {
-        pipe: qpipe_core::pipe::PipeConfig { capacity: 1, backfill: 0 },
+        pipe: qpipe_core::pipe::PipeConfig { capacity: 1 },
         deadlock_interval: Duration::from_millis(5),
         ..QPipeConfig::default()
     };

@@ -1,11 +1,11 @@
-//! Buffer pool with pluggable replacement policies.
+//! Buffer pool with the two replacement policies the evaluated systems run.
 //!
 //! The paper's core observation (§1.1, §3.1) is that the buffer pool is the
 //! *only* cross-query sharing mechanism in a conventional engine, and that
 //! its effectiveness is extremely sensitive to query arrival timing. This
-//! module provides the buffer pool both engines run on, with the replacement
-//! policies §2.1 surveys (LRU, Clock, LRU-K, 2Q, ARC) so the baseline/DBMS-X
-//! gap in Figure 12 can be reproduced and ablated.
+//! module provides the buffer pool both engines run on: plain LRU for QPipe
+//! and the Baseline (BerkeleyDB's), scan-resistant 2Q for DBMS X — the
+//! Baseline/DBMS-X gap of Figure 12.
 //!
 //! Concurrency: page reads are *single-flighted* — when two queries miss the
 //! same page simultaneously only one disk read is issued; the second thread
@@ -26,16 +26,10 @@ use std::time::Duration;
 /// Which replacement policy a pool instance uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// Least-recently-used.
+    /// Least-recently-used (QPipe, Baseline).
     Lru,
-    /// Clock (second chance).
-    Clock,
-    /// LRU-K with the given K (O'Neil et al., §2.1 ref \[22\]).
-    LruK(usize),
-    /// 2Q (Johnson & Shasha, §2.1 ref \[18\]).
+    /// 2Q (Johnson & Shasha, §2.1 ref \[18\]; DBMS X).
     TwoQ,
-    /// ARC (Megiddo & Modha, §2.1 ref \[21\]).
-    Arc,
 }
 
 /// Bounded retry with exponential backoff for disk reads. Every read error —
@@ -92,6 +86,7 @@ struct PoolState {
 pub struct BufferPool {
     disk: Arc<SimDisk>,
     capacity: usize,
+    policy: PolicyKind,
     retry: RetryPolicy,
     state: Mutex<PoolState>,
     pending_cv: Condvar,
@@ -126,6 +121,7 @@ impl BufferPool {
         Arc::new(Self {
             disk,
             capacity: config.capacity.max(1),
+            policy: config.policy,
             retry: config.retry,
             state: Mutex::new(PoolState {
                 resident: HashMap::new(),
@@ -255,13 +251,8 @@ impl BufferPool {
         for k in keys {
             st.resident.remove(&k);
         }
-        st.policy = new_policy_like(&*st.policy, self.capacity);
+        st.policy = new_policy(self.policy, self.capacity);
     }
-}
-
-/// Rebuild an empty policy of the same kind (used by `clear`).
-fn new_policy_like(p: &dyn ReplacementPolicy, capacity: usize) -> Box<dyn ReplacementPolicy> {
-    new_policy(p.kind(), capacity)
 }
 
 #[cfg(test)]
@@ -330,7 +321,7 @@ mod tests {
 
     #[test]
     fn hit_miss_metrics() {
-        let (disk, pool, f) = setup(10, PolicyKind::Clock, 3);
+        let (disk, pool, f) = setup(10, PolicyKind::TwoQ, 3);
         for b in 0..3 {
             pool.get(f, b).unwrap();
         }
@@ -400,7 +391,7 @@ mod tests {
 
     #[test]
     fn columnar_pages_cache_and_hit() {
-        for policy in [PolicyKind::Lru, PolicyKind::Clock] {
+        for policy in [PolicyKind::Lru, PolicyKind::TwoQ] {
             let (disk, pool, f, blocks) = columnar_setup(64, policy, 5000);
             assert!(blocks >= 4, "need several columnar pages, got {blocks}");
             for b in 0..blocks {
@@ -423,7 +414,7 @@ mod tests {
 
     #[test]
     fn columnar_pages_evict_beyond_capacity() {
-        for policy in [PolicyKind::Lru, PolicyKind::Clock] {
+        for policy in [PolicyKind::Lru, PolicyKind::TwoQ] {
             let (_disk, pool, f, blocks) = columnar_setup(2, policy, 5000);
             for b in 0..blocks {
                 pool.get(f, b).unwrap();
@@ -523,13 +514,7 @@ mod tests {
 
     #[test]
     fn all_policies_smoke() {
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::LruK(2),
-            PolicyKind::TwoQ,
-            PolicyKind::Arc,
-        ] {
+        for kind in [PolicyKind::Lru, PolicyKind::TwoQ] {
             let (_disk, pool, f) = setup(8, kind, 40);
             for round in 0..3 {
                 for b in 0..40 {

@@ -1,11 +1,13 @@
 //! Replacement policies.
 //!
-//! Implementations of the eviction policies the paper's related-work section
-//! (§2.1) surveys. The buffer pool drives them through a small trait:
-//! `on_access(key, resident)` on every lookup, `victim()` when a slot is
-//! needed, `on_insert(key)` after a miss brings a page in.
+//! The two eviction policies the evaluated systems run (§5): plain LRU —
+//! BerkeleyDB's, under QPipe and the Baseline — and the scan-resistant 2Q
+//! (§2.1 ref \[18\]) standing in for DBMS X's better buffer manager. The
+//! buffer pool drives them through a small trait: `on_access(key, resident)`
+//! on every lookup, `victim()` when a slot is needed, `on_insert(key)` after
+//! a miss brings a page in.
 //!
-//! All policies only track *keys*; the pool owns the pages.
+//! Both policies only track *keys*; the pool owns the pages.
 
 use crate::disk::FileId;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -27,18 +29,13 @@ pub trait ReplacementPolicy: Send {
     fn victim(&mut self) -> Option<PageKey>;
     /// Record that `key` became resident after a miss.
     fn on_insert(&mut self, key: PageKey);
-    /// Which policy this is (for reconstruction / debugging).
-    fn kind(&self) -> PolicyKind;
 }
 
 /// Build a policy instance.
 pub fn new_policy(kind: PolicyKind, capacity: usize) -> Box<dyn ReplacementPolicy> {
     match kind {
         PolicyKind::Lru => Box::new(Lru::new()),
-        PolicyKind::Clock => Box::new(Clock::new()),
-        PolicyKind::LruK(k) => Box::new(LruK::new(k.max(1))),
         PolicyKind::TwoQ => Box::new(TwoQ::new(capacity)),
-        PolicyKind::Arc => Box::new(ArcPolicy::new(capacity)),
     }
 }
 
@@ -84,143 +81,6 @@ impl ReplacementPolicy for Lru {
 
     fn on_insert(&mut self, key: PageKey) {
         self.touch(key);
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lru
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Clock (second chance)
-// ---------------------------------------------------------------------------
-
-/// Clock: a circular list with one reference bit per page.
-#[derive(Debug, Default)]
-pub struct Clock {
-    ring: Vec<PageKey>,
-    refbit: HashMap<PageKey, bool>,
-    hand: usize,
-}
-
-impl Clock {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ReplacementPolicy for Clock {
-    fn on_access(&mut self, key: PageKey, resident: bool) {
-        if resident {
-            if let Some(bit) = self.refbit.get_mut(&key) {
-                *bit = true;
-            }
-        }
-    }
-
-    fn victim(&mut self) -> Option<PageKey> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        loop {
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
-            }
-            let key = self.ring[self.hand];
-            let bit = self.refbit.get_mut(&key).expect("ring member has refbit");
-            if *bit {
-                *bit = false;
-                self.hand += 1;
-            } else {
-                self.ring.remove(self.hand);
-                self.refbit.remove(&key);
-                return Some(key);
-            }
-        }
-    }
-
-    fn on_insert(&mut self, key: PageKey) {
-        self.ring.push(key);
-        self.refbit.insert(key, false);
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Clock
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LRU-K
-// ---------------------------------------------------------------------------
-
-/// LRU-K: evict the page whose K-th most recent reference is oldest.
-/// Pages with fewer than K references use their oldest known reference,
-/// placing freshly-scanned pages ahead of the re-referenced working set —
-/// the scan resistance property the paper cites \[22\].
-#[derive(Debug)]
-pub struct LruK {
-    k: usize,
-    clock: u64,
-    /// Reference history (most recent first), for resident keys only.
-    history: HashMap<PageKey, VecDeque<u64>>,
-    order: BTreeSet<(u64, PageKey)>,
-}
-
-impl LruK {
-    pub fn new(k: usize) -> Self {
-        Self { k, clock: 0, history: HashMap::new(), order: BTreeSet::new() }
-    }
-
-    fn kth_stamp(&self, key: &PageKey) -> u64 {
-        let h = &self.history[key];
-        // K-th most recent if known, otherwise the oldest reference we have
-        // but biased to the front (treated as "very old").
-        if h.len() >= self.k {
-            h[self.k - 1]
-        } else {
-            // Fewer than K references: rank below every full-history page by
-            // using the reference age directly (still FIFO among themselves).
-            *h.back().expect("non-empty history")
-        }
-    }
-
-    fn touch(&mut self, key: PageKey) {
-        self.clock += 1;
-        let had = self.history.contains_key(&key);
-        if had {
-            let old = self.kth_stamp(&key);
-            self.order.remove(&(old, key));
-        }
-        let h = self.history.entry(key).or_default();
-        h.push_front(self.clock);
-        if h.len() > self.k {
-            h.pop_back();
-        }
-        let new = self.kth_stamp(&key);
-        self.order.insert((new, key));
-    }
-}
-
-impl ReplacementPolicy for LruK {
-    fn on_access(&mut self, key: PageKey, resident: bool) {
-        if resident {
-            self.touch(key);
-        }
-    }
-
-    fn victim(&mut self) -> Option<PageKey> {
-        let &(stamp, key) = self.order.iter().next()?;
-        self.order.remove(&(stamp, key));
-        self.history.remove(&key);
-        Some(key)
-    }
-
-    fn on_insert(&mut self, key: PageKey) {
-        self.touch(key);
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::LruK(self.k)
     }
 }
 
@@ -318,138 +178,6 @@ impl ReplacementPolicy for TwoQ {
             self.a1in_set.insert(key);
         }
     }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::TwoQ
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ARC
-// ---------------------------------------------------------------------------
-
-/// ARC \[21\]: two LRU lists T1 (recency) and T2 (frequency) plus ghost lists
-/// B1/B2; the target size `p` of T1 adapts to the workload.
-#[derive(Debug)]
-pub struct ArcPolicy {
-    capacity: usize,
-    p: usize,
-    t1: VecDeque<PageKey>,
-    t2: VecDeque<PageKey>,
-    b1: VecDeque<PageKey>,
-    b2: VecDeque<PageKey>,
-    t1s: HashSet<PageKey>,
-    t2s: HashSet<PageKey>,
-    b1s: HashSet<PageKey>,
-    b2s: HashSet<PageKey>,
-    /// Keys whose upcoming insert goes to T2 (ghost hits).
-    promote_next: HashSet<PageKey>,
-}
-
-fn remove_from(q: &mut VecDeque<PageKey>, s: &mut HashSet<PageKey>, key: &PageKey) -> bool {
-    if s.remove(key) {
-        if let Some(pos) = q.iter().position(|k| k == key) {
-            q.remove(pos);
-        }
-        true
-    } else {
-        false
-    }
-}
-
-impl ArcPolicy {
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            p: 0,
-            t1: VecDeque::new(),
-            t2: VecDeque::new(),
-            b1: VecDeque::new(),
-            b2: VecDeque::new(),
-            t1s: HashSet::new(),
-            t2s: HashSet::new(),
-            b1s: HashSet::new(),
-            b2s: HashSet::new(),
-            promote_next: HashSet::new(),
-        }
-    }
-
-    fn trim_ghosts(&mut self) {
-        while self.b1.len() > self.capacity {
-            if let Some(k) = self.b1.pop_front() {
-                self.b1s.remove(&k);
-            }
-        }
-        while self.b2.len() > self.capacity {
-            if let Some(k) = self.b2.pop_front() {
-                self.b2s.remove(&k);
-            }
-        }
-    }
-}
-
-impl ReplacementPolicy for ArcPolicy {
-    fn on_access(&mut self, key: PageKey, resident: bool) {
-        if resident {
-            // Hit in T1 or T2 → MRU of T2.
-            if remove_from(&mut self.t1, &mut self.t1s, &key)
-                || remove_from(&mut self.t2, &mut self.t2s, &key)
-            {
-                self.t2.push_back(key);
-                self.t2s.insert(key);
-            }
-        } else if self.b1s.contains(&key) {
-            // Ghost hit in B1: grow recency target.
-            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(self.capacity);
-            remove_from(&mut self.b1, &mut self.b1s, &key);
-            self.promote_next.insert(key);
-        } else if self.b2s.contains(&key) {
-            // Ghost hit in B2: shrink recency target.
-            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-            self.p = self.p.saturating_sub(delta);
-            remove_from(&mut self.b2, &mut self.b2s, &key);
-            self.promote_next.insert(key);
-        }
-    }
-
-    fn victim(&mut self) -> Option<PageKey> {
-        // REPLACE from the ARC paper: evict from T1 if it exceeds the target.
-        let from_t1 = !self.t1.is_empty() && (self.t1.len() > self.p || self.t2.is_empty());
-        if from_t1 {
-            let key = self.t1.pop_front()?;
-            self.t1s.remove(&key);
-            self.b1.push_back(key);
-            self.b1s.insert(key);
-            self.trim_ghosts();
-            Some(key)
-        } else if let Some(key) = self.t2.pop_front() {
-            self.t2s.remove(&key);
-            self.b2.push_back(key);
-            self.b2s.insert(key);
-            self.trim_ghosts();
-            Some(key)
-        } else {
-            // T2 empty too; drain T1 regardless of p.
-            let key = self.t1.pop_front()?;
-            self.t1s.remove(&key);
-            Some(key)
-        }
-    }
-
-    fn on_insert(&mut self, key: PageKey) {
-        if self.promote_next.remove(&key) {
-            self.t2.push_back(key);
-            self.t2s.insert(key);
-        } else {
-            self.t1.push_back(key);
-            self.t1s.insert(key);
-        }
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Arc
-    }
 }
 
 #[cfg(test)]
@@ -490,28 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_gives_second_chance() {
-        let mut p = Clock::new();
-        // 1,2,3 fill; touch 1 (sets ref bit); 4 arrives → 2 evicted (1 got a
-        // second chance).
-        let r = simulate(&mut p, 3, &[1, 2, 3, 1, 4]);
-        assert!(r.contains(&1), "{r:?}");
-        assert!(!r.contains(&2), "{r:?}");
-    }
-
-    #[test]
-    fn lruk_scan_resistant() {
-        // Hot pages 1,2 are re-referenced; a scan of 10..20 should not evict
-        // them under LRU-2 (single-reference pages rank older).
-        let mut p = LruK::new(2);
-        let mut accesses = vec![1, 2, 1, 2, 1, 2];
-        accesses.extend(10..16);
-        accesses.extend([1, 2]);
-        let r = simulate(&mut p, 4, &accesses);
-        assert!(r.contains(&1) && r.contains(&2), "hot set evicted: {r:?}");
-    }
-
-    #[test]
     fn twoq_scan_resistant() {
         let mut p = TwoQ::new(8);
         // Warm the hot set so it reaches Am (needs a ghost round trip):
@@ -526,28 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn arc_adapts_and_keeps_frequent() {
-        let mut p = ArcPolicy::new(8);
-        let mut accesses = vec![];
-        for _ in 0..4 {
-            accesses.extend(1..=4); // frequent set
-        }
-        accesses.extend(100..140); // one big scan
-        accesses.extend(1..=4);
-        let r = simulate(&mut p, 8, &accesses);
-        // After the scan and re-touch, the frequent set should be resident.
-        assert!((1..=4).all(|b| r.contains(&b)), "{r:?}");
-    }
-
-    #[test]
     fn victim_on_empty_is_none() {
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::LruK(2),
-            PolicyKind::TwoQ,
-            PolicyKind::Arc,
-        ] {
+        for kind in [PolicyKind::Lru, PolicyKind::TwoQ] {
             let mut p = new_policy(kind, 4);
             assert!(p.victim().is_none(), "{kind:?}");
         }
@@ -555,15 +241,9 @@ mod tests {
 
     #[test]
     fn policies_never_return_nonresident_victims() {
-        // Randomized consistency check across all policies.
+        // Randomized consistency check across both policies.
         let accesses: Vec<u64> = (0..500u64).map(|i| (i * 7919 + i * i * 31) % 37).collect();
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Clock,
-            PolicyKind::LruK(2),
-            PolicyKind::TwoQ,
-            PolicyKind::Arc,
-        ] {
+        for kind in [PolicyKind::Lru, PolicyKind::TwoQ] {
             let mut p = new_policy(kind, 8);
             // simulate() asserts internally that victims are resident.
             let r = simulate(&mut *p, 8, &accesses);

@@ -1,8 +1,8 @@
 //! Simulated block device.
 //!
-//! Substitute for the paper's 4-disk SCSI RAID-0 array (DESIGN.md §3). Files
-//! are vectors of fixed-size blocks held in memory; every read *charges* a
-//! latency — sequential reads are cheaper than random ones, mirroring disk
+//! Substitute for the paper's 4-disk SCSI RAID-0 array. Files are vectors
+//! of fixed-size blocks held in memory; every read *charges* a latency —
+//! sequential reads are cheaper than random ones, mirroring disk
 //! behaviour — and bumps the per-file counters that Figure 8 plots.
 //!
 //! The latency charge is what turns block counts into response time: all the
@@ -145,7 +145,7 @@ impl DiskConfig {
         }
     }
 
-    /// Default experiment profile (DESIGN.md §6): 8 KiB blocks at 20 µs
+    /// Default experiment profile: 8 KiB blocks at 20 µs
     /// sequential / 60 µs random, i.e. ≈400 MB/s sequential paper-scale
     /// bandwidth at the default `TimeScale`.
     pub fn experiment() -> Self {

@@ -3,7 +3,7 @@
 //! The paper builds QPipe on top of BerkeleyDB; QPipe only uses BerkeleyDB's
 //! page-level access methods, buffer pool and table locking. This crate
 //! implements exactly that surface, plus the simulated disk that stands in
-//! for the authors' 4-disk RAID array (see DESIGN.md §3):
+//! for the authors' 4-disk RAID array:
 //!
 //! * [`disk`] — an in-memory block device that charges a configurable latency
 //!   per block read and counts per-file I/O (Figure 8's metric). Blocks are
@@ -20,8 +20,8 @@
 //!   with vectorized kernels at near-zero per-page cost.
 //! * [`heap`] / [`colheap`] — append-only heap files of slotted / columnar
 //!   pages, both with an O(1)-amortized open-tail-page bulk-load path.
-//! * [`bufferpool`] — a buffer pool with pluggable replacement policies
-//!   (LRU, Clock, LRU-K, 2Q, ARC — the policies §2.1 surveys). It caches
+//! * [`bufferpool`] — a buffer pool with the two replacement policies the
+//!   evaluated systems run: LRU (QPipe, Baseline) and 2Q (DBMS X). It caches
 //!   [`Block`]s; a resident columnar page carries its decoded batch, so it
 //!   is materialized at most once per residency.
 //! * [`index`] — bulk-loaded paged indexes: clustered (table stored in key

@@ -7,7 +7,7 @@
 //!   the buffer pool),
 //! * **DBMS X** — our stand-in for the unnamed commercial system: the
 //!   conventional one-query-many-operators iterator engine with a
-//!   scan-resistant (2Q) buffer pool (DESIGN.md §3),
+//!   scan-resistant (2Q) buffer pool,
 //!
 //! and drives them with staggered-arrival runs (Figures 8–11) and
 //! closed-loop multi-client runs (Figures 1b/12/13). All time parameters are
@@ -31,8 +31,6 @@ pub struct SystemProfile {
     pub disk: DiskConfig,
     /// Buffer pool capacity in pages.
     pub pool_pages: usize,
-    /// Replacement policy for QPipe/Baseline (BerkeleyDB-style plain LRU).
-    pub policy: PolicyKind,
     pub time_scale: TimeScale,
 }
 
@@ -44,7 +42,6 @@ impl SystemProfile {
         Self {
             disk: DiskConfig::experiment(),
             pool_pages: 192,
-            policy: PolicyKind::Lru,
             time_scale: TimeScale::paper_sec_is_ms(0.4),
         }
     }
@@ -54,7 +51,6 @@ impl SystemProfile {
         Self {
             disk: DiskConfig::instant(),
             pool_pages: 256,
-            policy: PolicyKind::Lru,
             time_scale: TimeScale::paper_sec_is_ms(0.05),
         }
     }
@@ -114,11 +110,11 @@ impl Driver {
         let metrics = Metrics::new();
         let disk = SimDisk::new(profile.disk, metrics.clone());
         // DBMS X gets the scan-resistant pool (its better buffer manager is
-        // visible in Figure 12's Baseline-vs-X gap); QPipe/Baseline get the
-        // profile's (BerkeleyDB-like LRU) policy.
+        // visible in Figure 12's Baseline-vs-X gap); QPipe/Baseline get
+        // BerkeleyDB's plain LRU.
         let policy = match system {
             System::DbmsX => PolicyKind::TwoQ,
-            _ => profile.policy,
+            System::QPipeOsp | System::Baseline => PolicyKind::Lru,
         };
         let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(profile.pool_pages, policy));
         let catalog = Catalog::new(disk, pool);

@@ -3,7 +3,7 @@
 //! The paper runs a 4 GB TPC-H database generated by dbgen, with selection
 //! predicates randomized by qgen so that "multiple clients do not run
 //! identical queries at the same time" (§5.3). This module is the scaled
-//! substitute (DESIGN.md §3): the same seven tables the eight benchmark
+//! substitute: the same seven tables the eight benchmark
 //! queries touch, with deterministic pseudo-random content whose value
 //! distributions drive the same plan shapes and selectivities, at a size
 //! configurable via [`TpchScale`].
@@ -34,8 +34,8 @@ impl TpchScale {
         Self { orders: 1500, customers: 150, parts: 200, suppliers: 20 }
     }
 
-    /// Default experiment scale (DESIGN.md: a LINEITEM scan takes tens of
-    /// paper-seconds at the default disk/time profile).
+    /// Default experiment scale (a LINEITEM scan takes tens of paper-seconds
+    /// at the default disk/time profile).
     pub fn experiment() -> Self {
         Self { orders: 8000, customers: 800, parts: 1000, suppliers: 100 }
     }

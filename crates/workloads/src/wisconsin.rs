@@ -2,7 +2,7 @@
 //!
 //! Two big tables and a small one. The paper uses 8M × 200-byte tuples for
 //! BIG1/BIG2 and 800K for SMALL; we scale by the same 10:1 ratio with a
-//! configurable big-table cardinality (DESIGN.md §3). Column semantics follow
+//! configurable big-table cardinality. Column semantics follow
 //! the original specification: `unique1` is a random permutation, `unique2`
 //! is sequential (the physical sort order), the small-domain columns
 //! (`two`, `ten`, ...) are derived from `unique1`, and the string columns pad

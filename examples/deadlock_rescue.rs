@@ -25,15 +25,15 @@ fn main() {
     // Two producers (think: two shared scans, A and B), each broadcasting to
     // both queries through tiny bounded pipes. A pipe enters itself in the
     // registry it is built with, so the detector can break it.
-    let cfg = PipeConfig { capacity: 1, backfill: 0 };
+    let cfg = PipeConfig { capacity: 1 };
     let pipe_a = Pipe::new(cfg, NodeId(1), registry.clone());
     let pipe_b = Pipe::new(cfg, NodeId(2), registry.clone());
 
     // Query 1 reads A fully, then B. Query 2 reads B fully, then A.
-    let q1_a = pipe_a.attach_consumer(NodeId(3), false);
-    let q1_b = pipe_b.attach_consumer(NodeId(3), false);
-    let q2_b = pipe_b.attach_consumer(NodeId(4), false);
-    let q2_a = pipe_a.attach_consumer(NodeId(4), false);
+    let q1_a = pipe_a.attach_consumer(NodeId(3));
+    let q1_b = pipe_b.attach_consumer(NodeId(3));
+    let q2_b = pipe_b.attach_consumer(NodeId(4));
+    let q2_a = pipe_a.attach_consumer(NodeId(4));
 
     // 16 batches of 256 rows per producer; a pipe carries whole batches.
     let batch = |b: i64| {

@@ -12,8 +12,9 @@
 //!
 //! * [`common`] — values, schemas, tuples, columnar batches, metrics,
 //!   simulated time.
-//! * [`storage`] — simulated disk, pages, heap files, buffer pool (LRU /
-//!   Clock / LRU-K / 2Q / ARC), bulk-loaded indexes, catalog, table locks.
+//! * [`storage`] — simulated disk, pages, heap files, buffer pool (LRU for
+//!   QPipe and Baseline, 2Q for DBMS X), bulk-loaded indexes, catalog, table
+//!   locks.
 //! * [`exec`] — the conventional one-query-many-operators iterator engine
 //!   (also the per-packet kernels inside µEngines).
 //! * [`planner`] — SQL-ish front end and statistics-free greedy planner

@@ -56,7 +56,6 @@ fn random_mix_under_random_configs_matches_reference() {
             osp: rng.gen_bool(0.7),
             pipe: qpipe::core::pipe::PipeConfig {
                 capacity: *[1usize, 2, 8, 32].get(rng.gen_range(0..4)).unwrap(),
-                backfill: rng.gen_range(0..16),
             },
             host_backfill: rng.gen_range(0..16),
             deadlock_interval: Duration::from_millis(rng.gen_range(3..25)),
@@ -90,7 +89,7 @@ fn tiny_pipes_with_sharing_never_wedge() {
     // sharing, queries whose subtrees overlap partially.
     let catalog = fresh_catalog(5);
     let config = QPipeConfig {
-        pipe: qpipe::core::pipe::PipeConfig { capacity: 1, backfill: 1 },
+        pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
         host_backfill: 1,
         deadlock_interval: Duration::from_millis(5),
         ..QPipeConfig::default()
@@ -123,7 +122,7 @@ fn unshared_join_burst_resolves_no_deadlock() {
     let expected: Vec<Vec<Tuple>> =
         plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap()).collect();
     let config = QPipeConfig {
-        pipe: qpipe::core::pipe::PipeConfig { capacity: 1, ..Default::default() },
+        pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
         deadlock_interval: Duration::from_millis(2),
         ..QPipeConfig::baseline()
     };
