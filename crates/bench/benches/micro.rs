@@ -645,89 +645,10 @@ fn filter_project_paths(c: &mut Criterion) {
     g.finish();
 }
 
-/// Morsel-driven shared scan (tentpole of the worker-pool refactor): one
-/// circular scanner claims page-range morsels and fans the page work
-/// (fetch + decode + predicate kernel) out to a task pool, delivering
-/// serially in page order. Q1-shaped scan+filter over a columnar
-/// lineitem-like table at 1/2/4/8 workers; `workers=1` is the pre-morsel
-/// serial scanner. Acceptance bar: 4 workers beat 1 on wall-clock.
-fn morsel_scan(c: &mut Criterion) {
-    use qpipe_core::scan::{ScanConfig, ScanManager, ScanRequest};
-
-    let n = 60_000i64;
-    let metrics = Metrics::new();
-    let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
-    let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(512, PolicyKind::Lru));
-    let catalog = Catalog::new(disk, pool);
-    catalog
-        .create_table_with_layout(
-            "lineitem",
-            Schema::of(&[
-                ("l_orderkey", DataType::Int),
-                ("l_quantity", DataType::Float),
-                ("l_extendedprice", DataType::Float),
-                ("l_discount", DataType::Float),
-                ("l_tax", DataType::Float),
-                ("l_shipdate", DataType::Date),
-            ]),
-            (0..n)
-                .map(|i| {
-                    vec![
-                        Value::Int(i / 4),
-                        Value::Float((i % 50) as f64 + 1.0),
-                        Value::Float((i % 997) as f64 * 1.5),
-                        Value::Float((i % 10) as f64 / 100.0),
-                        Value::Float((i % 8) as f64 / 100.0),
-                        Value::Date((i % 2526) as i32),
-                    ]
-                })
-                .collect(),
-            Some(0),
-            qpipe_storage::StorageLayout::Columnar,
-        )
-        .unwrap();
-    let ctx = ExecContext::new(catalog);
-    // Q1 shape: shipdate cutoff predicate + a column subset projection, so
-    // every page visit pays the (uncached) pruned decode — the real per-page
-    // work the morsel jobs parallelize.
-    let pred = Expr::col(5).le(Expr::lit(Value::Date(2400)));
-    let projection = vec![1usize, 2, 3, 5];
-
-    let mut g = c.benchmark_group("morsel_scan");
-    for workers in [1usize, 2, 4, 8] {
-        let mgr = ScanManager::new(ctx.clone(), ScanConfig { osp: true, workers }, metrics.clone());
-        g.bench_with_input(BenchmarkId::from_parameter(workers), &mgr, |b, mgr| {
-            b.iter(|| {
-                let reg = Arc::new(WaitRegistry::new());
-                let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
-                let consumer = pipe.attach_consumer(NodeId(2));
-                mgr.submit(ScanRequest {
-                    table: "lineitem".into(),
-                    predicate: Some(pred.clone()),
-                    projection: Some(projection.clone()),
-                    output: pipe.producer(),
-                    ordered: false,
-                    split_ok: false,
-                    probe: None,
-                    trace: None,
-                })
-                .unwrap();
-                let mut out = 0usize;
-                while let Some(b) = consumer.recv().unwrap() {
-                    out += b.len();
-                }
-                out
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = pool_policies, pipe_fanout, signature_and_lookup, exec_kernels, scan_filter,
-        page_decode, page_verify, hash_join_paths, agg_update_paths, sort_paths, filter_project_paths,
-        morsel_scan
+        page_decode, page_verify, hash_join_paths, agg_update_paths, sort_paths, filter_project_paths
 }
 criterion_main!(benches);

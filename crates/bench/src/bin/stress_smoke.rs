@@ -112,7 +112,7 @@ fn main() {
         println!("  µEngine {name:>10}: peak {peak}/{depth} concurrent queries");
     }
     println!(
-        "  pools: queue depth peak {}, {} morsels dispatched, {:.1} ms worker busy",
+        "  pools: queue depth peak {}, {} scan pages claimed, {:.1} ms worker busy",
         r.delta.pool_queue_depth,
         r.delta.morsels_dispatched,
         r.delta.worker_busy_ns as f64 / 1e6,

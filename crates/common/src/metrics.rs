@@ -110,6 +110,7 @@ pub struct Metrics {
 #[derive(Debug, Default)]
 struct MetricsInner {
     disk_blocks_read: AtomicU64,
+    disk_seq_reads: AtomicU64,
     disk_blocks_written: AtomicU64,
     bp_hits: AtomicU64,
     bp_misses: AtomicU64,
@@ -158,6 +159,10 @@ struct MetricsInner {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub disk_blocks_read: u64,
+    /// Disk reads that continued their file's sequential run (the block
+    /// right after the file's previous read) and were charged the
+    /// sequential latency, not a seek.
+    pub disk_seq_reads: u64,
     pub disk_blocks_written: u64,
     pub bp_hits: u64,
     pub bp_misses: u64,
@@ -233,7 +238,8 @@ pub struct MetricsSnapshot {
     /// High-water mark of jobs queued in any single worker pool (gauge; its
     /// delta is growth of the mark, not a count).
     pub pool_queue_depth: u64,
-    /// Page-range morsels the circular scanner handed to task-pool workers.
+    /// Pages the circular scanners claimed: one per page a scanner thread
+    /// takes under its group lock, fetches and serves to its consumers.
     pub morsels_dispatched: u64,
     /// Nanoseconds pool workers spent executing jobs, summed across every
     /// pool (per-µEngine split in `per_engine_busy_ns`).
@@ -253,8 +259,7 @@ pub struct MetricsSnapshot {
     pub pool_queue_wait_us: HistogramSummary,
     pub per_file_reads: HashMap<String, u64>,
     pub per_engine_attaches: HashMap<String, u64>,
-    /// Worker-busy nanoseconds per pool name (µEngines plus the shared
-    /// `tasks`/`scan` task pools).
+    /// Worker-busy nanoseconds per µEngine packet pool.
     pub per_engine_busy_ns: HashMap<String, u64>,
 }
 
@@ -266,6 +271,10 @@ impl Metrics {
     pub fn add_disk_read(&self, file: &str, blocks: u64) {
         self.inner.disk_blocks_read.fetch_add(blocks, Ordering::Relaxed);
         *self.inner.per_file_reads.lock().entry(file.to_string()).or_insert(0) += blocks;
+    }
+
+    pub fn add_disk_seq_read(&self) {
+        self.inner.disk_seq_reads.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn add_disk_write(&self, blocks: u64) {
@@ -395,7 +404,8 @@ impl Metrics {
         self.inner.pool_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    pub fn add_morsel_dispatched(&self) {
+    /// Count one page a circular scanner claimed (`morsels_dispatched`).
+    pub fn add_scan_page_claimed(&self) {
         self.inner.morsels_dispatched.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -446,6 +456,7 @@ impl Metrics {
         let mut out = String::new();
         for (name, v) in [
             ("disk_blocks_read", s.disk_blocks_read),
+            ("disk_seq_reads", s.disk_seq_reads),
             ("disk_blocks_written", s.disk_blocks_written),
             ("bp_hits", s.bp_hits),
             ("bp_misses", s.bp_misses),
@@ -519,6 +530,7 @@ impl Metrics {
         let i = &self.inner;
         MetricsSnapshot {
             disk_blocks_read: i.disk_blocks_read.load(Ordering::Relaxed),
+            disk_seq_reads: i.disk_seq_reads.load(Ordering::Relaxed),
             disk_blocks_written: i.disk_blocks_written.load(Ordering::Relaxed),
             bp_hits: i.bp_hits.load(Ordering::Relaxed),
             bp_misses: i.bp_misses.load(Ordering::Relaxed),
@@ -617,6 +629,7 @@ impl MetricsSnapshot {
         }
         MetricsSnapshot {
             disk_blocks_read: self.disk_blocks_read - earlier.disk_blocks_read,
+            disk_seq_reads: self.disk_seq_reads - earlier.disk_seq_reads,
             disk_blocks_written: self.disk_blocks_written - earlier.disk_blocks_written,
             bp_hits: self.bp_hits - earlier.bp_hits,
             bp_misses: self.bp_misses - earlier.bp_misses,

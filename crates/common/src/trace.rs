@@ -53,8 +53,6 @@ pub enum TraceEvent {
     /// A satellite detached (normally, at completion) having received
     /// `pages_from_host` pages without touching disk.
     OspDetach { engine: &'static str, pages_from_host: u64 },
-    /// A morsel of `pages` pages was fanned out to the task pool.
-    MorselDispatched { pages: u64 },
     /// A bufferpool read needed `retries` extra attempts (transient I/O
     /// faults, checksum rejects).
     BufferpoolRetry { retries: u64 },
@@ -288,13 +286,13 @@ mod tests {
     fn ring_bounds_and_counts_drops() {
         let tr = QueryTrace::new(3);
         for i in 0..5 {
-            tr.push(TraceEvent::MorselDispatched { pages: i });
+            tr.push(TraceEvent::BufferpoolRetry { retries: i });
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.dropped(), 2);
         let evs = tr.events();
-        assert_eq!(evs[0].event, TraceEvent::MorselDispatched { pages: 2 });
-        assert_eq!(evs[2].event, TraceEvent::MorselDispatched { pages: 4 });
+        assert_eq!(evs[0].event, TraceEvent::BufferpoolRetry { retries: 2 });
+        assert_eq!(evs[2].event, TraceEvent::BufferpoolRetry { retries: 4 });
     }
 
     #[test]

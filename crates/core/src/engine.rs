@@ -18,7 +18,7 @@ use crate::ops::{self, OpEnv};
 use crate::packet::{fresh_node, CancelToken, Packet, QueryId};
 use crate::pipe::{Pipe, PipeConfig, PipeConsumer};
 use crate::pool::WorkerPool;
-use crate::scan::{ScanConfig, ScanManager, ScanRequest};
+use crate::scan::{ScanManager, ScanRequest};
 use crossbeam::channel::{unbounded, Sender};
 use qpipe_common::trace::{ProbeNode, QueryProfile, QueryTrace, TraceEvent};
 use qpipe_common::{Metrics, QError, QResult, Tuple};
@@ -147,18 +147,7 @@ impl QPipe {
         let registry = Arc::new(WaitRegistry::new());
         let detector =
             DeadlockDetector::spawn(registry.clone(), metrics.clone(), config.deadlock_interval)?;
-        let scan_mgr = ScanManager::new(
-            ctx.clone(),
-            ScanConfig { osp: config.osp, workers: config.exec.task_workers },
-            metrics.clone(),
-        );
-        // One shared task pool for the short, never-blocking CPU jobs the
-        // parallel operators fan out (hash-build partitioning).
-        // Capped at `task_workers` (≈ cores): packet pools grow with admitted
-        // concurrency because packets block, but these jobs are pure compute
-        // — workers past the core count only add dispatch overhead per
-        // page/stripe.
-        let tasks = Arc::new(WorkerPool::new("tasks", config.exec.task_workers, metrics.clone()));
+        let scan_mgr = ScanManager::new(ctx.clone(), config.osp, metrics.clone());
         let mut engines = HashMap::new();
         for name in ENGINE_NAMES {
             let (tx, rx) = unbounded::<Packet>();
@@ -167,11 +156,10 @@ impl QPipe {
                 metrics: metrics.clone(),
                 osp: config.osp,
                 backfill: config.host_backfill,
-                tasks: tasks.clone(),
             });
             let share: Arc<ShareRegistry> = Arc::new(ShareRegistry::new());
             let scan_mgr2 = scan_mgr.clone();
-            let pool = Arc::new(WorkerPool::new(name, usize::MAX, metrics.clone()));
+            let pool = Arc::new(WorkerPool::new(name, metrics.clone()));
             let pool2 = pool.clone();
             // lint:allow(R2): detached µEngine dispatcher; exits when the queue sender drops on Engine shutdown, holds no locks across iterations
             std::thread::Builder::new()

@@ -27,7 +27,7 @@ use qpipe_common::{ColBatch, MemClass, Metrics, QError, QResult};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
 use qpipe_exec::vexpr::project_batch;
-use qpipe_exec::viter::{hash_build_slice, HashAgg, HashJoinBuild, HashJoinTable};
+use qpipe_exec::viter::{HashAgg, HashJoinBuild};
 use qpipe_exec::vsort::VecSort;
 use std::sync::Arc;
 
@@ -39,10 +39,6 @@ pub struct OpEnv {
     pub osp: bool,
     /// Host history window in batches (buffering enhancement).
     pub backfill: usize,
-    /// Shared task pool for intra-operator parallelism (hash-build
-    /// partitioning). Jobs submitted here must never block on pipes — they
-    /// hash, then report over a channel.
-    pub tasks: Arc<crate::pool::WorkerPool>,
 }
 
 /// Prepare a packet for execution: build its [`SharedHost`] and, when the
@@ -262,7 +258,7 @@ fn run_hash_join(
             return rowbridge::run_grace_hash_join(build, left, right, keys, host, cancel, env);
         }
     }
-    let table = finish_build(build, env)?;
+    let table = build.finish()?;
     while let Some(batch) = right.recv()? {
         if stop(cancel, host) {
             return Ok(());
@@ -271,59 +267,6 @@ fn run_hash_join(
         env.metrics.add_vec_join_batch();
     }
     Ok(())
-}
-
-/// Freeze a hash-join build side, hashing contiguous row slices on the
-/// shared task pool when the build is large enough to amortize the fan-out.
-/// Row hashes depend only on row values and buckets fill in ascending row
-/// order, so the table — and every downstream probe — is bit-identical to
-/// the serial [`HashJoinBuild::finish`].
-fn finish_build(build: HashJoinBuild, env: &OpEnv) -> QResult<HashJoinTable> {
-    let workers = env.tasks.workers();
-    if workers <= 1 || build.rows() < 2 * ColBatch::DEFAULT_CAPACITY {
-        return build.finish();
-    }
-    let (batch, key) = build.into_batch();
-    let n = batch.len();
-    let stripes = workers.min(n.div_ceil(ColBatch::DEFAULT_CAPACITY)).max(1);
-    let per = n.div_ceil(stripes);
-    let shared = Arc::new(batch);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut dispatched = 0;
-    for s in 0..stripes {
-        let at = s * per;
-        if at >= n {
-            break;
-        }
-        let len = per.min(n - at);
-        let job_batch = shared.clone();
-        let job_tx = tx.clone();
-        let accepted = env.tasks.execute(move || {
-            let _ = job_tx.send((s, hash_build_slice(&job_batch.slice(at, len), key)));
-        });
-        if !accepted {
-            // Pool shutting down: hash the slice inline so the join still
-            // completes deterministically.
-            let _ = tx.send((s, hash_build_slice(&shared.slice(at, len), key)));
-        }
-        dispatched += 1;
-    }
-    drop(tx);
-    env.metrics.add_morsel_dispatched();
-    // A job that panicked (the pool's backstop caught + counted it) never
-    // sends; the missing stripe surfaces as an error rather than a table
-    // silently built from partial hashes.
-    let mut parts: Vec<Option<QResult<Vec<u64>>>> = (0..dispatched).map(|_| None).collect();
-    for (s, out) in rx {
-        parts[s] = Some(out);
-    }
-    let mut hashes = Vec::with_capacity(n);
-    for p in parts {
-        let p = p.ok_or_else(|| QError::Exec("hash-build worker panicked".to_string()))??;
-        hashes.extend(p);
-    }
-    let batch = Arc::try_unwrap(shared).unwrap_or_else(|arc| ColBatch::clone(&arc));
-    HashJoinTable::from_hashes(batch, key, hashes)
 }
 
 /// Hash aggregation over `Arc<ColBatch>` streams: batches fold through

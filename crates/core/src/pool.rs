@@ -1,23 +1,15 @@
-//! On-demand worker pools for µEngines (morsel-driven execution).
+//! On-demand packet pools for µEngines.
 //!
 //! The paper's µEngines serve packets from a queue with "a pool of threads"
 //! (§4.2). [`WorkerPool`] has one rule: it starts with no thread; `execute`
-//! hands the job to an idle worker, or spawns a worker when none is idle and
-//! the pool is below its cap. Workers live until the pool drops. Two uses of
-//! the one type differ only in the cap:
-//!
-//! * **Packet pools** (one per µEngine, no cap) run prepared packets
-//!   end-to-end. A packet blocks on its pipes while holding its worker, so a
-//!   packet must never queue behind other packets — it always gets a thread,
-//!   and the only stall left in a pipelined plan is a real waits-for cycle
-//!   (the [`deadlock`](crate::deadlock) detector's job). The pool's size is
-//!   bounded by what admission lets run: `queue_depth` queries × the packets
-//!   one plan puts on the µEngine.
-//! * **Task pools** (scan morsels, join-build hash stripes; capped at
-//!   `task_workers`) run short CPU-bound jobs that by construction never
-//!   block on pipes — they fetch, decode and hash, then return results over
-//!   an unbounded channel. At the cap a job queues FIFO behind
-//!   the running ones, which always finish.
+//! hands the job to an idle worker, or spawns a worker when none is idle.
+//! Workers live until the pool drops. Each µEngine owns one pool and runs
+//! its prepared packets on it end-to-end. A packet blocks on its pipes while
+//! holding its worker, so a packet must never queue behind other packets —
+//! it always gets a thread, and the only stall left in a pipelined plan is a
+//! real waits-for cycle (the [`deadlock`](crate::deadlock) detector's job).
+//! The pool's size is bounded by what admission lets run: `queue_depth`
+//! queries × the packets one plan puts on the µEngine.
 //!
 //! Shutdown (`Drop`) discards every queued job before joining the workers.
 //! Dropping a queued packet job drops its `Packet`, which detaches the
@@ -56,26 +48,20 @@ struct PoolShared {
     metrics: Metrics,
 }
 
-/// A worker pool draining a FIFO job queue, grown on demand up to `cap`.
+/// A worker pool draining a FIFO job queue, grown on demand.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    cap: usize,
 }
 
 impl WorkerPool {
     /// An empty pool whose workers (named `qpipe-{name}-w`) are spawned as
-    /// jobs need them, never more than `cap` (`usize::MAX`: no cap).
-    pub fn new(name: &'static str, cap: usize, metrics: Metrics) -> Self {
+    /// jobs need them.
+    pub fn new(name: &'static str, metrics: Metrics) -> Self {
         let state =
             PoolState { queue: VecDeque::new(), idle: 0, workers: Vec::new(), shutdown: false };
         let shared =
             Arc::new(PoolShared { name, state: Mutex::new(state), cv: Condvar::new(), metrics });
-        Self { shared, cap: cap.max(1) }
-    }
-
-    /// The worker cap: how many jobs the pool can run at once.
-    pub fn workers(&self) -> usize {
-        self.cap
+        Self { shared }
     }
 
     /// Run `f` on a worker. Returns `false` (dropping `f` unrun) when the
@@ -89,7 +75,7 @@ impl WorkerPool {
         }
         st.queue.push_back(Job { run: Box::new(f), queued_at: Instant::now() });
         self.shared.metrics.note_pool_queue_depth(st.queue.len() as u64);
-        if st.queue.len() > st.idle && st.workers.len() < self.cap {
+        if st.queue.len() > st.idle {
             let shared = self.shared.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("qpipe-{}-w", self.shared.name))
@@ -150,11 +136,9 @@ impl Drop for WorkerPool {
         // observe the detach and finish, so the join below terminates.
         drop(discarded);
         self.shared.cv.notify_all();
-        // The last handle to the pool can be dropped by one of the pool's own
-        // jobs (a morsel job that outlives the engine holds the scan manager,
-        // which owns this pool): that worker cannot join itself. It exits on
-        // its own once this drop returns — `shutdown` is set and the queue is
-        // empty.
+        // If one of the pool's own jobs drops the last handle to it, the
+        // worker running that job cannot join itself. It exits on its own
+        // once this drop returns — `shutdown` is set and the queue is empty.
         let me = std::thread::current().id();
         for h in workers {
             if h.thread().id() != me {
@@ -171,41 +155,15 @@ mod tests {
     use std::sync::{mpsc, Barrier};
     use std::time::Duration;
 
-    const NO_CAP: usize = usize::MAX;
-
     fn spawned(pool: &WorkerPool) -> usize {
         pool.shared.state.lock().workers.len()
-    }
-
-    #[test]
-    fn capped_pool_never_exceeds_its_cap() {
-        let pool = WorkerPool::new("test", 3, Metrics::new());
-        assert_eq!(spawned(&pool), 0, "a pool that ran nothing has spawned nothing");
-        // The first three jobs hold their workers until the test joins them.
-        let gate = Arc::new(Barrier::new(4));
-        let (tx, rx) = mpsc::channel();
-        for i in 0..32 {
-            let (gate, tx) = (gate.clone(), tx.clone());
-            assert!(pool.execute(move || {
-                if i < 3 {
-                    gate.wait();
-                }
-                tx.send(()).unwrap();
-            }));
-        }
-        assert_eq!(spawned(&pool), 3, "29 jobs queued behind 3 busy workers: no fourth worker");
-        gate.wait();
-        for _ in 0..32 {
-            rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        }
-        assert_eq!((spawned(&pool), pool.workers()), (3, 3));
     }
 
     /// Every job waits for all the others: on any design where a job can
     /// queue behind a blocked worker this never completes.
     #[test]
     fn jobs_that_block_on_each_other_all_get_a_thread() {
-        let pool = WorkerPool::new("test", NO_CAP, Metrics::new());
+        let pool = WorkerPool::new("test", Metrics::new());
         let barrier = Arc::new(Barrier::new(64));
         let (tx, rx) = mpsc::channel();
         for _ in 0..64 {
@@ -223,7 +181,7 @@ mod tests {
 
     #[test]
     fn sequential_jobs_reuse_one_worker() {
-        let pool = WorkerPool::new("test", NO_CAP, Metrics::new());
+        let pool = WorkerPool::new("test", Metrics::new());
         let (tx, rx) = mpsc::channel();
         for i in 0..100 {
             let tx = tx.clone();
@@ -241,19 +199,24 @@ mod tests {
     #[test]
     fn panicking_job_does_not_kill_workers() {
         let metrics = Metrics::new();
-        let pool = WorkerPool::new("test", 1, metrics.clone());
+        let pool = WorkerPool::new("test", metrics.clone());
         assert!(pool.execute(|| panic!("poisoned job")));
-        // The single worker must survive to run the next job.
+        // The worker counts the panic, then parks: it survived.
+        while pool.shared.state.lock().idle == 0 {
+            std::thread::yield_now();
+        }
+        // The next job finds that worker idle and runs on it.
         let (tx, rx) = mpsc::channel();
         assert!(pool.execute(move || tx.send(7).unwrap()));
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 7);
         assert_eq!(metrics.snapshot().worker_panics, 1);
+        assert_eq!(spawned(&pool), 1, "the panicked worker ran the next job");
     }
 
     #[test]
     fn pool_dropped_by_its_own_job_does_not_join_itself() {
         let metrics = Metrics::new();
-        let pool = Arc::new(WorkerPool::new("test", 2, metrics.clone()));
+        let pool = Arc::new(WorkerPool::new("test", metrics.clone()));
         let last_handle = pool.clone();
         let (go_tx, go_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel();
@@ -272,19 +235,26 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_discards_queued_jobs_and_joins() {
-        let pool = WorkerPool::new("test", 1, Metrics::new());
+    fn shutdown_joins_running_jobs_and_loses_none() {
+        let pool = WorkerPool::new("test", Metrics::new());
+        let finished = Arc::new(AtomicUsize::new(0));
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        // Occupy the only worker, then queue a job whose drop we can observe.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        // A running job the drop below must wait for.
+        let finished2 = finished.clone();
         pool.execute(move || {
+            started_tx.send(()).unwrap();
             let _ = gate_rx.recv_timeout(Duration::from_secs(5));
+            finished2.fetch_add(1, Ordering::Relaxed);
         });
+        started_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         struct DropFlag(Arc<AtomicUsize>);
         impl Drop for DropFlag {
             fn drop(&mut self) {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
+        // A job racing shutdown: it either runs or is discarded unrun.
         let ran = Arc::new(AtomicUsize::new(0));
         let dropped = Arc::new(AtomicUsize::new(0));
         let flag = DropFlag(dropped.clone());
@@ -294,16 +264,15 @@ mod tests {
             ran2.fetch_add(1, Ordering::Relaxed);
         });
         gate_tx.send(()).unwrap();
-        drop(pool); // discards the queued job, joins the worker
-        assert_eq!(dropped.load(Ordering::Relaxed), 1, "queued job must be dropped");
-        // The queued job may or may not have been picked up before shutdown
-        // raced in; what matters is it was either run or dropped, never lost.
+        drop(pool); // discards whatever is still queued, joins the workers
+        assert_eq!(finished.load(Ordering::Relaxed), 1, "the drop joined the running job");
+        assert_eq!(dropped.load(Ordering::Relaxed), 1, "the racing job was run or dropped");
         assert!(ran.load(Ordering::Relaxed) <= 1);
     }
 
     #[test]
     fn execute_after_shutdown_returns_false() {
-        let pool = WorkerPool::new("test", 1, Metrics::new());
+        let pool = WorkerPool::new("test", Metrics::new());
         // Simulate shutdown without dropping (so we can still call execute).
         pool.shared.state.lock().shutdown = true;
         assert!(!pool.execute(|| unreachable!("must not run")));

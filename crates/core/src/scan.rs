@@ -8,6 +8,11 @@
 //! exploits. With OSP disabled every request gets a dedicated scanner and all
 //! sharing degenerates to buffer-pool timing — the paper's Baseline.
 //!
+//! The scanner thread is the group's only reader: it claims one page at a
+//! time, fetches and decodes it, and runs every consumer's kernel itself, so
+//! the group reads its file in page order — which the disk charges as
+//! sequential reads (`disk_seq_reads`) rather than seeks.
+//!
 //! # Scan start and attach rules
 //!
 //! Scan start is wait-free: a new scanner takes the table's shared lock and
@@ -15,9 +20,9 @@
 //! sharing it may never get (§5, "negligible overhead"). No clock takes part
 //! in attaching. What a newcomer gets depends only on the group's
 //! `pages_read`, which the scanner advances under the group lock in the same
-//! critical section in which it adopts its inbox and *claims* a morsel:
+//! critical section in which it adopts its inbox and *claims* a page:
 //!
-//! * **`pages_read == 0`** — the group is indexed but its first morsel is
+//! * **`pages_read == 0`** — the group is indexed but its first page is
 //!   not claimed yet. The newcomer joins at position 0 with the host: same
 //!   page sequence, no wrap, column-union pruning stays on, and ordered
 //!   consumers are welcome. [`ScanManager::submit`] indexes a group *before*
@@ -37,9 +42,9 @@
 //! * A group whose scanner has exited (`finished`) refuses attaches; the
 //!   request starts a new group.
 //!
-//! Adoption is not instantaneous — the scanner picks its inbox up at morsel
-//! boundaries — but *enrollment* is: from that moment the request's pipe
-//! names the scanner as its producer in the waits-for graph (§4.3.3), so a
+//! Adoption is not instantaneous — the scanner picks its inbox up before it
+//! claims each page — but *enrollment* is: from that moment the request's
+//! pipe names the scanner as its producer in the waits-for graph (§4.3.3), so a
 //! deadlock cycle through a scanner parked on a full pipe with requests
 //! still in its inbox is visible to the detector.
 
@@ -142,10 +147,9 @@ impl ScanConsumer {
     /// Stamp the consumer's completion events (no-op when untraced); call
     /// exactly once, when the consumer leaves the group. Scan packets never
     /// route through the µEngine operator wrapper, so the scanner charges the
-    /// probe itself (`page_work`: kernel time per consumer; `run_scanner`:
-    /// fetch + decode to the host) and emits the `OperatorFinished` journal
-    /// entry from its counters; satellites additionally stamp their
-    /// `OspDetach`.
+    /// probe itself (`serve_page`: kernel time per consumer, fetch + decode
+    /// to the host) and emits the `OperatorFinished` journal entry from its
+    /// counters; satellites additionally stamp their `OspDetach`.
     fn note_detach(&self) {
         let Some(tr) = &self.trace else {
             return;
@@ -167,6 +171,50 @@ impl ScanConsumer {
                 pages_from_host: self.pages_from_host,
             });
         }
+    }
+
+    /// This consumer's share of one page: its predicate and projection run
+    /// over the page's shared batch — the re-indexed pair when the page
+    /// carries only the group's column union (`pruned`). `None` when no row
+    /// survives; the page's batch itself when it neither filters nor
+    /// projects.
+    fn page_kernel(
+        &self,
+        page: &Arc<ColBatch>,
+        pruned: bool,
+        position: u64,
+    ) -> QResult<Option<Arc<ColBatch>>> {
+        let (predicate, projection) = if pruned {
+            // A pruned page reaching a consumer without re-indexed
+            // expressions would read the wrong columns. Fail the page —
+            // every attached packet sees the error, never bad data.
+            let Some(p) = self.pruned.as_ref() else {
+                return Err(QError::Exec(format!(
+                    "pruned page {position} reached a full-width consumer"
+                )));
+            };
+            (p.predicate.as_ref(), Some(&p.projection))
+        } else {
+            (self.predicate.as_ref(), self.projection.as_ref())
+        };
+        // A failing predicate drops the page for this consumer (the scalar
+        // path treated row-level eval errors as "filter out").
+        let sel = match predicate {
+            Some(p) => p.eval_filter(page).unwrap_or_else(|_| SelVec::empty()),
+            None => SelVec::all(page.len()),
+        };
+        if sel.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(match projection {
+            // Unfiltered, unprojected page: broadcast the shared Arc — a
+            // refcount bump per consumer, zero copies.
+            None if sel.is_all(page.len()) => page.clone(),
+            None => Arc::new(page.gather(&sel)),
+            // Project first (Arc bumps), then gather only the surviving
+            // columns.
+            Some(proj) => Arc::new(page.project(proj).gather(&sel)),
+        }))
     }
 
     /// Re-index the consumer's expressions onto `union` (a superset of its
@@ -238,8 +286,6 @@ struct GroupInner {
     /// Slotted pages keep pruning: they have no decode cache, every visit
     /// decodes, so decoding fewer columns always wins there.
     staggered: bool,
-    /// Live consumers (scanner-owned count, for visibility).
-    active: usize,
 }
 
 /// One shared scan of one table, driven by a dedicated scanner thread.
@@ -276,52 +322,26 @@ impl ScanGroup {
         }
         req.output.pipe().set_producer_node(self.node);
         g.inbox.push(ScanConsumer::new(req, true));
-        g.active += 1;
         Ok(())
-    }
-}
-
-/// Configuration for the scan manager. Neither field is a timer: when a
-/// request may attach, and what it then receives, is decided by the group's
-/// `pages_read` alone (module docs, "Scan start and attach rules").
-#[derive(Debug, Clone, Copy)]
-pub struct ScanConfig {
-    /// OSP on/off: on, a request attaches to an in-progress scanner of its
-    /// table whenever the attach rules allow; off means one dedicated
-    /// scanner per request (Baseline).
-    pub osp: bool,
-    /// Task-pool workers fetching/decoding/filtering pages in parallel.
-    /// `<= 1` keeps the scanner thread doing everything itself (the
-    /// pre-morsel behavior); above that the scanner claims page-range
-    /// morsels and fans each page out as a task-pool job, delivering the
-    /// results serially in page order.
-    pub workers: usize,
-}
-
-impl Default for ScanConfig {
-    fn default() -> Self {
-        Self { osp: true, workers: 1 }
     }
 }
 
 /// Manages all shared scans; one entry point for scan/iscan packets.
 pub struct ScanManager {
     ctx: ExecContext,
-    config: ScanConfig,
+    /// OSP on/off: on, a request attaches to an in-progress scanner of its
+    /// table whenever the attach rules allow; off means one dedicated
+    /// scanner per request (Baseline). No timer takes part: when a request
+    /// may attach, and what it then receives, is decided by the group's
+    /// `pages_read` alone (module docs, "Scan start and attach rules").
+    osp: bool,
     metrics: Metrics,
     groups: Mutex<HashMap<String, Vec<Arc<ScanGroup>>>>,
-    /// Task pool shared by every scanner thread for morsel page jobs
-    /// (fetch + decode + per-consumer predicate/projection — never blocking
-    /// on pipes). `None` when `config.workers <= 1`.
-    tasks: Option<Arc<crate::pool::WorkerPool>>,
 }
 
 impl ScanManager {
-    pub fn new(ctx: ExecContext, config: ScanConfig, metrics: Metrics) -> Arc<Self> {
-        let tasks = (config.workers > 1).then(|| {
-            Arc::new(crate::pool::WorkerPool::new("scan-tasks", config.workers, metrics.clone()))
-        });
-        Arc::new(Self { ctx, config, metrics, groups: Mutex::new(HashMap::new()), tasks })
+    pub fn new(ctx: ExecContext, osp: bool, metrics: Metrics) -> Arc<Self> {
+        Arc::new(Self { ctx, osp, metrics, groups: Mutex::new(HashMap::new()) })
     }
 
     /// Number of live scan groups for `table` (tests/metrics).
@@ -332,7 +352,7 @@ impl ScanManager {
     /// Submit a scan request: attach to an in-progress scanner when OSP
     /// allows it, otherwise start a dedicated scanner thread.
     pub fn submit(self: &Arc<Self>, mut req: ScanRequest) -> QResult<()> {
-        if self.config.osp {
+        if self.osp {
             let groups = self.groups.lock().get(&req.table).cloned().unwrap_or_default();
             let mut rejected = false;
             for g in groups {
@@ -370,7 +390,6 @@ impl ScanManager {
                 inbox: vec![ScanConsumer::new(req, false)],
                 finished: false,
                 staggered: false,
-                active: 1,
             }),
         });
         self.groups.lock().entry(table.clone()).or_default().push(group.clone());
@@ -430,7 +449,6 @@ impl ScanManager {
         let stragglers = {
             let mut g = group.inner.lock();
             g.finished = true;
-            g.active = 0;
             std::mem::take(&mut g.inbox)
         };
         for c in consumers.drain(..).chain(stragglers) {
@@ -454,14 +472,13 @@ impl ScanManager {
     /// pages only (see `GroupInner::staggered`).
     fn fetch_page(
         &self,
-        pool: &Arc<qpipe_storage::BufferPool>,
         file: qpipe_storage::FileId,
         position: u64,
         union: Option<&[usize]>,
         staggered: bool,
     ) -> QResult<(Arc<ColBatch>, bool, FetchObs)> {
         let started = std::time::Instant::now();
-        let (block, retries) = pool.get_observed(file, position)?;
+        let (block, retries) = self.ctx.catalog.pool().get_observed(file, position)?;
         let fetch_ns = started.elapsed().as_nanos() as u64;
         let narrower =
             |u: &&[usize], width: usize| u.len() < width && u.last().is_none_or(|&c| c < width);
@@ -487,83 +504,102 @@ impl ScanManager {
         Ok((batch, pruned, FetchObs { fetch_ns, decode_ns, retries }))
     }
 
-    /// One page's worth of morsel work: fetch + decode the page, then run
-    /// every consumer's predicate/projection kernel over the shared batch.
-    /// Pure CPU + (simulated) disk I/O — never blocks on a pipe, so it is
-    /// safe to run on a task-pool worker. Each consumer's kernel time is
-    /// charged to its probe here, on whichever thread ran it (tracing off:
-    /// one `Option` branch per consumer).
-    fn page_work(
+    /// Serve one claimed page on the scanner thread: fetch + decode it once,
+    /// then run every consumer's predicate/projection kernel over the shared
+    /// batch and push the result. A consumer that was abandoned, or has now
+    /// seen every page, leaves `consumers`; returns whether any left.
+    ///
+    /// The page's I/O wait and decode time are charged to the host's probe,
+    /// each consumer's kernel time to its own (tracing off: one `Option`
+    /// branch per consumer).
+    fn serve_page(
         &self,
-        pool: &Arc<qpipe_storage::BufferPool>,
         file: qpipe_storage::FileId,
         position: u64,
+        num_pages: u64,
         union: Option<&[usize]>,
         staggered: bool,
-        snaps: &[ConsumerSnap],
-    ) -> QResult<PageOut> {
-        let (shared, pruned_delivery, fetch) =
-            self.fetch_page(pool, file, position, union, staggered)?;
-        let mut per_consumer = Vec::with_capacity(snaps.len());
-        for s in snaps {
-            // Pruned pages carry the union's columns; use the consumer's
-            // re-indexed expressions (same output, smaller decode).
-            let (predicate, projection) = if pruned_delivery {
-                // A pruned page reaching a full-width consumer snapshot
-                // means the union snapshot raced group membership; its
-                // expressions would read the wrong columns. Fail the page —
-                // every attached packet sees the error, never bad data.
-                let Some(p) = s.pruned.as_ref() else {
-                    return Err(QError::Exec(format!(
-                        "pruned page {position} delivered to a full-width consumer snapshot"
-                    )));
-                };
-                (&p.0, Some(&p.1))
-            } else {
-                (&s.predicate, s.projection.as_ref())
-            };
-            let kernel = || {
-                // A failing predicate drops the page for this consumer (the
-                // scalar path treated row-level eval errors as "filter out").
-                let sel = match predicate {
-                    Some(p) => p.eval_filter(&shared).unwrap_or_else(|_| SelVec::empty()),
-                    None => SelVec::all(shared.len()),
-                };
-                if sel.is_empty() {
-                    return None;
-                }
-                match projection {
-                    // Unfiltered, unprojected page: broadcast the shared
-                    // Arc — a refcount bump per consumer, zero copies.
-                    None if sel.is_all(shared.len()) => Some(shared.clone()),
-                    None => Some(Arc::new(shared.gather(&sel))),
-                    // Project first (Arc bumps), then gather only the
-                    // surviving columns.
-                    Some(proj) => Some(Arc::new(shared.project(proj).gather(&sel))),
-                }
-            };
-            per_consumer.push(match &s.probe {
+        consumers: &mut Vec<ScanConsumer>,
+    ) -> QResult<bool> {
+        let (page, pruned, fetch) = self.fetch_page(file, position, union, staggered)?;
+        // The host is the first non-satellite consumer — the scan reads disk
+        // on its behalf — or any consumer once the host has finished and
+        // satellites are wrapping. A probe's busy time is total − waits, so
+        // the decode lands in `busy_ns`.
+        if let Some(host) = consumers.iter().find(|c| !c.satellite).or(consumers.first()) {
+            if let Some(p) = &host.probe {
+                p.add_io_wait_ns(fetch.fetch_ns);
+                p.add_total_ns(fetch.fetch_ns + fetch.decode_ns);
+            }
+            if let Some(tr) = host.trace.as_ref().filter(|_| fetch.retries > 0) {
+                tr.push(TraceEvent::BufferpoolRetry { retries: fetch.retries });
+            }
+        }
+        let mut left = false;
+        let mut i = 0;
+        while i < consumers.len() {
+            let c = &mut consumers[i];
+            // The cancellation rule (`host.rs`): a severed scan packet may
+            // still feed a join/agg host that other queries share; deliver
+            // while anyone is attached. (Cancelled *and* abandoned consumers
+            // detach their pipes, so the pipe probe covers the plain
+            // cancellation case too.) Trade-off: a severed packet still
+            // sitting in a µEngine's dispatch queue holds its consumer until
+            // the dispatcher reaches and drops it, so the scanner may fill
+            // that pipe and throttle briefly. Dispatchers never wait on pipes
+            // and a dispatched packet always has a thread, so the stall is
+            // bounded.
+            if c.output.abandoned() {
+                consumers.remove(i);
+                left = true;
+                continue;
+            }
+            let delivery = match &c.probe {
                 Some(p) => {
                     let started = std::time::Instant::now();
-                    let delivery = kernel();
+                    let delivery = c.page_kernel(&page, pruned, position);
                     p.add_total_ns(started.elapsed().as_nanos() as u64);
                     delivery
                 }
-                None => kernel(),
-            });
+                None => c.page_kernel(&page, pruned, position),
+            }?;
+            if let Some(batch) = delivery {
+                if let Some(p) = &c.probe {
+                    p.add_rows(batch.len() as u64);
+                    p.add_batches(1);
+                }
+                c.output.push_shared(batch);
+            }
+            if c.satellite {
+                c.pages_from_host += 1;
+                if let Some(p) = &c.probe {
+                    p.add_pages_from_host(1);
+                }
+            } else if let Some(p) = &c.probe {
+                p.add_pages_from_disk(1);
+            }
+            c.pages_seen += 1;
+            if c.pages_seen >= num_pages {
+                let done = consumers.remove(i);
+                done.note_detach();
+                done.output.finish();
+                left = true;
+            } else {
+                i += 1;
+            }
         }
-        Ok(PageOut { per_consumer, fetch })
+        Ok(left)
     }
 
     /// The scanner thread body: circular page delivery to all consumers.
     ///
-    /// Morsel-driven: each iteration claims a page-range morsel (advancing
-    /// the group position *at claim time*, so ordered-attach rules see the
-    /// truth), fans the pages out to the task pool (fetch + decode +
-    /// per-consumer kernels), then delivers results serially in page order —
-    /// attach/detach, column-union pruning, and failure semantics are
-    /// decided by this one coordinator thread exactly as in the serial scan.
-    fn run_scanner(self: &Arc<Self>, group: &Arc<ScanGroup>, num_pages: u64) {
+    /// Each iteration adopts newcomers and claims one page under the group
+    /// lock — advancing the position *at claim time*, so the attach rules
+    /// see the truth — then serves that page on this thread. One reader
+    /// takes the file in page order, which the disk charges as sequential
+    /// reads; attach/detach, column-union pruning and failure are all
+    /// decided here, between pages.
+    fn run_scanner(&self, group: &Arc<ScanGroup>, num_pages: u64) {
         let info = match self.ctx.catalog.table(&group.table) {
             Ok(i) => i,
             Err(_) => return,
@@ -573,7 +609,6 @@ impl ScanManager {
         // Nothing is claimed before the lock is granted, so requests arriving
         // meanwhile attach at position 0.
         let _lock = self.ctx.catalog.locks().lock_shared(&group.table);
-        let pool = self.ctx.catalog.pool().clone();
         let file = info.file_id();
         let mut consumers: Vec<ScanConsumer> = Vec::new();
         // The union of all consumers' referenced columns, recomputed only
@@ -582,26 +617,18 @@ impl ScanManager {
         // once) stops pruning columnar pages: see `GroupInner::staggered`.
         let mut union: Option<Vec<usize>> = None;
         let mut union_stale = true;
-        // Morsel width: enough pages to keep the task-pool workers busy,
-        // small enough that attach adoption (morsel boundaries only) stays
-        // responsive.
-        let morsel_cap = match &self.tasks {
-            Some(t) => (t.workers() * 8).min(64) as u64,
-            None => 1,
-        };
         loop {
             // Adopt newcomers and decide termination under the lock; claim
-            // the next morsel in the same critical section. Position and
-            // pages_read advance *now*, before any page is processed, so an
+            // the next page in the same critical section. Position and
+            // pages_read advance *now*, before the page is served, so an
             // ordered newcomer racing `try_attach` can never observe
             // `pages_read == 0` while delivery is already past page 0.
-            let (start, morsel, staggered) = {
+            let (position, staggered) = {
                 let mut g = group.inner.lock();
                 union_stale |= !g.inbox.is_empty();
                 consumers.append(&mut g.inbox);
                 if consumers.is_empty() || num_pages == 0 {
                     g.finished = true;
-                    g.active = 0;
                     drop(g);
                     for c in consumers.drain(..) {
                         c.note_detach();
@@ -609,15 +636,12 @@ impl ScanManager {
                     }
                     return;
                 }
-                // No consumer needs more pages than the one furthest behind.
-                let max_needed =
-                    num_pages - consumers.iter().map(|c| c.pages_seen).min().unwrap_or(0);
-                let morsel = morsel_cap.clamp(1, max_needed.max(1));
-                let start = g.position;
-                g.pages_read += morsel;
-                g.position = (start + morsel) % num_pages;
-                (start, morsel, g.staggered)
+                let position = g.position;
+                g.pages_read += 1;
+                g.position = (position + 1) % num_pages;
+                (position, g.staggered)
             };
+            self.metrics.add_scan_page_claimed();
             // Fetch + decode each page ONCE; every consumer's predicate /
             // projection then runs as a vectorized kernel over the same
             // `ColBatch` (selection vector → gather), so the per-page cost of
@@ -640,279 +664,50 @@ impl ScanManager {
             if union_stale {
                 union = union_refs(&consumers);
                 union_stale = false;
-            }
-            // Snapshot each consumer's expressions for the morsel's jobs.
-            // Membership and the union are fixed until the next boundary, so
-            // the snapshot stays valid for every page of the morsel.
-            if let Some(u) = union.as_ref() {
-                let mut prune_err = None;
-                for c in consumers.iter_mut() {
-                    if let Err(e) = c.refresh_pruned(u) {
-                        prune_err = Some(e);
-                        break;
+                if let Some(u) = union.as_deref() {
+                    if let Err(e) = consumers.iter_mut().try_for_each(|c| c.refresh_pruned(u)) {
+                        // Corrupt pruning state: settle every attached packet
+                        // with the error rather than scanning wrong columns.
+                        self.fail_group(group, &mut consumers, e);
+                        return;
                     }
                 }
-                if let Some(e) = prune_err {
-                    // Corrupt pruning state: settle every attached packet
-                    // with the error rather than scanning wrong columns.
+            }
+            // A panic out of the page path (e.g. an injected Panic fault
+            // surfacing through the buffer pool) is converted to an error
+            // here, while the consumer list is still intact, so `fail_group`
+            // poisons every attached packet with an error naming the page.
+            // The catch around the whole thread in `start_group` is only a
+            // backstop.
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.serve_page(
+                    file,
+                    position,
+                    num_pages,
+                    union.as_deref(),
+                    staggered,
+                    &mut consumers,
+                )
+            }))
+            .unwrap_or_else(|_| {
+                self.metrics.add_worker_panic();
+                Err(QError::Exec(format!(
+                    "scanner for {} panicked reading page {position}",
+                    group.table
+                )))
+            });
+            match served {
+                Ok(left) => union_stale |= left,
+                Err(e) => {
                     self.fail_group(group, &mut consumers, e);
                     return;
                 }
             }
-            let snaps: Arc<Vec<ConsumerSnap>> = Arc::new(
-                consumers
-                    .iter()
-                    .map(|c| ConsumerSnap {
-                        predicate: c.predicate.clone(),
-                        projection: c.projection.clone(),
-                        pruned: c
-                            .pruned
-                            .as_ref()
-                            .filter(|_| union.is_some())
-                            .map(|p| (p.predicate.clone(), p.projection.clone())),
-                        probe: c.probe.clone(),
-                    })
-                    .collect(),
-            );
-            // A panic out of the fetch/decode path (e.g. an injected Panic
-            // fault surfacing through the buffer pool) is converted to an
-            // error *inside the job*, while the consumer list is still
-            // intact, so `fail_group` below poisons every attached packet.
-            // Letting it unwind would drop the producers, which close their
-            // pipes cleanly — truncated output would read as complete
-            // results.
-            let tasks = self.tasks.as_ref().filter(|_| morsel > 1);
-            // Serial, in-page-order delivery: pushes, per-consumer page
-            // accounting, completion, and failure all happen on this one
-            // thread, exactly as in the serial scan. Slots keep snapshot
-            // indices stable while finished consumers leave mid-morsel.
-            // `deliver` returns false once delivery must stop — a page
-            // failed (poisons the group below) or every consumer finished.
-            let mut slots: Vec<Option<ScanConsumer>> = consumers.drain(..).map(Some).collect();
-            let mut removed_any = false;
-            let mut failed = None;
-            if tasks.is_some() {
-                for c in slots.iter().flatten() {
-                    if let Some(tr) = &c.trace {
-                        tr.push(TraceEvent::MorselDispatched { pages: morsel });
-                    }
-                }
-            }
-            {
-                let mut deliver = |k: usize, res: QResult<PageOut>| -> bool {
-                    let out = match res {
-                        Ok(o) => o,
-                        Err(e) => {
-                            failed = Some(e);
-                            return false;
-                        }
-                    };
-                    // Attribute the page's I/O wait and decode time to the
-                    // host (first live non-satellite consumer — the scan
-                    // reads disk on its behalf), falling back to any live
-                    // consumer once the host has finished and satellites are
-                    // wrapping. A probe's busy time is total − waits, so the
-                    // decode lands in `busy_ns`.
-                    if out.fetch.fetch_ns > 0 || out.fetch.retries > 0 {
-                        let host = slots
-                            .iter()
-                            .flatten()
-                            .find(|c| !c.satellite)
-                            .or_else(|| slots.iter().flatten().next());
-                        if let Some(c) = host {
-                            if let Some(p) = &c.probe {
-                                p.add_io_wait_ns(out.fetch.fetch_ns);
-                                p.add_total_ns(out.fetch.fetch_ns + out.fetch.decode_ns);
-                            }
-                            if out.fetch.retries > 0 {
-                                if let Some(tr) = &c.trace {
-                                    tr.push(TraceEvent::BufferpoolRetry {
-                                        retries: out.fetch.retries,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        let Some(c) = slot.as_mut() else { continue };
-                        // The cancellation rule (`host.rs`): a severed scan
-                        // packet may still feed a join/agg host that other
-                        // queries share; deliver while anyone is attached.
-                        // (Cancelled *and* abandoned consumers detach their
-                        // pipes, so the pipe probe covers the plain
-                        // cancellation case too.) Trade-off: a severed
-                        // packet still sitting in a µEngine's dispatch queue
-                        // holds its consumer until the dispatcher reaches and
-                        // drops it, so the scanner may fill that pipe and
-                        // throttle briefly. Dispatchers never wait on pipes and
-                        // a dispatched packet always has a thread, so the
-                        // stall is bounded.
-                        if c.output.abandoned() {
-                            drop(slot.take());
-                            removed_any = true;
-                            continue;
-                        }
-                        if c.pages_seen >= num_pages {
-                            continue; // finished at an earlier page of this morsel
-                        }
-                        if let Some(batch) = &out.per_consumer[i] {
-                            if let Some(p) = &c.probe {
-                                p.add_rows(batch.len() as u64);
-                                p.add_batches(1);
-                            }
-                            c.output.push_shared(batch.clone());
-                        }
-                        if c.satellite {
-                            c.pages_from_host += 1;
-                            if let Some(p) = &c.probe {
-                                p.add_pages_from_host(1);
-                            }
-                        } else if let Some(p) = &c.probe {
-                            p.add_pages_from_disk(1);
-                        }
-                        c.pages_seen += 1;
-                        if c.pages_seen >= num_pages {
-                            if let Some(done) = slot.take() {
-                                done.note_detach();
-                                done.output.finish();
-                                removed_any = true;
-                            }
-                        }
-                    }
-                    if (start + k as u64 + 1).is_multiple_of(num_pages)
-                        && slots.iter().any(|s| s.is_some())
-                    {
-                        self.metrics.add_circular_wrap();
-                    }
-                    slots.iter().any(|s| s.is_some())
-                };
-                if let Some(tasks) = tasks {
-                    self.metrics.add_morsel_dispatched();
-                    // One job per worker over an *interleaved* page stride
-                    // (worker j reads pages j, j+jobs, j+2·jobs, …), each
-                    // page's result sent the moment it is ready. The
-                    // scanner thread reassembles in page order through a
-                    // small reorder buffer and delivers *while the rest of
-                    // the morsel is still being read* — page 0 reaches
-                    // consumers after one page read, not after the whole
-                    // morsel. That streaming matters when page fetches carry
-                    // simulated I/O latency: batching a 64-page morsel
-                    // before the first push would add a full morsel of
-                    // latency to every downstream stage. Panics are caught
-                    // per *page* inside the job, so a poisoned page fails
-                    // only its own slot.
-                    let jobs = tasks.workers().min(morsel as usize);
-                    let page_one = move |mgr: &Arc<Self>,
-                                         pool: &Arc<qpipe_storage::BufferPool>,
-                                         union: Option<&[usize]>,
-                                         snaps: &[ConsumerSnap],
-                                         k: usize| {
-                        let position = (start + k as u64) % num_pages;
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            mgr.page_work(pool, file, position, union, staggered, snaps)
-                        }))
-                        .unwrap_or_else(|_| {
-                            mgr.metrics.add_worker_panic();
-                            Err(QError::Exec(format!("scanner panicked reading page {position}")))
-                        })
-                    };
-                    let (tx, rx) = std::sync::mpsc::channel::<(usize, QResult<PageOut>)>();
-                    for j in 0..jobs {
-                        let mgr = self.clone();
-                        let job_pool = pool.clone();
-                        let job_union = union.clone();
-                        let job_snaps = snaps.clone();
-                        let job_tx = tx.clone();
-                        let stride = move || {
-                            let mut k = j;
-                            while k < morsel as usize {
-                                let res =
-                                    page_one(&mgr, &job_pool, job_union.as_deref(), &job_snaps, k);
-                                if job_tx.send((k, res)).is_err() {
-                                    break; // receiver stopped early; skip the rest
-                                }
-                                k += jobs;
-                            }
-                        };
-                        if !tasks.execute(stride.clone()) {
-                            // Pool shut down (manager dropping); run inline
-                            // so the morsel still completes deterministically.
-                            stride();
-                        }
-                    }
-                    drop(tx);
-                    let mut buf: Vec<Option<QResult<PageOut>>> =
-                        (0..morsel).map(|_| None).collect();
-                    let mut next = 0usize;
-                    'recv: for (k, res) in rx {
-                        buf[k] = Some(res);
-                        while next < morsel as usize {
-                            let Some(r) = buf[next].take() else { break };
-                            let go = deliver(next, r);
-                            next += 1;
-                            if !go {
-                                break 'recv; // dropping rx stops the senders
-                            }
-                        }
-                    }
-                    if failed.is_none()
-                        && next < morsel as usize
-                        && slots.iter().any(Option::is_some)
-                    {
-                        // A sender died without delivering its pages (job
-                        // panicked past the per-page catch): fail the group
-                        // rather than pass a gap off as complete output.
-                        failed = Some(QError::Exec("morsel job lost".into()));
-                    }
-                } else {
-                    for k in 0..morsel as usize {
-                        let position = (start + k as u64) % num_pages;
-                        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.page_work(
-                                &pool,
-                                file,
-                                position,
-                                union.as_deref(),
-                                staggered,
-                                &snaps,
-                            )
-                        }))
-                        .unwrap_or_else(|_| {
-                            self.metrics.add_worker_panic();
-                            Err(QError::Exec(format!(
-                                "scanner for {} panicked reading page {position}",
-                                group.table
-                            )))
-                        });
-                        if !deliver(k, res) {
-                            break;
-                        }
-                    }
-                }
-            }
-            consumers.extend(slots.into_iter().flatten());
-            if let Some(e) = failed {
-                self.fail_group(group, &mut consumers, e);
-                return;
-            }
-            union_stale |= removed_any;
-            {
-                let mut g = group.inner.lock();
-                g.active = consumers.len() + g.inbox.len();
+            if (position + 1).is_multiple_of(num_pages) && !consumers.is_empty() {
+                self.metrics.add_circular_wrap();
             }
         }
     }
-}
-
-/// A consumer's expressions snapshotted for one morsel's page jobs: the
-/// full-width pair plus (when the group prunes) the union-re-indexed pair.
-/// Jobs pick per page based on whether the fetch actually pruned.
-struct ConsumerSnap {
-    predicate: Option<Expr>,
-    projection: Option<Vec<usize>>,
-    pruned: Option<(Option<Expr>, Vec<usize>)>,
-    /// Charged with this consumer's kernel time (`None` when tracing is off).
-    probe: Option<Arc<OpProbe>>,
 }
 
 /// Observations for one fetched page: wall time spent in the buffer pool
@@ -922,14 +717,6 @@ struct FetchObs {
     fetch_ns: u64,
     decode_ns: u64,
     retries: u64,
-}
-
-/// One page's morsel-job output: what each consumer receives (aligned with
-/// the morsel's `ConsumerSnap` order; `None` when its predicate kept no row)
-/// — the page's shared batch itself when it neither filters nor projects.
-struct PageOut {
-    per_consumer: Vec<Option<Arc<ColBatch>>>,
-    fetch: FetchObs,
 }
 
 #[cfg(test)]
@@ -1006,7 +793,7 @@ mod tests {
     }
 
     fn manager(ctx: &ExecContext, metrics: &Metrics, osp: bool) -> Arc<ScanManager> {
-        ScanManager::new(ctx.clone(), ScanConfig { osp, workers: 1 }, metrics.clone())
+        ScanManager::new(ctx.clone(), osp, metrics.clone())
     }
 
     /// Submit `reqs` while `table` is exclusively locked (§4.3.4). The first
@@ -1067,6 +854,27 @@ mod tests {
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64), "stored order preserved");
         }
+    }
+
+    /// One reader per group, in page order: a lone scan through a cold pool
+    /// reads each of the table's pages from disk once, and every read after
+    /// the first continues the file's sequential run.
+    #[test]
+    fn lone_scan_reads_its_table_as_one_sequential_run() {
+        let (ctx, m) = ctx_with_table(5000);
+        let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
+        assert!(pages > 2, "a run needs a few pages: {pages}");
+        ctx.catalog.pool().clear();
+        let before = m.snapshot();
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::new());
+        let (req, consumer) = request(&reg, false, false);
+        mgr.submit(req).unwrap();
+        assert_eq!(consumer.collect_tuples().unwrap().len(), 5000);
+        let d = m.snapshot().delta_since(&before);
+        assert_eq!(d.disk_blocks_read, pages, "a cold pool: every page from disk, once");
+        assert_eq!(d.disk_seq_reads, pages - 1, "only the first read seeks");
+        assert_eq!(d.morsels_dispatched, pages, "one claim per page");
     }
 
     #[test]

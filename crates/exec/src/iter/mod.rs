@@ -45,16 +45,6 @@ pub struct ExecConfig {
     /// with `QError::Timeout` once a running query exceeds it. `None`
     /// (default) disables deadline enforcement.
     pub query_deadline: Option<std::time::Duration>,
-    /// Worker cap of the shared CPU task pools that morsel scans, hash-build
-    /// hashing, and aggregation partials fan out to. (The µEngines' packet
-    /// pools have no knob: a packet holds its worker while blocked, so every
-    /// admitted packet gets a thread.) Task jobs are short compute-bound
-    /// page/stripe work, so sizing past the machine's cores buys nothing and
-    /// charges dispatch overhead per page. `0` (default) resolves to available parallelism capped at 8
-    /// (1 on a single-core host ⇒ the scan runs serial-inline, exactly the
-    /// pre-morsel path). Explicit values are honored so CI smokes can
-    /// engage the parallel paths regardless of the runner's core count.
-    pub task_workers: usize,
     /// Per-query tracing and profiling. When `true` every submitted query
     /// gets a `QueryTrace` event journal and an `OpProbe` tree behind
     /// `QueryHandle::profile()`. When `false` (default) no probe or trace
@@ -71,7 +61,6 @@ impl Default for ExecConfig {
             partitions: 8,
             global_budget: usize::MAX >> 2,
             query_deadline: None,
-            task_workers: 0,
             tracing: false,
         }
     }
@@ -95,16 +84,6 @@ impl ExecConfig {
         clamp(&mut self.partitions, 2);
         let floor = self.sort_budget.max(self.hash_budget);
         clamp(&mut self.global_budget, floor);
-        if self.task_workers == 0 {
-            // Auto: the task pool runs CPU-bound jobs, so cores is the right
-            // size — notably 1 on a single-core host, which collapses the
-            // morsel paths to their serial-inline equivalents.
-            self.task_workers =
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
-        } else if self.task_workers > 32 {
-            self.task_workers = 32;
-            metrics.add_config_clamp();
-        }
         self
     }
 

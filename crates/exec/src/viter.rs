@@ -74,31 +74,25 @@ impl HashJoinBuild {
         self.builder.finish().to_rows()
     }
 
-    /// Freeze the build side into a probe-ready hash table.
+    /// Freeze the build side into a probe-ready hash table. Buckets fill in
+    /// ascending row order, so probe output (LIFO per probe row) follows the
+    /// row path's match order.
     pub fn finish(self) -> QResult<HashJoinTable> {
-        HashJoinTable::new(self.builder.finish(), self.key)
+        let (build, key) = (self.builder.finish(), self.key);
+        if build.is_empty() {
+            // Zero rows (and zero columns when the build input never sent a
+            // batch): an empty table, against which every probe is empty.
+            return Ok(HashJoinTable { build, key, table: HashMap::new() });
+        }
+        let kc = key_col(&build, key)?;
+        let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (i, h) in hash_key_column(kc).into_iter().enumerate() {
+            if !kc.is_null(i) {
+                table.entry(h).or_default().push(i as u32);
+            }
+        }
+        Ok(HashJoinTable { build, key, table })
     }
-
-    /// Hand the accumulated build side back as one contiguous batch (plus
-    /// the key), for callers that hash it themselves — the morsel-parallel
-    /// build splits the batch into contiguous slices, hashes each slice on a
-    /// task-pool worker, and reassembles via [`HashJoinTable::from_hashes`].
-    pub fn into_batch(self) -> (ColBatch, usize) {
-        (self.builder.finish(), self.key)
-    }
-}
-
-/// Key hashes for one contiguous slice of a build batch. Row hashes depend
-/// only on row values, so hashing a slice yields exactly the rows' hashes in
-/// the full batch — the parallel build is bit-identical to the serial one.
-///
-/// An empty build side has no rows to hash — and, when no batch ever
-/// arrived, no columns either, so the key column must not be looked up.
-pub fn hash_build_slice(batch: &ColBatch, key: usize) -> QResult<Vec<u64>> {
-    if batch.is_empty() {
-        return Ok(Vec::new());
-    }
-    Ok(hash_key_column(key_col(batch, key)?))
 }
 
 /// A frozen hash-join build side: the concatenated build batch plus a
@@ -110,33 +104,6 @@ pub struct HashJoinTable {
 }
 
 impl HashJoinTable {
-    fn new(build: ColBatch, key: usize) -> QResult<Self> {
-        let hashes = hash_build_slice(&build, key)?;
-        Self::from_hashes(build, key, hashes)
-    }
-
-    /// Assemble a table from a build batch whose key hashes were computed
-    /// elsewhere (possibly slice-by-slice on task-pool workers, concatenated
-    /// in row order). Buckets are filled in ascending row order — the same
-    /// insertion order [`HashJoinTable::new`] produces, so probe output
-    /// (LIFO per probe row) is bit-identical to the serial build.
-    pub fn from_hashes(build: ColBatch, key: usize, hashes: Vec<u64>) -> QResult<Self> {
-        debug_assert_eq!(hashes.len(), build.len());
-        if build.is_empty() {
-            // Zero rows (and zero columns when the build input never sent a
-            // batch): an empty table, against which every probe is empty.
-            return Ok(Self { build, key, table: HashMap::new() });
-        }
-        let kc = key_col(&build, key)?;
-        let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (i, &h) in hashes.iter().enumerate() {
-            if !kc.is_null(i) {
-                table.entry(h).or_default().push(i as u32);
-            }
-        }
-        Ok(Self { build, key, table })
-    }
-
     /// Rows on the build side.
     pub fn build_rows(&self) -> usize {
         self.build.len()
@@ -458,11 +425,6 @@ mod tests {
         assert_eq!(table.build_rows(), 0);
         let probe = batch(&[vec![Value::Int(2)], vec![Value::Null]]);
         let mut rows = Vec::new();
-        table.probe(&probe, 0, 256, |out| rows.extend(out.to_rows())).unwrap();
-        assert!(rows.is_empty());
-        // The morsel-parallel build's entry point agrees.
-        let hashes = hash_build_slice(&ColBatchBuilder::new().finish(), 1).unwrap();
-        let table = HashJoinTable::from_hashes(ColBatchBuilder::new().finish(), 1, hashes).unwrap();
         table.probe(&probe, 0, 256, |out| rows.extend(out.to_rows())).unwrap();
         assert!(rows.is_empty());
     }

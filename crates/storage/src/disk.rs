@@ -322,6 +322,9 @@ impl SimDisk {
             seq
         };
         self.metrics.add_disk_read(&name, 1);
+        if sequential {
+            self.metrics.add_disk_seq_read();
+        }
         if self.config.charge_latency {
             let lat = if sequential {
                 self.config.seq_read_latency
@@ -456,6 +459,7 @@ mod tests {
         d.read_block(f, 0).unwrap();
         let s = m.snapshot();
         assert_eq!(s.disk_blocks_read, 4);
+        assert_eq!(s.disk_seq_reads, 2, "blocks 1 and 2 continue the run; re-reading 0 seeks");
         assert_eq!(s.per_file_reads["lineitem"], 4);
         assert_eq!(s.disk_blocks_written, 3);
     }

@@ -32,12 +32,9 @@ fn main() -> QResult<()> {
 
     // 3. Boot the QPipe engine (OSP on by default). Every µEngine's packet
     //    pool grows on demand — an admitted packet always gets a thread, so
-    //    there is nothing to size. One knob, `task_workers` (default: the
-    //    machine's cores), caps the shared CPU pool: with more than one task
-    //    worker, a single query is morsel-parallel inside the hot operators
-    //    — the circular scan fans page ranges across the pool, and hash-join
-    //    build / aggregation compute per-worker partials.
-    //    `tracing: true` (off by default — the hot path then pays nothing)
+    //    there is nothing to size. Each shared scan has one scanner thread
+    //    that reads its table in page order and runs every attached query's
+    //    filter as it goes. `tracing: true` (off by default — the hot path then pays nothing)
     //    gives every query an event journal and a per-operator profile,
     //    demonstrated in step 7.
     let config = QPipeConfig {

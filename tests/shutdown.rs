@@ -121,20 +121,16 @@ fn query_deadline_times_out_slow_queries_end_to_end() {
     }
 }
 
-/// An injected panic inside a pool worker (morsel page job) fails only the
-/// packets attached to that scan; the pool's workers survive and the same
+/// An injected panic on a scanner thread's page read fails only the packets
+/// attached to that scan; the per-page catch counts it once, and the same
 /// engine keeps serving later queries.
 #[test]
 fn injected_worker_panic_fails_only_owning_packet() {
     use qpipe::common::{FaultInjector, FaultKind, FaultOp, FaultRule};
     let catalog = demo_catalog(5000);
     let disk = catalog.disk().clone();
-    let config = QPipeConfig {
-        exec: ExecConfig { task_workers: 4, ..ExecConfig::default() },
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(catalog, config);
-    // First read of t's block 0 panics inside whichever worker fetches it.
+    let engine = QPipe::new(catalog, QPipeConfig::default());
+    // First read of t's block 0 panics on the scanner thread that fetches it.
     let rules = vec![FaultRule::new(FaultKind::Panic)
         .on_file("t")
         .on_blocks(0..1)
@@ -149,7 +145,7 @@ fn injected_worker_panic_fails_only_owning_packet() {
     assert!(matches!(err, QError::Exec(_) | QError::Storage(_)), "clean failure: {err:?}");
     disk.set_fault_injector(None);
     assert_eq!(engine.metrics().snapshot().worker_panics, 1, "one panic, caught once");
-    // The pools are intact: the same engine serves the next queries.
+    // The engine is intact: it serves the next queries.
     for _ in 0..3 {
         let rows = engine.submit(PlanNode::scan("t")).unwrap().try_collect().unwrap();
         assert_eq!(rows.len(), 5000);

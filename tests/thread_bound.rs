@@ -12,8 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// `(all threads, scanner threads)` of this process. The scanner threads of
-/// tables `t` and `u` are told apart by name (`qpipe-scan-<table>`; the
-/// morsel pool's workers are `qpipe-scan-tasks-w`).
+/// tables `t` and `u` are told apart by name (`qpipe-scan-<table>`).
 fn live_threads() -> (usize, usize) {
     let mut all = 0;
     let mut scanners = 0;
@@ -51,9 +50,6 @@ fn boot_and_query_burst_keep_thread_count_bounded() {
     catalog.create_table("u", schema(), rows(500), None).unwrap();
     let depth = 4;
     let config = QPipeConfig {
-        // One task worker: no morsel or hash-build fan-out, so every thread
-        // past boot is a packet worker or a scanner.
-        exec: ExecConfig { task_workers: 1, ..ExecConfig::default() },
         admit: AdmitConfig { queue_depth: depth, ..AdmitConfig::default() },
         ..QPipeConfig::default()
     };
