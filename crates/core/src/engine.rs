@@ -1,25 +1,30 @@
 //! The QPipe engine facade: µEngines, packet dispatcher, and query handles.
 //!
-//! `QPipe::new` boots one µEngine per relational operator (paper §4.2,
-//! Figure 5b). `submit` plays the packet dispatcher: it cuts the plan into
-//! packets, wires them with pipes, and queues each packet at its µEngine.
-//! Each µEngine runs a dispatcher thread that performs the OSP check —
-//! "every time a new packet queues up in a µEngine, we scan the queue with
-//! the existing packets to check for overlapping work" (§4.3) — attaching
-//! satellites or spawning a worker for new hosts.
+//! `QPipe::new` sets up one µEngine per relational operator (paper §4.2,
+//! Figure 5b): its OSP registry and its packet pool, and no thread of its
+//! own. Once admission lets a query in, the packet dispatcher walks the plan
+//! *top-down* on the thread that admitted it. At each node it performs the
+//! OSP check — "every time a new packet queues up in a µEngine, we scan the
+//! queue with the existing packets to check for overlapping work" (§4.3) —
+//! under the µEngine registry's lock: a packet that finds an in-flight host
+//! attaches as a satellite, and its subtree is never dispatched. The paper
+//! queues every packet of a plan at once and so has to terminate that
+//! subtree afterwards (Figure 6b). Otherwise the node registers its host,
+//! its children are wired with pipes and dispatched the same way, and the
+//! host goes to the µEngine's pool. Scans go to the scan manager, which
+//! applies the same check per table.
 
 use crate::admit::{
     AdmissionController, AdmitConfig, AdmitSweeper, DispatchFn, QueryClass, QueryTicket,
 };
 use crate::cache::{CacheConfig, QueryCache};
-use crate::deadlock::{DeadlockDetector, WaitRegistry};
+use crate::deadlock::{DeadlockDetector, NodeId, WaitRegistry};
 use crate::host::ShareRegistry;
 use crate::ops::{self, OpEnv};
 use crate::packet::{fresh_node, CancelToken, Packet, QueryId};
-use crate::pipe::{Pipe, PipeConfig, PipeConsumer};
+use crate::pipe::{Pipe, PipeConfig, PipeConsumer, PipeProducer};
 use crate::pool::WorkerPool;
 use crate::scan::{ScanManager, ScanRequest};
-use crossbeam::channel::{unbounded, Sender};
 use qpipe_common::trace::{ProbeNode, QueryProfile, QueryTrace, TraceEvent};
 use qpipe_common::{Metrics, QError, QResult, Tuple};
 use qpipe_exec::iter::{ExecConfig, ExecContext};
@@ -87,24 +92,26 @@ pub const ENGINE_NAMES: [&str; 10] = [
     "nljoin",
 ];
 
+/// One µEngine: the in-flight hosts its packets may attach to, and the pool
+/// its hosts run on.
 struct MicroEngine {
-    queue: Sender<Packet>,
-    /// The µEngine's packet pool. The dispatcher thread holds its own `Arc`
-    /// clone; whichever drops last joins the workers.
-    _pool: Arc<WorkerPool>,
+    share: Arc<ShareRegistry>,
+    pool: WorkerPool,
 }
 
 /// The QPipe engine.
 ///
-/// Field order is load-bearing at drop: the µEngine queues and pools
-/// (`engines`) and the scan manager must wind down while the deadlock
-/// detector (`_detector`) is still scanning, so packets caught in a
+/// Field order is load-bearing at drop: the µEngine pools (`engines`, whose
+/// drop joins their workers) and the scan manager must wind down while the
+/// deadlock detector (`_detector`) is still scanning, so packets caught in a
 /// waits-for cycle during shutdown can still be released.
 pub struct QPipe {
     ctx: ExecContext,
     config: QPipeConfig,
     registry: Arc<WaitRegistry>,
     scan_mgr: Arc<ScanManager>,
+    /// What every operator worker reads: context, metrics, OSP on/off.
+    env: Arc<OpEnv>,
     engines: HashMap<&'static str, MicroEngine>,
     _detector: DeadlockDetector,
     metrics: Metrics,
@@ -129,10 +136,8 @@ impl QPipe {
     }
 
     /// Fallible boot: `Err(QError::Exec)` when a service thread (deadlock
-    /// detector, µEngine dispatcher, admission sweeper) cannot be spawned
-    /// (thread exhaustion). Threads spawned before the failure wind down on
-    /// their own: dropping the detector joins it, and dropping the partially
-    /// built engine map closes the dispatchers' queues.
+    /// detector, admission sweeper) cannot be spawned (thread exhaustion).
+    /// A detector spawned before the failure is joined when it drops.
     pub fn try_new(catalog: Arc<Catalog>, config: QPipeConfig) -> QResult<Arc<Self>> {
         let metrics = catalog.disk().metrics().clone();
         // Validate once up front so the stored config reports the *effective*
@@ -148,46 +153,19 @@ impl QPipe {
         let detector =
             DeadlockDetector::spawn(registry.clone(), metrics.clone(), config.deadlock_interval)?;
         let scan_mgr = ScanManager::new(ctx.clone(), config.osp, metrics.clone());
-        let mut engines = HashMap::new();
-        for name in ENGINE_NAMES {
-            let (tx, rx) = unbounded::<Packet>();
-            let env = Arc::new(OpEnv {
-                ctx: ctx.clone(),
-                metrics: metrics.clone(),
-                osp: config.osp,
-                backfill: config.host_backfill,
-            });
-            let share: Arc<ShareRegistry> = Arc::new(ShareRegistry::new());
-            let scan_mgr2 = scan_mgr.clone();
-            let pool = Arc::new(WorkerPool::new(name, metrics.clone()));
-            let pool2 = pool.clone();
-            // lint:allow(R2): detached µEngine dispatcher; exits when the queue sender drops on Engine shutdown, holds no locks across iterations
-            std::thread::Builder::new()
-                .name(format!("qpipe-ueng-{name}"))
-                .spawn(move || {
-                    while let Ok(packet) = rx.recv() {
-                        // Containment: a panic escaping the dispatch path
-                        // (OSP attach, host setup, scan routing) must not
-                        // kill this dispatcher thread — every later packet
-                        // routed to this µEngine would hang on a dead queue.
-                        // Fail the packet's output and keep serving.
-                        let out = packet.output.as_ref().map(|p| p.pipe().clone());
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            dispatch_packet(name, packet, &share, &env, &scan_mgr2, &pool2)
-                        }));
-                        if caught.is_err() {
-                            env.metrics.add_worker_panic();
-                            if let Some(pipe) = out {
-                                pipe.fail(QError::Exec(format!(
-                                    "{name} µEngine dispatcher panicked"
-                                )));
-                            }
-                        }
-                    }
-                })
-                .map_err(|e| QError::Exec(format!("spawn {name} µEngine: {e}")))?;
-            engines.insert(name, MicroEngine { queue: tx, _pool: pool });
-        }
+        let env = Arc::new(OpEnv {
+            ctx: ctx.clone(),
+            metrics: metrics.clone(),
+            osp: config.osp,
+            backfill: config.host_backfill,
+        });
+        let engines = ENGINE_NAMES
+            .into_iter()
+            .map(|name| {
+                let share = Arc::new(ShareRegistry::new());
+                (name, MicroEngine { share, pool: WorkerPool::new(name, metrics.clone()) })
+            })
+            .collect();
         let admit = AdmissionController::with_deadline(
             config.admit,
             config.exec.query_deadline,
@@ -200,6 +178,7 @@ impl QPipe {
             registry,
             _detector: detector,
             scan_mgr,
+            env,
             engines,
             metrics,
             cache: config.result_cache.map(QueryCache::new),
@@ -310,21 +289,19 @@ impl QPipe {
                 fail_pipe.fail(QError::Exec("engine shut down".into()));
                 return Vec::new();
             };
-            match engine.dispatch(
-                plan,
-                query,
-                producer,
-                None,
-                root_node,
-                dispatch_probe.as_ref(),
-                dispatch_trace.as_ref(),
-            ) {
-                Ok(tokens) => tokens,
-                Err(e) => {
-                    fail_pipe.fail(e);
-                    Vec::new()
-                }
+            let mut q = QueryDispatch { query, trace: dispatch_trace.as_ref(), tokens: Vec::new() };
+            let probe = dispatch_probe.as_ref();
+            // Containment: a panic while dispatching unwinds through every
+            // packet built so far — a dropped producer fails its pipe, and a
+            // registered host's `AbandonGuard` fails it, satellites included.
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.dispatch(&mut q, plan, producer, None, false, root_node, probe);
+            }));
+            if caught.is_err() {
+                engine.metrics.add_worker_panic();
+                fail_pipe.fail(QError::Exec("packet dispatch panicked".into()));
             }
+            q.tokens
         });
         let ticket = QueryTicket::new_traced(class, engines, dispatch, root_pipe, trace.clone());
         self.admit.submit(ticket.clone())?;
@@ -427,116 +404,117 @@ impl QPipe {
         }
     }
 
-    /// Recursive packet dispatcher. Returns the cancel tokens for the
-    /// dispatched node and everything below it. `probe` is this node's
-    /// position in the query's probe tree (mirrors the plan shape); `trace`
-    /// is the query journal — both `None` when tracing is off.
+    /// The packet dispatcher, for one node of a query's plan and everything
+    /// below it, on the calling thread. A managed scan goes to the scan
+    /// manager, which applies the scan's attach rule; any other node meets
+    /// its µEngine's OSP check ([`ops::prepare`]). A node that attached as a
+    /// satellite is done: its subtree is never dispatched. Otherwise its
+    /// child pipes are wired, its children dispatched, and its host handed to
+    /// the µEngine's pool. `split_ok` is the flag a merge-join parent chose
+    /// for this node (§4.3.2); `probe` is its place in the query's probe tree
+    /// (`None` when tracing is off).
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
+        q: &mut QueryDispatch<'_>,
         plan: Arc<PlanNode>,
-        query: QueryId,
-        output: crate::pipe::PipeProducer,
+        output: PipeProducer,
         parent_op: Option<&'static str>,
-        node: crate::deadlock::NodeId,
+        split_ok: bool,
+        node: NodeId,
         probe: Option<&ProbeNode>,
-        trace: Option<&Arc<QueryTrace>>,
-    ) -> QResult<Vec<CancelToken>> {
-        let cancel = CancelToken::new();
-        let mut subtree = Vec::new();
-
-        // Decide the split_ok flag for ordered scan children of a merge join
-        // whose own parent does not depend on output order (§4.3.2).
-        let split_side = match (&*plan, parent_order_insensitive(parent_op)) {
-            (PlanNode::MergeJoin { left, right, .. }, true) => self.pick_split_side(left, right),
-            _ => None,
+    ) {
+        let op = plan.op_name();
+        if let Some(tr) = q.trace {
+            tr.push(TraceEvent::PacketDispatched { op });
+        }
+        // The circular scan manager takes all table scans, and clustered index
+        // scans over the full key range (range-restricted ones run in a worker).
+        if let PlanNode::TableScan { table, predicate, projection, ordered }
+        | PlanNode::ClusteredIndexScan {
+            table,
+            predicate,
+            projection,
+            ordered,
+            lo: None,
+            hi: None,
+            ..
+        } = &*plan
+        {
+            let req = ScanRequest {
+                table: table.clone(),
+                predicate: predicate.clone(),
+                projection: projection.clone(),
+                output,
+                ordered: *ordered,
+                split_ok,
+                probe: probe.map(|p| p.probe.clone()),
+                trace: q.trace.cloned(),
+            };
+            // Submit errors only for missing tables (validated at submit);
+            // the dropped request fails its pipe.
+            let _ = self.scan_mgr.submit(req);
+            return;
+        }
+        let Some(engine) = self.engines.get(op) else {
+            output.fail(QError::Plan(format!("no µEngine for {op}")));
+            return;
         };
-
-        let mut children_consumers = Vec::new();
-        for (idx, child_plan) in plan.children_shared().into_iter().enumerate() {
-            let child_node = fresh_node();
-            let child_pipe = Pipe::new(self.config.pipe, child_node, self.registry.clone());
-            // The consumer end belongs to *this* operator: time it spends
-            // blocked on the child's pipe is this operator's pipe-wait.
-            let mut consumer = child_pipe.attach_consumer(node);
-            consumer.set_probe(probe.map(|p| p.probe.clone()));
-            children_consumers.push(consumer);
-            let child_producer = child_pipe.producer();
-            let mut tokens = self.dispatch_child(
-                child_plan,
-                query,
-                child_producer,
-                plan.op_name(),
-                split_side == Some(idx),
-                child_node,
-                probe.and_then(|p| p.children.get(idx)),
-                trace,
-            )?;
-            subtree.append(&mut tokens);
-        }
-
-        let (ordered, split_ok) = scan_flags(&plan);
-        if let Some(tr) = trace {
-            tr.push(TraceEvent::PacketDispatched { op: plan.op_name() });
-        }
+        let cancel = CancelToken::new();
         let packet = Packet {
-            query,
+            query: q.query,
             node,
             signature: plan.signature(),
             plan: plan.clone(),
             output: Some(output),
-            children: children_consumers,
+            children: Vec::new(),
             cancel: cancel.clone(),
-            subtree_cancels: subtree.clone(),
-            ordered,
-            split_ok,
             probe: probe.map(|p| p.probe.clone()),
-            trace: trace.cloned(),
+            trace: q.trace.cloned(),
         };
-        self.route(packet)?;
-        subtree.push(cancel);
-        Ok(subtree)
-    }
-
-    /// Dispatch one child, threading through the split flag chosen by its
-    /// merge-join parent.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_child(
-        &self,
-        plan: Arc<PlanNode>,
-        query: QueryId,
-        output: crate::pipe::PipeProducer,
-        parent_op: &'static str,
-        split_ok: bool,
-        node: crate::deadlock::NodeId,
-        probe: Option<&ProbeNode>,
-        trace: Option<&Arc<QueryTrace>>,
-    ) -> QResult<Vec<CancelToken>> {
-        if split_ok {
-            // Scans get the flag directly; it only matters for leaf scans.
-            let cancel = CancelToken::new();
-            let (ordered, _) = scan_flags(&plan);
-            if let Some(tr) = trace {
-                tr.push(TraceEvent::PacketDispatched { op: plan.op_name() });
-            }
-            let packet = Packet {
-                query,
-                node,
-                signature: plan.signature(),
-                plan: plan.clone(),
-                output: Some(output),
-                children: Vec::new(),
-                cancel: cancel.clone(),
-                subtree_cancels: Vec::new(),
-                ordered,
-                split_ok: true,
-                probe: probe.map(|p| p.probe.clone()),
-                trace: trace.cloned(),
-            };
-            self.route(packet)?;
-            return Ok(vec![cancel]);
+        let Some((mut packet, host, guard)) = ops::prepare(packet, &engine.share, &self.env) else {
+            return;
+        };
+        // Two failure paths poison the host's outputs: an operator panic
+        // inside the job, and the job never running at all — a panic below,
+        // or a pool that refuses it (the guard fires when the unrun closure
+        // drops). A truncated stream must read as an error, never as a
+        // complete result.
+        let abandon = AbandonGuard { host, name: op, armed: true };
+        let split_side = match (&*plan, parent_order_insensitive(parent_op)) {
+            (PlanNode::MergeJoin { left, right, .. }, true) => self.pick_split_side(left, right),
+            _ => None,
+        };
+        for (idx, child) in plan.children_shared().into_iter().enumerate() {
+            let child_node = fresh_node();
+            let pipe = Pipe::new(self.config.pipe, child_node, self.registry.clone());
+            // The consumer end belongs to *this* operator: time it spends
+            // blocked on the child's pipe is this operator's pipe-wait.
+            let mut consumer = pipe.attach_consumer(node);
+            consumer.set_probe(packet.probe.clone());
+            packet.children.push(consumer);
+            let (out, split) = (pipe.producer(), split_side == Some(idx));
+            let child_probe = probe.and_then(|p| p.children.get(idx));
+            self.dispatch(q, child, out, Some(op), split, child_node, child_probe);
         }
-        self.dispatch(plan, query, output, Some(parent_op), node, probe, trace)
+        q.tokens.push(cancel);
+        let env = self.env.clone();
+        engine.pool.execute(move || {
+            let host = abandon.defuse();
+            // Containment: an operator panic (a bug, or an injected fault)
+            // must not unwind across the host — it would strand attached
+            // satellites mid-stream and kill a pool worker other packets
+            // need. Poison every output instead, then let the registry guard
+            // deregister the host as usual.
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ops::execute(packet, host.clone(), &env);
+            }));
+            if caught.is_err() {
+                env.metrics.add_worker_panic();
+                host.fail(&QError::Exec(format!("operator worker panicked in {op} µEngine")));
+            }
+            drop(guard);
+        });
     }
 
     /// For a merge join with order-insensitive parent: which child (0/1) may
@@ -560,15 +538,6 @@ impl QPipe {
             (None, Some(_)) => Some(1),
             (None, None) => None,
         }
-    }
-
-    /// Queue a packet at its µEngine.
-    fn route(&self, packet: Packet) -> QResult<()> {
-        let engine = self
-            .engines
-            .get(packet.plan.op_name())
-            .ok_or_else(|| QError::Plan(format!("no µEngine for {}", packet.plan.op_name())))?;
-        engine.queue.send(packet).map_err(|_| QError::Exec("engine shut down".into()))
     }
 
     /// Route an update through the dedicated no-OSP path (§4.3.4): takes an
@@ -628,6 +597,15 @@ fn plan_engines(plan: &PlanNode) -> Vec<&'static str> {
     v
 }
 
+/// One query's dispatch: what each of its packets carries, and the cancel
+/// tokens of those that run (fired when the client cancels or the deadline
+/// passes).
+struct QueryDispatch<'a> {
+    query: QueryId,
+    trace: Option<&'a Arc<QueryTrace>>,
+    tokens: Vec<CancelToken>,
+}
+
 /// Is `parent_op` indifferent to its input order?
 fn parent_order_insensitive(parent_op: Option<&'static str>) -> bool {
     matches!(
@@ -636,18 +614,10 @@ fn parent_order_insensitive(parent_op: Option<&'static str>) -> bool {
     )
 }
 
-/// Scan-level flags from the plan node.
-fn scan_flags(plan: &PlanNode) -> (bool, bool) {
-    match plan {
-        PlanNode::TableScan { ordered, .. } => (*ordered, false),
-        PlanNode::ClusteredIndexScan { ordered, .. } => (*ordered, false),
-        _ => (false, false),
-    }
-}
-
-/// Fails a prepared host when its job is dropped unrun — the pool refused it
-/// (engine shut down, or no thread to be had) or discarded it at pool
-/// shutdown. The executing worker defuses it first thing.
+/// Fails a prepared host when its job is dropped unrun — its children could
+/// not be dispatched, the pool refused it (engine shut down, or no thread to
+/// be had) or discarded it at pool shutdown. The executing worker defuses it
+/// first thing.
 struct AbandonGuard {
     host: Arc<crate::host::SharedHost>,
     name: &'static str,
@@ -667,88 +637,6 @@ impl Drop for AbandonGuard {
             self.host.fail(&QError::Exec(format!("{} µEngine shut down", self.name)));
         }
     }
-}
-
-/// µEngine dispatcher body: OSP check then host execution.
-fn dispatch_packet(
-    name: &'static str,
-    packet: Packet,
-    share: &Arc<ShareRegistry>,
-    env: &Arc<OpEnv>,
-    scan_mgr: &Arc<ScanManager>,
-    pool: &Arc<WorkerPool>,
-) {
-    // The cancellation rule (`host.rs`): the token says the packet's own
-    // query stopped needing it, so it is dropped only if nobody reads its
-    // output either. A severed scan may still feed a join that another query
-    // attached to; dropping it would starve that join of its build side.
-    if packet.cancel.is_cancelled() && packet.output.as_ref().is_none_or(|o| o.abandoned()) {
-        return;
-    }
-    // Scans route to the circular scan manager: all table scans, and
-    // clustered index scans over the full key range (range-restricted ones
-    // execute directly in a worker).
-    let mut packet = packet;
-    let managed_scan = match &*packet.plan {
-        PlanNode::TableScan { table, predicate, projection, .. }
-        | PlanNode::ClusteredIndexScan {
-            table, predicate, projection, lo: None, hi: None, ..
-        } => Some((table.clone(), predicate.clone(), projection.clone())),
-        _ => None,
-    };
-    if let Some((table, predicate, projection)) = managed_scan {
-        // A packet without an output has nobody to deliver to, or to fail.
-        let Some(output) = packet.output.take() else { return };
-        let req = ScanRequest {
-            table,
-            predicate,
-            projection,
-            output,
-            ordered: packet.ordered,
-            split_ok: packet.split_ok,
-            probe: packet.probe.clone(),
-            trace: packet.trace.clone(),
-        };
-        // Submit errors only for missing tables (validated at submit).
-        let _ = scan_mgr.submit(req);
-        return;
-    }
-    // OSP overlap check against in-progress identical operations. Attach or
-    // register-then-spawn happens entirely on this dispatcher thread, so a
-    // burst of identical packets all observe the first one's host.
-    if env.osp {
-        if let Some(host) = share.lookup(packet.signature) {
-            match host.try_attach(packet) {
-                Ok(()) => return,
-                Err(back) => packet = back, // window closed: run independently
-            }
-        }
-    }
-    // A packet without an output has nobody to deliver to, or to fail.
-    let Some((packet, host, guard)) = ops::prepare(packet, share, env) else { return };
-    let env = env.clone();
-    // Two failure paths poison the host's outputs: an operator panic inside
-    // the job, and the job never running at all (pool shut down — the
-    // AbandonGuard fires when the unrun closure is dropped). A truncated
-    // stream must read as an error, never as a complete result.
-    let host_panic = host.clone();
-    let abandon = AbandonGuard { host, name, armed: true };
-    pool.execute(move || {
-        let host = abandon.defuse();
-        // Containment: an operator panic (a bug, or an injected fault)
-        // must not unwind across the host — it would strand attached
-        // satellites mid-stream and kill a pool worker other packets need.
-        // Poison every output instead, then let the registry guard
-        // deregister the host as usual.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ops::execute(packet, host, &env);
-        }));
-        if caught.is_err() {
-            env.metrics.add_worker_panic();
-            host_panic.fail(&QError::Exec(format!("operator worker panicked in {name} µEngine")));
-        }
-        drop(guard);
-    });
 }
 
 /// Handle to a submitted query.

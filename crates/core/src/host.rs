@@ -3,8 +3,10 @@
 //! When a µEngine executes a packet whose operator is shareable, it registers
 //! a [`SharedHost`] under the packet's subtree signature. A later packet with
 //! the same signature becomes a *satellite*: its output pipe is handed to the
-//! host (which then broadcasts every batch to all attached outputs), and its
-//! child subtree is cancelled (paper §4.3, Figure 6b).
+//! host, which then broadcasts every batch to all attached outputs (paper
+//! §4.3, Figure 6b). The engine dispatches a plan top-down and runs this
+//! check before a packet's children exist, so a satellite's subtree is never
+//! dispatched — there is nothing below it to terminate.
 //!
 //! A host is open to satellites while everything it has emitted is still in
 //! its replay history — the paper's *buffering* enhancement (§3.2,
@@ -22,9 +24,9 @@
 //!
 //! # The cancellation rule
 //!
-//! A packet's cancel token fires when *its own* query stops needing it — its
-//! parent attached elsewhere as a satellite, or the client cancelled. That
-//! says nothing about the other queries whose satellites ride this host. So
+//! A packet's cancel token fires when *its own* query stops needing it — the
+//! client cancelled, or its deadline passed. That says nothing about the
+//! other queries whose satellites ride this host. So
 //! a cancelled host stops **only when no attached output has a reader left**,
 //! and [`SharedHost::close_if_unwanted`] is the one place that decides it:
 //! it tests the outputs and closes the host under the same lock
@@ -146,8 +148,8 @@ impl SharedHost {
     }
 
     /// Try to attach `packet` as a satellite. On success the packet's output
-    /// is absorbed (history replayed first) and its subtree cancelled;
-    /// on failure the packet is handed back for independent execution.
+    /// is absorbed (history replayed first); on failure the packet is handed
+    /// back for independent execution.
     #[allow(clippy::result_large_err)] // the Err *is* the packet, by design
     pub fn try_attach(&self, mut packet: Packet) -> Result<(), Packet> {
         let mut st = self.state.lock();
@@ -160,15 +162,14 @@ impl SharedHost {
             return Err(packet);
         }
         let Some(producer) = packet.output.take() else { return Err(packet) };
-        packet.sever_subtree();
         producer.pipe().set_producer_node(self.node);
         if !st.history.is_empty() {
-            // Replaying history happens on the µEngine dispatcher thread and
-            // must never block (the satellite's consumer may itself be wired
-            // through this dispatcher). Unbound the pipe — this is the
-            // paper's *materialization* enhancement, and costs no extra
-            // memory: the queued batches are the same `Arc`s the host
-            // history already retains.
+            // The replay runs on the dispatching thread — a submitting client,
+            // or one whose finished query freed an admission slot — which
+            // must not block before it goes on to drain its own root pipe.
+            // Unbound the pipe — this is the paper's *materialization*
+            // enhancement, and costs no extra memory: the queued batches are
+            // the same `Arc`s the host history already retains.
             producer.pipe().materialize();
         }
         let mut out = HostOutput { producer, probe: packet.probe.clone() };
@@ -188,7 +189,8 @@ impl SharedHost {
     ///
     /// The state lock is **not** held across the (possibly blocking) pipe
     /// sends: a host stalled on a slow consumer must never wedge
-    /// `try_attach`, which runs on the µEngine dispatcher thread. Satellites
+    /// `try_attach`, which runs on a client's dispatching thread under its
+    /// µEngine's registry lock. Satellites
     /// that attach mid-push receive this batch through the history replay
     /// (the history entry is recorded before the lock is released), so no
     /// output is ever missed or duplicated.
@@ -219,9 +221,9 @@ impl SharedHost {
     /// reader left, close the host — refuse further attaches, fail the
     /// abandoned outputs — and return `true`; the caller stops working.
     /// Otherwise change nothing and return `false`: a packet whose cancel
-    /// token fired (it was severed as part of a satellite subtree at a
-    /// higher level) keeps executing while it is a host other queries
-    /// depend on. Test and close happen under one lock, so they are atomic
+    /// token fired (its own query was cancelled) keeps executing while it is
+    /// a host other queries depend on. Test and close happen under one lock,
+    /// so they are atomic
     /// with respect to [`try_attach`](Self::try_attach).
     pub fn close_if_unwanted(&self) -> bool {
         let mut st = self.state.lock();
@@ -264,10 +266,30 @@ impl ShareRegistry {
         Self::default()
     }
 
-    /// Register `host` under `sig`; returns a guard that unregisters on drop.
-    pub fn register(self: &Arc<Self>, sig: u64, host: Arc<SharedHost>) -> RegistryGuard {
-        self.active.lock().insert(sig, host);
-        RegistryGuard { registry: self.clone(), sig }
+    /// The OSP check for one packet, in one critical section per µEngine:
+    /// attach `packet` to the in-flight host of its signature (`None`), or —
+    /// no such host, or its window closed — build the packet's own host with
+    /// `make_host` and, when that says the host is shareable, register it
+    /// before the lock is released, so a burst of identical packets all find
+    /// the first one's host. `make_host` returns `None` for a packet with no
+    /// output to host. The guard unregisters the host on drop.
+    pub fn attach_or_host(
+        self: &Arc<Self>,
+        packet: Packet,
+        make_host: impl FnOnce(&mut Packet) -> Option<(Arc<SharedHost>, bool)>,
+    ) -> Option<(Packet, Arc<SharedHost>, Option<RegistryGuard>)> {
+        let mut active = self.active.lock();
+        let mut packet = match active.get(&packet.signature) {
+            Some(host) => host.try_attach(packet).err()?,
+            None => packet,
+        };
+        let (host, shareable) = make_host(&mut packet)?;
+        let sig = packet.signature;
+        let guard = shareable.then(|| {
+            active.insert(sig, host.clone());
+            RegistryGuard { registry: self.clone(), sig }
+        });
+        Some((packet, host, guard))
     }
 
     /// Look up an in-progress host for `sig`.
@@ -313,9 +335,8 @@ mod tests {
         (pipe.producer(), c)
     }
 
-    fn make_packet() -> (Packet, PipeConsumer, CancelToken) {
+    fn make_packet() -> (Packet, PipeConsumer) {
         let (producer, consumer) = make_pipe_pair();
-        let child_token = CancelToken::new();
         let plan = Arc::new(PlanNode::scan("t"));
         let packet = Packet {
             query: QueryId::fresh(),
@@ -325,13 +346,10 @@ mod tests {
             output: Some(producer),
             children: vec![],
             cancel: CancelToken::new(),
-            subtree_cancels: vec![child_token.clone()],
-            ordered: false,
-            split_ok: false,
             probe: None,
             trace: None,
         };
-        (packet, consumer, child_token)
+        (packet, consumer)
     }
 
     fn batch_of(vals: &[i64]) -> ColBatch {
@@ -350,9 +368,8 @@ mod tests {
             Metrics::new(),
             None,
         );
-        let (packet, sat_cons, child_token) = make_packet();
+        let (packet, sat_cons) = make_packet();
         host.try_attach(packet).expect("window open");
-        assert!(child_token.is_cancelled(), "satellite subtree terminated");
         host.push_cols(batch_of(&[1, 2]));
         host.push_cols(batch_of(&[3]));
         host.finish();
@@ -374,7 +391,7 @@ mod tests {
         );
         host.push_cols(batch_of(&[1]));
         host.push_cols(batch_of(&[2]));
-        let (packet, sat_cons, _) = make_packet();
+        let (packet, sat_cons) = make_packet();
         host.try_attach(packet).expect("2 batches <= backfill 4");
         host.push_cols(batch_of(&[3]));
         host.finish();
@@ -398,9 +415,8 @@ mod tests {
         for i in 0..3 {
             host.push_cols(batch_of(&[i]));
         }
-        let (packet, _sat_cons, child_token) = make_packet();
+        let (packet, _sat_cons) = make_packet();
         assert!(host.try_attach(packet).is_err(), "window expired");
-        assert!(!child_token.is_cancelled());
         assert_eq!(m.snapshot().osp_rejections, 1);
         host.finish();
     }
@@ -420,7 +436,7 @@ mod tests {
         for i in 0..50 {
             host.push_cols(batch_of(&[i]));
         }
-        let (packet, sat_cons, _) = make_packet();
+        let (packet, sat_cons) = make_packet();
         host.try_attach(packet).expect("whole-lifetime window");
         host.finish();
         assert_eq!(sat_cons.collect_tuples().unwrap().len(), 50);
@@ -439,7 +455,7 @@ mod tests {
             None,
         );
         host.finish();
-        let (packet, _sc, _) = make_packet();
+        let (packet, _sc) = make_packet();
         assert!(host.try_attach(packet).is_err());
     }
 
@@ -454,41 +470,42 @@ mod tests {
         host.push_cols(batch_of(&[1, 2]));
         let batch = host_cons.recv().unwrap().expect("the pushed batch");
         assert_eq!(Arc::strong_count(&batch), 1, "the reader holds the only reference");
-        let (packet, _sat_cons, child_token) = make_packet();
+        let (packet, _sat_cons) = make_packet();
         let back = host.try_attach(packet).expect_err("an unshared host refuses attaches");
         assert!(back.output.is_some(), "the packet keeps its output");
-        assert!(!child_token.is_cancelled(), "its subtree was not severed");
         assert_eq!(m.snapshot().osp_attaches, 0);
         host.finish();
     }
 
+    /// The first packet of a signature hosts and registers; an identical one
+    /// attaches to it; the guard's drop unregisters.
     #[test]
     fn registry_register_lookup_unregister() {
         let reg = Arc::new(ShareRegistry::new());
-        let (host_prod, _hc) = make_pipe_pair();
-        let host = SharedHost::new(
-            Some(AttachWindow::WholeLifetime),
-            0,
-            NodeId(500),
-            host_prod,
-            "agg",
-            Metrics::new(),
-            None,
-        );
-        {
-            let _guard = reg.register(42, host.clone());
-            assert!(reg.lookup(42).is_some());
-            assert!(reg.lookup(43).is_none());
-        }
-        assert!(reg.lookup(42).is_none(), "guard drop unregisters");
+        let host_of = |p: &mut Packet| {
+            let out = p.output.take()?;
+            let window = Some(AttachWindow::WholeLifetime);
+            Some((SharedHost::new(window, 0, p.node, out, "agg", Metrics::new(), None), true))
+        };
+        let (first, _c1) = make_packet();
+        let sig = first.signature;
+        let (_, host, guard) = reg.attach_or_host(first, host_of).expect("first packet hosts");
+        assert!(reg.lookup(sig).is_some());
+        assert!(reg.lookup(sig + 1).is_none());
+        let (second, _c2) = make_packet();
+        assert!(reg.attach_or_host(second, host_of).is_none(), "an identical packet attaches");
+        assert_eq!(host.fanout(), 2);
+        drop(guard);
+        assert!(reg.lookup(sig).is_none(), "guard drop unregisters");
         host.finish();
     }
 
     #[test]
     fn attach_never_blocks_behind_a_stalled_push() {
         // Regression test: a host blocked pushing to a full consumer must
-        // not hold its state lock, or try_attach wedges the whole µEngine
-        // dispatcher thread (observed as a fig10 hang at interarrival 120).
+        // not hold its state lock, or try_attach wedges the dispatching
+        // thread and, with it, its µEngine's registry (observed as a fig10
+        // hang at interarrival 120).
         let reg = Arc::new(WaitRegistry::new());
         let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), reg);
         let slow_consumer = pipe.attach_consumer(NodeId(2));
@@ -509,7 +526,7 @@ mod tests {
             h2.finish();
         });
         std::thread::sleep(Duration::from_millis(30)); // pusher is now stalled
-        let (packet, sat_cons, _) = make_packet();
+        let (packet, sat_cons) = make_packet();
         let t = std::time::Instant::now();
         host.try_attach(packet).expect("attach while host stalled");
         assert!(t.elapsed() < Duration::from_millis(250), "attach must not block");
@@ -533,17 +550,16 @@ mod tests {
             None,
         );
         assert_eq!(host.fanout(), 1);
-        let (p1, _c1, _) = make_packet();
+        let (p1, _c1) = make_packet();
         host.try_attach(p1).unwrap();
         assert_eq!(host.fanout(), 2);
         host.finish();
     }
 
-    /// Regression: a host whose own packet was severed (its cancel token
-    /// fired because a *higher* operator attached as a satellite elsewhere)
-    /// must keep running while any output still has a live consumer —
-    /// cross-level sharing inversion (join host severed by an agg satellite)
-    /// silently emptied both queries otherwise.
+    /// Regression: a host whose own query was cancelled must keep running
+    /// while any output still has a live consumer — a satellite's query
+    /// reads it too (a cancelled join host with an attached satellite once
+    /// silently emptied both queries).
     #[test]
     fn close_if_unwanted_tracks_live_consumers_not_cancellation() {
         let (host_prod, host_cons) = make_pipe_pair();
@@ -556,7 +572,7 @@ mod tests {
             Metrics::new(),
             None,
         );
-        let (packet, sat_cons, _) = make_packet();
+        let (packet, sat_cons) = make_packet();
         host.try_attach(packet).unwrap();
         // Both consumers attached: a cancelled host is still wanted.
         assert!(!host.close_if_unwanted(), "live consumers keep a cancelled host running");
@@ -570,7 +586,7 @@ mod tests {
     }
 
     /// The close is atomic with the test: a satellite that loses the race
-    /// gets its packet back — subtree intact — and runs on its own, instead
+    /// gets its packet back and runs on its own, instead
     /// of attaching to a host that stops and reading a truncated stream as
     /// EOF.
     #[test]
@@ -588,10 +604,9 @@ mod tests {
         );
         drop(host_cons);
         assert!(host.close_if_unwanted());
-        let (packet, sat_cons, child_token) = make_packet();
+        let (packet, sat_cons) = make_packet();
         let back = host.try_attach(packet).expect_err("a closed host refuses attaches");
         assert!(back.output.is_some(), "the packet keeps its output");
-        assert!(!child_token.is_cancelled(), "its subtree was not severed");
         assert_eq!(m.snapshot().osp_attaches, 0);
         // The refused packet's pipe is untouched: it can still run and finish.
         back.output.expect("checked above").finish();

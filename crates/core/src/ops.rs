@@ -17,7 +17,7 @@
 //! *and* [`SharedHost::close_if_unwanted`] — see `host.rs` for why the token
 //! alone never stops a host.
 
-use crate::host::{AttachWindow, ShareRegistry, SharedHost};
+use crate::host::{AttachWindow, RegistryGuard, ShareRegistry, SharedHost};
 use crate::packet::{CancelToken, Packet};
 use crate::pipe::PipeConsumer;
 use crate::rowbridge;
@@ -41,32 +41,32 @@ pub struct OpEnv {
     pub backfill: usize,
 }
 
-/// Prepare a packet for execution: build its [`SharedHost`] and, when the
-/// operator has an attach window, register it under the packet's signature.
-/// Called by the µEngine dispatcher thread *synchronously*, so that the OSP
-/// lookup and host registration are atomic — a burst of identical packets
-/// dequeued back-to-back must all find the first one's host. `None` for a
-/// packet that has no output (left) to host.
+/// The OSP check for one packet (§4.3): attach it as a satellite of the
+/// in-flight host with its signature, or build its own [`SharedHost`] and —
+/// when the operator has an attach window — register it under the signature.
+/// Both happen under the µEngine registry's one lock
+/// ([`ShareRegistry::attach_or_host`]), so a burst of identical packets
+/// dispatched from different threads all find the first one's host. `None`
+/// when the packet attached: nothing of it, or below it, runs.
 pub fn prepare(
     packet: Packet,
     registry: &Arc<ShareRegistry>,
     env: &OpEnv,
-) -> Option<(Packet, Arc<SharedHost>, Option<crate::host::RegistryGuard>)> {
+) -> Option<(Packet, Arc<SharedHost>, Option<RegistryGuard>)> {
     let window = attach_window(&packet.plan, env.osp);
-    let engine = packet.plan.op_name();
-    let mut packet = packet;
-    let output = packet.output.take()?;
-    let host = SharedHost::new(
-        window,
-        env.backfill,
-        packet.node,
-        output,
-        engine_static_name(engine),
-        env.metrics.clone(),
-        packet.probe.clone(),
-    );
-    let guard = window.map(|_| registry.register(packet.signature, host.clone()));
-    Some((packet, host, guard))
+    registry.attach_or_host(packet, |packet| {
+        let output = packet.output.take()?;
+        let host = SharedHost::new(
+            window,
+            env.backfill,
+            packet.node,
+            output,
+            packet.plan.op_name(),
+            env.metrics.clone(),
+            packet.probe.clone(),
+        );
+        Some((host, window.is_some()))
+    })
 }
 
 /// Per-packet observability handles threaded into the operator workers that
@@ -137,21 +137,6 @@ pub fn execute(mut packet: Packet, host: Arc<SharedHost>, env: &OpEnv) {
     host.finish();
 }
 
-fn engine_static_name(name: &str) -> &'static str {
-    match name {
-        "sort" => "sort",
-        "agg" => "agg",
-        "hashjoin" => "hashjoin",
-        "mergejoin" => "mergejoin",
-        "nljoin" => "nljoin",
-        "uiscan" => "uiscan",
-        "filter" => "filter",
-        "project" => "project",
-        "iscan" => "iscan",
-        _ => "other",
-    }
-}
-
 /// The attach rule, stated once (§3.2 → host windows): the window a
 /// packet's host is open to satellites for, or `None` when no satellite may
 /// ever reach it — OSP off, or a filter or projection, which never host.
@@ -209,8 +194,8 @@ fn run_operator(
         PlanNode::Project { exprs, .. } => {
             run_project(children.remove(0), exprs, host, cancel, env)
         }
-        // Range-bounded index scans (unbounded ordered scans are routed to
-        // the circular ScanManager by the engine and never reach here).
+        // Range-bounded index scans (unbounded ones are handed to the
+        // circular ScanManager by the engine and never reach here).
         PlanNode::UnclusteredIndexScan { .. } | PlanNode::ClusteredIndexScan { .. } => {
             rowbridge::run_index_scan(plan, host, cancel, env)
         }

@@ -4,8 +4,10 @@
 //! (paper §4.2): "packets mainly specify the input and output tuple buffers
 //! and the arguments for the relational operator". Packets also carry the
 //! canonical subtree signature used for run-time overlap detection and a
-//! cancellation token so the OSP coordinator can terminate a satellite's
-//! child subtree (§4.3, Figure 6b step 2).
+//! cancellation token the query fires when the client cancels or its deadline
+//! passes. A satellite needs no token below it: the dispatcher runs the OSP
+//! check top-down, so a packet that attaches never has its subtree dispatched
+//! (the paper's Figure 6b step 2 terminates it instead).
 
 use crate::deadlock::NodeId;
 use crate::pipe::{PipeConsumer, PipeProducer};
@@ -68,31 +70,12 @@ pub struct Packet {
     pub children: Vec<PipeConsumer>,
     /// This packet's cancellation token.
     pub cancel: CancelToken,
-    /// Tokens of every node strictly below this one, so an OSP attach can
-    /// "notify Q2's children operators to terminate (recursively)".
-    pub subtree_cancels: Vec<CancelToken>,
-    /// For scans: the consumer requires stored tuple order.
-    pub ordered: bool,
-    /// For ordered scans: a wrapped (circularly shared) delivery is
-    /// acceptable because an ancestor merge-join will restart (§4.3.2).
-    pub split_ok: bool,
     /// This operator's profiling probe (rows, batches, busy/wait time).
     /// `None` when `ExecConfig::tracing` is off — the hot path then pays
     /// only an `Option` branch.
     pub probe: Option<Arc<OpProbe>>,
     /// The owning query's event journal; `None` when tracing is off.
     pub trace: Option<Arc<QueryTrace>>,
-}
-
-impl Packet {
-    /// Cancel the entire subtree below this packet and drop its input
-    /// consumers (OSP satellite attach, Figure 6b steps 1–2).
-    pub fn sever_subtree(&mut self) {
-        for t in &self.subtree_cancels {
-            t.cancel();
-        }
-        self.children.clear();
-    }
 }
 
 impl std::fmt::Debug for Packet {

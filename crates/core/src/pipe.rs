@@ -24,8 +24,8 @@
 //! * A stream ends exactly one of two ways: [`PipeProducer::finish`] (clean
 //!   EOF) or a failure ([`PipeProducer::fail`] / [`Pipe::fail`]). A producer
 //!   that is merely *dropped* fails its pipe — a packet that vanished on the
-//!   way (dropped by a dispatcher, lost with a panicking thread) must read as
-//!   an error downstream, never as a complete empty result.
+//!   way (dropped unrun by a pool at shutdown, lost with a panicking thread)
+//!   must read as an error downstream, never as a complete empty result.
 
 use crate::deadlock::{NodeId, WaitEdge, WaitKind, WaitRegistry};
 use parking_lot::{Condvar, Mutex};

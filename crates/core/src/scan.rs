@@ -25,11 +25,12 @@
 //! * **`pages_read == 0`** — the group is indexed but its first page is
 //!   not claimed yet. The newcomer joins at position 0 with the host: same
 //!   page sequence, no wrap, column-union pruning stays on, and ordered
-//!   consumers are welcome. [`ScanManager::submit`] indexes a group *before*
-//!   spawning its scanner thread and the scan µEngine has one dispatcher, so
-//!   the packets of a burst queued behind the first one land here. So does
-//!   everything submitted while the table is exclusively locked (§4.3.4): the
-//!   scanner blocks on the shared lock before it claims anything.
+//!   consumers are welcome. [`ScanManager::submit`] attaches or indexes a
+//!   group under one lock, and indexes it *before* spawning its scanner
+//!   thread, so the scans of a burst submitted right behind the first one
+//!   land here, from whichever thread dispatches them. So does everything
+//!   submitted while the table is exclusively locked (§4.3.4): the scanner
+//!   blocks on the shared lock before it claims anything.
 //! * **`pages_read > 0`** — the scan is under way. The newcomer records the
 //!   scanner's current position as its own start (thereby "setting the new
 //!   termination point"); the group becomes *staggered*: when the scanner
@@ -350,12 +351,15 @@ impl ScanManager {
     }
 
     /// Submit a scan request: attach to an in-progress scanner when OSP
-    /// allows it, otherwise start a dedicated scanner thread.
+    /// allows it, otherwise start a dedicated scanner thread. The attach
+    /// attempt and a new group's indexing happen under one `groups` lock, so
+    /// the scans of a burst, dispatched from different threads, all find the
+    /// first one's group.
     pub fn submit(self: &Arc<Self>, mut req: ScanRequest) -> QResult<()> {
+        let groups = self.groups.lock();
         if self.osp {
-            let groups = self.groups.lock().get(&req.table).cloned().unwrap_or_default();
             let mut rejected = false;
-            for g in groups {
+            for g in groups.get(&req.table).into_iter().flatten() {
                 match g.try_attach(req) {
                     Ok(()) => {
                         self.metrics.add_osp_attach("scan");
@@ -371,10 +375,16 @@ impl ScanManager {
                 self.metrics.add_osp_rejection();
             }
         }
-        self.start_group(req)
+        self.start_group(groups, req)
     }
 
-    fn start_group(self: &Arc<Self>, req: ScanRequest) -> QResult<()> {
+    /// Index a new group for `req` under the caller's `groups` lock, release
+    /// it, then spawn the group's scanner.
+    fn start_group(
+        self: &Arc<Self>,
+        mut groups: parking_lot::MutexGuard<'_, HashMap<String, Vec<Arc<ScanGroup>>>>,
+        req: ScanRequest,
+    ) -> QResult<()> {
         // Validate the table before spawning.
         let table = req.table.clone();
         let info = self.ctx.catalog.table(&table)?;
@@ -392,7 +402,8 @@ impl ScanManager {
                 staggered: false,
             }),
         });
-        self.groups.lock().entry(table.clone()).or_default().push(group.clone());
+        groups.entry(table.clone()).or_default().push(group.clone());
+        drop(groups);
         let mgr = self.clone();
         let group_outer = group.clone();
         let spawned =
@@ -539,16 +550,11 @@ impl ScanManager {
         let mut i = 0;
         while i < consumers.len() {
             let c = &mut consumers[i];
-            // The cancellation rule (`host.rs`): a severed scan packet may
-            // still feed a join/agg host that other queries share; deliver
-            // while anyone is attached. (Cancelled *and* abandoned consumers
-            // detach their pipes, so the pipe probe covers the plain
-            // cancellation case too.) Trade-off: a severed packet still
-            // sitting in a µEngine's dispatch queue holds its consumer until
-            // the dispatcher reaches and drops it, so the scanner may fill
-            // that pipe and throttle briefly. Dispatchers never wait on pipes
-            // and a dispatched packet always has a thread, so the stall is
-            // bounded.
+            // The cancellation rule (`host.rs`): a cancelled query's scan
+            // may still feed a join/agg host that other queries share;
+            // deliver while anyone is attached. (Cancelled *and* abandoned
+            // consumers detach their pipes, so the pipe probe covers the
+            // plain cancellation case too.)
             if c.output.abandoned() {
                 consumers.remove(i);
                 left = true;
@@ -964,8 +970,8 @@ mod tests {
         let (r1, c1) = request(&reg, false, false);
         let (r2, c2) = request(&reg, false, false);
         submit_gated(&ctx, &mgr, "t", vec![r1, r2]);
-        // Dropping the pipe consumer is how a scan is abandoned (a severed
-        // packet drops its consumers when its µEngine dequeues it).
+        // Dropping the pipe consumer is how a scan is abandoned (its reader —
+        // a client, or a cancelled query's operator — went away).
         drop(c1);
         // The second consumer still gets the full table.
         assert_eq!(c2.collect_tuples().unwrap().len(), 20_000);

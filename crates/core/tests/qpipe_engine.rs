@@ -2,10 +2,11 @@
 //! engine, OSP sharing behaviour, circular scans, wrapped merge joins,
 //! baseline mode, and update locking.
 
+use qpipe_common::trace::TraceEvent;
 use qpipe_common::{DataType, Metrics, Schema, Tuple, Value};
 use qpipe_core::engine::{QPipe, QPipeConfig};
 use qpipe_exec::expr::Expr;
-use qpipe_exec::iter::{run, ExecContext};
+use qpipe_exec::iter::{run, ExecConfig, ExecContext};
 use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
 use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
 use std::sync::Arc;
@@ -114,6 +115,36 @@ fn identical_concurrent_aggregates_share_one_host() {
         "expected satellite attaches (scan and/or agg), got {}",
         delta.osp_attaches
     );
+}
+
+/// The OSP check runs top-down: a packet that attaches as a satellite is the
+/// last of its query dispatched, so the subtree below it never reaches a
+/// µEngine or the scan manager. The exclusive lock keeps the first query's
+/// aggregate from emitting until both are in.
+#[test]
+fn satellite_subtree_is_never_dispatched() {
+    let catalog = setup();
+    let expected = run(&q6_like(2), &ExecContext::new(catalog.clone())).unwrap();
+    let config = QPipeConfig {
+        exec: ExecConfig { tracing: true, ..ExecConfig::default() },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(catalog.clone(), config);
+    let before = engine.metrics().snapshot();
+    let gate = catalog.locks().lock_exclusive("lineitem");
+    let host = engine.submit(q6_like(2)).unwrap();
+    let satellite = engine.submit(q6_like(2)).unwrap();
+    drop(gate);
+    let journal = satellite.trace().expect("tracing is on");
+    assert_eq!(host.collect(), expected);
+    assert_eq!(satellite.collect(), expected);
+    let attaches = engine.metrics().snapshot().delta_since(&before).per_engine_attaches;
+    assert_eq!(attaches.get("agg"), Some(&1), "the second aggregate rides the first: {attaches:?}");
+    assert_eq!(attaches.get("scan"), None, "no scan attached: {attaches:?}");
+    let events: Vec<_> = journal.events().into_iter().map(|e| e.event).collect();
+    assert!(events.contains(&TraceEvent::OspAttach { engine: "agg" }), "{events:?}");
+    assert!(!events.contains(&TraceEvent::PacketDispatched { op: "scan" }), "{events:?}");
+    assert!(!events.contains(&TraceEvent::OspAttach { engine: "scan" }), "{events:?}");
 }
 
 #[test]

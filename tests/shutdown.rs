@@ -2,8 +2,8 @@
 //! per-query deadline must terminate overdue work.
 //!
 //! `QPipe` owns a deadlock-detector thread, an admission-sweeper thread
-//! (when a queue timeout or execution deadline is configured), one
-//! dispatcher thread per µEngine, and transient worker/scanner threads.
+//! (when a queue timeout or execution deadline is configured), and transient
+//! worker/scanner threads; packets are dispatched on the submitting thread.
 //! Dropping the engine must wind all of them down — an engine-per-request
 //! embedding would otherwise accumulate threads until exhaustion (and a
 //! leaked sweeper would keep failing queries of a dead engine).
@@ -32,8 +32,8 @@ fn demo_catalog(rows: i64) -> Arc<Catalog> {
 }
 
 /// Build + query + drop an engine repeatedly: the thread count must return
-/// to baseline each time (detector, sweeper, µEngine dispatchers, workers —
-/// all joined or wound down, none accumulated).
+/// to baseline each time (detector, sweeper, pool workers, scanners — all
+/// joined or wound down, none accumulated).
 #[test]
 fn repeated_engine_lifecycles_do_not_leak_threads() {
     let catalog = demo_catalog(500);
