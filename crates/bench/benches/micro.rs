@@ -2,7 +2,7 @@
 //!
 //! * the two buffer-pool replacement policies the systems run (LRU, 2Q)
 //!   under a scan-heavy reference pattern,
-//! * intermediate pipe throughput at fan-out 1 vs 4 (the broadcast cost of
+//! * an OSP host's broadcast to 1 vs 4 outputs (the fan-out cost of
 //!   simultaneous pipelining),
 //! * plan-signature computation + OSP registry lookup (the per-packet cost
 //!   of run-time overlap detection — the paper's "negligible overhead"),
@@ -12,6 +12,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qpipe_common::colbatch::ColBatch;
 use qpipe_common::{DataType, Metrics, Schema, Tuple, Value};
 use qpipe_core::deadlock::{NodeId, WaitRegistry};
+use qpipe_core::host::{AttachWindow, SharedHost};
+use qpipe_core::packet::{CancelToken, Packet, QueryId};
 use qpipe_core::pipe::{Pipe, PipeConfig};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::{run, ExecContext};
@@ -43,26 +45,46 @@ fn pool_policies(c: &mut Criterion) {
     g.finish();
 }
 
-/// One producer broadcasting 80 shared 256-row batches (the wire unit — a
-/// pipe carries nothing smaller) to 1 and 4 draining consumers.
-fn pipe_fanout(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pipe_broadcast");
-    let batches: Vec<Arc<ColBatch>> = (0..80i64)
+/// The engine's fan-out: an OSP host broadcasting 80 256-row batches (the
+/// wire unit — a pipe carries nothing smaller) to 1 and 4 outputs, one pipe
+/// per query, each drained on its own thread.
+fn host_fanout(c: &mut Criterion) {
+    let mut g = c.benchmark_group("host_broadcast");
+    let batches: Vec<ColBatch> = (0..80i64)
         .map(|b| {
             let rows: Vec<Tuple> = (0..ColBatch::DEFAULT_CAPACITY as i64)
                 .map(|i| vec![Value::Int(b * ColBatch::DEFAULT_CAPACITY as i64 + i)])
                 .collect();
-            Arc::new(ColBatch::from_rows(&rows))
+            ColBatch::from_rows(&rows)
         })
         .collect();
-    for consumers in [1usize, 4] {
-        g.bench_with_input(BenchmarkId::from_parameter(consumers), &consumers, |b, &consumers| {
+    let config = PipeConfig { capacity: 64 };
+    for outputs in [1u64, 4] {
+        g.bench_with_input(BenchmarkId::from_parameter(outputs), &outputs, |b, &outputs| {
             b.iter(|| {
                 let reg = Arc::new(WaitRegistry::new());
-                let pipe = Pipe::new(PipeConfig { capacity: 64 }, NodeId(1), reg);
-                let sinks: Vec<_> =
-                    (0..consumers).map(|i| pipe.attach_consumer(NodeId(10 + i as u64))).collect();
-                let mut producer = pipe.producer();
+                let (first, sink) = Pipe::pair(config, NodeId(1), NodeId(10), reg.clone());
+                let window = Some(AttachWindow::WholeLifetime);
+                let host =
+                    SharedHost::new(window, 0, NodeId(1), first, "agg", Metrics::new(), None);
+                let mut sinks = vec![sink];
+                for i in 1..outputs {
+                    let (out, sink) = Pipe::pair(config, NodeId(1), NodeId(10 + i), reg.clone());
+                    let plan = Arc::new(PlanNode::scan("t"));
+                    host.try_attach(Packet {
+                        query: QueryId::fresh(),
+                        node: NodeId(10 + i),
+                        signature: plan.signature(),
+                        plan,
+                        output: Some(out),
+                        children: Vec::new(),
+                        cancel: CancelToken::new(),
+                        probe: None,
+                        trace: None,
+                    })
+                    .expect("a fresh host takes every attach");
+                    sinks.push(sink);
+                }
                 let handles: Vec<_> = sinks
                     .into_iter()
                     .map(|s| {
@@ -76,9 +98,9 @@ fn pipe_fanout(c: &mut Criterion) {
                     })
                     .collect();
                 for batch in &batches {
-                    producer.push_shared(batch.clone());
+                    host.push_cols(batch.clone());
                 }
-                producer.finish();
+                host.finish();
                 handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
             })
         });
@@ -648,7 +670,7 @@ fn filter_project_paths(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = pool_policies, pipe_fanout, signature_and_lookup, exec_kernels, scan_filter,
+    targets = pool_policies, host_fanout, signature_and_lookup, exec_kernels, scan_filter,
         page_decode, page_verify, hash_join_paths, agg_update_paths, sort_paths, filter_project_paths
 }
 criterion_main!(benches);

@@ -598,18 +598,16 @@ impl Drop for AdmitSweeper {
 mod tests {
     use super::*;
     use crate::deadlock::{NodeId, WaitRegistry};
-    use crate::pipe::{Pipe, PipeConfig, PipeConsumer};
+    use crate::pipe::{Pipe, PipeConfig, PipeConsumer, PipeProducer};
     use std::sync::atomic::AtomicUsize;
 
     fn metrics() -> Metrics {
         Metrics::new()
     }
 
-    fn pipe_pair() -> (Arc<Pipe>, PipeConsumer) {
+    fn pipe_pair() -> (PipeProducer, PipeConsumer) {
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 8 }, NodeId(1), reg);
-        let c = pipe.attach_consumer(NodeId(2));
-        (pipe, c)
+        Pipe::pair(PipeConfig { capacity: 8 }, NodeId(1), NodeId(2), reg)
     }
 
     /// A ticket whose "dispatch" just bumps a counter and closes the pipe.
@@ -618,12 +616,12 @@ mod tests {
         engines: &[&'static str],
         dispatched: &Arc<AtomicUsize>,
     ) -> (Arc<QueryTicket>, PipeConsumer) {
-        let (pipe, consumer) = pipe_pair();
+        let (producer, consumer) = pipe_pair();
+        let pipe = producer.pipe().clone();
         let d = dispatched.clone();
-        let p = pipe.clone();
         let dispatch: DispatchFn = Box::new(move || {
             d.fetch_add(1, Ordering::SeqCst);
-            p.producer().finish();
+            producer.finish();
             vec![]
         });
         (QueryTicket::new(class, engines.to_vec(), dispatch, pipe), consumer)
@@ -796,7 +794,8 @@ mod tests {
             Some(Duration::from_millis(5)),
             m.clone(),
         );
-        let (pipe, consumer) = pipe_pair();
+        let (producer, consumer) = pipe_pair();
+        let pipe = producer.pipe().clone();
         let cancel = CancelToken::new();
         let c2 = cancel.clone();
         // A "stuck" plan: admitted, never produces, never finishes its pipe.

@@ -261,9 +261,9 @@ impl QPipe {
         }
         let client_node = fresh_node();
         let root_node = fresh_node();
-        let root_pipe = Pipe::new(self.config.pipe, root_node, self.registry.clone());
-        let consumer = root_pipe.attach_consumer(client_node);
-        let producer = root_pipe.producer();
+        let (producer, consumer) =
+            Pipe::pair(self.config.pipe, root_node, client_node, self.registry.clone());
+        let root_pipe = producer.pipe().clone();
         let tables = plan.tables();
         // Column liveness: from here on the engine runs the plan whose scans
         // emit only the columns something above them reads. The result cache
@@ -487,13 +487,13 @@ impl QPipe {
         };
         for (idx, child) in plan.children_shared().into_iter().enumerate() {
             let child_node = fresh_node();
-            let pipe = Pipe::new(self.config.pipe, child_node, self.registry.clone());
+            let (out, mut consumer) =
+                Pipe::pair(self.config.pipe, child_node, node, self.registry.clone());
             // The consumer end belongs to *this* operator: time it spends
             // blocked on the child's pipe is this operator's pipe-wait.
-            let mut consumer = pipe.attach_consumer(node);
             consumer.set_probe(packet.probe.clone());
             packet.children.push(consumer);
-            let (out, split) = (pipe.producer(), split_side == Some(idx));
+            let split = split_side == Some(idx);
             let child_probe = probe.and_then(|p| p.children.get(idx));
             self.dispatch(q, child, out, Some(op), split, child_node, child_probe);
         }

@@ -328,15 +328,12 @@ mod tests {
     use qpipe_exec::plan::PlanNode;
     use std::time::Duration;
 
-    fn make_pipe_pair() -> (PipeProducer, PipeConsumer) {
-        let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg);
-        let c = pipe.attach_consumer(NodeId(2));
-        (pipe.producer(), c)
+    fn pipe_pair(capacity: usize) -> (PipeProducer, PipeConsumer) {
+        Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), Arc::new(WaitRegistry::new()))
     }
 
     fn make_packet() -> (Packet, PipeConsumer) {
-        let (producer, consumer) = make_pipe_pair();
+        let (producer, consumer) = pipe_pair(1024);
         let plan = Arc::new(PlanNode::scan("t"));
         let packet = Packet {
             query: QueryId::fresh(),
@@ -358,7 +355,7 @@ mod tests {
 
     #[test]
     fn attach_before_output_gets_everything() {
-        let (host_prod, host_cons) = make_pipe_pair();
+        let (host_prod, host_cons) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::UntilFirstOutput),
             4,
@@ -379,7 +376,7 @@ mod tests {
 
     #[test]
     fn attach_within_backfill_replays_history() {
-        let (host_prod, host_cons) = make_pipe_pair();
+        let (host_prod, host_cons) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::UntilFirstOutput),
             4,
@@ -402,7 +399,7 @@ mod tests {
     #[test]
     fn attach_rejected_after_window() {
         let m = Metrics::new();
-        let (host_prod, _host_cons) = make_pipe_pair();
+        let (host_prod, _host_cons) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::UntilFirstOutput),
             2,
@@ -423,7 +420,7 @@ mod tests {
 
     #[test]
     fn whole_lifetime_attach_late() {
-        let (host_prod, _hc) = make_pipe_pair();
+        let (host_prod, _hc) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::WholeLifetime),
             0,
@@ -444,7 +441,7 @@ mod tests {
 
     #[test]
     fn attach_after_finish_rejected() {
-        let (host_prod, _hc) = make_pipe_pair();
+        let (host_prod, _hc) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::WholeLifetime),
             0,
@@ -465,7 +462,7 @@ mod tests {
     #[test]
     fn unshared_host_retains_nothing() {
         let m = Metrics::new();
-        let (host_prod, host_cons) = make_pipe_pair();
+        let (host_prod, host_cons) = pipe_pair(1024);
         let host = SharedHost::new(None, 4, NodeId(500), host_prod, "filter", m.clone(), None);
         host.push_cols(batch_of(&[1, 2]));
         let batch = host_cons.recv().unwrap().expect("the pushed batch");
@@ -506,14 +503,12 @@ mod tests {
         // not hold its state lock, or try_attach wedges the dispatching
         // thread and, with it, its µEngine's registry (observed as a fig10
         // hang at interarrival 120).
-        let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), reg);
-        let slow_consumer = pipe.attach_consumer(NodeId(2));
+        let (out, slow_consumer) = pipe_pair(1);
         let host = SharedHost::new(
             Some(AttachWindow::WholeLifetime),
             0,
             NodeId(500),
-            pipe.producer(),
+            out,
             "sort",
             Metrics::new(),
             None,
@@ -537,9 +532,51 @@ mod tests {
         pusher.join().unwrap();
     }
 
+    /// The paper's rate rule (§4.3): a host pushes each batch to every
+    /// output in turn, so one slow reader throttles it — and the fast
+    /// reader with it — until that reader detaches.
+    #[test]
+    fn slowest_output_throttles_the_host_until_it_detaches() {
+        let reg = Arc::new(WaitRegistry::new());
+        let (slow_out, slow) =
+            Pipe::pair(PipeConfig { capacity: 1 }, NodeId(1), NodeId(2), reg.clone());
+        let host = SharedHost::new(
+            Some(AttachWindow::WholeLifetime),
+            0,
+            NodeId(500),
+            slow_out,
+            "sort",
+            Metrics::new(),
+            None,
+        );
+        let (packet, fast) = make_packet();
+        host.try_attach(packet).expect("window open");
+        let h2 = host.clone();
+        let pusher = std::thread::spawn(move || {
+            for i in 0..2000 {
+                h2.push_cols(batch_of(&[i]));
+            }
+            h2.finish();
+        });
+        let fast = std::thread::spawn(move || fast.collect_tuples().unwrap().len());
+        // The host parks on the slow output's full pipe, and nothing drains it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while reg.edges().is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the host never waited for the slow output"
+            );
+            std::thread::yield_now();
+        }
+        assert!(!pusher.is_finished(), "slow output must throttle");
+        drop(slow); // detaching unblocks the host
+        pusher.join().unwrap();
+        assert_eq!(fast.join().unwrap(), 2000);
+    }
+
     #[test]
     fn fanout_counts_attachers() {
-        let (host_prod, _hc) = make_pipe_pair();
+        let (host_prod, _hc) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::WholeLifetime),
             0,
@@ -562,7 +599,7 @@ mod tests {
     /// silently emptied both queries).
     #[test]
     fn close_if_unwanted_tracks_live_consumers_not_cancellation() {
-        let (host_prod, host_cons) = make_pipe_pair();
+        let (host_prod, host_cons) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::UntilFirstOutput),
             4,
@@ -592,7 +629,7 @@ mod tests {
     #[test]
     fn try_attach_after_close_if_unwanted_hands_the_packet_back() {
         let m = Metrics::new();
-        let (host_prod, host_cons) = make_pipe_pair();
+        let (host_prod, host_cons) = pipe_pair(1024);
         let host = SharedHost::new(
             Some(AttachWindow::WholeLifetime),
             0,

@@ -24,8 +24,8 @@
 //! ```
 //!
 //! Module map (paper section in parentheses):
-//! * [`pipe`] — bounded 1-producer-N-consumer buffers of `Arc<ColBatch>`
-//!   (§4.2).
+//! * [`pipe`] — bounded one-producer, one-consumer buffers of
+//!   `Arc<ColBatch>` (§4.2).
 //! * [`packet`] — query packets and cancellation (§4.2).
 //! * [`admit`] — admission control: bounded per-µEngine concurrency,
 //!   interactive/batch classes, ticketed queueing with cancellation and

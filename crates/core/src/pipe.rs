@@ -1,26 +1,29 @@
 //! Intermediate buffers.
 //!
 //! QPipe µEngines exchange data through dedicated buffers (paper §4.2,
-//! Figure 5b). A [`Pipe`] is a bounded 1-producer-N-consumer broadcast
-//! channel of `Arc<ColBatch>`es — the one batch format of the staged engine.
-//! Every producer (scanner, operator worker, OSP host, the row bridge) sends
-//! whole columnar batches; the `Arc` is what makes a broadcast to N consumers
-//! (and a host's replay history) share one copy:
+//! Figure 5b). A [`Pipe`] is a bounded queue of `Arc<ColBatch>`es — the one
+//! batch format of the staged engine — from one producer to one consumer.
+//! [`Pipe::pair`] is the only way to build one and returns both ends; neither
+//! end can be cloned, so a pipe never has a second producer or a second
+//! consumer. Fan-out is a producer holding several pipes, as the paper's
+//! host copies its output into each satellite's own buffer (§4.3,
+//! Figure 6b): an OSP host ([`SharedHost`](crate::host::SharedHost)) keeps
+//! one pipe per query it serves, a circular scanner one per consumer, and the
+//! `Arc` makes those copies (and a host's replay history) share one batch.
 //!
-//! * The producer blocks while **any** attached consumer's queue is full —
-//!   "if any of the consumers is slower than the producer, all queries will
-//!   eventually adjust their consuming speed to the speed of the slowest
-//!   consumer" (§4.3).
-//! * A pipe keeps nothing once every consumer has it: a consumer that
-//!   attaches mid-stream receives what is produced from then on. The paper's
-//!   **buffering** WoP enhancement (§3.2, Figure 4b) — replaying recent
-//!   output to a late satellite — is stated once, in the OSP host's history
-//!   ([`SharedHost`](crate::host::SharedHost)).
-//! * Pipe state (empty / full / non-empty per consumer) is observable, and a
-//!   pipe can be **materialized** — its bound lifted so the producer never
+//! * The producer blocks while the queue is full and its consumer is still
+//!   attached. A host pushes to its outputs in turn, so "if any of the
+//!   consumers is slower than the producer, all queries will eventually
+//!   adjust their consuming speed to the speed of the slowest consumer"
+//!   (§4.3) holds there.
+//! * A pipe keeps nothing beyond its queue. The paper's **buffering** WoP
+//!   enhancement (§3.2, Figure 4b) — replaying recent output to a late
+//!   satellite — is stated once, in the OSP host's history.
+//! * A pipe can be **materialized** — its bound lifted so the producer never
 //!   blocks again — which is exactly the deadlock-resolution action of §4.3.3.
-//! * Every blocking wait registers a waits-for edge with the
-//!   [`deadlock`](crate::deadlock) registry so real deadlocks are detected.
+//! * Every blocking wait registers one waits-for edge, holding a weak handle
+//!   to this pipe, with the [`deadlock`](crate::deadlock) registry so real
+//!   deadlocks are detected and broken.
 //! * A stream ends exactly one of two ways: [`PipeProducer::finish`] (clean
 //!   EOF) or a failure ([`PipeProducer::fail`] / [`Pipe::fail`]). A producer
 //!   that is merely *dropped* fails its pipe — a packet that vanished on the
@@ -28,21 +31,17 @@
 //!   must read as an error downstream, never as a complete empty result.
 
 use crate::deadlock::{NodeId, WaitEdge, WaitKind, WaitRegistry};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use qpipe_common::trace::OpProbe;
 use qpipe_common::{ColBatch, QError, QResult, Tuple};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-
-static NEXT_PIPE_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_CONSUMER_ID: AtomicUsize = AtomicUsize::new(1);
 
 /// Pipe configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PipeConfig {
-    /// Per-consumer queue capacity in batches.
+    /// Queue capacity in batches.
     pub capacity: usize,
 }
 
@@ -53,21 +52,16 @@ impl Default for PipeConfig {
 }
 
 #[derive(Debug)]
-struct ConsumerQueue {
-    queue: VecDeque<Arc<ColBatch>>,
-    detached: bool,
-    /// Node id of the packet draining this queue (for waits-for edges).
-    node: NodeId,
-}
-
-#[derive(Debug)]
 struct PipeState {
-    consumers: HashMap<usize, ConsumerQueue>,
+    queue: VecDeque<Arc<ColBatch>>,
+    /// Set when the consumer dropped its end: nobody reads any more, and the
+    /// producer never blocks again.
+    detached: bool,
     /// Total batches ever produced.
     produced: u64,
     eof: bool,
-    /// Set when the producer failed; consumers observe the error instead of
-    /// a truncated-but-clean EOF (no silent data loss).
+    /// Set when the producer failed; the consumer observes the error instead
+    /// of a truncated-but-clean EOF (no silent data loss).
     error: Option<QError>,
     materialized: bool,
     /// Node id of the producing packet.
@@ -77,30 +71,32 @@ struct PipeState {
 /// Shared pipe internals.
 #[derive(Debug)]
 pub struct Pipe {
-    id: u64,
     config: PipeConfig,
+    /// Node id of the packet draining this pipe (for waits-for edges).
+    consumer_node: NodeId,
     state: Mutex<PipeState>,
-    /// Producer waits here for queue space.
+    /// The producer waits here for queue space.
     space: Condvar,
-    /// Consumers wait here for data.
+    /// The consumer waits here for data.
     data: Condvar,
     registry: Arc<WaitRegistry>,
 }
 
 impl Pipe {
-    /// Create a pipe; returns the shared handle. Producer/consumer handles
-    /// are created from it. The pipe enters itself in `registry` (and leaves
-    /// on drop), so the deadlock detector can break any pipe it can see.
-    pub fn new(
+    /// Build a pipe from `producer_node` to `consumer_node` and return its
+    /// two ends. Blocked waits on it are reported to `registry`.
+    pub fn pair(
         config: PipeConfig,
         producer_node: NodeId,
+        consumer_node: NodeId,
         registry: Arc<WaitRegistry>,
-    ) -> Arc<Self> {
+    ) -> (PipeProducer, PipeConsumer) {
         let pipe = Arc::new(Self {
-            id: NEXT_PIPE_ID.fetch_add(1, Ordering::Relaxed),
             config,
+            consumer_node,
             state: Mutex::new(PipeState {
-                consumers: HashMap::new(),
+                queue: VecDeque::new(),
+                detached: false,
                 produced: 0,
                 eof: false,
                 error: None,
@@ -111,27 +107,7 @@ impl Pipe {
             data: Condvar::new(),
             registry,
         });
-        pipe.registry.track_pipe(&pipe);
-        pipe
-    }
-
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Attach a new consumer; it receives every batch produced from now on.
-    pub fn attach_consumer(self: &Arc<Self>, node: NodeId) -> PipeConsumer {
-        let id = NEXT_CONSUMER_ID.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock();
-        st.consumers.insert(id, ConsumerQueue { queue: VecDeque::new(), detached: false, node });
-        drop(st);
-        self.data.notify_all();
-        PipeConsumer { pipe: self.clone(), id, node, probe: None }
-    }
-
-    /// Create the producer handle.
-    pub fn producer(self: &Arc<Self>) -> PipeProducer {
-        PipeProducer { pipe: self.clone() }
+        (PipeProducer { pipe: pipe.clone() }, PipeConsumer { pipe, probe: None })
     }
 
     /// Lift the capacity bound permanently (deadlock resolution: the paper
@@ -144,10 +120,9 @@ impl Pipe {
     }
 
     /// Estimated cost of materializing this pipe now (queued batches); the
-    /// deadlock resolver picks the minimum-cost victim set.
+    /// deadlock resolver picks the minimum-cost victim.
     pub fn materialize_cost(&self) -> usize {
-        let st = self.state.lock();
-        st.consumers.values().map(|c| c.queue.len()).max().unwrap_or(0)
+        self.state.lock().queue.len()
     }
 
     /// Is the waits-for edge `e` (registered by a waiter on this pipe) still
@@ -156,24 +131,23 @@ impl Pipe {
     /// again, so the detector asks the pipe before it believes one.
     pub(crate) fn edge_holds(&self, e: &WaitEdge) -> bool {
         let st = self.state.lock();
-        let mut queues = st.consumers.values().filter(|c| !c.detached);
         st.produced == e.produced
+            && !st.detached
             && match e.kind {
                 WaitKind::ProducerFull => {
-                    let full = |c: &ConsumerQueue| c.queue.len() >= self.config.capacity;
-                    !st.materialized && queues.any(|c| c.node == e.holder && full(c))
+                    !st.materialized && st.queue.len() >= self.config.capacity
                 }
                 WaitKind::ConsumerEmpty => {
                     !st.eof
                         && st.error.is_none()
                         && st.producer_node == e.holder
-                        && queues.any(|c| c.node == e.waiter && c.queue.is_empty())
+                        && st.queue.is_empty()
                 }
             }
     }
 
     /// True once the producer closed the pipe.
-    pub fn is_eof(&self) -> bool {
+    fn is_eof(&self) -> bool {
         self.state.lock().eof
     }
 
@@ -190,39 +164,31 @@ impl Pipe {
         self.data.notify_all();
     }
 
-    /// Consumers currently attached (not detached).
-    pub fn active_consumers(&self) -> usize {
-        self.state.lock().consumers.values().filter(|c| !c.detached).count()
+    /// Block on `cond` with `waiter → holder` registered as a waits-for edge;
+    /// the edge clears once the waiter runs again.
+    fn wait(
+        self: &Arc<Self>,
+        st: &mut MutexGuard<'_, PipeState>,
+        cond: &Condvar,
+        (waiter, holder): (NodeId, NodeId),
+        kind: WaitKind,
+    ) {
+        let pipe = Arc::downgrade(self);
+        let produced = st.produced;
+        self.registry.add_edge(WaitEdge { waiter, holder, pipe, kind, produced });
+        cond.wait(st);
+        self.registry.remove_edge(waiter);
     }
 
-    fn send(&self, batch: Arc<ColBatch>) {
+    fn send(self: &Arc<Self>, batch: Arc<ColBatch>) {
         let mut st = self.state.lock();
-        loop {
-            if st.materialized {
-                break;
-            }
-            // Collect every full, attached consumer: the producer waits for
-            // all of them (multi-consumer waits-for model, §4.3.3 / [30]).
-            let full: Vec<NodeId> = st
-                .consumers
-                .values()
-                .filter(|c| !c.detached && c.queue.len() >= self.config.capacity)
-                .map(|c| c.node)
-                .collect();
-            if full.is_empty() {
-                break;
-            }
-            let producer_node = st.producer_node;
-            let kind = WaitKind::ProducerFull;
-            self.registry.add_edges(producer_node, &full, self.id, kind, st.produced);
-            self.space.wait(&mut st);
-            self.registry.remove_edge(producer_node);
+        while !st.materialized && !st.detached && st.queue.len() >= self.config.capacity {
+            let nodes = (st.producer_node, self.consumer_node);
+            self.wait(&mut st, &self.space, nodes, WaitKind::ProducerFull);
         }
         st.produced += 1;
-        for c in st.consumers.values_mut() {
-            if !c.detached {
-                c.queue.push_back(batch.clone());
-            }
+        if !st.detached {
+            st.queue.push_back(batch);
         }
         drop(st);
         self.data.notify_all();
@@ -236,9 +202,9 @@ impl Pipe {
         self.space.notify_all();
     }
 
-    /// Poison the pipe: every consumer's next receive observes `error`
-    /// instead of EOF (the producer's packet failed — §4.3.4 analogue of a
-    /// storage fault surfacing mid-scan).
+    /// Poison the pipe: the consumer's next receive observes `error` instead
+    /// of EOF (the producer's packet failed — §4.3.4 analogue of a storage
+    /// fault surfacing mid-scan).
     pub fn fail(&self, error: QError) {
         let mut st = self.state.lock();
         if st.error.is_none() {
@@ -250,17 +216,7 @@ impl Pipe {
         self.space.notify_all();
     }
 
-    /// The error the producer failed with, if any.
-    pub fn error(&self) -> Option<QError> {
-        self.state.lock().error.clone()
-    }
-
-    fn recv(
-        &self,
-        id: usize,
-        node: NodeId,
-        probe: Option<&OpProbe>,
-    ) -> QResult<Option<Arc<ColBatch>>> {
+    fn recv(self: &Arc<Self>, probe: Option<&OpProbe>) -> QResult<Option<Arc<ColBatch>>> {
         let mut st = self.state.lock();
         loop {
             // A failed producer fails the consumer promptly — queued batches
@@ -268,8 +224,7 @@ impl Pipe {
             if let Some(e) = &st.error {
                 return Err(e.clone());
             }
-            let Some(c) = st.consumers.get_mut(&id) else { return Ok(None) };
-            if let Some(batch) = c.queue.pop_front() {
+            if let Some(batch) = st.queue.pop_front() {
                 drop(st);
                 self.space.notify_all();
                 return Ok(Some(batch));
@@ -277,38 +232,21 @@ impl Pipe {
             if st.eof {
                 return Ok(None);
             }
-            let producer_node = st.producer_node;
-            let kind = WaitKind::ConsumerEmpty;
-            self.registry.add_edges(node, &[producer_node], self.id, kind, st.produced);
-            match probe {
-                Some(p) => {
-                    let blocked = Instant::now();
-                    self.data.wait(&mut st);
-                    p.add_pipe_wait_ns(blocked.elapsed().as_nanos() as u64);
-                }
-                None => {
-                    self.data.wait(&mut st);
-                }
+            let nodes = (self.consumer_node, st.producer_node);
+            let blocked = probe.map(|_| Instant::now());
+            self.wait(&mut st, &self.data, nodes, WaitKind::ConsumerEmpty);
+            if let (Some(p), Some(blocked)) = (probe, blocked) {
+                p.add_pipe_wait_ns(blocked.elapsed().as_nanos() as u64);
             }
-            self.registry.remove_edge(node);
         }
     }
 
-    fn detach(&self, id: usize) {
+    fn detach(&self) {
         let mut st = self.state.lock();
-        if let Some(c) = st.consumers.get_mut(&id) {
-            c.detached = true;
-            c.queue.clear();
-        }
-        st.consumers.remove(&id);
+        st.detached = true;
+        st.queue.clear();
         drop(st);
         self.space.notify_all();
-    }
-}
-
-impl Drop for Pipe {
-    fn drop(&mut self) {
-        self.registry.untrack_pipe(self.id);
     }
 }
 
@@ -324,8 +262,8 @@ impl PipeProducer {
         self.pipe.send(Arc::new(batch));
     }
 
-    /// Push an already-shared batch without copying (broadcast path, and a
-    /// columnar page's pool-resident batch).
+    /// Push an already-shared batch without copying (a host's broadcast, and
+    /// a columnar page's pool-resident batch).
     pub fn push_shared(&mut self, batch: Arc<ColBatch>) {
         self.pipe.send(batch);
     }
@@ -335,12 +273,12 @@ impl PipeProducer {
         self.pipe.close();
     }
 
-    /// Fail the stream: consumers observe `error` instead of EOF.
+    /// Fail the stream: the consumer observes `error` instead of EOF.
     pub fn fail(self, error: QError) {
         self.pipe.fail(error);
     }
 
-    /// True when nobody reads this producer's pipe any more — every consumer
+    /// True when nobody reads this producer's pipe any more — its consumer
     /// detached. This is the sharing rule's test: a cancelled packet stops
     /// only when its output is abandoned, because a cancel token says the
     /// packet's *own* query stopped caring, not that no other query rides
@@ -348,7 +286,7 @@ impl PipeProducer {
     ///
     /// [`SharedHost::close_if_unwanted`]: crate::host::SharedHost::close_if_unwanted
     pub fn abandoned(&self) -> bool {
-        self.pipe.active_consumers() == 0
+        self.pipe.state.lock().detached
     }
 
     pub fn pipe(&self) -> &Arc<Pipe> {
@@ -369,8 +307,6 @@ impl Drop for PipeProducer {
 /// Consumer handle: pull batches; detaches on drop.
 pub struct PipeConsumer {
     pipe: Arc<Pipe>,
-    id: usize,
-    node: NodeId,
     /// When set, time spent blocked waiting for data is charged to this
     /// probe as pipe-wait (the consuming operator's input starvation).
     probe: Option<Arc<OpProbe>>,
@@ -385,11 +321,7 @@ impl PipeConsumer {
     /// Blocking receive; `Ok(None)` at end of stream, `Err` when the
     /// producer failed the pipe (the packet's results are incomplete).
     pub fn recv(&self) -> QResult<Option<Arc<ColBatch>>> {
-        self.pipe.recv(self.id, self.node, self.probe.as_deref())
-    }
-
-    pub fn pipe(&self) -> &Arc<Pipe> {
-        &self.pipe
+        self.pipe.recv(self.probe.as_deref())
     }
 
     /// Drain everything into a vector of tuples — the client result
@@ -406,7 +338,7 @@ impl PipeConsumer {
 
 impl Drop for PipeConsumer {
     fn drop(&mut self) {
-        self.pipe.detach(self.id);
+        self.pipe.detach();
     }
 }
 
@@ -430,6 +362,10 @@ mod tests {
         Arc::new(WaitRegistry::new())
     }
 
+    fn pair(capacity: usize, registry: Arc<WaitRegistry>) -> (PipeProducer, PipeConsumer) {
+        Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), registry)
+    }
+
     fn tuple(i: i64) -> Tuple {
         vec![Value::Int(i)]
     }
@@ -440,9 +376,7 @@ mod tests {
 
     #[test]
     fn single_consumer_round_trip() {
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let consumer = pipe.attach_consumer(NodeId(2));
-        let mut producer = pipe.producer();
+        let (mut producer, consumer) = pair(8, registry());
         push_rows(&mut producer, &tuples(1000));
         producer.finish();
         let rows = consumer.collect_tuples().unwrap();
@@ -451,67 +385,22 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_to_three_consumers() {
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let consumers: Vec<_> = (0..3).map(|i| pipe.attach_consumer(NodeId(10 + i))).collect();
-        let mut producer = pipe.producer();
-        let handle = std::thread::spawn(move || {
-            push_rows(&mut producer, &tuples(600));
-            producer.finish();
-        });
-        let mut joins = Vec::new();
-        for c in consumers {
-            joins.push(std::thread::spawn(move || c.collect_tuples().unwrap().len()));
-        }
-        handle.join().unwrap();
-        for j in joins {
-            assert_eq!(j.join().unwrap(), 600);
-        }
-    }
-
-    #[test]
-    fn producer_blocks_on_slow_consumer_until_detach() {
-        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), registry());
-        let slow = pipe.attach_consumer(NodeId(2));
-        let fast = pipe.attach_consumer(NodeId(3));
-        let mut producer = pipe.producer();
-        let producer_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = producer_done.clone();
-        let h = std::thread::spawn(move || {
-            push_rows(&mut producer, &tuples(2000));
-            producer.finish();
-            flag.store(true, Ordering::SeqCst);
-        });
-        // Fast consumer drains in its own thread.
-        let fh = std::thread::spawn(move || fast.collect_tuples().unwrap().len());
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!producer_done.load(Ordering::SeqCst), "slow consumer must throttle producer");
-        drop(slow); // detaching unblocks the producer
-        h.join().unwrap();
-        assert_eq!(fh.join().unwrap(), 2000);
-    }
-
-    #[test]
     fn materialize_unblocks_producer() {
-        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), registry());
-        let stuck = pipe.attach_consumer(NodeId(2));
-        let mut producer = pipe.producer();
-        let pipe2 = pipe.clone();
+        let (mut producer, stuck) = pair(1, registry());
+        let pipe = producer.pipe().clone();
         let h = std::thread::spawn(move || {
             push_rows(&mut producer, &tuples(2000));
             producer.finish();
         });
         std::thread::sleep(Duration::from_millis(30));
-        pipe2.materialize();
+        pipe.materialize();
         h.join().unwrap();
         assert_eq!(stuck.collect_tuples().unwrap().len(), 2000);
     }
 
     #[test]
     fn consumer_sees_eof_without_data() {
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2));
-        let producer = pipe.producer();
+        let (producer, c) = pair(8, registry());
         producer.finish();
         assert!(c.recv().unwrap().is_none());
     }
@@ -520,40 +409,29 @@ mod tests {
     /// somewhere, or its thread died — must not read as a complete result.
     #[test]
     fn dropped_producer_fails_the_pipe() {
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2));
-        {
-            let mut p = pipe.producer();
-            push_rows(&mut p, &tuples(1));
-        }
+        let (mut p, c) = pair(8, registry());
+        push_rows(&mut p, &tuples(1));
+        drop(p);
         let err = c.collect_tuples().expect_err("a dropped producer is not a clean EOF");
         assert!(matches!(err, QError::Exec(_)), "got {err:?}");
         // A finished stream keeps its clean ending when the handle drops.
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2));
-        pipe.producer().finish();
+        let (p, c) = pair(8, registry());
+        p.finish();
         assert_eq!(c.collect_tuples().unwrap(), Vec::<Tuple>::new());
     }
 
     #[test]
     fn failed_pipe_surfaces_error_not_eof() {
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2));
-        let mut producer = pipe.producer();
+        let (mut producer, c) = pair(8, registry());
         push_rows(&mut producer, &tuples(1));
         producer.fail(QError::Storage("bad page".into()));
         let err = c.collect_tuples().expect_err("failure must not look like EOF");
         assert_eq!(err, QError::Storage("bad page".into()));
-        // Late attachers observe the same failure.
-        let late = pipe.attach_consumer(NodeId(3));
-        assert!(late.recv().is_err());
     }
 
     #[test]
     fn failed_pipe_unblocks_waiting_consumer() {
-        let pipe = Pipe::new(PipeConfig::default(), NodeId(1), registry());
-        let c = pipe.attach_consumer(NodeId(2));
-        let producer = pipe.producer();
+        let (producer, c) = pair(8, registry());
         let h = std::thread::spawn(move || c.collect_tuples());
         std::thread::sleep(Duration::from_millis(20));
         producer.fail(QError::Storage("mid-stream fault".into()));
@@ -563,9 +441,7 @@ mod tests {
     #[test]
     fn waits_for_edges_appear_and_clear() {
         let reg = registry();
-        let pipe = Pipe::new(PipeConfig { capacity: 1 }, NodeId(1), reg.clone());
-        let slow = pipe.attach_consumer(NodeId(2));
-        let mut producer = pipe.producer();
+        let (mut producer, slow) = pair(1, reg.clone());
         let n = ColBatch::DEFAULT_CAPACITY as i64 * 8;
         let h = std::thread::spawn(move || {
             push_rows(&mut producer, &tuples(n));

@@ -279,9 +279,8 @@ mod tests {
 
     fn feed(rows: Vec<Tuple>, metrics: &Metrics) -> PipeIter {
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg);
-        let consumer = pipe.attach_consumer(NodeId(2));
-        let mut p = pipe.producer();
+        let (mut p, consumer) =
+            Pipe::pair(PipeConfig { capacity: 1024 }, NodeId(1), NodeId(2), reg);
         push_rows(&mut p, &rows);
         p.finish();
         PipeIter::new(consumer, metrics)

@@ -774,6 +774,10 @@ mod tests {
         request_cap(reg, ordered, split_ok, 1024)
     }
 
+    fn pair(reg: &Arc<WaitRegistry>, capacity: usize) -> (PipeProducer, PipeConsumer) {
+        Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), reg.clone())
+    }
+
     /// A request whose output pipe holds `capacity` batches (pages). With a
     /// capacity below the table's page count and the consumer left undrained,
     /// the scanner parks mid-scan on the full pipe.
@@ -783,13 +787,12 @@ mod tests {
         split_ok: bool,
         capacity: usize,
     ) -> (ScanRequest, PipeConsumer) {
-        let pipe = Pipe::new(PipeConfig { capacity }, NodeId(1), reg.clone());
-        let consumer = pipe.attach_consumer(NodeId(2));
+        let (output, consumer) = pair(reg, capacity);
         let req = ScanRequest {
             table: "t".into(),
             predicate: None,
             projection: None,
-            output: pipe.producer(),
+            output,
             ordered,
             split_ok,
             probe: None,
@@ -983,14 +986,13 @@ mod tests {
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
         let mk = |lo: i64| {
-            let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
-            let c = pipe.attach_consumer(NodeId(2));
+            let (output, c) = pair(&reg, 1024);
             (
                 ScanRequest {
                     table: "t".into(),
                     predicate: Some(Expr::col(0).ge(Expr::lit(lo))),
                     projection: Some(vec![0]),
-                    output: pipe.producer(),
+                    output,
                     ordered: false,
                     split_ok: false,
                     probe: None,
@@ -1037,13 +1039,12 @@ mod tests {
         let (ctx, m) = ctx_with_table_layout(1000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::new());
-        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
-        let c = pipe.attach_consumer(NodeId(2));
+        let (output, c) = pair(&reg, 1024);
         mgr.submit(ScanRequest {
             table: "t".into(),
             predicate: Some(Expr::col(0).ge(Expr::lit(900))),
             projection: Some(vec![0]),
-            output: pipe.producer(),
+            output,
             ordered: false,
             split_ok: false,
             probe: None,
@@ -1080,13 +1081,12 @@ mod tests {
         lo: i64,
         projection: Vec<usize>,
     ) -> (ScanRequest, PipeConsumer) {
-        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
-        let c = pipe.attach_consumer(NodeId(2));
+        let (output, c) = pair(reg, 1024);
         let req = ScanRequest {
             table: "w".into(),
             predicate: Some(Expr::col(0).ge(Expr::lit(lo))),
             projection: Some(projection),
-            output: pipe.producer(),
+            output,
             ordered: false,
             split_ok: false,
             probe: None,
@@ -1197,13 +1197,12 @@ mod tests {
         // The host (references {0}) parks on its undrained 2-batch pipe, so
         // the latecomer (references {0, 1}) attaches mid-scan: union {0, 1}
         // of a 3-column table, staggered.
-        let pipe = Pipe::new(PipeConfig { capacity: 2 }, NodeId(1), reg.clone());
-        let host_rows = pipe.attach_consumer(NodeId(2));
+        let (output, host_rows) = pair(&reg, 2);
         let host = ScanRequest {
             table: "w".into(),
             predicate: Some(Expr::col(0).ge(Expr::lit(10))),
             projection: Some(vec![0]),
-            output: pipe.producer(),
+            output,
             ordered: false,
             split_ok: false,
             probe: None,
@@ -1261,8 +1260,7 @@ mod tests {
             let (ctx, m) = ctx_with_wide_table(500, layout);
             let mgr = manager(&ctx, &m, true);
             let reg = Arc::new(WaitRegistry::new());
-            let pipe = Pipe::new(PipeConfig { capacity: 1024 }, NodeId(1), reg.clone());
-            let c = pipe.attach_consumer(NodeId(2));
+            let (output, c) = pair(&reg, 1024);
             let predicate = Some(Expr::col(9).ge(Expr::lit(0)));
             let projection = Some(vec![0usize]);
             assert_eq!(
@@ -1273,7 +1271,7 @@ mod tests {
                 table: "w".into(),
                 predicate,
                 projection,
-                output: pipe.producer(),
+                output,
                 ordered: false,
                 split_ok: false,
                 probe: None,
@@ -1449,8 +1447,8 @@ mod tests {
         // The latecomer's consumer blocks on its pipe *before* the request
         // enrolls, registering a wait on the pipe's original producer node.
         let (late_node, orphan) = (NodeId(8), NodeId(7));
-        let pipe = Pipe::new(PipeConfig { capacity: 1024 }, orphan, reg.clone());
-        let late_rows = pipe.attach_consumer(late_node);
+        let (output, late_rows) =
+            Pipe::pair(PipeConfig { capacity: 1024 }, orphan, late_node, reg.clone());
         let drain_late = std::thread::spawn(move || late_rows.collect_tuples().unwrap().len());
         let waits_on = |holder: NodeId| {
             reg.edges().iter().any(|e| e.waiter == late_node && e.holder == holder)
@@ -1460,7 +1458,7 @@ mod tests {
             table: "t".into(),
             predicate: None,
             projection: None,
-            output: pipe.producer(),
+            output,
             ordered: false,
             split_ok: false,
             probe: None,

@@ -93,19 +93,36 @@ pub struct BufferPool {
     metrics: Metrics,
 }
 
-/// Removes a key from the single-flight pending set when the owning read
-/// finishes — including by panic (an injected fault can panic the reading
-/// thread; waiters must not wedge on a pending entry nobody will clear).
+/// Removes a key from the single-flight pending set. A read that succeeds
+/// clears it with [`PendingGuard::resident`], under the lock that makes the
+/// page resident, so a woken waiter always finds the page. A read that fails
+/// — including by panic (an injected fault can panic the reading thread) —
+/// clears it on drop, so waiters never wedge on an entry nobody will clear.
 struct PendingGuard<'a> {
     pool: &'a BufferPool,
     key: PageKey,
+    armed: bool,
+}
+
+impl PendingGuard<'_> {
+    fn clear(&self, st: &mut PoolState) {
+        st.pending.remove(&self.key);
+        self.pool.pending_cv.notify_all();
+    }
+
+    /// The page is resident in `st`: clear the entry in the same critical
+    /// section.
+    fn resident(mut self, st: &mut PoolState) {
+        self.clear(st);
+        self.armed = false;
+    }
 }
 
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.pool.state.lock();
-        st.pending.remove(&self.key);
-        self.pool.pending_cv.notify_all();
+        if self.armed {
+            self.clear(&mut self.pool.state.lock());
+        }
     }
 }
 
@@ -177,11 +194,10 @@ impl BufferPool {
         }
         // Perform the disk read outside the lock so other pages stream in
         // parallel (the RAID-0 substitute). The guard clears the pending
-        // entry even if the read panics.
+        // entry even if the read fails or panics.
         let started = std::time::Instant::now();
-        let guard = PendingGuard { pool: self, key };
+        let guard = PendingGuard { pool: self, key, armed: true };
         let read = self.read_verified(file, block);
-        drop(guard);
         self.metrics.record_bp_fetch(started.elapsed().as_micros() as u64);
         let (page, retries) = read?;
         let mut st = self.state.lock();
@@ -196,6 +212,7 @@ impl BufferPool {
         }
         st.resident.insert(key, page.clone());
         st.policy.on_insert(key);
+        guard.resident(&mut st);
         Ok((page, retries))
     }
 

@@ -1,5 +1,5 @@
 //! Demonstrates the deadlock problem of simultaneous pipelining (paper
-//! §4.3.3) and QPipe's resolution: two consumers draining two shared
+//! §4.3.3) and QPipe's resolution: two queries draining two shared
 //! producers in *opposite* orders deadlock through bounded pipes; the
 //! waits-for-graph detector materializes the cheapest pipe and execution
 //! completes.
@@ -10,7 +10,7 @@
 
 use qpipe_common::{ColBatch, Metrics, Value};
 use qpipe_core::deadlock::{DeadlockDetector, NodeId, WaitRegistry};
-use qpipe_core::pipe::{Pipe, PipeConfig};
+use qpipe_core::pipe::{Pipe, PipeConfig, PipeProducer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,37 +22,37 @@ fn main() {
         DeadlockDetector::spawn(registry.clone(), metrics.clone(), Duration::from_millis(20))
             .expect("spawn the detector thread");
 
-    // Two producers (think: two shared scans, A and B), each broadcasting to
-    // both queries through tiny bounded pipes. A pipe enters itself in the
-    // registry it is built with, so the detector can break it.
+    // Two producers (think: two shared scans, A and B), each feeding both
+    // queries through one tiny bounded pipe per query. Every blocked wait on
+    // a pipe is reported to the registry, so the detector can break it.
     let cfg = PipeConfig { capacity: 1 };
-    let pipe_a = Pipe::new(cfg, NodeId(1), registry.clone());
-    let pipe_b = Pipe::new(cfg, NodeId(2), registry.clone());
-
-    // Query 1 reads A fully, then B. Query 2 reads B fully, then A.
-    let q1_a = pipe_a.attach_consumer(NodeId(3));
-    let q1_b = pipe_b.attach_consumer(NodeId(3));
-    let q2_b = pipe_b.attach_consumer(NodeId(4));
-    let q2_a = pipe_a.attach_consumer(NodeId(4));
+    let (a, b, q1, q2) = (NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+    let (a_to_q1, q1_a) = Pipe::pair(cfg, a, q1, registry.clone());
+    let (a_to_q2, q2_a) = Pipe::pair(cfg, a, q2, registry.clone());
+    let (b_to_q1, q1_b) = Pipe::pair(cfg, b, q1, registry.clone());
+    let (b_to_q2, q2_b) = Pipe::pair(cfg, b, q2, registry.clone());
 
     // 16 batches of 256 rows per producer; a pipe carries whole batches.
     let batch = |b: i64| {
         let rows = ColBatch::DEFAULT_CAPACITY as i64;
         let rows: Vec<_> = (b * rows..(b + 1) * rows).map(|i| vec![Value::Int(i)]).collect();
-        ColBatch::from_rows(&rows)
+        Arc::new(ColBatch::from_rows(&rows))
     };
-    let mut prod_a = pipe_a.producer();
-    let mut prod_b = pipe_b.producer();
-    let pa = std::thread::spawn(move || {
-        (0..16).for_each(|b| prod_a.push_cols(batch(b)));
-        prod_a.finish();
-        println!("producer A finished");
-    });
-    let pb = std::thread::spawn(move || {
-        (0..16).for_each(|b| prod_b.push_cols(batch(b)));
-        prod_b.finish();
-        println!("producer B finished");
-    });
+    // Each producer pushes every batch to its two pipes in turn, the way an
+    // OSP host broadcasts to the queries it serves.
+    let produce = move |name: &'static str, mut outs: [PipeProducer; 2]| {
+        std::thread::spawn(move || {
+            for b in 0..16 {
+                let shared = batch(b);
+                outs.iter_mut().for_each(|out| out.push_shared(shared.clone()));
+            }
+            outs.into_iter().for_each(|out| out.finish());
+            println!("producer {name} finished");
+        })
+    };
+    let pa = produce("A", [a_to_q1, a_to_q2]);
+    let pb = produce("B", [b_to_q1, b_to_q2]);
+    // Query 1 reads A fully, then B. Query 2 reads B fully, then A.
     let q1 = std::thread::spawn(move || {
         let a = q1_a.collect_tuples().unwrap().len();
         let b = q1_b.collect_tuples().unwrap().len();
@@ -65,8 +65,9 @@ fn main() {
     });
 
     // Without the detector this program would hang: Q1 drains A and ignores
-    // B, so producer B fills Q1's queue and blocks; symmetrically producer A
-    // blocks on Q2 — while each query waits for the other producer.
+    // B, so producer B fills its pipe to Q1 and blocks; symmetrically
+    // producer A blocks on its pipe to Q2 — while each query waits for the
+    // other producer.
     pa.join().unwrap();
     pb.join().unwrap();
     q1.join().unwrap();
