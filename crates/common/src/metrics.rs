@@ -118,11 +118,6 @@ struct MetricsInner {
     osp_rejections: AtomicU64,
     circular_wraps: AtomicU64,
     deadlocks_resolved: AtomicU64,
-    vec_join_batches: AtomicU64,
-    vec_agg_batches: AtomicU64,
-    vec_filter_batches: AtomicU64,
-    vec_project_batches: AtomicU64,
-    vec_sort_batches: AtomicU64,
     vec_fallbacks: AtomicU64,
     col_rowified_batches: AtomicU64,
     pruned_pages: AtomicU64,
@@ -170,18 +165,6 @@ pub struct MetricsSnapshot {
     pub osp_rejections: u64,
     pub circular_wraps: u64,
     pub deadlocks_resolved: u64,
-    /// Probe batches the hash-join µEngine processed as `ColBatch`es.
-    pub vec_join_batches: u64,
-    /// Batches the aggregation µEngine folded as `ColBatch`es.
-    pub vec_agg_batches: u64,
-    /// Columnar batches the filter µEngine evaluated with selection-vector
-    /// kernels (no row materialization).
-    pub vec_filter_batches: u64,
-    /// Columnar batches the projection µEngine evaluated column-at-a-time.
-    pub vec_project_batches: u64,
-    /// Columnar batches the sort µEngine accumulated without flattening
-    /// (key-column permutation sort path).
-    pub vec_sort_batches: u64,
     /// Grace fallbacks taken: hash-join builds the governor refused to
     /// cover, handed to the grace join behind the row bridge.
     pub vec_fallbacks: u64,
@@ -304,26 +287,6 @@ impl Metrics {
 
     pub fn add_deadlock_resolved(&self) {
         self.inner.deadlocks_resolved.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_vec_join_batch(&self) {
-        self.inner.vec_join_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_vec_agg_batch(&self) {
-        self.inner.vec_agg_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_vec_filter_batch(&self) {
-        self.inner.vec_filter_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_vec_project_batch(&self) {
-        self.inner.vec_project_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_vec_sort_batch(&self) {
-        self.inner.vec_sort_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn add_vec_fallback(&self) {
@@ -464,11 +427,6 @@ impl Metrics {
             ("osp_rejections", s.osp_rejections),
             ("circular_wraps", s.circular_wraps),
             ("deadlocks_resolved", s.deadlocks_resolved),
-            ("vec_join_batches", s.vec_join_batches),
-            ("vec_agg_batches", s.vec_agg_batches),
-            ("vec_filter_batches", s.vec_filter_batches),
-            ("vec_project_batches", s.vec_project_batches),
-            ("vec_sort_batches", s.vec_sort_batches),
             ("vec_fallbacks", s.vec_fallbacks),
             ("col_rowified_batches", s.col_rowified_batches),
             ("pruned_pages", s.pruned_pages),
@@ -538,11 +496,6 @@ impl Metrics {
             osp_rejections: i.osp_rejections.load(Ordering::Relaxed),
             circular_wraps: i.circular_wraps.load(Ordering::Relaxed),
             deadlocks_resolved: i.deadlocks_resolved.load(Ordering::Relaxed),
-            vec_join_batches: i.vec_join_batches.load(Ordering::Relaxed),
-            vec_agg_batches: i.vec_agg_batches.load(Ordering::Relaxed),
-            vec_filter_batches: i.vec_filter_batches.load(Ordering::Relaxed),
-            vec_project_batches: i.vec_project_batches.load(Ordering::Relaxed),
-            vec_sort_batches: i.vec_sort_batches.load(Ordering::Relaxed),
             vec_fallbacks: i.vec_fallbacks.load(Ordering::Relaxed),
             col_rowified_batches: i.col_rowified_batches.load(Ordering::Relaxed),
             pruned_pages: i.pruned_pages.load(Ordering::Relaxed),
@@ -637,11 +590,6 @@ impl MetricsSnapshot {
             osp_rejections: self.osp_rejections - earlier.osp_rejections,
             circular_wraps: self.circular_wraps - earlier.circular_wraps,
             deadlocks_resolved: self.deadlocks_resolved - earlier.deadlocks_resolved,
-            vec_join_batches: self.vec_join_batches - earlier.vec_join_batches,
-            vec_agg_batches: self.vec_agg_batches - earlier.vec_agg_batches,
-            vec_filter_batches: self.vec_filter_batches - earlier.vec_filter_batches,
-            vec_project_batches: self.vec_project_batches - earlier.vec_project_batches,
-            vec_sort_batches: self.vec_sort_batches - earlier.vec_sort_batches,
             vec_fallbacks: self.vec_fallbacks - earlier.vec_fallbacks,
             col_rowified_batches: self.col_rowified_batches - earlier.col_rowified_batches,
             pruned_pages: self.pruned_pages - earlier.pruned_pages,

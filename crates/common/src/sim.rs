@@ -193,12 +193,7 @@ impl FaultRule {
 
 /// FNV-1a over a byte slice; the workspace's standalone hash primitive.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_word(h, b as u64))
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

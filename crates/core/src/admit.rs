@@ -25,8 +25,9 @@
 //!
 //! A query's slots release when its handle is consumed or dropped
 //! (`QueryHandle` holds the ticket); the release pumps the queues, so
-//! admission needs no dedicated scheduler thread — only the small
-//! [`AdmitSweeper`] that enforces queue timeouts. Clients must drain their
+//! admission needs no thread of its own: queue timeouts and execution
+//! deadlines are enforced by [`AdmissionController::sweep`], which the
+//! engine's one service thread runs every tick. Clients must drain their
 //! handles concurrently (every driver in this repo does): a handle left
 //! uncollected keeps its slots, which is admission's backpressure working
 //! as intended.
@@ -49,9 +50,8 @@ use crate::packet::CancelToken;
 use crate::pipe::Pipe;
 use parking_lot::Mutex;
 use qpipe_common::trace::{QueryTrace, TraceEvent};
-use qpipe_common::{Metrics, QError, QResult};
+use qpipe_common::{Metrics, QError};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,21 +64,14 @@ pub struct AdmitConfig {
     /// rejected outright.
     pub max_queued: usize,
     /// A ticket queued longer than this is rejected (its slots were never
-    /// taken; its pipe fails with [`QError::Admission`]). `None` = wait
-    /// forever.
+    /// taken; its pipe fails with [`QError::Admission`]) at the next sweep,
+    /// within one service tick. `None` = wait forever.
     pub queue_timeout: Option<Duration>,
-    /// How often the sweeper enforces `queue_timeout`.
-    pub sweep_interval: Duration,
 }
 
 impl Default for AdmitConfig {
     fn default() -> Self {
-        Self {
-            queue_depth: 64,
-            max_queued: 1024,
-            queue_timeout: None,
-            sweep_interval: Duration::from_millis(5),
-        }
+        Self { queue_depth: 64, max_queued: 1024, queue_timeout: None }
     }
 }
 
@@ -92,10 +85,6 @@ impl AdmitConfig {
         }
         if self.max_queued == 0 {
             self.max_queued = 1;
-            metrics.add_config_clamp();
-        }
-        if self.queue_timeout.is_some() && self.sweep_interval.is_zero() {
-            self.sweep_interval = Duration::from_millis(1);
             metrics.add_config_clamp();
         }
         self
@@ -138,7 +127,7 @@ enum TicketState {
         /// When the query was admitted (execution-deadline clock).
         since: Instant,
         /// Root pipe, failed with [`QError::Timeout`] when the deadline
-        /// sweeper terminates an overdue query.
+        /// sweep terminates an overdue query.
         pipe: Arc<Pipe>,
     },
     Finished,
@@ -205,7 +194,7 @@ struct CtrlState {
     /// Waiting rooms: `[interactive, batch]`.
     queues: [VecDeque<Arc<QueryTicket>>; 2],
     /// Tickets currently in `Running` state, scanned by the deadline
-    /// sweeper. Maintained only when a deadline is configured.
+    /// sweep. Maintained only when a deadline is configured.
     running: Vec<Arc<QueryTicket>>,
 }
 
@@ -254,7 +243,7 @@ impl Actions {
 pub struct AdmissionController {
     config: AdmitConfig,
     /// Per-query execution deadline; running queries that exceed it are
-    /// terminated by the sweeper with [`QError::Timeout`].
+    /// terminated by the sweep with [`QError::Timeout`].
     deadline: Option<Duration>,
     metrics: Metrics,
     state: Mutex<CtrlState>,
@@ -265,19 +254,15 @@ impl AdmissionController {
         Self::with_deadline(config, None, metrics)
     }
 
-    /// Controller with an execution deadline: the sweeper fires the plan's
-    /// cancel tokens and fails the root pipe with [`QError::Timeout`] once a
-    /// running query exceeds `deadline`.
+    /// Controller with an execution deadline: [`sweep`](Self::sweep) fires
+    /// the plan's cancel tokens and fails the root pipe with
+    /// [`QError::Timeout`] once a running query exceeds `deadline`.
     pub fn with_deadline(
         config: AdmitConfig,
         deadline: Option<Duration>,
         metrics: Metrics,
     ) -> Arc<Self> {
-        let mut config = config.validated(&metrics);
-        if deadline.is_some() && config.sweep_interval.is_zero() {
-            config.sweep_interval = Duration::from_millis(1);
-            metrics.add_config_clamp();
-        }
+        let config = config.validated(&metrics);
         Arc::new(Self { config, deadline, metrics, state: Mutex::new(CtrlState::default()) })
     }
 
@@ -407,8 +392,9 @@ impl AdmissionController {
         actions.run();
     }
 
-    /// Sweeper body: reject tickets that outstayed `queue_timeout`, then
-    /// terminate running queries that exceeded the execution deadline.
+    /// Reject tickets that outstayed `queue_timeout`, then terminate running
+    /// queries that exceeded the execution deadline. Returns at once when
+    /// neither is set.
     pub fn sweep(&self) {
         self.sweep_queue_timeouts();
         self.sweep_deadlines();
@@ -553,53 +539,12 @@ impl AdmissionController {
     }
 }
 
-/// Background thread enforcing [`AdmitConfig::queue_timeout`]; stops when
-/// dropped (mirrors the deadlock detector's lifecycle).
-pub struct AdmitSweeper {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl AdmitSweeper {
-    /// `Err` when the OS refuses the sweeper thread.
-    pub fn spawn(ctrl: Arc<AdmissionController>) -> QResult<Self> {
-        let stop = Arc::new(AtomicBool::new(false));
-        // Neither a queue timeout nor an execution deadline to enforce ⇒
-        // nothing to sweep, ever: skip the thread instead of waking it every
-        // interval to do nothing.
-        if ctrl.config.queue_timeout.is_none() && ctrl.deadline.is_none() {
-            return Ok(Self { stop, handle: None });
-        }
-        let stop2 = stop.clone();
-        let interval = ctrl.config.sweep_interval;
-        let handle = std::thread::Builder::new()
-            .name("qpipe-admit-sweep".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    ctrl.sweep();
-                    std::thread::sleep(interval);
-                }
-            })
-            .map_err(|e| QError::Exec(format!("spawn admission sweeper: {e}")))?;
-        Ok(Self { stop, handle: Some(handle) })
-    }
-}
-
-impl Drop for AdmitSweeper {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deadlock::{NodeId, WaitRegistry};
     use crate::pipe::{Pipe, PipeConfig, PipeConsumer, PipeProducer};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn metrics() -> Metrics {
         Metrics::new()
@@ -824,7 +769,7 @@ mod tests {
         let (t, c) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
         ctrl.submit(t.clone()).unwrap();
         ctrl.sweep();
-        assert!(c.collect_tuples().is_ok(), "young query untouched by the sweeper");
+        assert!(c.collect_tuples().is_ok(), "young query untouched by the sweep");
         ctrl.finish(&t, None, false);
         assert_eq!(m.snapshot().query_timeouts, 0);
     }

@@ -18,9 +18,11 @@
 //! it is resolved by **materializing** (unbounding) the minimum-cost pipe on
 //! the cycle, which removes the producer's wait edge.
 //!
-//! This is the engine's only stall resolver. Every packet runs on a thread of
-//! its own (`pool.rs` grows packet pools on demand), so "blocked on a pipe" is
-//! the only way a packet waits and a cycle the only way a plan wedges.
+//! This is the engine's only stall resolver, and it has no thread of its
+//! own: the engine's one service thread (`pool.rs`'s `ServiceThread`) runs a
+//! [`resolve_once`] pass every tick. Every packet and every scanner runs on a
+//! pool thread of its own (`pool.rs` grows pools on demand), so "blocked on
+//! a pipe" is the only way one waits and a cycle the only way a plan wedges.
 //!
 //! The registry lags the pipes: a woken waiter clears its edge only once it
 //! is scheduled again and has re-taken the pipe lock, so a snapshot can hold
@@ -35,11 +37,9 @@
 
 use crate::pipe::Pipe;
 use parking_lot::Mutex;
-use qpipe_common::{Metrics, QError, QResult};
+use qpipe_common::Metrics;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::Weak;
 
 /// Identifies a packet (one plan-node execution) in the waits-for graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,37 +141,8 @@ pub fn choose_victim(cycle: &[WaitEdge], cost: impl Fn(&WaitEdge) -> usize) -> O
     cycle.iter().filter(|e| e.kind == WaitKind::ProducerFull).min_by_key(|e| cost(e))
 }
 
-/// Background detector thread: periodically scans the waits-for graph and
-/// materializes the cheapest pipe on any cycle.
-pub struct DeadlockDetector {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl DeadlockDetector {
-    /// `Err` when the OS refuses the detector thread.
-    pub fn spawn(
-        registry: Arc<WaitRegistry>,
-        metrics: Metrics,
-        interval: Duration,
-    ) -> QResult<Self> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        // lint:allow(R2): the detector owns its JoinHandle; Drop sets the stop flag then joins, so it cannot outlive the engine
-        let handle = std::thread::Builder::new()
-            .name("qpipe-deadlock".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    resolve_once(&registry, &metrics);
-                }
-            })
-            .map_err(|e| QError::Exec(format!("spawn deadlock detector: {e}")))?;
-        Ok(Self { stop, handle: Some(handle) })
-    }
-}
-
-/// One detection/resolution pass (also used directly by tests).
+/// One detection/resolution pass: the engine's service thread runs one per
+/// tick (`QPipeConfig::service_interval`).
 pub fn resolve_once(registry: &WaitRegistry, metrics: &Metrics) -> bool {
     let edges = registry.edges();
     let Some(cycle) = find_cycle(&edges) else {
@@ -192,19 +163,11 @@ pub fn resolve_once(registry: &WaitRegistry, metrics: &Metrics) -> bool {
     false
 }
 
-impl Drop for DeadlockDetector {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::Arc;
 
     fn edge(w: u64, h: u64, kind: WaitKind) -> WaitEdge {
         WaitEdge { waiter: NodeId(w), holder: NodeId(h), pipe: Weak::new(), kind, produced: 0 }

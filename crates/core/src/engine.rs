@@ -11,19 +11,20 @@
 //! queues every packet of a plan at once and so has to terminate that
 //! subtree afterwards (Figure 6b). Otherwise the node registers its host,
 //! its children are wired with pipes and dispatched the same way, and the
-//! host goes to the µEngine's pool. Scans go to the scan manager, which
-//! applies the same check per table.
+//! host goes to the µEngine's pool. Scans go to the scan manager — the scan
+//! µEngine — which applies the same check per table and runs each scan
+//! group's scanner as a job on its pool. Besides the pools, the engine owns
+//! one thread: the service thread that resolves deadlocks and sweeps
+//! admission every tick.
 
-use crate::admit::{
-    AdmissionController, AdmitConfig, AdmitSweeper, DispatchFn, QueryClass, QueryTicket,
-};
+use crate::admit::{AdmissionController, AdmitConfig, DispatchFn, QueryClass, QueryTicket};
 use crate::cache::{CacheConfig, QueryCache};
-use crate::deadlock::{DeadlockDetector, NodeId, WaitRegistry};
+use crate::deadlock::{resolve_once, NodeId, WaitRegistry};
 use crate::host::ShareRegistry;
 use crate::ops::{self, OpEnv};
 use crate::packet::{fresh_node, CancelToken, Packet, QueryId};
 use crate::pipe::{Pipe, PipeConfig, PipeConsumer, PipeProducer};
-use crate::pool::WorkerPool;
+use crate::pool::{ServiceThread, WorkerPool};
 use crate::scan::{ScanManager, ScanRequest};
 use qpipe_common::trace::{ProbeNode, QueryProfile, QueryTrace, TraceEvent};
 use qpipe_common::{Metrics, QError, QResult, Tuple};
@@ -47,8 +48,9 @@ pub struct QPipeConfig {
     pub exec: ExecConfig,
     /// Host replay-history window in batches (buffering enhancement, §3.2).
     pub host_backfill: usize,
-    /// Deadlock detector scan interval.
-    pub deadlock_interval: Duration,
+    /// How often the service thread runs one deadlock-resolution pass and
+    /// one admission sweep (queue timeouts, execution deadlines).
+    pub service_interval: Duration,
     /// Optional query-result cache (§2.3): `Some` caches completed results
     /// keyed by plan signature and serves exact repeats without execution.
     pub result_cache: Option<CacheConfig>,
@@ -64,7 +66,7 @@ impl Default for QPipeConfig {
             pipe: PipeConfig::default(),
             exec: ExecConfig::default(),
             host_backfill: 8,
-            deadlock_interval: Duration::from_millis(20),
+            service_interval: Duration::from_millis(20),
             result_cache: None,
             admit: AdmitConfig::default(),
         }
@@ -93,7 +95,8 @@ pub const ENGINE_NAMES: [&str; 10] = [
 ];
 
 /// One µEngine: the in-flight hosts its packets may attach to, and the pool
-/// its hosts run on.
+/// its hosts run on. The scan µEngine is the [`ScanManager`]: its scan
+/// groups are what a scan attaches to, and its pool runs their scanners.
 struct MicroEngine {
     share: Arc<ShareRegistry>,
     pool: WorkerPool,
@@ -103,8 +106,8 @@ struct MicroEngine {
 ///
 /// Field order is load-bearing at drop: the µEngine pools (`engines`, whose
 /// drop joins their workers) and the scan manager must wind down while the
-/// deadlock detector (`_detector`) is still scanning, so packets caught in a
-/// waits-for cycle during shutdown can still be released.
+/// service thread (`_service`) still runs its deadlock passes, so packets
+/// caught in a waits-for cycle during shutdown can still be released.
 pub struct QPipe {
     ctx: ExecContext,
     config: QPipeConfig,
@@ -113,11 +116,10 @@ pub struct QPipe {
     /// What every operator worker reads: context, metrics, OSP on/off.
     env: Arc<OpEnv>,
     engines: HashMap<&'static str, MicroEngine>,
-    _detector: DeadlockDetector,
     metrics: Metrics,
     cache: Option<Arc<QueryCache>>,
     admit: Arc<AdmissionController>,
-    _sweeper: AdmitSweeper,
+    _service: ServiceThread,
     /// Self-reference for deferred dispatch closures (admission tickets).
     self_weak: Weak<QPipe>,
     /// Canonical plan signature → hash of the first SQL text that produced
@@ -129,15 +131,16 @@ pub struct QPipe {
 
 impl QPipe {
     /// Boot the engine over a catalog. Panics only when the OS refuses to
-    /// spawn the engine's service threads — use
+    /// spawn the engine's service thread — use
     /// [`try_new`](Self::try_new) to handle that as an error instead.
     pub fn new(catalog: Arc<Catalog>, config: QPipeConfig) -> Arc<Self> {
         Self::try_new(catalog, config).unwrap_or_else(|e| panic!("QPipe boot failed: {e}"))
     }
 
-    /// Fallible boot: `Err(QError::Exec)` when a service thread (deadlock
-    /// detector, admission sweeper) cannot be spawned (thread exhaustion).
-    /// A detector spawned before the failure is joined when it drops.
+    /// Fallible boot: `Err(QError::Exec)` when the service thread cannot be
+    /// spawned (thread exhaustion). It is the only thread a boot starts:
+    /// every pool, the scan µEngine's included, starts empty and spawns its
+    /// workers as jobs need them.
     pub fn try_new(catalog: Arc<Catalog>, config: QPipeConfig) -> QResult<Arc<Self>> {
         let metrics = catalog.disk().metrics().clone();
         // Validate once up front so the stored config reports the *effective*
@@ -150,8 +153,6 @@ impl QPipe {
         };
         let ctx = ExecContext::with_config(catalog, config.exec);
         let registry = Arc::new(WaitRegistry::new());
-        let detector =
-            DeadlockDetector::spawn(registry.clone(), metrics.clone(), config.deadlock_interval)?;
         let scan_mgr = ScanManager::new(ctx.clone(), config.osp, metrics.clone());
         let env = Arc::new(OpEnv {
             ctx: ctx.clone(),
@@ -161,6 +162,7 @@ impl QPipe {
         });
         let engines = ENGINE_NAMES
             .into_iter()
+            .filter(|&name| name != "scan")
             .map(|name| {
                 let share = Arc::new(ShareRegistry::new());
                 (name, MicroEngine { share, pool: WorkerPool::new(name, metrics.clone()) })
@@ -171,19 +173,24 @@ impl QPipe {
             config.exec.query_deadline,
             metrics.clone(),
         );
-        let sweeper = AdmitSweeper::spawn(admit.clone())?;
+        let service = {
+            let (registry, metrics, admit) = (registry.clone(), metrics.clone(), admit.clone());
+            ServiceThread::spawn(config.service_interval, move || {
+                resolve_once(&registry, &metrics);
+                admit.sweep();
+            })?
+        };
         Ok(Arc::new_cyclic(|self_weak| Self {
             ctx,
             config,
             registry,
-            _detector: detector,
             scan_mgr,
             env,
             engines,
             metrics,
             cache: config.result_cache.map(QueryCache::new),
             admit,
-            _sweeper: sweeper,
+            _service: service,
             self_weak: self_weak.clone(),
             sql_sigs: parking_lot::Mutex::new(HashMap::new()),
         }))
@@ -356,7 +363,7 @@ impl QPipe {
     /// Track which SQL texts land on which plan signatures; a repeat
     /// signature from different text counts as a canonicalization hit.
     fn note_sql_signature(&self, signature: u64, sql: &str) {
-        let text_hash = fnv1a(sql.trim().as_bytes());
+        let text_hash = qpipe_common::sim::fnv1a(sql.trim().as_bytes());
         let mut sigs = self.sql_sigs.lock();
         // Bounded memory: an ad-hoc workload could mint unbounded distinct
         // signatures; reset the map rather than grow without limit.
@@ -560,16 +567,6 @@ impl QPipe {
         }
         Ok(())
     }
-}
-
-/// FNV-1a over raw bytes (same scheme as `PlanNode::signature`), used to
-/// fingerprint submitted SQL text.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Mirror the plan tree as probe nodes — one [`OpProbe`](qpipe_common::trace::OpProbe)

@@ -33,12 +33,13 @@
 //!   the memory governor (`qpipe_common::govern`, leased through
 //!   `ExecContext`) it bounds what a multi-query burst can claim.
 //! * [`engine`] — µEngines, packet dispatcher, query handles (§4.2–4.3).
-//! * [`pool`] — per-µEngine packet pools grown on demand (§4.2's "pool of
-//!   threads").
+//! * [`pool`] — every engine thread: per-µEngine pools grown on demand
+//!   (§4.2's "pool of threads") and the one periodic service thread.
 //! * [`host`] — OSP host/satellite attach machinery (§4.3, Figure 6b) and
 //!   the one replay history a late satellite reads (buffering, §3.2).
 //! * [`scan`] — circular scans with dynamic termination points: one scanner
-//!   thread per group, reading its table in page order (§4.3.1).
+//!   job per group on the scan µEngine's pool, reading its table in page
+//!   order (§4.3.1).
 //! * [`ops`] — the batch-native operator workers and the attach rule
 //!   (`attach_window`: which window of opportunity each operator's host
 //!   gets, §3.2 Figure 4); `rowbridge` (private) holds the four that still

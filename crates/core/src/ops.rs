@@ -189,11 +189,9 @@ fn run_operator(
             env,
         ),
         PlanNode::Filter { predicate, .. } => {
-            run_filter(children.remove(0), predicate, host, cancel, env)
+            run_filter(children.remove(0), predicate, host, cancel)
         }
-        PlanNode::Project { exprs, .. } => {
-            run_project(children.remove(0), exprs, host, cancel, env)
-        }
+        PlanNode::Project { exprs, .. } => run_project(children.remove(0), exprs, host, cancel),
         // Range-bounded index scans (unbounded ones are handed to the
         // circular ScanManager by the engine and never reach here).
         PlanNode::UnclusteredIndexScan { .. } | PlanNode::ClusteredIndexScan { .. } => {
@@ -249,7 +247,6 @@ fn run_hash_join(
             return Ok(());
         }
         table.probe(&batch, right_key, ColBatch::DEFAULT_CAPACITY, |out| host.push_cols(out))?;
-        env.metrics.add_vec_join_batch();
     }
     Ok(())
 }
@@ -275,7 +272,6 @@ fn run_aggregate(
         if stop(cancel, host) {
             return Ok(());
         }
-        env.metrics.add_vec_agg_batch();
         agg.update_cols(&batch)?;
         if !lease.covers(agg.num_groups()) {
             obs.mem_denied();
@@ -303,14 +299,12 @@ fn run_filter(
     predicate: &Expr,
     host: &SharedHost,
     cancel: &CancelToken,
-    env: &OpEnv,
 ) -> QResult<()> {
     while let Some(batch) = input.recv()? {
         if stop(cancel, host) {
             return Ok(());
         }
         let sel = predicate.eval_filter(&batch)?;
-        env.metrics.add_vec_filter_batch();
         if !sel.is_empty() {
             host.push_cols(batch.gather(&sel));
         }
@@ -326,14 +320,12 @@ fn run_project(
     exprs: &[Expr],
     host: &SharedHost,
     cancel: &CancelToken,
-    env: &OpEnv,
 ) -> QResult<()> {
     while let Some(batch) = input.recv()? {
         if stop(cancel, host) {
             return Ok(());
         }
         let out = project_batch(exprs, &batch, &SelVec::all(batch.len()))?;
-        env.metrics.add_vec_project_batch();
         if !out.is_empty() {
             host.push_cols(out);
         }
@@ -358,7 +350,6 @@ fn run_sort(
         }
         let Some(batch) = input.recv()? else { break };
         sort.push_cols(&batch)?;
-        env.metrics.add_vec_sort_batch();
     }
     sort.finish(|out| {
         if stop(cancel, host) {

@@ -1,29 +1,35 @@
-//! On-demand packet pools for µEngines.
+//! Every engine thread comes from here: on-demand packet pools for µEngines,
+//! and the engine's one periodic service thread.
 //!
 //! The paper's µEngines serve packets from a queue with "a pool of threads"
 //! (§4.2). [`WorkerPool`] has one rule: it starts with no thread; `execute`
 //! hands the job to an idle worker, or spawns a worker when none is idle.
 //! Workers live until the pool drops. Each µEngine owns one pool and runs
-//! its prepared packets on it end-to-end. A packet blocks on its pipes while
-//! holding its worker, so a packet must never queue behind other packets —
-//! it always gets a thread, and the only stall left in a pipelined plan is a
-//! real waits-for cycle (the [`deadlock`](crate::deadlock) detector's job).
-//! The pool's size is bounded by what admission lets run: `queue_depth`
-//! queries × the packets one plan puts on the µEngine.
+//! its prepared packets on it end-to-end; the scan µEngine's pool runs one
+//! scanner job per scan group. A job blocks on its pipes while holding its
+//! worker, so a job must never queue behind other jobs — it always gets a
+//! thread, and the only stall left in a pipelined plan is a real waits-for
+//! cycle (the [`deadlock`](crate::deadlock) resolver's job). The pool's size
+//! is bounded by what admission lets run: `queue_depth` queries × the
+//! packets (or scans) one plan puts on the µEngine.
 //!
 //! Shutdown (`Drop`) discards every queued job before joining the workers.
 //! Dropping a queued packet job drops its `Packet`, which detaches the
 //! packet's child pipe consumers — any upstream producer blocked on a full
 //! pipe wakes and observes the detach, so in-flight jobs on other pools can
 //! always finish and the join cannot wedge.
+//!
+//! [`ServiceThread`] is the engine's periodic housekeeping: one thread that
+//! runs a tick (deadlock resolution, then the admission sweep) every
+//! interval, woken and joined when it drops.
 
 use parking_lot::{Condvar, Mutex};
-use qpipe_common::Metrics;
+use qpipe_common::{Metrics, QError, QResult};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Job {
     run: Box<dyn FnOnce() + Send>,
@@ -83,7 +89,11 @@ impl WorkerPool {
             match spawned {
                 Ok(h) => st.workers.push(h),
                 Err(_) => {
-                    st.queue.pop_back();
+                    // Dropped without the pool lock: a job's drop guard may
+                    // take locks of its own.
+                    let refused = st.queue.pop_back();
+                    drop(st);
+                    drop(refused);
                     return false;
                 }
             }
@@ -91,6 +101,37 @@ impl WorkerPool {
         drop(st);
         self.shared.cv.notify_one();
         true
+    }
+
+    /// Refuse further jobs, discard the queued ones and join the workers
+    /// (what `Drop` does; idempotent).
+    pub(crate) fn shutdown(&self) {
+        let (discarded, workers) = {
+            let mut st = self.shared.state.lock();
+            st.shutdown = true;
+            (std::mem::take(&mut st.queue), std::mem::take(&mut st.workers))
+        };
+        // Dropping queued jobs detaches their packets' pipe consumers, which
+        // wakes any producer blocked on a full pipe — running jobs drain or
+        // observe the detach and finish, so the join below terminates.
+        drop(discarded);
+        self.shared.cv.notify_all();
+        // If one of the pool's own jobs drops the last handle to it, the
+        // worker running that job cannot join itself. It exits on its own
+        // once this drop returns — `shutdown` is set and the queue is empty.
+        let me = std::thread::current().id();
+        for h in workers {
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
+        }
+    }
+
+    /// `(workers spawned, workers idle)`.
+    #[cfg(test)]
+    pub(crate) fn workers(&self) -> (usize, usize) {
+        let st = self.shared.state.lock();
+        (st.workers.len(), st.idle)
     }
 }
 
@@ -115,10 +156,11 @@ fn worker_loop(shared: &PoolShared) {
         let caught = catch_unwind(AssertUnwindSafe(job.run));
         shared.metrics.add_worker_busy_ns(shared.name, started.elapsed().as_nanos() as u64);
         if caught.is_err() {
-            // Jobs carry their own containment (the engine closure fails its
-            // host under catch_unwind); reaching this backstop means the
-            // containment handler itself panicked. Count it and keep serving
-            // — a pool worker must never die to a poisoned packet.
+            // Jobs carry their own containment (a packet job fails its host
+            // under catch_unwind, a scanner job's drop guard fails its group
+            // as it unwinds); reaching this backstop means a job unwound past
+            // it. Count it and keep serving — a pool worker must never die to
+            // a poisoned packet.
             shared.metrics.add_worker_panic();
         }
     }
@@ -126,24 +168,48 @@ fn worker_loop(shared: &PoolShared) {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let (discarded, workers) = {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            (std::mem::take(&mut st.queue), std::mem::take(&mut st.workers))
-        };
-        // Dropping queued jobs detaches their packets' pipe consumers, which
-        // wakes any producer blocked on a full pipe — running jobs drain or
-        // observe the detach and finish, so the join below terminates.
-        drop(discarded);
-        self.shared.cv.notify_all();
-        // If one of the pool's own jobs drops the last handle to it, the
-        // worker running that job cannot join itself. It exits on its own
-        // once this drop returns — `shutdown` is set and the queue is empty.
-        let me = std::thread::current().id();
-        for h in workers {
-            if h.thread().id() != me {
-                let _ = h.join();
-            }
+        self.shutdown();
+    }
+}
+
+/// A periodic service thread (named `qpipe-service`): runs `tick` every
+/// `interval` until dropped. Drop wakes it at once and joins it, so it never
+/// outlives its owner.
+pub struct ServiceThread {
+    stop: Arc<(Mutex<bool>, Condvar)>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl ServiceThread {
+    /// `Err` when the OS refuses the thread.
+    pub fn spawn(interval: Duration, mut tick: impl FnMut() + Send + 'static) -> QResult<Self> {
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let flag = stop.clone();
+        let handle = std::thread::Builder::new()
+            .name("qpipe-service".into())
+            .spawn(move || loop {
+                {
+                    let mut stopped = flag.0.lock();
+                    if !*stopped {
+                        flag.1.wait_for(&mut stopped, interval);
+                    }
+                    if *stopped {
+                        return;
+                    }
+                }
+                tick();
+            })
+            .map_err(|e| QError::Exec(format!("spawn service thread: {e}")))?;
+        Ok(Self { stop, handle: Some(handle) })
+    }
+}
+
+impl Drop for ServiceThread {
+    fn drop(&mut self) {
+        *self.stop.0.lock() = true;
+        self.stop.1.notify_all();
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
         }
     }
 }
@@ -154,10 +220,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Barrier};
     use std::time::Duration;
-
-    fn spawned(pool: &WorkerPool) -> usize {
-        pool.shared.state.lock().workers.len()
-    }
 
     /// Every job waits for all the others: on any design where a job can
     /// queue behind a blocked worker this never completes.
@@ -176,7 +238,7 @@ mod tests {
         for _ in 0..64 {
             rx.recv_timeout(Duration::from_secs(10)).expect("a job waited behind a blocked worker");
         }
-        assert_eq!(spawned(&pool), 64);
+        assert_eq!(pool.workers().0, 64);
     }
 
     #[test]
@@ -189,11 +251,11 @@ mod tests {
             assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), i);
             // The worker parks a few instructions after its job's last
             // effect; the next job must find it idle, not spawn a second.
-            while pool.shared.state.lock().idle == 0 {
+            while pool.workers().1 == 0 {
                 std::thread::yield_now();
             }
         }
-        assert_eq!(spawned(&pool), 1);
+        assert_eq!(pool.workers().0, 1);
     }
 
     #[test]
@@ -202,7 +264,7 @@ mod tests {
         let pool = WorkerPool::new("test", metrics.clone());
         assert!(pool.execute(|| panic!("poisoned job")));
         // The worker counts the panic, then parks: it survived.
-        while pool.shared.state.lock().idle == 0 {
+        while pool.workers().1 == 0 {
             std::thread::yield_now();
         }
         // The next job finds that worker idle and runs on it.
@@ -210,7 +272,7 @@ mod tests {
         assert!(pool.execute(move || tx.send(7).unwrap()));
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), 7);
         assert_eq!(metrics.snapshot().worker_panics, 1);
-        assert_eq!(spawned(&pool), 1, "the panicked worker ran the next job");
+        assert_eq!(pool.workers().0, 1, "the panicked worker ran the next job");
     }
 
     #[test]
@@ -273,9 +335,33 @@ mod tests {
     #[test]
     fn execute_after_shutdown_returns_false() {
         let pool = WorkerPool::new("test", Metrics::new());
-        // Simulate shutdown without dropping (so we can still call execute).
-        pool.shared.state.lock().shutdown = true;
+        // Shut down without dropping (so we can still call execute).
+        pool.shutdown();
         assert!(!pool.execute(|| unreachable!("must not run")));
-        assert_eq!(spawned(&pool), 0);
+        assert_eq!(pool.workers().0, 0);
+    }
+
+    #[test]
+    fn service_thread_ticks_until_dropped() {
+        let (tx, rx) = mpsc::channel();
+        let service = ServiceThread::spawn(Duration::from_millis(1), move || {
+            let _ = tx.send(());
+        })
+        .unwrap();
+        for _ in 0..3 {
+            rx.recv_timeout(Duration::from_secs(5)).expect("the service never ticked");
+        }
+        drop(service);
+        // Joined: the tick closure (and its sender) is gone.
+        while rx.try_recv().is_ok() {}
+        assert!(rx.recv_timeout(Duration::from_secs(5)).is_err());
+    }
+
+    #[test]
+    fn dropping_a_service_thread_does_not_wait_out_its_interval() {
+        let service = ServiceThread::spawn(Duration::from_secs(3600), || {}).unwrap();
+        let started = Instant::now();
+        drop(service);
+        assert!(started.elapsed() < Duration::from_secs(60), "drop waited for the next tick");
     }
 }

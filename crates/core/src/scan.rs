@@ -1,17 +1,20 @@
 //! Circular scans (paper §4.3.1, Figure 7).
 //!
-//! A dedicated *scanner thread* serves each in-progress shared scan of a
-//! relation. The first scan request starts the scanner; later requests attach
-//! as satellites. Per-consumer predicates/projections are applied by the
-//! scanner, so queries with *different* selection predicates still share one
-//! physical scan — the property Figure 12's random-predicate TPC-H mix
-//! exploits. With OSP disabled every request gets a dedicated scanner and all
-//! sharing degenerates to buffer-pool timing — the paper's Baseline.
+//! A *scanner* serves each in-progress shared scan of a relation. It is a job
+//! on the scan µEngine's pool (§4.2: a µEngine is a queue served by a pool of
+//! threads): it holds its worker until the scan ends, then the worker goes
+//! back to the pool for the next group. The first scan request starts the
+//! scanner; later requests attach as satellites. Per-consumer
+//! predicates/projections are applied by the scanner, so queries with
+//! *different* selection predicates still share one physical scan — the
+//! property Figure 12's random-predicate TPC-H mix exploits. With OSP
+//! disabled every request gets a dedicated scanner and all sharing
+//! degenerates to buffer-pool timing — the paper's Baseline.
 //!
-//! The scanner thread is the group's only reader: it claims one page at a
-//! time, fetches and decodes it, and runs every consumer's kernel itself, so
-//! the group reads its file in page order — which the disk charges as
-//! sequential reads (`disk_seq_reads`) rather than seeks.
+//! The scanner is the group's only reader: it claims one page at a time,
+//! fetches and decodes it, and runs every consumer's kernel itself, so the
+//! group reads its file in page order — which the disk charges as sequential
+//! reads (`disk_seq_reads`) rather than seeks.
 //!
 //! # Scan start and attach rules
 //!
@@ -26,8 +29,8 @@
 //!   not claimed yet. The newcomer joins at position 0 with the host: same
 //!   page sequence, no wrap, column-union pruning stays on, and ordered
 //!   consumers are welcome. [`ScanManager::submit`] attaches or indexes a
-//!   group under one lock, and indexes it *before* spawning its scanner
-//!   thread, so the scans of a burst submitted right behind the first one
+//!   group under one lock, and indexes it *before* handing its scanner to
+//!   the pool, so the scans of a burst submitted right behind the first one
 //!   land here, from whichever thread dispatches them. So does everything
 //!   submitted while the table is exclusively locked (§4.3.4): the scanner
 //!   blocks on the shared lock before it claims anything.
@@ -50,6 +53,7 @@
 //! still in its inbox is visible to the detector.
 
 use crate::pipe::PipeProducer;
+use crate::pool::WorkerPool;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
 use qpipe_common::{ColBatch, Metrics, QError, QResult, SelVec};
@@ -227,7 +231,7 @@ impl ScanConsumer {
     /// very refs). If either ever breaks, the pruning state is corrupt and
     /// evaluating re-indexed expressions would read the wrong columns; the
     /// containment contract wants that surfaced as a clean packet failure
-    /// (`Err` → `fail_group`), never a panic out of the scanner thread.
+    /// (`Err` → `fail_group`), never a panic out of the scanner.
     fn refresh_pruned(&mut self, union: &[usize]) -> QResult<()> {
         if self.pruned.as_ref().is_some_and(|p| p.cols == union) {
             return Ok(());
@@ -275,9 +279,9 @@ struct GroupInner {
     position: u64,
     /// Total pages read by this scanner (0 ⇒ brand new, ordered-joinable).
     pages_read: u64,
-    /// Consumers waiting to be adopted by the scanner thread.
+    /// Consumers waiting to be adopted by the scanner.
     inbox: Vec<ScanConsumer>,
-    /// Set when the scanner thread has exited; no further attaches.
+    /// Set when the scanner has returned; no further attaches.
     finished: bool,
     /// A consumer attached after the scan started (`pages_read > 0`): the
     /// scan will wrap and re-visit pages. Disables union pruning on
@@ -289,10 +293,10 @@ struct GroupInner {
     staggered: bool,
 }
 
-/// One shared scan of one table, driven by a dedicated scanner thread.
+/// One shared scan of one table, driven by one scanner job.
 pub struct ScanGroup {
     table: String,
-    /// The scanner thread's identity in the waits-for graph (§4.3.3: all
+    /// The scanner's identity in the waits-for graph (§4.3.3: all
     /// outputs of one executing thread share one node). Every enrolled
     /// request's pipe is re-pointed at it *when it enrolls*, not when the
     /// scanner adopts it: a request parked in the inbox of a scanner that is
@@ -338,11 +342,16 @@ pub struct ScanManager {
     osp: bool,
     metrics: Metrics,
     groups: Mutex<HashMap<String, Vec<Arc<ScanGroup>>>>,
+    /// The scan µEngine's pool: one job per group runs its scanner. A job
+    /// holds an `Arc` of the manager, so the last one to finish may drop
+    /// the pool on its own worker (`pool.rs` allows it).
+    pool: WorkerPool,
 }
 
 impl ScanManager {
     pub fn new(ctx: ExecContext, osp: bool, metrics: Metrics) -> Arc<Self> {
-        Arc::new(Self { ctx, osp, metrics, groups: Mutex::new(HashMap::new()) })
+        let pool = WorkerPool::new("scan", metrics.clone());
+        Arc::new(Self { ctx, osp, metrics, groups: Mutex::new(HashMap::new()), pool })
     }
 
     /// Number of live scan groups for `table` (tests/metrics).
@@ -351,7 +360,7 @@ impl ScanManager {
     }
 
     /// Submit a scan request: attach to an in-progress scanner when OSP
-    /// allows it, otherwise start a dedicated scanner thread. The attach
+    /// allows it, otherwise start a new group and its scanner. The attach
     /// attempt and a new group's indexing happen under one `groups` lock, so
     /// the scans of a burst, dispatched from different threads, all find the
     /// first one's group.
@@ -379,20 +388,19 @@ impl ScanManager {
     }
 
     /// Index a new group for `req` under the caller's `groups` lock, release
-    /// it, then spawn the group's scanner.
+    /// it, then hand the group's scanner to the pool.
     fn start_group(
         self: &Arc<Self>,
         mut groups: parking_lot::MutexGuard<'_, HashMap<String, Vec<Arc<ScanGroup>>>>,
         req: ScanRequest,
     ) -> QResult<()> {
-        // Validate the table before spawning.
-        let table = req.table.clone();
-        let info = self.ctx.catalog.table(&table)?;
-        let num_pages = info.num_pages()?;
+        // Validate the table before indexing.
+        let info = self.ctx.catalog.table(&req.table)?;
+        let (file, num_pages) = (info.file_id(), info.num_pages()?);
         let node = crate::packet::fresh_node();
         req.output.pipe().set_producer_node(node);
         let group = Arc::new(ScanGroup {
-            table: table.clone(),
+            table: req.table.clone(),
             node,
             inner: Mutex::new(GroupInner {
                 position: 0,
@@ -402,53 +410,10 @@ impl ScanManager {
                 staggered: false,
             }),
         });
-        groups.entry(table.clone()).or_default().push(group.clone());
+        groups.entry(group.table.clone()).or_default().push(group.clone());
         drop(groups);
-        let mgr = self.clone();
-        let group_outer = group.clone();
-        let spawned =
-            std::thread::Builder::new().name(format!("qpipe-scan-{table}")).spawn(move || {
-                // Backstop containment: the page-fetch path inside
-                // `run_scanner` already converts panics to errors while the
-                // consumer list is intact; this outer catch only covers
-                // panics elsewhere, so the group still leaves the index and
-                // refuses attaches instead of accepting them forever.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    mgr.run_scanner(&group, num_pages);
-                }));
-                if caught.is_err() {
-                    mgr.metrics.add_worker_panic();
-                    mgr.fail_group(
-                        &group,
-                        &mut Vec::new(),
-                        QError::Exec(format!("scanner thread for {} panicked", group.table)),
-                    );
-                }
-                // Remove the group from the index.
-                let mut groups = mgr.groups.lock();
-                if let Some(v) = groups.get_mut(&group.table) {
-                    v.retain(|g| !Arc::ptr_eq(g, &group));
-                    if v.is_empty() {
-                        groups.remove(&group.table);
-                    }
-                }
-            });
-        if let Err(e) = spawned {
-            // The closure (and its group/mgr handles) was dropped by the
-            // failed spawn; unindex the group and fail its inbox so the
-            // requesting packet observes the error instead of hanging.
-            let mut groups = self.groups.lock();
-            if let Some(v) = groups.get_mut(&table) {
-                v.retain(|g| !Arc::ptr_eq(g, &group_outer));
-                if v.is_empty() {
-                    groups.remove(&table);
-                }
-            }
-            drop(groups);
-            let err = QError::Exec(format!("spawn scanner for {table}: {e}"));
-            self.fail_group(&group_outer, &mut Vec::new(), err.clone());
-            return Err(err);
-        }
+        let job = ScannerJob { mgr: self.clone(), group, clean: false };
+        self.pool.execute(move || job.run(file, num_pages));
         Ok(())
     }
 
@@ -515,7 +480,7 @@ impl ScanManager {
         Ok((batch, pruned, FetchObs { fetch_ns, decode_ns, retries }))
     }
 
-    /// Serve one claimed page on the scanner thread: fetch + decode it once,
+    /// Serve one claimed page on the scanner: fetch + decode it once,
     /// then run every consumer's predicate/projection kernel over the shared
     /// batch and push the result. A consumer that was abandoned, or has now
     /// seen every page, leaves `consumers`; returns whether any left.
@@ -597,25 +562,20 @@ impl ScanManager {
         Ok(left)
     }
 
-    /// The scanner thread body: circular page delivery to all consumers.
+    /// The scanner body: circular page delivery to all consumers.
     ///
     /// Each iteration adopts newcomers and claims one page under the group
     /// lock — advancing the position *at claim time*, so the attach rules
-    /// see the truth — then serves that page on this thread. One reader
+    /// see the truth — then serves that page itself. One reader
     /// takes the file in page order, which the disk charges as sequential
     /// reads; attach/detach, column-union pruning and failure are all
     /// decided here, between pages.
-    fn run_scanner(&self, group: &Arc<ScanGroup>, num_pages: u64) {
-        let info = match self.ctx.catalog.table(&group.table) {
-            Ok(i) => i,
-            Err(_) => return,
-        };
+    fn run_scanner(&self, group: &Arc<ScanGroup>, file: qpipe_storage::FileId, num_pages: u64) {
         // Shared table lock held for the whole scan (§4.3.4: if the table is
         // locked for writing, the scan — and all its satellites — waits).
         // Nothing is claimed before the lock is granted, so requests arriving
         // meanwhile attach at position 0.
         let _lock = self.ctx.catalog.locks().lock_shared(&group.table);
-        let file = info.file_id();
         let mut consumers: Vec<ScanConsumer> = Vec::new();
         // The union of all consumers' referenced columns, recomputed only
         // when group membership changes (attach/finish) — not per page. A
@@ -683,8 +643,7 @@ impl ScanManager {
             // surfacing through the buffer pool) is converted to an error
             // here, while the consumer list is still intact, so `fail_group`
             // poisons every attached packet with an error naming the page.
-            // The catch around the whole thread in `start_group` is only a
-            // backstop.
+            // The job's drop guard (`ScannerJob`) is only a backstop.
             let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.serve_page(
                     file,
@@ -711,6 +670,40 @@ impl ScanManager {
             }
             if (position + 1).is_multiple_of(num_pages) && !consumers.is_empty() {
                 self.metrics.add_circular_wrap();
+            }
+        }
+    }
+}
+
+/// A scanner job's hold on its group, moved into the job. Dropped, it takes
+/// the group out of the index. Dropped before the scanner returned — the job
+/// unwound, or the pool refused it and dropped it unrun — it first fails
+/// every packet still enrolled, so none reads a truncated scan as complete.
+struct ScannerJob {
+    mgr: Arc<ScanManager>,
+    group: Arc<ScanGroup>,
+    clean: bool,
+}
+
+impl ScannerJob {
+    fn run(mut self, file: qpipe_storage::FileId, num_pages: u64) {
+        self.mgr.run_scanner(&self.group, file, num_pages);
+        self.clean = true;
+    }
+}
+
+impl Drop for ScannerJob {
+    fn drop(&mut self) {
+        let (mgr, group) = (&self.mgr, &self.group);
+        if !self.clean {
+            let err = QError::Exec(format!("scanner for {} did not finish", group.table));
+            mgr.fail_group(group, &mut Vec::new(), err);
+        }
+        let mut groups = mgr.groups.lock();
+        if let Some(v) = groups.get_mut(&group.table) {
+            v.retain(|g| !Arc::ptr_eq(g, group));
+            if v.is_empty() {
+                groups.remove(&group.table);
             }
         }
     }
@@ -1392,37 +1385,45 @@ mod tests {
     }
 
     /// Scan-start contract (c): a scanner that starts at once also ends at
-    /// once — back-to-back one-page scans each leave no group indexed and no
-    /// scanner thread behind (an instant disk makes the scan itself
-    /// negligible, so start/stop bookkeeping is all there is).
+    /// once, and hands its worker back — 200 back-to-back one-page scans each
+    /// leave no group indexed, and one scan worker runs them all (an instant
+    /// disk makes the scan itself negligible, so start/stop bookkeeping is all
+    /// there is).
     #[test]
-    fn back_to_back_single_page_scans_leave_no_group_or_thread_behind() {
-        // Own table name ⇒ own scanner-thread name, distinguishable from the
-        // scanners of tests running in parallel in this process.
+    fn back_to_back_single_page_scans_leave_no_group_and_reuse_one_worker() {
         let (ctx, metrics) = ctx_with_named_table("tiny", 10, qpipe_storage::StorageLayout::Row);
         assert_eq!(ctx.catalog.table("tiny").unwrap().num_pages().unwrap(), 1);
         let mgr = manager(&ctx, &metrics, true);
         let reg = Arc::new(WaitRegistry::new());
-        let scanner_threads = || {
-            std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
-                tasks
-                    .flatten()
-                    .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
-                    .filter(|comm| comm.trim_end() == "qpipe-scan-tiny")
-                    .count()
-            })
-        };
-        // The consumer sees EOF a few instructions before the scanner thread
-        // unindexes its group and exits.
         for i in 0..200 {
             let (mut req, c) = request(&reg, false, false);
             req.table = "tiny".into();
             mgr.submit(req).unwrap();
             assert_eq!(c.collect_tuples().unwrap().len(), 10, "scan {i}");
-            poll_until("a finished scan left its group indexed", || mgr.group_count("tiny") == 0);
+            // The consumer sees EOF a few instructions before the scanner job
+            // unindexes its group and its worker parks again.
+            poll_until("a finished scan left its group indexed or its worker busy", || {
+                mgr.group_count("tiny") == 0 && mgr.pool.workers().1 == 1
+            });
         }
-        poll_until("a scanner thread outlived its scan", || scanner_threads() == 0);
+        assert_eq!(mgr.pool.workers().0, 1, "one scan worker ran all 200 scans");
         assert_eq!(metrics.snapshot().circular_wraps, 0);
+    }
+
+    /// A scanner job the pool refuses (shut down, or no thread to be had) is
+    /// dropped unrun: its guard fails the packet — an error, never a clean
+    /// EOF — and takes the group out of the index.
+    #[test]
+    fn scanner_job_the_pool_refuses_fails_its_packet_and_leaves_no_group() {
+        let (ctx, m) = ctx_with_table(100);
+        let mgr = manager(&ctx, &m, true);
+        mgr.pool.shutdown();
+        let reg = Arc::new(WaitRegistry::new());
+        let (req, c) = request(&reg, false, false);
+        mgr.submit(req).unwrap();
+        assert_eq!(mgr.group_count("t"), 0, "the refused group left the index");
+        let err = c.collect_tuples().expect_err("an unrun scan must not read as complete");
+        assert!(matches!(err, QError::Exec(_)), "got {err:?}");
     }
 
     /// A request enrolled in the inbox of a scanner that is itself parked on

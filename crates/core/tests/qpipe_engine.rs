@@ -360,7 +360,7 @@ fn shared_pipeline_deadlock_is_detected_and_resolved() {
     }
     let mut config = QPipeConfig {
         pipe: qpipe_core::pipe::PipeConfig { capacity: 1 },
-        deadlock_interval: Duration::from_millis(5),
+        service_interval: Duration::from_millis(5),
         ..QPipeConfig::default()
     };
     config.host_backfill = 0;

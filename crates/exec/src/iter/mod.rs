@@ -41,9 +41,10 @@ pub struct ExecConfig {
     /// Effectively unbounded by default (single-query behavior unchanged).
     pub global_budget: usize,
     /// Wall-clock execution deadline per query. In the staged engine the
-    /// admission sweeper fires the plan's cancel tokens and fails the output
-    /// with `QError::Timeout` once a running query exceeds it. `None`
-    /// (default) disables deadline enforcement.
+    /// service thread's admission sweep fires the plan's cancel tokens and
+    /// fails the output with `QError::Timeout` within one service tick of a
+    /// running query exceeding it. `None` (default) disables deadline
+    /// enforcement.
     pub query_deadline: Option<std::time::Duration>,
     /// Per-query tracing and profiling. When `true` every submitted query
     /// gets a `QueryTrace` event journal and an `OpProbe` tree behind

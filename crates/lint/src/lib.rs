@@ -25,12 +25,12 @@
 //! (`lint-baseline.txt`) — it may only shrink (see [`baseline`]).
 //!
 //! **R2 — thread hygiene** (`lint:allow(R2)` / `lint:allow(thread)`).
-//! `thread::spawn` / `thread::Builder` are permitted only in the explicit
-//! allowlist — `pool.rs` (the `WorkerPool` itself), the `admit.rs` sweeper,
-//! and the `scan.rs` scanner — so new concurrency must route through
-//! `WorkerPool`, inheriting its `catch_unwind` containment, abandon guards,
-//! and busy accounting. Long-lived service threads elsewhere carry inline
-//! waivers naming their join story.
+//! `thread::spawn` / `thread::Builder` are permitted only in `pool.rs`, home
+//! of the `WorkerPool` and the engine's one periodic `ServiceThread` — every
+//! engine thread, the scan µEngine's scanners included, comes from there. New
+//! concurrency must route through `WorkerPool`, inheriting its `catch_unwind`
+//! containment, drop guards and busy accounting; a spawn anywhere else needs
+//! an inline waiver naming its join story.
 //!
 //! **R3 — lock discipline** (`lint:allow(R3)` / `lint:allow(lock)`).
 //! Two checks. (a) No blocking call — `.send(`, `.recv(`, `.wait(` — while a

@@ -87,7 +87,8 @@ pub struct Config {
     /// harness crates legitimately spawn client threads and panic in tests).
     pub engine_crates: Vec<String>,
     /// Files where `thread::spawn`/`thread::Builder` is allowed (R2): all
-    /// other concurrency must route through `WorkerPool`.
+    /// other concurrency must route through `pool.rs` (`WorkerPool`,
+    /// `ServiceThread`).
     pub spawn_allowlist: Vec<String>,
     /// The metrics hub file (R4); `None` disables R4 (fixture tests).
     pub metrics_file: Option<String>,
@@ -100,14 +101,9 @@ impl Default for Config {
                 .iter()
                 .map(|c| format!("crates/{c}/src/"))
                 .collect(),
-            spawn_allowlist: [
-                "crates/core/src/pool.rs",  // the WorkerPool itself
-                "crates/core/src/admit.rs", // the admission sweeper service
-                "crates/core/src/scan.rs",  // the circular scanner service
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            // The WorkerPool and the engine's one ServiceThread: every
+            // engine thread, scanners included, comes from here.
+            spawn_allowlist: vec!["crates/core/src/pool.rs".into()],
             metrics_file: Some("crates/common/src/metrics.rs".into()),
         }
     }

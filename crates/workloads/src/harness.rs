@@ -429,53 +429,66 @@ pub fn open_loop(
     interarrival_paper: f64,
     scale: TimeScale,
 ) -> OpenLoopResult {
+    run_open_loop(driver, plans, interarrival_paper, scale, |plan, class| match driver.engine() {
+        Some(engine) => engine.submit_with(plan, class).map(Arrival::Handle),
+        None => Ok(Arrival::Run(plan)),
+    })
+}
+
+/// How one arrival entered the system.
+enum Arrival {
+    /// Accepted by the staged engine's admission queue.
+    Handle(QueryHandle),
+    /// For the iterator engine: the plan to run on a thread of its own.
+    Run(PlanNode),
+}
+
+/// The open loop behind [`open_loop`] and [`open_loop_sql`]: `queries[i]`
+/// arrives at `i × interarrival` and enters the system through `submit`.
+/// Every accepted query gets a collector thread; an arrival `submit` refuses
+/// settles on the spot — `Rejected` for an admission error, `Failed` for any
+/// other. Collectors time submission → last row, the per-query response
+/// latency the per-class p50/p95/p99 report summarizes. When the engine
+/// traces, a failed query's journal rides along for the post-mortem dump.
+fn run_open_loop<Q>(
+    driver: &Driver,
+    queries: Vec<(Q, QueryClass)>,
+    interarrival_paper: f64,
+    scale: TimeScale,
+    submit: impl Fn(Q, QueryClass) -> QResult<Arrival>,
+) -> OpenLoopResult {
     let before = driver.metrics().snapshot();
     let start = Instant::now();
-    let n = plans.len();
-    let classes: Vec<QueryClass> = plans.iter().map(|(_, c)| *c).collect();
+    let n = queries.len();
+    let classes: Vec<QueryClass> = queries.iter().map(|(_, c)| *c).collect();
     let settled: Vec<Settled> = std::thread::scope(|s| {
-        // A collector thread per *accepted* query; arrivals settled at
-        // submission (rejections, submit errors) resolve without one.
-        // Collectors time submission → last row, the per-query response
-        // latency the per-class p50/p95/p99 report summarizes. When the
-        // engine traces, a failed query's journal rides along for the
-        // post-mortem dump.
         let mut pending: Vec<Result<_, OpenLoopOutcome>> = Vec::with_capacity(n);
-        for (i, (plan, class)) in plans.into_iter().enumerate() {
+        for (i, (query, class)) in queries.into_iter().enumerate() {
             let due = scale.to_real(interarrival_paper * i as f64);
             if let Some(wait) = due.checked_sub(start.elapsed()) {
                 std::thread::sleep(wait);
             }
-            if driver.engine().is_some() {
-                let submitted = Instant::now();
-                match driver.submit_with(plan, class).expect("staged engine") {
-                    Ok(handle) => pending.push(Ok(s.spawn(move || {
-                        let trace = handle.trace();
-                        match handle.try_collect() {
-                            Ok(rows) => (
-                                OpenLoopOutcome::Completed(rows.len()),
-                                Some(submitted.elapsed()),
-                                None,
-                            ),
-                            Err(QError::Admission(msg)) => {
-                                (OpenLoopOutcome::Rejected(msg), None, None)
-                            }
-                            Err(e) => (OpenLoopOutcome::Failed(e), None, trace.map(|t| t.render())),
-                        }
-                    }))),
-                    Err(QError::Admission(msg)) => {
-                        pending.push(Err(OpenLoopOutcome::Rejected(msg)))
+            let submitted = Instant::now();
+            pending.push(match submit(query, class) {
+                Ok(Arrival::Handle(handle)) => Ok(s.spawn(move || {
+                    let trace = handle.trace();
+                    match handle.try_collect() {
+                        Ok(rows) => (
+                            OpenLoopOutcome::Completed(rows.len()),
+                            Some(submitted.elapsed()),
+                            None,
+                        ),
+                        Err(QError::Admission(msg)) => (OpenLoopOutcome::Rejected(msg), None, None),
+                        Err(e) => (OpenLoopOutcome::Failed(e), None, trace.map(|t| t.render())),
                     }
-                    Err(e) => pending.push(Err(OpenLoopOutcome::Failed(e))),
-                }
-            } else {
-                // Iterator engine: run the whole query on its own thread.
-                let submitted = Instant::now();
-                pending.push(Ok(s.spawn(move || match driver.run(plan) {
+                })),
+                Ok(Arrival::Run(plan)) => Ok(s.spawn(move || match driver.run(plan) {
                     Ok(rows) => (OpenLoopOutcome::Completed(rows), Some(submitted.elapsed()), None),
                     Err(e) => (OpenLoopOutcome::Failed(e), None, None),
-                })));
-            }
+                })),
+                Err(QError::Admission(msg)) => Err(OpenLoopOutcome::Rejected(msg)),
+                Err(e) => Err(OpenLoopOutcome::Failed(e)),
+            });
         }
         pending
             .into_iter()
@@ -538,68 +551,10 @@ pub fn open_loop_sql(
     scale: TimeScale,
     opts: &PlannerOptions,
 ) -> OpenLoopResult {
-    let before = driver.metrics().snapshot();
-    let start = Instant::now();
-    let n = queries.len();
-    let classes: Vec<QueryClass> = queries.iter().map(|(_, c)| *c).collect();
-    let settled: Vec<Settled> = std::thread::scope(|s| {
-        let mut pending: Vec<Result<_, OpenLoopOutcome>> = Vec::with_capacity(n);
-        for (i, (sql, class)) in queries.into_iter().enumerate() {
-            let due = scale.to_real(interarrival_paper * i as f64);
-            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                std::thread::sleep(wait);
-            }
-            if driver.engine().is_some() {
-                let submitted = Instant::now();
-                match driver.submit_sql(&sql, class, opts).expect("staged engine") {
-                    Ok(handle) => pending.push(Ok(s.spawn(move || {
-                        let trace = handle.trace();
-                        match handle.try_collect() {
-                            Ok(rows) => (
-                                OpenLoopOutcome::Completed(rows.len()),
-                                Some(submitted.elapsed()),
-                                None,
-                            ),
-                            Err(QError::Admission(msg)) => {
-                                (OpenLoopOutcome::Rejected(msg), None, None)
-                            }
-                            Err(e) => (OpenLoopOutcome::Failed(e), None, trace.map(|t| t.render())),
-                        }
-                    }))),
-                    Err(QError::Admission(msg)) => {
-                        pending.push(Err(OpenLoopOutcome::Rejected(msg)))
-                    }
-                    Err(e) => pending.push(Err(OpenLoopOutcome::Failed(e))),
-                }
-            } else {
-                match driver.plan_sql(&sql, opts) {
-                    Ok(planned) => {
-                        let submitted = Instant::now();
-                        pending.push(Ok(s.spawn(move || {
-                            match driver.run((*planned.plan).clone()) {
-                                Ok(rows) => (
-                                    OpenLoopOutcome::Completed(rows),
-                                    Some(submitted.elapsed()),
-                                    None,
-                                ),
-                                Err(e) => (OpenLoopOutcome::Failed(e), None, None),
-                            }
-                        })))
-                    }
-                    Err(e) => pending.push(Err(OpenLoopOutcome::Failed(e))),
-                }
-            }
-        }
-        pending
-            .into_iter()
-            .map(|p| match p {
-                Ok(h) => h.join().expect("client thread"),
-                Err(settled) => (settled, None, None),
-            })
-            .collect()
-    });
-    let elapsed_paper = scale.to_paper(start.elapsed());
-    finish_open_loop(settled, classes, elapsed_paper, scale, driver, before)
+    run_open_loop(driver, queries, interarrival_paper, scale, |sql, class| match driver.engine() {
+        Some(engine) => engine.submit_sql_opts(&sql, class, opts).map(Arrival::Handle),
+        None => driver.plan_sql(&sql, opts).map(|planned| Arrival::Run((*planned.plan).clone())),
+    })
 }
 
 /// One leg of a [`mixed_phrasing_storm`].

@@ -1,12 +1,13 @@
-//! Engine lifecycle: shutdown must join every service thread, and the
-//! per-query deadline must terminate overdue work.
+//! Engine lifecycle: shutdown must join every engine thread, and the
+//! per-query deadline and the queue timeout must settle overdue work.
 //!
-//! `QPipe` owns a deadlock-detector thread, an admission-sweeper thread
-//! (when a queue timeout or execution deadline is configured), and transient
-//! worker/scanner threads; packets are dispatched on the submitting thread.
-//! Dropping the engine must wind all of them down — an engine-per-request
-//! embedding would otherwise accumulate threads until exhaustion (and a
-//! leaked sweeper would keep failing queries of a dead engine).
+//! `QPipe` owns one service thread — a deadlock-resolution pass and an
+//! admission sweep every tick — and its µEngine pools, whose workers (packet
+//! hosts and scanners alike) park until the engine drops; packets are
+//! dispatched on the submitting thread. Dropping the engine must wind all of
+//! them down — an engine-per-request embedding would otherwise accumulate
+//! threads until exhaustion (and a leaked service thread would keep failing
+//! queries of a dead engine).
 
 use qpipe::prelude::*;
 use qpipe::quick_system;
@@ -32,13 +33,13 @@ fn demo_catalog(rows: i64) -> Arc<Catalog> {
 }
 
 /// Build + query + drop an engine repeatedly: the thread count must return
-/// to baseline each time (detector, sweeper, pool workers, scanners — all
+/// to baseline each time (service thread, pool workers, scanners — all
 /// joined or wound down, none accumulated).
 #[test]
 fn repeated_engine_lifecycles_do_not_leak_threads() {
     let catalog = demo_catalog(500);
-    // Deadline + queue timeout force the admission sweeper thread to exist,
-    // so this exercises every service thread the engine can own.
+    // Deadline + queue timeout give the service thread's sweep work to do,
+    // so this exercises everything the engine's threads can be busy with.
     let config = QPipeConfig {
         exec: ExecConfig { query_deadline: Some(Duration::from_secs(30)), ..ExecConfig::default() },
         admit: AdmitConfig {
@@ -75,8 +76,9 @@ fn repeated_engine_lifecycles_do_not_leak_threads() {
 }
 
 /// End-to-end deadline: a query that outlives `query_deadline` is failed by
-/// the admission sweeper with `QError::Timeout`, its admission slots are
-/// released, and the engine stays usable for the next query.
+/// the service thread's admission sweep with `QError::Timeout`, its
+/// admission slots are released, and the engine stays usable for the next
+/// query.
 #[test]
 fn query_deadline_times_out_slow_queries_end_to_end() {
     // A latency-charging disk makes the multi-pass sort take real time.
@@ -121,7 +123,37 @@ fn query_deadline_times_out_slow_queries_end_to_end() {
     }
 }
 
-/// An injected panic on a scanner thread's page read fails only the packets
+/// End-to-end queue timeout: with one slot per µEngine, a query queued
+/// behind an undrained one is rejected by the service thread's admission
+/// sweep with `QError::Admission` once it outstays `queue_timeout`, and the
+/// engine serves the next query as soon as the slot frees.
+#[test]
+fn queue_timeout_rejects_a_queued_query_end_to_end() {
+    let catalog = demo_catalog(5000);
+    let config = QPipeConfig {
+        admit: AdmitConfig {
+            queue_depth: 1,
+            queue_timeout: Some(Duration::from_millis(20)),
+            ..AdmitConfig::default()
+        },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(catalog, config);
+    // Undrained: its scan parks on the full root pipe, holding the slot.
+    let first = engine.submit(PlanNode::scan("t")).unwrap();
+    let err = engine
+        .submit(PlanNode::scan("t"))
+        .unwrap()
+        .try_collect()
+        .expect_err("a query queued past its timeout must be rejected");
+    assert!(matches!(err, QError::Admission(_)), "got {err:?}");
+    assert_eq!(engine.metrics().snapshot().rejected, 1);
+    assert_eq!(first.try_collect().unwrap().len(), 5000);
+    let rows = engine.submit(PlanNode::scan("t")).unwrap().try_collect().unwrap();
+    assert_eq!(rows.len(), 5000, "the freed slot serves the next query");
+}
+
+/// An injected panic on a scanner's page read fails only the packets
 /// attached to that scan; the per-page catch counts it once, and the same
 /// engine keeps serving later queries.
 #[test]
@@ -130,7 +162,7 @@ fn injected_worker_panic_fails_only_owning_packet() {
     let catalog = demo_catalog(5000);
     let disk = catalog.disk().clone();
     let engine = QPipe::new(catalog, QPipeConfig::default());
-    // First read of t's block 0 panics on the scanner thread that fetches it.
+    // First read of t's block 0 panics on the scanner that fetches it.
     let rules = vec![FaultRule::new(FaultKind::Panic)
         .on_file("t")
         .on_blocks(0..1)

@@ -58,7 +58,7 @@ fn random_mix_under_random_configs_matches_reference() {
                 capacity: *[1usize, 2, 8, 32].get(rng.gen_range(0..4)).unwrap(),
             },
             host_backfill: rng.gen_range(0..16),
-            deadlock_interval: Duration::from_millis(rng.gen_range(3..25)),
+            service_interval: Duration::from_millis(rng.gen_range(3..25)),
             ..QPipeConfig::default()
         };
         let engine = QPipe::new(catalog, config);
@@ -91,7 +91,7 @@ fn tiny_pipes_with_sharing_never_wedge() {
     let config = QPipeConfig {
         pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
         host_backfill: 1,
-        deadlock_interval: Duration::from_millis(5),
+        service_interval: Duration::from_millis(5),
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog.clone(), config);
@@ -123,7 +123,7 @@ fn unshared_join_burst_resolves_no_deadlock() {
         plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap()).collect();
     let config = QPipeConfig {
         pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
-        deadlock_interval: Duration::from_millis(2),
+        service_interval: Duration::from_millis(2),
         ..QPipeConfig::baseline()
     };
     let engine = QPipe::new(catalog, config);

@@ -1,4 +1,4 @@
-//! Thread-count bounds: at boot, and under a query burst.
+//! Thread-count bounds: at boot, under a query burst, and after drop.
 //!
 //! The bounds are on the *process's* threads (`/proc/self/task`), so this
 //! test lives in an integration-test binary of its own — and is one `#[test]`,
@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// `(all threads, scanner threads)` of this process. The scanner threads of
-/// tables `t` and `u` are told apart by name (`qpipe-scan-<table>`).
+/// `(all threads, scan workers)` of this process. The scan µEngine's pool
+/// names its workers `qpipe-scan-w`, and one engine runs at a time here.
 fn live_threads() -> (usize, usize) {
     let mut all = 0;
     let mut scanners = 0;
@@ -20,7 +20,7 @@ fn live_threads() -> (usize, usize) {
         all += 1;
         // A thread may exit between the listing and the read: not a scanner.
         let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
-        scanners += usize::from(matches!(comm.trim_end(), "qpipe-scan-t" | "qpipe-scan-u"));
+        scanners += usize::from(comm.trim_end() == "qpipe-scan-w");
     }
     (all, scanners)
 }
@@ -35,14 +35,14 @@ fn settle(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// A default engine boots one thread, the deadlock detector: there is no
-/// sweeper without a queue timeout or deadline, packets are dispatched on the
-/// submitting thread, and pools start empty. A fault-free burst of distinct
-/// hash joins then grows the hashjoin pool to at most one worker per query
-/// admission lets run (the plan puts one packet on that µEngine; its scans
-/// are served by scanner threads, which live only as long as their scan) —
-/// no matter how many queries are submitted, and nothing is left behind but
-/// those workers.
+/// An engine boots one thread, its service thread, whether or not a queue
+/// timeout and an execution deadline are set: packets are dispatched on the
+/// submitting thread, and every pool starts empty. A fault-free burst of
+/// distinct hash joins then grows the hashjoin pool to at most one worker
+/// per query admission lets run (the plan puts one packet on that µEngine)
+/// and the scan pool to at most one worker per scan those queries run — no
+/// matter how many queries are submitted. Pool workers park until the
+/// engine drops; then every thread is gone.
 #[test]
 fn boot_and_query_burst_keep_thread_count_bounded() {
     let catalog = quick_system(DiskConfig::instant(), 256);
@@ -56,11 +56,21 @@ fn boot_and_query_burst_keep_thread_count_bounded() {
         ..QPipeConfig::default()
     };
     let before = live_threads().0;
-    let default_engine = QPipe::new(catalog.clone(), QPipeConfig::default());
-    let booted = live_threads().0 - before;
-    assert!(booted <= 1, "a default engine boots only its deadlock detector: {booted} threads");
-    drop(default_engine);
-    settle("the idle engine left threads behind", || live_threads().0 == before);
+    let timed = QPipeConfig {
+        exec: ExecConfig { query_deadline: Some(Duration::from_secs(30)), ..ExecConfig::default() },
+        admit: AdmitConfig {
+            queue_timeout: Some(Duration::from_secs(30)),
+            ..AdmitConfig::default()
+        },
+        ..QPipeConfig::default()
+    };
+    for idle in [QPipeConfig::default(), timed] {
+        let idle_engine = QPipe::new(catalog.clone(), idle);
+        let booted = live_threads().0 - before;
+        assert_eq!(booted, 1, "an engine boots one thread, its service thread");
+        drop(idle_engine);
+        settle("the idle engine left threads behind", || live_threads().0 == before);
+    }
 
     let engine = QPipe::new(catalog, config);
     assert_eq!(engine.config().admit.queue_depth, depth, "the configured depth is the depth");
@@ -98,12 +108,12 @@ fn boot_and_query_burst_keep_thread_count_bounded() {
     // At most `depth` queries run, each with one join packet and two scans.
     // A finished scanner may still be unindexing its group — and a finished
     // join worker still be on its way back to idle — while the query admitted
-    // in its place starts the next one, so allow one such thread per slot.
+    // in its place starts the next one, so allow one such worker per slot.
     // 48 queries, never 48 threads.
     let (worker_bound, scanner_bound) = (2 * depth, 2 * 2 * depth);
     assert!(
         peak_scanners <= scanner_bound,
-        "scanner threads must stay admission-bounded: peak {peak_scanners} > {scanner_bound}"
+        "scan workers must stay admission-bounded: peak {peak_scanners} > {scanner_bound}"
     );
     // `+ 1` is the sampler.
     assert!(
@@ -111,8 +121,8 @@ fn boot_and_query_burst_keep_thread_count_bounded() {
         "thread count must stay admission-bounded: peak {peak_all} > boot {boot} + {}",
         worker_bound + scanner_bound + 1
     );
-    settle("the burst left threads behind", || {
-        let (all, scanners) = live_threads();
-        scanners == 0 && all <= boot + worker_bound
-    });
+    // Idle workers park in their pools until the engine drops.
+    assert!(live_threads().0 <= boot + worker_bound + scanner_bound);
+    drop(engine);
+    settle("the dropped engine left threads behind", || live_threads().0 == before);
 }
