@@ -6,7 +6,8 @@
 //!   simultaneous pipelining),
 //! * plan-signature computation + OSP registry lookup (the per-packet cost
 //!   of run-time overlap detection — the paper's "negligible overhead"),
-//! * sort and hash-join kernels over the storage substrate.
+//! * sort and hash-join kernels over the storage substrate,
+//! * dictionary-coded string columns as columnar pages decode them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qpipe_common::colbatch::ColBatch;
@@ -416,7 +417,141 @@ fn hash_join_paths(c: &mut Criterion) {
             n
         })
     });
+    // The build side of Q8's and Q12's top join: 8 000 `orders` rows
+    // (orderkey, custkey, orderdate, orderpriority) frozen into a table.
+    let orders: Vec<ColBatch> = (0..8_000i64)
+        .map(|i| {
+            vec![
+                Value::Int(i * 4),
+                Value::Int(i % 800),
+                Value::Date((i % 2400) as i32),
+                Value::str(
+                    ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"][i as usize % 5],
+                ),
+            ]
+        })
+        .collect::<Vec<Tuple>>()
+        .chunks(chunk)
+        .map(ColBatch::from_rows)
+        .collect();
+    g.bench_function("build_8000", |b| {
+        b.iter(|| {
+            let mut build = HashJoinBuild::new(0);
+            for batch in &orders {
+                build.add(batch).unwrap();
+            }
+            build.finish().unwrap().build_rows()
+        })
+    });
     g.finish();
+}
+
+/// Strings as dictionary codes, where the engine meets them: in batches
+/// decoded from columnar pages. `take_filter_drop` is Q19's shape — a join
+/// probe's `take` of two `Str` columns over 31 823 rows of one page whose
+/// dictionaries hold 25 values each, an equality filter over both, and the
+/// drop. `q1_keys_page_dict` is Q1's group-by with its keys decoded from
+/// columnar pages (one dictionary per page), where
+/// `agg_update/q1_shape_vectorized` builds a fresh string per row.
+fn str_column(c: &mut Criterion) {
+    use qpipe_exec::viter::HashAgg;
+    use qpipe_storage::colpage::ColPageBuilder;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(19);
+    let sizes = ["SM", "MED", "LG", "JUMBO", "WRAP"];
+    let kinds = ["CASE", "BOX", "PACK", "PKG", "BAG"];
+    let brands: Vec<String> =
+        (0..25).map(|i| format!("Brand#{}{}", i / 5 + 1, i % 5 + 1)).collect();
+    let containers: Vec<String> =
+        (0..25).map(|i| format!("{} {}", sizes[i / 5], kinds[i % 5])).collect();
+    let schema = Schema::of(&[("p_brand", DataType::Str), ("p_container", DataType::Str)]);
+    let mut builder = ColPageBuilder::new(&schema);
+    loop {
+        let row = vec![
+            Value::str(&brands[rng.gen_range(0..25)]),
+            Value::str(&containers[rng.gen_range(0..25)]),
+        ];
+        if !builder.fits(&row) {
+            break;
+        }
+        builder.append(&row).expect("checked by fits");
+    }
+    let page = builder.finish().materialize().expect("a fresh page decodes");
+    let idx: Vec<u32> = (0..31_823).map(|_| rng.gen_range(0..page.len() as u32)).collect();
+    let pred = Expr::and([
+        Expr::col(0).eq(Expr::Lit(Value::str("Brand#12"))),
+        Expr::col(1).eq(Expr::Lit(Value::str("SM CASE"))),
+    ]);
+
+    let (rows, aggs) = q1_shape();
+    let schema = Schema::of(&[
+        ("l_quantity", DataType::Float),
+        ("l_extendedprice", DataType::Float),
+        ("l_discount", DataType::Float),
+        ("l_tax", DataType::Float),
+        ("l_returnflag", DataType::Str),
+        ("l_linestatus", DataType::Str),
+    ]);
+    let mut builder = ColPageBuilder::new(&schema);
+    let mut pages = Vec::new();
+    for row in &rows {
+        if !builder.fits(row) {
+            pages.push(builder.finish());
+        }
+        builder.append(row).expect("a row fits an empty page");
+    }
+    pages.push(builder.finish());
+    let batches: Vec<Arc<ColBatch>> =
+        pages.iter().map(|p| p.materialize().expect("a fresh page decodes")).collect();
+
+    let mut g = c.benchmark_group("str_column");
+    g.bench_function("take_filter_drop", |b| {
+        b.iter(|| {
+            let taken = page.take(&idx);
+            pred.eval_filter(&taken).unwrap().len()
+        })
+    });
+    g.bench_function("q1_keys_page_dict", |b| {
+        b.iter(|| {
+            let mut agg = HashAgg::new(vec![4, 5], aggs.clone());
+            for batch in &batches {
+                agg.update_cols(batch).unwrap();
+            }
+            agg.finish().len()
+        })
+    });
+    g.finish();
+}
+
+/// TPC-H Q1's aggregate over 32 768 rows: two low-cardinality `Str` keys (six
+/// groups, columns 4 and 5), eight aggregates, two of them over arithmetic.
+/// Columns: quantity, price, discount, tax, returnflag, linestatus.
+fn q1_shape() -> (Vec<Tuple>, Vec<AggSpec>) {
+    let rows = (0..32_768i64)
+        .map(|i| {
+            vec![
+                Value::Float((i % 50 + 1) as f64),
+                Value::Float(900.0 + (i % 9973) as f64 * 1.25),
+                Value::Float((i % 11) as f64 * 0.01),
+                Value::Float((i % 9) as f64 * 0.01),
+                Value::str(["A", "N", "R"][(i % 3) as usize]),
+                Value::str(["F", "O"][(i % 2) as usize]),
+            ]
+        })
+        .collect();
+    let disc_price = Expr::col(1).mul(Expr::lit(1.0).sub(Expr::col(2)));
+    let aggs = vec![
+        AggSpec::sum(Expr::col(0)),
+        AggSpec::sum(Expr::col(1)),
+        AggSpec::sum(disc_price.clone()),
+        AggSpec::sum(disc_price.mul(Expr::lit(1.0).add(Expr::col(3)))),
+        AggSpec::avg(Expr::col(0)),
+        AggSpec::avg(Expr::col(1)),
+        AggSpec::avg(Expr::col(2)),
+        AggSpec::count_star(),
+    ];
+    (rows, aggs)
 }
 
 fn agg_update_paths(c: &mut Criterion) {
@@ -435,32 +570,7 @@ fn agg_update_paths(c: &mut Criterion) {
         AggSpec::min(Expr::col(1)),
         AggSpec::avg(Expr::col(2)),
     ];
-    // TPC-H Q1: two low-cardinality `Str` keys (six groups), eight
-    // aggregates, two of them over arithmetic. Columns: quantity, price,
-    // discount, tax, returnflag, linestatus.
-    let q1_rows: Vec<Tuple> = (0..n)
-        .map(|i| {
-            vec![
-                Value::Float((i % 50 + 1) as f64),
-                Value::Float(900.0 + (i % 9973) as f64 * 1.25),
-                Value::Float((i % 11) as f64 * 0.01),
-                Value::Float((i % 9) as f64 * 0.01),
-                Value::str(["A", "N", "R"][(i % 3) as usize]),
-                Value::str(["F", "O"][(i % 2) as usize]),
-            ]
-        })
-        .collect();
-    let disc_price = Expr::col(1).mul(Expr::lit(1.0).sub(Expr::col(2)));
-    let q1_aggs = vec![
-        AggSpec::sum(Expr::col(0)),
-        AggSpec::sum(Expr::col(1)),
-        AggSpec::sum(disc_price.clone()),
-        AggSpec::sum(disc_price.mul(Expr::lit(1.0).add(Expr::col(3)))),
-        AggSpec::avg(Expr::col(0)),
-        AggSpec::avg(Expr::col(1)),
-        AggSpec::avg(Expr::col(2)),
-        AggSpec::count_star(),
-    ];
+    let (q1_rows, q1_aggs) = q1_shape();
     // TPC-H Q13's first aggregate: `count(*) group by custkey` — 8 000
     // joined rows, 800 `Int` groups.
     let q13_rows: Vec<Tuple> =
@@ -671,6 +781,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = pool_policies, host_fanout, signature_and_lookup, exec_kernels, scan_filter,
-        page_decode, page_verify, hash_join_paths, agg_update_paths, sort_paths, filter_project_paths
+        page_decode, page_verify, hash_join_paths, agg_update_paths, sort_paths, filter_project_paths,
+        str_column
 }
 criterion_main!(benches);

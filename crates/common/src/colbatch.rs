@@ -5,9 +5,10 @@
 //! `Arc<ColBatch>`, so simultaneous pipelining to N consumers shares one
 //! copy, and a columnar page's pool-resident batch goes on the wire as it
 //! is. A [`ColBatch`] stores one typed [`Column`] per attribute — a
-//! primitive slice (`i64` / `f64` / `Arc<str>` / `i32` days) plus an
-//! optional null bitmap — so predicate kernels can compare against
-//! contiguous memory with no per-row allocation and no `Value` cloning.
+//! primitive slice (`i64` / `f64` / `i32` days, or `u32` codes into a
+//! shared string dictionary) plus an optional null bitmap — so predicate
+//! kernels can compare against contiguous memory with no per-row allocation,
+//! no `Value` cloning and no per-row refcount.
 //!
 //! ## Layout
 //!
@@ -29,6 +30,7 @@
 //! projection, hash join, aggregation, and sort are batch-native.
 
 use crate::batch::Tuple;
+use crate::sim::fnv1a;
 use crate::value::{cmp_i64_f64, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -105,12 +107,26 @@ impl NullBitmap {
 pub enum ColumnData {
     Int64(Vec<i64>),
     Float64(Vec<f64>),
-    /// Interned strings: gathering bumps `Arc` refcounts, never copies bytes.
-    Str(Vec<Arc<str>>),
+    /// Dictionary-coded strings: row `i` is `dict[codes[i]]`. A page's
+    /// decoders hand over the dictionary the page stores, and gathering
+    /// copies `u32` codes and clones the dictionary's `Arc` once per column —
+    /// no refcount is written per row. Every code indexes `dict` (a NULL slot
+    /// holds 0, and a column with rows never has an empty dictionary), and
+    /// `dict` holds each value once, so on one dictionary equal codes are
+    /// equal strings.
+    Str {
+        dict: Arc<[Arc<str>]>,
+        codes: Vec<u32>,
+    },
     /// Days since epoch.
     Date(Vec<i32>),
     /// Heterogeneously-typed column; kernels fall back to scalar evaluation.
     Mixed(Vec<Value>),
+}
+
+/// The dictionary of a `Str` payload that holds no string yet.
+fn empty_dict() -> Arc<[Arc<str>]> {
+    Arc::from([])
 }
 
 impl ColumnData {
@@ -120,7 +136,7 @@ impl ColumnData {
         match v {
             Value::Int(_) => ColumnData::Int64(Vec::new()),
             Value::Float(_) => ColumnData::Float64(Vec::new()),
-            Value::Str(_) => ColumnData::Str(Vec::new()),
+            Value::Str(_) => ColumnData::Str { dict: empty_dict(), codes: Vec::new() },
             Value::Date(_) => ColumnData::Date(Vec::new()),
             Value::Null => ColumnData::Mixed(Vec::new()),
         }
@@ -132,7 +148,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => v.push(0),
             ColumnData::Float64(v) => v.push(0.0),
-            ColumnData::Str(v) => v.push(Arc::from("")),
+            ColumnData::Str { codes, .. } => codes.push(0),
             ColumnData::Date(v) => v.push(0),
             ColumnData::Mixed(v) => v.push(Value::Null),
         }
@@ -142,7 +158,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => v.len(),
             ColumnData::Float64(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
             ColumnData::Date(v) => v.len(),
             ColumnData::Mixed(v) => v.len(),
         }
@@ -150,15 +166,36 @@ impl ColumnData {
 }
 
 /// One attribute of a [`ColBatch`]: typed data plus optional null bitmap.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Column {
     data: ColumnData,
     /// `None` ⇒ no NULLs in this column.
     nulls: Option<NullBitmap>,
 }
 
+/// Value equality: the same NULL slots and the same value in every other
+/// slot. Two `Str` columns compare their strings, whatever dictionaries
+/// hold them.
+impl PartialEq for Column {
+    fn eq(&self, other: &Column) -> bool {
+        if self.nulls != other.nulls {
+            return false;
+        }
+        match (&self.data, &other.data) {
+            (ColumnData::Str { dict: d, codes: x }, ColumnData::Str { dict: e, codes: y }) => {
+                x.len() == y.len()
+                    && (0..x.len()).all(|i| self.is_null(i) || d[x[i] as usize] == e[y[i] as usize])
+            }
+            (a, b) => a == b,
+        }
+    }
+}
+
 impl Column {
     pub fn new(data: ColumnData, nulls: Option<NullBitmap>) -> Self {
+        if let ColumnData::Str { dict, codes } = &data {
+            debug_assert!(codes.iter().all(|&c| (c as usize) < dict.len()), "code past dictionary");
+        }
         Self { data, nulls }
     }
 
@@ -199,7 +236,8 @@ impl Column {
         }
     }
 
-    /// Materialize one slot as a [`Value`] (Arc bump for strings).
+    /// Materialize one slot as a [`Value`] (for a string, one `Arc` bump of
+    /// its dictionary entry) — the client boundary's read.
     pub fn value(&self, i: usize) -> Value {
         if self.is_null(i) {
             return Value::Null;
@@ -207,7 +245,7 @@ impl Column {
         match &self.data {
             ColumnData::Int64(v) => Value::Int(v[i]),
             ColumnData::Float64(v) => Value::Float(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].clone()),
+            ColumnData::Str { dict, codes } => Value::Str(dict[codes[i] as usize].clone()),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Mixed(v) => v[i].clone(),
         }
@@ -223,7 +261,9 @@ impl Column {
         let data = match &self.data {
             ColumnData::Int64(v) => ColumnData::Int64(pick(v, idx)),
             ColumnData::Float64(v) => ColumnData::Float64(pick(v, idx)),
-            ColumnData::Str(v) => ColumnData::Str(pick(v, idx)),
+            ColumnData::Str { dict, codes } => {
+                ColumnData::Str { dict: dict.clone(), codes: pick(codes, idx) }
+            }
             ColumnData::Date(v) => ColumnData::Date(pick(v, idx)),
             ColumnData::Mixed(v) => ColumnData::Mixed(pick(v, idx)),
         };
@@ -272,7 +312,9 @@ impl Column {
             (Int64(x), Date(y)) => x[i].cmp(&(y[j] as i64)),
             (Date(x), Float64(y)) => cmp_i64_f64(x[i] as i64, y[j]),
             (Float64(x), Date(y)) => cmp_i64_f64(y[j] as i64, x[i]).reverse(),
-            (Str(x), Str(y)) => x[i].cmp(&y[j]),
+            (Str { dict: d, codes: x }, Str { dict: e, codes: y }) => {
+                d[x[i] as usize].cmp(&e[y[j] as usize])
+            }
             _ => self.value(i).total_cmp(&other.value(j)),
         }
     }
@@ -485,7 +527,10 @@ impl ColBatch {
                 let data = match c.data() {
                     ColumnData::Int64(v) => ColumnData::Int64(v[offset..offset + len].to_vec()),
                     ColumnData::Float64(v) => ColumnData::Float64(v[offset..offset + len].to_vec()),
-                    ColumnData::Str(v) => ColumnData::Str(v[offset..offset + len].to_vec()),
+                    ColumnData::Str { dict, codes } => ColumnData::Str {
+                        dict: dict.clone(),
+                        codes: codes[offset..offset + len].to_vec(),
+                    },
                     ColumnData::Date(v) => ColumnData::Date(v[offset..offset + len].to_vec()),
                     ColumnData::Mixed(v) => ColumnData::Mixed(v[offset..offset + len].to_vec()),
                 };
@@ -540,12 +585,20 @@ impl ColBatch {
 /// ([`push`](Self::push)) at a time — keeping the typed representation while
 /// the input agrees on it and degrading to [`ColumnData::Mixed`] otherwise.
 /// A vectorized join build concatenates its input stream with it, a run merge
-/// emits its winners with it, and a slotted page decodes straight into it.
+/// emits its winners with it, and a slotted page decodes straight into it
+/// ([`push_str`](Self::push_str)).
+///
+/// A `Str` column builds one dictionary: a whole incoming column is remapped
+/// once per source dictionary (the last remap is reused while
+/// `Arc::ptr_eq` says the dictionary repeats — the batches of one page), and
+/// a single slot or value is interned on its own.
 #[derive(Debug, Default)]
 pub struct ColumnBuilder {
     /// `None` until a representation is chosen: so far only NULLs, every one
-    /// of them in `null_rows`.
+    /// of them in `null_rows`. A `Str` payload's codes index `strs` until
+    /// the builder finishes.
     data: Option<ColumnData>,
+    strs: DictBuilder,
     /// Row indices that are NULL (typed representations and the untyped
     /// start; `Mixed` carries NULLs inline).
     null_rows: Vec<u32>,
@@ -582,7 +635,9 @@ impl ColumnBuilder {
         match (&mut self.data, v) {
             (Some(ColumnData::Int64(d)), Value::Int(x)) => d.push(x),
             (Some(ColumnData::Float64(d)), Value::Float(x)) => d.push(x),
-            (Some(ColumnData::Str(d)), Value::Str(s)) => d.push(s),
+            (Some(ColumnData::Str { codes, .. }), Value::Str(s)) => {
+                codes.push(self.strs.code(&s, || s.clone()))
+            }
             (Some(ColumnData::Date(d)), Value::Date(x)) => d.push(x),
             (Some(ColumnData::Mixed(d)), v) => d.push(v),
             (data, Value::Null) => {
@@ -600,13 +655,65 @@ impl ColumnBuilder {
         self.len += 1;
     }
 
-    /// Append every slot of `col`.
+    /// Append one string borrowed from elsewhere (a slotted page's bytes):
+    /// [`push`](Self::push) of `Value::str(s)`, but a string already in the
+    /// column's dictionary allocates nothing.
+    pub fn push_str(&mut self, s: &str) {
+        match &mut self.data {
+            Some(ColumnData::Str { codes, .. }) => {
+                codes.push(self.strs.code(s, || Arc::from(s)));
+                self.len += 1;
+            }
+            None => {
+                self.start(&ColumnData::Str { dict: empty_dict(), codes: Vec::new() });
+                self.push_str(s)
+            }
+            Some(_) => self.push(Value::str(s)),
+        }
+    }
+
+    /// Append a NULL to a column of strings: [`push`](Self::push) of
+    /// `Value::Null`, except that a column with no value yet turns `Str`, so
+    /// a column of only NULL strings finishes typed rather than `Mixed`.
+    pub fn push_null_str(&mut self) {
+        if self.data.is_none() {
+            self.start(&ColumnData::Str { dict: empty_dict(), codes: Vec::new() });
+        }
+        self.push(Value::Null);
+    }
+
+    /// Append every slot of `col`. A `Str` column whose dictionary
+    /// outnumbers its rows (a selective gather of a page) is interned row by
+    /// row, so the dictionary built follows the rows kept, not the rows
+    /// scanned; any other is remapped a dictionary entry at a time.
     pub fn append(&mut self, col: &Column) {
         let n = col.len();
         match (&mut self.data, col.data()) {
             (Some(ColumnData::Int64(v)), ColumnData::Int64(o)) => v.extend_from_slice(o),
             (Some(ColumnData::Float64(v)), ColumnData::Float64(o)) => v.extend_from_slice(o),
-            (Some(ColumnData::Str(v)), ColumnData::Str(o)) => v.extend_from_slice(o),
+            (Some(ColumnData::Str { codes, .. }), ColumnData::Str { dict, codes: o }) => {
+                let null = |i: usize| col.nulls().is_some_and(|b| b.get(i));
+                if dict.len() > n {
+                    let strs = &mut self.strs;
+                    codes.extend(o.iter().enumerate().map(|(i, &c)| {
+                        let s = &dict[c as usize];
+                        if null(i) {
+                            0
+                        } else {
+                            strs.code(s, || s.clone())
+                        }
+                    }));
+                } else {
+                    let map = self.strs.remap(dict);
+                    codes.extend(o.iter().enumerate().map(|(i, &c)| {
+                        if null(i) {
+                            0
+                        } else {
+                            map[c as usize]
+                        }
+                    }));
+                }
+            }
             (Some(ColumnData::Date(v)), ColumnData::Date(o)) => v.extend_from_slice(o),
             (Some(ColumnData::Mixed(v)), _) => v.extend((0..n).map(|i| col.value(i))),
             (None, like) => {
@@ -635,8 +742,9 @@ impl ColumnBuilder {
             (Some(ColumnData::Float64(v)), ColumnData::Float64(o)) => {
                 v.push(if null { 0.0 } else { o[i] })
             }
-            (Some(ColumnData::Str(v)), ColumnData::Str(o)) => {
-                v.push(if null { Arc::from("") } else { o[i].clone() })
+            (Some(ColumnData::Str { codes, .. }), ColumnData::Str { dict, codes: o }) => {
+                let s = &dict[o[i] as usize];
+                codes.push(if null { 0 } else { self.strs.code(s, || s.clone()) })
             }
             (Some(ColumnData::Date(v)), ColumnData::Date(o)) => v.push(if null { 0 } else { o[i] }),
             (Some(ColumnData::Mixed(v)), _) => v.push(col.value(i)),
@@ -668,7 +776,9 @@ impl ColumnBuilder {
         self.data = Some(match like {
             ColumnData::Int64(_) => ColumnData::Int64(filled(0, n, cap)),
             ColumnData::Float64(_) => ColumnData::Float64(filled(0.0, n, cap)),
-            ColumnData::Str(_) => ColumnData::Str(filled(Arc::from(""), n, cap)),
+            ColumnData::Str { .. } => {
+                ColumnData::Str { dict: empty_dict(), codes: filled(0, n, cap) }
+            }
             ColumnData::Date(_) => ColumnData::Date(filled(0, n, cap)),
             ColumnData::Mixed(_) => {
                 self.null_rows.clear();
@@ -677,9 +787,22 @@ impl ColumnBuilder {
         });
     }
 
+    /// Move the payload out, a `Str` payload with its dictionary frozen in
+    /// (the one entry `""` when every row is NULL, so every code indexes it).
+    fn take_data(&mut self) -> Option<ColumnData> {
+        let mut data = self.data.take()?;
+        if let ColumnData::Str { dict, codes } = &mut data {
+            *dict = self.strs.freeze();
+            if dict.is_empty() && !codes.is_empty() {
+                *dict = Arc::from([Arc::from("")]);
+            }
+        }
+        Some(data)
+    }
+
     /// Turn the column `Mixed` (if it is not already), then append `more`.
     fn push_mixed(&mut self, more: impl IntoIterator<Item = Value>) {
-        let mut values = match self.data.take() {
+        let mut values = match self.take_data() {
             Some(ColumnData::Mixed(v)) => v,
             Some(data) => {
                 let typed = Column::new(data, self.bitmap());
@@ -703,14 +826,93 @@ impl ColumnBuilder {
         Some(b)
     }
 
-    pub fn finish(self) -> Column {
+    pub fn finish(mut self) -> Column {
         let nulls = self.bitmap();
-        match self.data {
+        match self.take_data() {
             Some(data) => Column { data, nulls },
             // Never typed — only NULLs, or nothing: `Mixed`, so `value()` is
             // exact (`from_values` of an all-NULL or empty slice).
             None => Column { data: ColumnData::Mixed(vec![Value::Null; self.len]), nulls: None },
         }
+    }
+}
+
+/// The dictionary a [`ColumnBuilder`] grows for a `Str` column: each
+/// distinct string gets the next code and is found again through a flat
+/// open-addressing table keyed by [`fnv1a`] (linear probing, a power-of-two
+/// length kept at most half full).
+#[derive(Debug, Default)]
+struct DictBuilder {
+    /// `(string, code)` per occupied slot.
+    slots: Vec<Option<(Arc<str>, u32)>>,
+    len: usize,
+    /// The source dictionary [`remap`](Self::remap) translated last (kept
+    /// alive, so its address cannot be reused by another), and the code here
+    /// of each of its entries.
+    last: Option<Arc<[Arc<str>]>>,
+    last_map: Vec<u32>,
+}
+
+impl DictBuilder {
+    /// The code of `s`, entering `make()` as a new entry when `s` is not in
+    /// the dictionary yet.
+    fn code(&mut self, s: &str, make: impl FnOnce() -> Arc<str>) -> u32 {
+        if self.slots.is_empty() {
+            self.slots = vec![None; 16];
+        }
+        let mut at = self.home(s);
+        while let Some((kept, code)) = &self.slots[at] {
+            if **kept == *s {
+                return *code;
+            }
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+        let code = self.len as u32;
+        self.slots[at] = Some((make(), code));
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let grown = vec![None; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for (s, code) in old.into_iter().flatten() {
+                let mut at = self.home(&s);
+                while self.slots[at].is_some() {
+                    at = (at + 1) & (self.slots.len() - 1);
+                }
+                self.slots[at] = Some((s, code));
+            }
+        }
+        code
+    }
+
+    /// The first slot of `s`'s probe sequence: the hash's top bits, its best
+    /// mixed.
+    fn home(&self, s: &str) -> usize {
+        (fnv1a(s.as_bytes()) >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The code here of each entry of `dict`, in `dict`'s order: computed
+    /// once per source dictionary, and reused while the same dictionary comes
+    /// back.
+    fn remap(&mut self, dict: &Arc<[Arc<str>]>) -> &[u32] {
+        if !self.last.as_ref().is_some_and(|d| Arc::ptr_eq(d, dict)) {
+            self.last_map.clear();
+            for s in dict.iter() {
+                let code = self.code(s, || s.clone());
+                self.last_map.push(code);
+            }
+            self.last = Some(dict.clone());
+        }
+        &self.last_map
+    }
+
+    /// The dictionary in code order, leaving this builder empty.
+    fn freeze(&mut self) -> Arc<[Arc<str>]> {
+        let taken = std::mem::take(self);
+        let mut by_code: Vec<Option<Arc<str>>> = vec![None; taken.len];
+        for (s, code) in taken.slots.into_iter().flatten() {
+            by_code[code as usize] = Some(s);
+        }
+        by_code.into_iter().flatten().collect()
     }
 }
 
@@ -804,7 +1006,7 @@ mod tests {
         let cb = ColBatch::from_rows(&rows());
         assert!(matches!(cb.col(0).unwrap().data(), ColumnData::Int64(_)));
         assert!(matches!(cb.col(1).unwrap().data(), ColumnData::Float64(_)));
-        assert!(matches!(cb.col(2).unwrap().data(), ColumnData::Str(_)));
+        assert!(matches!(cb.col(2).unwrap().data(), ColumnData::Str { .. }));
         assert!(matches!(cb.col(3).unwrap().data(), ColumnData::Date(_)));
         assert!(cb.col(0).unwrap().is_null(2));
         assert!(!cb.col(0).unwrap().is_null(0));
@@ -1057,6 +1259,53 @@ mod tests {
         assert!(matches!(col.data(), ColumnData::Int64(_)), "stays typed");
         let want = [Value::Null, Value::Int(1), Value::Null, Value::Int(1)];
         assert_eq!((0..4).map(|i| col.value(i)).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn string_columns_share_one_dictionary_and_compare_by_value() {
+        let strs =
+            |vals: &[&str]| Column::from_values(&vals.iter().map(Value::str).collect::<Vec<_>>());
+        let (a, b) = (strs(&["x", "y", "x"]), strs(&["y", "z"]));
+        let ColumnData::Str { dict, codes } = a.data() else { panic!("typed str") };
+        assert_eq!((dict.len(), codes.as_slice()), (2, &[0, 1, 0][..]), "one entry per value");
+        // Gathering keeps the dictionary; appending remaps it once.
+        let t = a.take(&[2, 1]);
+        let ColumnData::Str { dict: kept, .. } = t.data() else { panic!("typed str") };
+        assert!(Arc::ptr_eq(dict, kept));
+        let mut builder = ColumnBuilder::new();
+        builder.push(Value::Null);
+        for col in [&a, &b, &a] {
+            builder.append(col);
+        }
+        let joined = builder.finish();
+        let ColumnData::Str { dict, codes } = joined.data() else { panic!("typed str") };
+        assert_eq!(dict.iter().map(|s| &**s).collect::<Vec<_>>(), ["x", "y", "z"]);
+        assert_eq!(codes[0], 0, "a NULL slot holds code 0");
+        // Equal values compare equal across dictionaries.
+        assert_eq!(joined.take(&[2, 3]), strs(&["y", "x"]));
+        assert_ne!(joined.take(&[2, 3]), strs(&["y", "y"]));
+    }
+
+    #[test]
+    fn appending_a_selective_gather_keeps_only_the_strings_it_holds() {
+        let values: Vec<Value> = (0..100).map(|i| Value::str(format!("v{i}"))).collect();
+        let wide = Column::from_values(&values);
+        let mut builder = ColumnBuilder::new();
+        builder.append(&wide.take(&[7, 3, 7]));
+        builder.push_null_str();
+        builder.append(&wide.take(&[3]));
+        let kept = builder.finish();
+        let ColumnData::Str { dict, codes } = kept.data() else { panic!("typed str") };
+        assert_eq!(dict.iter().map(|s| &**s).collect::<Vec<_>>(), ["v7", "v3"]);
+        assert_eq!(codes.as_slice(), &[0, 1, 0, 0, 1]);
+        assert!(kept.is_null(3) && (0..5).filter(|&i| kept.is_null(i)).count() == 1);
+        // A column of only NULL strings stays typed.
+        let mut nulls = ColumnBuilder::new();
+        nulls.push_null_str();
+        nulls.push_null_str();
+        let nulls = nulls.finish();
+        assert!(matches!(nulls.data(), ColumnData::Str { .. }));
+        assert_eq!((nulls.value(0), nulls.value(1)), (Value::Null, Value::Null));
     }
 
     #[test]

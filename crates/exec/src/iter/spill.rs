@@ -22,7 +22,7 @@
 //! queries all return spill storage to baseline; nothing leaks for the life
 //! of the engine.
 
-use qpipe_common::colbatch::{ColBatch, Column, ColumnData, NullBitmap};
+use qpipe_common::colbatch::{ColBatch, Column, ColumnBuilder, ColumnData, NullBitmap};
 use qpipe_common::{QError, QResult, Tuple};
 use qpipe_storage::page::{decode_tuple, encode_tuple, encoded_len, Page};
 use qpipe_storage::{FileId, SimDisk};
@@ -317,84 +317,86 @@ fn encode_chunk(batch: &ColBatch, start: usize, n: usize, out: &mut Vec<u8>) {
     out.extend_from_slice(&(n as u32).to_le_bytes());
     out.extend_from_slice(&(batch.num_cols() as u32).to_le_bytes());
     for col in batch.columns() {
+        let rows = start..start + n;
         match col.data() {
             ColumnData::Mixed(v) => {
                 out.push(TAG_MIXED);
                 // A column slice *is* a Vec<Value>, which is what the tuple
                 // codec serializes — reuse it (handles inline NULLs).
-                let values: Tuple = v[start..start + n].to_vec();
+                let values: Tuple = v[rows].to_vec();
                 let mark = out.len();
                 out.extend_from_slice(&0u32.to_le_bytes());
                 encode_tuple(&values, out);
                 let len = (out.len() - mark - 4) as u32;
                 out[mark..mark + 4].copy_from_slice(&len.to_le_bytes());
             }
-            typed => {
-                out.push(match typed {
-                    ColumnData::Int64(_) => TAG_INT,
-                    ColumnData::Float64(_) => TAG_FLOAT,
-                    ColumnData::Date(_) => TAG_DATE,
-                    ColumnData::Str(_) => TAG_STR,
-                    ColumnData::Mixed(_) => unreachable!("handled above"),
-                });
-                let any_null = (0..n).any(|i| col.is_null(start + i));
-                out.push(any_null as u8);
-                if any_null {
-                    let mut bits = vec![0u8; n.div_ceil(8)];
-                    for i in 0..n {
-                        if col.is_null(start + i) {
-                            bits[i / 8] |= 1 << (i % 8);
-                        }
-                    }
-                    out.extend_from_slice(&bits);
-                }
-                match typed {
-                    ColumnData::Int64(v) => {
-                        for x in &v[start..start + n] {
-                            out.extend_from_slice(&x.to_le_bytes());
-                        }
-                    }
-                    ColumnData::Float64(v) => {
-                        for x in &v[start..start + n] {
-                            out.extend_from_slice(&x.to_bits().to_le_bytes());
-                        }
-                    }
-                    ColumnData::Date(v) => {
-                        for x in &v[start..start + n] {
-                            out.extend_from_slice(&x.to_le_bytes());
-                        }
-                    }
-                    ColumnData::Str(v) => {
-                        for s in &v[start..start + n] {
-                            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                            out.extend_from_slice(s.as_bytes());
-                        }
-                    }
-                    ColumnData::Mixed(_) => unreachable!("handled above"),
+            ColumnData::Int64(v) => {
+                typed_header(col, TAG_INT, start, n, out);
+                v[rows].iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+            }
+            ColumnData::Float64(v) => {
+                typed_header(col, TAG_FLOAT, start, n, out);
+                v[rows].iter().for_each(|x| out.extend_from_slice(&x.to_bits().to_le_bytes()));
+            }
+            ColumnData::Date(v) => {
+                typed_header(col, TAG_DATE, start, n, out);
+                v[rows].iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes()));
+            }
+            ColumnData::Str { dict, codes } => {
+                typed_header(col, TAG_STR, start, n, out);
+                // Each row's string in full; a NULL row's is empty.
+                for (r, &code) in rows.clone().zip(&codes[rows]) {
+                    let s: &str = if col.is_null(r) { "" } else { &dict[code as usize] };
+                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                    out.extend_from_slice(s.as_bytes());
                 }
             }
         }
     }
 }
 
-/// Decode one chunk record back into a [`ColBatch`].
-fn decode_chunk(mut rec: &[u8]) -> QResult<ColBatch> {
-    fn take<'a>(rec: &mut &'a [u8], n: usize) -> QResult<&'a [u8]> {
-        if rec.len() < n {
-            return Err(QError::Storage("truncated spill chunk record".into()));
+/// A typed column's chunk header: its tag, whether any of rows
+/// `[start, start + n)` is NULL, and if so their packed null bitmap.
+fn typed_header(col: &Column, tag: u8, start: usize, n: usize, out: &mut Vec<u8>) {
+    out.push(tag);
+    let any_null = (0..n).any(|i| col.is_null(start + i));
+    out.push(any_null as u8);
+    if any_null {
+        let mut bits = vec![0u8; n.div_ceil(8)];
+        for i in 0..n {
+            if col.is_null(start + i) {
+                bits[i / 8] |= 1 << (i % 8);
+            }
         }
-        let (head, tail) = rec.split_at(n);
+        out.extend_from_slice(&bits);
+    }
+}
+
+/// Decode one chunk record back into a [`ColBatch`]. A string column reloads
+/// through [`ColumnBuilder::push_str`], so it has one dictionary per chunk,
+/// and stays `Str` when every row of the chunk is NULL.
+fn decode_chunk(mut rec: &[u8]) -> QResult<ColBatch> {
+    fn truncated() -> QError {
+        QError::Storage("truncated spill chunk record".into())
+    }
+    fn take<'a>(rec: &mut &'a [u8], n: usize) -> QResult<&'a [u8]> {
+        let (head, tail) = rec.split_at_checked(n).ok_or_else(truncated)?;
         *rec = tail;
         Ok(head)
     }
+    fn take_n<const N: usize>(rec: &mut &[u8]) -> QResult<[u8; N]> {
+        let (head, tail) = rec.split_first_chunk::<N>().ok_or_else(truncated)?;
+        *rec = tail;
+        Ok(*head)
+    }
     fn take_u32(rec: &mut &[u8]) -> QResult<u32> {
-        Ok(u32::from_le_bytes(take(rec, 4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(take_n(rec)?))
     }
     let n = take_u32(&mut rec)? as usize;
     let ncols = take_u32(&mut rec)? as usize;
     let mut cols = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let tag = take(&mut rec, 1)?[0];
+        let [tag] = take_n(&mut rec)?;
         if tag == TAG_MIXED {
             let len = take_u32(&mut rec)? as usize;
             let values = decode_tuple(take(&mut rec, len)?)?;
@@ -404,8 +406,8 @@ fn decode_chunk(mut rec: &[u8]) -> QResult<ColBatch> {
             cols.push(Column::new(ColumnData::Mixed(values), None));
             continue;
         }
-        let any_null = take(&mut rec, 1)?[0] != 0;
-        let nulls = if any_null {
+        let [any_null] = take_n(&mut rec)?;
+        let nulls = if any_null != 0 {
             Some(NullBitmap::from_packed_bytes(take(&mut rec, n.div_ceil(8))?, n))
         } else {
             None
@@ -413,32 +415,41 @@ fn decode_chunk(mut rec: &[u8]) -> QResult<ColBatch> {
         let data = match tag {
             TAG_INT => ColumnData::Int64(
                 take(&mut rec, n * 8)?
-                    .chunks_exact(8)
-                    .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
+                    .as_chunks()
+                    .0
+                    .iter()
+                    .map(|&c| i64::from_le_bytes(c))
                     .collect(),
             ),
             TAG_FLOAT => ColumnData::Float64(
                 take(&mut rec, n * 8)?
-                    .chunks_exact(8)
-                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
+                    .as_chunks()
+                    .0
+                    .iter()
+                    .map(|&c| f64::from_bits(u64::from_le_bytes(c)))
                     .collect(),
             ),
             TAG_DATE => ColumnData::Date(
                 take(&mut rec, n * 4)?
-                    .chunks_exact(4)
-                    .map(|c| i32::from_le_bytes(c.try_into().expect("4 bytes")))
+                    .as_chunks()
+                    .0
+                    .iter()
+                    .map(|&c| i32::from_le_bytes(c))
                     .collect(),
             ),
             TAG_STR => {
-                let mut v: Vec<Arc<str>> = Vec::with_capacity(n);
-                for _ in 0..n {
+                let mut col = ColumnBuilder::with_capacity(n);
+                for i in 0..n {
                     let len = take_u32(&mut rec)? as usize;
-                    let bytes = take(&mut rec, len)?;
-                    let s = std::str::from_utf8(bytes)
+                    let s = std::str::from_utf8(take(&mut rec, len)?)
                         .map_err(|_| QError::Storage("spill chunk string not UTF-8".into()))?;
-                    v.push(Arc::from(s));
+                    match &nulls {
+                        Some(bits) if bits.get(i) => col.push_null_str(),
+                        _ => col.push_str(s),
+                    }
                 }
-                ColumnData::Str(v)
+                cols.push(col.finish());
+                continue;
             }
             other => {
                 return Err(QError::Storage(format!("unknown spill chunk column tag {other}")))
@@ -456,6 +467,7 @@ fn decode_chunk(mut rec: &[u8]) -> QResult<ColBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpipe_common::colbatch::ColBatchBuilder;
     use qpipe_common::{Metrics, Value};
     use qpipe_storage::DiskConfig;
 
@@ -570,6 +582,39 @@ mod tests {
         let baseline = disk.file_count();
         drop(run);
         assert_eq!(disk.file_count(), baseline - 1, "columnar run deleted on drop");
+    }
+
+    #[test]
+    fn col_run_reloads_an_all_null_string_chunk_typed() {
+        let disk = disk();
+        // The first chunk is NULL in every row, the second holds strings.
+        let rows: Vec<Tuple> = (0..COL_CHUNK_ROWS + 40)
+            .map(|i| {
+                vec![if i < COL_CHUNK_ROWS { Value::Null } else { Value::str(format!("s{i}")) }]
+            })
+            .collect();
+        let mut w = ColRunWriter::create(disk, "nullstr").unwrap();
+        w.push_batch(&ColBatch::from_rows(&rows)).unwrap();
+        let run = w.finish().unwrap();
+        let mut r = run.reader();
+        let mut chunks = Vec::new();
+        while let Some(b) = r.next_batch().unwrap() {
+            assert!(matches!(b.col(0).unwrap().data(), ColumnData::Str { .. }), "stays typed");
+            chunks.push(b);
+        }
+        assert_eq!(chunks.len(), 2);
+        assert!((0..COL_CHUNK_ROWS).all(|i| chunks[0].col(0).unwrap().is_null(i)));
+        // A run merge re-emits the rows one slot at a time; the output column
+        // stays `Str` across the all-NULL chunk.
+        let mut merged = ColBatchBuilder::new();
+        for b in &chunks {
+            for i in 0..b.len() {
+                assert!(merged.push_row_from(b, i));
+            }
+        }
+        let merged = merged.finish();
+        assert!(matches!(merged.col(0).unwrap().data(), ColumnData::Str { .. }));
+        assert_eq!(merged.to_rows(), rows);
     }
 
     #[test]

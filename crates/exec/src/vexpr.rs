@@ -9,9 +9,11 @@
 //! Here every `Expr` node evaluates over a whole [`ColBatch`]:
 //!
 //! * [`Expr::eval_filter`] refines a [`SelVec`] — comparisons run over
-//!   primitive slices (`&[i64]`, `&[i32]`, `&[f64]`, `&[Arc<str>]`) with no
-//!   per-row allocation and no `Value` construction. Conjunctions shrink the
-//!   selection progressively, so later terms only touch surviving rows.
+//!   primitive slices (`&[i64]`, `&[i32]`, `&[f64]`) with no per-row
+//!   allocation and no `Value` construction; a string test runs once per
+//!   dictionary entry and each row looks its `u32` code up (see
+//!   [`str_refine`]). Conjunctions shrink the selection progressively, so
+//!   later terms only touch surviving rows.
 //! * [`Expr::eval_project`] evaluates to one dense [`Column`] over the
 //!   selection: a column reference is read in place (borrowed) or gathered,
 //!   arithmetic over `Int64`/`Float64`/`Date` columns and numeric literals
@@ -30,6 +32,7 @@ use crate::expr::{is_truthy, ArithOp, CmpOp, Expr};
 use qpipe_common::colbatch::{ColBatch, Column, ColumnData, NullBitmap, SelVec};
 use qpipe_common::{cmp_i64_f64, QError, QResult, Value};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// One evaluated operand of an operator node, addressed by whatever selection
 /// the caller evaluated it under.
@@ -108,18 +111,44 @@ fn cmp_col_lit(col: &Column, op: CmpOp, lit: &Value, sel: &SelVec) -> SelVec {
             let x = *x;
             kernel!(v, move |a: &i32| (*a as i64).cmp(&x))
         }
-        (ColumnData::Str(v), Value::Str(s)) => {
-            let s: &str = s;
-            kernel!(v, move |a: &std::sync::Arc<str>| a.as_ref().cmp(s))
+        (ColumnData::Str { dict, codes }, Value::Str(s)) => {
+            str_refine(col, dict, codes, sel, false, |a| op.matches(a.cmp(s)))
         }
         _ => sel.refine(|i| op.test(&col.value(i), lit)),
     }
 }
 
+/// The rows of `sel` whose string passes `test`, over a dictionary-coded
+/// column; a NULL row passes iff `null_passes`. Each dictionary entry is
+/// tested once and each row looks its code up — unless the dictionary
+/// outnumbers the selected rows, when each selected row is tested directly.
+fn str_refine(
+    col: &Column,
+    dict: &[Arc<str>],
+    codes: &[u32],
+    sel: &SelVec,
+    null_passes: bool,
+    test: impl Fn(&str) -> bool,
+) -> SelVec {
+    let nulls = col.nulls();
+    if dict.len() > sel.len() {
+        return sel.refine(|r| match nulls {
+            Some(b) if b.get(r) => null_passes,
+            _ => test(&dict[codes[r] as usize]),
+        });
+    }
+    let pass: Vec<bool> = dict.iter().map(|s| test(s)).collect();
+    match nulls {
+        None => sel.refine(|r| pass[codes[r] as usize]),
+        Some(b) => sel.refine(|r| if b.get(r) { null_passes } else { pass[codes[r] as usize] }),
+    }
+}
+
 /// Comparison kernel: `a[i] op b[i]` for every selected row. A row where
 /// either side is NULL never matches. Typed column pairs compare off both
-/// primitive slices; `Mixed` columns and cross-rank pairs like Str⋄Int go
-/// through [`Column::cmp_values`] — `Value::total_cmp` either way.
+/// primitive slices (string equality on one dictionary compares codes, any
+/// other string pair the strings); `Mixed` columns and cross-rank pairs like
+/// Str⋄Int go through [`Column::cmp_values`] — `Value::total_cmp` either way.
 fn cmp_col_col(a: &Column, b: &Column, op: CmpOp, sel: &SelVec) -> SelVec {
     macro_rules! kernel {
         ($x:expr, $y:expr, $ord:expr) => {{
@@ -154,8 +183,12 @@ fn cmp_col_col(a: &Column, b: &Column, op: CmpOp, sel: &SelVec) -> SelVec {
         (ColumnData::Int64(x), ColumnData::Date(y)) => {
             kernel!(x, y, |p: &i64, q: &i32| p.cmp(&(*q as i64)))
         }
-        (ColumnData::Str(x), ColumnData::Str(y)) => {
-            kernel!(x, y, |p: &std::sync::Arc<str>, q: &std::sync::Arc<str>| p.cmp(q))
+        (ColumnData::Str { dict: dx, codes: x }, ColumnData::Str { dict: dy, codes: y }) => {
+            if Arc::ptr_eq(dx, dy) && matches!(op, CmpOp::Eq | CmpOp::Ne) {
+                kernel!(x, y, |p: &u32, q: &u32| p.cmp(q))
+            } else {
+                kernel!(x, y, |p: &u32, q: &u32| dx[*p as usize].cmp(&dy[*q as usize]))
+            }
         }
         _ => sel.refine(|i| !a.is_null(i) && !b.is_null(i) && op.matches(a.cmp_values(i, b, i))),
     }
@@ -179,8 +212,9 @@ fn starts_with(e: &Operand<'_, '_>, prefix: &str, sel: &SelVec) -> SelVec {
         Operand::Lit(v) => return keep_if(sel, v.as_str().is_some_and(|s| s.starts_with(prefix))),
     };
     match col.data() {
-        ColumnData::Str(v) if col.nulls().is_none() => sel.refine(|r| v[r].starts_with(prefix)),
-        ColumnData::Str(v) => sel.refine(|r| !col.is_null(r) && v[r].starts_with(prefix)),
+        ColumnData::Str { dict, codes } => {
+            str_refine(col, dict, codes, sel, false, |s| s.starts_with(prefix))
+        }
         // Non-string typed columns can never match a prefix.
         ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Date(_) => SelVec::empty(),
         ColumnData::Mixed(v) => {
@@ -196,12 +230,20 @@ fn in_list(e: &Operand<'_, '_>, list: &[Value], sel: &SelVec) -> SelVec {
         Operand::Col(col) => col,
         Operand::Lit(v) => return keep_if(sel, list.contains(v)),
     };
-    // Fast path: Int64 column, all-Int list (so a NULL slot never matches).
-    if let ColumnData::Int64(v) = col.data() {
-        if list.iter().all(|x| matches!(x, Value::Int(_))) {
+    match col.data() {
+        // Int64 column, all-Int list (so a NULL slot never matches).
+        ColumnData::Int64(v) if list.iter().all(|x| matches!(x, Value::Int(_))) => {
             let set: Vec<i64> = list.iter().filter_map(|x| x.as_int()).collect();
             return sel.refine(|r| !col.is_null(r) && set.contains(&v[r]));
         }
+        // A string equals only an equal string; a NULL slot, a NULL entry.
+        ColumnData::Str { dict, codes } => {
+            let null_in = list.iter().any(Value::is_null);
+            return str_refine(col, dict, codes, sel, null_in, |s| {
+                list.iter().any(|x| x.as_str() == Some(s))
+            });
+        }
+        _ => {}
     }
     // Generic: per-row Value (Arc bump at worst), no tuple.
     sel.refine(|r| list.contains(&col.value(r)))
@@ -238,7 +280,7 @@ impl<'a> Num<'a> {
                 ColumnData::Int64(v) => Num::Int(Vals::Slice(Cow::Borrowed(v))),
                 ColumnData::Date(v) => Num::Int(Vals::Slice(v.iter().map(|&d| d as i64).collect())),
                 ColumnData::Float64(v) => Num::Float(Vals::Slice(Cow::Borrowed(v))),
-                ColumnData::Str(_) | ColumnData::Mixed(_) => return None,
+                ColumnData::Str { .. } | ColumnData::Mixed(_) => return None,
             },
         })
     }
@@ -475,24 +517,33 @@ fn col_at(batch: &ColBatch, i: usize) -> QResult<&Column> {
 // ---------------------------------------------------------------------------
 
 /// Per-row [`Value::stable_hash`] over a whole column, computed from the
-/// primitive slices without constructing a single `Value`. NULL slots get an
-/// arbitrary hash (the typed vectors hold placeholders there) — callers must
-/// consult `col.is_null` before using a slot, exactly as the row operators
-/// skip NULL join keys.
+/// primitive slices without constructing a single `Value`; a string column
+/// hashes each dictionary entry once and each row looks its code up, unless
+/// the dictionary outnumbers the rows. NULL slots get an arbitrary hash (the
+/// typed vectors hold placeholders there) — callers must consult
+/// `col.is_null` before using a slot, exactly as the row operators skip NULL
+/// join keys.
 pub fn hash_key_column(col: &Column) -> Vec<u64> {
     match col.data() {
         ColumnData::Int64(v) => v.iter().map(|&x| Value::hash_int(x)).collect(),
         ColumnData::Float64(v) => v.iter().map(|&x| Value::hash_float(x)).collect(),
         ColumnData::Date(v) => v.iter().map(|&x| Value::hash_date(x)).collect(),
-        ColumnData::Str(v) => v.iter().map(|s| Value::hash_str(s)).collect(),
+        ColumnData::Str { dict, codes } if dict.len() > codes.len() => {
+            codes.iter().map(|&c| Value::hash_str(&dict[c as usize])).collect()
+        }
+        ColumnData::Str { dict, codes } => {
+            let hashes: Vec<u64> = dict.iter().map(|s| Value::hash_str(s)).collect();
+            codes.iter().map(|&c| hashes[c as usize]).collect()
+        }
         ColumnData::Mixed(v) => v.iter().map(|x| x.stable_hash()).collect(),
     }
 }
 
 /// Exact key equality between one slot of each column — the hash-collision
 /// confirmation a join probe runs, with the same cross-type numeric
-/// semantics as `Value::total_cmp` (and therefore `Value::eq`). Neither
-/// slot may be NULL (callers skip NULL keys before probing).
+/// semantics as `Value::total_cmp` (and therefore `Value::eq`); two strings
+/// on one dictionary compare codes. Neither slot may be NULL (callers skip
+/// NULL keys before probing).
 #[inline]
 pub fn key_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     use ColumnData::*;
@@ -506,7 +557,13 @@ pub fn key_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
         (Int64(x), Date(y)) => x[i] == y[j] as i64,
         (Date(x), Float64(y)) => cmp_i64_f64(x[i] as i64, y[j]).is_eq(),
         (Float64(x), Date(y)) => cmp_i64_f64(y[j] as i64, x[i]).is_eq(),
-        (Str(x), Str(y)) => x[i] == y[j],
+        (Str { dict: d, codes: x }, Str { dict: e, codes: y }) => {
+            if Arc::ptr_eq(d, e) {
+                x[i] == y[j]
+            } else {
+                d[x[i] as usize] == e[y[j] as usize]
+            }
+        }
         _ => a.value(i) == b.value(j),
     }
 }
@@ -514,7 +571,9 @@ pub fn key_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
 /// Exact equality between one slot of a column and a stored key value — the
 /// hash-hit confirmation a group-by probe runs, with `Value::eq` semantics
 /// (NULL equals NULL; numerics compare cross-type exactly). Same-type pairs
-/// compare off the primitive slice; anything else is `Value::eq` itself.
+/// compare off the primitive slice — a string is first checked for being
+/// the very dictionary entry the key was read from — and anything else is
+/// `Value::eq` itself.
 #[inline]
 pub(crate) fn slot_eq_value(col: &Column, i: usize, v: &Value) -> bool {
     if col.is_null(i) {
@@ -524,7 +583,10 @@ pub(crate) fn slot_eq_value(col: &Column, i: usize, v: &Value) -> bool {
         (ColumnData::Int64(x), Value::Int(y)) => x[i] == *y,
         (ColumnData::Float64(x), Value::Float(y)) => x[i].total_cmp(y).is_eq(),
         (ColumnData::Date(x), Value::Date(y)) => x[i] == *y,
-        (ColumnData::Str(x), Value::Str(y)) => x[i] == *y,
+        (ColumnData::Str { dict, codes }, Value::Str(y)) => {
+            let x = &dict[codes[i] as usize];
+            Arc::ptr_eq(x, y) || x == y
+        }
         _ => col.value(i) == *v,
     }
 }

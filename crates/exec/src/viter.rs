@@ -31,7 +31,6 @@ use crate::plan::{AggFunc, AggSpec};
 use crate::vexpr::{hash_key_column, key_eq, slot_eq_value};
 use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, Column, ColumnData, SelVec};
 use qpipe_common::{QError, QResult, Tuple, Value};
-use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // Hash join
@@ -74,33 +73,58 @@ impl HashJoinBuild {
         self.builder.finish().to_rows()
     }
 
-    /// Freeze the build side into a probe-ready hash table. Buckets fill in
-    /// ascending row order, so probe output (LIFO per probe row) follows the
-    /// row path's match order.
+    /// Freeze the build side into a probe-ready hash table. Rows enter their
+    /// bucket's chain in ascending order, each at the head, so a chain walks
+    /// in descending row order — the row path's LIFO match order.
     pub fn finish(self) -> QResult<HashJoinTable> {
         let (build, key) = (self.builder.finish(), self.key);
+        let empty = |build| HashJoinTable {
+            build,
+            key,
+            hashes: Vec::new(),
+            head: Vec::new(),
+            next: Vec::new(),
+        };
         if build.is_empty() {
             // Zero rows (and zero columns when the build input never sent a
             // batch): an empty table, against which every probe is empty.
-            return Ok(HashJoinTable { build, key, table: HashMap::new() });
+            return Ok(empty(build));
         }
         let kc = key_col(&build, key)?;
-        let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (i, h) in hash_key_column(kc).into_iter().enumerate() {
+        let live = (0..build.len()).filter(|&i| !kc.is_null(i)).count();
+        if live == 0 {
+            return Ok(empty(build));
+        }
+        let hashes = hash_key_column(kc);
+        let mask = (live * 2).next_power_of_two() - 1;
+        let mut head = vec![NO_ROW; mask + 1];
+        let mut next = vec![NO_ROW; build.len()];
+        for (i, &h) in hashes.iter().enumerate() {
             if !kc.is_null(i) {
-                table.entry(h).or_default().push(i as u32);
+                let bucket = &mut head[h as usize & mask];
+                next[i] = *bucket;
+                *bucket = i as u32;
             }
         }
-        Ok(HashJoinTable { build, key, table })
+        Ok(HashJoinTable { build, key, hashes, head, next })
     }
 }
 
-/// A frozen hash-join build side: the concatenated build batch plus a
-/// `key hash → build row indices` table.
+/// End of a bucket chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// A frozen hash-join build side: the concatenated build batch, each build
+/// row's key hash, and the bucket chains as two flat arrays.
 pub struct HashJoinTable {
     build: ColBatch,
     key: usize,
-    table: HashMap<u64, Vec<u32>>,
+    /// Per build row: its key hash (checked before the keys are compared).
+    hashes: Vec<u64>,
+    /// Per bucket (a power of two of them, at least twice the non-NULL build
+    /// rows; none when there are no such rows): the first row of its chain.
+    head: Vec<u32>,
+    /// Per build row: the next row of its bucket's chain.
+    next: Vec<u32>,
 }
 
 impl HashJoinTable {
@@ -124,25 +148,26 @@ impl HashJoinTable {
         chunk: usize,
         mut out: impl FnMut(ColBatch),
     ) -> QResult<()> {
-        if self.table.is_empty() {
+        if self.head.is_empty() {
             return Ok(()); // empty (or all-NULL-key) build side joins nothing
         }
         let pk = key_col(probe, key)?;
         let bk = key_col(&self.build, self.key)?;
         let hashes = hash_key_column(pk);
+        let mask = self.head.len() - 1;
         let mut bidx: Vec<u32> = Vec::new();
         let mut pidx: Vec<u32> = Vec::new();
         for (j, &h) in hashes.iter().enumerate() {
             if pk.is_null(j) {
                 continue;
             }
-            if let Some(cands) = self.table.get(&h) {
-                for &bi in cands.iter().rev() {
-                    if key_eq(bk, bi as usize, pk, j) {
-                        bidx.push(bi);
-                        pidx.push(j as u32);
-                    }
+            let mut bi = self.head[h as usize & mask];
+            while bi != NO_ROW {
+                if self.hashes[bi as usize] == h && key_eq(bk, bi as usize, pk, j) {
+                    bidx.push(bi);
+                    pidx.push(j as u32);
                 }
+                bi = self.next[bi as usize];
             }
         }
         let chunk = chunk.max(1);
@@ -177,8 +202,8 @@ use crate::iter::AggState;
 /// key columns and probed in an open-addressing table; a hash hit is
 /// confirmed by typed slot-vs-stored-key equality (`slot_eq_value`:
 /// `Value::eq`, so NULL = NULL groups and `Int(2)` = `Float(2.0)`). A key is
-/// materialized as `Value`s once per *group* (the first-seen key, as a
-/// `HashMap<Vec<Value>, _>` would keep), never per row.
+/// materialized as `Value`s once per *group* (the first-seen key, as the
+/// row operator's map keeps it), never per row.
 pub struct HashAgg {
     group_by: Vec<usize>,
     aggs: Vec<AggSpec>,

@@ -6,8 +6,8 @@
 //! code region, and NULLs live in per-column bitmaps. A page header records
 //! the row count and a per-column directory of `(type, offsets)` entries, so
 //! materializing the page into a [`ColBatch`] is a handful of bulk region
-//! reads — no per-tuple tag parsing, no per-value allocation beyond one
-//! `Arc<str>` per *distinct* string.
+//! reads — no per-tuple tag parsing, and a string column *is* the page's
+//! dictionary (one `Arc<str>` per distinct value) plus its rows' codes.
 //!
 //! This is the layout the shared circular scanner exploits: one decode-free
 //! materialization feeds every attached consumer at once (paper §4.3.1 — the
@@ -215,7 +215,7 @@ impl ColPage {
                     region.as_chunks::<4>().0.iter().map(|&b| i32::from_le_bytes(b)).collect(),
                 )
             }
-            TY_STR => ColumnData::Str(decode_strings(data, data_off, aux_off, rows, &nulls)?),
+            TY_STR => decode_strings(data, data_off, aux_off, rows, &nulls)?,
             other => return Err(corrupt(&format!("unknown column type tag {other}"))),
         };
         Ok(Column::new(payload, nulls))
@@ -241,43 +241,53 @@ fn region<'a>(data: &'a [u8], off: usize, len: usize, what: &str) -> QResult<&'a
     data.get(off..off + len).ok_or_else(|| corrupt(&format!("{what} out of bounds")))
 }
 
-/// Decode a string column: per-row dictionary codes + page-local dictionary.
-/// One `Arc<str>` is allocated per distinct value; rows bump refcounts.
+/// Decode a string column: the page-local dictionary becomes the column's
+/// (one `Arc<str>` per distinct value, built once per decode), and the
+/// per-row `u16` codes become `u32` codes — 0 at a NULL row, and checked
+/// against the dictionary everywhere else.
 fn decode_strings(
     data: &[u8],
     codes_off: usize,
     aux_off: usize,
     rows: usize,
     nulls: &Option<NullBitmap>,
-) -> QResult<Vec<Arc<str>>> {
+) -> QResult<ColumnData> {
     let codes = region(data, codes_off, rows * 2, "string codes")?;
     let dict_len = read_u16(region(data, aux_off, 2, "dict header")?, 0) as usize;
     let ends = region(data, aux_off + 2, dict_len * 2, "dict offsets")?;
     let bytes_off = aux_off + 2 + dict_len * 2;
-    let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
     let mut start = 0usize;
-    for d in 0..dict_len {
-        let end = read_u16(ends, d * 2) as usize;
-        if end < start {
-            return Err(corrupt("dict offsets not monotone"));
-        }
-        let bytes = region(data, bytes_off + start, end - start, "dict entry")?;
-        let s = std::str::from_utf8(bytes).map_err(|_| corrupt("dict entry not utf8"))?;
-        dict.push(Arc::from(s));
-        start = end;
-    }
-    let empty: Arc<str> = Arc::from("");
+    let mut dict = ends
+        .as_chunks::<2>()
+        .0
+        .iter()
+        .map(|&end| {
+            let end = u16::from_le_bytes(end) as usize;
+            if end < start {
+                return Err(corrupt("dict offsets not monotone"));
+            }
+            let bytes = region(data, bytes_off + start, end - start, "dict entry")?;
+            let s = std::str::from_utf8(bytes).map_err(|_| corrupt("dict entry not utf8"))?;
+            start = end;
+            Ok(Arc::from(s))
+        })
+        .collect::<QResult<Arc<[Arc<str>]>>>()?;
     let mut out = Vec::with_capacity(rows);
-    for r in 0..rows {
+    for (r, &code) in codes.as_chunks::<2>().0.iter().enumerate() {
+        let code = u16::from_le_bytes(code) as u32;
         if nulls.as_ref().is_some_and(|b| b.get(r)) {
-            out.push(empty.clone());
-            continue;
+            out.push(0);
+        } else if (code as usize) < dict.len() {
+            out.push(code);
+        } else {
+            return Err(corrupt("string code out of dictionary"));
         }
-        let code = read_u16(codes, r * 2) as usize;
-        let s = dict.get(code).ok_or_else(|| corrupt("string code out of dictionary"))?;
-        out.push(s.clone());
     }
-    Ok(out)
+    if dict.is_empty() && rows > 0 {
+        // Every row is NULL: one placeholder entry, so every code indexes it.
+        dict = Arc::from([Arc::from("")]);
+    }
+    Ok(ColumnData::Str { dict, codes: out })
 }
 
 // ---------------------------------------------------------------------------
@@ -576,7 +586,7 @@ mod tests {
         // The decoded batch is typed, not Mixed.
         let batch = page.materialize().unwrap();
         assert!(matches!(batch.col(0).unwrap().data(), ColumnData::Int64(_)));
-        assert!(matches!(batch.col(2).unwrap().data(), ColumnData::Str(_)));
+        assert!(matches!(batch.col(2).unwrap().data(), ColumnData::Str { .. }));
     }
 
     #[test]
@@ -600,9 +610,12 @@ mod tests {
         }
         let page = b.finish();
         let batch = page.materialize().unwrap();
-        let ColumnData::Str(v) = batch.col(0).unwrap().data() else { panic!("typed str col") };
-        assert!(Arc::ptr_eq(&v[0], &v[2]), "equal strings share one Arc");
-        assert_eq!(v[1].as_ref(), "odd");
+        let col = batch.col(0).unwrap();
+        let ColumnData::Str { dict, codes } = col.data() else { panic!("typed str col") };
+        assert_eq!(codes[0], codes[198], "equal strings share one code");
+        assert_ne!(codes[0], codes[1]);
+        assert_eq!(dict.len(), 2, "the dictionary holds each distinct value once");
+        assert_eq!(col.value(1), Value::str("odd"));
     }
 
     #[test]

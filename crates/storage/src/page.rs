@@ -169,8 +169,10 @@ impl Page {
     /// shorter than a named column yields NULL there. The result equals
     /// `ColBatch::from_rows(&self.decode_tuples()?)` projected onto `cols`,
     /// `ColumnData` variant for variant ([`ColumnBuilder::push`]'s rule);
-    /// only the allocations differ: no tuple per row, and one `Arc<str>` per
-    /// distinct string of a column rather than one per row (`Interner`).
+    /// only the allocations differ: no tuple per row, and each string goes
+    /// straight from the page bytes into its column's dictionary
+    /// ([`ColumnBuilder::push_str`]) — one `Arc<str>` per distinct string of
+    /// a column, and a `u32` code per row.
     pub fn decode_cols(&self, cols: Option<&[usize]>) -> QResult<ColBatch> {
         let width = self.width()?;
         let order: Vec<usize> = match cols {
@@ -194,25 +196,22 @@ impl Page {
             }
         }
         let rows = self.num_records();
-        let mut builders: Vec<(ColumnBuilder, Interner)> = decoded
-            .iter()
-            .map(|_| (ColumnBuilder::with_capacity(rows), Interner::default()))
-            .collect();
+        let mut builders: Vec<ColumnBuilder> =
+            decoded.iter().map(|_| ColumnBuilder::with_capacity(rows)).collect();
         for rec in self.records() {
             let mut reader = RecordReader::new(rec)?;
             let arity = reader.left;
             let mut c = 0;
             while let Some(slot) = reader.next_slot()? {
                 if let Some(k) = builder_of[c] {
-                    let (builder, interner) = &mut builders[k];
-                    builder.push(match slot {
-                        Slot::Str(s) => Value::Str(interner.intern(s)),
-                        other => other.into_value(),
-                    });
+                    match slot {
+                        Slot::Str(s) => builders[k].push_str(s),
+                        other => builders[k].push(other.into_value()),
+                    }
                 }
                 c += 1;
             }
-            for (&col, (builder, _)) in decoded.iter().zip(&mut builders) {
+            for (&col, builder) in decoded.iter().zip(&mut builders) {
                 if col >= arity {
                     builder.push(Value::Null);
                 }
@@ -221,52 +220,13 @@ impl Page {
         if builders.is_empty() {
             return Ok(ColBatch::empty_rows(rows));
         }
-        let batch = ColBatch::from_columns(builders.into_iter().map(|(b, _)| b.finish()).collect());
+        let batch =
+            ColBatch::from_columns(builders.into_iter().map(ColumnBuilder::finish).collect());
         if decoded.len() == order.len() {
             return Ok(batch);
         }
         // A repeated column: one decode, shared by every position naming it.
         Ok(batch.project(&order.iter().filter_map(|&c| builder_of[c]).collect::<Vec<_>>()))
-    }
-}
-
-/// Per-page, per-column string interner: equal strings in one column of one
-/// page share one `Arc<str>`. A small open-addressed table keeps at most
-/// `INTERN_CAP` values; once it is full, a new value is allocated without
-/// being kept, so a column of distinct strings pays one short probe each on
-/// top of the allocation it paid before.
-#[derive(Default)]
-struct Interner {
-    slots: Vec<Option<Arc<str>>>,
-    len: usize,
-}
-
-const INTERN_BITS: u32 = 6;
-const INTERN_SLOTS: usize = 1 << INTERN_BITS;
-/// At most half full, so every probe ends at an empty slot, and soon.
-const INTERN_CAP: usize = INTERN_SLOTS / 2;
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> Arc<str> {
-        if self.slots.is_empty() {
-            self.slots = vec![None; INTERN_SLOTS];
-        }
-        // The multiplicative hash's top bits are its best mixed.
-        let mut i = (page_sum(s.as_bytes()) >> (64 - INTERN_BITS)) as usize;
-        loop {
-            match &mut self.slots[i] {
-                Some(kept) if **kept == *s => return kept.clone(),
-                Some(_) => i = (i + 1) % INTERN_SLOTS,
-                empty => {
-                    let fresh: Arc<str> = Arc::from(s);
-                    if self.len < INTERN_CAP {
-                        *empty = Some(fresh.clone());
-                        self.len += 1;
-                    }
-                    return fresh;
-                }
-            }
-        }
     }
 }
 
@@ -551,9 +511,11 @@ mod tests {
             .collect();
         let p = page_of(&rows);
         let b = p.decode_cols(None).unwrap();
-        let ColumnData::Str(modes) = b.col(0).unwrap().data() else { panic!("typed str") };
-        assert!(Arc::ptr_eq(&modes[0], &modes[3]) && Arc::ptr_eq(&modes[1], &modes[97]));
-        // Distinct values overflow the bounded table and still decode right.
+        let ColumnData::Str { dict, codes } = b.col(0).unwrap().data() else { panic!("typed str") };
+        assert!(codes[0] == codes[3] && codes[1] == codes[97], "equal strings share one code");
+        assert_eq!(dict.len(), 3, "the dictionary holds each distinct value once");
+        let ColumnData::Str { dict, .. } = b.col(1).unwrap().data() else { panic!("typed str") };
+        assert_eq!(dict.len(), 100);
         assert_eq!(b, ColBatch::from_rows(&rows));
     }
 

@@ -1179,3 +1179,152 @@ fn vectorized_sort_is_bit_identical_to_sort_iter() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Dictionary-coded strings: a `Str` column is a shared dictionary plus `u32`
+// codes, and every operation over it must read as the strings themselves.
+// ---------------------------------------------------------------------------
+
+fn column_values(col: &qpipe::common::colbatch::Column) -> Vec<Value> {
+    (0..col.len()).map(|i| col.value(i)).collect()
+}
+
+/// A `Str` column grown from pieces that each carry their own dictionary
+/// over overlapping vocabularies, NULLs included, through `append`,
+/// `push_slot` and `push` at random; returns it with the values it must hold.
+fn arb_str_column(
+    rng: &mut StdRng,
+    words: &[String],
+) -> (qpipe::common::colbatch::Column, Vec<Value>) {
+    use qpipe::common::colbatch::{Column, ColumnBuilder};
+    let vocab = rng.gen_range(1..=words.len());
+    let mut builder = ColumnBuilder::new();
+    let mut want = Vec::new();
+    if rng.gen_bool(0.3) {
+        builder.push(Value::Null); // NULLs before the column is typed
+        want.push(Value::Null);
+    }
+    for _ in 0..rng.gen_range(1..=4) {
+        let len = rng.gen_range(1..=40);
+        // The first slot is a string, so no piece is all-NULL (`Mixed`).
+        let vals: Vec<Value> = (0..len)
+            .map(|i| {
+                if i > 0 && rng.gen_bool(0.15) {
+                    Value::Null
+                } else {
+                    Value::str(&words[rng.gen_range(0..vocab)])
+                }
+            })
+            .collect();
+        let piece = Column::from_values(&vals);
+        match rng.gen_range(0..4) {
+            0 => builder.append(&piece),
+            1 => (0..piece.len()).for_each(|i| builder.push_slot(&piece, i)),
+            2 => vals.iter().for_each(|v| builder.push(v.clone())),
+            _ => {
+                // A few rows of the piece, whose dictionary mostly outnumbers them.
+                let idx: Vec<u32> =
+                    (0..rng.gen_range(1..=3)).map(|_| rng.gen_range(0..len as u32)).collect();
+                builder.append(&piece.take(&idx));
+                want.extend(idx.iter().map(|&i| vals[i as usize].clone()));
+                continue;
+            }
+        }
+        want.extend(vals);
+    }
+    (builder.finish(), want)
+}
+
+#[test]
+fn dictionary_coded_strings_read_as_their_values() {
+    use qpipe::common::colbatch::{Column, ColumnData};
+    use qpipe::exec::expr::CmpOp;
+    use qpipe::exec::vexpr::hash_key_column;
+    let mut rng = StdRng::seed_from_u64(0xD1C7);
+    let words: Vec<String> =
+        (0..48).map(|i| format!("{}{i}", ["widget", "gadget", "wid", ""][i % 4])).collect();
+    // Views whose dictionary outnumbers their rows, and views where it does not.
+    let mut sides = [0usize; 2];
+    for case in 0..300 {
+        let (col, want) = arb_str_column(&mut rng, &words);
+        assert_eq!(column_values(&col), want, "case {case}: append / push_slot / push");
+        assert!(matches!(col.data(), ColumnData::Str { .. }), "case {case}: stays typed");
+        assert_eq!(col, Column::from_values(&want), "case {case}: equal across dictionaries");
+
+        // take, gather and slice round-trip to the same values.
+        let n = col.len() as u32;
+        let idx: Vec<u32> = (0..rng.gen_range(0..=12)).map(|_| rng.gen_range(0..n)).collect();
+        let taken = col.take(&idx);
+        let picked: Vec<Value> = idx.iter().map(|&i| want[i as usize].clone()).collect();
+        assert_eq!(column_values(&taken), picked, "case {case}: take");
+        let sel = SelVec::from_sorted((0..n).filter(|_| rng.gen_bool(0.3)).collect());
+        let gathered: Vec<Value> = sel.iter().map(|i| want[i].clone()).collect();
+        assert_eq!(column_values(&col.gather(&sel)), gathered, "case {case}: gather");
+        let at = rng.gen_range(0..=want.len());
+        let len = rng.gen_range(0..=want.len() - at);
+        let sliced = ColBatch::from_columns(vec![col.clone()]).slice(at, len);
+        assert_eq!(column_values(sliced.col(0).unwrap()), want[at..at + len], "case {case}: slice");
+
+        // The kernels, over the whole column and over a few taken rows (whose
+        // dictionary is the whole column's).
+        for view in [col.clone(), taken] {
+            let ColumnData::Str { dict, .. } = view.data() else { continue };
+            sides[usize::from(dict.len() > view.len())] += 1;
+            let vals = column_values(&view);
+            // Column 1 shares the dictionary (reversed rows); column 2 has its own.
+            let rev: Vec<u32> = (0..view.len() as u32).rev().collect();
+            let mut shuffled = vals.clone();
+            shuffled.rotate_left(usize::from(!vals.is_empty()));
+            let batch = ColBatch::from_columns(vec![
+                view.clone(),
+                view.take(&rev),
+                Column::from_values(&shuffled),
+            ]);
+            let word = |rng: &mut StdRng| {
+                let w = &words[rng.gen_range(0..words.len())];
+                Expr::Lit(Value::str(if rng.gen_bool(0.2) { format!("{w}~") } else { w.clone() }))
+            };
+            let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+            let mut preds = Vec::new();
+            for op in ops {
+                let cmp = |a: Expr, b: Expr| Expr::Cmp(op, Box::new(a), Box::new(b));
+                preds.push(cmp(Expr::col(0), word(&mut rng)));
+                preds.push(cmp(word(&mut rng), Expr::col(0)));
+                preds.push(cmp(Expr::col(0), Expr::col(1)));
+                preds.push(cmp(Expr::col(1), Expr::col(2)));
+            }
+            let list = (0..rng.gen_range(0..4))
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => Value::Null,
+                    1 => Value::Int(3),
+                    _ => Value::str(&words[rng.gen_range(0..words.len())]),
+                })
+                .collect();
+            preds.push(Expr::In(Box::new(Expr::col(0)), list));
+            for prefix in ["wid", "widget", "gad", "", "zz"] {
+                preds.push(Expr::StartsWith(Box::new(Expr::col(2)), prefix.into()));
+                // Under a selection the first conjunct already shrank.
+                preds.push(Expr::and([
+                    Expr::col(1).ne(word(&mut rng)),
+                    Expr::StartsWith(Box::new(Expr::col(0)), prefix.into()),
+                ]));
+            }
+            for pred in &preds {
+                let vectorized: Vec<usize> = pred.eval_filter(&batch).unwrap().iter().collect();
+                let scalar: Vec<usize> =
+                    (0..batch.len()).filter(|&i| pred.eval_bool(&batch.row(i)).unwrap()).collect();
+                assert_eq!(vectorized, scalar, "case {case}: {pred} over {vals:?}");
+            }
+            let hashes = hash_key_column(&view);
+            for (i, v) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                assert_eq!(hashes[i], v.stable_hash(), "case {case}: hash of row {i}");
+            }
+            if let Some(i) = vals.iter().position(|v| !v.is_null()) {
+                let mut other = vals.clone();
+                other[i] = Value::str("not-a-word");
+                assert_ne!(view, Column::from_values(&other), "case {case}: one value differs");
+            }
+        }
+    }
+    assert!(sides.iter().all(|&n| n > 50), "both sides of the size rule: {sides:?}");
+}
