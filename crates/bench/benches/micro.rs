@@ -63,7 +63,7 @@ fn host_fanout(c: &mut Criterion) {
     for outputs in [1u64, 4] {
         g.bench_with_input(BenchmarkId::from_parameter(outputs), &outputs, |b, &outputs| {
             b.iter(|| {
-                let reg = Arc::new(WaitRegistry::new());
+                let reg = Arc::new(WaitRegistry::default());
                 let (first, sink) = Pipe::pair(config, NodeId(1), NodeId(10), reg.clone());
                 let window = Some(AttachWindow::WholeLifetime);
                 let host =

@@ -216,7 +216,7 @@ pub struct MetricsSnapshot {
     /// SQL submissions whose canonicalized plan signature matched a plan
     /// previously planned from *different* query text — syntactic variants
     /// recognized as the same work by the planner (the precondition for OSP
-    /// and result-cache sharing across differently-phrased clients).
+    /// sharing across differently-phrased clients).
     pub plan_canonical_hits: u64,
     /// High-water mark of jobs queued in any single worker pool (gauge; its
     /// delta is growth of the mark, not a count).

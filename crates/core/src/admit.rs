@@ -27,10 +27,10 @@
 //! (`QueryHandle` holds the ticket); the release pumps the queues, so
 //! admission needs no thread of its own: queue timeouts and execution
 //! deadlines are enforced by [`AdmissionController::sweep`], which the
-//! engine's one service thread runs every tick. Clients must drain their
-//! handles concurrently (every driver in this repo does): a handle left
-//! uncollected keeps its slots, which is admission's backpressure working
-//! as intended.
+//! engine's service thread runs whenever the last sweep said one falls due.
+//! Clients must drain their handles concurrently (every driver in this repo
+//! does): a handle left uncollected keeps its slots, which is admission's
+//! backpressure working as intended.
 //!
 //! The depth bound is *slot accounting*, enforced at admit/release points.
 //! Cancellation is cooperative (workers observe their tokens at batch and
@@ -64,8 +64,8 @@ pub struct AdmitConfig {
     /// rejected outright.
     pub max_queued: usize,
     /// A ticket queued longer than this is rejected (its slots were never
-    /// taken; its pipe fails with [`QError::Admission`]) at the next sweep,
-    /// within one service tick. `None` = wait forever.
+    /// taken; its pipe fails with [`QError::Admission`]) by the sweep that
+    /// runs when it falls due. `None` = wait forever.
     pub queue_timeout: Option<Duration>,
 }
 
@@ -227,13 +227,13 @@ impl Actions {
             match &mut *st {
                 TicketState::Running { cancels: slot, .. } => *slot = cancels,
                 // Cancelled while the dispatch ran: terminate the plan now.
-                TicketState::Finished => {
+                // (A dispatched ticket is never queued again.)
+                TicketState::Finished | TicketState::Queued { .. } => {
                     drop(st);
                     for t in cancels {
                         t.cancel();
                     }
                 }
-                TicketState::Queued { .. } => unreachable!("dispatched ticket cannot be queued"),
             }
         }
     }
@@ -264,11 +264,6 @@ impl AdmissionController {
     ) -> Arc<Self> {
         let config = config.validated(&metrics);
         Arc::new(Self { config, deadline, metrics, state: Mutex::new(CtrlState::default()) })
-    }
-
-    /// The configured execution deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
     }
 
     pub fn config(&self) -> AdmitConfig {
@@ -392,87 +387,70 @@ impl AdmissionController {
         actions.run();
     }
 
-    /// Reject tickets that outstayed `queue_timeout`, then terminate running
-    /// queries that exceeded the execution deadline. Returns at once when
-    /// neither is set.
-    pub fn sweep(&self) {
-        self.sweep_queue_timeouts();
-        self.sweep_deadlines();
-    }
-
-    /// Terminate every running query older than the execution deadline: its
-    /// cancel tokens fire (workers observe them cooperatively) and its root
-    /// pipe fails with [`QError::Timeout`]. Slot release still happens when
-    /// the client's handle settles, exactly as for any failed query.
-    fn sweep_deadlines(&self) {
-        let Some(deadline) = self.deadline else { return };
+    /// Reject queued tickets that outstayed `queue_timeout`, and terminate
+    /// running queries older than the deadline: their cancel tokens fire and
+    /// their root pipes fail with [`QError::Timeout`] (slots release when the
+    /// handle settles, as for any failed query). Returns when the next sweep
+    /// is due: the earliest `since + queue_timeout` (queued) or `since +
+    /// deadline` (running) of a ticket it kept, capped at `now +
+    /// min(deadline, queue_timeout)`, before which no later ticket can fall
+    /// due. `None` when neither is set.
+    pub fn sweep(&self) -> Option<Instant> {
+        let now = Instant::now();
+        let mut due = now + self.config.queue_timeout.into_iter().chain(self.deadline).min()?;
         let mut actions = Actions::default();
         {
             let mut st = self.state.lock();
-            let now = Instant::now();
-            let mut keep = Vec::with_capacity(st.running.len());
-            for ticket in std::mem::take(&mut st.running) {
-                let mut t = ticket.state.lock();
-                match &mut *t {
-                    TicketState::Running { since, cancels, pipe } => {
-                        if now.duration_since(*since) <= deadline {
-                            drop(t);
-                            keep.push(ticket);
-                            continue;
+            if let Some(timeout) = self.config.queue_timeout {
+                for q in &mut st.queues {
+                    q.retain(|ticket| {
+                        let mut t = ticket.state.lock();
+                        match std::mem::replace(&mut *t, TicketState::Finished) {
+                            TicketState::Queued { since, dispatch, pipe }
+                                if now.duration_since(since) < timeout =>
+                            {
+                                due = due.min(since + timeout);
+                                *t = TicketState::Queued { since, dispatch, pipe };
+                                true
+                            }
+                            TicketState::Queued { since, dispatch, pipe } => {
+                                self.metrics.add_rejected();
+                                let waited = now.duration_since(since);
+                                let err = format!("queued {waited:?} > timeout {timeout:?}");
+                                actions.fail.push((pipe, QError::Admission(err)));
+                                actions.discard.push(dispatch);
+                                false
+                            }
+                            // Settled elsewhere; drop it from the queue.
+                            settled => {
+                                *t = settled;
+                                false
+                            }
                         }
-                        // Overdue: poison + cancel, but leave the ticket
-                        // Running — the handle's guard releases the slots.
+                    });
+                }
+            }
+            if let Some(deadline) = self.deadline {
+                st.running.retain(|ticket| match &mut *ticket.state.lock() {
+                    TicketState::Running { since, .. } if now.duration_since(*since) < deadline => {
+                        due = due.min(*since + deadline);
+                        true
+                    }
+                    // Overdue: poison + cancel, but leave the ticket Running —
+                    // the handle's guard releases the slots.
+                    TicketState::Running { cancels, pipe, .. } => {
                         self.metrics.add_query_timeout();
                         actions.fail.push((pipe.clone(), QError::Timeout));
                         actions.fire.append(&mut std::mem::take(cancels));
+                        false
                     }
-                    // Settled elsewhere; drop from the running list.
-                    _ => continue,
-                }
-            }
-            st.running = keep;
-        }
-        actions.run();
-    }
-
-    /// Reject every ticket that outstayed `queue_timeout`.
-    fn sweep_queue_timeouts(&self) {
-        let Some(timeout) = self.config.queue_timeout else { return };
-        let mut actions = Actions::default();
-        {
-            let mut st = self.state.lock();
-            let now = Instant::now();
-            for q in &mut st.queues {
-                let mut keep = VecDeque::with_capacity(q.len());
-                for ticket in q.drain(..) {
-                    let mut t = ticket.state.lock();
-                    let expired = match &*t {
-                        TicketState::Queued { since, .. } => now.duration_since(*since) > timeout,
-                        _ => true, // settled elsewhere; drop from the queue
-                    };
-                    if !expired {
-                        drop(t);
-                        keep.push_back(ticket);
-                        continue;
-                    }
-                    if let TicketState::Queued { pipe, since, dispatch } =
-                        std::mem::replace(&mut *t, TicketState::Finished)
-                    {
-                        self.metrics.add_rejected();
-                        actions.fail.push((
-                            pipe,
-                            QError::Admission(format!(
-                                "queued {:?} > timeout {timeout:?}",
-                                now.duration_since(since)
-                            )),
-                        ));
-                        actions.discard.push(dispatch);
-                    }
-                }
-                *q = keep;
+                    // Settled elsewhere; drop it from the running list.
+                    _ => false,
+                });
             }
         }
         actions.run();
+        Some(due)
     }
 
     /// Admit every eligible waiter. Interactive scans first; within a class,
@@ -486,33 +464,31 @@ impl AdmissionController {
             let mut keep = VecDeque::with_capacity(q.len());
             for ticket in q.drain(..) {
                 let mut t = ticket.state.lock();
-                let eligible = match &*t {
-                    TicketState::Queued { .. } => ticket.engines.iter().all(|e| {
-                        !blocked.contains(e)
-                            && st.in_flight.get(e).copied().unwrap_or(0) < self.config.queue_depth
-                    }),
-                    // Settled elsewhere (cancelled/timed out): drop it.
-                    _ => {
+                let eligible = ticket.engines.iter().all(|e| {
+                    !blocked.contains(e)
+                        && st.in_flight.get(e).copied().unwrap_or(0) < self.config.queue_depth
+                });
+                let (dispatch, since) = match std::mem::replace(&mut *t, TicketState::Finished) {
+                    TicketState::Queued { dispatch, since, pipe } if eligible => {
+                        *t = TicketState::Running {
+                            cancels: Vec::new(),
+                            since: Instant::now(),
+                            pipe,
+                        };
+                        (dispatch, since)
+                    }
+                    queued @ TicketState::Queued { .. } => {
+                        *t = queued;
+                        drop(t);
+                        blocked.extend(&ticket.engines);
+                        keep.push_back(ticket);
                         continue;
                     }
-                };
-                if !eligible {
-                    for e in &ticket.engines {
-                        blocked.insert(e);
+                    // Settled elsewhere (cancelled/timed out): drop it.
+                    settled => {
+                        *t = settled;
+                        continue;
                     }
-                    drop(t);
-                    keep.push_back(ticket);
-                    continue;
-                }
-                let pipe = match &*t {
-                    TicketState::Queued { pipe, .. } => pipe.clone(),
-                    _ => unreachable!("eligibility checked above"),
-                };
-                let TicketState::Queued { dispatch, since, .. } = std::mem::replace(
-                    &mut *t,
-                    TicketState::Running { cancels: Vec::new(), since: Instant::now(), pipe },
-                ) else {
-                    unreachable!("eligibility checked above");
                 };
                 drop(t);
                 let waited_us = since.elapsed().as_micros() as u64;
@@ -551,7 +527,7 @@ mod tests {
     }
 
     fn pipe_pair() -> (PipeProducer, PipeConsumer) {
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         Pipe::pair(PipeConfig { capacity: 8 }, NodeId(1), NodeId(2), reg)
     }
 
@@ -797,5 +773,63 @@ mod tests {
         assert_eq!(ctrl.queue_len(), 0);
         ctrl.finish(&running, None, false);
         assert_eq!(m.snapshot().rejected, 1);
+    }
+
+    /// `sweep` says when the next sweep is due: `now + min(D, T)` with
+    /// nothing pending, else the earliest `since + T` of a queued ticket or
+    /// `since + D` of a running one — never later than `now + min(D, T)`.
+    #[test]
+    fn sweep_returns_when_the_next_ticket_falls_due() {
+        let within = |due: Option<Instant>, lo: Instant, hi: Instant, what: &str| {
+            let due = due.expect("a timeout or a deadline is set");
+            assert!(lo <= due && due <= hi, "{what}: {due:?} outside {lo:?}..={hi:?}");
+        };
+        let (t, d) = (Duration::from_secs(60), Duration::from_secs(120));
+        let queue_timeout =
+            AdmitConfig { queue_depth: 1, queue_timeout: Some(t), ..Default::default() };
+        let queued_only = AdmissionController::new(queue_timeout, metrics());
+        let deadline_only =
+            AdmissionController::with_deadline(AdmitConfig::default(), Some(t), metrics());
+        let both = AdmissionController::with_deadline(queue_timeout, Some(d), metrics());
+        let neither = AdmissionController::new(AdmitConfig::default(), metrics());
+        assert_eq!(neither.sweep(), None, "nothing ever falls due");
+        for ctrl in [&queued_only, &deadline_only, &both] {
+            let before = Instant::now();
+            let due = ctrl.sweep();
+            within(due, before + t, Instant::now() + t, "nothing pending");
+        }
+        let dispatched = Arc::new(AtomicUsize::new(0));
+        let ticket = || counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let sweep_later = |ctrl: &AdmissionController| {
+            // Later than any `since` below, so `now + min(D, T)` is too.
+            std::thread::sleep(Duration::from_millis(5));
+            ctrl.sweep()
+        };
+
+        // A queued ticket falls due `T` after it was submitted.
+        let (running, _c0) = ticket();
+        queued_only.submit(running).unwrap();
+        let before = Instant::now();
+        let (waiting, _c1) = ticket();
+        let after = Instant::now();
+        queued_only.submit(waiting.clone()).unwrap();
+        assert!(waiting.is_queued());
+        within(sweep_later(&queued_only), before + t, after + t, "queued: since + T");
+
+        // A running ticket falls due `D` after it was admitted.
+        let before = Instant::now();
+        let (admitted, _c2) = ticket();
+        deadline_only.submit(admitted.clone()).unwrap();
+        let after = Instant::now();
+        assert!(!admitted.is_queued());
+        within(sweep_later(&deadline_only), before + t, after + t, "running: since + D");
+
+        // ...unless a ticket submitted or admitted right after this sweep
+        // could fall due sooner: with D > T, `now + T` caps `since + D`.
+        let (admitted, _c3) = ticket();
+        both.submit(admitted).unwrap();
+        let before = Instant::now();
+        let due = sweep_later(&both);
+        within(due, before + t, Instant::now() + t, "capped at now + min(D, T)");
     }
 }

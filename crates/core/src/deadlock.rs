@@ -18,22 +18,23 @@
 //! it is resolved by **materializing** (unbounding) the minimum-cost pipe on
 //! the cycle, which removes the producer's wait edge.
 //!
-//! This is the engine's only stall resolver, and it has no thread of its
-//! own: the engine's one service thread (`pool.rs`'s `ServiceThread`) runs a
-//! [`resolve_once`] pass every tick. Every packet and every scanner runs on a
+//! This is the engine's only stall resolver, and it has no thread or tick:
+//! a cycle is complete the moment its last edge is added, so the waiter
+//! adding it finds it ([`WaitRegistry::add_edge`]) and breaks it
+//! ([`WaitRegistry::resolve`]). Every packet and every scanner runs on a
 //! pool thread of its own (`pool.rs` grows pools on demand), so "blocked on
 //! a pipe" is the only way one waits and a cycle the only way a plan wedges.
 //!
 //! The registry lags the pipes: a woken waiter clears its edge only once it
-//! is scheduled again and has re-taken the pipe lock, so a snapshot can hold
-//! edges that are no longer true (a notified scan still shows "full" while
-//! its join, having drained the queue, already registers "empty"). A cycle is
-//! therefore acted on only if every edge on it is still the wait it was
-//! registered as, by its pipe's own state (`Pipe::edge_holds`). Such an
-//! edge has been true without interruption since before the snapshot, so a
-//! cycle of them was all true at the snapshot instant — a deadlock — while
-//! the edges of a real deadlock cannot go stale, so skipping a cycle with a
-//! stale edge never loses one.
+//! is scheduled again and has re-taken the pipe lock, so a cycle can run
+//! through edges that are no longer true (a notified scan still shows "full"
+//! while its join, having drained the queue, already registers "empty"). A
+//! cycle is therefore acted on only if every edge on it is still the wait it
+//! was registered as, by its pipe's own state (`Pipe::edge_holds`). Such an
+//! edge has been true without interruption since it was added, so a cycle of
+//! them was all true at once — a deadlock. Skipping a cycle with a stale
+//! edge loses nothing: that edge's waiter, once it runs, either makes
+//! progress or blocks again, adding an edge that closes the cycle anew.
 
 use crate::pipe::Pipe;
 use parking_lot::Mutex;
@@ -62,7 +63,7 @@ pub enum WaitKind {
 pub struct WaitEdge {
     pub waiter: NodeId,
     pub holder: NodeId,
-    /// The pipe the wait is on: the detector re-checks the edge against it
+    /// The pipe the wait is on: the resolver re-checks the edge against it
     /// and materializes it. Weak, so a registered wait keeps no pipe alive.
     pub pipe: Weak<Pipe>,
     pub kind: WaitKind,
@@ -73,21 +74,40 @@ pub struct WaitEdge {
     pub produced: u64,
 }
 
-/// Registry of current waits-for edges.
+/// Registry of current waits-for edges; resolves the cycles they close.
 #[derive(Debug, Default)]
 pub struct WaitRegistry {
     /// A blocked thread's one edge, keyed by waiter; cleared when it wakes.
     edges: Mutex<HashMap<NodeId, WaitEdge>>,
+    /// Serializes [`resolve`](Self::resolve) (taken holding no pipe lock), so
+    /// two waiters of one cycle cannot both find it intact and break it.
+    resolving: Mutex<()>,
+    /// Counts `deadlocks_resolved`.
+    metrics: Metrics,
 }
 
 impl WaitRegistry {
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(metrics: Metrics) -> Self {
+        Self { metrics, ..Self::default() }
     }
 
-    /// Record that `edge.waiter` is blocked.
-    pub fn add_edge(&self, edge: WaitEdge) {
-        self.edges.lock().insert(edge.waiter, edge);
+    /// Record that `edge.waiter` is blocked; returns the cycle the edge
+    /// closes, starting with `edge`. One out-edge per node makes the walk
+    /// from the holder unique: it returns to the waiter within `edges.len()`
+    /// steps iff the edge closed a cycle. A walk that ends, or runs into an
+    /// older cycle, allocates nothing; only a found cycle is collected.
+    pub fn add_edge(&self, edge: WaitEdge) -> Option<Vec<WaitEdge>> {
+        let mut edges = self.edges.lock();
+        let (waiter, mut node) = (edge.waiter, edge.holder);
+        edges.insert(waiter, edge);
+        for _ in 0..edges.len() {
+            if node == waiter {
+                let next = |e: &&WaitEdge| edges.get(&e.holder).filter(|_| e.holder != waiter);
+                return Some(std::iter::successors(edges.get(&waiter), next).cloned().collect());
+            }
+            node = edges.get(&node)?.holder;
+        }
+        None
     }
 
     /// Clear `waiter`'s edge (called when it wakes).
@@ -99,37 +119,25 @@ impl WaitRegistry {
     pub fn edges(&self) -> Vec<WaitEdge> {
         self.edges.lock().values().cloned().collect()
     }
-}
 
-/// Find one cycle in the waits-for graph; returns the edges along it.
-///
-/// Every node has at most one out-edge, so from each node there is exactly
-/// one walk: it ends at a node that waits for nothing, runs into a node an
-/// earlier walk already visited (whose walk found no cycle), or comes back to
-/// a node of its own — the cycle. Each node is visited once.
-pub fn find_cycle(edges: &[WaitEdge]) -> Option<Vec<WaitEdge>> {
-    let next: HashMap<NodeId, &WaitEdge> = edges.iter().map(|e| (e.waiter, e)).collect();
-    // The walk that first reached each node.
-    let mut walked: HashMap<NodeId, usize> = HashMap::new();
-    for (walk, start) in edges.iter().enumerate() {
-        let mut path: Vec<&WaitEdge> = Vec::new();
-        let mut node = start.waiter;
-        loop {
-            match walked.get(&node) {
-                Some(&w) if w == walk => {
-                    let cycle = path.into_iter().skip_while(|e| e.waiter != node);
-                    return Some(cycle.cloned().collect());
-                }
-                Some(_) => break,
-                None => {}
-            }
-            walked.insert(node, walk);
-            let Some(&edge) = next.get(&node) else { break };
-            path.push(edge);
-            node = edge.holder;
+    /// Break `cycle` if every edge on it still holds by its pipe's own state
+    /// (a deadlock): materialize its minimum-cost producer-wait pipe and
+    /// count it. Call holding no pipe lock; `true` when it materialized one.
+    pub fn resolve(&self, cycle: &[WaitEdge]) -> bool {
+        let _one_at_a_time = self.resolving.lock();
+        // A cycle through a stale edge is not a deadlock.
+        let holds = |e: &WaitEdge| e.pipe.upgrade().is_some_and(|p| p.edge_holds(e));
+        if !cycle.iter().all(holds) {
+            return false;
         }
+        let cost = |e: &WaitEdge| e.pipe.upgrade().map_or(usize::MAX, |p| p.materialize_cost());
+        let Some(pipe) = choose_victim(cycle, cost).and_then(|e| e.pipe.upgrade()) else {
+            return false;
+        };
+        pipe.materialize();
+        self.metrics.add_deadlock_resolved();
+        true
     }
-    None
 }
 
 /// Given a cycle, choose the edge whose pipe to materialize: among the
@@ -139,28 +147,6 @@ pub fn find_cycle(edges: &[WaitEdge]) -> Option<Vec<WaitEdge>> {
 /// iterating until acyclic).
 pub fn choose_victim(cycle: &[WaitEdge], cost: impl Fn(&WaitEdge) -> usize) -> Option<&WaitEdge> {
     cycle.iter().filter(|e| e.kind == WaitKind::ProducerFull).min_by_key(|e| cost(e))
-}
-
-/// One detection/resolution pass: the engine's service thread runs one per
-/// tick (`QPipeConfig::service_interval`).
-pub fn resolve_once(registry: &WaitRegistry, metrics: &Metrics) -> bool {
-    let edges = registry.edges();
-    let Some(cycle) = find_cycle(&edges) else {
-        return false;
-    };
-    // Re-check every edge against its pipe (under the pipe's lock, holding
-    // no registry lock): a cycle through a stale edge is not a deadlock.
-    let holds = |e: &WaitEdge| e.pipe.upgrade().is_some_and(|p| p.edge_holds(e));
-    if !cycle.iter().all(holds) {
-        return false;
-    }
-    let cost = |e: &WaitEdge| e.pipe.upgrade().map_or(usize::MAX, |p| p.materialize_cost());
-    if let Some(pipe) = choose_victim(&cycle, cost).and_then(|e| e.pipe.upgrade()) {
-        pipe.materialize();
-        metrics.add_deadlock_resolved();
-        return true;
-    }
-    false
 }
 
 #[cfg(test)]
@@ -182,49 +168,34 @@ mod tests {
     }
 
     fn waiters(cycle: &[WaitEdge]) -> Vec<u64> {
-        let mut w: Vec<u64> = cycle.iter().map(|x| x.waiter.0).collect();
-        w.sort_unstable();
-        w
+        cycle.iter().map(|x| x.waiter.0).collect()
+    }
+
+    /// Insert `edges` in order into a fresh registry; what each insert
+    /// returned, as the waiters along the cycle it closed.
+    fn inserts(edges: &[WaitEdge]) -> Vec<Option<Vec<u64>>> {
+        let r = WaitRegistry::default();
+        edges.iter().map(|x| r.add_edge(x.clone()).map(|c| waiters(&c))).collect()
     }
 
     #[test]
-    fn no_cycle_in_chain() {
-        assert!(find_cycle(&[e(1, 2), e(2, 3)]).is_none());
-        assert!(find_cycle(&[]).is_none());
+    fn the_edge_that_closes_a_cycle_reports_it() {
+        assert_eq!(inserts(&[e(1, 2), e(2, 3)]), [None, None], "a chain");
+        assert_eq!(inserts(&[e(1, 2), e(2, 1)]), [None, Some(vec![2, 1])]);
+        assert_eq!(inserts(&[e(5, 5)]), [Some(vec![5])], "a self loop");
+        // 0 → 1 → 2 → 3 → 1: the cycle is {1, 2, 3}; the tail edge is not on
+        // it, and a later edge into the cycle closes nothing.
+        let tail = [e(0, 1), e(1, 2), e(2, 3), e(3, 1), e(4, 2)];
+        assert_eq!(inserts(&tail), [None, None, None, Some(vec![3, 1, 2]), None]);
     }
 
+    /// Random waits-for graphs with at most one out-edge per node, their
+    /// edges inserted in random order: an insert returns a cycle exactly when
+    /// a brute-force oracle — walk `n` steps from the new edge's waiter and
+    /// see whether it comes back — says the edge closed one, and what it
+    /// returns is that cycle, starting at the waiter, edge by edge.
     #[test]
-    fn two_node_cycle() {
-        let cycle = find_cycle(&[e(1, 2), e(2, 1)]).expect("cycle");
-        assert_eq!(waiters(&cycle), [1, 2]);
-    }
-
-    #[test]
-    fn cycle_with_tail() {
-        // 0 → 1 → 2 → 3 → 1 : cycle is {1,2,3}.
-        let cycle = find_cycle(&[e(0, 1), e(1, 2), e(2, 3), e(3, 1)]).expect("cycle");
-        assert_eq!(waiters(&cycle), [1, 2, 3], "tail edge not in cycle");
-    }
-
-    #[test]
-    fn self_loop() {
-        let cycle = find_cycle(&[e(5, 5)]).expect("self loop is a cycle");
-        assert_eq!(waiters(&cycle), [5]);
-    }
-
-    #[test]
-    fn disjoint_components_one_cyclic() {
-        let edges = [e(1, 2), e(7, 8), e(8, 7)];
-        let cycle = find_cycle(&edges).expect("cycle in second component");
-        assert_eq!(waiters(&cycle), [7, 8]);
-    }
-
-    /// Random waits-for graphs with at most one out-edge per node: the walk
-    /// finds a cycle exactly when a brute-force oracle — walk `n` steps from
-    /// every node and see whether it comes back — does, and what it returns
-    /// is one of the graph's cycles, edge by edge.
-    #[test]
-    fn find_cycle_agrees_with_walking_n_steps_from_every_node() {
+    fn add_edge_agrees_with_walking_n_steps_from_the_waiter() {
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
         let mut rand = |bound: u64| {
             // splitmix64
@@ -234,59 +205,65 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             (z ^ (z >> 31)) % bound
         };
-        let (mut self_loops, mut tails, mut two_cycles) = (0, 0, 0);
+        let (mut self_loops, mut closing, mut into_older_cycle) = (0, 0, 0);
         for _ in 0..2000 {
             let n = 1 + rand(10);
-            let mut next: HashMap<u64, u64> = HashMap::new();
+            let mut edges = Vec::new();
             for v in 0..n {
                 if rand(4) != 0 {
-                    next.insert(v, rand(n));
+                    edges.push(e(v, rand(n)));
                 }
             }
-            let mut edges: Vec<WaitEdge> = next.iter().map(|(&w, &h)| e(w, h)).collect();
-            // Any start order: swap each edge with a random earlier one.
+            // Any insertion order: swap each edge with a random earlier one.
             for i in 1..edges.len() {
                 edges.swap(i, rand(i as u64 + 1) as usize);
             }
-            let returns = |v: u64| {
-                let mut at = v;
-                (0..n).any(|_| match next.get(&at) {
-                    Some(&h) => {
-                        at = h;
-                        at == v
+            let registry = WaitRegistry::default();
+            let mut next: HashMap<u64, u64> = HashMap::new();
+            for new in edges {
+                let (w, h) = (new.waiter.0, new.holder.0);
+                // Does the walk from the holder run into a cycle of older
+                // edges (one the waiter is not on)?
+                let mut at = h;
+                let older = (0..n).all(|_| match next.get(&at) {
+                    Some(&to) => {
+                        at = to;
+                        true
                     }
                     None => false,
-                })
-            };
-            let on_cycle: HashSet<u64> = (0..n).filter(|&v| returns(v)).collect();
-            // A cycle is named by its smallest node.
-            let name = |v: u64| {
-                let (mut at, mut min) = (v, v);
-                for _ in 0..n {
-                    at = next[&at];
-                    min = min.min(at);
+                });
+                next.insert(w, h);
+                let mut at = w;
+                let closes = (0..n).any(|_| match next.get(&at) {
+                    Some(&to) => {
+                        at = to;
+                        at == w
+                    }
+                    None => false,
+                });
+                let graph = format!("{next:?} after {w} → {h}");
+                let found = registry.add_edge(new);
+                assert_eq!(found.is_some(), closes, "{graph}");
+                let Some(cycle) = found else {
+                    into_older_cycle += older as usize;
+                    continue;
+                };
+                closing += 1;
+                self_loops += (w == h) as usize;
+                assert_eq!(cycle[0].waiter.0, w, "the cycle starts at the waiter: {graph}");
+                for (i, edge) in cycle.iter().enumerate() {
+                    let after = &cycle[(i + 1) % cycle.len()];
+                    assert_eq!(next.get(&edge.waiter.0), Some(&edge.holder.0), "{graph}");
+                    assert_eq!(edge.holder, after.waiter, "edges do not chain: {graph}");
                 }
-                min
-            };
-            let cycles: HashSet<u64> = on_cycle.iter().map(|&v| name(v)).collect();
-            self_loops += next.iter().filter(|(w, h)| w == h).count();
-            tails +=
-                next.keys().any(|v| !on_cycle.contains(v) && on_cycle.contains(&next[v])) as usize;
-            two_cycles += (cycles.len() >= 2) as usize;
-
-            let found = find_cycle(&edges);
-            assert_eq!(found.is_some(), !on_cycle.is_empty(), "graph {next:?}");
-            let Some(cycle) = found else { continue };
-            for (i, edge) in cycle.iter().enumerate() {
-                let after = &cycle[(i + 1) % cycle.len()];
-                assert_eq!(next.get(&edge.waiter.0), Some(&edge.holder.0), "not an edge: {next:?}");
-                assert_eq!(edge.holder, after.waiter, "edges do not chain: {next:?}");
-                assert!(on_cycle.contains(&edge.waiter.0), "not on a cycle: {next:?}");
+                let distinct: HashSet<NodeId> = cycle.iter().map(|x| x.waiter).collect();
+                assert_eq!(distinct.len(), cycle.len(), "a node twice: {graph}");
             }
-            let distinct: HashSet<NodeId> = cycle.iter().map(|x| x.waiter).collect();
-            assert_eq!(distinct.len(), cycle.len(), "a node twice: {next:?}");
         }
-        assert!(self_loops > 0 && tails > 0 && two_cycles > 0, "{self_loops} {tails} {two_cycles}");
+        assert!(
+            self_loops > 0 && closing > self_loops && into_older_cycle > 0,
+            "{self_loops} {closing} {into_older_cycle}"
+        );
     }
 
     #[test]
@@ -303,8 +280,8 @@ mod tests {
     #[test]
     fn cycle_is_resolved_only_while_every_edge_still_holds() {
         use crate::pipe::{push_rows, PipeConfig};
-        let registry = Arc::new(WaitRegistry::new());
         let metrics = Metrics::new();
+        let registry = Arc::new(WaitRegistry::new(metrics.clone()));
         let config = PipeConfig { capacity: 1 };
         let (mut producer, on_full) = Pipe::pair(config, NodeId(1), NodeId(2), registry.clone());
         let (empty_out, _on_empty) = Pipe::pair(config, NodeId(1), NodeId(2), registry.clone());
@@ -319,27 +296,28 @@ mod tests {
         };
         let mut push = || push_rows(&mut producer, &[vec![qpipe_common::Value::Int(1)]]);
         push();
-        registry.add_edge(wait(&full, (1, 2), WaitKind::ProducerFull, 1));
-        registry.add_edge(wait(&empty, (2, 1), WaitKind::ConsumerEmpty, 0));
+        assert!(registry.add_edge(wait(&full, (1, 2), WaitKind::ProducerFull, 1)).is_none());
+        let cycle = registry.add_edge(wait(&empty, (2, 1), WaitKind::ConsumerEmpty, 0));
+        let cycle = cycle.expect("node 2's edge closes the cycle");
 
         // Node 2 was notified and drained `full`, but the registry still
         // shows both waits.
         assert!(on_full.recv().unwrap().is_some());
-        assert!(find_cycle(&registry.edges()).is_some());
-        assert!(!resolve_once(&registry, &metrics), "`full` is no longer full");
+        assert!(!registry.resolve(&cycle), "`full` is no longer full");
         // Full again — by a later batch: not the wait that was registered.
         push();
-        assert!(!resolve_once(&registry, &metrics), "`full` has moved since node 1 blocked");
+        assert!(!registry.resolve(&cycle), "`full` has moved since node 1 blocked");
         registry.remove_edge(NodeId(1));
-        registry.add_edge(wait(&full, (1, 2), WaitKind::ProducerFull, 2));
-        assert!(resolve_once(&registry, &metrics), "every edge holds: a deadlock");
-        assert!(!resolve_once(&registry, &metrics), "a materialized pipe blocks no producer");
+        let cycle = registry.add_edge(wait(&full, (1, 2), WaitKind::ProducerFull, 2));
+        let cycle = cycle.expect("node 1's new edge closes the cycle");
+        assert!(registry.resolve(&cycle), "every edge holds: a deadlock");
+        assert!(!registry.resolve(&cycle), "a materialized pipe blocks no producer");
         assert_eq!(metrics.snapshot().deadlocks_resolved, 1);
     }
 
     #[test]
     fn registry_edge_lifecycle() {
-        let r = WaitRegistry::new();
+        let r = WaitRegistry::default();
         r.add_edge(e(1, 2));
         assert_eq!(r.edges().len(), 1);
         r.remove_edge(NodeId(1));

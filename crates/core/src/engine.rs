@@ -13,13 +13,13 @@
 //! its children are wired with pipes and dispatched the same way, and the
 //! host goes to the µEngine's pool. Scans go to the scan manager — the scan
 //! µEngine — which applies the same check per table and runs each scan
-//! group's scanner as a job on its pool. Besides the pools, the engine owns
-//! one thread: the service thread that resolves deadlocks and sweeps
-//! admission every tick.
+//! group's scanner as a job on its pool. A deadlock is broken by the waiter
+//! whose edge closes it, so besides the pools an engine owns at most one
+//! thread: the service thread that fires queue timeouts and execution
+//! deadlines as they fall due, started only when one of them is set.
 
 use crate::admit::{AdmissionController, AdmitConfig, DispatchFn, QueryClass, QueryTicket};
-use crate::cache::{CacheConfig, QueryCache};
-use crate::deadlock::{resolve_once, NodeId, WaitRegistry};
+use crate::deadlock::{NodeId, WaitRegistry};
 use crate::host::ShareRegistry;
 use crate::ops::{self, OpEnv};
 use crate::packet::{fresh_node, CancelToken, Packet, QueryId};
@@ -48,12 +48,6 @@ pub struct QPipeConfig {
     pub exec: ExecConfig,
     /// Host replay-history window in batches (buffering enhancement, §3.2).
     pub host_backfill: usize,
-    /// How often the service thread runs one deadlock-resolution pass and
-    /// one admission sweep (queue timeouts, execution deadlines).
-    pub service_interval: Duration,
-    /// Optional query-result cache (§2.3): `Some` caches completed results
-    /// keyed by plan signature and serves exact repeats without execution.
-    pub result_cache: Option<CacheConfig>,
     /// Admission control: per-µEngine concurrency bound, waiting-room size,
     /// and queue timeout. Every submitted query passes through it.
     pub admit: AdmitConfig,
@@ -66,8 +60,6 @@ impl Default for QPipeConfig {
             pipe: PipeConfig::default(),
             exec: ExecConfig::default(),
             host_backfill: 8,
-            service_interval: Duration::from_millis(20),
-            result_cache: None,
             admit: AdmitConfig::default(),
         }
     }
@@ -103,11 +95,6 @@ struct MicroEngine {
 }
 
 /// The QPipe engine.
-///
-/// Field order is load-bearing at drop: the µEngine pools (`engines`, whose
-/// drop joins their workers) and the scan manager must wind down while the
-/// service thread (`_service`) still runs its deadlock passes, so packets
-/// caught in a waits-for cycle during shutdown can still be released.
 pub struct QPipe {
     ctx: ExecContext,
     config: QPipeConfig,
@@ -117,9 +104,9 @@ pub struct QPipe {
     env: Arc<OpEnv>,
     engines: HashMap<&'static str, MicroEngine>,
     metrics: Metrics,
-    cache: Option<Arc<QueryCache>>,
     admit: Arc<AdmissionController>,
-    _service: ServiceThread,
+    /// Fires queue timeouts and execution deadlines, when either is set.
+    _service: Option<ServiceThread>,
     /// Self-reference for deferred dispatch closures (admission tickets).
     self_weak: Weak<QPipe>,
     /// Canonical plan signature → hash of the first SQL text that produced
@@ -130,17 +117,17 @@ pub struct QPipe {
 }
 
 impl QPipe {
-    /// Boot the engine over a catalog. Panics only when the OS refuses to
-    /// spawn the engine's service thread — use
+    /// Boot the engine over a catalog. Panics only when the OS refuses the
+    /// service thread a deadline or queue timeout needs — use
     /// [`try_new`](Self::try_new) to handle that as an error instead.
     pub fn new(catalog: Arc<Catalog>, config: QPipeConfig) -> Arc<Self> {
         Self::try_new(catalog, config).unwrap_or_else(|e| panic!("QPipe boot failed: {e}"))
     }
 
-    /// Fallible boot: `Err(QError::Exec)` when the service thread cannot be
-    /// spawned (thread exhaustion). It is the only thread a boot starts:
-    /// every pool, the scan µEngine's included, starts empty and spawns its
-    /// workers as jobs need them.
+    /// Fallible boot: `Err(QError::Exec)` when a deadline or queue timeout
+    /// is set and the service thread that fires them cannot be spawned. It is
+    /// the only thread a boot can start: every pool, the scan µEngine's
+    /// included, starts empty and spawns its workers as jobs need them.
     pub fn try_new(catalog: Arc<Catalog>, config: QPipeConfig) -> QResult<Arc<Self>> {
         let metrics = catalog.disk().metrics().clone();
         // Validate once up front so the stored config reports the *effective*
@@ -152,7 +139,7 @@ impl QPipe {
             ..config
         };
         let ctx = ExecContext::with_config(catalog, config.exec);
-        let registry = Arc::new(WaitRegistry::new());
+        let registry = Arc::new(WaitRegistry::new(metrics.clone()));
         let scan_mgr = ScanManager::new(ctx.clone(), config.osp, metrics.clone());
         let env = Arc::new(OpEnv {
             ctx: ctx.clone(),
@@ -173,13 +160,10 @@ impl QPipe {
             config.exec.query_deadline,
             metrics.clone(),
         );
-        let service = {
-            let (registry, metrics, admit) = (registry.clone(), metrics.clone(), admit.clone());
-            ServiceThread::spawn(config.service_interval, move || {
-                resolve_once(&registry, &metrics);
-                admit.sweep();
-            })?
-        };
+        let sweeper = admit.clone();
+        let service = (config.exec.query_deadline.or(config.admit.queue_timeout).is_some())
+            .then(|| ServiceThread::spawn(move || sweeper.sweep()))
+            .transpose()?;
         Ok(Arc::new_cyclic(|self_weak| Self {
             ctx,
             config,
@@ -188,7 +172,6 @@ impl QPipe {
             env,
             engines,
             metrics,
-            cache: config.result_cache.map(QueryCache::new),
             admit,
             _service: service,
             self_weak: self_weak.clone(),
@@ -210,16 +193,6 @@ impl QPipe {
 
     pub fn scan_manager(&self) -> &Arc<ScanManager> {
         &self.scan_mgr
-    }
-
-    /// The waits-for registry (observability / debugging).
-    pub fn wait_registry(&self) -> &Arc<WaitRegistry> {
-        &self.registry
-    }
-
-    /// The result cache, when enabled.
-    pub fn result_cache(&self) -> Option<&Arc<QueryCache>> {
-        self.cache.as_ref()
     }
 
     /// The admission controller (observability / tests).
@@ -249,33 +222,14 @@ impl QPipe {
     pub fn submit_with(&self, plan: PlanNode, class: QueryClass) -> QResult<QueryHandle> {
         self.validate(&plan)?;
         let query = QueryId::fresh();
-        // Result-cache fast path (§2.3): an exact repeat of a completed
-        // query is served from the cache without touching the engine (or
-        // occupying admission slots).
-        let signature = plan.signature();
-        if let Some(cache) = &self.cache {
-            if let Some(rows) = cache.lookup(signature) {
-                return Ok(QueryHandle {
-                    query,
-                    class,
-                    inner: HandleInner::Cached(rows),
-                    submitted: Instant::now(),
-                    metrics: self.metrics.clone(),
-                    trace: None,
-                    profile: None,
-                });
-            }
-        }
         let client_node = fresh_node();
         let root_node = fresh_node();
         let (producer, consumer) =
             Pipe::pair(self.config.pipe, root_node, client_node, self.registry.clone());
         let root_pipe = producer.pipe().clone();
-        let tables = plan.tables();
         // Column liveness: from here on the engine runs the plan whose scans
-        // emit only the columns something above them reads. The result cache
-        // (above, and `fill` below) keys on the *submitted* plan's signature;
-        // packets carry the pruned subtrees' signatures.
+        // emit only the columns something above them reads; packets carry the
+        // pruned subtrees' signatures.
         let catalog = &self.ctx.catalog;
         let plan =
             Arc::new(prune_columns(plan, &|t| catalog.table(t).ok().map(|info| info.schema.len())));
@@ -315,11 +269,8 @@ impl QPipe {
         Ok(QueryHandle {
             query,
             class,
-            inner: HandleInner::Live {
-                consumer,
-                fill: self.cache.as_ref().map(|c| (c.clone(), signature, tables)),
-                ticket: Some(TicketGuard { ctrl: self.admit.clone(), ticket }),
-            },
+            consumer,
+            ticket: TicketGuard { ctrl: self.admit.clone(), ticket },
             submitted: Instant::now(),
             metrics: self.metrics.clone(),
             trace,
@@ -337,7 +288,7 @@ impl QPipe {
     /// against the catalog, and planned by the statistics-free greedy
     /// planner; because the planner canonicalizes, differently-phrased
     /// variants of one logical query share a plan signature and therefore
-    /// OSP windows and result-cache entries.
+    /// OSP windows.
     pub fn submit_sql(&self, sql: &str) -> QResult<QueryHandle> {
         self.submit_sql_with(sql, QueryClass::Interactive)
     }
@@ -552,9 +503,6 @@ impl QPipe {
     /// raw writes. Scans (and their satellites) wait for the lock.
     pub fn submit_update(&self, table: &str, blocks: u64) -> QResult<()> {
         let info = self.ctx.catalog.table(table)?;
-        if let Some(cache) = &self.cache {
-            cache.invalidate_table(table);
-        }
         let _x = self.ctx.catalog.locks().lock_exclusive(table);
         // Simulate the write cost block by block (the storage manager charges
         // write latency and counts the I/O).
@@ -640,7 +588,8 @@ impl Drop for AbandonGuard {
 pub struct QueryHandle {
     query: QueryId,
     class: QueryClass,
-    inner: HandleInner,
+    consumer: PipeConsumer,
+    ticket: TicketGuard,
     submitted: Instant,
     metrics: Metrics,
     /// The query's event journal (`None` unless `ExecConfig::tracing`).
@@ -660,17 +609,6 @@ impl Drop for TicketGuard {
     fn drop(&mut self) {
         self.ctrl.finish(&self.ticket, None, false);
     }
-}
-
-enum HandleInner {
-    /// Streaming from the engine; optionally feeds the result cache.
-    Live {
-        consumer: PipeConsumer,
-        fill: Option<(Arc<QueryCache>, u64, Vec<String>)>,
-        ticket: Option<TicketGuard>,
-    },
-    /// Served from the result cache.
-    Cached(Arc<Vec<Tuple>>),
 }
 
 impl QueryHandle {
@@ -707,17 +645,9 @@ impl QueryHandle {
         self.trace.clone()
     }
 
-    /// True if this handle is served from the result cache.
-    pub fn is_cached(&self) -> bool {
-        matches!(self.inner, HandleInner::Cached(_))
-    }
-
     /// True while the query is still waiting for admission.
     pub fn is_queued(&self) -> bool {
-        match &self.inner {
-            HandleInner::Live { ticket: Some(g), .. } => g.ticket.is_queued(),
-            _ => false,
-        }
+        self.ticket.ticket.is_queued()
     }
 
     /// Cancel the query. A still-queued query is withdrawn without ever
@@ -726,9 +656,8 @@ impl QueryHandle {
     /// tokens and winds down as soon as no shared host still wants its
     /// output. Either way the admission slots and the root pipe are settled.
     pub fn cancel(self) {
-        if let HandleInner::Live { ticket: Some(g), .. } = &self.inner {
-            g.ctrl.finish(&g.ticket, Some(QError::Cancelled), true);
-        }
+        let g = &self.ticket;
+        g.ctrl.finish(&g.ticket, Some(QError::Cancelled), true);
         // Dropping `self` detaches the consumer (a running plan stops once
         // no one wants its output) and settles the ticket guard (no-op).
     }
@@ -745,25 +674,10 @@ impl QueryHandle {
     /// query failed (e.g. a codec error on a scanned page) — partial output
     /// is never passed off as a complete result.
     pub fn try_collect(self) -> QResult<Vec<Tuple>> {
-        let result = match self.inner {
-            HandleInner::Cached(rows) => Ok(rows.as_ref().clone()),
-            HandleInner::Live { consumer, fill, ticket } => {
-                // Hold the admission slots until the stream is drained, then
-                // release them (pumping waiters) before the cache admit.
-                let rows = consumer.collect_tuples();
-                drop(ticket);
-                rows.inspect(|rows| {
-                    if let Some((cache, signature, tables)) = fill {
-                        cache.admit(
-                            signature,
-                            Arc::new(rows.clone()),
-                            tables,
-                            self.submitted.elapsed(),
-                        );
-                    }
-                })
-            }
-        };
+        // Hold the admission slots until the stream is drained, then release
+        // them (pumping waiters).
+        let result = self.consumer.collect_tuples();
+        drop(self.ticket);
         match result {
             Ok(rows) => {
                 let elapsed_us = self.submitted.elapsed().as_micros() as u64;

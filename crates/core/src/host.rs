@@ -329,7 +329,7 @@ mod tests {
     use std::time::Duration;
 
     fn pipe_pair(capacity: usize) -> (PipeProducer, PipeConsumer) {
-        Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), Arc::new(WaitRegistry::new()))
+        Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), Arc::new(WaitRegistry::default()))
     }
 
     fn make_packet() -> (Packet, PipeConsumer) {
@@ -537,7 +537,7 @@ mod tests {
     /// reader with it — until that reader detaches.
     #[test]
     fn slowest_output_throttles_the_host_until_it_detaches() {
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (slow_out, slow) =
             Pipe::pair(PipeConfig { capacity: 1 }, NodeId(1), NodeId(2), reg.clone());
         let host = SharedHost::new(

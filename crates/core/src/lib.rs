@@ -34,7 +34,7 @@
 //!   `ExecContext`) it bounds what a multi-query burst can claim.
 //! * [`engine`] — µEngines, packet dispatcher, query handles (§4.2–4.3).
 //! * [`pool`] — every engine thread: per-µEngine pools grown on demand
-//!   (§4.2's "pool of threads") and the one periodic service thread.
+//!   (§4.2's "pool of threads") and the service thread that fires deadlines.
 //! * [`host`] — OSP host/satellite attach machinery (§4.3, Figure 6b) and
 //!   the one replay history a late satellite reads (buffering, §3.2).
 //! * [`scan`] — circular scans with dynamic termination points: one scanner
@@ -44,11 +44,10 @@
 //!   (`attach_window`: which window of opportunity each operator's host
 //!   gets, §3.2 Figure 4); `rowbridge` (private) holds the four that still
 //!   run iterator kernels, incl. the restarting merge join (§4.3.2).
-//! * [`deadlock`] — waits-for-graph deadlock detection/resolution (§4.3.3).
-//! * [`cache`] — query result cache for exact sequential repeats (§2.3).
+//! * [`deadlock`] — waits-for-graph deadlock detection/resolution (§4.3.3),
+//!   by the waiter whose edge closes the cycle.
 
 pub mod admit;
-pub mod cache;
 pub mod deadlock;
 pub mod engine;
 pub mod host;

@@ -22,8 +22,8 @@
 //! * A pipe can be **materialized** — its bound lifted so the producer never
 //!   blocks again — which is exactly the deadlock-resolution action of §4.3.3.
 //! * Every blocking wait registers one waits-for edge, holding a weak handle
-//!   to this pipe, with the [`deadlock`](crate::deadlock) registry so real
-//!   deadlocks are detected and broken.
+//!   to this pipe, with the [`deadlock`](crate::deadlock) registry; the
+//!   waiter whose edge closes a cycle breaks the deadlock itself.
 //! * A stream ends exactly one of two ways: [`PipeProducer::finish`] (clean
 //!   EOF) or a failure ([`PipeProducer::fail`] / [`Pipe::fail`]). A producer
 //!   that is merely *dropped* fails its pipe — a packet that vanished on the
@@ -128,9 +128,13 @@ impl Pipe {
     /// Is the waits-for edge `e` (registered by a waiter on this pipe) still
     /// the wait it was registered as: its condition holds, and nothing was
     /// produced since? A woken waiter clears its edge only after it runs
-    /// again, so the detector asks the pipe before it believes one.
+    /// again, so the resolver asks the pipe before it believes one.
     pub(crate) fn edge_holds(&self, e: &WaitEdge) -> bool {
-        let st = self.state.lock();
+        self.holds(&self.state.lock(), e)
+    }
+
+    /// [`edge_holds`](Self::edge_holds) over already-locked state.
+    fn holds(&self, st: &PipeState, e: &WaitEdge) -> bool {
         st.produced == e.produced
             && !st.detached
             && match e.kind {
@@ -164,27 +168,41 @@ impl Pipe {
         self.data.notify_all();
     }
 
-    /// Block on `cond` with `waiter → holder` registered as a waits-for edge;
-    /// the edge clears once the waiter runs again.
-    fn wait(
-        self: &Arc<Self>,
-        st: &mut MutexGuard<'_, PipeState>,
+    /// Block on `cond` with `waiter → holder` registered as a waits-for edge,
+    /// cleared once the waiter runs again. A waiter whose edge closes a cycle
+    /// resolves it first, without its own pipe lock, and may return without
+    /// sleeping: callers re-test their condition around every call.
+    fn wait<'a>(
+        self: &'a Arc<Self>,
+        mut st: MutexGuard<'a, PipeState>,
         cond: &Condvar,
         (waiter, holder): (NodeId, NodeId),
         kind: WaitKind,
-    ) {
-        let pipe = Arc::downgrade(self);
-        let produced = st.produced;
-        self.registry.add_edge(WaitEdge { waiter, holder, pipe, kind, produced });
-        cond.wait(st);
+    ) -> MutexGuard<'a, PipeState> {
+        let edge =
+            WaitEdge { waiter, holder, pipe: Arc::downgrade(self), kind, produced: st.produced };
+        if let Some(cycle) = self.registry.add_edge(edge) {
+            drop(st);
+            self.registry.resolve(&cycle);
+            st = self.state.lock();
+            // Sleep while this waiter's own wait holds: a cycle skipped for a
+            // stale edge is found again when that edge's waiter re-blocks, and
+            // looping here would spin against it.
+            if !cycle.first().is_some_and(|own| self.holds(&st, own)) {
+                self.registry.remove_edge(waiter);
+                return st;
+            }
+        }
+        cond.wait(&mut st);
         self.registry.remove_edge(waiter);
+        st
     }
 
     fn send(self: &Arc<Self>, batch: Arc<ColBatch>) {
         let mut st = self.state.lock();
         while !st.materialized && !st.detached && st.queue.len() >= self.config.capacity {
             let nodes = (st.producer_node, self.consumer_node);
-            self.wait(&mut st, &self.space, nodes, WaitKind::ProducerFull);
+            st = self.wait(st, &self.space, nodes, WaitKind::ProducerFull);
         }
         st.produced += 1;
         if !st.detached {
@@ -234,7 +252,7 @@ impl Pipe {
             }
             let nodes = (self.consumer_node, st.producer_node);
             let blocked = probe.map(|_| Instant::now());
-            self.wait(&mut st, &self.data, nodes, WaitKind::ConsumerEmpty);
+            st = self.wait(st, &self.data, nodes, WaitKind::ConsumerEmpty);
             if let (Some(p), Some(blocked)) = (probe, blocked) {
                 p.add_pipe_wait_ns(blocked.elapsed().as_nanos() as u64);
             }
@@ -359,7 +377,7 @@ mod tests {
     use std::time::Duration;
 
     fn registry() -> Arc<WaitRegistry> {
-        Arc::new(WaitRegistry::new())
+        Arc::new(WaitRegistry::default())
     }
 
     fn pair(capacity: usize, registry: Arc<WaitRegistry>) -> (PipeProducer, PipeConsumer) {
@@ -461,5 +479,49 @@ mod tests {
         h.join().unwrap();
         assert_eq!(rows.len(), n as usize);
         assert!(reg.edges().is_empty(), "edges must clear after unblock");
+    }
+
+    /// Two producers feed two consumers that read them in opposite orders
+    /// through capacity-1 pipes: each producer fills its pipe to the
+    /// consumer still reading the other, a four-edge cycle. With no service
+    /// thread, the waiter whose edge closes it materializes one pipe, once.
+    #[test]
+    fn opposite_order_readers_deadlock_once_and_the_closing_waiter_breaks_it() {
+        use qpipe_common::Metrics;
+        use std::sync::mpsc;
+        for round in 0..200 {
+            let metrics = Metrics::new();
+            let reg = Arc::new(WaitRegistry::new(metrics.clone()));
+            let cfg = PipeConfig { capacity: 1 };
+            let (a, b, q1, q2) = (NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+            let (a_q1, q1_a) = Pipe::pair(cfg, a, q1, reg.clone());
+            let (a_q2, q2_a) = Pipe::pair(cfg, a, q2, reg.clone());
+            let (b_q1, q1_b) = Pipe::pair(cfg, b, q1, reg.clone());
+            let (b_q2, q2_b) = Pipe::pair(cfg, b, q2, reg.clone());
+            let (done, finished) = mpsc::channel();
+            for mut outs in [[a_q1, a_q2], [b_q1, b_q2]] {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    for i in 0..16 {
+                        let batch = Arc::new(ColBatch::from_rows(&[tuple(i)]));
+                        outs.iter_mut().for_each(|out| out.push_shared(batch.clone()));
+                    }
+                    outs.into_iter().for_each(PipeProducer::finish);
+                    done.send(32).unwrap();
+                });
+            }
+            for [first, second] in [[q1_a, q1_b], [q2_b, q2_a]] {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let rows = first.collect_tuples().unwrap().len();
+                    done.send(rows + second.collect_tuples().unwrap().len()).unwrap();
+                });
+            }
+            for _ in 0..4 {
+                let rows = finished.recv_timeout(Duration::from_secs(10));
+                assert_eq!(rows, Ok(32), "round {round} wedged or lost rows");
+            }
+            assert_eq!(metrics.snapshot().deadlocks_resolved, 1, "round {round}");
+        }
     }
 }

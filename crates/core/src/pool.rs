@@ -1,5 +1,5 @@
 //! Every engine thread comes from here: on-demand packet pools for µEngines,
-//! and the engine's one periodic service thread.
+//! and the service thread that fires deadlines.
 //!
 //! The paper's µEngines serve packets from a queue with "a pool of threads"
 //! (§4.2). [`WorkerPool`] has one rule: it starts with no thread; `execute`
@@ -19,9 +19,9 @@
 //! pipe wakes and observes the detach, so in-flight jobs on other pools can
 //! always finish and the join cannot wedge.
 //!
-//! [`ServiceThread`] is the engine's periodic housekeeping: one thread that
-//! runs a tick (deadlock resolution, then the admission sweep) every
-//! interval, woken and joined when it drops.
+//! [`ServiceThread`] runs a tick at the instants the tick itself names: the
+//! engine's admission sweep, firing queue timeouts and deadlines as they fall
+//! due. An engine without either starts none.
 
 use parking_lot::{Condvar, Mutex};
 use qpipe_common::{Metrics, QError, QResult};
@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Job {
     run: Box<dyn FnOnce() + Send>,
@@ -172,9 +172,9 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A periodic service thread (named `qpipe-service`): runs `tick` every
-/// `interval` until dropped. Drop wakes it at once and joins it, so it never
-/// outlives its owner.
+/// A service thread (named `qpipe-service`): runs `tick` at once, then at
+/// each instant the previous tick returned (`None`: never again). Drop wakes
+/// it at once and joins it, so it never outlives its owner.
 pub struct ServiceThread {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<JoinHandle<()>>,
@@ -182,22 +182,27 @@ pub struct ServiceThread {
 
 impl ServiceThread {
     /// `Err` when the OS refuses the thread.
-    pub fn spawn(interval: Duration, mut tick: impl FnMut() + Send + 'static) -> QResult<Self> {
+    pub fn spawn(mut tick: impl FnMut() -> Option<Instant> + Send + 'static) -> QResult<Self> {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let flag = stop.clone();
         let handle = std::thread::Builder::new()
             .name("qpipe-service".into())
-            .spawn(move || loop {
-                {
-                    let mut stopped = flag.0.lock();
-                    if !*stopped {
-                        flag.1.wait_for(&mut stopped, interval);
-                    }
-                    if *stopped {
-                        return;
+            .spawn(move || {
+                let mut due = Some(Instant::now());
+                let mut stopped = flag.0.lock();
+                while !*stopped {
+                    match due.map(|at| at.saturating_duration_since(Instant::now())) {
+                        None => flag.1.wait(&mut stopped),
+                        Some(left) if left.is_zero() => {
+                            drop(stopped);
+                            due = tick();
+                            stopped = flag.0.lock();
+                        }
+                        Some(left) => {
+                            flag.1.wait_for(&mut stopped, left);
+                        }
                     }
                 }
-                tick();
             })
             .map_err(|e| QError::Exec(format!("spawn service thread: {e}")))?;
         Ok(Self { stop, handle: Some(handle) })
@@ -342,14 +347,17 @@ mod tests {
     }
 
     #[test]
-    fn service_thread_ticks_until_dropped() {
+    fn service_thread_ticks_when_due_until_dropped() {
         let (tx, rx) = mpsc::channel();
-        let service = ServiceThread::spawn(Duration::from_millis(1), move || {
-            let _ = tx.send(());
+        let service = ServiceThread::spawn(move || {
+            let _ = tx.send(Instant::now());
+            Some(Instant::now() + Duration::from_millis(20))
         })
         .unwrap();
-        for _ in 0..3 {
-            rx.recv_timeout(Duration::from_secs(5)).expect("the service never ticked");
+        let first = rx.recv_timeout(Duration::from_secs(5)).expect("the first tick runs at once");
+        for _ in 0..2 {
+            let at = rx.recv_timeout(Duration::from_secs(5)).expect("the service never ticked");
+            assert!(at >= first + Duration::from_millis(20), "ticked before it was due");
         }
         drop(service);
         // Joined: the tick closure (and its sender) is gone.
@@ -358,10 +366,18 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_service_thread_does_not_wait_out_its_interval() {
-        let service = ServiceThread::spawn(Duration::from_secs(3600), || {}).unwrap();
-        let started = Instant::now();
-        drop(service);
-        assert!(started.elapsed() < Duration::from_secs(60), "drop waited for the next tick");
+    fn dropping_a_service_thread_does_not_wait_out_its_sleep() {
+        for due in [Some(Duration::from_secs(3600)), None] {
+            let (tx, rx) = mpsc::channel();
+            let service = ServiceThread::spawn(move || {
+                let _ = tx.send(());
+                due.map(|d| Instant::now() + d)
+            })
+            .unwrap();
+            rx.recv_timeout(Duration::from_secs(5)).expect("the first tick runs at once");
+            let started = Instant::now();
+            drop(service);
+            assert!(started.elapsed() < Duration::from_secs(60), "drop waited for the next tick");
+        }
     }
 }

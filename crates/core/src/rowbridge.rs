@@ -278,7 +278,7 @@ mod tests {
     use std::sync::Arc;
 
     fn feed(rows: Vec<Tuple>, metrics: &Metrics) -> PipeIter {
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (mut p, consumer) =
             Pipe::pair(PipeConfig { capacity: 1024 }, NodeId(1), NodeId(2), reg);
         push_rows(&mut p, &rows);

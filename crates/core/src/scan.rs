@@ -848,7 +848,7 @@ mod tests {
     fn single_scan_delivers_everything_in_order() {
         let (ctx, m) = ctx_with_table(5000);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (req, consumer) = request(&reg, true, false);
         mgr.submit(req).unwrap();
         let rows = consumer.collect_tuples().unwrap();
@@ -869,7 +869,7 @@ mod tests {
         ctx.catalog.pool().clear();
         let before = m.snapshot();
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (req, consumer) = request(&reg, false, false);
         mgr.submit(req).unwrap();
         assert_eq!(consumer.collect_tuples().unwrap().len(), 5000);
@@ -883,7 +883,7 @@ mod tests {
     fn burst_of_unordered_scans_shares_one_group() {
         let (ctx, m) = ctx_with_table(5000);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (reqs, consumers): (Vec<_>, Vec<_>) =
             (0..4).map(|_| request(&reg, false, false)).unzip();
         submit_gated(&ctx, &mgr, "t", reqs);
@@ -903,7 +903,7 @@ mod tests {
     fn osp_off_gives_every_request_its_own_group() {
         let (ctx, m) = ctx_with_table(2000);
         let mgr = manager(&ctx, &m, false);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (r1, c1) = request(&reg, false, false);
         let (r2, c2) = request(&reg, false, false);
         mgr.submit(r1).unwrap();
@@ -917,7 +917,7 @@ mod tests {
     fn ordered_late_arrival_gets_dedicated_group() {
         let (ctx, m) = ctx_with_table(50_000);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // r1 stays undrained behind a 2-page pipe, so its scanner parks
         // mid-scan: the ordered newcomer finds `pages_read > 0` for certain.
         let (r1, c1) = request_cap(&reg, false, false, 2);
@@ -941,7 +941,7 @@ mod tests {
     fn ordered_with_split_ok_attaches_wrapped() {
         let (ctx, m) = ctx_with_table(50_000);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // Don't drain r1 yet: after two pages the scanner parks on r1's
         // full pipe, holding the group mid-scan no matter how fast pages
         // decode — so the late split_ok arrival deterministically finds an
@@ -962,7 +962,7 @@ mod tests {
     fn abandoned_consumer_detaches_without_blocking_group() {
         let (ctx, m) = ctx_with_table(20_000);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (r1, c1) = request(&reg, false, false);
         let (r2, c2) = request(&reg, false, false);
         submit_gated(&ctx, &mgr, "t", vec![r1, r2]);
@@ -977,7 +977,7 @@ mod tests {
     fn per_consumer_predicates_filter_independently() {
         let (ctx, m) = ctx_with_table(1000);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let mk = |lo: i64| {
             let (output, c) = pair(&reg, 1024);
             (
@@ -1006,7 +1006,7 @@ mod tests {
     fn columnar_table_shares_one_scan_with_zero_row_decode() {
         let (ctx, m) = ctx_with_table_layout(5000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (reqs, consumers): (Vec<_>, Vec<_>) =
             (0..4).map(|_| request(&reg, false, false)).unzip();
         submit_gated(&ctx, &mgr, "t", reqs);
@@ -1031,7 +1031,7 @@ mod tests {
     fn columnar_scan_applies_per_consumer_predicates() {
         let (ctx, m) = ctx_with_table_layout(1000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (output, c) = pair(&reg, 1024);
         mgr.submit(ScanRequest {
             table: "t".into(),
@@ -1092,7 +1092,7 @@ mod tests {
     fn single_consumer_columnar_scan_prunes_columns() {
         let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // Predicate on col 0, output col 2: only columns {0, 2} decode.
         let (req, c) = pruned_request(&reg, 2900, vec![2]);
         mgr.submit(req).unwrap();
@@ -1108,7 +1108,7 @@ mod tests {
     fn shared_scan_with_full_width_union_does_not_prune() {
         let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // Referenced sets {0,2} ∪ {0,1} = {0,1,2} = every column: the shared
         // scan must take the cached full materialization, not an uncached
         // "pruned" decode of the whole page.
@@ -1130,7 +1130,7 @@ mod tests {
     fn shared_scan_decodes_union_of_referenced_columns() {
         let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // Consumer 1 references {0}; consumer 2 references {0, 1}; the union
         // {0, 1} is a strict subset of the 3-column page.
         let (r1, c1) = pruned_request(&reg, 2900, vec![0]);
@@ -1157,7 +1157,7 @@ mod tests {
         for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
             let (ctx, m) = ctx_with_wide_table(2000, layout);
             let mgr = manager(&ctx, &m, true);
-            let reg = Arc::new(WaitRegistry::new());
+            let reg = Arc::new(WaitRegistry::default());
             let (r1, c1) = pruned_request(&reg, 1000, vec![0]);
             let (r2, c2) = request(&reg, false, false); // full-width consumer
             let mut r2 = r2;
@@ -1180,7 +1180,7 @@ mod tests {
     fn staggered_row_group_keeps_pruning_and_matches_the_iterator_engine() {
         let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Row);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let plan_of = |r: &ScanRequest| qpipe_exec::plan::PlanNode::TableScan {
             table: "w".into(),
             predicate: r.predicate.clone(),
@@ -1229,7 +1229,7 @@ mod tests {
         for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
             let (ctx, m) = ctx_with_wide_table(1000, layout);
             let mgr = manager(&ctx, &m, true);
-            let reg = Arc::new(WaitRegistry::new());
+            let reg = Arc::new(WaitRegistry::default());
             let (req, c) = pruned_request(&reg, 500, vec![2, 0]);
             mgr.submit(req).unwrap();
             let mut rows = c.collect_tuples().unwrap();
@@ -1252,7 +1252,7 @@ mod tests {
         for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
             let (ctx, m) = ctx_with_wide_table(500, layout);
             let mgr = manager(&ctx, &m, true);
-            let reg = Arc::new(WaitRegistry::new());
+            let reg = Arc::new(WaitRegistry::default());
             let (output, c) = pair(&reg, 1024);
             let predicate = Some(Expr::col(9).ge(Expr::lit(0)));
             let projection = Some(vec![0usize]);
@@ -1289,7 +1289,7 @@ mod tests {
         bad.append_record(&[0xFF, 0xFF, 0x01]).unwrap(); // claims 65535 values, truncated
         ctx.catalog.disk().write_block(info.file_id(), 3, bad).unwrap();
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (r1, c1) = request(&reg, false, false);
         let (r2, c2) = request(&reg, false, false);
         submit_gated(&ctx, &mgr, "t", vec![r1, r2]);
@@ -1312,7 +1312,7 @@ mod tests {
     fn requests_gated_before_first_page_join_one_unstaggered_group() {
         let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Columnar);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // Referenced sets {0}, {0,1}, {0}, {0,1}: union {0,1} ⊂ 3 columns.
         let mut reqs = Vec::new();
         let mut consumers = Vec::new();
@@ -1357,7 +1357,7 @@ mod tests {
     fn request_attached_after_first_page_wraps_and_sees_every_page_once() {
         let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Row);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // The host parks on its undrained 2-page pipe: the scan is under way
         // (`pages_read > 0`) and cannot finish before the latecomer attaches.
         let (mut host, host_rows) = request_cap(&reg, false, false, 2);
@@ -1394,7 +1394,7 @@ mod tests {
         let (ctx, metrics) = ctx_with_named_table("tiny", 10, qpipe_storage::StorageLayout::Row);
         assert_eq!(ctx.catalog.table("tiny").unwrap().num_pages().unwrap(), 1);
         let mgr = manager(&ctx, &metrics, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         for i in 0..200 {
             let (mut req, c) = request(&reg, false, false);
             req.table = "tiny".into();
@@ -1418,7 +1418,7 @@ mod tests {
         let (ctx, m) = ctx_with_table(100);
         let mgr = manager(&ctx, &m, true);
         mgr.pool.shutdown();
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (req, c) = request(&reg, false, false);
         mgr.submit(req).unwrap();
         assert_eq!(mgr.group_count("t"), 0, "the refused group left the index");
@@ -1438,7 +1438,7 @@ mod tests {
         use crate::deadlock::WaitKind;
         let (ctx, m) = ctx_with_table(50_000);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         // The host never drains its 2-page pipe: the scanner parks on it.
         let (host, host_rows) = request_cap(&reg, false, false, 2);
         mgr.submit(host).unwrap();
@@ -1478,7 +1478,7 @@ mod tests {
     fn missing_table_errors() {
         let (ctx, m) = ctx_with_table(10);
         let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::new());
+        let reg = Arc::new(WaitRegistry::default());
         let (mut req, _c) = request(&reg, false, false);
         req.table = "missing".into();
         assert!(mgr.submit(req).is_err());

@@ -360,7 +360,6 @@ fn shared_pipeline_deadlock_is_detected_and_resolved() {
     }
     let mut config = QPipeConfig {
         pipe: qpipe_core::pipe::PipeConfig { capacity: 1 },
-        service_interval: Duration::from_millis(5),
         ..QPipeConfig::default()
     };
     config.host_backfill = 0;
@@ -402,36 +401,4 @@ fn shared_pipeline_deadlock_is_detected_and_resolved() {
             snap.deadlocks_resolved
         );
     }
-}
-
-#[test]
-fn result_cache_serves_exact_repeats() {
-    let catalog = setup();
-    let config = QPipeConfig {
-        result_cache: Some(qpipe_core::cache::CacheConfig {
-            capacity_tuples: 10_000,
-            min_cost: Duration::ZERO,
-        }),
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(catalog, config);
-    let plan = q6_like(3);
-    let h1 = engine.submit(plan.clone()).unwrap();
-    assert!(!h1.is_cached());
-    let first = h1.collect();
-    // Exact repeat: served from the cache, no disk traffic.
-    let before = engine.metrics().snapshot().disk_blocks_read;
-    let h2 = engine.submit(plan.clone()).unwrap();
-    assert!(h2.is_cached(), "repeat must hit the result cache");
-    assert_eq!(h2.collect(), first);
-    assert_eq!(engine.metrics().snapshot().disk_blocks_read, before);
-    // A different query misses.
-    assert!(!engine.submit(q6_like(4)).unwrap().is_cached());
-    // An update to lineitem invalidates the cached entry.
-    engine.submit_update("lineitem", 1).unwrap();
-    let h3 = engine.submit(plan).unwrap();
-    assert!(!h3.is_cached(), "update must invalidate");
-    assert_eq!(h3.collect(), first, "data content unchanged by the no-op update");
-    let stats = engine.result_cache().unwrap().stats();
-    assert!(stats.hits >= 1 && stats.misses >= 2);
 }

@@ -42,9 +42,8 @@ pub struct ExecConfig {
     pub global_budget: usize,
     /// Wall-clock execution deadline per query. In the staged engine the
     /// service thread's admission sweep fires the plan's cancel tokens and
-    /// fails the output with `QError::Timeout` within one service tick of a
-    /// running query exceeding it. `None` (default) disables deadline
-    /// enforcement.
+    /// fails the output with `QError::Timeout` once a running query exceeds
+    /// it. `None` (default) disables deadline enforcement.
     pub query_deadline: Option<std::time::Duration>,
     /// Per-query tracing and profiling. When `true` every submitted query
     /// gets a `QueryTrace` event journal and an `OpProbe` tree behind

@@ -2,7 +2,7 @@
 //!
 //! [`Expr::normalize`] rewrites an expression into a canonical form so that
 //! syntactic variants of the same computation encode to the same signature —
-//! the property OSP sharing and the result cache key on. Every rewrite is
+//! the property OSP sharing keys on. Every rewrite is
 //! **value-preserving**: the normalized expression evaluates to the same
 //! [`Value`] as the original for every tuple (not merely the same truth
 //! value), because normalization also runs on projection and aggregate

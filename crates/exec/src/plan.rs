@@ -206,7 +206,6 @@ impl PlanNode {
     }
 
     /// Names of every base table this subtree reads (sorted, deduplicated).
-    /// Used by the query-result cache for invalidation on updates.
     pub fn tables(&self) -> Vec<String> {
         fn walk(node: &PlanNode, out: &mut Vec<String>) {
             match node {
@@ -247,7 +246,7 @@ impl PlanNode {
     /// Expressions are [`Expr::normalize`]d before encoding, so plans that
     /// differ only in predicate phrasing (commuted comparisons, reordered
     /// conjuncts, foldable constants) produce identical signatures — letting
-    /// OSP and the result cache recognize hand-built syntactic variants as
+    /// OSP recognize hand-built syntactic variants as
     /// the same work. Join *sides* are deliberately not canonicalized here:
     /// swapping them changes the output column layout, so that choice belongs
     /// to the planner, not the signature.
@@ -384,7 +383,7 @@ impl PlanNode {
 
     /// EXPLAIN-style pretty-printer: indented operator tree with per-node
     /// arguments (predicates, join keys, sort keys, aggregates) followed by
-    /// the root signature OSP and the result cache key on. Join children
+    /// the root signature OSP keys on. Join children
     /// print build side first, so the chosen join order reads top-down.
     pub fn explain(&self) -> String {
         fn walk(node: &PlanNode, depth: usize, out: &mut String) {
@@ -530,7 +529,7 @@ mod tests {
         assert_eq!(q6ish(5).signature(), q6ish(5).signature());
     }
 
-    /// Signatures key OSP windows and the result cache: the hash of one
+    /// Signatures key OSP windows: the hash of one
     /// hand-built plan is pinned to the value it has always had.
     #[test]
     fn signature_is_pinned() {

@@ -26,7 +26,7 @@
 //!
 //! **R2 — thread hygiene** (`lint:allow(R2)` / `lint:allow(thread)`).
 //! `thread::spawn` / `thread::Builder` are permitted only in `pool.rs`, home
-//! of the `WorkerPool` and the engine's one periodic `ServiceThread` — every
+//! of the `WorkerPool` and the `ServiceThread` that fires deadlines — every
 //! engine thread, the scan µEngine's scanners included, comes from there. New
 //! concurrency must route through `WorkerPool`, inheriting its `catch_unwind`
 //! containment, drop guards and busy accounting; a spawn anywhere else needs

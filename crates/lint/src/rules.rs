@@ -101,8 +101,8 @@ impl Default for Config {
                 .iter()
                 .map(|c| format!("crates/{c}/src/"))
                 .collect(),
-            // The WorkerPool and the engine's one ServiceThread: every
-            // engine thread, scanners included, comes from here.
+            // The WorkerPool and the ServiceThread that fires deadlines:
+            // every engine thread, scanners included, comes from here.
             spawn_allowlist: vec!["crates/core/src/pool.rs".into()],
             metrics_file: Some("crates/common/src/metrics.rs".into()),
         }

@@ -25,8 +25,8 @@
 //! conjuncts, reordered FROM lists, comma joins vs. `JOIN ... ON` — all land
 //! on the identical plan tree. That makes `plan.signature()` collide exactly
 //! when the work is the same, which is what lets OSP attach in-flight
-//! packets and the result cache answer repeats across differently-phrased
-//! clients (the paper's §4.3 overlap check, extended to ad-hoc text).
+//! packets across differently-phrased clients (the paper's §4.3 overlap
+//! check, extended to ad-hoc text).
 //!
 //! [`PlanNode`]: qpipe_exec::plan::PlanNode
 //! [`Expr::normalize`]: qpipe_exec::expr::Expr::normalize

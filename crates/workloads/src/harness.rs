@@ -561,15 +561,12 @@ pub fn open_loop_sql(
 #[derive(Debug, Clone)]
 pub struct PhrasingLeg {
     pub result: OpenLoopResult,
-    /// Result-cache hits over the leg (0 when the cache is disabled).
-    pub cache_hits: u64,
 }
 
 impl PhrasingLeg {
-    /// Total cross-client sharing observed: OSP attaches plus result-cache
-    /// hits.
+    /// Total cross-client sharing observed: OSP attaches.
     pub fn shared(&self) -> u64 {
-        self.result.delta.osp_attaches + self.cache_hits
+        self.result.delta.osp_attaches
     }
 }
 
@@ -588,7 +585,7 @@ pub struct PhrasingStormReport {
 /// identical `queries` batch open-loop — once with `canonicalize: false`
 /// (plans follow the written phrasing, so signatures scatter) and once with
 /// the canonicalizing planner (every phrasing lands on one signature, so
-/// OSP attaches and the result cache answer repeats). The report carries
+/// concurrent repeats attach to one host). The report carries
 /// both legs' sharing counters, including `delta.plan_canonical_hits`.
 pub fn mixed_phrasing_storm(
     system: System,
@@ -608,9 +605,7 @@ pub fn mixed_phrasing_storm(
             profile.time_scale,
             &PlannerOptions { canonicalize },
         );
-        let cache_hits =
-            driver.engine().and_then(|e| e.result_cache()).map_or(0, |c| c.stats().hits);
-        legs.push(PhrasingLeg { result, cache_hits });
+        legs.push(PhrasingLeg { result });
     }
     let canonical = legs.pop().expect("two legs");
     let raw = legs.pop().expect("two legs");

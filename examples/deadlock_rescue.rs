@@ -1,36 +1,28 @@
 //! Demonstrates the deadlock problem of simultaneous pipelining (paper
 //! §4.3.3) and QPipe's resolution: two queries draining two shared
-//! producers in *opposite* orders deadlock through bounded pipes; the
-//! engine's service thread runs a waits-for-graph pass every tick, which
-//! materializes the cheapest pipe on the cycle, and execution completes.
+//! producers in *opposite* orders deadlock through bounded pipes. Every
+//! blocked wait is an edge in a waits-for graph, and the thread whose edge
+//! closes the cycle breaks it at once — it materializes the cheapest pipe on
+//! the cycle, with no thread or tick of its own — and execution completes.
 //!
 //! ```sh
 //! cargo run --release --example deadlock_rescue
 //! ```
 
 use qpipe_common::{ColBatch, Metrics, Value};
-use qpipe_core::deadlock::{resolve_once, NodeId, WaitRegistry};
+use qpipe_core::deadlock::{NodeId, WaitRegistry};
 use qpipe_core::pipe::{Pipe, PipeConfig, PipeProducer};
-use qpipe_core::pool::ServiceThread;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let metrics = Metrics::new();
-    let registry = Arc::new(WaitRegistry::new());
-    // The rescue service: one resolution pass over the waits-for graph every
-    // 20 ms, as an engine's service thread runs it.
-    let _service = {
-        let (registry, metrics) = (registry.clone(), metrics.clone());
-        ServiceThread::spawn(Duration::from_millis(20), move || {
-            resolve_once(&registry, &metrics);
-        })
-        .expect("spawn the service thread")
-    };
+    // The waits-for graph; it counts the deadlocks its waiters resolve.
+    let registry = Arc::new(WaitRegistry::new(metrics.clone()));
 
     // Two producers (think: two shared scans, A and B), each feeding both
     // queries through one tiny bounded pipe per query. Every blocked wait on
-    // a pipe is reported to the registry, so a resolution pass can break it.
+    // a pipe is reported to the registry, and the wait that closes a cycle
+    // breaks it.
     let cfg = PipeConfig { capacity: 1 };
     let (a, b, q1, q2) = (NodeId(1), NodeId(2), NodeId(3), NodeId(4));
     let (a_to_q1, q1_a) = Pipe::pair(cfg, a, q1, registry.clone());
@@ -70,7 +62,7 @@ fn main() {
         println!("query 2 consumed B={b} then A={a}");
     });
 
-    // Without the resolution passes this program would hang: Q1 drains A and ignores
+    // Without the resolution this program would hang: Q1 drains A and ignores
     // B, so producer B fills its pipe to Q1 and blocks; symmetrically
     // producer A blocks on its pipe to Q2 — while each query waits for the
     // other producer.
@@ -80,5 +72,5 @@ fn main() {
     q2.join().unwrap();
     let resolved = metrics.snapshot().deadlocks_resolved;
     println!("\ndeadlocks detected & resolved by materialization: {resolved}");
-    assert!(resolved > 0, "a resolution pass must have intervened");
+    assert!(resolved > 0, "the waiter closing the cycle must have intervened");
 }

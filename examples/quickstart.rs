@@ -72,8 +72,8 @@ fn main() -> QResult<()> {
     //    parses, binds against the catalog, and plans with the
     //    statistics-free greedy planner. Because plans are canonicalized,
     //    differently-phrased variants of one logical query land on the SAME
-    //    plan signature — so they share OSP windows and result-cache
-    //    entries just like identical hand-built plans.
+    //    plan signature — so they share OSP windows just like identical
+    //    hand-built plans.
     let planned = engine
         .plan_sql("SELECT kind, COUNT(*), SUM(amount) FROM events WHERE kind < 10 GROUP BY kind")?;
     println!();

@@ -3,7 +3,6 @@
 //! the mixed-phrasing sharing experiment the canonicalizer exists for.
 
 use qpipe::common::{QResult, Value};
-use qpipe::core::cache::CacheConfig;
 use qpipe::exec::iter::{run as exec_run, ExecContext};
 use qpipe::prelude::*;
 use qpipe::workloads::sql::{self, SqlQuery};
@@ -178,52 +177,60 @@ fn between_phrasing_shares_signature_with_range_conjuncts() {
 
 #[test]
 fn canonicalization_unlocks_sharing_across_phrasings() {
-    // Ten clients submit the same logical Q3, each phrased differently, one
-    // at a time: a query is collected (and its result cached) before the
-    // next is submitted, so the result-cache arithmetic is exact on any box.
-    // Under canonicalization every repeat after the first is a cache hit;
-    // without it, signatures scatter across join orders and only a repeat of
-    // an already-seen join order hits.
+    // Ten clients submit the same logical Q3, each phrased differently,
+    // while every table Q3 reads is exclusively locked: no scan can start, so
+    // all ten plans are in flight at once and a plan root attaches to an
+    // earlier one exactly when their signatures match — the attach
+    // arithmetic is exact on any box. Under canonicalization every arrival
+    // after the first attaches at the root; without it, signatures scatter
+    // across join orders and only a repeat of an already-seen one attaches.
     let shape = sql::q3_sql(3, 1200);
     let mut rng = StdRng::seed_from_u64(23);
     let queries: Vec<String> = (0..10).map(|_| shape.shuffled(&mut rng)).collect();
     let rephrasings = queries.iter().filter(|q| q.trim() != queries[0].trim()).count() as u64;
     assert!(rephrasings > 0, "the shuffler must produce distinct texts");
-    let config = QPipeConfig {
-        result_cache: Some(CacheConfig {
-            capacity_tuples: 1_000_000,
-            min_cost: std::time::Duration::ZERO,
-        }),
-        ..QPipeConfig::default()
-    };
-    // One leg: (distinct plan signatures, cache hits, plan_canonical_hits).
+    // One leg: (distinct plan signatures, plan-root attaches,
+    // plan_canonical_hits).
     let leg = |canonicalize: bool| {
-        let engine = QPipe::new(tiny_catalog(), config);
+        let engine = QPipe::new(tiny_catalog(), QPipeConfig::default());
         let opts = PlannerOptions { canonicalize };
-        let mut signatures = std::collections::HashSet::new();
-        let mut answers = Vec::new();
-        for q in &queries {
-            signatures.insert(plan_sql(engine.catalog().as_ref(), q, &opts).unwrap().signature);
-            let handle = engine.submit_sql_opts(q, QueryClass::Interactive, &opts).unwrap();
-            answers.push(handle.collect());
-        }
+        let planned: Vec<_> = queries
+            .iter()
+            .map(|q| plan_sql(engine.catalog().as_ref(), q, &opts).unwrap())
+            .collect();
+        let root = planned[0].plan.op_name();
+        let signatures: std::collections::HashSet<u64> =
+            planned.iter().map(|p| p.signature).collect();
+        let locks = engine.catalog().locks();
+        let held: Vec<_> =
+            planned[0].plan.tables().iter().map(|t| locks.lock_exclusive(t)).collect();
+        let handles: Vec<_> = queries
+            .iter()
+            .map(|q| engine.submit_sql_opts(q, QueryClass::Interactive, &opts).unwrap())
+            .collect();
+        drop(held);
+        let answers: Vec<Vec<Tuple>> = std::thread::scope(|s| {
+            let collectors: Vec<_> = handles.into_iter().map(|h| s.spawn(|| h.collect())).collect();
+            collectors.into_iter().map(|c| c.join().unwrap()).collect()
+        });
         for a in &answers[1..] {
             assert_rows_equivalent(a.clone(), answers[0].clone(), "phrasings of one query");
         }
-        let hits = engine.result_cache().unwrap().stats().hits;
-        (signatures.len() as u64, hits, engine.metrics().snapshot().plan_canonical_hits)
+        let snapshot = engine.metrics().snapshot();
+        let root_attaches = snapshot.per_engine_attaches.get(root).copied().unwrap_or(0);
+        (signatures.len() as u64, root_attaches, snapshot.plan_canonical_hits)
     };
-    let (raw_signatures, raw_hits, raw_canonical_hits) = leg(false);
-    let (signatures, hits, canonical_hits) = leg(true);
+    let (raw_signatures, raw_attaches, raw_canonical_hits) = leg(false);
+    let (signatures, attaches, canonical_hits) = leg(true);
     // The canonicalizer lands every distinct text on one signature...
     assert_eq!(signatures, 1);
     assert_eq!(canonical_hits, rephrasings);
     assert!(raw_signatures > 1, "written join orders must scatter signatures");
     assert!(canonical_hits > raw_canonical_hits);
-    // ...and that is exactly the sharing it buys: each signature misses the
-    // cache once, every later arrival on it is a hit.
-    assert_eq!(hits, 10 - 1);
-    assert_eq!(raw_hits, 10 - raw_signatures);
+    // ...and that is exactly the sharing it buys: the first arrival on each
+    // signature hosts, every later one attaches to it at the root.
+    assert_eq!(attaches, 10 - 1);
+    assert_eq!(raw_attaches, 10 - raw_signatures);
 }
 
 // ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ fn random_mix_under_random_configs_matches_reference() {
                 capacity: *[1usize, 2, 8, 32].get(rng.gen_range(0..4)).unwrap(),
             },
             host_backfill: rng.gen_range(0..16),
-            service_interval: Duration::from_millis(rng.gen_range(3..25)),
             ..QPipeConfig::default()
         };
         let engine = QPipe::new(catalog, config);
@@ -91,7 +90,6 @@ fn tiny_pipes_with_sharing_never_wedge() {
     let config = QPipeConfig {
         pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
         host_backfill: 1,
-        service_interval: Duration::from_millis(5),
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog.clone(), config);
@@ -123,34 +121,11 @@ fn unshared_join_burst_resolves_no_deadlock() {
         plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap()).collect();
     let config = QPipeConfig {
         pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
-        service_interval: Duration::from_millis(2),
         ..QPipeConfig::baseline()
     };
     let engine = QPipe::new(catalog, config);
     assert_eq!(run_concurrent_rows(&engine, &plans), expected);
     assert_eq!(engine.metrics().snapshot().deadlocks_resolved, 0);
-}
-
-#[test]
-fn cache_and_osp_compose() {
-    let catalog = fresh_catalog(13);
-    let config = QPipeConfig {
-        result_cache: Some(qpipe::core::cache::CacheConfig {
-            capacity_tuples: 50_000,
-            min_cost: Duration::ZERO,
-        }),
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(catalog, config);
-    let mut rng = StdRng::seed_from_u64(21);
-    let plan = query(1, &mut rng);
-    // First wave: concurrent identical queries (OSP shares them).
-    let first = run_concurrent(&engine, &vec![plan.clone(); 4]);
-    assert!(first.iter().all(|&c| c == first[0]));
-    // Second wave: served by the result cache.
-    let h = engine.submit(plan).unwrap();
-    assert!(h.is_cached(), "sequential repeat should hit the cache");
-    assert_eq!(h.collect().len(), first[0]);
 }
 
 /// Acceptance bar for the admission/governor subsystem: with per-µEngine

@@ -35,9 +35,10 @@ fn settle(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// An engine boots one thread, its service thread, whether or not a queue
-/// timeout and an execution deadline are set: packets are dispatched on the
-/// submitting thread, and every pool starts empty. A fault-free burst of
+/// A default engine boots no thread: packets are dispatched on the submitting
+/// thread, a deadlock is broken by the waiter whose edge closes it, and every
+/// pool starts empty. An execution deadline or a queue timeout adds one, the
+/// service thread that fires them. A fault-free burst of
 /// distinct hash joins then grows the hashjoin pool to at most one worker
 /// per query admission lets run (the plan puts one packet on that µEngine)
 /// and the scan pool to at most one worker per scan those queries run — no
@@ -56,18 +57,21 @@ fn boot_and_query_burst_keep_thread_count_bounded() {
         ..QPipeConfig::default()
     };
     let before = live_threads().0;
-    let timed = QPipeConfig {
+    let deadline = QPipeConfig {
         exec: ExecConfig { query_deadline: Some(Duration::from_secs(30)), ..ExecConfig::default() },
+        ..QPipeConfig::default()
+    };
+    let queue_timeout = QPipeConfig {
         admit: AdmitConfig {
             queue_timeout: Some(Duration::from_secs(30)),
             ..AdmitConfig::default()
         },
         ..QPipeConfig::default()
     };
-    for idle in [QPipeConfig::default(), timed] {
+    for (idle, threads) in [(QPipeConfig::default(), 0), (deadline, 1), (queue_timeout, 1)] {
         let idle_engine = QPipe::new(catalog.clone(), idle);
         let booted = live_threads().0 - before;
-        assert_eq!(booted, 1, "an engine boots one thread, its service thread");
+        assert_eq!(booted, threads, "boot threads with {idle:?}");
         drop(idle_engine);
         settle("the idle engine left threads behind", || live_threads().0 == before);
     }
