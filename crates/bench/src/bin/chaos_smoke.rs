@@ -96,9 +96,7 @@ fn main() {
         .outcomes
         .iter()
         .filter_map(|o| match o {
-            OpenLoopOutcome::Failed(e)
-                if !matches!(e, QError::Storage(_) | QError::Exec(_) | QError::Timeout) =>
-            {
+            OpenLoopOutcome::Failed(e) if !matches!(e, QError::Storage(_) | QError::Exec(_)) => {
                 Some(format!("{e:?}"))
             }
             _ => None,

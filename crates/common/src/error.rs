@@ -19,8 +19,8 @@ pub enum QError {
     /// Refused by the admission controller (queue full or queue timeout) —
     /// the query never executed; resubmit when load drops.
     Admission(String),
-    /// Query exceeded its execution deadline and was cancelled by the
-    /// sweeper; partial output (if any) must be discarded.
+    /// Query exceeded its execution deadline and was cancelled when its
+    /// client read it; partial output (if any) must be discarded.
     Timeout,
 }
 

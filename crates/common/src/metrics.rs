@@ -208,8 +208,8 @@ pub struct MetricsSnapshot {
     /// Operator worker / dispatcher / scanner panics contained by
     /// `catch_unwind` and converted to packet failures.
     pub worker_panics: u64,
-    /// Queries cancelled by the sweeper for exceeding their execution
-    /// deadline (`QError::Timeout`).
+    /// Queries cancelled for exceeding their execution deadline
+    /// (`QError::Timeout`), counted when their client's read expires them.
     pub query_timeouts: u64,
     /// Faults the injector delivered (errors, corruptions, delays, panics).
     pub faults_injected: u64,

@@ -25,12 +25,14 @@
 //!
 //! A query's slots release when its handle is consumed or dropped
 //! (`QueryHandle` holds the ticket); the release pumps the queues, so
-//! admission needs no thread of its own: queue timeouts and execution
-//! deadlines are enforced by [`AdmissionController::sweep`], which the
-//! engine's service thread runs whenever the last sweep said one falls due.
+//! admission needs no thread of its own. Nor do queue timeouts and execution
+//! deadlines: [`AdmissionController::due`] says when a ticket falls due, the
+//! client's blocking read gives up at that instant, and
+//! [`AdmissionController::expire`] settles the ticket if it is still overdue.
 //! Clients must drain their handles concurrently (every driver in this repo
 //! does): a handle left uncollected keeps its slots, which is admission's
-//! backpressure working as intended.
+//! backpressure working as intended — and, with a timeout or deadline set,
+//! expires only at its next read.
 //!
 //! The depth bound is *slot accounting*, enforced at admit/release points.
 //! Cancellation is cooperative (workers observe their tokens at batch and
@@ -64,8 +66,8 @@ pub struct AdmitConfig {
     /// rejected outright.
     pub max_queued: usize,
     /// A ticket queued longer than this is rejected (its slots were never
-    /// taken; its pipe fails with [`QError::Admission`]) by the sweep that
-    /// runs when it falls due. `None` = wait forever.
+    /// taken; its pipe fails with [`QError::Admission`]) when its client's
+    /// read gives up on it. `None` = wait forever.
     pub queue_timeout: Option<Duration>,
 }
 
@@ -126,8 +128,8 @@ enum TicketState {
         cancels: Vec<CancelToken>,
         /// When the query was admitted (execution-deadline clock).
         since: Instant,
-        /// Root pipe, failed with [`QError::Timeout`] when the deadline
-        /// sweep terminates an overdue query.
+        /// Root pipe, failed with [`QError::Timeout`] when an overdue query
+        /// expires.
         pipe: Arc<Pipe>,
     },
     Finished,
@@ -193,9 +195,6 @@ struct CtrlState {
     peak: HashMap<&'static str, usize>,
     /// Waiting rooms: `[interactive, batch]`.
     queues: [VecDeque<Arc<QueryTicket>>; 2],
-    /// Tickets currently in `Running` state, scanned by the deadline
-    /// sweep. Maintained only when a deadline is configured.
-    running: Vec<Arc<QueryTicket>>,
 }
 
 /// Deferred side effects collected under the locks, performed outside them.
@@ -204,6 +203,9 @@ struct Actions {
     dispatch: Vec<(Arc<QueryTicket>, DispatchFn)>,
     fail: Vec<(Arc<Pipe>, QError)>,
     fire: Vec<CancelToken>,
+    /// Root pipes of tickets just admitted under a deadline: their readers
+    /// re-read when they fall due.
+    wake: Vec<Arc<Pipe>>,
     /// Never-dispatched closures of withdrawn/rejected tickets. Dropping one
     /// drops its root `PipeProducer`, which *closes* the pipe — so the drop
     /// must happen strictly **after** `fail` poisons it, or a concurrently
@@ -220,6 +222,9 @@ impl Actions {
         drop(self.discard);
         for token in self.fire {
             token.cancel();
+        }
+        for pipe in self.wake {
+            pipe.wake_reader();
         }
         for (ticket, dispatch) in self.dispatch {
             let cancels = dispatch();
@@ -242,8 +247,8 @@ impl Actions {
 /// The admission controller. One per engine; shared with every handle.
 pub struct AdmissionController {
     config: AdmitConfig,
-    /// Per-query execution deadline; running queries that exceed it are
-    /// terminated by the sweep with [`QError::Timeout`].
+    /// Per-query execution deadline, measured from admission; a running
+    /// query that exceeds it expires with [`QError::Timeout`].
     deadline: Option<Duration>,
     metrics: Metrics,
     state: Mutex<CtrlState>,
@@ -254,7 +259,7 @@ impl AdmissionController {
         Self::with_deadline(config, None, metrics)
     }
 
-    /// Controller with an execution deadline: [`sweep`](Self::sweep) fires
+    /// Controller with an execution deadline: [`expire`](Self::expire) fires
     /// the plan's cancel tokens and fails the root pipe with
     /// [`QError::Timeout`] once a running query exceeds `deadline`.
     pub fn with_deadline(
@@ -344,10 +349,62 @@ impl AdmissionController {
     /// `reason` poisons the pipe of a still-queued ticket (cancellation);
     /// `fire` additionally terminates a running plan's packet subtree.
     pub fn finish(&self, ticket: &Arc<QueryTicket>, reason: Option<QError>, fire: bool) {
+        self.settle(ticket, |_| Some((reason, fire)));
+    }
+
+    /// When `ticket` falls due: `queue_timeout` after it was queued while it
+    /// waits, the deadline after it was admitted while it runs. `None` when
+    /// that limit is unset or the ticket has settled — and, with neither
+    /// set, without taking a lock or reading the clock.
+    pub fn due(&self, ticket: &QueryTicket) -> Option<Instant> {
+        if self.config.queue_timeout.is_none() && self.deadline.is_none() {
+            return None;
+        }
+        self.due_of(&ticket.state.lock())
+    }
+
+    fn due_of(&self, state: &TicketState) -> Option<Instant> {
+        match state {
+            TicketState::Queued { since, .. } => Some(*since + self.config.queue_timeout?),
+            TicketState::Running { since, .. } => Some(*since + self.deadline?),
+            TicketState::Finished => None,
+        }
+    }
+
+    /// Settle `ticket` if it is overdue, deciding under its lock: a ticket
+    /// admitted since its queued [`due`](Self::due) was read is left running.
+    /// An overdue queued ticket is rejected with [`QError::Admission`]; an
+    /// overdue running query has its cancel tokens fired and its root pipe
+    /// failed with [`QError::Timeout`].
+    pub fn expire(&self, ticket: &Arc<QueryTicket>) {
+        let now = Instant::now();
+        self.settle(ticket, |state| match state {
+            _ if self.due_of(state).is_none_or(|due| now < due) => None,
+            TicketState::Queued { since, .. } => {
+                let waited = now.duration_since(*since);
+                let timeout = self.config.queue_timeout?;
+                let err = format!("queued {waited:?} > timeout {timeout:?}");
+                Some((Some(QError::Admission(err)), false))
+            }
+            _ => {
+                self.metrics.add_query_timeout();
+                Some((Some(QError::Timeout), true))
+            }
+        });
+    }
+
+    /// Settle `ticket` as `verdict`, read under the ticket's lock, says:
+    /// `None` leaves it alone, `Some((reason, fire))` is [`finish`](Self::finish)'s.
+    fn settle(
+        &self,
+        ticket: &Arc<QueryTicket>,
+        verdict: impl FnOnce(&TicketState) -> Option<(Option<QError>, bool)>,
+    ) {
         let mut actions = Actions::default();
         {
             let mut st = self.state.lock();
             let mut t = ticket.state.lock();
+            let Some((reason, fire)) = verdict(&t) else { return };
             match std::mem::replace(&mut *t, TicketState::Finished) {
                 TicketState::Queued { pipe, dispatch, .. } => {
                     drop(t);
@@ -377,80 +434,14 @@ impl AdmissionController {
                             *n = n.saturating_sub(1);
                         }
                     }
-                    st.running.retain(|other| !Arc::ptr_eq(other, ticket));
                     let mut pumped = self.pump_locked(&mut st);
                     actions.dispatch.append(&mut pumped.dispatch);
+                    actions.wake.append(&mut pumped.wake);
                 }
                 TicketState::Finished => {}
             }
         }
         actions.run();
-    }
-
-    /// Reject queued tickets that outstayed `queue_timeout`, and terminate
-    /// running queries older than the deadline: their cancel tokens fire and
-    /// their root pipes fail with [`QError::Timeout`] (slots release when the
-    /// handle settles, as for any failed query). Returns when the next sweep
-    /// is due: the earliest `since + queue_timeout` (queued) or `since +
-    /// deadline` (running) of a ticket it kept, capped at `now +
-    /// min(deadline, queue_timeout)`, before which no later ticket can fall
-    /// due. `None` when neither is set.
-    pub fn sweep(&self) -> Option<Instant> {
-        let now = Instant::now();
-        let mut due = now + self.config.queue_timeout.into_iter().chain(self.deadline).min()?;
-        let mut actions = Actions::default();
-        {
-            let mut st = self.state.lock();
-            if let Some(timeout) = self.config.queue_timeout {
-                for q in &mut st.queues {
-                    q.retain(|ticket| {
-                        let mut t = ticket.state.lock();
-                        match std::mem::replace(&mut *t, TicketState::Finished) {
-                            TicketState::Queued { since, dispatch, pipe }
-                                if now.duration_since(since) < timeout =>
-                            {
-                                due = due.min(since + timeout);
-                                *t = TicketState::Queued { since, dispatch, pipe };
-                                true
-                            }
-                            TicketState::Queued { since, dispatch, pipe } => {
-                                self.metrics.add_rejected();
-                                let waited = now.duration_since(since);
-                                let err = format!("queued {waited:?} > timeout {timeout:?}");
-                                actions.fail.push((pipe, QError::Admission(err)));
-                                actions.discard.push(dispatch);
-                                false
-                            }
-                            // Settled elsewhere; drop it from the queue.
-                            settled => {
-                                *t = settled;
-                                false
-                            }
-                        }
-                    });
-                }
-            }
-            if let Some(deadline) = self.deadline {
-                st.running.retain(|ticket| match &mut *ticket.state.lock() {
-                    TicketState::Running { since, .. } if now.duration_since(*since) < deadline => {
-                        due = due.min(*since + deadline);
-                        true
-                    }
-                    // Overdue: poison + cancel, but leave the ticket Running —
-                    // the handle's guard releases the slots.
-                    TicketState::Running { cancels, pipe, .. } => {
-                        self.metrics.add_query_timeout();
-                        actions.fail.push((pipe.clone(), QError::Timeout));
-                        actions.fire.append(&mut std::mem::take(cancels));
-                        false
-                    }
-                    // Settled elsewhere; drop it from the running list.
-                    _ => false,
-                });
-            }
-        }
-        actions.run();
-        Some(due)
     }
 
     /// Admit every eligible waiter. Interactive scans first; within a class,
@@ -470,6 +461,9 @@ impl AdmissionController {
                 });
                 let (dispatch, since) = match std::mem::replace(&mut *t, TicketState::Finished) {
                     TicketState::Queued { dispatch, since, pipe } if eligible => {
+                        if self.deadline.is_some() {
+                            actions.wake.push(pipe.clone());
+                        }
                         *t = TicketState::Running {
                             cancels: Vec::new(),
                             since: Instant::now(),
@@ -501,9 +495,6 @@ impl AdmissionController {
                     *n += 1;
                     let p = st.peak.entry(e).or_insert(0);
                     *p = (*p).max(*n);
-                }
-                if self.deadline.is_some() {
-                    st.running.push(ticket.clone());
                 }
                 self.metrics.add_admitted();
                 actions.dispatch.push((ticket, dispatch));
@@ -725,11 +716,12 @@ mod tests {
         ctrl.submit(ticket.clone()).unwrap();
         assert!(!ticket.is_queued(), "admitted immediately");
         std::thread::sleep(Duration::from_millis(10));
-        ctrl.sweep();
+        ctrl.expire(&ticket);
         assert!(cancel.is_cancelled(), "deadline fires the plan's cancel tokens");
         assert_eq!(consumer.collect_tuples().expect_err("timed out"), QError::Timeout);
+        assert_eq!(ctrl.in_flight("scan"), 0, "slots released on expiry");
+        ctrl.expire(&ticket);
         ctrl.finish(&ticket, None, false);
-        assert_eq!(ctrl.in_flight("scan"), 0, "slots released on settle");
         assert_eq!(m.snapshot().query_timeouts, 1);
     }
 
@@ -744,8 +736,8 @@ mod tests {
         let dispatched = Arc::new(AtomicUsize::new(0));
         let (t, c) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
         ctrl.submit(t.clone()).unwrap();
-        ctrl.sweep();
-        assert!(c.collect_tuples().is_ok(), "young query untouched by the sweep");
+        ctrl.expire(&t);
+        assert!(c.collect_tuples().is_ok(), "a query within its budget does not expire");
         ctrl.finish(&t, None, false);
         assert_eq!(m.snapshot().query_timeouts, 0);
     }
@@ -767,7 +759,9 @@ mod tests {
         let (waiting, wc) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
         ctrl.submit(waiting.clone()).unwrap();
         std::thread::sleep(Duration::from_millis(10));
-        ctrl.sweep();
+        ctrl.expire(&running);
+        assert_eq!(ctrl.in_flight("scan"), 1, "without a deadline, a running query never expires");
+        ctrl.expire(&waiting);
         let err = wc.collect_tuples().expect_err("timed out while queued");
         assert!(matches!(err, QError::Admission(_)), "got {err:?}");
         assert_eq!(ctrl.queue_len(), 0);
@@ -775,61 +769,75 @@ mod tests {
         assert_eq!(m.snapshot().rejected, 1);
     }
 
-    /// `sweep` says when the next sweep is due: `now + min(D, T)` with
-    /// nothing pending, else the earliest `since + T` of a queued ticket or
-    /// `since + D` of a running one — never later than `now + min(D, T)`.
+    /// A ticket falls due `T` after it was queued while it waits and `D`
+    /// after it was admitted while it runs; never when that limit is unset
+    /// or once it has settled.
     #[test]
-    fn sweep_returns_when_the_next_ticket_falls_due() {
-        let within = |due: Option<Instant>, lo: Instant, hi: Instant, what: &str| {
-            let due = due.expect("a timeout or a deadline is set");
-            assert!(lo <= due && due <= hi, "{what}: {due:?} outside {lo:?}..={hi:?}");
-        };
+    fn due_is_queued_since_plus_t_then_admitted_since_plus_d() {
         let (t, d) = (Duration::from_secs(60), Duration::from_secs(120));
-        let queue_timeout =
-            AdmitConfig { queue_depth: 1, queue_timeout: Some(t), ..Default::default() };
-        let queued_only = AdmissionController::new(queue_timeout, metrics());
-        let deadline_only =
-            AdmissionController::with_deadline(AdmitConfig::default(), Some(t), metrics());
-        let both = AdmissionController::with_deadline(queue_timeout, Some(d), metrics());
-        let neither = AdmissionController::new(AdmitConfig::default(), metrics());
-        assert_eq!(neither.sweep(), None, "nothing ever falls due");
-        for ctrl in [&queued_only, &deadline_only, &both] {
-            let before = Instant::now();
-            let due = ctrl.sweep();
-            within(due, before + t, Instant::now() + t, "nothing pending");
-        }
+        let depth_one = AdmitConfig { queue_depth: 1, ..AdmitConfig::default() };
+        let timeout = AdmitConfig { queue_timeout: Some(t), ..depth_one };
         let dispatched = Arc::new(AtomicUsize::new(0));
         let ticket = || counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
-        let sweep_later = |ctrl: &AdmissionController| {
-            // Later than any `since` below, so `now + min(D, T)` is too.
-            std::thread::sleep(Duration::from_millis(5));
-            ctrl.sweep()
+        for (config, deadline) in [(timeout, Some(d)), (timeout, None), (depth_one, Some(d))] {
+            let ctrl = AdmissionController::with_deadline(config, deadline, metrics());
+            let (running, _c0) = ticket();
+            ctrl.submit(running.clone()).unwrap();
+            let before = Instant::now();
+            let (waiting, _c1) = ticket();
+            let queued = Instant::now();
+            ctrl.submit(waiting.clone()).unwrap();
+            assert!(waiting.is_queued());
+            match ctrl.due(&waiting) {
+                Some(due) => assert!(before + t <= due && due <= queued + t, "queued: since + T"),
+                None => assert_eq!(config.queue_timeout, None, "queued without T"),
+            }
+            let before = Instant::now();
+            ctrl.finish(&running, None, false);
+            let admitted = Instant::now();
+            assert!(!waiting.is_queued());
+            match ctrl.due(&waiting) {
+                Some(due) => {
+                    assert!(before + d <= due && due <= admitted + d, "running: admitted + D")
+                }
+                None => assert_eq!(deadline, None, "running without D"),
+            }
+            ctrl.finish(&waiting, None, false);
+            assert_eq!(ctrl.due(&waiting), None, "a settled ticket never falls due");
+        }
+        let neither = AdmissionController::new(AdmitConfig::default(), metrics());
+        let (t, _c) = ticket();
+        neither.submit(t.clone()).unwrap();
+        assert_eq!(neither.due(&t), None, "no limit, no due");
+    }
+
+    /// A reader whose queued `due` passed gives up and calls `expire` — but
+    /// the ticket was admitted in the meantime, so it is no longer overdue.
+    #[test]
+    fn expire_leaves_a_ticket_admitted_after_its_queued_due_was_read() {
+        let m = metrics();
+        let config = AdmitConfig {
+            queue_depth: 1,
+            queue_timeout: Some(Duration::from_millis(1)),
+            ..AdmitConfig::default()
         };
-
-        // A queued ticket falls due `T` after it was submitted.
-        let (running, _c0) = ticket();
-        queued_only.submit(running).unwrap();
-        let before = Instant::now();
-        let (waiting, _c1) = ticket();
-        let after = Instant::now();
-        queued_only.submit(waiting.clone()).unwrap();
-        assert!(waiting.is_queued());
-        within(sweep_later(&queued_only), before + t, after + t, "queued: since + T");
-
-        // A running ticket falls due `D` after it was admitted.
-        let before = Instant::now();
-        let (admitted, _c2) = ticket();
-        deadline_only.submit(admitted.clone()).unwrap();
-        let after = Instant::now();
-        assert!(!admitted.is_queued());
-        within(sweep_later(&deadline_only), before + t, after + t, "running: since + D");
-
-        // ...unless a ticket submitted or admitted right after this sweep
-        // could fall due sooner: with D > T, `now + T` caps `since + D`.
-        let (admitted, _c3) = ticket();
-        both.submit(admitted).unwrap();
-        let before = Instant::now();
-        let due = sweep_later(&both);
-        within(due, before + t, Instant::now() + t, "capped at now + min(D, T)");
+        let ctrl = AdmissionController::with_deadline(config, Some(Duration::from_secs(3600)), m);
+        let dispatched = Arc::new(AtomicUsize::new(0));
+        let (running, _c0) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        ctrl.submit(running.clone()).unwrap();
+        let (waiting, wc) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        ctrl.submit(waiting.clone()).unwrap();
+        let due = ctrl.due(&waiting).expect("queued under a timeout");
+        while Instant::now() < due {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ctrl.finish(&running, None, false);
+        ctrl.expire(&waiting);
+        assert!(!waiting.is_queued());
+        assert_eq!(ctrl.in_flight("scan"), 1, "still running");
+        assert!(wc.collect_tuples().is_ok(), "its pipe was not failed");
+        let s = ctrl.metrics.snapshot();
+        assert_eq!((s.rejected, s.query_timeouts), (0, 0));
+        ctrl.finish(&waiting, None, false);
     }
 }

@@ -13,10 +13,10 @@
 //! its children are wired with pipes and dispatched the same way, and the
 //! host goes to the µEngine's pool. Scans go to the scan manager — the scan
 //! µEngine — which applies the same check per table and runs each scan
-//! group's scanner as a job on its pool. A deadlock is broken by the waiter
-//! whose edge closes it, so besides the pools an engine owns at most one
-//! thread: the service thread that fires queue timeouts and execution
-//! deadlines as they fall due, started only when one of them is set.
+//! group's scanner as a job on its pool. An engine owns no thread besides
+//! its pools' workers: a deadlock is broken by the waiter whose edge closes
+//! it, and a queue timeout or execution deadline fires on the client thread
+//! that reads the query's answer ([`QueryHandle::try_collect`]).
 
 use crate::admit::{AdmissionController, AdmitConfig, DispatchFn, QueryClass, QueryTicket};
 use crate::deadlock::{NodeId, WaitRegistry};
@@ -24,7 +24,7 @@ use crate::host::ShareRegistry;
 use crate::ops::{self, OpEnv};
 use crate::packet::{fresh_node, CancelToken, Packet, QueryId};
 use crate::pipe::{Pipe, PipeConfig, PipeConsumer, PipeProducer};
-use crate::pool::{ServiceThread, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::scan::{ScanManager, ScanRequest};
 use qpipe_common::trace::{ProbeNode, QueryProfile, QueryTrace, TraceEvent};
 use qpipe_common::{Metrics, QError, QResult, Tuple};
@@ -105,8 +105,6 @@ pub struct QPipe {
     engines: HashMap<&'static str, MicroEngine>,
     metrics: Metrics,
     admit: Arc<AdmissionController>,
-    /// Fires queue timeouts and execution deadlines, when either is set.
-    _service: Option<ServiceThread>,
     /// Self-reference for deferred dispatch closures (admission tickets).
     self_weak: Weak<QPipe>,
     /// Canonical plan signature → hash of the first SQL text that produced
@@ -117,18 +115,10 @@ pub struct QPipe {
 }
 
 impl QPipe {
-    /// Boot the engine over a catalog. Panics only when the OS refuses the
-    /// service thread a deadline or queue timeout needs — use
-    /// [`try_new`](Self::try_new) to handle that as an error instead.
+    /// Boot the engine over a catalog. Boot starts no thread: every pool,
+    /// the scan µEngine's included, starts empty and spawns its workers as
+    /// jobs need them.
     pub fn new(catalog: Arc<Catalog>, config: QPipeConfig) -> Arc<Self> {
-        Self::try_new(catalog, config).unwrap_or_else(|e| panic!("QPipe boot failed: {e}"))
-    }
-
-    /// Fallible boot: `Err(QError::Exec)` when a deadline or queue timeout
-    /// is set and the service thread that fires them cannot be spawned. It is
-    /// the only thread a boot can start: every pool, the scan µEngine's
-    /// included, starts empty and spawns its workers as jobs need them.
-    pub fn try_new(catalog: Arc<Catalog>, config: QPipeConfig) -> QResult<Arc<Self>> {
         let metrics = catalog.disk().metrics().clone();
         // Validate once up front so the stored config reports the *effective*
         // limits (the nested constructors re-validate idempotently: already
@@ -160,11 +150,7 @@ impl QPipe {
             config.exec.query_deadline,
             metrics.clone(),
         );
-        let sweeper = admit.clone();
-        let service = (config.exec.query_deadline.or(config.admit.queue_timeout).is_some())
-            .then(|| ServiceThread::spawn(move || sweeper.sweep()))
-            .transpose()?;
-        Ok(Arc::new_cyclic(|self_weak| Self {
+        Arc::new_cyclic(|self_weak| Self {
             ctx,
             config,
             registry,
@@ -173,10 +159,9 @@ impl QPipe {
             engines,
             metrics,
             admit,
-            _service: service,
             self_weak: self_weak.clone(),
             sql_sigs: parking_lot::Mutex::new(HashMap::new()),
-        }))
+        })
     }
 
     pub fn metrics(&self) -> &Metrics {
@@ -543,8 +528,8 @@ fn plan_engines(plan: &PlanNode) -> Vec<&'static str> {
 }
 
 /// One query's dispatch: what each of its packets carries, and the cancel
-/// tokens of those that run (fired when the client cancels or the deadline
-/// passes).
+/// tokens of those that run (fired when the client cancels or the query
+/// expires).
 struct QueryDispatch<'a> {
     query: QueryId,
     trace: Option<&'a Arc<QueryTrace>>,
@@ -672,11 +657,23 @@ impl QueryHandle {
 
     /// Block until the query finishes; `Err` when a packet feeding this
     /// query failed (e.g. a codec error on a scanned page) — partial output
-    /// is never passed off as a complete result.
+    /// is never passed off as a complete result. A queue timeout or deadline
+    /// fires here: each read gives up when the query falls due, and an
+    /// overdue query fails with `QError::Admission` (still queued) or
+    /// `QError::Timeout` (running) even if its rows are already buffered.
     pub fn try_collect(self) -> QResult<Vec<Tuple>> {
         // Hold the admission slots until the stream is drained, then release
         // them (pumping waiters).
-        let result = self.consumer.collect_tuples();
+        let TicketGuard { ctrl, ticket } = &self.ticket;
+        let mut rows = Vec::new();
+        let result = loop {
+            match self.consumer.recv_until(ctrl.due(ticket)) {
+                Some(Ok(Some(batch))) => rows.extend(batch.to_rows()),
+                Some(Ok(None)) => break Ok(rows),
+                Some(Err(e)) => break Err(e),
+                None => ctrl.expire(ticket),
+            }
+        };
         drop(self.ticket);
         match result {
             Ok(rows) => {

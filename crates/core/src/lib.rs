@@ -34,7 +34,7 @@
 //!   `ExecContext`) it bounds what a multi-query burst can claim.
 //! * [`engine`] — µEngines, packet dispatcher, query handles (§4.2–4.3).
 //! * [`pool`] — every engine thread: per-µEngine pools grown on demand
-//!   (§4.2's "pool of threads") and the service thread that fires deadlines.
+//!   (§4.2's "pool of threads").
 //! * [`host`] — OSP host/satellite attach machinery (§4.3, Figure 6b) and
 //!   the one replay history a late satellite reads (buffering, §3.2).
 //! * [`scan`] — circular scans with dynamic termination points: one scanner

@@ -64,6 +64,9 @@ struct PipeState {
     /// of a truncated-but-clean EOF (no silent data loss).
     error: Option<QError>,
     materialized: bool,
+    /// Set by [`Pipe::wake_reader`]: the consumer's next receive gives up at
+    /// once, so its caller re-reads when its query falls due.
+    woken: bool,
     /// Node id of the producing packet.
     producer_node: NodeId,
 }
@@ -101,6 +104,7 @@ impl Pipe {
                 eof: false,
                 error: None,
                 materialized: false,
+                woken: false,
                 producer_node,
             }),
             space: Condvar::new(),
@@ -169,15 +173,17 @@ impl Pipe {
     }
 
     /// Block on `cond` with `waiter → holder` registered as a waits-for edge,
-    /// cleared once the waiter runs again. A waiter whose edge closes a cycle
-    /// resolves it first, without its own pipe lock, and may return without
-    /// sleeping: callers re-test their condition around every call.
+    /// cleared once the waiter runs again, until `until` if one is given. A
+    /// waiter whose edge closes a cycle resolves it first, without its own
+    /// pipe lock, and may return without sleeping: callers re-test their
+    /// condition around every call.
     fn wait<'a>(
         self: &'a Arc<Self>,
         mut st: MutexGuard<'a, PipeState>,
         cond: &Condvar,
         (waiter, holder): (NodeId, NodeId),
         kind: WaitKind,
+        until: Option<Instant>,
     ) -> MutexGuard<'a, PipeState> {
         let edge =
             WaitEdge { waiter, holder, pipe: Arc::downgrade(self), kind, produced: st.produced };
@@ -193,7 +199,12 @@ impl Pipe {
                 return st;
             }
         }
-        cond.wait(&mut st);
+        match until {
+            None => cond.wait(&mut st),
+            Some(at) => {
+                cond.wait_for(&mut st, at.saturating_duration_since(Instant::now()));
+            }
+        }
         self.registry.remove_edge(waiter);
         st
     }
@@ -202,7 +213,7 @@ impl Pipe {
         let mut st = self.state.lock();
         while !st.materialized && !st.detached && st.queue.len() >= self.config.capacity {
             let nodes = (st.producer_node, self.consumer_node);
-            st = self.wait(st, &self.space, nodes, WaitKind::ProducerFull);
+            st = self.wait(st, &self.space, nodes, WaitKind::ProducerFull, None);
         }
         st.produced += 1;
         if !st.detached {
@@ -234,25 +245,43 @@ impl Pipe {
         self.space.notify_all();
     }
 
-    fn recv(self: &Arc<Self>, probe: Option<&OpProbe>) -> QResult<Option<Arc<ColBatch>>> {
+    /// Wake this pipe's consumer without giving it anything: its next
+    /// [`recv_until`](PipeConsumer::recv_until) returns `None` at once, so a
+    /// client whose query was just admitted re-reads when it falls due.
+    pub(crate) fn wake_reader(&self) {
+        self.state.lock().woken = true;
+        self.data.notify_all();
+    }
+
+    /// Blocking receive that gives up at `due`: `None` once `due` has passed
+    /// — tested before anything queued is taken — or once the reader is woken
+    /// ([`wake_reader`](Self::wake_reader)).
+    fn recv(
+        self: &Arc<Self>,
+        probe: Option<&OpProbe>,
+        due: Option<Instant>,
+    ) -> Option<QResult<Option<Arc<ColBatch>>>> {
         let mut st = self.state.lock();
         loop {
             // A failed producer fails the consumer promptly — queued batches
             // belong to a packet that can no longer deliver complete results.
             if let Some(e) = &st.error {
-                return Err(e.clone());
+                return Some(Err(e.clone()));
+            }
+            if std::mem::take(&mut st.woken) || due.is_some_and(|at| Instant::now() >= at) {
+                return None;
             }
             if let Some(batch) = st.queue.pop_front() {
                 drop(st);
                 self.space.notify_all();
-                return Ok(Some(batch));
+                return Some(Ok(Some(batch)));
             }
             if st.eof {
-                return Ok(None);
+                return Some(Ok(None));
             }
             let nodes = (self.consumer_node, st.producer_node);
             let blocked = probe.map(|_| Instant::now());
-            st = self.wait(st, &self.data, nodes, WaitKind::ConsumerEmpty);
+            st = self.wait(st, &self.data, nodes, WaitKind::ConsumerEmpty, due);
             if let (Some(p), Some(blocked)) = (probe, blocked) {
                 p.add_pipe_wait_ns(blocked.elapsed().as_nanos() as u64);
             }
@@ -339,7 +368,22 @@ impl PipeConsumer {
     /// Blocking receive; `Ok(None)` at end of stream, `Err` when the
     /// producer failed the pipe (the packet's results are incomplete).
     pub fn recv(&self) -> QResult<Option<Arc<ColBatch>>> {
-        self.pipe.recv(self.probe.as_deref())
+        loop {
+            if let Some(got) = self.pipe.recv(self.probe.as_deref(), None) {
+                return got;
+            }
+        }
+    }
+
+    /// [`recv`](Self::recv) that gives up at `due`, taking nothing: `None`
+    /// once `due` has passed — even with batches queued — or when the reader
+    /// was woken ([`Pipe::wake_reader`]); the caller re-reads its due and
+    /// asks again.
+    pub(crate) fn recv_until(
+        &self,
+        due: Option<Instant>,
+    ) -> Option<QResult<Option<Arc<ColBatch>>>> {
+        self.pipe.recv(self.probe.as_deref(), due)
     }
 
     /// Drain everything into a vector of tuples — the client result

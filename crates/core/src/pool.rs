@@ -1,5 +1,4 @@
-//! Every engine thread comes from here: on-demand packet pools for µEngines,
-//! and the service thread that fires deadlines.
+//! Every engine thread comes from here: on-demand packet pools for µEngines.
 //!
 //! The paper's µEngines serve packets from a queue with "a pool of threads"
 //! (§4.2). [`WorkerPool`] has one rule: it starts with no thread; `execute`
@@ -19,12 +18,12 @@
 //! pipe wakes and observes the detach, so in-flight jobs on other pools can
 //! always finish and the join cannot wedge.
 //!
-//! [`ServiceThread`] runs a tick at the instants the tick itself names: the
-//! engine's admission sweep, firing queue timeouts and deadlines as they fall
-//! due. An engine without either starts none.
+//! Nothing else runs on an engine thread of its own: a deadlock is broken by
+//! the waiter whose edge closes it, and a queue timeout or deadline fires on
+//! the client thread that waits for the query's answer.
 
 use parking_lot::{Condvar, Mutex};
-use qpipe_common::{Metrics, QError, QResult};
+use qpipe_common::Metrics;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -172,53 +171,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A service thread (named `qpipe-service`): runs `tick` at once, then at
-/// each instant the previous tick returned (`None`: never again). Drop wakes
-/// it at once and joins it, so it never outlives its owner.
-pub struct ServiceThread {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl ServiceThread {
-    /// `Err` when the OS refuses the thread.
-    pub fn spawn(mut tick: impl FnMut() -> Option<Instant> + Send + 'static) -> QResult<Self> {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let flag = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("qpipe-service".into())
-            .spawn(move || {
-                let mut due = Some(Instant::now());
-                let mut stopped = flag.0.lock();
-                while !*stopped {
-                    match due.map(|at| at.saturating_duration_since(Instant::now())) {
-                        None => flag.1.wait(&mut stopped),
-                        Some(left) if left.is_zero() => {
-                            drop(stopped);
-                            due = tick();
-                            stopped = flag.0.lock();
-                        }
-                        Some(left) => {
-                            flag.1.wait_for(&mut stopped, left);
-                        }
-                    }
-                }
-            })
-            .map_err(|e| QError::Exec(format!("spawn service thread: {e}")))?;
-        Ok(Self { stop, handle: Some(handle) })
-    }
-}
-
-impl Drop for ServiceThread {
-    fn drop(&mut self) {
-        *self.stop.0.lock() = true;
-        self.stop.1.notify_all();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,40 +296,5 @@ mod tests {
         pool.shutdown();
         assert!(!pool.execute(|| unreachable!("must not run")));
         assert_eq!(pool.workers().0, 0);
-    }
-
-    #[test]
-    fn service_thread_ticks_when_due_until_dropped() {
-        let (tx, rx) = mpsc::channel();
-        let service = ServiceThread::spawn(move || {
-            let _ = tx.send(Instant::now());
-            Some(Instant::now() + Duration::from_millis(20))
-        })
-        .unwrap();
-        let first = rx.recv_timeout(Duration::from_secs(5)).expect("the first tick runs at once");
-        for _ in 0..2 {
-            let at = rx.recv_timeout(Duration::from_secs(5)).expect("the service never ticked");
-            assert!(at >= first + Duration::from_millis(20), "ticked before it was due");
-        }
-        drop(service);
-        // Joined: the tick closure (and its sender) is gone.
-        while rx.try_recv().is_ok() {}
-        assert!(rx.recv_timeout(Duration::from_secs(5)).is_err());
-    }
-
-    #[test]
-    fn dropping_a_service_thread_does_not_wait_out_its_sleep() {
-        for due in [Some(Duration::from_secs(3600)), None] {
-            let (tx, rx) = mpsc::channel();
-            let service = ServiceThread::spawn(move || {
-                let _ = tx.send(());
-                due.map(|d| Instant::now() + d)
-            })
-            .unwrap();
-            rx.recv_timeout(Duration::from_secs(5)).expect("the first tick runs at once");
-            let started = Instant::now();
-            drop(service);
-            assert!(started.elapsed() < Duration::from_secs(60), "drop waited for the next tick");
-        }
     }
 }

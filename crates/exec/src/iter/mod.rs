@@ -40,10 +40,10 @@ pub struct ExecConfig {
     /// governor denies growth past it regardless of per-operator budgets.
     /// Effectively unbounded by default (single-query behavior unchanged).
     pub global_budget: usize,
-    /// Wall-clock execution deadline per query. In the staged engine the
-    /// service thread's admission sweep fires the plan's cancel tokens and
-    /// fails the output with `QError::Timeout` once a running query exceeds
-    /// it. `None` (default) disables deadline enforcement.
+    /// Wall-clock execution deadline per query, measured from admission. In
+    /// the staged engine the client's read of an overdue query fires the
+    /// plan's cancel tokens and fails the output with `QError::Timeout`.
+    /// `None` (default) disables deadline enforcement.
     pub query_deadline: Option<std::time::Duration>,
     /// Per-query tracing and profiling. When `true` every submitted query
     /// gets a `QueryTrace` event journal and an `OpProbe` tree behind

@@ -2,7 +2,7 @@
 //! concurrency and containment *conventions* into build-time guarantees.
 //!
 //! The staged engine runs many µEngines, a shared circular scanner, an
-//! admission sweeper, and worker pools against shared mutable state.
+//! admission controller, and worker pools against shared mutable state.
 //! The failure-containment contract ("every query settles; no failure is
 //! ever passed off as a complete result") rests on conventions — panics only
 //! inside `catch_unwind` boundaries, threads only via `WorkerPool`, locks
@@ -26,11 +26,11 @@
 //!
 //! **R2 — thread hygiene** (`lint:allow(R2)` / `lint:allow(thread)`).
 //! `thread::spawn` / `thread::Builder` are permitted only in `pool.rs`, home
-//! of the `WorkerPool` and the `ServiceThread` that fires deadlines — every
-//! engine thread, the scan µEngine's scanners included, comes from there. New
-//! concurrency must route through `WorkerPool`, inheriting its `catch_unwind`
-//! containment, drop guards and busy accounting; a spawn anywhere else needs
-//! an inline waiver naming its join story.
+//! of the `WorkerPool` — every engine thread, the scan µEngine's scanners
+//! included, is one of its workers. New concurrency must route through
+//! `WorkerPool`, inheriting its `catch_unwind` containment, drop guards and
+//! busy accounting; a spawn anywhere else needs an inline waiver naming its
+//! join story.
 //!
 //! **R3 — lock discipline** (`lint:allow(R3)` / `lint:allow(lock)`).
 //! Two checks. (a) No blocking call — `.send(`, `.recv(`, `.wait(` — while a

@@ -87,8 +87,7 @@ pub struct Config {
     /// harness crates legitimately spawn client threads and panic in tests).
     pub engine_crates: Vec<String>,
     /// Files where `thread::spawn`/`thread::Builder` is allowed (R2): all
-    /// other concurrency must route through `pool.rs` (`WorkerPool`,
-    /// `ServiceThread`).
+    /// other concurrency must route through `pool.rs` (`WorkerPool`).
     pub spawn_allowlist: Vec<String>,
     /// The metrics hub file (R4); `None` disables R4 (fixture tests).
     pub metrics_file: Option<String>,
@@ -101,8 +100,8 @@ impl Default for Config {
                 .iter()
                 .map(|c| format!("crates/{c}/src/"))
                 .collect(),
-            // The WorkerPool and the ServiceThread that fires deadlines:
-            // every engine thread, scanners included, comes from here.
+            // The WorkerPool: every engine thread, scanners included, is
+            // one of its workers.
             spawn_allowlist: vec!["crates/core/src/pool.rs".into()],
             metrics_file: Some("crates/common/src/metrics.rs".into()),
         }

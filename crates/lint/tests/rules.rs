@@ -106,7 +106,7 @@ fn r2_negative_allowlisted_file() {
 
 #[test]
 fn r2_waiver() {
-    let src = "// lint:allow(R2): service thread joined in Drop, see ServiceThread\n\
+    let src = "// lint:allow(R2): helper thread joined in Drop\n\
                fn a() { std::thread::spawn(|| {}); }\n";
     assert!(lint_one("crates/core/src/fix.rs", src).is_empty());
 }

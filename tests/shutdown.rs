@@ -1,13 +1,12 @@
 //! Engine lifecycle: shutdown must join every engine thread, and the
 //! per-query deadline and the queue timeout must settle overdue work.
 //!
-//! `QPipe` owns one service thread — a deadlock-resolution pass and an
-//! admission sweep every tick — and its µEngine pools, whose workers (packet
-//! hosts and scanners alike) park until the engine drops; packets are
-//! dispatched on the submitting thread. Dropping the engine must wind all of
-//! them down — an engine-per-request embedding would otherwise accumulate
-//! threads until exhaustion (and a leaked service thread would keep failing
-//! queries of a dead engine).
+//! `QPipe`'s only threads are its µEngine pools' workers (packet hosts and
+//! scanners alike), which park until the engine drops; packets are
+//! dispatched on the submitting thread, and a deadline or queue timeout
+//! fires on the client thread that reads the query's answer. Dropping the
+//! engine must wind every worker down — an engine-per-request embedding
+//! would otherwise accumulate threads until exhaustion.
 
 use qpipe::prelude::*;
 use qpipe::quick_system;
@@ -33,13 +32,13 @@ fn demo_catalog(rows: i64) -> Arc<Catalog> {
 }
 
 /// Build + query + drop an engine repeatedly: the thread count must return
-/// to baseline each time (service thread, pool workers, scanners — all
-/// joined or wound down, none accumulated).
+/// to baseline each time (pool workers and scanners all joined or wound
+/// down, none accumulated).
 #[test]
 fn repeated_engine_lifecycles_do_not_leak_threads() {
     let catalog = demo_catalog(500);
-    // Deadline + queue timeout give the service thread's sweep work to do,
-    // so this exercises everything the engine's threads can be busy with.
+    // Deadline + queue timeout set: every read also asks when the query
+    // falls due, so this exercises the engine with every knob it has.
     let config = QPipeConfig {
         exec: ExecConfig { query_deadline: Some(Duration::from_secs(30)), ..ExecConfig::default() },
         admit: AdmitConfig {
@@ -76,9 +75,8 @@ fn repeated_engine_lifecycles_do_not_leak_threads() {
 }
 
 /// End-to-end deadline: a query that outlives `query_deadline` is failed by
-/// the service thread's admission sweep with `QError::Timeout`, its
-/// admission slots are released, and the engine stays usable for the next
-/// query.
+/// its client's read with `QError::Timeout`, its admission slots are
+/// released, and the engine stays usable for the next query.
 #[test]
 fn query_deadline_times_out_slow_queries_end_to_end() {
     // A latency-charging disk makes the multi-pass sort take real time.
@@ -124,9 +122,9 @@ fn query_deadline_times_out_slow_queries_end_to_end() {
 }
 
 /// End-to-end queue timeout: with one slot per µEngine, a query queued
-/// behind an undrained one is rejected by the service thread's admission
-/// sweep with `QError::Admission` once it outstays `queue_timeout`, and the
-/// engine serves the next query as soon as the slot frees.
+/// behind an undrained one is rejected by its client's read with
+/// `QError::Admission` once it outstays `queue_timeout`, and the engine
+/// serves the next query as soon as the slot frees.
 #[test]
 fn queue_timeout_rejects_a_queued_query_end_to_end() {
     let catalog = demo_catalog(5000);
@@ -151,6 +149,76 @@ fn queue_timeout_rejects_a_queued_query_end_to_end() {
     assert_eq!(first.try_collect().unwrap().len(), 5000);
     let rows = engine.submit(PlanNode::scan("t")).unwrap().try_collect().unwrap();
     assert_eq!(rows.len(), 5000, "the freed slot serves the next query");
+}
+
+/// The deadline runs from admission. With one slot per µEngine, a query
+/// queued behind an undrained one waits well past `D` before it is
+/// admitted; its client, already blocked reading it, is woken by the
+/// admission and times out `D` later. The table lock holds the admitted
+/// scan back, so nothing but the deadline can end that read.
+#[test]
+fn deadline_runs_from_admission_for_a_client_waiting_in_the_queue() {
+    let catalog = demo_catalog(5000);
+    let schema = Schema::of(&[("k", DataType::Int)]);
+    catalog
+        .create_table("u", schema, (0..100).map(|i| vec![Value::Int(i)]).collect(), None)
+        .unwrap();
+    let d = Duration::from_millis(50);
+    let config = QPipeConfig {
+        exec: ExecConfig { query_deadline: Some(d), ..ExecConfig::default() },
+        admit: AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(catalog.clone(), config);
+    // Undrained, so unread: it holds the slot and never expires.
+    let first = engine.submit(PlanNode::scan("t")).unwrap();
+    let gate = catalog.locks().lock_exclusive("u");
+    let queued = engine.submit(PlanNode::scan("u")).unwrap();
+    assert!(queued.is_queued());
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let result = queued.try_collect();
+        tx.send((result, Instant::now())).unwrap();
+    });
+    // `D` after submission passes while the query waits for its slot.
+    std::thread::sleep(2 * d);
+    let released = Instant::now();
+    drop(first);
+    let received = rx.recv_timeout(Duration::from_secs(10));
+    drop(gate);
+    reader.join().unwrap();
+    let (result, failed_at) = received.expect("the reader never gave up at its due");
+    assert_eq!(result.expect_err("the deadline must fire"), QError::Timeout);
+    assert!(
+        failed_at >= released + d,
+        "timed out {:?} after admission, before its deadline {d:?}",
+        failed_at - released
+    );
+    assert_eq!(engine.metrics().snapshot().query_timeouts, 1);
+}
+
+/// A query's outcome depends only on when its client reads: one that
+/// finished well within its deadline but is read after it fails with
+/// `QError::Timeout`, though every row is buffered in its root pipe.
+#[test]
+fn a_finished_query_read_after_its_deadline_times_out() {
+    let d = Duration::from_millis(250);
+    let config = QPipeConfig {
+        exec: ExecConfig { query_deadline: Some(d), ..ExecConfig::default() },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(demo_catalog(500), config);
+    let late = engine.submit(PlanNode::scan("t")).unwrap();
+    // The scanner is the plan's only job, and its busy time is recorded
+    // once it has pushed every row into the root pipe and closed it.
+    let submitted = Instant::now();
+    while engine.metrics().snapshot().worker_busy_ns == 0 {
+        assert!(submitted.elapsed() < d, "the scan did not finish within its deadline");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(d);
+    assert_eq!(late.try_collect().expect_err("read after its deadline"), QError::Timeout);
+    assert_eq!(engine.metrics().snapshot().query_timeouts, 1);
 }
 
 /// An injected panic on a scanner's page read fails only the packets

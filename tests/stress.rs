@@ -3,6 +3,9 @@
 //! This is where the paper's machinery (shared scans, host attach windows,
 //! cancellation, deadlock resolution) earns its keep.
 
+mod common;
+
+use common::assert_rows_equivalent;
 use qpipe::prelude::*;
 use qpipe::workloads::tpch::{build_tpch, q4, query, JoinFlavor, TpchScale, MIX};
 use rand::rngs::StdRng;
@@ -41,7 +44,7 @@ fn random_mix_under_random_configs_matches_reference() {
     let mut rng = StdRng::seed_from_u64(0xD15EA5E);
     for round in 0..6 {
         let catalog = fresh_catalog(round as u64 + 1);
-        // Reference row counts from the sequential iterator engine.
+        // Reference answers from the sequential iterator engine.
         let plans: Vec<PlanNode> = (0..8)
             .map(|_| {
                 let q = MIX[rng.gen_range(0..MIX.len())];
@@ -49,8 +52,8 @@ fn random_mix_under_random_configs_matches_reference() {
             })
             .collect();
         let ctx = ExecContext::new(catalog.clone());
-        let expected: Vec<usize> =
-            plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap().len()).collect();
+        let expected: Vec<Vec<Tuple>> =
+            plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap()).collect();
 
         let config = QPipeConfig {
             osp: rng.gen_bool(0.7),
@@ -61,25 +64,52 @@ fn random_mix_under_random_configs_matches_reference() {
             ..QPipeConfig::default()
         };
         let engine = QPipe::new(catalog, config);
-        let got = run_concurrent(&engine, &plans);
-        assert_eq!(got, expected, "round {round} with config {config:?}");
+        let got = run_concurrent_rows(&engine, &plans);
+        for (i, (got, expected)) in got.into_iter().zip(&expected).enumerate() {
+            let ctx = format!("round {round}, query {i}, config {config:?}");
+            assert_rows_equivalent(got, expected.clone(), &ctx);
+        }
     }
 }
 
 #[test]
 fn identical_query_storm_all_consistent() {
     let catalog = fresh_catalog(77);
+    let ctx = ExecContext::new(catalog.clone());
     let engine = QPipe::new(catalog, QPipeConfig::default());
     let mut rng = StdRng::seed_from_u64(9);
     let plan = query(6, &mut rng);
-    // Reference once.
-    let expected = engine.submit(plan.clone()).unwrap().collect().len();
-    for _ in 0..4 {
+    let expected = qpipe::exec::iter::run(&plan, &ctx).unwrap();
+    for storm in 0..4 {
         let plans: Vec<PlanNode> = (0..12).map(|_| plan.clone()).collect();
-        let got = run_concurrent(&engine, &plans);
-        assert!(got.iter().all(|&c| c == expected), "{got:?} != {expected}");
+        for (i, got) in run_concurrent_rows(&engine, &plans).into_iter().enumerate() {
+            assert_rows_equivalent(got, expected.clone(), &format!("storm {storm}, query {i}"));
+        }
     }
     assert!(engine.metrics().osp_attaches() > 10, "storms of identical queries must share heavily");
+}
+
+/// A cancelled host keeps serving its satellite. While the table's
+/// exclusive lock holds the scan back, the second of two identical
+/// aggregates attaches to the first one's aggregate host; the first is then
+/// cancelled, and the second must still get the oracle's answer.
+#[test]
+fn cancelled_host_keeps_serving_its_satellite() {
+    let catalog = qpipe::quick_system(DiskConfig::instant(), 64);
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let rows = (0..5000).map(|i| vec![Value::Int(i % 97), Value::Int(i)]).collect();
+    catalog.create_table("t", schema, rows, None).unwrap();
+    let plan = PlanNode::scan("t")
+        .aggregate(vec![0], vec![AggSpec::count_star(), AggSpec::sum(Expr::col(1))]);
+    let expected = qpipe::exec::iter::run(&plan, &ExecContext::new(catalog.clone())).unwrap();
+    let engine = QPipe::new(catalog.clone(), QPipeConfig::default());
+    let gate = catalog.locks().lock_exclusive("t");
+    let host = engine.submit(plan.clone()).unwrap();
+    let satellite = engine.submit(plan).unwrap();
+    host.cancel();
+    drop(gate);
+    assert_rows_equivalent(satellite.collect(), expected, "satellite of a cancelled host");
+    assert!(engine.metrics().osp_attaches() >= 1, "the second aggregate attached to the first");
 }
 
 #[test]
@@ -238,10 +268,11 @@ fn admission_under_churn_bounds_engines_and_returns_to_baseline() {
 #[test]
 fn interleaved_updates_and_queries_stay_consistent() {
     let catalog = fresh_catalog(99);
+    let ctx = ExecContext::new(catalog.clone());
     let engine = QPipe::new(catalog, QPipeConfig::default());
     let mut rng = StdRng::seed_from_u64(3);
     let plan = query(6, &mut rng);
-    let expected = engine.submit(plan.clone()).unwrap().collect().len();
+    let expected = qpipe::exec::iter::run(&plan, &ctx).unwrap();
     std::thread::scope(|s| {
         // Writer thread takes exclusive locks repeatedly.
         let e = engine.clone();
@@ -252,10 +283,11 @@ fn interleaved_updates_and_queries_stay_consistent() {
         });
         for _ in 0..3 {
             let e = engine.clone();
-            let p = plan.clone();
+            let (p, expected) = (plan.clone(), &expected);
             s.spawn(move || {
-                for _ in 0..4 {
-                    assert_eq!(e.submit(p.clone()).unwrap().collect().len(), expected);
+                for i in 0..4 {
+                    let got = e.submit(p.clone()).unwrap().collect();
+                    assert_rows_equivalent(got, expected.clone(), &format!("read {i}"));
                 }
             });
         }
