@@ -5,7 +5,7 @@
 //! pulls operator to operator, and what a client receives from
 //! `QueryHandle::try_collect`. The staged engine does **not** exchange
 //! tuples: its pipes carry one format only, `Arc<ColBatch>`
-//! ([`colbatch`](crate::colbatch)), of at most
+//! ([`colbatch`](crate::colbatch)), filled towards
 //! [`ColBatch::DEFAULT_CAPACITY`](crate::ColBatch::DEFAULT_CAPACITY) rows
 //! per batch; tuples appear inside it only behind `qpipe-core`'s row bridge.
 

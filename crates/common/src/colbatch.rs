@@ -419,8 +419,11 @@ pub struct ColBatch {
 }
 
 impl ColBatch {
-    /// Rows per batch on the wire: the chunk size every producer in the
-    /// staged engine cuts its output into.
+    /// Rows per batch on the wire: the fill target. Producers that cut
+    /// their output cut it into chunks of this size, and a scanner holds a
+    /// consumer's rows back until it has this many to send. It is not a cap:
+    /// a narrow columnar page, which holds up to about 1 000 rows, goes out
+    /// whole.
     pub const DEFAULT_CAPACITY: usize = 256;
 
     /// Column-ify `rows`. Short rows are padded with NULL so every column has

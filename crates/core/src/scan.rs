@@ -51,12 +51,32 @@
 //! pipe names the scanner as its producer in the waits-for graph (§4.3.3), so a
 //! deadlock cycle through a scanner parked on a full pipe with requests
 //! still in its inbox is visible to the detector.
+//!
+//! # Delivery: full batches
+//!
+//! A consumer's share of a page may be a handful of rows, and every batch on
+//! the wire costs its reader a wake-up. So the scanner keeps each consumer's
+//! surviving rows pending and hands over a batch only once the consumer has
+//! at least [`ColBatch::DEFAULT_CAPACITY`] rows pending, or when it has seen
+//! its last page ([`ScanConsumer::deliver`] states the rule). A page share
+//! that is already that large, arriving with nothing pending, goes out as it
+//! is — for an unfiltered columnar page, the pool-resident `Arc` itself.
+//! Rows keep their page order. A consumer that is abandoned, or whose group
+//! fails, drops its pending rows unsent: a failed scan never reads as a
+//! shorter complete one.
+//!
+//! Pending rows cannot wedge a query. The scanner blocks only on its own
+//! pipe sends, the buffer pool and the table lock; a consumer waiting for
+//! rows that sit pending keeps its waits-for edge to the scanner, so any
+//! cycle through the scanner also passes through one of the scanner's own
+//! full pipes, which the waits-for graph materializes as it does for any
+//! producer's.
 
 use crate::pipe::PipeProducer;
 use crate::pool::WorkerPool;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
-use qpipe_common::{ColBatch, Metrics, QError, QResult, SelVec};
+use qpipe_common::{ColBatch, ColBatchBuilder, Metrics, QError, QResult, SelVec};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::ExecContext;
 use qpipe_storage::Block;
@@ -121,6 +141,9 @@ struct ScanConsumer {
     /// whenever the group's membership changes it).
     pruned: Option<PrunedScan>,
     output: PipeProducer,
+    /// Rows that survived this consumer's kernel but are not sent yet (see
+    /// the module docs, "Delivery: full batches").
+    pending: ColBatchBuilder,
     pages_seen: u64,
     probe: Option<Arc<OpProbe>>,
     trace: Option<Arc<QueryTrace>>,
@@ -141,12 +164,61 @@ impl ScanConsumer {
             refs,
             pruned: None,
             output: req.output,
+            pending: ColBatchBuilder::new(),
             pages_seen: 0,
             probe: req.probe,
             trace: req.trace,
             satellite,
             pages_from_host: 0,
         }
+    }
+
+    /// The delivery rule (module docs, "Delivery: full batches"): a page
+    /// share of at least [`ColBatch::DEFAULT_CAPACITY`] rows arriving with
+    /// nothing pending goes out unchanged, zero-copy; any other is appended
+    /// to the pending rows, which go out once they reach that many. A width
+    /// that disagrees with the pending rows fails the group.
+    fn deliver(&mut self, share: Arc<ColBatch>) -> QResult<()> {
+        if self.pending.is_empty() && share.len() >= ColBatch::DEFAULT_CAPACITY {
+            self.send(share);
+            return Ok(());
+        }
+        if !self.pending.append(&share) {
+            return Err(QError::Exec(format!(
+                "scan of width {} cannot join {} pending rows of another width",
+                share.num_cols(),
+                self.pending.len()
+            )));
+        }
+        if self.pending.len() >= ColBatch::DEFAULT_CAPACITY {
+            self.flush();
+        }
+        Ok(())
+    }
+
+    /// Send whatever rows are pending, as one batch.
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            let rows = std::mem::take(&mut self.pending).finish();
+            self.send(Arc::new(rows));
+        }
+    }
+
+    /// Put one batch on the wire; the probe counts what the wire carries.
+    fn send(&mut self, batch: Arc<ColBatch>) {
+        if let Some(p) = &self.probe {
+            p.add_rows(batch.len() as u64);
+            p.add_batches(1);
+        }
+        self.output.push_shared(batch);
+    }
+
+    /// The consumer has seen its last page (or the table has none): send
+    /// its pending rows, stamp its completion events and end its stream.
+    fn complete(mut self) {
+        self.flush();
+        self.note_detach();
+        self.output.finish();
     }
 
     /// Stamp the consumer's completion events (no-op when untraced); call
@@ -482,8 +554,11 @@ impl ScanManager {
 
     /// Serve one claimed page on the scanner: fetch + decode it once,
     /// then run every consumer's predicate/projection kernel over the shared
-    /// batch and push the result. A consumer that was abandoned, or has now
-    /// seen every page, leaves `consumers`; returns whether any left.
+    /// batch and deliver the result under the full-batch rule
+    /// ([`ScanConsumer::deliver`]): it is sent, or kept pending until the
+    /// consumer has a full batch. A consumer that has now seen every page
+    /// sends what is pending and leaves `consumers`; one that was abandoned
+    /// leaves with its pending rows dropped. Returns whether any left.
     ///
     /// The page's I/O wait and decode time are charged to the host's probe,
     /// each consumer's kernel time to its own (tracing off: one `Option`
@@ -534,12 +609,8 @@ impl ScanManager {
                 }
                 None => c.page_kernel(&page, pruned, position),
             }?;
-            if let Some(batch) = delivery {
-                if let Some(p) = &c.probe {
-                    p.add_rows(batch.len() as u64);
-                    p.add_batches(1);
-                }
-                c.output.push_shared(batch);
+            if let Some(share) = delivery {
+                c.deliver(share)?;
             }
             if c.satellite {
                 c.pages_from_host += 1;
@@ -551,9 +622,7 @@ impl ScanManager {
             }
             c.pages_seen += 1;
             if c.pages_seen >= num_pages {
-                let done = consumers.remove(i);
-                done.note_detach();
-                done.output.finish();
+                consumers.remove(i).complete();
                 left = true;
             } else {
                 i += 1;
@@ -596,10 +665,7 @@ impl ScanManager {
                 if consumers.is_empty() || num_pages == 0 {
                     g.finished = true;
                     drop(g);
-                    for c in consumers.drain(..) {
-                        c.note_detach();
-                        c.output.finish();
-                    }
+                    consumers.drain(..).for_each(ScanConsumer::complete);
                     return;
                 }
                 let position = g.position;
@@ -1472,6 +1538,160 @@ mod tests {
         // Draining the host releases the scanner; both get the whole table.
         assert_eq!(host_rows.collect_tuples().unwrap().len(), 50_000);
         assert_eq!(drain_late.join().unwrap(), 50_000);
+    }
+
+    /// `t(k, m)` with `m = k % 20`: `m = 0` keeps one row in twenty, spread
+    /// evenly over every page.
+    fn ctx_with_sparse_table(
+        rows: i64,
+        layout: qpipe_storage::StorageLayout,
+    ) -> (ExecContext, Metrics) {
+        let metrics = Metrics::new();
+        let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
+        let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(64, PolicyKind::Lru));
+        let catalog = Catalog::new(disk, pool);
+        catalog
+            .create_table_with_layout(
+                "t",
+                Schema::of(&[("k", DataType::Int), ("m", DataType::Int)]),
+                (0..rows).map(|i| vec![Value::Int(i), Value::Int(i % 20)]).collect(),
+                Some(0),
+                layout,
+            )
+            .unwrap();
+        (ExecContext::new(catalog), metrics)
+    }
+
+    fn filtered_request(
+        reg: &Arc<WaitRegistry>,
+        predicate: Expr,
+    ) -> (ScanRequest, PipeConsumer, qpipe_exec::plan::PlanNode) {
+        let (output, c) = pair(reg, 1024);
+        let req = ScanRequest {
+            table: "t".into(),
+            predicate: Some(predicate),
+            projection: Some(vec![0]),
+            output,
+            ordered: false,
+            split_ok: false,
+            probe: None,
+            trace: None,
+        };
+        let plan = qpipe_exec::plan::PlanNode::TableScan {
+            table: "t".into(),
+            predicate: req.predicate.clone(),
+            projection: req.projection.clone(),
+            ordered: false,
+        };
+        (req, c, plan)
+    }
+
+    fn batches(c: &PipeConsumer) -> QResult<Vec<Arc<ColBatch>>> {
+        std::iter::from_fn(|| c.recv().transpose()).collect()
+    }
+
+    fn keys(batch: &ColBatch) -> Vec<i64> {
+        batch.to_rows().iter().map(|r| r[0].as_int().expect("typed int column")).collect()
+    }
+
+    /// The delivery rule: a 5 %-selective scan keeps a page's few surviving
+    /// rows pending, so every batch but the last carries at least
+    /// `DEFAULT_CAPACITY` rows, and the rows are still the iterator engine's.
+    #[test]
+    fn selective_scan_sends_full_batches() {
+        for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
+            let (ctx, m) = ctx_with_sparse_table(40_000, layout);
+            let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
+            let mgr = manager(&ctx, &m, true);
+            let reg = Arc::new(WaitRegistry::default());
+            let (req, c, plan) = filtered_request(&reg, Expr::col(1).eq(Expr::lit(0)));
+            mgr.submit(req).unwrap();
+            let got = batches(&c).unwrap();
+            let (last, full) = got.split_last().expect("2 000 rows survive");
+            assert!((got.len() as u64) < pages, "{layout:?}: {pages} pages, {} sends", got.len());
+            for b in full {
+                assert!(b.len() >= ColBatch::DEFAULT_CAPACITY, "{layout:?}: {} rows", b.len());
+            }
+            assert!(!last.is_empty(), "{layout:?}");
+            let rows: Vec<_> = got.iter().flat_map(|b| b.to_rows()).collect();
+            assert_eq!(rows, qpipe_exec::iter::run(&plan, &ctx).unwrap(), "{layout:?}");
+        }
+    }
+
+    /// Zero-copy stays: an unfiltered columnar page of at least
+    /// `DEFAULT_CAPACITY` rows goes on the wire as the page's pool-resident
+    /// batch itself.
+    #[test]
+    fn unfiltered_columnar_page_arrives_as_its_pool_resident_batch() {
+        let (ctx, m) = ctx_with_table_layout(3000, qpipe_storage::StorageLayout::Columnar);
+        let file = ctx.catalog.table("t").unwrap().file_id();
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::default());
+        let (req, c) = request(&reg, false, false);
+        mgr.submit(req).unwrap();
+        let first = c.recv().unwrap().expect("page 0");
+        assert!(first.len() >= ColBatch::DEFAULT_CAPACITY, "{} rows", first.len());
+        let resident = match ctx.catalog.pool().get(file, 0).unwrap() {
+            Block::Columnar(cp) => cp.materialize().unwrap(),
+            Block::Slotted(_) => panic!("a columnar table"),
+        };
+        assert!(Arc::ptr_eq(&first, &resident), "page 0 was copied on its way out");
+        let rest: usize = batches(&c).unwrap().iter().map(|b| b.len()).sum();
+        assert_eq!(first.len() + rest, 3000);
+    }
+
+    /// A latecomer whose rows are still pending when the scan wraps sends
+    /// them together with the rows of the pages after the wrap — in one
+    /// batch, end of the table first — and sees every row exactly once.
+    #[test]
+    fn rows_pending_across_the_wrap_are_delivered_once() {
+        for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
+            let n = 40_000;
+            let (ctx, m) = ctx_with_sparse_table(n, layout);
+            let mgr = manager(&ctx, &m, true);
+            let reg = Arc::new(WaitRegistry::default());
+            // The host parks on its undrained 2-batch pipe a few pages in:
+            // the latecomer starts mid-scan, well before the table's end.
+            let (host, host_rows) = request_cap(&reg, false, false, 2);
+            mgr.submit(host).unwrap();
+            wait_for_first_page(&m);
+            // 100 rows on page 0, 100 on the last page: 200 pending, less
+            // than one batch, until the latecomer's last page after the wrap.
+            let edges =
+                Expr::or([Expr::col(0).lt(Expr::lit(100)), Expr::col(0).ge(Expr::lit(n - 100))]);
+            let (late, late_rows, plan) = filtered_request(&reg, edges);
+            mgr.submit(late).unwrap();
+            assert_eq!(mgr.group_count("t"), 1, "{layout:?}: the latecomer rides the host's scan");
+            let drain_host = std::thread::spawn(move || host_rows.collect_tuples().unwrap().len());
+            let got = batches(&late_rows).unwrap();
+            assert_eq!(drain_host.join().unwrap(), n as usize, "{layout:?}");
+            assert_eq!(got.len(), 1, "{layout:?}: one batch across the wrap");
+            let want: Vec<i64> = (n - 100..n).chain(0..100).collect();
+            assert_eq!(keys(&got[0]), want, "{layout:?}: page order, wrapped");
+            let rows = got[0].to_rows();
+            assert_eq!(sorted(rows), sorted(qpipe_exec::iter::run(&plan, &ctx).unwrap()));
+            assert!(m.snapshot().circular_wraps >= 1, "{layout:?}");
+        }
+    }
+
+    /// A scan that fails after rows went pending never passes them off as a
+    /// shorter complete answer: the consumer's first read is the error.
+    #[test]
+    fn read_fault_after_rows_are_pending_fails_the_consumer() {
+        use qpipe_common::{FaultInjector, FaultKind, FaultOp, FaultRule};
+        let (ctx, m) = ctx_with_sparse_table(40_000, qpipe_storage::StorageLayout::Row);
+        ctx.catalog.pool().clear();
+        ctx.catalog.disk().set_fault_injector(Some(Arc::new(FaultInjector::new(
+            1,
+            vec![FaultRule::new(FaultKind::Permanent).on_op(FaultOp::Read).on_blocks(3..u64::MAX)],
+        ))));
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::default());
+        // Page 0's 100 rows are pending when page 3 fails.
+        let (req, c, _) = filtered_request(&reg, Expr::col(0).lt(Expr::lit(100)));
+        mgr.submit(req).unwrap();
+        let err = c.recv().expect_err("pending rows must not be sent ahead of the failure");
+        assert!(matches!(err, QError::Storage(_)), "got {err:?}");
     }
 
     #[test]

@@ -232,6 +232,9 @@ pub fn staggered_run(
 ) -> QResult<StaggeredResult> {
     let before = driver.metrics().snapshot();
     let start = Instant::now();
+    // Every client counts its offset from one release point, so a thread
+    // that starts late (spawning is not free) does not arrive late.
+    let release = &std::sync::Barrier::new(plans.len());
     let results: Vec<QResult<usize>> = std::thread::scope(|s| {
         let handles: Vec<_> = plans
             .into_iter()
@@ -239,6 +242,7 @@ pub fn staggered_run(
             .map(|(i, plan)| {
                 let delay = scale.to_real(interarrival_paper * i as f64);
                 s.spawn(move || {
+                    release.wait();
                     std::thread::sleep(delay);
                     driver.run(plan)
                 })

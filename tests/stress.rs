@@ -112,6 +112,37 @@ fn cancelled_host_keeps_serving_its_satellite() {
     assert!(engine.metrics().osp_attaches() >= 1, "the second aggregate attached to the first");
 }
 
+/// Rows a scanner keeps pending cannot wedge a query. One scan group serves
+/// both sides of a hash join over `t`: the build side's 250 rows stay pending
+/// until its last page, while the probe side's single-batch pipe fills at
+/// once, because the join reads no probe row before its build side ends. The
+/// join waits on the scanner, the scanner on the join: the cycle must be
+/// broken, and the answer must be the oracle's.
+#[test]
+fn rows_pending_in_a_scanner_do_not_wedge_a_self_join() {
+    let catalog = qpipe::quick_system(DiskConfig::instant(), 64);
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let rows = (0..20_000).map(|i| vec![Value::Int(i % 500), Value::Int(i)]).collect();
+    catalog.create_table("t", schema, rows, None).unwrap();
+    let build = PlanNode::scan_filtered("t", Expr::col(1).lt(Expr::lit(250)));
+    let plan = build.hash_join(PlanNode::scan("t"), 0, 0);
+    let expected = qpipe::exec::iter::run(&plan, &ExecContext::new(catalog.clone())).unwrap();
+    let config = QPipeConfig {
+        pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(catalog.clone(), config);
+    // Both scans join one group at page 0 while the exclusive lock holds the
+    // scanner back.
+    let gate = catalog.locks().lock_exclusive("t");
+    let handle = engine.submit(plan).unwrap();
+    drop(gate);
+    assert_rows_equivalent(handle.collect(), expected, "hash self-join over one scan group");
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.osp_attaches, 1, "the probe-side scan rode the build side's group");
+    assert!(snap.deadlocks_resolved >= 1, "the join/scanner cycle was broken");
+}
+
 #[test]
 fn tiny_pipes_with_sharing_never_wedge() {
     // The harshest liveness configuration: single-batch pipes, aggressive

@@ -49,7 +49,10 @@ fn q1_profile_rows_match_metrics_counters() {
     let scan = &profile.children[0];
     assert_eq!(scan.op, "scan");
     assert!(scan.stats.rows >= rows.len() as u64, "scan feeds the aggregate: {scan:?}");
-    assert!(scan.stats.batches > 0);
+    // The scanner sends full batches: every batch but the last carries at
+    // least `DEFAULT_CAPACITY` rows, and the probe counts what it sent.
+    let full = scan.stats.rows / ColBatch::DEFAULT_CAPACITY as u64;
+    assert!((1..=full + 1).contains(&scan.stats.batches), "{scan:?}");
     // No concurrent partner: every page came off disk, none from a host.
     assert_eq!(scan.stats.pages_from_host, 0);
     assert!(scan.stats.pages_from_disk > 0);
