@@ -805,19 +805,24 @@ mod tests {
         rows: i64,
         layout: qpipe_storage::StorageLayout,
     ) -> (ExecContext, Metrics) {
+        let schema = Schema::of(&[("k", DataType::Int)]);
+        ctx_with(name, schema, (0..rows).map(|i| vec![Value::Int(i)]).collect(), 16, layout)
+    }
+
+    /// A fresh catalog over an instant disk and a pool of `frames` pages,
+    /// holding one table clustered on its first column.
+    fn ctx_with(
+        name: &str,
+        schema: Schema,
+        rows: Vec<qpipe_common::Tuple>,
+        frames: usize,
+        layout: qpipe_storage::StorageLayout,
+    ) -> (ExecContext, Metrics) {
         let metrics = Metrics::new();
         let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
-        let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(16, PolicyKind::Lru));
+        let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(frames, PolicyKind::Lru));
         let catalog = Catalog::new(disk, pool);
-        catalog
-            .create_table_with_layout(
-                name,
-                Schema::of(&[("k", DataType::Int)]),
-                (0..rows).map(|i| vec![Value::Int(i)]).collect(),
-                Some(0),
-                layout,
-            )
-            .unwrap();
+        catalog.create_table_with_layout(name, schema, rows, Some(0), layout).unwrap();
         (ExecContext::new(catalog), metrics)
     }
 
@@ -1117,22 +1122,12 @@ mod tests {
         rows: i64,
         layout: qpipe_storage::StorageLayout,
     ) -> (ExecContext, Metrics) {
-        let metrics = Metrics::new();
-        let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
-        let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(64, PolicyKind::Lru));
-        let catalog = Catalog::new(disk, pool);
-        catalog
-            .create_table_with_layout(
-                "w",
-                Schema::of(&[("k", DataType::Int), ("v", DataType::Int), ("s", DataType::Str)]),
-                (0..rows)
-                    .map(|i| vec![Value::Int(i), Value::Int(i * 2), Value::str(format!("s{i}"))])
-                    .collect(),
-                Some(0),
-                layout,
-            )
-            .unwrap();
-        (ExecContext::new(catalog), metrics)
+        let schema =
+            Schema::of(&[("k", DataType::Int), ("v", DataType::Int), ("s", DataType::Str)]);
+        let rows = (0..rows)
+            .map(|i| vec![Value::Int(i), Value::Int(i * 2), Value::str(format!("s{i}"))])
+            .collect();
+        ctx_with("w", schema, rows, 64, layout)
     }
 
     fn pruned_request(
@@ -1546,20 +1541,9 @@ mod tests {
         rows: i64,
         layout: qpipe_storage::StorageLayout,
     ) -> (ExecContext, Metrics) {
-        let metrics = Metrics::new();
-        let disk = SimDisk::new(DiskConfig::instant(), metrics.clone());
-        let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(64, PolicyKind::Lru));
-        let catalog = Catalog::new(disk, pool);
-        catalog
-            .create_table_with_layout(
-                "t",
-                Schema::of(&[("k", DataType::Int), ("m", DataType::Int)]),
-                (0..rows).map(|i| vec![Value::Int(i), Value::Int(i % 20)]).collect(),
-                Some(0),
-                layout,
-            )
-            .unwrap();
-        (ExecContext::new(catalog), metrics)
+        let schema = Schema::of(&[("k", DataType::Int), ("m", DataType::Int)]);
+        let rows = (0..rows).map(|i| vec![Value::Int(i), Value::Int(i % 20)]).collect();
+        ctx_with("t", schema, rows, 64, layout)
     }
 
     fn filtered_request(
@@ -1588,10 +1572,6 @@ mod tests {
 
     fn batches(c: &PipeConsumer) -> QResult<Vec<Arc<ColBatch>>> {
         std::iter::from_fn(|| c.recv().transpose()).collect()
-    }
-
-    fn keys(batch: &ColBatch) -> Vec<i64> {
-        batch.to_rows().iter().map(|r| r[0].as_int().expect("typed int column")).collect()
     }
 
     /// The delivery rule: a 5 %-selective scan keeps a page's few surviving
@@ -1666,9 +1646,9 @@ mod tests {
             let got = batches(&late_rows).unwrap();
             assert_eq!(drain_host.join().unwrap(), n as usize, "{layout:?}");
             assert_eq!(got.len(), 1, "{layout:?}: one batch across the wrap");
-            let want: Vec<i64> = (n - 100..n).chain(0..100).collect();
-            assert_eq!(keys(&got[0]), want, "{layout:?}: page order, wrapped");
             let rows = got[0].to_rows();
+            let want: Vec<_> = (n - 100..n).chain(0..100).map(|k| vec![Value::Int(k)]).collect();
+            assert_eq!(rows, want, "{layout:?}: page order, wrapped");
             assert_eq!(sorted(rows), sorted(qpipe_exec::iter::run(&plan, &ctx).unwrap()));
             assert!(m.snapshot().circular_wraps >= 1, "{layout:?}");
         }
