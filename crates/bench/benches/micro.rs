@@ -83,6 +83,7 @@ fn host_fanout(c: &mut Criterion) {
                         cancel: CancelToken::new(),
                         probe: None,
                         trace: None,
+                        split_side: None,
                     })
                     .expect("a fresh host takes every attach");
                     sinks.push(sink);
@@ -361,7 +362,7 @@ fn page_verify(c: &mut Criterion) {
 }
 
 /// The join/agg operator boundary: the row path ingests tuples one at a
-/// time (what the row bridge hands an iterator kernel), the vectorized path
+/// time (the iterator engine's kernels, DBMS X's), the vectorized path
 /// consumes the same data as 256-row `ColBatch`es (what the scanner actually
 /// produces). Same build/probe and group/update work, same results — the
 /// difference is the per-row materialization the vectorized operators

@@ -7,7 +7,7 @@
 //! tuples: its pipes carry one format only, `Arc<ColBatch>`
 //! ([`colbatch`](crate::colbatch)), filled towards
 //! [`ColBatch::DEFAULT_CAPACITY`](crate::ColBatch::DEFAULT_CAPACITY) rows
-//! per batch; tuples appear inside it only behind `qpipe-core`'s row bridge.
+//! per batch. It builds tuples for the client alone.
 
 use crate::value::Value;
 

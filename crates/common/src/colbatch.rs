@@ -23,11 +23,11 @@
 //!   is only moved by an explicit [`ColBatch::gather`] at the end of a kernel
 //!   chain.
 //!
-//! Row materialization ([`ColBatch::to_rows`], [`ColBatch::row`]) happens in
-//! two places only: `qpipe-core`'s row bridge (`rowbridge.rs` — the merge,
-//! nested-loop and grace hash joins and range-bounded index scans, which
-//! still run iterator kernels) and the client result boundary. Filter,
-//! projection, hash join, aggregation, and sort are batch-native.
+//! In the staged engine, row materialization ([`ColBatch::to_rows`],
+//! [`ColBatch::row`]) happens at the client result boundary only: every
+//! operator is batch-native. The iterator engine (the DBMS X stand-in and
+//! test oracle) flattens the batches it reads from columnar pages and
+//! index scans.
 
 use crate::batch::Tuple;
 use crate::sim::fnv1a;

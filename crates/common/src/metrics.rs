@@ -119,7 +119,6 @@ struct MetricsInner {
     circular_wraps: AtomicU64,
     deadlocks_resolved: AtomicU64,
     vec_fallbacks: AtomicU64,
-    col_rowified_batches: AtomicU64,
     pruned_pages: AtomicU64,
     admitted: AtomicU64,
     queued: AtomicU64,
@@ -166,12 +165,12 @@ pub struct MetricsSnapshot {
     pub circular_wraps: u64,
     pub deadlocks_resolved: u64,
     /// Grace fallbacks taken: hash-join builds the governor refused to
-    /// cover, handed to the grace join behind the row bridge.
+    /// cover, handed to the grace join, which partitions both inputs to
+    /// columnar runs.
     pub vec_fallbacks: u64,
-    /// Batches that crossed `qpipe-core`'s row bridge and were flattened to
-    /// `Vec<Tuple>` there (merge / nested-loop / grace join inputs). 0 for
-    /// any plan made of scans, filters, projections, hash joins, aggregates
-    /// and sorts.
+    /// Always 0. It counted batches flattened to `Vec<Tuple>` inside the
+    /// staged engine; every operator now runs on batches, so none is. The
+    /// field stays because the frozen end-to-end harness (`e2e/`) reads it.
     pub col_rowified_batches: u64,
     /// Columnar pages materialized with column pruning (only the referenced
     /// columns decoded).
@@ -291,10 +290,6 @@ impl Metrics {
 
     pub fn add_vec_fallback(&self) {
         self.inner.vec_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_col_rowified(&self) {
-        self.inner.col_rowified_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn add_pruned_page(&self) {
@@ -497,7 +492,7 @@ impl Metrics {
             circular_wraps: i.circular_wraps.load(Ordering::Relaxed),
             deadlocks_resolved: i.deadlocks_resolved.load(Ordering::Relaxed),
             vec_fallbacks: i.vec_fallbacks.load(Ordering::Relaxed),
-            col_rowified_batches: i.col_rowified_batches.load(Ordering::Relaxed),
+            col_rowified_batches: 0,
             pruned_pages: i.pruned_pages.load(Ordering::Relaxed),
             admitted: i.admitted.load(Ordering::Relaxed),
             queued: i.queued.load(Ordering::Relaxed),
@@ -591,7 +586,7 @@ impl MetricsSnapshot {
             circular_wraps: self.circular_wraps - earlier.circular_wraps,
             deadlocks_resolved: self.deadlocks_resolved - earlier.deadlocks_resolved,
             vec_fallbacks: self.vec_fallbacks - earlier.vec_fallbacks,
-            col_rowified_batches: self.col_rowified_batches - earlier.col_rowified_batches,
+            col_rowified_batches: 0,
             pruned_pages: self.pruned_pages - earlier.pruned_pages,
             admitted: self.admitted - earlier.admitted,
             queued: self.queued - earlier.queued,

@@ -404,6 +404,10 @@ impl QPipe {
             return;
         };
         let cancel = CancelToken::new();
+        let split_side = match (&*plan, parent_order_insensitive(parent_op)) {
+            (PlanNode::MergeJoin { left, right, .. }, true) => self.pick_split_side(left, right),
+            _ => None,
+        };
         let packet = Packet {
             query: q.query,
             node,
@@ -414,6 +418,7 @@ impl QPipe {
             cancel: cancel.clone(),
             probe: probe.map(|p| p.probe.clone()),
             trace: q.trace.cloned(),
+            split_side,
         };
         let Some((mut packet, host, guard)) = ops::prepare(packet, &engine.share, &self.env) else {
             return;
@@ -424,10 +429,6 @@ impl QPipe {
         // drops). A truncated stream must read as an error, never as a
         // complete result.
         let abandon = AbandonGuard { host, name: op, armed: true };
-        let split_side = match (&*plan, parent_order_insensitive(parent_op)) {
-            (PlanNode::MergeJoin { left, right, .. }, true) => self.pick_split_side(left, right),
-            _ => None,
-        };
         for (idx, child) in plan.children_shared().into_iter().enumerate() {
             let child_node = fresh_node();
             let (out, mut consumer) =
@@ -461,8 +462,9 @@ impl QPipe {
     }
 
     /// For a merge join with order-insensitive parent: which child (0/1) may
-    /// be served by a wrapped circular scan. Prefer the larger relation so
-    /// the doubly-read non-shared side is the smaller one (§4.3.2 cost rule).
+    /// be served by a wrapped circular scan. Only when both are ordered
+    /// full-range scans, so the re-read of the other is a scan; then the
+    /// larger, so the doubly-read side is the smaller (§4.3.2 cost rule).
     fn pick_split_side(&self, left: &PlanNode, right: &PlanNode) -> Option<usize> {
         let size = |p: &PlanNode| -> Option<u64> {
             match p {
@@ -475,12 +477,7 @@ impl QPipe {
                 _ => None,
             }
         };
-        match (size(left), size(right)) {
-            (Some(l), Some(r)) => Some(if l >= r { 0 } else { 1 }),
-            (Some(_), None) => Some(0),
-            (None, Some(_)) => Some(1),
-            (None, None) => None,
-        }
+        Some(usize::from(size(left)? < size(right)?))
     }
 
     /// Route an update through the dedicated no-OSP path (§4.3.4): takes an

@@ -345,6 +345,7 @@ mod tests {
             cancel: CancelToken::new(),
             probe: None,
             trace: None,
+            split_side: None,
         };
         (packet, consumer)
     }

@@ -40,10 +40,9 @@
 //! * [`scan`] — circular scans with dynamic termination points: one scanner
 //!   job per group on the scan µEngine's pool, reading its table in page
 //!   order (§4.3.1).
-//! * [`ops`] — the batch-native operator workers and the attach rule
-//!   (`attach_window`: which window of opportunity each operator's host
-//!   gets, §3.2 Figure 4); `rowbridge` (private) holds the four that still
-//!   run iterator kernels, incl. the restarting merge join (§4.3.2).
+//! * [`ops`] — the batch-native operator workers, the restarting merge join
+//!   (§4.3.2) among them, and the attach rule (`attach_window`: which window
+//!   of opportunity each operator's host gets, §3.2 Figure 4).
 //! * [`deadlock`] — waits-for-graph deadlock detection/resolution (§4.3.3),
 //!   by the waiter whose edge closes the cycle.
 
@@ -55,7 +54,6 @@ pub mod ops;
 pub mod packet;
 pub mod pipe;
 pub mod pool;
-mod rowbridge;
 pub mod scan;
 
 pub use admit::{AdmissionController, AdmitConfig, QueryClass};

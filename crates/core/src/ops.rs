@@ -6,12 +6,11 @@
 //! satellites attached by the OSP coordinator receive the same stream (paper
 //! Figure 6b step 4).
 //!
-//! Filter, projection, hash join, aggregation and sort are batch-native
-//! (`qpipe-exec`'s `vexpr`/`viter`/`vsort` kernels) and have exactly one
-//! body each. The operators that still run iterator kernels — nested-loop
-//! join, merge join, range-bounded index scans, and the grace hash join a
-//! refused build hands over to — live behind [`rowbridge`](crate::rowbridge);
-//! nothing in this file touches a `Tuple`.
+//! Every operator is batch-native (`qpipe-exec`'s `vexpr`/`viter`/`vsort`
+//! kernels) and has exactly one body: filter, projection, hash join and its
+//! grace fallback, merge join with wrap restart (§4.3.2), nested-loop join,
+//! aggregation, sort and range-bounded index scans. No `Tuple` is built
+//! between a scan and the client.
 //!
 //! Every worker loop polls the cancellation rule the same way: `cancel` fired
 //! *and* [`SharedHost::close_if_unwanted`] — see `host.rs` for why the token
@@ -20,14 +19,13 @@
 use crate::host::{AttachWindow, RegistryGuard, ShareRegistry, SharedHost};
 use crate::packet::{CancelToken, Packet};
 use crate::pipe::PipeConsumer;
-use crate::rowbridge;
 use qpipe_common::colbatch::SelVec;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
 use qpipe_common::{ColBatch, MemClass, Metrics, QError, QResult};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
 use qpipe_exec::vexpr::project_batch;
-use qpipe_exec::viter::{HashAgg, HashJoinBuild};
+use qpipe_exec::viter::{self, BatchSource, HashAgg, HashJoinBuild, PageRangeReader, Rechunk};
 use qpipe_exec::vsort::VecSort;
 use std::sync::Arc;
 
@@ -109,7 +107,7 @@ pub fn execute(mut packet: Packet, host: Arc<SharedHost>, env: &OpEnv) {
     let obs =
         Obs { probe: packet.probe.as_ref(), trace: packet.trace.as_ref(), op: plan.op_name() };
     let started = (packet.probe.is_some() || packet.trace.is_some()).then(std::time::Instant::now);
-    let result = run_operator(&plan, children, &host, &cancel, env, &obs);
+    let result = run_operator(&plan, packet.split_side, children, &host, &cancel, env, &obs);
     if let Some(started) = started {
         if let Some(p) = &packet.probe {
             p.add_total_ns(started.elapsed().as_nanos() as u64);
@@ -163,6 +161,7 @@ pub(crate) fn stop(cancel: &CancelToken, host: &SharedHost) -> bool {
 
 fn run_operator(
     plan: &PlanNode,
+    split_side: Option<usize>,
     mut children: Vec<PipeConsumer>,
     host: &SharedHost,
     cancel: &CancelToken,
@@ -178,16 +177,18 @@ fn run_operator(
             run_hash_join(children, *left_key, *right_key, host, cancel, env, obs)
         }
         PlanNode::NestedLoopJoin { predicate, .. } => {
-            rowbridge::run_nested_loop_join(children, predicate, host, cancel, env)
+            into_host(host, cancel, |out| viter::nested_loop_join(inputs(children), predicate, out))
         }
-        PlanNode::MergeJoin { left, right, left_key, right_key } => rowbridge::run_merge_join(
-            children,
-            (left, *left_key),
-            (right, *right_key),
-            host,
-            cancel,
-            env,
-        ),
+        PlanNode::MergeJoin { left, right, left_key, right_key } => {
+            let plans = [left, right];
+            let reread = |side: usize| -> QResult<viter::Source<'_>> {
+                Ok(Box::new(PageRangeReader::open(plans[side], &env.ctx)?))
+            };
+            into_host(host, cancel, |out| {
+                let keys = [*left_key, *right_key];
+                viter::merge_join(inputs(children), keys, split_side, reread, out)
+            })
+        }
         PlanNode::Filter { predicate, .. } => {
             run_filter(children.remove(0), predicate, host, cancel)
         }
@@ -195,12 +196,45 @@ fn run_operator(
         // Range-bounded index scans (unbounded ones are handed to the
         // circular ScanManager by the engine and never reach here).
         PlanNode::UnclusteredIndexScan { .. } | PlanNode::ClusteredIndexScan { .. } => {
-            rowbridge::run_index_scan(plan, host, cancel, env)
+            let mut reader = PageRangeReader::open(plan, &env.ctx)?;
+            into_host(host, cancel, |out| {
+                while let Some(batch) = reader.next_batch()?.filter(|_| out.is_open()) {
+                    out.push(Arc::unwrap_or_clone(batch))?;
+                }
+                Ok(())
+            })
         }
         PlanNode::TableScan { .. } => {
             Err(QError::Exec("table scan dispatched past the ScanManager".into()))
         }
     }
+}
+
+impl BatchSource for PipeConsumer {
+    fn next_batch(&mut self) -> QResult<Option<Arc<ColBatch>>> {
+        self.recv()
+    }
+}
+
+/// Run a kernel into the host, its output cut into full batches
+/// ([`Rechunk`]) and cut off once the cancellation rule fires.
+fn into_host<'a>(
+    host: &'a SharedHost,
+    cancel: &'a CancelToken,
+    kernel: impl FnOnce(&mut Rechunk<'a>) -> QResult<()>,
+) -> QResult<()> {
+    let mut out = Rechunk::new(move |batch| {
+        host.push_cols(batch);
+        !stop(cancel, host)
+    });
+    kernel(&mut out)?;
+    out.finish();
+    Ok(())
+}
+
+/// A join packet's two child pipes as its kernel's inputs.
+fn inputs(mut children: Vec<PipeConsumer>) -> [viter::Source<'static>; 2] {
+    [children.remove(0), children.remove(0)].map(|pipe| -> viter::Source { Box::new(pipe) })
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +245,7 @@ fn run_operator(
 /// without materializing a single `Tuple`, probe matches whole batches
 /// through the `viter` kernels. A build side the governor refuses to cover
 /// (hash budget reached, or the global budget exhausted by concurrent
-/// queries) is handed to the grace join behind the row bridge.
+/// queries) is handed to the grace join, which partitions both inputs.
 fn run_hash_join(
     mut children: Vec<PipeConsumer>,
     left_key: usize,
@@ -237,8 +271,9 @@ fn run_hash_join(
             // The grace join acquires its own lease; hand ours back first so
             // the partition loads see the released headroom.
             drop(lease);
-            let keys = (left_key, right_key);
-            return rowbridge::run_grace_hash_join(build, left, right, keys, host, cancel, env);
+            return into_host(host, cancel, |out| {
+                viter::grace_hash_join(build, inputs(vec![left, right]), right_key, &env.ctx, out)
+            });
         }
     }
     let table = build.finish()?;
@@ -256,7 +291,7 @@ fn run_hash_join(
 /// table grows under a governor lease (aggregation has no spill path, so a
 /// denied grant is counted as `mem_waited` and the update proceeds —
 /// overshoot is visible rather than silent). Output is built as a `ColBatch`
-/// and emitted in pipe-granularity slices, so agg → sort plans stay columnar.
+/// and cut into full batches, so agg → sort plans stay columnar.
 fn run_aggregate(
     input: PipeConsumer,
     group_by: &[usize],
@@ -277,14 +312,7 @@ fn run_aggregate(
             obs.mem_denied();
         }
     }
-    let out = agg.finish_cols();
-    let mut at = 0;
-    while at < out.len() {
-        let n = (out.len() - at).min(ColBatch::DEFAULT_CAPACITY);
-        host.push_cols(out.slice(at, n));
-        at += n;
-    }
-    Ok(())
+    into_host(host, cancel, |out| out.push(agg.finish_cols()))
 }
 
 // ---------------------------------------------------------------------------

@@ -76,6 +76,9 @@ pub struct Packet {
     pub probe: Option<Arc<OpProbe>>,
     /// The owning query's event journal; `None` when tracing is off.
     pub trace: Option<Arc<QueryTrace>>,
+    /// For a merge join: the child the dispatcher let a circular scan serve
+    /// mid-table, the one input that may wrap (§4.3.2).
+    pub split_side: Option<usize>,
 }
 
 impl std::fmt::Debug for Packet {

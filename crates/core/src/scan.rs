@@ -529,22 +529,15 @@ impl ScanManager {
         let (block, retries) = self.ctx.catalog.pool().get_observed(file, position)?;
         let fetch_ns = started.elapsed().as_nanos() as u64;
         let narrower =
-            |u: &&[usize], width: usize| u.len() < width && u.last().is_none_or(|&c| c < width);
-        let (batch, pruned) = match block {
-            Block::Columnar(cp) => {
-                match union.filter(|u| !staggered && narrower(u, cp.num_cols())) {
-                    Some(u) => (Arc::new(cp.decode_cols(u)?), true),
-                    None => (cp.materialize()?, false),
-                }
-            }
-            Block::Slotted(p) => {
-                let width = p.width()?;
-                match union.filter(|u| narrower(u, width)) {
-                    Some(u) => (Arc::new(p.decode_cols(Some(u))?), true),
-                    None => (Arc::new(p.decode_cols(None)?), false),
-                }
-            }
+            |u: &[usize], width: usize| u.len() < width && u.last().is_none_or(|&c| c < width);
+        // A staggered group keeps a columnar page whole: its pool-resident
+        // batch is shared by every consumer.
+        let whole = staggered && matches!(block, Block::Columnar(_));
+        let cols = match union {
+            Some(u) if !whole && narrower(u, block.num_cols()?) => Some(u),
+            _ => None,
         };
+        let (batch, pruned) = (block.decode(cols)?, cols.is_some());
         if pruned {
             self.metrics.add_pruned_page();
         }

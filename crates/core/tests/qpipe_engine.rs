@@ -154,8 +154,12 @@ fn concurrent_scans_with_different_predicates_share_scan() {
     let m = engine.metrics().clone();
     let before = m.snapshot();
     // Different predicates → different signatures, but same table scan.
+    // The first scanner waits at lineitem's lock until both are submitted,
+    // so the second always finds it in flight.
+    let lock = catalog.locks().lock_exclusive("lineitem");
     let h1 = engine.submit(q6_like(1)).unwrap();
     let h2 = engine.submit(q6_like(7)).unwrap();
+    drop(lock);
     let r1 = h1.collect();
     let r2 = h2.collect();
     assert_ne!(r1, r2);

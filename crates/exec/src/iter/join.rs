@@ -1,7 +1,7 @@
 //! Join operators: hybrid hash join (with grace partitioning), merge join,
 //! and block nested-loop join.
 
-use super::spill::{RunHandle, RunWriter};
+use super::spill::{RunHandle, RunWriter, GRACE_PARTITIONS};
 use super::{ExecContext, TupleIter};
 use crate::expr::Expr;
 use qpipe_common::{MemClass, MemLease, QResult, Tuple, Value};
@@ -87,10 +87,6 @@ impl HashJoinIter {
     fn build(&mut self) -> QResult<HjState> {
         let mut left = self.left.take().expect("left input");
         let right = self.right.take().expect("right input");
-        // `ExecConfig::validated` guarantees ≥ 2 on every construction path;
-        // the floor here only defends a hand-built `ExecContext` literal
-        // against `key_hash % 0`.
-        let nparts = self.ctx.config.partitions.max(2);
 
         // The build side grows under a governor lease: a denied grant (hash
         // budget reached, or the global budget exhausted by concurrent
@@ -119,12 +115,12 @@ impl HashJoinIter {
 
         // Grace: partition build side (buffered prefix + remainder)...
         let disk = self.ctx.catalog.disk().clone();
-        let mut lw: Vec<RunWriter> = (0..nparts)
+        let mut lw: Vec<RunWriter> = (0..GRACE_PARTITIONS)
             .map(|_| RunWriter::create(disk.clone(), "hj-build"))
             .collect::<QResult<_>>()?;
         let push_left = |t: &Tuple, lw: &mut Vec<RunWriter>| -> QResult<()> {
             if !t[self.left_key].is_null() {
-                let p = (Self::key_hash(&t[self.left_key]) % nparts as u64) as usize;
+                let p = (Self::key_hash(&t[self.left_key]) % GRACE_PARTITIONS as u64) as usize;
                 lw[p].push(t)?;
             }
             Ok(())
@@ -137,17 +133,17 @@ impl HashJoinIter {
             push_left(&t, &mut lw)?;
         }
         // ...then the probe side.
-        let mut rw: Vec<RunWriter> = (0..nparts)
+        let mut rw: Vec<RunWriter> = (0..GRACE_PARTITIONS)
             .map(|_| RunWriter::create(disk.clone(), "hj-probe"))
             .collect::<QResult<_>>()?;
         let mut right = right;
         while let Some(t) = right.next()? {
             if !t[self.right_key].is_null() {
-                let p = (Self::key_hash(&t[self.right_key]) % nparts as u64) as usize;
+                let p = (Self::key_hash(&t[self.right_key]) % GRACE_PARTITIONS as u64) as usize;
                 rw[p].push(&t)?;
             }
         }
-        let mut parts = Vec::with_capacity(nparts);
+        let mut parts = Vec::with_capacity(GRACE_PARTITIONS);
         for (l, r) in lw.into_iter().zip(rw) {
             parts.push((l.finish()?, r.finish()?));
         }
@@ -246,9 +242,9 @@ impl TupleIter for HashJoinIter {
 
 /// Merge join over inputs sorted ascending on their keys. Handles duplicate
 /// keys on both sides by buffering the right-side group.
-pub struct MergeJoinIter<L = Box<dyn TupleIter>, R = Box<dyn TupleIter>> {
-    left: L,
-    right: R,
+pub struct MergeJoinIter {
+    left: Box<dyn TupleIter>,
+    right: Box<dyn TupleIter>,
     left_key: usize,
     right_key: usize,
     current_left: Option<Tuple>,
@@ -256,12 +252,16 @@ pub struct MergeJoinIter<L = Box<dyn TupleIter>, R = Box<dyn TupleIter>> {
     group_pos: usize,
     /// Lookahead right tuple not yet part of a group.
     right_peek: Option<Tuple>,
-    started: bool,
     done: bool,
 }
 
-impl<L: TupleIter, R: TupleIter> MergeJoinIter<L, R> {
-    pub fn new(left: L, right: R, left_key: usize, right_key: usize) -> Self {
+impl MergeJoinIter {
+    pub fn new(
+        left: Box<dyn TupleIter>,
+        right: Box<dyn TupleIter>,
+        left_key: usize,
+        right_key: usize,
+    ) -> Self {
         Self {
             left,
             right,
@@ -271,7 +271,6 @@ impl<L: TupleIter, R: TupleIter> MergeJoinIter<L, R> {
             right_group: Vec::new(),
             group_pos: 0,
             right_peek: None,
-            started: false,
             done: false,
         }
     }
@@ -323,7 +322,7 @@ impl<L: TupleIter, R: TupleIter> MergeJoinIter<L, R> {
     }
 }
 
-impl<L: TupleIter, R: TupleIter> TupleIter for MergeJoinIter<L, R> {
+impl TupleIter for MergeJoinIter {
     fn next(&mut self) -> QResult<Option<Tuple>> {
         if self.done {
             return Ok(None);
@@ -342,7 +341,6 @@ impl<L: TupleIter, R: TupleIter> TupleIter for MergeJoinIter<L, R> {
                 self.done = true;
                 return Ok(None);
             };
-            self.started = true;
             let key = lt[self.left_key].clone();
             if key.is_null() {
                 continue;

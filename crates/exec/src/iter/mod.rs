@@ -4,8 +4,8 @@
 //! operator instance tree and (in the multi-client harness) its own thread.
 //! Queries interact only through the shared buffer pool — exactly the
 //! sharing-through-timing behaviour §1.1 and Figure 3 describe. This engine
-//! is both the "DBMS X" stand-in and the per-packet execution kernel reused
-//! by some µEngines.
+//! is the "DBMS X" stand-in and the test oracle; the staged engine runs none
+//! of its operators.
 
 mod agg;
 mod join;
@@ -34,8 +34,6 @@ pub struct ExecConfig {
     /// Tuples a hash-join build side may hold before going grace (partitioned).
     /// Enforced per operator instance by the memory governor.
     pub hash_budget: usize,
-    /// Number of grace hash-join partitions.
-    pub partitions: usize,
     /// Tuples all concurrently running operators may hold *in total*; the
     /// governor denies growth past it regardless of per-operator budgets.
     /// Effectively unbounded by default (single-query behavior unchanged).
@@ -58,7 +56,6 @@ impl Default for ExecConfig {
         Self {
             sort_budget: 64 * 1024,
             hash_budget: 64 * 1024,
-            partitions: 8,
             global_budget: usize::MAX >> 2,
             query_deadline: None,
             tracing: false,
@@ -81,7 +78,6 @@ impl ExecConfig {
         };
         clamp(&mut self.sort_budget, 2);
         clamp(&mut self.hash_budget, 2);
-        clamp(&mut self.partitions, 2);
         let floor = self.sort_budget.max(self.hash_budget);
         clamp(&mut self.global_budget, floor);
         self
@@ -305,19 +301,13 @@ mod config_tests {
     #[test]
     fn degenerate_budgets_clamp_with_warning_metric() {
         let m = Metrics::new();
-        let cfg = ExecConfig {
-            sort_budget: 0,
-            hash_budget: 1,
-            partitions: 0,
-            global_budget: 1,
-            ..Default::default()
-        }
-        .validated(&m);
+        let cfg =
+            ExecConfig { sort_budget: 0, hash_budget: 1, global_budget: 1, ..Default::default() }
+                .validated(&m);
         assert_eq!(cfg.sort_budget, 2);
         assert_eq!(cfg.hash_budget, 2);
-        assert_eq!(cfg.partitions, 2);
         assert_eq!(cfg.global_budget, 2, "global floor = max per-operator budget");
-        assert_eq!(m.snapshot().config_clamps, 4, "each masked misconfiguration is counted");
+        assert_eq!(m.snapshot().config_clamps, 3, "each masked misconfiguration is counted");
     }
 
     #[test]

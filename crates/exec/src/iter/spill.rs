@@ -8,13 +8,13 @@
 //! Two run formats share one lifecycle:
 //!
 //! * **Row runs** ([`RunWriter`] / [`RunHandle`] / [`RunReader`]) — slotted
-//!   pages of tuple-codec records, one tuple per record. Used by the grace
-//!   hash join's partitions and the row-path external sort.
+//!   pages of tuple-codec records, one tuple per record. Used by the
+//!   iterator engine's grace hash join and external sort.
 //! * **Columnar runs** ([`ColRunWriter`] / [`ColRunHandle`] /
 //!   [`ColRunReader`]) — pages of *chunk* records, each a serialized
 //!   [`ColBatch`] slice (typed value regions + packed null bitmaps; `Mixed`
-//!   columns reuse the tuple value codec). The vectorized external sort
-//!   spills and merges these without materializing tuples.
+//!   columns reuse the tuple value codec). The vectorized external sort and
+//!   grace hash join spill these without materializing tuples.
 //!
 //! **Lifecycle:** every run file is owned by an [`Arc`]`<TempFile>` that
 //! deletes the file from the disk when the last handle (writer, run handle,
@@ -31,6 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Partitions per input of a grace hash join (both engines').
+pub const GRACE_PARTITIONS: usize = 8;
 
 /// Create a uniquely named temp file on the disk.
 pub fn create_temp(disk: &Arc<SimDisk>, label: &str) -> QResult<FileId> {

@@ -1,18 +1,15 @@
-//! Vectorized (batch-native) operators over [`ColBatch`]es.
-//!
-//! The iterator operators in [`iter`](crate::iter) pull one `Tuple` at a
-//! time, which forces every columnar batch arriving from the shared-scan hot
-//! path to be flattened back into `Vec<Tuple>` at the operator boundary —
-//! throwing away the kernel wins the scan paid for. The operators here
-//! consume whole [`ColBatch`]es:
+//! Vectorized (batch-native) operators over [`ColBatch`]es: every operator
+//! the staged engine runs. The iterator operators in [`iter`](crate::iter)
+//! are the DBMS X stand-in and the test oracle.
 //!
 //! * [`HashJoinBuild`] / [`HashJoinTable`] — build accumulates the left
-//!   input into one contiguous batch (typed column concatenation, no row
-//!   materialization), then [`HashJoinTable::probe`] matches an entire probe
-//!   batch against it: key hashes come from the [`vexpr`](crate::vexpr)
-//!   kernels over primitive slices, match pairs become index vectors, and
-//!   the joined output is `take`-gathers plus an `hcat` — `Arc` bumps and
-//!   primitive copies only.
+//!   input into one contiguous batch, then [`HashJoinTable::probe`] matches
+//!   a whole probe batch: key hashes from the [`vexpr`](crate::vexpr)
+//!   kernels, match pairs as index vectors, output as `take`-gathers plus an
+//!   `hcat`. A build the governor refuses goes to [`grace_hash_join`].
+//! * [`merge_join`] (restarting at a circular scan's wrap, §4.3.2) and
+//!   [`nested_loop_join`] emit the same `take` + `hcat` shape, cut into full
+//!   batches by [`Rechunk`]. [`PageRangeReader`] reads index scans' pages.
 //! * [`HashAgg`] — grouped aggregate update over column runs: group ids
 //!   come from typed key hashes and typed slot equality (a key becomes
 //!   `Value`s once per group, never per row), aggregate inputs are evaluated
@@ -20,25 +17,28 @@
 //!   a plain column read in place), and `SUM`/`AVG`/`COUNT` over numeric
 //!   columns fold primitive slices directly.
 //!
-//! Semantics are identical to [`HashJoinIter`] /
-//! [`AggregateIter`](crate::iter::AggregateIter): NULL keys never join,
+//! Semantics are identical to the iterator operators: NULL keys never join,
 //! NULL aggregate inputs are skipped, group output is sorted by key — the
 //! cross-operator parity suite in `tests/` holds them to it.
-//!
-//! [`HashJoinIter`]: crate::iter::HashJoinIter
 
-use crate::plan::{AggFunc, AggSpec};
+use crate::expr::Expr;
+use crate::iter::spill::{ColRunHandle, ColRunWriter, GRACE_PARTITIONS};
+use crate::iter::ExecContext;
+use crate::plan::{AggFunc, AggSpec, PlanNode};
 use crate::vexpr::{hash_key_column, key_eq, slot_eq_value};
 use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, Column, ColumnData, SelVec};
-use qpipe_common::{QError, QResult, Tuple, Value};
+use qpipe_common::{MemClass, QError, QResult, Tuple, Value};
+use qpipe_storage::{BufferPool, FileId, Rid, SimDisk, TableLockGuard};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Hash join
 // ---------------------------------------------------------------------------
 
 /// Accumulates the build (left) side of a hash join as one growing columnar
-/// batch. The caller enforces its memory budget and hands over to the grace
-/// (row-path) join on overflow — spilling is unchanged by vectorization.
+/// batch. The caller enforces its memory budget and hands what it holds to
+/// [`grace_hash_join`] on overflow, which spills it as columnar partitions.
 pub struct HashJoinBuild {
     key: usize,
     builder: ColBatchBuilder,
@@ -65,12 +65,6 @@ impl HashJoinBuild {
     /// Rows accumulated so far (budget checks).
     pub fn rows(&self) -> usize {
         self.builder.len()
-    }
-
-    /// Flatten what was accumulated back into tuples — the hand-off when the
-    /// caller abandons the vectorized path (budget overflow → grace join).
-    pub fn into_rows(self) -> Vec<Tuple> {
-        self.builder.finish().to_rows()
     }
 
     /// Freeze the build side into a probe-ready hash table. Rows enter their
@@ -185,6 +179,79 @@ impl HashJoinTable {
 
 fn key_col(batch: &ColBatch, key: usize) -> QResult<&Column> {
     batch.col(key).ok_or_else(|| QError::Exec(format!("join key {key} out of range")))
+}
+
+/// Grace hash join over a build the governor refused. Both inputs are
+/// partitioned by key hash into [`GRACE_PARTITIONS`] spilled runs each — the
+/// build side is what `buffered` holds, then the rest of `left` — and NULL
+/// keys are dropped. Each partition pair is then joined in memory through
+/// [`HashJoinBuild`] and [`HashJoinTable::probe`]. A partition load takes a
+/// lease as the iterator's grace join does: partitions are already the
+/// fallback, so a denial is counted and the load proceeds.
+pub fn grace_hash_join(
+    buffered: HashJoinBuild,
+    [mut left, mut right]: [Source<'_>; 2],
+    right_key: usize,
+    ctx: &ExecContext,
+    out: &mut Rechunk<'_>,
+) -> QResult<()> {
+    let (left_key, disk) = (buffered.key, ctx.catalog.disk());
+    let build = std::iter::once(Ok(Arc::new(buffered.builder.finish()))).chain(batches(&mut *left));
+    let build = partition(disk, "hj-build", left_key, build)?;
+    let probe = partition(disk, "hj-probe", right_key, batches(&mut *right))?;
+    let mut lease = ctx.governor.lease(MemClass::Hash);
+    for (b, p) in build.iter().zip(&probe) {
+        lease.shrink_to(0);
+        let _ = lease.covers((b.rows() + p.rows()) as usize);
+        let mut table = HashJoinBuild::new(left_key);
+        let mut reader = b.reader();
+        while let Some(batch) = reader.next_batch()? {
+            table.add(&batch)?;
+        }
+        let (table, mut reader) = (table.finish()?, p.reader());
+        while let Some(batch) = reader.next_batch()?.filter(|_| out.is_open()) {
+            let mut pushed = Ok(());
+            table.probe(&batch, right_key, ColBatch::DEFAULT_CAPACITY, |joined| {
+                if pushed.is_ok() {
+                    pushed = out.push(joined);
+                }
+            })?;
+            pushed?;
+        }
+    }
+    Ok(())
+}
+
+/// A source as an iterator of batches.
+fn batches<'s>(
+    src: &'s mut (dyn BatchSource + 's),
+) -> impl Iterator<Item = QResult<Arc<ColBatch>>> + 's {
+    std::iter::from_fn(|| src.next_batch().transpose())
+}
+
+/// Spill each input row with a non-NULL key to its key-hash bucket's run.
+fn partition(
+    disk: &Arc<SimDisk>,
+    label: &str,
+    key: usize,
+    input: impl Iterator<Item = QResult<Arc<ColBatch>>>,
+) -> QResult<Vec<ColRunHandle>> {
+    let runs = (0..GRACE_PARTITIONS).map(|_| ColRunWriter::create(disk.clone(), label));
+    let mut runs = runs.collect::<QResult<Vec<_>>>()?;
+    for batch in input {
+        let batch = batch?;
+        if batch.is_empty() {
+            continue;
+        }
+        let (kc, mut buckets) = (key_col(&batch, key)?, vec![Vec::new(); GRACE_PARTITIONS]);
+        for (i, h) in hash_key_column(kc).into_iter().enumerate().filter(|&(i, _)| !kc.is_null(i)) {
+            buckets[(h % GRACE_PARTITIONS as u64) as usize].push(i as u32);
+        }
+        for (run, rows) in runs.iter_mut().zip(buckets).filter(|(_, rows)| !rows.is_empty()) {
+            run.push_batch(&batch.take(&rows))?;
+        }
+    }
+    runs.into_iter().map(ColRunWriter::finish).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -402,6 +469,446 @@ impl HashAgg {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Batch streams in, full batches out; page-range reads
+// ---------------------------------------------------------------------------
+
+/// A stream of batches a join kernel reads: a pipe, or a [`PageRangeReader`].
+pub trait BatchSource {
+    /// The next batch, or `None` at end of stream.
+    fn next_batch(&mut self) -> QResult<Option<Arc<ColBatch>>>;
+}
+
+/// An owned [`BatchSource`].
+pub type Source<'a> = Box<dyn BatchSource + 'a>;
+
+/// Cuts a kernel's output into [`ColBatch::DEFAULT_CAPACITY`]-row batches (the
+/// last one shorter) for a sink that answers `false` once nobody wants more.
+/// A batch's full slices go straight out; a short one waits as it came, and
+/// is copied only when another batch has to join it.
+pub struct Rechunk<'a> {
+    pending: Pending,
+    sink: Box<dyn FnMut(ColBatch) -> bool + 'a>,
+    open: bool,
+}
+
+/// The rows a [`Rechunk`] has not sent yet.
+#[derive(Default)]
+enum Pending {
+    #[default]
+    None,
+    Tail(ColBatch),
+    Joined(ColBatchBuilder),
+}
+
+impl<'a> Rechunk<'a> {
+    pub fn new(sink: impl FnMut(ColBatch) -> bool + 'a) -> Self {
+        Self { pending: Pending::None, sink: Box::new(sink), open: true }
+    }
+
+    /// Whether the sink still takes output.
+    pub fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Queue `batch` and send every full batch. Errs when the width changes:
+    /// one output stream has one width.
+    pub fn push(&mut self, batch: ColBatch) -> QResult<()> {
+        const CAP: usize = ColBatch::DEFAULT_CAPACITY;
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let joined = match std::mem::take(&mut self.pending) {
+            Pending::None => Some(batch),
+            Pending::Tail(tail) => {
+                let mut joined = ColBatchBuilder::new();
+                let _fresh_builder_takes_any_width = joined.append(&tail);
+                self.join(joined, batch)?
+            }
+            Pending::Joined(joined) => self.join(joined, batch)?,
+        };
+        let Some(mut joined) = joined else { return Ok(()) };
+        let mut at = 0;
+        while self.open && joined.len() - at >= CAP {
+            self.open = (self.sink)(joined.slice(at, CAP));
+            at += CAP;
+        }
+        if at < joined.len() {
+            joined = if at == 0 { joined } else { joined.slice(at, joined.len() - at) };
+            self.pending = Pending::Tail(joined);
+        }
+        Ok(())
+    }
+
+    /// `joined` plus `batch` as one batch once that reaches full size; short
+    /// of it, `None`, and the rows stay pending.
+    fn join(&mut self, mut joined: ColBatchBuilder, batch: ColBatch) -> QResult<Option<ColBatch>> {
+        if !joined.append(&batch) {
+            let width = batch.num_cols();
+            return Err(QError::Exec(format!("output changed width to {width} columns")));
+        }
+        if joined.len() < ColBatch::DEFAULT_CAPACITY {
+            self.pending = Pending::Joined(joined);
+            return Ok(None);
+        }
+        Ok(Some(joined.finish()))
+    }
+
+    /// Send the last, partial batch.
+    pub fn finish(mut self) {
+        let last = match std::mem::take(&mut self.pending) {
+            Pending::None => return,
+            Pending::Tail(tail) => tail,
+            Pending::Joined(joined) => joined.finish(),
+        };
+        if self.open {
+            (self.sink)(last);
+        }
+    }
+}
+
+/// A base-table scan read as batches, a page at a time in page order: a
+/// clustered index scan's range, an unclustered one's RID list, or a whole
+/// table (the merge join's re-read, §4.3.2). It holds the table's shared
+/// lock while it lives, as the iterator's sequential scan does.
+pub struct PageRangeReader {
+    pool: Arc<BufferPool>,
+    file: FileId,
+    /// The pages left to read, each with the slots to take from it (`None`:
+    /// the rows within `bounds`).
+    pages: std::vec::IntoIter<(u64, Option<Vec<u32>>)>,
+    /// A clustered range on a key column: rows keyed below `lo` are skipped,
+    /// and the first keyed above `hi` ends the read.
+    bounds: Option<(usize, Option<Value>, Option<Value>)>,
+    predicate: Option<Expr>,
+    projection: Option<Vec<usize>>,
+    _lock: TableLockGuard,
+}
+
+impl PageRangeReader {
+    pub fn open(plan: &PlanNode, ctx: &ExecContext) -> QResult<Self> {
+        let (table, predicate, projection) = match plan {
+            PlanNode::TableScan { table, predicate, projection, .. }
+            | PlanNode::ClusteredIndexScan { table, predicate, projection, .. }
+            | PlanNode::UnclusteredIndexScan { table, predicate, projection, .. } => {
+                (table, predicate.clone(), projection.clone())
+            }
+            _ => return Err(QError::Exec(format!("{} is not a table scan", plan.op_name()))),
+        };
+        let info = ctx.catalog.table(table)?;
+        if let Some(c) = projection.iter().flatten().find(|&&c| c >= info.schema.len()) {
+            return Err(QError::Plan(format!("projection col {c} out of range for {table}")));
+        }
+        let lock = ctx.catalog.locks().lock_shared(table);
+        let pool = ctx.catalog.pool().clone();
+        let whole = |(start, end): (u64, u64)| (start..end).map(|page| (page, None)).collect();
+        let (pages, bounds): (Vec<_>, _) = match plan {
+            PlanNode::ClusteredIndexScan { lo, hi, .. } => {
+                let ci = info.clustered.as_ref().ok_or_else(|| {
+                    QError::Plan(format!("table {table:?} has no clustered index"))
+                })?;
+                let bounds = (ci.key_col(), lo.clone(), hi.clone());
+                (whole(ci.page_range(lo.as_ref(), hi.as_ref())), Some(bounds))
+            }
+            PlanNode::UnclusteredIndexScan { column, lo, hi, .. } => {
+                let idx = info.unclustered_index(column).ok_or_else(|| {
+                    QError::Plan(format!("no unclustered index on {table}.{column}"))
+                })?;
+                let rids = idx.rid_list(&pool, lo.as_ref(), hi.as_ref())?;
+                let slots = |run: &[Rid]| Some(run.iter().map(|r| u32::from(r.slot)).collect());
+                (
+                    rids.chunk_by(|a, b| a.page == b.page)
+                        .map(|run| (run[0].page, slots(run)))
+                        .collect(),
+                    None,
+                )
+            }
+            _ => (whole((0, info.num_pages()?)), None),
+        };
+        let pages = pages.into_iter();
+        Ok(Self { pool, file: info.file_id(), pages, bounds, predicate, projection, _lock: lock })
+    }
+}
+
+impl BatchSource for PageRangeReader {
+    /// The rows of the next page that has any: its slots or its rows within
+    /// bounds, then the predicate (`eval_filter`), then the projection.
+    fn next_batch(&mut self) -> QResult<Option<Arc<ColBatch>>> {
+        while let Some((page_no, slots)) = self.pages.next() {
+            let page = self.pool.get(self.file, page_no)?.decode(None)?;
+            let rows = match (slots, &self.bounds) {
+                (Some(slots), _) => match slots.iter().find(|&&s| s as usize >= page.len()) {
+                    Some(slot) => {
+                        return Err(QError::Storage(format!("no slot {slot} on page {page_no}")))
+                    }
+                    None => page.take(&slots),
+                },
+                (None, None) => Arc::unwrap_or_clone(page),
+                (None, Some((key, lo, hi))) => {
+                    let kc = key_col(&page, *key)?;
+                    let stop =
+                        (0..page.len()).find(|&i| hi.as_ref().is_some_and(|h| kc.value(i) > *h));
+                    if stop.is_some() {
+                        self.pages = Vec::new().into_iter();
+                    }
+                    let keep = (0..stop.unwrap_or(page.len()) as u32)
+                        .filter(|&i| lo.as_ref().is_none_or(|l| kc.value(i as usize) >= *l));
+                    page.gather(&SelVec::from_sorted(keep.collect()))
+                }
+            };
+            let all = SelVec::all(rows.len());
+            let sel = self.predicate.as_ref().map_or(Ok(all), |p| p.eval_filter(&rows))?;
+            if !sel.is_empty() {
+                let rows = self.projection.as_ref().map_or(rows.clone(), |c| rows.project(c));
+                return Ok(Some(Arc::new(rows.gather(&sel))));
+            }
+        }
+        Ok(None)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Merge join with wrap restart (§4.3.2), and nested-loop join
+// ---------------------------------------------------------------------------
+
+/// Merge join over two key-ordered batch streams that tolerates one circular
+/// wrap (§4.3.2), on side `split` (`None`: neither may wrap). Segment 1 joins
+/// both inputs up to a wrap, and reads `split` to its end, to see whether it
+/// wrapped; the side that wrapped then joins its rows past the wrap against
+/// `reread(other side)` — the paper's "reading the non-shared relation
+/// twice". NULL keys never join; a key group's cross product comes out left
+/// row by left row, as the iterator's merge join emits it.
+pub fn merge_join<'a>(
+    [left, right]: [Source<'a>; 2],
+    [left_key, right_key]: [usize; 2],
+    split: Option<usize>,
+    mut reread: impl FnMut(usize) -> QResult<Source<'a>>,
+    out: &mut Rechunk<'_>,
+) -> QResult<()> {
+    let sides = [MergeSide::new(left, left_key), MergeSide::new(right, right_key)];
+    let mut join = MergeJoin { sides, pairs: [Vec::new(), Vec::new()] };
+    join.segment(out, [split == Some(0), split == Some(1)])?;
+    let wrapped = match join.sides.each_ref().map(|s| s.held.is_some()) {
+        [false, false] => return Ok(()),
+        [true, true] => return Err(QError::Exec("both merge-join inputs wrapped".into())),
+        [left, _] => usize::from(!left),
+    };
+    let other = 1 - wrapped;
+    // Segment 2 starts past the wrap; what is left of segment 1 is dropped.
+    let side = &mut join.sides[wrapped];
+    (side.cur, side.pos, side.last, side.ended) =
+        (Arc::new(ColBatch::empty_rows(0)), 0, None, false);
+    join.sides[other] = MergeSide::new(reread(other)?, join.sides[other].key);
+    join.segment(out, [other == 1, other == 0])?;
+    if join.sides[wrapped].held.is_some() {
+        return Err(QError::Exec("a merge-join input wrapped twice".into()));
+    }
+    Ok(())
+}
+
+/// One merge-join input, read a segment at a time. A segment ends at the
+/// end of the stream or at a *wrap*: the first row whose key is strictly
+/// below the previous row's, where a circular scan that attached mid-table
+/// comes back to the table's first page. A scanner sends the rows on both
+/// sides of its wrap in one batch, so the batch is split there.
+struct MergeSide<'a> {
+    src: Source<'a>,
+    key: usize,
+    /// The window: the current batch, or a key group's rows carried over
+    /// with the batch after it. Rows before `pos` are consumed.
+    cur: Arc<ColBatch>,
+    pos: usize,
+    /// The key of the last row read, as a one-row column.
+    last: Option<Column>,
+    /// Rows past a wrap, held for the next segment (set: this one ended so).
+    held: Option<Arc<ColBatch>>,
+    /// The batch after the window, read to see where a key group ends.
+    ahead: Option<Arc<ColBatch>>,
+    ended: bool,
+}
+
+impl<'a> MergeSide<'a> {
+    fn new(src: Source<'a>, key: usize) -> Self {
+        let cur = Arc::new(ColBatch::empty_rows(0));
+        Self { src, key, cur, pos: 0, last: None, held: None, ahead: None, ended: false }
+    }
+
+    /// The batch after the window: the one read ahead, or the next fetched.
+    fn next(&mut self) -> QResult<Option<Arc<ColBatch>>> {
+        self.ahead.take().map_or_else(|| self.fetch(), |b| Ok(Some(b)))
+    }
+
+    /// The segment's next non-empty batch, cut at a wrap; `None` at its end.
+    fn fetch(&mut self) -> QResult<Option<Arc<ColBatch>>> {
+        while !self.ended {
+            let next = self.held.take().map_or_else(|| self.src.next_batch(), |b| Ok(Some(b)));
+            let Some(batch) = next? else { break };
+            if batch.is_empty() {
+                continue;
+            }
+            let kc = key_col(&batch, self.key)?;
+            let last = self.last.as_ref();
+            let wrap = (0..batch.len()).find(|&i| match i.checked_sub(1) {
+                Some(prev) => kc.cmp_values(i, kc, prev).is_lt(),
+                None => last.is_some_and(|l| kc.cmp_values(0, l, 0).is_lt()),
+            });
+            let Some(at) = wrap else {
+                self.last = Some(kc.take(&[batch.len() as u32 - 1]));
+                return Ok(Some(batch));
+            };
+            self.ended = true;
+            self.held = Some(Arc::new(batch.slice(at, batch.len() - at)));
+            if at > 0 {
+                return Ok(Some(Arc::new(batch.slice(0, at))));
+            }
+        }
+        self.ended = true;
+        Ok(None)
+    }
+}
+
+/// Both sides and the matched row pairs, indices into the two windows, that
+/// are not emitted yet. A window moves on only after the pairs are flushed.
+struct MergeJoin<'a> {
+    sides: [MergeSide<'a>; 2],
+    pairs: [Vec<u32>; 2],
+}
+
+impl MergeJoin<'_> {
+    fn flush(&mut self, out: &mut Rechunk<'_>) -> QResult<()> {
+        if self.pairs[0].is_empty() {
+            return Ok(());
+        }
+        let [l, r] = &self.sides;
+        let joined = ColBatch::hcat(&l.cur.take(&self.pairs[0]), &r.cur.take(&self.pairs[1]));
+        self.pairs.iter_mut().for_each(Vec::clear);
+        out.push(joined)
+    }
+
+    /// Make row `pos` of side `s` readable; `false` at the segment's end.
+    fn ready(&mut self, s: usize, out: &mut Rechunk<'_>) -> QResult<bool> {
+        while self.sides[s].pos >= self.sides[s].cur.len() {
+            self.flush(out)?;
+            let Some(batch) = self.sides[s].next()? else { return Ok(false) };
+            (self.sides[s].cur, self.sides[s].pos) = (batch, 0);
+        }
+        Ok(true)
+    }
+
+    /// One past side `s`'s key group at `pos`. A group that runs on into the
+    /// batches after the window carries over: the window becomes the group
+    /// plus those batches, each appended once.
+    fn group_end(&mut self, s: usize, out: &mut Rechunk<'_>) -> QResult<usize> {
+        let side = &self.sides[s];
+        let (pos, kc) = (side.pos, key_col(&side.cur, side.key)?);
+        let group = kc.take(&[pos as u32]);
+        let run = |c: &Column, from: usize| {
+            (from..c.len()).find(|&i| c.cmp_values(i, &group, 0).is_ne()).unwrap_or(c.len())
+        };
+        let mut end = run(kc, pos + 1);
+        if end < side.cur.len() {
+            return Ok(end);
+        }
+        self.flush(out)?;
+        let mut carried = ColBatchBuilder::new();
+        loop {
+            let side = &mut self.sides[s];
+            let Some(next) = side.next()? else { break };
+            let n = run(key_col(&next, side.key)?, 0);
+            if n == 0 {
+                side.ahead = Some(next);
+                break;
+            }
+            if carried.is_empty() {
+                let _fresh_builder_takes_any_width =
+                    carried.append(&side.cur.slice(pos, end - pos));
+                end -= pos;
+            }
+            if !carried.append(&next) {
+                return Err(QError::Exec("a merge-join input changed width mid-stream".into()));
+            }
+            end += n;
+            if n < next.len() {
+                break;
+            }
+        }
+        if !carried.is_empty() {
+            let side = &mut self.sides[s];
+            (side.cur, side.pos) = (Arc::new(carried.finish()), 0);
+        }
+        Ok(end)
+    }
+
+    /// Join the two current segments, then read those named in `drain` to
+    /// their ends while output is wanted: whether a segment ended at a wrap
+    /// is known only there. (A re-read of a sorted table is read no further
+    /// than the join needs.)
+    fn segment(&mut self, out: &mut Rechunk<'_>, drain: [bool; 2]) -> QResult<()> {
+        while out.is_open() && self.ready(0, out)? && self.ready(1, out)? {
+            let [l, r] = &self.sides;
+            let (lk, rk) = (key_col(&l.cur, l.key)?, key_col(&r.cur, r.key)?);
+            // A NULL left key joins nothing; a NULL right key sorts first.
+            let null = lk.is_null(l.pos);
+            match if null { Ordering::Less } else { lk.cmp_values(l.pos, rk, r.pos) } {
+                Ordering::Less => self.sides[0].pos += 1,
+                Ordering::Greater => self.sides[1].pos += 1,
+                Ordering::Equal => {
+                    let ends = [self.group_end(0, out)?, self.group_end(1, out)?];
+                    let starts = self.sides.each_ref().map(|s| s.pos);
+                    for li in starts[0]..ends[0] {
+                        for ri in starts[1]..ends[1] {
+                            self.pairs[0].push(li as u32);
+                            self.pairs[1].push(ri as u32);
+                            if self.pairs[0].len() == ColBatch::DEFAULT_CAPACITY {
+                                self.flush(out)?;
+                            }
+                        }
+                    }
+                    (self.sides[0].pos, self.sides[1].pos) = (ends[0], ends[1]);
+                }
+            }
+        }
+        self.flush(out)?;
+        for (side, drain) in self.sides.iter_mut().zip(drain) {
+            while drain && out.is_open() && side.next()?.is_some() {}
+        }
+        Ok(())
+    }
+}
+
+/// Nested-loop join: the right input is buffered, cut into
+/// [`ColBatch::DEFAULT_CAPACITY`]-row slices, then each left row is crossed
+/// with every slice and the joined rows filtered by `predicate` — left row by
+/// left row, as the iterator's nested-loop join emits them.
+pub fn nested_loop_join(
+    [mut left, mut right]: [Source<'_>; 2],
+    predicate: &Expr,
+    out: &mut Rechunk<'_>,
+) -> QResult<()> {
+    let mut slices = Vec::new();
+    let mut cut = Rechunk::new(|slice| {
+        slices.push(slice);
+        true
+    });
+    while let Some(batch) = right.next_batch()? {
+        cut.push(Arc::unwrap_or_clone(batch))?;
+    }
+    cut.finish();
+    while let Some(batch) = left.next_batch()? {
+        for row in 0..batch.len() as u32 {
+            for slice in &slices {
+                if !out.is_open() {
+                    return Ok(());
+                }
+                let joined = ColBatch::hcat(&batch.take(&vec![row; slice.len()]), slice);
+                let sel = predicate.eval_filter(&joined)?;
+                out.push(joined.gather(&sel))?;
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,6 +999,148 @@ mod tests {
         let err = b.add(&batch(&[vec![Value::Int(1)]])).expect_err("width mismatch must refuse");
         assert!(matches!(err, QError::Exec(_)), "got {err:?}");
         assert_eq!(b.rows(), 1, "the refused batch appended nothing");
+    }
+
+    /// A batch stream for the join kernels.
+    struct Batches(std::vec::IntoIter<ColBatch>);
+
+    impl BatchSource for Batches {
+        fn next_batch(&mut self) -> QResult<Option<Arc<ColBatch>>> {
+            Ok(self.0.next().map(Arc::new))
+        }
+    }
+
+    /// Batches of `[key, tag]` rows, tags counting up from `tag`.
+    fn keyed(batches: &[&[i64]], tag: i64) -> Vec<ColBatch> {
+        let mut next = tag;
+        let mut row = |k: i64| {
+            next += 1;
+            vec![Value::Int(k), Value::Int(next)]
+        };
+        batches
+            .iter()
+            .map(|keys| batch(&keys.iter().map(|&k| row(k)).collect::<Vec<_>>()))
+            .collect()
+    }
+
+    fn rows_of(batches: &[ColBatch]) -> Vec<Tuple> {
+        batches.iter().flat_map(ColBatch::to_rows).collect()
+    }
+
+    /// The batch merge join's output rows and batch sizes, `split` the side
+    /// that may wrap; a re-read returns that side's rows in key order, as a
+    /// fresh scan of a sorted table does.
+    fn merge(
+        left: Vec<ColBatch>,
+        right: Vec<ColBatch>,
+        split: Option<usize>,
+    ) -> QResult<(Vec<Tuple>, Vec<usize>)> {
+        let tables = [&left, &right].map(|side| {
+            let mut rows = rows_of(side);
+            rows.sort_by(|a, b| a[0].cmp(&b[0]));
+            rows
+        });
+        let src =
+            |batches: Vec<ColBatch>| -> Source<'static> { Box::new(Batches(batches.into_iter())) };
+        let mut outputs = Vec::new();
+        let mut out = Rechunk::new(|b| {
+            outputs.push(b);
+            true
+        });
+        let reread = |side: usize| Ok(src(vec![batch(&tables[side])]));
+        merge_join([src(left), src(right)], [0, 0], split, reread, &mut out)?;
+        out.finish();
+        Ok((rows_of(&outputs), outputs.iter().map(ColBatch::len).collect()))
+    }
+
+    /// The iterator engine's merge join over the same rows, in its order.
+    fn merge_iter(left: &[ColBatch], right: &[ColBatch]) -> Vec<Tuple> {
+        use crate::iter::{collect, MergeJoinIter, VecIter};
+        let [l, r] = [left, right].map(|side| Box::new(VecIter::new(rows_of(side))));
+        collect(Box::new(MergeJoinIter::new(l, r, 0, 0))).unwrap()
+    }
+
+    fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn merge_join_restarts_at_a_wrap_inside_a_batch() {
+        // A scan that attached at key 5: the end of the table, then its
+        // start, with the wrap (7 → 1) in the middle of the second batch.
+        let left = keyed(&[&[5, 6], &[7, 1, 2], &[3, 4]], 0);
+        let right = keyed(&[&[1, 2, 3], &[4, 5, 6, 7]], 100);
+        let mut table = rows_of(&left);
+        table.sort_by(|a, b| a[0].cmp(&b[0]));
+        let expected = merge_iter(&[batch(&table)], &right);
+        assert_eq!(expected.len(), 7);
+        let (got, _) = merge(left.clone(), right.clone(), Some(0)).unwrap();
+        assert_eq!(sorted(got), sorted(expected.clone()), "left wrapped");
+        // The right side wrapping instead joins the same pairs.
+        let (got, _) = merge(right.clone(), left.clone(), Some(1)).unwrap();
+        let swapped = |r: &Tuple| vec![r[2].clone(), r[3].clone(), r[0].clone(), r[1].clone()];
+        assert_eq!(sorted(got), sorted(expected.iter().map(swapped).collect()), "right wrapped");
+        // A wrap past the other side's last key is found only by reading on.
+        let short = keyed(&[&[1, 2, 3]], 0);
+        let late = keyed(&[&[2, 3, 4], &[5, 1, 2]], 100);
+        let mut table = rows_of(&late);
+        table.sort_by(|a, b| a[0].cmp(&b[0]));
+        let expected = merge_iter(&short, &[batch(&table)]);
+        assert_eq!(expected.len(), 4);
+        let (got, _) = merge(short, late, Some(1)).unwrap();
+        assert_eq!(sorted(got), sorted(expected), "wrap past the last left key");
+        // A wrap on both sides has no fresh side to re-read.
+        let err = merge(left.clone(), keyed(&[&[5, 6, 7, 1], &[2]], 100), Some(0)).unwrap_err();
+        assert!(matches!(err, QError::Exec(_)), "{err:?}");
+    }
+
+    #[test]
+    fn merge_join_groups_span_batches_on_both_sides() {
+        let left = keyed(&[&[1, 2, 2], &[2, 2], &[2, 3], &[5; 20], &[5; 10], &[6]], 0);
+        let right = keyed(&[&[0, 2], &[2], &[2, 2, 4], &[5; 15], &[5, 5, 5, 5, 5, 6]], 100);
+        let (got, sizes) = merge(left.clone(), right.clone(), None).unwrap();
+        let expected = merge_iter(&left, &right);
+        assert_eq!(expected.len(), 5 * 4 + 30 * 20 + 1);
+        assert_eq!(got, expected, "same pairs, left row by left row");
+        assert_eq!(sizes, [256, 256, 109], "full batches, the last one shorter");
+    }
+
+    #[test]
+    fn merge_join_with_an_empty_side_is_empty() {
+        let some = keyed(&[&[1, 2], &[3]], 0);
+        for (left, right) in [(vec![], some.clone()), (some.clone(), vec![]), (vec![], vec![])] {
+            assert_eq!(merge(left, right, Some(0)).unwrap(), (vec![], vec![]));
+        }
+        let empty_batches = vec![ColBatch::empty_rows(0), batch(&[])];
+        assert_eq!(merge(empty_batches, some, Some(1)).unwrap(), (vec![], vec![]));
+    }
+
+    #[test]
+    fn rechunk_sends_full_batches_and_copies_only_to_join_short_ones() {
+        let run = |sizes: &[usize]| {
+            let mut sent = Vec::new();
+            let mut out = Rechunk::new(|b: ColBatch| {
+                sent.push((b.len(), b.columns()[0].value(0)));
+                true
+            });
+            let mut next = 0;
+            for &n in sizes {
+                let rows = (next..next + n as i64).map(|v| vec![Value::Int(v)]).collect::<Vec<_>>();
+                out.push(batch(&rows)).unwrap();
+                next += n as i64;
+            }
+            out.finish();
+            sent
+        };
+        let int = Value::Int;
+        assert_eq!(run(&[40]), [(40, int(0))], "a short batch alone goes out as it came");
+        assert_eq!(run(&[600]), [(256, int(0)), (256, int(256)), (88, int(512))]);
+        assert_eq!(run(&[200, 100, 0, 300]), [(256, int(0)), (256, int(256)), (88, int(512))]);
+        let mut out = Rechunk::new(|_| true);
+        out.push(batch(&[vec![int(1)]])).unwrap();
+        let err = out.push(batch(&[vec![int(1), int(2)]])).unwrap_err();
+        assert!(matches!(err, QError::Exec(_)), "one stream, one width: {err:?}");
     }
 
     #[test]

@@ -204,7 +204,7 @@ fn grace_hash_join_matches_in_memory() {
     let mem = run(&plan, &ctx).unwrap();
     let small = ExecContext::with_config(
         ctx.catalog.clone(),
-        ExecConfig { hash_budget: 100, partitions: 4, ..ExecConfig::default() },
+        ExecConfig { hash_budget: 100, ..ExecConfig::default() },
     );
     let mut grace = run(&plan, &small).unwrap();
     let mut mem = mem;

@@ -12,7 +12,9 @@
 use crate::colpage::ColPage;
 use crate::page::{Page, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock};
-use qpipe_common::{FaultAction, FaultInjector, FaultOp, Metrics, QError, QResult, Tuple};
+use qpipe_common::{
+    ColBatch, FaultAction, FaultInjector, FaultOp, Metrics, QError, QResult, Tuple,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,6 +69,27 @@ impl Block {
             Block::Slotted(_) => {
                 Err(QError::Storage("expected a columnar page, found a slotted page".into()))
             }
+        }
+    }
+
+    /// Columns per row: a columnar page's stored width, a slotted page's
+    /// widest record ([`Page::width`]).
+    pub fn num_cols(&self) -> QResult<usize> {
+        match self {
+            Block::Slotted(p) => p.width(),
+            Block::Columnar(p) => Ok(p.num_cols()),
+        }
+    }
+
+    /// The page as a batch of the named columns (every column for `None`) —
+    /// the staged engine's one page → batch step. A whole columnar page is
+    /// its pool-resident batch ([`ColPage::materialize`]); anything else is
+    /// the layout's column decoder.
+    pub fn decode(&self, cols: Option<&[usize]>) -> QResult<Arc<ColBatch>> {
+        match (self, cols) {
+            (Block::Columnar(p), None) => p.materialize(),
+            (Block::Columnar(p), Some(cols)) => Ok(Arc::new(p.decode_cols(cols)?)),
+            (Block::Slotted(p), cols) => Ok(Arc::new(p.decode_cols(cols)?)),
         }
     }
 

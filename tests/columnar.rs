@@ -146,6 +146,24 @@ fn clustered_and_unclustered_access_parity_across_layouts() {
             &ctx,
         )
         .unwrap();
+        // A filtered full scan answers the same ranges without an index.
+        let key = |c: usize, lo: i64, hi: i64| {
+            Some(Expr::and([Expr::col(c).ge(Expr::lit(lo)), Expr::col(c).le(Expr::lit(hi))]))
+        };
+        for (found, predicate) in [(&clustered, key(0, 100, 400)), (&unclustered, key(1, 10, 20))] {
+            let scan = PlanNode::TableScan {
+                table: "lineitem".into(),
+                predicate,
+                projection: None,
+                ordered: false,
+            };
+            let expected = sorted(qpipe::exec::iter::run(&scan, &ctx).unwrap());
+            assert_eq!(
+                sorted(found.clone()),
+                expected,
+                "{layout:?}: index against a filtered scan"
+            );
+        }
         (clustered, sorted(unclustered))
     };
     let (row_ci, row_ui) = run(StorageLayout::Row);

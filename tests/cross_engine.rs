@@ -2,6 +2,9 @@
 //! QPipe w/OSP) must produce identical answers for the full TPC-H query mix
 //! under concurrency, and the sharing metrics must tell the expected story.
 
+mod common;
+
+use common::assert_rows_equivalent;
 use qpipe::prelude::*;
 use qpipe::workloads::harness::{staggered_run, Driver, System, SystemProfile};
 use qpipe::workloads::tpch::{build_tpch, query, TpchScale, MIX};
@@ -32,11 +35,18 @@ fn identical_query_burst_shares_and_matches() {
     let mut rng = StdRng::seed_from_u64(11);
     let plan = query(6, &mut rng);
     let d = driver(System::QPipeOsp);
-    let reference = d.run(plan.clone()).unwrap();
+    let engine = d.engine().expect("a QPipe driver has an engine");
+    let reference = engine.submit(plan.clone()).unwrap().collect();
     let before = d.metrics().snapshot();
-    let plans = vec![plan.clone(), plan.clone(), plan.clone(), plan];
-    let r = staggered_run(&d, plans, 0.0, SystemProfile::instant().time_scale).unwrap();
-    assert!(r.row_counts.iter().all(|&c| c == reference));
+    // Every scan of the burst waits at lineitem's lock, so all four queries
+    // are in flight together before any reads a page: the overlap holds by
+    // construction, not by timing.
+    let lock = d.catalog().locks().lock_exclusive("lineitem");
+    let burst: Vec<_> = (0..4).map(|_| engine.submit(plan.clone()).unwrap()).collect();
+    drop(lock);
+    for (i, handle) in burst.into_iter().enumerate() {
+        assert_rows_equivalent(handle.collect(), reference.clone(), &format!("query {i}"));
+    }
     let delta = d.metrics().snapshot().delta_since(&before);
     assert!(delta.osp_attaches >= 3, "burst should share: {} attaches", delta.osp_attaches);
 }

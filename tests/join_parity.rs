@@ -87,8 +87,14 @@ fn hash_merge_bnl_join_parity_on_adversarial_keys() {
         let schema = || Schema::of(&[("k", DataType::Int), ("tag", DataType::Int)]);
         catalog.create_table("l", schema(), left.clone(), None).unwrap();
         catalog.create_table("r", schema(), right.clone(), None).unwrap();
-        let ctx = ExecContext::new(catalog);
+        let ctx = ExecContext::new(catalog.clone());
         let expected = sorted(reference_join(&left, &right));
+        // QPipe at its defaults, then with a build budget far below the
+        // 120-row build side so the hash join goes grace.
+        let small = ExecConfig { hash_budget: 64, ..ExecConfig::default() };
+        let engines = [ExecConfig::default(), small].map(|exec| {
+            QPipe::new(catalog.clone(), QPipeConfig { exec, ..QPipeConfig::default() })
+        });
 
         let hash = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
         let merge = PlanNode::scan("l").merge_join(PlanNode::scan("r"), 0, 0);
@@ -100,6 +106,15 @@ fn hash_merge_bnl_join_parity_on_adversarial_keys() {
         for (name, plan) in [("hash", hash), ("merge", merge), ("bnl", bnl)] {
             let got = sorted(qpipe::exec::iter::run(&plan, &ctx).unwrap());
             assert_eq!(got, expected, "seed {seed}: {name} join diverges from reference");
+            for (engine, grace) in engines.iter().zip([false, true]) {
+                let at = format!("seed {seed}: QPipe {name} join, grace budget {grace}");
+                let before = engine.metrics().snapshot();
+                let got = engine.submit(plan.clone()).unwrap().try_collect();
+                let got = got.unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(sorted(got), expected, "{at}");
+                let delta = engine.metrics().snapshot().delta_since(&before);
+                assert_eq!(delta.vec_fallbacks, u64::from(grace && name == "hash"), "{at}");
+            }
         }
     }
 }
@@ -291,7 +306,7 @@ fn empty_build_side_yields_empty_join() {
 }
 
 // ---------------------------------------------------------------------------
-// The row bridge: the four operators that still run iterator kernels
+// Merge, nested-loop and grace joins and range-bounded index scans
 // ---------------------------------------------------------------------------
 
 fn uses_op(plan: &PlanNode, op: &str) -> bool {
@@ -310,13 +325,11 @@ fn ordered_full_scan(table: &str) -> PlanNode {
 }
 
 /// Nested-loop join, merge join with wrap restart, a range-bounded index
-/// scan and the grace hash join keep their iterator kernels behind
-/// `core/src/rowbridge.rs`: columns → tuples on the way in (each batch
-/// counted by `col_rowified_batches`), tuples → `ColBatch` chunks on the way
-/// out. Whatever the page layout and with or without OSP, their results equal
-/// the iterator engine's as multisets, and the counters say who crossed.
+/// scan and the grace hash join run on batches like every other operator.
+/// Whatever the page layout and with or without OSP, their results equal the
+/// iterator engine's as multisets, and the counters say which path ran.
 #[test]
-fn row_bridge_operators_match_the_iterator_engine() {
+fn join_and_range_scan_operators_match_the_iterator_engine() {
     for layout in [StorageLayout::Row, StorageLayout::Columnar] {
         for osp in [true, false] {
             let at = format!("{layout:?}, osp {osp}");
@@ -351,7 +364,6 @@ fn row_bridge_operators_match_the_iterator_engine() {
                 .unwrap();
             assert!(uses_op(&cross.plan, "nljoin"), "{at}:\n{}", cross.plan.explain());
             let delta = run_and_compare(&cross.plan, "cross product");
-            assert!(delta.col_rowified_batches > 0, "{at}: NLJ inputs cross the bridge");
             assert_eq!(delta.vec_fallbacks, 0, "{at}");
 
             // 2. Merge join over ordered scans whose big side attaches late.
@@ -376,12 +388,11 @@ fn row_bridge_operators_match_the_iterator_engine() {
             assert_eq!(joined.try_collect().unwrap(), reference, "{at}: merge join");
             assert_eq!(drain.join().unwrap(), 40_000, "{at}");
             let delta = engine.metrics().snapshot().delta_since(&before);
-            assert!(delta.col_rowified_batches > 0, "{at}: MJ inputs cross the bridge");
             assert_eq!(delta.osp_attaches, u64::from(osp), "{at}: the late scan rides the first");
             assert_eq!(delta.circular_wraps > 0, osp, "{at}: an attached late scan wraps");
 
             // 3. A range-bounded clustered index scan: the kernel reads the
-            // table itself, so nothing is flattened on the way in.
+            // table's pages itself.
             let range = PlanNode::ClusteredIndexScan {
                 table: "big".into(),
                 lo: Some(Value::Int(1_000)),
@@ -390,10 +401,22 @@ fn row_bridge_operators_match_the_iterator_engine() {
                 projection: Some(vec![1, 0]),
                 ordered: true,
             };
-            let delta = run_and_compare(&range, "range-bounded index scan");
+            run_and_compare(&range, "range-bounded index scan");
+            // A filtered full scan answers the same range without an index.
+            let filtered = PlanNode::TableScan {
+                table: "big".into(),
+                predicate: Some(Expr::and([
+                    Expr::col(0).ge(Expr::lit(1_000)),
+                    Expr::col(0).le(Expr::lit(3_000)),
+                    Expr::col(1).ge(Expr::lit(3)),
+                ])),
+                projection: Some(vec![1, 0]),
+                ordered: false,
+            };
             assert_eq!(
-                delta.col_rowified_batches, 0,
-                "{at}: an index scan has no input to flatten"
+                sorted(qpipe::exec::iter::run(&filtered, &ctx).unwrap()),
+                sorted(qpipe::exec::iter::run(&range, &ctx).unwrap()),
+                "{at}: index range against a filtered scan"
             );
 
             // 4. Grace overflow: a 4000-row build side under a 64-row budget.
@@ -401,12 +424,50 @@ fn row_bridge_operators_match_the_iterator_engine() {
                 .hash_join(PlanNode::scan("small"), 0, 0);
             let delta = run_and_compare(&grace, "grace hash join");
             assert!(delta.vec_fallbacks > 0, "{at}: the refused build must go grace");
-            assert!(delta.col_rowified_batches > 0, "{at}: grace inputs cross the bridge");
         }
     }
 }
 
-/// The row fallback (hash budget overflow → grace join) still works and
+/// A wrap on the merge join's right side: the join reads the right side only
+/// as far as the left side's keys need, so a wrap past the left side's last
+/// key is found only by reading on. The rows past it still join, against a
+/// re-read of the left side (§4.3.2).
+#[test]
+fn merge_join_finds_a_wrap_past_the_last_left_key() {
+    for layout in [StorageLayout::Row, StorageLayout::Columnar] {
+        let catalog = quick_system(DiskConfig::instant(), 1024);
+        let kv = || Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let big: Vec<Tuple> =
+            (0..40_000i64).map(|i| vec![Value::Int(i / 2), Value::Int(i % 7)]).collect();
+        // Keys up to 9 269: far below big's last key, above where it wraps.
+        let small: Vec<Tuple> =
+            (0..300i64).map(|i| vec![Value::Int(i * 31), Value::Int(i)]).collect();
+        for (name, rows) in [("big", big), ("small", small)] {
+            catalog.create_table_with_layout(name, kv(), rows, Some(0), layout).unwrap();
+        }
+        let engine = QPipe::new(catalog.clone(), QPipeConfig::default());
+        // `big` is the larger side, so its scan is the one that may wrap.
+        let merge = ordered_full_scan("small")
+            .merge_join(ordered_full_scan("big"), 0, 0)
+            .aggregate(vec![], vec![AggSpec::count_star(), AggSpec::sum(Expr::col(3))]);
+        let reference = qpipe::exec::iter::run(&merge, &ExecContext::new(catalog)).unwrap();
+        // Park a plain scan of `big` mid-table, as the case above does.
+        let before = engine.metrics().snapshot();
+        let parked = engine.submit(PlanNode::scan("big")).unwrap();
+        while engine.metrics().snapshot().delta_since(&before).morsels_dispatched == 0 {
+            std::thread::yield_now();
+        }
+        let joined = engine.submit(merge).unwrap();
+        let drain = std::thread::spawn(move || parked.collect().len());
+        assert_eq!(joined.try_collect().unwrap(), reference, "{layout:?}");
+        assert_eq!(drain.join().unwrap(), 40_000, "{layout:?}");
+        let delta = engine.metrics().snapshot().delta_since(&before);
+        assert_eq!(delta.osp_attaches, 1, "{layout:?}: the late scan rides the first");
+        assert!(delta.circular_wraps > 0, "{layout:?}: and wraps");
+    }
+}
+
+/// The grace fallback (hash budget overflow → grace join) still works and
 /// still agrees, end to end, when the build side blows the budget — on
 /// adversarial cross-type keys.
 #[test]

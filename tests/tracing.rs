@@ -88,10 +88,15 @@ fn q1_profile_rows_match_metrics_counters() {
 /// host rather than read from disk.
 #[test]
 fn osp_shared_scan_pair_records_host_served_pages_on_satellite() {
-    let engine = QPipe::new(columnar_catalog(), tracing_config(true));
+    let catalog = columnar_catalog();
+    let engine = QPipe::new(catalog.clone(), tracing_config(true));
     let before = engine.metrics().snapshot();
+    // The host's scanner waits at lineitem's lock until both are submitted,
+    // so the second always finds the first's scan in flight.
+    let lock = catalog.locks().lock_exclusive("lineitem");
     let host = engine.submit(q6(0, 0.05, 30)).unwrap();
     let sat = engine.submit(q6(400, 0.05, 30)).unwrap();
+    drop(lock);
     let sat_tree = sat.probe_tree().expect("tracing on");
     let sat_trace = sat.trace().expect("tracing on");
     let r_host = host.collect();
