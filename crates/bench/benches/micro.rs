@@ -101,7 +101,7 @@ fn host_fanout(c: &mut Criterion) {
                     })
                     .collect();
                 for batch in &batches {
-                    host.push_cols(batch.clone());
+                    host.push_cols(Arc::new(batch.clone()));
                 }
                 host.finish();
                 handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
@@ -674,7 +674,7 @@ fn sort_paths(c: &mut Criterion) {
             b.iter(|| {
                 let mut vs = VecSort::new(&keys, ctx.clone());
                 for batch in &batches {
-                    vs.push_cols(batch).unwrap();
+                    vs.add(batch).unwrap();
                 }
                 let mut out = 0usize;
                 vs.finish(|b| {

@@ -419,11 +419,12 @@ pub struct ColBatch {
 }
 
 impl ColBatch {
-    /// Rows per batch on the wire: the fill target. Producers that cut
-    /// their output cut it into chunks of this size, and a scanner holds a
-    /// consumer's rows back until it has this many to send. It is not a cap:
-    /// a narrow columnar page, which holds up to about 1 000 rows, goes out
-    /// whole.
+    /// Rows per batch on the wire: the fill target of the delivery rule
+    /// every producer follows (`qpipe_exec::viter::Rechunk`). A producer
+    /// holds short output back until it has this many rows to send, so no
+    /// batch on a pipe is shorter but a stream's last. It is not a cap: a
+    /// longer batch — a narrow columnar page of up to about 1 000 rows, or
+    /// one probe batch's join output — goes out whole.
     pub const DEFAULT_CAPACITY: usize = 256;
 
     /// Column-ify `rows`. Short rows are padded with NULL so every column has

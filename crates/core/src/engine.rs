@@ -47,6 +47,9 @@ pub struct QPipeConfig {
     /// Memory budgets for sort / hash join.
     pub exec: ExecConfig,
     /// Host replay-history window in batches (buffering enhancement, §3.2).
+    /// Every batch a host sends but its last holds at least
+    /// `ColBatch::DEFAULT_CAPACITY` rows, so an `UntilFirstOutput` window
+    /// covers at least `host_backfill × 256` rows of output.
     pub host_backfill: usize,
     /// Admission control: per-µEngine concurrency bound, waiting-room size,
     /// and queue timeout. Every submitted query passes through it.

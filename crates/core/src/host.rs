@@ -15,7 +15,12 @@
 //! (`ops::attach_window` picks it):
 //! * [`AttachWindow::UntilFirstOutput`] — step-overlap operators (joins,
 //!   range index scans): "first output" really means "more output than the
-//!   host's replay history retains".
+//!   host's replay history retains". The history counts batches, and every
+//!   batch a host sends but its last holds at least
+//!   [`ColBatch::DEFAULT_CAPACITY`] rows (`ops.rs`, "Delivery: full
+//!   batches"), so a window of `backfill` batches covers at least
+//!   `backfill × 256` rows of output. Rows a host holds pending are not
+//!   output yet: they go to every output attached at their push.
 //! * [`AttachWindow::WholeLifetime`] — full-overlap operators (aggregates,
 //!   sort — whose output is materialized anyway, giving the materialization
 //!   enhancement for free).
@@ -48,7 +53,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttachWindow {
     /// Attach allowed while every batch produced so far is still replayable
-    /// from the host's history (history capacity = `backfill` batches).
+    /// from the host's history (history capacity = `backfill` batches, so
+    /// at least `backfill` × [`ColBatch::DEFAULT_CAPACITY`] rows: every batch
+    /// but a host's last is full).
     UntilFirstOutput,
     /// Attach allowed for the host's entire lifetime; the full output is
     /// retained and replayed to late attachers.
@@ -194,8 +201,7 @@ impl SharedHost {
     /// that attach mid-push receive this batch through the history replay
     /// (the history entry is recorded before the lock is released), so no
     /// output is ever missed or duplicated.
-    pub fn push_cols(&self, batch: ColBatch) {
-        let batch = Arc::new(batch);
+    pub fn push_cols(&self, batch: Arc<ColBatch>) {
         let mut outputs = {
             let mut st = self.state.lock();
             st.broadcasting = true;
@@ -350,8 +356,10 @@ mod tests {
         (packet, consumer)
     }
 
-    fn batch_of(vals: &[i64]) -> ColBatch {
-        ColBatch::from_rows(&vals.iter().map(|&v| vec![Value::Int(v)]).collect::<Vec<_>>())
+    fn batch_of(vals: &[i64]) -> Arc<ColBatch> {
+        Arc::new(ColBatch::from_rows(
+            &vals.iter().map(|&v| vec![Value::Int(v)]).collect::<Vec<_>>(),
+        ))
     }
 
     #[test]

@@ -14,7 +14,30 @@
 //!
 //! Every worker loop polls the cancellation rule the same way: `cancel` fired
 //! *and* [`SharedHost::close_if_unwanted`] — see `host.rs` for why the token
-//! alone never stops a host.
+//! alone never stops a host. A body polls it once per input batch, and a
+//! push that finds it fired ends the body's output.
+//!
+//! # Delivery: full batches
+//!
+//! Every body sends its output through [`into_host`], the one caller of
+//! [`SharedHost::push_cols`], so a host follows the scanner's delivery rule
+//! ([`Rechunk`](qpipe_exec::viter::Rechunk)): no batch it sends is short but
+//! its last. A selective filter, or a join matching a few rows per probe
+//! batch, holds its output pending until it has
+//! [`ColBatch::DEFAULT_CAPACITY`] rows. Pending rows are safe:
+//!
+//! * A pending row is not emitted yet: a host's history and emitted count
+//!   cover only what was pushed, so the attach rule is unchanged, and a
+//!   satellite attached while rows are pending gets them in the next push.
+//! * The cancellation rule is polled per input batch, not per output batch,
+//!   so a host whose output is all pending still stops.
+//! * Pending rows cannot wedge a query. A host blocks only on its own pipes:
+//!   a receive from an input, or a send to an output. A consumer waiting for
+//!   rows that sit pending keeps its waits-for edge to the host, which waits
+//!   on its own input in turn; such edges lead from consumer to producer and
+//!   end at a scanner, which never waits to receive. So any cycle through the
+//!   host passes through a full pipe, which the waits-for graph materializes
+//!   as for any producer (`scan.rs`, "Pending rows cannot wedge a query").
 
 use crate::host::{AttachWindow, RegistryGuard, ShareRegistry, SharedHost};
 use crate::packet::{CancelToken, Packet};
@@ -22,10 +45,9 @@ use crate::pipe::PipeConsumer;
 use qpipe_common::colbatch::SelVec;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
 use qpipe_common::{ColBatch, MemClass, Metrics, QError, QResult};
-use qpipe_exec::expr::Expr;
 use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
 use qpipe_exec::vexpr::project_batch;
-use qpipe_exec::viter::{self, BatchSource, HashAgg, HashJoinBuild, PageRangeReader, Rechunk};
+use qpipe_exec::viter::{self, BatchSource, HashAgg, HashJoinBuild, Output, PageRangeReader};
 use qpipe_exec::vsort::VecSort;
 use std::sync::Arc;
 
@@ -189,17 +211,19 @@ fn run_operator(
                 viter::merge_join(inputs(children), keys, split_side, reread, out)
             })
         }
-        PlanNode::Filter { predicate, .. } => {
-            run_filter(children.remove(0), predicate, host, cancel)
-        }
-        PlanNode::Project { exprs, .. } => run_project(children.remove(0), exprs, host, cancel),
+        PlanNode::Filter { predicate, .. } => run_map(children.remove(0), host, cancel, |batch| {
+            Ok(batch.gather(&predicate.eval_filter(batch)?))
+        }),
+        PlanNode::Project { exprs, .. } => run_map(children.remove(0), host, cancel, |batch| {
+            project_batch(exprs, batch, &SelVec::all(batch.len()))
+        }),
         // Range-bounded index scans (unbounded ones are handed to the
         // circular ScanManager by the engine and never reach here).
         PlanNode::UnclusteredIndexScan { .. } | PlanNode::ClusteredIndexScan { .. } => {
             let mut reader = PageRangeReader::open(plan, &env.ctx)?;
             into_host(host, cancel, |out| {
                 while let Some(batch) = reader.next_batch()?.filter(|_| out.is_open()) {
-                    out.push(Arc::unwrap_or_clone(batch))?;
+                    out.push(batch)?;
                 }
                 Ok(())
             })
@@ -216,20 +240,33 @@ impl BatchSource for PipeConsumer {
     }
 }
 
-/// Run a kernel into the host, its output cut into full batches
-/// ([`Rechunk`]) and cut off once the cancellation rule fires.
+/// Run a kernel into the host, its output folded under the delivery rule
+/// ([`Output`]) and cut off once the cancellation rule fires.
 fn into_host<'a>(
     host: &'a SharedHost,
     cancel: &'a CancelToken,
-    kernel: impl FnOnce(&mut Rechunk<'a>) -> QResult<()>,
+    kernel: impl FnOnce(&mut Output<'a>) -> QResult<()>,
 ) -> QResult<()> {
-    let mut out = Rechunk::new(move |batch| {
+    let mut out = Output::new(move |batch| {
         host.push_cols(batch);
         !stop(cancel, host)
     });
     kernel(&mut out)?;
     out.finish();
     Ok(())
+}
+
+/// A body's next input batch, the cancellation rule polled first; a stop is
+/// `QError::Cancelled`, which the closed host already carries.
+fn next_input(
+    input: &PipeConsumer,
+    cancel: &CancelToken,
+    host: &SharedHost,
+) -> QResult<Option<Arc<ColBatch>>> {
+    if stop(cancel, host) {
+        return Err(QError::Cancelled);
+    }
+    input.recv()
 }
 
 /// A join packet's two child pipes as its kernel's inputs.
@@ -259,11 +296,7 @@ fn run_hash_join(
     let right = children.remove(0);
     let mut lease = env.ctx.governor.lease(MemClass::Hash);
     let mut build = HashJoinBuild::new(left_key);
-    loop {
-        if stop(cancel, host) {
-            return Ok(());
-        }
-        let Some(batch) = left.recv()? else { break };
+    while let Some(batch) = next_input(&left, cancel, host)? {
         build.add(&batch)?;
         if !lease.covers(build.rows()) {
             obs.mem_denied();
@@ -277,21 +310,20 @@ fn run_hash_join(
         }
     }
     let table = build.finish()?;
-    while let Some(batch) = right.recv()? {
-        if stop(cancel, host) {
-            return Ok(());
+    into_host(host, cancel, |out| {
+        while let Some(batch) = next_input(&right, cancel, host)?.filter(|_| out.is_open()) {
+            table.probe_into(&batch, right_key, out)?;
         }
-        table.probe(&batch, right_key, ColBatch::DEFAULT_CAPACITY, |out| host.push_cols(out))?;
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Hash aggregation over `Arc<ColBatch>` streams: batches fold through
 /// [`HashAgg`]'s column-run update, serially and in stream order. The group
 /// table grows under a governor lease (aggregation has no spill path, so a
 /// denied grant is counted as `mem_waited` and the update proceeds —
-/// overshoot is visible rather than silent). Output is built as a `ColBatch`
-/// and cut into full batches, so agg → sort plans stay columnar.
+/// overshoot is visible rather than silent). Output is built as one
+/// `ColBatch`, so agg → sort plans stay columnar.
 fn run_aggregate(
     input: PipeConsumer,
     group_by: &[usize],
@@ -303,10 +335,7 @@ fn run_aggregate(
 ) -> QResult<()> {
     let mut lease = env.ctx.governor.lease(MemClass::Agg);
     let mut agg = HashAgg::new(group_by.to_vec(), aggs.to_vec());
-    while let Some(batch) = input.recv()? {
-        if stop(cancel, host) {
-            return Ok(());
-        }
+    while let Some(batch) = next_input(&input, cancel, host)? {
         agg.update_cols(&batch)?;
         if !lease.covers(agg.num_groups()) {
             obs.mem_denied();
@@ -319,46 +348,21 @@ fn run_aggregate(
 // Vectorized filter / projection / sort
 // ---------------------------------------------------------------------------
 
-/// Filter over `Arc<ColBatch>` streams: each batch runs the selection-vector
-/// kernels (`Expr::eval_filter`) and is compacted once (`gather`) before
-/// broadcast — no `Tuple` is ever materialized.
-fn run_filter(
+/// Filter or projection over `Arc<ColBatch>` streams: `kernel` maps each
+/// batch column at a time (`Expr::eval_filter` and one `gather`, or
+/// `project_batch`); no `Tuple` is ever materialized.
+fn run_map(
     input: PipeConsumer,
-    predicate: &Expr,
     host: &SharedHost,
     cancel: &CancelToken,
+    kernel: impl Fn(&ColBatch) -> QResult<ColBatch>,
 ) -> QResult<()> {
-    while let Some(batch) = input.recv()? {
-        if stop(cancel, host) {
-            return Ok(());
+    into_host(host, cancel, |out| {
+        while let Some(batch) = next_input(&input, cancel, host)? {
+            out.push(kernel(&batch)?)?;
         }
-        let sel = predicate.eval_filter(&batch)?;
-        if !sel.is_empty() {
-            host.push_cols(batch.gather(&sel));
-        }
-    }
-    Ok(())
-}
-
-/// Projection over `Arc<ColBatch>` streams: the expression list is evaluated
-/// column-at-a-time (`project_batch` — an `Arc`-bump gather for plain column
-/// references).
-fn run_project(
-    input: PipeConsumer,
-    exprs: &[Expr],
-    host: &SharedHost,
-    cancel: &CancelToken,
-) -> QResult<()> {
-    while let Some(batch) = input.recv()? {
-        if stop(cancel, host) {
-            return Ok(());
-        }
-        let out = project_batch(exprs, &batch, &SelVec::all(batch.len()))?;
-        if !out.is_empty() {
-            host.push_cols(out);
-        }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Sort over `Arc<ColBatch>` streams: [`VecSort`] accumulates the batches,
@@ -372,18 +376,115 @@ fn run_sort(
     env: &OpEnv,
 ) -> QResult<()> {
     let mut sort = VecSort::new(keys, env.ctx.clone());
-    loop {
-        if stop(cancel, host) {
-            return Ok(());
-        }
-        let Some(batch) = input.recv()? else { break };
-        sort.push_cols(&batch)?;
+    while let Some(batch) = next_input(&input, cancel, host)? {
+        sort.add(&batch)?;
     }
-    sort.finish(|out| {
-        if stop(cancel, host) {
-            return false;
-        }
-        host.push_cols(out);
-        true
+    into_host(host, cancel, |out| {
+        let mut pushed = Ok(());
+        sort.finish(|batch| {
+            pushed = out.push(batch);
+            pushed.is_ok() && out.is_open()
+        })?;
+        pushed
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deadlock::{NodeId, WaitRegistry};
+    use crate::packet::QueryId;
+    use crate::pipe::{Pipe, PipeConfig, PipeProducer};
+    use qpipe_common::Value;
+
+    fn pipe_pair(capacity: usize) -> (PipeProducer, PipeConsumer) {
+        Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), Arc::new(WaitRegistry::default()))
+    }
+
+    /// A batch of one `Int` column holding `vals`.
+    fn ints(vals: std::ops::Range<i64>) -> Arc<ColBatch> {
+        Arc::new(ColBatch::from_rows(&vals.map(|v| vec![Value::Int(v)]).collect::<Vec<_>>()))
+    }
+
+    fn values(reader: PipeConsumer) -> Vec<i64> {
+        let rows = reader.collect_tuples().unwrap();
+        rows.iter().map(|r| if let Value::Int(v) = r[0] { v } else { panic!("{r:?}") }).collect()
+    }
+
+    /// A host that passes every row on, run on a thread of its own.
+    fn pass(
+        input: PipeConsumer,
+        host: &Arc<SharedHost>,
+        cancel: &CancelToken,
+    ) -> std::thread::JoinHandle<QResult<()>> {
+        let (host, cancel) = (host.clone(), cancel.clone());
+        std::thread::spawn(move || run_map(input, &host, &cancel, |batch| Ok(batch.clone())))
+    }
+
+    /// A cancelled host whose output is all pending — fewer rows than one
+    /// batch — still stops reading its input at its next input batch.
+    #[test]
+    fn a_cancelled_host_with_only_pending_output_stops_reading() {
+        let (mut input, rx) = pipe_pair(1);
+        let (output, reader) = pipe_pair(8);
+        let host = SharedHost::new(None, 0, NodeId(3), output, "filter", Metrics::new(), None);
+        let cancel = CancelToken::new();
+        let worker = pass(rx, &host, &cancel);
+        // The second send returns only once the body took the first.
+        input.push_shared(ints(0..1));
+        input.push_shared(ints(1..2));
+        cancel.cancel();
+        drop(reader);
+        let mut sent = 2;
+        while !input.abandoned() && sent < 200 {
+            input.push_shared(ints(sent..sent + 1));
+            sent += 1;
+        }
+        input.finish();
+        let result = worker.join().unwrap();
+        assert!(matches!(result, Err(QError::Cancelled)), "{result:?}");
+        assert!(sent < 200, "the cancelled host read all {sent} input batches");
+    }
+
+    /// A satellite that attaches while the host's rows are pending gets
+    /// them in the host's next push: every row exactly once, in order, as
+    /// the host's own reader does.
+    #[test]
+    fn a_satellite_attached_while_rows_are_pending_gets_every_row_once() {
+        let (mut input, rx) = pipe_pair(1);
+        let (output, own) = pipe_pair(64);
+        let window = Some(AttachWindow::UntilFirstOutput);
+        let host = SharedHost::new(window, 1, NodeId(3), output, "filter", Metrics::new(), None);
+        let worker = pass(rx, &host, &CancelToken::new());
+        // A send returns once the body took the batch before it, so the
+        // body has read past the first batch, whose 20 rows are pending, when
+        // the satellite attaches.
+        for at in [0, 20, 40] {
+            input.push_shared(ints(at..at + 20));
+        }
+        let (sat_out, sat) = pipe_pair(64);
+        let plan = Arc::new(PlanNode::scan("t"));
+        let packet = Packet {
+            query: QueryId::fresh(),
+            node: NodeId(4),
+            signature: plan.signature(),
+            plan,
+            output: Some(sat_out),
+            children: vec![],
+            cancel: CancelToken::new(),
+            probe: None,
+            trace: None,
+            split_side: None,
+        };
+        host.try_attach(packet).expect("nothing emitted yet: the window is open");
+        for at in (60..600).step_by(20) {
+            input.push_shared(ints(at..at + 20));
+        }
+        input.finish();
+        worker.join().unwrap().unwrap();
+        host.finish();
+        let all: Vec<i64> = (0..600).collect();
+        assert_eq!(values(sat), all, "the satellite");
+        assert_eq!(values(own), all, "the host's own reader");
+    }
 }

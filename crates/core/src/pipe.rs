@@ -405,8 +405,8 @@ impl Drop for PipeConsumer {
 }
 
 /// Test feed shared by this crate's unit suites: push `rows` as
-/// [`ColBatch::DEFAULT_CAPACITY`]-row batches, the way every engine producer
-/// cuts its output.
+/// [`ColBatch::DEFAULT_CAPACITY`]-row batches: full ones, the last shorter,
+/// as every engine producer's output arrives.
 #[cfg(test)]
 pub(crate) fn push_rows(producer: &mut PipeProducer, rows: &[Tuple]) {
     for chunk in rows.chunks(ColBatch::DEFAULT_CAPACITY) {

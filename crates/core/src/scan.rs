@@ -55,15 +55,15 @@
 //! # Delivery: full batches
 //!
 //! A consumer's share of a page may be a handful of rows, and every batch on
-//! the wire costs its reader a wake-up. So the scanner keeps each consumer's
-//! surviving rows pending and hands over a batch only once the consumer has
-//! at least [`ColBatch::DEFAULT_CAPACITY`] rows pending, or when it has seen
-//! its last page ([`ScanConsumer::deliver`] states the rule). A page share
-//! that is already that large, arriving with nothing pending, goes out as it
-//! is — for an unfiltered columnar page, the pool-resident `Arc` itself.
-//! Rows keep their page order. A consumer that is abandoned, or whose group
-//! fails, drops its pending rows unsent: a failed scan never reads as a
-//! shorter complete one.
+//! the wire costs its reader a wake-up. So each consumer's surviving rows go
+//! through the delivery rule every producer follows, stated once in
+//! [`Rechunk`]: a batch goes out only once the consumer has at least
+//! [`ColBatch::DEFAULT_CAPACITY`] rows pending, or when it has seen its last
+//! page. A page share that is already that large, arriving with nothing
+//! pending, goes out as it is — for an unfiltered columnar page, the
+//! pool-resident `Arc` itself. Rows keep their page order. A consumer that
+//! is abandoned, or whose group fails, drops its pending rows unsent: a
+//! failed scan never reads as a shorter complete one.
 //!
 //! Pending rows cannot wedge a query. The scanner blocks only on its own
 //! pipe sends, the buffer pool and the table lock; a consumer waiting for
@@ -76,9 +76,10 @@ use crate::pipe::PipeProducer;
 use crate::pool::WorkerPool;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
-use qpipe_common::{ColBatch, ColBatchBuilder, Metrics, QError, QResult, SelVec};
+use qpipe_common::{ColBatch, Metrics, QError, QResult, SelVec};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::ExecContext;
+use qpipe_exec::viter::Rechunk;
 use qpipe_storage::Block;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -143,7 +144,7 @@ struct ScanConsumer {
     output: PipeProducer,
     /// Rows that survived this consumer's kernel but are not sent yet (see
     /// the module docs, "Delivery: full batches").
-    pending: ColBatchBuilder,
+    pending: Rechunk,
     pages_seen: u64,
     probe: Option<Arc<OpProbe>>,
     trace: Option<Arc<QueryTrace>>,
@@ -164,43 +165,12 @@ impl ScanConsumer {
             refs,
             pruned: None,
             output: req.output,
-            pending: ColBatchBuilder::new(),
+            pending: Rechunk::default(),
             pages_seen: 0,
             probe: req.probe,
             trace: req.trace,
             satellite,
             pages_from_host: 0,
-        }
-    }
-
-    /// The delivery rule (module docs, "Delivery: full batches"): a page
-    /// share of at least [`ColBatch::DEFAULT_CAPACITY`] rows arriving with
-    /// nothing pending goes out unchanged, zero-copy; any other is appended
-    /// to the pending rows, which go out once they reach that many. A width
-    /// that disagrees with the pending rows fails the group.
-    fn deliver(&mut self, share: Arc<ColBatch>) -> QResult<()> {
-        if self.pending.is_empty() && share.len() >= ColBatch::DEFAULT_CAPACITY {
-            self.send(share);
-            return Ok(());
-        }
-        if !self.pending.append(&share) {
-            return Err(QError::Exec(format!(
-                "scan of width {} cannot join {} pending rows of another width",
-                share.num_cols(),
-                self.pending.len()
-            )));
-        }
-        if self.pending.len() >= ColBatch::DEFAULT_CAPACITY {
-            self.flush();
-        }
-        Ok(())
-    }
-
-    /// Send whatever rows are pending, as one batch.
-    fn flush(&mut self) {
-        if !self.pending.is_empty() {
-            let rows = std::mem::take(&mut self.pending).finish();
-            self.send(Arc::new(rows));
         }
     }
 
@@ -216,7 +186,9 @@ impl ScanConsumer {
     /// The consumer has seen its last page (or the table has none): send
     /// its pending rows, stamp its completion events and end its stream.
     fn complete(mut self) {
-        self.flush();
+        if let Some(last) = self.pending.take() {
+            self.send(last);
+        }
         self.note_detach();
         self.output.finish();
     }
@@ -547,11 +519,11 @@ impl ScanManager {
 
     /// Serve one claimed page on the scanner: fetch + decode it once,
     /// then run every consumer's predicate/projection kernel over the shared
-    /// batch and deliver the result under the full-batch rule
-    /// ([`ScanConsumer::deliver`]): it is sent, or kept pending until the
-    /// consumer has a full batch. A consumer that has now seen every page
-    /// sends what is pending and leaves `consumers`; one that was abandoned
-    /// leaves with its pending rows dropped. Returns whether any left.
+    /// batch and deliver the result under the delivery rule ([`Rechunk`]):
+    /// it is sent, or kept pending until the consumer has a full batch. A
+    /// consumer that has now seen every page sends what is pending and
+    /// leaves `consumers`; one that was abandoned leaves with its pending
+    /// rows dropped. Returns whether any left.
     ///
     /// The page's I/O wait and decode time are charged to the host's probe,
     /// each consumer's kernel time to its own (tracing off: one `Option`
@@ -602,8 +574,8 @@ impl ScanManager {
                 }
                 None => c.page_kernel(&page, pruned, position),
             }?;
-            if let Some(share) = delivery {
-                c.deliver(share)?;
+            if let Some(full) = delivery.map(|share| c.pending.push(share)).transpose()?.flatten() {
+                c.send(full);
             }
             if c.satellite {
                 c.pages_from_host += 1;

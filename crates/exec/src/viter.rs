@@ -8,8 +8,10 @@
 //!   kernels, match pairs as index vectors, output as `take`-gathers plus an
 //!   `hcat`. A build the governor refuses goes to [`grace_hash_join`].
 //! * [`merge_join`] (restarting at a circular scan's wrap, §4.3.2) and
-//!   [`nested_loop_join`] emit the same `take` + `hcat` shape, cut into full
-//!   batches by [`Rechunk`]. [`PageRangeReader`] reads index scans' pages.
+//!   [`nested_loop_join`] emit the same `take` + `hcat` shape into an
+//!   [`Output`], which folds it under [`Rechunk`] — the delivery rule every
+//!   producer follows, the scanner included. [`PageRangeReader`] reads index
+//!   scans' pages.
 //! * [`HashAgg`] — grouped aggregate update over column runs: group ids
 //!   come from typed key hashes and typed slot equality (a key becomes
 //!   `Value`s once per group, never per row), aggregate inputs are evaluated
@@ -175,6 +177,19 @@ impl HashJoinTable {
         }
         Ok(())
     }
+
+    /// [`probe`](Self::probe) into `out`, cut only past the probe batch's
+    /// length: a 1:1 join sends one batch per probe batch, never cut and
+    /// then copied back together.
+    pub fn probe_into(&self, probe: &ColBatch, key: usize, out: &mut Output<'_>) -> QResult<()> {
+        let mut pushed = Ok(());
+        self.probe(probe, key, probe.len().max(ColBatch::DEFAULT_CAPACITY), |joined| {
+            if pushed.is_ok() {
+                pushed = out.push(joined);
+            }
+        })?;
+        pushed
+    }
 }
 
 fn key_col(batch: &ColBatch, key: usize) -> QResult<&Column> {
@@ -193,7 +208,7 @@ pub fn grace_hash_join(
     [mut left, mut right]: [Source<'_>; 2],
     right_key: usize,
     ctx: &ExecContext,
-    out: &mut Rechunk<'_>,
+    out: &mut Output<'_>,
 ) -> QResult<()> {
     let (left_key, disk) = (buffered.key, ctx.catalog.disk());
     let build = std::iter::once(Ok(Arc::new(buffered.builder.finish()))).chain(batches(&mut *left));
@@ -210,13 +225,7 @@ pub fn grace_hash_join(
         }
         let (table, mut reader) = (table.finish()?, p.reader());
         while let Some(batch) = reader.next_batch()?.filter(|_| out.is_open()) {
-            let mut pushed = Ok(());
-            table.probe(&batch, right_key, ColBatch::DEFAULT_CAPACITY, |joined| {
-                if pushed.is_ok() {
-                    pushed = out.push(joined);
-                }
-            })?;
-            pushed?;
+            table.probe_into(&batch, right_key, out)?;
         }
     }
     Ok(())
@@ -482,14 +491,15 @@ pub trait BatchSource {
 /// An owned [`BatchSource`].
 pub type Source<'a> = Box<dyn BatchSource + 'a>;
 
-/// Cuts a kernel's output into [`ColBatch::DEFAULT_CAPACITY`]-row batches (the
-/// last one shorter) for a sink that answers `false` once nobody wants more.
-/// A batch's full slices go straight out; a short one waits as it came, and
-/// is copied only when another batch has to join it.
-pub struct Rechunk<'a> {
+/// The delivery rule every batch producer follows, stated once: a batch of
+/// at least [`ColBatch::DEFAULT_CAPACITY`] rows arriving with nothing pending
+/// goes out as it is, the same `Arc`; any other joins the pending rows, which
+/// go out as one batch once they hold that many, or at the end of the stream
+/// ([`Rechunk::take`]). So no batch on a pipe is short but a stream's last. A
+/// short batch waits as it came, copied only when another has to join it.
+#[derive(Default)]
+pub struct Rechunk {
     pending: Pending,
-    sink: Box<dyn FnMut(ColBatch) -> bool + 'a>,
-    open: bool,
 }
 
 /// The rows a [`Rechunk`] has not sent yet.
@@ -497,52 +507,30 @@ pub struct Rechunk<'a> {
 enum Pending {
     #[default]
     None,
-    Tail(ColBatch),
+    Tail(Arc<ColBatch>),
     Joined(ColBatchBuilder),
 }
 
-impl<'a> Rechunk<'a> {
-    pub fn new(sink: impl FnMut(ColBatch) -> bool + 'a) -> Self {
-        Self { pending: Pending::None, sink: Box::new(sink), open: true }
-    }
-
-    /// Whether the sink still takes output.
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-
-    /// Queue `batch` and send every full batch. Errs when the width changes:
-    /// one output stream has one width.
-    pub fn push(&mut self, batch: ColBatch) -> QResult<()> {
-        const CAP: usize = ColBatch::DEFAULT_CAPACITY;
+impl Rechunk {
+    /// Fold `batch` in: the batch to send now, if the rule sends one. Errs
+    /// when the width changes: one output stream has one width.
+    pub fn push(&mut self, batch: Arc<ColBatch>) -> QResult<Option<Arc<ColBatch>>> {
         if batch.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
-        let joined = match std::mem::take(&mut self.pending) {
-            Pending::None => Some(batch),
+        let mut joined = match std::mem::take(&mut self.pending) {
+            Pending::None if batch.len() >= ColBatch::DEFAULT_CAPACITY => return Ok(Some(batch)),
+            Pending::None => {
+                self.pending = Pending::Tail(batch);
+                return Ok(None);
+            }
             Pending::Tail(tail) => {
                 let mut joined = ColBatchBuilder::new();
                 let _fresh_builder_takes_any_width = joined.append(&tail);
-                self.join(joined, batch)?
+                joined
             }
-            Pending::Joined(joined) => self.join(joined, batch)?,
+            Pending::Joined(joined) => joined,
         };
-        let Some(mut joined) = joined else { return Ok(()) };
-        let mut at = 0;
-        while self.open && joined.len() - at >= CAP {
-            self.open = (self.sink)(joined.slice(at, CAP));
-            at += CAP;
-        }
-        if at < joined.len() {
-            joined = if at == 0 { joined } else { joined.slice(at, joined.len() - at) };
-            self.pending = Pending::Tail(joined);
-        }
-        Ok(())
-    }
-
-    /// `joined` plus `batch` as one batch once that reaches full size; short
-    /// of it, `None`, and the rows stay pending.
-    fn join(&mut self, mut joined: ColBatchBuilder, batch: ColBatch) -> QResult<Option<ColBatch>> {
         if !joined.append(&batch) {
             let width = batch.num_cols();
             return Err(QError::Exec(format!("output changed width to {width} columns")));
@@ -551,17 +539,48 @@ impl<'a> Rechunk<'a> {
             self.pending = Pending::Joined(joined);
             return Ok(None);
         }
-        Ok(Some(joined.finish()))
+        Ok(Some(Arc::new(joined.finish())))
     }
 
-    /// Send the last, partial batch.
+    /// The rows still pending, as one batch: the end of the stream.
+    pub fn take(&mut self) -> Option<Arc<ColBatch>> {
+        match std::mem::take(&mut self.pending) {
+            Pending::None => None,
+            Pending::Tail(tail) => Some(tail),
+            Pending::Joined(joined) => Some(Arc::new(joined.finish())),
+        }
+    }
+}
+
+/// A kernel's output: its batches folded under [`Rechunk`]'s rule on their
+/// way to a sink that answers `false` once nobody wants more.
+pub struct Output<'a> {
+    rule: Rechunk,
+    sink: Box<dyn FnMut(Arc<ColBatch>) -> bool + 'a>,
+    open: bool,
+}
+
+impl<'a> Output<'a> {
+    pub fn new(sink: impl FnMut(Arc<ColBatch>) -> bool + 'a) -> Self {
+        Self { rule: Rechunk::default(), sink: Box::new(sink), open: true }
+    }
+
+    /// Whether the sink still takes output.
+    pub fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Fold `batch` in and send what the rule sends.
+    pub fn push(&mut self, batch: impl Into<Arc<ColBatch>>) -> QResult<()> {
+        if let Some(full) = self.rule.push(batch.into())?.filter(|_| self.open) {
+            self.open = (self.sink)(full);
+        }
+        Ok(())
+    }
+
+    /// Send the pending rows: the end of the stream.
     pub fn finish(mut self) {
-        let last = match std::mem::take(&mut self.pending) {
-            Pending::None => return,
-            Pending::Tail(tail) => tail,
-            Pending::Joined(joined) => joined.finish(),
-        };
-        if self.open {
+        if let Some(last) = self.rule.take().filter(|_| self.open) {
             (self.sink)(last);
         }
     }
@@ -683,7 +702,7 @@ pub fn merge_join<'a>(
     [left_key, right_key]: [usize; 2],
     split: Option<usize>,
     mut reread: impl FnMut(usize) -> QResult<Source<'a>>,
-    out: &mut Rechunk<'_>,
+    out: &mut Output<'_>,
 ) -> QResult<()> {
     let sides = [MergeSide::new(left, left_key), MergeSide::new(right, right_key)];
     let mut join = MergeJoin { sides, pairs: [Vec::new(), Vec::new()] };
@@ -775,7 +794,7 @@ struct MergeJoin<'a> {
 }
 
 impl MergeJoin<'_> {
-    fn flush(&mut self, out: &mut Rechunk<'_>) -> QResult<()> {
+    fn flush(&mut self, out: &mut Output<'_>) -> QResult<()> {
         if self.pairs[0].is_empty() {
             return Ok(());
         }
@@ -786,7 +805,7 @@ impl MergeJoin<'_> {
     }
 
     /// Make row `pos` of side `s` readable; `false` at the segment's end.
-    fn ready(&mut self, s: usize, out: &mut Rechunk<'_>) -> QResult<bool> {
+    fn ready(&mut self, s: usize, out: &mut Output<'_>) -> QResult<bool> {
         while self.sides[s].pos >= self.sides[s].cur.len() {
             self.flush(out)?;
             let Some(batch) = self.sides[s].next()? else { return Ok(false) };
@@ -798,7 +817,7 @@ impl MergeJoin<'_> {
     /// One past side `s`'s key group at `pos`. A group that runs on into the
     /// batches after the window carries over: the window becomes the group
     /// plus those batches, each appended once.
-    fn group_end(&mut self, s: usize, out: &mut Rechunk<'_>) -> QResult<usize> {
+    fn group_end(&mut self, s: usize, out: &mut Output<'_>) -> QResult<usize> {
         let side = &self.sides[s];
         let (pos, kc) = (side.pos, key_col(&side.cur, side.key)?);
         let group = kc.take(&[pos as u32]);
@@ -843,7 +862,7 @@ impl MergeJoin<'_> {
     /// their ends while output is wanted: whether a segment ended at a wrap
     /// is known only there. (A re-read of a sorted table is read no further
     /// than the join needs.)
-    fn segment(&mut self, out: &mut Rechunk<'_>, drain: [bool; 2]) -> QResult<()> {
+    fn segment(&mut self, out: &mut Output<'_>, drain: [bool; 2]) -> QResult<()> {
         while out.is_open() && self.ready(0, out)? && self.ready(1, out)? {
             let [l, r] = &self.sides;
             let (lk, rk) = (key_col(&l.cur, l.key)?, key_col(&r.cur, r.key)?);
@@ -876,24 +895,20 @@ impl MergeJoin<'_> {
     }
 }
 
-/// Nested-loop join: the right input is buffered, cut into
-/// [`ColBatch::DEFAULT_CAPACITY`]-row slices, then each left row is crossed
-/// with every slice and the joined rows filtered by `predicate` — left row by
-/// left row, as the iterator's nested-loop join emits them.
+/// Nested-loop join: the right input is buffered as full batches
+/// ([`Rechunk`]), then each left row is crossed with every one of them and
+/// the joined rows filtered by `predicate` — left row by left row, as the
+/// iterator's nested-loop join emits them.
 pub fn nested_loop_join(
     [mut left, mut right]: [Source<'_>; 2],
     predicate: &Expr,
-    out: &mut Rechunk<'_>,
+    out: &mut Output<'_>,
 ) -> QResult<()> {
-    let mut slices = Vec::new();
-    let mut cut = Rechunk::new(|slice| {
-        slices.push(slice);
-        true
-    });
+    let (mut slices, mut rule) = (Vec::new(), Rechunk::default());
     while let Some(batch) = right.next_batch()? {
-        cut.push(Arc::unwrap_or_clone(batch))?;
+        slices.extend(rule.push(batch)?);
     }
-    cut.finish();
+    slices.extend(rule.take());
     while let Some(batch) = left.next_batch()? {
         for row in 0..batch.len() as u32 {
             for slice in &slices {
@@ -1043,8 +1058,8 @@ mod tests {
         let src =
             |batches: Vec<ColBatch>| -> Source<'static> { Box::new(Batches(batches.into_iter())) };
         let mut outputs = Vec::new();
-        let mut out = Rechunk::new(|b| {
-            outputs.push(b);
+        let mut out = Output::new(|b| {
+            outputs.push(Arc::unwrap_or_clone(b));
             true
         });
         let reread = |side: usize| Ok(src(vec![batch(&tables[side])]));
@@ -1103,7 +1118,7 @@ mod tests {
         let expected = merge_iter(&left, &right);
         assert_eq!(expected.len(), 5 * 4 + 30 * 20 + 1);
         assert_eq!(got, expected, "same pairs, left row by left row");
-        assert_eq!(sizes, [256, 256, 109], "full batches, the last one shorter");
+        assert_eq!(sizes, [276, 256, 89], "full batches, the last one shorter");
     }
 
     #[test]
@@ -1120,7 +1135,7 @@ mod tests {
     fn rechunk_sends_full_batches_and_copies_only_to_join_short_ones() {
         let run = |sizes: &[usize]| {
             let mut sent = Vec::new();
-            let mut out = Rechunk::new(|b: ColBatch| {
+            let mut out = Output::new(|b| {
                 sent.push((b.len(), b.columns()[0].value(0)));
                 true
             });
@@ -1135,9 +1150,17 @@ mod tests {
         };
         let int = Value::Int;
         assert_eq!(run(&[40]), [(40, int(0))], "a short batch alone goes out as it came");
-        assert_eq!(run(&[600]), [(256, int(0)), (256, int(256)), (88, int(512))]);
-        assert_eq!(run(&[200, 100, 0, 300]), [(256, int(0)), (256, int(256)), (88, int(512))]);
-        let mut out = Rechunk::new(|_| true);
+        assert_eq!(run(&[600]), [(600, int(0))], "a long batch goes out whole");
+        assert_eq!(run(&[200, 100, 0, 300]), [(300, int(0)), (300, int(300))]);
+        // With nothing pending, a full batch and a lone short one go out uncopied.
+        let mut rule = Rechunk::default();
+        let full = Arc::new(batch(&(0..256).map(|v| vec![int(v)]).collect::<Vec<_>>()));
+        let sent = rule.push(full.clone()).unwrap().expect("a full batch goes out at once");
+        assert!(Arc::ptr_eq(&sent, &full), "the full batch was copied");
+        let short = Arc::new(batch(&[vec![int(1)]]));
+        assert!(rule.push(short.clone()).unwrap().is_none(), "a short batch waits");
+        assert!(Arc::ptr_eq(&rule.take().expect("the tail"), &short), "the tail was copied");
+        let mut out = Output::new(|_| true);
         out.push(batch(&[vec![int(1)]])).unwrap();
         let err = out.push(batch(&[vec![int(1), int(2)]])).unwrap_err();
         assert!(matches!(err, QError::Exec(_)), "one stream, one width: {err:?}");

@@ -75,7 +75,7 @@ impl VecSort {
     /// width disagrees with earlier input: one stream has one width, so a
     /// mismatch is a broken producer and fails the sort rather than misalign
     /// columns.
-    pub fn push_cols(&mut self, batch: &ColBatch) -> QResult<()> {
+    pub fn add(&mut self, batch: &ColBatch) -> QResult<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -267,7 +267,7 @@ mod tests {
     fn vec_sort(rows: &[Tuple], keys: &[SortKey], ctx: &ExecContext, chunk: usize) -> Vec<Tuple> {
         let mut vs = VecSort::new(keys, ctx.clone());
         for window in rows.chunks(chunk.max(1)) {
-            vs.push_cols(&ColBatch::from_rows(window)).unwrap();
+            vs.add(&ColBatch::from_rows(window)).unwrap();
         }
         let mut out = Vec::new();
         vs.finish(|b| {
@@ -325,7 +325,7 @@ mod tests {
         let mut vs = VecSort::new(&[SortKey::asc(0)], ctx.clone());
         let rows: Vec<Tuple> = (0..200).map(|i| vec![Value::Int(i)]).collect();
         for window in rows.chunks(50) {
-            vs.push_cols(&ColBatch::from_rows(window)).unwrap();
+            vs.add(&ColBatch::from_rows(window)).unwrap();
         }
         assert!(disk.file_count() > baseline, "runs spilled");
         let mut emitted = 0;
@@ -343,8 +343,8 @@ mod tests {
         let ctx = ctx_with_budget(8);
         let mut vs = VecSort::new(&[SortKey::asc(0)], ctx);
         let wide: Vec<Tuple> = (0..20).map(|i| vec![Value::Int(i), Value::Int(0)]).collect();
-        vs.push_cols(&ColBatch::from_rows(&wide)).unwrap();
-        let err = vs.push_cols(&ColBatch::from_rows(&[vec![Value::Int(1)]])).unwrap_err();
+        vs.add(&ColBatch::from_rows(&wide)).unwrap();
+        let err = vs.add(&ColBatch::from_rows(&[vec![Value::Int(1)]])).unwrap_err();
         assert!(matches!(err, QError::Exec(_)), "got {err:?}");
         assert_eq!(vs.rows(), 20, "the refused batch appended nothing");
     }

@@ -1160,7 +1160,7 @@ fn vectorized_sort_is_bit_identical_to_sort_iter() {
             while at < rows.len() {
                 let take = rng.gen_range(1..=40).min(rows.len() - at);
                 use qpipe::common::colbatch::ColBatch;
-                vs.push_cols(&ColBatch::from_rows(&rows[at..at + take])).unwrap();
+                vs.add(&ColBatch::from_rows(&rows[at..at + take])).unwrap();
                 at += take;
             }
             let mut got = Vec::new();

@@ -143,6 +143,38 @@ fn rows_pending_in_a_scanner_do_not_wedge_a_self_join() {
     assert!(snap.deadlocks_resolved >= 1, "the join/scanner cycle was broken");
 }
 
+/// Rows a host keeps pending cannot wedge a query either. The build side of
+/// a hash self-join is a selective filter host, whose 250 surviving rows
+/// stay pending until its input ends; one scan group feeds it and the probe
+/// side, whose single-batch pipe fills at once. The join waits on the
+/// filter, the filter on the scanner, the scanner on the join: the cycle
+/// must be broken well before the deadline, and the answer must be the
+/// oracle's.
+#[test]
+fn rows_pending_in_a_filter_host_do_not_wedge_a_self_join() {
+    let catalog = qpipe::quick_system(DiskConfig::instant(), 64);
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let rows = (0..20_000).map(|i| vec![Value::Int(i % 500), Value::Int(i)]).collect();
+    catalog.create_table("t", schema, rows, None).unwrap();
+    let build = PlanNode::scan("t").filter(Expr::col(1).lt(Expr::lit(250)));
+    let plan = build.hash_join(PlanNode::scan("t"), 0, 0);
+    let expected = qpipe::exec::iter::run(&plan, &ExecContext::new(catalog.clone())).unwrap();
+    let config = QPipeConfig {
+        pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
+        exec: ExecConfig { query_deadline: Some(Duration::from_secs(60)), ..ExecConfig::default() },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(catalog.clone(), config);
+    let gate = catalog.locks().lock_exclusive("t");
+    let handle = engine.submit(plan).unwrap();
+    drop(gate);
+    let got = handle.try_collect().expect("the query must finish before its deadline");
+    assert_rows_equivalent(got, expected, "hash self-join over a filter host");
+    let snap = engine.metrics().snapshot();
+    assert_eq!(snap.osp_attaches, 1, "the probe-side scan rode the build side's group");
+    assert!(snap.deadlocks_resolved >= 1, "the join/filter/scanner cycle was broken");
+}
+
 #[test]
 fn tiny_pipes_with_sharing_never_wedge() {
     // The harshest liveness configuration: single-batch pipes, aggressive

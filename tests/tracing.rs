@@ -1,14 +1,15 @@
 //! End-to-end tracing/profiling coverage: a Q1-shaped query's
 //! `QueryProfile` must agree with the engine-global `Metrics` counters, an
 //! OSP-shared scan pair must show host-served pages on the satellite's
-//! profile and journal, and `tracing=false` must record nothing while
-//! leaving results bit-identical.
+//! profile and journal, every join, filter and projection host must send
+//! full batches, and `tracing=false` must record nothing while leaving
+//! results bit-identical.
 
-use qpipe::common::trace::TraceEvent;
+use qpipe::common::trace::{QueryProfile, TraceEvent};
 use qpipe::prelude::*;
 use qpipe::quick_system;
 use qpipe::storage::StorageLayout;
-use qpipe_workloads::tpch::{build_tpch_with_layout, q1, q6, TpchScale};
+use qpipe_workloads::tpch::{build_tpch_with_layout, q1, q19, q6, q8, TpchScale};
 use std::sync::Arc;
 
 fn columnar_catalog() -> Arc<Catalog> {
@@ -80,6 +81,31 @@ fn q1_profile_rows_match_metrics_counters() {
     let text = q1(90).explain_analyze(&profile);
     assert!(text.contains("agg"), "{text}");
     assert!(text.contains("rows"), "{text}");
+}
+
+/// Every host sends full batches, as the scanner does: in Q8's five hash
+/// joins and its projection, and in Q19's join and filter, every batch but
+/// a node's last carries at least `DEFAULT_CAPACITY` rows.
+#[test]
+fn join_filter_and_project_hosts_send_full_batches() {
+    fn check(node: &QueryProfile, seen: &mut Vec<&'static str>) {
+        if matches!(node.op, "hashjoin" | "project" | "filter") {
+            let full = node.stats.rows / ColBatch::DEFAULT_CAPACITY as u64;
+            assert!((1..=full + 1).contains(&node.stats.batches), "{node:?}");
+            seen.push(node.op);
+        }
+        node.children.iter().for_each(|c| check(c, seen));
+    }
+    let engine = QPipe::new(columnar_catalog(), tracing_config(true));
+    for (plan, hosts) in [(q8(1, "PROMO BURNISHED COPPER"), 6), (q19("Brand#11", "Brand#23", 5), 2)]
+    {
+        let handle = engine.submit(plan).unwrap();
+        let tree = handle.probe_tree().expect("tracing on");
+        assert!(!handle.try_collect().unwrap().is_empty());
+        let mut seen = Vec::new();
+        check(&tree.snapshot(), &mut seen);
+        assert_eq!(seen.len(), hosts, "{seen:?}");
+    }
 }
 
 /// Two q6-shaped queries with different predicates share one physical
