@@ -138,6 +138,7 @@ struct MetricsInner {
     plan_canonical_hits: AtomicU64,
     pool_queue_depth: AtomicU64,
     morsels_dispatched: AtomicU64,
+    scan_pages_read_ahead: AtomicU64,
     worker_busy_ns: AtomicU64,
     query_latency_interactive_us: Histogram,
     query_latency_batch_us: Histogram,
@@ -223,6 +224,9 @@ pub struct MetricsSnapshot {
     /// Pages the circular scanners claimed: one per page a scanner thread
     /// takes under its group lock, fetches and serves to its consumers.
     pub morsels_dispatched: u64,
+    /// Pages whose read a scanner issued before claiming them: the read of
+    /// page p + 1, issued while page p is decoded and served.
+    pub scan_pages_read_ahead: u64,
     /// Nanoseconds pool workers spent executing jobs, summed across every
     /// pool (per-µEngine split in `per_engine_busy_ns`).
     pub worker_busy_ns: u64,
@@ -367,6 +371,12 @@ impl Metrics {
         self.inner.morsels_dispatched.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one page whose read a scanner issued ahead of its claim
+    /// (`scan_pages_read_ahead`).
+    pub fn add_scan_page_read_ahead(&self) {
+        self.inner.scan_pages_read_ahead.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record `ns` nanoseconds of job execution on pool `name`'s workers.
     pub fn add_worker_busy_ns(&self, name: &str, ns: u64) {
         self.inner.worker_busy_ns.fetch_add(ns, Ordering::Relaxed);
@@ -443,6 +453,7 @@ impl Metrics {
             ("plan_canonical_hits", s.plan_canonical_hits),
             ("pool_queue_depth", s.pool_queue_depth),
             ("morsels_dispatched", s.morsels_dispatched),
+            ("scan_pages_read_ahead", s.scan_pages_read_ahead),
             ("worker_busy_ns", s.worker_busy_ns),
         ] {
             let _ = writeln!(out, "# TYPE qpipe_{name} counter");
@@ -512,6 +523,7 @@ impl Metrics {
             plan_canonical_hits: i.plan_canonical_hits.load(Ordering::Relaxed),
             pool_queue_depth: i.pool_queue_depth.load(Ordering::Relaxed),
             morsels_dispatched: i.morsels_dispatched.load(Ordering::Relaxed),
+            scan_pages_read_ahead: i.scan_pages_read_ahead.load(Ordering::Relaxed),
             worker_busy_ns: i.worker_busy_ns.load(Ordering::Relaxed),
             query_latency_interactive_us: i.query_latency_interactive_us.summary(),
             query_latency_batch_us: i.query_latency_batch_us.summary(),
@@ -606,6 +618,7 @@ impl MetricsSnapshot {
             plan_canonical_hits: self.plan_canonical_hits - earlier.plan_canonical_hits,
             pool_queue_depth: self.pool_queue_depth.saturating_sub(earlier.pool_queue_depth),
             morsels_dispatched: self.morsels_dispatched - earlier.morsels_dispatched,
+            scan_pages_read_ahead: self.scan_pages_read_ahead - earlier.scan_pages_read_ahead,
             worker_busy_ns: self.worker_busy_ns - earlier.worker_busy_ns,
             query_latency_interactive_us: self
                 .query_latency_interactive_us

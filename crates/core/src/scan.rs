@@ -12,9 +12,15 @@
 //! degenerates to buffer-pool timing — the paper's Baseline.
 //!
 //! The scanner is the group's only reader: it claims one page at a time,
-//! fetches and decodes it, and runs every consumer's kernel itself, so the
-//! group reads its file in page order — which the disk charges as sequential
-//! reads (`disk_seq_reads`) rather than seeks.
+//! waits for the page's read, issues the read of the page after it (when an
+//! enrolled consumer still needs one), then decodes the page and runs every
+//! consumer's kernel itself. So the disk moves page p + 1 while the scanner
+//! works on page p, as the paper's circular scan overlaps its disk with its
+//! CPU, and the group still reads its file in page order, one read ahead —
+//! which the disk charges as sequential reads (`disk_seq_reads`) rather than
+//! seeks. The read ahead belongs to the buffer pool, not to the scanner
+//! (`BufferPool::prefetch`): whoever asks for that page next completes it,
+//! so a scanner parked on a full pipe holds up no other reader.
 //!
 //! # Scan start and attach rules
 //!
@@ -476,8 +482,9 @@ impl ScanManager {
         }
     }
 
-    /// Fetch + decode one page for the scanner. Returns the shared batch and
-    /// whether it carries only the pruned column union. The page's layout
+    /// Fetch + decode one page for the scanner, issuing page `ahead`'s read
+    /// between the two. Returns the shared batch and whether it carries only
+    /// the pruned column union. The page's layout
     /// alone picks the decoder: a columnar page's full materialization is
     /// the pool-resident `Arc` itself — it goes on the wire as it is, no
     /// per-page wrapper, no copy — and a slotted page decodes its records
@@ -494,12 +501,17 @@ impl ScanManager {
         &self,
         file: qpipe_storage::FileId,
         position: u64,
+        ahead: Option<u64>,
         union: Option<&[usize]>,
         staggered: bool,
     ) -> QResult<(Arc<ColBatch>, bool, FetchObs)> {
+        let pool = self.ctx.catalog.pool();
         let started = std::time::Instant::now();
-        let (block, retries) = self.ctx.catalog.pool().get_observed(file, position)?;
+        let (block, retries) = pool.get_observed(file, position)?;
         let fetch_ns = started.elapsed().as_nanos() as u64;
+        if ahead.is_some_and(|next| pool.prefetch(file, next)) {
+            self.metrics.add_scan_page_read_ahead();
+        }
         let narrower =
             |u: &[usize], width: usize| u.len() < width && u.last().is_none_or(|&c| c < width);
         // A staggered group keeps a columnar page whole: its pool-resident
@@ -517,17 +529,18 @@ impl ScanManager {
         Ok((batch, pruned, FetchObs { fetch_ns, decode_ns, retries }))
     }
 
-    /// Serve one claimed page on the scanner: fetch + decode it once,
-    /// then run every consumer's predicate/projection kernel over the shared
+    /// Serve one claimed page on the scanner: fetch + decode it once (with
+    /// the next page's read issued in between), then run every consumer's
+    /// predicate/projection kernel over the shared
     /// batch and deliver the result under the delivery rule ([`Rechunk`]):
     /// it is sent, or kept pending until the consumer has a full batch. A
     /// consumer that has now seen every page sends what is pending and
     /// leaves `consumers`; one that was abandoned leaves with its pending
     /// rows dropped. Returns whether any left.
     ///
-    /// The page's I/O wait and decode time are charged to the host's probe,
-    /// each consumer's kernel time to its own (tracing off: one `Option`
-    /// branch per consumer).
+    /// The time the page's read was actually waited for and the decode time
+    /// are charged to the host's probe, each consumer's kernel time to its
+    /// own (tracing off: one `Option` branch per consumer).
     fn serve_page(
         &self,
         file: qpipe_storage::FileId,
@@ -537,7 +550,14 @@ impl ScanManager {
         staggered: bool,
         consumers: &mut Vec<ScanConsumer>,
     ) -> QResult<bool> {
-        let (page, pruned, fetch) = self.fetch_page(file, position, union, staggered)?;
+        // Read ahead only a page some enrolled consumer will still take:
+        // never past a lone scan's last page, and past the file's last page
+        // only when a staggered consumer wraps to page 0.
+        let ahead = consumers
+            .iter()
+            .any(|c| c.pages_seen + 1 < num_pages)
+            .then_some((position + 1) % num_pages);
+        let (page, pruned, fetch) = self.fetch_page(file, position, ahead, union, staggered)?;
         // The host is the first non-satellite consumer — the scan reads disk
         // on its behalf — or any consumer once the host has finished and
         // satellites are wrapping. A probe's busy time is total − waits, so
@@ -600,10 +620,10 @@ impl ScanManager {
     ///
     /// Each iteration adopts newcomers and claims one page under the group
     /// lock — advancing the position *at claim time*, so the attach rules
-    /// see the truth — then serves that page itself. One reader
-    /// takes the file in page order, which the disk charges as sequential
-    /// reads; attach/detach, column-union pruning and failure are all
-    /// decided here, between pages.
+    /// see the truth — then serves that page itself, issuing the next
+    /// page's read once this one's is in. One reader takes the file in page
+    /// order, which the disk charges as sequential reads; attach/detach,
+    /// column-union pruning and failure are all decided here, between pages.
     fn run_scanner(&self, group: &Arc<ScanGroup>, file: qpipe_storage::FileId, num_pages: u64) {
         // Shared table lock held for the whole scan (§4.3.4: if the table is
         // locked for writing, the scan — and all its satellites — waits).
@@ -741,8 +761,9 @@ impl Drop for ScannerJob {
 }
 
 /// Observations for one fetched page: wall time spent in the buffer pool
-/// (miss ⇒ simulated disk read), then decoding the block into the shared
-/// batch, and verified-read retries.
+/// (a miss waits for what is left of the page's disk read — nothing, when
+/// its read ahead is already in), then issuing the next page's read and
+/// decoding the block into the shared batch, and verified-read retries.
 struct FetchObs {
     fetch_ns: u64,
     decode_ns: u64,
@@ -913,6 +934,113 @@ mod tests {
         assert_eq!(d.disk_blocks_read, pages, "a cold pool: every page from disk, once");
         assert_eq!(d.disk_seq_reads, pages - 1, "only the first read seeks");
         assert_eq!(d.morsels_dispatched, pages, "one claim per page");
+    }
+
+    /// The same cold scan reads every page after the first ahead: page p + 1
+    /// is issued while page p is served, and nothing past the last page.
+    #[test]
+    fn lone_cold_scan_reads_every_page_after_the_first_ahead() {
+        let (ctx, m) = ctx_with_table(5000);
+        let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
+        ctx.catalog.pool().clear();
+        let before = m.snapshot();
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::default());
+        let (req, consumer) = request(&reg, false, false);
+        mgr.submit(req).unwrap();
+        assert_eq!(consumer.collect_tuples().unwrap().len(), 5000);
+        let d = m.snapshot().delta_since(&before);
+        assert_eq!(d.scan_pages_read_ahead, pages - 1, "every page but the first read ahead");
+        assert_eq!(d.disk_blocks_read, pages, "and no page past the last");
+        assert_eq!(d.bp_misses, pages, "one miss per page, counted at issue");
+        assert_eq!(d.bp_hits, 0, "completing a read ahead is no hit");
+    }
+
+    /// A scan of a resident table issues nothing: each page still costs one
+    /// pool lookup, and the read ahead finds the next page resident.
+    #[test]
+    fn scan_of_a_resident_table_reads_nothing_ahead() {
+        let (ctx, m) = ctx_with_table(5000);
+        let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::default());
+        let (warm, c) = request(&reg, false, false);
+        mgr.submit(warm).unwrap();
+        assert_eq!(c.collect_tuples().unwrap().len(), 5000);
+        let before = m.snapshot();
+        let (req, c) = request(&reg, false, false);
+        mgr.submit(req).unwrap();
+        assert_eq!(c.collect_tuples().unwrap().len(), 5000);
+        let d = m.snapshot().delta_since(&before);
+        assert_eq!(d.scan_pages_read_ahead, 0);
+        assert_eq!((d.disk_blocks_read, d.bp_misses, d.bp_hits), (0, 0, pages));
+    }
+
+    /// `t(k)` of 50 000 rows — far more pages than the pool's 4 frames, so a
+    /// scan that wraps reads its early pages from disk again.
+    fn ctx_with_evicting_table() -> (ExecContext, Metrics) {
+        let schema = Schema::of(&[("k", DataType::Int)]);
+        let rows = (0..50_000).map(|i| vec![Value::Int(i)]).collect();
+        ctx_with("t", schema, rows, 4, qpipe_storage::StorageLayout::Row)
+    }
+
+    /// A staggered group reads page 0 ahead after the file's last page only
+    /// because the latecomer still needs it: every disk read after the
+    /// scan's first was issued ahead, the wrapped re-reads included, and
+    /// nothing past the latecomer's last page was.
+    #[test]
+    fn staggered_group_reads_page_0_ahead_only_for_a_consumer_that_needs_it() {
+        let (ctx, m) = ctx_with_evicting_table();
+        let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
+        ctx.catalog.pool().clear();
+        let before = m.snapshot();
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::default());
+        // The host parks on its undrained 2-batch pipe a few pages in.
+        let (host, host_rows) = request_cap(&reg, false, false, 2);
+        mgr.submit(host).unwrap();
+        wait_for_first_page(&m);
+        let (late, late_rows) = request(&reg, false, false);
+        mgr.submit(late).unwrap();
+        assert_eq!(mgr.group_count("t"), 1, "the latecomer rides the host's scan");
+        let drain_host = std::thread::spawn(move || host_rows.collect_tuples().unwrap().len());
+        assert_eq!(late_rows.collect_tuples().unwrap().len(), 50_000);
+        assert_eq!(drain_host.join().unwrap(), 50_000);
+        let d = m.snapshot().delta_since(&before);
+        assert!(d.circular_wraps >= 1, "the scan wraps for the latecomer");
+        assert!(d.morsels_dispatched > pages, "{} claims of {pages} pages", d.morsels_dispatched);
+        assert_eq!(d.disk_blocks_read, d.morsels_dispatched, "one disk read per claim");
+        assert_eq!(d.scan_pages_read_ahead, d.disk_blocks_read - 1, "all but the first ahead");
+    }
+
+    /// A fault on the page after page k fails only the consumer that needs
+    /// it: the read ahead that meets the fault leaves page k alone, so the
+    /// host, whose last page is k, completes; the latecomer, which wraps to
+    /// page k + 1, is failed.
+    #[test]
+    fn fault_on_the_page_read_ahead_fails_only_the_consumer_that_needs_it() {
+        use qpipe_common::{FaultInjector, FaultKind, FaultOp, FaultRule};
+        let (ctx, m) = ctx_with_evicting_table();
+        ctx.catalog.pool().clear();
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::default());
+        let (host, host_rows) = request_cap(&reg, false, false, 2);
+        mgr.submit(host).unwrap();
+        wait_for_first_page(&m);
+        // Page 0 is read: from here on every read of it fails. The host's
+        // last page is the file's last, k; the wrap's first is 0 = k + 1.
+        ctx.catalog.disk().set_fault_injector(Some(Arc::new(FaultInjector::new(
+            1,
+            vec![FaultRule::new(FaultKind::Permanent).on_op(FaultOp::Read).on_blocks(0..1)],
+        ))));
+        let (late, late_rows) = request(&reg, false, false);
+        mgr.submit(late).unwrap();
+        assert_eq!(mgr.group_count("t"), 1, "the latecomer rides the host's scan");
+        let drain_host = std::thread::spawn(move || host_rows.collect_tuples());
+        let err = late_rows.collect_tuples().expect_err("page 0 never reads");
+        assert!(matches!(err, QError::Storage(_)), "got {err:?}");
+        assert_eq!(drain_host.join().unwrap().unwrap().len(), 50_000, "the host completes");
+        assert_eq!(m.snapshot().io_retries, 2, "the read ahead was the first of three attempts");
     }
 
     #[test]

@@ -9,7 +9,10 @@ use qpipe_storage::lock::TableLockGuard;
 use qpipe_storage::{BufferPool, Rid};
 use std::sync::Arc;
 
-/// Sequential scan over a heap file, through the buffer pool.
+/// Sequential scan over a heap file, through the buffer pool. It reads
+/// every page, so it issues each next page's read before it decodes the
+/// current one, as the staged engine's scanner does: the disk moves the
+/// next block while the CPU decodes this one.
 pub struct SeqScanIter {
     pool: Arc<BufferPool>,
     table: Arc<TableInfo>,
@@ -61,6 +64,9 @@ impl TupleIter for SeqScanIter {
             }
             let block = self.pool.get(self.table.file_id(), self.next_page)?;
             self.next_page += 1;
+            if self.next_page < self.num_pages {
+                self.pool.prefetch(self.table.file_id(), self.next_page);
+            }
             self.current = block.rows()?;
             self.pos = 0;
         }

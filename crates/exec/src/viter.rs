@@ -589,7 +589,10 @@ impl<'a> Output<'a> {
 /// A base-table scan read as batches, a page at a time in page order: a
 /// clustered index scan's range, an unclustered one's RID list, or a whole
 /// table (the merge join's re-read, §4.3.2). It holds the table's shared
-/// lock while it lives, as the iterator's sequential scan does.
+/// lock while it lives, as the iterator's sequential scan does. It issues
+/// the next listed page's read before it decodes the current page when it
+/// is certain to read that page: always for a whole table or a RID list;
+/// in a range bounded above, once the current page has not passed `hi`.
 pub struct PageRangeReader {
     pool: Arc<BufferPool>,
     file: FileId,
@@ -647,14 +650,28 @@ impl PageRangeReader {
         let pages = pages.into_iter();
         Ok(Self { pool, file: info.file_id(), pages, bounds, predicate, projection, _lock: lock })
     }
+
+    /// Issue the read of the next listed page, if any.
+    fn read_ahead(&self) {
+        if let Some(&(next, _)) = self.pages.as_slice().first() {
+            self.pool.prefetch(self.file, next);
+        }
+    }
 }
 
 impl BatchSource for PageRangeReader {
     /// The rows of the next page that has any: its slots or its rows within
     /// bounds, then the predicate (`eval_filter`), then the projection.
     fn next_batch(&mut self) -> QResult<Option<Arc<ColBatch>>> {
+        // Bounded above, a page may end the read: read ahead only past one
+        // that did not.
+        let bounded = self.bounds.as_ref().is_some_and(|(_, _, hi)| hi.is_some());
         while let Some((page_no, slots)) = self.pages.next() {
-            let page = self.pool.get(self.file, page_no)?.decode(None)?;
+            let block = self.pool.get(self.file, page_no)?;
+            if !bounded {
+                self.read_ahead();
+            }
+            let page = block.decode(None)?;
             let rows = match (slots, &self.bounds) {
                 (Some(slots), _) => match slots.iter().find(|&&s| s as usize >= page.len()) {
                     Some(slot) => {
@@ -669,6 +686,8 @@ impl BatchSource for PageRangeReader {
                         (0..page.len()).find(|&i| hi.as_ref().is_some_and(|h| kc.value(i) > *h));
                     if stop.is_some() {
                         self.pages = Vec::new().into_iter();
+                    } else if bounded {
+                        self.read_ahead();
                     }
                     let keep = (0..stop.unwrap_or(page.len()) as u32)
                         .filter(|&i| lo.as_ref().is_none_or(|l| kc.value(i as usize) >= *l));

@@ -9,19 +9,26 @@
 //!
 //! Concurrency: page reads are *single-flighted* — when two queries miss the
 //! same page simultaneously only one disk read is issued; the second thread
-//! waits and reuses the result. Pages are immutable snapshots (`Arc`-backed),
+//! waits and reuses the result. A read in flight belongs to the pool, not to
+//! the thread that issued it: [`BufferPool::prefetch`] issues a page's read
+//! and returns, and whichever thread next asks for the page — the issuer or
+//! any other — waits out only what is left of its charge and installs it. So
+//! no reader waits on an issuer that may be parked elsewhere (on a full
+//! pipe, say), and the waits-for graph needs no edge for a read ahead.
+//! Pages are immutable snapshots (`Arc`-backed),
 //! so `get` returns a cheap clone and no pin/unpin protocol is needed for
 //! readers; eviction can never invalidate a page a reader already holds.
 
 pub mod policy;
 
-use crate::disk::{Block, FileId, SimDisk};
+use crate::disk::{Block, FileId, IssuedRead, SimDisk};
 use parking_lot::{Condvar, Mutex};
 use policy::{new_policy, PageKey, ReplacementPolicy};
 use qpipe_common::{Metrics, QError, QResult};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which replacement policy a pool instance uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,9 +83,20 @@ impl Default for BufferPoolConfig {
     }
 }
 
+/// A page read under way.
+enum Flight {
+    /// A thread is reading the page; others wait until it installs the page
+    /// or clears the entry.
+    Owned,
+    /// Issued ahead ([`BufferPool::prefetch`]) and owned by nobody: the
+    /// outcome of the read's first attempt — a panic included — and when it
+    /// was issued. The next thread to ask for the page takes it over.
+    Issued { read: std::thread::Result<QResult<IssuedRead>>, at: Instant },
+}
+
 struct PoolState {
     resident: HashMap<PageKey, Block>,
-    pending: HashSet<PageKey>,
+    in_flight: HashMap<PageKey, Flight>,
     policy: Box<dyn ReplacementPolicy>,
 }
 
@@ -93,11 +111,13 @@ pub struct BufferPool {
     metrics: Metrics,
 }
 
-/// Removes a key from the single-flight pending set. A read that succeeds
+/// Removes a key from the single-flight in-flight map. A read that succeeds
 /// clears it with [`PendingGuard::resident`], under the lock that makes the
-/// page resident, so a woken waiter always finds the page. A read that fails
-/// — including by panic (an injected fault can panic the reading thread) —
-/// clears it on drop, so waiters never wedge on an entry nobody will clear.
+/// page resident, so a woken waiter always finds the page; a read issued
+/// ahead leaves it to the next reader with [`PendingGuard::hand_over`]. A
+/// read that fails — including by panic (an injected fault can panic the
+/// reading thread) — clears it on drop, so waiters never wedge on an entry
+/// nobody will clear.
 struct PendingGuard<'a> {
     pool: &'a BufferPool,
     key: PageKey,
@@ -106,7 +126,7 @@ struct PendingGuard<'a> {
 
 impl PendingGuard<'_> {
     fn clear(&self, st: &mut PoolState) {
-        st.pending.remove(&self.key);
+        st.in_flight.remove(&self.key);
         self.pool.pending_cv.notify_all();
     }
 
@@ -114,6 +134,15 @@ impl PendingGuard<'_> {
     /// section.
     fn resident(mut self, st: &mut PoolState) {
         self.clear(st);
+        self.armed = false;
+    }
+
+    /// The read was issued ahead: leave its outcome to whoever next asks
+    /// for the page.
+    fn hand_over(mut self, read: std::thread::Result<QResult<IssuedRead>>, at: Instant) {
+        let mut st = self.pool.state.lock();
+        st.in_flight.insert(self.key, Flight::Issued { read, at });
+        self.pool.pending_cv.notify_all();
         self.armed = false;
     }
 }
@@ -142,7 +171,7 @@ impl BufferPool {
             retry: config.retry,
             state: Mutex::new(PoolState {
                 resident: HashMap::new(),
-                pending: HashSet::new(),
+                in_flight: HashMap::new(),
                 policy: new_policy(config.policy, config.capacity.max(1)),
             }),
             pending_cv: Condvar::new(),
@@ -170,36 +199,47 @@ impl BufferPool {
     /// layer turns nonzero retry counts into per-query trace events.
     pub fn get_observed(&self, file: FileId, block: u64) -> QResult<(Block, u64)> {
         let key = PageKey { file, block };
-        loop {
-            {
-                let mut st = self.state.lock();
+        let issued = {
+            let mut st = self.state.lock();
+            loop {
                 if let Some(page) = st.resident.get(&key) {
                     let page = page.clone();
                     st.policy.on_access(key, true);
                     self.metrics.add_bp_hit();
                     return Ok((page, 0));
                 }
-                if !st.pending.contains(&key) {
-                    // We take ownership of the read.
-                    st.pending.insert(key);
-                    st.policy.on_access(key, false);
-                    self.metrics.add_bp_miss();
-                    break;
+                // Take the read over: with no entry it is a miss we read
+                // ourselves; an issued read we finish (its miss was counted
+                // at issue); one another thread owns we wait for, then
+                // re-check.
+                match st.in_flight.insert(key, Flight::Owned) {
+                    None => {
+                        st.policy.on_access(key, false);
+                        self.metrics.add_bp_miss();
+                        break None;
+                    }
+                    Some(Flight::Issued { read, at }) => break Some((read, at)),
+                    Some(Flight::Owned) => self.pending_cv.wait(&mut st),
                 }
-                // Someone else is reading this page; wait for them.
-                let mut st = st;
-                self.pending_cv.wait(&mut st);
-                // Loop and re-check.
             }
-        }
+        };
         // Perform the disk read outside the lock so other pages stream in
-        // parallel (the RAID-0 substitute). The guard clears the pending
-        // entry even if the read fails or panics.
-        let started = std::time::Instant::now();
+        // parallel (the RAID-0 substitute). The guard clears the entry even
+        // if the read fails or panics.
         let guard = PendingGuard { pool: self, key, armed: true };
-        let read = self.read_verified(file, block);
-        self.metrics.record_bp_fetch(started.elapsed().as_micros() as u64);
-        let (page, retries) = read?;
+        let started = issued.as_ref().map_or_else(Instant::now, |(_, at)| *at);
+        let issued = issued.map(|(read, _)| match read {
+            Ok(read) => read,
+            // The issue panicked: its read meets the panic here, as a
+            // synchronous one would have, and the guard clears the entry.
+            Err(panic) => std::panic::resume_unwind(panic),
+        });
+        let read = self.read_verified(file, block, issued);
+        // Device time: from the issue to the instant the served block was
+        // ready, however late its reader came for it.
+        let done = read.as_ref().map_or_else(|_| Instant::now(), |(_, _, ready)| *ready);
+        self.metrics.record_bp_fetch(done.saturating_duration_since(started).as_micros() as u64);
+        let (page, retries, _) = read?;
         let mut st = self.state.lock();
         // Make room and insert.
         while st.resident.len() >= self.capacity {
@@ -216,13 +256,47 @@ impl BufferPool {
         Ok((page, retries))
     }
 
+    /// Issue the page's read and return without waiting for it, unless the
+    /// page is resident or already being read. Returns whether a read was
+    /// issued. The read then belongs to the pool: the next [`get`] of the
+    /// page, on any thread, waits out what is left of its charge, verifies
+    /// and installs it. The miss counts now; the issue is the read's first
+    /// attempt, so a failed one goes on under the [`RetryPolicy`] in that
+    /// `get`, counted exactly as a synchronous read's. So is a panic during
+    /// the issue: it is kept with the read, not raised here — the caller is
+    /// serving another page — and the page's own `get` meets it.
+    ///
+    /// [`get`]: BufferPool::get
+    pub fn prefetch(&self, file: FileId, block: u64) -> bool {
+        let key = PageKey { file, block };
+        {
+            let mut st = self.state.lock();
+            if st.resident.contains_key(&key) || st.in_flight.contains_key(&key) {
+                return false;
+            }
+            st.in_flight.insert(key, Flight::Owned);
+            st.policy.on_access(key, false);
+            self.metrics.add_bp_miss();
+        }
+        let guard = PendingGuard { pool: self, key, armed: true };
+        let at = Instant::now();
+        guard.hand_over(catch_unwind(AssertUnwindSafe(|| self.disk.issue_read(file, block))), at);
+        true
+    }
+
     /// One disk read with checksum verification, retried per the pool's
-    /// [`RetryPolicy`]; returns the block plus how many retries it took. A
-    /// corrupt page is *never* returned: verification failure counts as a
-    /// read error (`checksum_failures` metric) and is retried like any other
-    /// — transient corruption heals, persistent corruption surfaces as
-    /// `QError::Storage`.
-    fn read_verified(&self, file: FileId, block: u64) -> QResult<(Block, u64)> {
+    /// [`RetryPolicy`]; returns the block, how many retries it took and the
+    /// instant its charge ended. `issued` is a read issued ahead: its
+    /// outcome is the first attempt. A corrupt page is *never* returned:
+    /// verification failure counts as a read error (`checksum_failures`
+    /// metric) and is retried like any other — transient corruption heals,
+    /// persistent corruption surfaces as `QError::Storage`.
+    fn read_verified(
+        &self,
+        file: FileId,
+        block: u64,
+        mut issued: Option<QResult<IssuedRead>>,
+    ) -> QResult<(Block, u64, Instant)> {
         let mut backoff = self.retry.backoff;
         let mut last_err = None;
         for attempt in 0..self.retry.max_attempts.max(1) {
@@ -233,9 +307,13 @@ impl BufferPool {
                     backoff = backoff.saturating_mul(2);
                 }
             }
-            match self.disk.read_block(file, block) {
-                Ok(page) if page.verify_checksum() => return Ok((page, attempt as u64)),
-                Ok(_) => {
+            match issued.take().unwrap_or_else(|| self.disk.issue_read(file, block)) {
+                Ok(read) => {
+                    let ready = read.ready_at();
+                    let page = read.wait();
+                    if page.verify_checksum() {
+                        return Ok((page, attempt as u64, ready));
+                    }
                     self.metrics.add_checksum_failure();
                     last_err = Some(QError::Storage(format!(
                         "checksum mismatch on block {block} of file {file:?}"
@@ -261,13 +339,12 @@ impl BufferPool {
         self.len() == 0
     }
 
-    /// Drop every cached page (used between experiment runs).
+    /// Drop every cached page, and every read issued ahead that nobody took
+    /// (used between experiment runs).
     pub fn clear(&self) {
         let mut st = self.state.lock();
-        let keys: Vec<PageKey> = st.resident.keys().copied().collect();
-        for k in keys {
-            st.resident.remove(&k);
-        }
+        st.resident.clear();
+        st.in_flight.retain(|_, f| matches!(f, Flight::Owned));
         st.policy = new_policy(self.policy, self.capacity);
     }
 }
@@ -284,8 +361,17 @@ mod tests {
         policy: PolicyKind,
         blocks: u64,
     ) -> (Arc<SimDisk>, Arc<BufferPool>, FileId) {
+        setup_on(DiskConfig::instant(), capacity, policy, blocks)
+    }
+
+    fn setup_on(
+        config: DiskConfig,
+        capacity: usize,
+        policy: PolicyKind,
+        blocks: u64,
+    ) -> (Arc<SimDisk>, Arc<BufferPool>, FileId) {
         let metrics = Metrics::new();
-        let disk = SimDisk::new(DiskConfig::instant(), metrics);
+        let disk = SimDisk::new(config, metrics);
         let f = disk.create_file("t").unwrap();
         for i in 0..blocks {
             let mut p = Page::new();
@@ -527,6 +613,120 @@ mod tests {
         // the same key proceeds instead of waiting forever.
         disk.set_fault_injector(None);
         assert!(pool.get(f, 0).is_ok());
+    }
+
+    fn in_flight(pool: &BufferPool) -> usize {
+        pool.state.lock().in_flight.len()
+    }
+
+    /// A read issued ahead belongs to the pool: a thread other than the
+    /// issuer completes and installs it, and the page is read from disk once.
+    #[test]
+    fn another_thread_completes_a_read_issued_ahead() {
+        let (disk, pool, f) = setup(10, PolicyKind::Lru, 3);
+        assert!(pool.prefetch(f, 1), "a cold page is issued");
+        assert!(!pool.prefetch(f, 1), "a page in flight is not issued again");
+        let p2 = pool.clone();
+        let page = std::thread::spawn(move || p2.get(f, 1)).join().unwrap().unwrap();
+        assert_eq!(page.as_slotted().unwrap().record(0).unwrap(), 1u64.to_le_bytes());
+        assert!(pool.contains(f, 1), "the completing thread installed the page");
+        assert!(!pool.prefetch(f, 1), "a resident page is not issued");
+        pool.get(f, 1).unwrap();
+        let s = disk.metrics().snapshot();
+        assert_eq!(s.disk_blocks_read, 1, "one disk read in total");
+        assert_eq!((s.bp_misses, s.bp_hits), (1, 1), "a miss at issue, no hit to complete");
+        assert_eq!(in_flight(&pool), 0);
+    }
+
+    /// The device time runs from the issue: whether the page's reader comes
+    /// at once or the read was issued ahead, nothing is handed over before
+    /// the charge has elapsed since the issue.
+    #[test]
+    fn no_read_returns_before_its_charge_has_elapsed_since_its_issue() {
+        let charge = Duration::from_millis(2);
+        let config = DiskConfig {
+            seq_read_latency: charge,
+            rand_read_latency: charge,
+            write_latency: Duration::ZERO,
+            charge_latency: true,
+        };
+        let (_disk, pool, f) = setup_on(config, 10, PolicyKind::Lru, 3);
+        let issued = Instant::now();
+        pool.get(f, 0).unwrap();
+        assert!(issued.elapsed() >= charge, "a synchronous read");
+        let issued = Instant::now();
+        assert!(pool.prefetch(f, 1));
+        pool.get(f, 1).unwrap();
+        assert!(issued.elapsed() >= charge, "a read issued ahead, completed at once");
+        let issued = Instant::now();
+        assert!(pool.prefetch(f, 2));
+        let p2 = pool.clone();
+        std::thread::spawn(move || p2.get(f, 2)).join().unwrap().unwrap();
+        assert!(issued.elapsed() >= charge, "a read issued ahead, completed by another thread");
+    }
+
+    /// A fault the issue meets is the read's first attempt: the `get` that
+    /// completes it goes on with the remaining attempts, and every counter
+    /// reads as it does for the same read done synchronously.
+    #[test]
+    fn a_healing_fault_met_by_a_read_ahead_counts_as_a_synchronous_one() {
+        use qpipe_common::{FaultInjector, FaultKind, FaultOp, FaultRule};
+        for (kind, times) in [(FaultKind::Transient, 2), (FaultKind::Corrupt, 1)] {
+            let run = |ahead: bool| {
+                let (disk, pool, f) = setup(10, PolicyKind::Lru, 3);
+                disk.set_fault_injector(Some(Arc::new(FaultInjector::new(
+                    5,
+                    vec![FaultRule::new(kind).on_op(FaultOp::Read).times(times)],
+                ))));
+                if ahead {
+                    assert!(pool.prefetch(f, 0));
+                }
+                let (block, retries) = pool.get_observed(f, 0).unwrap();
+                assert!(block.verify_checksum(), "{kind:?}: the healed read is served");
+                assert_eq!(in_flight(&pool), 0);
+                let s = disk.metrics().snapshot();
+                (retries, s.io_retries, s.checksum_failures, s.faults_injected, s.disk_blocks_read)
+            };
+            let (sync, ahead) = (run(false), run(true));
+            assert_eq!(sync.0, times as u64, "{kind:?}");
+            assert_eq!(ahead, sync, "{kind:?}: retries, checksum failures, faults, blocks");
+        }
+    }
+
+    #[test]
+    fn a_permanent_fault_met_by_a_read_ahead_errors_and_leaves_no_entry() {
+        use qpipe_common::{FaultInjector, FaultKind, FaultOp, FaultRule};
+        let (disk, pool, f) = setup(10, PolicyKind::Lru, 3);
+        disk.set_fault_injector(Some(Arc::new(FaultInjector::new(
+            8,
+            vec![FaultRule::new(FaultKind::Permanent).on_op(FaultOp::Read)],
+        ))));
+        assert!(pool.prefetch(f, 0), "a failed issue is still the read's first attempt");
+        let err = pool.get(f, 0).unwrap_err();
+        assert!(err.to_string().contains("injected I/O error"), "got: {err}");
+        assert_eq!(disk.metrics().snapshot().io_retries, 2, "3 attempts = 2 retries");
+        assert_eq!(in_flight(&pool), 0, "no entry outlives the failure");
+        disk.set_fault_injector(None);
+        assert!(pool.get(f, 0).is_ok());
+    }
+
+    /// A panic during the issue stays with the read: the issuer goes on, and
+    /// the page's own reader meets it, once, as a synchronous read would.
+    #[test]
+    fn a_panic_during_a_read_ahead_is_met_by_the_pages_reader() {
+        use qpipe_common::{FaultInjector, FaultKind, FaultOp, FaultRule};
+        let (disk, pool, f) = setup(10, PolicyKind::Lru, 3);
+        disk.set_fault_injector(Some(Arc::new(FaultInjector::new(
+            9,
+            vec![FaultRule::new(FaultKind::Panic).on_op(FaultOp::Read).on_blocks(1..2)],
+        ))));
+        assert!(pool.prefetch(f, 1), "the issuer does not panic");
+        assert!(pool.get(f, 0).is_ok(), "the page the issuer serves is unaffected");
+        let p2 = pool.clone();
+        assert!(std::thread::spawn(move || p2.get(f, 1)).join().is_err(), "the reader panics");
+        assert_eq!(in_flight(&pool), 0, "the reader's guard cleared the entry");
+        assert_eq!(disk.metrics().snapshot().faults_injected, 1);
+        assert!(pool.get(f, 1).is_ok(), "the fault healed after one panic");
     }
 
     #[test]

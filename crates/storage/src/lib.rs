@@ -46,7 +46,7 @@ pub use bufferpool::{BufferPool, BufferPoolConfig, PolicyKind};
 pub use catalog::{Catalog, StorageLayout, TableInfo, TableStorage};
 pub use colheap::ColHeapFile;
 pub use colpage::{ColPage, ColPageBuilder};
-pub use disk::{Block, DiskConfig, FileId, SimDisk};
+pub use disk::{Block, DiskConfig, FileId, IssuedRead, SimDisk};
 pub use heap::{HeapFile, Rid};
 pub use index::{ClusteredIndex, UnclusteredIndex};
 pub use lock::{LockManager, TableLockGuard};
