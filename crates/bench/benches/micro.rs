@@ -689,9 +689,10 @@ fn sort_paths(c: &mut Criterion) {
     g.finish();
 }
 
-/// The filter/project µEngine boundary: the iterator engine interprets the
-/// predicate/projection per row; the µEngine workers run
-/// `eval_filter` + `gather` and `project_batch` per 256-row `ColBatch`.
+/// The filter and projection kernels: the iterator engine interprets the
+/// predicate/projection per row; the staged engine's reader of a fused
+/// σ/π chain runs `eval_filter` + `gather` and `project_batch` per 256-row
+/// `ColBatch`.
 /// Acceptance bar: vectorized ≥ 1.4× (measured ~1.7× with a computed
 /// projection column; pure column-reference projections are `Arc` bumps and
 /// score far higher).
@@ -734,8 +735,8 @@ fn filter_project_paths(c: &mut Criterion) {
     });
     g.bench_function("vectorized", |b| {
         b.iter(|| {
-            // The new workers: selection-vector filter, compacting gather,
-            // column-at-a-time projection.
+            // The fused σ/π kernels: selection-vector filter, compacting
+            // gather, column-at-a-time projection.
             let mut out = 0usize;
             for batch in &batches {
                 let sel = pred.eval_filter(batch).unwrap();

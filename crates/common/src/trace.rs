@@ -63,6 +63,16 @@ pub enum TraceEvent {
     QueryFailed { error: String },
 }
 
+impl TraceEvent {
+    /// The [`OperatorFinished`](TraceEvent::OperatorFinished) entry of
+    /// operator `op` whose probe reads `s`.
+    pub fn finished(op: &'static str, s: OpStats) -> Self {
+        let (rows, batches, busy_ns) = (s.rows, s.batches, s.busy_ns);
+        let (pipe_wait_ns, io_wait_ns) = (s.pipe_wait_ns, s.io_wait_ns);
+        TraceEvent::OperatorFinished { op, rows, batches, busy_ns, pipe_wait_ns, io_wait_ns }
+    }
+}
+
 /// A [`TraceEvent`] stamped with microseconds since query submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedEvent {

@@ -1,8 +1,9 @@
 //! The QPipe engine facade: µEngines, packet dispatcher, and query handles.
 //!
 //! `QPipe::new` sets up one µEngine per relational operator (paper §4.2,
-//! Figure 5b): its OSP registry and its packet pool, and no thread of its
-//! own. Once admission lets a query in, the packet dispatcher walks the plan
+//! Figure 5b) but σ and π, which run in their reader ([`ops`](crate::ops)):
+//! its OSP registry and its packet pool, and no thread of its own. Once
+//! admission lets a query in, the packet dispatcher walks the plan
 //! *top-down* on the thread that admitted it. At each node it performs the
 //! OSP check — "every time a new packet queues up in a µEngine, we scan the
 //! queue with the existing packets to check for overlapping work" (§4.3) —
@@ -75,19 +76,9 @@ impl QPipeConfig {
     }
 }
 
-/// The µEngine names QPipe boots (cf. Figure 5b).
-pub const ENGINE_NAMES: [&str; 10] = [
-    "scan",
-    "iscan",
-    "uiscan",
-    "filter",
-    "project",
-    "sort",
-    "agg",
-    "hashjoin",
-    "mergejoin",
-    "nljoin",
-];
+/// The µEngine names QPipe boots (cf. Figure 5b); σ and π run in their reader.
+pub const ENGINE_NAMES: [&str; 8] =
+    ["scan", "iscan", "uiscan", "sort", "agg", "hashjoin", "mergejoin", "nljoin"];
 
 /// One µEngine: the in-flight hosts its packets may attach to, and the pool
 /// its hosts run on. The scan µEngine is the [`ScanManager`]: its scan
@@ -212,7 +203,7 @@ impl QPipe {
         let query = QueryId::fresh();
         let client_node = fresh_node();
         let root_node = fresh_node();
-        let (producer, consumer) =
+        let (producer, mut consumer) =
             Pipe::pair(self.config.pipe, root_node, client_node, self.registry.clone());
         let root_pipe = producer.pipe().clone();
         // Column liveness: from here on the engine runs the plan whose scans
@@ -227,24 +218,25 @@ impl QPipe {
         // `None` everywhere and the hot path pays a single `Option` branch.
         let trace = self.config.exec.tracing.then(|| Arc::new(QueryTrace::default()));
         let profile = self.config.exec.tracing.then(|| build_probe_tree(&plan));
+        // A σ/π chain at the root runs on the client thread that reads it.
+        let (plan, probe, parent) = consumer.fuse(plan, profile.clone(), None, trace.as_ref());
         // Deferred dispatch: runs on whichever thread frees the admitting
         // slot (or inline below when capacity is available right now).
         let weak = self.self_weak.clone();
         let fail_pipe = root_pipe.clone();
         let dispatch_trace = trace.clone();
-        let dispatch_probe = profile.clone();
         let dispatch: DispatchFn = Box::new(move || {
             let Some(engine) = weak.upgrade() else {
                 fail_pipe.fail(QError::Exec("engine shut down".into()));
                 return Vec::new();
             };
             let mut q = QueryDispatch { query, trace: dispatch_trace.as_ref(), tokens: Vec::new() };
-            let probe = dispatch_probe.as_ref();
+            let probe = probe.as_ref();
             // Containment: a panic while dispatching unwinds through every
             // packet built so far — a dropped producer fails its pipe, and a
             // registered host's `AbandonGuard` fails it, satellites included.
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.dispatch(&mut q, plan, producer, None, false, root_node, probe);
+                engine.dispatch(&mut q, plan, producer, parent, false, root_node, probe);
             }));
             if caught.is_err() {
                 engine.metrics.add_worker_panic();
@@ -355,9 +347,10 @@ impl QPipe {
     /// manager, which applies the scan's attach rule; any other node meets
     /// its µEngine's OSP check ([`ops::prepare`]). A node that attached as a
     /// satellite is done: its subtree is never dispatched. Otherwise its
-    /// child pipes are wired, its children dispatched, and its host handed to
-    /// the µEngine's pool. `split_ok` is the flag a merge-join parent chose
-    /// for this node (§4.3.2); `probe` is its place in the query's probe tree
+    /// child pipes are wired (a σ/π chain [fused](PipeConsumer::fuse) into
+    /// its reader), the nodes below dispatched, and its host handed to the
+    /// µEngine's pool. `split_ok` is the flag a merge-join parent chose for
+    /// this node (§4.3.2); `probe` is its place in the query's probe tree
     /// (`None` when tracing is off).
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
@@ -439,10 +432,11 @@ impl QPipe {
             // The consumer end belongs to *this* operator: time it spends
             // blocked on the child's pipe is this operator's pipe-wait.
             consumer.set_probe(packet.probe.clone());
+            let child_probe = probe.and_then(|p| p.children.get(idx)).cloned();
+            let (child, child_probe, parent) = consumer.fuse(child, child_probe, Some(op), q.trace);
             packet.children.push(consumer);
             let split = split_side == Some(idx);
-            let child_probe = probe.and_then(|p| p.children.get(idx));
-            self.dispatch(q, child, out, Some(op), split, child_node, child_probe);
+            self.dispatch(q, child, out, parent, split, child_node, child_probe.as_ref());
         }
         q.tokens.push(cancel);
         let env = self.env.clone();
@@ -512,10 +506,10 @@ fn build_probe_tree(plan: &PlanNode) -> ProbeNode {
 
 /// The deduplicated set of µEngines `plan` touches — the query's admission
 /// footprint (a query counts once per engine, however many packets it has
-/// there).
+/// there; a fused σ/π node has no µEngine).
 fn plan_engines(plan: &PlanNode) -> Vec<&'static str> {
     fn walk(p: &PlanNode, out: &mut Vec<&'static str>) {
-        out.push(p.op_name());
+        out.extend(ops::fused_input(p).is_none().then(|| p.op_name()));
         for c in p.children() {
             walk(c, out);
         }
@@ -696,5 +690,28 @@ impl QueryHandle {
     /// Elapsed wall time since submission.
     pub fn elapsed(&self) -> Duration {
         self.submitted.elapsed()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qpipe_exec::expr::Expr;
+    use qpipe_exec::plan::AggSpec;
+
+    /// A fused σ or π node takes no admission slot: the footprints of
+    /// Q19's shape — an aggregate over a filter over a hash join of two
+    /// scans — and Q14's — the same with a projection for the filter — name
+    /// only the µEngines whose packets run.
+    #[test]
+    fn admission_counts_no_slot_for_filter_or_project() {
+        let join = PlanNode::scan("part").hash_join(PlanNode::scan("lineitem"), 0, 1);
+        let agg = vec![AggSpec::sum(Expr::col(0))];
+        let q19 = join.clone().filter(Expr::col(2).lt(Expr::lit(5))).aggregate(vec![], agg.clone());
+        let q14 = join.project(vec![Expr::col(3), Expr::col(4)]).aggregate(vec![], agg);
+        assert_eq!(plan_engines(&q19), ["agg", "hashjoin", "scan"]);
+        assert_eq!(plan_engines(&q14), ["agg", "hashjoin", "scan"]);
+        let chain = PlanNode::scan("t").filter(Expr::col(0).lt(Expr::lit(1))).project(vec![]);
+        assert_eq!(plan_engines(&chain), ["scan"]);
     }
 }

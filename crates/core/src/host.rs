@@ -24,7 +24,7 @@
 //! * [`AttachWindow::WholeLifetime`] — full-overlap operators (aggregates,
 //!   sort — whose output is materialized anyway, giving the materialization
 //!   enhancement for free).
-//! * no window — a host no satellite can reach (OSP off, filter, project):
+//! * no window — a host no satellite can reach (OSP off):
 //!   it keeps no history and is never registered.
 //!
 //! # The cancellation rule
@@ -465,9 +465,9 @@ mod tests {
         assert!(host.try_attach(packet).is_err());
     }
 
-    /// A host no satellite can reach (OSP off, filter, project) keeps no
-    /// history: a batch it broadcast lives only as long as a reader holds
-    /// it, and an attach gets its packet back.
+    /// A host no satellite can reach (OSP off) keeps no history: a batch it
+    /// broadcast lives only as long as a reader holds it, and an attach gets
+    /// its packet back.
     #[test]
     fn unshared_host_retains_nothing() {
         let m = Metrics::new();

@@ -7,10 +7,18 @@
 //! Figure 6b step 4).
 //!
 //! Every operator is batch-native (`qpipe-exec`'s `vexpr`/`viter`/`vsort`
-//! kernels) and has exactly one body: filter, projection, hash join and its
-//! grace fallback, merge join with wrap restart (§4.3.2), nested-loop join,
-//! aggregation, sort and range-bounded index scans. No `Tuple` is built
-//! between a scan and the client.
+//! kernels) and has exactly one body: hash join and its grace fallback,
+//! merge join with wrap restart (§4.3.2), nested-loop join, aggregation,
+//! sort and range-bounded index scans. No `Tuple` is built between a scan
+//! and the client.
+//!
+//! # σ and π run in their reader
+//!
+//! A `Filter` or `Project` node is no packet but a kernel ([`fused_map`])
+//! run by the thread that reads its input — the parent's packet, or the
+//! client's `QueryHandle` at the root — from the pipe below it. It has no
+//! µEngine, host or admission slot; the parent's signature, the parent op
+//! the node below sees and its own probe stay as they were.
 //!
 //! Every worker loop polls the cancellation rule the same way: `cancel` fired
 //! *and* [`SharedHost::close_if_unwanted`] — see `host.rs` for why the token
@@ -22,8 +30,8 @@
 //! Every body sends its output through [`into_host`], the one caller of
 //! [`SharedHost::push_cols`], so a host follows the scanner's delivery rule
 //! ([`Rechunk`](qpipe_exec::viter::Rechunk)): no batch it sends is short but
-//! its last. A selective filter, or a join matching a few rows per probe
-//! batch, holds its output pending until it has
+//! its last. A join matching a few rows per probe batch holds its output
+//! pending until it has
 //! [`ColBatch::DEFAULT_CAPACITY`] rows. Pending rows are safe:
 //!
 //! * A pending row is not emitted yet: a host's history and emitted count
@@ -136,14 +144,7 @@ pub fn execute(mut packet: Packet, host: Arc<SharedHost>, env: &OpEnv) {
         }
         if let Some(t) = &packet.trace {
             let s = packet.probe.as_ref().map(|p| p.stats()).unwrap_or_default();
-            t.push(TraceEvent::OperatorFinished {
-                op: plan.op_name(),
-                rows: s.rows,
-                batches: s.batches,
-                busy_ns: s.busy_ns,
-                pipe_wait_ns: s.pipe_wait_ns,
-                io_wait_ns: s.io_wait_ns,
-            });
+            t.push(TraceEvent::finished(plan.op_name(), s));
         }
     }
     if let Err(e) = result {
@@ -158,12 +159,10 @@ pub fn execute(mut packet: Packet, host: Arc<SharedHost>, env: &OpEnv) {
 }
 
 /// The attach rule, stated once (§3.2 → host windows): the window a
-/// packet's host is open to satellites for, or `None` when no satellite may
-/// ever reach it — OSP off, or a filter or projection, which never host.
+/// packet's host is open to satellites for, or `None` when OSP is off.
 pub(crate) fn attach_window(plan: &PlanNode, osp: bool) -> Option<AttachWindow> {
     match plan {
         _ if !osp => None,
-        PlanNode::Filter { .. } | PlanNode::Project { .. } => None,
         // Sort materializes its output (runs/sorted vector) — late attachers
         // replay it: whole-lifetime window (full overlap + materialization).
         PlanNode::Sort { .. } => Some(AttachWindow::WholeLifetime),
@@ -211,12 +210,6 @@ fn run_operator(
                 viter::merge_join(inputs(children), keys, split_side, reread, out)
             })
         }
-        PlanNode::Filter { predicate, .. } => run_map(children.remove(0), host, cancel, |batch| {
-            Ok(batch.gather(&predicate.eval_filter(batch)?))
-        }),
-        PlanNode::Project { exprs, .. } => run_map(children.remove(0), host, cancel, |batch| {
-            project_batch(exprs, batch, &SelVec::all(batch.len()))
-        }),
         // Range-bounded index scans (unbounded ones are handed to the
         // circular ScanManager by the engine and never reach here).
         PlanNode::UnclusteredIndexScan { .. } | PlanNode::ClusteredIndexScan { .. } => {
@@ -228,9 +221,28 @@ fn run_operator(
                 Ok(())
             })
         }
-        PlanNode::TableScan { .. } => {
-            Err(QError::Exec("table scan dispatched past the ScanManager".into()))
+        PlanNode::TableScan { .. } | PlanNode::Filter { .. } | PlanNode::Project { .. } => {
+            Err(QError::Exec(format!("{} dispatched as a packet", plan.op_name())))
         }
+    }
+}
+
+/// The input of a σ or π node, which runs in the reader of that input's
+/// pipe; `None` for every node that runs as a packet.
+pub(crate) fn fused_input(plan: &PlanNode) -> Option<&Arc<PlanNode>> {
+    match plan {
+        PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => Some(input),
+        _ => None,
+    }
+}
+
+/// A fused σ or π node's kernel over one batch, column at a time: the
+/// predicate's selection and one `gather`, or `project_batch`.
+pub(crate) fn fused_map(plan: &PlanNode, batch: &ColBatch) -> QResult<ColBatch> {
+    match plan {
+        PlanNode::Filter { predicate, .. } => Ok(batch.gather(&predicate.eval_filter(batch)?)),
+        PlanNode::Project { exprs, .. } => project_batch(exprs, batch, &SelVec::all(batch.len())),
+        _ => Err(QError::Exec(format!("{} is not fused into its reader", plan.op_name()))),
     }
 }
 
@@ -345,25 +357,8 @@ fn run_aggregate(
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized filter / projection / sort
+// Vectorized sort
 // ---------------------------------------------------------------------------
-
-/// Filter or projection over `Arc<ColBatch>` streams: `kernel` maps each
-/// batch column at a time (`Expr::eval_filter` and one `gather`, or
-/// `project_batch`); no `Tuple` is ever materialized.
-fn run_map(
-    input: PipeConsumer,
-    host: &SharedHost,
-    cancel: &CancelToken,
-    kernel: impl Fn(&ColBatch) -> QResult<ColBatch>,
-) -> QResult<()> {
-    into_host(host, cancel, |out| {
-        while let Some(batch) = next_input(&input, cancel, host)? {
-            out.push(kernel(&batch)?)?;
-        }
-        Ok(())
-    })
-}
 
 /// Sort over `Arc<ColBatch>` streams: [`VecSort`] accumulates the batches,
 /// sorts a permutation over the key columns, and spills/merges columnar runs
@@ -418,7 +413,14 @@ mod tests {
         cancel: &CancelToken,
     ) -> std::thread::JoinHandle<QResult<()>> {
         let (host, cancel) = (host.clone(), cancel.clone());
-        std::thread::spawn(move || run_map(input, &host, &cancel, |batch| Ok(batch.clone())))
+        std::thread::spawn(move || {
+            into_host(&host, &cancel, |out| {
+                while let Some(batch) = next_input(&input, &cancel, &host)? {
+                    out.push(batch)?;
+                }
+                Ok(())
+            })
+        })
     }
 
     /// A cancelled host whose output is all pending — fewer rows than one

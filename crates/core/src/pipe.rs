@@ -29,11 +29,13 @@
 //!   that is merely *dropped* fails its pipe — a packet that vanished on the
 //!   way (dropped unrun by a pool at shutdown, lost with a panicking thread)
 //!   must read as an error downstream, never as a complete empty result.
+//! * A consumer runs the σ/π nodes fused into its reader on each batch.
 
 use crate::deadlock::{NodeId, WaitEdge, WaitKind, WaitRegistry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use qpipe_common::trace::OpProbe;
+use qpipe_common::trace::{OpProbe, ProbeNode, QueryTrace, TraceEvent};
 use qpipe_common::{ColBatch, QError, QResult, Tuple};
+use qpipe_exec::plan::PlanNode;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -111,7 +113,7 @@ impl Pipe {
             data: Condvar::new(),
             registry,
         });
-        (PipeProducer { pipe: pipe.clone() }, PipeConsumer { pipe, probe: None })
+        (PipeProducer { pipe: pipe.clone() }, PipeConsumer { pipe, probe: None, fused: Vec::new() })
     }
 
     /// Lift the capacity bound permanently (deadlock resolution: the paper
@@ -253,41 +255,6 @@ impl Pipe {
         self.data.notify_all();
     }
 
-    /// Blocking receive that gives up at `due`: `None` once `due` has passed
-    /// — tested before anything queued is taken — or once the reader is woken
-    /// ([`wake_reader`](Self::wake_reader)).
-    fn recv(
-        self: &Arc<Self>,
-        probe: Option<&OpProbe>,
-        due: Option<Instant>,
-    ) -> Option<QResult<Option<Arc<ColBatch>>>> {
-        let mut st = self.state.lock();
-        loop {
-            // A failed producer fails the consumer promptly — queued batches
-            // belong to a packet that can no longer deliver complete results.
-            if let Some(e) = &st.error {
-                return Some(Err(e.clone()));
-            }
-            if std::mem::take(&mut st.woken) || due.is_some_and(|at| Instant::now() >= at) {
-                return None;
-            }
-            if let Some(batch) = st.queue.pop_front() {
-                drop(st);
-                self.space.notify_all();
-                return Some(Ok(Some(batch)));
-            }
-            if st.eof {
-                return Some(Ok(None));
-            }
-            let nodes = (self.consumer_node, st.producer_node);
-            let blocked = probe.map(|_| Instant::now());
-            st = self.wait(st, &self.data, nodes, WaitKind::ConsumerEmpty, due);
-            if let (Some(p), Some(blocked)) = (probe, blocked) {
-                p.add_pipe_wait_ns(blocked.elapsed().as_nanos() as u64);
-            }
-        }
-    }
-
     fn detach(&self) {
         let mut st = self.state.lock();
         st.detached = true;
@@ -351,12 +318,17 @@ impl Drop for PipeProducer {
     }
 }
 
+type Traced = (Arc<OpProbe>, Arc<QueryTrace>);
+
 /// Consumer handle: pull batches; detaches on drop.
 pub struct PipeConsumer {
     pipe: Arc<Pipe>,
     /// When set, time spent blocked waiting for data is charged to this
     /// probe as pipe-wait (the consuming operator's input starvation).
     probe: Option<Arc<OpProbe>>,
+    /// The σ/π nodes run on each batch taken, innermost first, each with its
+    /// probe and the query's journal when tracing is on.
+    fused: Vec<(Arc<PlanNode>, Option<Traced>)>,
 }
 
 impl PipeConsumer {
@@ -365,25 +337,75 @@ impl PipeConsumer {
         self.probe = probe;
     }
 
-    /// Blocking receive; `Ok(None)` at end of stream, `Err` when the
-    /// producer failed the pipe (the packet's results are incomplete).
+    /// Fuse the σ/π chain atop `plan` into this reader ([`ops`](crate::ops),
+    /// "σ and π run in their reader"): the node below it, its probe, and its
+    /// parent's op — the chain's last node's, or `parent`.
+    pub(crate) fn fuse(
+        &mut self,
+        mut plan: Arc<PlanNode>,
+        mut probe: Option<ProbeNode>,
+        mut parent: Option<&'static str>,
+        trace: Option<&Arc<QueryTrace>>,
+    ) -> (Arc<PlanNode>, Option<ProbeNode>, Option<&'static str>) {
+        while let Some(input) = crate::ops::fused_input(&plan).cloned() {
+            parent = Some(plan.op_name());
+            let obs = probe.as_ref().zip(trace).map(|(p, t)| (p.probe.clone(), t.clone()));
+            self.fused.insert(0, (plan, obs));
+            probe = probe.and_then(|p| p.children.into_iter().next());
+            plan = input;
+        }
+        (plan, probe, parent)
+    }
+
+    /// Blocking receive; `Ok(None)` at end of stream, `Err` when the producer
+    /// failed the pipe or a fused kernel failed (the results are incomplete).
     pub fn recv(&self) -> QResult<Option<Arc<ColBatch>>> {
         loop {
-            if let Some(got) = self.pipe.recv(self.probe.as_deref(), None) {
+            if let Some(got) = self.recv_until(None) {
                 return got;
             }
         }
     }
 
     /// [`recv`](Self::recv) that gives up at `due`, taking nothing: `None`
-    /// once `due` has passed — even with batches queued — or when the reader
-    /// was woken ([`Pipe::wake_reader`]); the caller re-reads its due and
-    /// asks again.
+    /// once `due` has passed — tested before anything queued is taken — or
+    /// when the reader was woken ([`Pipe::wake_reader`]); the caller re-reads
+    /// its due and asks again.
     pub(crate) fn recv_until(
         &self,
         due: Option<Instant>,
     ) -> Option<QResult<Option<Arc<ColBatch>>>> {
-        self.pipe.recv(self.probe.as_deref(), due)
+        let pipe = &self.pipe;
+        let mut st = pipe.state.lock();
+        loop {
+            // A failed producer fails the consumer promptly — queued batches
+            // belong to a packet that can no longer deliver complete results.
+            if let Some(e) = &st.error {
+                return Some(Err(e.clone()));
+            }
+            if std::mem::take(&mut st.woken) || due.is_some_and(|at| Instant::now() >= at) {
+                return None;
+            }
+            if let Some(batch) = st.queue.pop_front() {
+                drop(st);
+                pipe.space.notify_all();
+                let got = self.run_fused(batch);
+                if !got.as_ref().is_ok_and(|b| b.is_empty()) {
+                    return Some(got.map(Some));
+                }
+                st = pipe.state.lock();
+                continue;
+            }
+            if st.eof {
+                return Some(Ok(None));
+            }
+            let nodes = (pipe.consumer_node, st.producer_node);
+            let blocked = self.probe.as_ref().map(|_| Instant::now());
+            st = pipe.wait(st, &pipe.data, nodes, WaitKind::ConsumerEmpty, due);
+            if let (Some(p), Some(blocked)) = (&self.probe, blocked) {
+                p.add_pipe_wait_ns(blocked.elapsed().as_nanos() as u64);
+            }
+        }
     }
 
     /// Drain everything into a vector of tuples — the client result
@@ -396,11 +418,35 @@ impl PipeConsumer {
         }
         Ok(out)
     }
+
+    /// Pass `batch` through the fused nodes. A node's kernel time is its busy
+    /// time and the reader's pipe wait.
+    fn run_fused(&self, mut batch: Arc<ColBatch>) -> QResult<Arc<ColBatch>> {
+        for (plan, obs) in &self.fused {
+            let started = obs.as_ref().map(|(p, _)| (p, Instant::now()));
+            batch = Arc::new(crate::ops::fused_map(plan, &batch)?);
+            if let Some((p, started)) = started {
+                let ns = started.elapsed().as_nanos() as u64;
+                p.add_total_ns(ns);
+                self.probe.iter().for_each(|reader| reader.add_pipe_wait_ns(ns));
+                p.add_rows(batch.len() as u64);
+                p.add_batches(u64::from(!batch.is_empty()));
+            }
+        }
+        Ok(batch)
+    }
 }
 
 impl Drop for PipeConsumer {
     fn drop(&mut self) {
         self.pipe.detach();
+        // A fused node's run ends with its reader's, as a host's with its
+        // packet's.
+        for (plan, obs) in &self.fused {
+            if let Some((probe, trace)) = obs {
+                trace.push(TraceEvent::finished(plan.op_name(), probe.stats()));
+            }
+        }
     }
 }
 
@@ -523,6 +569,41 @@ mod tests {
         h.join().unwrap();
         assert_eq!(rows.len(), n as usize);
         assert!(reg.edges().is_empty(), "edges must clear after unblock");
+    }
+
+    /// A fused filter runs on the reader's thread: empty batches are
+    /// skipped, its kernel time is its busy time and at least that much is
+    /// the reader's pipe wait, and it journals its end once, when its reader
+    /// lets go of the pipe.
+    #[test]
+    fn a_fused_filter_charges_its_kernel_to_its_busy_and_the_readers_pipe_wait() {
+        use qpipe_exec::expr::Expr;
+        let (mut producer, mut consumer) = pair(8, registry());
+        let reader = Arc::new(OpProbe::default());
+        let probes = ProbeNode::new("filter", vec![ProbeNode::new("scan", vec![])]);
+        let trace = Arc::new(QueryTrace::default());
+        consumer.set_probe(Some(reader.clone()));
+        let plan = Arc::new(PlanNode::scan("t").filter(Expr::col(0).lt(Expr::lit(100))));
+        let (below, probe, parent) = consumer.fuse(plan, Some(probes.clone()), None, Some(&trace));
+        assert_eq!(
+            (below.op_name(), probe.map(|p| p.op), parent),
+            ("scan", Some("scan"), Some("filter"))
+        );
+        let filter = probes.probe.clone();
+        push_rows(&mut producer, &tuples(1000));
+        producer.finish();
+        assert_eq!(consumer.recv().unwrap().unwrap().to_rows(), tuples(100));
+        assert!(consumer.recv().unwrap().is_none(), "three emptied batches are skipped");
+        assert!(consumer.recv().unwrap().is_none());
+        drop(consumer);
+        let (f, r) = (filter.stats(), reader.stats());
+        assert_eq!((f.rows, f.batches, f.pipe_wait_ns), (100, 1, 0));
+        assert!(f.busy_ns > 0, "{f:?}");
+        assert!(r.pipe_wait_ns >= f.busy_ns, "{r:?} against {f:?}");
+        let ends = trace.events().into_iter().filter(|e| {
+            matches!(e.event, TraceEvent::OperatorFinished { op: "filter", rows: 100, .. })
+        });
+        assert_eq!(ends.count(), 1, "{}", trace.render());
     }
 
     /// Two producers feed two consumers that read them in opposite orders

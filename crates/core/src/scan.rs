@@ -210,15 +210,7 @@ impl ScanConsumer {
             return;
         };
         if let Some(p) = &self.probe {
-            let s = p.stats();
-            tr.push(TraceEvent::OperatorFinished {
-                op: "scan",
-                rows: s.rows,
-                batches: s.batches,
-                busy_ns: s.busy_ns,
-                pipe_wait_ns: s.pipe_wait_ns,
-                io_wait_ns: s.io_wait_ns,
-            });
+            tr.push(TraceEvent::finished("scan", p.stats()));
         }
         if self.satellite {
             tr.push(TraceEvent::OspDetach {

@@ -138,27 +138,25 @@ impl VecSort {
         if !self.builder.is_empty() {
             self.spill_run()?;
         }
+        // One cursor per run with rows, in run order.
         let mut cursors = Vec::with_capacity(self.runs.len());
         for run in &self.runs {
-            let mut c = Cursor { reader: run.reader(), batch: None, pos: 0 };
-            c.load_next()?;
-            cursors.push(c);
+            cursors.extend(Cursor::open(run.reader())?);
         }
-        // Index min-heap over the cursors, ordered by (head-row keys, run
-        // index) — O(log k) per emitted row. Ties break on the lower run
-        // index, exactly the row-path merge heap's stability rule.
-        let mut heap: Vec<usize> =
-            (0..cursors.len()).filter(|&i| cursors[i].batch.is_some()).collect();
+        // Index min-heap over the live cursors, ordered by (head-row keys,
+        // cursor index) — O(log k) per emitted row. Cursors keep run order,
+        // so ties break on the lower run index, exactly the row-path merge
+        // heap's stability rule.
+        let mut heap: Vec<usize> = (0..cursors.len()).collect();
         for i in (0..heap.len() / 2).rev() {
             sift_down(&mut heap, &cursors, &self.keys, i);
         }
         let mut out = ColBatchBuilder::new();
         while let Some(&top) = heap.first() {
             let c = &mut cursors[top];
-            let appended = out.push_row_from(c.batch.as_ref().expect("cursor has a batch"), c.pos);
+            let appended = out.push_row_from(&c.batch, c.pos);
             debug_assert!(appended, "runs share one width by construction");
-            c.advance()?;
-            if cursors[top].batch.is_none() {
+            if !c.advance()? {
                 // Run exhausted: drop it from the heap.
                 let last = heap.len() - 1;
                 heap.swap(0, last);
@@ -177,13 +175,10 @@ impl VecSort {
 }
 
 /// `cursors[a]`'s head row strictly before `cursors[b]`'s, tie-breaking on
-/// the run index. Both cursors must have a live batch.
+/// the cursor index (run order).
 fn head_less(cursors: &[Cursor], keys: &[SortSpec], a: usize, b: usize) -> bool {
-    let (ba, bb) = (
-        cursors[a].batch.as_ref().expect("heap entries have batches"),
-        cursors[b].batch.as_ref().expect("heap entries have batches"),
-    );
-    match ba.cmp_rows(cursors[a].pos, bb, cursors[b].pos, keys) {
+    let (ca, cb) = (&cursors[a], &cursors[b]);
+    match ca.batch.cmp_rows(ca.pos, &cb.batch, cb.pos, keys) {
         Ordering::Less => true,
         Ordering::Greater => false,
         Ordering::Equal => a < b,
@@ -209,32 +204,37 @@ fn sift_down(heap: &mut [usize], cursors: &[Cursor], keys: &[SortSpec], mut i: u
     }
 }
 
-/// Read position within one spilled run during the k-way merge.
+/// Read position within one spilled run during the k-way merge: always at
+/// a row.
 struct Cursor {
     reader: ColRunReader,
-    /// Current chunk; `None` once the run is exhausted.
-    batch: Option<ColBatch>,
+    batch: ColBatch,
     pos: usize,
 }
 
 impl Cursor {
-    fn advance(&mut self) -> QResult<()> {
-        self.pos += 1;
-        if self.batch.as_ref().is_some_and(|b| self.pos >= b.len()) {
-            self.load_next()?;
-        }
-        Ok(())
+    /// A cursor at the run's first row; `None` for a run with no rows.
+    fn open(reader: ColRunReader) -> QResult<Option<Self>> {
+        let mut c = Cursor { reader, batch: ColBatch::empty_rows(0), pos: 0 };
+        Ok(c.fill()?.then_some(c))
     }
 
-    fn load_next(&mut self) -> QResult<()> {
-        self.pos = 0;
-        loop {
-            self.batch = self.reader.next_batch()?;
-            // Skip empty chunks defensively (the writer never emits them).
-            if self.batch.as_ref().is_none_or(|b| !b.is_empty()) {
-                return Ok(());
-            }
+    /// Step to the next row; `false` once the run is exhausted.
+    fn advance(&mut self) -> QResult<bool> {
+        self.pos += 1;
+        self.fill()
+    }
+
+    /// Load chunks until `pos` is a row, skipping empty ones (the writer
+    /// never emits them); `false` at the run's end.
+    fn fill(&mut self) -> QResult<bool> {
+        while self.pos >= self.batch.len() {
+            let Some(batch) = self.reader.next_batch()? else {
+                return Ok(false);
+            };
+            (self.batch, self.pos) = (batch, 0);
         }
+        Ok(true)
     }
 }
 

@@ -1,9 +1,10 @@
 //! End-to-end tracing/profiling coverage: a Q1-shaped query's
 //! `QueryProfile` must agree with the engine-global `Metrics` counters, an
 //! OSP-shared scan pair must show host-served pages on the satellite's
-//! profile and journal, every join, filter and projection host must send
-//! full batches, and `tracing=false` must record nothing while leaving
-//! results bit-identical.
+//! profile and journal, every hash-join host must send full batches while
+//! the filter and projection fused into their reader still count their rows,
+//! and `tracing=false` must record nothing while leaving results
+//! bit-identical.
 
 use qpipe::common::trace::{QueryProfile, TraceEvent};
 use qpipe::prelude::*;
@@ -83,28 +84,49 @@ fn q1_profile_rows_match_metrics_counters() {
     assert!(text.contains("rows"), "{text}");
 }
 
-/// Every host sends full batches, as the scanner does: in Q8's five hash
-/// joins and its projection, and in Q19's join and filter, every batch but
-/// a node's last carries at least `DEFAULT_CAPACITY` rows.
+/// Every hash-join host sends full batches, as the scanner does: in Q8's
+/// five joins and Q19's one, every batch but a node's last carries at least
+/// `DEFAULT_CAPACITY` rows. Q8's projection and Q19's filter run in their
+/// reader, the aggregate above them, and their probes still count what they
+/// pass on: the projection every row of its join, the filter at most its
+/// join's rows. Each journals its end once, as a host does.
 #[test]
-fn join_filter_and_project_hosts_send_full_batches() {
-    fn check(node: &QueryProfile, seen: &mut Vec<&'static str>) {
-        if matches!(node.op, "hashjoin" | "project" | "filter") {
+fn join_hosts_send_full_batches_and_fused_probes_count_rows() {
+    fn check(node: &QueryProfile, seen: &mut usize) {
+        if node.op == "hashjoin" {
             let full = node.stats.rows / ColBatch::DEFAULT_CAPACITY as u64;
             assert!((1..=full + 1).contains(&node.stats.batches), "{node:?}");
-            seen.push(node.op);
+            *seen += 1;
         }
         node.children.iter().for_each(|c| check(c, seen));
     }
     let engine = QPipe::new(columnar_catalog(), tracing_config(true));
-    for (plan, hosts) in [(q8(1, "PROMO BURNISHED COPPER"), 6), (q19("Brand#11", "Brand#23", 5), 2)]
-    {
+    let queries = [
+        (q8(1, "PROMO BURNISHED COPPER"), "project", 5),
+        (q19("Brand#11", "Brand#23", 5), "filter", 1),
+    ];
+    for (plan, fused, joins) in queries {
         let handle = engine.submit(plan).unwrap();
         let tree = handle.probe_tree().expect("tracing on");
+        let trace = handle.trace().expect("tracing on");
         assert!(!handle.try_collect().unwrap().is_empty());
-        let mut seen = Vec::new();
-        check(&tree.snapshot(), &mut seen);
-        assert_eq!(seen.len(), hosts, "{seen:?}");
+        let profile = tree.snapshot();
+        let mut seen = 0;
+        check(&profile, &mut seen);
+        assert_eq!(seen, joins, "{profile:?}");
+
+        let (node, join) = (&profile.children[0], &profile.children[0].children[0]);
+        assert_eq!((profile.op, node.op, join.op), ("agg", fused, "hashjoin"));
+        assert!(node.stats.rows > 0 && node.stats.batches > 0, "{node:?}");
+        match fused {
+            "project" => assert_eq!(node.stats.rows, join.stats.rows, "{profile:?}"),
+            _ => assert!(node.stats.rows <= join.stats.rows, "{profile:?}"),
+        }
+        let ends = trace.events().into_iter().filter(|e| {
+            matches!(e.event, TraceEvent::OperatorFinished { op, rows, .. }
+                if op == fused && rows == node.stats.rows)
+        });
+        assert_eq!(ends.count(), 1, "{}", trace.render());
     }
 }
 
