@@ -16,7 +16,6 @@
 
 use qpipe_common::{FaultKind, FaultOp, FaultRule, QError};
 use qpipe_core::engine::QPipeConfig;
-use qpipe_core::QueryClass;
 use qpipe_exec::iter::ExecConfig;
 use qpipe_workloads::chaos::{run_chaos, ChaosConfig};
 use qpipe_workloads::harness::{Driver, OpenLoopOutcome, System, SystemProfile};
@@ -56,14 +55,10 @@ fn main() {
     ];
     let config = ChaosConfig { interarrival_paper: 300.0, ..ChaosConfig::new(0xC4A05, rules) };
     let n = 24;
+    // Every sixth query scans the corrupted table; the rest scan lineitem and
+    // ride through the transient/panic schedule.
     let plans: Vec<_> = (0..n)
-        .map(|i| {
-            let class = if i % 4 == 0 { QueryClass::Batch } else { QueryClass::Interactive };
-            // Every sixth query scans the corrupted table; the rest scan
-            // lineitem and ride through the transient/panic schedule.
-            let plan = if i % 6 == 5 { q13() } else { q6((i % 5) as i32 * 100, 0.05, 30) };
-            (plan, class)
-        })
+        .map(|i| if i % 6 == 5 { q13() } else { q6((i % 5) as i32 * 100, 0.05, 30) })
         .collect();
     let report = run_chaos(&driver, plans, &config);
 
@@ -126,12 +121,14 @@ fn main() {
         report.result.delta.checksum_failures,
         report.result.delta.worker_panics,
     );
-    for c in report.result.class_latencies() {
-        println!(
-            "  {:?}: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
-            c.class, c.completed, c.p50_paper_secs, c.p95_paper_secs, c.p99_paper_secs
-        );
-    }
+    let l = report.result.latency();
+    println!(
+        "  latency: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
+        l.count,
+        l.p50 as f64 / 1e6,
+        l.p95 as f64 / 1e6,
+        l.p99 as f64 / 1e6,
+    );
     // Wiring regression guard: a recorded histogram whose percentiles read
     // zero means a record site went dead or the snapshot plumbing broke.
     for (name, h) in driver.metrics().snapshot().histograms() {

@@ -10,13 +10,11 @@
 //! * the packet pools accumulated busy time,
 //! * admission slots and memory leases return to baseline.
 //!
-//! Also prints the per-class p50/p99 response latency report the harness
-//! now produces, so the job's log doubles as a quick latency regression
-//! eyeball.
+//! Also prints the burst's p50/p95/p99 response latency, so the job's log
+//! doubles as a quick latency regression eyeball.
 
 use qpipe_core::admit::AdmitConfig;
 use qpipe_core::engine::QPipeConfig;
-use qpipe_core::QueryClass;
 use qpipe_workloads::harness::{open_loop, Driver, System, SystemProfile};
 use qpipe_workloads::tpch::{build_tpch, query, TpchScale, MIX};
 use rand::rngs::StdRng;
@@ -35,12 +33,7 @@ fn main() {
     .expect("build driver");
 
     let mut rng = StdRng::seed_from_u64(0x9A7A11E1);
-    let plans = (0..queries)
-        .map(|i| {
-            let class = if i % 4 == 0 { QueryClass::Batch } else { QueryClass::Interactive };
-            (query(MIX[i % MIX.len()], &mut rng), class)
-        })
-        .collect();
+    let plans = (0..queries).map(|i| query(MIX[i % MIX.len()], &mut rng)).collect();
     let r = open_loop(&driver, plans, 0.5, profile.time_scale);
 
     let engine = driver.engine().expect("staged driver");
@@ -90,12 +83,14 @@ fn main() {
         r.delta.morsels_dispatched,
         r.delta.worker_busy_ns as f64 / 1e6,
     );
-    for c in r.class_latencies() {
-        println!(
-            "  {:?}: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
-            c.class, c.completed, c.p50_paper_secs, c.p95_paper_secs, c.p99_paper_secs
-        );
-    }
+    let l = r.latency();
+    println!(
+        "  latency: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
+        l.count,
+        l.p50 as f64 / 1e6,
+        l.p95 as f64 / 1e6,
+        l.p99 as f64 / 1e6,
+    );
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("FAIL: {f}");

@@ -11,7 +11,6 @@
 
 use qpipe_core::admit::AdmitConfig;
 use qpipe_core::engine::QPipeConfig;
-use qpipe_core::QueryClass;
 use qpipe_exec::iter::ExecConfig;
 use qpipe_workloads::harness::{open_loop, Driver, System, SystemProfile};
 use qpipe_workloads::tpch::{build_tpch, query, TpchScale, MIX};
@@ -40,12 +39,7 @@ fn main() {
     .expect("build driver");
 
     let mut rng = StdRng::seed_from_u64(0x57E55);
-    let plans = (0..queries)
-        .map(|i| {
-            let class = if i % 4 == 0 { QueryClass::Batch } else { QueryClass::Interactive };
-            (query(MIX[i % MIX.len()], &mut rng), class)
-        })
-        .collect();
+    let plans = (0..queries).map(|i| query(MIX[i % MIX.len()], &mut rng)).collect();
     let r = open_loop(&driver, plans, 2.0, profile.time_scale);
 
     let engine = driver.engine().expect("staged driver");
@@ -122,12 +116,14 @@ fn main() {
     for (name, ns) in busy {
         println!("  pool {name:>10}: {:.1} ms busy", *ns as f64 / 1e6);
     }
-    for c in r.class_latencies() {
-        println!(
-            "  {:?}: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
-            c.class, c.completed, c.p50_paper_secs, c.p95_paper_secs, c.p99_paper_secs
-        );
-    }
+    let l = r.latency();
+    println!(
+        "  latency: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
+        l.count,
+        l.p50 as f64 / 1e6,
+        l.p95 as f64 / 1e6,
+        l.p99 as f64 / 1e6,
+    );
     // Wiring regression guard: a recorded histogram whose percentiles read
     // zero means a record site went dead or the snapshot plumbing broke.
     for (name, h) in driver.metrics().snapshot().histograms() {

@@ -140,8 +140,7 @@ struct MetricsInner {
     morsels_dispatched: AtomicU64,
     scan_pages_read_ahead: AtomicU64,
     worker_busy_ns: AtomicU64,
-    query_latency_interactive_us: Histogram,
-    query_latency_batch_us: Histogram,
+    query_latency_us: Histogram,
     admission_wait_us: Histogram,
     bp_fetch_us: Histogram,
     pool_queue_wait_us: Histogram,
@@ -230,11 +229,8 @@ pub struct MetricsSnapshot {
     /// Nanoseconds pool workers spent executing jobs, summed across every
     /// pool (per-µEngine split in `per_engine_busy_ns`).
     pub worker_busy_ns: u64,
-    /// End-to-end latency of completed interactive-class queries (µs),
-    /// p50/p95/p99.
-    pub query_latency_interactive_us: HistogramSummary,
-    /// End-to-end latency of completed batch-class queries (µs), p50/p95/p99.
-    pub query_latency_batch_us: HistogramSummary,
+    /// End-to-end latency of completed queries (µs), p50/p95/p99.
+    pub query_latency_us: HistogramSummary,
     /// Time queries spent in the admission queue before dispatch (µs).
     pub admission_wait_us: HistogramSummary,
     /// Buffer-pool miss-path fetch latency — disk read + checksum verify,
@@ -393,14 +389,9 @@ impl Metrics {
         self.inner.response_time_us_sum.fetch_add(response_us, Ordering::Relaxed);
     }
 
-    /// Record a completed query's end-to-end latency in its class histogram
-    /// (`interactive` is `QueryClass::Interactive`, which lives upstack).
-    pub fn record_query_latency(&self, interactive: bool, us: u64) {
-        if interactive {
-            self.inner.query_latency_interactive_us.record(us);
-        } else {
-            self.inner.query_latency_batch_us.record(us);
-        }
+    /// Record a completed query's end-to-end latency (µs).
+    pub fn record_query_latency(&self, us: u64) {
+        self.inner.query_latency_us.record(us);
     }
 
     /// Record time a query spent in the admission queue (µs).
@@ -525,8 +516,7 @@ impl Metrics {
             morsels_dispatched: i.morsels_dispatched.load(Ordering::Relaxed),
             scan_pages_read_ahead: i.scan_pages_read_ahead.load(Ordering::Relaxed),
             worker_busy_ns: i.worker_busy_ns.load(Ordering::Relaxed),
-            query_latency_interactive_us: i.query_latency_interactive_us.summary(),
-            query_latency_batch_us: i.query_latency_batch_us.summary(),
+            query_latency_us: i.query_latency_us.summary(),
             admission_wait_us: i.admission_wait_us.summary(),
             bp_fetch_us: i.bp_fetch_us.summary(),
             pool_queue_wait_us: i.pool_queue_wait_us.summary(),
@@ -542,8 +532,7 @@ impl MetricsSnapshot {
     /// wiring guard) iterate them without naming each field.
     pub fn histograms(&self) -> Vec<(&'static str, HistogramSummary)> {
         vec![
-            ("query_latency_interactive_us", self.query_latency_interactive_us),
-            ("query_latency_batch_us", self.query_latency_batch_us),
+            ("query_latency_us", self.query_latency_us),
             ("admission_wait_us", self.admission_wait_us),
             ("bp_fetch_us", self.bp_fetch_us),
             ("pool_queue_wait_us", self.pool_queue_wait_us),
@@ -620,12 +609,7 @@ impl MetricsSnapshot {
             morsels_dispatched: self.morsels_dispatched - earlier.morsels_dispatched,
             scan_pages_read_ahead: self.scan_pages_read_ahead - earlier.scan_pages_read_ahead,
             worker_busy_ns: self.worker_busy_ns - earlier.worker_busy_ns,
-            query_latency_interactive_us: self
-                .query_latency_interactive_us
-                .delta_since(&earlier.query_latency_interactive_us),
-            query_latency_batch_us: self
-                .query_latency_batch_us
-                .delta_since(&earlier.query_latency_batch_us),
+            query_latency_us: self.query_latency_us.delta_since(&earlier.query_latency_us),
             admission_wait_us: self.admission_wait_us.delta_since(&earlier.admission_wait_us),
             bp_fetch_us: self.bp_fetch_us.delta_since(&earlier.bp_fetch_us),
             pool_queue_wait_us: self.pool_queue_wait_us.delta_since(&earlier.pool_queue_wait_us),
@@ -735,15 +719,16 @@ mod tests {
     }
 
     #[test]
-    fn latency_histograms_route_by_class() {
+    fn query_latency_histogram_records_every_query() {
         let m = Metrics::new();
-        m.record_query_latency(true, 100);
-        m.record_query_latency(false, 200);
-        m.record_query_latency(false, 300);
+        for us in [100, 200, 300] {
+            m.record_query_latency(us);
+        }
         let s = m.snapshot();
-        assert_eq!(s.query_latency_interactive_us.count, 1);
-        assert_eq!(s.query_latency_batch_us.count, 2);
-        assert!(s.query_latency_interactive_us.p50 > 0);
+        assert_eq!(s.query_latency_us.count, 3);
+        // Log-bucketed: the median 200 µs lands within one sub-bucket.
+        let rel = (s.query_latency_us.p50 as f64 - 200.0).abs() / 200.0;
+        assert!(rel < 0.07, "p50 {} for 100/200/300 µs", s.query_latency_us.p50);
     }
 
     #[test]
@@ -773,11 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_histograms_lists_all_five() {
+    fn snapshot_histograms_lists_all_four() {
         let s = Metrics::new().snapshot();
         let names: Vec<_> = s.histograms().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names.len(), 5);
-        assert!(names.contains(&"query_latency_interactive_us"));
+        assert_eq!(names.len(), 4);
+        assert!(names.contains(&"query_latency_us"));
         assert!(names.contains(&"pool_queue_wait_us"));
     }
 }

@@ -10,12 +10,12 @@
 //!   every µEngine its plan touches and is admitted atomically (all engines
 //!   or none), so partial admission can never deadlock two queries against
 //!   each other.
-//! * **Ticketed waiting, FIFO within class** — excess queries wait as
-//!   [`QueryTicket`]s in two queues: [`QueryClass::Interactive`] drains
-//!   ahead of [`QueryClass::Batch`], and within a class, queries contending
-//!   for the same µEngine are admitted strictly in arrival order. Queries
-//!   whose engine sets are disjoint from every earlier waiter may overtake
-//!   (no cross-engine head-of-line blocking).
+//! * **One FIFO waiting room** — excess queries wait as [`QueryTicket`]s in
+//!   one queue, as each of the paper's µEngines serves its packets from one
+//!   queue: queries contending for the same µEngine are admitted strictly
+//!   in arrival order, and no query outranks another. Queries whose engine
+//!   sets are disjoint from every earlier waiter may overtake (no
+//!   cross-engine head-of-line blocking).
 //! * **Backpressure & cancellation** — the waiting room itself is bounded
 //!   ([`AdmitConfig::max_queued`]; beyond it `submit` fails fast with
 //!   [`QError::Admission`]), queued queries are cancellable (the ticket is
@@ -44,6 +44,10 @@
 //! release — out of proportion for a simulator whose workers yield at
 //! batch granularity.
 //!
+//! [`QueryClass`] carries no policy. It is a one-variant enum that exists
+//! only because the `e2e/` benchmark, whose sources are frozen, still
+//! passes `QueryClass::Interactive` to the workload driver's submit calls.
+//!
 //! Lock order: the controller lock is always taken *before* any ticket's
 //! state lock, and neither is held across a dispatch, a pipe failure, or a
 //! cancel-token fire.
@@ -62,8 +66,7 @@ use std::time::{Duration, Instant};
 pub struct AdmitConfig {
     /// Queries that may concurrently use any one µEngine; excess waits.
     pub queue_depth: usize,
-    /// Waiting-room bound across both classes; beyond it submissions are
-    /// rejected outright.
+    /// Waiting-room bound; beyond it submissions are rejected outright.
     pub max_queued: usize,
     /// A ticket queued longer than this is rejected (its slots were never
     /// taken; its pipe fails with [`QError::Admission`]) when its client's
@@ -93,22 +96,12 @@ impl AdmitConfig {
     }
 }
 
-/// Scheduling class of a submitted query (FIFO within class; interactive
-/// drains ahead of batch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A query class with one variant and no policy: admission keeps one queue.
+/// Only the frozen `e2e/` benchmark names it, as the ignored class argument
+/// of the workload driver's `submit_with` and `submit_sql`.
+#[derive(Debug, Clone, Copy)]
 pub enum QueryClass {
-    #[default]
     Interactive,
-    Batch,
-}
-
-impl QueryClass {
-    fn index(self) -> usize {
-        match self {
-            QueryClass::Interactive => 0,
-            QueryClass::Batch => 1,
-        }
-    }
 }
 
 /// Runs the query's packet dispatch once admitted; returns the subtree's
@@ -136,9 +129,8 @@ enum TicketState {
 }
 
 /// One submitted query's admission state, shared between the controller's
-/// queues and the query handle.
+/// queue and the query handle.
 pub struct QueryTicket {
-    class: QueryClass,
     /// Deduplicated µEngines the plan touches (its slot footprint).
     engines: Vec<&'static str>,
     /// The query's event journal (`None` when tracing is off); admission
@@ -148,19 +140,9 @@ pub struct QueryTicket {
 }
 
 impl QueryTicket {
+    /// A queued ticket for a plan touching `engines`; with a trace journal,
+    /// its `Enqueued` event is stamped immediately.
     pub fn new(
-        class: QueryClass,
-        engines: Vec<&'static str>,
-        dispatch: DispatchFn,
-        pipe: Arc<Pipe>,
-    ) -> Arc<Self> {
-        Self::new_traced(class, engines, dispatch, pipe, None)
-    }
-
-    /// Like [`QueryTicket::new`], carrying the query's trace journal; the
-    /// `Enqueued` event is stamped immediately.
-    pub fn new_traced(
-        class: QueryClass,
         engines: Vec<&'static str>,
         dispatch: DispatchFn,
         pipe: Arc<Pipe>,
@@ -170,15 +152,10 @@ impl QueryTicket {
             tr.push(TraceEvent::Enqueued);
         }
         Arc::new(Self {
-            class,
             engines,
             trace,
             state: Mutex::new(TicketState::Queued { since: Instant::now(), dispatch, pipe }),
         })
-    }
-
-    pub fn class(&self) -> QueryClass {
-        self.class
     }
 
     /// Still waiting for admission?
@@ -193,8 +170,8 @@ struct CtrlState {
     in_flight: HashMap<&'static str, usize>,
     /// High-water mark of `in_flight`, per µEngine.
     peak: HashMap<&'static str, usize>,
-    /// Waiting rooms: `[interactive, batch]`.
-    queues: [VecDeque<Arc<QueryTicket>>; 2],
+    /// The waiting room, in arrival order.
+    queue: VecDeque<Arc<QueryTicket>>,
 }
 
 /// Deferred side effects collected under the locks, performed outside them.
@@ -255,18 +232,10 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    pub fn new(config: AdmitConfig, metrics: Metrics) -> Arc<Self> {
-        Self::with_deadline(config, None, metrics)
-    }
-
-    /// Controller with an execution deadline: [`expire`](Self::expire) fires
-    /// the plan's cancel tokens and fails the root pipe with
-    /// [`QError::Timeout`] once a running query exceeds `deadline`.
-    pub fn with_deadline(
-        config: AdmitConfig,
-        deadline: Option<Duration>,
-        metrics: Metrics,
-    ) -> Arc<Self> {
+    /// A controller; with a `deadline`, [`expire`](Self::expire) fires the
+    /// plan's cancel tokens and fails the root pipe with [`QError::Timeout`]
+    /// once a running query exceeds it.
+    pub fn new(config: AdmitConfig, deadline: Option<Duration>, metrics: Metrics) -> Arc<Self> {
         let config = config.validated(&metrics);
         Arc::new(Self { config, deadline, metrics, state: Mutex::new(CtrlState::default()) })
     }
@@ -297,10 +266,9 @@ impl AdmissionController {
         self.state.lock().in_flight.values().sum()
     }
 
-    /// Tickets waiting in either class queue.
+    /// Tickets waiting for admission.
     pub fn queue_len(&self) -> usize {
-        let st = self.state.lock();
-        st.queues[0].len() + st.queues[1].len()
+        self.state.lock().queue.len()
     }
 
     /// Enqueue a ticket and pump. Fails fast when the ticket would have to
@@ -311,13 +279,11 @@ impl AdmissionController {
     pub fn submit(&self, ticket: Arc<QueryTicket>) -> Result<(), QError> {
         let (actions, verdict) = {
             let mut st = self.state.lock();
-            st.queues[ticket.class.index()].push_back(ticket.clone());
+            st.queue.push_back(ticket.clone());
             let mut actions = self.pump_locked(&mut st);
-            let waiting = st.queues[0].len() + st.queues[1].len();
+            let waiting = st.queue.len();
             let verdict = if waiting > self.config.max_queued && ticket.is_queued() {
-                for q in &mut st.queues {
-                    q.retain(|other| !Arc::ptr_eq(other, &ticket));
-                }
+                st.queue.retain(|other| !Arc::ptr_eq(other, &ticket));
                 let mut t = ticket.state.lock();
                 if let TicketState::Queued { dispatch, .. } =
                     std::mem::replace(&mut *t, TicketState::Finished)
@@ -408,9 +374,7 @@ impl AdmissionController {
             match std::mem::replace(&mut *t, TicketState::Finished) {
                 TicketState::Queued { pipe, dispatch, .. } => {
                     drop(t);
-                    for q in &mut st.queues {
-                        q.retain(|other| !Arc::ptr_eq(other, ticket));
-                    }
+                    st.queue.retain(|other| !Arc::ptr_eq(other, ticket));
                     if let Some(err) = reason {
                         self.metrics.add_rejected();
                         actions.fail.push((pipe, err));
@@ -444,64 +408,54 @@ impl AdmissionController {
         actions.run();
     }
 
-    /// Admit every eligible waiter. Interactive scans first; within a class,
-    /// a ticket blocked on capacity shadows its engines so later same-class
-    /// (and any batch) tickets cannot overtake it on a shared µEngine.
+    /// Admit every eligible waiter, front to back. A ticket blocked on
+    /// capacity shadows its engines, so no later ticket overtakes it on a
+    /// shared µEngine.
     fn pump_locked(&self, st: &mut CtrlState) -> Actions {
         let mut actions = Actions::default();
         let mut blocked: HashSet<&'static str> = HashSet::new();
-        let mut queues = std::mem::take(&mut st.queues);
-        for q in &mut queues {
-            let mut keep = VecDeque::with_capacity(q.len());
-            for ticket in q.drain(..) {
-                let mut t = ticket.state.lock();
-                let eligible = ticket.engines.iter().all(|e| {
-                    !blocked.contains(e)
-                        && st.in_flight.get(e).copied().unwrap_or(0) < self.config.queue_depth
-                });
-                let (dispatch, since) = match std::mem::replace(&mut *t, TicketState::Finished) {
-                    TicketState::Queued { dispatch, since, pipe } if eligible => {
-                        if self.deadline.is_some() {
-                            actions.wake.push(pipe.clone());
-                        }
-                        *t = TicketState::Running {
-                            cancels: Vec::new(),
-                            since: Instant::now(),
-                            pipe,
-                        };
-                        (dispatch, since)
+        for ticket in std::mem::take(&mut st.queue) {
+            let mut t = ticket.state.lock();
+            let eligible = ticket.engines.iter().all(|e| {
+                !blocked.contains(e)
+                    && st.in_flight.get(e).copied().unwrap_or(0) < self.config.queue_depth
+            });
+            let (dispatch, since) = match std::mem::replace(&mut *t, TicketState::Finished) {
+                TicketState::Queued { dispatch, since, pipe } if eligible => {
+                    if self.deadline.is_some() {
+                        actions.wake.push(pipe.clone());
                     }
-                    queued @ TicketState::Queued { .. } => {
-                        *t = queued;
-                        drop(t);
-                        blocked.extend(&ticket.engines);
-                        keep.push_back(ticket);
-                        continue;
-                    }
-                    // Settled elsewhere (cancelled/timed out): drop it.
-                    settled => {
-                        *t = settled;
-                        continue;
-                    }
-                };
-                drop(t);
-                let waited_us = since.elapsed().as_micros() as u64;
-                self.metrics.record_admission_wait(waited_us);
-                if let Some(tr) = &ticket.trace {
-                    tr.push(TraceEvent::Admitted { waited_us });
+                    *t = TicketState::Running { cancels: Vec::new(), since: Instant::now(), pipe };
+                    (dispatch, since)
                 }
-                for e in &ticket.engines {
-                    let n = st.in_flight.entry(e).or_insert(0);
-                    *n += 1;
-                    let p = st.peak.entry(e).or_insert(0);
-                    *p = (*p).max(*n);
+                queued @ TicketState::Queued { .. } => {
+                    *t = queued;
+                    drop(t);
+                    blocked.extend(&ticket.engines);
+                    st.queue.push_back(ticket);
+                    continue;
                 }
-                self.metrics.add_admitted();
-                actions.dispatch.push((ticket, dispatch));
+                // Settled elsewhere (cancelled/timed out): drop it.
+                settled => {
+                    *t = settled;
+                    continue;
+                }
+            };
+            drop(t);
+            let waited_us = since.elapsed().as_micros() as u64;
+            self.metrics.record_admission_wait(waited_us);
+            if let Some(tr) = &ticket.trace {
+                tr.push(TraceEvent::Admitted { waited_us });
             }
-            *q = keep;
+            for e in &ticket.engines {
+                let n = st.in_flight.entry(e).or_insert(0);
+                *n += 1;
+                let p = st.peak.entry(e).or_insert(0);
+                *p = (*p).max(*n);
+            }
+            self.metrics.add_admitted();
+            actions.dispatch.push((ticket, dispatch));
         }
-        st.queues = queues;
         actions
     }
 }
@@ -524,7 +478,6 @@ mod tests {
 
     /// A ticket whose "dispatch" just bumps a counter and closes the pipe.
     fn counting_ticket(
-        class: QueryClass,
         engines: &[&'static str],
         dispatched: &Arc<AtomicUsize>,
     ) -> (Arc<QueryTicket>, PipeConsumer) {
@@ -536,30 +489,33 @@ mod tests {
             producer.finish();
             vec![]
         });
-        (QueryTicket::new(class, engines.to_vec(), dispatch, pipe), consumer)
+        (QueryTicket::new(engines.to_vec(), dispatch, pipe, None), consumer)
     }
 
     #[test]
     fn admits_up_to_depth_then_queues_fifo() {
         let ctrl = AdmissionController::new(
             AdmitConfig { queue_depth: 2, ..AdmitConfig::default() },
+            None,
             metrics(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let tickets: Vec<_> = (0..5)
-            .map(|_| counting_ticket(QueryClass::Interactive, &["sort"], &dispatched))
-            .collect();
+        let tickets: Vec<_> = (0..5).map(|_| counting_ticket(&["sort"], &dispatched)).collect();
         for (t, _) in &tickets {
             ctrl.submit(t.clone()).unwrap();
         }
         assert_eq!(dispatched.load(Ordering::SeqCst), 2, "depth 2 admits exactly 2");
         assert_eq!(ctrl.in_flight("sort"), 2);
         assert_eq!(ctrl.queue_len(), 3);
-        // Releasing one admits exactly the FIFO head.
+        // A release admits exactly the FIFO head: ticket 2, then 3, then 4.
+        let queued = |i: usize| tickets[i].0.is_queued();
         ctrl.finish(&tickets[0].0, None, false);
         assert_eq!(dispatched.load(Ordering::SeqCst), 3);
+        assert!(!queued(2) && queued(3) && queued(4), "the release admits ticket 2");
+        ctrl.finish(&tickets[1].0, None, false);
+        assert!(!queued(3) && queued(4), "ticket 3 goes before ticket 4");
         assert_eq!(ctrl.peak("sort"), 2, "never more than depth concurrently");
-        for (t, _) in &tickets[1..] {
+        for (t, _) in &tickets[2..] {
             ctrl.finish(t, None, false);
         }
         assert_eq!(ctrl.in_flight("sort"), 0, "all slots returned");
@@ -568,42 +524,19 @@ mod tests {
     }
 
     #[test]
-    fn interactive_overtakes_batch_but_not_same_class() {
-        let ctrl = AdmissionController::new(
-            AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
-            metrics(),
-        );
-        let dispatched = Arc::new(AtomicUsize::new(0));
-        let (running, _c0) = counting_ticket(QueryClass::Batch, &["scan"], &dispatched);
-        ctrl.submit(running.clone()).unwrap();
-        let (batch, _c1) = counting_ticket(QueryClass::Batch, &["scan"], &dispatched);
-        ctrl.submit(batch.clone()).unwrap();
-        let (inter, _c2) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
-        ctrl.submit(inter.clone()).unwrap();
-        assert_eq!(dispatched.load(Ordering::SeqCst), 1);
-        // Release: the interactive newcomer beats the earlier batch waiter.
-        ctrl.finish(&running, None, false);
-        assert!(!inter.is_queued(), "interactive admitted first");
-        assert!(batch.is_queued(), "batch still waiting");
-        ctrl.finish(&inter, None, false);
-        assert!(!batch.is_queued());
-        ctrl.finish(&batch, None, false);
-        assert_eq!(ctrl.in_flight("scan"), 0);
-    }
-
-    #[test]
     fn disjoint_engines_overtake_blocked_head() {
         let ctrl = AdmissionController::new(
             AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
+            None,
             metrics(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let (a, _ca) = counting_ticket(QueryClass::Interactive, &["sort"], &dispatched);
+        let (a, _ca) = counting_ticket(&["sort"], &dispatched);
         ctrl.submit(a.clone()).unwrap();
-        let (b, _cb) = counting_ticket(QueryClass::Interactive, &["sort"], &dispatched);
+        let (b, _cb) = counting_ticket(&["sort"], &dispatched);
         ctrl.submit(b.clone()).unwrap();
         // A scan-only query must not wait behind the sort-blocked head.
-        let (c, _cc) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let (c, _cc) = counting_ticket(&["scan"], &dispatched);
         ctrl.submit(c.clone()).unwrap();
         assert!(b.is_queued(), "same-engine waiter blocked");
         assert!(!c.is_queued(), "disjoint engine set admitted immediately");
@@ -617,14 +550,15 @@ mod tests {
         let m = metrics();
         let ctrl = AdmissionController::new(
             AdmitConfig { queue_depth: 1, max_queued: 1, ..AdmitConfig::default() },
+            None,
             m.clone(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let (running, _c0) = counting_ticket(QueryClass::Interactive, &["agg"], &dispatched);
+        let (running, _c0) = counting_ticket(&["agg"], &dispatched);
         ctrl.submit(running.clone()).unwrap();
-        let (waiting, wc) = counting_ticket(QueryClass::Interactive, &["agg"], &dispatched);
+        let (waiting, wc) = counting_ticket(&["agg"], &dispatched);
         ctrl.submit(waiting.clone()).unwrap();
-        let (overflow, _c2) = counting_ticket(QueryClass::Interactive, &["agg"], &dispatched);
+        let (overflow, _c2) = counting_ticket(&["agg"], &dispatched);
         let err = ctrl.submit(overflow).expect_err("waiting room bound");
         assert!(matches!(err, QError::Admission(_)));
         // Cancel the waiter while queued: slots never taken, pipe poisoned.
@@ -647,20 +581,21 @@ mod tests {
         let m = metrics();
         let ctrl = AdmissionController::new(
             AdmitConfig { queue_depth: 1, max_queued: 1, ..AdmitConfig::default() },
+            None,
             m.clone(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let (running, _c0) = counting_ticket(QueryClass::Interactive, &["sort"], &dispatched);
+        let (running, _c0) = counting_ticket(&["sort"], &dispatched);
         ctrl.submit(running.clone()).unwrap();
-        let (waiting, _c1) = counting_ticket(QueryClass::Interactive, &["sort"], &dispatched);
+        let (waiting, _c1) = counting_ticket(&["sort"], &dispatched);
         ctrl.submit(waiting.clone()).unwrap();
         assert!(waiting.is_queued(), "waiting room is now full");
         // Idle engine set ⇒ admitted despite the full room.
-        let (scan, _c2) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let (scan, _c2) = counting_ticket(&["scan"], &dispatched);
         ctrl.submit(scan.clone()).expect("idle-engine query must not be bounced");
         assert!(!scan.is_queued());
         // A query that would actually wait is still bounced.
-        let (bounced, _c3) = counting_ticket(QueryClass::Interactive, &["sort"], &dispatched);
+        let (bounced, _c3) = counting_ticket(&["sort"], &dispatched);
         let err = ctrl.submit(bounced).expect_err("sort waiter exceeds the room");
         assert!(matches!(err, QError::Admission(_)));
         for t in [&running, &waiting, &scan] {
@@ -679,12 +614,13 @@ mod tests {
         for _ in 0..50 {
             let ctrl = AdmissionController::new(
                 AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
+                None,
                 metrics(),
             );
             let dispatched = Arc::new(AtomicUsize::new(0));
-            let (running, _c0) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+            let (running, _c0) = counting_ticket(&["scan"], &dispatched);
             ctrl.submit(running.clone()).unwrap();
-            let (waiting, wc) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+            let (waiting, wc) = counting_ticket(&["scan"], &dispatched);
             ctrl.submit(waiting.clone()).unwrap();
             let collector = std::thread::spawn(move || wc.collect_tuples());
             // Let the collector reach the blocking recv, then cancel.
@@ -701,7 +637,7 @@ mod tests {
     #[test]
     fn execution_deadline_times_out_running_query() {
         let m = metrics();
-        let ctrl = AdmissionController::with_deadline(
+        let ctrl = AdmissionController::new(
             AdmitConfig::default(),
             Some(Duration::from_millis(5)),
             m.clone(),
@@ -712,7 +648,7 @@ mod tests {
         let c2 = cancel.clone();
         // A "stuck" plan: admitted, never produces, never finishes its pipe.
         let dispatch: DispatchFn = Box::new(move || vec![c2]);
-        let ticket = QueryTicket::new(QueryClass::Interactive, vec!["scan"], dispatch, pipe);
+        let ticket = QueryTicket::new(vec!["scan"], dispatch, pipe, None);
         ctrl.submit(ticket.clone()).unwrap();
         assert!(!ticket.is_queued(), "admitted immediately");
         std::thread::sleep(Duration::from_millis(10));
@@ -728,13 +664,13 @@ mod tests {
     #[test]
     fn deadline_spares_queries_within_budget() {
         let m = metrics();
-        let ctrl = AdmissionController::with_deadline(
+        let ctrl = AdmissionController::new(
             AdmitConfig::default(),
             Some(Duration::from_secs(3600)),
             m.clone(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let (t, c) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let (t, c) = counting_ticket(&["scan"], &dispatched);
         ctrl.submit(t.clone()).unwrap();
         ctrl.expire(&t);
         assert!(c.collect_tuples().is_ok(), "a query within its budget does not expire");
@@ -751,12 +687,13 @@ mod tests {
                 queue_timeout: Some(Duration::from_millis(5)),
                 ..AdmitConfig::default()
             },
+            None,
             m.clone(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let (running, _c0) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let (running, _c0) = counting_ticket(&["scan"], &dispatched);
         ctrl.submit(running.clone()).unwrap();
-        let (waiting, wc) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let (waiting, wc) = counting_ticket(&["scan"], &dispatched);
         ctrl.submit(waiting.clone()).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         ctrl.expire(&running);
@@ -778,9 +715,9 @@ mod tests {
         let depth_one = AdmitConfig { queue_depth: 1, ..AdmitConfig::default() };
         let timeout = AdmitConfig { queue_timeout: Some(t), ..depth_one };
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let ticket = || counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let ticket = || counting_ticket(&["scan"], &dispatched);
         for (config, deadline) in [(timeout, Some(d)), (timeout, None), (depth_one, Some(d))] {
-            let ctrl = AdmissionController::with_deadline(config, deadline, metrics());
+            let ctrl = AdmissionController::new(config, deadline, metrics());
             let (running, _c0) = ticket();
             ctrl.submit(running.clone()).unwrap();
             let before = Instant::now();
@@ -805,7 +742,7 @@ mod tests {
             ctrl.finish(&waiting, None, false);
             assert_eq!(ctrl.due(&waiting), None, "a settled ticket never falls due");
         }
-        let neither = AdmissionController::new(AdmitConfig::default(), metrics());
+        let neither = AdmissionController::new(AdmitConfig::default(), None, metrics());
         let (t, _c) = ticket();
         neither.submit(t.clone()).unwrap();
         assert_eq!(neither.due(&t), None, "no limit, no due");
@@ -821,11 +758,11 @@ mod tests {
             queue_timeout: Some(Duration::from_millis(1)),
             ..AdmitConfig::default()
         };
-        let ctrl = AdmissionController::with_deadline(config, Some(Duration::from_secs(3600)), m);
+        let ctrl = AdmissionController::new(config, Some(Duration::from_secs(3600)), m);
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let (running, _c0) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let (running, _c0) = counting_ticket(&["scan"], &dispatched);
         ctrl.submit(running.clone()).unwrap();
-        let (waiting, wc) = counting_ticket(QueryClass::Interactive, &["scan"], &dispatched);
+        let (waiting, wc) = counting_ticket(&["scan"], &dispatched);
         ctrl.submit(waiting.clone()).unwrap();
         let due = ctrl.due(&waiting).expect("queued under a timeout");
         while Instant::now() < due {

@@ -19,7 +19,7 @@
 //! it, and a queue timeout or execution deadline fires on the client thread
 //! that reads the query's answer ([`QueryHandle::try_collect`]).
 
-use crate::admit::{AdmissionController, AdmitConfig, DispatchFn, QueryClass, QueryTicket};
+use crate::admit::{AdmissionController, AdmitConfig, DispatchFn, QueryTicket};
 use crate::deadlock::{NodeId, WaitRegistry};
 use crate::host::ShareRegistry;
 use crate::ops::{self, OpEnv};
@@ -139,11 +139,8 @@ impl QPipe {
                 (name, MicroEngine { share, pool: WorkerPool::new(name, metrics.clone()) })
             })
             .collect();
-        let admit = AdmissionController::with_deadline(
-            config.admit,
-            config.exec.query_deadline,
-            metrics.clone(),
-        );
+        let admit =
+            AdmissionController::new(config.admit, config.exec.query_deadline, metrics.clone());
         Arc::new_cyclic(|self_weak| Self {
             ctx,
             config,
@@ -184,21 +181,14 @@ impl QPipe {
         &self.ctx.governor
     }
 
-    /// Submit an interactive query plan; returns a handle streaming the
-    /// root's output. Equivalent to [`submit_with`](Self::submit_with) with
-    /// [`QueryClass::Interactive`].
+    /// Submit a query plan; returns a handle streaming the root's output.
+    /// The query passes through the admission controller: it dispatches
+    /// immediately when every µEngine it touches has headroom, otherwise it
+    /// waits in the ticketed queue (the returned handle blocks
+    /// transparently). `Err(Admission)` when the waiting room is full.
+    /// Dropping the handle withdraws a queued query; [`QueryHandle::cancel`]
+    /// does so explicitly and also terminates an already-running plan.
     pub fn submit(&self, plan: PlanNode) -> QResult<QueryHandle> {
-        self.submit_with(plan, QueryClass::Interactive)
-    }
-
-    /// Submit a query plan in a scheduling class. The query passes through
-    /// the admission controller: it dispatches immediately when every
-    /// µEngine it touches has headroom, otherwise it waits in the ticketed
-    /// queue (the returned handle blocks transparently). `Err(Admission)`
-    /// when the waiting room is full. Dropping the handle withdraws a
-    /// queued query; [`QueryHandle::cancel`] does so explicitly and also
-    /// terminates an already-running plan.
-    pub fn submit_with(&self, plan: PlanNode, class: QueryClass) -> QResult<QueryHandle> {
         self.validate(&plan)?;
         let query = QueryId::fresh();
         let client_node = fresh_node();
@@ -244,11 +234,10 @@ impl QPipe {
             }
             q.tokens
         });
-        let ticket = QueryTicket::new_traced(class, engines, dispatch, root_pipe, trace.clone());
+        let ticket = QueryTicket::new(engines, dispatch, root_pipe, trace.clone());
         self.admit.submit(ticket.clone())?;
         Ok(QueryHandle {
             query,
-            class,
             consumer,
             ticket: TicketGuard { ctrl: self.admit.clone(), ticket },
             submitted: Instant::now(),
@@ -264,31 +253,20 @@ impl QPipe {
         qpipe_planner::plan_sql(self.ctx.catalog.as_ref(), sql, &PlannerOptions::default())
     }
 
-    /// Submit SQL text as an interactive query. The text is parsed, bound
-    /// against the catalog, and planned by the statistics-free greedy
-    /// planner; because the planner canonicalizes, differently-phrased
-    /// variants of one logical query share a plan signature and therefore
-    /// OSP windows.
+    /// Submit SQL text. The text is parsed, bound against the catalog, and
+    /// planned by the statistics-free greedy planner; because the planner
+    /// canonicalizes, differently-phrased variants of one logical query
+    /// share a plan signature and therefore OSP windows.
     pub fn submit_sql(&self, sql: &str) -> QResult<QueryHandle> {
-        self.submit_sql_with(sql, QueryClass::Interactive)
-    }
-
-    /// [`submit_sql`](Self::submit_sql) with an explicit scheduling class.
-    pub fn submit_sql_with(&self, sql: &str, class: QueryClass) -> QResult<QueryHandle> {
-        self.submit_sql_opts(sql, class, &PlannerOptions::default())
+        self.submit_sql_opts(sql, &PlannerOptions::default())
     }
 
     /// SQL submission with explicit planner options — `canonicalize: false`
     /// is the A/B baseline the mixed-phrasing harness compares against.
-    pub fn submit_sql_opts(
-        &self,
-        sql: &str,
-        class: QueryClass,
-        opts: &PlannerOptions,
-    ) -> QResult<QueryHandle> {
+    pub fn submit_sql_opts(&self, sql: &str, opts: &PlannerOptions) -> QResult<QueryHandle> {
         let planned = qpipe_planner::plan_sql(self.ctx.catalog.as_ref(), sql, opts)?;
         self.note_sql_signature(planned.signature, sql);
-        self.submit_with((*planned.plan).clone(), class)
+        self.submit((*planned.plan).clone())
     }
 
     /// Track which SQL texts land on which plan signatures; a repeat
@@ -566,7 +544,6 @@ impl Drop for AbandonGuard {
 /// Handle to a submitted query.
 pub struct QueryHandle {
     query: QueryId,
-    class: QueryClass,
     consumer: PipeConsumer,
     ticket: TicketGuard,
     submitted: Instant,
@@ -593,11 +570,6 @@ impl Drop for TicketGuard {
 impl QueryHandle {
     pub fn query_id(&self) -> QueryId {
         self.query
-    }
-
-    /// The scheduling class this query was submitted in.
-    pub fn class(&self) -> QueryClass {
-        self.class
     }
 
     /// Snapshot the per-operator execution profile (rows, batches, busy and
@@ -674,8 +646,7 @@ impl QueryHandle {
                 let elapsed_us = self.submitted.elapsed().as_micros() as u64;
                 self.metrics.add_tuples(rows.len() as u64);
                 self.metrics.add_query_completion(elapsed_us);
-                self.metrics
-                    .record_query_latency(self.class == QueryClass::Interactive, elapsed_us);
+                self.metrics.record_query_latency(elapsed_us);
                 Ok(rows)
             }
             Err(e) => {

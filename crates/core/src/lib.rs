@@ -28,7 +28,7 @@
 //!   `Arc<ColBatch>` (§4.2).
 //! * [`packet`] — query packets and cancellation (§4.2).
 //! * [`admit`] — admission control: bounded per-µEngine concurrency,
-//!   interactive/batch classes, ticketed queueing with cancellation and
+//!   one FIFO ticket queue with cancellation and
 //!   timeouts. Every query passes through it before dispatch; together with
 //!   the memory governor (`qpipe_common::govern`, leased through
 //!   `ExecContext`) it bounds what a multi-query burst can claim.

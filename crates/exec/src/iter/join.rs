@@ -26,8 +26,6 @@ fn concat(left: &Tuple, right: &Tuple) -> Tuple {
 /// WoP analysis (§3.2) treats the build/partition phase as *full* overlap and
 /// the probe phase as *step* overlap.
 pub struct HashJoinIter {
-    left: Option<Box<dyn TupleIter>>,
-    right: Option<Box<dyn TupleIter>>,
     left_key: usize,
     right_key: usize,
     ctx: ExecContext,
@@ -35,7 +33,11 @@ pub struct HashJoinIter {
 }
 
 enum HjState {
-    Pending,
+    /// Both inputs, not yet read: the first `next` builds.
+    Pending {
+        left: Box<dyn TupleIter>,
+        right: Box<dyn TupleIter>,
+    },
     /// In-memory probe: hash table + streaming right input.
     Probing {
         table: HashMap<u64, Vec<Tuple>>,
@@ -69,14 +71,7 @@ impl HashJoinIter {
         right_key: usize,
         ctx: ExecContext,
     ) -> Self {
-        Self {
-            left: Some(left),
-            right: Some(right),
-            left_key,
-            right_key,
-            ctx,
-            state: HjState::Pending,
-        }
+        Self { left_key, right_key, ctx, state: HjState::Pending { left, right } }
     }
 
     fn key_hash(v: &Value) -> u64 {
@@ -84,10 +79,11 @@ impl HashJoinIter {
     }
 
     /// Build phase: returns either an in-memory table or grace partitions.
-    fn build(&mut self) -> QResult<HjState> {
-        let mut left = self.left.take().expect("left input");
-        let right = self.right.take().expect("right input");
-
+    fn build(
+        &self,
+        mut left: Box<dyn TupleIter>,
+        mut right: Box<dyn TupleIter>,
+    ) -> QResult<HjState> {
         // The build side grows under a governor lease: a denied grant (hash
         // budget reached, or the global budget exhausted by concurrent
         // queries) is the overflow-to-grace decision.
@@ -136,7 +132,6 @@ impl HashJoinIter {
         let mut rw: Vec<RunWriter> = (0..GRACE_PARTITIONS)
             .map(|_| RunWriter::create(disk.clone(), "hj-probe"))
             .collect::<QResult<_>>()?;
-        let mut right = right;
         while let Some(t) = right.next()? {
             if !t[self.right_key].is_null() {
                 let p = (Self::key_hash(&t[self.right_key]) % GRACE_PARTITIONS as u64) as usize;
@@ -163,8 +158,12 @@ impl TupleIter for HashJoinIter {
     fn next(&mut self) -> QResult<Option<Tuple>> {
         loop {
             match &mut self.state {
-                HjState::Pending => {
-                    self.state = self.build()?;
+                HjState::Pending { .. } => {
+                    if let HjState::Pending { left, right } =
+                        std::mem::replace(&mut self.state, HjState::Done)
+                    {
+                        self.state = self.build(left, right)?;
+                    }
                 }
                 HjState::Probing { table, right, pending, _lease } => {
                     if let Some(out) = pending.pop() {
@@ -370,7 +369,6 @@ pub struct NestedLoopJoinIter {
     right_rows: Vec<Tuple>,
     current_left: Option<Tuple>,
     right_pos: usize,
-    loaded: bool,
 }
 
 impl NestedLoopJoinIter {
@@ -382,19 +380,17 @@ impl NestedLoopJoinIter {
             right_rows: Vec::new(),
             current_left: None,
             right_pos: 0,
-            loaded: false,
         }
     }
 }
 
 impl TupleIter for NestedLoopJoinIter {
     fn next(&mut self) -> QResult<Option<Tuple>> {
-        if !self.loaded {
-            let mut right = self.right.take().expect("right input");
+        // The first call buffers the right side.
+        if let Some(mut right) = self.right.take() {
             while let Some(t) = right.next()? {
                 self.right_rows.push(t);
             }
-            self.loaded = true;
         }
         loop {
             if let Some(lt) = &self.current_left {

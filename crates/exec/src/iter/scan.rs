@@ -211,35 +211,34 @@ impl UnclusteredIndexScanIter {
         })
     }
 
-    fn ensure_probed(&mut self) -> QResult<&mut FetchState> {
-        if self.state.is_none() {
-            let table = self.ctx.catalog.table(&self.table_name)?;
-            let idx = table
-                .unclustered_index(&self.column)
-                .ok_or_else(|| QError::NotFound(format!("index {}", self.column)))?;
-            let pool = self.ctx.catalog.pool().clone();
-            // Phase 1: RID-list creation (sorted on page number inside).
-            let rids = idx.rid_list(&pool, self.lo.as_ref(), self.hi.as_ref())?;
-            self.state = Some(FetchState { pool, table, rids, next: 0, cached_page: None });
-        }
-        Ok(self.state.as_mut().expect("just initialized"))
+    /// Phase 1: RID-list creation (sorted on page number inside).
+    fn probe(&self) -> QResult<FetchState> {
+        let table = self.ctx.catalog.table(&self.table_name)?;
+        let idx = table
+            .unclustered_index(&self.column)
+            .ok_or_else(|| QError::NotFound(format!("index {}", self.column)))?;
+        let pool = self.ctx.catalog.pool().clone();
+        let rids = idx.rid_list(&pool, self.lo.as_ref(), self.hi.as_ref())?;
+        Ok(FetchState { pool, table, rids, next: 0, cached_page: None })
     }
 }
 
 impl TupleIter for UnclusteredIndexScanIter {
     fn next(&mut self) -> QResult<Option<Tuple>> {
-        let predicate = self.predicate.clone();
-        let projection = self.projection.clone();
-        let st = self.ensure_probed()?;
+        let st = match self.state {
+            Some(ref mut st) => st,
+            None => self.state.insert(self.probe()?),
+        };
         while st.next < st.rids.len() {
             let rid = st.rids[st.next];
             st.next += 1;
-            let page_ok = st.cached_page.as_ref().is_some_and(|(no, _)| *no == rid.page);
-            if !page_ok {
-                let block = st.pool.get(st.table.file_id(), rid.page)?;
-                st.cached_page = Some((rid.page, block));
-            }
-            let (_, block) = st.cached_page.as_ref().expect("cached");
+            let block = match st.cached_page {
+                Some((page, ref block)) if page == rid.page => block,
+                _ => {
+                    let block = st.pool.get(st.table.file_id(), rid.page)?;
+                    &st.cached_page.insert((rid.page, block)).1
+                }
+            };
             let tuple = match block {
                 qpipe_storage::Block::Slotted(page) => {
                     qpipe_storage::page::decode_tuple(page.record(rid.slot)?)?
@@ -255,7 +254,7 @@ impl TupleIter for UnclusteredIndexScanIter {
                     batch.row(rid.slot as usize)
                 }
             };
-            if let Some(out) = finish_tuple(tuple, &predicate, &projection)? {
+            if let Some(out) = finish_tuple(tuple, &self.predicate, &self.projection)? {
                 return Ok(Some(out));
             }
         }

@@ -26,8 +26,8 @@ pub fn cmp_keys(a: &Tuple, b: &Tuple, keys: &[SortKey]) -> Ordering {
 }
 
 enum SortState {
-    /// Not yet executed.
-    Pending(Option<Box<dyn TupleIter>>),
+    /// Not yet executed: the unread input.
+    Pending(Box<dyn TupleIter>),
     /// Fully in-memory result.
     Memory(std::vec::IntoIter<Tuple>),
     /// Merging spilled runs.
@@ -47,7 +47,7 @@ pub struct SortIter {
 impl SortIter {
     pub fn new(input: Box<dyn TupleIter>, keys: Vec<SortKey>, ctx: ExecContext) -> Self {
         let lease = ctx.governor.lease(MemClass::Sort);
-        Self { keys, ctx, lease, state: SortState::Pending(Some(input)) }
+        Self { keys, ctx, lease, state: SortState::Pending(input) }
     }
 
     /// Phase 1: consume the input, producing either an in-memory sorted
@@ -89,9 +89,12 @@ impl TupleIter for SortIter {
     fn next(&mut self) -> QResult<Option<Tuple>> {
         loop {
             match &mut self.state {
-                SortState::Pending(input) => {
-                    let input = input.take().expect("pending input present");
-                    self.state = self.run_phase1(input)?;
+                SortState::Pending(_) => {
+                    if let SortState::Pending(input) =
+                        std::mem::replace(&mut self.state, SortState::Done)
+                    {
+                        self.state = self.run_phase1(input)?;
+                    }
                 }
                 SortState::Memory(it) => {
                     return Ok(match it.next() {

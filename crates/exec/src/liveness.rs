@@ -30,7 +30,7 @@
 //! past a node's width — is returned untouched, so it behaves exactly as it
 //! did before the rewrite existed.
 //!
-//! The staged engine calls this once per submission (`QPipe::submit_with`);
+//! The staged engine calls this once per submission (`QPipe::submit`);
 //! `exec::iter::run` executes whatever plan it is handed, which makes every
 //! staged-vs-iterator parity suite a differential test of this module.
 

@@ -199,7 +199,7 @@ fn canonical_connective(mut flat: Vec<Expr>, and: bool) -> Expr {
         0 => Expr::Lit(Value::Int(if and { 1 } else { 0 })),
         // Unwrapping a 1-element connective is value-preserving only when the
         // member itself is boolean-valued (already 0/1 like the connective).
-        1 if returns_bool(&flat[0]) => flat.into_iter().next().unwrap(),
+        1 if returns_bool(&flat[0]) => flat.swap_remove(0),
         _ if and => Expr::And(flat),
         _ => Expr::Or(flat),
     }

@@ -21,7 +21,6 @@ use crate::harness::{open_loop, Driver, OpenLoopOutcome, OpenLoopResult};
 use qpipe_common::sim::TimeScale;
 use qpipe_common::{FaultInjector, FaultRule};
 use qpipe_core::engine::ENGINE_NAMES;
-use qpipe_core::QueryClass;
 use qpipe_exec::plan::PlanNode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,11 +93,7 @@ impl ChaosReport {
 /// then wait (bounded) for the engine to quiesce and collect the leak
 /// evidence. The injector is detached before returning, so later runs
 /// against the same driver are fault-free.
-pub fn run_chaos(
-    driver: &Driver,
-    plans: Vec<(PlanNode, QueryClass)>,
-    config: &ChaosConfig,
-) -> ChaosReport {
+pub fn run_chaos(driver: &Driver, plans: Vec<PlanNode>, config: &ChaosConfig) -> ChaosReport {
     let disk = driver.catalog().disk().clone();
     let injector = Arc::new(FaultInjector::new(config.seed, config.rules.clone()));
     disk.set_fault_injector(Some(injector.clone()));
@@ -161,13 +156,8 @@ mod tests {
         .unwrap()
     }
 
-    fn burst(n: usize) -> Vec<(PlanNode, QueryClass)> {
-        (0..n)
-            .map(|i| {
-                let class = if i % 3 == 0 { QueryClass::Batch } else { QueryClass::Interactive };
-                (q6((i % 5) as i32 * 100, 0.05, 30), class)
-            })
-            .collect()
+    fn burst(n: usize) -> Vec<PlanNode> {
+        (0..n).map(|i| q6((i % 5) as i32 * 100, 0.05, 30)).collect()
     }
 
     #[test]
@@ -203,7 +193,7 @@ mod tests {
             .times(u32::MAX)];
         let cfg = ChaosConfig::new(11, rules);
         let mut plans = burst(6);
-        plans.push((q13(), QueryClass::Interactive));
+        plans.push(q13());
         let n = plans.len();
         let report = run_chaos(&d, plans, &cfg);
         report.assert_contained(n);

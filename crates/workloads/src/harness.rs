@@ -14,7 +14,7 @@
 //! in *paper seconds*, converted through a [`TimeScale`].
 
 use qpipe_common::sim::TimeScale;
-use qpipe_common::{Metrics, MetricsSnapshot, QError, QResult};
+use qpipe_common::{HistogramSummary, Metrics, MetricsSnapshot, QError, QResult};
 use qpipe_core::engine::{QPipe, QPipeConfig, QueryHandle};
 use qpipe_core::QueryClass;
 use qpipe_exec::iter::{run as exec_run, ExecContext};
@@ -153,10 +153,11 @@ impl Driver {
     /// Submit without waiting for completion (staged engines only): the
     /// query passes through admission and the returned handle blocks until
     /// its results stream. `None` for the iterator engine, which has no
-    /// asynchronous submission path.
-    pub fn submit_with(&self, plan: PlanNode, class: QueryClass) -> Option<QResult<QueryHandle>> {
+    /// asynchronous submission path. The class is ignored: admission keeps
+    /// one queue (see [`QueryClass`]).
+    pub fn submit_with(&self, plan: PlanNode, _class: QueryClass) -> Option<QResult<QueryHandle>> {
         match &self.inner {
-            DriverImpl::Staged(e) => Some(e.submit_with(plan, class)),
+            DriverImpl::Staged(e) => Some(e.submit(plan)),
             DriverImpl::Iterator(_) => None,
         }
     }
@@ -167,15 +168,16 @@ impl Driver {
     }
 
     /// Submit SQL text without waiting for completion (staged engines only;
-    /// `None` for the iterator engine, as with [`submit_with`](Self::submit_with)).
+    /// `None` for the iterator engine, and the class ignored, as with
+    /// [`submit_with`](Self::submit_with)).
     pub fn submit_sql(
         &self,
         sql: &str,
-        class: QueryClass,
+        _class: QueryClass,
         opts: &PlannerOptions,
     ) -> Option<QResult<QueryHandle>> {
         match &self.inner {
-            DriverImpl::Staged(e) => Some(e.submit_sql_opts(sql, class, opts)),
+            DriverImpl::Staged(e) => Some(e.submit_sql_opts(sql, opts)),
             DriverImpl::Iterator(_) => None,
         }
     }
@@ -349,8 +351,6 @@ pub enum OpenLoopOutcome {
 #[derive(Debug, Clone)]
 pub struct OpenLoopResult {
     pub outcomes: Vec<OpenLoopOutcome>,
-    /// Scheduling class of each arrival, aligned with `outcomes`.
-    pub classes: Vec<QueryClass>,
     /// Per-query response time in paper seconds (submission → last row),
     /// aligned with `outcomes`; `None` where rejected/failed.
     pub latencies_paper: Vec<Option<f64>>,
@@ -362,16 +362,6 @@ pub struct OpenLoopResult {
     /// Rendered trace journals of queries that settled `Failed`, in arrival
     /// order. Empty unless the engine ran with `ExecConfig::tracing` on.
     pub failed_journals: Vec<String>,
-}
-
-/// Completed-query latency distribution of one scheduling class.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassLatency {
-    pub class: QueryClass,
-    pub completed: u64,
-    pub p50_paper_secs: f64,
-    pub p95_paper_secs: f64,
-    pub p99_paper_secs: f64,
 }
 
 impl OpenLoopResult {
@@ -386,35 +376,15 @@ impl OpenLoopResult {
             .collect()
     }
 
-    /// p50/p95/p99 completed-query latency per scheduling class, in paper
-    /// seconds, summarized through the shared log-bucketed
-    /// [`qpipe_common::Histogram`] (microsecond resolution). Classes with
-    /// no completions are omitted.
-    pub fn class_latencies(&self) -> Vec<ClassLatency> {
-        [QueryClass::Interactive, QueryClass::Batch]
-            .into_iter()
-            .filter_map(|class| {
-                let hist = qpipe_common::Histogram::default();
-                for (_, lat) in
-                    self.classes.iter().zip(&self.latencies_paper).filter(|(c, _)| **c == class)
-                {
-                    if let Some(secs) = lat {
-                        hist.record((secs * 1e6) as u64);
-                    }
-                }
-                let summary = hist.summary();
-                if summary.count == 0 {
-                    return None;
-                }
-                Some(ClassLatency {
-                    class,
-                    completed: summary.count,
-                    p50_paper_secs: summary.p50 as f64 / 1e6,
-                    p95_paper_secs: summary.p95 as f64 / 1e6,
-                    p99_paper_secs: summary.p99 as f64 / 1e6,
-                })
-            })
-            .collect()
+    /// Completed-query latency through the shared log-bucketed
+    /// [`qpipe_common::Histogram`]: `count` queries, p50/p95/p99 in paper
+    /// microseconds.
+    pub fn latency(&self) -> HistogramSummary {
+        let hist = qpipe_common::Histogram::default();
+        for secs in self.latencies_paper.iter().flatten() {
+            hist.record((secs * 1e6) as u64);
+        }
+        hist.summary()
     }
 }
 
@@ -429,12 +399,12 @@ impl OpenLoopResult {
 /// comparison point.
 pub fn open_loop(
     driver: &Driver,
-    plans: Vec<(PlanNode, QueryClass)>,
+    plans: Vec<PlanNode>,
     interarrival_paper: f64,
     scale: TimeScale,
 ) -> OpenLoopResult {
-    run_open_loop(driver, plans, interarrival_paper, scale, |plan, class| match driver.engine() {
-        Some(engine) => engine.submit_with(plan, class).map(Arrival::Handle),
+    run_open_loop(driver, plans, interarrival_paper, scale, |plan| match driver.engine() {
+        Some(engine) => engine.submit(plan).map(Arrival::Handle),
         None => Ok(Arrival::Run(plan)),
     })
 }
@@ -452,28 +422,27 @@ enum Arrival {
 /// Every accepted query gets a collector thread; an arrival `submit` refuses
 /// settles on the spot — `Rejected` for an admission error, `Failed` for any
 /// other. Collectors time submission → last row, the per-query response
-/// latency the per-class p50/p95/p99 report summarizes. When the engine
+/// latency [`OpenLoopResult::latency`] summarizes. When the engine
 /// traces, a failed query's journal rides along for the post-mortem dump.
 fn run_open_loop<Q>(
     driver: &Driver,
-    queries: Vec<(Q, QueryClass)>,
+    queries: Vec<Q>,
     interarrival_paper: f64,
     scale: TimeScale,
-    submit: impl Fn(Q, QueryClass) -> QResult<Arrival>,
+    submit: impl Fn(Q) -> QResult<Arrival>,
 ) -> OpenLoopResult {
     let before = driver.metrics().snapshot();
     let start = Instant::now();
     let n = queries.len();
-    let classes: Vec<QueryClass> = queries.iter().map(|(_, c)| *c).collect();
     let settled: Vec<Settled> = std::thread::scope(|s| {
         let mut pending: Vec<Result<_, OpenLoopOutcome>> = Vec::with_capacity(n);
-        for (i, (query, class)) in queries.into_iter().enumerate() {
+        for (i, query) in queries.into_iter().enumerate() {
             let due = scale.to_real(interarrival_paper * i as f64);
             if let Some(wait) = due.checked_sub(start.elapsed()) {
                 std::thread::sleep(wait);
             }
             let submitted = Instant::now();
-            pending.push(match submit(query, class) {
+            pending.push(match submit(query) {
                 Ok(Arrival::Handle(handle)) => Ok(s.spawn(move || {
                     let trace = handle.trace();
                     match handle.try_collect() {
@@ -503,7 +472,7 @@ fn run_open_loop<Q>(
             .collect()
     });
     let elapsed_paper = scale.to_paper(start.elapsed());
-    finish_open_loop(settled, classes, elapsed_paper, scale, driver, before)
+    finish_open_loop(settled, elapsed_paper, scale, driver, before)
 }
 
 /// One settled arrival: outcome, submission→last-row wall time, and (for
@@ -513,7 +482,6 @@ type Settled = (OpenLoopOutcome, Option<std::time::Duration>, Option<String>);
 /// Assemble an [`OpenLoopResult`] from per-arrival outcomes + latencies.
 fn finish_open_loop(
     settled: Vec<Settled>,
-    classes: Vec<QueryClass>,
     elapsed_paper: f64,
     scale: TimeScale,
     driver: &Driver,
@@ -533,7 +501,6 @@ fn finish_open_loop(
         outcomes.iter().filter(|o| matches!(o, OpenLoopOutcome::Rejected(_))).count() as u64;
     OpenLoopResult {
         outcomes,
-        classes,
         latencies_paper,
         completed,
         rejected,
@@ -550,13 +517,13 @@ fn finish_open_loop(
 /// own unbounded thread, as in [`open_loop`].
 pub fn open_loop_sql(
     driver: &Driver,
-    queries: Vec<(String, QueryClass)>,
+    queries: Vec<String>,
     interarrival_paper: f64,
     scale: TimeScale,
     opts: &PlannerOptions,
 ) -> OpenLoopResult {
-    run_open_loop(driver, queries, interarrival_paper, scale, |sql, class| match driver.engine() {
-        Some(engine) => engine.submit_sql_opts(&sql, class, opts).map(Arrival::Handle),
+    run_open_loop(driver, queries, interarrival_paper, scale, |sql| match driver.engine() {
+        Some(engine) => engine.submit_sql_opts(&sql, opts).map(Arrival::Handle),
         None => driver.plan_sql(&sql, opts).map(|planned| Arrival::Run((*planned.plan).clone())),
     })
 }
@@ -596,7 +563,7 @@ pub fn mixed_phrasing_storm(
     profile: SystemProfile,
     config: QPipeConfig,
     load: impl Fn(&Arc<Catalog>) -> QResult<()>,
-    queries: &[(String, QueryClass)],
+    queries: &[String],
     interarrival_paper: f64,
 ) -> QResult<PhrasingStormReport> {
     let mut legs = Vec::with_capacity(2);
@@ -661,12 +628,7 @@ mod tests {
                 build_tpch(c, TpchScale::tiny(), 42)
             })
             .unwrap();
-        let plans: Vec<(PlanNode, QueryClass)> = (0..10)
-            .map(|i| {
-                let class = if i % 3 == 0 { QueryClass::Batch } else { QueryClass::Interactive };
-                (q6((i % 5) * 100, 0.05, 30), class)
-            })
-            .collect();
+        let plans = (0..10).map(|i| q6((i % 5) * 100, 0.05, 30)).collect();
         let r = open_loop(&d, plans, 0.0, SystemProfile::instant().time_scale);
         assert_eq!(r.completed, 10, "everything admitted eventually completes: {:?}", r.outcomes);
         assert_eq!(r.rejected, 0);
@@ -689,8 +651,7 @@ mod tests {
                 build_tpch(c, TpchScale::tiny(), 7)
             })
             .unwrap();
-        let plans: Vec<(PlanNode, QueryClass)> =
-            (0..8).map(|i| (q6(i * 50, 0.05, 30), QueryClass::Interactive)).collect();
+        let plans = (0..8).map(|i| q6(i * 50, 0.05, 30)).collect();
         let r = open_loop(&d, plans, 0.0, SystemProfile::instant().time_scale);
         assert_eq!(r.completed + r.rejected, 8, "every arrival is settled: {:?}", r.outcomes);
         assert!(r.rejected > 0, "a 2-deep waiting room must reject an 8-query burst");
@@ -714,8 +675,7 @@ mod tests {
         use rand::SeedableRng;
         let shape = crate::sql::q3_sql(3, 1200);
         let mut rng = StdRng::seed_from_u64(17);
-        let queries: Vec<(String, QueryClass)> =
-            (0..8).map(|_| (shape.shuffled(&mut rng), QueryClass::Interactive)).collect();
+        let queries: Vec<String> = (0..8).map(|_| shape.shuffled(&mut rng)).collect();
         let report = mixed_phrasing_storm(
             System::QPipeOsp,
             SystemProfile::instant(),

@@ -129,8 +129,8 @@ fn main() -> QResult<()> {
     //      instead of disk;
     //    * `Metrics::render_text()` is a Prometheus-style exposition of the
     //      engine-wide counters plus p50/p95/p99 latency histograms (query
-    //      latency per class, admission wait, bufferpool fetch, pool queue
-    //      wait) — those histograms fill whether or not tracing is on.
+    //      latency, admission wait, bufferpool fetch, pool queue wait) —
+    //      those histograms fill whether or not tracing is on.
     let plan = q(13);
     let handle = engine.submit(plan.clone())?;
     let tree = handle.probe_tree().expect("engine booted with tracing");

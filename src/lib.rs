@@ -37,7 +37,7 @@ pub mod prelude {
         sim::TimeScale, ColBatch, DataType, FaultInjector, FaultKind, FaultOp, FaultRule,
         MemoryGovernor, Metrics, QError, QResult, Schema, Tuple, Value,
     };
-    pub use qpipe_core::admit::{AdmitConfig, QueryClass};
+    pub use qpipe_core::admit::AdmitConfig;
     pub use qpipe_core::engine::{QPipe, QPipeConfig, QueryHandle};
     pub use qpipe_exec::expr::Expr;
     pub use qpipe_exec::iter::{ExecConfig, ExecContext};

@@ -182,10 +182,8 @@ fn canonicalization_unlocks_sharing_across_phrasings() {
         let locks = engine.catalog().locks();
         let held: Vec<_> =
             planned[0].plan.tables().iter().map(|t| locks.lock_exclusive(t)).collect();
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| engine.submit_sql_opts(q, QueryClass::Interactive, &opts).unwrap())
-            .collect();
+        let handles: Vec<_> =
+            queries.iter().map(|q| engine.submit_sql_opts(q, &opts).unwrap()).collect();
         drop(held);
         let answers: Vec<Vec<Tuple>> = std::thread::scope(|s| {
             let collectors: Vec<_> = handles.into_iter().map(|h| s.spawn(|| h.collect())).collect();

@@ -232,7 +232,6 @@ fn unshared_join_burst_resolves_no_deadlock() {
 #[test]
 fn admission_under_churn_bounds_engines_and_returns_to_baseline() {
     use qpipe::core::admit::AdmitConfig;
-    use qpipe::core::QueryClass;
 
     let catalog = fresh_catalog(404);
     let depth = 2;
@@ -257,15 +256,8 @@ fn admission_under_churn_bounds_engines_and_returns_to_baseline() {
         plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap().len()).collect();
 
     let before = engine.metrics().snapshot();
-    // Submit the whole burst up front (admission absorbs it), mixing classes.
-    let handles: Vec<_> = plans
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let class = if i % 3 == 0 { QueryClass::Batch } else { QueryClass::Interactive };
-            engine.submit_with(p.clone(), class).unwrap()
-        })
-        .collect();
+    // Submit the whole burst up front (admission absorbs it).
+    let handles: Vec<_> = plans.iter().map(|p| engine.submit(p.clone()).unwrap()).collect();
     // Churn: cancel a handful of queries that are still *queued*.
     let mut cancelled = Vec::new();
     let mut live = Vec::new();
