@@ -229,7 +229,8 @@ fn scan_filter(c: &mut Criterion) {
 /// materializes the same `ColBatch` straight from the PAX page's typed byte
 /// regions. Acceptance bar: columnar ≥ 3× faster. The `slotted_*lineitem*`
 /// and `slotted_cols_*` trio measures what row tables pay per page visit
-/// (CI: `slotted_cols_q6` ≤ ½ × `slotted_decode_lineitem`).
+/// (CI: `slotted_cols_q6` ≤ ½ × `slotted_decode_lineitem`);
+/// `slotted_resident_q6` what a visit to a resident row page pays.
 fn page_decode(c: &mut Criterion) {
     use qpipe_storage::colpage::ColPageBuilder;
     use qpipe_storage::page::{encode_tuple, Page};
@@ -287,6 +288,20 @@ fn page_decode(c: &mut Criterion) {
     g.bench_function("slotted_cols_full", |b| b.iter(|| lineitem.decode_cols(None).unwrap().len()));
     g.bench_function("slotted_cols_q6", |b| {
         b.iter(|| lineitem.decode_cols(Some(&[3, 4, 5, 9])).unwrap().len())
+    });
+    // What a scan of a resident row table pays per page: a pool hit, then
+    // Q6's columns from the frame. The page was read twice first — the
+    // miss installs the frame, the first hit fills its cache — so each
+    // iteration is a hit whose columns are `Arc` bumps.
+    let disk = SimDisk::new(DiskConfig::instant(), Metrics::new());
+    let file = disk.create_file("lineitem").unwrap();
+    disk.append_block(file, lineitem).unwrap();
+    let pool = BufferPool::new(disk, BufferPoolConfig::new(4, PolicyKind::Lru));
+    for _ in 0..2 {
+        pool.get(file, 0).unwrap().decode(Some(&[3, 4, 5, 9])).unwrap();
+    }
+    g.bench_function("slotted_resident_q6", |b| {
+        b.iter(|| pool.get(file, 0).unwrap().decode(Some(&[3, 4, 5, 9])).unwrap().len())
     });
     g.finish();
 }

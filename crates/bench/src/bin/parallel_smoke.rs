@@ -8,7 +8,8 @@
 //! * every arrival settles (completed + rejected = submitted),
 //! * zero worker panics across the whole burst (fault-free run),
 //! * the packet pools accumulated busy time,
-//! * admission slots and memory leases return to baseline.
+//! * admission slots and memory leases return to baseline,
+//! * no recorded histogram reads a zero percentile.
 //!
 //! Also prints the burst's p50/p95/p99 response latency, so the job's log
 //! doubles as a quick latency regression eyeball.
@@ -91,6 +92,7 @@ fn main() {
         l.p95 as f64 / 1e6,
         l.p99 as f64 / 1e6,
     );
+    failures.extend(qpipe_bench::zero_percentile_histograms(&driver.metrics().snapshot()));
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("FAIL: {f}");

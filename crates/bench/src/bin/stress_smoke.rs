@@ -124,16 +124,7 @@ fn main() {
         l.p95 as f64 / 1e6,
         l.p99 as f64 / 1e6,
     );
-    // Wiring regression guard: a recorded histogram whose percentiles read
-    // zero means a record site went dead or the snapshot plumbing broke.
-    for (name, h) in driver.metrics().snapshot().histograms() {
-        if h.count > 0 && (h.p50 == 0 || h.p95 == 0 || h.p99 == 0) {
-            failures.push(format!(
-                "histogram {name} has count {} but a zero percentile (p50 {} p95 {} p99 {})",
-                h.count, h.p50, h.p95, h.p99
-            ));
-        }
-    }
+    failures.extend(qpipe_bench::zero_percentile_histograms(&driver.metrics().snapshot()));
     println!("--- metrics ---");
     print!("{}", driver.metrics().render_text());
     for journal in &r.failed_journals {

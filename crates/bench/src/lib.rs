@@ -4,7 +4,7 @@
 //! `wop_table` prints Figure 4's model, `ablation` isolates three design
 //! choices, and the `*_smoke` and `planner_fuzz` binaries are CI harnesses.
 
-use qpipe_common::QResult;
+use qpipe_common::{MetricsSnapshot, QResult};
 use qpipe_workloads::harness::{Driver, System, SystemProfile};
 use qpipe_workloads::tpch::{build_tpch, TpchScale};
 use qpipe_workloads::wisconsin::{build_wisconsin, WisconsinScale};
@@ -22,6 +22,23 @@ pub fn tpch_driver(system: System) -> QResult<Driver> {
 /// Build a Wisconsin driver at experiment scale for `system`.
 pub fn wisconsin_driver(system: System) -> QResult<Driver> {
     Driver::build(system, profile(), |c| build_wisconsin(c, WisconsinScale::experiment()))
+}
+
+/// The smokes' wiring regression guard: a recorded histogram whose
+/// percentiles read zero means a record site went dead or the snapshot
+/// plumbing broke. One failure line per such histogram.
+pub fn zero_percentile_histograms(snapshot: &MetricsSnapshot) -> Vec<String> {
+    snapshot
+        .histograms()
+        .into_iter()
+        .filter(|(_, h)| h.count > 0 && (h.p50 == 0 || h.p95 == 0 || h.p99 == 0))
+        .map(|(name, h)| {
+            format!(
+                "histogram {name} has count {} but a zero percentile (p50 {} p95 {} p99 {})",
+                h.count, h.p50, h.p95, h.p99
+            )
+        })
+        .collect()
 }
 
 /// Print a padded table row.
@@ -59,6 +76,20 @@ pub fn thousands(v: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_recorded_histogram_with_a_zero_percentile_fails_the_guard() {
+        let metrics = qpipe_common::Metrics::new();
+        assert!(zero_percentile_histograms(&metrics.snapshot()).is_empty(), "nothing recorded");
+        metrics.record_query_latency(250);
+        let mut snapshot = metrics.snapshot();
+        assert!(zero_percentile_histograms(&snapshot).is_empty());
+        snapshot.pool_queue_wait_us.count = 3; // samples whose percentiles went missing
+        assert_eq!(
+            zero_percentile_histograms(&snapshot),
+            ["histogram pool_queue_wait_us has count 3 but a zero percentile (p50 0 p95 0 p99 0)"]
+        );
+    }
 
     #[test]
     fn thousands_formatting() {

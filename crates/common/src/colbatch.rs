@@ -446,8 +446,14 @@ impl ColBatch {
     /// Build directly from columns (benches/tests).
     pub fn from_columns(cols: Vec<Column>) -> Self {
         let len = cols.first().map_or(0, |c| c.len());
+        Self::from_shared(len, cols.into_iter().map(Arc::new).collect())
+    }
+
+    /// Build from shared columns of `len` rows each — `Arc` bumps, no copy.
+    /// With no column it is [`empty_rows`](Self::empty_rows).
+    pub fn from_shared(len: usize, cols: Vec<Arc<Column>>) -> Self {
         assert!(cols.iter().all(|c| c.len() == len), "ragged columns");
-        Self { len, cols: cols.into_iter().map(Arc::new).collect() }
+        Self { len, cols }
     }
 
     /// A zero-column batch that still has `len` rows (`to_rows` yields `len`

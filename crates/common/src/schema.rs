@@ -75,6 +75,7 @@ impl Schema {
     /// Plan-building code uses this; workload schemas are static.
     pub fn col(&self, name: &str) -> usize {
         self.index_of(name)
+            // lint:allow(panic): a plan-building helper over static schemas; `index_of` is fallible
             .unwrap_or_else(|| panic!("schema has no column named {name:?}: {:?}", self.names()))
     }
 

@@ -189,6 +189,9 @@ impl QPipe {
     /// Dropping the handle withdraws a queued query; [`QueryHandle::cancel`]
     /// does so explicitly and also terminates an already-running plan.
     pub fn submit(&self, plan: PlanNode) -> QResult<QueryHandle> {
+        // The query's latency covers everything below: validation, pruning,
+        // the probe tree and, for a query admitted at once, its dispatch.
+        let submitted = Instant::now();
         self.validate(&plan)?;
         let query = QueryId::fresh();
         let client_node = fresh_node();
@@ -240,7 +243,7 @@ impl QPipe {
             query,
             consumer,
             ticket: TicketGuard { ctrl: self.admit.clone(), ticket },
-            submitted: Instant::now(),
+            submitted,
             metrics: self.metrics.clone(),
             trace,
             profile,
@@ -618,6 +621,7 @@ impl QueryHandle {
     /// fault mid-scan); use [`try_collect`](Self::try_collect) to handle
     /// failures programmatically.
     pub fn collect(self) -> Vec<Tuple> {
+        // lint:allow(panic): the documented panicking convenience; `try_collect` returns the error
         self.try_collect().unwrap_or_else(|e| panic!("query failed: {e}"))
     }
 
@@ -684,5 +688,45 @@ mod tests {
         assert_eq!(plan_engines(&q14), ["agg", "hashjoin", "scan"]);
         let chain = PlanNode::scan("t").filter(Expr::col(0).lt(Expr::lit(1))).project(vec![]);
         assert_eq!(plan_engines(&chain), ["scan"]);
+    }
+
+    /// A query admitted at once is dispatched inside `submit`, and its
+    /// elapsed time covers that dispatch: every packet the journal saw
+    /// dispatched before `submit` returned lies inside `elapsed()`. (The
+    /// journal's clock starts inside `submit`, after the handle's, so no
+    /// event's offset can exceed the handle's elapsed time.)
+    #[test]
+    fn a_query_admitted_at_once_is_timed_from_the_start_of_submit() {
+        use qpipe_common::{DataType, Metrics, Schema, Value};
+        use qpipe_storage::{BufferPool, BufferPoolConfig, DiskConfig, PolicyKind, SimDisk};
+        let disk = SimDisk::new(DiskConfig::instant(), Metrics::new());
+        let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(64, PolicyKind::Lru));
+        let catalog = Catalog::new(disk, pool);
+        let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        for t in ["a", "b"] {
+            let rows = (0..500).map(|i| vec![Value::Int(i), Value::Int(i % 7)]).collect();
+            catalog.create_table(t, schema.clone(), rows, Some(0)).unwrap();
+        }
+        let exec = ExecConfig { tracing: true, ..ExecConfig::default() };
+        let engine = QPipe::new(catalog, QPipeConfig { exec, ..QPipeConfig::default() });
+        let plan = PlanNode::scan("a")
+            .hash_join(PlanNode::scan("b"), 0, 0)
+            .aggregate(vec![1], vec![AggSpec::count_star()])
+            .sort(vec![qpipe_exec::plan::SortKey::asc(0)]);
+        let handle = engine.submit(plan).unwrap();
+        let elapsed = handle.elapsed();
+        assert!(!handle.is_queued(), "capacity was free");
+        let dispatched: Vec<u64> = handle
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::PacketDispatched { .. }))
+            .map(|e| e.at_us)
+            .collect();
+        assert_eq!(dispatched.len(), 5, "sort, aggregate, join and two scans");
+        let last = Duration::from_micros(dispatched.iter().copied().max().unwrap_or(0));
+        assert!(elapsed >= last, "elapsed {elapsed:?}, last packet dispatched at {last:?}");
+        assert_eq!(handle.collect().len(), 7);
     }
 }

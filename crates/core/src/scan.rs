@@ -22,6 +22,13 @@
 //! (`BufferPool::prefetch`): whoever asks for that page next completes it,
 //! so a scanner parked on a full pipe holds up no other reader.
 //!
+//! A page that was resident when the scanner asked for it comes back as the
+//! pool's frame, which keeps what its readers decoded: a columnar page its
+//! whole batch, a slotted page each column on its own. So a scan of a
+//! resident table decodes only the columns no earlier visit to the page
+//! did, and takes the rest as `Arc` bumps; a page the scanner had to read
+//! decodes afresh.
+//!
 //! # Scan start and attach rules
 //!
 //! Scan start is wait-free: a new scanner takes the table's shared lock and
@@ -330,8 +337,10 @@ struct GroupInner {
     /// *columnar* pages — a pruned decode is not cached on the page handle,
     /// so re-visited pages would re-decode per visit, while the full
     /// materialization is decoded once and shared by every later visit.
-    /// Slotted pages keep pruning: they have no decode cache, every visit
-    /// decodes, so decoding fewer columns always wins there.
+    /// Slotted pages keep pruning: a resident slotted page caches each
+    /// column on its own, so a re-visit takes the union's columns from the
+    /// frame, and a page read again decodes afresh either way — decoding
+    /// fewer columns gives nothing up.
     staggered: bool,
 }
 
@@ -481,7 +490,9 @@ impl ScanManager {
     /// the pool-resident `Arc` itself — it goes on the wire as it is, no
     /// per-page wrapper, no copy — and a slotted page decodes its records
     /// straight into typed columns (`Page::decode_cols`), the union's or
-    /// all of them.
+    /// all of them. A slotted page that was a hit is the pool's frame: the
+    /// columns an earlier visit decoded come from its cache, and only the
+    /// others are decoded.
     ///
     /// A union pointing past the page width (plan names a column the table
     /// lacks) keeps the full-width path, so such plans behave exactly as
@@ -1657,6 +1668,34 @@ mod tests {
 
     fn batches(c: &PipeConsumer) -> QResult<Vec<Arc<ColBatch>>> {
         std::iter::from_fn(|| c.recv().transpose()).collect()
+    }
+
+    /// A resident row page decodes each column once: the first scan that
+    /// finds the table resident fills the frames' caches, and the next scan
+    /// is handed the very same columns. The scan that read the table from
+    /// disk cached nothing.
+    #[test]
+    fn a_second_scan_of_a_resident_row_table_shares_the_first_ones_columns() {
+        let (ctx, m) = ctx_with_table(5000);
+        let mgr = manager(&ctx, &m, true);
+        let reg = Arc::new(WaitRegistry::default());
+        let scan = || {
+            let (req, c) = request(&reg, false, false);
+            mgr.submit(req).unwrap();
+            batches(&c).unwrap()
+        };
+        let (cold, first, second) = (scan(), scan(), scan());
+        assert_eq!(m.snapshot().bp_hits, 2 * ctx.catalog.table("t").unwrap().num_pages().unwrap());
+        let mut shared = 0;
+        for ((cold, a), b) in cold.iter().zip(&first).zip(&second) {
+            assert_eq!((a.len(), b.len()), (cold.len(), cold.len()));
+            if a.len() >= ColBatch::DEFAULT_CAPACITY {
+                assert!(!Arc::ptr_eq(&cold.columns()[0], &a.columns()[0]), "a miss caches nothing");
+                assert!(Arc::ptr_eq(&a.columns()[0], &b.columns()[0]), "decoded again");
+                shared += 1;
+            }
+        }
+        assert!(shared >= 9, "{shared} full pages");
     }
 
     /// The delivery rule: a 5 %-selective scan keeps a page's few surviving

@@ -18,6 +18,16 @@
 //! Pages are immutable snapshots (`Arc`-backed),
 //! so `get` returns a cheap clone and no pin/unpin protocol is needed for
 //! readers; eviction can never invalidate a page a reader already holds.
+//!
+//! Frames: the copy of a page the pool keeps resident is its *frame*. A
+//! slotted frame carries a per-column decode cache (`Page::decode_cols`),
+//! and a hit hands out a clone of the frame, so every hit shares the
+//! columns any hit decoded. The reader that missed gets the copy it read,
+//! with no cache: on a pool smaller than its working set nearly every visit
+//! misses, and caching those decodes would only hold memory until eviction.
+//! So hits fill the cache. A frame's columns live as long as its residency
+//! (and any reader still holding it); evicted frames are dropped after the
+//! pool lock is released, so freeing their columns holds up no reader.
 
 pub mod policy;
 
@@ -187,9 +197,11 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Fetch a page, via the cache. Columnar blocks carry their decoded
-    /// [`ColBatch`](qpipe_common::ColBatch) cache with them, so a resident
-    /// columnar page is materialized at most once per residency.
+    /// Fetch a page, via the cache. A hit returns the page's frame, so it
+    /// shares what the frame has decoded: a slotted frame's per-column cache
+    /// ([`Page::decode_cols`](crate::page::Page::decode_cols)), a columnar
+    /// page's materialized batch. A miss installs the page read as a frame
+    /// with an empty cache and hands its reader a copy with none.
     pub fn get(&self, file: FileId, block: u64) -> QResult<Block> {
         self.get_observed(file, block).map(|(page, _)| page)
     }
@@ -240,19 +252,26 @@ impl BufferPool {
         let done = read.as_ref().map_or_else(|_| Instant::now(), |(_, _, ready)| *ready);
         self.metrics.record_bp_fetch(done.saturating_duration_since(started).as_micros() as u64);
         let (page, retries, _) = read?;
-        let mut st = self.state.lock();
-        // Make room and insert.
-        while st.resident.len() >= self.capacity {
-            match st.policy.victim() {
-                Some(v) => {
-                    st.resident.remove(&v);
+        // The frame gets an empty decode cache; the reader that missed keeps
+        // the copy it read, which has none.
+        let frame = page.framed();
+        let mut victims = Vec::new();
+        {
+            let mut st = self.state.lock();
+            // Make room and insert.
+            while st.resident.len() >= self.capacity {
+                match st.policy.victim() {
+                    Some(v) => victims.extend(st.resident.remove(&v)),
+                    None => break, // policy empty (capacity 0 edge); just over-admit
                 }
-                None => break, // policy empty (capacity 0 edge); just over-admit
             }
+            st.resident.insert(key, frame);
+            st.policy.on_insert(key);
+            guard.resident(&mut st);
         }
-        st.resident.insert(key, page.clone());
-        st.policy.on_insert(key);
-        guard.resident(&mut st);
+        // A victim may be the last owner of its decoded columns: free them
+        // outside the lock.
+        drop(victims);
         Ok((page, retries))
     }
 
@@ -727,6 +746,95 @@ mod tests {
         assert_eq!(in_flight(&pool), 0, "the reader's guard cleared the entry");
         assert_eq!(disk.metrics().snapshot().faults_injected, 1);
         assert!(pool.get(f, 1).is_ok(), "the fault healed after one panic");
+    }
+
+    /// A pool over `blocks` slotted pages of encoded `(Int, Str)` tuples.
+    fn tuple_setup(capacity: usize, blocks: u64) -> (Arc<SimDisk>, Arc<BufferPool>, FileId) {
+        use crate::page::encode_tuple;
+        use qpipe_common::Value;
+        let disk = SimDisk::new(DiskConfig::instant(), Metrics::new());
+        let f = disk.create_file("t").unwrap();
+        let mut rec = Vec::new();
+        for b in 0..blocks as i64 {
+            let mut p = Page::new();
+            for i in 0..50 {
+                rec.clear();
+                encode_tuple(
+                    &vec![Value::Int(b * 100 + i), Value::str(format!("s{}", i % 7))],
+                    &mut rec,
+                );
+                p.append_record(&rec).unwrap();
+            }
+            disk.append_block(f, p).unwrap();
+        }
+        let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(capacity, PolicyKind::Lru));
+        (disk, pool, f)
+    }
+
+    /// Column `c` of the block, through the scanner's decode.
+    fn column(block: &Block, c: usize) -> Arc<qpipe_common::colbatch::Column> {
+        block.decode(Some(&[c])).unwrap().columns()[0].clone()
+    }
+
+    #[test]
+    fn a_miss_hands_out_a_copy_with_no_cache_and_leaves_the_frame_empty() {
+        let (_disk, pool, f) = tuple_setup(10, 2);
+        let missed = pool.get(f, 0).unwrap();
+        let (a, b) = (column(&missed, 0), column(&missed, 0));
+        assert_eq!(a, b);
+        assert!(!Arc::ptr_eq(&a, &b), "the miss's copy decodes on every call");
+        let hit = pool.get(f, 0).unwrap();
+        assert!(!Arc::ptr_eq(&column(&hit, 0), &a), "the miss filled nothing in the frame");
+    }
+
+    #[test]
+    fn two_hits_share_a_decoded_column() {
+        let (_disk, pool, f) = tuple_setup(10, 2);
+        pool.get(f, 1).unwrap();
+        let first = pool.get(f, 1).unwrap().decode(None).unwrap();
+        let second = pool.get(f, 1).unwrap().decode(Some(&[1, 0])).unwrap();
+        assert!(Arc::ptr_eq(&first.columns()[0], &second.columns()[1]));
+        assert!(Arc::ptr_eq(&first.columns()[1], &second.columns()[0]));
+        let clean = pool.disk().read_block(f, 1).unwrap().decode(None).unwrap();
+        assert_eq!(*second, clean.project(&[1, 0]), "the cache serves what the page holds");
+    }
+
+    #[test]
+    fn a_read_healed_after_corruption_caches_only_the_clean_bytes() {
+        use qpipe_common::{FaultInjector, FaultKind, FaultOp, FaultRule};
+        let (disk, pool, f) = tuple_setup(10, 2);
+        let clean = disk.read_block(f, 0).unwrap().decode(None).unwrap();
+        disk.set_fault_injector(Some(Arc::new(FaultInjector::new(
+            6,
+            vec![FaultRule::new(FaultKind::Corrupt).on_op(FaultOp::Read).times(1)],
+        ))));
+        let healed = pool.get(f, 0).unwrap();
+        assert_eq!(disk.metrics().snapshot().checksum_failures, 1);
+        assert_eq!(*healed.decode(None).unwrap(), *clean);
+        let frame = pool.get(f, 0).unwrap();
+        assert_eq!(*frame.decode(None).unwrap(), *clean, "the frame holds the clean page");
+        let cached = column(&frame, 0);
+        // Bytes changed under a frame are never served from its cache.
+        let corrupt = frame.corrupted_copy(40);
+        assert!(corrupt
+            .decode(Some(&[0]))
+            .map_or(true, |b| !Arc::ptr_eq(&b.columns()[0], &cached)));
+        assert!(Arc::ptr_eq(&column(&pool.get(f, 0).unwrap(), 0), &cached));
+    }
+
+    #[test]
+    fn an_evicted_page_read_back_decodes_afresh() {
+        let (disk, pool, f) = tuple_setup(1, 2);
+        pool.get(f, 0).unwrap();
+        let before = column(&pool.get(f, 0).unwrap(), 0);
+        pool.get(f, 1).unwrap(); // evicts page 0
+        assert!(!pool.contains(f, 0));
+        let missed = column(&pool.get(f, 0).unwrap(), 0);
+        let after = column(&pool.get(f, 0).unwrap(), 0);
+        assert_eq!(*after, *before);
+        assert!(!Arc::ptr_eq(&missed, &before) && !Arc::ptr_eq(&after, &before));
+        assert!(Arc::ptr_eq(&column(&pool.get(f, 0).unwrap(), 0), &after));
+        assert_eq!(disk.metrics().snapshot().disk_blocks_read, 3);
     }
 
     #[test]

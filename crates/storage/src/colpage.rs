@@ -12,9 +12,13 @@
 //! This is the layout the shared circular scanner exploits: one decode-free
 //! materialization feeds every attached consumer at once (paper §4.3.1 — the
 //! per-page cost is multiplied by the number of consumers, so it has to be
-//! small). The decoded batch is cached inside the page handle, so a page
-//! resident in the buffer pool materializes once per residency and every
-//! later access is a refcount bump.
+//! small). The decoded batch is cached inside the page handle and shared by
+//! every clone of it — and the disk's stored copy is one of those clones:
+//! each read hands out a clone of it (`SimDisk::issue_read`), so a page
+//! materializes at most once per *run*, not once per residency. A page
+//! evicted from the buffer pool and read back arrives already decoded;
+//! every access after the first is a refcount bump. (A corrupted copy,
+//! [`ColPage::corrupted_copy`], starts with an empty cache.)
 //!
 //! ## On-page layout (all integers little-endian)
 //!
@@ -67,8 +71,9 @@ fn corrupt(what: &str) -> QError {
 }
 
 /// An immutable columnar page: raw bytes plus a lazily-materialized,
-/// `Arc`-shared [`ColBatch`]. Clones share both the bytes and the cache, so
-/// a buffer-pool-resident page is decoded at most once per residency.
+/// `Arc`-shared [`ColBatch`]. Clones share both the bytes and the cache —
+/// the disk's stored page and every copy read from it included — so a page
+/// is decoded at most once per run, however often it is evicted and read.
 #[derive(Debug, Clone)]
 pub struct ColPage {
     data: Arc<Vec<u8>>,

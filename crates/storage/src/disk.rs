@@ -101,8 +101,19 @@ impl Block {
         }
     }
 
+    /// The copy the buffer pool installs as the block's frame: a slotted
+    /// page with an empty decode cache ([`Page::decode_cols`]); a columnar
+    /// page as it is (it carries its own, [`ColPage::materialize`]).
+    pub(crate) fn framed(&self) -> Self {
+        match self {
+            Block::Slotted(p) => Block::Slotted(p.framed()),
+            Block::Columnar(_) => self.clone(),
+        }
+    }
+
     /// Decode every record as a tuple, whichever layout the block carries
-    /// (the layout-agnostic row-engine adapter).
+    /// (the layout-agnostic row-engine adapter). Never reads or fills a
+    /// frame's decode cache.
     pub fn rows(&self) -> QResult<Vec<Tuple>> {
         match self {
             Block::Slotted(p) => p.decode_tuples(),
@@ -286,6 +297,7 @@ impl SimDisk {
                 "injected I/O error: {op:?} block {block_no} of {name:?}"
             ))),
             FaultAction::Panic => {
+                // lint:allow(panic): an injected panic, on purpose; the pool contains it
                 panic!("injected fault: panic on {op:?} block {block_no} of {name:?}")
             }
         }

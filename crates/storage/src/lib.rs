@@ -11,7 +11,7 @@
 //! * [`page`] — **row layout**: slotted 8 KiB pages with a compact tagged
 //!   binary tuple codec. Reads decode tuple-by-tuple for the iterator
 //!   engine, or walk each record once straight into the typed columns a
-//!   scan needs (`Page::decode_cols`).
+//!   scan needs (`Page::decode_cols`), which a buffer-pool frame caches.
 //! * [`colpage`] — **columnar layout**: PAX-style 8 KiB pages with per-column
 //!   typed value regions, null bitmaps and a page-local string dictionary.
 //!   Reads materialize a whole [`ColBatch`](qpipe_common::ColBatch) from the
@@ -22,8 +22,11 @@
 //!   pages, both with an O(1)-amortized open-tail-page bulk-load path.
 //! * [`bufferpool`] — a buffer pool with the two replacement policies the
 //!   evaluated systems run: LRU (QPipe, Baseline) and 2Q (DBMS X). It caches
-//!   [`Block`]s; a resident columnar page carries its decoded batch, so it
-//!   is materialized at most once per residency.
+//!   [`Block`]s. A resident slotted page (the pool's *frame*) keeps each
+//!   column its readers decoded, for as long as it stays resident. A
+//!   columnar page carries its decoded batch in every copy, the disk's
+//!   stored one included, so it is materialized at most once per run —
+//!   even across eviction.
 //! * [`index`] — bulk-loaded paged indexes: clustered (table stored in key
 //!   order) and unclustered (key → RID list, fetched in page order). Both
 //!   work over either table layout.

@@ -11,17 +11,28 @@
 //! shapes: tuples ([`Page::decode_tuples`], the iterator engine's path) or,
 //! for the staged engine's scanner, typed columns of just the columns asked
 //! for ([`Page::decode_cols`]) — no tuple per row on the way.
+//!
+//! The buffer pool's resident copy of a page (its *frame*) keeps the columns
+//! its readers decoded: every clone of the frame shares one per-column
+//! cache, so a resident page decodes each column once and a later visit
+//! takes it as an `Arc` bump. Any other page — one being built, the disk's
+//! stored copy, the copy a missing reader is handed — has no cache and
+//! decodes on every call. The tuple path never reads or fills the cache.
 
 use bytes::BufMut;
-use qpipe_common::colbatch::{ColBatch, ColumnBuilder};
+use qpipe_common::colbatch::{ColBatch, Column, ColumnBuilder};
 use qpipe_common::sim::{fnv_word, page_sum};
 use qpipe_common::{QError, QResult, Tuple, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Page size in bytes (8 KiB, BerkeleyDB's default).
 pub const PAGE_SIZE: usize = 8192;
 
 const SLOT_BYTES: usize = 4; // u16 offset + u16 len
+
+/// A frame's decode cache: once a decode has succeeded, one slot per column
+/// of the page's width, each filled by the first decode of its column.
+type FrameCols = OnceLock<Box<[OnceLock<Arc<Column>>]>>;
 
 /// A slotted page.
 #[derive(Debug, Clone)]
@@ -34,6 +45,9 @@ pub struct Page {
     /// Checksum sealed at disk-write time; `None` while the page is still
     /// being built (mutations invalidate any seal).
     stored_sum: Option<u64>,
+    /// The columns decoded so far, shared by every clone of a buffer-pool
+    /// frame ([`framed`](Self::framed)); `None` on any other page.
+    frame: Option<Arc<FrameCols>>,
 }
 
 impl Default for Page {
@@ -49,7 +63,14 @@ impl Page {
             slots: Vec::new(),
             free_start: 0,
             stored_sum: None,
+            frame: None,
         }
+    }
+
+    /// A copy with an empty decode cache — what the buffer pool installs as
+    /// a page's frame. Its clones share the cache.
+    pub(crate) fn framed(&self) -> Self {
+        Self { frame: Some(Arc::default()), ..self.clone() }
     }
 
     /// Checksum over payload bytes and the slot directory: [`page_sum`] of
@@ -80,6 +101,7 @@ impl Page {
         let bit = bit % span;
         let data = Arc::make_mut(&mut self.data);
         data[(bit / 8) as usize] ^= 1 << (bit % 8);
+        self.frame = None; // nothing decoded from the old bytes is served
     }
 
     /// Number of records on the page.
@@ -117,6 +139,7 @@ impl Page {
         self.slots.push((self.free_start as u16, rec.len() as u16));
         self.free_start += rec.len();
         self.stored_sum = None; // mutation invalidates any seal
+        self.frame = None;
         Ok(slot)
     }
 
@@ -172,9 +195,23 @@ impl Page {
     /// only the allocations differ: no tuple per row, and each string goes
     /// straight from the page bytes into its column's dictionary
     /// ([`ColumnBuilder::push_str`]) — one `Arc<str>` per distinct string of
-    /// a column, and a `u32` code per row.
+    /// a column, and a `u32` code per row. A column named twice is decoded
+    /// once and shared by both positions.
+    ///
+    /// On a buffer-pool frame, a column some earlier call decoded is taken
+    /// from the frame's cache as an `Arc` bump; the missing ones are decoded
+    /// together in one walk of the records, outside any lock, and the first
+    /// copy of a column to reach the cache is the one every reader gets. A
+    /// column past the width errs whatever is cached, and a failed decode
+    /// caches nothing — so a frame with anything cached has had every
+    /// record checked, and a call it serves from the cache alone walks no
+    /// record.
     pub fn decode_cols(&self, cols: Option<&[usize]>) -> QResult<ColBatch> {
-        let width = self.width()?;
+        let cached = self.frame.as_deref().and_then(OnceLock::get);
+        let width = match cached {
+            Some(slots) => slots.len(),
+            None => self.width()?,
+        };
         let order: Vec<usize> = match cols {
             Some(cols) => {
                 if let Some(&c) = cols.iter().find(|&&c| c >= width) {
@@ -186,18 +223,48 @@ impl Page {
             }
             None => (0..width).collect(),
         };
-        // One builder per distinct named column, in order of first mention.
-        let mut builder_of: Vec<Option<usize>> = vec![None; width];
-        let mut decoded: Vec<usize> = Vec::with_capacity(order.len());
+        // Each distinct named column once, in order of first mention, with
+        // what the frame already holds of it.
+        let mut index_of: Vec<Option<usize>> = vec![None; width];
+        let mut distinct: Vec<(usize, Option<Arc<Column>>)> = Vec::with_capacity(order.len());
         for &c in &order {
-            if builder_of[c].is_none() {
-                builder_of[c] = Some(decoded.len());
-                decoded.push(c);
+            if index_of[c].is_none() {
+                index_of[c] = Some(distinct.len());
+                distinct.push((c, cached.and_then(|slots| slots[c].get().cloned())));
             }
+        }
+        let missing: Vec<usize> =
+            distinct.iter().filter(|(_, col)| col.is_none()).map(|&(c, _)| c).collect();
+        if cached.is_none() || !missing.is_empty() {
+            let fresh = self.decode_columns(width, &missing)?;
+            let slots = self
+                .frame
+                .as_deref()
+                .map(|frame| frame.get_or_init(|| (0..width).map(|_| OnceLock::new()).collect()));
+            let unfilled = distinct.iter_mut().filter(|(_, col)| col.is_none());
+            for ((c, col), decoded) in unfilled.zip(fresh) {
+                let decoded = Arc::new(decoded);
+                *col = Some(match slots {
+                    Some(slots) => slots[*c].get_or_init(|| decoded).clone(),
+                    None => decoded,
+                });
+            }
+        }
+        let columns =
+            order.iter().filter_map(|&c| index_of[c].and_then(|k| distinct[k].1.clone())).collect();
+        Ok(ColBatch::from_shared(self.num_records(), columns))
+    }
+
+    /// Decode the distinct columns `cols`, each below `width`, in one walk
+    /// of every record — which checks every value, named or not.
+    fn decode_columns(&self, width: usize, cols: &[usize]) -> QResult<Vec<Column>> {
+        let mut builder_of: Vec<Option<usize>> = vec![None; width];
+        for (k, &c) in cols.iter().enumerate() {
+            builder_of[c] = Some(k);
         }
         let rows = self.num_records();
         let mut builders: Vec<ColumnBuilder> =
-            decoded.iter().map(|_| ColumnBuilder::with_capacity(rows)).collect();
+            cols.iter().map(|_| ColumnBuilder::with_capacity(rows)).collect();
         for rec in self.records() {
             let mut reader = RecordReader::new(rec)?;
             let arity = reader.left;
@@ -211,22 +278,13 @@ impl Page {
                 }
                 c += 1;
             }
-            for (&col, builder) in decoded.iter().zip(&mut builders) {
+            for (&col, builder) in cols.iter().zip(&mut builders) {
                 if col >= arity {
                     builder.push(Value::Null);
                 }
             }
         }
-        if builders.is_empty() {
-            return Ok(ColBatch::empty_rows(rows));
-        }
-        let batch =
-            ColBatch::from_columns(builders.into_iter().map(ColumnBuilder::finish).collect());
-        if decoded.len() == order.len() {
-            return Ok(batch);
-        }
-        // A repeated column: one decode, shared by every position naming it.
-        Ok(batch.project(&order.iter().filter_map(|&c| builder_of[c]).collect::<Vec<_>>()))
+        Ok(builders.into_iter().map(ColumnBuilder::finish).collect())
     }
 }
 
@@ -532,6 +590,36 @@ mod tests {
         let mut q = Page::new();
         q.append_record(&[0xFF, 0xFF, 0x01]).unwrap(); // claims 65535 values
         assert!(q.decode_tuples().is_err() && q.width().is_err() && q.decode_cols(None).is_err());
+    }
+
+    #[test]
+    fn a_frame_decodes_each_column_once_and_still_checks_the_width() {
+        let rows = vec![
+            vec![Value::Int(1), Value::str("a"), Value::Null],
+            vec![Value::Int(2), Value::Int(7), Value::Date(3)],
+            vec![Value::Null],
+        ];
+        let uncached = page_of(&rows);
+        let frame = uncached.framed();
+        let a = frame.decode_cols(Some(&[2])).unwrap();
+        let b = frame.clone().decode_cols(Some(&[0, 2, 0])).unwrap();
+        assert!(Arc::ptr_eq(&a.columns()[0], &b.columns()[1]), "a clone shares the cache");
+        assert!(Arc::ptr_eq(&b.columns()[0], &b.columns()[2]), "a repeat is one decode");
+        assert_eq!(b, uncached.decode_cols(Some(&[0, 2, 0])).unwrap());
+        assert!(frame.decode_cols(Some(&[0, 3])).is_err(), "past the width, cached or not");
+        assert_eq!(frame.decode_cols(None).unwrap(), uncached.decode_cols(None).unwrap());
+        let mut grown = frame.clone();
+        grown.append_record(&[1, 0, TAG_INT, 9, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+        let col = grown.decode_cols(Some(&[0])).unwrap();
+        assert_eq!(col.len(), 4, "a mutated page drops its cache");
+
+        let mut bad = page_of(&rows);
+        bad.append_record(&[1, 0, 0xEE]).unwrap(); // an unknown tag
+        let bad = bad.framed();
+        for cols in [Some(&[0][..]), Some(&[][..]), None] {
+            assert!(bad.decode_cols(cols).is_err(), "{cols:?}");
+        }
+        assert!(bad.frame.as_deref().and_then(OnceLock::get).is_none(), "a failure caches nothing");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use qpipe::prelude::*;
 use qpipe_storage::page::{decode_tuple, encode_tuple, encoded_len, Page};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Random generators
@@ -550,29 +551,34 @@ fn slotted_decode_cols_agrees_with_decode_tuples() {
     assert!(typed_cols > 300, "typed columns exercised: {typed_cols}");
 }
 
+/// The same records re-packed, some truncated or garbled (the page is never
+/// sealed: this is the codec's check, not the checksum's).
+fn garbled(rng: &mut StdRng, clean: &Page) -> Page {
+    let mut page = Page::new();
+    for rec in clean.records() {
+        let mut rec = rec.to_vec();
+        match rng.gen_range(0..4) {
+            0 => rec.truncate(rng.gen_range(0..=rec.len())),
+            1 => {
+                for _ in 0..rng.gen_range(1..=3) {
+                    let at = rng.gen_range(0..rec.len());
+                    rec[at] = rng.gen_range(0..=255u64) as u8;
+                }
+            }
+            _ => {}
+        }
+        page.append_record(&rec).unwrap();
+    }
+    page
+}
+
 #[test]
 fn slotted_decode_cols_fails_exactly_when_decode_tuples_fails() {
     let mut rng = StdRng::seed_from_u64(0x0BAD_5107);
     let mut failures = 0;
     for case in 0..400 {
         let (clean, rows) = arb_slotted_page(&mut rng);
-        // Re-pack the same records, some truncated or garbled (the page is
-        // never sealed: this is the codec's check, not the checksum's).
-        let mut page = Page::new();
-        for rec in clean.records() {
-            let mut rec = rec.to_vec();
-            match rng.gen_range(0..4) {
-                0 => rec.truncate(rng.gen_range(0..=rec.len())),
-                1 => {
-                    for _ in 0..rng.gen_range(1..=3) {
-                        let at = rng.gen_range(0..rec.len());
-                        rec[at] = rng.gen_range(0..=255u64) as u8;
-                    }
-                }
-                _ => {}
-            }
-            page.append_record(&rec).unwrap();
-        }
+        let page = garbled(&mut rng, &clean);
         let tuples = page.decode_tuples();
         failures += usize::from(tuples.is_err());
         assert_eq!(
@@ -594,6 +600,74 @@ fn slotted_decode_cols_fails_exactly_when_decode_tuples_fails() {
         }
     }
     assert!(failures > 100, "garbled pages that fail to decode: {failures}");
+}
+
+// ---------------------------------------------------------------------------
+// A buffer-pool frame's decode cache: whatever columns earlier calls left
+// in it, `decode_cols` on the frame answers as the page without a cache.
+// ---------------------------------------------------------------------------
+
+/// A column request on a page of width `width`: every column, none, a
+/// repeat, columns out of order, or a list that may reach past the width.
+fn arb_request(rng: &mut StdRng, width: usize) -> Option<Vec<usize>> {
+    let any = |rng: &mut StdRng| rng.gen_range(0..width.max(1));
+    match rng.gen_range(0..5) {
+        0 => None,
+        1 => Some(vec![]),
+        2 => {
+            let c = any(rng);
+            Some(vec![c, any(rng), c])
+        }
+        3 => {
+            let mut cols: Vec<usize> = (0..width).filter(|_| rng.gen_bool(0.5)).collect();
+            cols.reverse();
+            Some(cols)
+        }
+        _ => Some((0..rng.gen_range(1..=4)).map(|_| rng.gen_range(0..width + 2)).collect()),
+    }
+}
+
+#[test]
+fn a_frames_decode_cache_answers_as_the_uncached_page() {
+    let mut rng = StdRng::seed_from_u64(0xF8A3_EC0D);
+    let disk = SimDisk::new(DiskConfig::instant(), Metrics::new());
+    let file = disk.create_file("pages").unwrap();
+    let pages: Vec<Page> = (0..300)
+        .map(|_| {
+            let (clean, _) = arb_slotted_page(&mut rng);
+            let page = if rng.gen_bool(0.25) { garbled(&mut rng, &clean) } else { clean };
+            disk.append_block(file, page.clone()).unwrap();
+            page
+        })
+        .collect();
+    let pool = BufferPool::new(disk, BufferPoolConfig::new(pages.len(), PolicyKind::Lru));
+    let (mut answered, mut failed, mut shared) = (0, 0, 0);
+    for (block, page) in pages.iter().enumerate() {
+        let block = block as u64;
+        pool.get(file, block).unwrap(); // the miss installs the frame
+        let width = page.width().unwrap_or(3);
+        for step in 0..8 {
+            let cols = arb_request(&mut rng, width);
+            let frame = pool.get(file, block).unwrap();
+            let got = frame.as_slotted().unwrap().decode_cols(cols.as_deref());
+            let want = page.decode_cols(cols.as_deref());
+            let what = format!("page {block} step {step} {cols:?}");
+            assert_eq!(got.is_err(), want.is_err(), "{what}");
+            if let (Ok(got), Ok(want)) = (got, want) {
+                assert_same_columns(&got, &want, &what);
+                answered += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        // Every column a hit decoded is the one the next hit gets.
+        let hit = |cols: &[usize]| pool.get(file, block).unwrap().decode(Some(cols));
+        if let (Ok(a), Ok(b)) = (hit(&[0]), hit(&[0])) {
+            assert!(Arc::ptr_eq(&a.columns()[0], &b.columns()[0]), "page {block}");
+            shared += 1;
+        }
+    }
+    assert!(answered > 1000 && failed > 300 && shared > 150, "{answered} {failed} {shared}");
 }
 
 // ---------------------------------------------------------------------------
