@@ -494,7 +494,7 @@ fn str_column(c: &mut Criterion) {
         }
         builder.append(&row).expect("checked by fits");
     }
-    let page = builder.finish().materialize().expect("a fresh page decodes");
+    let page = builder.finish().decode().expect("a fresh page decodes");
     let idx: Vec<u32> = (0..31_823).map(|_| rng.gen_range(0..page.len() as u32)).collect();
     let pred = Expr::and([
         Expr::col(0).eq(Expr::Lit(Value::str("Brand#12"))),
@@ -520,7 +520,7 @@ fn str_column(c: &mut Criterion) {
     }
     pages.push(builder.finish());
     let batches: Vec<Arc<ColBatch>> =
-        pages.iter().map(|p| p.materialize().expect("a fresh page decodes")).collect();
+        pages.iter().map(|p| Arc::new(p.decode().expect("a fresh page decodes"))).collect();
 
     let mut g = c.benchmark_group("str_column");
     g.bench_function("take_filter_drop", |b| {

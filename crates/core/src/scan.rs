@@ -22,12 +22,14 @@
 //! (`BufferPool::prefetch`): whoever asks for that page next completes it,
 //! so a scanner parked on a full pipe holds up no other reader.
 //!
-//! A page that was resident when the scanner asked for it comes back as the
-//! pool's frame, which keeps what its readers decoded: a columnar page its
-//! whole batch, a slotted page each column on its own. So a scan of a
-//! resident table decodes only the columns no earlier visit to the page
-//! did, and takes the rest as `Arc` bumps; a page the scanner had to read
-//! decodes afresh.
+//! Past its fetch, a page's layout matters only to its codec: the scanner
+//! asks `Block::decode` for the group's column union (or every column), and
+//! the page's decode cache hands out each column an earlier visit decoded
+//! as an `Arc` bump. A columnar page carries that cache in every copy, so
+//! its columns are decoded at most once per run; a slotted page has one
+//! only as the pool's frame, so a page the scanner found resident decodes
+//! only the columns no earlier visit did, and one it had to read decodes
+//! afresh.
 //!
 //! # Scan start and attach rules
 //!
@@ -40,8 +42,7 @@
 //!
 //! * **`pages_read == 0`** — the group is indexed but its first page is
 //!   not claimed yet. The newcomer joins at position 0 with the host: same
-//!   page sequence, no wrap, column-union pruning stays on, and ordered
-//!   consumers are welcome. [`ScanManager::submit`] attaches or indexes a
+//!   page sequence, no wrap, and ordered consumers are welcome. [`ScanManager::submit`] attaches or indexes a
 //!   group under one lock, and indexes it *before* handing its scanner to
 //!   the pool, so the scans of a burst submitted right behind the first one
 //!   land here, from whichever thread dispatches them. So does everything
@@ -51,7 +52,9 @@
 //!   scanner's current position as its own start (thereby "setting the new
 //!   termination point"); the group becomes *staggered*: when the scanner
 //!   reaches end-of-file with unsatisfied consumers it wraps around and keeps
-//!   reading, so every consumer still sees every page exactly once.
+//!   reading, so every consumer still sees every page exactly once. Column
+//!   pruning is the same either way: the union of what the consumers
+//!   reference.
 //! * **Ordered consumers** (spike overlap) may only join at
 //!   `pages_read == 0`, unless their packet is flagged `split_ok` (an
 //!   ancestor merge-join will restart at the wrap point, §4.3.2); otherwise
@@ -73,10 +76,10 @@
 //! [`Rechunk`]: a batch goes out only once the consumer has at least
 //! [`ColBatch::DEFAULT_CAPACITY`] rows pending, or when it has seen its last
 //! page. A page share that is already that large, arriving with nothing
-//! pending, goes out as it is — for an unfiltered columnar page, the
-//! pool-resident `Arc` itself. Rows keep their page order. A consumer that
-//! is abandoned, or whose group fails, drops its pending rows unsent: a
-//! failed scan never reads as a shorter complete one.
+//! pending, goes out as it is — for an unfiltered page, the page's batch,
+//! whose columns are the ones its decode cache holds. Rows keep their page
+//! order. A consumer that is abandoned, or whose group fails, drops its
+//! pending rows unsent: a failed scan never reads as a shorter complete one.
 //!
 //! Pending rows cannot wedge a query. The scanner blocks only on its own
 //! pipe sends, the buffer pool and the table lock; a consumer waiting for
@@ -93,7 +96,6 @@ use qpipe_common::{ColBatch, Metrics, QError, QResult, SelVec};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::ExecContext;
 use qpipe_exec::viter::Rechunk;
-use qpipe_storage::Block;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -332,16 +334,6 @@ struct GroupInner {
     inbox: Vec<ScanConsumer>,
     /// Set when the scanner has returned; no further attaches.
     finished: bool,
-    /// A consumer attached after the scan started (`pages_read > 0`): the
-    /// scan will wrap and re-visit pages. Disables union pruning on
-    /// *columnar* pages — a pruned decode is not cached on the page handle,
-    /// so re-visited pages would re-decode per visit, while the full
-    /// materialization is decoded once and shared by every later visit.
-    /// Slotted pages keep pruning: a resident slotted page caches each
-    /// column on its own, so a re-visit takes the union's columns from the
-    /// frame, and a page read again decodes afresh either way — decoding
-    /// fewer columns gives nothing up.
-    staggered: bool,
 }
 
 /// One shared scan of one table, driven by one scanner job.
@@ -372,7 +364,6 @@ impl ScanGroup {
             // out of order for this newcomer.
             return Err((req, true));
         }
-        g.staggered |= g.pages_read > 0;
         if let Some(tr) = &req.trace {
             tr.push(TraceEvent::OspAttach { engine: "scan" });
         }
@@ -458,7 +449,6 @@ impl ScanManager {
                 pages_read: 0,
                 inbox: vec![ScanConsumer::new(req, false)],
                 finished: false,
-                staggered: false,
             }),
         });
         groups.entry(group.table.clone()).or_default().push(group.clone());
@@ -485,28 +475,23 @@ impl ScanManager {
 
     /// Fetch + decode one page for the scanner, issuing page `ahead`'s read
     /// between the two. Returns the shared batch and whether it carries only
-    /// the pruned column union. The page's layout
-    /// alone picks the decoder: a columnar page's full materialization is
-    /// the pool-resident `Arc` itself — it goes on the wire as it is, no
-    /// per-page wrapper, no copy — and a slotted page decodes its records
-    /// straight into typed columns (`Page::decode_cols`), the union's or
-    /// all of them. A slotted page that was a hit is the pool's frame: the
-    /// columns an earlier visit decoded come from its cache, and only the
-    /// others are decoded.
+    /// the pruned column union. Whatever the page's layout, the batch is
+    /// `Block::decode` of the union's columns, or of all of them: the
+    /// columns an earlier visit decoded come from the page's cache as `Arc`
+    /// bumps (so an unfiltered columnar page goes on the wire as its cached
+    /// columns, no copy), and only the others are decoded.
     ///
     /// A union pointing past the page width (plan names a column the table
     /// lacks) keeps the full-width path, so such plans behave exactly as
     /// unpruned ones (predicate eval errors filter the page out) instead of
     /// failing the scan; so does a union covering the whole page, which
-    /// would decode everything anyway. A `staggered` group prunes slotted
-    /// pages only (see `GroupInner::staggered`).
+    /// would decode everything anyway.
     fn fetch_page(
         &self,
         file: qpipe_storage::FileId,
         position: u64,
         ahead: Option<u64>,
         union: Option<&[usize]>,
-        staggered: bool,
     ) -> QResult<(Arc<ColBatch>, bool, FetchObs)> {
         let pool = self.ctx.catalog.pool();
         let started = std::time::Instant::now();
@@ -517,11 +502,8 @@ impl ScanManager {
         }
         let narrower =
             |u: &[usize], width: usize| u.len() < width && u.last().is_none_or(|&c| c < width);
-        // A staggered group keeps a columnar page whole: its pool-resident
-        // batch is shared by every consumer.
-        let whole = staggered && matches!(block, Block::Columnar(_));
         let cols = match union {
-            Some(u) if !whole && narrower(u, block.num_cols()?) => Some(u),
+            Some(u) if narrower(u, block.num_cols()?) => Some(u),
             _ => None,
         };
         let (batch, pruned) = (block.decode(cols)?, cols.is_some());
@@ -550,7 +532,6 @@ impl ScanManager {
         position: u64,
         num_pages: u64,
         union: Option<&[usize]>,
-        staggered: bool,
         consumers: &mut Vec<ScanConsumer>,
     ) -> QResult<bool> {
         // Read ahead only a page some enrolled consumer will still take:
@@ -560,7 +541,7 @@ impl ScanManager {
             .iter()
             .any(|c| c.pages_seen + 1 < num_pages)
             .then_some((position + 1) % num_pages);
-        let (page, pruned, fetch) = self.fetch_page(file, position, ahead, union, staggered)?;
+        let (page, pruned, fetch) = self.fetch_page(file, position, ahead, union)?;
         // The host is the first non-satellite consumer — the scan reads disk
         // on its behalf — or any consumer once the host has finished and
         // satellites are wrapping. A probe's busy time is total − waits, so
@@ -637,7 +618,8 @@ impl ScanManager {
         // The union of all consumers' referenced columns, recomputed only
         // when group membership changes (attach/finish) — not per page. A
         // staggered group (late attacher ⇒ wrap ⇒ pages visited more than
-        // once) stops pruning columnar pages: see `GroupInner::staggered`.
+        // once) prunes like any other: a re-visit takes the union's columns
+        // from the page's decode cache.
         let mut union: Option<Vec<usize>> = None;
         let mut union_stale = true;
         loop {
@@ -646,7 +628,7 @@ impl ScanManager {
             // pages_read advance *now*, before the page is served, so an
             // ordered newcomer racing `try_attach` can never observe
             // `pages_read == 0` while delivery is already past page 0.
-            let (position, staggered) = {
+            let position = {
                 let mut g = group.inner.lock();
                 union_stale |= !g.inbox.is_empty();
                 consumers.append(&mut g.inbox);
@@ -659,7 +641,7 @@ impl ScanManager {
                 let position = g.position;
                 g.pages_read += 1;
                 g.position = (position + 1) % num_pages;
-                (position, g.staggered)
+                position
             };
             self.metrics.add_scan_page_claimed();
             // Fetch + decode each page ONCE; every consumer's predicate /
@@ -668,11 +650,11 @@ impl ScanManager {
             // N attached consumers is N kernel passes over primitive slices —
             // no per-row allocation, no `Value` cloning.
             //
-            // * Columnar tables materialize the page's shared batch straight
-            //   from the PAX byte regions (zero row decode, and cached in the
-            //   pool-resident page handle — later visits are refcount bumps).
+            // * Columnar tables read each column straight from the PAX byte
+            //   regions (zero row decode, and cached in every copy of the
+            //   page — later visits are refcount bumps).
             // * Row tables walk each record's tag stream once, straight into
-            //   typed columns — no tuple per row.
+            //   typed columns — no tuple per row — cached in the pool's frame.
             //
             // While **every** attached consumer has a known referenced-column
             // set, only the *union* of those sets is decoded (page-level
@@ -699,14 +681,7 @@ impl ScanManager {
             // poisons every attached packet with an error naming the page.
             // The job's drop guard (`ScannerJob`) is only a backstop.
             let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.serve_page(
-                    file,
-                    position,
-                    num_pages,
-                    union.as_deref(),
-                    staggered,
-                    &mut consumers,
-                )
+                self.serve_page(file, position, num_pages, union.as_deref(), &mut consumers)
             }))
             .unwrap_or_else(|_| {
                 self.metrics.add_worker_panic();
@@ -1267,8 +1242,7 @@ mod tests {
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::default());
         // Referenced sets {0,2} ∪ {0,1} = {0,1,2} = every column: the shared
-        // scan must take the cached full materialization, not an uncached
-        // "pruned" decode of the whole page.
+        // scan decodes the whole page, which is no pruning at all.
         let (r1, c1) = pruned_request(&reg, 0, vec![2]);
         let (r2, c2) = pruned_request(&reg, 1500, vec![1]);
         submit_gated(&ctx, &mgr, "w", vec![r1, r2]);
@@ -1277,7 +1251,7 @@ mod tests {
         assert_eq!(h1.join().unwrap(), 3000);
         assert_eq!(h2.join().unwrap(), 1500);
         assert_eq!(m.snapshot().osp_attaches, 1, "second request must share the scan");
-        assert_eq!(m.snapshot().pruned_pages, 0, "full-width union keeps the cached path");
+        assert_eq!(m.snapshot().pruned_pages, 0, "a full-width union is the full-width path");
     }
 
     /// Satellite acceptance: a *shared* columnar scan decodes the union of
@@ -1329,56 +1303,63 @@ mod tests {
         }
     }
 
-    /// A *staggered* shared group over a Row-layout table keeps pruning: a
-    /// slotted page has no decode cache — every visit decodes — so decoding
-    /// only the union always wins, the wrapped re-visits included. Both
-    /// consumers still get exactly the iterator engine's answer.
+    /// A *staggered* shared group keeps pruning on either layout: a
+    /// wrapped re-visit takes the union's columns from the page's decode
+    /// cache (a columnar page's, or a resident slotted frame's). A slotted
+    /// page read again decodes afresh, while a columnar page read again
+    /// keeps the columns already decoded — so decoding only the union
+    /// always wins. Both consumers still get exactly the iterator engine's
+    /// answer.
     #[test]
-    fn staggered_row_group_keeps_pruning_and_matches_the_iterator_engine() {
-        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Row);
-        let mgr = manager(&ctx, &m, true);
-        let reg = Arc::new(WaitRegistry::default());
-        let plan_of = |r: &ScanRequest| qpipe_exec::plan::PlanNode::TableScan {
-            table: "w".into(),
-            predicate: r.predicate.clone(),
-            projection: r.projection.clone(),
-            ordered: false,
-        };
-        // The host (references {0}) parks on its undrained 2-batch pipe, so
-        // the latecomer (references {0, 1}) attaches mid-scan: union {0, 1}
-        // of a 3-column table, staggered.
-        let (output, host_rows) = pair(&reg, 2);
-        let host = ScanRequest {
-            table: "w".into(),
-            predicate: Some(Expr::col(0).ge(Expr::lit(10))),
-            projection: Some(vec![0]),
-            output,
-            ordered: false,
-            split_ok: false,
-            probe: None,
-            trace: None,
-        };
-        let host_plan = plan_of(&host);
-        mgr.submit(host).unwrap();
-        wait_for_first_page(&m);
-        let (late, late_rows) = pruned_request(&reg, 700, vec![1]);
-        let late_plan = plan_of(&late);
-        mgr.submit(late).unwrap();
-        assert_eq!(mgr.group_count("w"), 1, "the latecomer rides the host's scan");
-        let drain_host = std::thread::spawn(move || host_rows.collect_tuples().unwrap());
-        let got = late_rows.collect_tuples().unwrap();
-        let host_got = drain_host.join().unwrap();
-        assert_eq!(sorted(got), sorted(qpipe_exec::iter::run(&late_plan, &ctx).unwrap()));
-        assert_eq!(sorted(host_got), sorted(qpipe_exec::iter::run(&host_plan, &ctx).unwrap()));
-        let snap = m.snapshot();
-        let pages = ctx.catalog.table("w").unwrap().num_pages().unwrap();
-        assert_eq!(snap.osp_attaches, 1);
-        assert!(snap.circular_wraps >= 1, "the scan wraps for the staggered consumer");
-        assert!(
-            snap.pruned_pages > pages,
-            "every visit pruned, the wrapped re-visits too: {} of > {pages}",
-            snap.pruned_pages
-        );
+    fn staggered_group_keeps_pruning_and_matches_the_iterator_engine() {
+        for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
+            let (ctx, m) = ctx_with_wide_table(3000, layout);
+            let mgr = manager(&ctx, &m, true);
+            let reg = Arc::new(WaitRegistry::default());
+            let plan_of = |r: &ScanRequest| qpipe_exec::plan::PlanNode::TableScan {
+                table: "w".into(),
+                predicate: r.predicate.clone(),
+                projection: r.projection.clone(),
+                ordered: false,
+            };
+            // The host (references {0}) parks on its undrained 2-batch pipe,
+            // so the latecomer (references {0, 1}) attaches mid-scan: union
+            // {0, 1} of a 3-column table, staggered.
+            let (output, host_rows) = pair(&reg, 2);
+            let host = ScanRequest {
+                table: "w".into(),
+                predicate: Some(Expr::col(0).ge(Expr::lit(10))),
+                projection: Some(vec![0]),
+                output,
+                ordered: false,
+                split_ok: false,
+                probe: None,
+                trace: None,
+            };
+            let host_plan = plan_of(&host);
+            mgr.submit(host).unwrap();
+            wait_for_first_page(&m);
+            let (late, late_rows) = pruned_request(&reg, 700, vec![1]);
+            let late_plan = plan_of(&late);
+            mgr.submit(late).unwrap();
+            assert_eq!(mgr.group_count("w"), 1, "{layout:?}: the latecomer rides the host's scan");
+            let drain_host = std::thread::spawn(move || host_rows.collect_tuples().unwrap());
+            let got = late_rows.collect_tuples().unwrap();
+            let host_got = drain_host.join().unwrap();
+            let want = qpipe_exec::iter::run(&late_plan, &ctx).unwrap();
+            assert_eq!(sorted(got), sorted(want), "{layout:?}");
+            let want = qpipe_exec::iter::run(&host_plan, &ctx).unwrap();
+            assert_eq!(sorted(host_got), sorted(want), "{layout:?}");
+            let snap = m.snapshot();
+            assert_eq!(snap.osp_attaches, 1, "{layout:?}");
+            assert!(snap.circular_wraps >= 1, "{layout:?}: the scan wraps for the latecomer");
+            assert_eq!(
+                snap.pruned_pages, snap.morsels_dispatched,
+                "{layout:?}: every visit pruned, the wrapped re-visits too"
+            );
+            let pages = ctx.catalog.table("w").unwrap().num_pages().unwrap();
+            assert!(snap.pruned_pages > pages, "{layout:?}: {} of > {pages}", snap.pruned_pages);
+        }
     }
 
     #[test]
@@ -1723,8 +1704,8 @@ mod tests {
     }
 
     /// Zero-copy stays: an unfiltered columnar page of at least
-    /// `DEFAULT_CAPACITY` rows goes on the wire as the page's pool-resident
-    /// batch itself.
+    /// `DEFAULT_CAPACITY` rows goes on the wire as the page's cached
+    /// columns themselves — every column the one the resident page holds.
     #[test]
     fn unfiltered_columnar_page_arrives_as_its_pool_resident_batch() {
         let (ctx, m) = ctx_with_table_layout(3000, qpipe_storage::StorageLayout::Columnar);
@@ -1735,11 +1716,13 @@ mod tests {
         mgr.submit(req).unwrap();
         let first = c.recv().unwrap().expect("page 0");
         assert!(first.len() >= ColBatch::DEFAULT_CAPACITY, "{} rows", first.len());
-        let resident = match ctx.catalog.pool().get(file, 0).unwrap() {
-            Block::Columnar(cp) => cp.materialize().unwrap(),
-            Block::Slotted(_) => panic!("a columnar table"),
-        };
-        assert!(Arc::ptr_eq(&first, &resident), "page 0 was copied on its way out");
+        let resident = ctx.catalog.pool().get(file, 0).unwrap();
+        assert!(matches!(resident, qpipe_storage::Block::Columnar(_)), "a columnar table");
+        let resident = resident.decode(None).unwrap();
+        assert_eq!((first.len(), first.num_cols()), (resident.len(), resident.num_cols()));
+        for (sent, kept) in first.columns().iter().zip(resident.columns()) {
+            assert!(Arc::ptr_eq(sent, kept), "page 0 was copied on its way out");
+        }
         let rest: usize = batches(&c).unwrap().iter().map(|b| b.len()).sum();
         assert_eq!(first.len() + rest, 3000);
     }

@@ -239,21 +239,7 @@ impl TupleIter for UnclusteredIndexScanIter {
                     &st.cached_page.insert((rid.page, block)).1
                 }
             };
-            let tuple = match block {
-                qpipe_storage::Block::Slotted(page) => {
-                    qpipe_storage::page::decode_tuple(page.record(rid.slot)?)?
-                }
-                qpipe_storage::Block::Columnar(cp) => {
-                    let batch = cp.materialize()?;
-                    if (rid.slot as usize) >= batch.len() {
-                        return Err(QError::Storage(format!(
-                            "no slot {} on page {}",
-                            rid.slot, rid.page
-                        )));
-                    }
-                    batch.row(rid.slot as usize)
-                }
-            };
+            let tuple = block.row(rid.slot)?;
             if let Some(out) = finish_tuple(tuple, &self.predicate, &self.projection)? {
                 return Ok(Some(out));
             }

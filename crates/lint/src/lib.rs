@@ -11,7 +11,7 @@
 //! Rust-source lexer (same recursive-descent discipline as the planner's SQL
 //! lexer — no external deps, works offline) feeds a rule engine that walks
 //! every `crates/*/src/**/*.rs` file and emits `file:line` diagnostics,
-//! exiting nonzero on any non-baselined violation.
+//! exiting nonzero on any finding.
 //!
 //! # Rule catalog
 //!
@@ -21,8 +21,6 @@
 //! (`common`, `storage`, `exec`, `core`). A panic that escapes a
 //! `catch_unwind` boundary kills a worker silently; one that is caught still
 //! costs a poisoned packet that *should* have been a typed `QError`.
-//! Historical sites are ratcheted by the checked-in baseline
-//! (`lint-baseline.txt`) — it may only shrink (see [`baseline`]).
 //!
 //! **R2 — thread hygiene** (`lint:allow(R2)` / `lint:allow(thread)`).
 //! `thread::spawn` / `thread::Builder` are permitted only in `pool.rs`, home
@@ -72,24 +70,15 @@
 //! comment) or the line directly below (comment above). The reason is
 //! mandatory — a waiver without one is itself a violation.
 //!
-//! # Baseline ratchet
-//!
-//! `lint-baseline.txt` at the workspace root records pre-existing violation
-//! *counts* per (rule, file). Plain runs and `--check-baseline` fail when
-//! any count grows; `--check-baseline` (the CI mode) also fails when a count
-//! shrank without the file being updated, so every fix is locked in:
+//! # Running
 //!
 //! ```text
-//! cargo run -p qpipe-lint                      # lint, fail on growth
-//! cargo run -p qpipe-lint -- --check-baseline  # CI: growth AND stale both fail
-//! cargo run -p qpipe-lint -- --update-baseline # re-record after fixing sites
+//! cargo run --release -p qpipe-lint   # any finding fails (exit 1)
 //! ```
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
-pub use baseline::Baseline;
 pub use rules::{run, Config, Finding, Rule, SourceFile};
 
 use std::path::{Path, PathBuf};

@@ -1,89 +1,54 @@
-//! The `qpipe-lint` binary: lint the workspace against the ratchet baseline.
+//! The `qpipe-lint` binary: lint the workspace; any finding fails.
 //!
 //! ```text
-//! qpipe-lint [--root <dir>] [--baseline <file>] [--check-baseline]
-//!            [--update-baseline] [--all]
+//! qpipe-lint [--root <dir>]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations (or a stale baseline in
-//! `--check-baseline` mode), 2 usage / I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage / I/O error.
 
-use qpipe_lint::{collect_sources, find_root, Baseline, Config};
+use qpipe_lint::{collect_sources, find_root, Config};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    check_baseline: bool,
-    update_baseline: bool,
-    all: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        baseline: None,
-        check_baseline: false,
-        update_baseline: false,
-        all: false,
-    };
+/// The `--root` argument, if given.
+fn parse_args() -> Result<Option<PathBuf>, String> {
+    let mut root = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--root" => args.root = Some(it.next().ok_or("--root needs a value")?.into()),
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a value")?.into())
-            }
-            "--check-baseline" => args.check_baseline = true,
-            "--update-baseline" => args.update_baseline = true,
-            "--all" => args.all = true,
+            "--root" => root = Some(it.next().ok_or("--root needs a value")?.into()),
             "--help" | "-h" => {
                 println!(
                     "qpipe-lint: enforce QPipe's concurrency & containment conventions\n\
                      \n\
-                     USAGE: qpipe-lint [--root <dir>] [--baseline <file>]\n\
-                     \x20                [--check-baseline] [--update-baseline] [--all]\n\
+                     USAGE: qpipe-lint [--root <dir>]\n\
                      \n\
-                     Default run fails on any finding beyond the ratchet baseline.\n\
-                     --check-baseline   CI mode: ALSO fail when the baseline is stale\n\
-                     \x20                  (a recorded count exceeds reality — shrink it)\n\
-                     --update-baseline  re-record current findings as the new baseline\n\
-                     --all              print every finding, baselined ones included\n\
-                     \n\
-                     Waive a single finding with `// lint:allow(rule): reason` on the\n\
-                     same line or the line above (rules: R1|panic, R2|thread, R3|lock,\n\
-                     R4|metrics). The reason is mandatory."
+                     Fails on any finding. Waive a single finding with\n\
+                     `// lint:allow(rule): reason` on the same line or the line above\n\
+                     (rules: R1|panic, R2|thread, R3|lock, R4|metrics). The reason is\n\
+                     mandatory."
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    Ok(args)
+    Ok(root)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let root = match parse_args() {
+        Ok(root) => root,
         Err(e) => {
             eprintln!("qpipe-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let root = match args
-        .root
-        .clone()
-        .or_else(|| std::env::current_dir().ok().and_then(|d| find_root(&d)))
-    {
-        Some(r) => r,
-        None => {
-            eprintln!("qpipe-lint: no workspace root found (run inside the repo or pass --root)");
-            return ExitCode::from(2);
-        }
+    let Some(root) = root.or_else(|| std::env::current_dir().ok().and_then(|d| find_root(&d)))
+    else {
+        eprintln!("qpipe-lint: no workspace root found (run inside the repo or pass --root)");
+        return ExitCode::from(2);
     };
-    let baseline_path = args.baseline.clone().unwrap_or_else(|| root.join("lint-baseline.txt"));
-
     let files = match collect_sources(&root) {
         Ok(f) => f,
         Err(e) => {
@@ -91,59 +56,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cfg = Config::default();
-    let findings = qpipe_lint::run(&files, &cfg);
-
-    if args.update_baseline {
-        let text = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("qpipe-lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "qpipe-lint: baseline updated — {} finding(s) across {} file(s) recorded in {}",
-            findings.len(),
-            findings.iter().map(|f| &f.path).collect::<std::collections::BTreeSet<_>>().len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
+    let findings = qpipe_lint::run(&files, &Config::default());
+    for f in &findings {
+        println!("{f}");
     }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("qpipe-lint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::default(), // no baseline: everything must be clean
-    };
-
-    if args.all {
-        for f in &findings {
-            println!("{f}");
-        }
-    }
-
-    let (violations, stale) = baseline.check(&findings);
-    for v in &violations {
-        println!("{v}");
-    }
-    let stale_fails = args.check_baseline && !stale.is_empty();
-    if args.check_baseline {
-        for s in &stale {
-            println!("qpipe-lint: stale: {s}");
-        }
-    }
-    println!(
-        "qpipe-lint: {} file(s), {} finding(s) total, {} beyond baseline (ratchet height {})",
-        files.len(),
-        findings.len(),
-        violations.len(),
-        baseline.total(),
-    );
-    if violations.is_empty() && !stale_fails {
+    println!("qpipe-lint: {} file(s), {} finding(s)", files.len(), findings.len());
+    if findings.is_empty() {
         println!("qpipe-lint: OK");
         ExitCode::SUCCESS
     } else {

@@ -58,8 +58,7 @@ impl fmt::Display for Rule {
 }
 
 /// One source file handed to the engine. `path` is repo-relative with
-/// forward slashes (`crates/core/src/scan.rs`) — scoping and the baseline
-/// key off it.
+/// forward slashes (`crates/core/src/scan.rs`) — rule scoping keys off it.
 pub struct SourceFile {
     pub path: String,
     pub src: String,

@@ -1,8 +1,8 @@
 //! Fixture tests for every rule: a positive (the rule fires), a negative
-//! (the idiomatic shape passes), a waiver (suppression works and demands a
-//! reason), and the baseline ratchet (growth fails, shrinking goes stale).
+//! (the idiomatic shape passes) and a waiver (suppression works and demands
+//! a reason) — then the workspace itself, which must have no finding.
 
-use qpipe_lint::{run, Baseline, Config, Finding, Rule, SourceFile};
+use qpipe_lint::{run, Config, Finding, Rule, SourceFile};
 
 fn engine_cfg() -> Config {
     Config {
@@ -321,84 +321,20 @@ fn r4_positive_histogram_missing_percentile_snapshot() {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------------
-
-fn finding(rule: Rule, path: &str, line: u32) -> Finding {
-    Finding { rule, path: path.into(), line, msg: "x".into() }
-}
-
-#[test]
-fn ratchet_at_baseline_passes() {
-    let b = Baseline::parse("R1 crates/core/src/a.rs 2\n").unwrap();
-    let f = vec![
-        finding(Rule::R1, "crates/core/src/a.rs", 3),
-        finding(Rule::R1, "crates/core/src/a.rs", 9),
-    ];
-    let (violations, stale) = b.check(&f);
-    assert!(violations.is_empty() && stale.is_empty());
-}
-
-#[test]
-fn ratchet_growth_fails() {
-    // One more violation than recorded: the whole file's findings surface.
-    let b = Baseline::parse("R1 crates/core/src/a.rs 1\n").unwrap();
-    let f = vec![
-        finding(Rule::R1, "crates/core/src/a.rs", 3),
-        finding(Rule::R1, "crates/core/src/a.rs", 9),
-    ];
-    let (violations, _) = b.check(&f);
-    assert!(!violations.is_empty());
-    // A rule/file pair absent from the baseline fails outright.
-    let (violations, _) = b.check(&[finding(Rule::R2, "crates/core/src/a.rs", 3)]);
-    assert_eq!(violations.len(), 1);
-}
-
-#[test]
-fn ratchet_shrink_goes_stale() {
-    // Fixing a site makes the recorded count stale — CI mode demands the
-    // baseline shrink so the fix is locked in.
-    let b = Baseline::parse("R1 crates/core/src/a.rs 2\n").unwrap();
-    let (violations, stale) = b.check(&[finding(Rule::R1, "crates/core/src/a.rs", 3)]);
-    assert!(violations.is_empty());
-    assert_eq!(stale.len(), 1, "{stale:?}");
-}
-
-#[test]
-fn ratchet_roundtrip_and_malformed_lines() {
-    let f = vec![
-        finding(Rule::R1, "crates/core/src/a.rs", 3),
-        finding(Rule::R1, "crates/core/src/a.rs", 9),
-        finding(Rule::R3, "crates/core/src/b.rs", 1),
-    ];
-    let b = Baseline::parse(&Baseline::render(&f)).unwrap();
-    let (violations, stale) = b.check(&f);
-    assert!(violations.is_empty() && stale.is_empty());
-    assert_eq!(b.total(), 3);
-    assert!(Baseline::parse("R9 crates/a.rs 1\n").is_err());
-    assert!(Baseline::parse("R1 crates/a.rs not-a-number\n").is_err());
-    assert!(Baseline::parse("R1 crates/a.rs 1\nR1 crates/a.rs 2\n").is_err(), "duplicate key");
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end over this workspace
 // ---------------------------------------------------------------------------
 
 #[test]
-fn workspace_is_clean_against_checked_in_baseline() {
-    // The real tree with the real config must pass against the checked-in
-    // ratchet file — the same invariant CI enforces.
+fn workspace_has_no_finding() {
+    // The real tree with the real config must lint clean — the same
+    // invariant CI enforces.
     let root = qpipe_lint::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root");
     let files = qpipe_lint::collect_sources(&root).expect("collect sources");
     let findings = run(&files, &Config::default());
-    let text = std::fs::read_to_string(root.join("lint-baseline.txt")).expect("baseline");
-    let baseline = Baseline::parse(&text).expect("parse baseline");
-    let (violations, stale) = baseline.check(&findings);
     assert!(
-        violations.is_empty(),
-        "lint violations beyond baseline:\n{}",
-        violations.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
+        findings.is_empty(),
+        "lint findings:\n{}",
+        findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
     );
-    assert!(stale.is_empty(), "stale baseline entries (run --update-baseline): {stale:?}");
 }

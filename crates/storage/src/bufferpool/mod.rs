@@ -19,15 +19,18 @@
 //! so `get` returns a cheap clone and no pin/unpin protocol is needed for
 //! readers; eviction can never invalidate a page a reader already holds.
 //!
-//! Frames: the copy of a page the pool keeps resident is its *frame*. A
-//! slotted frame carries a per-column decode cache (`Page::decode_cols`),
-//! and a hit hands out a clone of the frame, so every hit shares the
-//! columns any hit decoded. The reader that missed gets the copy it read,
-//! with no cache: on a pool smaller than its working set nearly every visit
-//! misses, and caching those decodes would only hold memory until eviction.
-//! So hits fill the cache. A frame's columns live as long as its residency
-//! (and any reader still holding it); evicted frames are dropped after the
-//! pool lock is released, so freeing their columns holds up no reader.
+//! Frames: the copy of a page the pool keeps resident is its *frame*, and a
+//! hit hands out a clone of it, so every hit shares the frame's decode
+//! cache (one per-column cache for both layouts, read and filled by
+//! `Block::decode`; where it attaches is stated once, on `Block::framed`).
+//! A slotted page gets its cache here: the frame is installed with an empty
+//! one, and the reader that missed gets the copy it read, with none — on a
+//! pool smaller than its working set nearly every visit misses, and caching
+//! those decodes would only hold memory until eviction. So hits fill it. A
+//! columnar page brings its own cache, shared with the disk's stored copy.
+//! A frame's columns live as long as its residency (and any reader still
+//! holding it); evicted frames are dropped after the pool lock is released,
+//! so freeing their columns holds up no reader.
 
 pub mod policy;
 
@@ -198,10 +201,11 @@ impl BufferPool {
     }
 
     /// Fetch a page, via the cache. A hit returns the page's frame, so it
-    /// shares what the frame has decoded: a slotted frame's per-column cache
-    /// ([`Page::decode_cols`](crate::page::Page::decode_cols)), a columnar
-    /// page's materialized batch. A miss installs the page read as a frame
-    /// with an empty cache and hands its reader a copy with none.
+    /// shares the columns the frame's decode cache holds
+    /// ([`Block::decode`](crate::disk::Block::decode)). A miss installs the
+    /// page read as the frame (`Block::framed`) and hands its reader the
+    /// copy it read: a slotted page's with no cache, a columnar page's with
+    /// the cache it carries.
     pub fn get(&self, file: FileId, block: u64) -> QResult<Block> {
         self.get_observed(file, block).map(|(page, _)| page)
     }
@@ -493,15 +497,14 @@ mod tests {
         policy: PolicyKind,
         rows: i64,
     ) -> (Arc<SimDisk>, Arc<BufferPool>, FileId, u64) {
+        use crate::catalog::StorageLayout;
         use qpipe_common::{DataType, Schema, Value};
         let metrics = Metrics::new();
         let disk = SimDisk::new(DiskConfig::instant(), metrics);
-        let hf = crate::colheap::ColHeapFile::create(
-            disk.clone(),
-            "ct",
-            Schema::of(&[("k", DataType::Int), ("s", DataType::Str)]),
-        )
-        .unwrap();
+        let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Str)]);
+        let hf =
+            crate::heap::HeapFile::create(disk.clone(), "ct", StorageLayout::Columnar, &schema)
+                .unwrap();
         for i in 0..rows {
             hf.append(&vec![Value::Int(i), Value::str(format!("r{}", i % 5))]).unwrap();
         }
@@ -543,7 +546,7 @@ mod tests {
             }
             assert_eq!(pool.len(), 2, "{policy:?}: pool bounded");
             // An evicted-then-refetched page still materializes correctly.
-            let batch = pool.get(f, 0).unwrap().as_columnar().unwrap().materialize().unwrap();
+            let batch = pool.get(f, 0).unwrap().decode(None).unwrap();
             assert!(!batch.is_empty());
         }
     }
@@ -554,7 +557,7 @@ mod tests {
         // (pages are immutable snapshots; the decoded cache rides the Arc).
         let (_disk, pool, f, blocks) = columnar_setup(1, PolicyKind::Lru, 4000);
         let first = pool.get(f, 0).unwrap();
-        let held = first.as_columnar().unwrap().materialize().unwrap();
+        let held = first.decode(None).unwrap();
         for b in 0..blocks {
             pool.get(f, b).unwrap(); // churn the pool, evicting page 0
         }
@@ -667,7 +670,6 @@ mod tests {
             seq_read_latency: charge,
             rand_read_latency: charge,
             write_latency: Duration::ZERO,
-            charge_latency: true,
         };
         let (_disk, pool, f) = setup_on(config, 10, PolicyKind::Lru, 3);
         let issued = Instant::now();

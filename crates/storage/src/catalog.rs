@@ -1,7 +1,6 @@
 //! Catalog: table metadata, creation and bulk loading.
 
 use crate::bufferpool::BufferPool;
-use crate::colheap::ColHeapFile;
 use crate::disk::{FileId, SimDisk};
 use crate::heap::{HeapFile, Rid};
 use crate::index::{ClusteredIndex, UnclusteredIndex};
@@ -22,63 +21,12 @@ pub enum StorageLayout {
     Columnar,
 }
 
-/// The physical storage backing one table: a row heap or a columnar heap.
-#[derive(Debug)]
-pub enum TableStorage {
-    Row(HeapFile),
-    Columnar(ColHeapFile),
-}
-
-impl TableStorage {
-    pub fn layout(&self) -> StorageLayout {
-        match self {
-            TableStorage::Row(_) => StorageLayout::Row,
-            TableStorage::Columnar(_) => StorageLayout::Columnar,
-        }
-    }
-
-    pub fn file_id(&self) -> FileId {
-        match self {
-            TableStorage::Row(h) => h.file_id(),
-            TableStorage::Columnar(h) => h.file_id(),
-        }
-    }
-
-    pub fn num_pages(&self) -> QResult<u64> {
-        match self {
-            TableStorage::Row(h) => h.num_pages(),
-            TableStorage::Columnar(h) => h.num_pages(),
-        }
-    }
-
-    pub fn num_tuples(&self) -> u64 {
-        match self {
-            TableStorage::Row(h) => h.num_tuples(),
-            TableStorage::Columnar(h) => h.num_tuples(),
-        }
-    }
-
-    fn append(&self, tuple: &Tuple) -> QResult<Rid> {
-        match self {
-            TableStorage::Row(h) => h.append(tuple),
-            TableStorage::Columnar(h) => h.append(tuple),
-        }
-    }
-
-    fn flush(&self) -> QResult<()> {
-        match self {
-            TableStorage::Row(h) => h.flush(),
-            TableStorage::Columnar(h) => h.flush(),
-        }
-    }
-}
-
 /// Everything the engine knows about one table.
 pub struct TableInfo {
     pub name: String,
     pub schema: Schema,
-    /// Physical backing: row heap or columnar heap.
-    pub storage: TableStorage,
+    /// The table's heap file, in either page layout.
+    pub heap: HeapFile,
     /// Column the heap is physically sorted on, if bulk-loaded sorted.
     pub sort_key: Option<usize>,
     /// Fence-key directory when `sort_key` is set.
@@ -99,21 +47,21 @@ impl std::fmt::Debug for TableInfo {
 
 impl TableInfo {
     pub fn num_pages(&self) -> QResult<u64> {
-        self.storage.num_pages()
+        self.heap.num_pages()
     }
 
     pub fn num_tuples(&self) -> u64 {
-        self.storage.num_tuples()
+        self.heap.num_tuples()
     }
 
     /// The page layout this table was loaded with.
     pub fn layout(&self) -> StorageLayout {
-        self.storage.layout()
+        self.heap.layout()
     }
 
     /// Backing file of the table's heap, whichever layout it uses.
     pub fn file_id(&self) -> FileId {
-        self.storage.file_id()
+        self.heap.file_id()
     }
 
     /// Secondary index on `column`, if one was built.
@@ -193,18 +141,11 @@ impl Catalog {
             }
             rows.sort_by(|a, b| a[col].cmp(&b[col]));
         }
-        let storage = match layout {
-            StorageLayout::Row => TableStorage::Row(HeapFile::create(self.disk.clone(), name)?),
-            StorageLayout::Columnar => TableStorage::Columnar(ColHeapFile::create(
-                self.disk.clone(),
-                name,
-                schema.clone(),
-            )?),
-        };
+        let heap = HeapFile::create(self.disk.clone(), name, layout, &schema)?;
         let mut fences: Vec<Value> = Vec::new();
         let mut last_page = u64::MAX;
         for row in &rows {
-            let rid = storage.append(row)?;
+            let rid = heap.append(row)?;
             if let Some(col) = sort_key {
                 if rid.page != last_page {
                     fences.push(row[col].clone());
@@ -212,12 +153,12 @@ impl Catalog {
                 }
             }
         }
-        storage.flush()?;
+        heap.flush()?;
         let clustered = sort_key.map(|col| ClusteredIndex::new(col, fences));
         let info = Arc::new(TableInfo {
             name: name.to_string(),
             schema,
-            storage,
+            heap,
             sort_key,
             clustered,
             unclustered: RwLock::new(HashMap::new()),

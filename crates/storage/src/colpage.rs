@@ -12,13 +12,17 @@
 //! This is the layout the shared circular scanner exploits: one decode-free
 //! materialization feeds every attached consumer at once (paper §4.3.1 — the
 //! per-page cost is multiplied by the number of consumers, so it has to be
-//! small). The decoded batch is cached inside the page handle and shared by
-//! every clone of it — and the disk's stored copy is one of those clones:
-//! each read hands out a clone of it (`SimDisk::issue_read`), so a page
-//! materializes at most once per *run*, not once per residency. A page
-//! evicted from the buffer pool and read back arrives already decoded;
-//! every access after the first is a refcount bump. (A corrupted copy,
-//! [`ColPage::corrupted_copy`], starts with an empty cache.)
+//! small). A page carries a per-column decode cache from construction —
+//! the one both layouts keep, read and filled by
+//! [`Block::decode`](crate::disk::Block::decode) — and every clone shares
+//! it. The disk's stored copy is one of those clones: each read hands out a
+//! clone of it (`SimDisk::issue_read`), so each column of a page is decoded
+//! at most once per *run*, not once per residency, whichever columns a scan
+//! prunes to. A page evicted from the buffer pool and read back arrives with
+//! what was decoded; every access to a decoded column is a refcount bump.
+//! The decoders themselves ([`ColPage::decode`], [`ColPage::decode_cols`])
+//! read no cache. (A corrupted copy, [`ColPage::corrupted_copy`], starts
+//! with an empty cache.)
 //!
 //! ## On-page layout (all integers little-endian)
 //!
@@ -38,11 +42,12 @@
 //! aux region holds `dict_len: u16`, then `dict_len` cumulative u16 end
 //! offsets, then the dictionary bytes back to back.
 
+use crate::disk::ColCache;
 use crate::page::PAGE_SIZE;
 use qpipe_common::colbatch::{ColBatch, Column, ColumnData, NullBitmap};
 use qpipe_common::{DataType, QError, QResult, Schema, Tuple, Value};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Page magic marking the columnar layout.
 pub const COLPAGE_MAGIC: u16 = 0xC01A;
@@ -70,10 +75,10 @@ fn corrupt(what: &str) -> QError {
     QError::Storage(format!("corrupt columnar page: {what}"))
 }
 
-/// An immutable columnar page: raw bytes plus a lazily-materialized,
-/// `Arc`-shared [`ColBatch`]. Clones share both the bytes and the cache —
-/// the disk's stored page and every copy read from it included — so a page
-/// is decoded at most once per run, however often it is evicted and read.
+/// An immutable columnar page: raw bytes plus a per-column decode cache.
+/// Clones share both — the disk's stored page and every copy read from it
+/// included — so each column is decoded at most once per run, however often
+/// the page is evicted and read.
 #[derive(Debug, Clone)]
 pub struct ColPage {
     data: Arc<Vec<u8>>,
@@ -82,7 +87,7 @@ pub struct ColPage {
     /// Checksum of `data`, sealed at construction (columnar pages are
     /// immutable, so the seal never goes stale).
     sum: u64,
-    decoded: Arc<OnceLock<Arc<ColBatch>>>,
+    pub(crate) cache: Arc<ColCache>,
 }
 
 impl ColPage {
@@ -100,7 +105,7 @@ impl ColPage {
             return Err(corrupt("directory exceeds page"));
         }
         let sum = qpipe_common::sim::page_sum(&data);
-        Ok(Self { data, rows, cols, sum, decoded: Arc::new(OnceLock::new()) })
+        Ok(Self { data, rows, cols, sum, cache: Arc::default() })
     }
 
     /// Verify the sealed checksum against the page bytes.
@@ -110,8 +115,8 @@ impl ColPage {
 
     /// Return a clone with one bit of the page bytes flipped and the seal
     /// left intact — a detectably corrupt page for fault injection. The
-    /// clone gets a fresh decode cache so the clean page's cached batch is
-    /// never served for the corrupted bytes.
+    /// clone gets a fresh decode cache so the clean page's cached columns
+    /// are never served for the corrupted bytes.
     pub fn corrupted_copy(&self, bit: u64) -> Self {
         let bit = bit % (PAGE_SIZE as u64 * 8);
         let mut data = (*self.data).clone();
@@ -121,7 +126,7 @@ impl ColPage {
             rows: self.rows,
             cols: self.cols,
             sum: self.sum,
-            decoded: Arc::new(OnceLock::new()),
+            cache: Arc::default(),
         }
     }
 
@@ -135,49 +140,22 @@ impl ColPage {
         self.cols as usize
     }
 
-    /// Materialize the page as a shared [`ColBatch`], decoding at most once
-    /// per page handle lineage (pool-resident clones share the cache).
-    pub fn materialize(&self) -> QResult<Arc<ColBatch>> {
-        if let Some(b) = self.decoded.get() {
-            return Ok(b.clone());
-        }
-        let fresh = Arc::new(self.decode()?);
-        // A concurrent reader may have won the race; either Arc is the same
-        // decoded content, keep whichever landed first.
-        Ok(self.decoded.get_or_init(|| fresh).clone())
-    }
-
     /// Decode the page into a fresh [`ColBatch`] straight from the byte
     /// regions (bulk reads per column — the zero-row-decode path).
     pub fn decode(&self) -> QResult<ColBatch> {
-        let rows = self.rows as usize;
-        let mut cols = Vec::with_capacity(self.cols as usize);
-        for c in 0..self.cols as usize {
-            cols.push(self.decode_col(c)?);
-        }
-        if cols.is_empty() {
-            return Ok(ColBatch::empty_rows(rows));
-        }
-        Ok(ColBatch::from_columns(cols))
+        self.decode_cols(None)
     }
 
-    /// Materialize only the named columns, in the given order — page-level
-    /// column pruning for single-consumer scans. The result has
-    /// `cols.len()` columns (callers re-index their expressions onto the
-    /// pruned positions) and the page's full row count. When the full batch
-    /// is already cached this is a projection (refcount bumps); otherwise
-    /// only the requested byte regions are decoded.
-    pub fn decode_cols(&self, cols: &[usize]) -> QResult<ColBatch> {
-        if let Some(&c) = cols.iter().find(|&&c| c >= self.cols as usize) {
-            return Err(corrupt(&format!("column {c} beyond page width {}", self.cols)));
+    /// Decode the named columns (every column for `None`), in the given
+    /// order: only their byte regions are read. The result has the page's
+    /// full row count.
+    pub fn decode_cols(&self, cols: Option<&[usize]>) -> QResult<ColBatch> {
+        let order: Vec<usize> =
+            cols.map_or_else(|| (0..self.num_cols()).collect(), <[usize]>::to_vec);
+        if order.is_empty() {
+            return Ok(ColBatch::empty_rows(self.num_rows()));
         }
-        if let Some(b) = self.decoded.get() {
-            return Ok(b.project(cols));
-        }
-        if cols.is_empty() {
-            return Ok(ColBatch::empty_rows(self.rows as usize));
-        }
-        let out = cols.iter().map(|&c| self.decode_col(c)).collect::<QResult<Vec<_>>>()?;
+        let out = order.iter().map(|&c| self.decode_col(c)).collect::<QResult<Vec<_>>>()?;
         Ok(ColBatch::from_columns(out))
     }
 
@@ -224,12 +202,6 @@ impl ColPage {
             other => return Err(corrupt(&format!("unknown column type tag {other}"))),
         };
         Ok(Column::new(payload, nulls))
-    }
-
-    /// Materialize every row as a tuple (the row-engine boundary adapter,
-    /// analogous to [`Page::decode_tuples`](crate::page::Page::decode_tuples)).
-    pub fn rows(&self) -> QResult<Vec<Tuple>> {
-        Ok(self.materialize()?.to_rows())
     }
 
     /// The raw page bytes (tests / forensics).
@@ -541,20 +513,19 @@ impl ColPageBuilder {
         self.any_null = vec![false; self.types.len()];
         self.rows = 0;
         let sum = qpipe_common::sim::page_sum(&data);
-        ColPage {
-            data: Arc::new(data),
-            rows: rows as u16,
-            cols: ncols,
-            sum,
-            decoded: Arc::new(OnceLock::new()),
-        }
+        ColPage { data: Arc::new(data), rows: rows as u16, cols: ncols, sum, cache: Arc::default() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::Block;
     use qpipe_common::DataType;
+
+    fn rows_of(page: &ColPage) -> Vec<Tuple> {
+        page.decode().unwrap().to_rows()
+    }
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -587,24 +558,57 @@ mod tests {
         }
         let page = b.finish();
         assert_eq!(page.num_rows(), 100);
-        assert_eq!(page.rows().unwrap(), rows);
+        assert_eq!(rows_of(&page), rows);
         // The decoded batch is typed, not Mixed.
-        let batch = page.materialize().unwrap();
+        let batch = page.decode().unwrap();
         assert!(matches!(batch.col(0).unwrap().data(), ColumnData::Int64(_)));
         assert!(matches!(batch.col(2).unwrap().data(), ColumnData::Str { .. }));
     }
 
+    /// Each column is cached on its own and shared by every clone: a
+    /// pruned decode fills the cache, a clone's second decode of a column
+    /// shares it, and a decode of the whole page takes the cached ones.
     #[test]
-    fn materialize_is_cached_and_shared() {
+    fn decoded_columns_are_cached_and_shared_by_clones() {
         let mut b = ColPageBuilder::new(&schema());
         for r in sample_rows(10) {
             b.append(&r).unwrap();
         }
         let page = b.finish();
-        let clone = page.clone();
-        let a = page.materialize().unwrap();
-        let c = clone.materialize().unwrap();
-        assert!(Arc::ptr_eq(&a, &c), "clones share the decoded batch");
+        let decode = |cols: Option<&[usize]>| Block::from(page.clone()).decode(cols).unwrap();
+        let pruned = decode(Some(&[3, 0]));
+        let again = decode(Some(&[3]));
+        assert!(
+            Arc::ptr_eq(&pruned.columns()[0], &again.columns()[0]),
+            "a pruned decode is cached"
+        );
+        let all = decode(None);
+        assert!(Arc::ptr_eq(&all.columns()[3], &pruned.columns()[0]));
+        assert!(Arc::ptr_eq(&all.columns()[0], &pruned.columns()[1]));
+        for (x, y) in all.columns().iter().zip(decode(None).columns()) {
+            assert!(Arc::ptr_eq(x, y), "clones share each decoded column");
+        }
+    }
+
+    /// A RID fetch answers the stored row whatever the cache holds: nothing,
+    /// some columns, or all of them; a slot past the rows errs.
+    #[test]
+    fn row_answers_from_any_cache_state() {
+        let rows = sample_rows(30);
+        let mut b = ColPageBuilder::new(&schema());
+        for r in &rows {
+            b.append(r).unwrap();
+        }
+        let block = Block::from(b.finish());
+        assert_eq!(block.row(7).unwrap(), rows[7], "cold");
+        let fresh =
+            Block::from(ColPage::from_bytes(block.as_columnar().unwrap().data.clone()).unwrap());
+        fresh.decode(Some(&[2])).unwrap();
+        assert_eq!(fresh.row(11).unwrap(), rows[11], "one column cached");
+        for (slot, want) in rows.iter().enumerate() {
+            assert_eq!(&fresh.row(slot as u16).unwrap(), want, "all cached");
+        }
+        assert!(fresh.row(30).is_err());
     }
 
     #[test]
@@ -614,7 +618,7 @@ mod tests {
             b.append(&vec![Value::str(if i % 2 == 0 { "even" } else { "odd" })]).unwrap();
         }
         let page = b.finish();
-        let batch = page.materialize().unwrap();
+        let batch = page.decode().unwrap();
         let col = batch.col(0).unwrap();
         let ColumnData::Str { dict, codes } = col.data() else { panic!("typed str col") };
         assert_eq!(codes[0], codes[198], "equal strings share one code");
@@ -649,7 +653,7 @@ mod tests {
         assert!(b.append(&row).is_err());
         let page = b.finish();
         assert_eq!(page.num_rows(), n);
-        assert_eq!(page.rows().unwrap().len(), n);
+        assert_eq!(rows_of(&page).len(), n);
     }
 
     #[test]
@@ -657,7 +661,7 @@ mod tests {
         let mut b = ColPageBuilder::new(&schema());
         let page = b.finish();
         assert_eq!(page.num_rows(), 0);
-        assert!(page.rows().unwrap().is_empty());
+        assert!(rows_of(&page).is_empty());
     }
 
     #[test]
@@ -702,14 +706,11 @@ mod tests {
         }
         let page = b.finish();
         assert!(page.verify_checksum());
-        page.materialize().unwrap(); // warm the clean page's decode cache
+        Block::from(page.clone()).decode(None).unwrap(); // warm the clean page's decode cache
         let bad = page.corrupted_copy(12345);
         assert!(!bad.verify_checksum(), "flipped bit must fail verification");
         assert!(page.verify_checksum(), "clean page unaffected");
-        assert!(
-            bad.decoded.get().is_none(),
-            "corrupt copy must not inherit the clean decode cache"
-        );
+        assert!(bad.cache.get().is_none(), "corrupt copy must not inherit the clean decode cache");
     }
 
     #[test]
@@ -736,6 +737,6 @@ mod tests {
             b.append(&vec![Value::Null]).unwrap();
         }
         let page = b.finish();
-        assert_eq!(page.rows().unwrap(), vec![vec![Value::Null]; 9]);
+        assert_eq!(rows_of(&page), vec![vec![Value::Null]; 9]);
     }
 }

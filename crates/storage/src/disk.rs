@@ -18,23 +18,32 @@
 //! [`SimDisk::read_block`] is issue-then-wait.
 
 use crate::colpage::ColPage;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{decode_tuple, Page, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock};
+use qpipe_common::colbatch::Column;
 use qpipe_common::{
     ColBatch, FaultAction, FaultInjector, FaultOp, Metrics, QError, QResult, Tuple,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifies a file on the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u32);
 
+/// A page's decode cache, the same for both layouts: one slot per page
+/// column, each filled by the first decode of its column
+/// ([`Block::decode`]). The slots are made by the page's first decode;
+/// a slotted page's checks every record, a columnar page's checks nothing,
+/// since a columnar column is checked when it is decoded.
+pub(crate) type ColCache = OnceLock<Box<[OnceLock<Arc<Column>>]>>;
+
 /// One 8 KiB disk block: either a classic slotted page (row layout) or a
 /// PAX-style columnar page. The disk and buffer pool move blocks without
-/// caring which layout they carry; readers dispatch on the variant.
+/// caring which layout they carry; past its codec, a page is read through
+/// [`Block::decode`] whatever its layout.
 #[derive(Debug, Clone)]
 pub enum Block {
     Slotted(Page),
@@ -89,21 +98,65 @@ impl Block {
         }
     }
 
-    /// The page as a batch of the named columns (every column for `None`) —
-    /// the staged engine's one page → batch step. A whole columnar page is
-    /// its pool-resident batch ([`ColPage::materialize`]); anything else is
-    /// the layout's column decoder.
+    /// The page as a batch of the named columns (every column for `None`),
+    /// in the given order — the staged engine's one page → batch step, and
+    /// the one place a page's decode cache is read or filled. Both layouts
+    /// keep the same cache ([`ColCache`]): one slot per page column.
+    ///
+    /// A page with no cache (a slotted page that is not the pool's frame)
+    /// is its layout's decoder. Otherwise a column some earlier call decoded
+    /// is handed out as an `Arc` bump; the missing ones come from the
+    /// layout's uncached decoder in one call, outside any lock, and the
+    /// first copy of a column to reach the cache is the one every reader
+    /// gets. A column at or past the page's width errs whatever is cached,
+    /// and a failed decode caches nothing.
     pub fn decode(&self, cols: Option<&[usize]>) -> QResult<Arc<ColBatch>> {
-        match (self, cols) {
-            (Block::Columnar(p), None) => p.materialize(),
-            (Block::Columnar(p), Some(cols)) => Ok(Arc::new(p.decode_cols(cols)?)),
-            (Block::Slotted(p), cols) => Ok(Arc::new(p.decode_cols(cols)?)),
+        let cache = match self {
+            Block::Slotted(p) => p.cache.as_deref(),
+            Block::Columnar(p) => Some(&*p.cache),
+        };
+        let Some(cache) = cache else { return self.decode_uncached(cols).map(Arc::new) };
+        let width = match cache.get() {
+            Some(slots) => slots.len(),
+            None => self.num_cols()?,
+        };
+        let order: Vec<usize> = cols.map_or_else(|| (0..width).collect(), <[usize]>::to_vec);
+        if let Some(&c) = order.iter().find(|&&c| c >= width) {
+            return Err(QError::Storage(format!("column {c} beyond page width {width}")));
+        }
+        let cached = |c: usize| cache.get().and_then(|slots| slots[c].get());
+        let mut missing: Vec<usize> =
+            order.iter().copied().filter(|&c| cached(c).is_none()).collect();
+        missing.sort_unstable();
+        missing.dedup();
+        // A first decode runs even with nothing missing: on a slotted page
+        // it checks every record; a columnar column is checked when decoded.
+        if cache.get().is_none() || !missing.is_empty() {
+            let fresh = self.decode_uncached(Some(&missing))?;
+            let slots = cache.get_or_init(|| (0..width).map(|_| OnceLock::new()).collect());
+            for (&c, col) in missing.iter().zip(fresh.columns()) {
+                slots[c].get_or_init(|| col.clone());
+            }
+        }
+        let columns = order.iter().map(|&c| cached(c).cloned()).collect::<Option<Vec<_>>>();
+        let columns =
+            columns.ok_or_else(|| QError::Storage("decode cache lost a column".into()))?;
+        Ok(Arc::new(ColBatch::from_shared(self.num_records(), columns)))
+    }
+
+    /// The layout's decoder: the named columns, decoded afresh.
+    fn decode_uncached(&self, cols: Option<&[usize]>) -> QResult<ColBatch> {
+        match self {
+            Block::Slotted(p) => p.decode_cols(cols),
+            Block::Columnar(p) => p.decode_cols(cols),
         }
     }
 
-    /// The copy the buffer pool installs as the block's frame: a slotted
-    /// page with an empty decode cache ([`Page::decode_cols`]); a columnar
-    /// page as it is (it carries its own, [`ColPage::materialize`]).
+    /// The copy the buffer pool installs as the block's frame. A slotted
+    /// page gets a cache only here: the frame starts with an empty one and
+    /// its clones — every hit — share it. A columnar page carries its cache
+    /// from construction, shared by every clone, the disk's stored copy
+    /// included, so it is its own frame and decodes at most once per run.
     pub(crate) fn framed(&self) -> Self {
         match self {
             Block::Slotted(p) => Block::Slotted(p.framed()),
@@ -112,12 +165,33 @@ impl Block {
     }
 
     /// Decode every record as a tuple, whichever layout the block carries
-    /// (the layout-agnostic row-engine adapter). Never reads or fills a
-    /// frame's decode cache.
+    /// (the layout-agnostic row-engine adapter). A slotted page decodes its
+    /// tuples and never reads or fills a frame's cache; a columnar page goes
+    /// through [`decode`](Self::decode).
     pub fn rows(&self) -> QResult<Vec<Tuple>> {
         match self {
             Block::Slotted(p) => p.decode_tuples(),
-            Block::Columnar(p) => p.rows(),
+            Block::Columnar(_) => Ok(self.decode(None)?.to_rows()),
+        }
+    }
+
+    /// Record `slot` as a tuple (an unclustered index's RID fetch).
+    pub fn row(&self, slot: u16) -> QResult<Tuple> {
+        match self {
+            Block::Slotted(p) => decode_tuple(p.record(slot)?),
+            Block::Columnar(p) if usize::from(slot) < p.num_rows() => {
+                // Straight from the cached columns; a missing one fills the
+                // cache through `decode`.
+                let i = usize::from(slot);
+                let cached = p.cache.get().and_then(|slots| {
+                    slots.iter().map(|s| s.get().map(|c| c.value(i))).collect::<Option<Tuple>>()
+                });
+                match cached {
+                    Some(row) => Ok(row),
+                    None => Ok(self.decode(None)?.row(i)),
+                }
+            }
+            Block::Columnar(_) => Err(QError::Storage(format!("no slot {slot}"))),
         }
     }
 
@@ -172,18 +246,16 @@ pub struct DiskConfig {
     pub rand_read_latency: Duration,
     /// Charge for writing a block.
     pub write_latency: Duration,
-    /// When false, no latency is charged (unit tests use this).
-    pub charge_latency: bool,
 }
 
 impl DiskConfig {
-    /// Latency-free configuration for tests that only care about counters.
+    /// Latency-free configuration for tests that only care about counters:
+    /// every charge is zero, and a zero charge waits for nothing.
     pub fn instant() -> Self {
         Self {
             seq_read_latency: Duration::ZERO,
             rand_read_latency: Duration::ZERO,
             write_latency: Duration::ZERO,
-            charge_latency: false,
         }
     }
 
@@ -195,7 +267,6 @@ impl DiskConfig {
             seq_read_latency: Duration::from_micros(20),
             rand_read_latency: Duration::from_micros(60),
             write_latency: Duration::from_micros(25),
-            charge_latency: true,
         }
     }
 }
@@ -409,11 +480,8 @@ impl SimDisk {
         if sequential {
             self.metrics.add_disk_seq_read();
         }
-        let charge = match (self.config.charge_latency, sequential) {
-            (false, _) => Duration::ZERO,
-            (true, true) => self.config.seq_read_latency,
-            (true, false) => self.config.rand_read_latency,
-        };
+        let charge =
+            if sequential { self.config.seq_read_latency } else { self.config.rand_read_latency };
         Ok(IssuedRead { block: page, ready_at: issued + fault.delay + charge })
     }
 
@@ -437,9 +505,7 @@ impl SimDisk {
             (f.blocks.len() - 1) as u64
         };
         self.metrics.add_disk_write(1);
-        if self.config.charge_latency {
-            spin_sleep(self.config.write_latency);
-        }
+        spin_sleep(self.config.write_latency);
         Ok(block_no)
     }
 
@@ -463,9 +529,7 @@ impl SimDisk {
             *slot = block;
         }
         self.metrics.add_disk_write(1);
-        if self.config.charge_latency {
-            spin_sleep(self.config.write_latency);
-        }
+        spin_sleep(self.config.write_latency);
         Ok(())
     }
 
@@ -556,7 +620,6 @@ mod tests {
             seq_read_latency: Duration::from_micros(20),
             rand_read_latency: Duration::from_micros(60),
             write_latency: Duration::ZERO,
-            charge_latency: true,
         };
         let m = Metrics::new();
         let d = SimDisk::new(config, m.clone());

@@ -7,25 +7,29 @@
 //!
 //! * [`disk`] — an in-memory block device that charges a configurable latency
 //!   per block read and counts per-file I/O (Figure 8's metric). Blocks are
-//!   a [`Block`] enum so one file can carry either page layout.
+//!   a [`Block`] enum so one file can carry either page layout, and
+//!   [`Block::decode`] is the one page → batch step for both: it keeps the
+//!   decode cache both layouts share, one slot per page column.
 //! * [`page`] — **row layout**: slotted 8 KiB pages with a compact tagged
 //!   binary tuple codec. Reads decode tuple-by-tuple for the iterator
 //!   engine, or walk each record once straight into the typed columns a
-//!   scan needs (`Page::decode_cols`), which a buffer-pool frame caches.
+//!   scan needs (`Page::decode_cols`).
 //! * [`colpage`] — **columnar layout**: PAX-style 8 KiB pages with per-column
 //!   typed value regions, null bitmaps and a page-local string dictionary.
-//!   Reads materialize a whole [`ColBatch`](qpipe_common::ColBatch) from the
-//!   byte regions in bulk — scans over columnar tables skip the row codec
-//!   entirely, which is what lets one shared circular scan feed N consumers
-//!   with vectorized kernels at near-zero per-page cost.
-//! * [`heap`] / [`colheap`] — append-only heap files of slotted / columnar
-//!   pages, both with an O(1)-amortized open-tail-page bulk-load path.
+//!   A column decodes from its byte regions in bulk — scans over columnar
+//!   tables skip the row codec entirely, which is what lets one shared
+//!   circular scan feed N consumers with vectorized kernels at near-zero
+//!   per-page cost.
+//! * [`heap`] — one append-only heap file for both layouts: its open tail
+//!   is a slotted page or a columnar page builder, with an O(1)-amortized
+//!   bulk-load path either way.
 //! * [`bufferpool`] — a buffer pool with the two replacement policies the
 //!   evaluated systems run: LRU (QPipe, Baseline) and 2Q (DBMS X). It caches
-//!   [`Block`]s. A resident slotted page (the pool's *frame*) keeps each
-//!   column its readers decoded, for as long as it stays resident. A
-//!   columnar page carries its decoded batch in every copy, the disk's
-//!   stored one included, so it is materialized at most once per run —
+//!   [`Block`]s. Where a decode cache attaches is the layouts' one
+//!   difference past their codecs: a slotted page has one only as the
+//!   pool's resident copy (its *frame*), for as long as it stays resident;
+//!   a columnar page carries one in every copy, the disk's stored one
+//!   included, so each of its columns is decoded at most once per run —
 //!   even across eviction.
 //! * [`index`] — bulk-loaded paged indexes: clustered (table stored in key
 //!   order) and unclustered (key → RID list, fetched in page order). Both
@@ -37,7 +41,6 @@
 
 pub mod bufferpool;
 pub mod catalog;
-pub mod colheap;
 pub mod colpage;
 pub mod disk;
 pub mod heap;
@@ -46,8 +49,7 @@ pub mod lock;
 pub mod page;
 
 pub use bufferpool::{BufferPool, BufferPoolConfig, PolicyKind};
-pub use catalog::{Catalog, StorageLayout, TableInfo, TableStorage};
-pub use colheap::ColHeapFile;
+pub use catalog::{Catalog, StorageLayout, TableInfo};
 pub use colpage::{ColPage, ColPageBuilder};
 pub use disk::{Block, DiskConfig, FileId, IssuedRead, SimDisk};
 pub use heap::{HeapFile, Rid};

@@ -12,27 +12,28 @@
 //! for the staged engine's scanner, typed columns of just the columns asked
 //! for ([`Page::decode_cols`]) — no tuple per row on the way.
 //!
-//! The buffer pool's resident copy of a page (its *frame*) keeps the columns
-//! its readers decoded: every clone of the frame shares one per-column
-//! cache, so a resident page decodes each column once and a later visit
-//! takes it as an `Arc` bump. Any other page — one being built, the disk's
-//! stored copy, the copy a missing reader is handed — has no cache and
-//! decodes on every call. The tuple path never reads or fills the cache.
+//! Both reads are pure decoders. A slotted page carries a decode cache only
+//! as the buffer pool's resident copy (its *frame*): every clone of the
+//! frame shares it, and [`Block::decode`](crate::disk::Block::decode) — the
+//! one routine a columnar page's cache goes through too — serves a column
+//! some visit decoded as an `Arc` bump. Any other page — one being built,
+//! the disk's stored copy, the copy a missing reader is handed — has no
+//! cache. The tuple path never reads or fills it.
 
+use crate::disk::ColCache;
 use bytes::BufMut;
 use qpipe_common::colbatch::{ColBatch, Column, ColumnBuilder};
 use qpipe_common::sim::{fnv_word, page_sum};
 use qpipe_common::{QError, QResult, Tuple, Value};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Page size in bytes (8 KiB, BerkeleyDB's default).
 pub const PAGE_SIZE: usize = 8192;
 
 const SLOT_BYTES: usize = 4; // u16 offset + u16 len
 
-/// A frame's decode cache: once a decode has succeeded, one slot per column
-/// of the page's width, each filled by the first decode of its column.
-type FrameCols = OnceLock<Box<[OnceLock<Arc<Column>>]>>;
+/// The largest record an empty page holds.
+pub(crate) const MAX_RECORD: usize = PAGE_SIZE - SLOT_BYTES;
 
 /// A slotted page.
 #[derive(Debug, Clone)]
@@ -45,9 +46,9 @@ pub struct Page {
     /// Checksum sealed at disk-write time; `None` while the page is still
     /// being built (mutations invalidate any seal).
     stored_sum: Option<u64>,
-    /// The columns decoded so far, shared by every clone of a buffer-pool
-    /// frame ([`framed`](Self::framed)); `None` on any other page.
-    frame: Option<Arc<FrameCols>>,
+    /// The decode cache, shared by every clone of a buffer-pool frame
+    /// ([`framed`](Self::framed)); `None` on any other page.
+    pub(crate) cache: Option<Arc<ColCache>>,
 }
 
 impl Default for Page {
@@ -63,14 +64,14 @@ impl Page {
             slots: Vec::new(),
             free_start: 0,
             stored_sum: None,
-            frame: None,
+            cache: None,
         }
     }
 
     /// A copy with an empty decode cache — what the buffer pool installs as
     /// a page's frame. Its clones share the cache.
     pub(crate) fn framed(&self) -> Self {
-        Self { frame: Some(Arc::default()), ..self.clone() }
+        Self { cache: Some(Arc::default()), ..self.clone() }
     }
 
     /// Checksum over payload bytes and the slot directory: [`page_sum`] of
@@ -101,7 +102,7 @@ impl Page {
         let bit = bit % span;
         let data = Arc::make_mut(&mut self.data);
         data[(bit / 8) as usize] ^= 1 << (bit % 8);
-        self.frame = None; // nothing decoded from the old bytes is served
+        self.cache = None; // nothing decoded from the old bytes is served
     }
 
     /// Number of records on the page.
@@ -139,7 +140,7 @@ impl Page {
         self.slots.push((self.free_start as u16, rec.len() as u16));
         self.free_start += rec.len();
         self.stored_sum = None; // mutation invalidates any seal
-        self.frame = None;
+        self.cache = None;
         Ok(slot)
     }
 
@@ -182,8 +183,9 @@ impl Page {
 
     /// Decode the named columns (every column for `None`), in the given
     /// order, straight into typed columns — the slotted twin of
-    /// [`ColPage::decode_cols`](crate::colpage::ColPage::decode_cols), and
-    /// the scanner's only read of a slotted page.
+    /// [`ColPage::decode_cols`](crate::colpage::ColPage::decode_cols). It
+    /// reads no cache: [`Block::decode`](crate::disk::Block::decode) keeps
+    /// one over it for the pool's frame.
     ///
     /// Each record's tag stream is walked once. Values of columns not named
     /// are stepped over, but their tags, lengths and UTF-8 are checked all
@@ -197,61 +199,21 @@ impl Page {
     /// ([`ColumnBuilder::push_str`]) — one `Arc<str>` per distinct string of
     /// a column, and a `u32` code per row. A column named twice is decoded
     /// once and shared by both positions.
-    ///
-    /// On a buffer-pool frame, a column some earlier call decoded is taken
-    /// from the frame's cache as an `Arc` bump; the missing ones are decoded
-    /// together in one walk of the records, outside any lock, and the first
-    /// copy of a column to reach the cache is the one every reader gets. A
-    /// column past the width errs whatever is cached, and a failed decode
-    /// caches nothing — so a frame with anything cached has had every
-    /// record checked, and a call it serves from the cache alone walks no
-    /// record.
     pub fn decode_cols(&self, cols: Option<&[usize]>) -> QResult<ColBatch> {
-        let cached = self.frame.as_deref().and_then(OnceLock::get);
-        let width = match cached {
-            Some(slots) => slots.len(),
-            None => self.width()?,
-        };
-        let order: Vec<usize> = match cols {
-            Some(cols) => {
-                if let Some(&c) = cols.iter().find(|&&c| c >= width) {
-                    return Err(QError::Storage(format!(
-                        "column {c} beyond slotted page width {width}"
-                    )));
-                }
-                cols.to_vec()
-            }
-            None => (0..width).collect(),
-        };
-        // Each distinct named column once, in order of first mention, with
-        // what the frame already holds of it.
-        let mut index_of: Vec<Option<usize>> = vec![None; width];
-        let mut distinct: Vec<(usize, Option<Arc<Column>>)> = Vec::with_capacity(order.len());
-        for &c in &order {
-            if index_of[c].is_none() {
-                index_of[c] = Some(distinct.len());
-                distinct.push((c, cached.and_then(|slots| slots[c].get().cloned())));
-            }
+        let width = self.width()?;
+        let order: Vec<usize> = cols.map_or_else(|| (0..width).collect(), <[usize]>::to_vec);
+        if let Some(&c) = order.iter().find(|&&c| c >= width) {
+            return Err(QError::Storage(format!("column {c} beyond slotted page width {width}")));
         }
-        let missing: Vec<usize> =
-            distinct.iter().filter(|(_, col)| col.is_none()).map(|&(c, _)| c).collect();
-        if cached.is_none() || !missing.is_empty() {
-            let fresh = self.decode_columns(width, &missing)?;
-            let slots = self
-                .frame
-                .as_deref()
-                .map(|frame| frame.get_or_init(|| (0..width).map(|_| OnceLock::new()).collect()));
-            let unfilled = distinct.iter_mut().filter(|(_, col)| col.is_none());
-            for ((c, col), decoded) in unfilled.zip(fresh) {
-                let decoded = Arc::new(decoded);
-                *col = Some(match slots {
-                    Some(slots) => slots[*c].get_or_init(|| decoded).clone(),
-                    None => decoded,
-                });
-            }
-        }
-        let columns =
-            order.iter().filter_map(|&c| index_of[c].and_then(|k| distinct[k].1.clone())).collect();
+        let mut distinct = order.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let decoded: Vec<Arc<Column>> =
+            self.decode_columns(width, &distinct)?.into_iter().map(Arc::new).collect();
+        let columns = order
+            .iter()
+            .filter_map(|c| distinct.binary_search(c).ok().map(|k| decoded[k].clone()))
+            .collect();
         Ok(ColBatch::from_shared(self.num_records(), columns))
     }
 
@@ -594,32 +556,37 @@ mod tests {
 
     #[test]
     fn a_frame_decodes_each_column_once_and_still_checks_the_width() {
+        use crate::disk::Block;
+        use std::sync::OnceLock;
+        let read = |p: &Page, cols: Option<&[usize]>| Block::Slotted(p.clone()).decode(cols);
         let rows = vec![
             vec![Value::Int(1), Value::str("a"), Value::Null],
             vec![Value::Int(2), Value::Int(7), Value::Date(3)],
             vec![Value::Null],
         ];
         let uncached = page_of(&rows);
+        let (x, y) = (read(&uncached, Some(&[0])).unwrap(), read(&uncached, Some(&[0])).unwrap());
+        assert!(!Arc::ptr_eq(&x.columns()[0], &y.columns()[0]), "no cache, no sharing");
         let frame = uncached.framed();
-        let a = frame.decode_cols(Some(&[2])).unwrap();
-        let b = frame.clone().decode_cols(Some(&[0, 2, 0])).unwrap();
+        let a = read(&frame, Some(&[2])).unwrap();
+        let b = read(&frame, Some(&[0, 2, 0])).unwrap();
         assert!(Arc::ptr_eq(&a.columns()[0], &b.columns()[1]), "a clone shares the cache");
         assert!(Arc::ptr_eq(&b.columns()[0], &b.columns()[2]), "a repeat is one decode");
-        assert_eq!(b, uncached.decode_cols(Some(&[0, 2, 0])).unwrap());
-        assert!(frame.decode_cols(Some(&[0, 3])).is_err(), "past the width, cached or not");
-        assert_eq!(frame.decode_cols(None).unwrap(), uncached.decode_cols(None).unwrap());
+        assert_eq!(*b, uncached.decode_cols(Some(&[0, 2, 0])).unwrap());
+        assert!(read(&frame, Some(&[0, 3])).is_err(), "past the width, cached or not");
+        assert_eq!(*read(&frame, None).unwrap(), uncached.decode_cols(None).unwrap());
         let mut grown = frame.clone();
         grown.append_record(&[1, 0, TAG_INT, 9, 0, 0, 0, 0, 0, 0, 0]).unwrap();
-        let col = grown.decode_cols(Some(&[0])).unwrap();
+        let col = read(&grown, Some(&[0])).unwrap();
         assert_eq!(col.len(), 4, "a mutated page drops its cache");
 
         let mut bad = page_of(&rows);
         bad.append_record(&[1, 0, 0xEE]).unwrap(); // an unknown tag
         let bad = bad.framed();
         for cols in [Some(&[0][..]), Some(&[][..]), None] {
-            assert!(bad.decode_cols(cols).is_err(), "{cols:?}");
+            assert!(read(&bad, cols).is_err(), "{cols:?}");
         }
-        assert!(bad.frame.as_deref().and_then(OnceLock::get).is_none(), "a failure caches nothing");
+        assert!(bad.cache.as_deref().and_then(OnceLock::get).is_none(), "a failure caches nothing");
     }
 
     #[test]

@@ -148,8 +148,8 @@ fn main() -> QResult<()> {
     //
     //        cargo run --release -p qpipe-lint
     //
-    //    emits `file:line` diagnostics for rules R1–R4 and fails on anything
-    //    beyond the ratchet baseline (`lint-baseline.txt`, which may only
-    //    shrink). CI runs it with `--check-baseline` on every PR.
+    //    emits `file:line` diagnostics for rules R1–R4 and fails on any
+    //    finding (a waiver with a reason excuses one site). CI runs it on
+    //    every PR.
     Ok(())
 }

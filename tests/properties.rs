@@ -9,6 +9,7 @@ use qpipe::common::colbatch::{ColBatch, ColumnData, SelVec};
 use qpipe::exec::vexpr::project_batch;
 use qpipe::prelude::*;
 use qpipe_storage::page::{decode_tuple, encode_tuple, encoded_len, Page};
+use qpipe_storage::Block;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -603,8 +604,9 @@ fn slotted_decode_cols_fails_exactly_when_decode_tuples_fails() {
 }
 
 // ---------------------------------------------------------------------------
-// A buffer-pool frame's decode cache: whatever columns earlier calls left
-// in it, `decode_cols` on the frame answers as the page without a cache.
+// The decode cache: whatever columns earlier calls left in it, a page read
+// through `Block::decode` answers as its layout's uncached decoder — a
+// slotted frame and a columnar page alike.
 // ---------------------------------------------------------------------------
 
 /// A column request on a page of width `width`: every column, none, a
@@ -627,47 +629,96 @@ fn arb_request(rng: &mut StdRng, width: usize) -> Option<Vec<usize>> {
     }
 }
 
+/// A columnar page of random schema-typed rows, as many as fit.
+fn arb_colpage(rng: &mut StdRng) -> qpipe_storage::ColPage {
+    let (schema, rows) = arb_typed_batch(rng);
+    let mut builder = qpipe_storage::ColPageBuilder::new(&schema);
+    for r in &rows {
+        if !builder.fits(r) {
+            break;
+        }
+        builder.append(r).unwrap();
+    }
+    builder.finish()
+}
+
+/// The layout's decoder, which reads no cache.
+fn uncached(block: &Block, cols: Option<&[usize]>) -> QResult<ColBatch> {
+    match block {
+        Block::Slotted(p) => p.decode_cols(cols),
+        Block::Columnar(p) => p.decode_cols(cols),
+    }
+}
+
+/// Whether a cached decode answered as the uncached decoder did: the same
+/// columns, or an error exactly when the decoder errs.
+fn agrees(got: QResult<Arc<ColBatch>>, want: QResult<ColBatch>, what: &str) -> bool {
+    assert_eq!(got.is_err(), want.is_err(), "{what}");
+    if let (Ok(got), Ok(want)) = (got, want) {
+        assert_same_columns(&got, &want, what);
+        true
+    } else {
+        false
+    }
+}
+
 #[test]
 fn a_frames_decode_cache_answers_as_the_uncached_page() {
     let mut rng = StdRng::seed_from_u64(0xF8A3_EC0D);
     let disk = SimDisk::new(DiskConfig::instant(), Metrics::new());
     let file = disk.create_file("pages").unwrap();
-    let pages: Vec<Page> = (0..300)
-        .map(|_| {
-            let (clean, _) = arb_slotted_page(&mut rng);
-            let page = if rng.gen_bool(0.25) { garbled(&mut rng, &clean) } else { clean };
+    // Slotted pages (a quarter garbled) and columnar pages, alternately.
+    let pages: Vec<Block> = (0..600)
+        .map(|i| {
+            let page: Block = if i % 2 == 0 {
+                let (clean, _) = arb_slotted_page(&mut rng);
+                if rng.gen_bool(0.25) { garbled(&mut rng, &clean) } else { clean }.into()
+            } else {
+                arb_colpage(&mut rng).into()
+            };
             disk.append_block(file, page.clone()).unwrap();
             page
         })
         .collect();
-    let pool = BufferPool::new(disk, BufferPoolConfig::new(pages.len(), PolicyKind::Lru));
-    let (mut answered, mut failed, mut shared) = (0, 0, 0);
+    let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(pages.len(), PolicyKind::Lru));
+    let mut tally = [[0; 3]; 2]; // pool hits per layout: answered, failed, shared
+    let mut clones = [0; 2]; // columnar clones: answered, failed
     for (block, page) in pages.iter().enumerate() {
-        let block = block as u64;
+        let (block, columnar) = (block as u64, matches!(page, Block::Columnar(_)));
+        let tally = &mut tally[usize::from(columnar)];
         pool.get(file, block).unwrap(); // the miss installs the frame
-        let width = page.width().unwrap_or(3);
+        let width = page.num_cols().unwrap_or(3);
         for step in 0..8 {
             let cols = arb_request(&mut rng, width);
-            let frame = pool.get(file, block).unwrap();
-            let got = frame.as_slotted().unwrap().decode_cols(cols.as_deref());
-            let want = page.decode_cols(cols.as_deref());
-            let what = format!("page {block} step {step} {cols:?}");
-            assert_eq!(got.is_err(), want.is_err(), "{what}");
-            if let (Ok(got), Ok(want)) = (got, want) {
-                assert_same_columns(&got, &want, &what);
-                answered += 1;
-            } else {
-                failed += 1;
-            }
+            let hit = pool.get(file, block).unwrap();
+            let what = format!("page {block} hit {step} {cols:?}");
+            let ok = agrees(hit.decode(cols.as_deref()), uncached(page, cols.as_deref()), &what);
+            tally[usize::from(!ok)] += 1;
         }
         // Every column a hit decoded is the one the next hit gets.
         let hit = |cols: &[usize]| pool.get(file, block).unwrap().decode(Some(cols));
         if let (Ok(a), Ok(b)) = (hit(&[0]), hit(&[0])) {
             assert!(Arc::ptr_eq(&a.columns()[0], &b.columns()[0]), "page {block}");
-            shared += 1;
+            tally[2] += 1;
+        }
+
+        // Clones of one columnar page that never enters the pool: a copy
+        // read from the disk, sometimes with a bit flipped under its seal.
+        let Block::Columnar(read) = disk.read_block(file, block).unwrap() else { continue };
+        let lone =
+            if rng.gen_bool(0.3) { read.corrupted_copy(rng.gen_range(0..65_536)) } else { read };
+        let lone = Block::Columnar(lone);
+        for step in 0..6 {
+            let cols = arb_request(&mut rng, width);
+            let what = format!("page {block} clone {step} {cols:?}");
+            let got = lone.clone().decode(cols.as_deref());
+            clones[usize::from(!agrees(got, uncached(&lone, cols.as_deref()), &what))] += 1;
         }
     }
-    assert!(answered > 1000 && failed > 300 && shared > 150, "{answered} {failed} {shared}");
+    let [[rows_ok, rows_err, rows_shared], [cols_ok, cols_err, cols_shared]] = tally;
+    assert!(rows_ok > 1000 && rows_err > 300 && rows_shared > 150, "slotted {tally:?}");
+    assert!(cols_ok > 1500 && cols_err > 200 && cols_shared > 250, "columnar {tally:?}");
+    assert!(clones[0] > 1000 && clones[1] > 150, "columnar clones {clones:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -743,7 +794,7 @@ fn colpage_round_trips_and_matches_slotted_codec() {
             stored.push(r.clone());
         }
         let colpage = builder.finish();
-        let via_columnar = colpage.rows().unwrap();
+        let via_columnar = colpage.decode().unwrap().to_rows();
         let via_slotted = page.decode_tuples().unwrap();
         assert_eq!(via_columnar, stored, "case {case}: columnar round trip");
         assert_eq!(via_slotted, stored, "case {case}: slotted round trip");
@@ -768,7 +819,7 @@ fn colpage_batch_agrees_with_from_rows_semantics() {
             builder.append(r).unwrap();
             stored.push(r.clone());
         }
-        let from_page = builder.finish().materialize().unwrap();
+        let from_page = builder.finish().decode().unwrap();
         let depth = rng.gen_range(0..=2);
         let pred = arb_pred(&mut rng, schema.len(), depth);
         let scalar: Vec<usize> = stored
