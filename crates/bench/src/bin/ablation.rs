@@ -76,11 +76,7 @@ fn pipe_capacity_ablation() -> QResult<()> {
     let widths = [10, 16, 10];
     print_header(&["capacity", "total time (s)", "attaches"], &widths);
     for capacity in [1usize, 2, 4, 8, 16, 64] {
-        let config = QPipeConfig {
-            pipe: PipeConfig { capacity },
-            host_backfill: capacity,
-            ..QPipeConfig::default()
-        };
+        let config = QPipeConfig { pipe: PipeConfig { capacity }, ..QPipeConfig::default() };
         let (engine, metrics) = tpch_engine(PolicyKind::Lru, config)?;
         let before = metrics.snapshot();
         let start = std::time::Instant::now();

@@ -32,6 +32,7 @@ use qpipe_common::{Metrics, QError, QResult, Tuple};
 use qpipe_exec::iter::{ExecConfig, ExecContext};
 use qpipe_exec::liveness::prune_columns;
 use qpipe_exec::plan::PlanNode;
+use qpipe_exec::viter::ScanKernel;
 use qpipe_planner::{PlannedQuery, PlannerOptions};
 use qpipe_storage::Catalog;
 use std::collections::HashMap;
@@ -43,15 +44,14 @@ use std::time::{Duration, Instant};
 pub struct QPipeConfig {
     /// On-demand simultaneous pipelining on/off ("QPipe w/OSP" vs "Baseline").
     pub osp: bool,
-    /// Intermediate buffer sizing.
+    /// Intermediate buffer sizing. A host's `UntilFirstOutput` replay
+    /// history (the buffering enhancement, §3.2) holds as many batches as
+    /// its output pipe does: every batch a host sends but its last holds at
+    /// least `ColBatch::DEFAULT_CAPACITY` rows, so the window covers at
+    /// least `pipe.capacity × 256` rows of output.
     pub pipe: PipeConfig,
     /// Memory budgets for sort / hash join.
     pub exec: ExecConfig,
-    /// Host replay-history window in batches (buffering enhancement, §3.2).
-    /// Every batch a host sends but its last holds at least
-    /// `ColBatch::DEFAULT_CAPACITY` rows, so an `UntilFirstOutput` window
-    /// covers at least `host_backfill × 256` rows of output.
-    pub host_backfill: usize,
     /// Admission control: per-µEngine concurrency bound, waiting-room size,
     /// and queue timeout. Every submitted query passes through it.
     pub admit: AdmitConfig,
@@ -63,7 +63,6 @@ impl Default for QPipeConfig {
             osp: true,
             pipe: PipeConfig::default(),
             exec: ExecConfig::default(),
-            host_backfill: 8,
             admit: AdmitConfig::default(),
         }
     }
@@ -129,7 +128,7 @@ impl QPipe {
             ctx: ctx.clone(),
             metrics: metrics.clone(),
             osp: config.osp,
-            backfill: config.host_backfill,
+            backfill: config.pipe.capacity,
         });
         let engines = ENGINE_NAMES
             .into_iter()
@@ -295,15 +294,16 @@ impl QPipe {
     }
 
     /// Cheap plan validation at submit time: every scan's table and index
-    /// exist, and its projection names only columns the table has (a
-    /// projection past the table's width would index out of range inside the
-    /// scanner). Predicate columns are not checked: one past the width keeps
-    /// its documented behaviour — the rows filter out.
+    /// exist, and its [`ScanKernel`] builds — its predicate and projection
+    /// name only columns the table has (the iterator engine errs on such a
+    /// plan too).
     fn validate(&self, plan: &PlanNode) -> QResult<()> {
-        let (table, projection) = match plan {
-            PlanNode::TableScan { table, projection, .. }
-            | PlanNode::ClusteredIndexScan { table, projection, .. }
-            | PlanNode::UnclusteredIndexScan { table, projection, .. } => (table, projection),
+        let (table, predicate, projection) = match plan {
+            PlanNode::TableScan { table, predicate, projection, .. }
+            | PlanNode::ClusteredIndexScan { table, predicate, projection, .. }
+            | PlanNode::UnclusteredIndexScan { table, predicate, projection, .. } => {
+                (table, predicate, projection)
+            }
             _ => return plan.children().into_iter().try_for_each(|c| self.validate(c)),
         };
         let info = self.ctx.catalog.table(table)?;
@@ -317,10 +317,8 @@ impl QPipe {
             }
             _ => {}
         }
-        match projection.iter().flatten().find(|&&c| c >= info.schema.len()) {
-            Some(c) => Err(QError::Plan(format!("projection col {c} out of range for {table}"))),
-            None => Ok(()),
-        }
+        ScanKernel::new(info.schema.len(), predicate.as_ref(), projection.as_deref(), None)
+            .map(drop)
     }
 
     /// The packet dispatcher, for one node of a query's plan and everything
@@ -371,8 +369,8 @@ impl QPipe {
                 probe: probe.map(|p| p.probe.clone()),
                 trace: q.trace.cloned(),
             };
-            // Submit errors only for missing tables (validated at submit);
-            // the dropped request fails its pipe.
+            // Submit errs only on what `validate` refuses; the request's
+            // pipe has failed by then.
             let _ = self.scan_mgr.submit(req);
             return;
         }

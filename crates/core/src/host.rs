@@ -18,9 +18,11 @@
 //!   host's replay history retains". The history counts batches, and every
 //!   batch a host sends but its last holds at least
 //!   [`ColBatch::DEFAULT_CAPACITY`] rows (`ops.rs`, "Delivery: full
-//!   batches"), so a window of `backfill` batches covers at least
-//!   `backfill × 256` rows of output. Rows a host holds pending are not
-//!   output yet: they go to every output attached at their push.
+//!   batches"). The history holds `backfill` batches, the capacity of the
+//!   host's output pipe (`PipeConfig::capacity`), as the paper sizes it by
+//!   the output buffer, so it covers at least `backfill × 256` rows of
+//!   output. Rows a host holds pending are not output yet: they go to every
+//!   output attached at their push.
 //! * [`AttachWindow::WholeLifetime`] — full-overlap operators (aggregates,
 //!   sort — whose output is materialized anyway, giving the materialization
 //!   enhancement for free).

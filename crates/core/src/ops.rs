@@ -65,7 +65,8 @@ pub struct OpEnv {
     pub metrics: Metrics,
     /// OSP on/off; when off, no hosts are registered and no attaching occurs.
     pub osp: bool,
-    /// Host history window in batches (buffering enhancement).
+    /// A host's `UntilFirstOutput` replay history in batches (buffering
+    /// enhancement): the capacity of its output pipe.
     pub backfill: usize,
 }
 

@@ -22,14 +22,23 @@
 //! (`BufferPool::prefetch`): whoever asks for that page next completes it,
 //! so a scanner parked on a full pipe holds up no other reader.
 //!
+//! Each consumer's predicate and projection form its [`ScanKernel`], the
+//! one statement of how a base-table scan reads a page, which the
+//! index-scan reader runs too. [`ScanManager::submit`] builds it against the
+//! table's width and refuses a request naming a column the table lacks: its
+//! pipe fails with the `QError::Plan`, and it reads no page. Per page, the
+//! scanner decodes the union of its consumers' columns once (every column,
+//! when one consumer reads them all or the union does); each consumer picks
+//! its own columns out of that batch with one `project` (`Arc` bumps) and
+//! runs its kernel, whose evaluation errors fail the scan.
+//!
 //! Past its fetch, a page's layout matters only to its codec: the scanner
-//! asks `Block::decode` for the group's column union (or every column), and
-//! the page's decode cache hands out each column an earlier visit decoded
-//! as an `Arc` bump. A columnar page carries that cache in every copy, so
-//! its columns are decoded at most once per run; a slotted page has one
-//! only as the pool's frame, so a page the scanner found resident decodes
-//! only the columns no earlier visit did, and one it had to read decodes
-//! afresh.
+//! asks `Block::decode` for the union, and the page's decode cache hands out
+//! each column an earlier visit decoded as an `Arc` bump. A columnar page
+//! carries that cache in every copy, so its columns are decoded at most once
+//! per run; a slotted page has one only as the pool's frame, so a page the
+//! scanner found resident decodes only the columns no earlier visit did, and
+//! one it had to read decodes afresh.
 //!
 //! # Scan start and attach rules
 //!
@@ -53,8 +62,7 @@
 //!   termination point"); the group becomes *staggered*: when the scanner
 //!   reaches end-of-file with unsatisfied consumers it wraps around and keeps
 //!   reading, so every consumer still sees every page exactly once. Column
-//!   pruning is the same either way: the union of what the consumers
-//!   reference.
+//!   pruning is the same either way: the union of what the consumers read.
 //! * **Ordered consumers** (spike overlap) may only join at
 //!   `pages_read == 0`, unless their packet is flagged `split_ok` (an
 //!   ancestor merge-join will restart at the wrap point, §4.3.2); otherwise
@@ -92,10 +100,10 @@ use crate::pipe::PipeProducer;
 use crate::pool::WorkerPool;
 use parking_lot::Mutex;
 use qpipe_common::trace::{OpProbe, QueryTrace, TraceEvent};
-use qpipe_common::{ColBatch, Metrics, QError, QResult, SelVec};
+use qpipe_common::{ColBatch, Metrics, QError, QResult};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::iter::ExecContext;
-use qpipe_exec::viter::Rechunk;
+use qpipe_exec::viter::{Rechunk, ScanKernel};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -116,46 +124,11 @@ pub struct ScanRequest {
     pub trace: Option<Arc<QueryTrace>>,
 }
 
-impl ScanRequest {
-    /// The set of table columns a scan's predicate + projection reference
-    /// (sorted, deduplicated) — what page-level column pruning decodes for
-    /// this consumer. `None` (= no pruning) when there is no projection: the
-    /// consumer's output then contains every table column.
-    fn referenced_columns(
-        predicate: Option<&Expr>,
-        projection: Option<&Vec<usize>>,
-    ) -> Option<Vec<usize>> {
-        let proj = projection?;
-        let mut cols = proj.clone();
-        if let Some(p) = predicate {
-            p.collect_cols(&mut cols);
-        }
-        cols.sort_unstable();
-        cols.dedup();
-        Some(cols)
-    }
-}
-
-/// A consumer's predicate/projection re-indexed onto the pruned page batch
-/// (whose columns are `cols`, in order). Output is identical to the
-/// full-width path — only the decode work shrinks.
-struct PrunedScan {
-    cols: Vec<usize>,
-    predicate: Option<Expr>,
-    projection: Vec<usize>,
-}
-
 struct ScanConsumer {
-    predicate: Option<Expr>,
-    projection: Option<Vec<usize>>,
-    /// [`ScanRequest::referenced_columns`] of the two fields above. `None`
-    /// (no projection: all columns escape) keeps the full-width path for the
-    /// whole group.
-    refs: Option<Vec<usize>>,
-    /// `predicate`/`projection` re-indexed onto the column set last
-    /// delivered pruned (the *union* across consumers, recomputed lazily
-    /// whenever the group's membership changes it).
-    pruned: Option<PrunedScan>,
+    kernel: ScanKernel,
+    /// Needs stored order and cannot take a wrapped delivery: joins only a
+    /// group that has not claimed a page.
+    in_order: bool,
     output: PipeProducer,
     /// Rows that survived this consumer's kernel but are not sent yet (see
     /// the module docs, "Delivery: full batches").
@@ -172,19 +145,16 @@ struct ScanConsumer {
 }
 
 impl ScanConsumer {
-    fn new(req: ScanRequest, satellite: bool) -> Self {
-        let refs = ScanRequest::referenced_columns(req.predicate.as_ref(), req.projection.as_ref());
+    fn new(req: ScanRequest, kernel: ScanKernel) -> Self {
         Self {
-            predicate: req.predicate,
-            projection: req.projection,
-            refs,
-            pruned: None,
+            kernel,
+            in_order: req.ordered && !req.split_ok,
             output: req.output,
             pending: Rechunk::default(),
             pages_seen: 0,
             probe: req.probe,
             trace: req.trace,
-            satellite,
+            satellite: false,
             pages_from_host: 0,
         }
     }
@@ -228,101 +198,19 @@ impl ScanConsumer {
             });
         }
     }
-
-    /// This consumer's share of one page: its predicate and projection run
-    /// over the page's shared batch — the re-indexed pair when the page
-    /// carries only the group's column union (`pruned`). `None` when no row
-    /// survives; the page's batch itself when it neither filters nor
-    /// projects.
-    fn page_kernel(
-        &self,
-        page: &Arc<ColBatch>,
-        pruned: bool,
-        position: u64,
-    ) -> QResult<Option<Arc<ColBatch>>> {
-        let (predicate, projection) = if pruned {
-            // A pruned page reaching a consumer without re-indexed
-            // expressions would read the wrong columns. Fail the page —
-            // every attached packet sees the error, never bad data.
-            let Some(p) = self.pruned.as_ref() else {
-                return Err(QError::Exec(format!(
-                    "pruned page {position} reached a full-width consumer"
-                )));
-            };
-            (p.predicate.as_ref(), Some(&p.projection))
-        } else {
-            (self.predicate.as_ref(), self.projection.as_ref())
-        };
-        // A failing predicate drops the page for this consumer (the scalar
-        // path treated row-level eval errors as "filter out").
-        let sel = match predicate {
-            Some(p) => p.eval_filter(page).unwrap_or_else(|_| SelVec::empty()),
-            None => SelVec::all(page.len()),
-        };
-        if sel.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(match projection {
-            // Unfiltered, unprojected page: broadcast the shared Arc — a
-            // refcount bump per consumer, zero copies.
-            None if sel.is_all(page.len()) => page.clone(),
-            None => Arc::new(page.gather(&sel)),
-            // Project first (Arc bumps), then gather only the surviving
-            // columns.
-            Some(proj) => Arc::new(page.project(proj).gather(&sel)),
-        }))
-    }
-
-    /// Re-index the consumer's expressions onto `union` (a superset of its
-    /// own `refs` by construction) into `self.pruned`, memoized until the
-    /// union changes.
-    ///
-    /// Both invariants — the consumer projects, and the union covers its
-    /// refs — hold by construction (`union_refs` built the union from these
-    /// very refs). If either ever breaks, the pruning state is corrupt and
-    /// evaluating re-indexed expressions would read the wrong columns; the
-    /// containment contract wants that surfaced as a clean packet failure
-    /// (`Err` → `fail_group`), never a panic out of the scanner.
-    fn refresh_pruned(&mut self, union: &[usize]) -> QResult<()> {
-        if self.pruned.as_ref().is_some_and(|p| p.cols == union) {
-            return Ok(());
-        }
-        let covered = self
-            .refs
-            .as_ref()
-            .is_some_and(|refs| refs.iter().all(|c| union.binary_search(c).is_ok()));
-        let proj = match self.projection.as_ref() {
-            Some(p) if covered => p,
-            _ => {
-                return Err(QError::Exec(format!(
-                    "column-pruning invariant broken: union {union:?} does not cover a \
-                     consumer's referenced columns"
-                )))
-            }
-        };
-        // Validated above: every referenced column is in the union, so the
-        // fallback index is unreachable.
-        let pos = |c: usize| union.binary_search(&c).unwrap_or(0);
-        self.pruned = Some(PrunedScan {
-            cols: union.to_vec(),
-            predicate: self.predicate.as_ref().map(|p| p.map_cols(&pos)),
-            projection: proj.iter().map(|&c| pos(c)).collect(),
-        });
-        Ok(())
-    }
 }
 
-/// The union of every consumer's referenced columns — the set a *shared*
-/// columnar scan decodes per page. `None` (full width) as soon as any
-/// consumer is unprunable.
-fn union_refs(consumers: &[ScanConsumer]) -> Option<Vec<usize>> {
+/// The table columns a page is decoded with for `consumers`: the union of
+/// their kernels' columns, or `None` (every column) when one of them reads
+/// every column or the union covers all `width` of them.
+fn union_cols(consumers: &[ScanConsumer], width: usize) -> Option<Vec<usize>> {
     let mut union: Vec<usize> = Vec::new();
     for c in consumers {
-        union.extend(c.refs.as_ref()?);
+        union.extend(c.kernel.cols()?);
     }
     union.sort_unstable();
     union.dedup();
-    Some(union)
+    (union.len() < width).then_some(union)
 }
 
 struct GroupInner {
@@ -351,24 +239,25 @@ pub struct ScanGroup {
 
 impl ScanGroup {
     /// Try to enroll a consumer; applies the WoP rules for ordered scans.
-    /// The Err hands the request back, with `true` when this live group's
+    /// The Err hands the consumer back, with `true` when this live group's
     /// window had closed for it (an OSP rejection, as a host counts one).
     #[allow(clippy::result_large_err)]
-    fn try_attach(&self, req: ScanRequest) -> Result<(), (ScanRequest, bool)> {
+    fn try_attach(&self, mut c: ScanConsumer) -> Result<(), (ScanConsumer, bool)> {
         let mut g = self.inner.lock();
         if g.finished {
-            return Err((req, false));
+            return Err((c, false));
         }
-        if req.ordered && !req.split_ok && g.pages_read > 0 {
+        if c.in_order && g.pages_read > 0 {
             // Spike overlap: the window closed the moment the first page went
             // out of order for this newcomer.
-            return Err((req, true));
+            return Err((c, true));
         }
-        if let Some(tr) = &req.trace {
+        if let Some(tr) = &c.trace {
             tr.push(TraceEvent::OspAttach { engine: "scan" });
         }
-        req.output.pipe().set_producer_node(self.node);
-        g.inbox.push(ScanConsumer::new(req, true));
+        c.output.pipe().set_producer_node(self.node);
+        c.satellite = true;
+        g.inbox.push(c);
         Ok(())
     }
 }
@@ -405,19 +294,31 @@ impl ScanManager {
     /// allows it, otherwise start a new group and its scanner. The attach
     /// attempt and a new group's indexing happen under one `groups` lock, so
     /// the scans of a burst, dispatched from different threads, all find the
-    /// first one's group.
-    pub fn submit(self: &Arc<Self>, mut req: ScanRequest) -> QResult<()> {
-        let groups = self.groups.lock();
+    /// first one's group. A request whose kernel its table refuses fails
+    /// its pipe with the `QError::Plan` it returns, and reads nothing.
+    pub fn submit(self: &Arc<Self>, req: ScanRequest) -> QResult<()> {
+        let info = self.ctx.catalog.table(&req.table)?;
+        let width = info.schema.len();
+        let kernel =
+            ScanKernel::new(width, req.predicate.as_ref(), req.projection.as_deref(), None);
+        let mut consumer = match kernel {
+            Ok(kernel) => ScanConsumer::new(req, kernel),
+            Err(e) => {
+                req.output.fail(e.clone());
+                return Err(e);
+            }
+        };
+        let mut groups = self.groups.lock();
         if self.osp {
             let mut rejected = false;
-            for g in groups.get(&req.table).into_iter().flatten() {
-                match g.try_attach(req) {
+            for g in groups.get(&info.name).into_iter().flatten() {
+                match g.try_attach(consumer) {
                     Ok(()) => {
                         self.metrics.add_osp_attach("scan");
                         return Ok(());
                     }
                     Err((back, closed)) => {
-                        req = back;
+                        consumer = back;
                         rejected |= closed;
                     }
                 }
@@ -426,35 +327,25 @@ impl ScanManager {
                 self.metrics.add_osp_rejection();
             }
         }
-        self.start_group(groups, req)
-    }
-
-    /// Index a new group for `req` under the caller's `groups` lock, release
-    /// it, then hand the group's scanner to the pool.
-    fn start_group(
-        self: &Arc<Self>,
-        mut groups: parking_lot::MutexGuard<'_, HashMap<String, Vec<Arc<ScanGroup>>>>,
-        req: ScanRequest,
-    ) -> QResult<()> {
-        // Validate the table before indexing.
-        let info = self.ctx.catalog.table(&req.table)?;
+        // Index a new group under the `groups` lock, release it, then hand
+        // the group's scanner to the pool.
         let (file, num_pages) = (info.file_id(), info.num_pages()?);
         let node = crate::packet::fresh_node();
-        req.output.pipe().set_producer_node(node);
+        consumer.output.pipe().set_producer_node(node);
         let group = Arc::new(ScanGroup {
-            table: req.table.clone(),
+            table: info.name.clone(),
             node,
             inner: Mutex::new(GroupInner {
                 position: 0,
                 pages_read: 0,
-                inbox: vec![ScanConsumer::new(req, false)],
+                inbox: vec![consumer],
                 finished: false,
             }),
         });
         groups.entry(group.table.clone()).or_default().push(group.clone());
         drop(groups);
         let job = ScannerJob { mgr: self.clone(), group, clean: false };
-        self.pool.execute(move || job.run(file, num_pages));
+        self.pool.execute(move || job.run(file, num_pages, width));
         Ok(())
     }
 
@@ -474,25 +365,18 @@ impl ScanManager {
     }
 
     /// Fetch + decode one page for the scanner, issuing page `ahead`'s read
-    /// between the two. Returns the shared batch and whether it carries only
-    /// the pruned column union. Whatever the page's layout, the batch is
-    /// `Block::decode` of the union's columns, or of all of them: the
+    /// between the two. Whatever the page's layout, the batch is
+    /// `Block::decode` of the columns `cols` (`None`: all of them): the
     /// columns an earlier visit decoded come from the page's cache as `Arc`
     /// bumps (so an unfiltered columnar page goes on the wire as its cached
     /// columns, no copy), and only the others are decoded.
-    ///
-    /// A union pointing past the page width (plan names a column the table
-    /// lacks) keeps the full-width path, so such plans behave exactly as
-    /// unpruned ones (predicate eval errors filter the page out) instead of
-    /// failing the scan; so does a union covering the whole page, which
-    /// would decode everything anyway.
     fn fetch_page(
         &self,
         file: qpipe_storage::FileId,
         position: u64,
         ahead: Option<u64>,
-        union: Option<&[usize]>,
-    ) -> QResult<(Arc<ColBatch>, bool, FetchObs)> {
+        cols: Option<&[usize]>,
+    ) -> QResult<(Arc<ColBatch>, FetchObs)> {
         let pool = self.ctx.catalog.pool();
         let started = std::time::Instant::now();
         let (block, retries) = pool.get_observed(file, position)?;
@@ -500,28 +384,22 @@ impl ScanManager {
         if ahead.is_some_and(|next| pool.prefetch(file, next)) {
             self.metrics.add_scan_page_read_ahead();
         }
-        let narrower =
-            |u: &[usize], width: usize| u.len() < width && u.last().is_none_or(|&c| c < width);
-        let cols = match union {
-            Some(u) if narrower(u, block.num_cols()?) => Some(u),
-            _ => None,
-        };
-        let (batch, pruned) = (block.decode(cols)?, cols.is_some());
-        if pruned {
+        let batch = block.decode(cols)?;
+        if cols.is_some() {
             self.metrics.add_pruned_page();
         }
         let decode_ns = (started.elapsed().as_nanos() as u64).saturating_sub(fetch_ns);
-        Ok((batch, pruned, FetchObs { fetch_ns, decode_ns, retries }))
+        Ok((batch, FetchObs { fetch_ns, decode_ns, retries }))
     }
 
-    /// Serve one claimed page on the scanner: fetch + decode it once (with
-    /// the next page's read issued in between), then run every consumer's
-    /// predicate/projection kernel over the shared
-    /// batch and deliver the result under the delivery rule ([`Rechunk`]):
-    /// it is sent, or kept pending until the consumer has a full batch. A
-    /// consumer that has now seen every page sends what is pending and
-    /// leaves `consumers`; one that was abandoned leaves with its pending
-    /// rows dropped. Returns whether any left.
+    /// Serve one claimed page on the scanner: fetch + decode its consumers'
+    /// column union once (with the next page's read issued in between),
+    /// then run every consumer's kernel over its columns of the shared batch
+    /// and deliver the result under the delivery rule ([`Rechunk`]): it is
+    /// sent, or kept pending until the consumer has a full batch. A consumer
+    /// that has now seen every page sends what is pending and leaves
+    /// `consumers`; one that was abandoned leaves with its pending rows
+    /// dropped.
     ///
     /// The time the page's read was actually waited for and the decode time
     /// are charged to the host's probe, each consumer's kernel time to its
@@ -531,9 +409,9 @@ impl ScanManager {
         file: qpipe_storage::FileId,
         position: u64,
         num_pages: u64,
-        union: Option<&[usize]>,
+        width: usize,
         consumers: &mut Vec<ScanConsumer>,
-    ) -> QResult<bool> {
+    ) -> QResult<()> {
         // Read ahead only a page some enrolled consumer will still take:
         // never past a lone scan's last page, and past the file's last page
         // only when a staggered consumer wraps to page 0.
@@ -541,7 +419,8 @@ impl ScanManager {
             .iter()
             .any(|c| c.pages_seen + 1 < num_pages)
             .then_some((position + 1) % num_pages);
-        let (page, pruned, fetch) = self.fetch_page(file, position, ahead, union)?;
+        let union = union_cols(consumers, width);
+        let (page, fetch) = self.fetch_page(file, position, ahead, union.as_deref())?;
         // The host is the first non-satellite consumer — the scan reads disk
         // on its behalf — or any consumer once the host has finished and
         // satellites are wrapping. A probe's busy time is total − waits, so
@@ -555,7 +434,6 @@ impl ScanManager {
                 tr.push(TraceEvent::BufferpoolRetry { retries: fetch.retries });
             }
         }
-        let mut left = false;
         let mut i = 0;
         while i < consumers.len() {
             let c = &mut consumers[i];
@@ -566,17 +444,17 @@ impl ScanManager {
             // plain cancellation case too.)
             if c.output.abandoned() {
                 consumers.remove(i);
-                left = true;
                 continue;
             }
+            let share = |c: &ScanConsumer| c.kernel.apply(&c.kernel.pick(&page, union.as_deref()));
             let delivery = match &c.probe {
                 Some(p) => {
                     let started = std::time::Instant::now();
-                    let delivery = c.page_kernel(&page, pruned, position);
+                    let delivery = share(c);
                     p.add_total_ns(started.elapsed().as_nanos() as u64);
                     delivery
                 }
-                None => c.page_kernel(&page, pruned, position),
+                None => share(c),
             }?;
             if let Some(full) = delivery.map(|share| c.pending.push(share)).transpose()?.flatten() {
                 c.send(full);
@@ -592,12 +470,11 @@ impl ScanManager {
             c.pages_seen += 1;
             if c.pages_seen >= num_pages {
                 consumers.remove(i).complete();
-                left = true;
             } else {
                 i += 1;
             }
         }
-        Ok(left)
+        Ok(())
     }
 
     /// The scanner body: circular page delivery to all consumers.
@@ -606,22 +483,22 @@ impl ScanManager {
     /// lock — advancing the position *at claim time*, so the attach rules
     /// see the truth — then serves that page itself, issuing the next
     /// page's read once this one's is in. One reader takes the file in page
-    /// order, which the disk charges as sequential reads; attach/detach,
-    /// column-union pruning and failure are all decided here, between pages.
-    fn run_scanner(&self, group: &Arc<ScanGroup>, file: qpipe_storage::FileId, num_pages: u64) {
+    /// order, which the disk charges as sequential reads; attach/detach and
+    /// failure are decided here, between pages, and the column union of
+    /// whoever is enrolled, per page.
+    fn run_scanner(
+        &self,
+        group: &Arc<ScanGroup>,
+        file: qpipe_storage::FileId,
+        num_pages: u64,
+        width: usize,
+    ) {
         // Shared table lock held for the whole scan (§4.3.4: if the table is
         // locked for writing, the scan — and all its satellites — waits).
         // Nothing is claimed before the lock is granted, so requests arriving
         // meanwhile attach at position 0.
         let _lock = self.ctx.catalog.locks().lock_shared(&group.table);
         let mut consumers: Vec<ScanConsumer> = Vec::new();
-        // The union of all consumers' referenced columns, recomputed only
-        // when group membership changes (attach/finish) — not per page. A
-        // staggered group (late attacher ⇒ wrap ⇒ pages visited more than
-        // once) prunes like any other: a re-visit takes the union's columns
-        // from the page's decode cache.
-        let mut union: Option<Vec<usize>> = None;
-        let mut union_stale = true;
         loop {
             // Adopt newcomers and decide termination under the lock; claim
             // the next page in the same critical section. Position and
@@ -630,7 +507,6 @@ impl ScanManager {
             // `pages_read == 0` while delivery is already past page 0.
             let position = {
                 let mut g = group.inner.lock();
-                union_stale |= !g.inbox.is_empty();
                 consumers.append(&mut g.inbox);
                 if consumers.is_empty() || num_pages == 0 {
                     g.finished = true;
@@ -644,11 +520,11 @@ impl ScanManager {
                 position
             };
             self.metrics.add_scan_page_claimed();
-            // Fetch + decode each page ONCE; every consumer's predicate /
-            // projection then runs as a vectorized kernel over the same
-            // `ColBatch` (selection vector → gather), so the per-page cost of
-            // N attached consumers is N kernel passes over primitive slices —
-            // no per-row allocation, no `Value` cloning.
+            // Fetch + decode each page ONCE; every consumer's kernel then
+            // runs over the same `ColBatch` (selection vector → gather), so
+            // the per-page cost of N attached consumers is N kernel passes
+            // over primitive slices — no per-row allocation, no `Value`
+            // cloning.
             //
             // * Columnar tables read each column straight from the PAX byte
             //   regions (zero row decode, and cached in every copy of the
@@ -656,32 +532,19 @@ impl ScanManager {
             // * Row tables walk each record's tag stream once, straight into
             //   typed columns — no tuple per row — cached in the pool's frame.
             //
-            // While **every** attached consumer has a known referenced-column
-            // set, only the *union* of those sets is decoded (page-level
-            // column pruning — shared scans included); each consumer's
-            // expressions are re-indexed onto the pruned batch, so output is
-            // identical. Either fetch or decode failing fails every attached
-            // packet — consumers observe the error, never a silently-empty
-            // page.
-            if union_stale {
-                union = union_refs(&consumers);
-                union_stale = false;
-                if let Some(u) = union.as_deref() {
-                    if let Err(e) = consumers.iter_mut().try_for_each(|c| c.refresh_pruned(u)) {
-                        // Corrupt pruning state: settle every attached packet
-                        // with the error rather than scanning wrong columns.
-                        self.fail_group(group, &mut consumers, e);
-                        return;
-                    }
-                }
-            }
+            // A staggered group (late attacher ⇒ wrap ⇒ pages visited more
+            // than once) prunes like any other: a re-visit takes the union's
+            // columns from the page's decode cache. Fetch, decode or a kernel
+            // failing fails every attached packet — consumers observe the
+            // error, never a silently-empty page.
+            //
             // A panic out of the page path (e.g. an injected Panic fault
             // surfacing through the buffer pool) is converted to an error
             // here, while the consumer list is still intact, so `fail_group`
             // poisons every attached packet with an error naming the page.
             // The job's drop guard (`ScannerJob`) is only a backstop.
             let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.serve_page(file, position, num_pages, union.as_deref(), &mut consumers)
+                self.serve_page(file, position, num_pages, width, &mut consumers)
             }))
             .unwrap_or_else(|_| {
                 self.metrics.add_worker_panic();
@@ -690,12 +553,9 @@ impl ScanManager {
                     group.table
                 )))
             });
-            match served {
-                Ok(left) => union_stale |= left,
-                Err(e) => {
-                    self.fail_group(group, &mut consumers, e);
-                    return;
-                }
+            if let Err(e) = served {
+                self.fail_group(group, &mut consumers, e);
+                return;
             }
             if (position + 1).is_multiple_of(num_pages) && !consumers.is_empty() {
                 self.metrics.add_circular_wrap();
@@ -715,8 +575,8 @@ struct ScannerJob {
 }
 
 impl ScannerJob {
-    fn run(mut self, file: qpipe_storage::FileId, num_pages: u64) {
-        self.mgr.run_scanner(&self.group, file, num_pages);
+    fn run(mut self, file: qpipe_storage::FileId, num_pages: u64, width: usize) {
+        self.mgr.run_scanner(&self.group, file, num_pages, width);
         self.clean = true;
     }
 }
@@ -1381,39 +1241,42 @@ mod tests {
         }
     }
 
-    /// Regression: a predicate naming a column the table lacks must behave
-    /// exactly like the unpruned path (eval error ⇒ page filtered out ⇒
-    /// clean empty result), not fail the scan or panic the scanner — even
-    /// though the referenced-column set then points past the page width.
+    /// A predicate naming a column the table lacks is refused at submit, as
+    /// the iterator engine errs on it: `submit` returns the `QError::Plan`,
+    /// the request's pipe fails with it, and no page is read.
     #[test]
-    fn out_of_range_predicate_column_filters_out_instead_of_failing() {
+    fn out_of_range_predicate_column_is_refused_at_submit() {
         for layout in [qpipe_storage::StorageLayout::Row, qpipe_storage::StorageLayout::Columnar] {
             let (ctx, m) = ctx_with_wide_table(500, layout);
             let mgr = manager(&ctx, &m, true);
             let reg = Arc::new(WaitRegistry::default());
             let (output, c) = pair(&reg, 1024);
-            let predicate = Some(Expr::col(9).ge(Expr::lit(0)));
-            let projection = Some(vec![0usize]);
-            assert_eq!(
-                ScanRequest::referenced_columns(predicate.as_ref(), projection.as_ref()),
-                Some(vec![0, 9])
-            );
-            mgr.submit(ScanRequest {
+            let (predicate, projection) = (Expr::col(9).ge(Expr::lit(0)), vec![0]);
+            let plan = qpipe_exec::plan::PlanNode::TableScan {
                 table: "w".into(),
-                predicate,
-                projection,
+                predicate: Some(predicate.clone()),
+                projection: Some(projection.clone()),
+                ordered: false,
+            };
+            assert!(qpipe_exec::iter::run(&plan, &ctx).is_err(), "{layout:?}: the oracle errs");
+            let before = m.snapshot();
+            let refused = mgr.submit(ScanRequest {
+                table: "w".into(),
+                predicate: Some(predicate),
+                projection: Some(projection),
                 output,
                 ordered: false,
                 split_ok: false,
                 probe: None,
                 trace: None,
-            })
-            .unwrap();
-            let rows = c.collect_tuples().unwrap_or_else(|e| {
-                panic!("{layout:?}: scan must deliver a clean empty result, got {e}")
             });
-            assert!(rows.is_empty(), "{layout:?}: eval errors filter pages out");
-            assert_eq!(m.snapshot().pruned_pages, 0, "{layout:?}: no pruning past page width");
+            let err = refused.expect_err("a column past the width must be refused");
+            assert!(matches!(&err, QError::Plan(msg) if msg.contains('9')), "{layout:?}: {err:?}");
+            let got = c.collect_tuples().expect_err("the request's pipe fails");
+            assert_eq!(got.to_string(), err.to_string(), "{layout:?}");
+            let d = m.snapshot().delta_since(&before);
+            assert_eq!((d.morsels_dispatched, d.bp_hits + d.bp_misses), (0, 0), "{layout:?}");
+            assert_eq!(mgr.group_count("w"), 0, "{layout:?}");
         }
     }
 

@@ -362,11 +362,10 @@ fn shared_pipeline_deadlock_is_detected_and_resolved() {
             )
             .unwrap();
     }
-    let mut config = QPipeConfig {
+    let config = QPipeConfig {
         pipe: qpipe_core::pipe::PipeConfig { capacity: 1 },
         ..QPipeConfig::default()
     };
-    config.host_backfill = 0;
     let engine = QPipe::new(catalog, config);
     let sorted = |t: &str| PlanNode::scan(t).sort(vec![SortKey::asc(0)]);
     // A join predicate with a tiny match count keeps the output small.

@@ -10,8 +10,11 @@
 //! * [`merge_join`] (restarting at a circular scan's wrap, §4.3.2) and
 //!   [`nested_loop_join`] emit the same `take` + `hcat` shape into an
 //!   [`Output`], which folds it under [`Rechunk`] — the delivery rule every
-//!   producer follows, the scanner included. [`PageRangeReader`] reads index
-//!   scans' pages.
+//!   producer follows, the scanner included.
+//! * [`ScanKernel`] — what one base-table scan reads of a page and keeps of
+//!   it: the circular scanner runs one per consumer over its shared page,
+//!   and [`PageRangeReader`] (index scans, the merge join's re-read) one
+//!   over the pages it reads itself.
 //! * [`HashAgg`] — grouped aggregate update over column runs: group ids
 //!   come from typed key hashes and typed slot equality (a key becomes
 //!   `Value`s once per group, never per row), aggregate inputs are evaluated
@@ -586,13 +589,113 @@ impl<'a> Output<'a> {
     }
 }
 
+/// One scan's page kernel, the one statement of how a base-table scan reads
+/// a page: the table columns it decodes, and its predicate and projection
+/// over them. Built from the scan's predicate and projection against its
+/// table's width, it refuses any column at or past the width
+/// (`QError::Plan`), so a scan naming a column its table lacks fails before
+/// it reads a page.
+pub struct ScanKernel {
+    /// The table columns the scan reads, sorted (`None`: all of them, for a
+    /// scan without a projection).
+    cols: Option<Vec<usize>>,
+    /// The predicate and projection re-indexed onto `cols`; no projection
+    /// when the scan outputs `cols` as they are.
+    predicate: Option<Expr>,
+    projection: Option<Vec<usize>>,
+}
+
+impl ScanKernel {
+    /// The kernel of a scan over a table of `width` columns. `key` is a
+    /// column the caller reads from the page itself (a range's clustered
+    /// key), so `cols` includes it.
+    pub fn new(
+        width: usize,
+        predicate: Option<&Expr>,
+        projection: Option<&[usize]>,
+        key: Option<usize>,
+    ) -> QResult<Self> {
+        let mut cols = projection.map_or_else(Vec::new, <[usize]>::to_vec);
+        cols.extend(key);
+        if let Some(p) = predicate {
+            p.collect_cols(&mut cols);
+        }
+        if let Some(c) = cols.iter().find(|&&c| c >= width) {
+            return Err(QError::Plan(format!(
+                "scan column {c} out of range for a table of {width} columns"
+            )));
+        }
+        let Some(projection) = projection else {
+            return Ok(Self { cols: None, predicate: predicate.cloned(), projection: None });
+        };
+        cols.sort_unstable();
+        cols.dedup();
+        let at = |c| position(Some(&cols), c);
+        let projection: Vec<usize> = projection.iter().map(|&c| at(c)).collect();
+        let identity = projection.iter().copied().eq(0..cols.len());
+        Ok(Self {
+            predicate: predicate.map(|p| p.map_cols(&at)),
+            projection: (!identity).then_some(projection),
+            cols: Some(cols),
+        })
+    }
+
+    /// The table columns the scan reads, sorted; `None`: all of them.
+    pub fn cols(&self) -> Option<&[usize]> {
+        self.cols.as_deref()
+    }
+
+    /// The scan's columns out of `page`, a batch of the table columns
+    /// `decoded` (`None`: all of them), which include the scan's: `page`
+    /// itself when they are all its columns, else one `project`, an `Arc`
+    /// bump per column.
+    pub fn pick(&self, page: &Arc<ColBatch>, decoded: Option<&[usize]>) -> Arc<ColBatch> {
+        match &self.cols {
+            Some(cols) if cols.len() < page.num_cols() => {
+                let at: Vec<usize> = cols.iter().map(|&c| position(decoded, c)).collect();
+                Arc::new(page.project(&at))
+            }
+            _ => page.clone(),
+        }
+    }
+
+    /// The scan's share of `batch`, a batch of its `cols`: the predicate's
+    /// rows, projected. `None` when no row survives; `batch` itself when the
+    /// kernel neither filters nor projects. An evaluation error is the
+    /// scan's error.
+    pub fn apply(&self, batch: &Arc<ColBatch>) -> QResult<Option<Arc<ColBatch>>> {
+        let sel = match &self.predicate {
+            Some(p) => p.eval_filter(batch)?,
+            None => SelVec::all(batch.len()),
+        };
+        if sel.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(match &self.projection {
+            None if sel.is_all(batch.len()) => batch.clone(),
+            None => Arc::new(batch.gather(&sel)),
+            // Project first (`Arc` bumps), then gather only the kept columns.
+            Some(projection) => Arc::new(batch.project(projection).gather(&sel)),
+        }))
+    }
+}
+
+/// Where table column `c` sits in a batch of the sorted table columns
+/// `within` (`None`: all of them), which include it.
+fn position(within: Option<&[usize]>, c: usize) -> usize {
+    within.map_or(c, |cols| cols.partition_point(|&x| x < c))
+}
+
 /// A base-table scan read as batches, a page at a time in page order: a
 /// clustered index scan's range, an unclustered one's RID list, or a whole
-/// table (the merge join's re-read, §4.3.2). It holds the table's shared
-/// lock while it lives, as the iterator's sequential scan does. It issues
-/// the next listed page's read before it decodes the current page when it
-/// is certain to read that page: always for a whole table or a RID list;
-/// in a range bounded above, once the current page has not passed `hi`.
+/// table (the merge join's re-read, §4.3.2). It decodes only its kernel's
+/// columns, which include the clustered key when a range bounds the read,
+/// and runs the kernel over the rows it takes from each page. It holds the
+/// table's shared lock while it lives, as the iterator's sequential scan
+/// does. It issues the next listed page's read before it decodes the current
+/// page when it is certain to read that page: always for a whole table or a
+/// RID list; in a range bounded above, once the current page has not passed
+/// `hi`.
 pub struct PageRangeReader {
     pool: Arc<BufferPool>,
     file: FileId,
@@ -602,8 +705,7 @@ pub struct PageRangeReader {
     /// A clustered range on a key column: rows keyed below `lo` are skipped,
     /// and the first keyed above `hi` ends the read.
     bounds: Option<(usize, Option<Value>, Option<Value>)>,
-    predicate: Option<Expr>,
-    projection: Option<Vec<usize>>,
+    kernel: ScanKernel,
     _lock: TableLockGuard,
 }
 
@@ -613,14 +715,11 @@ impl PageRangeReader {
             PlanNode::TableScan { table, predicate, projection, .. }
             | PlanNode::ClusteredIndexScan { table, predicate, projection, .. }
             | PlanNode::UnclusteredIndexScan { table, predicate, projection, .. } => {
-                (table, predicate.clone(), projection.clone())
+                (table, predicate, projection)
             }
             _ => return Err(QError::Exec(format!("{} is not a table scan", plan.op_name()))),
         };
         let info = ctx.catalog.table(table)?;
-        if let Some(c) = projection.iter().flatten().find(|&&c| c >= info.schema.len()) {
-            return Err(QError::Plan(format!("projection col {c} out of range for {table}")));
-        }
         let lock = ctx.catalog.locks().lock_shared(table);
         let pool = ctx.catalog.pool().clone();
         let whole = |(start, end): (u64, u64)| (start..end).map(|page| (page, None)).collect();
@@ -647,8 +746,11 @@ impl PageRangeReader {
             }
             _ => (whole((0, info.num_pages()?)), None),
         };
+        let key = bounds.as_ref().map(|&(key, ..)| key);
+        let kernel =
+            ScanKernel::new(info.schema.len(), predicate.as_ref(), projection.as_deref(), key)?;
         let pages = pages.into_iter();
-        Ok(Self { pool, file: info.file_id(), pages, bounds, predicate, projection, _lock: lock })
+        Ok(Self { pool, file: info.file_id(), pages, bounds, kernel, _lock: lock })
     }
 
     /// Issue the read of the next listed page, if any.
@@ -660,8 +762,8 @@ impl PageRangeReader {
 }
 
 impl BatchSource for PageRangeReader {
-    /// The rows of the next page that has any: its slots or its rows within
-    /// bounds, then the predicate (`eval_filter`), then the projection.
+    /// The kernel's share of the next page that has one: the page's slots,
+    /// or its rows within bounds, then [`ScanKernel::apply`].
     fn next_batch(&mut self) -> QResult<Option<Arc<ColBatch>>> {
         // Bounded above, a page may end the read: read ahead only past one
         // that did not.
@@ -671,17 +773,17 @@ impl BatchSource for PageRangeReader {
             if !bounded {
                 self.read_ahead();
             }
-            let page = block.decode(None)?;
+            let page = block.decode(self.kernel.cols())?;
             let rows = match (slots, &self.bounds) {
                 (Some(slots), _) => match slots.iter().find(|&&s| s as usize >= page.len()) {
                     Some(slot) => {
                         return Err(QError::Storage(format!("no slot {slot} on page {page_no}")))
                     }
-                    None => page.take(&slots),
+                    None => Arc::new(page.take(&slots)),
                 },
-                (None, None) => Arc::unwrap_or_clone(page),
+                (None, None) => page,
                 (None, Some((key, lo, hi))) => {
-                    let kc = key_col(&page, *key)?;
+                    let kc = key_col(&page, position(self.kernel.cols(), *key))?;
                     let stop =
                         (0..page.len()).find(|&i| hi.as_ref().is_some_and(|h| kc.value(i) > *h));
                     if stop.is_some() {
@@ -691,14 +793,11 @@ impl BatchSource for PageRangeReader {
                     }
                     let keep = (0..stop.unwrap_or(page.len()) as u32)
                         .filter(|&i| lo.as_ref().is_none_or(|l| kc.value(i as usize) >= *l));
-                    page.gather(&SelVec::from_sorted(keep.collect()))
+                    Arc::new(page.gather(&SelVec::from_sorted(keep.collect())))
                 }
             };
-            let all = SelVec::all(rows.len());
-            let sel = self.predicate.as_ref().map_or(Ok(all), |p| p.eval_filter(&rows))?;
-            if !sel.is_empty() {
-                let rows = self.projection.as_ref().map_or(rows.clone(), |c| rows.project(c));
-                return Ok(Some(Arc::new(rows.gather(&sel))));
+            if let Some(share) = self.kernel.apply(&rows)? {
+                return Ok(Some(share));
             }
         }
         Ok(None)

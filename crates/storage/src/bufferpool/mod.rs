@@ -52,23 +52,15 @@ pub enum PolicyKind {
     TwoQ,
 }
 
-/// Bounded retry with exponential backoff for disk reads. Every read error —
-/// injected transient fault or checksum mismatch — is retried up to
-/// `max_attempts` times; transient faults heal invisibly (`io_retries`
-/// metric), permanent ones propagate to the caller after the last attempt.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per read (1 = no retry).
-    pub max_attempts: u32,
-    /// Sleep before the first retry; doubles on each subsequent one.
-    pub backoff: Duration,
-}
+/// Bounded retry with exponential backoff for disk reads: every read error —
+/// injected transient fault or checksum mismatch — is retried, up to
+/// `READ_ATTEMPTS` attempts in all; transient faults heal invisibly
+/// (`io_retries` metric), permanent ones propagate to the caller after the
+/// last attempt.
+const READ_ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_attempts: 3, backoff: Duration::from_micros(500) }
-    }
-}
+/// The sleep before a read's first retry; it doubles on each later one.
+const RETRY_BACKOFF: Duration = Duration::from_micros(500);
 
 /// Buffer pool configuration.
 #[derive(Debug, Clone, Copy)]
@@ -76,17 +68,11 @@ pub struct BufferPoolConfig {
     /// Capacity in pages.
     pub capacity: usize,
     pub policy: PolicyKind,
-    pub retry: RetryPolicy,
 }
 
 impl BufferPoolConfig {
     pub fn new(capacity: usize, policy: PolicyKind) -> Self {
-        Self { capacity, policy, retry: RetryPolicy::default() }
-    }
-
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
+        Self { capacity, policy }
     }
 }
 
@@ -118,7 +104,6 @@ pub struct BufferPool {
     disk: Arc<SimDisk>,
     capacity: usize,
     policy: PolicyKind,
-    retry: RetryPolicy,
     state: Mutex<PoolState>,
     pending_cv: Condvar,
     metrics: Metrics,
@@ -181,7 +166,6 @@ impl BufferPool {
             disk,
             capacity: config.capacity.max(1),
             policy: config.policy,
-            retry: config.retry,
             state: Mutex::new(PoolState {
                 resident: HashMap::new(),
                 in_flight: HashMap::new(),
@@ -284,8 +268,8 @@ impl BufferPool {
     /// issued. The read then belongs to the pool: the next [`get`] of the
     /// page, on any thread, waits out what is left of its charge, verifies
     /// and installs it. The miss counts now; the issue is the read's first
-    /// attempt, so a failed one goes on under the [`RetryPolicy`] in that
-    /// `get`, counted exactly as a synchronous read's. So is a panic during
+    /// attempt, so a failed one is retried in that `get` ([`READ_ATTEMPTS`]),
+    /// counted exactly as a synchronous read's. So is a panic during
     /// the issue: it is kept with the read, not raised here — the caller is
     /// serving another page — and the page's own `get` meets it.
     ///
@@ -307,8 +291,8 @@ impl BufferPool {
         true
     }
 
-    /// One disk read with checksum verification, retried per the pool's
-    /// [`RetryPolicy`]; returns the block, how many retries it took and the
+    /// One disk read with checksum verification, retried up to
+    /// [`READ_ATTEMPTS`] attempts; returns the block, how many retries it took and the
     /// instant its charge ended. `issued` is a read issued ahead: its
     /// outcome is the first attempt. A corrupt page is *never* returned:
     /// verification failure counts as a read error (`checksum_failures`
@@ -320,15 +304,13 @@ impl BufferPool {
         block: u64,
         mut issued: Option<QResult<IssuedRead>>,
     ) -> QResult<(Block, u64, Instant)> {
-        let mut backoff = self.retry.backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut last_err = None;
-        for attempt in 0..self.retry.max_attempts.max(1) {
+        for attempt in 0..READ_ATTEMPTS {
             if attempt > 0 {
                 self.metrics.add_io_retry();
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
+                std::thread::sleep(backoff);
+                backoff = backoff.saturating_mul(2);
             }
             match issued.take().unwrap_or_else(|| self.disk.issue_read(file, block)) {
                 Ok(read) => {

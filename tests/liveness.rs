@@ -214,7 +214,9 @@ fn same_template_queries_still_share_their_join() {
 
 /// A scan projection past the table's width used to pass `validate` and
 /// panic inside the scanner (`worker_panics` 1, an `Exec` error at collect);
-/// it is a plan error at submit, as in the iterator engine.
+/// it is a plan error at submit, as in the iterator engine. So is a
+/// predicate column past the width, which the scanner used to read as "no
+/// row passes".
 #[test]
 fn out_of_range_scan_projection_is_a_plan_error_at_submit() {
     let catalog = tpch_catalog(StorageLayout::Row);
@@ -259,9 +261,14 @@ fn out_of_range_scan_projection_is_a_plan_error_at_submit() {
         }
     }
     assert_eq!(engine.metrics().snapshot().worker_panics, 0);
-    // A predicate column past the width keeps its documented behaviour: the
-    // rows filter out (and the rewrite leaves such a plan alone).
-    let lenient = PlanNode::scan_filtered("region", Expr::col(99).eq(Expr::lit(1)))
+    // A predicate column past the width is refused the same way: the
+    // iterator engine errs on it too.
+    let past = PlanNode::scan_filtered("region", Expr::col(99).eq(Expr::lit(1)))
         .aggregate(vec![], vec![AggSpec::count_star()]);
-    assert_eq!(engine.submit(lenient).unwrap().collect(), vec![vec![Value::Int(0)]]);
+    assert!(exec_run(&past, &ctx).is_err());
+    match engine.submit(past) {
+        Err(QError::Plan(msg)) => assert!(msg.contains("99"), "{msg}"),
+        Err(other) => panic!("expected a plan error, got {other}"),
+        Ok(_) => panic!("a predicate column past the table's width must not be admitted"),
+    }
 }

@@ -60,7 +60,6 @@ fn random_mix_under_random_configs_matches_reference() {
             pipe: qpipe::core::pipe::PipeConfig {
                 capacity: *[1usize, 2, 8, 32].get(rng.gen_range(0..4)).unwrap(),
             },
-            host_backfill: rng.gen_range(0..16),
             ..QPipeConfig::default()
         };
         let engine = QPipe::new(catalog, config);
@@ -182,7 +181,6 @@ fn tiny_pipes_with_sharing_never_wedge() {
     let catalog = fresh_catalog(5);
     let config = QPipeConfig {
         pipe: qpipe::core::pipe::PipeConfig { capacity: 1 },
-        host_backfill: 1,
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog.clone(), config);
