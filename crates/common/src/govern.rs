@@ -3,9 +3,10 @@
 //! The paper sizes each operator's working memory statically ("each client
 //! gets 128 MB of sort heap"); under many concurrent queries those static
 //! budgets over-commit the machine. [`MemoryGovernor`] turns them into
-//! *leases*: every memory-hungry operator instance (sort accumulator, hash
-//! join build side, aggregation group table, grace-partition load) holds a
-//! [`MemLease`] and asks the governor before growing. A grant is bounded
+//! *leases*: every memory-hungry operator instance of the staged engine
+//! (sort accumulator, hash join build side, aggregation group table,
+//! grace-partition load) holds a [`MemLease`] and asks the governor before
+//! growing. (The iterator engine, the test oracle, takes none.) A grant is bounded
 //! twice — by the operator class cap (the old `sort_budget`/`hash_budget`)
 //! and by the **global** budget shared across every lease of the engine — so
 //! total granted memory never exceeds [`GovernorConfig::global_units`], no

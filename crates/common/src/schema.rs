@@ -71,14 +71,6 @@ impl Schema {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Index of a column by name, panicking with a useful message otherwise.
-    /// Plan-building code uses this; workload schemas are static.
-    pub fn col(&self, name: &str) -> usize {
-        self.index_of(name)
-            // lint:allow(panic): a plan-building helper over static schemas; `index_of` is fallible
-            .unwrap_or_else(|| panic!("schema has no column named {name:?}: {:?}", self.names()))
-    }
-
     pub fn names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
@@ -109,7 +101,7 @@ mod tests {
         let s = sample();
         assert_eq!(s.index_of("b"), Some(1));
         assert_eq!(s.index_of("missing"), None);
-        assert_eq!(s.col("c"), 2);
+        assert_eq!(s.index_of("c"), Some(2));
     }
 
     #[test]

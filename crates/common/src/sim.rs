@@ -76,11 +76,6 @@ impl SimClock {
     pub fn scale(&self) -> TimeScale {
         self.scale
     }
-
-    /// Sleep for the given number of paper seconds.
-    pub fn sleep_paper(&self, paper_secs: f64) {
-        std::thread::sleep(self.scale.to_real(paper_secs));
-    }
 }
 
 /// Which disk access path a fault rule applies to.

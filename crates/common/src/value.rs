@@ -57,14 +57,6 @@ impl Value {
         }
     }
 
-    /// Date content, if this is a `Date`.
-    pub fn as_date(&self) -> Option<i32> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// True iff NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

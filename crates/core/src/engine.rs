@@ -166,10 +166,6 @@ impl QPipe {
         &self.config
     }
 
-    pub fn scan_manager(&self) -> &Arc<ScanManager> {
-        &self.scan_mgr
-    }
-
     /// The admission controller (observability / tests).
     pub fn admission(&self) -> &Arc<AdmissionController> {
         &self.admit

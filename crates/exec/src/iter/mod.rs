@@ -5,13 +5,13 @@
 //! Queries interact only through the shared buffer pool — exactly the
 //! sharing-through-timing behaviour §1.1 and Figure 3 describe. This engine
 //! is the "DBMS X" stand-in and the test oracle; the staged engine runs none
-//! of its operators.
+//! of its operators. Its sort and hash join work in memory: they take no
+//! governor lease and never spill.
 
 mod agg;
 mod join;
 mod scan;
 mod sort;
-pub mod spill;
 
 pub use agg::{AggState, AggregateIter};
 pub use join::{HashJoinIter, MergeJoinIter, NestedLoopJoinIter};
@@ -27,12 +27,12 @@ use std::sync::Arc;
 /// Per-engine execution knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Tuples a sort may hold in memory before spilling a run
+    /// Tuples a staged sort may hold in memory before spilling a run
     /// (the paper gives each client 128 MB of sort heap; this is the scaled
     /// equivalent). Enforced per operator instance by the memory governor.
     pub sort_budget: usize,
-    /// Tuples a hash-join build side may hold before going grace (partitioned).
-    /// Enforced per operator instance by the memory governor.
+    /// Tuples a staged hash-join build side may hold before going grace
+    /// (partitioned). Enforced per operator instance by the memory governor.
     pub hash_budget: usize,
     /// Tuples all concurrently running operators may hold *in total*; the
     /// governor denies growth past it regardless of per-operator budgets.
@@ -116,14 +116,6 @@ impl ExecContext {
     }
 }
 
-/// Minimum rows a sort buffers before a governor denial may spill a run
-/// (clamped to the sort budget so tiny configured budgets keep their exact
-/// spill points). Under sustained global-budget starvation a denial can
-/// arrive at every row; without this floor each tuple would become its own
-/// run file and the k-way merge fan-in would explode. The floor bounds the
-/// overshoot at one small run per sort operator.
-pub(crate) const MIN_SPILL_ROWS: usize = 64;
-
 /// A pull-based tuple iterator (Volcano's `next()`).
 pub trait TupleIter: Send {
     /// Produce the next tuple, or `None` at end of stream.
@@ -145,8 +137,25 @@ pub fn collect(mut it: Box<dyn TupleIter>) -> QResult<Vec<Tuple>> {
     Ok(out)
 }
 
-/// Build an operator tree for `plan`.
+/// Build an operator tree for `plan`. A scan naming a column its table lacks,
+/// in its predicate or its projection, is refused with `QError::Plan`
+/// before any page is read.
 pub fn build(plan: &PlanNode, ctx: &ExecContext) -> QResult<Box<dyn TupleIter>> {
+    if let PlanNode::TableScan { table, predicate, projection, .. }
+    | PlanNode::ClusteredIndexScan { table, predicate, projection, .. }
+    | PlanNode::UnclusteredIndexScan { table, predicate, projection, .. } = plan
+    {
+        let width = ctx.catalog.table(table)?.schema.len();
+        let mut cols = projection.clone().unwrap_or_default();
+        if let Some(p) = predicate {
+            p.collect_cols(&mut cols);
+        }
+        if let Some(c) = cols.into_iter().find(|&c| c >= width) {
+            return Err(QError::Plan(format!(
+                "scan column {c} out of range for table {table:?} of {width} columns"
+            )));
+        }
+    }
     Ok(match plan {
         PlanNode::TableScan { table, predicate, projection, ordered: _ } => {
             Box::new(SeqScanIter::open(ctx, table, predicate.clone(), projection.clone())?)
@@ -178,9 +187,7 @@ pub fn build(plan: &PlanNode, ctx: &ExecContext) -> QResult<Box<dyn TupleIter>> 
         PlanNode::Project { input, exprs } => {
             Box::new(ProjectIter { input: build(input, ctx)?, exprs: exprs.clone() })
         }
-        PlanNode::Sort { input, keys } => {
-            Box::new(SortIter::new(build(input, ctx)?, keys.clone(), ctx.clone()))
-        }
+        PlanNode::Sort { input, keys } => Box::new(SortIter::new(build(input, ctx)?, keys.clone())),
         PlanNode::Aggregate { input, group_by, aggs } => {
             Box::new(AggregateIter::new(build(input, ctx)?, group_by.clone(), aggs.clone()))
         }
@@ -189,7 +196,6 @@ pub fn build(plan: &PlanNode, ctx: &ExecContext) -> QResult<Box<dyn TupleIter>> 
             build(right, ctx)?,
             *left_key,
             *right_key,
-            ctx.clone(),
         )),
         PlanNode::MergeJoin { left, right, left_key, right_key } => Box::new(MergeJoinIter::new(
             build(left, ctx)?,

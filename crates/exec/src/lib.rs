@@ -4,6 +4,7 @@ pub mod iter;
 pub mod liveness;
 pub mod norm;
 pub mod plan;
+pub mod spill;
 pub mod vexpr;
 pub mod viter;
 pub mod vsort;

@@ -1,20 +1,17 @@
-//! Temp-file spill support shared by the external sort and grace hash join.
+//! Temp-file spill for the staged engine's external sort and grace hash join.
 //!
 //! Spilled runs are written as pages to freshly created files on the
 //! simulated disk and read back sequentially. Temp reads bypass the buffer
 //! pool (like real engines, which use private I/O buffers for sort runs) but
 //! still charge disk latency and count as I/O.
 //!
-//! Two run formats share one lifecycle:
-//!
-//! * **Row runs** ([`RunWriter`] / [`RunHandle`] / [`RunReader`]) — slotted
-//!   pages of tuple-codec records, one tuple per record. Used by the
-//!   iterator engine's grace hash join and external sort.
-//! * **Columnar runs** ([`ColRunWriter`] / [`ColRunHandle`] /
-//!   [`ColRunReader`]) — pages of *chunk* records, each a serialized
-//!   [`ColBatch`] slice (typed value regions + packed null bitmaps; `Mixed`
-//!   columns reuse the tuple value codec). The vectorized external sort and
-//!   grace hash join spill these without materializing tuples.
+//! There is one run format, the **columnar run** ([`ColRunWriter`] /
+//! [`ColRunHandle`] / [`ColRunReader`]): pages of *chunk* records, each a
+//! serialized [`ColBatch`] slice (typed value regions + packed null bitmaps;
+//! `Mixed` columns reuse the tuple value codec).
+//! [`VecSort`](crate::vsort::VecSort) and
+//! [`grace_hash_join`](crate::viter::grace_hash_join) spill these without
+//! materializing tuples.
 //!
 //! **Lifecycle:** every run file is owned by an [`Arc`]`<TempFile>` that
 //! deletes the file from the disk when the last handle (writer, run handle,
@@ -24,7 +21,7 @@
 
 use qpipe_common::colbatch::{ColBatch, Column, ColumnBuilder, ColumnData, NullBitmap};
 use qpipe_common::{QError, QResult, Tuple};
-use qpipe_storage::page::{decode_tuple, encode_tuple, encoded_len, Page};
+use qpipe_storage::page::{decode_tuple, encode_tuple, Page};
 use qpipe_storage::{FileId, SimDisk};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,11 +29,8 @@ use std::sync::Arc;
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Partitions per input of a grace hash join (both engines').
-pub const GRACE_PARTITIONS: usize = 8;
-
 /// Create a uniquely named temp file on the disk.
-pub fn create_temp(disk: &Arc<SimDisk>, label: &str) -> QResult<FileId> {
+fn create_temp(disk: &Arc<SimDisk>, label: &str) -> QResult<FileId> {
     let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
     disk.create_file(&format!("__tmp.{label}.{n}"))
 }
@@ -66,115 +60,6 @@ impl Drop for TempFile {
         let _ = self.disk.delete_file(self.file);
     }
 }
-
-/// Writes tuples into pages of a temp file.
-pub struct RunWriter {
-    temp: TempFile,
-    page: Page,
-    buf: Vec<u8>,
-    count: u64,
-}
-
-impl RunWriter {
-    pub fn create(disk: Arc<SimDisk>, label: &str) -> QResult<Self> {
-        Ok(Self {
-            temp: TempFile::create(disk, label)?,
-            page: Page::new(),
-            buf: Vec::new(),
-            count: 0,
-        })
-    }
-
-    pub fn push(&mut self, tuple: &Tuple) -> QResult<()> {
-        let len = encoded_len(tuple);
-        if !self.page.fits(len) {
-            if self.page.num_records() > 0 {
-                let full = std::mem::take(&mut self.page);
-                self.temp.disk.append_block(self.temp.file, full)?;
-            }
-            if !self.page.fits(len) {
-                // A tuple larger than an empty page can never be spilled;
-                // fail *before* writing anything more. The caller drops this
-                // writer and the temp file deletes itself — no half-written
-                // run survives the error.
-                return Err(QError::Exec(format!(
-                    "spill tuple of {len} encoded bytes exceeds the page size"
-                )));
-            }
-        }
-        self.buf.clear();
-        encode_tuple(tuple, &mut self.buf);
-        self.page.append_record(&self.buf)?;
-        self.count += 1;
-        Ok(())
-    }
-
-    /// Flush the tail page and return a reader handle.
-    pub fn finish(mut self) -> QResult<RunHandle> {
-        if self.page.num_records() > 0 {
-            let tail = std::mem::take(&mut self.page);
-            self.temp.disk.append_block(self.temp.file, tail)?;
-        }
-        Ok(RunHandle { file: Arc::new(self.temp), tuples: self.count })
-    }
-}
-
-/// A completed spilled run. Clones share the underlying temp file; it is
-/// deleted when the last handle (or reader) drops.
-#[derive(Debug, Clone)]
-pub struct RunHandle {
-    file: Arc<TempFile>,
-    tuples: u64,
-}
-
-impl RunHandle {
-    pub fn len(&self) -> u64 {
-        self.tuples
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tuples == 0
-    }
-
-    pub fn reader(&self) -> RunReader {
-        RunReader { file: self.file.clone(), next_block: 0, current: Vec::new(), pos: 0 }
-    }
-}
-
-/// Sequential reader over a spilled run. Keeps the run file alive while it
-/// exists (reading never races the delete-on-drop).
-pub struct RunReader {
-    file: Arc<TempFile>,
-    next_block: u64,
-    current: Vec<Tuple>,
-    pos: usize,
-}
-
-impl RunReader {
-    /// Pull the next tuple (fallible streaming read, not an `Iterator`).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> QResult<Option<Tuple>> {
-        loop {
-            if self.pos < self.current.len() {
-                let t = std::mem::take(&mut self.current[self.pos]);
-                self.pos += 1;
-                return Ok(Some(t));
-            }
-            let (disk, file) = (&self.file.disk, self.file.file);
-            if self.next_block >= disk.num_blocks(file)? {
-                return Ok(None);
-            }
-            let page = disk.read_block(file, self.next_block)?.into_slotted()?;
-            self.next_block += 1;
-            self.current = page.records().map(decode_tuple).collect::<QResult<Vec<_>>>()?;
-            self.pos = 0;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Columnar runs (vectorized external sort)
-// ---------------------------------------------------------------------------
 
 /// Preferred rows per serialized chunk (halved when a chunk's encoding
 /// overflows a page — e.g. very wide strings).
@@ -214,9 +99,8 @@ impl ColRunWriter {
     }
 
     /// Append every row of `batch`, chunking adaptively so each record fits
-    /// a page. Errs when a single row's encoding exceeds an empty page (the
-    /// same bound the row-run writer enforces); the temp file then deletes
-    /// itself when this writer drops.
+    /// a page. Errs when a single row's encoding exceeds an empty page; the
+    /// temp file then deletes itself when this writer drops.
     pub fn push_batch(&mut self, batch: &ColBatch) -> QResult<()> {
         let mut start = 0;
         // The adapted chunk size carries across windows: once the row width
@@ -266,8 +150,8 @@ impl ColRunWriter {
     }
 }
 
-/// A completed columnar run; same delete-on-last-drop lifecycle as
-/// [`RunHandle`].
+/// A completed columnar run. Clones share the underlying temp file; it is
+/// deleted when the last handle (or reader) drops.
 #[derive(Debug, Clone)]
 pub struct ColRunHandle {
     file: Arc<TempFile>,
@@ -479,49 +363,21 @@ mod tests {
     }
 
     #[test]
-    fn run_round_trip() {
-        let disk = disk();
-        let mut w = RunWriter::create(disk, "test").unwrap();
-        for i in 0..3000i64 {
-            w.push(&vec![Value::Int(i), Value::str(format!("v{i}"))]).unwrap();
-        }
-        let run = w.finish().unwrap();
-        assert_eq!(run.len(), 3000);
-        let mut r = run.reader();
-        let mut n = 0i64;
-        while let Some(t) = r.next().unwrap() {
-            assert_eq!(t[0], Value::Int(n));
-            n += 1;
-        }
-        assert_eq!(n, 3000);
-        // A second reader re-reads from the start.
-        let mut r2 = run.reader();
-        assert_eq!(r2.next().unwrap().unwrap()[0], Value::Int(0));
-    }
-
-    #[test]
-    fn empty_run() {
-        let disk = disk();
-        let w = RunWriter::create(disk, "empty").unwrap();
-        let run = w.finish().unwrap();
-        assert!(run.is_empty());
-        assert!(run.reader().next().unwrap().is_none());
-    }
-
-    #[test]
     fn temp_names_unique() {
         let disk = disk();
-        let a = create_temp(&disk, "x").unwrap();
-        let b = create_temp(&disk, "x").unwrap();
-        assert_ne!(a, b);
+        let baseline = disk.file_count();
+        let run = || ColRunWriter::create(disk.clone(), "x").unwrap().finish().unwrap();
+        let (a, b) = (run(), run());
+        assert_ne!(a.file.file, b.file.file);
+        assert_eq!(disk.file_count(), baseline + 2, "one file per run under a shared label");
     }
 
     #[test]
     fn run_file_deleted_when_last_handle_drops() {
         let disk = disk();
         let baseline = disk.file_count();
-        let mut w = RunWriter::create(disk.clone(), "lease").unwrap();
-        w.push(&vec![Value::Int(1)]).unwrap();
+        let mut w = ColRunWriter::create(disk.clone(), "lease").unwrap();
+        w.push_batch(&ColBatch::from_rows(&[vec![Value::Int(1)]])).unwrap();
         assert_eq!(disk.file_count(), baseline + 1);
         let run = w.finish().unwrap();
         let clone = run.clone();
@@ -532,22 +388,6 @@ mod tests {
         assert_eq!(disk.file_count(), baseline + 1, "reader keeps the file alive");
         drop(reader);
         assert_eq!(disk.file_count(), baseline, "last handle dropped ⇒ file deleted");
-    }
-
-    #[test]
-    fn oversized_tuple_errors_and_deletes_partial_run() {
-        let disk = disk();
-        let baseline = disk.file_count();
-        let mut w = RunWriter::create(disk.clone(), "big").unwrap();
-        // A normal page is appended first, then the oversized tuple fails.
-        for i in 0..1000i64 {
-            w.push(&vec![Value::Int(i)]).unwrap();
-        }
-        let giant = vec![Value::str("x".repeat(64 * 1024))];
-        let err = w.push(&giant).expect_err("tuple larger than a page must fail");
-        assert!(format!("{err}").contains("page size"), "clear error: {err}");
-        drop(w);
-        assert_eq!(disk.file_count(), baseline, "half-written run deleted on drop");
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! cross-operator parity suite in `tests/` holds them to it.
 
 use crate::expr::Expr;
-use crate::iter::spill::{ColRunHandle, ColRunWriter, GRACE_PARTITIONS};
 use crate::iter::ExecContext;
 use crate::plan::{AggFunc, AggSpec, PlanNode};
+use crate::spill::{ColRunHandle, ColRunWriter};
 use crate::vexpr::{hash_key_column, key_eq, slot_eq_value};
 use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, Column, ColumnData, SelVec};
 use qpipe_common::{MemClass, QError, QResult, Tuple, Value};
@@ -195,6 +195,9 @@ impl HashJoinTable {
     }
 }
 
+/// Partitions per input of a grace hash join.
+const GRACE_PARTITIONS: usize = 8;
+
 fn key_col(batch: &ColBatch, key: usize) -> QResult<&Column> {
     batch.col(key).ok_or_else(|| QError::Exec(format!("join key {key} out of range")))
 }
@@ -204,8 +207,8 @@ fn key_col(batch: &ColBatch, key: usize) -> QResult<&Column> {
 /// build side is what `buffered` holds, then the rest of `left` — and NULL
 /// keys are dropped. Each partition pair is then joined in memory through
 /// [`HashJoinBuild`] and [`HashJoinTable::probe`]. A partition load takes a
-/// lease as the iterator's grace join does: partitions are already the
-/// fallback, so a denial is counted and the load proceeds.
+/// lease, but partitions are already the fallback: a denial is counted and
+/// the load proceeds.
 pub fn grace_hash_join(
     buffered: HashJoinBuild,
     [mut left, mut right]: [Source<'_>; 2],

@@ -14,9 +14,8 @@
 //!   [`Value::total_cmp`](qpipe_common::Value::total_cmp)); payload columns
 //!   move once, gathered by [`ColBatch::take`].
 //! * **Spill** — when the accumulator exceeds `sort_budget`, the sorted run
-//!   is written as a *columnar* run
-//!   ([`ColRunWriter`](crate::iter::spill::ColRunWriter): typed value
-//!   regions + packed null bitmaps per chunk) and the runs are k-way merged
+//!   is written as a *columnar* run ([`ColRunWriter`]: typed value regions
+//!   and packed null bitmaps per chunk) and the runs are k-way merged
 //!   batch-at-a-time, emitting through per-column slot appends
 //!   ([`ColBatchBuilder::push_row_from`]) that keep the typed
 //!   representation.
@@ -30,18 +29,26 @@
 //! the 2^53 boundary, duplicate keys, and budget-forced spills.
 //!
 //! Temp-file lifecycle: columnar runs delete themselves when the last handle
-//! drops (see [`spill`](crate::iter::spill)), so a cancelled or failed sort
+//! drops (see [`spill`](crate::spill)), so a cancelled or failed sort
 //! leaks nothing.
 
-use crate::iter::spill::{ColRunHandle, ColRunReader, ColRunWriter};
 use crate::iter::ExecContext;
 use crate::plan::SortKey;
+use crate::spill::{ColRunHandle, ColRunReader, ColRunWriter};
 use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, SortSpec};
 use qpipe_common::{MemClass, MemLease, QError, QResult};
 use std::cmp::Ordering;
 
 /// Rows per emitted output batch (the pipe-granularity chunk size).
 const OUT_CHUNK: usize = ColBatch::DEFAULT_CAPACITY;
+
+/// Minimum rows a sort buffers before a governor denial may spill a run
+/// (clamped to the sort budget so tiny configured budgets keep their exact
+/// spill points). Under sustained global-budget starvation a denial can
+/// arrive at every row; without this floor each row would become its own
+/// run file and the k-way merge fan-in would explode. The floor bounds the
+/// overshoot at one small run per sort operator.
+const MIN_SPILL_ROWS: usize = 64;
 
 /// Batch-native external sort; the vectorized analogue of
 /// [`SortIter`](crate::iter::SortIter). See the module docs for the phase
@@ -93,10 +100,10 @@ impl VecSort {
     /// this sort reached its own budget, or concurrent queries exhausted the
     /// global memory budget (overflow-to-spill is a governor decision). A
     /// denied accumulator below the minimum-run floor keeps growing instead
-    /// of spilling (see `iter::MIN_SPILL_ROWS` — bounds run fan-out under
+    /// of spilling (see [`MIN_SPILL_ROWS`] — bounds run fan-out under
     /// sustained starvation).
     fn maybe_spill(&mut self) -> QResult<()> {
-        let floor = self.ctx.config.sort_budget.min(crate::iter::MIN_SPILL_ROWS);
+        let floor = self.ctx.config.sort_budget.min(MIN_SPILL_ROWS);
         if self.builder.len() < floor || self.lease.covers(self.builder.len()) {
             return Ok(());
         }
@@ -255,8 +262,8 @@ mod tests {
         )
     }
 
-    fn reference_sort(rows: Vec<Tuple>, keys: &[SortKey], ctx: &ExecContext) -> Vec<Tuple> {
-        let mut it = SortIter::new(Box::new(VecIter::new(rows)), keys.to_vec(), ctx.clone());
+    fn reference_sort(rows: Vec<Tuple>, keys: &[SortKey]) -> Vec<Tuple> {
+        let mut it = SortIter::new(Box::new(VecIter::new(rows)), keys.to_vec());
         let mut out = Vec::new();
         while let Some(t) = it.next().unwrap() {
             out.push(t);
@@ -301,7 +308,7 @@ mod tests {
         let ctx = ctx_with_budget(1 << 20);
         let rows = adversarial_rows(500);
         let keys = [SortKey::asc(0), SortKey::desc(1)];
-        assert_eq!(vec_sort(&rows, &keys, &ctx, 64), reference_sort(rows.clone(), &keys, &ctx));
+        assert_eq!(vec_sort(&rows, &keys, &ctx, 64), reference_sort(rows.clone(), &keys));
     }
 
     #[test]
@@ -313,7 +320,7 @@ mod tests {
         let keys = [SortKey::asc(0), SortKey::desc(1)];
         let disk = ctx.catalog.disk().clone();
         let baseline = disk.file_count();
-        assert_eq!(vec_sort(&rows, &keys, &ctx, 50), reference_sort(rows.clone(), &keys, &ctx));
+        assert_eq!(vec_sort(&rows, &keys, &ctx, 50), reference_sort(rows.clone(), &keys));
         assert_eq!(disk.file_count(), baseline, "all spill temps deleted");
     }
 

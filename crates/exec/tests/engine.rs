@@ -2,8 +2,8 @@
 
 use qpipe_common::{DataType, Metrics, Schema, Tuple, Value};
 use qpipe_exec::expr::Expr;
-use qpipe_exec::iter::{build, collect, run, ExecConfig, ExecContext};
-use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
+use qpipe_exec::iter::{build, collect, run, ExecContext};
+use qpipe_exec::plan::{AggSpec, PlanNode};
 use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
 
 fn setup() -> ExecContext {
@@ -163,27 +163,6 @@ fn unclustered_index_scan_fetches_matches() {
 }
 
 #[test]
-fn sort_in_memory_and_external_agree() {
-    let ctx = setup();
-    let sorted_mem =
-        run(&PlanNode::scan("orders").sort(vec![SortKey::asc(1), SortKey::desc(0)]), &ctx).unwrap();
-    // Force external sort with a tiny budget.
-    let small = ExecContext::with_config(
-        ctx.catalog.clone(),
-        ExecConfig { sort_budget: 128, ..ExecConfig::default() },
-    );
-    let sorted_ext =
-        run(&PlanNode::scan("orders").sort(vec![SortKey::asc(1), SortKey::desc(0)]), &small)
-            .unwrap();
-    assert_eq!(sorted_mem.len(), 5000);
-    assert_eq!(sorted_mem, sorted_ext, "external sort must match in-memory sort");
-    for w in sorted_mem.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
-        assert!(a[1] < b[1] || (a[1] == b[1] && a[0] >= b[0]), "sort order violated");
-    }
-}
-
-#[test]
 fn hash_join_matches_merge_join() {
     let ctx = setup();
     let hj = PlanNode::scan("orders").hash_join(PlanNode::scan("lineitem"), 0, 0);
@@ -195,23 +174,6 @@ fn hash_join_matches_merge_join() {
     hj_rows.sort_by_key(key);
     mj_rows.sort_by_key(key);
     assert_eq!(hj_rows, mj_rows);
-}
-
-#[test]
-fn grace_hash_join_matches_in_memory() {
-    let ctx = setup();
-    let plan = PlanNode::scan("orders").hash_join(PlanNode::scan("lineitem"), 0, 0);
-    let mem = run(&plan, &ctx).unwrap();
-    let small = ExecContext::with_config(
-        ctx.catalog.clone(),
-        ExecConfig { hash_budget: 100, ..ExecConfig::default() },
-    );
-    let mut grace = run(&plan, &small).unwrap();
-    let mut mem = mem;
-    let key = |t: &Tuple| (t[0].as_int().unwrap(), t[3].as_int().unwrap(), t[4].as_int().unwrap());
-    mem.sort_by_key(key);
-    grace.sort_by_key(key);
-    assert_eq!(mem, grace, "grace join must match in-memory join");
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! [`SimDisk::read_block`] is issue-then-wait.
 
 use crate::colpage::ColPage;
-use crate::page::{decode_tuple, Page, PAGE_SIZE};
+use crate::page::{decode_tuple, Page};
 use parking_lot::{Mutex, RwLock};
 use qpipe_common::colbatch::Column;
 use qpipe_common::{
@@ -398,11 +398,6 @@ impl SimDisk {
         self.names.lock().get(name).copied()
     }
 
-    /// Human-readable name of a file.
-    pub fn file_name(&self, id: FileId) -> QResult<String> {
-        Ok(self.file(id)?.read().name.clone())
-    }
-
     fn file(&self, id: FileId) -> QResult<Arc<RwLock<FileState>>> {
         self.files
             .read()
@@ -531,11 +526,6 @@ impl SimDisk {
         self.metrics.add_disk_write(1);
         spin_sleep(self.config.write_latency);
         Ok(())
-    }
-
-    /// Total bytes currently stored (all files).
-    pub fn total_bytes(&self) -> u64 {
-        self.files.read().values().map(|f| f.read().blocks.len() as u64 * PAGE_SIZE as u64).sum()
     }
 }
 

@@ -99,8 +99,9 @@ impl Driver {
     }
 
     /// [`build`](Self::build) with explicit engine knobs (admission depth,
-    /// memory budgets, ...). `config.osp` is overridden to match `system`;
-    /// DBMS X takes only `config.exec`.
+    /// memory budgets, ...). `config.osp` is overridden to match `system`.
+    /// DBMS X, the iterator engine, sorts and joins in memory under no
+    /// budget, so no field of `config` changes what it does.
     pub fn build_with_config(
         system: System,
         profile: SystemProfile,

@@ -261,14 +261,30 @@ fn out_of_range_scan_projection_is_a_plan_error_at_submit() {
         }
     }
     assert_eq!(engine.metrics().snapshot().worker_panics, 0);
-    // A predicate column past the width is refused the same way: the
-    // iterator engine errs on it too.
-    let past = PlanNode::scan_filtered("region", Expr::col(99).eq(Expr::lit(1)))
-        .aggregate(vec![], vec![AggSpec::count_star()]);
-    assert!(exec_run(&past, &ctx).is_err());
-    match engine.submit(past) {
-        Err(QError::Plan(msg)) => assert!(msg.contains("99"), "{msg}"),
-        Err(other) => panic!("expected a plan error, got {other}"),
-        Ok(_) => panic!("a predicate column past the table's width must not be admitted"),
+    // A predicate column past the width is refused the same way by both
+    // engines, also where no row reaches it: behind a conjunct no row
+    // passes, and over a clustered range no row falls in.
+    let never = Expr::and([Expr::col(0).lt(Expr::lit(0)), Expr::col(99).eq(Expr::lit(1))]);
+    let past = [
+        PlanNode::scan_filtered("region", Expr::col(99).eq(Expr::lit(1)))
+            .aggregate(vec![], vec![AggSpec::count_star()]),
+        PlanNode::scan_filtered("region", never),
+        PlanNode::ClusteredIndexScan {
+            table: "orders".into(),
+            lo: Some(Value::Int(10)),
+            hi: Some(Value::Int(5)),
+            predicate: Some(Expr::col(99).eq(Expr::lit(1))),
+            projection: None,
+            ordered: true,
+        },
+    ];
+    for plan in past {
+        let oracle = exec_run(&plan, &ctx);
+        assert!(matches!(oracle, Err(QError::Plan(_))), "{oracle:?}");
+        match engine.submit(plan) {
+            Err(QError::Plan(msg)) => assert!(msg.contains("99"), "{msg}"),
+            Err(other) => panic!("expected a plan error, got {other}"),
+            Ok(_) => panic!("a predicate column past the table's width must not be admitted"),
+        }
     }
 }

@@ -1238,7 +1238,9 @@ fn arb_sort_key(rng: &mut StdRng) -> Value {
 /// **bit-identically** — same values, same order — over multi-key asc/desc
 /// mixes, NULLs, cross-type numeric extremes, duplicate keys (stability +
 /// run-index tie-break observable through the unique payload column), and a
-/// tiny `sort_budget` that forces the columnar spill/merge path.
+/// tiny `sort_budget` that forces the columnar spill/merge path. `SortIter`
+/// sorts in memory, so the spilling `VecSort` is held to a reference that
+/// shares none of its run or merge code.
 #[test]
 fn vectorized_sort_is_bit_identical_to_sort_iter() {
     use qpipe::exec::iter::{SortIter, TupleIter, VecIter};
@@ -1262,6 +1264,11 @@ fn vectorized_sort_is_bit_identical_to_sort_iter() {
         if rng.gen_bool(0.3) {
             keys.reverse();
         }
+        let mut reference = Vec::new();
+        let mut it = SortIter::new(Box::new(VecIter::new(rows.clone())), keys.clone());
+        while let Some(t) = it.next().unwrap() {
+            reference.push(t);
+        }
         // usize::MAX/2 keeps the whole input in memory; 7 forces dozens of
         // spilled columnar runs through the k-way merge.
         for budget in [usize::MAX / 2, 7] {
@@ -1271,13 +1278,6 @@ fn vectorized_sort_is_bit_identical_to_sort_iter() {
                 catalog,
                 ExecConfig { sort_budget: budget, ..ExecConfig::default() },
             );
-            let mut reference = Vec::new();
-            let mut it =
-                SortIter::new(Box::new(VecIter::new(rows.clone())), keys.clone(), ctx.clone());
-            while let Some(t) = it.next().unwrap() {
-                reference.push(t);
-            }
-            drop(it);
             let mut vs = VecSort::new(&keys, ctx);
             // Random batch boundaries: run cuts land mid-batch and at batch
             // edges across seeds.

@@ -1,12 +1,14 @@
-//! Regression suite for the spill temp-file leak.
+//! Spill files leave nothing behind.
 //!
-//! `RunHandle` never deleted its `__tmp.*` file and `SimDisk` had no delete
-//! API, so every external sort and grace hash join leaked disk files for the
-//! life of the engine. Spill files are now owned by an `Arc`-backed RAII
-//! handle that deletes the file when the last holder (writer, run handle, or
-//! reader) drops — these tests pin the disk's file population back to
-//! baseline after completed, abandoned, and failed spilling queries.
+//! The staged engine's external sort (`VecSort`) and grace hash join spill
+//! columnar runs to `__tmp.*` files on the simulated disk. Each file is owned
+//! by an `Arc`-backed RAII handle that deletes it when the last holder
+//! (writer, run handle, or reader) drops. These tests pin the disk's temp
+//! files back to none after completed, abandoned, partially consumed and
+//! failed spilling queries. (The iterator engine sorts and joins in memory
+//! and never spills.)
 
+use qpipe::core::pipe::PipeConfig;
 use qpipe::prelude::*;
 use qpipe::quick_system;
 use std::sync::Arc;
@@ -17,6 +19,16 @@ fn tmp_files(disk: &SimDisk) -> Vec<String> {
         disk.file_names().into_iter().filter(|n| n.starts_with("__tmp.")).collect();
     v.sort();
     v
+}
+
+/// Poll `done` until it holds; workers wind down asynchronously after their
+/// query's handle drops or fails.
+fn wait_for(what: &str, disk: &SimDisk, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}; temp files: {:?}", tmp_files(disk));
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn table(catalog: &Arc<Catalog>, name: &str, n: i64) {
@@ -81,19 +93,7 @@ fn abandoned_spilling_query_releases_temp_files() {
     let plan = PlanNode::scan("t").sort(vec![SortKey::asc(0)]);
     let handle = engine.submit(plan).unwrap();
     drop(handle); // nobody will ever read the result
-                  // Workers notice the abandoned output asynchronously; poll for cleanup.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if tmp_files(&disk).is_empty() {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "abandoned sort still holds temp files: {:?}",
-            tmp_files(&disk)
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("abandoned sort still holds temp files", &disk, || tmp_files(&disk).is_empty());
 }
 
 /// Fault-injection flavor: an I/O error injected *mid-spill* (every write to
@@ -122,50 +122,44 @@ fn injected_spill_write_failure_still_cleans_temp_files() {
         .expect_err("a failed spill must fail the query, not truncate it");
     assert!(matches!(err, QError::Storage(_)), "got {err:?}");
     disk.set_fault_injector(None);
-    // Workers wind down asynchronously after the failure; poll for cleanup.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if tmp_files(&disk).is_empty() {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "failed spill still holds temp files: {:?}",
-            tmp_files(&disk)
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("failed spill still holds temp files", &disk, || tmp_files(&disk).is_empty());
 }
 
-/// Iterator-engine flavor of the same guarantee: dropping a partially
-/// consumed external sort / grace join (a failed query tears its operator
-/// tree down exactly like this) deletes every run immediately.
+/// A spilling sort and a grace join dropped mid-stream: each has sent rows
+/// and is parked on its full two-batch output pipe, its runs still on disk,
+/// when the client drops the handle. The operator's next send finds no
+/// reader, it unwinds, and every run deletes itself.
 #[test]
-fn partially_consumed_spilling_iterators_release_temp_files() {
-    use qpipe::exec::iter::{build, TupleIter};
+fn partially_consumed_spilling_operators_release_temp_files() {
     let catalog = quick_system(DiskConfig::instant(), 256);
     table(&catalog, "l", 1500);
     table(&catalog, "r", 500);
     let disk = catalog.disk().clone();
-    let ctx = ExecContext::with_config(
-        catalog,
-        ExecConfig { sort_budget: 32, hash_budget: 32, ..ExecConfig::default() },
-    );
+    let config = QPipeConfig {
+        exec: ExecConfig {
+            sort_budget: 32,
+            hash_budget: 32,
+            tracing: true,
+            ..ExecConfig::default()
+        },
+        pipe: PipeConfig { capacity: 2 },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(catalog, config);
     let plans = [
         PlanNode::scan("l").sort(vec![SortKey::asc(0)]),
         PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0),
     ];
     for plan in plans {
-        let mut it = build(&plan, &ctx).unwrap();
-        for _ in 0..10 {
-            assert!(it.next().unwrap().is_some(), "pull a few rows mid-spill");
-        }
-        assert!(!tmp_files(&disk).is_empty(), "spill files exist while the operator lives");
-        drop(it);
-        assert_eq!(
-            tmp_files(&disk),
-            Vec::<String>::new(),
-            "dropping the operator mid-stream deletes every run"
-        );
+        let handle = engine.submit(plan).unwrap();
+        // 1 500 sorted rows, or ~7 700 joined ones, are many more than two
+        // 256-row batches: the operator parks mid-output with its runs alive.
+        wait_for("the operator never sent rows with its runs on disk", &disk, || {
+            handle.profile().unwrap().stats.rows > 0 && !tmp_files(&disk).is_empty()
+        });
+        drop(handle);
+        wait_for("a dropped spilling operator still holds temp files", &disk, || {
+            tmp_files(&disk).is_empty()
+        });
     }
 }
