@@ -377,7 +377,7 @@ fn page_verify(c: &mut Criterion) {
 }
 
 /// The join/agg operator boundary: the row path ingests tuples one at a
-/// time (the iterator engine's kernels, DBMS X's), the vectorized path
+/// time (the iterator engine's kernels, the test oracle's), the vectorized path
 /// consumes the same data as 256-row `ColBatch`es (what the scanner actually
 /// produces). Same build/probe and group/update work, same results — the
 /// difference is the per-row materialization the vectorized operators

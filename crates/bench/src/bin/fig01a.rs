@@ -1,6 +1,7 @@
 //! Figure 1a: time breakdown for five representative TPC-H queries (Q8, Q12,
 //! Q13, Q14, Q19) with respect to the tables they read during execution, on
-//! the conventional engine (DBMS X stand-in).
+//! DBMS X: Baseline's engine (no sharing) on the 2Q pool. Each query runs
+//! alone, so the breakdown is that of a conventional engine.
 //!
 //! I/O dominates at the paper's scale, so the per-table share of disk blocks
 //! read is the per-table share of execution time. Paper takeaway: although

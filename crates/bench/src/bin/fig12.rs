@@ -6,6 +6,8 @@
 //! Paper result: all three are disk-bound and equal at 1 client; beyond ~6
 //! clients DBMS X saturates while QPipe w/OSP keeps scaling to ≈2x X;
 //! Baseline trails X (X's buffer pool shares better than BerkeleyDB's LRU).
+//! Our DBMS X is Baseline's engine on the 2Q pool, so the two differ in
+//! buffer management alone — the paper's explanation of the gap.
 
 use qpipe_bench::{f1, print_header, print_row, profile, tpch_driver};
 use qpipe_workloads::harness::{closed_loop, System};

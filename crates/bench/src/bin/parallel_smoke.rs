@@ -37,7 +37,7 @@ fn main() {
     let plans = (0..queries).map(|i| query(MIX[i % MIX.len()], &mut rng)).collect();
     let r = open_loop(&driver, plans, 0.5, profile.time_scale);
 
-    let engine = driver.engine().expect("staged driver");
+    let engine = driver.engine();
     let gov = engine.governor();
     let admit = engine.admission();
     let mut failures = Vec::new();

@@ -1,7 +1,7 @@
 //! Tuples.
 //!
 //! A [`Tuple`] is one row of [`Value`]s. It is what the iterator engine
-//! (`qpipe-exec::iter` — the Baseline/DBMS X comparator and the test oracle)
+//! (`qpipe-exec::iter` — the test oracle)
 //! pulls operator to operator, and what a client receives from
 //! `QueryHandle::try_collect`. The staged engine does **not** exchange
 //! tuples: its pipes carry one format only, `Arc<ColBatch>`

@@ -25,9 +25,8 @@
 //!
 //! In the staged engine, row materialization ([`ColBatch::to_rows`],
 //! [`ColBatch::row`]) happens at the client result boundary only: every
-//! operator is batch-native. The iterator engine (the DBMS X stand-in and
-//! test oracle) flattens the batches it reads from columnar pages and
-//! index scans.
+//! operator is batch-native. The iterator engine (the test oracle)
+//! flattens the batches it reads from columnar pages and index scans.
 
 use crate::batch::Tuple;
 use crate::sim::fnv1a;

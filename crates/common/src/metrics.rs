@@ -549,16 +549,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Mean response time over completed queries, in paper-agnostic seconds
-    /// of wall time (callers rescale with their `TimeScale`).
-    pub fn mean_response_secs(&self) -> f64 {
-        if self.queries_completed == 0 {
-            0.0
-        } else {
-            (self.response_time_us_sum as f64 / 1e6) / self.queries_completed as f64
-        }
-    }
-
     /// Counter deltas `self - earlier` (per-file maps subtracted keywise).
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut per_file = HashMap::new();
@@ -646,7 +636,7 @@ mod tests {
         m.add_query_completion(3_000_000);
         let s = m.snapshot();
         assert_eq!(s.queries_completed, 2);
-        assert!((s.mean_response_secs() - 2.0).abs() < 1e-9);
+        assert_eq!(s.response_time_us_sum, 4_000_000);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Mapping between wall-clock time and the paper's reported seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,11 +31,6 @@ impl TimeScale {
     /// One paper second costs `real_ms` wall milliseconds.
     pub fn paper_sec_is_ms(real_ms: f64) -> Self {
         Self { real_per_paper_sec: Duration::from_secs_f64(real_ms / 1000.0) }
-    }
-
-    /// Identity scale (1 paper second = 1 real second).
-    pub fn identity() -> Self {
-        Self { real_per_paper_sec: Duration::from_secs(1) }
     }
 
     /// Convert paper seconds to a real duration.
@@ -53,28 +48,6 @@ impl Default for TimeScale {
     /// Default time scale: 1 paper second = 4 real ms.
     fn default() -> Self {
         Self::paper_sec_is_ms(4.0)
-    }
-}
-
-/// A stopwatch reporting elapsed time in paper seconds.
-#[derive(Debug, Clone, Copy)]
-pub struct SimClock {
-    origin: Instant,
-    scale: TimeScale,
-}
-
-impl SimClock {
-    pub fn start(scale: TimeScale) -> Self {
-        Self { origin: Instant::now(), scale }
-    }
-
-    /// Elapsed paper seconds since the clock started.
-    pub fn paper_secs(&self) -> f64 {
-        self.scale.to_paper(self.origin.elapsed())
-    }
-
-    pub fn scale(&self) -> TimeScale {
-        self.scale
     }
 }
 
@@ -333,13 +306,6 @@ mod tests {
     fn negative_paper_secs_clamp_to_zero() {
         let s = TimeScale::default();
         assert_eq!(s.to_real(-5.0), Duration::ZERO);
-    }
-
-    #[test]
-    fn clock_advances() {
-        let c = SimClock::start(TimeScale::paper_sec_is_ms(1.0));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(c.paper_secs() >= 4.0);
     }
 
     #[test]

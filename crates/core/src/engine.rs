@@ -235,7 +235,6 @@ impl QPipe {
         let ticket = QueryTicket::new(engines, dispatch, root_pipe, trace.clone());
         self.admit.submit(ticket.clone())?;
         Ok(QueryHandle {
-            query,
             consumer,
             ticket: TicketGuard { ctrl: self.admit.clone(), ticket },
             submitted,
@@ -540,7 +539,6 @@ impl Drop for AbandonGuard {
 
 /// Handle to a submitted query.
 pub struct QueryHandle {
-    query: QueryId,
     consumer: PipeConsumer,
     ticket: TicketGuard,
     submitted: Instant,
@@ -565,10 +563,6 @@ impl Drop for TicketGuard {
 }
 
 impl QueryHandle {
-    pub fn query_id(&self) -> QueryId {
-        self.query
-    }
-
     /// Snapshot the per-operator execution profile (rows, batches, busy and
     /// wait times per plan node, mirroring the plan shape — feed it to
     /// [`PlanNode::explain_analyze`]). `None` unless the engine was booted

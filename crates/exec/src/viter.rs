@@ -1,6 +1,6 @@
 //! Vectorized (batch-native) operators over [`ColBatch`]es: every operator
 //! the staged engine runs. The iterator operators in [`iter`](crate::iter)
-//! are the DBMS X stand-in and the test oracle.
+//! are the test oracle.
 //!
 //! * [`HashJoinBuild`] / [`HashJoinTable`] — build accumulates the left
 //!   input into one contiguous batch, then [`HashJoinTable::probe`] matches

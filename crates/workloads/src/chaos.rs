@@ -112,14 +112,13 @@ pub fn run_chaos(driver: &Driver, plans: Vec<PlanNode>, config: &ChaosConfig) ->
             .into_iter()
             .filter(|n| n.starts_with("__tmp."))
             .collect();
-        let gov = driver.engine().map_or(0, |e| e.governor().in_use());
-        let busy: Vec<(&'static str, usize)> = driver.engine().map_or(Vec::new(), |e| {
-            ENGINE_NAMES
-                .iter()
-                .map(|&n| (n, e.admission().in_flight(n)))
-                .filter(|&(_, c)| c > 0)
-                .collect()
-        });
+        let engine = driver.engine();
+        let gov = engine.governor().in_use();
+        let busy: Vec<(&'static str, usize)> = ENGINE_NAMES
+            .iter()
+            .map(|&n| (n, engine.admission().in_flight(n)))
+            .filter(|&(_, c)| c > 0)
+            .collect();
         (tmp, gov, busy)
     };
     let (leaked_tmp_files, governor_in_use, busy_engines) = loop {
@@ -289,7 +288,7 @@ mod tests {
         let report = run_chaos(&d, burst(n), &ChaosConfig::new(5, rules));
         report.assert_contained(n);
         assert_eq!(report.completed(), n as u64);
-        for (name, peak) in d.engine().unwrap().admission().peaks() {
+        for (name, peak) in d.engine().admission().peaks() {
             assert!(peak <= depth, "µEngine {name} exceeded depth under faults: {peak}");
         }
     }

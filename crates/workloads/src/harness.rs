@@ -5,9 +5,10 @@
 //!   pipelining,
 //! * **Baseline** — the same engine with OSP disabled (sharing only through
 //!   the buffer pool),
-//! * **DBMS X** — our stand-in for the unnamed commercial system: the
-//!   conventional one-query-many-operators iterator engine with a
-//!   scan-resistant (2Q) buffer pool,
+//! * **DBMS X** — our stand-in for the unnamed commercial system: Baseline's
+//!   engine (OSP off) over a scan-resistant (2Q) buffer pool, so it differs
+//!   from Baseline in buffer management alone — the paper's explanation of
+//!   the gap between them in Figure 12,
 //!
 //! and drives them with staggered-arrival runs (Figures 8–11) and
 //! closed-loop multi-client runs (Figures 1b/12/13). All time parameters are
@@ -17,7 +18,6 @@ use qpipe_common::sim::TimeScale;
 use qpipe_common::{HistogramSummary, Metrics, MetricsSnapshot, QError, QResult};
 use qpipe_core::engine::{QPipe, QPipeConfig, QueryHandle};
 use qpipe_core::QueryClass;
-use qpipe_exec::iter::{run as exec_run, ExecContext};
 use qpipe_exec::plan::PlanNode;
 use qpipe_planner::{PlannedQuery, PlannerOptions};
 use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
@@ -79,12 +79,7 @@ pub struct Driver {
     pub system: System,
     metrics: Metrics,
     catalog: Arc<Catalog>,
-    inner: DriverImpl,
-}
-
-enum DriverImpl {
-    Staged(Arc<QPipe>),
-    Iterator(ExecContext),
+    engine: Arc<QPipe>,
 }
 
 impl Driver {
@@ -100,8 +95,6 @@ impl Driver {
 
     /// [`build`](Self::build) with explicit engine knobs (admission depth,
     /// memory budgets, ...). `config.osp` is overridden to match `system`.
-    /// DBMS X, the iterator engine, sorts and joins in memory under no
-    /// budget, so no field of `config` changes what it does.
     pub fn build_with_config(
         system: System,
         profile: SystemProfile,
@@ -110,9 +103,9 @@ impl Driver {
     ) -> QResult<Driver> {
         let metrics = Metrics::new();
         let disk = SimDisk::new(profile.disk, metrics.clone());
-        // DBMS X gets the scan-resistant pool (its better buffer manager is
-        // visible in Figure 12's Baseline-vs-X gap); QPipe/Baseline get
-        // BerkeleyDB's plain LRU.
+        // DBMS X differs from Baseline only in its scan-resistant pool (the
+        // better buffer manager behind Figure 12's Baseline-vs-X gap);
+        // QPipe/Baseline get BerkeleyDB's plain LRU.
         let policy = match system {
             System::DbmsX => PolicyKind::TwoQ,
             System::QPipeOsp | System::Baseline => PolicyKind::Lru,
@@ -120,19 +113,9 @@ impl Driver {
         let pool = BufferPool::new(disk.clone(), BufferPoolConfig::new(profile.pool_pages, policy));
         let catalog = Catalog::new(disk, pool);
         load(&catalog)?;
-        let inner = match system {
-            System::QPipeOsp => {
-                DriverImpl::Staged(QPipe::new(catalog.clone(), QPipeConfig { osp: true, ..config }))
-            }
-            System::Baseline => DriverImpl::Staged(QPipe::new(
-                catalog.clone(),
-                QPipeConfig { osp: false, ..config },
-            )),
-            System::DbmsX => {
-                DriverImpl::Iterator(ExecContext::with_config(catalog.clone(), config.exec))
-            }
-        };
-        Ok(Driver { system, metrics, catalog, inner })
+        let osp = system == System::QPipeOsp;
+        let engine = QPipe::new(catalog.clone(), QPipeConfig { osp, ..config });
+        Ok(Driver { system, metrics, catalog, engine })
     }
 
     pub fn metrics(&self) -> &Metrics {
@@ -143,24 +126,18 @@ impl Driver {
         &self.catalog
     }
 
-    /// The staged engine, when this driver wraps one (QPipe/Baseline).
-    pub fn engine(&self) -> Option<&Arc<QPipe>> {
-        match &self.inner {
-            DriverImpl::Staged(e) => Some(e),
-            DriverImpl::Iterator(_) => None,
-        }
+    /// The staged engine every system runs on.
+    pub fn engine(&self) -> &Arc<QPipe> {
+        &self.engine
     }
 
-    /// Submit without waiting for completion (staged engines only): the
-    /// query passes through admission and the returned handle blocks until
-    /// its results stream. `None` for the iterator engine, which has no
-    /// asynchronous submission path. The class is ignored: admission keeps
+    /// Submit without waiting for completion: the query passes through
+    /// admission and the returned handle blocks until its results stream.
+    /// Always `Some`; the `Option` stays only because the `e2e/` benchmark's
+    /// client calls `.expect` on it. The class is ignored: admission keeps
     /// one queue (see [`QueryClass`]).
     pub fn submit_with(&self, plan: PlanNode, _class: QueryClass) -> Option<QResult<QueryHandle>> {
-        match &self.inner {
-            DriverImpl::Staged(e) => Some(e.submit(plan)),
-            DriverImpl::Iterator(_) => None,
-        }
+        Some(self.engine.submit(plan))
     }
 
     /// Plan SQL text against this driver's catalog without running it.
@@ -168,49 +145,21 @@ impl Driver {
         qpipe_planner::plan_sql(self.catalog.as_ref(), sql, opts)
     }
 
-    /// Submit SQL text without waiting for completion (staged engines only;
-    /// `None` for the iterator engine, and the class ignored, as with
-    /// [`submit_with`](Self::submit_with)).
+    /// Submit SQL text without waiting for completion. Always `Some`, and
+    /// the class ignored, as with [`submit_with`](Self::submit_with).
     pub fn submit_sql(
         &self,
         sql: &str,
         _class: QueryClass,
         opts: &PlannerOptions,
     ) -> Option<QResult<QueryHandle>> {
-        match &self.inner {
-            DriverImpl::Staged(e) => Some(e.submit_sql_opts(sql, opts)),
-            DriverImpl::Iterator(_) => None,
-        }
-    }
-
-    /// Run one SQL query to completion on the calling thread; returns row
-    /// count. Both engines plan through the canonicalizing front end; the
-    /// staged path additionally records the signature for the
-    /// `plan_canonical_hits` metric.
-    pub fn run_sql(&self, sql: &str) -> QResult<usize> {
-        match &self.inner {
-            DriverImpl::Staged(engine) => Ok(engine.submit_sql(sql)?.collect().len()),
-            DriverImpl::Iterator(ctx) => {
-                let planned = self.plan_sql(sql, &PlannerOptions::default())?;
-                let start = Instant::now();
-                let rows = exec_run(&planned.plan, ctx)?;
-                self.metrics.add_query_completion(start.elapsed().as_micros() as u64);
-                Ok(rows.len())
-            }
-        }
+        Some(self.engine.submit_sql_opts(sql, opts))
     }
 
     /// Run one query to completion on the calling thread; returns row count.
+    /// A failed query (a storage fault, a cancel) returns its error.
     pub fn run(&self, plan: PlanNode) -> QResult<usize> {
-        match &self.inner {
-            DriverImpl::Staged(engine) => Ok(engine.submit(plan)?.collect().len()),
-            DriverImpl::Iterator(ctx) => {
-                let start = Instant::now();
-                let rows = exec_run(&plan, ctx)?;
-                self.metrics.add_query_completion(start.elapsed().as_micros() as u64);
-                Ok(rows.len())
-            }
-        }
+        Ok(self.engine.submit(plan)?.try_collect()?.len())
     }
 }
 
@@ -392,30 +341,17 @@ impl OpenLoopResult {
 /// Open-loop (arrival-driven) multi-client run: `plans[i]` *arrives* at time
 /// `i × interarrival` regardless of completions — the traffic shape that
 /// oversubscribes an unprotected engine and that the admission controller
-/// exists for. Staged engines submit asynchronously (the admission queue
+/// exists for. Each arrival is submitted asynchronously (the admission queue
 /// absorbs the burst, rejects overflow, and bounds per-µEngine concurrency);
 /// every accepted query is drained by its own collector thread — the client
-/// model admission assumes. The iterator engine (DBMS X) spawns one thread
-/// per arrival, unbounded: it has no admission layer, which is exactly the
-/// comparison point.
+/// model admission assumes.
 pub fn open_loop(
     driver: &Driver,
     plans: Vec<PlanNode>,
     interarrival_paper: f64,
     scale: TimeScale,
 ) -> OpenLoopResult {
-    run_open_loop(driver, plans, interarrival_paper, scale, |plan| match driver.engine() {
-        Some(engine) => engine.submit(plan).map(Arrival::Handle),
-        None => Ok(Arrival::Run(plan)),
-    })
-}
-
-/// How one arrival entered the system.
-enum Arrival {
-    /// Accepted by the staged engine's admission queue.
-    Handle(QueryHandle),
-    /// For the iterator engine: the plan to run on a thread of its own.
-    Run(PlanNode),
+    run_open_loop(driver, plans, interarrival_paper, scale, |plan| driver.engine().submit(plan))
 }
 
 /// The open loop behind [`open_loop`] and [`open_loop_sql`]: `queries[i]`
@@ -430,7 +366,7 @@ fn run_open_loop<Q>(
     queries: Vec<Q>,
     interarrival_paper: f64,
     scale: TimeScale,
-    submit: impl Fn(Q) -> QResult<Arrival>,
+    submit: impl Fn(Q) -> QResult<QueryHandle>,
 ) -> OpenLoopResult {
     let before = driver.metrics().snapshot();
     let start = Instant::now();
@@ -444,7 +380,7 @@ fn run_open_loop<Q>(
             }
             let submitted = Instant::now();
             pending.push(match submit(query) {
-                Ok(Arrival::Handle(handle)) => Ok(s.spawn(move || {
+                Ok(handle) => Ok(s.spawn(move || {
                     let trace = handle.trace();
                     match handle.try_collect() {
                         Ok(rows) => (
@@ -455,10 +391,6 @@ fn run_open_loop<Q>(
                         Err(QError::Admission(msg)) => (OpenLoopOutcome::Rejected(msg), None, None),
                         Err(e) => (OpenLoopOutcome::Failed(e), None, trace.map(|t| t.render())),
                     }
-                })),
-                Ok(Arrival::Run(plan)) => Ok(s.spawn(move || match driver.run(plan) {
-                    Ok(rows) => (OpenLoopOutcome::Completed(rows), Some(submitted.elapsed()), None),
-                    Err(e) => (OpenLoopOutcome::Failed(e), None, None),
                 })),
                 Err(QError::Admission(msg)) => Err(OpenLoopOutcome::Rejected(msg)),
                 Err(e) => Err(OpenLoopOutcome::Failed(e)),
@@ -514,8 +446,7 @@ fn finish_open_loop(
 /// [`open_loop`] over SQL text: `queries[i]` arrives at `i × interarrival`
 /// and is planned through the front end with `opts` before submission.
 /// Planner errors settle the arrival as `Failed` without occupying a
-/// collector. The iterator engine plans eagerly and runs each query on its
-/// own unbounded thread, as in [`open_loop`].
+/// collector.
 pub fn open_loop_sql(
     driver: &Driver,
     queries: Vec<String>,
@@ -523,9 +454,8 @@ pub fn open_loop_sql(
     scale: TimeScale,
     opts: &PlannerOptions,
 ) -> OpenLoopResult {
-    run_open_loop(driver, queries, interarrival_paper, scale, |sql| match driver.engine() {
-        Some(engine) => engine.submit_sql_opts(&sql, opts).map(Arrival::Handle),
-        None => driver.plan_sql(&sql, opts).map(|planned| Arrival::Run((*planned.plan).clone())),
+    run_open_loop(driver, queries, interarrival_paper, scale, |sql| {
+        driver.engine().submit_sql_opts(&sql, opts)
     })
 }
 
@@ -588,22 +518,59 @@ pub fn mixed_phrasing_storm(
 mod tests {
     use super::*;
     use crate::tpch::{build_tpch, q6, TpchScale};
+    use qpipe_common::Tuple;
+    use qpipe_exec::iter::ExecContext;
 
     fn tiny_driver(system: System) -> Driver {
         Driver::build(system, SystemProfile::instant(), |c| build_tpch(c, TpchScale::tiny(), 42))
             .unwrap()
     }
 
+    /// The oracle's answer to `plan` over `d`'s catalog, rows sorted.
+    fn oracle_rows(d: &Driver, plan: &PlanNode) -> Vec<Tuple> {
+        let mut rows = qpipe_exec::iter::run(plan, &ExecContext::new(d.catalog().clone())).unwrap();
+        rows.sort();
+        rows
+    }
+
+    /// `d`'s answer to `plan`, rows sorted.
+    fn engine_rows(d: &Driver, plan: &PlanNode) -> Vec<Tuple> {
+        let mut rows = d.engine().submit(plan.clone()).unwrap().try_collect().unwrap();
+        rows.sort();
+        rows
+    }
+
     #[test]
     fn all_three_systems_answer_identically() {
         let plan = q6(100, 0.05, 30);
-        let mut counts = Vec::new();
         for system in [System::QPipeOsp, System::Baseline, System::DbmsX] {
             let d = tiny_driver(system);
-            counts.push(d.run(plan.clone()).unwrap());
+            assert_eq!(engine_rows(&d, &plan), oracle_rows(&d, &plan), "{}", system.label());
         }
-        assert_eq!(counts[0], counts[1]);
-        assert_eq!(counts[1], counts[2]);
+    }
+
+    #[test]
+    fn a_failed_query_is_an_error_not_a_panic() {
+        use qpipe_common::{FaultInjector, FaultKind, FaultOp, FaultRule};
+        for system in [System::QPipeOsp, System::Baseline, System::DbmsX] {
+            let d = tiny_driver(system);
+            d.catalog().pool().clear();
+            d.catalog().disk().set_fault_injector(Some(Arc::new(FaultInjector::new(
+                1,
+                vec![FaultRule::new(FaultKind::Permanent).on_file("region").on_op(FaultOp::Read)],
+            ))));
+            let err = d.run(PlanNode::scan("region")).expect_err("region never reads");
+            assert!(matches!(err, QError::Storage(_)), "{}: got {err:?}", system.label());
+            let r = closed_loop(
+                &d,
+                &|_c, _i| PlanNode::scan("region"),
+                2,
+                1000.0,
+                0.0,
+                SystemProfile::instant().time_scale,
+            );
+            assert_eq!(r.completed, 0, "{}", system.label());
+        }
     }
 
     #[test]
@@ -633,8 +600,7 @@ mod tests {
         let r = open_loop(&d, plans, 0.0, SystemProfile::instant().time_scale);
         assert_eq!(r.completed, 10, "everything admitted eventually completes: {:?}", r.outcomes);
         assert_eq!(r.rejected, 0);
-        let engine = d.engine().unwrap();
-        for (name, peak) in engine.admission().peaks() {
+        for (name, peak) in d.engine().admission().peaks() {
             assert!(peak <= depth, "µEngine {name} ran {peak} > depth {depth} concurrently");
         }
         assert!(r.delta.admitted == 10 && r.delta.queued > 0, "burst must queue: {:?}", r.delta);
@@ -660,11 +626,11 @@ mod tests {
     }
 
     #[test]
-    fn run_sql_agrees_with_hand_built_plan_on_all_engines() {
+    fn sql_agrees_with_hand_built_plan_on_all_engines() {
         let sql = crate::sql::q6_sql(100, 0.05, 30).canonical();
         for system in [System::QPipeOsp, System::Baseline, System::DbmsX] {
             let d = tiny_driver(system);
-            let by_sql = d.run_sql(&sql).unwrap();
+            let by_sql = d.engine().submit_sql(&sql).unwrap().try_collect().unwrap().len();
             let by_plan = d.run(q6(100, 0.05, 30)).unwrap();
             assert_eq!(by_sql, by_plan, "{}", system.label());
         }
@@ -701,16 +667,23 @@ mod tests {
 
     #[test]
     fn closed_loop_completes_queries() {
-        let d = tiny_driver(System::DbmsX);
-        let r = closed_loop(
-            &d,
-            &|_c, i| q6((i % 5) as i32 * 100, 0.05, 30),
-            2,
-            4000.0, // paper seconds; at the instant profile this is 200 ms real
-            0.0,
-            SystemProfile::instant().time_scale,
-        );
-        assert!(r.completed > 0, "clients should finish at least one query");
-        assert!(r.qph > 0.0);
+        let plan = |i: u64| q6((i % 5) as i32 * 100, 0.05, 30);
+        for system in [System::QPipeOsp, System::Baseline, System::DbmsX] {
+            let d = tiny_driver(system);
+            let r = closed_loop(
+                &d,
+                &|_c, i| plan(i),
+                2,
+                4000.0, // paper seconds; at the instant profile this is 200 ms real
+                0.0,
+                SystemProfile::instant().time_scale,
+            );
+            assert!(r.completed > 0, "{}: clients should finish a query", system.label());
+            assert!(r.qph > 0.0);
+            // The loop left the engine answering like the oracle.
+            for p in (0..5).map(plan) {
+                assert_eq!(engine_rows(&d, &p), oracle_rows(&d, &p), "{}", system.label());
+            }
+        }
     }
 }

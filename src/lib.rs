@@ -15,8 +15,9 @@
 //! * [`storage`] — simulated disk, pages, heap files, buffer pool (LRU for
 //!   QPipe and Baseline, 2Q for DBMS X), bulk-loaded indexes, catalog, table
 //!   locks.
-//! * [`exec`] — the conventional one-query-many-operators iterator engine
-//!   (also the per-packet kernels inside µEngines).
+//! * [`exec`] — the batch kernels the µEngines run, and the conventional
+//!   one-query-many-operators iterator engine that serves as the test
+//!   oracle.
 //! * [`planner`] — SQL-ish front end and statistics-free greedy planner
 //!   that canonicalizes plans so equivalent phrasings share signatures.
 //! * [`core`] — the QPipe engine: µEngines, packets, pipes, OSP, circular

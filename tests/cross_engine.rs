@@ -1,6 +1,7 @@
 //! Cross-crate integration: the three systems (DBMS X stand-in, Baseline,
-//! QPipe w/OSP) must produce identical answers for the full TPC-H query mix
-//! under concurrency, and the sharing metrics must tell the expected story.
+//! QPipe w/OSP) must answer the full TPC-H query mix under concurrency as the
+//! iterator engine — the test oracle — does, and the sharing metrics must
+//! tell the expected story.
 
 mod common;
 
@@ -16,17 +17,30 @@ fn driver(system: System) -> Driver {
         .unwrap()
 }
 
+/// Run `plans` concurrently on `d`'s engine, each drained on its own
+/// thread, and check every answer against the oracle's over `d`'s catalog.
+fn assert_concurrent_answers_match_oracle(d: &Driver, plans: &[PlanNode]) {
+    let ctx = ExecContext::new(d.catalog().clone());
+    let expected: Vec<Vec<Tuple>> =
+        plans.iter().map(|p| qpipe::exec::iter::run(p, &ctx).unwrap()).collect();
+    let handles: Vec<QueryHandle> =
+        plans.iter().map(|p| d.engine().submit(p.clone()).unwrap()).collect();
+    let answers: Vec<Vec<Tuple>> = std::thread::scope(|s| {
+        let threads: Vec<_> =
+            handles.into_iter().map(|h| s.spawn(move || h.try_collect().unwrap())).collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for (i, (got, want)) in answers.into_iter().zip(expected).enumerate() {
+        assert_rows_equivalent(got, want, &format!("{} query {i}", d.system.label()));
+    }
+}
+
 #[test]
 fn full_mix_identical_across_systems() {
     let mut rng = StdRng::seed_from_u64(5);
     let plans: Vec<PlanNode> = MIX.iter().map(|&q| query(q, &mut rng)).collect();
-    // Reference: conventional engine, sequential.
-    let x = driver(System::DbmsX);
-    let reference: Vec<usize> = plans.iter().map(|p| x.run(p.clone()).unwrap()).collect();
-    for system in [System::Baseline, System::QPipeOsp] {
-        let d = driver(system);
-        let r = staggered_run(&d, plans.clone(), 0.0, SystemProfile::instant().time_scale).unwrap();
-        assert_eq!(r.row_counts, reference, "{:?} row counts differ", system.label());
+    for system in [System::DbmsX, System::Baseline, System::QPipeOsp] {
+        assert_concurrent_answers_match_oracle(&driver(system), &plans);
     }
 }
 
@@ -35,7 +49,7 @@ fn identical_query_burst_shares_and_matches() {
     let mut rng = StdRng::seed_from_u64(11);
     let plan = query(6, &mut rng);
     let d = driver(System::QPipeOsp);
-    let engine = d.engine().expect("a QPipe driver has an engine");
+    let engine = d.engine();
     let reference = engine.submit(plan.clone()).unwrap().collect();
     let before = d.metrics().snapshot();
     // Every scan of the burst waits at lineitem's lock, so all four queries
@@ -83,13 +97,9 @@ fn wisconsin_three_way_join_identical_across_systems() {
         })
         .unwrap()
     };
-    let x = build(System::DbmsX);
-    let expected = x.run(three_way_join(0, 3)).unwrap();
-    for system in [System::Baseline, System::QPipeOsp] {
-        let d = build(system);
-        let plans = vec![three_way_join(0, 3), three_way_join(0, 7)];
-        let r = staggered_run(&d, plans, 0.0, SystemProfile::instant().time_scale).unwrap();
-        assert_eq!(r.row_counts[0], expected, "{}", system.label());
+    let plans = [three_way_join(0, 3), three_way_join(0, 7)];
+    for system in [System::DbmsX, System::Baseline, System::QPipeOsp] {
+        assert_concurrent_answers_match_oracle(&build(system), &plans);
     }
 }
 
