@@ -27,9 +27,8 @@ fn main() {
             hash_budget: 2048,
             global_budget: global_mem,
             tracing: true,
-            ..ExecConfig::default()
         },
-        admit: AdmitConfig { queue_depth: depth, max_queued: 40, ..AdmitConfig::default() },
+        admit: AdmitConfig { queue_depth: depth, max_queued: 40 },
         ..QPipeConfig::default()
     };
     let profile = SystemProfile::instant();

@@ -16,12 +16,9 @@ pub enum QError {
     /// Query was cancelled (e.g. its subtree was replaced by a satellite
     /// attach and the cancellation raced with result consumption).
     Cancelled,
-    /// Refused by the admission controller (queue full or queue timeout) —
-    /// the query never executed; resubmit when load drops.
+    /// Refused by the admission controller (waiting room full) — the query
+    /// never executed; resubmit when load drops.
     Admission(String),
-    /// Query exceeded its execution deadline and was cancelled when its
-    /// client read it; partial output (if any) must be discarded.
-    Timeout,
 }
 
 impl fmt::Display for QError {
@@ -33,7 +30,6 @@ impl fmt::Display for QError {
             QError::Exec(s) => write!(f, "execution error: {s}"),
             QError::Cancelled => write!(f, "query cancelled"),
             QError::Admission(s) => write!(f, "admission refused: {s}"),
-            QError::Timeout => write!(f, "query deadline exceeded"),
         }
     }
 }

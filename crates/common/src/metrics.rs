@@ -127,13 +127,10 @@ struct MetricsInner {
     mem_waited: AtomicU64,
     mem_peak: AtomicU64,
     config_clamps: AtomicU64,
-    queries_completed: AtomicU64,
     tuples_produced: AtomicU64,
-    response_time_us_sum: AtomicU64,
     io_retries: AtomicU64,
     checksum_failures: AtomicU64,
     worker_panics: AtomicU64,
-    query_timeouts: AtomicU64,
     faults_injected: AtomicU64,
     plan_canonical_hits: AtomicU64,
     pool_queue_depth: AtomicU64,
@@ -180,8 +177,7 @@ pub struct MetricsSnapshot {
     /// Queries that had to wait in an admission queue before dispatch.
     pub queued: u64,
     /// Queries settled without running: refused outright (admission queue
-    /// full), timed out while queued, or cancelled by the client while
-    /// still queued.
+    /// full) or cancelled by the client while still queued.
     pub rejected: u64,
     /// Memory units (tuples) the governor granted to operator leases,
     /// cumulative.
@@ -195,9 +191,7 @@ pub struct MetricsSnapshot {
     /// Misconfigured budgets/depths clamped to their minimum at validation
     /// (warning-level: each one masks a configuration mistake).
     pub config_clamps: u64,
-    pub queries_completed: u64,
     pub tuples_produced: u64,
-    pub response_time_us_sum: u64,
     /// Disk reads retried by the buffer pool's retry policy (transient I/O
     /// faults and checksum failures that healed on a later attempt).
     pub io_retries: u64,
@@ -207,9 +201,6 @@ pub struct MetricsSnapshot {
     /// Operator worker / dispatcher / scanner panics contained by
     /// `catch_unwind` and converted to packet failures.
     pub worker_panics: u64,
-    /// Queries cancelled for exceeding their execution deadline
-    /// (`QError::Timeout`), counted when their client's read expires them.
-    pub query_timeouts: u64,
     /// Faults the injector delivered (errors, corruptions, delays, panics).
     pub faults_injected: u64,
     /// SQL submissions whose canonicalized plan signature matched a plan
@@ -341,20 +332,12 @@ impl Metrics {
         self.inner.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add_query_timeout(&self) {
-        self.inner.query_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn add_fault_injected(&self) {
         self.inner.faults_injected.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn add_plan_canonical_hit(&self) {
         self.inner.plan_canonical_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn plan_canonical_hits(&self) -> u64 {
-        self.inner.plan_canonical_hits.load(Ordering::Relaxed)
     }
 
     /// Raise the pool queue-depth high-water mark to `depth` if higher.
@@ -377,16 +360,6 @@ impl Metrics {
     pub fn add_worker_busy_ns(&self, name: &str, ns: u64) {
         self.inner.worker_busy_ns.fetch_add(ns, Ordering::Relaxed);
         *self.inner.per_engine_busy_ns.lock().entry(name.to_string()).or_insert(0) += ns;
-    }
-
-    pub fn worker_panics(&self) -> u64 {
-        self.inner.worker_panics.load(Ordering::Relaxed)
-    }
-
-    /// Record a completed query with its wall response time in microseconds.
-    pub fn add_query_completion(&self, response_us: u64) {
-        self.inner.queries_completed.fetch_add(1, Ordering::Relaxed);
-        self.inner.response_time_us_sum.fetch_add(response_us, Ordering::Relaxed);
     }
 
     /// Record a completed query's end-to-end latency (µs).
@@ -433,13 +406,10 @@ impl Metrics {
             ("mem_waited", s.mem_waited),
             ("mem_peak", s.mem_peak),
             ("config_clamps", s.config_clamps),
-            ("queries_completed", s.queries_completed),
             ("tuples_produced", s.tuples_produced),
-            ("response_time_us_sum", s.response_time_us_sum),
             ("io_retries", s.io_retries),
             ("checksum_failures", s.checksum_failures),
             ("worker_panics", s.worker_panics),
-            ("query_timeouts", s.query_timeouts),
             ("faults_injected", s.faults_injected),
             ("plan_canonical_hits", s.plan_canonical_hits),
             ("pool_queue_depth", s.pool_queue_depth),
@@ -469,14 +439,6 @@ impl Metrics {
         out
     }
 
-    pub fn disk_blocks_read(&self) -> u64 {
-        self.inner.disk_blocks_read.load(Ordering::Relaxed)
-    }
-
-    pub fn queries_completed(&self) -> u64 {
-        self.inner.queries_completed.load(Ordering::Relaxed)
-    }
-
     pub fn osp_attaches(&self) -> u64 {
         self.inner.osp_attaches.load(Ordering::Relaxed)
     }
@@ -503,13 +465,10 @@ impl Metrics {
             mem_waited: i.mem_waited.load(Ordering::Relaxed),
             mem_peak: i.mem_peak.load(Ordering::Relaxed),
             config_clamps: i.config_clamps.load(Ordering::Relaxed),
-            queries_completed: i.queries_completed.load(Ordering::Relaxed),
             tuples_produced: i.tuples_produced.load(Ordering::Relaxed),
-            response_time_us_sum: i.response_time_us_sum.load(Ordering::Relaxed),
             io_retries: i.io_retries.load(Ordering::Relaxed),
             checksum_failures: i.checksum_failures.load(Ordering::Relaxed),
             worker_panics: i.worker_panics.load(Ordering::Relaxed),
-            query_timeouts: i.query_timeouts.load(Ordering::Relaxed),
             faults_injected: i.faults_injected.load(Ordering::Relaxed),
             plan_canonical_hits: i.plan_canonical_hits.load(Ordering::Relaxed),
             pool_queue_depth: i.pool_queue_depth.load(Ordering::Relaxed),
@@ -586,13 +545,10 @@ impl MetricsSnapshot {
             mem_waited: self.mem_waited - earlier.mem_waited,
             mem_peak: self.mem_peak.saturating_sub(earlier.mem_peak),
             config_clamps: self.config_clamps - earlier.config_clamps,
-            queries_completed: self.queries_completed - earlier.queries_completed,
             tuples_produced: self.tuples_produced - earlier.tuples_produced,
-            response_time_us_sum: self.response_time_us_sum - earlier.response_time_us_sum,
             io_retries: self.io_retries - earlier.io_retries,
             checksum_failures: self.checksum_failures - earlier.checksum_failures,
             worker_panics: self.worker_panics - earlier.worker_panics,
-            query_timeouts: self.query_timeouts - earlier.query_timeouts,
             faults_injected: self.faults_injected - earlier.faults_injected,
             plan_canonical_hits: self.plan_canonical_hits - earlier.plan_canonical_hits,
             pool_queue_depth: self.pool_queue_depth.saturating_sub(earlier.pool_queue_depth),
@@ -627,16 +583,6 @@ mod tests {
         assert_eq!(s.per_file_reads["lineitem"], 15);
         assert_eq!(s.per_file_reads["orders"], 2);
         assert!((s.bp_hit_ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn response_time_mean() {
-        let m = Metrics::new();
-        m.add_query_completion(1_000_000);
-        m.add_query_completion(3_000_000);
-        let s = m.snapshot();
-        assert_eq!(s.queries_completed, 2);
-        assert_eq!(s.response_time_us_sum, 4_000_000);
     }
 
     #[test]

@@ -18,21 +18,18 @@
 //!   cross-engine head-of-line blocking).
 //! * **Backpressure & cancellation** — the waiting room itself is bounded
 //!   ([`AdmitConfig::max_queued`]; beyond it `submit` fails fast with
-//!   [`QError::Admission`]), queued queries are cancellable (the ticket is
-//!   withdrawn without ever dispatching a packet), and a configurable
-//!   [`AdmitConfig::queue_timeout`] rejects tickets that waited too long —
-//!   in every case the ticket's slots and the client's pipe are settled.
+//!   [`QError::Admission`]), and queued queries are cancellable (the ticket
+//!   is withdrawn without ever dispatching a packet, its slots never taken
+//!   and the client's pipe failed).
 //!
-//! A query's slots release when its handle is consumed or dropped
-//! (`QueryHandle` holds the ticket); the release pumps the queues, so
-//! admission needs no thread of its own. Nor do queue timeouts and execution
-//! deadlines: [`AdmissionController::due`] says when a ticket falls due, the
-//! client's blocking read gives up at that instant, and
-//! [`AdmissionController::expire`] settles the ticket if it is still overdue.
-//! Clients must drain their handles concurrently (every driver in this repo
-//! does): a handle left uncollected keeps its slots, which is admission's
-//! backpressure working as intended — and, with a timeout or deadline set,
-//! expires only at its next read.
+//! A query's slots release when its handle is consumed, cancelled or
+//! dropped (`QueryHandle` holds the ticket); the release pumps the queues,
+//! so admission needs no thread of its own. No clock settles a ticket: a
+//! query ends by completing, by failing, or by its client cancelling or
+//! dropping it (the paper's packets end the same three ways, §4.3). Clients
+//! must drain their handles concurrently (every driver in this repo does):
+//! a handle left uncollected keeps its slots, which is admission's
+//! backpressure working as intended.
 //!
 //! The depth bound is *slot accounting*, enforced at admit/release points.
 //! Cancellation is cooperative (workers observe their tokens at batch and
@@ -59,7 +56,7 @@ use qpipe_common::trace::{QueryTrace, TraceEvent};
 use qpipe_common::{Metrics, QError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Admission knobs.
 #[derive(Debug, Clone, Copy)]
@@ -68,15 +65,11 @@ pub struct AdmitConfig {
     pub queue_depth: usize,
     /// Waiting-room bound; beyond it submissions are rejected outright.
     pub max_queued: usize,
-    /// A ticket queued longer than this is rejected (its slots were never
-    /// taken; its pipe fails with [`QError::Admission`]) when its client's
-    /// read gives up on it. `None` = wait forever.
-    pub queue_timeout: Option<Duration>,
 }
 
 impl Default for AdmitConfig {
     fn default() -> Self {
-        Self { queue_depth: 64, max_queued: 1024, queue_timeout: None }
+        Self { queue_depth: 64, max_queued: 1024 }
     }
 }
 
@@ -111,18 +104,16 @@ pub type DispatchFn = Box<dyn FnOnce() -> Vec<CancelToken> + Send>;
 
 enum TicketState {
     Queued {
+        /// When the ticket was queued (the admission-wait histogram).
         since: Instant,
         dispatch: DispatchFn,
-        /// Root pipe, failed on rejection/timeout so the client observes the
+        /// Root pipe, failed on cancellation so the client observes the
         /// refusal instead of a clean-but-empty EOF.
         pipe: Arc<Pipe>,
     },
     Running {
         cancels: Vec<CancelToken>,
-        /// When the query was admitted (execution-deadline clock).
-        since: Instant,
-        /// Root pipe, failed with [`QError::Timeout`] when an overdue query
-        /// expires.
+        /// Root pipe, failed when the client cancels the running query.
         pipe: Arc<Pipe>,
     },
     Finished,
@@ -180,9 +171,6 @@ struct Actions {
     dispatch: Vec<(Arc<QueryTicket>, DispatchFn)>,
     fail: Vec<(Arc<Pipe>, QError)>,
     fire: Vec<CancelToken>,
-    /// Root pipes of tickets just admitted under a deadline: their readers
-    /// re-read when they fall due.
-    wake: Vec<Arc<Pipe>>,
     /// Never-dispatched closures of withdrawn/rejected tickets. Dropping one
     /// drops its root `PipeProducer`, which *closes* the pipe — so the drop
     /// must happen strictly **after** `fail` poisons it, or a concurrently
@@ -199,9 +187,6 @@ impl Actions {
         drop(self.discard);
         for token in self.fire {
             token.cancel();
-        }
-        for pipe in self.wake {
-            pipe.wake_reader();
         }
         for (ticket, dispatch) in self.dispatch {
             let cancels = dispatch();
@@ -224,20 +209,14 @@ impl Actions {
 /// The admission controller. One per engine; shared with every handle.
 pub struct AdmissionController {
     config: AdmitConfig,
-    /// Per-query execution deadline, measured from admission; a running
-    /// query that exceeds it expires with [`QError::Timeout`].
-    deadline: Option<Duration>,
     metrics: Metrics,
     state: Mutex<CtrlState>,
 }
 
 impl AdmissionController {
-    /// A controller; with a `deadline`, [`expire`](Self::expire) fires the
-    /// plan's cancel tokens and fails the root pipe with [`QError::Timeout`]
-    /// once a running query exceeds it.
-    pub fn new(config: AdmitConfig, deadline: Option<Duration>, metrics: Metrics) -> Arc<Self> {
+    pub fn new(config: AdmitConfig, metrics: Metrics) -> Arc<Self> {
         let config = config.validated(&metrics);
-        Arc::new(Self { config, deadline, metrics, state: Mutex::new(CtrlState::default()) })
+        Arc::new(Self { config, metrics, state: Mutex::new(CtrlState::default()) })
     }
 
     pub fn config(&self) -> AdmitConfig {
@@ -312,65 +291,13 @@ impl AdmissionController {
     }
 
     /// Settle a ticket when its handle is consumed, dropped, or cancelled.
-    /// `reason` poisons the pipe of a still-queued ticket (cancellation);
-    /// `fire` additionally terminates a running plan's packet subtree.
+    /// `reason` poisons the root pipe (cancellation); `fire` additionally
+    /// terminates a running plan's packet subtree.
     pub fn finish(&self, ticket: &Arc<QueryTicket>, reason: Option<QError>, fire: bool) {
-        self.settle(ticket, |_| Some((reason, fire)));
-    }
-
-    /// When `ticket` falls due: `queue_timeout` after it was queued while it
-    /// waits, the deadline after it was admitted while it runs. `None` when
-    /// that limit is unset or the ticket has settled — and, with neither
-    /// set, without taking a lock or reading the clock.
-    pub fn due(&self, ticket: &QueryTicket) -> Option<Instant> {
-        if self.config.queue_timeout.is_none() && self.deadline.is_none() {
-            return None;
-        }
-        self.due_of(&ticket.state.lock())
-    }
-
-    fn due_of(&self, state: &TicketState) -> Option<Instant> {
-        match state {
-            TicketState::Queued { since, .. } => Some(*since + self.config.queue_timeout?),
-            TicketState::Running { since, .. } => Some(*since + self.deadline?),
-            TicketState::Finished => None,
-        }
-    }
-
-    /// Settle `ticket` if it is overdue, deciding under its lock: a ticket
-    /// admitted since its queued [`due`](Self::due) was read is left running.
-    /// An overdue queued ticket is rejected with [`QError::Admission`]; an
-    /// overdue running query has its cancel tokens fired and its root pipe
-    /// failed with [`QError::Timeout`].
-    pub fn expire(&self, ticket: &Arc<QueryTicket>) {
-        let now = Instant::now();
-        self.settle(ticket, |state| match state {
-            _ if self.due_of(state).is_none_or(|due| now < due) => None,
-            TicketState::Queued { since, .. } => {
-                let waited = now.duration_since(*since);
-                let timeout = self.config.queue_timeout?;
-                let err = format!("queued {waited:?} > timeout {timeout:?}");
-                Some((Some(QError::Admission(err)), false))
-            }
-            _ => {
-                self.metrics.add_query_timeout();
-                Some((Some(QError::Timeout), true))
-            }
-        });
-    }
-
-    /// Settle `ticket` as `verdict`, read under the ticket's lock, says:
-    /// `None` leaves it alone, `Some((reason, fire))` is [`finish`](Self::finish)'s.
-    fn settle(
-        &self,
-        ticket: &Arc<QueryTicket>,
-        verdict: impl FnOnce(&TicketState) -> Option<(Option<QError>, bool)>,
-    ) {
         let mut actions = Actions::default();
         {
             let mut st = self.state.lock();
             let mut t = ticket.state.lock();
-            let Some((reason, fire)) = verdict(&t) else { return };
             match std::mem::replace(&mut *t, TicketState::Finished) {
                 TicketState::Queued { pipe, dispatch, .. } => {
                     drop(t);
@@ -385,7 +312,7 @@ impl AdmissionController {
                     // `Actions::discard`).
                     actions.discard.push(dispatch);
                 }
-                TicketState::Running { cancels, pipe, .. } => {
+                TicketState::Running { cancels, pipe } => {
                     drop(t);
                     if let Some(err) = reason {
                         actions.fail.push((pipe, err));
@@ -398,9 +325,7 @@ impl AdmissionController {
                             *n = n.saturating_sub(1);
                         }
                     }
-                    let mut pumped = self.pump_locked(&mut st);
-                    actions.dispatch.append(&mut pumped.dispatch);
-                    actions.wake.append(&mut pumped.wake);
+                    actions.dispatch = self.pump_locked(&mut st).dispatch;
                 }
                 TicketState::Finished => {}
             }
@@ -422,10 +347,7 @@ impl AdmissionController {
             });
             let (dispatch, since) = match std::mem::replace(&mut *t, TicketState::Finished) {
                 TicketState::Queued { dispatch, since, pipe } if eligible => {
-                    if self.deadline.is_some() {
-                        actions.wake.push(pipe.clone());
-                    }
-                    *t = TicketState::Running { cancels: Vec::new(), since: Instant::now(), pipe };
+                    *t = TicketState::Running { cancels: Vec::new(), pipe };
                     (dispatch, since)
                 }
                 queued @ TicketState::Queued { .. } => {
@@ -435,7 +357,7 @@ impl AdmissionController {
                     st.queue.push_back(ticket);
                     continue;
                 }
-                // Settled elsewhere (cancelled/timed out): drop it.
+                // Settled elsewhere (cancelled): drop it.
                 settled => {
                     *t = settled;
                     continue;
@@ -466,6 +388,7 @@ mod tests {
     use crate::deadlock::{NodeId, WaitRegistry};
     use crate::pipe::{Pipe, PipeConfig, PipeConsumer, PipeProducer};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn metrics() -> Metrics {
         Metrics::new()
@@ -496,7 +419,6 @@ mod tests {
     fn admits_up_to_depth_then_queues_fifo() {
         let ctrl = AdmissionController::new(
             AdmitConfig { queue_depth: 2, ..AdmitConfig::default() },
-            None,
             metrics(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
@@ -527,7 +449,6 @@ mod tests {
     fn disjoint_engines_overtake_blocked_head() {
         let ctrl = AdmissionController::new(
             AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
-            None,
             metrics(),
         );
         let dispatched = Arc::new(AtomicUsize::new(0));
@@ -548,11 +469,8 @@ mod tests {
     #[test]
     fn queue_bound_rejects_and_cancel_while_queued_settles() {
         let m = metrics();
-        let ctrl = AdmissionController::new(
-            AdmitConfig { queue_depth: 1, max_queued: 1, ..AdmitConfig::default() },
-            None,
-            m.clone(),
-        );
+        let ctrl =
+            AdmissionController::new(AdmitConfig { queue_depth: 1, max_queued: 1 }, m.clone());
         let dispatched = Arc::new(AtomicUsize::new(0));
         let (running, _c0) = counting_ticket(&["agg"], &dispatched);
         ctrl.submit(running.clone()).unwrap();
@@ -579,11 +497,8 @@ mod tests {
     #[test]
     fn full_waiting_room_still_admits_idle_engine_query() {
         let m = metrics();
-        let ctrl = AdmissionController::new(
-            AdmitConfig { queue_depth: 1, max_queued: 1, ..AdmitConfig::default() },
-            None,
-            m.clone(),
-        );
+        let ctrl =
+            AdmissionController::new(AdmitConfig { queue_depth: 1, max_queued: 1 }, m.clone());
         let dispatched = Arc::new(AtomicUsize::new(0));
         let (running, _c0) = counting_ticket(&["sort"], &dispatched);
         ctrl.submit(running.clone()).unwrap();
@@ -614,7 +529,6 @@ mod tests {
         for _ in 0..50 {
             let ctrl = AdmissionController::new(
                 AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
-                None,
                 metrics(),
             );
             let dispatched = Arc::new(AtomicUsize::new(0));
@@ -634,147 +548,40 @@ mod tests {
         }
     }
 
+    /// Cancelling a *running* query — what `QueryHandle::cancel` and a
+    /// dropped handle do — fires its plan's cancel tokens, fails its root
+    /// pipe with `Cancelled` even though its producer never ends the stream,
+    /// and returns its slot to the next waiter.
     #[test]
-    fn execution_deadline_times_out_running_query() {
+    fn cancelling_a_running_query_fires_its_tokens_and_releases_its_slots() {
         let m = metrics();
         let ctrl = AdmissionController::new(
-            AdmitConfig::default(),
-            Some(Duration::from_millis(5)),
+            AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
             m.clone(),
         );
         let (producer, consumer) = pipe_pair();
-        let pipe = producer.pipe().clone();
         let cancel = CancelToken::new();
-        let c2 = cancel.clone();
-        // A "stuck" plan: admitted, never produces, never finishes its pipe.
-        let dispatch: DispatchFn = Box::new(move || vec![c2]);
-        let ticket = QueryTicket::new(vec!["scan"], dispatch, pipe, None);
-        ctrl.submit(ticket.clone()).unwrap();
-        assert!(!ticket.is_queued(), "admitted immediately");
-        std::thread::sleep(Duration::from_millis(10));
-        ctrl.expire(&ticket);
-        assert!(cancel.is_cancelled(), "deadline fires the plan's cancel tokens");
-        assert_eq!(consumer.collect_tuples().expect_err("timed out"), QError::Timeout);
-        assert_eq!(ctrl.in_flight("scan"), 0, "slots released on expiry");
-        ctrl.expire(&ticket);
-        ctrl.finish(&ticket, None, false);
-        assert_eq!(m.snapshot().query_timeouts, 1);
-    }
-
-    #[test]
-    fn deadline_spares_queries_within_budget() {
-        let m = metrics();
-        let ctrl = AdmissionController::new(
-            AdmitConfig::default(),
-            Some(Duration::from_secs(3600)),
-            m.clone(),
-        );
-        let dispatched = Arc::new(AtomicUsize::new(0));
-        let (t, c) = counting_ticket(&["scan"], &dispatched);
-        ctrl.submit(t.clone()).unwrap();
-        ctrl.expire(&t);
-        assert!(c.collect_tuples().is_ok(), "a query within its budget does not expire");
-        ctrl.finish(&t, None, false);
-        assert_eq!(m.snapshot().query_timeouts, 0);
-    }
-
-    #[test]
-    fn queue_timeout_rejects_with_admission_error() {
-        let m = metrics();
-        let ctrl = AdmissionController::new(
-            AdmitConfig {
-                queue_depth: 1,
-                queue_timeout: Some(Duration::from_millis(5)),
-                ..AdmitConfig::default()
-            },
-            None,
-            m.clone(),
-        );
-        let dispatched = Arc::new(AtomicUsize::new(0));
-        let (running, _c0) = counting_ticket(&["scan"], &dispatched);
+        let token = cancel.clone();
+        // A stuck plan: admitted, never produces, never finishes its pipe.
+        let dispatch: DispatchFn = Box::new(move || vec![token]);
+        let running = QueryTicket::new(vec!["sort"], dispatch, producer.pipe().clone(), None);
         ctrl.submit(running.clone()).unwrap();
-        let (waiting, wc) = counting_ticket(&["scan"], &dispatched);
-        ctrl.submit(waiting.clone()).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        ctrl.expire(&running);
-        assert_eq!(ctrl.in_flight("scan"), 1, "without a deadline, a running query never expires");
-        ctrl.expire(&waiting);
-        let err = wc.collect_tuples().expect_err("timed out while queued");
-        assert!(matches!(err, QError::Admission(_)), "got {err:?}");
-        assert_eq!(ctrl.queue_len(), 0);
-        ctrl.finish(&running, None, false);
-        assert_eq!(m.snapshot().rejected, 1);
-    }
-
-    /// A ticket falls due `T` after it was queued while it waits and `D`
-    /// after it was admitted while it runs; never when that limit is unset
-    /// or once it has settled.
-    #[test]
-    fn due_is_queued_since_plus_t_then_admitted_since_plus_d() {
-        let (t, d) = (Duration::from_secs(60), Duration::from_secs(120));
-        let depth_one = AdmitConfig { queue_depth: 1, ..AdmitConfig::default() };
-        let timeout = AdmitConfig { queue_timeout: Some(t), ..depth_one };
+        assert!(!running.is_queued(), "admitted immediately");
         let dispatched = Arc::new(AtomicUsize::new(0));
-        let ticket = || counting_ticket(&["scan"], &dispatched);
-        for (config, deadline) in [(timeout, Some(d)), (timeout, None), (depth_one, Some(d))] {
-            let ctrl = AdmissionController::new(config, deadline, metrics());
-            let (running, _c0) = ticket();
-            ctrl.submit(running.clone()).unwrap();
-            let before = Instant::now();
-            let (waiting, _c1) = ticket();
-            let queued = Instant::now();
-            ctrl.submit(waiting.clone()).unwrap();
-            assert!(waiting.is_queued());
-            match ctrl.due(&waiting) {
-                Some(due) => assert!(before + t <= due && due <= queued + t, "queued: since + T"),
-                None => assert_eq!(config.queue_timeout, None, "queued without T"),
-            }
-            let before = Instant::now();
-            ctrl.finish(&running, None, false);
-            let admitted = Instant::now();
-            assert!(!waiting.is_queued());
-            match ctrl.due(&waiting) {
-                Some(due) => {
-                    assert!(before + d <= due && due <= admitted + d, "running: admitted + D")
-                }
-                None => assert_eq!(deadline, None, "running without D"),
-            }
-            ctrl.finish(&waiting, None, false);
-            assert_eq!(ctrl.due(&waiting), None, "a settled ticket never falls due");
-        }
-        let neither = AdmissionController::new(AdmitConfig::default(), None, metrics());
-        let (t, _c) = ticket();
-        neither.submit(t.clone()).unwrap();
-        assert_eq!(neither.due(&t), None, "no limit, no due");
-    }
-
-    /// A reader whose queued `due` passed gives up and calls `expire` — but
-    /// the ticket was admitted in the meantime, so it is no longer overdue.
-    #[test]
-    fn expire_leaves_a_ticket_admitted_after_its_queued_due_was_read() {
-        let m = metrics();
-        let config = AdmitConfig {
-            queue_depth: 1,
-            queue_timeout: Some(Duration::from_millis(1)),
-            ..AdmitConfig::default()
-        };
-        let ctrl = AdmissionController::new(config, Some(Duration::from_secs(3600)), m);
-        let dispatched = Arc::new(AtomicUsize::new(0));
-        let (running, _c0) = counting_ticket(&["scan"], &dispatched);
-        ctrl.submit(running.clone()).unwrap();
-        let (waiting, wc) = counting_ticket(&["scan"], &dispatched);
+        let (waiting, wc) = counting_ticket(&["sort"], &dispatched);
         ctrl.submit(waiting.clone()).unwrap();
-        let due = ctrl.due(&waiting).expect("queued under a timeout");
-        while Instant::now() < due {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        ctrl.finish(&running, None, false);
-        ctrl.expire(&waiting);
-        assert!(!waiting.is_queued());
-        assert_eq!(ctrl.in_flight("scan"), 1, "still running");
-        assert!(wc.collect_tuples().is_ok(), "its pipe was not failed");
-        let s = ctrl.metrics.snapshot();
-        assert_eq!((s.rejected, s.query_timeouts), (0, 0));
+        assert!(waiting.is_queued(), "the one sort slot is taken");
+        ctrl.finish(&running, Some(QError::Cancelled), true);
+        assert!(cancel.is_cancelled(), "the cancel fires the plan's tokens");
+        assert_eq!(consumer.collect_tuples().expect_err("cancelled"), QError::Cancelled);
+        assert!(!waiting.is_queued(), "the freed slot admits the waiter");
+        assert!(wc.collect_tuples().unwrap().is_empty());
         ctrl.finish(&waiting, None, false);
+        assert_eq!(ctrl.in_flight("sort"), 0, "every slot returned");
+        // Settling again is a no-op: the handle's guard does it on drop.
+        ctrl.finish(&running, None, false);
+        assert_eq!(ctrl.in_flight("sort"), 0);
+        assert_eq!(m.snapshot().rejected, 0, "a running query is not a refusal");
+        drop(producer);
     }
 }

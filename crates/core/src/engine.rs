@@ -16,8 +16,8 @@
 //! µEngine — which applies the same check per table and runs each scan
 //! group's scanner as a job on its pool. An engine owns no thread besides
 //! its pools' workers: a deadlock is broken by the waiter whose edge closes
-//! it, and a queue timeout or execution deadline fires on the client thread
-//! that reads the query's answer ([`QueryHandle::try_collect`]).
+//! it. A query ends by completing, by failing, or by its client cancelling
+//! ([`QueryHandle::cancel`]) or dropping its handle; no clock ends one.
 
 use crate::admit::{AdmissionController, AdmitConfig, DispatchFn, QueryTicket};
 use crate::deadlock::{NodeId, WaitRegistry};
@@ -52,8 +52,8 @@ pub struct QPipeConfig {
     pub pipe: PipeConfig,
     /// Memory budgets for sort / hash join.
     pub exec: ExecConfig,
-    /// Admission control: per-µEngine concurrency bound, waiting-room size,
-    /// and queue timeout. Every submitted query passes through it.
+    /// Admission control: per-µEngine concurrency bound and waiting-room
+    /// size. Every submitted query passes through it.
     pub admit: AdmitConfig,
 }
 
@@ -138,8 +138,7 @@ impl QPipe {
                 (name, MicroEngine { share, pool: WorkerPool::new(name, metrics.clone()) })
             })
             .collect();
-        let admit =
-            AdmissionController::new(config.admit, config.exec.query_deadline, metrics.clone());
+        let admit = AdmissionController::new(config.admit, metrics.clone());
         Arc::new_cyclic(|self_weak| Self {
             ctx,
             config,
@@ -496,8 +495,8 @@ fn plan_engines(plan: &PlanNode) -> Vec<&'static str> {
 }
 
 /// One query's dispatch: what each of its packets carries, and the cancel
-/// tokens of those that run (fired when the client cancels or the query
-/// expires).
+/// tokens of those that run (fired when the client cancels or drops the
+/// query).
 struct QueryDispatch<'a> {
     query: QueryId,
     trace: Option<&'a Arc<QueryTrace>>,
@@ -605,31 +604,18 @@ impl QueryHandle {
     }
 
     /// Block until the query finishes; returns all result tuples and records
-    /// the response time. Panics when the query's packet failed (storage
-    /// fault mid-scan); use [`try_collect`](Self::try_collect) to handle
-    /// failures programmatically.
-    pub fn collect(self) -> Vec<Tuple> {
-        // lint:allow(panic): the documented panicking convenience; `try_collect` returns the error
-        self.try_collect().unwrap_or_else(|e| panic!("query failed: {e}"))
-    }
-
-    /// Block until the query finishes; `Err` when a packet feeding this
-    /// query failed (e.g. a codec error on a scanned page) — partial output
-    /// is never passed off as a complete result. A queue timeout or deadline
-    /// fires here: each read gives up when the query falls due, and an
-    /// overdue query fails with `QError::Admission` (still queued) or
-    /// `QError::Timeout` (running) even if its rows are already buffered.
+    /// the response time. `Err` when a packet feeding this query failed
+    /// (e.g. a codec error on a scanned page) — partial output is never
+    /// passed off as a complete result.
     pub fn try_collect(self) -> QResult<Vec<Tuple>> {
         // Hold the admission slots until the stream is drained, then release
         // them (pumping waiters).
-        let TicketGuard { ctrl, ticket } = &self.ticket;
         let mut rows = Vec::new();
         let result = loop {
-            match self.consumer.recv_until(ctrl.due(ticket)) {
-                Some(Ok(Some(batch))) => rows.extend(batch.to_rows()),
-                Some(Ok(None)) => break Ok(rows),
-                Some(Err(e)) => break Err(e),
-                None => ctrl.expire(ticket),
+            match self.consumer.recv() {
+                Ok(Some(batch)) => rows.extend(batch.to_rows()),
+                Ok(None) => break Ok(rows),
+                Err(e) => break Err(e),
             }
         };
         drop(self.ticket);
@@ -637,7 +623,6 @@ impl QueryHandle {
             Ok(rows) => {
                 let elapsed_us = self.submitted.elapsed().as_micros() as u64;
                 self.metrics.add_tuples(rows.len() as u64);
-                self.metrics.add_query_completion(elapsed_us);
                 self.metrics.record_query_latency(elapsed_us);
                 Ok(rows)
             }
@@ -715,6 +700,6 @@ mod tests {
         assert_eq!(dispatched.len(), 5, "sort, aggregate, join and two scans");
         let last = Duration::from_micros(dispatched.iter().copied().max().unwrap_or(0));
         assert!(elapsed >= last, "elapsed {elapsed:?}, last packet dispatched at {last:?}");
-        assert_eq!(handle.collect().len(), 7);
+        assert_eq!(handle.try_collect().unwrap().len(), 7);
     }
 }

@@ -32,7 +32,7 @@
 //! # The cancellation rule
 //!
 //! A packet's cancel token fires when *its own* query stops needing it — the
-//! client cancelled, or its deadline passed. That says nothing about the
+//! client cancelled it or dropped its handle. That says nothing about the
 //! other queries whose satellites ride this host. So
 //! a cancelled host stops **only when no attached output has a reader left**,
 //! and [`SharedHost::close_if_unwanted`] is the one place that decides it:

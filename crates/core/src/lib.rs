@@ -19,7 +19,7 @@
 //! let engine = QPipe::new(catalog, QPipeConfig::default());
 //! let plan = PlanNode::scan_filtered("lineitem", Expr::col(4).ge(Expr::lit(10)))
 //!     .aggregate(vec![], vec![AggSpec::count_star()]);
-//! let rows = engine.submit(plan)?.collect();
+//! let rows = engine.submit(plan)?.try_collect()?;
 //! # Ok(()) }
 //! ```
 //!
@@ -28,10 +28,10 @@
 //!   `Arc<ColBatch>` (§4.2).
 //! * [`packet`] — query packets and cancellation (§4.2).
 //! * [`admit`] — admission control: bounded per-µEngine concurrency,
-//!   one FIFO ticket queue with cancellation and
-//!   timeouts. Every query passes through it before dispatch; together with
-//!   the memory governor (`qpipe_common::govern`, leased through
-//!   `ExecContext`) it bounds what a multi-query burst can claim.
+//!   one bounded FIFO ticket queue with cancellation. Every query passes
+//!   through it before dispatch; together with the memory governor
+//!   (`qpipe_common::govern`, leased through `ExecContext`) it bounds what
+//!   a multi-query burst can claim.
 //! * [`engine`] — µEngines, packet dispatcher, query handles (§4.2–4.3).
 //! * [`pool`] — every engine thread: per-µEngine pools grown on demand
 //!   (§4.2's "pool of threads").

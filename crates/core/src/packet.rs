@@ -4,8 +4,8 @@
 //! (paper §4.2): "packets mainly specify the input and output tuple buffers
 //! and the arguments for the relational operator". Packets also carry the
 //! canonical subtree signature used for run-time overlap detection and a
-//! cancellation token the query fires when the client cancels or its deadline
-//! passes. A satellite needs no token below it: the dispatcher runs the OSP
+//! cancellation token the query fires when the client cancels it or drops its
+//! handle. A satellite needs no token below it: the dispatcher runs the OSP
 //! check top-down, so a packet that attaches never has its subtree dispatched
 //! (the paper's Figure 6b step 2 terminates it instead).
 

@@ -66,9 +66,6 @@ struct PipeState {
     /// of a truncated-but-clean EOF (no silent data loss).
     error: Option<QError>,
     materialized: bool,
-    /// Set by [`Pipe::wake_reader`]: the consumer's next receive gives up at
-    /// once, so its caller re-reads when its query falls due.
-    woken: bool,
     /// Node id of the producing packet.
     producer_node: NodeId,
 }
@@ -106,7 +103,6 @@ impl Pipe {
                 eof: false,
                 error: None,
                 materialized: false,
-                woken: false,
                 producer_node,
             }),
             space: Condvar::new(),
@@ -175,17 +171,15 @@ impl Pipe {
     }
 
     /// Block on `cond` with `waiter → holder` registered as a waits-for edge,
-    /// cleared once the waiter runs again, until `until` if one is given. A
-    /// waiter whose edge closes a cycle resolves it first, without its own
-    /// pipe lock, and may return without sleeping: callers re-test their
-    /// condition around every call.
+    /// cleared once the waiter runs again. A waiter whose edge closes a cycle
+    /// resolves it first, without its own pipe lock, and may return without
+    /// sleeping: callers re-test their condition around every call.
     fn wait<'a>(
         self: &'a Arc<Self>,
         mut st: MutexGuard<'a, PipeState>,
         cond: &Condvar,
         (waiter, holder): (NodeId, NodeId),
         kind: WaitKind,
-        until: Option<Instant>,
     ) -> MutexGuard<'a, PipeState> {
         let edge =
             WaitEdge { waiter, holder, pipe: Arc::downgrade(self), kind, produced: st.produced };
@@ -201,12 +195,7 @@ impl Pipe {
                 return st;
             }
         }
-        match until {
-            None => cond.wait(&mut st),
-            Some(at) => {
-                cond.wait_for(&mut st, at.saturating_duration_since(Instant::now()));
-            }
-        }
+        cond.wait(&mut st);
         self.registry.remove_edge(waiter);
         st
     }
@@ -215,7 +204,7 @@ impl Pipe {
         let mut st = self.state.lock();
         while !st.materialized && !st.detached && st.queue.len() >= self.config.capacity {
             let nodes = (st.producer_node, self.consumer_node);
-            st = self.wait(st, &self.space, nodes, WaitKind::ProducerFull, None);
+            st = self.wait(st, &self.space, nodes, WaitKind::ProducerFull);
         }
         st.produced += 1;
         if !st.detached {
@@ -245,14 +234,6 @@ impl Pipe {
         drop(st);
         self.data.notify_all();
         self.space.notify_all();
-    }
-
-    /// Wake this pipe's consumer without giving it anything: its next
-    /// [`recv_until`](PipeConsumer::recv_until) returns `None` at once, so a
-    /// client whose query was just admitted re-reads when it falls due.
-    pub(crate) fn wake_reader(&self) {
-        self.state.lock().woken = true;
-        self.data.notify_all();
     }
 
     fn detach(&self) {
@@ -360,48 +341,30 @@ impl PipeConsumer {
     /// Blocking receive; `Ok(None)` at end of stream, `Err` when the producer
     /// failed the pipe or a fused kernel failed (the results are incomplete).
     pub fn recv(&self) -> QResult<Option<Arc<ColBatch>>> {
-        loop {
-            if let Some(got) = self.recv_until(None) {
-                return got;
-            }
-        }
-    }
-
-    /// [`recv`](Self::recv) that gives up at `due`, taking nothing: `None`
-    /// once `due` has passed — tested before anything queued is taken — or
-    /// when the reader was woken ([`Pipe::wake_reader`]); the caller re-reads
-    /// its due and asks again.
-    pub(crate) fn recv_until(
-        &self,
-        due: Option<Instant>,
-    ) -> Option<QResult<Option<Arc<ColBatch>>>> {
         let pipe = &self.pipe;
         let mut st = pipe.state.lock();
         loop {
             // A failed producer fails the consumer promptly — queued batches
             // belong to a packet that can no longer deliver complete results.
             if let Some(e) = &st.error {
-                return Some(Err(e.clone()));
-            }
-            if std::mem::take(&mut st.woken) || due.is_some_and(|at| Instant::now() >= at) {
-                return None;
+                return Err(e.clone());
             }
             if let Some(batch) = st.queue.pop_front() {
                 drop(st);
                 pipe.space.notify_all();
                 let got = self.run_fused(batch);
                 if !got.as_ref().is_ok_and(|b| b.is_empty()) {
-                    return Some(got.map(Some));
+                    return got.map(Some);
                 }
                 st = pipe.state.lock();
                 continue;
             }
             if st.eof {
-                return Some(Ok(None));
+                return Ok(None);
             }
             let nodes = (pipe.consumer_node, st.producer_node);
             let blocked = self.probe.as_ref().map(|_| Instant::now());
-            st = pipe.wait(st, &pipe.data, nodes, WaitKind::ConsumerEmpty, due);
+            st = pipe.wait(st, &pipe.data, nodes, WaitKind::ConsumerEmpty);
             if let (Some(p), Some(blocked)) = (&self.probe, blocked) {
                 p.add_pipe_wait_ns(blocked.elapsed().as_nanos() as u64);
             }

@@ -19,8 +19,8 @@
 //! always finish and the join cannot wedge.
 //!
 //! Nothing else runs on an engine thread of its own: a deadlock is broken by
-//! the waiter whose edge closes it, and a queue timeout or deadline fires on
-//! the client thread that waits for the query's answer.
+//! the waiter whose edge closes it, and no clock settles a query — it
+//! completes, fails, or is cancelled or dropped by its client.
 
 use parking_lot::{Condvar, Mutex};
 use qpipe_common::Metrics;

@@ -60,7 +60,7 @@ fn simple_scan_matches_iterator_engine() {
     let catalog = setup();
     let expected = run(&PlanNode::scan("orders"), &ExecContext::new(catalog.clone())).unwrap();
     let engine = QPipe::new(catalog, QPipeConfig::default());
-    let rows = engine.submit(PlanNode::scan("orders")).unwrap().collect();
+    let rows = engine.submit(PlanNode::scan("orders")).unwrap().try_collect().unwrap();
     assert_eq!(rows.len(), expected.len());
 }
 
@@ -69,7 +69,7 @@ fn aggregate_query_matches() {
     let catalog = setup();
     let expected = run(&q6_like(3), &ExecContext::new(catalog.clone())).unwrap();
     let engine = QPipe::new(catalog, QPipeConfig::default());
-    let rows = engine.submit(q6_like(3)).unwrap().collect();
+    let rows = engine.submit(q6_like(3)).unwrap().try_collect().unwrap();
     assert_eq!(rows, expected);
 }
 
@@ -81,7 +81,7 @@ fn hash_join_agg_matches() {
         .aggregate(vec![], vec![AggSpec::count_star()]);
     let expected = run(&plan, &ExecContext::new(catalog.clone())).unwrap();
     let engine = QPipe::new(catalog, QPipeConfig::default());
-    let rows = engine.submit(plan).unwrap().collect();
+    let rows = engine.submit(plan).unwrap().try_collect().unwrap();
     assert_eq!(rows, expected);
     assert_eq!(rows[0][0], Value::Int(8000));
 }
@@ -93,7 +93,7 @@ fn sort_query_matches() {
         .sort(vec![SortKey::desc(2), SortKey::asc(0)]);
     let expected = run(&plan, &ExecContext::new(catalog.clone())).unwrap();
     let engine = QPipe::new(catalog, QPipeConfig::default());
-    let rows = engine.submit(plan).unwrap().collect();
+    let rows = engine.submit(plan).unwrap().try_collect().unwrap();
     assert_eq!(rows, expected);
 }
 
@@ -105,7 +105,7 @@ fn identical_concurrent_aggregates_share_one_host() {
     let before = m.snapshot();
     // Submit the same query several times in a burst.
     let handles: Vec<_> = (0..4).map(|_| engine.submit(q6_like(2)).unwrap()).collect();
-    let results: Vec<Vec<Tuple>> = handles.into_iter().map(|h| h.collect()).collect();
+    let results: Vec<Vec<Tuple>> = handles.into_iter().map(|h| h.try_collect().unwrap()).collect();
     for r in &results {
         assert_eq!(r, &results[0], "all queries must see identical results");
     }
@@ -136,8 +136,8 @@ fn satellite_subtree_is_never_dispatched() {
     let satellite = engine.submit(q6_like(2)).unwrap();
     drop(gate);
     let journal = satellite.trace().expect("tracing is on");
-    assert_eq!(host.collect(), expected);
-    assert_eq!(satellite.collect(), expected);
+    assert_eq!(host.try_collect().unwrap(), expected);
+    assert_eq!(satellite.try_collect().unwrap(), expected);
     let attaches = engine.metrics().snapshot().delta_since(&before).per_engine_attaches;
     assert_eq!(attaches.get("agg"), Some(&1), "the second aggregate rides the first: {attaches:?}");
     assert_eq!(attaches.get("scan"), None, "no scan attached: {attaches:?}");
@@ -160,8 +160,8 @@ fn concurrent_scans_with_different_predicates_share_scan() {
     let h1 = engine.submit(q6_like(1)).unwrap();
     let h2 = engine.submit(q6_like(7)).unwrap();
     drop(lock);
-    let r1 = h1.collect();
-    let r2 = h2.collect();
+    let r1 = h1.try_collect().unwrap();
+    let r2 = h2.try_collect().unwrap();
     assert_ne!(r1, r2);
     let delta = m.snapshot().delta_since(&before);
     let table_pages = catalog.table("lineitem").unwrap().num_pages().unwrap();
@@ -182,7 +182,7 @@ fn baseline_mode_never_attaches() {
     let before = m.snapshot();
     let h1 = engine.submit(q6_like(1)).unwrap();
     let h2 = engine.submit(q6_like(1)).unwrap();
-    let (r1, r2) = (h1.collect(), h2.collect());
+    let (r1, r2) = (h1.try_collect().unwrap(), h2.try_collect().unwrap());
     assert_eq!(r1, r2);
     let delta = m.snapshot().delta_since(&before);
     assert_eq!(delta.osp_attaches, 0, "baseline must not share");
@@ -198,8 +198,8 @@ fn late_arrival_scan_wraps_circularly() {
     let h1 = engine.submit(q6_like(1)).unwrap();
     std::thread::sleep(Duration::from_millis(2));
     let h2 = engine.submit(q6_like(4)).unwrap();
-    let r1 = h1.collect();
-    let r2 = h2.collect();
+    let r1 = h1.try_collect().unwrap();
+    let r2 = h2.try_collect().unwrap();
     // Both correct despite the second one starting mid-file.
     let ctx = ExecContext::new(catalog);
     assert_eq!(r1, run(&q6_like(1), &ctx).unwrap());
@@ -243,8 +243,8 @@ fn merge_join_on_wrapped_scan_is_correct() {
     // Let query 1 get partway through the lineitem scan.
     std::thread::sleep(Duration::from_millis(3));
     let h2 = engine.submit(mj_plan()).unwrap();
-    let r1 = h1.collect();
-    let r2 = h2.collect();
+    let r1 = h1.try_collect().unwrap();
+    let r2 = h2.try_collect().unwrap();
     assert_eq!(r1, expected, "host query result");
     assert_eq!(r2, expected, "satellite query result (wrap restart)");
 }
@@ -270,7 +270,7 @@ fn many_concurrent_mixed_queries_all_correct() {
     let expected: Vec<Vec<Tuple>> = plans.iter().map(|p| run(p, &ctx).unwrap()).collect();
     let handles: Vec<_> = plans.iter().map(|p| engine.submit(p.clone()).unwrap()).collect();
     for (h, exp) in handles.into_iter().zip(expected) {
-        assert_eq!(h.collect(), exp);
+        assert_eq!(h.try_collect().unwrap(), exp);
     }
 }
 
@@ -284,7 +284,7 @@ fn update_blocks_scans_until_released() {
     let upd = std::thread::spawn(move || {
         e2.submit_update("orders", 50).unwrap();
     });
-    let rows = engine.submit(PlanNode::scan("orders")).unwrap().collect();
+    let rows = engine.submit(PlanNode::scan("orders")).unwrap().try_collect().unwrap();
     assert_eq!(rows.len(), 4000);
     upd.join().unwrap();
 }
@@ -319,7 +319,7 @@ fn unclustered_index_scan_through_qpipe() {
         predicate: None,
         projection: None,
     };
-    let rows = engine.submit(plan.clone()).unwrap().collect();
+    let rows = engine.submit(plan.clone()).unwrap().try_collect().unwrap();
     let expected = run(&plan, &ExecContext::new(catalog)).unwrap();
     assert_eq!(rows.len(), expected.len());
     assert_eq!(rows.len(), 80);
@@ -329,12 +329,12 @@ fn unclustered_index_scan_through_qpipe() {
 fn response_time_metrics_recorded() {
     let catalog = setup();
     let engine = QPipe::new(catalog, QPipeConfig::default());
-    let before = engine.metrics().snapshot().queries_completed;
-    engine.submit(q6_like(1)).unwrap().collect();
-    engine.submit(q6_like(2)).unwrap().collect();
-    let snap = engine.metrics().snapshot();
-    assert_eq!(snap.queries_completed - before, 2);
-    assert!(snap.response_time_us_sum > 0);
+    let before = engine.metrics().snapshot();
+    engine.submit(q6_like(1)).unwrap().try_collect().unwrap();
+    engine.submit(q6_like(2)).unwrap().try_collect().unwrap();
+    let latency = engine.metrics().snapshot().delta_since(&before).query_latency_us;
+    assert_eq!(latency.count, 2, "every completed query is timed");
+    assert!(latency.p50 > 0);
 }
 
 #[test]
@@ -385,8 +385,8 @@ fn shared_pipeline_deadlock_is_detected_and_resolved() {
 
     let h1 = engine.submit(q1).unwrap();
     let h2 = engine.submit(q2).unwrap();
-    let t1 = std::thread::spawn(move || h1.collect());
-    let t2 = std::thread::spawn(move || h2.collect());
+    let t1 = std::thread::spawn(move || h1.try_collect().unwrap());
+    let t2 = std::thread::spawn(move || h2.try_collect().unwrap());
     let r1 = t1.join().unwrap();
     let r2 = t2.join().unwrap();
     assert_eq!(r1[0][0], Value::Int(n - 1), "q1 matches k+1=k pairs");

@@ -4,8 +4,8 @@
 //! operator instance tree and (in the multi-client harness) its own thread.
 //! Queries interact only through the shared buffer pool — exactly the
 //! sharing-through-timing behaviour §1.1 and Figure 3 describe. This engine
-//! is the "DBMS X" stand-in and the test oracle; the staged engine runs none
-//! of its operators. Its sort and hash join work in memory: they take no
+//! is the test oracle only — DBMS X is Baseline's staged engine on the 2Q
+//! pool — and the staged engine runs none of its operators. Its sort and hash join work in memory: they take no
 //! governor lease and never spill.
 
 mod agg;
@@ -38,11 +38,6 @@ pub struct ExecConfig {
     /// governor denies growth past it regardless of per-operator budgets.
     /// Effectively unbounded by default (single-query behavior unchanged).
     pub global_budget: usize,
-    /// Wall-clock execution deadline per query, measured from admission. In
-    /// the staged engine the client's read of an overdue query fires the
-    /// plan's cancel tokens and fails the output with `QError::Timeout`.
-    /// `None` (default) disables deadline enforcement.
-    pub query_deadline: Option<std::time::Duration>,
     /// Per-query tracing and profiling. When `true` every submitted query
     /// gets a `QueryTrace` event journal and an `OpProbe` tree behind
     /// `QueryHandle::profile()`. When `false` (default) no probe or trace
@@ -57,7 +52,6 @@ impl Default for ExecConfig {
             sort_budget: 64 * 1024,
             hash_budget: 64 * 1024,
             global_budget: usize::MAX >> 2,
-            query_deadline: None,
             tracing: false,
         }
     }

@@ -291,7 +291,7 @@ pub fn closed_loop(
 pub enum OpenLoopOutcome {
     /// Completed with this many result rows.
     Completed(usize),
-    /// Refused by admission (queue full / queue timeout).
+    /// Refused by admission (waiting room full).
     Rejected(String),
     /// Failed during execution.
     Failed(QError),
@@ -610,7 +610,7 @@ mod tests {
     fn open_loop_queue_bound_rejects_overflow() {
         use qpipe_core::admit::AdmitConfig;
         let config = QPipeConfig {
-            admit: AdmitConfig { queue_depth: 1, max_queued: 2, ..AdmitConfig::default() },
+            admit: AdmitConfig { queue_depth: 1, max_queued: 2 },
             ..QPipeConfig::default()
         };
         let d =

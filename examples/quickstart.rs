@@ -52,8 +52,8 @@ fn main() -> QResult<()> {
     let before = engine.metrics().snapshot();
     let h1 = engine.submit(q(7))?;
     let h2 = engine.submit(q(42))?;
-    let r1 = h1.collect();
-    let r2 = h2.collect();
+    let r1 = h1.try_collect()?;
+    let r2 = h2.try_collect()?;
     let delta = engine.metrics().snapshot().delta_since(&before);
 
     println!("query(kind=7)  -> count={} sum={}", r1[0][0], r1[0][1]);
@@ -80,7 +80,7 @@ fn main() -> QResult<()> {
     println!("EXPLAIN of the SQL query:\n{}", planned.explain());
     let by_sql = engine
         .submit_sql("SELECT kind, COUNT(*), SUM(amount) FROM events WHERE kind < 10 GROUP BY kind")?
-        .collect();
+        .try_collect()?;
     // Same query, commuted comparison + redundant conjunct: same signature.
     let variant = engine.plan_sql(
         "SELECT kind, COUNT(*), SUM(amount) FROM events WHERE 10 > kind AND 1 = 1 GROUP BY kind",

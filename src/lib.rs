@@ -79,7 +79,8 @@ mod tests {
         let rows = engine
             .submit(PlanNode::scan("t").aggregate(vec![], vec![AggSpec::count_star()]))
             .unwrap()
-            .collect();
+            .try_collect()
+            .unwrap();
         assert_eq!(rows[0][0], Value::Int(100));
     }
 }

@@ -55,8 +55,10 @@ fn shared_circular_scan_parity_across_layouts() {
         ];
         // Submit together so they share one scanner; drain concurrently.
         let handles: Vec<_> = queries.iter().map(|q| engine.submit(q.clone()).unwrap()).collect();
-        let threads: Vec<_> =
-            handles.into_iter().map(|h| std::thread::spawn(move || h.collect())).collect();
+        let threads: Vec<_> = handles
+            .into_iter()
+            .map(|h| std::thread::spawn(move || h.try_collect().unwrap()))
+            .collect();
         threads.into_iter().map(|t| sorted(t.join().unwrap())).collect()
     };
     let row = run(StorageLayout::Row);
@@ -100,7 +102,7 @@ fn q8_groups_by_order_year_in_both_engines_and_layouts() {
         for _ in 0..6 {
             let plan = tpch::query(8, &mut rng);
             let oracle = qpipe::exec::iter::run(&plan, &ctx).unwrap();
-            let staged = engine.submit(plan).unwrap().collect();
+            let staged = engine.submit(plan).unwrap().try_collect().unwrap();
             assert_eq!(staged, oracle, "{layout:?}: staged Q8 must equal the iterator engine's");
             let years: Vec<i64> = oracle
                 .iter()

@@ -1,7 +1,7 @@
-//! Cross-crate integration: the three systems (DBMS X stand-in, Baseline,
-//! QPipe w/OSP) must answer the full TPC-H query mix under concurrency as the
-//! iterator engine — the test oracle — does, and the sharing metrics must
-//! tell the expected story.
+//! Cross-crate integration: the three systems — Baseline, DBMS X (Baseline's
+//! staged engine on the 2Q pool) and QPipe w/OSP — must answer the full
+//! TPC-H query mix under concurrency as the iterator engine, the test oracle
+//! only, does, and the sharing metrics must tell the expected story.
 
 mod common;
 
@@ -50,7 +50,7 @@ fn identical_query_burst_shares_and_matches() {
     let plan = query(6, &mut rng);
     let d = driver(System::QPipeOsp);
     let engine = d.engine();
-    let reference = engine.submit(plan.clone()).unwrap().collect();
+    let reference = engine.submit(plan.clone()).unwrap().try_collect().unwrap();
     let before = d.metrics().snapshot();
     // Every scan of the burst waits at lineitem's lock, so all four queries
     // are in flight together before any reads a page: the overlap holds by
@@ -59,7 +59,11 @@ fn identical_query_burst_shares_and_matches() {
     let burst: Vec<_> = (0..4).map(|_| engine.submit(plan.clone()).unwrap()).collect();
     drop(lock);
     for (i, handle) in burst.into_iter().enumerate() {
-        assert_rows_equivalent(handle.collect(), reference.clone(), &format!("query {i}"));
+        assert_rows_equivalent(
+            handle.try_collect().unwrap(),
+            reference.clone(),
+            &format!("query {i}"),
+        );
     }
     let delta = d.metrics().snapshot().delta_since(&before);
     assert!(delta.osp_attaches >= 3, "burst should share: {} attaches", delta.osp_attaches);

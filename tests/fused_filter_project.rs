@@ -99,7 +99,7 @@ fn filter_and_project_in_every_position_match_the_iterator_engine() {
                     std::thread::yield_now();
                 }
                 let joined = engine.submit(plan).unwrap();
-                let drain = std::thread::spawn(move || parked.collect().len());
+                let drain = std::thread::spawn(move || parked.try_collect().unwrap().len());
                 let got = joined.try_collect().unwrap();
                 assert_eq!(sorted(got), reference, "{at}: merge join {what}");
                 assert_eq!(drain.join().unwrap(), 40_000, "{at}: {what}");

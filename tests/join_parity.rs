@@ -136,7 +136,7 @@ fn vectorized_hash_join_matches_row_path_on_adversarial_keys() {
         sorted(qpipe::exec::iter::run(&plan, &ExecContext::new(catalog.clone())).unwrap());
     assert_eq!(expected, sorted(reference_join(&left, &right)));
     let engine = QPipe::new(catalog, QPipeConfig::default());
-    let got = sorted(engine.submit(plan).unwrap().collect());
+    let got = sorted(engine.submit(plan).unwrap().try_collect().unwrap());
     assert_eq!(got, expected);
 }
 
@@ -150,7 +150,7 @@ fn vectorized_and_row_paths_agree_on_tpch_mix() {
     for &q in MIX.iter() {
         let plan = tpch::query(q, &mut rng);
         let reference = sorted(qpipe::exec::iter::run(&plan, &ctx).unwrap());
-        let got = sorted(engine.submit(plan).unwrap().collect());
+        let got = sorted(engine.submit(plan).unwrap().try_collect().unwrap());
         assert_eq!(got, reference, "Q{q}: vectorized µEngines diverge from row-path operators");
     }
 }
@@ -171,7 +171,7 @@ fn q12_shape_executes_columnar_end_to_end() {
     assert!(!reference.is_empty(), "Q12 must produce groups for the test to mean anything");
 
     let before = engine.metrics().snapshot();
-    let got = sorted(engine.submit(plan).unwrap().collect());
+    let got = sorted(engine.submit(plan).unwrap().try_collect().unwrap());
     assert_eq!(got, reference);
     let delta = engine.metrics().snapshot().delta_since(&before);
     assert_eq!(
@@ -230,7 +230,7 @@ fn q1_shape_executes_columnar_end_to_end() {
     assert!(!reference.is_empty(), "Q1 shape must produce groups for the test to mean anything");
 
     let before = engine.metrics().snapshot();
-    let got = engine.submit(plan).unwrap().collect();
+    let got = engine.submit(plan).unwrap().try_collect().unwrap();
     assert_eq!(got, reference, "exact parity incl. ORDER BY output order");
     let delta = engine.metrics().snapshot().delta_since(&before);
     assert_eq!(
@@ -264,7 +264,7 @@ fn columnar_sort_spills_columnar_runs_and_matches_row_path() {
 
     let engine = QPipe::new(catalog, config);
     let before = engine.metrics().snapshot();
-    let got = engine.submit(plan).unwrap().collect();
+    let got = engine.submit(plan).unwrap().try_collect().unwrap();
     assert_eq!(got, reference, "spilled vectorized sort must be bit-identical");
     let delta = engine.metrics().snapshot().delta_since(&before);
     assert_eq!(delta.col_rowified_batches, 0, "sort must not flatten its columnar input");
@@ -384,7 +384,7 @@ fn join_and_range_scan_operators_match_the_iterator_engine() {
                 std::thread::yield_now();
             }
             let joined = engine.submit(merge).unwrap();
-            let drain = std::thread::spawn(move || parked.collect().len());
+            let drain = std::thread::spawn(move || parked.try_collect().unwrap().len());
             assert_eq!(joined.try_collect().unwrap(), reference, "{at}: merge join");
             assert_eq!(drain.join().unwrap(), 40_000, "{at}");
             let delta = engine.metrics().snapshot().delta_since(&before);
@@ -458,7 +458,7 @@ fn merge_join_finds_a_wrap_past_the_last_left_key() {
             std::thread::yield_now();
         }
         let joined = engine.submit(merge).unwrap();
-        let drain = std::thread::spawn(move || parked.collect().len());
+        let drain = std::thread::spawn(move || parked.try_collect().unwrap().len());
         assert_eq!(joined.try_collect().unwrap(), reference, "{layout:?}");
         assert_eq!(drain.join().unwrap(), 40_000, "{layout:?}");
         let delta = engine.metrics().snapshot().delta_since(&before);
@@ -488,7 +488,7 @@ fn join_budget_overflow_falls_back_to_grace_and_agrees() {
     };
     let engine = QPipe::new(catalog, config);
     let before = engine.metrics().snapshot();
-    let got = sorted(engine.submit(plan).unwrap().collect());
+    let got = sorted(engine.submit(plan).unwrap().try_collect().unwrap());
     assert_eq!(got, expected);
     let delta = engine.metrics().snapshot().delta_since(&before);
     assert!(delta.vec_fallbacks > 0, "overflow must take the row/grace fallback");

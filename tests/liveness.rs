@@ -203,7 +203,8 @@ fn same_template_queries_still_share_their_join() {
     drop(gate);
     // Sharers of one scan must be drained concurrently.
     let got: Vec<_> = std::thread::scope(|s| {
-        let drains: Vec<_> = handles.into_iter().map(|h| s.spawn(|| h.collect())).collect();
+        let drains: Vec<_> =
+            handles.into_iter().map(|h| s.spawn(|| h.try_collect().unwrap())).collect();
         drains.into_iter().map(|d| d.join().unwrap()).collect()
     });
     assert_eq!(got, want);

@@ -112,8 +112,9 @@ fn three_way_join_sql_executes_through_the_engine() {
     let engine = QPipe::new(catalog.clone(), QPipeConfig::default());
     let planned = engine.plan_sql(&sql::q3_sql(3, 1200).canonical()).unwrap();
     assert_eq!(planned.join_order, vec!["c", "o", "l"]);
-    let by_sql = engine.submit_sql(&sql::q3_sql(3, 1200).canonical()).unwrap().collect();
-    let by_plan = engine.submit(tpch::q3(3, 1200)).unwrap().collect();
+    let by_sql =
+        engine.submit_sql(&sql::q3_sql(3, 1200).canonical()).unwrap().try_collect().unwrap();
+    let by_plan = engine.submit(tpch::q3(3, 1200)).unwrap().try_collect().unwrap();
     assert!(!by_sql.is_empty());
     assert_rows_equivalent(by_sql, by_plan, "q3 through engine");
 }
@@ -186,7 +187,8 @@ fn canonicalization_unlocks_sharing_across_phrasings() {
             queries.iter().map(|q| engine.submit_sql_opts(q, &opts).unwrap()).collect();
         drop(held);
         let answers: Vec<Vec<Tuple>> = std::thread::scope(|s| {
-            let collectors: Vec<_> = handles.into_iter().map(|h| s.spawn(|| h.collect())).collect();
+            let collectors: Vec<_> =
+                handles.into_iter().map(|h| s.spawn(|| h.try_collect().unwrap())).collect();
             collectors.into_iter().map(|c| c.join().unwrap()).collect()
         });
         for a in &answers[1..] {
@@ -239,7 +241,10 @@ fn malformed_sql_yields_errors_not_panics() {
         assert!(r.is_err(), "expected error for {bad:?}");
     }
     // And the engine is still healthy afterwards.
-    assert_eq!(engine.submit_sql("SELECT COUNT(*) FROM region").unwrap().collect().len(), 1);
+    assert_eq!(
+        engine.submit_sql("SELECT COUNT(*) FROM region").unwrap().try_collect().unwrap().len(),
+        1
+    );
 }
 
 #[test]

@@ -1146,7 +1146,7 @@ fn qpipe_agrees_with_iterator_engine() {
         );
         let expected = qpipe::exec::iter::run(&plan, &ExecContext::new(catalog.clone())).unwrap();
         let engine = QPipe::new(catalog, QPipeConfig::default());
-        let got = engine.submit(plan).unwrap().collect();
+        let got = engine.submit(plan).unwrap().try_collect().unwrap();
         assert_eq!(got, expected);
     }
 }
@@ -1198,7 +1198,7 @@ fn shared_scan_cardinalities_match_osp_on_and_off() {
                 let h = engine
                     .submit(PlanNode::scan_filtered("t", Expr::col(0).ge(Expr::lit(b))))
                     .unwrap();
-                std::thread::spawn(move || h.collect().len())
+                std::thread::spawn(move || h.try_collect().unwrap().len())
             })
             .collect();
         threads.into_iter().map(|t| t.join().unwrap()).collect()

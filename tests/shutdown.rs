@@ -1,12 +1,12 @@
-//! Engine lifecycle: shutdown must join every engine thread, and the
-//! per-query deadline and the queue timeout must settle overdue work.
+//! Engine lifecycle: shutdown must join every engine thread, and a client's
+//! cancel must settle a running query's slots, leases and spill files.
 //!
 //! `QPipe`'s only threads are its µEngine pools' workers (packet hosts and
 //! scanners alike), which park until the engine drops; packets are
-//! dispatched on the submitting thread, and a deadline or queue timeout
-//! fires on the client thread that reads the query's answer. Dropping the
-//! engine must wind every worker down — an engine-per-request embedding
-//! would otherwise accumulate threads until exhaustion.
+//! dispatched on the submitting thread. Dropping the engine must wind every
+//! worker down — an engine-per-request embedding would otherwise accumulate
+//! threads until exhaustion. A query ends by completing, failing, or being
+//! cancelled or dropped by its client; no clock ends one.
 
 use qpipe::prelude::*;
 use qpipe::quick_system;
@@ -37,19 +37,9 @@ fn demo_catalog(rows: i64) -> Arc<Catalog> {
 #[test]
 fn repeated_engine_lifecycles_do_not_leak_threads() {
     let catalog = demo_catalog(500);
-    // Deadline + queue timeout set: every read also asks when the query
-    // falls due, so this exercises the engine with every knob it has.
-    let config = QPipeConfig {
-        exec: ExecConfig { query_deadline: Some(Duration::from_secs(30)), ..ExecConfig::default() },
-        admit: AdmitConfig {
-            queue_timeout: Some(Duration::from_secs(30)),
-            ..AdmitConfig::default()
-        },
-        ..QPipeConfig::default()
-    };
     let cycle = |catalog: &Arc<Catalog>| {
-        let engine = QPipe::new(catalog.clone(), config);
-        let rows = engine.submit(PlanNode::scan("t")).unwrap().collect();
+        let engine = QPipe::new(catalog.clone(), QPipeConfig::default());
+        let rows = engine.submit(PlanNode::scan("t")).unwrap().try_collect().unwrap();
         assert_eq!(rows.len(), 500);
         drop(engine);
     };
@@ -74,12 +64,12 @@ fn repeated_engine_lifecycles_do_not_leak_threads() {
     }
 }
 
-/// End-to-end deadline: a query that outlives `query_deadline` is failed by
-/// its client's read with `QError::Timeout`, its admission slots are
-/// released, and the engine stays usable for the next query.
+/// End-to-end cancel: a client that cancels a running multi-pass sort gets
+/// its admission slots back at once, and its spill files and memory leases
+/// back as soon as the sort winds down; the engine stays usable.
 #[test]
-fn query_deadline_times_out_slow_queries_end_to_end() {
-    // A latency-charging disk makes the multi-pass sort take real time.
+fn cancelling_a_running_sort_releases_its_slots_leases_and_spill_files() {
+    // A latency-charging disk paces the multi-pass sort by its reads.
     let catalog = quick_system(DiskConfig::experiment(), 64);
     let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
     catalog
@@ -90,135 +80,41 @@ fn query_deadline_times_out_slow_queries_end_to_end() {
             None,
         )
         .unwrap();
+    let disk = catalog.disk().clone();
+    let tmp_files = || disk.file_names().into_iter().filter(|n| n.starts_with("__tmp.")).count();
     let config = QPipeConfig {
-        exec: ExecConfig {
-            query_deadline: Some(Duration::from_millis(5)),
-            sort_budget: 256,
-            ..ExecConfig::default()
-        },
+        exec: ExecConfig { sort_budget: 256, ..ExecConfig::default() },
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog, config);
-    let plan = PlanNode::scan("big").sort(vec![SortKey::asc(0)]);
-    let err = engine
-        .submit(plan)
-        .unwrap()
-        .try_collect()
-        .expect_err("a 5 ms deadline must fire on a multi-second sort");
-    assert_eq!(err, QError::Timeout, "deadline failure surfaces as Timeout");
-    assert_eq!(engine.metrics().snapshot().query_timeouts, 1);
-    // Slots released: a fast follow-up query runs to completion.
-    let engine2 = engine.clone();
-    let rows = engine2
-        .submit(PlanNode::scan("big").aggregate(vec![], vec![AggSpec::count_star()]))
-        .unwrap()
-        .try_collect();
-    // The count query is itself subject to the 5 ms deadline on the slow
-    // disk, so accept either outcome — what matters is a settled result.
-    match rows {
-        Ok(r) => assert_eq!(r[0][0], Value::Int(30_000)),
-        Err(e) => assert_eq!(e, QError::Timeout),
-    }
-}
-
-/// End-to-end queue timeout: with one slot per µEngine, a query queued
-/// behind an undrained one is rejected by its client's read with
-/// `QError::Admission` once it outstays `queue_timeout`, and the engine
-/// serves the next query as soon as the slot frees.
-#[test]
-fn queue_timeout_rejects_a_queued_query_end_to_end() {
-    let catalog = demo_catalog(5000);
-    let config = QPipeConfig {
-        admit: AdmitConfig {
-            queue_depth: 1,
-            queue_timeout: Some(Duration::from_millis(20)),
-            ..AdmitConfig::default()
-        },
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(catalog, config);
-    // Undrained: its scan parks on the full root pipe, holding the slot.
-    let first = engine.submit(PlanNode::scan("t")).unwrap();
-    let err = engine
-        .submit(PlanNode::scan("t"))
-        .unwrap()
-        .try_collect()
-        .expect_err("a query queued past its timeout must be rejected");
-    assert!(matches!(err, QError::Admission(_)), "got {err:?}");
-    assert_eq!(engine.metrics().snapshot().rejected, 1);
-    assert_eq!(first.try_collect().unwrap().len(), 5000);
-    let rows = engine.submit(PlanNode::scan("t")).unwrap().try_collect().unwrap();
-    assert_eq!(rows.len(), 5000, "the freed slot serves the next query");
-}
-
-/// The deadline runs from admission. With one slot per µEngine, a query
-/// queued behind an undrained one waits well past `D` before it is
-/// admitted; its client, already blocked reading it, is woken by the
-/// admission and times out `D` later. The table lock holds the admitted
-/// scan back, so nothing but the deadline can end that read.
-#[test]
-fn deadline_runs_from_admission_for_a_client_waiting_in_the_queue() {
-    let catalog = demo_catalog(5000);
-    let schema = Schema::of(&[("k", DataType::Int)]);
-    catalog
-        .create_table("u", schema, (0..100).map(|i| vec![Value::Int(i)]).collect(), None)
-        .unwrap();
-    let d = Duration::from_millis(50);
-    let config = QPipeConfig {
-        exec: ExecConfig { query_deadline: Some(d), ..ExecConfig::default() },
-        admit: AdmitConfig { queue_depth: 1, ..AdmitConfig::default() },
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(catalog.clone(), config);
-    // Undrained, so unread: it holds the slot and never expires.
-    let first = engine.submit(PlanNode::scan("t")).unwrap();
-    let gate = catalog.locks().lock_exclusive("u");
-    let queued = engine.submit(PlanNode::scan("u")).unwrap();
-    assert!(queued.is_queued());
-    let (tx, rx) = std::sync::mpsc::channel();
-    let reader = std::thread::spawn(move || {
-        let result = queued.try_collect();
-        tx.send((result, Instant::now())).unwrap();
-    });
-    // `D` after submission passes while the query waits for its slot.
-    std::thread::sleep(2 * d);
-    let released = Instant::now();
-    drop(first);
-    let received = rx.recv_timeout(Duration::from_secs(10));
-    drop(gate);
-    reader.join().unwrap();
-    let (result, failed_at) = received.expect("the reader never gave up at its due");
-    assert_eq!(result.expect_err("the deadline must fire"), QError::Timeout);
-    assert!(
-        failed_at >= released + d,
-        "timed out {:?} after admission, before its deadline {d:?}",
-        failed_at - released
-    );
-    assert_eq!(engine.metrics().snapshot().query_timeouts, 1);
-}
-
-/// A query's outcome depends only on when its client reads: one that
-/// finished well within its deadline but is read after it fails with
-/// `QError::Timeout`, though every row is buffered in its root pipe.
-#[test]
-fn a_finished_query_read_after_its_deadline_times_out() {
-    let d = Duration::from_millis(250);
-    let config = QPipeConfig {
-        exec: ExecConfig { query_deadline: Some(d), ..ExecConfig::default() },
-        ..QPipeConfig::default()
-    };
-    let engine = QPipe::new(demo_catalog(500), config);
-    let late = engine.submit(PlanNode::scan("t")).unwrap();
-    // The scanner is the plan's only job, and its busy time is recorded
-    // once it has pushed every row into the root pipe and closed it.
-    let submitted = Instant::now();
-    while engine.metrics().snapshot().worker_busy_ns == 0 {
-        assert!(submitted.elapsed() < d, "the scan did not finish within its deadline");
+    let (leases, files) = (engine.governor().in_use(), tmp_files());
+    let read = || engine.metrics().snapshot().disk_blocks_read;
+    let before = read();
+    let sort = engine.submit(PlanNode::scan("big").sort(vec![SortKey::asc(0)])).unwrap();
+    assert!(!sort.is_queued(), "capacity was free");
+    // Cancel mid-run: once the sort has read blocks and spilled a run, so
+    // it holds a lease and a temp file that the cancel must give back.
+    let started = Instant::now();
+    while read() == before || tmp_files() == files {
+        assert!(started.elapsed() < Duration::from_secs(10), "the sort never spilled a run");
         std::thread::sleep(Duration::from_millis(1));
     }
-    std::thread::sleep(d);
-    assert_eq!(late.try_collect().expect_err("read after its deadline"), QError::Timeout);
-    assert_eq!(engine.metrics().snapshot().query_timeouts, 1);
+    sort.cancel();
+    let admit = engine.admission();
+    assert_eq!((admit.in_flight("sort"), admit.in_flight("scan")), (0, 0), "slots back at once");
+    let settled = Instant::now();
+    while engine.governor().in_use() != leases || tmp_files() != files {
+        assert!(
+            settled.elapsed() < Duration::from_secs(10),
+            "the cancelled sort kept {} units leased and {} temp files",
+            engine.governor().in_use(),
+            tmp_files()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let count = PlanNode::scan("big").aggregate(vec![], vec![AggSpec::count_star()]);
+    let rows = engine.submit(count).unwrap().try_collect().unwrap();
+    assert_eq!(rows, vec![vec![Value::Int(30_000)]], "the engine serves the next query");
 }
 
 /// An injected panic on a scanner's page read fails only the packets

@@ -51,7 +51,7 @@ fn external_sort_leaves_no_temp_files() {
     };
     let engine = QPipe::new(catalog, config);
     let plan = PlanNode::scan("t").sort(vec![SortKey::asc(0), SortKey::desc(1)]);
-    let rows = engine.submit(plan).unwrap().collect();
+    let rows = engine.submit(plan).unwrap().try_collect().unwrap();
     assert_eq!(rows.len(), 2000);
     assert_eq!(tmp_files(&disk), Vec::<String>::new(), "sort runs must be deleted");
 }
@@ -70,7 +70,7 @@ fn grace_hash_join_leaves_no_temp_files() {
     let engine = QPipe::new(catalog, config);
     let plan = PlanNode::scan("l").hash_join(PlanNode::scan("r"), 0, 0);
     let before = engine.metrics().snapshot();
-    let rows = engine.submit(plan).unwrap().collect();
+    let rows = engine.submit(plan).unwrap().try_collect().unwrap();
     assert!(!rows.is_empty());
     let delta = engine.metrics().snapshot().delta_since(&before);
     assert!(delta.vec_fallbacks > 0, "budget overflow must take the grace path");

@@ -35,14 +35,13 @@ fn settle(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// An engine boots no thread, with or without an execution deadline or a
-/// queue timeout: packets are dispatched on the submitting thread, a deadlock
-/// is broken by the waiter whose edge closes it, a deadline or queue timeout
-/// fires on the client thread that reads the answer, and every pool starts
-/// empty. A fault-free burst of distinct hash joins then grows the hashjoin
-/// pool to at most one worker per query admission lets run (the plan puts
-/// one packet on that µEngine) and the scan pool to at most one worker per
-/// scan those queries run — no matter how many queries are submitted. Pool
+/// An engine boots no thread: packets are dispatched on the submitting
+/// thread, a deadlock is broken by the waiter whose edge closes it, no clock
+/// settles a query, and every pool starts empty. A fault-free burst of
+/// distinct hash joins then grows the hashjoin pool to at most one worker per
+/// query admission lets run (the plan puts one packet on that µEngine) and
+/// the scan pool to at most one worker per scan those queries run — no
+/// matter how many queries are submitted. Pool
 /// workers park until the engine drops; then every thread is gone.
 #[test]
 fn boot_and_query_burst_keep_thread_count_bounded() {
@@ -57,24 +56,10 @@ fn boot_and_query_burst_keep_thread_count_bounded() {
         ..QPipeConfig::default()
     };
     let before = live_threads().0;
-    let deadline = QPipeConfig {
-        exec: ExecConfig { query_deadline: Some(Duration::from_secs(30)), ..ExecConfig::default() },
-        ..QPipeConfig::default()
-    };
-    let queue_timeout = QPipeConfig {
-        admit: AdmitConfig {
-            queue_timeout: Some(Duration::from_secs(30)),
-            ..AdmitConfig::default()
-        },
-        ..QPipeConfig::default()
-    };
-    for (idle, threads) in [(QPipeConfig::default(), 0), (deadline, 0), (queue_timeout, 0)] {
-        let idle_engine = QPipe::new(catalog.clone(), idle);
-        let booted = live_threads().0 - before;
-        assert_eq!(booted, threads, "boot threads with {idle:?}");
-        drop(idle_engine);
-        settle("the idle engine left threads behind", || live_threads().0 == before);
-    }
+    let idle_engine = QPipe::new(catalog.clone(), QPipeConfig::default());
+    assert_eq!(live_threads().0 - before, 0, "boot starts no thread");
+    drop(idle_engine);
+    settle("the idle engine left threads behind", || live_threads().0 == before);
 
     let engine = QPipe::new(catalog, config);
     assert_eq!(engine.config().admit.queue_depth, depth, "the configured depth is the depth");

@@ -147,8 +147,8 @@ fn osp_shared_scan_pair_records_host_served_pages_on_satellite() {
     drop(lock);
     let sat_tree = sat.probe_tree().expect("tracing on");
     let sat_trace = sat.trace().expect("tracing on");
-    let r_host = host.collect();
-    let r_sat = sat.collect();
+    let r_host = host.try_collect().unwrap();
+    let r_sat = sat.try_collect().unwrap();
     assert!(!r_host.is_empty() && !r_sat.is_empty());
 
     let delta = engine.metrics().snapshot().delta_since(&before);
