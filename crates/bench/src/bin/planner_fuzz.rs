@@ -71,7 +71,7 @@ fn main() {
     let catalog = Catalog::new(disk, pool);
     build_tpch(&catalog, TpchScale::tiny(), 42).expect("load tpch");
     let ctx = ExecContext::new(catalog.clone());
-    let opts = PlannerOptions::default();
+    let opts = PlannerOptions;
     let mut rng = StdRng::seed_from_u64(SEED);
 
     // Structured pass.

@@ -101,6 +101,17 @@ impl HistogramSummary {
     }
 }
 
+/// Add `by` to `map[key]`, allocating the owned key only on its first insert.
+fn add_keyed(map: &Mutex<HashMap<String, u64>>, key: &str, by: u64) {
+    let mut map = map.lock();
+    match map.get_mut(key) {
+        Some(v) => *v += by,
+        None => {
+            map.insert(key.to_owned(), by);
+        }
+    }
+}
+
 /// Shared counter bundle; cheap to clone (Arc inside).
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
@@ -132,7 +143,6 @@ struct MetricsInner {
     checksum_failures: AtomicU64,
     worker_panics: AtomicU64,
     faults_injected: AtomicU64,
-    plan_canonical_hits: AtomicU64,
     pool_queue_depth: AtomicU64,
     morsels_dispatched: AtomicU64,
     scan_pages_read_ahead: AtomicU64,
@@ -203,11 +213,6 @@ pub struct MetricsSnapshot {
     pub worker_panics: u64,
     /// Faults the injector delivered (errors, corruptions, delays, panics).
     pub faults_injected: u64,
-    /// SQL submissions whose canonicalized plan signature matched a plan
-    /// previously planned from *different* query text — syntactic variants
-    /// recognized as the same work by the planner (the precondition for OSP
-    /// sharing across differently-phrased clients).
-    pub plan_canonical_hits: u64,
     /// High-water mark of jobs queued in any single worker pool (gauge; its
     /// delta is growth of the mark, not a count).
     pub pool_queue_depth: u64,
@@ -243,7 +248,7 @@ impl Metrics {
 
     pub fn add_disk_read(&self, file: &str, blocks: u64) {
         self.inner.disk_blocks_read.fetch_add(blocks, Ordering::Relaxed);
-        *self.inner.per_file_reads.lock().entry(file.to_string()).or_insert(0) += blocks;
+        add_keyed(&self.inner.per_file_reads, file, blocks);
     }
 
     pub fn add_disk_seq_read(&self) {
@@ -264,7 +269,7 @@ impl Metrics {
 
     pub fn add_osp_attach(&self, engine: &str) {
         self.inner.osp_attaches.fetch_add(1, Ordering::Relaxed);
-        *self.inner.per_engine_attaches.lock().entry(engine.to_string()).or_insert(0) += 1;
+        add_keyed(&self.inner.per_engine_attaches, engine, 1);
     }
 
     pub fn add_osp_rejection(&self) {
@@ -336,10 +341,6 @@ impl Metrics {
         self.inner.faults_injected.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add_plan_canonical_hit(&self) {
-        self.inner.plan_canonical_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Raise the pool queue-depth high-water mark to `depth` if higher.
     pub fn note_pool_queue_depth(&self, depth: u64) {
         self.inner.pool_queue_depth.fetch_max(depth, Ordering::Relaxed);
@@ -359,7 +360,7 @@ impl Metrics {
     /// Record `ns` nanoseconds of job execution on pool `name`'s workers.
     pub fn add_worker_busy_ns(&self, name: &str, ns: u64) {
         self.inner.worker_busy_ns.fetch_add(ns, Ordering::Relaxed);
-        *self.inner.per_engine_busy_ns.lock().entry(name.to_string()).or_insert(0) += ns;
+        add_keyed(&self.inner.per_engine_busy_ns, name, ns);
     }
 
     /// Record a completed query's end-to-end latency (µs).
@@ -411,7 +412,6 @@ impl Metrics {
             ("checksum_failures", s.checksum_failures),
             ("worker_panics", s.worker_panics),
             ("faults_injected", s.faults_injected),
-            ("plan_canonical_hits", s.plan_canonical_hits),
             ("pool_queue_depth", s.pool_queue_depth),
             ("morsels_dispatched", s.morsels_dispatched),
             ("scan_pages_read_ahead", s.scan_pages_read_ahead),
@@ -470,7 +470,6 @@ impl Metrics {
             checksum_failures: i.checksum_failures.load(Ordering::Relaxed),
             worker_panics: i.worker_panics.load(Ordering::Relaxed),
             faults_injected: i.faults_injected.load(Ordering::Relaxed),
-            plan_canonical_hits: i.plan_canonical_hits.load(Ordering::Relaxed),
             pool_queue_depth: i.pool_queue_depth.load(Ordering::Relaxed),
             morsels_dispatched: i.morsels_dispatched.load(Ordering::Relaxed),
             scan_pages_read_ahead: i.scan_pages_read_ahead.load(Ordering::Relaxed),
@@ -550,7 +549,6 @@ impl MetricsSnapshot {
             checksum_failures: self.checksum_failures - earlier.checksum_failures,
             worker_panics: self.worker_panics - earlier.worker_panics,
             faults_injected: self.faults_injected - earlier.faults_injected,
-            plan_canonical_hits: self.plan_canonical_hits - earlier.plan_canonical_hits,
             pool_queue_depth: self.pool_queue_depth.saturating_sub(earlier.pool_queue_depth),
             morsels_dispatched: self.morsels_dispatched - earlier.morsels_dispatched,
             scan_pages_read_ahead: self.scan_pages_read_ahead - earlier.scan_pages_read_ahead,

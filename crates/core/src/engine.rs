@@ -100,11 +100,6 @@ pub struct QPipe {
     admit: Arc<AdmissionController>,
     /// Self-reference for deferred dispatch closures (admission tickets).
     self_weak: Weak<QPipe>,
-    /// Canonical plan signature → hash of the first SQL text that produced
-    /// it. A later submission with the same signature but different text is a
-    /// `plan_canonical_hits` event: canonicalization recognized a syntactic
-    /// variant as the same work.
-    sql_sigs: parking_lot::Mutex<HashMap<u64, u64>>,
 }
 
 impl QPipe {
@@ -149,7 +144,6 @@ impl QPipe {
             metrics,
             admit,
             self_weak: self_weak.clone(),
-            sql_sigs: parking_lot::Mutex::new(HashMap::new()),
         })
     }
 
@@ -246,7 +240,7 @@ impl QPipe {
     /// Plan SQL text with the canonicalizing planner, without submitting —
     /// for `EXPLAIN`-style inspection ([`PlannedQuery::explain`]).
     pub fn plan_sql(&self, sql: &str) -> QResult<PlannedQuery> {
-        qpipe_planner::plan_sql(self.ctx.catalog.as_ref(), sql, &PlannerOptions::default())
+        qpipe_planner::plan_sql(self.ctx.catalog.as_ref(), sql, &PlannerOptions)
     }
 
     /// Submit SQL text. The text is parsed, bound against the catalog, and
@@ -254,37 +248,7 @@ impl QPipe {
     /// canonicalizes, differently-phrased variants of one logical query
     /// share a plan signature and therefore OSP windows.
     pub fn submit_sql(&self, sql: &str) -> QResult<QueryHandle> {
-        self.submit_sql_opts(sql, &PlannerOptions::default())
-    }
-
-    /// SQL submission with explicit planner options — `canonicalize: false`
-    /// is the A/B baseline the mixed-phrasing harness compares against.
-    pub fn submit_sql_opts(&self, sql: &str, opts: &PlannerOptions) -> QResult<QueryHandle> {
-        let planned = qpipe_planner::plan_sql(self.ctx.catalog.as_ref(), sql, opts)?;
-        self.note_sql_signature(planned.signature, sql);
-        self.submit((*planned.plan).clone())
-    }
-
-    /// Track which SQL texts land on which plan signatures; a repeat
-    /// signature from different text counts as a canonicalization hit.
-    fn note_sql_signature(&self, signature: u64, sql: &str) {
-        let text_hash = qpipe_common::sim::fnv1a(sql.trim().as_bytes());
-        let mut sigs = self.sql_sigs.lock();
-        // Bounded memory: an ad-hoc workload could mint unbounded distinct
-        // signatures; reset the map rather than grow without limit.
-        if sigs.len() >= 4096 && !sigs.contains_key(&signature) {
-            sigs.clear();
-        }
-        match sigs.entry(signature) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(text_hash);
-            }
-            std::collections::hash_map::Entry::Occupied(o) => {
-                if *o.get() != text_hash {
-                    self.metrics.add_plan_canonical_hit();
-                }
-            }
-        }
+        self.submit((*self.plan_sql(sql)?.plan).clone())
     }
 
     /// Cheap plan validation at submit time: every scan's table and index
@@ -610,14 +574,7 @@ impl QueryHandle {
     pub fn try_collect(self) -> QResult<Vec<Tuple>> {
         // Hold the admission slots until the stream is drained, then release
         // them (pumping waiters).
-        let mut rows = Vec::new();
-        let result = loop {
-            match self.consumer.recv() {
-                Ok(Some(batch)) => rows.extend(batch.to_rows()),
-                Ok(None) => break Ok(rows),
-                Err(e) => break Err(e),
-            }
-        };
+        let result = self.consumer.collect_tuples();
         drop(self.ticket);
         match result {
             Ok(rows) => {

@@ -8,8 +8,8 @@
 //! contradiction check) short-circuit to an empty plan without touching the
 //! joins at all. This trades optimality for planning speed and — the QPipe
 //! payoff — *determinism*: every phrasing of the same logical query lands on
-//! the same plan tree, so `PlanNode::signature()` matches and OSP/result-
-//! cache sharing fires across clients that phrase the query differently.
+//! the same plan tree, so `PlanNode::signature()` matches and OSP sharing
+//! fires across clients that phrase the query differently.
 //!
 //! Join construction is left-deep with the accumulated side as the hash
 //! build side; the canonical equi-join key for a step is the lexicographically
@@ -23,20 +23,12 @@ use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Planner knobs.
-#[derive(Debug, Clone)]
-pub struct PlannerOptions {
-    /// Normalize expressions and choose the canonical greedy join order.
-    /// `false` plans in written/declared order with expressions as-written —
-    /// the "no canonicalization" baseline the harness A/Bs against.
-    pub canonicalize: bool,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> Self {
-        Self { canonicalize: true }
-    }
-}
+/// Planner options with no field: the planner always canonicalizes. The type
+/// and the ignored `opts` argument it fills stay only because the frozen
+/// `e2e/` benchmark passes `&PlannerOptions::default()` to `plan_sql`, and to
+/// the workload driver's `plan_sql` and `submit_sql`.
+#[derive(Debug, Clone, Default)]
+pub struct PlannerOptions;
 
 /// A planned query.
 #[derive(Debug, Clone)]
@@ -62,38 +54,19 @@ fn plan_err(msg: impl Into<String>) -> QError {
 }
 
 /// Plan a bound query.
-pub fn plan_bound(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlannedQuery> {
+pub fn plan_bound(bound: &BoundQuery) -> QResult<PlannedQuery> {
     if bound.tables.is_empty() {
         return Err(plan_err("query references no tables"));
     }
 
-    // 1. The conjunct pool. Canonical mode normalizes the whole conjunction
-    // first: folds constants, orders conjuncts, and detects contradictions.
-    let (conjuncts, provably_empty) = if opts.canonicalize {
-        let whole = Expr::and(bound.conjuncts.clone()).normalize();
-        if whole.is_const_false() {
-            (Vec::new(), true)
-        } else {
-            match whole {
-                Expr::And(parts) => (parts, false),
-                e if e.is_const_true() => (Vec::new(), false),
-                e => (vec![e], false),
-            }
-        }
-    } else {
-        (bound.conjuncts.clone(), false)
+    // 1. The conjunct pool: the whole conjunction normalized, which folds
+    // constants, orders conjuncts, and detects contradictions.
+    let conjuncts = match Expr::and(bound.conjuncts.clone()).normalize() {
+        whole if whole.is_const_false() => return provably_empty(bound),
+        Expr::And(parts) => parts,
+        e if e.is_const_true() => Vec::new(),
+        e => vec![e],
     };
-
-    if provably_empty {
-        let plan = empty_pipeline(bound, opts)?;
-        let signature = plan.signature();
-        return Ok(PlannedQuery {
-            plan: Arc::new(plan),
-            signature,
-            join_order: Vec::new(),
-            provably_empty: true,
-        });
-    }
 
     // 2. Classify conjuncts: per-table local predicates, cross-table equality
     // edges, and residual (anything else spanning several tables).
@@ -109,8 +82,9 @@ pub fn plan_bound(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlannedQ
         c.collect_cols(&mut cols);
         let tset: BTreeSet<usize> = cols.iter().map(|&g| table_of(g)).collect();
         match tset.len() {
-            // Constant conjunct (only possible in raw mode): charge it to the
-            // first table so it still filters.
+            // A column-free conjunct. Normalization folds these to constants,
+            // which never reach the pool; should one fold fail, charge it to
+            // the first table so it still filters.
             0 => local[0].push(c),
             1 => local[*tset.iter().next().unwrap()].push(c),
             2 => {
@@ -135,18 +109,10 @@ pub fn plan_bound(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlannedQ
         let pred = if parts.is_empty() {
             None
         } else {
-            let p = Expr::and(parts);
-            let p = if opts.canonicalize { p.normalize() } else { p };
+            let p = Expr::and(parts).normalize();
             if p.is_const_false() {
                 // A single table's predicate is unsatisfiable.
-                let plan = empty_pipeline(bound, opts)?;
-                let signature = plan.signature();
-                return Ok(PlannedQuery {
-                    plan: Arc::new(plan),
-                    signature,
-                    join_order: Vec::new(),
-                    provably_empty: true,
-                });
+                return provably_empty(bound);
             }
             if p.is_const_true() {
                 None
@@ -160,13 +126,9 @@ pub fn plan_bound(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlannedQ
         });
     }
 
-    // 4. Join order: greedy most-selective-first in canonical mode, declared
-    // order otherwise. Ties break on binding name, keeping order total.
-    let order: Vec<usize> = if opts.canonicalize && n > 1 {
-        greedy_order(bound, &scores, &edges)
-    } else {
-        (0..n).collect()
-    };
+    // 4. Join order: greedy most-selective-first. Ties break on binding
+    // name, keeping order total.
+    let order = greedy_order(bound, &scores, &edges);
 
     // 5. Left-deep join construction. `layout[g]` maps a global column index
     // to its position in the current intermediate's tuple layout.
@@ -229,8 +191,7 @@ pub fn plan_bound(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlannedQ
             }
         });
         if !post.is_empty() {
-            let p = Expr::and(post);
-            let p = if opts.canonicalize { p.normalize() } else { p };
+            let p = Expr::and(post).normalize();
             if !p.is_const_true() {
                 acc = acc.filter(p);
             }
@@ -240,7 +201,7 @@ pub fn plan_bound(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlannedQ
 
     // 6. Output stage over the final layout.
     let remap = |e: &Expr| e.map_cols(&|g| layout[g].expect("column joined"));
-    let plan = output_stage(bound, opts, acc, &remap)?;
+    let plan = output_stage(bound, acc, &remap)?;
     let signature = plan.signature();
     Ok(PlannedQuery {
         plan: Arc::new(plan),
@@ -255,11 +216,9 @@ pub fn plan_bound(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlannedQ
 /// layout.
 fn output_stage(
     bound: &BoundQuery,
-    opts: &PlannerOptions,
     input: PlanNode,
     remap: &dyn Fn(&Expr) -> Expr,
 ) -> QResult<PlanNode> {
-    let norm = |e: Expr| if opts.canonicalize { e.normalize() } else { e };
     let mut plan = input;
 
     if bound.has_aggregates() {
@@ -275,10 +234,8 @@ fn output_stage(
                 _ => unreachable!("remap maps columns to columns"),
             })
             .collect();
-        if opts.canonicalize {
-            group_cols.sort_unstable();
-            group_cols.dedup();
-        }
+        group_cols.sort_unstable();
+        group_cols.dedup();
         let mut specs: Vec<AggSpec> = Vec::new();
         // Output position of each SELECT item, over [groups..., aggs...].
         for item in &bound.items {
@@ -294,7 +251,7 @@ fn output_stage(
                     out_pos.push(gi);
                 }
                 BoundItem::Agg(a) => {
-                    let spec = AggSpec { func: a.func, expr: norm(remap(&a.expr)) };
+                    let spec = AggSpec { func: a.func, expr: remap(&a.expr).normalize() };
                     let ai = match specs.iter().position(|s| s == &spec) {
                         Some(i) => i,
                         None => {
@@ -306,7 +263,7 @@ fn output_stage(
                 }
             }
         }
-        if opts.canonicalize && specs.len() > 1 {
+        if specs.len() > 1 {
             // Sort specs canonically, tracking where each lands.
             let mut idx: Vec<usize> = (0..specs.len()).collect();
             idx.sort_by_cached_key(|&i| {
@@ -341,7 +298,7 @@ fn output_stage(
             .items
             .iter()
             .map(|item| match item {
-                BoundItem::Expr(e) => norm(remap(e)),
+                BoundItem::Expr(e) => remap(e).normalize(),
                 BoundItem::Agg(_) => unreachable!("no aggregates on this path"),
             })
             .collect();
@@ -362,14 +319,22 @@ fn output_stage(
     Ok(plan)
 }
 
-/// A plan that produces the declared global layout with zero rows, for
-/// queries whose WHERE is unsatisfiable. Aggregate semantics still apply
-/// (a no-group aggregate over zero rows emits its one NULL/zero row).
-fn empty_pipeline(bound: &BoundQuery, opts: &PlannerOptions) -> QResult<PlanNode> {
+/// The planned form of a query whose WHERE is unsatisfiable: a plan that
+/// produces the declared global layout with zero rows. Aggregate semantics
+/// still apply (a no-group aggregate over zero rows emits its one NULL/zero
+/// row).
+fn provably_empty(bound: &BoundQuery) -> QResult<PlannedQuery> {
     let base = PlanNode::scan_filtered(&bound.tables[0].table, Expr::Lit(Value::Int(0)))
         .project(vec![Expr::Lit(Value::Null); bound.global_width()]);
     // Identity remap: the projected layout is the declared global layout.
-    output_stage(bound, opts, base, &|e: &Expr| e.clone())
+    let plan = output_stage(bound, base, &|e: &Expr| e.clone())?;
+    let signature = plan.signature();
+    Ok(PlannedQuery {
+        plan: Arc::new(plan),
+        signature,
+        join_order: Vec::new(),
+        provably_empty: true,
+    })
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -45,15 +45,16 @@ pub use parser::parse;
 use qpipe_common::QResult;
 
 /// Parse, bind, and plan `sql` in one step — the entry point `qpipe-core`
-/// wires behind `QPipe::submit_sql`.
+/// wires behind `QPipe::submit_sql`. `_opts` is ignored (see
+/// [`PlannerOptions`]).
 pub fn plan_sql(
     schemas: &dyn SchemaProvider,
     sql: &str,
-    opts: &PlannerOptions,
+    _opts: &PlannerOptions,
 ) -> QResult<PlannedQuery> {
     let query = parser::parse(sql)?;
     let bound = bind::bind(schemas, &query)?;
-    greedy::plan_bound(&bound, opts)
+    greedy::plan_bound(&bound)
 }
 
 #[cfg(test)]
@@ -96,7 +97,7 @@ mod tests {
     }
 
     fn plan(sql: &str) -> PlannedQuery {
-        plan_sql(&schemas(), sql, &PlannerOptions::default()).unwrap()
+        plan_sql(&schemas(), sql, &PlannerOptions).unwrap()
     }
 
     #[test]
@@ -210,25 +211,19 @@ mod tests {
     }
 
     #[test]
-    fn raw_mode_preserves_join_order_differences() {
-        // Expression-level phrasing is normalized by `signature()` itself
-        // (that pass benefits hand-built plans too), so the raw-vs-canonical
-        // planner baseline shows up in plan *shape*: raw mode joins in
-        // declared FROM order, so swapping the FROM list changes the tree.
-        let opts = PlannerOptions { canonicalize: false };
-        let sql_a = "SELECT o.o_orderkey FROM orders o, lineitem l \
-                     WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity > 45";
-        let sql_b = "SELECT o.o_orderkey FROM lineitem l, orders o \
-                     WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity > 45";
-        let a = plan_sql(&schemas(), sql_a, &opts).unwrap();
-        let b = plan_sql(&schemas(), sql_b, &opts).unwrap();
-        assert_ne!(a.signature, b.signature, "raw mode keeps declared join order");
-        assert_eq!(a.join_order, vec!["o", "l"]);
-        assert_eq!(b.join_order, vec!["l", "o"]);
-        // The canonical planner erases exactly that difference.
-        let ca = plan_sql(&schemas(), sql_a, &PlannerOptions::default()).unwrap();
-        let cb = plan_sql(&schemas(), sql_b, &PlannerOptions::default()).unwrap();
-        assert_eq!(ca.signature, cb.signature);
+    fn from_order_does_not_change_the_plan() {
+        // The join order is the greedy one, not the declared FROM order, so
+        // swapping the FROM list lands on the same tree.
+        let a = plan(
+            "SELECT o.o_orderkey FROM orders o, lineitem l \
+             WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity > 45",
+        );
+        let b = plan(
+            "SELECT o.o_orderkey FROM lineitem l, orders o \
+             WHERE o.o_orderkey = l.l_orderkey AND l.l_quantity > 45",
+        );
+        assert_eq!(a.signature, b.signature);
+        assert_eq!(a.join_order, b.join_order);
     }
 
     #[test]
@@ -240,7 +235,7 @@ mod tests {
             "SELECT l_orderkey, COUNT(*) FROM lineitem",
             "DELETE FROM lineitem",
         ] {
-            assert!(plan_sql(&schemas(), bad, &PlannerOptions::default()).is_err(), "{bad}");
+            assert!(plan_sql(&schemas(), bad, &PlannerOptions).is_err(), "{bad}");
         }
     }
 }

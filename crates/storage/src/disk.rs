@@ -310,7 +310,8 @@ struct Injected {
 
 #[derive(Debug, Default)]
 struct FileState {
-    name: String,
+    /// Shared, so a read names its file without allocating.
+    name: Arc<str>,
     blocks: Vec<Block>,
 }
 
@@ -386,10 +387,9 @@ impl SimDisk {
         }
         let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed) as u32);
         names.insert(name.to_string(), id);
-        self.files.write().insert(
-            id,
-            Arc::new(RwLock::new(FileState { name: name.to_string(), blocks: Vec::new() })),
-        );
+        self.files
+            .write()
+            .insert(id, Arc::new(RwLock::new(FileState { name: name.into(), blocks: Vec::new() })));
         Ok(id)
     }
 
@@ -421,7 +421,7 @@ impl SimDisk {
             .write()
             .remove(&id)
             .ok_or_else(|| QError::Storage(format!("no such file id {id:?}")))?;
-        self.names.lock().remove(&file.read().name);
+        self.names.lock().remove(&*file.read().name);
         self.last_read.lock().remove(&id);
         Ok(())
     }
@@ -434,7 +434,7 @@ impl SimDisk {
     /// Names of every file currently on the disk (leak observability —
     /// spill temps are recognizable by their `__tmp.` prefix).
     pub fn file_names(&self) -> Vec<String> {
-        self.files.read().values().map(|f| f.read().name.clone()).collect()
+        self.files.read().values().map(|f| f.read().name.to_string()).collect()
     }
 
     /// Read one block, charging latency and counting the I/O: issue the

@@ -141,19 +141,21 @@ impl Driver {
     }
 
     /// Plan SQL text against this driver's catalog without running it.
+    /// `opts` is ignored (see [`PlannerOptions`]).
     pub fn plan_sql(&self, sql: &str, opts: &PlannerOptions) -> QResult<PlannedQuery> {
         qpipe_planner::plan_sql(self.catalog.as_ref(), sql, opts)
     }
 
     /// Submit SQL text without waiting for completion. Always `Some`, and
-    /// the class ignored, as with [`submit_with`](Self::submit_with).
+    /// the class ignored, as with [`submit_with`](Self::submit_with); the
+    /// planner options are ignored too.
     pub fn submit_sql(
         &self,
         sql: &str,
         _class: QueryClass,
-        opts: &PlannerOptions,
+        _opts: &PlannerOptions,
     ) -> Option<QResult<QueryHandle>> {
-        Some(self.engine.submit_sql_opts(sql, opts))
+        Some(self.engine.submit_sql(sql))
     }
 
     /// Run one query to completion on the calling thread; returns row count.
@@ -344,42 +346,32 @@ impl OpenLoopResult {
 /// exists for. Each arrival is submitted asynchronously (the admission queue
 /// absorbs the burst, rejects overflow, and bounds per-µEngine concurrency);
 /// every accepted query is drained by its own collector thread — the client
-/// model admission assumes.
+/// model admission assumes. An arrival the engine refuses settles on the
+/// spot — `Rejected` for an admission error, `Failed` for any other.
+/// Collectors time submission → last row, the per-query response latency
+/// [`OpenLoopResult::latency`] summarizes. When the engine traces, a failed
+/// query's journal rides along for the post-mortem dump.
 pub fn open_loop(
     driver: &Driver,
     plans: Vec<PlanNode>,
     interarrival_paper: f64,
     scale: TimeScale,
 ) -> OpenLoopResult {
-    run_open_loop(driver, plans, interarrival_paper, scale, |plan| driver.engine().submit(plan))
-}
-
-/// The open loop behind [`open_loop`] and [`open_loop_sql`]: `queries[i]`
-/// arrives at `i × interarrival` and enters the system through `submit`.
-/// Every accepted query gets a collector thread; an arrival `submit` refuses
-/// settles on the spot — `Rejected` for an admission error, `Failed` for any
-/// other. Collectors time submission → last row, the per-query response
-/// latency [`OpenLoopResult::latency`] summarizes. When the engine
-/// traces, a failed query's journal rides along for the post-mortem dump.
-fn run_open_loop<Q>(
-    driver: &Driver,
-    queries: Vec<Q>,
-    interarrival_paper: f64,
-    scale: TimeScale,
-    submit: impl Fn(Q) -> QResult<QueryHandle>,
-) -> OpenLoopResult {
     let before = driver.metrics().snapshot();
     let start = Instant::now();
-    let n = queries.len();
+    let n = plans.len();
+    // One settled arrival: outcome, submission→last-row wall time, and (for
+    // traced failures) the rendered trace journal.
+    type Settled = (OpenLoopOutcome, Option<std::time::Duration>, Option<String>);
     let settled: Vec<Settled> = std::thread::scope(|s| {
         let mut pending: Vec<Result<_, OpenLoopOutcome>> = Vec::with_capacity(n);
-        for (i, query) in queries.into_iter().enumerate() {
+        for (i, plan) in plans.into_iter().enumerate() {
             let due = scale.to_real(interarrival_paper * i as f64);
             if let Some(wait) = due.checked_sub(start.elapsed()) {
                 std::thread::sleep(wait);
             }
             let submitted = Instant::now();
-            pending.push(match submit(query) {
+            pending.push(match driver.engine().submit(plan) {
                 Ok(handle) => Ok(s.spawn(move || {
                     let trace = handle.trace();
                     match handle.try_collect() {
@@ -405,23 +397,8 @@ fn run_open_loop<Q>(
             .collect()
     });
     let elapsed_paper = scale.to_paper(start.elapsed());
-    finish_open_loop(settled, elapsed_paper, scale, driver, before)
-}
-
-/// One settled arrival: outcome, submission→last-row wall time, and (for
-/// traced failures) the rendered trace journal.
-type Settled = (OpenLoopOutcome, Option<std::time::Duration>, Option<String>);
-
-/// Assemble an [`OpenLoopResult`] from per-arrival outcomes + latencies.
-fn finish_open_loop(
-    settled: Vec<Settled>,
-    elapsed_paper: f64,
-    scale: TimeScale,
-    driver: &Driver,
-    before: MetricsSnapshot,
-) -> OpenLoopResult {
-    let mut outcomes = Vec::with_capacity(settled.len());
-    let mut latencies_paper = Vec::with_capacity(settled.len());
+    let mut outcomes = Vec::with_capacity(n);
+    let mut latencies_paper = Vec::with_capacity(n);
     let mut failed_journals = Vec::new();
     for (o, d, journal) in settled {
         outcomes.push(o);
@@ -441,77 +418,6 @@ fn finish_open_loop(
         delta: driver.metrics().snapshot().delta_since(&before),
         failed_journals,
     }
-}
-
-/// [`open_loop`] over SQL text: `queries[i]` arrives at `i × interarrival`
-/// and is planned through the front end with `opts` before submission.
-/// Planner errors settle the arrival as `Failed` without occupying a
-/// collector.
-pub fn open_loop_sql(
-    driver: &Driver,
-    queries: Vec<String>,
-    interarrival_paper: f64,
-    scale: TimeScale,
-    opts: &PlannerOptions,
-) -> OpenLoopResult {
-    run_open_loop(driver, queries, interarrival_paper, scale, |sql| {
-        driver.engine().submit_sql_opts(&sql, opts)
-    })
-}
-
-/// One leg of a [`mixed_phrasing_storm`].
-#[derive(Debug, Clone)]
-pub struct PhrasingLeg {
-    pub result: OpenLoopResult,
-}
-
-impl PhrasingLeg {
-    /// Total cross-client sharing observed: OSP attaches.
-    pub fn shared(&self) -> u64 {
-        self.result.delta.osp_attaches
-    }
-}
-
-/// A/B report from [`mixed_phrasing_storm`]: the same SQL storm planned
-/// without (`raw`) and with (`canonical`) plan canonicalization.
-#[derive(Debug, Clone)]
-pub struct PhrasingStormReport {
-    pub raw: PhrasingLeg,
-    pub canonical: PhrasingLeg,
-}
-
-/// The mixed-phrasing sharing experiment: every client submits the *same
-/// logical query* phrased differently (shuffled FROM order, shuffled and
-/// commuted conjuncts — see [`crate::sql::SqlQuery::shuffled`]). Each leg
-/// gets a fresh engine built by `load` under `config`, then replays the
-/// identical `queries` batch open-loop — once with `canonicalize: false`
-/// (plans follow the written phrasing, so signatures scatter) and once with
-/// the canonicalizing planner (every phrasing lands on one signature, so
-/// concurrent repeats attach to one host). The report carries
-/// both legs' sharing counters, including `delta.plan_canonical_hits`.
-pub fn mixed_phrasing_storm(
-    system: System,
-    profile: SystemProfile,
-    config: QPipeConfig,
-    load: impl Fn(&Arc<Catalog>) -> QResult<()>,
-    queries: &[String],
-    interarrival_paper: f64,
-) -> QResult<PhrasingStormReport> {
-    let mut legs = Vec::with_capacity(2);
-    for canonicalize in [false, true] {
-        let driver = Driver::build_with_config(system, profile, config, |c| load(c))?;
-        let result = open_loop_sql(
-            &driver,
-            queries.to_vec(),
-            interarrival_paper,
-            profile.time_scale,
-            &PlannerOptions { canonicalize },
-        );
-        legs.push(PhrasingLeg { result });
-    }
-    let canonical = legs.pop().expect("two legs");
-    let raw = legs.pop().expect("two legs");
-    Ok(PhrasingStormReport { raw, canonical })
 }
 
 #[cfg(test)]
@@ -634,35 +540,6 @@ mod tests {
             let by_plan = d.run(q6(100, 0.05, 30)).unwrap();
             assert_eq!(by_sql, by_plan, "{}", system.label());
         }
-    }
-
-    #[test]
-    fn mixed_phrasing_storm_counts_canonical_hits() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let shape = crate::sql::q3_sql(3, 1200);
-        let mut rng = StdRng::seed_from_u64(17);
-        let queries: Vec<String> = (0..8).map(|_| shape.shuffled(&mut rng)).collect();
-        let report = mixed_phrasing_storm(
-            System::QPipeOsp,
-            SystemProfile::instant(),
-            QPipeConfig::default(),
-            |c| build_tpch(c, TpchScale::tiny(), 42),
-            &queries,
-            0.0,
-        )
-        .unwrap();
-        assert_eq!(report.canonical.result.completed, 8, "{:?}", report.canonical.result.outcomes);
-        assert_eq!(report.raw.result.completed, 8, "{:?}", report.raw.result.outcomes);
-        // Every distinct phrasing of the one logical query collides on one
-        // signature under canonicalization.
-        assert!(
-            report.canonical.result.delta.plan_canonical_hits
-                > report.raw.result.delta.plan_canonical_hits,
-            "canonical {} vs raw {}",
-            report.canonical.result.delta.plan_canonical_hits,
-            report.raw.result.delta.plan_canonical_hits,
-        );
     }
 
     #[test]

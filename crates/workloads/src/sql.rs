@@ -7,9 +7,9 @@
 //! that renders either canonically ([`SqlQuery::canonical`]) or through a
 //! seeded phrasing shuffler ([`SqlQuery::shuffled`]): FROM order, conjunct
 //! order, and comparison direction are all randomized, plus the occasional
-//! redundant `1 = 1`. Every rendering is the same logical query, so under
-//! the canonicalizing planner all of them collide on one plan signature —
-//! the property the mixed-phrasing harness measures.
+//! redundant `1 = 1`. Every rendering is the same logical query, so the
+//! canonicalizing planner lands all of them on one plan signature — the
+//! property `tests/planner.rs` and the planner fuzz check.
 
 use crate::tpch::{BRANDS, DATE_MAX, NATIONS, REGIONS, SHIPMODES};
 use rand::rngs::StdRng;

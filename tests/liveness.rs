@@ -144,7 +144,7 @@ fn seeded_plans(catalog: &Catalog) -> Vec<(String, PlanNode)> {
         plans.push((format!("q10 draw {draw}"), tpch::q10(date)));
         plans.push((format!("merge q4 draw {draw}"), tpch::q4(date, JoinFlavor::Merge)));
     }
-    let opts = PlannerOptions::default();
+    let opts = PlannerOptions;
     let cross = "SELECT r_name, n_name FROM region, nation WHERE n_nationkey < 4";
     let planned = plan_sql(catalog, cross, &opts).unwrap();
     assert!(planned.plan.explain().contains("nljoin"), "{}", planned.plan.explain());

@@ -150,15 +150,17 @@ fn rows_pending_in_a_scanner_do_not_wedge_a_self_join() {
     assert!(snap.deadlocks_resolved >= 1, "the join/scanner cycle was broken");
 }
 
-/// Rows a host keeps pending cannot wedge a query either. The build side of
-/// a hash self-join is a selective filter host, whose 250 surviving rows
-/// stay pending until its input ends; one scan group feeds it and the probe
-/// side, whose single-batch pipe fills at once. The join waits on the
-/// filter, the filter on the scanner, the scanner on the join: the cycle
-/// must be broken within a minute — a watchdog fails a wedge rather than
-/// hang the suite — and the answer must be the oracle's.
+/// A filter fused into the build side cannot wedge a query either. The build
+/// side of a hash self-join reads its scan through a selective filter fused
+/// into the join's reader, which empties every batch past the 250 rows it
+/// keeps; the join skips those empty batches while one scan group also feeds
+/// the probe side, whose single-batch pipe fills at once. The join waits on
+/// the scanner for build rows, the scanner on the join to drain the probe
+/// pipe: the join/scanner cycle must be broken within a minute — a watchdog
+/// fails a wedge rather than hang the suite — and the answer must be the
+/// oracle's.
 #[test]
-fn rows_pending_in_a_filter_host_do_not_wedge_a_self_join() {
+fn a_filter_fused_into_the_build_side_does_not_wedge_a_self_join() {
     let catalog = qpipe::quick_system(DiskConfig::instant(), 64);
     let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
     let rows = (0..20_000).map(|i| vec![Value::Int(i % 500), Value::Int(i)]).collect();
@@ -178,10 +180,10 @@ fn rows_pending_in_a_filter_host_do_not_wedge_a_self_join() {
     let collector = std::thread::spawn(move || tx.send(handle.try_collect()));
     let got = rx.recv_timeout(Duration::from_secs(60)).expect("wedged").expect("fault-free query");
     collector.join().unwrap().unwrap();
-    assert_rows_equivalent(got, expected, "hash self-join over a filter host");
+    assert_rows_equivalent(got, expected, "hash self-join with a fused build-side filter");
     let snap = engine.metrics().snapshot();
     assert_eq!(snap.osp_attaches, 1, "the probe-side scan rode the build side's group");
-    assert!(snap.deadlocks_resolved >= 1, "the join/filter/scanner cycle was broken");
+    assert!(snap.deadlocks_resolved >= 1, "the join/scanner cycle was broken");
 }
 
 #[test]
