@@ -23,6 +23,11 @@ use qpipe_exec::plan::{AggSpec, PlanNode, SortKey};
 use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
 use std::sync::Arc;
 
+/// Rows of the one page `scan_filter` and `page_decode` work on: about what
+/// an 8 KiB slotted page of their narrow rows holds, whatever a pipe's batch
+/// size is.
+const PAGE_ROWS: usize = 256;
+
 fn pool_policies(c: &mut Criterion) {
     let mut g = c.benchmark_group("bufferpool_policy");
     for policy in [PolicyKind::Lru, PolicyKind::TwoQ] {
@@ -47,9 +52,9 @@ fn pool_policies(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine's fan-out: an OSP host broadcasting 80 256-row batches (the
-/// wire unit — a pipe carries nothing smaller) to 1 and 4 outputs, one pipe
-/// per query, each drained on its own thread.
+/// The engine's fan-out: an OSP host broadcasting 80 batches of
+/// `DEFAULT_CAPACITY` rows (the wire unit — a pipe carries nothing smaller)
+/// to 1 and 4 outputs, one pipe per query, each drained on its own thread.
 fn host_fanout(c: &mut Criterion) {
     let mut g = c.benchmark_group("host_broadcast");
     let batches: Vec<ColBatch> = (0..80i64)
@@ -159,12 +164,12 @@ fn exec_kernels(c: &mut Criterion) {
     });
 }
 
-/// The shared-scan hot path in microcosm: one 256-row page filtered by a
-/// per-consumer predicate — row-at-a-time `eval_bool` + `Tuple` clone (the
-/// pre-vectorization scanner loop) vs `eval_filter` selection vector +
-/// columnar gather. The acceptance bar for the vectorized path is ≥ 2×.
+/// The shared-scan hot path in microcosm: one page of `PAGE_ROWS` rows
+/// filtered by a per-consumer predicate — row-at-a-time `eval_bool` +
+/// `Tuple` clone (the pre-vectorization scanner loop) vs `eval_filter`
+/// selection vector + columnar gather. The acceptance bar for the vectorized path is ≥ 2×.
 fn scan_filter(c: &mut Criterion) {
-    let rows: Vec<Tuple> = (0..ColBatch::DEFAULT_CAPACITY as i64)
+    let rows: Vec<Tuple> = (0..PAGE_ROWS as i64)
         .map(|i| {
             vec![
                 Value::Int(i % 997),
@@ -224,8 +229,8 @@ fn scan_filter(c: &mut Criterion) {
 }
 
 /// The per-page cost the columnar page store removes: decoding one full
-/// 256-row page for the shared scanner. `slotted_decode` is the tuple path
-/// (tag-parsing tuple codec + column-ification); the columnar path
+/// page of `PAGE_ROWS` rows for the shared scanner. `slotted_decode` is the
+/// tuple path (tag-parsing tuple codec + column-ification); the columnar path
 /// materializes the same `ColBatch` straight from the PAX page's typed byte
 /// regions. Acceptance bar: columnar ≥ 3× faster. The `slotted_*lineitem*`
 /// and `slotted_cols_*` trio measures what row tables pay per page visit
@@ -235,7 +240,7 @@ fn page_decode(c: &mut Criterion) {
     use qpipe_storage::colpage::ColPageBuilder;
     use qpipe_storage::page::{encode_tuple, Page};
 
-    let n = ColBatch::DEFAULT_CAPACITY; // 256 rows — one page in both layouts
+    let n = PAGE_ROWS; // one page in both layouts
     let schema =
         Schema::of(&[("k", DataType::Int), ("d", DataType::Date), ("mode", DataType::Str)]);
     let rows: Vec<Tuple> = (0..n as i64)
@@ -378,8 +383,8 @@ fn page_verify(c: &mut Criterion) {
 
 /// The join/agg operator boundary: the row path ingests tuples one at a
 /// time (the iterator engine's kernels, the test oracle's), the vectorized path
-/// consumes the same data as 256-row `ColBatch`es (what the scanner actually
-/// produces). Same build/probe and group/update work, same results — the
+/// consumes the same data as `ColBatch`es of `DEFAULT_CAPACITY` rows (what the
+/// scanner actually produces). Same build/probe and group/update work, same results — the
 /// difference is the per-row materialization the vectorized operators
 /// removed. Acceptance bar: vectorized ≥ 2× on both groups.
 fn hash_join_paths(c: &mut Criterion) {
@@ -626,10 +631,10 @@ fn agg_update_paths(c: &mut Criterion) {
 }
 
 /// The sort operator boundary: `SortIter` ingests tuples one at a time and
-/// sorts them in memory; `VecSort` accumulates the same data as 256-row
-/// `ColBatch`es, sorts a key-column permutation, and gathers payload once.
-/// `vectorized_spill` runs `VecSort` under a budget that spills columnar
-/// runs and k-way merges them; the row path never spills, so it has no
+/// sorts them in memory; `VecSort` accumulates the same data as `ColBatch`es
+/// of `DEFAULT_CAPACITY` rows, sorts a key-column permutation, and gathers
+/// payload once. `vectorized_spill` runs `VecSort` under a budget that spills
+/// columnar runs and k-way merges them; the row path never spills, so it has no
 /// spill variant. Acceptance bar: `vectorized_inmem` ≥ 1.4× `rowwise_inmem`
 /// (measured ~1.6×; the payload-gather-once structure, not the comparator,
 /// is the win — and in the engine the vectorized path additionally skips
@@ -699,8 +704,8 @@ fn sort_paths(c: &mut Criterion) {
 
 /// The filter and projection kernels: the iterator engine interprets the
 /// predicate/projection per row; the staged engine's reader of a fused
-/// σ/π chain runs `eval_filter` + `gather` and `project_batch` per 256-row
-/// `ColBatch`.
+/// σ/π chain runs `eval_filter` + `gather` and `project_batch` per `ColBatch`
+/// of `DEFAULT_CAPACITY` rows.
 /// Acceptance bar: vectorized ≥ 1.4× (measured ~1.7× with a computed
 /// projection column; pure column-reference projections are `Arc` bumps and
 /// score far higher).

@@ -7,13 +7,15 @@
 //! 2. **Pipe capacity** (how much queue space does simultaneous pipelining
 //!    need before the slowest-consumer coupling stops hurting?), with the
 //!    hosts' replay history — the buffering WoP enhancement — sized to match.
+//!    Capacity counts batches of `ColBatch::DEFAULT_CAPACITY` rows, so each
+//!    row also shows the rows in flight and marks the default depth.
 //! 3. **Circular scans on/off** (OSP with sharing restricted to stateful
 //!    operators only — isolates how much of the win is scan sharing).
 //!
 //! Every system is built through `Driver`.
 
 use qpipe_bench::{f1, print_header, print_row, profile, thousands, tpch_driver};
-use qpipe_common::QResult;
+use qpipe_common::{ColBatch, QResult};
 use qpipe_core::engine::QPipeConfig;
 use qpipe_core::pipe::PipeConfig;
 use qpipe_exec::plan::PlanNode;
@@ -51,8 +53,9 @@ fn pipe_capacity_ablation() -> QResult<()> {
     println!("Ablation 2: intermediate-buffer capacity (batches/consumer),");
     println!("2 x Q4 hash-join plan at 20s interarrival, QPipe w/OSP\n");
     let prof = profile();
-    let widths = [10, 16, 10];
-    print_header(&["capacity", "total time (s)", "attaches"], &widths);
+    let default = PipeConfig::default().capacity;
+    let widths = [14, 16, 16, 10];
+    print_header(&["capacity", "rows in flight", "total time (s)", "attaches"], &widths);
     for capacity in [1usize, 2, 4, 8, 16, 64] {
         let config = QPipeConfig { pipe: PipeConfig { capacity }, ..QPipeConfig::default() };
         let driver = Driver::build_with_config(System::QPipeOsp, prof, config, |c| {
@@ -60,8 +63,14 @@ fn pipe_capacity_ablation() -> QResult<()> {
         })?;
         let plans = vec![q4(400, JoinFlavor::Hash), q4(400, JoinFlavor::Hash)];
         let r = staggered_run(&driver, plans, 20.0, prof.time_scale)?;
+        let mark = if capacity == default { " (default)" } else { "" };
         print_row(
-            &[capacity.to_string(), f1(r.total_paper_secs), r.delta.osp_attaches.to_string()],
+            &[
+                format!("{capacity}{mark}"),
+                thousands((capacity * ColBatch::DEFAULT_CAPACITY) as u64),
+                f1(r.total_paper_secs),
+                r.delta.osp_attaches.to_string(),
+            ],
             &widths,
         );
     }

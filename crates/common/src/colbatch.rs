@@ -422,9 +422,11 @@ impl ColBatch {
     /// every producer follows (`qpipe_exec::viter::Rechunk`). A producer
     /// holds short output back until it has this many rows to send, so no
     /// batch on a pipe is shorter but a stream's last. It is not a cap: a
-    /// longer batch — a narrow columnar page of up to about 1 000 rows, or
-    /// one probe batch's join output — goes out whole.
-    pub const DEFAULT_CAPACITY: usize = 256;
+    /// longer batch — one probe batch's join output — goes out whole. Most
+    /// pages hold fewer rows (a lineitem page about 100, a one-integer
+    /// columnar page about 1 000), and such a page is joined with the next
+    /// like any short batch.
+    pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// Column-ify `rows`. Short rows are padded with NULL so every column has
     /// the batch's full length (heap pages always yield uniform rows).

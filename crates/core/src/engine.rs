@@ -48,7 +48,8 @@ pub struct QPipeConfig {
     /// history (the buffering enhancement, §3.2) holds as many batches as
     /// its output pipe does: every batch a host sends but its last holds at
     /// least `ColBatch::DEFAULT_CAPACITY` rows, so the window covers at
-    /// least `pipe.capacity × 256` rows of output.
+    /// least `pipe.capacity × 1 024` rows of output — 2 048 by default
+    /// (`PipeConfig::ROWS_IN_FLIGHT`).
     pub pipe: PipeConfig,
     /// Memory budgets for sort / hash join.
     pub exec: ExecConfig,
@@ -248,7 +249,7 @@ impl QPipe {
     /// canonicalizes, differently-phrased variants of one logical query
     /// share a plan signature and therefore OSP windows.
     pub fn submit_sql(&self, sql: &str) -> QResult<QueryHandle> {
-        self.submit((*self.plan_sql(sql)?.plan).clone())
+        self.submit(Arc::unwrap_or_clone(self.plan_sql(sql)?.plan))
     }
 
     /// Cheap plan validation at submit time: every scan's table and index

@@ -20,9 +20,10 @@
 //!   [`ColBatch::DEFAULT_CAPACITY`] rows (`ops.rs`, "Delivery: full
 //!   batches"). The history holds `backfill` batches, the capacity of the
 //!   host's output pipe (`PipeConfig::capacity`), as the paper sizes it by
-//!   the output buffer, so it covers at least `backfill × 256` rows of
-//!   output. Rows a host holds pending are not output yet: they go to every
-//!   output attached at their push.
+//!   the output buffer, so it covers at least `backfill × 1 024` rows of
+//!   output (2 048 at the default depth, `PipeConfig::ROWS_IN_FLIGHT`).
+//!   Rows a host holds pending are not output yet: they go to every output
+//!   attached at their push.
 //! * [`AttachWindow::WholeLifetime`] — full-overlap operators (aggregates,
 //!   sort — whose output is materialized anyway, giving the materialization
 //!   enhancement for free).
@@ -326,36 +327,42 @@ impl Drop for RegistryGuard {
     }
 }
 
+/// Test feed shared by this crate's unit suites: a scan packet ready to
+/// attach as a satellite, and the consumer of its 1 024-batch output pipe.
+#[cfg(test)]
+pub(crate) fn make_packet() -> (Packet, crate::pipe::PipeConsumer) {
+    use crate::deadlock::{NodeId, WaitRegistry};
+    use crate::packet::{CancelToken, QueryId};
+    use crate::pipe::{Pipe, PipeConfig};
+    let config = PipeConfig { capacity: 1024 };
+    let registry = Arc::new(WaitRegistry::default());
+    let (producer, consumer) = Pipe::pair(config, NodeId(1), NodeId(2), registry);
+    let plan = Arc::new(qpipe_exec::plan::PlanNode::scan("t"));
+    let packet = Packet {
+        query: QueryId::fresh(),
+        node: NodeId(99),
+        signature: plan.signature(),
+        plan,
+        output: Some(producer),
+        children: vec![],
+        cancel: CancelToken::new(),
+        probe: None,
+        trace: None,
+        split_side: None,
+    };
+    (packet, consumer)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deadlock::{NodeId, WaitRegistry};
-    use crate::packet::{CancelToken, QueryId};
     use crate::pipe::{Pipe, PipeConfig, PipeConsumer};
     use qpipe_common::Value;
-    use qpipe_exec::plan::PlanNode;
     use std::time::Duration;
 
     fn pipe_pair(capacity: usize) -> (PipeProducer, PipeConsumer) {
         Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), Arc::new(WaitRegistry::default()))
-    }
-
-    fn make_packet() -> (Packet, PipeConsumer) {
-        let (producer, consumer) = pipe_pair(1024);
-        let plan = Arc::new(PlanNode::scan("t"));
-        let packet = Packet {
-            query: QueryId::fresh(),
-            node: NodeId(99),
-            signature: plan.signature(),
-            plan,
-            output: Some(producer),
-            children: vec![],
-            cancel: CancelToken::new(),
-            probe: None,
-            trace: None,
-            split_side: None,
-        };
-        (packet, consumer)
     }
 
     fn batch_of(vals: &[i64]) -> Arc<ColBatch> {

@@ -47,9 +47,18 @@ pub struct PipeConfig {
     pub capacity: usize,
 }
 
+impl PipeConfig {
+    /// Rows a default pipe holds in flight, and so the rows an OSP host's
+    /// `UntilFirstOutput` history replays (its `backfill` is its output
+    /// pipe's capacity). The default depth is this over
+    /// [`ColBatch::DEFAULT_CAPACITY`], so the batch size and the depth cannot
+    /// drift apart: larger batches mean fewer hand-offs, not more rows.
+    pub const ROWS_IN_FLIGHT: usize = 2048;
+}
+
 impl Default for PipeConfig {
     fn default() -> Self {
-        Self { capacity: 8 }
+        Self { capacity: Self::ROWS_IN_FLIGHT / ColBatch::DEFAULT_CAPACITY }
     }
 }
 
@@ -467,6 +476,34 @@ mod tests {
         pipe.materialize();
         h.join().unwrap();
         assert_eq!(stuck.collect_tuples().unwrap().len(), 2000);
+    }
+
+    /// Rows in flight are stated once, [`PipeConfig::ROWS_IN_FLIGHT`]: the
+    /// engine's default pipe holds 2 048 rows, and so does an OSP host's
+    /// `UntilFirstOutput` replay history, whose `backfill` is its output
+    /// pipe's depth: a satellite still attaches after 2 048 rows of full
+    /// batches and gets them all replayed, and one batch later it is refused.
+    #[test]
+    fn default_pipe_and_replay_history_hold_2048_rows() {
+        use crate::host::{make_packet, AttachWindow, SharedHost};
+        let depth = crate::engine::QPipeConfig::default().pipe.capacity;
+        assert_eq!(depth * ColBatch::DEFAULT_CAPACITY, 2048);
+        let full = Arc::new(ColBatch::from_rows(&tuples(ColBatch::DEFAULT_CAPACITY as i64)));
+        for (sent, attaches) in [(depth, true), (depth + 1, false)] {
+            let (output, _host_rows) = pair(1024, registry());
+            let window = Some(AttachWindow::UntilFirstOutput);
+            let metrics = qpipe_common::Metrics::new();
+            let host = SharedHost::new(window, depth, NodeId(500), output, "test", metrics, None);
+            for _ in 0..sent {
+                host.push_cols(full.clone());
+            }
+            let (packet, late_rows) = make_packet();
+            assert_eq!(host.try_attach(packet).is_ok(), attaches, "after {sent} batches");
+            host.finish();
+            if attaches {
+                assert_eq!(late_rows.collect_tuples().unwrap().len(), 2048, "history replayed");
+            }
+        }
     }
 
     #[test]

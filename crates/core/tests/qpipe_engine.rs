@@ -100,11 +100,15 @@ fn sort_query_matches() {
 #[test]
 fn identical_concurrent_aggregates_share_one_host() {
     let catalog = setup();
-    let engine = QPipe::new(catalog, QPipeConfig::default());
+    let engine = QPipe::new(catalog.clone(), QPipeConfig::default());
     let m = engine.metrics().clone();
     let before = m.snapshot();
-    // Submit the same query several times in a burst.
+    // Submit the same query several times in a burst. A burst alone does not
+    // make them concurrent: a query can finish before the next is submitted.
+    // The first scanner waits at lineitem's lock until all four are in.
+    let gate = catalog.locks().lock_exclusive("lineitem");
     let handles: Vec<_> = (0..4).map(|_| engine.submit(q6_like(2)).unwrap()).collect();
+    drop(gate);
     let results: Vec<Vec<Tuple>> = handles.into_iter().map(|h| h.try_collect().unwrap()).collect();
     for r in &results {
         assert_eq!(r, &results[0], "all queries must see identical results");

@@ -1233,13 +1233,13 @@ mod tests {
 
     #[test]
     fn merge_join_groups_span_batches_on_both_sides() {
-        let left = keyed(&[&[1, 2, 2], &[2, 2], &[2, 3], &[5; 20], &[5; 10], &[6]], 0);
+        let left = keyed(&[&[1, 2, 2], &[2, 2], &[2, 3], &[5; 80], &[5; 40], &[6]], 0);
         let right = keyed(&[&[0, 2], &[2], &[2, 2, 4], &[5; 15], &[5, 5, 5, 5, 5, 6]], 100);
         let (got, sizes) = merge(left.clone(), right.clone(), None).unwrap();
         let expected = merge_iter(&left, &right);
-        assert_eq!(expected.len(), 5 * 4 + 30 * 20 + 1);
+        assert_eq!(expected.len(), 5 * 4 + 120 * 20 + 1);
         assert_eq!(got, expected, "same pairs, left row by left row");
-        assert_eq!(sizes, [276, 256, 89], "full batches, the last one shorter");
+        assert_eq!(sizes, [1044, 1024, 353], "full batches, the last one shorter");
     }
 
     #[test]
@@ -1271,11 +1271,11 @@ mod tests {
         };
         let int = Value::Int;
         assert_eq!(run(&[40]), [(40, int(0))], "a short batch alone goes out as it came");
-        assert_eq!(run(&[600]), [(600, int(0))], "a long batch goes out whole");
-        assert_eq!(run(&[200, 100, 0, 300]), [(300, int(0)), (300, int(300))]);
+        assert_eq!(run(&[2400]), [(2400, int(0))], "a long batch goes out whole");
+        assert_eq!(run(&[800, 400, 0, 1200]), [(1200, int(0)), (1200, int(1200))]);
         // With nothing pending, a full batch and a lone short one go out uncopied.
         let mut rule = Rechunk::default();
-        let full = Arc::new(batch(&(0..256).map(|v| vec![int(v)]).collect::<Vec<_>>()));
+        let full = Arc::new(batch(&(0..1024).map(|v| vec![int(v)]).collect::<Vec<_>>()));
         let sent = rule.push(full.clone()).unwrap().expect("a full batch goes out at once");
         assert!(Arc::ptr_eq(&sent, &full), "the full batch was copied");
         let short = Arc::new(batch(&[vec![int(1)]]));

@@ -30,7 +30,8 @@ fn main() {
     let (b_to_q1, q1_b) = Pipe::pair(cfg, b, q1, registry.clone());
     let (b_to_q2, q2_b) = Pipe::pair(cfg, b, q2, registry.clone());
 
-    // 16 batches of 256 rows per producer; a pipe carries whole batches.
+    // 16 batches of `DEFAULT_CAPACITY` (1 024) rows per producer; a pipe
+    // carries whole batches.
     let batch = |b: i64| {
         let rows = ColBatch::DEFAULT_CAPACITY as i64;
         let rows: Vec<_> = (b * rows..(b + 1) * rows).map(|i| vec![Value::Int(i)]).collect();

@@ -368,7 +368,8 @@ fn join_and_range_scan_operators_match_the_iterator_engine() {
 
             // 2. Merge join over ordered scans whose big side attaches late.
             // An undrained plain scan of `big` parks its scanner mid-table (the
-            // client pipe holds 8 pages, the table far more); the merge join's
+            // client pipe holds two batches of ≥ 1 024 rows, at most 8 pages,
+            // the table far more); the merge join's
             // `split_ok` scan of `big` then attaches at `pages_read > 0`, the
             // scan wraps for it, and the join restarts at the wrap (§4.3.2).
             let pages = catalog.table("big").unwrap().num_pages().unwrap();

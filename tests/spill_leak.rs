@@ -132,7 +132,7 @@ fn injected_spill_write_failure_still_cleans_temp_files() {
 #[test]
 fn partially_consumed_spilling_operators_release_temp_files() {
     let catalog = quick_system(DiskConfig::instant(), 256);
-    table(&catalog, "l", 1500);
+    table(&catalog, "l", 5000);
     table(&catalog, "r", 500);
     let disk = catalog.disk().clone();
     let config = QPipeConfig {
@@ -152,8 +152,8 @@ fn partially_consumed_spilling_operators_release_temp_files() {
     ];
     for plan in plans {
         let handle = engine.submit(plan).unwrap();
-        // 1 500 sorted rows, or ~7 700 joined ones, are many more than two
-        // 256-row batches: the operator parks mid-output with its runs alive.
+        // 5 000 sorted rows, or ~25 800 joined ones, are many more than two
+        // 1 024-row batches: the operator parks mid-output with its runs alive.
         wait_for("the operator never sent rows with its runs on disk", &disk, || {
             handle.profile().unwrap().stats.rows > 0 && !tmp_files(&disk).is_empty()
         });
