@@ -19,7 +19,7 @@ use qpipe_common::{ColBatch, QResult};
 use qpipe_core::engine::QPipeConfig;
 use qpipe_core::pipe::PipeConfig;
 use qpipe_exec::plan::PlanNode;
-use qpipe_workloads::harness::{staggered_run, Driver, System};
+use qpipe_workloads::harness::{open_loop, Driver, System};
 use qpipe_workloads::tpch::{build_tpch, q4, q6, JoinFlavor, TpchScale};
 
 /// Client `c`'s Q6 in Ablations 1 and 3.
@@ -35,7 +35,7 @@ fn pool_policy_ablation() -> QResult<()> {
     print_header(&["policy", "blocks read", "hit ratio"], &widths);
     for (policy, system) in [("Lru", System::Baseline), ("TwoQ", System::DbmsX)] {
         let driver = tpch_driver(system)?;
-        let r = staggered_run(&driver, (0..4).map(q6_client).collect(), 30.0, scale)?;
+        let r = open_loop(&driver, (0..4).map(q6_client).collect(), 30.0, scale).all_completed()?;
         print_row(
             &[
                 policy.to_string(),
@@ -62,13 +62,13 @@ fn pipe_capacity_ablation() -> QResult<()> {
             build_tpch(c, TpchScale::experiment(), 20050614)
         })?;
         let plans = vec![q4(400, JoinFlavor::Hash), q4(400, JoinFlavor::Hash)];
-        let r = staggered_run(&driver, plans, 20.0, prof.time_scale)?;
+        let r = open_loop(&driver, plans, 20.0, prof.time_scale).all_completed()?;
         let mark = if capacity == default { " (default)" } else { "" };
         print_row(
             &[
                 format!("{capacity}{mark}"),
                 thousands((capacity * ColBatch::DEFAULT_CAPACITY) as u64),
-                f1(r.total_paper_secs),
+                f1(r.elapsed_paper_secs),
                 r.delta.osp_attaches.to_string(),
             ],
             &widths,
@@ -88,9 +88,10 @@ fn scan_sharing_ablation() -> QResult<()> {
         [("Baseline (no sharing)", System::Baseline), ("QPipe w/OSP", System::QPipeOsp)]
     {
         let driver = tpch_driver(system)?;
-        let r = staggered_run(&driver, (0..4).map(q6_client).collect(), 20.0, prof.time_scale)?;
+        let r = open_loop(&driver, (0..4).map(q6_client).collect(), 20.0, prof.time_scale)
+            .all_completed()?;
         print_row(
-            &[label.to_string(), thousands(r.delta.disk_blocks_read), f1(r.total_paper_secs)],
+            &[label.to_string(), thousands(r.delta.disk_blocks_read), f1(r.elapsed_paper_secs)],
             &widths,
         );
     }

@@ -11,22 +11,24 @@
 //!   never silent garbage),
 //! * an injected operator panic is contained (caught exactly once, its
 //!   queries failed, the engine keeps serving),
-//! * admission slots, governor leases, and spill temp files return to
-//!   baseline after the burst drains.
+//! * admission slots, queued tickets, governor leases and spill run files
+//!   return to idle after the burst drains (a small sort budget makes the
+//!   burst's lineitem sorts spill, so a leaked run file shows).
 
 use qpipe_common::{FaultKind, FaultOp, FaultRule, QError};
 use qpipe_core::engine::QPipeConfig;
 use qpipe_exec::iter::ExecConfig;
+use qpipe_exec::plan::{PlanNode, SortKey};
 use qpipe_workloads::chaos::{run_chaos, ChaosConfig};
 use qpipe_workloads::harness::{Driver, OpenLoopOutcome, System, SystemProfile};
-use qpipe_workloads::tpch::{build_tpch, q13, q6, TpchScale};
+use qpipe_workloads::tpch::{build_tpch, cols, q13, q6, TpchScale};
 
 fn main() {
     let driver = Driver::build_with_config(
         System::QPipeOsp,
         SystemProfile::instant(),
         QPipeConfig {
-            exec: ExecConfig { tracing: true, ..ExecConfig::default() },
+            exec: ExecConfig { sort_budget: 2048, tracing: true, ..ExecConfig::default() },
             ..QPipeConfig::default()
         },
         |c| build_tpch(c, TpchScale::tiny(), 42),
@@ -56,9 +58,14 @@ fn main() {
     let config = ChaosConfig { interarrival_paper: 300.0, ..ChaosConfig::new(0xC4A05, rules) };
     let n = 24;
     // Every sixth query scans the corrupted table; the rest scan lineitem and
-    // ride through the transient/panic schedule.
+    // ride through the transient/panic schedule, and of those every sixth
+    // sorts the whole table, spilling runs.
     let plans: Vec<_> = (0..n)
-        .map(|i| if i % 6 == 5 { q13() } else { q6((i % 5) as i32 * 100, 0.05, 30) })
+        .map(|i| match i % 6 {
+            5 => q13(),
+            2 => PlanNode::scan("lineitem").sort(vec![SortKey::asc(cols::L_EXTENDEDPRICE)]),
+            _ => q6((i % 5) as i32 * 100, 0.05, 30),
+        })
         .collect();
     let report = run_chaos(&driver, plans, &config);
 
@@ -100,15 +107,6 @@ fn main() {
     if !bad_failures.is_empty() {
         failures.push(format!("unexpected failure kinds: {bad_failures:?}"));
     }
-    if !report.leaked_tmp_files.is_empty() {
-        failures.push(format!("temp files leaked: {:?}", report.leaked_tmp_files));
-    }
-    if report.governor_in_use != 0 {
-        failures.push(format!("{} memory units still leased", report.governor_in_use));
-    }
-    if !report.busy_engines.is_empty() {
-        failures.push(format!("admission slots leaked: {:?}", report.busy_engines));
-    }
 
     println!(
         "chaos-smoke: {n} submitted, {} completed, {} failed, {} rejected; \
@@ -121,27 +119,7 @@ fn main() {
         report.result.delta.checksum_failures,
         report.result.delta.worker_panics,
     );
-    let l = report.result.latency();
-    println!(
-        "  latency: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
-        l.count,
-        l.p50 as f64 / 1e6,
-        l.p95 as f64 / 1e6,
-        l.p99 as f64 / 1e6,
-    );
-    failures.extend(qpipe_bench::zero_percentile_histograms(&driver.metrics().snapshot()));
-    println!("--- metrics ---");
-    print!("{}", driver.metrics().render_text());
     // Failed queries are expected here (that's the point of the schedule);
     // their journals are the post-mortem artifact this smoke exists to prove.
-    for journal in &report.result.failed_journals {
-        println!("--- failed-query journal ---\n{journal}");
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("chaos-smoke: OK");
+    qpipe_bench::end_smoke("chaos-smoke", &report.result, &driver, report.leftovers, failures);
 }

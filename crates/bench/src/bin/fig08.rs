@@ -9,7 +9,7 @@
 //! saves up to 63% of I/O.
 
 use qpipe_bench::{print_header, print_row, profile, thousands, tpch_driver};
-use qpipe_workloads::harness::{staggered_run, System};
+use qpipe_workloads::harness::{open_loop, System};
 use qpipe_workloads::tpch::q6;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
                 let plans: Vec<_> = (0..clients)
                     .map(|c| q6((c as i32 * 137) % 1800, 0.02 + 0.01 * c as f64, 30 + c as i64))
                     .collect();
-                let r = staggered_run(&driver, plans, ia, scale).expect("run");
+                let r = open_loop(&driver, plans, ia, scale).all_completed().expect("run");
                 blocks.push(r.delta.disk_blocks_read);
             }
             let saved = 100.0 * (1.0 - blocks[1] as f64 / blocks[0].max(1) as f64);

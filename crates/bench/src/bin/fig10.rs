@@ -9,7 +9,7 @@
 //! for a long interval, yielding ≈2x speedup.
 
 use qpipe_bench::{f1, print_header, print_row, profile, wisconsin_driver};
-use qpipe_workloads::harness::{staggered_run, System};
+use qpipe_workloads::harness::{open_loop, System};
 use qpipe_workloads::wisconsin::three_way_join;
 
 fn main() {
@@ -24,11 +24,11 @@ fn main() {
             let driver = wisconsin_driver(system).expect("build driver");
             // Same big predicates, different small predicate (paper setup).
             let plans = vec![three_way_join(0, 3), three_way_join(0, 7)];
-            let r = staggered_run(&driver, plans, ia, scale).expect("run");
+            let r = open_loop(&driver, plans, ia, scale).all_completed().expect("run");
             if system == System::QPipeOsp {
                 attaches = r.delta.osp_attaches;
             }
-            totals.push(r.total_paper_secs);
+            totals.push(r.elapsed_paper_secs);
         }
         print_row(
             &[format!("{ia:.0}"), f1(totals[0]), f1(totals[1]), attaches.to_string()],

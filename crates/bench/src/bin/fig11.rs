@@ -9,7 +9,7 @@
 //! the curves converge past the query duration.
 
 use qpipe_bench::{f1, print_header, print_row, profile, tpch_driver};
-use qpipe_workloads::harness::{staggered_run, System};
+use qpipe_workloads::harness::{open_loop, System};
 use qpipe_workloads::tpch::{q4, JoinFlavor};
 
 fn main() {
@@ -23,11 +23,11 @@ fn main() {
         for system in [System::Baseline, System::QPipeOsp] {
             let driver = tpch_driver(system).expect("build driver");
             let plans = vec![q4(400, JoinFlavor::Hash), q4(400, JoinFlavor::Hash)];
-            let r = staggered_run(&driver, plans, ia, scale).expect("run");
+            let r = open_loop(&driver, plans, ia, scale).all_completed().expect("run");
             if system == System::QPipeOsp {
                 attaches = r.delta.osp_attaches;
             }
-            totals.push(r.total_paper_secs);
+            totals.push(r.elapsed_paper_secs);
         }
         print_row(
             &[format!("{ia:.0}"), f1(totals[0]), f1(totals[1]), attaches.to_string()],

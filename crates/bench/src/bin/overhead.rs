@@ -9,7 +9,7 @@
 use qpipe_bench::{f1, print_header, print_row, profile, wisconsin_driver};
 use qpipe_exec::expr::Expr;
 use qpipe_exec::plan::{AggSpec, PlanNode};
-use qpipe_workloads::harness::{staggered_run, System};
+use qpipe_workloads::harness::{open_loop, System};
 
 fn plans() -> Vec<PlanNode> {
     let agg = |p: PlanNode| p.aggregate(vec![], vec![AggSpec::count_star()]);
@@ -34,8 +34,8 @@ fn main() {
             // Note: big1 appears twice with disjoint predicates — the scan
             // µEngine may still share the physical scan, which is the point:
             // coordinator *checks* cost nothing even when the answer is no.
-            let r = staggered_run(&driver, plans(), 200.0, scale).expect("run");
-            totals.push(r.total_paper_secs);
+            let r = open_loop(&driver, plans(), 200.0, scale).all_completed().expect("run");
+            totals.push(r.elapsed_paper_secs);
         }
         sums[0] += totals[0];
         sums[1] += totals[1];

@@ -7,12 +7,13 @@
 //! * every arrival settles (completed + rejected = submitted),
 //! * no µEngine ever runs more than `queue_depth` queries concurrently,
 //! * governor-granted memory never exceeds the global budget,
-//! * all admission slots and memory leases return to baseline.
+//! * admission slots, queued tickets, memory leases and spill run files
+//!   return to idle.
 
 use qpipe_core::admit::AdmitConfig;
 use qpipe_core::engine::QPipeConfig;
 use qpipe_exec::iter::ExecConfig;
-use qpipe_workloads::harness::{open_loop, Driver, System, SystemProfile};
+use qpipe_workloads::harness::{await_idle, open_loop, Driver, System, SystemProfile};
 use qpipe_workloads::tpch::{build_tpch, query, TpchScale, MIX};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,6 +41,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0x57E55);
     let plans = (0..queries).map(|i| query(MIX[i % MIX.len()], &mut rng)).collect();
     let r = open_loop(&driver, plans, 2.0, profile.time_scale);
+    let leftovers = await_idle(driver.engine());
 
     let engine = driver.engine();
     let gov = engine.governor();
@@ -58,22 +60,6 @@ fn main() {
         if peak > depth {
             failures.push(format!("µEngine {name} ran {peak} > depth {depth} concurrently"));
         }
-        if admit.in_flight(name) != 0 {
-            failures.push(format!("µEngine {name} slots not returned to baseline"));
-        }
-    }
-    if admit.queue_len() != 0 {
-        failures.push(format!("{} tickets left waiting", admit.queue_len()));
-    }
-    // Worker threads may outlive result delivery briefly.
-    for _ in 0..500 {
-        if gov.in_use() == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    if gov.in_use() != 0 {
-        failures.push(format!("{} memory units still leased", gov.in_use()));
     }
     if gov.peak() > global_mem as u64 {
         failures
@@ -115,25 +101,5 @@ fn main() {
     for (name, ns) in busy {
         println!("  pool {name:>10}: {:.1} ms busy", *ns as f64 / 1e6);
     }
-    let l = r.latency();
-    println!(
-        "  latency: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
-        l.count,
-        l.p50 as f64 / 1e6,
-        l.p95 as f64 / 1e6,
-        l.p99 as f64 / 1e6,
-    );
-    failures.extend(qpipe_bench::zero_percentile_histograms(&driver.metrics().snapshot()));
-    println!("--- metrics ---");
-    print!("{}", driver.metrics().render_text());
-    for journal in &r.failed_journals {
-        eprintln!("--- failed-query journal ---\n{journal}");
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("stress-smoke: OK");
+    qpipe_bench::end_smoke("stress-smoke", &r, &driver, leftovers, failures);
 }

@@ -5,7 +5,7 @@
 //! choices, and the `*_smoke` and `planner_fuzz` binaries are CI harnesses.
 
 use qpipe_common::{MetricsSnapshot, QResult};
-use qpipe_workloads::harness::{Driver, System, SystemProfile};
+use qpipe_workloads::harness::{Driver, OpenLoopResult, System, SystemProfile};
 use qpipe_workloads::tpch::{build_tpch, TpchScale};
 use qpipe_workloads::wisconsin::{build_wisconsin, WisconsinScale};
 
@@ -39,6 +39,46 @@ pub fn zero_percentile_histograms(snapshot: &MetricsSnapshot) -> Vec<String> {
             )
         })
         .collect()
+}
+
+/// The smokes' shared tail, after each smoke's own checks: print the
+/// burst's latency line, add a failure for each of `leftovers` (what
+/// [`qpipe_workloads::harness::await_idle`] found after the burst) and for
+/// each [`zero_percentile_histograms`] finding, dump the metrics and the
+/// failed queries' journals when the engine traces, then exit 1 after
+/// printing every failure, or print `{name}: OK`.
+pub fn end_smoke(
+    name: &str,
+    r: &OpenLoopResult,
+    driver: &Driver,
+    leftovers: Vec<String>,
+    mut failures: Vec<String>,
+) {
+    let l = r.latency();
+    println!(
+        "  latency: {} completed, p50 {:.1}s / p95 {:.1}s / p99 {:.1}s (paper time)",
+        l.count,
+        l.p50 as f64 / 1e6,
+        l.p95 as f64 / 1e6,
+        l.p99 as f64 / 1e6,
+    );
+    failures.extend(leftovers.into_iter().map(|l| format!("not idle: {l}")));
+    failures.extend(zero_percentile_histograms(&driver.metrics().snapshot()));
+    if driver.engine().config().exec.tracing {
+        println!("--- metrics ---");
+        print!("{}", driver.metrics().render_text());
+        for journal in &r.failed_journals {
+            println!("--- failed-query journal ---\n{journal}");
+        }
+    }
+    if failures.is_empty() {
+        println!("{name}: OK");
+        return;
+    }
+    for f in &failures {
+        eprintln!("FAIL: {f}");
+    }
+    std::process::exit(1);
 }
 
 /// Print a padded table row.

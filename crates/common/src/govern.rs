@@ -9,8 +9,8 @@
 //! growing. (The iterator engine, the test oracle, takes none.) A grant is bounded
 //! twice — by the operator class cap (the old `sort_budget`/`hash_budget`)
 //! and by the **global** budget shared across every lease of the engine — so
-//! total granted memory never exceeds [`GovernorConfig::global_units`], no
-//! matter how many queries run.
+//! total granted memory never exceeds the global budget, no matter how many
+//! queries run.
 //!
 //! Denial is the spill signal: a sort that cannot grow spills a run, a hash
 //! join falls back to the grace path. The governor never blocks — operators
@@ -20,30 +20,12 @@
 //! `mem_granted`, and the in-use high-water mark is mirrored to `mem_peak`,
 //! which is how the stress suite asserts the global budget held.
 //!
-//! Units are tuples (rows), consistent with the budgets in `ExecConfig`.
+//! Units are tuples (rows). The three caps are `ExecConfig`'s budgets, which
+//! state them and their defaults; the governor only enforces them.
 
 use crate::metrics::Metrics;
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Memory-governor sizing, in tuple units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GovernorConfig {
-    /// Total units grantable across *all* concurrent leases.
-    pub global_units: u64,
-    /// Per-lease cap for [`MemClass::Sort`] leases.
-    pub sort_units: u64,
-    /// Per-lease cap for [`MemClass::Hash`] and [`MemClass::Agg`] leases.
-    pub hash_units: u64,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        // Effectively unbounded global budget: single-query behavior is then
-        // governed by the class caps alone, exactly the pre-governor engine.
-        Self { global_units: u64::MAX >> 2, sort_units: 64 * 1024, hash_units: 64 * 1024 }
-    }
-}
 
 /// Which per-class cap applies to a lease.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +46,12 @@ struct GovState {
 
 #[derive(Debug)]
 struct GovInner {
-    config: GovernorConfig,
+    /// Total units grantable across *all* concurrent leases.
+    global_units: u64,
+    /// Per-lease cap for [`MemClass::Sort`] leases.
+    sort_units: u64,
+    /// Per-lease cap for [`MemClass::Hash`] and [`MemClass::Agg`] leases.
+    hash_units: u64,
     state: Mutex<GovState>,
     metrics: Metrics,
 }
@@ -80,18 +67,18 @@ pub struct MemoryGovernor {
 const GRANT_CHUNK: u64 = 64;
 
 impl MemoryGovernor {
-    pub fn new(config: GovernorConfig, metrics: Metrics) -> Self {
+    /// A governor granting at most `global_units` across all leases, and at
+    /// most `sort_units` / `hash_units` to any one sort / hash or agg lease.
+    pub fn new(global_units: u64, sort_units: u64, hash_units: u64, metrics: Metrics) -> Self {
         Self {
             inner: Arc::new(GovInner {
-                config,
+                global_units,
+                sort_units,
+                hash_units,
                 state: Mutex::new(GovState { in_use: 0, peak: 0 }),
                 metrics,
             }),
         }
-    }
-
-    pub fn config(&self) -> GovernorConfig {
-        self.inner.config
     }
 
     /// Units currently granted across all live leases.
@@ -112,8 +99,8 @@ impl MemoryGovernor {
 
     fn class_cap(&self, class: MemClass) -> u64 {
         match class {
-            MemClass::Sort => self.inner.config.sort_units,
-            MemClass::Hash | MemClass::Agg => self.inner.config.hash_units,
+            MemClass::Sort => self.inner.sort_units,
+            MemClass::Hash | MemClass::Agg => self.inner.hash_units,
         }
     }
 
@@ -128,7 +115,7 @@ impl MemoryGovernor {
             return None;
         }
         let mut st = self.inner.state.lock();
-        let headroom = self.inner.config.global_units - (st.in_use - held);
+        let headroom = self.inner.global_units - (st.in_use - held);
         if need > headroom {
             return None;
         }
@@ -221,13 +208,7 @@ mod tests {
 
     fn gov(global: u64, sort: u64, hash: u64) -> (MemoryGovernor, Metrics) {
         let m = Metrics::new();
-        (
-            MemoryGovernor::new(
-                GovernorConfig { global_units: global, sort_units: sort, hash_units: hash },
-                m.clone(),
-            ),
-            m,
-        )
+        (MemoryGovernor::new(global, sort, hash, m.clone()), m)
     }
 
     #[test]

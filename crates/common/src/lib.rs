@@ -24,7 +24,7 @@ pub use colbatch::{
     ColBatch, ColBatchBuilder, Column, ColumnBuilder, ColumnData, NullBitmap, SelVec,
 };
 pub use error::{QError, QResult};
-pub use govern::{GovernorConfig, MemClass, MemLease, MemoryGovernor};
+pub use govern::{MemClass, MemLease, MemoryGovernor};
 pub use metrics::{Histogram, HistogramSummary, Metrics, MetricsSnapshot};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use sim::{FaultAction, FaultInjector, FaultKind, FaultOp, FaultRule};

@@ -76,7 +76,8 @@ impl Default for AdmitConfig {
 impl AdmitConfig {
     /// Clamp degenerate values (a depth of 0 would admit nothing, ever);
     /// each clamp counts against the warning-level `config_clamps` metric.
-    pub fn validated(mut self, metrics: &Metrics) -> Self {
+    /// [`AdmissionController::new`] is the one caller.
+    fn validated(mut self, metrics: &Metrics) -> Self {
         if self.queue_depth == 0 {
             self.queue_depth = 1;
             metrics.add_config_clamp();
@@ -238,16 +239,28 @@ impl AdmissionController {
         self.state.lock().peak.clone()
     }
 
-    /// Total admission slots currently held, summed over µEngines. A single
-    /// admitted query touching k µEngines contributes k — this is a
-    /// slot-occupancy gauge, not a query count (0 ⇔ fully idle).
-    pub fn running(&self) -> usize {
-        self.state.lock().in_flight.values().sum()
-    }
-
     /// Tickets waiting for admission.
     pub fn queue_len(&self) -> usize {
         self.state.lock().queue.len()
+    }
+
+    /// What admission still holds, one line each: the slots in flight per
+    /// µEngine and the tickets still queued. A handle gives its slots back
+    /// in the call that settles it, so this is empty the moment the last
+    /// handle settles.
+    pub fn leftovers(&self) -> Vec<String> {
+        let state = self.state.lock();
+        let mut left: Vec<String> = state
+            .in_flight
+            .iter()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(name, n)| format!("µEngine {name}: {n} admission slot(s) in flight"))
+            .collect();
+        left.sort();
+        if !state.queue.is_empty() {
+            left.push(format!("{} ticket(s) still queued", state.queue.len()));
+        }
+        left
     }
 
     /// Enqueue a ticket and pump. Fails fast when the ticket would have to

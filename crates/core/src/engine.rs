@@ -109,15 +109,11 @@ impl QPipe {
     /// jobs need them.
     pub fn new(catalog: Arc<Catalog>, config: QPipeConfig) -> Arc<Self> {
         let metrics = catalog.disk().metrics().clone();
-        // Validate once up front so the stored config reports the *effective*
-        // limits (the nested constructors re-validate idempotently: already
-        // clamped values clamp — and count — no further).
-        let config = QPipeConfig {
-            exec: config.exec.validated(&metrics),
-            admit: config.admit.validated(&metrics),
-            ..config
-        };
+        // Each constructor validates its own config once; the stored config
+        // reports the effective values they settled on.
         let ctx = ExecContext::with_config(catalog, config.exec);
+        let admit = AdmissionController::new(config.admit, metrics.clone());
+        let config = QPipeConfig { exec: ctx.config, admit: admit.config(), ..config };
         let registry = Arc::new(WaitRegistry::new(metrics.clone()));
         let scan_mgr = ScanManager::new(ctx.clone(), config.osp, metrics.clone());
         let env = Arc::new(OpEnv {
@@ -134,7 +130,6 @@ impl QPipe {
                 (name, MicroEngine { share, pool: WorkerPool::new(name, metrics.clone()) })
             })
             .collect();
-        let admit = AdmissionController::new(config.admit, metrics.clone());
         Arc::new_cyclic(|self_weak| Self {
             ctx,
             config,
@@ -168,6 +163,21 @@ impl QPipe {
     /// The memory governor every operator of this engine leases from.
     pub fn governor(&self) -> &qpipe_common::MemoryGovernor {
         &self.ctx.governor
+    }
+
+    /// Everything not back to idle, one line each: admission slots in
+    /// flight per µEngine, tickets still queued, governor units leased and
+    /// spill run files on the disk. Empty once every query has settled and
+    /// its workers have wound down; anything else after that is a leak.
+    pub fn leftovers(&self) -> Vec<String> {
+        let mut left = self.admit.leftovers();
+        let leased = self.governor().in_use();
+        if leased > 0 {
+            left.push(format!("{leased} memory unit(s) still leased"));
+        }
+        let runs = qpipe_exec::spill::run_files(self.catalog().disk());
+        left.extend(runs.into_iter().map(|f| format!("spill run file {f}")));
+        left
     }
 
     /// Submit a query plan; returns a handle streaming the root's output.

@@ -409,3 +409,21 @@ fn shared_pipeline_deadlock_is_detected_and_resolved() {
         );
     }
 }
+
+/// Each config is validated once: the engine reports the values it runs
+/// with, and each clamped field counts once in `config_clamps`.
+#[test]
+fn a_degenerate_config_is_clamped_once_and_reported() {
+    use qpipe_core::admit::AdmitConfig;
+    let catalog = setup();
+    let clamps = || catalog.disk().metrics().snapshot().config_clamps;
+    let before = clamps();
+    let config = QPipeConfig {
+        exec: ExecConfig { sort_budget: 0, ..ExecConfig::default() },
+        admit: AdmitConfig { queue_depth: 0, ..AdmitConfig::default() },
+        ..QPipeConfig::default()
+    };
+    let engine = QPipe::new(catalog.clone(), config);
+    assert_eq!((engine.config().exec.sort_budget, engine.config().admit.queue_depth), (2, 1));
+    assert_eq!(clamps() - before, 2, "sort_budget and queue_depth, once each");
+}

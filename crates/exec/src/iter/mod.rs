@@ -20,7 +20,7 @@ pub use sort::{cmp_keys, SortIter};
 
 use crate::expr::Expr;
 use crate::plan::PlanNode;
-use qpipe_common::{GovernorConfig, MemoryGovernor, Metrics, QError, QResult, Tuple};
+use qpipe_common::{MemoryGovernor, Metrics, QError, QResult, Tuple};
 use qpipe_storage::Catalog;
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ impl ExecConfig {
     /// state). Each clamp counts against `config_clamps` — a warning-level
     /// signal that a misconfigured budget is being masked, replacing the
     /// silent `.max(2)` the operators used to apply inline.
-    pub fn validated(mut self, metrics: &Metrics) -> Self {
+    fn validated(mut self, metrics: &Metrics) -> Self {
         let clamp = |v: &mut usize, min: usize| {
             if *v < min {
                 *v = min;
@@ -75,14 +75,6 @@ impl ExecConfig {
         let floor = self.sort_budget.max(self.hash_budget);
         clamp(&mut self.global_budget, floor);
         self
-    }
-
-    fn governor_config(&self) -> GovernorConfig {
-        GovernorConfig {
-            global_units: self.global_budget as u64,
-            sort_units: self.sort_budget as u64,
-            hash_units: self.hash_budget as u64,
-        }
     }
 }
 
@@ -102,10 +94,13 @@ impl ExecContext {
         Self::with_config(catalog, ExecConfig::default())
     }
 
+    /// A context whose `config` is `config` validated — the one place an
+    /// `ExecConfig` is validated — and whose governor enforces its budgets.
     pub fn with_config(catalog: Arc<Catalog>, config: ExecConfig) -> Self {
         let metrics = catalog.disk().metrics().clone();
         let config = config.validated(&metrics);
-        let governor = MemoryGovernor::new(config.governor_config(), metrics);
+        let (global, sort, hash) = (config.global_budget, config.sort_budget, config.hash_budget);
+        let governor = MemoryGovernor::new(global as u64, sort as u64, hash as u64, metrics);
         Self { catalog, config, governor }
     }
 }

@@ -29,10 +29,22 @@ use std::sync::Arc;
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The name prefix every run file carries, and no table's name does.
+pub const RUN_FILE_PREFIX: &str = "__tmp.";
+
 /// Create a uniquely named temp file on the disk.
 fn create_temp(disk: &Arc<SimDisk>, label: &str) -> QResult<FileId> {
     let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    disk.create_file(&format!("__tmp.{label}.{n}"))
+    disk.create_file(&format!("{RUN_FILE_PREFIX}{label}.{n}"))
+}
+
+/// The names of the run files live on `disk`, sorted: empty once every
+/// spilling operator has dropped its runs.
+pub fn run_files(disk: &SimDisk) -> Vec<String> {
+    let mut runs: Vec<String> =
+        disk.file_names().into_iter().filter(|n| n.starts_with(RUN_FILE_PREFIX)).collect();
+    runs.sort();
+    runs
 }
 
 /// RAII handle to one temp file: the file is deleted from the disk when the

@@ -432,7 +432,7 @@ impl SimDisk {
     }
 
     /// Names of every file currently on the disk (leak observability —
-    /// spill temps are recognizable by their `__tmp.` prefix).
+    /// `qpipe_exec::spill::run_files` picks the spill runs out of them).
     pub fn file_names(&self) -> Vec<String> {
         self.files.read().values().map(|f| f.read().name.to_string()).collect()
     }

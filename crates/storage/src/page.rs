@@ -21,7 +21,6 @@
 //! cache. The tuple path never reads or fills it.
 
 use crate::disk::ColCache;
-use bytes::BufMut;
 use qpipe_common::colbatch::{ColBatch, Column, ColumnBuilder};
 use qpipe_common::sim::{fnv_word, page_sum};
 use qpipe_common::{QError, QResult, Tuple, Value};
@@ -262,26 +261,26 @@ const TAG_DATE: u8 = 4;
 
 /// Serialize a tuple into `out` (cleared first is the caller's business).
 pub fn encode_tuple(tuple: &Tuple, out: &mut Vec<u8>) {
-    out.put_u16_le(tuple.len() as u16);
+    out.extend_from_slice(&(tuple.len() as u16).to_le_bytes());
     for v in tuple {
         match v {
-            Value::Null => out.put_u8(TAG_NULL),
+            Value::Null => out.push(TAG_NULL),
             Value::Int(i) => {
-                out.put_u8(TAG_INT);
-                out.put_i64_le(*i);
+                out.push(TAG_INT);
+                out.extend_from_slice(&i.to_le_bytes());
             }
             Value::Float(f) => {
-                out.put_u8(TAG_FLOAT);
-                out.put_f64_le(*f);
+                out.push(TAG_FLOAT);
+                out.extend_from_slice(&f.to_le_bytes());
             }
             Value::Str(s) => {
-                out.put_u8(TAG_STR);
-                out.put_u16_le(s.len() as u16);
-                out.put_slice(s.as_bytes());
+                out.push(TAG_STR);
+                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
             }
             Value::Date(d) => {
-                out.put_u8(TAG_DATE);
-                out.put_i32_le(*d);
+                out.push(TAG_DATE);
+                out.extend_from_slice(&d.to_le_bytes());
             }
         }
     }
@@ -408,6 +407,20 @@ mod tests {
         assert_eq!(buf.len(), encoded_len(&t));
         let back = decode_tuple(&buf).unwrap();
         assert_eq!(back, t);
+    }
+
+    /// The record format, byte for byte: a `u16` arity, then per value a tag
+    /// and its little-endian payload.
+    #[test]
+    fn encoding_is_tagged_little_endian() {
+        let t =
+            vec![Value::Int(-2), Value::Float(0.5), Value::str("ab"), Value::Date(3), Value::Null];
+        let mut buf = Vec::new();
+        encode_tuple(&t, &mut buf);
+        let mut want = vec![5, 0, TAG_INT, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff];
+        want.extend([TAG_FLOAT, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f, TAG_STR, 2, 0, b'a', b'b']);
+        want.extend([TAG_DATE, 3, 0, 0, 0, TAG_NULL]);
+        assert_eq!(buf, want);
     }
 
     #[test]

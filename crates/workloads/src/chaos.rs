@@ -11,19 +11,18 @@
 //!   absorbs them (`io_retries` counts the healing work).
 //! * **Corruption is detected** — checksum verification turns flipped bits
 //!   into `QError::Storage`, never garbage rows.
-//! * **Resources return to baseline** — admission slots, governor leases,
-//!   and spill temp files are all released once the burst drains.
+//! * **Resources return to idle** — [`await_idle`] finds no admission
+//!   slot, queued ticket, governor lease or spill run file left once the
+//!   burst drains.
 //!
 //! The schedule is a plain list of [`FaultRule`]s; with the same seed and
 //! rules a run injects exactly the same faults, so chaos failures reproduce.
 
-use crate::harness::{open_loop, Driver, OpenLoopOutcome, OpenLoopResult};
+use crate::harness::{await_idle, open_loop, Driver, OpenLoopOutcome, OpenLoopResult};
 use qpipe_common::sim::TimeScale;
 use qpipe_common::{FaultInjector, FaultRule};
-use qpipe_core::engine::ENGINE_NAMES;
 use qpipe_exec::plan::PlanNode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A seeded chaos run: the fault schedule plus the arrival shape.
 #[derive(Clone)]
@@ -48,12 +47,9 @@ pub struct ChaosReport {
     pub result: OpenLoopResult,
     /// Faults the injector actually fired during the run.
     pub faults_injected: u64,
-    /// Spill temp files still on disk after the burst drained (leak if any).
-    pub leaked_tmp_files: Vec<String>,
-    /// Governor units still leased after the burst drained (leak if any).
-    pub governor_in_use: u64,
-    /// µEngines still holding admission slots after the burst drained.
-    pub busy_engines: Vec<(&'static str, usize)>,
+    /// What [`await_idle`] found not back to idle after the burst drained
+    /// (a leak if any).
+    pub leftovers: Vec<String>,
 }
 
 impl ChaosReport {
@@ -67,7 +63,7 @@ impl ChaosReport {
     }
 
     /// Assert the containment contract: every arrival settled and every
-    /// resource returned to baseline. Panics with the offending evidence.
+    /// resource returned to idle. Panics with the offending evidence.
     pub fn assert_contained(&self, arrivals: usize) {
         assert_eq!(
             self.result.outcomes.len(),
@@ -75,23 +71,13 @@ impl ChaosReport {
             "every arrival must settle: {:?}",
             self.result.outcomes
         );
-        assert!(
-            self.leaked_tmp_files.is_empty(),
-            "spill temp files leaked under faults: {:?}",
-            self.leaked_tmp_files
-        );
-        assert_eq!(self.governor_in_use, 0, "governor leases leaked under faults");
-        assert!(
-            self.busy_engines.is_empty(),
-            "admission slots leaked under faults: {:?}",
-            self.busy_engines
-        );
+        assert!(self.leftovers.is_empty(), "leaked under faults: {:?}", self.leftovers);
     }
 }
 
 /// Run `plans` as an open-loop burst with `config`'s fault schedule active,
-/// then wait (bounded) for the engine to quiesce and collect the leak
-/// evidence. The injector is detached before returning, so later runs
+/// then wait (bounded) for the engine to return to idle and collect what
+/// did not. The injector is detached before returning, so later runs
 /// against the same driver are fault-free.
 pub fn run_chaos(driver: &Driver, plans: Vec<PlanNode>, config: &ChaosConfig) -> ChaosReport {
     let disk = driver.catalog().disk().clone();
@@ -100,43 +86,10 @@ pub fn run_chaos(driver: &Driver, plans: Vec<PlanNode>, config: &ChaosConfig) ->
     let result = open_loop(driver, plans, config.interarrival_paper, config.scale);
     disk.set_fault_injector(None);
 
-    // Every handle has settled, but worker/scanner threads may still be a
-    // few instructions from dropping their last lease; give them a bounded
-    // moment before reading the leak evidence.
-    let quiesce_deadline = Instant::now() + Duration::from_secs(5);
-    let leftovers = |driver: &Driver| {
-        let tmp: Vec<String> = driver
-            .catalog()
-            .disk()
-            .file_names()
-            .into_iter()
-            .filter(|n| n.starts_with("__tmp."))
-            .collect();
-        let engine = driver.engine();
-        let gov = engine.governor().in_use();
-        let busy: Vec<(&'static str, usize)> = ENGINE_NAMES
-            .iter()
-            .map(|&n| (n, engine.admission().in_flight(n)))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        (tmp, gov, busy)
-    };
-    let (leaked_tmp_files, governor_in_use, busy_engines) = loop {
-        let state = leftovers(driver);
-        if (state.0.is_empty() && state.1 == 0 && state.2.is_empty())
-            || Instant::now() >= quiesce_deadline
-        {
-            break state;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
-
     ChaosReport {
         result,
         faults_injected: injector.injected(),
-        leaked_tmp_files,
-        governor_in_use,
-        busy_engines,
+        leftovers: await_idle(driver.engine()),
     }
 }
 

@@ -10,9 +10,12 @@
 //!   from Baseline in buffer management alone — the paper's explanation of
 //!   the gap between them in Figure 12,
 //!
-//! and drives them with staggered-arrival runs (Figures 8–11) and
-//! closed-loop multi-client runs (Figures 1b/12/13). All time parameters are
-//! in *paper seconds*, converted through a [`TimeScale`].
+//! and drives them with open-loop runs, in which query i arrives at
+//! i × interarrival whatever has completed (the staggered arrivals of
+//! Figures 8–11 and the admission bursts), and closed-loop multi-client runs
+//! (Figures 1b/12/13). [`await_idle`] is the one check that a run left
+//! nothing behind. All time parameters are in *paper seconds*, converted
+//! through a [`TimeScale`].
 
 use qpipe_common::sim::TimeScale;
 use qpipe_common::{HistogramSummary, Metrics, MetricsSnapshot, QError, QResult};
@@ -23,7 +26,7 @@ use qpipe_planner::{PlannedQuery, PlannerOptions};
 use qpipe_storage::{BufferPool, BufferPoolConfig, Catalog, DiskConfig, PolicyKind, SimDisk};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Hardware/time profile for one experiment.
 #[derive(Debug, Clone, Copy)]
@@ -165,57 +168,6 @@ impl Driver {
     }
 }
 
-/// Result of a staggered-arrival run (Figures 8–11).
-#[derive(Debug, Clone)]
-pub struct StaggeredResult {
-    /// Wall time from first submission to last completion, in paper seconds.
-    pub total_paper_secs: f64,
-    /// Metrics delta over the run.
-    pub delta: MetricsSnapshot,
-    /// Row counts per query, in submission order (for correctness checks).
-    pub row_counts: Vec<usize>,
-}
-
-/// Submit `plans[i]` at time `i × interarrival` (paper seconds) and wait for
-/// all to finish.
-pub fn staggered_run(
-    driver: &Driver,
-    plans: Vec<PlanNode>,
-    interarrival_paper: f64,
-    scale: TimeScale,
-) -> QResult<StaggeredResult> {
-    let before = driver.metrics().snapshot();
-    let start = Instant::now();
-    // Every client counts its offset from one release point, so a thread
-    // that starts late (spawning is not free) does not arrive late.
-    let release = &std::sync::Barrier::new(plans.len());
-    let results: Vec<QResult<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = plans
-            .into_iter()
-            .enumerate()
-            .map(|(i, plan)| {
-                let delay = scale.to_real(interarrival_paper * i as f64);
-                s.spawn(move || {
-                    release.wait();
-                    std::thread::sleep(delay);
-                    driver.run(plan)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-    });
-    let total = start.elapsed();
-    let mut row_counts = Vec::with_capacity(results.len());
-    for r in results {
-        row_counts.push(r?);
-    }
-    Ok(StaggeredResult {
-        total_paper_secs: scale.to_paper(total),
-        delta: driver.metrics().snapshot().delta_since(&before),
-        row_counts,
-    })
-}
-
 /// Result of a closed-loop run (Figures 1b/12/13).
 #[derive(Debug, Clone)]
 pub struct ClosedLoopResult {
@@ -278,7 +230,7 @@ pub fn closed_loop(
     let completed = completed.load(Ordering::Relaxed);
     let avg_response_paper_secs = match response_us.load(Ordering::Relaxed).checked_div(completed) {
         None | Some(0) => 0.0,
-        Some(mean_us) => scale.to_paper(std::time::Duration::from_micros(mean_us)),
+        Some(mean_us) => scale.to_paper(Duration::from_micros(mean_us)),
     };
     ClosedLoopResult {
         completed,
@@ -308,6 +260,8 @@ pub struct OpenLoopResult {
     pub latencies_paper: Vec<Option<f64>>,
     pub completed: u64,
     pub rejected: u64,
+    /// Paper seconds from the first arrival to the last query settling.
+    pub elapsed_paper_secs: f64,
     /// Queries per hour of paper time (completed only).
     pub qph: f64,
     pub delta: MetricsSnapshot,
@@ -326,6 +280,20 @@ impl OpenLoopResult {
                 _ => None,
             })
             .collect()
+    }
+
+    /// The run itself if every query completed, else the first refusal or
+    /// failure as an error: what a figure, whose every query must finish,
+    /// propagates.
+    pub fn all_completed(self) -> QResult<Self> {
+        for o in &self.outcomes {
+            match o {
+                OpenLoopOutcome::Completed(_) => {}
+                OpenLoopOutcome::Rejected(msg) => return Err(QError::Admission(msg.clone())),
+                OpenLoopOutcome::Failed(e) => return Err(e.clone()),
+            }
+        }
+        Ok(self)
     }
 
     /// Completed-query latency through the shared log-bucketed
@@ -362,7 +330,7 @@ pub fn open_loop(
     let n = plans.len();
     // One settled arrival: outcome, submission→last-row wall time, and (for
     // traced failures) the rendered trace journal.
-    type Settled = (OpenLoopOutcome, Option<std::time::Duration>, Option<String>);
+    type Settled = (OpenLoopOutcome, Option<Duration>, Option<String>);
     let settled: Vec<Settled> = std::thread::scope(|s| {
         let mut pending: Vec<Result<_, OpenLoopOutcome>> = Vec::with_capacity(n);
         for (i, plan) in plans.into_iter().enumerate() {
@@ -414,9 +382,40 @@ pub fn open_loop(
         latencies_paper,
         completed,
         rejected,
+        elapsed_paper_secs: elapsed_paper,
         qph: completed as f64 / (elapsed_paper / 3600.0),
         delta: driver.metrics().snapshot().delta_since(&before),
         failed_journals,
+    }
+}
+
+/// How long [`await_idle`] gives a settled engine to wind down: a worker may
+/// still be a few instructions from dropping its last lease or run file when
+/// the query's last row reaches its client.
+const IDLE_BOUND: Duration = Duration::from_secs(5);
+
+/// The check that a run left nothing behind, for a caller whose every query
+/// handle has settled: empty when every admission slot, queued ticket,
+/// governor lease and spill run file is back to idle, else one line per
+/// thing that leaked. Admission is read once, at once — a handle gives its
+/// slots back in the call that settles it, so a slot or ticket still held
+/// now is a leak however soon it would go. Leases and run files get
+/// [`IDLE_BOUND`]: [`QPipe::leftovers`] is polled until it is empty or the
+/// bound has passed.
+pub fn await_idle(engine: &QPipe) -> Vec<String> {
+    let mut left = engine.admission().leftovers();
+    let start = Instant::now();
+    loop {
+        let now = engine.leftovers();
+        if now.is_empty() || start.elapsed() >= IDLE_BOUND {
+            for l in now {
+                if !left.contains(&l) {
+                    left.push(l);
+                }
+            }
+            return left;
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -476,17 +475,26 @@ mod tests {
                 SystemProfile::instant().time_scale,
             );
             assert_eq!(r.completed, 0, "{}", system.label());
+            let scale = SystemProfile::instant().time_scale;
+            let r = open_loop(&d, vec![PlanNode::scan("region")], 0.0, scale).all_completed();
+            assert!(
+                matches!(r, Err(QError::Storage(_))),
+                "{}: a figure fails loudly",
+                system.label()
+            );
         }
     }
 
     #[test]
-    fn staggered_run_reports_counts_and_delta() {
+    fn a_staggered_open_loop_reports_counts_elapsed_time_and_delta() {
         let d = tiny_driver(System::QPipeOsp);
         let plans = vec![q6(100, 0.05, 30), q6(200, 0.04, 35)];
-        let r = staggered_run(&d, plans, 0.0, SystemProfile::instant().time_scale).unwrap();
-        assert_eq!(r.row_counts.len(), 2);
+        let scale = SystemProfile::instant().time_scale;
+        let r = open_loop(&d, plans, 100.0, scale).all_completed().unwrap();
+        assert_eq!(r.row_counts().len(), 2);
         assert!(r.delta.disk_blocks_read > 0);
-        assert!(r.total_paper_secs > 0.0);
+        assert!(r.elapsed_paper_secs >= 100.0, "the second query arrives 100 paper s in");
+        assert!(await_idle(d.engine()).is_empty());
     }
 
     #[test]

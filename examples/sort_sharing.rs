@@ -7,7 +7,7 @@
 //! ```
 
 use qpipe_common::QResult;
-use qpipe_workloads::harness::{staggered_run, Driver, System, SystemProfile};
+use qpipe_workloads::harness::{open_loop, Driver, System, SystemProfile};
 use qpipe_workloads::wisconsin::{build_wisconsin, three_way_join, WisconsinScale};
 
 fn main() -> QResult<()> {
@@ -23,11 +23,11 @@ fn main() -> QResult<()> {
             Driver::build(system, profile, |c| build_wisconsin(c, WisconsinScale::experiment()))?;
         // Same BIG1/BIG2 predicates; different SMALL predicate.
         let plans = vec![three_way_join(0, 3), three_way_join(0, 7)];
-        let r = staggered_run(&driver, plans, 20.0, profile.time_scale)?;
+        let r = open_loop(&driver, plans, 20.0, profile.time_scale).all_completed()?;
         println!(
             "{:<14} {:>18.1} {:>14} {:>14}",
             system.label(),
-            r.total_paper_secs,
+            r.elapsed_paper_secs,
             r.delta.disk_blocks_read,
             r.delta.osp_attaches
         );

@@ -7,7 +7,7 @@ mod common;
 
 use common::assert_rows_equivalent;
 use qpipe::prelude::*;
-use qpipe::workloads::harness::{staggered_run, Driver, System, SystemProfile};
+use qpipe::workloads::harness::{await_idle, open_loop, Driver, System, SystemProfile};
 use qpipe::workloads::tpch::{build_tpch, query, TpchScale, MIX};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,10 +80,10 @@ fn osp_reduces_io_for_concurrent_scans() {
     let base = driver(System::Baseline);
     // Stagger beyond pool-trailing distance (instant disk: any stagger works
     // because scans finish instantly; use 0 so both systems see a burst).
-    let b = staggered_run(&base, mk_plans(), 0.0, scale).unwrap();
+    let b = open_loop(&base, mk_plans(), 0.0, scale).all_completed().unwrap();
     let osp = driver(System::QPipeOsp);
-    let o = staggered_run(&osp, mk_plans(), 0.0, scale).unwrap();
-    assert_eq!(b.row_counts, o.row_counts);
+    let o = open_loop(&osp, mk_plans(), 0.0, scale).all_completed().unwrap();
+    assert_eq!(b.row_counts(), o.row_counts());
     assert!(
         o.delta.disk_blocks_read <= b.delta.disk_blocks_read,
         "OSP {} blocks vs baseline {}",
@@ -121,8 +121,9 @@ fn repeated_bursts_keep_engine_healthy() {
                 query(q, &mut rng)
             })
             .collect();
-        let r = staggered_run(&d, plans, 0.0, scale).unwrap();
-        assert_eq!(r.row_counts.len(), 6, "round {round}");
+        let r = open_loop(&d, plans, 0.0, scale).all_completed().unwrap();
+        assert_eq!(r.row_counts().len(), 6, "round {round}");
+        assert_eq!(await_idle(d.engine()), Vec::<String>::new(), "round {round}");
     }
 }
 

@@ -269,8 +269,7 @@ fn columnar_sort_spills_columnar_runs_and_matches_row_path() {
     let delta = engine.metrics().snapshot().delta_since(&before);
     assert_eq!(delta.col_rowified_batches, 0, "sort must not flatten its columnar input");
     assert_eq!(delta.vec_fallbacks, 0);
-    let leaked: Vec<String> =
-        disk.file_names().into_iter().filter(|n| n.starts_with("__tmp.")).collect();
+    let leaked = qpipe::exec::spill::run_files(&disk);
     assert!(leaked.is_empty(), "sort runs must delete their temp files: {leaked:?}");
 }
 

@@ -1298,8 +1298,7 @@ fn vectorized_sort_is_bit_identical_to_sort_iter() {
                 got, reference,
                 "seed {seed} budget {budget}: vectorized sort diverges from SortIter"
             );
-            let leaked: Vec<String> =
-                disk.file_names().into_iter().filter(|f| f.starts_with("__tmp.")).collect();
+            let leaked = qpipe::exec::spill::run_files(&disk);
             assert!(leaked.is_empty(), "seed {seed}: leaked spill files {leaked:?}");
         }
     }

@@ -10,6 +10,7 @@
 
 use qpipe::prelude::*;
 use qpipe::quick_system;
+use qpipe::workloads::harness::await_idle;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,54 +65,48 @@ fn repeated_engine_lifecycles_do_not_leak_threads() {
     }
 }
 
-/// End-to-end cancel: a client that cancels a running multi-pass sort gets
-/// its admission slots back at once, and its spill files and memory leases
-/// back as soon as the sort winds down; the engine stays usable.
+/// End-to-end cancel: while a multi-pass sort runs over a hash join,
+/// `QPipe::leftovers` names the query's admission slots, the units the
+/// join's build side leases and the sort's spill run files; a client that
+/// cancels it gets the slots back at once, and the leases and run files as
+/// soon as the operators wind down, within the harness's one bounded wait.
+/// The engine stays usable.
 #[test]
 fn cancelling_a_running_sort_releases_its_slots_leases_and_spill_files() {
     // A latency-charging disk paces the multi-pass sort by its reads.
     let catalog = quick_system(DiskConfig::experiment(), 64);
+    let rows = |n: i64, k: i64| (0..n).map(|i| vec![Value::Int(i % k), Value::Int(i)]).collect();
     let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
-    catalog
-        .create_table(
-            "big",
-            schema,
-            (0..30_000).map(|i| vec![Value::Int(i % 1009), Value::Int(i)]).collect(),
-            None,
-        )
-        .unwrap();
-    let disk = catalog.disk().clone();
-    let tmp_files = || disk.file_names().into_iter().filter(|n| n.starts_with("__tmp.")).count();
+    catalog.create_table("big", schema.clone(), rows(30_000, 1009), None).unwrap();
+    catalog.create_table("dim", schema, rows(1009, 1009), None).unwrap();
     let config = QPipeConfig {
         exec: ExecConfig { sort_budget: 256, ..ExecConfig::default() },
         ..QPipeConfig::default()
     };
     let engine = QPipe::new(catalog, config);
-    let (leases, files) = (engine.governor().in_use(), tmp_files());
-    let read = || engine.metrics().snapshot().disk_blocks_read;
-    let before = read();
-    let sort = engine.submit(PlanNode::scan("big").sort(vec![SortKey::asc(0)])).unwrap();
+    assert_eq!(engine.leftovers(), Vec::<String>::new(), "a fresh engine is idle");
+    // The join leases its build side for as long as it probes `big`, while
+    // the sort above it spills a run per batch.
+    let plan = PlanNode::scan("dim").hash_join(PlanNode::scan("big"), 0, 0);
+    let sort = engine.submit(plan.sort(vec![SortKey::asc(3)])).unwrap();
     assert!(!sort.is_queued(), "capacity was free");
-    // Cancel mid-run: once the sort has read blocks and spilled a run, so
-    // it holds a lease and a temp file that the cancel must give back.
     let started = Instant::now();
-    while read() == before || tmp_files() == files {
-        assert!(started.elapsed() < Duration::from_secs(10), "the sort never spilled a run");
+    let left = loop {
+        let left = engine.leftovers();
+        let names = |what: &str| left.iter().any(|l| l.contains(what));
+        if names("spill run file ") && names("memory unit(s) still leased") {
+            break left;
+        }
+        assert!(started.elapsed() < Duration::from_secs(10), "no run and lease at once: {left:?}");
         std::thread::sleep(Duration::from_millis(1));
+    };
+    // A query holds one slot on each µEngine its plan touches.
+    for engine in ["sort", "hashjoin", "scan"] {
+        let slot = format!("µEngine {engine}: 1 admission slot(s) in flight");
+        assert!(left.contains(&slot), "{slot:?} missing from {left:?}");
     }
     sort.cancel();
-    let admit = engine.admission();
-    assert_eq!((admit.in_flight("sort"), admit.in_flight("scan")), (0, 0), "slots back at once");
-    let settled = Instant::now();
-    while engine.governor().in_use() != leases || tmp_files() != files {
-        assert!(
-            settled.elapsed() < Duration::from_secs(10),
-            "the cancelled sort kept {} units leased and {} temp files",
-            engine.governor().in_use(),
-            tmp_files()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert_eq!(await_idle(&engine), Vec::<String>::new(), "slots, leases and run files back");
     let count = PlanNode::scan("big").aggregate(vec![], vec![AggSpec::count_star()]);
     let rows = engine.submit(count).unwrap().try_collect().unwrap();
     assert_eq!(rows, vec![vec![Value::Int(30_000)]], "the engine serves the next query");
