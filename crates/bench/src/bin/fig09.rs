@@ -8,6 +8,11 @@
 //! the second query's large scan to the one in progress and performs two
 //! merge joins (re-reading the small side). The w/OSP curve stays well below
 //! the Baseline until the interarrival exceeds the query duration.
+//!
+//! The `interarrival_s = 0` row swings about 2× between runs of one build
+//! (Baseline read 33.5, 38.4 and 75.8 paper s over three runs), while the
+//! rows at 20 s and beyond move a few percent: judge that row over several
+//! runs per commit, alternating commits.
 
 use qpipe_bench::{f1, print_header, print_row, profile, tpch_driver};
 use qpipe_workloads::harness::{open_loop, System};

@@ -7,6 +7,11 @@
 //! second query shares the entire join; after that window closes it still
 //! shares the in-progress LINEITEM scan, so w/OSP stays below Baseline until
 //! the curves converge past the query duration.
+//!
+//! The `interarrival_s = 0` row swings about 2× between runs of one build
+//! (Baseline read 73.2, 39.9, 34.0 and 35.8 paper s over four runs), while the
+//! rows at 20 s and beyond move a few percent: judge that row over several
+//! runs per commit, alternating commits.
 
 use qpipe_bench::{f1, print_header, print_row, profile, tpch_driver};
 use qpipe_workloads::harness::{open_loop, System};

@@ -666,9 +666,12 @@ mod tests {
         Pipe::pair(PipeConfig { capacity }, NodeId(1), NodeId(2), reg.clone())
     }
 
-    /// A request whose output pipe holds `capacity` batches (pages). With a
-    /// capacity below the table's page count and the consumer left undrained,
-    /// the scanner parks mid-scan on the full pipe.
+    /// A request whose output pipe holds `capacity` batches of up to
+    /// [`ColBatch::DEFAULT_CAPACITY`] rows. Left undrained, it parks the
+    /// scanner once the pipe is full and the next batch is ready, so the
+    /// scanner first claims pages worth about `(capacity + 1) × 1 024` of its
+    /// rows. Only a table several times that long parks it mid-table (see
+    /// [`wait_parked_mid_table`]).
     fn request_cap(
         reg: &Arc<WaitRegistry>,
         ordered: bool,
@@ -726,6 +729,20 @@ mod tests {
     /// position-0 window is closed (`pages_read > 0`).
     fn wait_for_first_page(m: &Metrics) {
         poll_until("scanner never read a page", || m.snapshot().disk_blocks_read > 0);
+    }
+
+    /// Block until the scanner parks on an undrained pipe, and check the
+    /// premise of every latecomer test: it parked mid-table, with pages
+    /// still unread, so a request attaching now starts past page 0 and the
+    /// scan must wrap for it. (A latecomer attaching after the last claim
+    /// starts at page 0 and never wraps.)
+    fn wait_parked_mid_table(reg: &WaitRegistry, m: &Metrics, pages: u64) {
+        use crate::deadlock::WaitKind;
+        poll_until("the scanner never parked", || {
+            reg.edges().iter().any(|e| e.kind == WaitKind::ProducerFull)
+        });
+        let read = m.snapshot().disk_blocks_read;
+        assert!(read < pages, "the scanner parked after reading {read} of {pages} pages");
     }
 
     fn sorted(mut rows: Vec<qpipe_common::Tuple>) -> Vec<qpipe_common::Tuple> {
@@ -837,7 +854,7 @@ mod tests {
         // The host parks on its undrained 2-batch pipe a few pages in.
         let (host, host_rows) = request_cap(&reg, false, false, 2);
         mgr.submit(host).unwrap();
-        wait_for_first_page(&m);
+        wait_parked_mid_table(&reg, &m, pages);
         let (late, late_rows) = request(&reg, false, false);
         mgr.submit(late).unwrap();
         assert_eq!(mgr.group_count("t"), 1, "the latecomer rides the host's scan");
@@ -862,9 +879,10 @@ mod tests {
         ctx.catalog.pool().clear();
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::default());
+        let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
         let (host, host_rows) = request_cap(&reg, false, false, 2);
         mgr.submit(host).unwrap();
-        wait_for_first_page(&m);
+        wait_parked_mid_table(&reg, &m, pages);
         // Page 0 is read: from here on every read of it fails. The host's
         // last page is the file's last, k; the wrap's first is 0 = k + 1.
         ctx.catalog.disk().set_fault_injector(Some(Arc::new(FaultInjector::new(
@@ -1197,8 +1215,9 @@ mod tests {
                 trace: None,
             };
             let host_plan = plan_of(&host);
+            let pages = ctx.catalog.table("w").unwrap().num_pages().unwrap();
             mgr.submit(host).unwrap();
-            wait_for_first_page(&m);
+            wait_parked_mid_table(&reg, &m, pages);
             let (late, late_rows) = pruned_request(&reg, 700, vec![1]);
             let late_plan = plan_of(&late);
             mgr.submit(late).unwrap();
@@ -1356,15 +1375,17 @@ mod tests {
     /// multiset.
     #[test]
     fn request_attached_after_first_page_wraps_and_sees_every_page_once() {
-        let (ctx, m) = ctx_with_wide_table(3000, qpipe_storage::StorageLayout::Row);
+        let (ctx, m) = ctx_with_wide_table(20_000, qpipe_storage::StorageLayout::Row);
+        let pages = ctx.catalog.table("w").unwrap().num_pages().unwrap();
         let mgr = manager(&ctx, &m, true);
         let reg = Arc::new(WaitRegistry::default());
-        // The host parks on its undrained 2-page pipe: the scan is under way
-        // (`pages_read > 0`) and cannot finish before the latecomer attaches.
-        let (mut host, host_rows) = request_cap(&reg, false, false, 2);
+        // The host parks on its undrained 1-batch pipe about ten pages into
+        // the table's 80: the scan is under way and cannot finish before the
+        // latecomer attaches.
+        let (mut host, host_rows) = request_cap(&reg, false, false, 1);
         host.table = "w".into();
         mgr.submit(host).unwrap();
-        wait_for_first_page(&m);
+        wait_parked_mid_table(&reg, &m, pages);
         let (late, late_rows) = pruned_request(&reg, 700, vec![2, 1]);
         let plan = qpipe_exec::plan::PlanNode::TableScan {
             table: "w".into(),
@@ -1603,9 +1624,10 @@ mod tests {
             let reg = Arc::new(WaitRegistry::default());
             // The host parks on its undrained 2-batch pipe a few pages in:
             // the latecomer starts mid-scan, well before the table's end.
+            let pages = ctx.catalog.table("t").unwrap().num_pages().unwrap();
             let (host, host_rows) = request_cap(&reg, false, false, 2);
             mgr.submit(host).unwrap();
-            wait_for_first_page(&m);
+            wait_parked_mid_table(&reg, &m, pages);
             // 100 rows on page 0, 100 on the last page: 200 pending, less
             // than one batch, until the latecomer's last page after the wrap.
             let edges =

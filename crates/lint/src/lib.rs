@@ -60,15 +60,29 @@
 //! and a `HistogramSummary` percentile field in `MetricsSnapshot` — a plain
 //! integer snapshot field does not count, since it cannot carry p50/p95/p99.
 //!
+//! **R5 — regression guards** (no waiver). Each design decision the engine
+//! takes from the paper is stated once; what keeps a deleted alternative
+//! from coming back is one row of `.github/guards.tsv` ([`guards`]): a
+//! pattern that must stay absent from a set of paths, from their non-test
+//! code, or from a named item's body (`pub struct QPipeConfig`), a path that
+//! must not exist, a bounded count, or an allowlist of the files that may
+//! name a pattern. The pattern and flags go to the system `grep` as
+//! written; R5 supplies only the non-test and item scopes, from the same
+//! lexer as R1–R4. Every row carries a witness line, and
+//! `crates/lint/tests/rules.rs::every_guard_fires_on_its_witness` puts each
+//! one back into a copy of the tree to show that its row, and only its row,
+//! fires. A guard is changed in the table, never waived at a site.
+//!
 //! # Waivers
 //!
 //! ```text
 //! // lint:allow(R1): poisoned-lock recovery is impossible here; see #42
 //! ```
 //!
-//! A waiver suppresses findings of its rule on its own line (trailing
-//! comment) or the line directly below (comment above). The reason is
-//! mandatory — a waiver without one is itself a violation.
+//! A waiver suppresses findings of its rule (R1–R4) on its own line
+//! (trailing comment) or the line directly below (comment above). The
+//! reason is mandatory — a waiver without one, or one naming R5, is itself
+//! a violation.
 //!
 //! # Running
 //!
@@ -76,12 +90,23 @@
 //! cargo run --release -p qpipe-lint   # any finding fails (exit 1)
 //! ```
 
+pub mod guards;
 pub mod lexer;
 pub mod rules;
 
 pub use rules::{run, Config, Finding, Rule, SourceFile};
 
 use std::path::{Path, PathBuf};
+
+/// Lint the workspace at `root`: R1–R4 over its sources and R5 over its
+/// guard table. Returns the number of source files read and every finding.
+pub fn lint_workspace(root: &Path) -> Result<(usize, Vec<Finding>), String> {
+    let files = collect_sources(root)
+        .map_err(|e| format!("reading sources under {}: {e}", root.display()))?;
+    let mut findings = run(&files, &Config::default());
+    findings.extend(guards::check(root, &guards::load(root)?));
+    Ok((files.len(), findings))
+}
 
 /// Collect every `crates/*/src/**/*.rs` file under `root` (sorted, paths
 /// repo-relative with forward slashes). Shims and `target/` are not under

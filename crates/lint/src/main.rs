@@ -1,4 +1,4 @@
-//! The `qpipe-lint` binary: lint the workspace; any finding fails.
+//! The `qpipe-lint` binary: lint the workspace (R1–R5); any finding fails.
 //!
 //! ```text
 //! qpipe-lint [--root <dir>]
@@ -6,7 +6,7 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage / I/O error.
 
-use qpipe_lint::{collect_sources, find_root, Config};
+use qpipe_lint::{find_root, guards};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -23,10 +23,14 @@ fn parse_args() -> Result<Option<PathBuf>, String> {
                      \n\
                      USAGE: qpipe-lint [--root <dir>]\n\
                      \n\
-                     Fails on any finding. Waive a single finding with\n\
-                     `// lint:allow(rule): reason` on the same line or the line above\n\
-                     (rules: R1|panic, R2|thread, R3|lock, R4|metrics). The reason is\n\
-                     mandatory."
+                     R1 panic-freedom, R2 thread hygiene, R3 lock discipline and R4\n\
+                     metrics integrity over crates/*/src/**.rs; R5 runs every\n\
+                     regression guard of {}. Fails on any finding.\n\
+                     Waive a single R1-R4 finding with `// lint:allow(rule): reason`\n\
+                     on the same line or the line above (rules: R1|panic, R2|thread,\n\
+                     R3|lock, R4|metrics). The reason is mandatory. R5 takes no\n\
+                     waiver: a guard is changed in its table.",
+                    guards::TABLE
                 );
                 std::process::exit(0);
             }
@@ -49,18 +53,17 @@ fn main() -> ExitCode {
         eprintln!("qpipe-lint: no workspace root found (run inside the repo or pass --root)");
         return ExitCode::from(2);
     };
-    let files = match collect_sources(&root) {
-        Ok(f) => f,
+    let (files, findings) = match qpipe_lint::lint_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("qpipe-lint: reading sources under {}: {e}", root.display());
+            eprintln!("qpipe-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let findings = qpipe_lint::run(&files, &Config::default());
     for f in &findings {
         println!("{f}");
     }
-    println!("qpipe-lint: {} file(s), {} finding(s)", files.len(), findings.len());
+    println!("qpipe-lint: {files} file(s), {} finding(s)", findings.len());
     if findings.is_empty() {
         println!("qpipe-lint: OK");
         ExitCode::SUCCESS

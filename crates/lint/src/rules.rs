@@ -1,4 +1,5 @@
-//! The QPipe rule engine: R1–R4 over lexed token streams.
+//! The QPipe rule engine: R1–R4 over lexed token streams (R5, the guard
+//! table, is [`crate::guards`]).
 //!
 //! Each rule walks the token stream produced by [`crate::lexer`] looking for
 //! short, unambiguous token shapes. Findings are line-addressed; waivers
@@ -27,13 +28,17 @@ pub enum Rule {
     /// mutator, be driven from outside `metrics.rs`, and be surfaced in
     /// `MetricsSnapshot`.
     R4,
+    /// Regression guards: no row of `.github/guards.tsv` fires
+    /// ([`crate::guards`]). Takes no waiver.
+    R5,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 4] = [Rule::R1, Rule::R2, Rule::R3, Rule::R4];
+    pub const ALL: [Rule; 5] = [Rule::R1, Rule::R2, Rule::R3, Rule::R4, Rule::R5];
 
     /// Parse a rule key as written in a waiver: `R1`/`panic`, `R2`/`thread`,
-    /// `R3`/`lock`, `R4`/`metrics`.
+    /// `R3`/`lock`, `R4`/`metrics`. R5 is not one: a guard row is changed in
+    /// its table, never waived at a site.
     pub fn parse(key: &str) -> Option<Rule> {
         match key.trim() {
             "R1" | "panic" => Some(Rule::R1),
@@ -52,6 +57,7 @@ impl fmt::Display for Rule {
             Rule::R2 => "R2",
             Rule::R3 => "R3",
             Rule::R4 => "R4",
+            Rule::R5 => "R5",
         };
         f.write_str(s)
     }
@@ -206,7 +212,7 @@ fn waivers(lx: &Lexed) -> Vec<Waiver> {
 /// items. Computed by matching the attribute's token shape and then pairing
 /// the next `{` with its closing brace; an item that ends in `;` before any
 /// brace (e.g. `#[cfg(test)] use …;`) covers just its own lines.
-fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
+pub(crate) fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -270,7 +276,7 @@ fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
     spans
 }
 
-fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
+pub(crate) fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
     spans.iter().any(|&(a, b)| line >= a && line <= b)
 }
 

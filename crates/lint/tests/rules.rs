@@ -1,8 +1,12 @@
 //! Fixture tests for every rule: a positive (the rule fires), a negative
 //! (the idiomatic shape passes) and a waiver (suppression works and demands
-//! a reason) — then the workspace itself, which must have no finding.
+//! a reason) — then R5's scopes on scratch trees, every guard row fired by
+//! its witness in a copy of the workspace, and the workspace itself, which
+//! must have no finding.
 
+use qpipe_lint::guards::{self, Guard, Kind};
 use qpipe_lint::{run, Config, Finding, Rule, SourceFile};
+use std::path::{Path, PathBuf};
 
 fn engine_cfg() -> Config {
     Config {
@@ -321,17 +325,249 @@ fn r4_positive_histogram_missing_percentile_snapshot() {
 }
 
 // ---------------------------------------------------------------------------
+// R5 — regression guards
+// ---------------------------------------------------------------------------
+
+#[test]
+fn r5_takes_no_waiver() {
+    assert_eq!(Rule::parse("R5"), None);
+    let f = lint_one("crates/core/src/fix.rs", "// lint:allow(R5): the table says so\nfn a() {}\n");
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].msg.contains("malformed waiver"), "{}", f[0].msg);
+}
+
+/// A directory under the system temp dir, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("qpipe-lint-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+
+    fn put(&self, rel: &str, content: &str) {
+        let path = self.0.join(rel);
+        std::fs::create_dir_all(path.parent().expect("a parent")).expect("mkdir");
+        std::fs::write(path, content).expect("write");
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One guard row from its six columns.
+fn row(cols: [&str; 6]) -> Guard {
+    let mut g = guards::parse(&cols.join("\t")).expect("a valid row");
+    g.remove(0)
+}
+
+fn lines_of(findings: &[Finding]) -> Vec<(String, u32)> {
+    findings.iter().map(|f| (f.path.clone(), f.line)).collect()
+}
+
+#[test]
+fn r5_non_test_scope_ends_with_each_test_item() {
+    // A mid-file `#[cfg(test)]` helper hides only itself: the code after it
+    // is checked (a cut at the first `#[cfg(test)]` line would hide line 5).
+    let tree = Scratch::new("non-test");
+    tree.put(
+        "src/a.rs",
+        "fn a(b: B) { b.len(); }\n\
+         #[cfg(test)]\n\
+         fn helper(b: B) -> Vec<Row> { b.to_rows() }\n\
+         \n\
+         fn after(b: B) -> Vec<Row> { b.to_rows() }\n\
+         #[cfg(test)]\n\
+         mod tests {\n\
+         \x20   fn t(b: B) { b.to_rows(); }\n\
+         }\n",
+    );
+    let g = row(["no rows", "non-test", "-nE", r"\.row\(|to_rows\(", "src/a.rs", "b.to_rows()"]);
+    assert_eq!(lines_of(&g.check(&tree.0)), vec![("src/a.rs".into(), 5)]);
+}
+
+#[test]
+fn r5_item_scope_ignores_the_same_text_outside_the_item() {
+    let knob = ["no knob", "in-item:pub struct PoolConfig", "-niE", "prefetch", "src/a.rs", "x"];
+    let knob = row(knob);
+    // A `-v` row limits every line of the item; the lines around it are free.
+    let only = r"pub enum Class \{|    One,|\}";
+    let one = row(["one class", "in-item:pub enum Class", "-vxE", only, "src/a.rs", "    Two,"]);
+    let tree = Scratch::new("item");
+    tree.put(
+        "src/a.rs",
+        "/// A pool's prefetch is not a setting.\n\
+         pub struct PoolConfig {\n\
+         \x20   pub frames: usize,\n\
+         }\n\
+         fn prefetch(page: u64) {}\n\
+         pub enum Class {\n\
+         \x20   One,\n\
+         }\n\
+         struct Two;\n",
+    );
+    assert!(knob.check(&tree.0).is_empty(), "{:?}", knob.check(&tree.0));
+    assert!(one.check(&tree.0).is_empty(), "{:?}", one.check(&tree.0));
+    tree.put(
+        "src/a.rs",
+        "pub struct PoolConfig {\n\
+         \x20   pub prefetch: bool,\n\
+         }\n\
+         pub enum Class {\n\
+         \x20   One,\n\
+         \x20   Two,\n\
+         }\n",
+    );
+    assert_eq!(lines_of(&knob.check(&tree.0)), vec![("src/a.rs".into(), 2)]);
+    assert_eq!(lines_of(&one.check(&tree.0)), vec![("src/a.rs".into(), 6)]);
+    // A renamed item leaves its guard nothing to check: that is a finding.
+    tree.put("src/a.rs", "pub struct Renamed {}\n");
+    assert_eq!(lines_of(&knob.check(&tree.0)), vec![(guards::TABLE.into(), 1)]);
+}
+
+#[test]
+fn r5_path_row_fires_when_the_path_exists() {
+    let tree = Scratch::new("path");
+    let g = row(["shim gone", "no-path", "", "", "shims/crossbeam", ""]);
+    assert!(g.check(&tree.0).is_empty());
+    tree.put("shims/crossbeam/Cargo.toml", "");
+    assert_eq!(lines_of(&g.check(&tree.0)), vec![(guards::TABLE.into(), 1)]);
+}
+
+fn workspace_root() -> PathBuf {
+    qpipe_lint::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
+}
+
+/// Copy `from` into `to`, build output (`target/`) excepted.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read_dir") {
+        let entry = entry.expect("entry");
+        let (src, dst) = (entry.path(), to.join(entry.file_name()));
+        if src.is_dir() {
+            if entry.file_name() != "target" {
+                copy_tree(&src, &dst);
+            }
+        } else {
+            std::fs::copy(&src, &dst).expect("copy");
+        }
+    }
+}
+
+/// The files a placement changed, each with its old content (`None`: new).
+type Undo = Vec<(PathBuf, Option<String>)>;
+
+fn write(undo: &mut Undo, path: PathBuf, content: String) {
+    if !undo.iter().any(|(p, _)| *p == path) {
+        undo.push((path.clone(), std::fs::read_to_string(&path).ok()));
+    }
+    std::fs::create_dir_all(path.parent().expect("a parent")).expect("mkdir");
+    std::fs::write(path, content).expect("write");
+}
+
+fn append(undo: &mut Undo, path: PathBuf, text: &str) {
+    let old = std::fs::read_to_string(&path).expect("an existing file");
+    write(undo, path, format!("{old}\n{text}\n"));
+}
+
+/// Put `g`'s witness where its row must fire (`in_scope`), or where the
+/// row must not fire: inside a `mod tests`, outside the item, in an
+/// allowlisted file, or outside every guarded tree.
+fn place(root: &Path, g: &Guard, in_scope: bool) -> Undo {
+    let mut undo = Undo::new();
+    let w = &g.witness;
+    let first = root.join(&g.files(root)[0]);
+    match (&g.kind, in_scope) {
+        (Kind::Absent | Kind::FilesIn(_), true) if first.is_dir() => {
+            write(&mut undo, first.join("guard_witness.rs"), format!("{w}\n"))
+        }
+        (Kind::Absent | Kind::FilesIn(_) | Kind::NonTest | Kind::Count { .. }, true) => {
+            append(&mut undo, first, w)
+        }
+        (Kind::NonTest, false) => {
+            append(&mut undo, first, &format!("#[cfg(test)]\nmod tests {{\n{w}\n}}"))
+        }
+        (Kind::InItem(heads), _) => {
+            let (path, src, at) = g
+                .files(root)
+                .iter()
+                .map(|f| root.join(f))
+                .filter_map(|p| std::fs::read_to_string(&p).ok().map(|s| (p, s)))
+                .find_map(|(p, s)| {
+                    let at =
+                        s.lines().position(|l| heads.iter().any(|h| l.starts_with(h.as_str())));
+                    at.map(|at| (p, s, at))
+                })
+                .expect("the item exists");
+            let mut lines: Vec<&str> = src.lines().collect();
+            lines.insert(if in_scope { at + 1 } else { lines.len() }, w);
+            write(&mut undo, path, lines.join("\n") + "\n");
+        }
+        (Kind::FilesIn(allowed), false) => append(&mut undo, root.join(&allowed[0]), w),
+        (Kind::NoPath, true) => write(&mut undo, root.join(&g.paths[0]), String::new()),
+        (Kind::Absent | Kind::Count { .. } | Kind::NoPath, false) => {
+            write(&mut undo, root.join("guard_witness.rs"), format!("{w}\n"))
+        }
+    }
+    undo
+}
+
+fn restore(undo: Undo) {
+    for (path, old) in undo.into_iter().rev() {
+        match old {
+            Some(content) => std::fs::write(path, content).expect("restore"),
+            None => std::fs::remove_file(path).expect("remove"),
+        }
+    }
+}
+
+/// Every guard is live: in a copy of the workspace, each row's witness put
+/// back in scope fires that row and no other, and put just out of scope
+/// fires none.
+#[test]
+fn every_guard_fires_on_its_witness() {
+    let real = workspace_root();
+    let table = guards::load(&real).expect("the guard table");
+    let copy = Scratch::new("witness");
+    for tree in ["crates", "src", "tests", "examples"] {
+        copy_tree(&real.join(tree), &copy.0.join(tree));
+    }
+    let root = &copy.0;
+    let fired = || -> Vec<u32> {
+        table.iter().filter(|g| !g.check(root).is_empty()).map(|g| g.row).collect()
+    };
+    assert_eq!(fired(), Vec::<u32>::new(), "the copy starts clean");
+    for g in &table {
+        let undo = place(root, g, true);
+        assert_eq!(
+            fired(),
+            vec![g.row],
+            "row {} ({}) on its witness: {:?}",
+            g.row,
+            g.reason,
+            g.check(root)
+        );
+        restore(undo);
+        let undo = place(root, g, false);
+        assert_eq!(fired(), Vec::<u32>::new(), "row {} ({}) out of scope", g.row, g.reason);
+        restore(undo);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end over this workspace
 // ---------------------------------------------------------------------------
 
 #[test]
 fn workspace_has_no_finding() {
-    // The real tree with the real config must lint clean — the same
-    // invariant CI enforces.
-    let root = qpipe_lint::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root");
-    let files = qpipe_lint::collect_sources(&root).expect("collect sources");
-    let findings = run(&files, &Config::default());
+    // The real tree with the real config and guard table must lint clean —
+    // the same invariant CI enforces.
+    let (_, findings) = qpipe_lint::lint_workspace(&workspace_root()).expect("lint the workspace");
     assert!(
         findings.is_empty(),
         "lint findings:\n{}",

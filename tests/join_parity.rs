@@ -178,7 +178,7 @@ fn q12_shape_executes_columnar_end_to_end() {
         delta.col_rowified_batches, 0,
         "no ColBatch may be flattened to rows between scan and agg"
     );
-    assert_eq!(delta.vec_fallbacks, 0, "nothing should fall back to the row path");
+    assert_eq!(delta.vec_fallbacks, 0, "no hash build should be refused into a grace join");
     // Column liveness: the join reads orders.[0] and lineitem.[0, 12], so the
     // scanners decode those columns only.
     assert!(delta.pruned_pages > 0, "a join plan's scans must decode only live columns");
@@ -237,7 +237,7 @@ fn q1_shape_executes_columnar_end_to_end() {
         delta.col_rowified_batches, 0,
         "no ColBatch may be flattened to rows anywhere in the plan"
     );
-    assert_eq!(delta.vec_fallbacks, 0, "nothing should fall back to the row path");
+    assert_eq!(delta.vec_fallbacks, 0, "no hash build should be refused into a grace join");
 }
 
 /// ORDER BY directly over columnar operator output (no aggregate in
@@ -491,5 +491,5 @@ fn join_budget_overflow_falls_back_to_grace_and_agrees() {
     let got = sorted(engine.submit(plan).unwrap().try_collect().unwrap());
     assert_eq!(got, expected);
     let delta = engine.metrics().snapshot().delta_since(&before);
-    assert!(delta.vec_fallbacks > 0, "overflow must take the row/grace fallback");
+    assert!(delta.vec_fallbacks > 0, "overflow must take the grace fallback");
 }
