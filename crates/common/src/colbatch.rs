@@ -34,16 +34,15 @@ use crate::value::{cmp_i64_f64, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// One sort key over a [`ColBatch`]: column index + direction. The common
-/// crate's mirror of the planner's `SortKey` (which lives downstream in
-/// `qpipe-exec` and cannot be referenced here).
+/// Sort key: column index + direction. Plans name it as
+/// `qpipe_exec::plan::SortKey`; [`ColBatch`]'s sorts take it as it stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortSpec {
+pub struct SortKey {
     pub col: usize,
     pub asc: bool,
 }
 
-impl SortSpec {
+impl SortKey {
     pub fn asc(col: usize) -> Self {
         Self { col, asc: true }
     }
@@ -569,7 +568,7 @@ impl ColBatch {
     ///
     /// Panics when a key column is out of range (same contract as the row
     /// path, which indexes `tuple[key.col]`).
-    pub fn cmp_rows(&self, i: usize, other: &ColBatch, j: usize, keys: &[SortSpec]) -> Ordering {
+    pub fn cmp_rows(&self, i: usize, other: &ColBatch, j: usize, keys: &[SortKey]) -> Ordering {
         for k in keys {
             let ord = self.cols[k.col].cmp_values(i, &other.cols[k.col], j);
             let ord = if k.asc { ord } else { ord.reverse() };
@@ -584,7 +583,7 @@ impl ColBatch {
     /// row indices in sorted order (ties keep input order). Only the key
     /// columns are touched — payload columns move once, when the caller
     /// gathers them with [`take`](Self::take).
-    pub fn sort_perm(&self, keys: &[SortSpec]) -> Vec<u32> {
+    pub fn sort_perm(&self, keys: &[SortKey]) -> Vec<u32> {
         let mut perm: Vec<u32> = (0..self.len as u32).collect();
         perm.sort_by(|&a, &b| self.cmp_rows(a as usize, self, b as usize, keys));
         perm
@@ -1158,7 +1157,7 @@ mod tests {
             vec![Value::Int(0), Value::Int(7)],
         ];
         let cb = ColBatch::from_rows(&rs);
-        let keys = [SortSpec::asc(0), SortSpec::desc(1)];
+        let keys = [SortKey::asc(0), SortKey::desc(1)];
         let perm = cb.sort_perm(&keys);
         let got: Vec<Tuple> = perm.iter().map(|&i| cb.row(i as usize)).collect();
         let mut expect = rs.clone();
@@ -1170,7 +1169,7 @@ mod tests {
     fn sort_perm_is_stable_on_duplicate_keys() {
         let rs: Vec<Tuple> = (0..40).map(|i| vec![Value::Int(i % 3), Value::Int(i)]).collect();
         let cb = ColBatch::from_rows(&rs);
-        let perm = cb.sort_perm(&[SortSpec::asc(0)]);
+        let perm = cb.sort_perm(&[SortKey::asc(0)]);
         // Within each key group, payload (= input position) stays ascending.
         let mut last = std::collections::HashMap::new();
         for &i in &perm {

@@ -44,8 +44,8 @@ impl CmpOp {
         !a.is_null() && !b.is_null() && self.matches(a.total_cmp(b))
     }
 
-    /// The operator with its operands swapped: `a op b` ⇔ `b op.flip() a`.
-    pub(crate) fn flip(self) -> CmpOp {
+    /// The operator with its operands swapped: `a op b` ⇔ `b op.mirror() a`.
+    pub fn mirror(self) -> CmpOp {
         match self {
             CmpOp::Lt => CmpOp::Gt,
             CmpOp::Le => CmpOp::Ge,

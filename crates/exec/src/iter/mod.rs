@@ -5,8 +5,11 @@
 //! Queries interact only through the shared buffer pool — exactly the
 //! sharing-through-timing behaviour §1.1 and Figure 3 describe. This engine
 //! is the test oracle only — DBMS X is Baseline's staged engine on the 2Q
-//! pool — and the staged engine runs none of its operators. Its sort and hash join work in memory: they take no
-//! governor lease and never spill.
+//! pool — and the staged engine runs none of its operators. Its sort and
+//! hash join work in memory: they take no governor lease and never spill.
+//! It has one scan, [`SeqScanIter`], and no index code: an index scan is
+//! answered by reading every page and checking each row's key against the
+//! range, so the staged engine's index reads are checked, not shared.
 
 mod agg;
 mod join;
@@ -15,12 +18,12 @@ mod sort;
 
 pub use agg::{AggState, AggregateIter};
 pub use join::{HashJoinIter, MergeJoinIter, NestedLoopJoinIter};
-pub use scan::{ClusteredIndexScanIter, SeqScanIter, UnclusteredIndexScanIter};
+pub use scan::SeqScanIter;
 pub use sort::{cmp_keys, SortIter};
 
 use crate::expr::Expr;
 use crate::plan::PlanNode;
-use qpipe_common::{MemoryGovernor, Metrics, QError, QResult, Tuple};
+use qpipe_common::{MemoryGovernor, Metrics, QResult, Tuple};
 use qpipe_storage::Catalog;
 use std::sync::Arc;
 
@@ -126,50 +129,14 @@ pub fn collect(mut it: Box<dyn TupleIter>) -> QResult<Vec<Tuple>> {
     Ok(out)
 }
 
-/// Build an operator tree for `plan`. A scan naming a column its table lacks,
-/// in its predicate or its projection, is refused with `QError::Plan`
-/// before any page is read.
+/// Build an operator tree for `plan`. A scan is refused with `QError::Plan`
+/// before any page is read if it names a column its table lacks, or an index
+/// the table lacks (see [`SeqScanIter::open`]).
 pub fn build(plan: &PlanNode, ctx: &ExecContext) -> QResult<Box<dyn TupleIter>> {
-    if let PlanNode::TableScan { table, predicate, projection, .. }
-    | PlanNode::ClusteredIndexScan { table, predicate, projection, .. }
-    | PlanNode::UnclusteredIndexScan { table, predicate, projection, .. } = plan
-    {
-        let width = ctx.catalog.table(table)?.schema.len();
-        let mut cols = projection.clone().unwrap_or_default();
-        if let Some(p) = predicate {
-            p.collect_cols(&mut cols);
-        }
-        if let Some(c) = cols.into_iter().find(|&c| c >= width) {
-            return Err(QError::Plan(format!(
-                "scan column {c} out of range for table {table:?} of {width} columns"
-            )));
-        }
-    }
     Ok(match plan {
-        PlanNode::TableScan { table, predicate, projection, ordered: _ } => {
-            Box::new(SeqScanIter::open(ctx, table, predicate.clone(), projection.clone())?)
-        }
-        PlanNode::ClusteredIndexScan { table, lo, hi, predicate, projection, ordered: _ } => {
-            Box::new(ClusteredIndexScanIter::open(
-                ctx,
-                table,
-                lo.clone(),
-                hi.clone(),
-                predicate.clone(),
-                projection.clone(),
-            )?)
-        }
-        PlanNode::UnclusteredIndexScan { table, column, lo, hi, predicate, projection } => {
-            Box::new(UnclusteredIndexScanIter::open(
-                ctx,
-                table,
-                column,
-                lo.clone(),
-                hi.clone(),
-                predicate.clone(),
-                projection.clone(),
-            )?)
-        }
+        PlanNode::TableScan { .. }
+        | PlanNode::ClusteredIndexScan { .. }
+        | PlanNode::UnclusteredIndexScan { .. } => Box::new(SeqScanIter::open(plan, ctx)?),
         PlanNode::Filter { input, predicate } => {
             Box::new(FilterIter { input: build(input, ctx)?, predicate: predicate.clone() })
         }
@@ -241,35 +208,6 @@ impl TupleIter for ProjectIter {
             }
         }
     }
-}
-
-/// Apply an optional predicate + projection to a decoded tuple; used by all
-/// scan kernels.
-pub(crate) fn finish_tuple(
-    tuple: Tuple,
-    predicate: &Option<Expr>,
-    projection: &Option<Vec<usize>>,
-) -> QResult<Option<Tuple>> {
-    if let Some(p) = predicate {
-        if !p.eval_bool(&tuple)? {
-            return Ok(None);
-        }
-    }
-    Ok(Some(match projection {
-        None => tuple,
-        Some(cols) => {
-            let mut out = Vec::with_capacity(cols.len());
-            for &c in cols {
-                out.push(
-                    tuple
-                        .get(c)
-                        .cloned()
-                        .ok_or_else(|| QError::Plan(format!("projection col {c} out of range")))?,
-                );
-            }
-            out
-        }
-    }))
 }
 
 /// In-memory iterator over a vector (tests, buffered intermediates).

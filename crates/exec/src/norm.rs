@@ -36,20 +36,6 @@
 use crate::expr::{ArithOp, CmpOp, Expr};
 use qpipe_common::Value;
 
-impl CmpOp {
-    /// The operator with its operands swapped: `a op b` ≡ `b op.mirror() a`.
-    pub fn mirror(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
-}
-
 impl Expr {
     /// True iff the expression references no columns (so its value is a
     /// runtime constant).

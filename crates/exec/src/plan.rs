@@ -8,26 +8,10 @@
 //! overlapping work with a cheap comparison (§4.3).
 
 use crate::expr::Expr;
+pub use qpipe_common::colbatch::SortKey;
 use qpipe_common::trace::{OpStats, QueryProfile};
 use qpipe_common::Value;
 use std::sync::Arc;
-
-/// Sort key: column index + direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortKey {
-    pub col: usize,
-    pub asc: bool,
-}
-
-impl SortKey {
-    pub fn asc(col: usize) -> Self {
-        Self { col, asc: true }
-    }
-
-    pub fn desc(col: usize) -> Self {
-        Self { col, asc: false }
-    }
-}
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -199,7 +199,7 @@ fn cmp_operands(op: CmpOp, a: &Operand<'_, '_>, b: &Operand<'_, '_>, sel: &SelVe
     match (a, b) {
         (Operand::Col(x), Operand::Lit(v)) => cmp_col_lit(x, op, v, sel),
         // Literal-column: flip the operator and reuse the kernel.
-        (Operand::Lit(v), Operand::Col(y)) => cmp_col_lit(y, op.flip(), v, sel),
+        (Operand::Lit(v), Operand::Col(y)) => cmp_col_lit(y, op.mirror(), v, sel),
         (Operand::Col(x), Operand::Col(y)) => cmp_col_col(x, y, op, sel),
         (Operand::Lit(x), Operand::Lit(y)) => keep_if(sel, op.test(x, y)),
     }

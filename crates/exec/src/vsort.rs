@@ -35,7 +35,7 @@
 use crate::iter::ExecContext;
 use crate::plan::SortKey;
 use crate::spill::{ColRunHandle, ColRunReader, ColRunWriter};
-use qpipe_common::colbatch::{ColBatch, ColBatchBuilder, SortSpec};
+use qpipe_common::colbatch::{ColBatch, ColBatchBuilder};
 use qpipe_common::{MemClass, MemLease, QError, QResult};
 use std::cmp::Ordering;
 
@@ -54,7 +54,7 @@ const MIN_SPILL_ROWS: usize = 64;
 /// [`SortIter`](crate::iter::SortIter). See the module docs for the phase
 /// structure and the bit-identical-order guarantee.
 pub struct VecSort {
-    keys: Vec<SortSpec>,
+    keys: Vec<SortKey>,
     ctx: ExecContext,
     builder: ColBatchBuilder,
     runs: Vec<ColRunHandle>,
@@ -68,7 +68,7 @@ pub struct VecSort {
 
 impl VecSort {
     pub fn new(keys: &[SortKey], ctx: ExecContext) -> Self {
-        let keys = keys.iter().map(|k| SortSpec { col: k.col, asc: k.asc }).collect();
+        let keys = keys.to_vec();
         let lease = ctx.governor.lease(MemClass::Sort);
         Self { keys, ctx, builder: ColBatchBuilder::new(), runs: Vec::new(), lease, width: None }
     }
@@ -183,7 +183,7 @@ impl VecSort {
 
 /// `cursors[a]`'s head row strictly before `cursors[b]`'s, tie-breaking on
 /// the cursor index (run order).
-fn head_less(cursors: &[Cursor], keys: &[SortSpec], a: usize, b: usize) -> bool {
+fn head_less(cursors: &[Cursor], keys: &[SortKey], a: usize, b: usize) -> bool {
     let (ca, cb) = (&cursors[a], &cursors[b]);
     match ca.batch.cmp_rows(ca.pos, &cb.batch, cb.pos, keys) {
         Ordering::Less => true,
@@ -193,7 +193,7 @@ fn head_less(cursors: &[Cursor], keys: &[SortSpec], a: usize, b: usize) -> bool 
 }
 
 /// Restore the min-heap property downward from `i`.
-fn sift_down(heap: &mut [usize], cursors: &[Cursor], keys: &[SortSpec], mut i: usize) {
+fn sift_down(heap: &mut [usize], cursors: &[Cursor], keys: &[SortKey], mut i: usize) {
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         let mut m = i;

@@ -82,7 +82,8 @@
 //! A waiver suppresses findings of its rule (R1–R4) on its own line
 //! (trailing comment) or the line directly below (comment above). The
 //! reason is mandatory — a waiver without one, or one naming R5, is itself
-//! a violation.
+//! a violation, filed under the rule its key names (R1 when the key names
+//! no rule).
 //!
 //! # Running
 //!

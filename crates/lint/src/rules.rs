@@ -147,17 +147,20 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
             out.push(finding);
         }
     }
-    // Malformed waivers (no reason) are findings in their own right.
+    // Malformed waivers (no reason, or no rule that takes one) are findings
+    // in their own right, filed under the rule their key names (R1 when it
+    // names none).
     for (f, lx) in files.iter().zip(&lexed) {
         for c in &lx.comments {
             if let Some(rest) = c.text.trim().strip_prefix("lint:allow(") {
-                let ok = rest.split_once(')').is_some_and(|(key, tail)| {
-                    Rule::parse(key).is_some()
-                        && tail.trim_start().strip_prefix(':').is_some_and(|r| !r.trim().is_empty())
-                });
+                let (key, tail) = rest.split_once(')').unwrap_or((rest, ""));
+                let ok = Rule::parse(key).is_some()
+                    && tail.trim_start().strip_prefix(':').is_some_and(|r| !r.trim().is_empty());
                 if !ok {
+                    let named = Rule::parse(key)
+                        .or_else(|| Rule::ALL.into_iter().find(|r| r.to_string() == key.trim()));
                     out.push(Finding {
-                        rule: Rule::R1,
+                        rule: named.unwrap_or(Rule::R1),
                         path: f.path.clone(),
                         line: c.line,
                         msg: "malformed waiver: use `lint:allow(rule): reason` with a known \

@@ -334,6 +334,16 @@ fn r5_takes_no_waiver() {
     let f = lint_one("crates/core/src/fix.rs", "// lint:allow(R5): the table says so\nfn a() {}\n");
     assert_eq!(f.len(), 1, "{f:?}");
     assert!(f[0].msg.contains("malformed waiver"), "{}", f[0].msg);
+    assert_eq!(f[0].rule, Rule::R5, "filed under the rule its key names");
+}
+
+#[test]
+fn a_malformed_waiver_is_filed_under_the_rule_it_names() {
+    let f = lint_one("crates/core/src/fix.rs", "// lint:allow(R3)\nfn a() {}\n");
+    assert_eq!(rules_of(&f), vec![Rule::R3], "{f:?}");
+    assert!(f[0].msg.contains("malformed waiver"), "{}", f[0].msg);
+    let f = lint_one("crates/core/src/fix.rs", "// lint:allow(lock):\n// lint:allow(R9): x\n");
+    assert_eq!(rules_of(&f), vec![Rule::R3, Rule::R1], "an unknown key is filed as R1: {f:?}");
 }
 
 /// A directory under the system temp dir, removed on drop.
@@ -528,7 +538,8 @@ fn restore(undo: Undo) {
 
 /// Every guard is live: in a copy of the workspace, each row's witness put
 /// back in scope fires that row and no other, and put just out of scope
-/// fires none.
+/// fires none. The copy starts clean, so after a placement only the rows
+/// whose paths cover a written file can fire: only those are checked again.
 #[test]
 fn every_guard_fires_on_its_witness() {
     let real = workspace_root();
@@ -538,14 +549,23 @@ fn every_guard_fires_on_its_witness() {
         copy_tree(&real.join(tree), &copy.0.join(tree));
     }
     let root = &copy.0;
-    let fired = || -> Vec<u32> {
-        table.iter().filter(|g| !g.check(root).is_empty()).map(|g| g.row).collect()
+    let all: Vec<u32> = table.iter().filter(|g| !g.check(root).is_empty()).map(|g| g.row).collect();
+    assert_eq!(all, Vec::<u32>::new(), "the copy starts clean");
+    let fired = |undo: &Undo| -> Vec<u32> {
+        let written: Vec<String> = undo
+            .iter()
+            .map(|(p, _)| p.strip_prefix(root).expect("inside the copy").to_string_lossy().into())
+            .collect();
+        let covers = |g: &Guard| {
+            let files = g.files(root);
+            written.iter().any(|w| files.iter().any(|f| w == f || w.starts_with(&format!("{f}/"))))
+        };
+        table.iter().filter(|g| covers(g) && !g.check(root).is_empty()).map(|g| g.row).collect()
     };
-    assert_eq!(fired(), Vec::<u32>::new(), "the copy starts clean");
     for g in &table {
         let undo = place(root, g, true);
         assert_eq!(
-            fired(),
+            fired(&undo),
             vec![g.row],
             "row {} ({}) on its witness: {:?}",
             g.row,
@@ -554,7 +574,7 @@ fn every_guard_fires_on_its_witness() {
         );
         restore(undo);
         let undo = place(root, g, false);
-        assert_eq!(fired(), Vec::<u32>::new(), "row {} ({}) out of scope", g.row, g.reason);
+        assert_eq!(fired(&undo), Vec::<u32>::new(), "row {} ({}) out of scope", g.row, g.reason);
         restore(undo);
     }
 }

@@ -590,27 +590,6 @@ mod tests {
         }
     }
 
-    /// A RID fetch answers the stored row whatever the cache holds: nothing,
-    /// some columns, or all of them; a slot past the rows errs.
-    #[test]
-    fn row_answers_from_any_cache_state() {
-        let rows = sample_rows(30);
-        let mut b = ColPageBuilder::new(&schema());
-        for r in &rows {
-            b.append(r).unwrap();
-        }
-        let block = Block::from(b.finish());
-        assert_eq!(block.row(7).unwrap(), rows[7], "cold");
-        let fresh =
-            Block::from(ColPage::from_bytes(block.as_columnar().unwrap().data.clone()).unwrap());
-        fresh.decode(Some(&[2])).unwrap();
-        assert_eq!(fresh.row(11).unwrap(), rows[11], "one column cached");
-        for (slot, want) in rows.iter().enumerate() {
-            assert_eq!(&fresh.row(slot as u16).unwrap(), want, "all cached");
-        }
-        assert!(fresh.row(30).is_err());
-    }
-
     #[test]
     fn dictionary_interns_distinct_strings_once() {
         let mut b = ColPageBuilder::new(&Schema::of(&[("s", DataType::Str)]));

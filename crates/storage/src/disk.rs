@@ -18,7 +18,7 @@
 //! [`SimDisk::read_block`] is issue-then-wait.
 
 use crate::colpage::ColPage;
-use crate::page::{decode_tuple, Page};
+use crate::page::Page;
 use parking_lot::{Mutex, RwLock};
 use qpipe_common::colbatch::Column;
 use qpipe_common::{
@@ -172,26 +172,6 @@ impl Block {
         match self {
             Block::Slotted(p) => p.decode_tuples(),
             Block::Columnar(_) => Ok(self.decode(None)?.to_rows()),
-        }
-    }
-
-    /// Record `slot` as a tuple (an unclustered index's RID fetch).
-    pub fn row(&self, slot: u16) -> QResult<Tuple> {
-        match self {
-            Block::Slotted(p) => decode_tuple(p.record(slot)?),
-            Block::Columnar(p) if usize::from(slot) < p.num_rows() => {
-                // Straight from the cached columns; a missing one fills the
-                // cache through `decode`.
-                let i = usize::from(slot);
-                let cached = p.cache.get().and_then(|slots| {
-                    slots.iter().map(|s| s.get().map(|c| c.value(i))).collect::<Option<Tuple>>()
-                });
-                match cached {
-                    Some(row) => Ok(row),
-                    None => Ok(self.decode(None)?.row(i)),
-                }
-            }
-            Block::Columnar(_) => Err(QError::Storage(format!("no slot {slot}"))),
         }
     }
 

@@ -9,6 +9,12 @@
 //! Both index kinds here are bulk-loaded at table-creation time, which is
 //! exactly the data-warehouse lifecycle the paper targets (§1: periodic bulk
 //! load, then read-only querying).
+//!
+//! The staged engine's `viter::PageRangeReader` is the one reader of
+//! [`ClusteredIndex::page_range`] and [`UnclusteredIndex::rid_list`]. The
+//! iterator engine, which the parity tests take as ground truth, reads no
+//! index: it answers an index scan with a filtered sequential scan, so a
+//! wrong fence-key lookup here shows as rows the engine loses against it.
 
 use crate::bufferpool::BufferPool;
 use crate::disk::{FileId, SimDisk};

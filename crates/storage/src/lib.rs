@@ -33,7 +33,9 @@
 //!   even across eviction.
 //! * [`index`] — bulk-loaded paged indexes: clustered (table stored in key
 //!   order) and unclustered (key → RID list, fetched in page order). Both
-//!   work over either table layout.
+//!   work over either table layout. The staged engine's page-range reader
+//!   is their one reader; the iterator engine, the test oracle, reads no
+//!   index and answers an index scan by filtering a full scan.
 //! * [`catalog`] — table metadata and creation/loading helpers; each table
 //!   records its [`StorageLayout`] (`Row` or `Columnar`), chosen at
 //!   create/load time.

@@ -12,44 +12,9 @@
 //! property `tests/planner.rs` and the planner fuzz check.
 
 use crate::tpch::{BRANDS, DATE_MAX, NATIONS, REGIONS, SHIPMODES};
+use qpipe_exec::expr::CmpOp;
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// A comparison operator that knows its mirrored spelling, so `a < b` can be
-/// rendered as `b > a`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-impl CmpOp {
-    fn sql(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "<>",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-
-    fn mirror(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
-}
 
 /// One WHERE conjunct.
 #[derive(Debug, Clone)]
@@ -69,9 +34,9 @@ impl Pred {
     fn render(&self, commute: bool) -> String {
         match self {
             Pred::Cmp { lhs, op, rhs } if commute => {
-                format!("{rhs} {} {lhs}", op.mirror().sql())
+                format!("{rhs} {} {lhs}", op.mirror())
             }
-            Pred::Cmp { lhs, op, rhs } => format!("{lhs} {} {rhs}", op.sql()),
+            Pred::Cmp { lhs, op, rhs } => format!("{lhs} {op} {rhs}"),
             Pred::Raw(s) => s.clone(),
         }
     }

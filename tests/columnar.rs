@@ -118,36 +118,33 @@ fn q8_groups_by_order_year_in_both_engines_and_layouts() {
     assert!(most_years >= 2, "some Q8 must span several order years ({most_years})");
 }
 
+/// The staged engine's clustered range scan and unclustered RID-list scan
+/// answer what a filtered full scan of the oracle answers, on both layouts,
+/// and the two layouts agree.
 #[test]
 fn clustered_and_unclustered_access_parity_across_layouts() {
     let run = |layout: StorageLayout| -> (Vec<Tuple>, Vec<Tuple>) {
         let catalog = tpch_catalog(layout);
         catalog.create_index("lineitem", "l_partkey").unwrap();
-        let ctx = qpipe::exec::iter::ExecContext::new(catalog);
-        let clustered = qpipe::exec::iter::run(
-            &PlanNode::ClusteredIndexScan {
-                table: "lineitem".into(),
-                lo: Some(Value::Int(100)),
-                hi: Some(Value::Int(400)),
-                predicate: None,
-                projection: None,
-                ordered: true,
-            },
-            &ctx,
-        )
-        .unwrap();
-        let unclustered = qpipe::exec::iter::run(
-            &PlanNode::UnclusteredIndexScan {
-                table: "lineitem".into(),
-                column: "l_partkey".into(),
-                lo: Some(Value::Int(10)),
-                hi: Some(Value::Int(20)),
-                predicate: None,
-                projection: None,
-            },
-            &ctx,
-        )
-        .unwrap();
+        let ctx = qpipe::exec::iter::ExecContext::new(catalog.clone());
+        let engine = QPipe::new(catalog, QPipeConfig::default());
+        let answer = |plan: PlanNode| engine.submit(plan).unwrap().try_collect().unwrap();
+        let clustered = answer(PlanNode::ClusteredIndexScan {
+            table: "lineitem".into(),
+            lo: Some(Value::Int(100)),
+            hi: Some(Value::Int(400)),
+            predicate: None,
+            projection: None,
+            ordered: true,
+        });
+        let unclustered = answer(PlanNode::UnclusteredIndexScan {
+            table: "lineitem".into(),
+            column: "l_partkey".into(),
+            lo: Some(Value::Int(10)),
+            hi: Some(Value::Int(20)),
+            predicate: None,
+            projection: None,
+        });
         // A filtered full scan answers the same ranges without an index.
         let key = |c: usize, lo: i64, hi: i64| {
             Some(Expr::and([Expr::col(c).ge(Expr::lit(lo)), Expr::col(c).le(Expr::lit(hi))]))
@@ -163,7 +160,7 @@ fn clustered_and_unclustered_access_parity_across_layouts() {
             assert_eq!(
                 sorted(found.clone()),
                 expected,
-                "{layout:?}: index against a filtered scan"
+                "{layout:?}: the engine's index scan against a filtered scan"
             );
         }
         (clustered, sorted(unclustered))
@@ -180,6 +177,11 @@ fn clustered_and_unclustered_access_parity_across_layouts() {
 /// unclustered RID list and a whole table, with random predicates and
 /// projections (a range's clustered key projected or not), on both layouts,
 /// its rows equal the iterator engine's scan of the same plan as a multiset.
+/// The oracle reads no index, so the index lookups are checked, not shared:
+/// the first rounds take their bounds from the index's edges — the first key
+/// of each heap page, the keys whose duplicates span index pages, bounds
+/// below and above every key, and `lo > hi` — where a fence lookup that is
+/// off by one page loses rows.
 #[test]
 fn page_range_reader_matches_the_iterator_scan() {
     use qpipe::exec::viter::{BatchSource, PageRangeReader};
@@ -209,8 +211,50 @@ fn page_range_reader_matches_the_iterator_scan() {
             .create_table_with_layout("r", schema.clone(), rows.clone(), Some(0), layout)
             .unwrap();
         catalog.create_index("r", "v").unwrap();
-        let ctx = ExecContext::new(catalog);
-        for round in 0..60 {
+        // Column 0 of each page of `file`, the page's first value first.
+        let keys_of = |file, pages| -> Vec<Vec<Value>> {
+            (0..pages)
+                .map(|p| {
+                    let rows = catalog.disk().read_block(file, p).unwrap().rows().unwrap();
+                    rows.into_iter().map(|mut r| r.swap_remove(0)).collect()
+                })
+                .collect()
+        };
+        let info = catalog.table("r").unwrap();
+        let heap_firsts: Vec<Value> = keys_of(info.file_id(), info.num_pages().unwrap())
+            .into_iter()
+            .map(|p| p[0].clone())
+            .collect();
+        let idx = info.unclustered_index("v").unwrap();
+        let index_pages = keys_of(idx.file_id(), idx.num_pages());
+        let spanning: Vec<Value> = index_pages
+            .windows(2)
+            .filter(|w| w[0].last() == w[1].first())
+            .map(|w| w[1][0].clone())
+            .collect();
+        assert!(heap_firsts.len() > 2 && !spanning.is_empty(), "{layout:?}: pages to edge on");
+        let edges = |firsts: &[Value], max: i64| {
+            let mut out: Vec<(Option<Value>, Option<Value>)> = firsts
+                .iter()
+                .flat_map(|f| {
+                    let f = Some(f.clone());
+                    [(f.clone(), f.clone()), (None, f.clone()), (f, None)]
+                })
+                .collect();
+            let (below, above) = (Some(Value::Int(-1)), Some(Value::Int(max + 1)));
+            out.extend([
+                (None, below.clone()),
+                (below.clone(), below.clone()),
+                (above.clone(), None),
+                (above.clone(), above.clone()),
+                (below, above),
+                (Some(Value::Int(max / 2 + 1)), Some(Value::Int(max / 2))),
+            ]);
+            out
+        };
+        let (key_edges, v_edges) = (edges(&heap_firsts, n), edges(&spanning, 50));
+        let ctx = ExecContext::new(catalog.clone());
+        for round in 0..60 + key_edges.len().max(v_edges.len()) {
             let atom = |rng: &mut StdRng| match rng.gen_range(0..4) {
                 0 => Expr::col(0).ge(Expr::lit(rng.gen_range(0..n))),
                 1 => Expr::col(1).lt(Expr::lit(rng.gen_range(0..50i64))),
@@ -227,8 +271,8 @@ fn page_range_reader_matches_the_iterator_scan() {
                 .gen_bool(0.75)
                 .then(|| (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..4)).collect::<Vec<_>>());
             let mut bound = |hi: i64| rng.gen_bool(0.8).then(|| Value::Int(rng.gen_range(0..hi)));
-            let (lo, hi) = (bound(n), bound(n));
-            let (vlo, vhi) = (bound(50), bound(50));
+            let (lo, hi) = key_edges.get(round).cloned().unwrap_or_else(|| (bound(n), bound(n)));
+            let (vlo, vhi) = v_edges.get(round).cloned().unwrap_or_else(|| (bound(50), bound(50)));
             let plans = [
                 PlanNode::ClusteredIndexScan {
                     table: "r".into(),
